@@ -1,7 +1,7 @@
 // Kernel-facing benchmarks: one fault-injection episode and one chaos
 // campaign, memoization defeated, so ns/op and allocs/op track the real
-// cost of simulating — the numbers BENCH_4.json records as the repo's
-// trajectory. BenchmarkKernel (internal/sim) covers the raw event loop.
+// cost of simulating. BenchmarkKernel (internal/sim) covers the raw event
+// loop; cmd/pressbench is where performance numbers are taken.
 //
 // Run with -benchtime=1x: a single iteration is a full simulation.
 package press_test

@@ -9,7 +9,6 @@
 //	reproduce -chaos [-seeds N] [-version FME] [-shrink] [-repro-dir dir] [-fast] [-gray]
 //	reproduce -chaos [-snapshot file.snap | -from-snapshot file.snap] ...
 //	reproduce -chaos-replay file.json
-//	reproduce -bench [-bench-out BENCH_8.json] [-bench-base BENCH_7.json] [-fast]
 //
 // Any mode accepts -cpuprofile/-memprofile/-trace to capture a pprof CPU
 // profile, a pprof allocation profile, or a runtime execution trace of
@@ -50,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,9 +73,6 @@ func main() {
 	gray := flag.Bool("gray", false, "chaos: add gray faults, correlated groups and recovery chases to every seed's schedule")
 	snapOut := flag.String("snapshot", "", "chaos: warm once, write the warm snapshot here, fork the campaign from it")
 	snapIn := flag.String("from-snapshot", "", "chaos: fork the campaign from this snapshot file instead of warming")
-	bench := flag.Bool("bench", false, "run the kernel/episode/campaign benchmark and write a JSON baseline")
-	benchOut := flag.String("bench-out", "BENCH_8.json", "bench: output path for the JSON baseline")
-	benchBase := flag.String("bench-base", "BENCH_7.json", "bench: prior baseline to embed a comparison against (absent file = no comparison)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceFlag := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -108,6 +105,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-nodes %d needs -protocol scalable: the faithful suite's broadcast directory and all-pairs announce traffic are the paper's 4-node protocols and do not scale\n", *nodes)
 		exit(2)
 	}
+	want, err := parseFigs(*fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
 	topo := func(o press.Options) press.Options {
 		o.Nodes = *nodes
 		o.Protocol = suite
@@ -126,9 +128,6 @@ func main() {
 	if *replay != "" {
 		exit(replayRepro(*replay))
 	}
-	if *bench {
-		exit(runBench(*fast, *seed, *benchOut, *benchBase))
-	}
 	if *chaosMode {
 		exit(runChaosCampaign(press.Version(*version), *seeds, *fast, *seed, *shrink, *gray, *reproDir, *snapOut, *snapIn, topo))
 	}
@@ -142,31 +141,6 @@ func main() {
 	} else {
 		o = topo(press.Options{Seed: *seed})
 		fg = press.NewFigures(o)
-	}
-
-	gens := []struct {
-		key string
-		fn  func() (press.Table, error)
-	}{
-		{"t1", fg.Table1},
-		{"1a", fg.Figure1a},
-		{"1b", fg.Figure1b},
-		{"2", fg.Figure2},
-		{"4", fg.Figure4},
-		{"6", fg.Figure6},
-		{"7", fg.Figure7},
-		{"8", fg.Figure8},
-		{"9a", fg.Figure9a},
-		{"9b", fg.Figure9b},
-		{"10", fg.Figure10},
-		{"t2", fg.Table2},
-	}
-
-	want := map[string]bool{}
-	if *fig != "all" {
-		for _, k := range strings.Split(*fig, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
 	}
 
 	var sink *os.File
@@ -189,11 +163,11 @@ func main() {
 	emit(fmt.Sprintf("# Reproduction run: seed=%d fast=%v workers=%d started %s\n\n",
 		*seed, *fast, press.GlobalWorkers(), time.Now().Format(time.RFC3339)))
 	for _, g := range gens {
-		if *fig != "all" && !want[g.key] {
+		if want != nil && !want[g.key] {
 			continue
 		}
 		start := time.Now()
-		tab, err := g.fn()
+		tab, err := g.fn(fg)
 		if err != nil {
 			emit(fmt.Sprintf("!! %s failed: %v\n\n", g.key, err))
 			continue
@@ -202,6 +176,47 @@ func main() {
 		emit(fmt.Sprintf("(generated in %.1fs)\n\n", time.Since(start).Seconds()))
 	}
 	stopProf()
+}
+
+// gens lists every table and figure in the order -fig all prints them.
+var gens = []struct {
+	key string
+	fn  func(*press.Figures) (press.Table, error)
+}{
+	{"t1", (*press.Figures).Table1},
+	{"1a", (*press.Figures).Figure1a},
+	{"1b", (*press.Figures).Figure1b},
+	{"2", (*press.Figures).Figure2},
+	{"4", (*press.Figures).Figure4},
+	{"6", (*press.Figures).Figure6},
+	{"7", (*press.Figures).Figure7},
+	{"8", (*press.Figures).Figure8},
+	{"9a", (*press.Figures).Figure9a},
+	{"9b", (*press.Figures).Figure9b},
+	{"10", (*press.Figures).Figure10},
+	{"t2", (*press.Figures).Table2},
+}
+
+// parseFigs resolves the -fig value into the set of keys to generate
+// (nil means all), rejecting any key gens does not list: a typo must not
+// look like a successful run that printed nothing.
+func parseFigs(fig string) (map[string]bool, error) {
+	if fig == "all" {
+		return nil, nil
+	}
+	valid := make([]string, len(gens))
+	for i, g := range gens {
+		valid[i] = g.key
+	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(fig, ",") {
+		k = strings.TrimSpace(k)
+		if !slices.Contains(valid, k) {
+			return nil, fmt.Errorf("-fig %q: unknown key %q (want all or a comma-separated list of %s)", fig, k, strings.Join(valid, ", "))
+		}
+		want[k] = true
+	}
+	return want, nil
 }
 
 // runChaosCampaign executes the -chaos mode and returns the exit code:

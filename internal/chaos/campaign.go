@@ -90,11 +90,38 @@ func (c CampaignSummary) String() string {
 
 // RunCampaign generates and runs one schedule per seed, checks the
 // invariant catalog against each, and (optionally) shrinks violations.
-// Seeds fan out concurrently; each run still takes a harness worker-pool
-// slot, so the machine never oversubscribes. Results are assembled in
-// seed order and every run is a pure function of its seed, so the whole
-// campaign replays bit-identically.
-func RunCampaign(v harness.Version, o harness.Options, cfg CampaignConfig) CampaignSummary {
+// Each seed reseeds the world itself as well as the fault load. Results
+// are assembled in seed order and every run is a pure function of its
+// seed, so the whole campaign replays bit-identically.
+func RunCampaign(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig) CampaignSummary {
+	o = resolveRate(eng, v, o)
+	return runSeeds(eng, v, o, cfg, func(seeded harness.Options, sched Schedule) (harness.Options, Result, error) {
+		res, err := Run(eng, v, seeded, sched, cfg.Run)
+		return seeded, res, err
+	})
+}
+
+// resolveRate pins the 90%-of-saturation load once, from a fixed-seed
+// probe, so every seed of a campaign shares it (per-seed Options
+// otherwise differ only in Seed, and saturation does not depend on it).
+func resolveRate(eng *harness.Engine, v harness.Version, o harness.Options) harness.Options {
+	if o.Rate <= 0 {
+		base := o
+		base.Seed = 1
+		o.Rate = 0.9 * eng.Saturation(v, base)
+	}
+	return o
+}
+
+// runSeeds is the per-seed campaign loop. run plays one seed's generated
+// schedule — it is handed o reseeded for that seed — and returns the
+// options of the world it actually ran against: what the outcome
+// records, and what a shrink replays cold, so a repro built from it
+// reproduces the result byte-identically. Seeds fan out concurrently;
+// each run still takes an engine worker-pool slot, so the machine never
+// oversubscribes.
+func runSeeds(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig,
+	run func(seeded harness.Options, sched Schedule) (harness.Options, Result, error)) CampaignSummary {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = Seeds(4)
 	}
@@ -102,37 +129,27 @@ func RunCampaign(v harness.Version, o harness.Options, cfg CampaignConfig) Campa
 	if invs == nil {
 		invs = DefaultInvariants()
 	}
-	// Resolve the 90%-of-saturation load once, from a fixed-seed probe,
-	// so every seed shares it (per-seed Options otherwise differ only in
-	// Seed, and saturation does not depend on it).
-	if o.Rate <= 0 {
-		base := o
-		base.Seed = 1
-		o.Rate = 0.9 * harness.Saturation(v, base)
-	}
-
 	sum := CampaignSummary{Version: v, Outcomes: make([]SeedOutcome, len(cfg.Seeds))}
 	var wg sync.WaitGroup
 	for i, seed := range cfg.Seeds {
 		i, seed := i, seed
 		wg.Add(1)
-		// Orchestration-only: Run/Shrink take pool slots; the launcher
+		// Orchestration-only: run and Shrink take pool slots; the launcher
 		// goroutine itself never simulates.
-		go func() { //availlint:allow simgoroutine bounded by the harness worker pool
+		go func() { //availlint:allow simgoroutine bounded by the engine worker pool
 			defer wg.Done()
 			oc := &sum.Outcomes[i]
 			oc.Seed = seed
-			opts := o
-			opts.Seed = seed
-			oc.Options = opts
-			oc.Schedule = Generate(seed, v, opts, cfg.Gen)
-			oc.Result, oc.Err = Run(v, opts, oc.Schedule, cfg.Run)
+			seeded := o
+			seeded.Seed = seed
+			oc.Schedule = Generate(seed, v, seeded, cfg.Gen)
+			oc.Options, oc.Result, oc.Err = run(seeded, oc.Schedule)
 			if oc.Err != nil {
 				return
 			}
 			oc.Violations = Check(&oc.Result, invs)
 			if len(oc.Violations) > 0 && cfg.Shrink {
-				min, viol, stats, err := Shrink(v, opts, cfg.Run, oc.Schedule, invs)
+				min, viol, stats, err := Shrink(eng, v, oc.Options, cfg.Run, oc.Schedule, invs)
 				if err == nil {
 					oc.Minimal, oc.MinimalViol, oc.Stats = min, viol, stats
 				}

@@ -159,7 +159,7 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 	}
 	o := fastOpts(1)
 	runOnce := func() []byte {
-		r, err := RunUncached(harness.VMQ, o, sched, fastRun())
+		r, err := RunUncached(harness.NewEngine(0), harness.VMQ, o, sched, fastRun())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestInvariantsHoldOnFMESchedule(t *testing.T) {
 		// Solo hang, past the FME bound (4*5s + 5s): must be converted.
 		{At: 60 * time.Second, Fault: faults.AppHang, Component: 3, Duration: 40 * time.Second},
 	}
-	r, err := Run(harness.VFME, fastOpts(1), sched, fastRun())
+	r, err := Run(harness.NewEngine(0), harness.VFME, fastOpts(1), sched, fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunSkipsInapplicable(t *testing.T) {
 		{At: 10 * time.Second, Fault: faults.LinkDown, Component: 1, Duration: 10 * time.Second},
 		{At: 15 * time.Second, Fault: faults.FrontendFailure, Component: 0, Duration: 10 * time.Second},
 	}
-	r, err := RunUncached(harness.VCOOP, fastOpts(1), sched, fastRun())
+	r, err := RunUncached(harness.NewEngine(0), harness.VCOOP, fastOpts(1), sched, fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,34 +238,35 @@ func TestRunSkipsInapplicable(t *testing.T) {
 
 // TestMemoHygiene is the cache-poisoning regression (satellite f): chaos
 // runs must not create or disturb any harness episode/campaign/
-// saturation memo entry — their memo is separate and keyed by schedule
-// hash — and the chaos memo itself must singleflight.
+// saturation memo entry — they live in the engine's keyed table, keyed by
+// schedule hash — and that table itself must singleflight.
 func TestMemoHygiene(t *testing.T) {
 	sched := Schedule{
 		{At: 5 * time.Second, Fault: faults.AppCrash, Component: 1, Duration: 20 * time.Second},
 	}
-	ep0, camp0, sat0 := harness.MemoStats()
-	r1, err := Run(harness.VMQ, fastOpts(3), sched, fastRun())
+	eng := harness.NewEngine(0)
+	ep0, camp0, sat0 := eng.MemoStats()
+	r1, err := Run(eng, harness.VMQ, fastOpts(3), sched, fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1, camp1, sat1 := harness.MemoStats()
+	ep1, camp1, sat1 := eng.MemoStats()
 	if ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
 		t.Fatalf("chaos run touched harness memos: episodes %d->%d campaigns %d->%d saturations %d->%d",
 			ep0, ep1, camp0, camp1, sat0, sat1)
 	}
-	r2, err := Run(harness.VMQ, fastOpts(3), sched, fastRun())
+	r2, err := Run(eng, harness.VMQ, fastOpts(3), sched, fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Log != r2.Log {
-		t.Fatal("second identical chaos Run re-simulated instead of hitting the chaos memo")
+	if r1.Log != r2.Log || eng.SnapMemoStats() != 1 {
+		t.Fatalf("second identical chaos Run re-simulated instead of hitting the keyed memo (%d entries)", eng.SnapMemoStats())
 	}
 	// A different schedule is a different key.
 	other := Schedule{
 		{At: 5 * time.Second, Fault: faults.AppCrash, Component: 2, Duration: 20 * time.Second},
 	}
-	r3, err := Run(harness.VMQ, fastOpts(3), other, fastRun())
+	r3, err := Run(eng, harness.VMQ, fastOpts(3), other, fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +301,40 @@ func TestReproRoundTrip(t *testing.T) {
 		if _, err := LoadRepro(tampered); err == nil {
 			t.Fatal("LoadRepro accepted a repro whose schedule no longer matches its hash")
 		}
+	}
+}
+
+// TestFastCampaignsComplete runs the three campaigns README "Chaos
+// campaigns" and CI chaos-smoke drive through cmd/reproduce (8 fixed seeds,
+// fast profile, load resolved by the saturation probe): every seed must run
+// to a verdict, and the standing catalog must hold. A saturation probe sheds
+// thousands of connections at accept, which is what once left dead conns
+// tracked by their dialers and crashed the next hang or stall.
+func TestFastCampaignsComplete(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 8-seed campaigns")
+	}
+	gray := GenConfig{Gray: true, Correlated: 1, RecoveryChase: 0.25}
+	for _, tc := range []struct {
+		name string
+		v    harness.Version
+		gen  GenConfig
+	}{
+		{"FME", harness.VFME, GenConfig{}},
+		{"MQ", harness.VMQ, GenConfig{}},
+		{"FME-gray", harness.VFME, gray},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sum := RunCampaign(harness.NewEngine(0), tc.v, harness.FastOptions(1), CampaignConfig{Seeds: Seeds(8), Gen: tc.gen})
+			for _, oc := range sum.Outcomes {
+				if oc.Err != nil {
+					t.Errorf("seed %d: %v", oc.Seed, oc.Err)
+				}
+			}
+			if n := sum.Violations(); n != 0 {
+				t.Errorf("%d violating seeds:\n%s", n, sum)
+			}
+		})
 	}
 }

@@ -46,8 +46,9 @@ func goldenSerialize(t *testing.T) []byte {
 	o := harness.FastOptions(1)
 	sched := harness.FastSchedule()
 	camp := harness.CampaignResult{Version: harness.VCOOP, Opts: o}
+	eng := harness.NewEngine(0)
 	for _, typ := range goldenFaults {
-		ep, err := harness.RunEpisode(harness.VCOOP, o, typ, harness.DefaultComponent(typ), sched)
+		ep, err := eng.RunEpisode(harness.VCOOP, o, typ, harness.DefaultComponent(typ), sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func goldenSerialize(t *testing.T) []byte {
 	}
 	var b bytes.Buffer
 	b.Write(harness.SerializeCampaign(camp))
-	r, err := RunUncached(harness.VFME, fastOpts(1), goldenChaosSchedule(), fastRun())
+	r, err := RunUncached(eng, harness.VFME, fastOpts(1), goldenChaosSchedule(), fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}

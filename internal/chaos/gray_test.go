@@ -39,7 +39,7 @@ func TestGrayReplayByteIdenticalViaRepro(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun()
 
-	direct, err := RunUncached(harness.VCOOP, o, sched, rc)
+	direct, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +83,13 @@ func TestGraySnapshotMidFault(t *testing.T) {
 	rc := fastRun()
 	const at = 118 * time.Second
 
-	base, err := RunUncached(harness.VCOOP, o, sched, rc)
+	base, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := base.Serialize()
 
-	paused, snap, err := RunWithSnapshotAt(harness.VCOOP, o, sched, rc, at)
+	paused, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGrayFaultStateSurvivesRestore(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun().withDefaults()
 
-	r := newRunner(harness.VCOOP, o, sched, rc)
+	r := newRunner(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	r.advance(118 * time.Second)
 
 	snap, err := snapshot.Take(r.c, r)
@@ -175,7 +175,7 @@ func TestShrinkerGroupAsUnit(t *testing.T) {
 	}
 	invs := []Invariant{AvailabilityAtLeast(0.95)}
 
-	min, viol, stats, err := Shrink(harness.VMQ, o, rc, sched, invs)
+	min, viol, stats, err := Shrink(harness.NewEngine(0), harness.VMQ, o, rc, sched, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestShrinkerGroupAsUnit(t *testing.T) {
 	}
 
 	// Group-minimality: dropping the whole group clears the violation.
-	r, err := Run(harness.VMQ, o, Schedule{}, rc)
+	r, err := Run(harness.NewEngine(0), harness.VMQ, o, Schedule{}, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

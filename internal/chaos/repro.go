@@ -71,7 +71,7 @@ func LoadRepro(data []byte) (Repro, error) {
 // re-observe the violation, not to read a cache) and re-checks the
 // given invariants.
 func (r Repro) Replay(invs []Invariant) (Result, []Violation, error) {
-	res, err := RunUncached(r.Version, r.Options, r.Schedule, r.Run)
+	res, err := RunUncached(harness.NewEngine(1), r.Version, r.Options, r.Schedule, r.Run)
 	if err != nil {
 		return res, nil, err
 	}

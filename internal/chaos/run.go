@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"press/internal/faults"
@@ -128,14 +127,14 @@ func (r Result) Serialize() []byte {
 // (operator resets allowed, as in the paper's stage E), and snapshot
 // every probe the invariants need. It builds a private sim.Sim, so
 // concurrent runs cannot interact; the same inputs always produce a
-// bit-identical Result.
-func RunUncached(v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
+// bit-identical Result. The engine only resolves an unset offered load.
+func RunUncached(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
 		return Result{Version: v, Schedule: sched}, err
 	}
-	r := newRunner(v, o, sched, rc)
+	r := newRunner(eng, v, o, sched, rc)
 	r.advance(-1)
 	return r.res, nil
 }
@@ -226,46 +225,15 @@ func analyticFloor(sched Schedule, window time.Duration, rc RunConfig) float64 {
 	return floor
 }
 
-// runEntry is one singleflight memo slot for chaos runs.
-type runEntry struct {
-	done chan struct{}
-	res  Result
-	err  error
-}
-
-var (
-	runMu   sync.Mutex
-	runMemo = map[string]*runEntry{}
-)
-
-// ResetMemo drops every cached chaos run.
-func ResetMemo() {
-	runMu.Lock()
-	runMemo = map[string]*runEntry{}
-	runMu.Unlock()
-}
-
 // Run is the memoized RunUncached: keyed on (version, options, run
-// config, schedule hash) and executed on the harness worker pool. The
-// schedule hash in the key — a dimension no single-fault episode key has
-// — plus the package-private memo map is what guarantees chaos runs can
-// never collide with or poison the harness episode/campaign caches.
-func Run(v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
+// config, schedule hash) in the engine's keyed table and executed on its
+// worker pool. The "run|" prefix plus the schedule hash — a dimension no
+// single-fault episode key has — and the keyed table being separate from
+// the episode/campaign/saturation tables is what guarantees chaos runs
+// can never collide with or poison those caches.
+func Run(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
 	sched = sched.Canonical()
-	key := fmt.Sprintf("%s|%+v|%+v|%016x", v, o, rc.withDefaults(), sched.Hash())
-	runMu.Lock()
-	if e, ok := runMemo[key]; ok {
-		runMu.Unlock()
-		<-e.done
-		return e.res, e.err
-	}
-	e := &runEntry{done: make(chan struct{})}
-	runMemo[key] = e
-	runMu.Unlock()
-
-	harness.RunOnPool(func() {
-		e.res, e.err = RunUncached(v, o, sched, rc)
-	})
-	close(e.done)
-	return e.res, e.err
+	key := fmt.Sprintf("run|%s|%+v|%+v|%016x", v, o, rc.withDefaults(), sched.Hash())
+	val, err := eng.SnapMemoized(key, func() (any, error) { return RunUncached(eng, v, o, sched, rc) })
+	return val.(Result), err
 }

@@ -57,10 +57,10 @@ type runner struct {
 
 // newRunner builds and starts one world. sched must already be
 // canonical and validated (nil is fine for a schedule-less warm world).
-func newRunner(v harness.Version, o harness.Options, sched Schedule, rc RunConfig) *runner {
+func newRunner(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig) *runner {
 	r := &runner{sched: sched, rc: rc}
 	r.res = Result{Version: v, Schedule: sched}
-	r.c = harness.Build(v, o)
+	r.c = eng.Build(v, o)
 	r.c.Gen.Start()
 	r.phase = phWarmup
 	r.target = r.c.Opts.Warmup + rc.Settle

@@ -35,7 +35,7 @@ func TestScalableChaosCampaign64(t *testing.T) {
 		},
 		Run: fastRun(),
 	}
-	sum := RunCampaign(harness.VCOOP, scaleOpts64(1), cfg)
+	sum := RunCampaign(harness.NewEngine(0), harness.VCOOP, scaleOpts64(1), cfg)
 	for _, oc := range sum.Outcomes {
 		if oc.Err != nil {
 			t.Fatalf("seed %d: %v", oc.Seed, oc.Err)

@@ -29,11 +29,11 @@ const minSpan = 10 * time.Second
 //
 // Replays go through the memoized Run, so revisited sub-schedules are
 // free and the worst case is O(entries²) simulations.
-func Shrink(v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant) (Schedule, Violation, ShrinkStats, error) {
+func Shrink(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant) (Schedule, Violation, ShrinkStats, error) {
 	var stats ShrinkStats
 
 	// Establish the target: the first invariant the full schedule breaks.
-	target, err := firstViolation(v, o, rc, sched, invs, &stats)
+	target, err := firstViolation(eng, v, o, rc, sched, invs, &stats)
 	if err != nil {
 		return sched, Violation{}, stats, err
 	}
@@ -45,7 +45,7 @@ func Shrink(v harness.Version, o harness.Options, rc RunConfig, sched Schedule, 
 	// invariant still fails: shrinking must not wander to a different
 	// bug (other invariants failing alongside is fine).
 	stillFails := func(s Schedule) (bool, error) {
-		viols, err := violations(v, o, rc, s, invs, &stats)
+		viols, err := violations(eng, v, o, rc, s, invs, &stats)
 		if err != nil {
 			return false, err
 		}
@@ -148,7 +148,7 @@ func Shrink(v harness.Version, o harness.Options, rc RunConfig, sched Schedule, 
 
 	// Re-derive the final violation from the minimal schedule so the
 	// repro file's detail matches what replaying it will print.
-	finals, err := violations(v, o, rc, cur, invs, &stats)
+	finals, err := violations(eng, v, o, rc, cur, invs, &stats)
 	if err != nil {
 		return cur, target, stats, err
 	}
@@ -162,8 +162,8 @@ func Shrink(v harness.Version, o harness.Options, rc RunConfig, sched Schedule, 
 
 // firstViolation replays (memoized) and returns the first violation in
 // invariant-catalog order (zero Violation when the run is clean).
-func firstViolation(v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant, stats *ShrinkStats) (Violation, error) {
-	viols, err := violations(v, o, rc, sched, invs, stats)
+func firstViolation(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant, stats *ShrinkStats) (Violation, error) {
+	viols, err := violations(eng, v, o, rc, sched, invs, stats)
 	if err != nil || len(viols) == 0 {
 		return Violation{}, err
 	}
@@ -171,9 +171,9 @@ func firstViolation(v harness.Version, o harness.Options, rc RunConfig, sched Sc
 }
 
 // violations replays (memoized) and checks the catalog.
-func violations(v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant, stats *ShrinkStats) ([]Violation, error) {
+func violations(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant, stats *ShrinkStats) ([]Violation, error) {
 	stats.Runs++
-	r, err := Run(v, o, sched, rc)
+	r, err := Run(eng, v, o, sched, rc)
 	if err != nil {
 		return nil, err
 	}

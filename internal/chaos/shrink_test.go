@@ -24,7 +24,8 @@ func TestShrinkerMinimizes(t *testing.T) {
 	}
 	invs := []Invariant{AvailabilityAtLeast(0.95)}
 
-	min, viol, stats, err := Shrink(harness.VMQ, o, rc, sched, invs)
+	eng := harness.NewEngine(0)
+	min, viol, stats, err := Shrink(eng, harness.VMQ, o, rc, sched, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestShrinkerMinimizes(t *testing.T) {
 		cand := make(Schedule, 0, len(min)-1)
 		cand = append(cand, min[:i]...)
 		cand = append(cand, min[i+1:]...)
-		r, err := Run(harness.VMQ, o, cand, rc)
+		r, err := Run(eng, harness.VMQ, o, cand, rc)
 		if err != nil {
 			t.Fatal(err)
 		}

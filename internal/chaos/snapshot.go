@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"press/internal/harness"
@@ -19,16 +18,16 @@ import (
 // equivalence tests pin.
 
 // WarmSnapshot builds, warms and captures one world for (v, o),
-// memoized on the harness engine's snapshot table (keyed separately
-// from the episode/campaign caches; the snapshot hash itself is the
-// content address downstream memo keys compose with). The capture point
+// memoized in the engine's keyed table under the "warm|" prefix (the
+// snapshot hash itself is the content address downstream memo keys
+// compose with). The capture point
 // is warmup + settle, immediately before a schedule would arm, so the
 // snapshot is schedule-free and any schedule can be forked onto it.
-func WarmSnapshot(v harness.Version, o harness.Options, rc RunConfig) (*snapshot.Snap, error) {
+func WarmSnapshot(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig) (*snapshot.Snap, error) {
 	rc = rc.withDefaults()
 	key := fmt.Sprintf("warm|%s|%+v|%v", v, o, rc.Settle)
-	val, err := harness.SnapMemoized(key, func() (any, error) {
-		r := newRunner(v, o, nil, rc)
+	val, err := eng.SnapMemoized(key, func() (any, error) {
+		r := newRunner(eng, v, o, nil, rc)
 		r.advance(r.target)
 		return snapshot.Take(r.c, r)
 	})
@@ -42,13 +41,13 @@ func WarmSnapshot(v harness.Version, o harness.Options, rc RunConfig) (*snapshot
 // clock reaches the absolute time at to capture a snapshot, then
 // continues to completion. The pause is observationally free: the
 // returned Result is byte-identical to an uninterrupted RunUncached.
-func RunWithSnapshotAt(v harness.Version, o harness.Options, sched Schedule, rc RunConfig, at time.Duration) (Result, *snapshot.Snap, error) {
+func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig, at time.Duration) (Result, *snapshot.Snap, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
 		return Result{Version: v, Schedule: sched}, nil, err
 	}
-	r := newRunner(v, o, sched, rc)
+	r := newRunner(eng, v, o, sched, rc)
 	r.advance(at)
 	snap, err := snapshot.Take(r.c, r)
 	if err != nil {
@@ -93,18 +92,18 @@ func restoreRunner(snap *snapshot.Snap, sched Schedule, rc RunConfig) (*runner, 
 }
 
 // RunFromSnapshot forks one world from the snapshot, plays the schedule
-// to completion, and returns the Result. Memoized on the engine's
-// snapshot table under (snapshot hash, schedule hash, run config) — a
-// key that can never alias the cold-start caches, whose keys have no
-// content-hash dimension.
-func RunFromSnapshot(snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result, error) {
+// to completion, and returns the Result. Memoized in the engine's keyed
+// table under ("fork|", snapshot hash, schedule hash, run config) — a
+// key that can never alias a cold run's, which has no content-hash
+// dimension.
+func RunFromSnapshot(eng *harness.Engine, snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
 		return Result{Version: snap.Version, Schedule: sched}, err
 	}
 	key := fmt.Sprintf("fork|%s|%016x|%+v", snap.Hash(), sched.Hash(), rc)
-	val, err := harness.SnapMemoized(key, func() (any, error) {
+	val, err := eng.SnapMemoized(key, func() (any, error) {
 		r, err := restoreRunner(snap, sched, rc)
 		if err != nil {
 			return Result{}, err
@@ -123,73 +122,31 @@ func RunFromSnapshot(snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result,
 
 // RunCampaignForked is the warm-fork campaign: one world is warmed and
 // captured once, then every seed forks an independent copy and arms the
-// schedule Generate derives from that seed. Unlike RunCampaign — where
-// each seed also reseeds the world itself — every fork shares the base
-// world, so the seeds vary only the fault load. Each outcome records
-// the base world's options: replaying its schedule cold against them
-// (RunUncached) reproduces the forked result byte-identically.
-func RunCampaignForked(v harness.Version, o harness.Options, cfg CampaignConfig) (CampaignSummary, error) {
-	// Resolve the offered load exactly as RunCampaign does, so the forked
-	// and cold campaigns run identical worlds.
-	if o.Rate <= 0 {
-		base := o
-		base.Seed = 1
-		o.Rate = 0.9 * harness.Saturation(v, base)
-	}
-	snap, err := WarmSnapshot(v, o, cfg.Run)
+// schedule Generate derives from that seed. The offered load is resolved
+// exactly as RunCampaign does, so the forked and cold campaigns run
+// identical worlds.
+func RunCampaignForked(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig) (CampaignSummary, error) {
+	snap, err := WarmSnapshot(eng, v, resolveRate(eng, v, o), cfg.Run)
 	if err != nil {
 		return CampaignSummary{Version: v}, err
 	}
-	return RunCampaignFromSnapshot(snap, cfg)
+	return RunCampaignFromSnapshot(eng, snap, cfg)
 }
 
 // RunCampaignFromSnapshot plays a campaign against an already-captured
 // warm snapshot (one taken by WarmSnapshot, possibly serialized to disk
 // and loaded back in a later process). The snapshot's envelope supplies
-// the version, the world options and the resolved offered load.
-func RunCampaignFromSnapshot(snap *snapshot.Snap, cfg CampaignConfig) (CampaignSummary, error) {
-	v := snap.Version
+// the version, the world options and the resolved offered load. Unlike
+// RunCampaign — where each seed also reseeds the world itself — every
+// fork shares the base world, so the seeds vary only the fault load, and
+// each outcome records the base world's options: replaying its schedule
+// cold against them (RunUncached) reproduces the forked result
+// byte-identically.
+func RunCampaignFromSnapshot(eng *harness.Engine, snap *snapshot.Snap, cfg CampaignConfig) (CampaignSummary, error) {
 	o := snap.Opts
 	o.Rate = snap.Rate // pin the resolved load so a cold replay matches
-	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = Seeds(4)
-	}
-	invs := cfg.Invariants
-	if invs == nil {
-		invs = DefaultInvariants()
-	}
-
-	sum := CampaignSummary{Version: v, Outcomes: make([]SeedOutcome, len(cfg.Seeds))}
-	var wg sync.WaitGroup
-	for i, seed := range cfg.Seeds {
-		i, seed := i, seed
-		wg.Add(1)
-		// Orchestration-only: RunFromSnapshot/Shrink take pool slots; the
-		// launcher goroutine itself never simulates.
-		go func() { //availlint:allow simgoroutine bounded by the harness worker pool
-			defer wg.Done()
-			oc := &sum.Outcomes[i]
-			oc.Seed = seed
-			genOpts := o
-			genOpts.Seed = seed
-			// The schedule comes from the seed (same generation as
-			// RunCampaign); the world it runs against is the shared base,
-			// so that is what the outcome records for replay.
-			oc.Options = o
-			oc.Schedule = Generate(seed, v, genOpts, cfg.Gen)
-			oc.Result, oc.Err = RunFromSnapshot(snap, oc.Schedule, cfg.Run)
-			if oc.Err != nil {
-				return
-			}
-			oc.Violations = Check(&oc.Result, invs)
-			if len(oc.Violations) > 0 && cfg.Shrink {
-				min, viol, stats, err := Shrink(v, o, cfg.Run, oc.Schedule, invs)
-				if err == nil {
-					oc.Minimal, oc.MinimalViol, oc.Stats = min, viol, stats
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return sum, nil
+	return runSeeds(eng, snap.Version, o, cfg, func(_ harness.Options, sched Schedule) (harness.Options, Result, error) {
+		res, err := RunFromSnapshot(eng, snap, sched, cfg.Run)
+		return o, res, err
+	}), nil
 }

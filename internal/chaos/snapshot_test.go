@@ -49,7 +49,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	rc := fastRun()
 	sched := replaySchedule()
 
-	base, err := RunUncached(harness.VCOOP, o, sched, rc)
+	base, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			paused, snap, err := RunWithSnapshotAt(harness.VCOOP, o, sched, rc, tc.at)
+			paused, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, tc.at)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,11 +101,12 @@ func TestWarmForkMatchesCold(t *testing.T) {
 	rc := fastRun()
 	sched := replaySchedule()
 
-	snap, err := WarmSnapshot(harness.VCOOP, o, rc)
+	eng := harness.NewEngine(0)
+	snap, err := WarmSnapshot(eng, harness.VCOOP, o, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunUncached(harness.VCOOP, o, sched, rc)
+	cold, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,18 +120,18 @@ func TestWarmForkMatchesCold(t *testing.T) {
 
 	// The memoized entry point returns the same result and actually
 	// lands in the snapshot memo table, not the episode/campaign caches.
-	ep0, camp0, sat0 := harness.MemoStats()
-	res, err := RunFromSnapshot(snap, sched, rc)
+	ep0, camp0, sat0 := eng.MemoStats()
+	res, err := RunFromSnapshot(eng, snap, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want, got := cold.Serialize(), res.Serialize(); !bytes.Equal(got, want) {
 		diffAt(t, "memoized fork", want, got)
 	}
-	if harness.SnapMemoStats() == 0 {
-		t.Fatal("RunFromSnapshot left the snapshot memo empty")
+	if eng.SnapMemoStats() != 2 { // the warm snapshot and this fork
+		t.Fatalf("keyed memo holds %d entries after WarmSnapshot + RunFromSnapshot, want 2", eng.SnapMemoStats())
 	}
-	if ep1, camp1, sat1 := harness.MemoStats(); ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
+	if ep1, camp1, sat1 := eng.MemoStats(); ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
 		t.Fatalf("fork run touched the cold-start caches: %d/%d/%d -> %d/%d/%d",
 			ep0, camp0, sat0, ep1, camp1, sat1)
 	}
@@ -148,7 +149,7 @@ func TestSnapshotForkProperty(t *testing.T) {
 		{At: 12 * time.Second, Fault: faults.AppCrash, Component: 0, Duration: 25 * time.Second},
 	}
 
-	base, err := RunUncached(harness.VCOOP, o, sched, rc)
+	base, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSnapshotForkProperty(t *testing.T) {
 
 	check := func(raw uint32) bool {
 		at := time.Duration(raw) % horizon
-		_, snap, err := RunWithSnapshotAt(harness.VCOOP, o, sched, rc, at)
+		_, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, at)
 		if err != nil {
 			t.Logf("at=%v: %v", at, err)
 			return false
@@ -219,7 +220,7 @@ func TestFaultsRoundTripMidFlap(t *testing.T) {
 	sched := replaySchedule().Canonical()
 
 	// 125s: crash (80s..120s) repaired, flap (95s..140s) still active.
-	r := newRunner(harness.VCOOP, o, sched, rc)
+	r := newRunner(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	r.advance(125 * time.Second)
 	wantActive := r.c.Injector.ActiveCount()
 	if wantActive == 0 {

@@ -13,8 +13,9 @@ import (
 func TestCooperationThroughputFactor(t *testing.T) {
 	t.Parallel()
 	o := FastOptions(1)
-	coop := Saturation(VCOOP, o)
-	indep := Saturation(VINDEP, o)
+	eng := NewEngine(0)
+	coop := eng.Saturation(VCOOP, o)
+	indep := eng.Saturation(VINDEP, o)
 	t.Logf("saturation: COOP=%.1f req/s INDEP=%.1f req/s factor=%.2f", coop, indep, coop/indep)
 	if factor := coop / indep; factor < 2.2 || factor > 4.2 {
 		t.Fatalf("cooperation factor %.2f, want ~3", factor)
@@ -37,7 +38,7 @@ func TestFaultFreeAvailability(t *testing.T) {
 		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
 			o := FastOptions(1)
-			c := Build(v, o)
+			c := NewEngine(0).Build(v, o)
 			c.Gen.Start()
 			c.Sim.RunFor(o.Warmup + 120*time.Second)
 			av := c.Rec.Availability(o.Warmup+20*time.Second, c.Sim.Now()-10*time.Second)
@@ -59,7 +60,7 @@ func TestFaultFreeAvailability(t *testing.T) {
 // stalled node cannot rejoin by itself.
 func TestEpisodeCOOPDiskFault(t *testing.T) {
 	t.Parallel()
-	ep, err := RunEpisode(VCOOP, FastOptions(1), faults.SCSITimeout, 2, FastSchedule())
+	ep, err := NewEngine(0).RunEpisode(VCOOP, FastOptions(1), faults.SCSITimeout, 2, FastSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestEpisodeCOOPDiskFault(t *testing.T) {
 // after repair the node rejoins without an operator.
 func TestEpisodeCOOPNodeCrash(t *testing.T) {
 	t.Parallel()
-	ep, err := RunEpisode(VCOOP, FastOptions(1), faults.NodeCrash, 1, FastSchedule())
+	ep, err := NewEngine(0).RunEpisode(VCOOP, FastOptions(1), faults.NodeCrash, 1, FastSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestEpisodeCOOPNodeCrash(t *testing.T) {
 // the node boots and rejoins — no operator needed.
 func TestEpisodeFMEDiskFault(t *testing.T) {
 	t.Parallel()
-	ep, err := RunEpisode(VFME, FastOptions(1), faults.SCSITimeout, 2, FastSchedule())
+	ep, err := NewEngine(0).RunEpisode(VFME, FastOptions(1), faults.SCSITimeout, 2, FastSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEpisodeFMEDiskFault(t *testing.T) {
 // fault costs at most one node's share.
 func TestEpisodeINDEPDiskFaultLocalized(t *testing.T) {
 	t.Parallel()
-	ep, err := RunEpisode(VINDEP, FastOptions(1), faults.SCSITimeout, 2, FastSchedule())
+	ep, err := NewEngine(0).RunEpisode(VINDEP, FastOptions(1), faults.SCSITimeout, 2, FastSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,6 @@ func (r CampaignResult) Model(env avail.Env) (avail.Result, error) {
 	return avail.Availability(r.Offered, r.Offered, r.Loads, env)
 }
 
-// campEntry is a singleflight memo slot for one campaign.
-type campEntry struct {
-	done chan struct{}
-	res  CampaignResult
-	err  error
-}
-
 // Campaign runs one injection episode per applicable Table 1 fault class
 // and assembles the fault loads for the phase-2 model. The episodes run
 // concurrently on the engine's worker pool; each is independently
@@ -46,25 +39,7 @@ func (e *Engine) Campaign(v Version, o Options, sched EpisodeSchedule) (Campaign
 	o = o.withDefaults()
 	sched = sched.withDefaults()
 	key := fmt.Sprintf("%s|%+v|%+v", v, o, sched)
-	e.campMu.Lock()
-	if m, ok := e.campMemo[key]; ok {
-		e.campMu.Unlock()
-		<-m.done
-		return m.res, m.err
-	}
-	m := &campEntry{done: make(chan struct{})}
-	e.campMemo[key] = m
-	e.campMu.Unlock()
-
-	m.res, m.err = e.runCampaign(v, o, sched)
-	close(m.done)
-	return m.res, m.err
-}
-
-// Campaign measures a version's full Table 1 fault load on the default
-// engine.
-func Campaign(v Version, o Options, sched EpisodeSchedule) (CampaignResult, error) {
-	return defaultEngine.Campaign(v, o, sched)
+	return e.campaigns.do(key, func() (CampaignResult, error) { return e.runCampaign(v, o, sched) })
 }
 
 // runCampaign fans the campaign's episodes out on the worker pool and

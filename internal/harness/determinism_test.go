@@ -21,17 +21,18 @@ func TestParallelDeterminism(t *testing.T) {
 		specs = specs[:3]
 	}
 	// Prewarm the shared saturation probe so both passes time episodes only.
-	Saturation(VCOOP, o)
+	eng := NewEngine(0)
+	eng.Saturation(VCOOP, o)
 
 	start := time.Now()
-	serial, err := episodesUncached(VCOOP, o, specs, sched, 1)
+	serial, err := eng.episodesUncached(VCOOP, o, specs, sched, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialDur := time.Since(start)
 
 	start = time.Now()
-	pooled, err := episodesUncached(VCOOP, o, specs, sched, 4)
+	pooled, err := eng.episodesUncached(VCOOP, o, specs, sched, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +68,10 @@ func TestCampaignReplayByteIdentical(t *testing.T) {
 	if testing.Short() {
 		specs = specs[:3] // keep the -short tier under a minute
 	}
-	Saturation(VCOOP, o) // resolve the shared load probe outside the timed passes
+	eng := NewEngine(0)
+	eng.Saturation(VCOOP, o) // resolve the shared load probe outside the timed passes
 	runOnce := func() []byte {
-		eps, err := episodesUncached(VCOOP, o, specs, sched, 4)
+		eps, err := eng.episodesUncached(VCOOP, o, specs, sched, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,13 +111,14 @@ func TestEpisodeMemoSingleflight(t *testing.T) {
 	o := FastOptions(1)
 	sched := FastSchedule()
 	const callers = 5
+	eng := NewEngine(0)
 	eps := make([]Episode, callers)
 	errs := make([]error, callers)
 	done := make(chan int, callers)
 	for i := 0; i < callers; i++ {
 		i := i
 		go func() {
-			eps[i], errs[i] = RunEpisode(VCOOP, o, faults.NodeCrash, 1, sched)
+			eps[i], errs[i] = eng.RunEpisode(VCOOP, o, faults.NodeCrash, 1, sched)
 			done <- i
 		}()
 	}
@@ -144,7 +147,8 @@ func TestCampaignMatchesEpisodes(t *testing.T) {
 	t.Parallel()
 	o := FastOptions(1)
 	sched := FastSchedule()
-	camp, err := Campaign(VCOOP, o, sched)
+	eng := NewEngine(0)
+	camp, err := eng.Campaign(VCOOP, o, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestCampaignMatchesEpisodes(t *testing.T) {
 		if camp.Loads[i].Spec.Type != spec.Type {
 			t.Fatalf("load %d is %v, want %v (order not preserved)", i, camp.Loads[i].Spec.Type, spec.Type)
 		}
-		ep, err := RunEpisode(VCOOP, o, spec.Type, DefaultComponent(spec.Type), sched)
+		ep, err := eng.RunEpisode(VCOOP, o, spec.Type, DefaultComponent(spec.Type), sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,17 +172,17 @@ func TestCampaignMatchesEpisodes(t *testing.T) {
 
 // TestSetWorkers exercises the pool bound accessors.
 func TestSetWorkers(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	if prev := SetWorkers(3); prev != orig {
+	eng := NewEngine(0)
+	orig := eng.Workers()
+	if prev := eng.SetWorkers(3); prev != orig {
 		t.Fatalf("SetWorkers returned %d, want previous bound %d", prev, orig)
 	}
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
+	if eng.Workers() != 3 {
+		t.Fatalf("Workers() = %d after SetWorkers(3)", eng.Workers())
 	}
-	SetWorkers(0) // clamps to 1
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(0), want 1", Workers())
+	eng.SetWorkers(0) // clamps to 1
+	if eng.Workers() != 1 {
+		t.Fatalf("Workers() = %d after SetWorkers(0), want 1", eng.Workers())
 	}
 }
 
@@ -191,7 +195,8 @@ func BenchmarkCampaignEpisodes(b *testing.B) {
 	o := FastOptions(1)
 	sched := FastSchedule()
 	specs := faults.Table1(serverCount(VCOOP, o.withDefaults()), 2, versionTraits(VCOOP).fe)
-	Saturation(VCOOP, o)
+	eng := NewEngine(0)
+	eng.Saturation(VCOOP, o)
 	for _, bm := range []struct {
 		name    string
 		workers int
@@ -201,7 +206,7 @@ func BenchmarkCampaignEpisodes(b *testing.B) {
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := episodesUncached(VCOOP, o, specs, sched, bm.workers); err != nil {
+				if _, err := eng.episodesUncached(VCOOP, o, specs, sched, bm.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

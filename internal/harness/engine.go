@@ -22,11 +22,60 @@ import (
 // one simulates and the rest wait for its result instead of duplicating
 // minutes of simulated time.
 
-// Engine owns one worker pool and one set of memo tables. Independent
-// engines share nothing: two experiments built on separate engines can
-// run with different concurrency bounds and never exchange cached
-// results. Most code uses the process-wide default engine through the
-// package-level wrappers; press.New builds a private one per handle.
+// memo is a singleflight table: the first caller of a key computes and
+// closes done; everyone else blocks on done and shares the value and the
+// error (an error is memoized like a value — the simulator is
+// deterministic, so a retry would fail the same way). The zero value is
+// ready to use.
+type memo[V any] struct {
+	mu sync.Mutex
+	m  map[string]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+func (t *memo[V]) do(key string, compute func() (V, error)) (V, error) {
+	t.mu.Lock()
+	if e, ok := t.m[key]; ok {
+		t.mu.Unlock()
+		<-e.done
+		return e.val, e.err
+	}
+	e := &memoEntry[V]{done: make(chan struct{})}
+	if t.m == nil {
+		t.m = map[string]*memoEntry[V]{}
+	}
+	t.m[key] = e
+	t.mu.Unlock()
+
+	e.val, e.err = compute()
+	close(e.done)
+	return e.val, e.err
+}
+
+func (t *memo[V]) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
+// reset drops every entry. In-flight computations finish against the old
+// entries; only callers arriving afterwards recompute.
+func (t *memo[V]) reset() {
+	t.mu.Lock()
+	t.m = nil
+	t.mu.Unlock()
+}
+
+// Engine owns one worker pool and one set of memo tables, and is the only
+// thing that does: independent engines share nothing, so two experiments
+// built on separate engines run with different concurrency bounds and
+// never exchange cached results. press.New builds a private one per
+// handle; the package-level press functions share one.
 type Engine struct {
 	// pool is a resizable counting semaphore bounding concurrent
 	// simulator runs. Orchestration code (campaign fan-out, figure
@@ -38,14 +87,13 @@ type Engine struct {
 	cap      int
 	held     int
 
-	memoMu   sync.Mutex
-	epMemo   map[string]*epEntry
-	campMu   sync.Mutex
-	campMemo map[string]*campEntry
-	satMu    sync.Mutex
-	satMemo  map[string]*satEntry
-	snapMu   sync.Mutex
-	snapMemo map[string]*snapEntry
+	episodes    memo[Episode] // shared Series/Log pointers are immutable once the run completes
+	campaigns   memo[CampaignResult]
+	saturations memo[float64]
+	// keyed serves out-of-package callers (chaos cold runs, warm snapshots,
+	// forked runs), each under its own key prefix. It is a table of its own
+	// so such runs can never alias an episode, campaign or saturation entry.
+	keyed memo[any]
 }
 
 // NewEngine returns an engine bounded to the given number of concurrent
@@ -54,24 +102,10 @@ func NewEngine(workers int) *Engine {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
-		cap:      workers,
-		epMemo:   map[string]*epEntry{},
-		campMemo: map[string]*campEntry{},
-		satMemo:  map[string]*satEntry{},
-		snapMemo: map[string]*snapEntry{},
-	}
+	e := &Engine{cap: workers}
 	e.poolCond = sync.NewCond(&e.poolMu)
 	return e
 }
-
-// defaultEngine backs the package-level entry points. It is the only
-// package-level engine state; everything mutable lives inside it.
-var defaultEngine = NewEngine(0)
-
-// DefaultEngine returns the process-wide engine used by the package-level
-// Campaign/RunEpisode/Saturation entry points.
-func DefaultEngine() *Engine { return defaultEngine }
 
 // SetWorkers bounds the number of concurrently running simulators and
 // returns the previous bound. n < 1 means one (fully serial execution).
@@ -111,7 +145,7 @@ func (e *Engine) releaseSlot() {
 }
 
 // RunOnPool executes fn while holding one worker-pool slot, so external
-// simulation drivers (the chaos runner) share this engine's concurrency
+// simulation drivers (snapshot forks) share this engine's concurrency
 // bound instead of oversubscribing the machine.
 func (e *Engine) RunOnPool(fn func()) {
 	e.acquireSlot()
@@ -123,121 +157,55 @@ func (e *Engine) RunOnPool(fn func()) {
 // are currently memoized. The chaos package's cache-hygiene regression
 // asserts chaos runs leave these untouched.
 func (e *Engine) MemoStats() (episodes, campaigns, saturations int) {
-	e.memoMu.Lock()
-	episodes = len(e.epMemo)
-	e.memoMu.Unlock()
-	e.campMu.Lock()
-	campaigns = len(e.campMemo)
-	e.campMu.Unlock()
-	e.satMu.Lock()
-	saturations = len(e.satMemo)
-	e.satMu.Unlock()
-	return
+	return e.episodes.len(), e.campaigns.len(), e.saturations.len()
 }
 
-// ResetMemos drops every cached episode, campaign and saturation result.
-// In-flight computations finish against the old entries; only callers
-// arriving afterwards recompute. Benchmarks use this to measure real
+// ResetMemos drops every cached result: episodes, campaigns, saturation
+// probes and the keyed table. Benchmarks use this to measure real
 // simulation work instead of memo hits.
 func (e *Engine) ResetMemos() {
-	e.memoMu.Lock()
-	e.epMemo = map[string]*epEntry{}
-	e.memoMu.Unlock()
-	e.campMu.Lock()
-	e.campMemo = map[string]*campEntry{}
-	e.campMu.Unlock()
-	e.satMu.Lock()
-	e.satMemo = map[string]*satEntry{}
-	e.satMu.Unlock()
-	e.snapMu.Lock()
-	e.snapMemo = map[string]*snapEntry{}
-	e.snapMu.Unlock()
+	e.episodes.reset()
+	e.campaigns.reset()
+	e.saturations.reset()
+	e.keyed.reset()
 }
 
-// snapEntry is one singleflight slot in the snapshot-keyed memo table —
-// separate from the episode/campaign/saturation tables so snapshot-based
-// runs can never alias a cold-start cache entry (and so the 3-way
-// MemoStats hygiene contract stays intact).
-type snapEntry struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// SnapMemoized returns the memoized value for key, computing it at most
-// once per engine. compute runs while holding one worker-pool slot, so it
-// must not re-enter RunOnPool (or any pool-holding entry point): with a
-// 1-slot pool that nesting would deadlock.
+// SnapMemoized returns the keyed table's value for key, computing it at
+// most once per engine. compute runs while holding one worker-pool slot,
+// so it must not re-enter RunOnPool (or any pool-holding entry point):
+// with a 1-slot pool that nesting would deadlock.
 func (e *Engine) SnapMemoized(key string, compute func() (any, error)) (any, error) {
-	e.snapMu.Lock()
-	if m, ok := e.snapMemo[key]; ok {
-		e.snapMu.Unlock()
-		<-m.done
-		return m.val, m.err
-	}
-	m := &snapEntry{done: make(chan struct{})}
-	e.snapMemo[key] = m
-	e.snapMu.Unlock()
-
-	e.acquireSlot()
-	m.val, m.err = compute()
-	e.releaseSlot()
-	close(m.done)
-	return m.val, m.err
+	return e.keyed.do(key, func() (any, error) {
+		e.acquireSlot()
+		defer e.releaseSlot()
+		return compute()
+	})
 }
 
-// SnapMemoStats reports how many snapshot-keyed results are memoized.
-func (e *Engine) SnapMemoStats() int {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	return len(e.snapMemo)
-}
-
-// episodeKey identifies one memoizable episode. Options and
-// EpisodeSchedule are flat value structs, so %+v is a faithful key.
-func episodeKey(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) string {
-	return fmt.Sprintf("%s|%+v|%v|%d|%+v", v, o, f, comp, sched)
-}
-
-// epEntry is one singleflight memo slot: the first requester computes and
-// closes done; everyone else blocks on done and shares the result. The
-// shared Episode carries pointers (Series, Log) that are immutable once
-// the run completes, so sharing is safe.
-type epEntry struct {
-	done chan struct{}
-	ep   Episode
-	err  error
-}
+// SnapMemoStats reports how many keyed results are memoized.
+func (e *Engine) SnapMemoStats() int { return e.keyed.len() }
 
 // RunEpisode returns the episode for the parameters, computing it on the
-// engine's worker pool exactly once per engine.
+// engine's worker pool exactly once per engine. Options and
+// EpisodeSchedule are flat value structs, so %+v is a faithful key.
 func (e *Engine) RunEpisode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
-	key := episodeKey(v, o, f, comp, sched)
-	e.memoMu.Lock()
-	if m, ok := e.epMemo[key]; ok {
-		e.memoMu.Unlock()
-		<-m.done
-		return m.ep, m.err
-	}
-	m := &epEntry{done: make(chan struct{})}
-	e.epMemo[key] = m
-	e.memoMu.Unlock()
-
-	e.acquireSlot()
-	m.ep, m.err = runEpisodeUncached(v, o, f, comp, sched)
-	e.releaseSlot()
-	close(m.done)
-	return m.ep, m.err
+	key := fmt.Sprintf("%s|%+v|%v|%d|%+v", v, o, f, comp, sched)
+	return e.episodes.do(key, func() (Episode, error) {
+		e.acquireSlot()
+		defer e.releaseSlot()
+		return e.runEpisodeUncached(v, o, f, comp, sched)
+	})
 }
 
 // episodesUncached reruns the given fault specs' episodes without
-// consulting or filling any memo, on up to `workers` concurrent
-// simulators (independent of any engine's pool). It exists for the
-// determinism regression test and the serial-vs-pooled benchmark; real
-// callers go through RunEpisode/Campaign and an engine.
-func episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSchedule, workers int) ([]Episode, error) {
+// consulting or filling the episode memo, on up to `workers` concurrent
+// simulators (independent of the engine's pool; the engine only resolves
+// the offered load). It exists for the determinism regression test and
+// the serial-vs-pooled benchmark; real callers go through
+// RunEpisode/Campaign.
+func (e *Engine) episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSchedule, workers int) ([]Episode, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -252,7 +220,7 @@ func episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSc
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			eps[i], errs[i] = runEpisodeUncached(v, o, spec.Type, DefaultComponent(spec.Type), sched)
+			eps[i], errs[i] = e.runEpisodeUncached(v, o, spec.Type, DefaultComponent(spec.Type), sched)
 		}()
 	}
 	wg.Wait()
@@ -305,39 +273,3 @@ func (e *Engine) prewarmCampaigns(o Options, sched EpisodeSchedule, versions ...
 	}
 	return e.prewarmJobs(sched, jobs)
 }
-
-// --- package-level wrappers over the default engine ----------------------
-
-// SetWorkers bounds the default engine's concurrency and returns the
-// previous bound.
-//
-// Deprecated: use press.New(press.WithWorkers(n)) or an explicit Engine.
-func SetWorkers(n int) int { return defaultEngine.SetWorkers(n) }
-
-// Workers returns the default engine's worker-pool bound.
-//
-// Deprecated: use an explicit Engine.
-func Workers() int { return defaultEngine.Workers() }
-
-// RunOnPool executes fn holding one default-engine pool slot.
-func RunOnPool(fn func()) { defaultEngine.RunOnPool(fn) }
-
-// MemoStats reports the default engine's memo sizes.
-func MemoStats() (episodes, campaigns, saturations int) { return defaultEngine.MemoStats() }
-
-// ResetMemos clears the default engine's memo tables.
-func ResetMemos() { defaultEngine.ResetMemos() }
-
-// RunEpisode performs one single-fault phase-1 measurement on the
-// default engine.
-func RunEpisode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
-	return defaultEngine.RunEpisode(v, o, f, comp, sched)
-}
-
-// SnapMemoized memoizes on the default engine's snapshot table.
-func SnapMemoized(key string, compute func() (any, error)) (any, error) {
-	return defaultEngine.SnapMemoized(key, compute)
-}
-
-// SnapMemoStats reports the default engine's snapshot-memo size.
-func SnapMemoStats() int { return defaultEngine.SnapMemoStats() }

@@ -85,11 +85,11 @@ func faultNode(f faults.Type, comp int) int {
 
 // runEpisodeUncached is the actual measurement; Engine.RunEpisode wraps it with
 // the memo and the pool. It builds a private sim.Sim, so concurrent
-// invocations cannot interact.
-func runEpisodeUncached(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
+// invocations cannot interact; the engine only resolves the offered load.
+func (e *Engine) runEpisodeUncached(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
-	c := Build(v, o)
+	c := e.Build(v, o)
 	ep := Episode{Version: v, Fault: f, Component: comp, Offered: c.Offered(), Log: c.Log}
 	if !c.Injector.Applicable(f) {
 		return ep, fmt.Errorf("harness: %v not applicable to %v", f, v)

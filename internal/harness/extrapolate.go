@@ -27,12 +27,12 @@ import (
 //     and to intra-cluster isolation, which is what S-FME and C-MON fix;
 //   - whether the system reintegrates by itself after repair, or waits
 //     for the operator (stages E–G).
-func PredictLoads(coop CampaignResult, v Version, o Options) []avail.FaultLoad {
+func PredictLoads(e *Engine, coop CampaignResult, v Version, o Options) []avail.FaultLoad {
 	o = o.withDefaults()
 	t := versionTraits(v)
 	n := NewTopology(v, o).Nodes
 	offered := coop.Offered
-	satPerNode := Saturation(v, o) / float64(n)
+	satPerNode := e.Saturation(v, o) / float64(n)
 
 	pc := predictContext{
 		t:          t,
@@ -326,7 +326,7 @@ func (pc predictContext) predict(f faults.Type, T template7.Template) template7.
 }
 
 // PredictResult runs the phase-2 model over predicted loads.
-func PredictResult(coop CampaignResult, v Version, o Options, env avail.Env) (avail.Result, error) {
-	loads := PredictLoads(coop, v, o)
+func PredictResult(e *Engine, coop CampaignResult, v Version, o Options, env avail.Env) (avail.Result, error) {
+	loads := PredictLoads(e, coop, v, o)
 	return avail.Availability(coop.Offered, coop.Offered, loads, env)
 }

@@ -34,26 +34,21 @@ func syntheticCOOP(offered float64) CampaignResult {
 	return res
 }
 
-// stubSaturations seeds the topology-keyed saturation memo so the
-// prediction rules don't trigger real probes.
-func stubSaturations(t *testing.T, o Options, perNode float64) {
-	t.Helper()
+// stubSaturations returns an engine whose topology-keyed saturation memo
+// is pre-seeded, so the prediction rules don't trigger real probes.
+func stubSaturations(o Options, perNode float64) *Engine {
 	o = o.withDefaults()
-	eng := defaultEngine
-	eng.satMu.Lock()
-	defer eng.satMu.Unlock()
+	eng := NewEngine(0)
 	for _, v := range []Version{VCOOP, VFEX, VMEM, VQMON, VMQ, VFME, VSFME, VCMON, VINDEP, VFEXINDEP} {
-		tr := versionTraits(v)
-		key := keyForTraits(tr, o)
-		e := &satEntry{done: make(chan struct{}), val: perNode * float64(serverCount(v, o))}
-		close(e.done)
-		eng.satMemo[key] = e
+		sat := perNode * float64(serverCount(v, o))
+		eng.saturations.do(keyForTraits(versionTraits(v), o), func() (float64, error) { return sat, nil })
 	}
+	return eng
 }
 
-func modelOf(t *testing.T, coop CampaignResult, v Version, o Options) avail.Result {
+func modelOf(t *testing.T, eng *Engine, coop CampaignResult, v Version, o Options) avail.Result {
 	t.Helper()
-	r, err := PredictResult(coop, v, o, avail.DefaultEnv())
+	r, err := PredictResult(eng, coop, v, o, avail.DefaultEnv())
 	if err != nil {
 		t.Fatalf("predict %v: %v", v, err)
 	}
@@ -62,16 +57,16 @@ func modelOf(t *testing.T, coop CampaignResult, v Version, o Options) avail.Resu
 
 func TestPredictionOrdering(t *testing.T) {
 	o := Options{Seed: 1}.withDefaults()
-	stubSaturations(t, o, 80)
+	eng := stubSaturations(o, 80)
 	coop := syntheticCOOP(288) // 0.9 * 4 * 80
 
 	base, err := coop.Model(avail.DefaultEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq := modelOf(t, coop, VMQ, o)
-	fme := modelOf(t, coop, VFME, o)
-	cmon := modelOf(t, coop, VCMON, o)
+	mq := modelOf(t, eng, coop, VMQ, o)
+	fme := modelOf(t, eng, coop, VFME, o)
+	cmon := modelOf(t, eng, coop, VCMON, o)
 
 	// The paper's ladder: FME < MQ < COOP, and C-MON at least as good as FME.
 	if !(fme.Unavailability < mq.Unavailability && mq.Unavailability < base.Unavailability) {
@@ -91,12 +86,12 @@ func TestPredictionMEMBlindSpots(t *testing.T) {
 	// classes must dominate its predicted unavailability, and each must
 	// be no better than COOP's.
 	o := Options{Seed: 1}.withDefaults()
-	stubSaturations(t, o, 80)
+	eng := stubSaturations(o, 80)
 	coop := syntheticCOOP(288)
 	base, _ := coop.Model(avail.DefaultEnv())
-	mem := modelOf(t, coop, VMEM, o)
-	mq := modelOf(t, coop, VMQ, o)
-	fme := modelOf(t, coop, VFME, o)
+	mem := modelOf(t, eng, coop, VMEM, o)
+	mq := modelOf(t, eng, coop, VMQ, o)
+	fme := modelOf(t, eng, coop, VFME, o)
 	// The blind-spot classes stay large for MEM: well above MQ's clean
 	// exclusion and far above FME's translation. (They can sit below
 	// COOP's absolute bars, whose operator tail MEM episodes don't carry.)
@@ -124,11 +119,11 @@ func TestPredictionQMONRegression(t *testing.T) {
 	// the operator tail, so those classes should not improve much over
 	// COOP even though SCSI improves.
 	o := Options{Seed: 1}.withDefaults()
-	stubSaturations(t, o, 80)
+	eng := stubSaturations(o, 80)
 	coop := syntheticCOOP(288)
 	base, _ := coop.Model(avail.DefaultEnv())
-	qm := modelOf(t, coop, VQMON, o)
-	mem := modelOf(t, coop, VMEM, o)
+	qm := modelOf(t, eng, coop, VQMON, o)
+	mem := modelOf(t, eng, coop, VMEM, o)
 	if qm.ByFault["scsi-timeout"] >= base.ByFault["scsi-timeout"] {
 		t.Fatalf("QMON scsi %v not better than COOP %v", qm.ByFault["scsi-timeout"], base.ByFault["scsi-timeout"])
 	}
@@ -145,10 +140,10 @@ func TestPredictionFlapPenalty(t *testing.T) {
 	// The MQ divergence (§4.4): for hangs, MQ's stage-C throughput is
 	// discounted relative to a hypothetical clean exclusion.
 	o := Options{Seed: 1}.withDefaults()
-	stubSaturations(t, o, 80)
+	eng := stubSaturations(o, 80)
 	coop := syntheticCOOP(288)
-	mqLoads := PredictLoads(coop, VMQ, o)
-	fmeLoads := PredictLoads(coop, VFME, o)
+	mqLoads := PredictLoads(eng, coop, VMQ, o)
+	fmeLoads := PredictLoads(eng, coop, VFME, o)
 	var mqHang, fmeHang template7.Template
 	for i := range mqLoads {
 		if mqLoads[i].Spec.Type == faults.AppHang {
@@ -166,9 +161,9 @@ func TestPredictionFrontendSynthesized(t *testing.T) {
 	// COOP has no front-end; predictions for FE versions must still carry
 	// a frontend-failure load.
 	o := Options{Seed: 1}.withDefaults()
-	stubSaturations(t, o, 80)
+	eng := stubSaturations(o, 80)
 	coop := syntheticCOOP(288)
-	loads := PredictLoads(coop, VFEX, o)
+	loads := PredictLoads(eng, coop, VFEX, o)
 	found := false
 	for _, l := range loads {
 		if l.Spec.Type == faults.FrontendFailure {

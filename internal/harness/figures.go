@@ -63,14 +63,16 @@ type Figures struct {
 	Opts  Options
 	Sched EpisodeSchedule
 	Env   avail.Env
+	eng   *Engine
 }
 
-// NewFigures builds the figure generator with defaults.
-func NewFigures(o Options) *Figures {
-	return &Figures{Opts: o.withDefaults(), Env: avail.DefaultEnv()}
+// NewFigures builds the figure generator with defaults; every episode,
+// campaign and saturation probe it needs runs (memoized) on e.
+func NewFigures(e *Engine, o Options) *Figures {
+	return &Figures{Opts: o.withDefaults(), Env: avail.DefaultEnv(), eng: e}
 }
 
-func (fg *Figures) coop() (CampaignResult, error) { return Campaign(VCOOP, fg.Opts, fg.Sched) }
+func (fg *Figures) coop() (CampaignResult, error) { return fg.eng.Campaign(VCOOP, fg.Opts, fg.Sched) }
 
 // Figure1a reproduces Figure 1(a): unavailability and throughput of the
 // INDEP, FE-X-INDEP and COOP versions.
@@ -80,7 +82,7 @@ func (fg *Figures) Figure1a() (Table, error) {
 		Title:  "Unavailability and performance: independent vs cooperative",
 		Header: []string{"version", "throughput(req/s)", "unavailability", "availability"},
 	}
-	if err := defaultEngine.prewarmCampaigns(fg.Opts, fg.Sched, VINDEP, VFEXINDEP, VCOOP); err != nil {
+	if err := fg.eng.prewarmCampaigns(fg.Opts, fg.Sched, VINDEP, VFEXINDEP, VCOOP); err != nil {
 		return t, err
 	}
 	for _, v := range []Version{VINDEP, VFEXINDEP, VCOOP} {
@@ -88,7 +90,7 @@ func (fg *Figures) Figure1a() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		sat := Saturation(v, fg.Opts)
+		sat := fg.eng.Saturation(v, fg.Opts)
 		t.Rows = append(t.Rows, []string{string(v), rps(sat), pct(r.Unavailability), nines(r.Unavailability)})
 	}
 	t.Notes = append(t.Notes,
@@ -113,7 +115,7 @@ func (fg *Figures) Figure1b() (Table, error) {
 		return t, err
 	}
 	// HW: front-end pair + extra node + RAID + backup switch, no new software.
-	hwLoads := PredictLoads(coop, VFEX, fg.Opts)
+	hwLoads := PredictLoads(fg.eng, coop, VFEX, fg.Opts)
 	hwLoads = avail.WithRAID(avail.WithBackupSwitch(avail.WithRedundantFrontend(hwLoads)))
 	hw, err := avail.Availability(coop.Offered, coop.Offered, hwLoads, fg.Env)
 	if err != nil {
@@ -121,12 +123,12 @@ func (fg *Figures) Figure1b() (Table, error) {
 	}
 	// SW: membership + queue monitoring + FME (and the FE that hosts the
 	// masking), no extra hardware redundancy.
-	sw, err := PredictResult(coop, VFME, fg.Opts, fg.Env)
+	sw, err := PredictResult(fg.eng, coop, VFME, fg.Opts, fg.Env)
 	if err != nil {
 		return t, err
 	}
 	// SW+HW.
-	bothLoads := avail.WithRAID(avail.WithBackupSwitch(avail.WithRedundantFrontend(PredictLoads(coop, VCMON, fg.Opts))))
+	bothLoads := avail.WithRAID(avail.WithBackupSwitch(avail.WithRedundantFrontend(PredictLoads(fg.eng, coop, VCMON, fg.Opts))))
 	both, err := avail.Availability(coop.Offered, coop.Offered, bothLoads, fg.Env)
 	if err != nil {
 		return t, err
@@ -149,7 +151,7 @@ func (fg *Figures) Figure2() (Table, error) {
 		Title:  "The 7-stage piecewise-linear template (COOP, SCSI timeout episode)",
 		Header: []string{"stage", "meaning", "duration(s)", "throughput(req/s)"},
 	}
-	ep, err := RunEpisode(VCOOP, fg.Opts, faults.SCSITimeout, DefaultComponent(faults.SCSITimeout), fg.Sched)
+	ep, err := fg.eng.RunEpisode(VCOOP, fg.Opts, faults.SCSITimeout, DefaultComponent(faults.SCSITimeout), fg.Sched)
 	if err != nil {
 		return t, err
 	}
@@ -182,7 +184,7 @@ func (fg *Figures) Figure4() (Table, error) {
 		Title:  "Throughput of COOP on 4 nodes across a disk fault (per-second)",
 		Header: []string{"second", "req/s"},
 	}
-	ep, err := RunEpisode(VCOOP, fg.Opts, faults.SCSITimeout, DefaultComponent(faults.SCSITimeout), fg.Sched)
+	ep, err := fg.eng.RunEpisode(VCOOP, fg.Opts, faults.SCSITimeout, DefaultComponent(faults.SCSITimeout), fg.Sched)
 	if err != nil {
 		return t, err
 	}
@@ -233,7 +235,7 @@ func (fg *Figures) Figure6() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	fex, err := PredictResult(coop, VFEX, fg.Opts, fg.Env)
+	fex, err := PredictResult(fg.eng, coop, VFEX, fg.Opts, fg.Env)
 	if err != nil {
 		return t, err
 	}
@@ -243,7 +245,7 @@ func (fg *Figures) Figure6() (Table, error) {
 		return t, err
 	}
 	allHW, err := avail.Availability(coop.Offered, coop.Offered,
-		avail.WithRAID(avail.WithBackupSwitch(avail.WithRedundantFrontend(PredictLoads(coop, VFEX, fg.Opts)))), fg.Env)
+		avail.WithRAID(avail.WithBackupSwitch(avail.WithRedundantFrontend(PredictLoads(fg.eng, coop, VFEX, fg.Opts)))), fg.Env)
 	if err != nil {
 		return t, err
 	}
@@ -267,7 +269,7 @@ func (fg *Figures) Figure7() (Table, error) {
 		Title: "Unavailability by component: modeled-from-COOP vs measured",
 	}
 	versions := []Version{VCOOP, VFEX, VMEM, VQMON, VMQ, VFME}
-	if err := defaultEngine.prewarmCampaigns(fg.Opts, fg.Sched, versions...); err != nil {
+	if err := fg.eng.prewarmCampaigns(fg.Opts, fg.Sched, versions...); err != nil {
 		return t, err
 	}
 	coop, err := fg.coop()
@@ -282,7 +284,7 @@ func (fg *Figures) Figure7() (Table, error) {
 		if v == VCOOP {
 			pred, err = coop.Model(fg.Env)
 		} else {
-			pred, err = PredictResult(coop, v, fg.Opts, fg.Env)
+			pred, err = PredictResult(fg.eng, coop, v, fg.Opts, fg.Env)
 		}
 		if err != nil {
 			return t, err
@@ -319,7 +321,7 @@ func figure7Row(version, bar string, r avail.Result, kinds []string) []string {
 
 // measured runs (or reuses) a version's campaign and models it.
 func (fg *Figures) measured(v Version, o Options) (avail.Result, error) {
-	camp, err := Campaign(v, o, fg.Sched)
+	camp, err := fg.eng.Campaign(v, o, fg.Sched)
 	if err != nil {
 		return avail.Result{}, err
 	}
@@ -339,7 +341,7 @@ func (fg *Figures) Figure8() (Table, error) {
 	add := func(name string, u float64) {
 		t.Rows = append(t.Rows, []string{name, pct(u), nines(u)})
 	}
-	if err := defaultEngine.prewarmCampaigns(fg.Opts, fg.Sched, VFME, VSFME, VCMON); err != nil {
+	if err := fg.eng.prewarmCampaigns(fg.Opts, fg.Sched, VFME, VSFME, VCMON); err != nil {
 		return t, err
 	}
 	fme, err := fg.measured(VFME, fg.Opts)
@@ -352,7 +354,7 @@ func (fg *Figures) Figure8() (Table, error) {
 		return t, err
 	}
 	add("S-FME", sfme.Unavailability)
-	cmonCamp, err := Campaign(VCMON, fg.Opts, fg.Sched)
+	cmonCamp, err := fg.eng.Campaign(VCMON, fg.Opts, fg.Sched)
 	if err != nil {
 		return t, err
 	}
@@ -395,10 +397,10 @@ func (fg *Figures) Figure9a() (Table, error) {
 		o8.CacheBytes = mem
 		jobs = append(jobs, campaignJob{v: VFME, o: o8})
 	}
-	if err := defaultEngine.prewarmJobs(fg.Sched, jobs); err != nil {
+	if err := fg.eng.prewarmJobs(fg.Sched, jobs); err != nil {
 		return t, err
 	}
-	camp4, err := Campaign(VFME, fg.Opts, fg.Sched)
+	camp4, err := fg.eng.Campaign(VFME, fg.Opts, fg.Sched)
 	if err != nil {
 		return t, err
 	}
@@ -432,7 +434,7 @@ func (fg *Figures) Figure9b() (Table, error) {
 		Title:  "Scaling FME to 8 and 16 nodes (scaled model)",
 		Header: []string{"configuration", "unavailability"},
 	}
-	camp4, err := Campaign(VFME, fg.Opts, fg.Sched)
+	camp4, err := fg.eng.Campaign(VFME, fg.Opts, fg.Sched)
 	if err != nil {
 		return t, err
 	}

@@ -399,9 +399,6 @@ func (c fmeControl) RestartApp() {
 	c.s.After(10*time.Second, func() { m.StartProc("press") })
 }
 
-// Build assembles a cluster for the given version on the default engine.
-func Build(v Version, o Options) *Cluster { return defaultEngine.Build(v, o) }
-
 // Build assembles a cluster for the given version. rate <= 0 uses
 // Options.Rate (which itself may be auto-resolved by higher layers);
 // the auto-resolving saturation probe is memoized on this engine.

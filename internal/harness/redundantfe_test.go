@@ -15,7 +15,7 @@ func TestRedundantFETakeover(t *testing.T) {
 	t.Parallel()
 	o := FastOptions(1)
 	o.RedundantFE = true
-	ep, err := RunEpisode(VFEX, o, faults.FrontendFailure, 0, FastSchedule())
+	ep, err := NewEngine(0).RunEpisode(VFEX, o, faults.FrontendFailure, 0, FastSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRedundantFEvsSingle(t *testing.T) {
 	lost := func(redundant bool) float64 {
 		o := FastOptions(1)
 		o.RedundantFE = redundant
-		ep, err := RunEpisode(VFEX, o, faults.FrontendFailure, 0, FastSchedule())
+		ep, err := NewEngine(0).RunEpisode(VFEX, o, faults.FrontendFailure, 0, FastSchedule())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestRedundantFEIdleIsHarmless(t *testing.T) {
 	t.Parallel()
 	o := FastOptions(1)
 	o.RedundantFE = true
-	c := Build(VFEX, o)
+	c := NewEngine(0).Build(VFEX, o)
 	c.Gen.Start()
 	c.Sim.RunFor(o.Warmup + 60*time.Second)
 	if av := c.Rec.Availability(o.Warmup+10*time.Second, c.Sim.Now()-8*time.Second); av < 0.99 {

@@ -20,40 +20,21 @@ func (e *Engine) Saturation(v Version, o Options) float64 {
 	// wired in: key the memo by the capacity-relevant traits so e.g.
 	// FE-X, MEM, MQ and FME share one probe.
 	key := keyForTraits(versionTraits(v), o)
-	e.satMu.Lock()
-	if m, ok := e.satMemo[key]; ok {
-		e.satMu.Unlock()
-		<-m.done
-		return m.val
-	}
-	m := &satEntry{done: make(chan struct{})}
-	e.satMemo[key] = m
-	e.satMu.Unlock()
-
-	run := o
-	// Drive well past any plausible capacity; admission control keeps the
-	// servers working at their service rate. The ramp must be gentle: a
-	// cold cache under instant overload swamps the disks, blocks the main
-	// threads, and splinters the cooperative cluster before it ever warms
-	// — the paper's 5-minute warm-up exists for exactly this reason.
-	run.Rate = 120 * float64(serverCount(v, o))
-	run.Warmup = 5 * time.Minute
-	c := e.Build(v, run)
-	c.Gen.Start()
-	c.Sim.RunFor(run.Warmup + 180*time.Second)
-	m.val = c.Rec.MeanThroughput(run.Warmup+30*time.Second, c.Sim.Now())
-	close(m.done)
-	return m.val
-}
-
-// Saturation measures (memoized on the default engine) the version's
-// maximum sustained throughput.
-func Saturation(v Version, o Options) float64 { return defaultEngine.Saturation(v, o) }
-
-// satEntry is a singleflight memo slot for one saturation probe.
-type satEntry struct {
-	done chan struct{}
-	val  float64
+	sat, _ := e.saturations.do(key, func() (float64, error) {
+		run := o
+		// Drive well past any plausible capacity; admission control keeps the
+		// servers working at their service rate. The ramp must be gentle: a
+		// cold cache under instant overload swamps the disks, blocks the main
+		// threads, and splinters the cooperative cluster before it ever warms
+		// — the paper's 5-minute warm-up exists for exactly this reason.
+		run.Rate = 120 * float64(serverCount(v, o))
+		run.Warmup = 5 * time.Minute
+		c := e.Build(v, run)
+		c.Gen.Start()
+		c.Sim.RunFor(run.Warmup + 180*time.Second)
+		return c.Rec.MeanThroughput(run.Warmup+30*time.Second, c.Sim.Now()), nil
+	})
+	return sat
 }
 
 // keyForTraits derives the saturation memo key from the capacity-relevant

@@ -18,10 +18,11 @@ func TestPaperHeadlineShapes(t *testing.T) {
 	o := FastOptions(1)
 	sched := FastSchedule()
 	env := avail.DefaultEnv()
+	eng := NewEngine(0)
 
 	model := func(v Version) avail.Result {
 		t.Helper()
-		camp, err := Campaign(v, o, sched)
+		camp, err := eng.Campaign(v, o, sched)
 		if err != nil {
 			t.Fatalf("%v campaign: %v", v, err)
 		}
@@ -53,8 +54,8 @@ func TestPaperHeadlineShapes(t *testing.T) {
 	}
 
 	// §6.3: scaled COOP grows, scaled FME stays flat.
-	coopCamp, _ := Campaign(VCOOP, o, sched)
-	fmeCamp, _ := Campaign(VFME, o, sched)
+	coopCamp, _ := eng.Campaign(VCOOP, o, sched)
+	fmeCamp, _ := eng.Campaign(VFME, o, sched)
 	coop8, err := avail.Availability(2*coopCamp.Offered, 2*coopCamp.Offered,
 		avail.ScaleLoads(coopCamp.Loads, 2, 0.1), env)
 	if err != nil {

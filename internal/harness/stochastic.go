@@ -72,14 +72,14 @@ func (r StochasticResult) String() string {
 
 // StochasticRun executes the validation for one version. The phase-1
 // campaign for the same version supplies the templates for the model
-// prediction (memoized, so repeated validations are cheap).
-func StochasticRun(v Version, o Options, sched EpisodeSchedule, cfg StochasticConfig) (StochasticResult, error) {
+// prediction (memoized on the engine, so repeated validations are cheap).
+func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg StochasticConfig) (StochasticResult, error) {
 	o = o.withDefaults()
 	cfg = cfg.withDefaults()
 	res := StochasticResult{Version: v, Horizon: cfg.Horizon, Accel: cfg.Accel}
 
 	// The model's prediction for the accelerated load.
-	camp, err := Campaign(v, o, sched)
+	camp, err := e.Campaign(v, o, sched)
 	if err != nil {
 		return res, err
 	}
@@ -96,7 +96,7 @@ func StochasticRun(v Version, o Options, sched EpisodeSchedule, cfg StochasticCo
 	res.Predicted = pred.AA
 
 	// The stochastic run itself.
-	c := Build(v, o)
+	c := e.Build(v, o)
 	rng := c.Sim.NewRand("stochastic")
 	specs := c.FaultSpecs()
 

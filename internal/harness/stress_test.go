@@ -23,7 +23,7 @@ func TestRandomFaultSequences(t *testing.T) {
 			t.Parallel()
 			o := FastOptions(seed)
 			o.Rate = 100 // fixed: saturation probing isn't the point here
-			c := Build(VFME, o)
+			c := NewEngine(0).Build(VFME, o)
 			rng := rand.New(rand.NewSource(seed))
 			c.Gen.Start()
 			c.Sim.RunFor(o.Warmup)

@@ -18,7 +18,7 @@ func (fg *Figures) Table2() (Table, error) {
 		Title:  "Implementation effort vs unavailability reduction",
 		Header: []string{"enhancement", "NCSL", "unavailability reduction"},
 	}
-	if err := defaultEngine.prewarmCampaigns(fg.Opts, fg.Sched, VCOOP, VMEM, VMQ, VFME); err != nil {
+	if err := fg.eng.prewarmCampaigns(fg.Opts, fg.Sched, VCOOP, VMEM, VMQ, VFME); err != nil {
 		return t, err
 	}
 	coop, err := fg.measured(VCOOP, fg.Opts)

@@ -344,3 +344,69 @@ func TestStallPausesStreamReads(t *testing.T) {
 		t.Fatalf("got = %d after resume", got)
 	}
 }
+
+// TestShedAtAcceptIsNeverTracked pins the dead-conn leak behind the chaos
+// campaign panic: a listener that sheds inside accept closes the dialer
+// half before the dial result is delivered, so the dialing process must
+// not keep it — the pair is recycled as soon as the handshake ends, and a
+// stale entry would later pause whoever owns the reused pair (or
+// dereference a zeroed half).
+func TestShedAtAcceptIsNeverTracked(t *testing.T) {
+	w := newWorld()
+	a := New(w.sim, w.net, 0, nil, w.log)
+	b := New(w.sim, w.net, 1, nil, w.log)
+	c := New(w.sim, w.net, 2, nil, w.log)
+	var envA, envC *Env
+	a.AddProc("dialer", func(e *Env) { envA = e })
+	c.AddProc("bystander", func(e *Env) { envC = e })
+	var kept cnet.Conn
+	b.AddProc("server", func(e *Env) {
+		e.Listen("shed", func(conn cnet.Conn) cnet.StreamHandlers {
+			conn.Close()
+			return cnet.StreamHandlers{}
+		})
+		e.Listen("keep", func(conn cnet.Conn) cnet.StreamHandlers {
+			kept = conn
+			return cnet.StreamHandlers{}
+		})
+	})
+
+	const dials = 8
+	results := 0
+	for i := 0; i < dials; i++ {
+		envA.Dial(1, cnet.ClassIntra, "shed", cnet.StreamHandlers{}, func(conn cnet.Conn, err error) {
+			if conn == nil || err != nil {
+				t.Errorf("shed dial: conn=%v err=%v, want a (closed) conn and no error", conn, err)
+			}
+			results++
+		})
+	}
+	w.sim.Run()
+	if results != dials {
+		t.Fatalf("dial results = %d, want %d", results, dials)
+	}
+	if n := len(a.Proc("dialer").conns); n != 0 {
+		t.Fatalf("dialer tracks %d conns after every dial was shed, want 0", n)
+	}
+
+	// The bystander's dial reuses one of the recycled pairs.
+	got := 0
+	envC.Dial(1, cnet.ClassIntra, "keep", cnet.StreamHandlers{
+		OnMessage: func(cnet.Conn, cnet.Message) { got++ },
+	}, func(cnet.Conn, error) {})
+	w.sim.Run()
+
+	a.Proc("dialer").Hang()
+	kept.TrySend("x", 10)
+	w.sim.Run()
+	if got != 1 {
+		t.Fatalf("bystander received %d messages while the dialer hung, want 1: its conn was paused by another process", got)
+	}
+	a.Proc("dialer").Unhang()
+	envA.Stall()
+	envA.Resume()
+	w.sim.Run()
+	if n := len(a.Proc("dialer").conns); n != 0 {
+		t.Fatalf("dialer tracks %d conns, want 0", n)
+	}
+}

@@ -542,7 +542,7 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkKernel is the raw event-loop baseline BENCH_4.json records:
+// BenchmarkKernel is the raw event-loop baseline:
 // a self-rescheduling spread of one-shot AfterArg events over a churning
 // heap, pure kernel cost with the free list warm. Reports ns/event and
 // allocs/event (allocs/op counts the whole loop; per-event cost is the

@@ -658,7 +658,8 @@ type StreamConn interface {
 	Buffered() int
 	// SetCloseHook registers a callback invoked exactly once when this
 	// half closes, whatever the path (local Close/Abort or peer-initiated)
-	// — the owner's bookkeeping hook.
+	// — the owner's bookkeeping hook. On a half that has already closed
+	// the callback runs at once, so an owner never tracks a dead half.
 	SetCloseHook(func())
 	// SetOwnerSlot/OwnerSlot stash the owning process's bookkeeping index
 	// for this half, making its close-time removal O(1) instead of a
@@ -854,8 +855,18 @@ func (hc *half) Close() { hc.shutdown(cnet.ErrClosed) }
 // The machine layer uses it when a process (not the whole machine) dies.
 func (hc *half) Abort() { hc.shutdown(cnet.ErrReset) }
 
-// SetCloseHook implements StreamConn.
-func (hc *half) SetCloseHook(fn func()) { hc.closeHook = fn }
+// SetCloseHook implements StreamConn. A dialer half can reach its owner
+// already closed: when the accepting side sheds the connection inside
+// dialSyn, the close notification is scheduled ahead of dialDone. No close
+// path will run again for such a half, so the hook fires here — otherwise
+// the owner would list it forever, past the pair's recycling and reuse.
+func (hc *half) SetCloseHook(fn func()) {
+	if hc.closed {
+		fn()
+		return
+	}
+	hc.closeHook = fn
+}
 
 // SetOwnerSlot implements StreamConn.
 func (hc *half) SetOwnerSlot(i int) { hc.ownerSlot = i }

@@ -38,7 +38,7 @@ func TestPlainWorldRoundTrip(t *testing.T) {
 		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
 			o := fastOpts(1)
-			c := harness.Build(v, o)
+			c := harness.NewEngine(0).Build(v, o)
 			c.Gen.Start()
 			c.Sim.RunUntil(o.Warmup)
 
@@ -89,7 +89,7 @@ func tail(s string, n int) string {
 // envelope and content address survive.
 func TestLoadRoundTrip(t *testing.T) {
 	o := fastOpts(2)
-	c := harness.Build(harness.VCOOP, o)
+	c := harness.NewEngine(0).Build(harness.VCOOP, o)
 	c.Gen.Start()
 	c.Sim.RunUntil(30 * time.Second)
 	snap, err := Take(c, nil)
@@ -116,7 +116,7 @@ func TestLoadRoundTrip(t *testing.T) {
 // state.
 func TestForkIndependence(t *testing.T) {
 	o := fastOpts(3)
-	c := harness.Build(harness.VCOOP, o)
+	c := harness.NewEngine(0).Build(harness.VCOOP, o)
 	c.Gen.Start()
 	c.Sim.RunUntil(time.Minute)
 	snap, err := Take(c, nil)

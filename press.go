@@ -127,7 +127,7 @@ type ModelResult = avail.Result
 // campaigns and saturation probes and bounds its own simulator
 // concurrency — so a library user can run independent experiments with
 // independent lifetimes, something the package-level entry points (which
-// share one process-wide default engine) cannot offer.
+// share one process-wide engine) cannot offer.
 //
 //	c := press.New(press.WithVersion(press.FME), press.WithSeed(7), press.WithWorkers(4))
 //	camp, err := c.RunCampaign(press.FastSchedule())
@@ -172,6 +172,12 @@ func WithWorkers(n int) Option { return func(c *clusterConfig) { c.workers = n }
 // WithOptions replaces the full option set (composes with WithSeed and
 // friends applied after it).
 func WithOptions(o Options) Option { return func(c *clusterConfig) { c.o = o } }
+
+// shared is the one process-wide engine: it serves the package-level
+// entry points below (figures, chaos campaigns, stochastic runs), which
+// take no handle. Nothing else in the repository holds an engine, a pool
+// or a memo at package level.
+var shared = harness.NewEngine(0)
 
 // New builds an experiment handle with its own engine and caches.
 func New(opts ...Option) *Cluster {
@@ -242,7 +248,7 @@ func WithRedundantFrontend(l []FaultLoad) []FaultLoad { return avail.WithRedunda
 func DefaultModelEnv() ModelEnv { return avail.DefaultEnv() }
 
 // NewFigures builds the generator for every paper table and figure.
-func NewFigures(o Options) *Figures { return harness.NewFigures(o) }
+func NewFigures(o Options) *Figures { return harness.NewFigures(shared, o) }
 
 // Table1 returns the paper's expected fault load for an n-node cluster.
 func Table1(n, disksPerNode int, withFrontend bool) []faults.Spec {
@@ -266,28 +272,25 @@ type StochasticResult = harness.StochasticResult
 
 // RunStochastic executes the model-validation run for one version.
 func RunStochastic(v Version, o Options, s EpisodeSchedule, cfg StochasticConfig) (StochasticResult, error) {
-	return harness.StochasticRun(v, o, s, cfg)
+	return harness.StochasticRun(shared, v, o, s, cfg)
 }
 
-// ResetGlobalCaches drops the process-wide memo tables the package-level
-// chaos and figure entry points share (the default engine's episodes,
-// campaigns and saturation probes, plus the chaos-run memo). Handle-
-// scoped caches are dropped via Cluster.ResetCaches. Results are
-// deterministic, so this is never needed for correctness; benchmarks use
-// it to measure real simulation work.
-func ResetGlobalCaches() {
-	harness.ResetMemos()
-	chaos.ResetMemo()
-}
+// ResetGlobalCaches drops the memo tables the package-level chaos and
+// figure entry points share (the shared engine's episodes, campaigns,
+// saturation probes, chaos runs and warm snapshots). Handle-scoped caches
+// are dropped via Cluster.ResetCaches. Results are deterministic, so this
+// is never needed for correctness; benchmarks use it to measure real
+// simulation work.
+func ResetGlobalCaches() { shared.ResetMemos() }
 
 // SetGlobalWorkers bounds the concurrency of the shared engine behind
 // the package-level entry points (figures, chaos campaigns, stochastic
 // runs) and returns the previous bound. Cluster handles carry their own
 // bound — use WithWorkers / Cluster.SetWorkers for those.
-func SetGlobalWorkers(n int) int { return harness.SetWorkers(n) }
+func SetGlobalWorkers(n int) int { return shared.SetWorkers(n) }
 
 // GlobalWorkers reports the shared engine's concurrency bound.
-func GlobalWorkers() int { return harness.Workers() }
+func GlobalWorkers() int { return shared.Workers() }
 
 // Chaos campaigns (internal/chaos): seeded multi-fault schedules played
 // against a version, judged by a cluster-invariant catalog, with
@@ -332,7 +335,7 @@ func GenerateChaos(seed int64, v Version, o Options, cfg ChaosGenConfig) ChaosSc
 // RunChaos plays one schedule (memoized by schedule hash, on the
 // engine's worker pool) and returns the measured result.
 func RunChaos(v Version, o Options, sched ChaosSchedule, rc ChaosRunConfig) (ChaosResult, error) {
-	return chaos.Run(v, o, sched, rc)
+	return chaos.Run(shared, v, o, sched, rc)
 }
 
 // ChaosInvariants returns the standing invariant catalog.
@@ -345,12 +348,12 @@ func CheckChaos(r *ChaosResult, invs []ChaosInvariant) []ChaosViolation {
 
 // RunChaosCampaign generates, runs and judges one schedule per seed.
 func RunChaosCampaign(v Version, o Options, cfg ChaosCampaignConfig) ChaosCampaignSummary {
-	return chaos.RunCampaign(v, o, cfg)
+	return chaos.RunCampaign(shared, v, o, cfg)
 }
 
 // ShrinkChaos minimizes a violating schedule to a replayable minimum.
 func ShrinkChaos(v Version, o Options, rc ChaosRunConfig, sched ChaosSchedule, invs []ChaosInvariant) (ChaosSchedule, ChaosViolation, chaos.ShrinkStats, error) {
-	return chaos.Shrink(v, o, rc, sched, invs)
+	return chaos.Shrink(shared, v, o, rc, sched, invs)
 }
 
 // NewChaosRepro packages a violation into a replayable repro body;
@@ -388,28 +391,28 @@ func LoadSnapshot(data []byte) (*Snapshot, error) { return snapshot.Load(data) }
 func RestoreSnapshot(s *Snapshot) (*Deployment, error) { return s.Restore(nil) }
 
 // WarmChaosSnapshot builds and warms one world for (v, o) and captures
-// it at the pre-arm point (warmup + settle), memoized on the default
-// engine's snapshot table. Any chaos schedule can then be forked onto it.
+// it at the pre-arm point (warmup + settle), memoized on the shared
+// engine. Any chaos schedule can then be forked onto it.
 func WarmChaosSnapshot(v Version, o Options, rc ChaosRunConfig) (*Snapshot, error) {
-	return chaos.WarmSnapshot(v, o, rc)
+	return chaos.WarmSnapshot(shared, v, o, rc)
 }
 
 // RunChaosFromSnapshot forks one world from the snapshot, arms the
 // schedule and plays it to completion (memoized under snapshot hash +
 // schedule hash — a key space disjoint from every cold-start cache).
 func RunChaosFromSnapshot(s *Snapshot, sched ChaosSchedule, rc ChaosRunConfig) (ChaosResult, error) {
-	return chaos.RunFromSnapshot(s, sched, rc)
+	return chaos.RunFromSnapshot(shared, s, sched, rc)
 }
 
 // RunChaosCampaignForked is the warm-fork campaign: the world is warmed
 // and captured once, then every seed forks an independent copy and arms
 // its own generated schedule.
 func RunChaosCampaignForked(v Version, o Options, cfg ChaosCampaignConfig) (ChaosCampaignSummary, error) {
-	return chaos.RunCampaignForked(v, o, cfg)
+	return chaos.RunCampaignForked(shared, v, o, cfg)
 }
 
 // RunChaosCampaignFromSnapshot plays a warm-fork campaign against an
 // already-captured (possibly disk-loaded) warm snapshot.
 func RunChaosCampaignFromSnapshot(s *Snapshot, cfg ChaosCampaignConfig) (ChaosCampaignSummary, error) {
-	return chaos.RunCampaignFromSnapshot(s, cfg)
+	return chaos.RunCampaignFromSnapshot(shared, s, cfg)
 }
