@@ -29,7 +29,8 @@ const (
 	magic = "press-snap"
 	// format 2: Options carries the protocol suite, and the forward
 	// message codec carries the sharded-mode relay origin.
-	format = 2
+	// format 3: the generator section carries its cancelled-timeout count.
+	format = 3
 )
 
 // Extra lets a simulation driver (the chaos runner) piggyback its own

@@ -1,0 +1,217 @@
+package workload
+
+import (
+	"testing"
+	"time"
+
+	"press/internal/cnet"
+	"press/internal/server"
+	"press/internal/sim"
+	"press/internal/simnet"
+	"press/internal/snapio"
+	"press/internal/trace"
+)
+
+// pendingCompleteTimeouts counts the complete timeouts in the kernel queue.
+func pendingCompleteTimeouts(s *sim.Sim) int {
+	n := 0
+	fire := snapio.FnPtr(reqCompleteTimeout)
+	s.VisitPending(func(_ time.Duration, _ uint64, afn func(any), _ any, _ func()) {
+		if afn != nil && snapio.FnPtr(afn) == fire {
+			n++
+		}
+	})
+	return n
+}
+
+// echoServer answers every request OK at once from pooled records, the
+// way the real server's admission path releases and replies.
+func echoServer(net *simnet.Network, id cnet.NodeID) {
+	var pool cnet.MsgPool[server.RespMsg]
+	h := cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+		req := m.(*server.ReqMsg)
+		resp := server.NewRespMsg(&pool)
+		resp.ID, resp.OK = req.ID, true
+		req.Release()
+		c.TrySend(resp, 256)
+	}}
+	net.AddIface(id).Listen(server.PortHTTP, func(cnet.Conn) cnet.StreamHandlers { return h })
+}
+
+// An answered request is over: once its reply is in, neither its complete
+// timeout nor its record outlives it. (Before the cancellation every
+// answered request left a timer and a live record behind for 6 s.)
+func TestAnsweredRequestsLeaveNothingBehind(t *testing.T) {
+	s, net, gen, rec := setup(t, 200, []cnet.NodeID{0})
+	echoServer(net, 0)
+	gen.Start()
+	s.RunFor(10 * time.Second)
+	gen.Stop()
+	s.RunFor(100 * time.Millisecond) // far less than the 6 s timeout
+	if rec.Offered == 0 || rec.Succeeded != rec.Offered {
+		t.Fatalf("succeeded %d of %d offered", rec.Succeeded, rec.Offered)
+	}
+	if n := pendingCompleteTimeouts(s); n != 0 {
+		t.Errorf("%d complete timeouts still pending after %d answered requests", n, rec.Succeeded)
+	}
+	if n := len(gen.reqLive); n != 0 {
+		t.Errorf("%d request records still live with nothing in flight", n)
+	}
+	if gen.completeCancelled != rec.Succeeded {
+		t.Errorf("cancelled %d complete timeouts, want one per answered request (%d)", gen.completeCancelled, rec.Succeeded)
+	}
+	if n := s.Pending(); n != 0 {
+		t.Errorf("%d events pending in an idle world", n)
+	}
+}
+
+// heldServer accepts and stays silent; the test replies by hand on the
+// accepted connection.
+func heldServer(net *simnet.Network, id cnet.NodeID, accepted *cnet.Conn) {
+	net.AddIface(id).Listen(server.PortHTTP, func(c cnet.Conn) cnet.StreamHandlers {
+		*accepted = c
+		return cnet.StreamHandlers{}
+	})
+}
+
+// A reply that arrives at the very instant the timeout is due loses to it
+// (the timer was armed first) and one nanosecond earlier beats it; either
+// way the request is counted exactly once and nothing is left behind.
+func TestReplyRacingTheTimeoutIsCountedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		early   time.Duration
+		success bool
+	}{
+		{"same instant", 0, false},
+		{"one nanosecond earlier", time.Nanosecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, net, gen, rec := setup(t, 1, []cnet.NodeID{0})
+			var srv cnet.Conn
+			heldServer(net, 0, &srv)
+			gen.launch()
+			s.RunFor(time.Millisecond)
+			if len(gen.reqLive) != 1 || srv == nil {
+				t.Fatalf("request not established: %d live", len(gen.reqLive))
+			}
+			due, ok := gen.reqLive[0].completeTimeout.When()
+			if !ok {
+				t.Fatal("complete timeout not armed")
+			}
+			// 125 bytes serialize in exactly 1 µs on the default link.
+			flight := time.Microsecond + net.Config().PropDelay
+			s.At(due-flight-tc.early, func() { srv.TrySend(&server.RespMsg{OK: true}, 125) })
+			s.RunFor(10 * time.Second)
+
+			if rec.Succeeded+rec.Failed != 1 {
+				t.Fatalf("request counted %d times (ok %d, failed %d)", rec.Succeeded+rec.Failed, rec.Succeeded, rec.Failed)
+			}
+			if got := rec.Succeeded == 1; got != tc.success {
+				t.Errorf("succeeded = %v, want %v", got, tc.success)
+			}
+			wantCancelled := uint64(0)
+			if tc.success {
+				wantCancelled = 1
+			}
+			if gen.completeCancelled != wantCancelled {
+				t.Errorf("cancelled %d timeouts, want %d", gen.completeCancelled, wantCancelled)
+			}
+			if len(gen.reqLive) != 0 || s.Pending() != 0 {
+				t.Errorf("left behind: %d live records, %d pending events", len(gen.reqLive), s.Pending())
+			}
+		})
+	}
+}
+
+// A snapshot taken mid-request carries the armed complete timeout at its
+// exact kernel slot, and the restored request holds a handle that can
+// still cancel it.
+func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
+	build := func() (*sim.Sim, *simnet.Network, *Generator, *Recorder, *cnet.Conn) {
+		s, net, gen, rec := setup(t, 1, []cnet.NodeID{0})
+		srv := new(cnet.Conn)
+		heldServer(net, 0, srv)
+		return s, net, gen, rec, srv
+	}
+	newCtx := func() *snapio.Ctx {
+		msgs := snapio.NewMsgCodec()
+		server.RegisterMessages(msgs)
+		return &snapio.Ctx{Conns: snapio.NewRefTable(simnet.BlankConn), Owners: snapio.NewRefTable(nil), Msgs: msgs}
+	}
+
+	s, net, gen, _, srv := build()
+	gen.launch()
+	s.RunFor(time.Millisecond)
+	due, ok := gen.reqLive[0].completeTimeout.When()
+	if !ok {
+		t.Fatal("complete timeout not armed")
+	}
+
+	ctx := newCtx()
+	ctx.Enc = new(snapio.Encoder)
+	var evs []snapio.PendingEvent
+	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, fn func()) {
+		evs = append(evs, snapio.PendingEvent{At: at, Seq: seq, AFn: afn, Arg: arg, Fn: fn})
+	})
+	ctx.SetPending(evs)
+	net.SaveCore(ctx)
+	gen.SaveState(ctx)
+	ctx.Enc.U64(ctx.Conns.Ref(*srv))
+	net.SavePending(ctx)
+	net.SaveConns(ctx)
+	if un := ctx.Unclaimed(); len(un) != 0 {
+		t.Fatalf("%d pending events unclaimed by the save", len(un))
+	}
+	now, seq, fired, maxQ := s.Counters()
+
+	s2, net2, gen2, rec2, _ := build()
+	ctx2 := newCtx()
+	ctx2.Dec = snapio.NewDecoder(ctx.Enc.Bytes())
+	net2.LoadCore(ctx2)
+	gen2.LoadState(ctx2)
+	srv2 := ctx2.Conns.Obj(ctx2.Dec.U64()).(cnet.Conn)
+	net2.LoadPending(ctx2)
+	net2.LoadConns(ctx2)
+	s2.SetCounters(now, seq, fired, maxQ)
+
+	if len(gen2.reqLive) != 1 {
+		t.Fatalf("restored %d live requests, want 1", len(gen2.reqLive))
+	}
+	if got, ok := gen2.reqLive[0].completeTimeout.When(); !ok || got != due {
+		t.Fatalf("restored complete timeout due %v (armed %v), want %v", got, ok, due)
+	}
+	srv2.TrySend(&server.RespMsg{OK: true}, 256)
+	s2.RunFor(time.Millisecond)
+	if rec2.Succeeded != 1 || gen2.completeCancelled != 1 {
+		t.Errorf("restored request: succeeded %d, cancelled %d, want 1 and 1", rec2.Succeeded, gen2.completeCancelled)
+	}
+	if n := pendingCompleteTimeouts(s2); n != 0 || len(gen2.reqLive) != 0 {
+		t.Errorf("restored request left %d timeouts and %d records behind", n, len(gen2.reqLive))
+	}
+}
+
+// The request cycle — launch, connect, reply, cancel, recycle — reuses its
+// record, its timers and its connection pair: nothing is allocated.
+func TestSteadyStateRequestCycleAllocatesNothing(t *testing.T) {
+	s := sim.New(7)
+	net := simnet.New(s, simnet.DefaultConfig(), nil)
+	rec := NewRecorder()
+	gen := NewGenerator(s, net, 1000, Config{
+		Rate: 1, Targets: []cnet.NodeID{0}, Catalog: trace.NewCatalog(100, 27*1024, 0.8),
+	}, rec)
+	echoServer(net, 0)
+	cycle := func() {
+		gen.launch()
+		s.RunFor(500 * time.Microsecond) // a request takes 0.3 ms end to end
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("request cycle allocates %v objects", avg)
+	}
+	if rec.Succeeded != rec.Offered || len(gen.reqLive) != 0 {
+		t.Errorf("succeeded %d of %d, %d records live", rec.Succeeded, rec.Offered, len(gen.reqLive))
+	}
+}

@@ -30,6 +30,7 @@ func (g *Generator) SaveState(ctx *snapio.Ctx) {
 	e.Dur(g.started)
 	e.U64(g.next)
 	e.Int(g.rr)
+	e.U64(g.completeCancelled)
 
 	rec := g.rec
 	e.U64(rec.Offered)
@@ -117,6 +118,7 @@ func (g *Generator) LoadState(ctx *snapio.Ctx) {
 	g.started = d.Dur()
 	g.next = d.U64()
 	g.rr = d.Int()
+	g.completeCancelled = d.U64()
 
 	rec := g.rec
 	rec.Offered = d.U64()
@@ -170,7 +172,7 @@ func (g *Generator) LoadState(ctx *snapio.Ctx) {
 			r.connectDeadline = g.sim.RestoreAtArg(at, seq, reqConnectTimeout, r)
 		}
 		if at, seq, ok := decPend(); ok {
-			g.sim.RestoreAtArg(at, seq, reqCompleteTimeout, r)
+			r.completeTimeout = g.sim.RestoreAtArg(at, seq, reqCompleteTimeout, r)
 		}
 	}
 }

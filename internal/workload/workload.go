@@ -121,6 +121,11 @@ type Generator struct {
 	started time.Duration
 	next    uint64
 	rr      int
+	// completeCancelled counts complete timeouts stopped before they
+	// fired: each is one kernel event the schedule no longer carries, which
+	// is how the pinned N=256 event count is derived rather than re-recorded
+	// (TestScale256CancelledTimeoutsAccountForSchedule).
+	completeCancelled uint64
 	// reqFree recycles request records (and their once-built handler
 	// closures) so a steady-state request costs no heap allocation.
 	reqFree []*request //availlint:skipfield reqFree free list; an empty list after restore is behaviorally identical
@@ -197,10 +202,13 @@ func genNext(arg any) {
 // request carries the state of one in-flight request. Records are pooled
 // on the Generator; the handler closures are built once per record and
 // survive recycling (they only capture the record pointer). refs counts
-// the callbacks that are guaranteed to fire exactly once (connect
-// deadline, dial result, complete timeout) — when it reaches zero the
-// connection is closed, no further callback can reference the record,
-// and it returns to the pool.
+// the callbacks still owed to the record (connect deadline, dial result,
+// complete timeout), each of which either fires or is cancelled exactly
+// once — when it reaches zero the connection is closed, no further
+// callback can reference the record, and it returns to the pool. A
+// finished request cancels its complete timeout, so the record, its conn
+// pin and the kernel timer are held for the life of the request, not for
+// the 6 s the timeout would have waited.
 type request struct {
 	g    *Generator
 	now  time.Duration // offer time
@@ -211,6 +219,7 @@ type request struct {
 
 	conn            cnet.Conn
 	connectDeadline sim.Timer //availlint:skipfield connectDeadline saved via the pending-event claim (matched by callback identity), re-armed by RestoreAtArg
+	completeTimeout sim.Timer //availlint:skipfield completeTimeout saved via the pending-event claim (matched by callback identity), re-armed by RestoreAtArg
 
 	h      cnet.StreamHandlers    //availlint:skipfield h once-built handler closures, recreated with the record (see RestoreDial)
 	onDial func(cnet.Conn, error) //availlint:skipfield onDial once-built dial closure, recreated with the record (see RestoreDial)
@@ -246,6 +255,7 @@ func (r *request) unref() {
 			r.conn = nil
 		}
 		r.connectDeadline = sim.Timer{}
+		r.completeTimeout = sim.Timer{}
 		g.reqFree = append(g.reqFree, r)
 	}
 }
@@ -265,6 +275,18 @@ func (r *request) fail(connectPhase bool) {
 	}
 	if r.conn != nil {
 		r.conn.Close()
+	}
+	r.settle()
+}
+
+// settle runs when the request's outcome is decided: the complete timeout
+// has nothing left to report, so it is cancelled and its ref given back —
+// typically the last one, which recycles the record, unpins the conn and
+// lets the pair go back to the network's pool now instead of 6 s later.
+func (r *request) settle() {
+	if r.completeTimeout.Stop() {
+		r.g.completeCancelled++
+		r.unref()
 	}
 }
 
@@ -302,6 +324,7 @@ func (r *request) onMessage(c cnet.Conn, m cnet.Message) {
 		g.rec.CompleteFailures++
 	}
 	c.Close()
+	r.settle()
 }
 
 func (r *request) onClose(c cnet.Conn, err error) { r.fail(false) }
@@ -328,7 +351,7 @@ func (r *request) dialResult(c cnet.Conn, err error) {
 	req.ID, req.Doc = r.id, r.doc
 	c.TrySend(req, 256)
 	r.refs++
-	r.g.sim.AfterArg(r.g.cfg.CompleteTimeout, reqCompleteTimeout, r)
+	r.completeTimeout = r.g.sim.AfterArg(r.g.cfg.CompleteTimeout, reqCompleteTimeout, r)
 	r.unref()
 }
 
