@@ -187,15 +187,26 @@ type Env interface {
 	Listen(port string, accept func(c Conn) StreamHandlers)
 }
 
-// MsgPool recycles pointer messages of one concrete type, so the protocol
-// hot path re-sends the same handful of records instead of boxing a fresh
-// struct into the Message interface per send. It is deliberately NOT
-// thread-safe: in simulation every sender/receiver pair sharing a pool
-// runs on the same single-threaded world loop, and over a real network
-// (livenet) the receiver's copy is a fresh gob decode whose unexported
-// home pointer is nil — its Release is a no-op, so the pool never sees a
-// cross-thread Put.
+// MsgPool recycles pointer records of one concrete type: the wire
+// messages of the protocol hot path, which re-sends the same handful of
+// records instead of boxing a fresh struct into the Message interface per
+// send, and the simulator's own per-packet, per-dial, per-timer and
+// per-request records. It is deliberately NOT thread-safe: in simulation
+// every sender/receiver pair sharing a pool runs on the same
+// single-threaded world loop, and over a real network (livenet) the
+// receiver's copy is a fresh gob decode whose unexported home pointer is
+// nil — its Release is a no-op, so the pool never sees a cross-thread Put.
 type MsgPool[T any] struct{ free []*T }
+
+// poolCap bounds every free list. A pool exists to make steady-state
+// traffic allocation-free, which takes as many spare records as the live
+// count swings by between one burst and the next — tens, for any one list
+// in this repository. What it must not do is remember a storm: booting a
+// 256-node mesh dials 65,280 connections at t=0, and unbounded lists kept
+// that high-water of dial, packet and wrapper records (a tenth of the live
+// heap) for the rest of the run. Past the cap a returned record is simply
+// dropped for the collector, and a later storm mints its records again.
+const poolCap = 64
 
 // Get pops a recycled record or allocates a new one. Records arrive
 // zeroed: each type's Release resets every exported field before Put.
@@ -208,6 +219,11 @@ func (p *MsgPool[T]) Get() *T {
 	return new(T)
 }
 
-// Put returns a record to the pool. Callers (the typed Release methods)
-// zero the record's payload fields first.
-func (p *MsgPool[T]) Put(m *T) { p.free = append(p.free, m) }
+// Put returns a record to the pool, or drops it when the pool is full.
+// Callers (the typed Release methods) zero the record's payload fields
+// first.
+func (p *MsgPool[T]) Put(m *T) {
+	if len(p.free) < poolCap {
+		p.free = append(p.free, m)
+	}
+}

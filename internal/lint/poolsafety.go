@@ -531,27 +531,50 @@ func isMsgPoolMethod(fn *types.Func) bool {
 		named.Obj().Pkg().Path() == cnetPath && named.Obj().Name() == "MsgPool"
 }
 
-// isPoolDraw reports whether call draws a record from a pool: a direct
-// MsgPool.Get, or a constructor that takes a *cnet.MsgPool parameter and
-// returns a pointer (the NewReqMsg(&pool) shape).
+// isPoolDraw reports whether call draws an owned record from a pool: a
+// direct MsgPool.Get, or a constructor that takes a *cnet.MsgPool
+// parameter and returns a pointer (the NewReqMsg(&pool) shape) — of a
+// record type that has a Release method. The discipline is the final
+// consumer's Release; the simulator's internal free lists (packets, dial
+// and timer records, connection pairs) also live in MsgPools but are put
+// back by the one function that dispatches them, keep closures over
+// themselves by design, and have no Release to check.
 func (w *psWalker) isPoolDraw(call *ast.CallExpr) bool {
 	fn := calleeFunc(w.pass, call)
 	if fn == nil {
 		return false
 	}
 	sig := fn.Type().(*types.Signature)
+	if sig.Results().Len() != 1 {
+		return false
+	}
+	// The call's own type, not the callee's result: MsgPool[T].Get
+	// declares *T, and only the instantiation says which record it is.
+	ptr, ok := w.pass.Info.TypeOf(call).(*types.Pointer)
+	if !ok || !hasRelease(ptr) {
+		return false
+	}
 	if fn.Name() == "Get" && isMsgPoolMethod(fn) {
 		return true
 	}
-	if sig.Recv() != nil || sig.Results().Len() != 1 {
-		return false
-	}
-	if _, ok := sig.Results().At(0).Type().(*types.Pointer); !ok {
+	if sig.Recv() != nil {
 		return false
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
 		if p := namedOf(sig.Params().At(i).Type()); p != nil && p.Obj().Pkg() != nil &&
 			p.Obj().Pkg().Path() == cnetPath && p.Obj().Name() == "MsgPool" {
+			return true
+		}
+	}
+	return false
+}
+
+// hasRelease reports whether the pointer type's method set holds a
+// Release method.
+func hasRelease(ptr *types.Pointer) bool {
+	ms := types.NewMethodSet(ptr)
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == "Release" {
 			return true
 		}
 	}

@@ -108,3 +108,35 @@ func typeSwitchDispatch(msgs []any) {
 		}
 	}
 }
+
+// opRec is the simulator's internal free-list shape: no Release method,
+// put back by the function that dispatches it, and a once-built closure
+// over the record itself. A MsgPool used as a plain free list is outside
+// the ownership discipline.
+type opRec struct {
+	n  int
+	fn func()
+}
+
+type opPools struct{ free cnet.MsgPool[opRec] }
+
+func (o *opPools) getOp() *opRec {
+	r := o.free.Get()
+	if r.fn != nil {
+		return r
+	}
+	r.fn = func() {
+		r.n++
+		o.free.Put(r)
+	}
+	return r
+}
+
+func (o *opPools) earlyOut(cond bool) {
+	r := o.free.Get()
+	if cond {
+		return // dropped for the collector, like a full pool does
+	}
+	r.n = 1
+	o.free.Put(r)
+}

@@ -47,6 +47,13 @@ func leaks(p *cnet.MsgPool[Rec], cond bool) {
 	// The fall-through path exits without releasing r.
 }
 
+func leaksDirectDraw(p *cnet.MsgPool[Rec], cond bool) {
+	r := p.Get() // want `can reach the exit`
+	if cond {
+		r.Release()
+	}
+}
+
 func branchyUse(p *cnet.MsgPool[Rec], cond bool) {
 	r := NewRec(p)
 	if cond {

@@ -51,14 +51,15 @@ type Machine struct {
 	procs map[string]*Proc
 	order []string
 
-	// Free lists for the per-connection and per-timer records below.
-	// Worlds are single-threaded, so plain slices suffice; records that
-	// never reach their release point (connections that outlive the
-	// world, stopped timers) fall to the garbage collector instead.
-	wrapFree  []*wrapRec  //availlint:skipfield wrapFree free list; an empty list after restore is behaviorally identical
-	dialFree  []*dialRec  //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
-	closeFree []*closeRec //availlint:skipfield closeFree free list; an empty list after restore is behaviorally identical
-	timerFree []*timerRec //availlint:skipfield timerFree free list; an empty list after restore is behaviorally identical
+	// Free lists for the per-connection and per-timer records below,
+	// bounded so a dial storm's high-water is not kept (cnet.MsgPool).
+	// Records that never reach their release point (connections that
+	// outlive the world, stopped timers) fall to the garbage collector
+	// instead.
+	wrapFree  cnet.MsgPool[wrapRec]  //availlint:skipfield wrapFree free list; an empty list after restore is behaviorally identical
+	dialFree  cnet.MsgPool[dialRec]  //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
+	closeFree cnet.MsgPool[closeRec] //availlint:skipfield closeFree free list; an empty list after restore is behaviorally identical
+	timerFree cnet.MsgPool[timerRec] //availlint:skipfield timerFree free list; an empty list after restore is behaviorally identical
 
 	// dials is the registry of in-flight dial records (issued, result not
 	// yet delivered), kept so snapshots can enumerate them. Registered in
@@ -553,13 +554,10 @@ type wrapRec struct {
 }
 
 func (m *Machine) getWrap() *wrapRec {
-	if n := len(m.wrapFree); n > 0 {
-		r := m.wrapFree[n-1]
-		m.wrapFree[n-1] = nil
-		m.wrapFree = m.wrapFree[:n-1]
-		return r
+	r := m.wrapFree.Get()
+	if r.w.OnMessage != nil {
+		return r // recycled: wrappers already built
 	}
-	r := &wrapRec{}
 	// All three wrappers are always installed: simnet's delivery schedule
 	// does not depend on handler presence, and a wrapper whose component
 	// handler is nil posts nothing — exactly what a nil wrapper did.
@@ -594,7 +592,7 @@ func (m *Machine) getWrap() *wrapRec {
 func (m *Machine) putWrap(r *wrapRec) {
 	// Fields are NOT cleared: a releasing close hook runs just before the
 	// wrapper's own OnClose, which still reads them (see getWrap).
-	m.wrapFree = append(m.wrapFree, r)
+	m.wrapFree.Put(r)
 }
 
 // dialRec carries one Dial's result callback and its pre-acquired
@@ -613,13 +611,10 @@ type dialRec struct {
 }
 
 func (m *Machine) getDial() *dialRec {
-	if n := len(m.dialFree); n > 0 {
-		r := m.dialFree[n-1]
-		m.dialFree[n-1] = nil
-		m.dialFree = m.dialFree[:n-1]
-		return r
+	r := m.dialFree.Get()
+	if r.cb != nil {
+		return r // recycled: completion closure already built
 	}
-	r := &dialRec{}
 	r.cb = func(c cnet.Conn, err error) {
 		e := r.e
 		mm := e.p.m
@@ -657,7 +652,7 @@ func (m *Machine) putDial(r *dialRec) {
 	}
 	r.e, r.result, r.wr = nil, nil, nil
 	r.to, r.port, r.slot = cnet.None, "", -1
-	m.dialFree = append(m.dialFree, r)
+	m.dialFree.Put(r)
 }
 
 // closeRec is the pooled close hook installed by adoptConn: it prunes
@@ -673,13 +668,10 @@ type closeRec struct {
 }
 
 func (m *Machine) getClose() *closeRec {
-	if n := len(m.closeFree); n > 0 {
-		r := m.closeFree[n-1]
-		m.closeFree[n-1] = nil
-		m.closeFree = m.closeFree[:n-1]
-		return r
+	r := m.closeFree.Get()
+	if r.fn != nil {
+		return r // recycled: hook closure already built
 	}
-	r := &closeRec{}
 	r.fn = func() {
 		p := r.p
 		if p.incarnation == r.inc {
@@ -695,7 +687,7 @@ func (m *Machine) getClose() *closeRec {
 
 func (m *Machine) putClose(r *closeRec) {
 	r.p, r.c, r.wr = nil, nil, nil
-	m.closeFree = append(m.closeFree, r)
+	m.closeFree.Put(r)
 }
 
 // timerRec carries one AfterFunc callback through the sim kernel's
@@ -708,19 +700,9 @@ type timerRec struct {
 	serial uint64
 }
 
-func (m *Machine) getTimer() *timerRec {
-	if n := len(m.timerFree); n > 0 {
-		r := m.timerFree[n-1]
-		m.timerFree[n-1] = nil
-		m.timerFree = m.timerFree[:n-1]
-		return r
-	}
-	return &timerRec{}
-}
-
 func (m *Machine) putTimer(r *timerRec) {
 	r.e, r.fn, r.serial = nil, nil, 0
-	m.timerFree = append(m.timerFree, r)
+	m.timerFree.Put(r)
 }
 
 // procTimerFire is the sim-kernel callback for procClock.AfterFunc: route
@@ -898,7 +880,7 @@ func (pc procClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
 	if !e.live() {
 		return deadTimer{}
 	}
-	r := e.p.m.getTimer()
+	r := e.p.m.timerFree.Get()
 	e.p.timerSeq++
 	r.e, r.fn, r.serial = e, fn, e.p.timerSeq
 	return procTimer{t: e.p.m.sim.AfterArg(d, procTimerFire, r), serial: r.serial}
@@ -955,7 +937,7 @@ func (t *procTicker) arm(d time.Duration) {
 	if !e.live() {
 		return
 	}
-	r := e.p.m.getTimer()
+	r := e.p.m.timerFree.Get()
 	e.p.timerSeq++
 	r.e, r.fn, r.serial = e, t.fireFn, e.p.timerSeq
 	t.t = e.p.m.sim.AfterArg(d, procTimerFire, r)

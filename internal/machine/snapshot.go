@@ -369,7 +369,7 @@ func (e *Env) RestoreTimer(serial uint64, fn func()) clock.Timer {
 		if !rt.live {
 			snapio.Failf("machine %d/%s: component claimed dead timer %d", p.m.id, p.name, serial)
 		}
-		rec := p.m.getTimer()
+		rec := p.m.timerFree.Get()
 		rec.e, rec.fn, rec.serial = e, fn, serial
 		return procTimer{t: p.m.sim.RestoreAtArg(rt.at, rt.seq, procTimerFire, rec), serial: serial}
 	}
@@ -477,7 +477,7 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 			if rt.live {
 				snapio.Failf("machine %d/%s: live pending timer %d unclaimed by component", m.id, name, s)
 			}
-			rec := m.getTimer()
+			rec := m.timerFree.Get()
 			rec.e, rec.serial = &Env{p: p}, s
 			m.sim.RestoreAtArg(rt.at, rt.seq, procTimerFire, rec)
 		}
@@ -534,7 +534,7 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		if fn == nil {
 			snapio.Failf("machine %d/%s: mailbox timer %d unclaimed by component", m.id, p.name, t.serial)
 		}
-		rec := m.getTimer()
+		rec := m.timerFree.Get()
 		rec.e, rec.fn, rec.serial = env, fn, t.serial
 		return call{tr: rec, env: env}
 	case tagStream:

@@ -97,11 +97,12 @@ type Network struct {
 	// closure handed to the kernel — at packet rate, the dominant
 	// allocation in a campaign. Delivery state now lives in recycled
 	// records dispatched through sim.AtArg, so the steady-state cost of
-	// a hop is zero allocations.
-	dgramFree  []*dgramPkt  //availlint:skipfield dgramFree free list; an empty list after restore is behaviorally identical
-	streamFree []*streamPkt //availlint:skipfield streamFree free list; an empty list after restore is behaviorally identical
-	dialFree   []*dialOp    //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
-	batchFree  []*batchPkt  //availlint:skipfield batchFree free list; an empty list after restore is behaviorally identical
+	// a hop is zero allocations. The lists are bounded (cnet.MsgPool), so
+	// the boot storm's high-water is not kept.
+	dgramFree  cnet.MsgPool[dgramPkt]  //availlint:skipfield dgramFree free list; an empty list after restore is behaviorally identical
+	streamFree cnet.MsgPool[streamPkt] //availlint:skipfield streamFree free list; an empty list after restore is behaviorally identical
+	dialFree   cnet.MsgPool[dialOp]    //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
+	batchFree  cnet.MsgPool[batchPkt]  //availlint:skipfield batchFree free list; an empty list after restore is behaviorally identical
 
 	// pairFree recycles connection-pair allocations. A pair returns here
 	// once both halves are closed and no scheduled event or mailbox entry
@@ -109,7 +110,7 @@ type Network struct {
 	// the connPair was the dominant allocation of a campaign. Halves
 	// rebuilt from a snapshot are born without a pair backlink and are
 	// simply never recycled.
-	pairFree []*connPair //availlint:skipfield pairFree free list; an empty list after restore is behaviorally identical
+	pairFree cnet.MsgPool[connPair] //availlint:skipfield pairFree free list; an empty list after restore is behaviorally identical
 
 	// nextDialOwner tags the next Dial's handshake record with the
 	// caller-side object that owns its callbacks, so snapshots can
@@ -436,13 +437,7 @@ type batchPkt struct {
 // campaigns this path serves do not combine with batching-sensitive
 // assertions — and Faithful runs never take this path at all.
 func (n *Network) sendBatch(arrive time.Duration, src *Iface, port string, m cnet.Message, members []*Iface) {
-	var bp *batchPkt
-	if k := len(n.batchFree); k > 0 {
-		bp = n.batchFree[k-1]
-		n.batchFree = n.batchFree[:k-1]
-	} else {
-		bp = new(batchPkt)
-	}
+	bp := n.batchFree.Get()
 	for _, dst := range members {
 		if dst == src {
 			continue
@@ -456,7 +451,7 @@ func (n *Network) sendBatch(arrive time.Duration, src *Iface, port string, m cne
 		bp.dsts = append(bp.dsts, dst)
 	}
 	if len(bp.dsts) == 0 {
-		n.batchFree = append(n.batchFree, bp)
+		n.batchFree.Put(bp)
 		return
 	}
 	bp.src, bp.port, bp.m = src, port, m
@@ -487,7 +482,7 @@ func deliverBatch(arg any) {
 	}
 	bp.src, bp.m = nil, nil
 	bp.dsts = bp.dsts[:0]
-	n.batchFree = append(n.batchFree, bp)
+	n.batchFree.Put(bp)
 }
 
 // dgramPkt is one datagram in flight; recycled through Network.dgramFree.
@@ -512,13 +507,7 @@ func (n *Network) sendDgram(arrive time.Duration, src, dst *Iface, class cnet.Cl
 		}
 		arrive += src.lossLat + dst.lossLat
 	}
-	var p *dgramPkt
-	if k := len(n.dgramFree); k > 0 {
-		p = n.dgramFree[k-1]
-		n.dgramFree = n.dgramFree[:k-1]
-	} else {
-		p = new(dgramPkt)
-	}
+	p := n.dgramFree.Get()
 	p.src, p.dst, p.class, p.port, p.m = src, dst, class, port, m
 	n.sim.AtArg(arrive, deliverDgram, p)
 }
@@ -530,7 +519,7 @@ func deliverDgram(arg any) {
 	src, dst, class, port, m := p.src, p.dst, p.class, p.port, p.m
 	n := src.net
 	p.src, p.dst, p.m = nil, nil, nil
-	n.dgramFree = append(n.dgramFree, p)
+	n.dgramFree.Put(p)
 	if !n.pathUp(src, dst, class) || dst.state != NodeUp {
 		return
 	}
@@ -553,18 +542,9 @@ type dialOp struct {
 	owner  any                    // snapshot identity, set via SetNextDialOwner
 }
 
-func (n *Network) newDialOp() *dialOp {
-	if k := len(n.dialFree); k > 0 {
-		op := n.dialFree[k-1]
-		n.dialFree = n.dialFree[:k-1]
-		return op
-	}
-	return new(dialOp)
-}
-
 func (n *Network) freeDialOp(op *dialOp) {
 	*op = dialOp{}
-	n.dialFree = append(n.dialFree, op)
+	n.dialFree.Put(op)
 }
 
 func (op *dialOp) fail(err error, after time.Duration) {
@@ -583,7 +563,7 @@ func dialFail(arg any) {
 func (i *Iface) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	dst := i.net.resolve(to)
 	rtt := 2 * i.net.cfg.PropDelay
-	op := i.net.newDialOp()
+	op := i.net.dialFree.Get()
 	op.i, op.dst, op.class, op.port, op.h, op.result = i, dst, class, port, h, result
 	op.owner, i.net.nextDialOwner = i.net.nextDialOwner, nil
 	if i.state != NodeUp {
@@ -710,12 +690,7 @@ type connPair struct {
 // the half→pair backlinks wired (the backlink is what marks a half as
 // pool-managed; snapshot-restored halves lack it).
 func (n *Network) newPair() *connPair {
-	if k := len(n.pairFree); k > 0 {
-		p := n.pairFree[k-1]
-		n.pairFree = n.pairFree[:k-1]
-		return p
-	}
-	p := new(connPair)
+	p := n.pairFree.Get()
 	p.dialer.pair = p
 	p.acceptor.pair = p
 	return p
@@ -755,7 +730,7 @@ func (hc *half) maybeRecycle() {
 	*p = connPair{}
 	p.dialer.pair = p
 	p.acceptor.pair = p
-	net.pairFree = append(net.pairFree, p)
+	net.pairFree.Put(p)
 }
 
 var _ cnet.Conn = (*half)(nil)
@@ -792,13 +767,7 @@ func (hc *half) TrySend(m cnet.Message, size int) bool {
 		arrive += hc.iface.lossLat + p.iface.lossLat
 	}
 	p.inTransit++
-	var pkt *streamPkt
-	if k := len(net.streamFree); k > 0 {
-		pkt = net.streamFree[k-1]
-		net.streamFree = net.streamFree[:k-1]
-	} else {
-		pkt = new(streamPkt)
-	}
+	pkt := net.streamFree.Get()
 	pkt.from, pkt.to, pkt.m = hc, p, m
 	hc.Retain() // both halves pinned by the in-flight message
 	p.Retain()
@@ -820,7 +789,7 @@ func deliverStream(arg any) {
 	hc, p, m := pkt.from, pkt.to, pkt.m
 	net := hc.iface.net
 	pkt.from, pkt.to, pkt.m = nil, nil, nil
-	net.streamFree = append(net.streamFree, pkt)
+	net.streamFree.Put(pkt)
 	p.inTransit--
 	// Drop the in-flight pins before touching handler state. When either
 	// half is still open the releases cannot recycle (recycle needs both

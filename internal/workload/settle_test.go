@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -213,5 +214,27 @@ func TestSteadyStateRequestCycleAllocatesNothing(t *testing.T) {
 	}
 	if rec.Succeeded != rec.Offered || len(gen.reqLive) != 0 {
 		t.Errorf("succeeded %d of %d, %d records live", rec.Succeeded, rec.Offered, len(gen.reqLive))
+	}
+}
+
+// A burst of requests far wider than the record free list may keep is
+// served in full; the list holds at most its bound afterwards and the
+// next burst is served the same.
+func TestRequestFreeListForgetsABurst(t *testing.T) {
+	const burst = 500
+	s, net, gen, rec := setup(t, 1, []cnet.NodeID{0})
+	echoServer(net, 0)
+	for round := uint64(1); round <= 2; round++ {
+		for i := 0; i < burst; i++ {
+			gen.launch()
+		}
+		s.RunFor(time.Second)
+		if rec.Succeeded != round*burst || len(gen.reqLive) != 0 {
+			t.Fatalf("round %d: succeeded %d, %d records live", round, rec.Succeeded, len(gen.reqLive))
+		}
+		free := reflect.ValueOf(&gen.reqFree).Elem().Field(0).Len() // the pool's free list is its only field
+		if free == 0 || free > 64 {
+			t.Errorf("round %d: reqFree holds %d records after a %d-wide burst, want 1..64", round, free, burst)
+		}
 	}
 }

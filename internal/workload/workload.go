@@ -128,7 +128,7 @@ type Generator struct {
 	completeCancelled uint64
 	// reqFree recycles request records (and their once-built handler
 	// closures) so a steady-state request costs no heap allocation.
-	reqFree []*request //availlint:skipfield reqFree free list; an empty list after restore is behaviorally identical
+	reqFree cnet.MsgPool[request] //availlint:skipfield reqFree free list; an empty list after restore is behaviorally identical
 	// reqLive registers in-flight request records (launched, not yet
 	// recycled) so snapshots can enumerate them; slot-indexed.
 	reqLive []*request
@@ -228,13 +228,11 @@ type request struct {
 }
 
 func (g *Generator) newRequest() *request {
-	if n := len(g.reqFree); n > 0 {
-		r := g.reqFree[n-1]
-		g.reqFree[n-1] = nil
-		g.reqFree = g.reqFree[:n-1]
-		return r
+	r := g.reqFree.Get()
+	if r.g != nil {
+		return r // recycled: handlers already built
 	}
-	r := &request{g: g}
+	r.g = g
 	r.h = cnet.StreamHandlers{OnMessage: r.onMessage, OnClose: r.onClose}
 	r.onDial = r.dialResult
 	return r
@@ -256,7 +254,7 @@ func (r *request) unref() {
 		}
 		r.connectDeadline = sim.Timer{}
 		r.completeTimeout = sim.Timer{}
-		g.reqFree = append(g.reqFree, r)
+		g.reqFree.Put(r)
 	}
 }
 
