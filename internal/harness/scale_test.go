@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -132,4 +133,68 @@ func TestScalableEpisodeDeterministic(t *testing.T) {
 		}
 	}
 	_ = time.Second
+}
+
+// unexportedLen reads the length of a slice, map or bounded pool held in
+// the named unexported field of *obj. A cnet.MsgPool's free list is its
+// only field, so a pool reads as its first field's length.
+func unexportedLen(obj any, field string) int {
+	v := reflect.ValueOf(obj).Elem().FieldByName(field)
+	if v.Kind() == reflect.Struct {
+		v = v.Field(0)
+	}
+	return v.Len()
+}
+
+// TestScalableFootprint64 is the CI scale-smoke check that resident
+// simulator state follows live work, on counts that repeat exactly: at
+// steady state a 64-node world keeps no free list above its bound (its
+// boot storm dialed 4,032 connections), exactly one machine-layer record
+// per attached connection end, and an event queue of tickers plus
+// in-flight work — not the six seconds of finished requests' timeouts it
+// used to carry.
+func TestScalableFootprint64(t *testing.T) {
+	const nodes, poolCap = 64, 64
+	o := scaleOpts(1, nodes)
+	c := NewEngine(1).Build(VCOOP, o)
+	c.Gen.Start()
+	c.Sim.RunFor(20 * time.Second)
+
+	for _, f := range []string{"dgramFree", "streamFree", "dialFree", "batchFree", "pairFree"} {
+		if n := unexportedLen(c.Net, f); n > poolCap {
+			t.Errorf("simnet %s holds %d records at steady state, bound %d", f, n, poolCap)
+		}
+	}
+	if n := unexportedLen(c.Gen, "reqFree"); n > poolCap {
+		t.Errorf("workload reqFree holds %d records, bound %d", n, poolCap)
+	}
+	ends := 0
+	for _, m := range c.Machines {
+		for _, f := range []string{"dialFree", "timerFree"} {
+			if n := unexportedLen(m, f); n > poolCap {
+				t.Errorf("machine %d %s holds %d records, bound %d", m.ID(), f, n, poolCap)
+			}
+		}
+		attached := unexportedLen(m.Iface(), "conns")
+		records := 0
+		procs := reflect.ValueOf(m).Elem().FieldByName("procs")
+		for it := procs.MapRange(); it.Next(); {
+			records += it.Value().Elem().FieldByName("conns").Len()
+		}
+		if records != attached {
+			t.Errorf("machine %d: %d connection records for %d attached connection ends", m.ID(), records, attached)
+		}
+		ends += attached
+	}
+	if mesh := 2 * nodes * (nodes - 1); ends < mesh {
+		t.Errorf("%d connection ends attached, want at least the full mesh's %d", ends, mesh)
+	}
+
+	// 2,560 req/s: six seconds of dead complete timeouts alone would be
+	// 15,360 events. What remains is a handful of tickers per node and the
+	// requests in flight.
+	if n, limit := c.Sim.Pending(), int(o.Rate)/2; n > limit {
+		t.Errorf("%d events pending at steady state, want at most %d", n, limit)
+	}
+	t.Logf("ends %d, pending %d, high-water %d", ends, c.Sim.Pending(), c.Sim.MaxQueued())
 }

@@ -51,14 +51,11 @@ type Machine struct {
 	procs map[string]*Proc
 	order []string
 
-	// Free lists for the per-connection and per-timer records below,
-	// bounded so a dial storm's high-water is not kept (cnet.MsgPool).
-	// Records that never reach their release point (connections that
-	// outlive the world, stopped timers) fall to the garbage collector
-	// instead.
-	wrapFree  cnet.MsgPool[wrapRec]  //availlint:skipfield wrapFree free list; an empty list after restore is behaviorally identical
+	// Free lists for the per-dial and per-timer records below, bounded so
+	// a dial storm's high-water is not kept (cnet.MsgPool). Records that
+	// never reach their release point (stopped timers) fall to the garbage
+	// collector instead.
 	dialFree  cnet.MsgPool[dialRec]  //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
-	closeFree cnet.MsgPool[closeRec] //availlint:skipfield closeFree free list; an empty list after restore is behaviorally identical
 	timerFree cnet.MsgPool[timerRec] //availlint:skipfield timerFree free list; an empty list after restore is behaviorally identical
 
 	// dials is the registry of in-flight dial records (issued, result not
@@ -245,7 +242,10 @@ type Proc struct {
 	head        int // next mailbox slot to dispatch; storage before it is spent
 	resume      resumeRec
 	env         *Env
-	conns       []simnet.StreamConn
+	conns       []connRec
+	// pauseScratch is syncConnPause's reusable snapshot of the conn list,
+	// used as a stack so a nested call leaves the outer one's span alone.
+	pauseScratch []simnet.StreamConn //availlint:skipfield pauseScratch iteration scratch, empty between events
 
 	// timerSeq numbers every proc-clock timer ever armed, monotonically
 	// across incarnations, giving components a serializable identity for
@@ -382,7 +382,7 @@ func (p *Proc) boot() {
 	p.mailbox = nil
 	p.head = 0
 	p.conns = nil
-	p.env = &Env{p: p, inc: p.incarnation}
+	p.env = newEnv(p, p.incarnation)
 	p.env.rand = p.m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", p.m.id, p.name, p.incarnation))
 	p.start(p.env)
 }
@@ -414,8 +414,8 @@ func (p *Proc) kill(abortConns bool) {
 	conns := p.conns
 	p.conns = nil
 	if abortConns {
-		for _, c := range conns {
-			c.Abort()
+		for _, r := range conns {
+			r.c.Abort()
 		}
 	}
 }
@@ -494,117 +494,91 @@ func (p *Proc) pump() {
 func (p *Proc) syncConnPause() {
 	paused := p.hung || p.stalled
 	// Unpausing drains buffered messages, which can close connections and
-	// mutate p.conns via the close hook: iterate a snapshot.
-	conns := append([]simnet.StreamConn(nil), p.conns...)
-	for _, c := range conns {
-		if c != nil {
-			c.SetPaused(paused)
-		}
+	// mutate p.conns via the close hook: iterate a snapshot. It lives on
+	// the process and is reused — a server blocking on a full disk queue
+	// comes through here twice per stall. The drain can also re-enter (a
+	// drained handler stalls again), so the scratch is a stack: a nested
+	// call appends its snapshot above this one's span and pops it again.
+	base := len(p.pauseScratch)
+	for i := range p.conns {
+		p.pauseScratch = append(p.pauseScratch, p.conns[i].c)
 	}
+	end := len(p.pauseScratch)
+	for i := base; i < end; i++ {
+		p.pauseScratch[i].SetPaused(paused)
+	}
+	clear(p.pauseScratch[base:end])
+	p.pauseScratch = p.pauseScratch[:base]
 }
 
-func (p *Proc) adoptConn(c simnet.StreamConn, wr *wrapRec) {
+// connRec is everything the machine layer keeps for one adopted
+// connection end: the conn and the component's handlers for it. Records
+// live by value in the owning process's conn list, at the index the
+// connection carries as its owner slot — adopting a connection allocates
+// nothing beyond that list's growth. The handlers simnet calls are the
+// incarnation's shared mailbox wrappers (Env.hooks), which find the
+// record through the slot.
+type connRec struct {
+	c simnet.StreamConn
+	h cnet.StreamHandlers //availlint:skipfield h component handlers, re-attached by the owning component via RestoreConn
+}
+
+func (p *Proc) adoptConn(e *Env, c simnet.StreamConn, h cnet.StreamHandlers) {
 	c.SetOwnerSlot(len(p.conns))
-	p.conns = append(p.conns, c)
+	p.conns = append(p.conns, connRec{c: c, h: h})
 	// Prune on every close path, including component-initiated Close —
 	// without this, long-lived processes (the front-end relays two
 	// connections per request) accumulate dead connections and every
-	// scan over p.conns degenerates.
-	r := p.m.getClose()
-	r.p, r.inc, r.c, r.wr = p, p.incarnation, c, wr
-	c.SetCloseHook(r.fn)
+	// scan over p.conns degenerates. A connection shed before it got here
+	// is already closed: the hook runs at once and drops the record again.
+	c.SetCloseHook(e.hooks.closed)
 	if p.hung || p.stalled {
 		c.SetPaused(true)
 	}
 }
 
-func (p *Proc) dropConn(c cnet.Conn) {
+// connOf returns the process's record of c, or nil when c is not (or no
+// longer) among its connections: the owner slot may be stale after a
+// process restart reset p.conns, so it must actually hold this connection.
+func (p *Proc) connOf(c cnet.Conn) *connRec {
 	sc, ok := c.(simnet.StreamConn)
 	if !ok {
-		return
+		return nil
 	}
-	// O(1) verified removal: the owner slot may be stale after a process
-	// restart reset p.conns, so removal requires the slot to actually
-	// hold this connection. Swap-remove preserves the exact order a
-	// first-match scan produced (conns are unique).
 	i := sc.OwnerSlot()
-	if i < 0 || i >= len(p.conns) || p.conns[i] != sc {
+	if i < 0 || i >= len(p.conns) || p.conns[i].c != sc {
+		return nil
+	}
+	return &p.conns[i]
+}
+
+func (p *Proc) dropConn(c cnet.Conn) {
+	r := p.connOf(c)
+	if r == nil {
 		return
 	}
+	// O(1) swap-remove, which preserves the exact order a first-match
+	// scan produced (conns are unique).
+	i := r.c.OwnerSlot()
+	r.c.SetOwnerSlot(-1)
 	last := len(p.conns) - 1
-	moved := p.conns[last]
-	p.conns[i] = moved
-	moved.SetOwnerSlot(i)
-	p.conns[last] = nil
+	p.conns[i] = p.conns[last]
+	if i != last {
+		p.conns[i].c.SetOwnerSlot(i)
+	}
+	p.conns[last] = connRec{}
 	p.conns = p.conns[:last]
-	sc.SetOwnerSlot(-1)
 }
 
-// wrapRec carries one connection's component handlers plus the wrapper
-// handlers that route them through the mailbox. The wrappers are built
-// once per record and only capture the record pointer, so attaching a
-// stream allocates nothing once the pool is warm. The record is released
-// by the connection's close hook (closeRec), which simnet runs exactly
-// once on every close path; a connection that never closes keeps its
-// record until the world is collected.
-type wrapRec struct {
-	e *Env
-	h cnet.StreamHandlers
-	w cnet.StreamHandlers
-}
-
-func (m *Machine) getWrap() *wrapRec {
-	r := m.wrapFree.Get()
-	if r.w.OnMessage != nil {
-		return r // recycled: wrappers already built
-	}
-	// All three wrappers are always installed: simnet's delivery schedule
-	// does not depend on handler presence, and a wrapper whose component
-	// handler is nil posts nothing — exactly what a nil wrapper did.
-	//
-	// On a peer-initiated close, simnet runs the close hook (which
-	// releases this record) immediately before OnClose, so OnClose reads
-	// every field it needs before posting anything that could trigger a
-	// reuse; putWrap deliberately leaves the fields intact.
-	r.w = cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, msg cnet.Message) {
-			if fn := r.h.OnMessage; fn != nil {
-				r.e.p.postCall(call{sfn: fn, env: r.e, c: c, m: msg})
-			}
-		},
-		OnClose: func(c cnet.Conn, err error) {
-			e := r.e
-			fn := r.h.OnClose
-			e.p.dropConn(c)
-			if fn != nil {
-				e.p.postCall(call{rfn: fn, env: e, c: c, err: err})
-			}
-		},
-		OnWritable: func(c cnet.Conn) {
-			if fn := r.h.OnWritable; fn != nil {
-				r.e.p.postCall(call{wfn: fn, env: r.e, c: c})
-			}
-		},
-	}
-	return r
-}
-
-func (m *Machine) putWrap(r *wrapRec) {
-	// Fields are NOT cleared: a releasing close hook runs just before the
-	// wrapper's own OnClose, which still reads them (see getWrap).
-	m.wrapFree.Put(r)
-}
-
-// dialRec carries one Dial's result callback and its pre-acquired
-// wrapper record through the dial machinery without a per-dial closure.
-// It is released as soon as the result callback has run; the wrapper
-// record transfers to the connection on success and is reclaimed here
-// only when no connection was ever created.
+// dialRec carries one Dial's result callback and the component's
+// handlers through the dial machinery without a per-dial closure. It is
+// released as soon as the result callback has run; the handlers move to
+// the connection's record on success.
 type dialRec struct {
 	e      *Env
 	result func(cnet.Conn, error) //availlint:skipfield result endpoint callback, re-registered via Env.RestoreDialer
-	wr     *wrapRec               //availlint:skipfield wr wrapper record, rebuilt by the machine restore pass
-	cb     func(cnet.Conn, error) //availlint:skipfield cb completion closure, rebuilt from result+wr on restore
+	h      cnet.StreamHandlers    //availlint:skipfield h endpoint handlers, re-registered via Env.RestoreDialer
+	cb     func(cnet.Conn, error) //availlint:skipfield cb completion closure, built once per record
 	to     cnet.NodeID            // snapshot identity of the dial
 	port   string
 	slot   int //availlint:skipfield slot registry index, reassigned as restore re-registers in-flight dials
@@ -617,26 +591,18 @@ func (m *Machine) getDial() *dialRec {
 	}
 	r.cb = func(c cnet.Conn, err error) {
 		e := r.e
-		mm := e.p.m
 		if !e.live() {
 			if c != nil {
-				// Never adopted, so no close hook will release the
-				// wrapper record; it stays with the dead conn and falls
-				// to the GC.
-				c.Close()
-			} else {
-				mm.putWrap(r.wr)
+				c.Close() // never adopted
 			}
-			mm.putDial(r)
+			e.p.m.putDial(r)
 			return
 		}
 		if c != nil {
-			e.p.adoptConn(c.(simnet.StreamConn), r.wr)
-		} else {
-			mm.putWrap(r.wr)
+			e.p.adoptConn(e, c.(simnet.StreamConn), r.h)
 		}
 		e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, to: r.to, port: r.port})
-		mm.putDial(r)
+		e.p.m.putDial(r)
 	}
 	return r
 }
@@ -650,44 +616,9 @@ func (m *Machine) putDial(r *dialRec) {
 		m.dials[last] = nil
 		m.dials = m.dials[:last]
 	}
-	r.e, r.result, r.wr = nil, nil, nil
+	r.e, r.result, r.h = nil, nil, cnet.StreamHandlers{}
 	r.to, r.port, r.slot = cnet.None, "", -1
 	m.dialFree.Put(r)
-}
-
-// closeRec is the pooled close hook installed by adoptConn: it prunes
-// the connection from p.conns on every close path — local Close/Abort
-// included — releases the connection's wrapper record, and returns
-// itself to the pool (close hooks run at most once).
-type closeRec struct {
-	p   *Proc
-	inc uint64
-	c   cnet.Conn
-	wr  *wrapRec
-	fn  func()
-}
-
-func (m *Machine) getClose() *closeRec {
-	r := m.closeFree.Get()
-	if r.fn != nil {
-		return r // recycled: hook closure already built
-	}
-	r.fn = func() {
-		p := r.p
-		if p.incarnation == r.inc {
-			p.dropConn(r.c)
-		}
-		if r.wr != nil {
-			p.m.putWrap(r.wr)
-		}
-		p.m.putClose(r)
-	}
-	return r
-}
-
-func (m *Machine) putClose(r *closeRec) {
-	r.p, r.c, r.wr = nil, nil, nil
-	m.closeFree.Put(r)
 }
 
 // timerRec carries one AfterFunc callback through the sim kernel's
@@ -731,6 +662,70 @@ type Env struct {
 	// dgramH keeps the raw component handler per bound port so snapshot
 	// restore can rebuild pending mailbox datagram entries.
 	dgramH map[string]func(from cnet.NodeID, m cnet.Message) //availlint:skipfield dgramH rebuilt as restored components re-bind their handlers
+
+	// hooks is what this incarnation installs on every connection it
+	// adopts: closures over the Env alone, built once by newEnv.
+	hooks connHooks //availlint:skipfield hooks closures over the Env, rebuilt by newEnv
+}
+
+// connHooks are an incarnation's shared connection callbacks: the handler
+// set that routes simnet's deliveries through the mailbox to the
+// component handlers in the connection's record, and the close hook that
+// retires the record.
+type connHooks struct {
+	h      cnet.StreamHandlers
+	closed func(cnet.Conn)
+}
+
+// newEnv builds the environment of one incarnation, mailbox wrappers
+// included.
+func newEnv(p *Proc, inc uint64) *Env {
+	e := &Env{p: p, inc: inc}
+	// All three wrappers are always installed: simnet's delivery schedule
+	// does not depend on handler presence, and a wrapper whose component
+	// handler is nil posts nothing. A dead incarnation's wrappers find no
+	// record (its connections were aborted, or went down with the machine)
+	// and post nothing either.
+	e.hooks.h = cnet.StreamHandlers{
+		OnMessage: func(c cnet.Conn, msg cnet.Message) {
+			if r := e.connOf(c); r != nil && r.h.OnMessage != nil {
+				p.postCall(call{sfn: r.h.OnMessage, env: e, c: c, m: msg})
+			}
+		},
+		OnClose: func(c cnet.Conn, err error) {
+			r := e.connOf(c)
+			if r == nil {
+				return
+			}
+			// Drop before posting: the component's OnClose may run at
+			// once and must see the list without this connection.
+			fn := r.h.OnClose
+			p.dropConn(c)
+			if fn != nil {
+				p.postCall(call{rfn: fn, env: e, c: c, err: err})
+			}
+		},
+		OnWritable: func(c cnet.Conn) {
+			if r := e.connOf(c); r != nil && r.h.OnWritable != nil {
+				p.postCall(call{wfn: r.h.OnWritable, env: e, c: c})
+			}
+		},
+	}
+	e.hooks.closed = func(c cnet.Conn) {
+		if e.live() {
+			p.dropConn(c)
+		}
+	}
+	return e
+}
+
+// connOf is Proc.connOf gated on this incarnation being the live one: the
+// conn list belongs to whichever incarnation is.
+func (e *Env) connOf(c cnet.Conn) *connRec {
+	if !e.live() {
+		return nil
+	}
+	return e.p.connOf(c)
 }
 
 func (e *Env) live() bool { return e.p.alive && e.p.incarnation == e.inc }
@@ -836,15 +831,13 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 	if !e.live() {
 		return
 	}
-	wr := e.p.m.getWrap()
-	wr.e, wr.h = e, h
 	dr := e.p.m.getDial()
-	dr.e, dr.result, dr.wr = e, result, wr
+	dr.e, dr.result, dr.h = e, result, h
 	dr.to, dr.port = to, port
 	dr.slot = len(e.p.m.dials)
 	e.p.m.dials = append(e.p.m.dials, dr)
 	e.p.m.iface.Network().SetNextDialOwner(dr)
-	e.p.m.iface.Dial(to, class, port, wr.w, dr.cb)
+	e.p.m.iface.Dial(to, class, port, e.hooks.h, dr.cb)
 }
 
 // Listen implements cnet.Env.
@@ -855,16 +848,16 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 	e.listenPorts = append(e.listenPorts, port)
 	e.p.m.iface.Listen(port, func(c cnet.Conn) cnet.StreamHandlers {
 		// Handshake succeeds even while hung (TCP backlog); the conn is
-		// adopted paused in that case. The wrapper record is acquired
-		// before accept runs so the close hook can release it even when
-		// accept sheds the connection by closing it synchronously (the
-		// late wr.h store then writes to a released record, which is
-		// harmless: nothing can reuse it before this function returns).
-		wr := e.p.m.getWrap()
-		wr.e = e
-		e.p.adoptConn(c.(simnet.StreamConn), wr)
-		wr.h = accept(c)
-		return wr.w
+		// adopted paused in that case. It is adopted before accept runs,
+		// so a component that sheds the connection by closing it inside
+		// accept goes through the ordinary close hook; the record is then
+		// already gone and the handlers accept returned have no home.
+		e.p.adoptConn(e, c.(simnet.StreamConn), cnet.StreamHandlers{})
+		h := accept(c)
+		if r := e.p.connOf(c); r != nil {
+			r.h = h
+		}
+		return e.hooks.h
 	})
 }
 

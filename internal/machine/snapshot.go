@@ -86,8 +86,8 @@ type procRestore struct {
 	mailTimers   map[uint64]bool
 	mailTimerFns map[uint64]func()
 	connRefs     []uint64
-	conns        []cnet.Conn // adopted conns, then mailbox-only (closed) conns
-	wraps        map[cnet.Conn]*wrapRec
+	conns        []cnet.Conn                       // adopted conns, then mailbox-only (closed) conns
+	handlers     map[cnet.Conn]cnet.StreamHandlers // component handlers by conn, from RestoreConn
 	dialers      map[dialKey]dialEndpoint
 }
 
@@ -148,8 +148,8 @@ func (m *Machine) SaveState(ctx *snapio.Ctx) {
 		}
 
 		e.Int(len(p.conns))
-		for _, c := range p.conns {
-			e.U64(ctx.Conns.Ref(c))
+		for _, r := range p.conns {
+			e.U64(ctx.Conns.Ref(r.c))
 		}
 	}
 
@@ -237,7 +237,7 @@ func (m *Machine) LoadState(ctx *snapio.Ctx) {
 			timers:       map[uint64]*restTimer{},
 			mailTimers:   map[uint64]bool{},
 			mailTimerFns: map[uint64]func(){},
-			wraps:        map[cnet.Conn]*wrapRec{},
+			handlers:     map[cnet.Conn]cnet.StreamHandlers{},
 			dialers:      map[dialKey]dialEndpoint{},
 		}
 
@@ -249,7 +249,7 @@ func (m *Machine) LoadState(ctx *snapio.Ctx) {
 		}
 
 		if p.alive {
-			p.env = &Env{p: p, inc: p.incarnation}
+			p.env = newEnv(p, p.incarnation)
 			p.env.rand = m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", m.id, name, p.incarnation))
 			snapio.LoadRand(d, p.env.rand)
 		} else {
@@ -415,24 +415,23 @@ func (e *Env) RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, 
 }
 
 // RestoreConn re-attaches the component's handlers to a restored
-// connection through a fresh wrapper record. Adoption bookkeeping
-// (close hook, owner slot) happens in FinishRestore for connections in
-// the process's saved conn list; closed connections still referenced by
-// the component (a pending OnClose in the mailbox) only need the
-// wrapper for mailbox resolution.
+// connection: the half gets the incarnation's mailbox wrappers back, the
+// component's own handlers wait for FinishRestore, which rebuilds the
+// record (owner slot, close hook) of every connection in the process's
+// saved conn list. Closed connections still referenced by the component
+// (a pending OnClose in the mailbox) only need the handlers for mailbox
+// resolution.
 func (e *Env) RestoreConn(c cnet.Conn, h cnet.StreamHandlers) {
 	p := e.p
 	if p.rst == nil {
 		snapio.Failf("machine %d/%s: RestoreConn outside restore", p.m.id, p.name)
 	}
-	wr := p.m.getWrap()
-	wr.e, wr.h = e, h
-	if hr, ok := c.(simnet.HandlerRestorer); ok {
-		hr.RestoreHandlers(wr.w)
-	} else {
+	hr, ok := c.(simnet.HandlerRestorer)
+	if !ok {
 		snapio.Failf("machine %d/%s: conn %T cannot restore handlers", p.m.id, p.name, c)
 	}
-	p.rst.wraps[c] = wr
+	hr.RestoreHandlers(e.hooks.h)
+	p.rst.handlers[c] = h
 }
 
 func noopStream(cnet.Conn, cnet.Message) {}
@@ -453,15 +452,13 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 			if !ok {
 				snapio.Failf("machine %d/%s: conn ref %d is not a stream conn", m.id, name, ref)
 			}
-			wr := r.wraps[c]
-			if wr == nil {
+			h, ok := r.handlers[c]
+			if !ok {
 				snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, ref)
 			}
-			cr := m.getClose()
-			cr.p, cr.inc, cr.c, cr.wr = p, p.incarnation, c, wr
-			c.SetCloseHook(cr.fn)
 			c.SetOwnerSlot(i)
-			p.conns = append(p.conns, c)
+			p.conns = append(p.conns, connRec{c: c, h: h})
+			c.SetCloseHook(p.env.hooks.closed)
 		}
 
 		serials := make([]uint64, 0, len(r.timers))
@@ -499,7 +496,6 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 			snapio.Failf("machine %d: dial record for unknown proc %q", m.id, rd.proc)
 		}
 		var env *Env
-		wr := m.getWrap()
 		dr := m.getDial()
 		if rd.live {
 			env = p.env
@@ -507,13 +503,11 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 			if !ok {
 				snapio.Failf("machine %d/%s: in-flight dial to %d port %q unclaimed by component", m.id, rd.proc, rd.to, rd.port)
 			}
-			wr.h = ep.h
-			dr.result = ep.result
+			dr.h, dr.result = ep.h, ep.result
 		} else {
 			env = &Env{p: p}
 		}
-		wr.e = env
-		dr.e, dr.wr, dr.to, dr.port = env, wr, rd.to, rd.port
+		dr.e, dr.to, dr.port = env, rd.to, rd.port
 		dr.slot = len(m.dials)
 		m.dials = append(m.dials, dr)
 		ctx.Owners.Put(rd.id, dr)
@@ -538,11 +532,11 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		rec.e, rec.fn, rec.serial = env, fn, t.serial
 		return call{tr: rec, env: env}
 	case tagStream:
-		wr := p.rst.wraps[t.c]
-		if wr == nil || wr.h.OnMessage == nil {
+		h := p.rst.handlers[t.c]
+		if h.OnMessage == nil {
 			snapio.Failf("machine %d/%s: mailbox stream entry unresolvable", m.id, p.name)
 		}
-		return call{sfn: wr.h.OnMessage, env: env, c: t.c, m: t.m}
+		return call{sfn: h.OnMessage, env: env, c: t.c, m: t.m}
 	case tagDgram:
 		h := env.dgramH[t.port]
 		if h == nil {
@@ -556,17 +550,17 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		}
 		return call{rfn: ep.result, env: env, c: t.c, err: t.err, dial: true, to: t.to, port: t.port}
 	case tagClosed:
-		wr := p.rst.wraps[t.c]
-		if wr == nil || wr.h.OnClose == nil {
+		h := p.rst.handlers[t.c]
+		if h.OnClose == nil {
 			snapio.Failf("machine %d/%s: mailbox close entry unresolvable", m.id, p.name)
 		}
-		return call{rfn: wr.h.OnClose, env: env, c: t.c, err: t.err}
+		return call{rfn: h.OnClose, env: env, c: t.c, err: t.err}
 	case tagWritable:
-		wr := p.rst.wraps[t.c]
-		if wr == nil || wr.h.OnWritable == nil {
+		h := p.rst.handlers[t.c]
+		if h.OnWritable == nil {
 			snapio.Failf("machine %d/%s: mailbox writable entry unresolvable", m.id, p.name)
 		}
-		return call{wfn: wr.h.OnWritable, env: env, c: t.c}
+		return call{wfn: h.OnWritable, env: env, c: t.c}
 	}
 	snapio.Failf("machine: unknown mailbox tag %d", t.kind)
 	return call{}
@@ -575,5 +569,5 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 // RestoreDial implements simnet.DialRestorer for in-flight handshakes
 // owned by this machine's dial records.
 func (r *dialRec) RestoreDial() (cnet.StreamHandlers, func(cnet.Conn, error)) {
-	return r.wr.w, r.cb
+	return r.e.hooks.h, r.cb
 }

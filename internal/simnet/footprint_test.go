@@ -3,6 +3,7 @@ package simnet
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"press/internal/cnet"
 	"press/internal/sim"
@@ -87,5 +88,14 @@ func TestFreeListsForgetAStorm(t *testing.T) {
 	}
 	if len(a.conns)+len(b.conns) != 0 {
 		t.Errorf("%d conn halves still attached", len(a.conns)+len(b.conns))
+	}
+}
+
+// The live-connection mesh is the simulator's largest resident structure
+// (65,280 pairs at N=256), so a pair's size class is pinned: two
+// 104-byte halves in the 208-byte class.
+func TestConnPairSize(t *testing.T) {
+	if got := unsafe.Sizeof(connPair{}); got > 208 {
+		t.Errorf("connPair is %d bytes, want at most 208 (the next size classes are 224 and 240)", got)
 	}
 }

@@ -602,8 +602,8 @@ func dialSyn(arg any) {
 	// and unpinned), so separate allocations buy nothing.
 	pair := n.newPair()
 	local, remote := &pair.dialer, &pair.acceptor
-	local.iface, local.class = i, op.class
-	remote.iface, remote.class = dst, op.class
+	local.iface, local.class = i, uint8(op.class)
+	remote.iface, remote.class = dst, uint8(op.class)
 	local.peer, remote.peer = remote, local
 	local.connIdx = int32(len(i.conns))
 	i.conns = append(i.conns, local)
@@ -636,14 +636,17 @@ type StreamConn interface {
 	Abort()
 	// Buffered reports messages waiting unread at this end.
 	Buffered() int
-	// SetCloseHook registers a callback invoked exactly once when this
-	// half closes, whatever the path (local Close/Abort or peer-initiated)
-	// — the owner's bookkeeping hook. On a half that has already closed
-	// the callback runs at once, so an owner never tracks a dead half.
-	SetCloseHook(func())
+	// SetCloseHook registers a callback invoked with this half exactly
+	// once when it closes, whatever the path (local Close/Abort or
+	// peer-initiated, there after OnClose) — the owner's bookkeeping hook.
+	// It takes the conn so one func value serves every connection of an
+	// owner. On a half that has already closed the callback runs at once,
+	// so an owner never tracks a dead half.
+	SetCloseHook(func(cnet.Conn))
 	// SetOwnerSlot/OwnerSlot stash the owning process's bookkeeping index
-	// for this half, making its close-time removal O(1) instead of a
-	// scan. The value is opaque to simnet.
+	// for this half: where its per-connection record lives, which makes
+	// both handler lookup and close-time removal O(1). The value is opaque
+	// to simnet.
 	SetOwnerSlot(int)
 	OwnerSlot() int
 	// Retain/Release pin the connection's backing allocation against
@@ -661,23 +664,28 @@ type half struct {
 	// TrySend/deliverStream touches sit in the struct's first cache line;
 	// the close/teardown fields live behind them. At N=256 the live-conn
 	// mesh far exceeds cache, so lines touched per packet are the cost.
+	//
+	// Size is deliberate too: a 256-node mesh keeps 65,280 pairs live, so
+	// the class and the pending close verdict are stored as one byte each
+	// and the owner slot as an int32 in the padding — 104 bytes a half, a
+	// pair in the 208-byte size class (it was 272 bytes in the 288 class).
 	closed     bool
 	zombie     bool // machine died; silent until reboot RST
 	paused     bool // receiver not reading (freeze/hang/stall)
 	procPaused bool // pause requested by the proc layer (vs machine freeze)
 	wantWrite  bool
+	class      uint8 // cnet.Class
+	closeCode  uint8 // cnet.ErrCode of the pending verdict carried to deliverCloseArg
 	inTransit  int32
 	connIdx    int32 //availlint:skipfield connIdx position in the owning iface's conns list, recomputed as restore re-appends
 	refs       int32 //availlint:skipfield refs pin count of scheduled events and mailbox entries; the restored world re-creates its own pins
+	ownerSlot  int32 // owning process's index of this half's record (opaque)
 	iface      *Iface
 	peer       *half
 	pair       *connPair           //availlint:skipfield pair pool backlink; snapshot-built halves have none and are never recycled
-	h          cnet.StreamHandlers //availlint:skipfield h per-conn handlers, re-attached by the owning process via RestoreConn
+	h          cnet.StreamHandlers //availlint:skipfield h handlers, re-attached by the owning process via RestoreConn
 	buf        []cnet.Message
-	class      cnet.Class
-	closeHook  func() //availlint:skipfield closeHook close callback, re-attached by the owning process via RestoreConn
-	closeErr   error  // pending verdict carried to deliverCloseArg
-	ownerSlot  int    // owning process's index for O(1) drop (opaque)
+	closeHook  func(cnet.Conn) //availlint:skipfield closeHook close callback, re-attached by the owning process via RestoreConn
 }
 
 // connPair is the single allocation backing both halves of a connection.
@@ -763,7 +771,7 @@ func (hc *half) TrySend(m cnet.Message, size int) bool {
 	arrive := hc.iface.serialize(size) + net.cfg.PropDelay
 	// A lossy link delays streams rather than dropping them: TCP
 	// retransmits, and the retransmission cost surfaces as latency.
-	if hc.class == cnet.ClassIntra && hc.iface != p.iface {
+	if cnet.Class(hc.class) == cnet.ClassIntra && hc.iface != p.iface {
 		arrive += hc.iface.lossLat + p.iface.lossLat
 	}
 	p.inTransit++
@@ -801,7 +809,7 @@ func deliverStream(arg any) {
 	if dead {
 		return
 	}
-	if !net.pathUp(hc.iface, p.iface, hc.class) { //availlint:allow poolsafety open half pins the pair: recycle needs both halves closed, dead-check above covers that
+	if !net.pathUp(hc.iface, p.iface, cnet.Class(hc.class)) { //availlint:allow poolsafety open half pins the pair: recycle needs both halves closed, dead-check above covers that
 		// Path broke while in flight; TCP would retransmit until the
 		// path heals or the connection errors. We drop: every
 		// protocol in this repo treats streams as unreliable across
@@ -829,25 +837,25 @@ func (hc *half) Abort() { hc.shutdown(cnet.ErrReset) }
 // dialSyn, the close notification is scheduled ahead of dialDone. No close
 // path will run again for such a half, so the hook fires here — otherwise
 // the owner would list it forever, past the pair's recycling and reuse.
-func (hc *half) SetCloseHook(fn func()) {
+func (hc *half) SetCloseHook(fn func(cnet.Conn)) {
 	if hc.closed {
-		fn()
+		fn(hc)
 		return
 	}
 	hc.closeHook = fn
 }
 
 // SetOwnerSlot implements StreamConn.
-func (hc *half) SetOwnerSlot(i int) { hc.ownerSlot = i }
+func (hc *half) SetOwnerSlot(i int) { hc.ownerSlot = int32(i) }
 
 // OwnerSlot implements StreamConn.
-func (hc *half) OwnerSlot() int { return hc.ownerSlot }
+func (hc *half) OwnerSlot() int { return int(hc.ownerSlot) }
 
 func (hc *half) ranCloseHook() {
 	if hc.closeHook != nil {
 		fn := hc.closeHook
 		hc.closeHook = nil
-		fn()
+		fn(hc)
 	}
 }
 
@@ -864,7 +872,7 @@ func (hc *half) shutdown(peerErr error) {
 		hc.maybeRecycle()
 		return
 	}
-	p.closeErr = peerErr
+	p.closeCode = uint8(cnet.ErrCode(peerErr))
 	p.Retain() // pinned by the close notification in flight
 	net := hc.iface.net
 	net.sim.AfterArg(net.cfg.PropDelay, deliverCloseArg, p)
@@ -880,7 +888,7 @@ func (hc *half) abortPeer(err error) {
 		hc.maybeRecycle()
 		return
 	}
-	p.closeErr = err
+	p.closeCode = uint8(cnet.ErrCode(err))
 	p.Retain() // pinned by the close notification in flight
 	net := hc.iface.net
 	net.sim.AfterArg(net.cfg.PropDelay, deliverCloseArg, p)
@@ -891,7 +899,7 @@ func (hc *half) abortPeer(err error) {
 // the pending verdict can ride on the target half itself.
 func deliverCloseArg(arg any) {
 	p := arg.(*half)
-	p.deliverClose(p.closeErr)
+	p.deliverClose(cnet.ErrFromCode(uint64(p.closeCode)))
 	p.Release() // pin taken when the notification was scheduled
 }
 
@@ -901,11 +909,13 @@ func (hc *half) deliverClose(err error) {
 	}
 	hc.closed = true
 	hc.buf = nil
-	hc.ranCloseHook()
 	hc.iface.dropConn(hc)
+	// OnClose before the hook: the owner's OnClose still finds its record
+	// of this half, which the hook then retires.
 	if hc.h.OnClose != nil {
 		hc.h.OnClose(hc, err)
 	}
+	hc.ranCloseHook()
 }
 
 // SetPaused is called by the proc layer when the owning process stops or

@@ -388,8 +388,8 @@ func (n *Network) SaveConns(ctx *snapio.Ctx) {
 		}
 		e.Int(int(hc.inTransit))
 		e.Bool(hc.wantWrite)
-		e.U64(cnet.ErrCode(hc.closeErr))
-		e.Int(hc.ownerSlot)
+		e.U64(uint64(hc.closeCode))
+		e.Int(int(hc.ownerSlot))
 	}
 	e.Bool(false)
 }
@@ -410,7 +410,7 @@ func (n *Network) LoadConns(ctx *snapio.Ctx) {
 		} else {
 			hc.peer = nil
 		}
-		hc.class = cnet.Class(d.Int())
+		hc.class = uint8(d.Int())
 		hc.closed = d.Bool()
 		hc.zombie = d.Bool()
 		hc.paused = d.Bool()
@@ -424,7 +424,7 @@ func (n *Network) LoadConns(ctx *snapio.Ctx) {
 		}
 		hc.inTransit = int32(d.Int())
 		hc.wantWrite = d.Bool()
-		hc.closeErr = cnet.ErrFromCode(d.U64())
-		hc.ownerSlot = d.Int()
+		hc.closeCode = uint8(d.U64())
+		hc.ownerSlot = int32(d.Int())
 	}
 }

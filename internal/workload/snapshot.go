@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"press/internal/cnet"
+	"press/internal/sim"
 	"press/internal/simnet"
 	"press/internal/snapio"
 	"press/internal/trace"
@@ -89,6 +90,17 @@ func (g *Generator) SaveState(ctx *snapio.Ctx) {
 			e.U64(p.seq)
 		}
 	}
+	// encTimer saves a request's timeout as the pending event claimed for
+	// it, after checking that the handle the request would cancel it with
+	// agrees: a live handle without its event (or the reverse) would
+	// restore a request that cannot stop its own timer.
+	encTimer := func(r *request, name string, t sim.Timer, p pend) {
+		if at, armed := t.When(); armed != p.ok || (armed && at != p.at) {
+			snapio.Failf("workload: request %d %s handle (armed %v at %v) disagrees with its pending event (%v at %v)",
+				r.id, name, armed, at, p.ok, p.at)
+		}
+		encPend(p)
+	}
 
 	encPend(genTick)
 
@@ -104,8 +116,8 @@ func (g *Generator) SaveState(ctx *snapio.Ctx) {
 		if r.conn != nil {
 			e.U64(ctx.Conns.Ref(r.conn))
 		}
-		encPend(connect[r])
-		encPend(complete[r])
+		encTimer(r, "connect deadline", r.connectDeadline, connect[r])
+		encTimer(r, "complete timeout", r.completeTimeout, complete[r])
 	}
 }
 

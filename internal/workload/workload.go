@@ -217,9 +217,11 @@ type request struct {
 	done bool
 	refs int
 
-	conn            cnet.Conn
-	connectDeadline sim.Timer //availlint:skipfield connectDeadline saved via the pending-event claim (matched by callback identity), re-armed by RestoreAtArg
-	completeTimeout sim.Timer //availlint:skipfield completeTimeout saved via the pending-event claim (matched by callback identity), re-armed by RestoreAtArg
+	conn cnet.Conn
+	// The two timeout handles are saved as their pending kernel events
+	// (claimed by callback identity) and re-armed by RestoreAtArg.
+	connectDeadline sim.Timer
+	completeTimeout sim.Timer
 
 	h      cnet.StreamHandlers    //availlint:skipfield h once-built handler closures, recreated with the record (see RestoreDial)
 	onDial func(cnet.Conn, error) //availlint:skipfield onDial once-built dial closure, recreated with the record (see RestoreDial)
