@@ -107,6 +107,7 @@ type Frontend struct {
 	rr       int
 	relayed  uint64
 	probeSeq uint64
+	relays   cnet.MsgPool[relay]
 }
 
 // New starts a front-end process on env.
@@ -184,73 +185,127 @@ func (f *Frontend) pickFor(doc trace.DocID) cnet.NodeID {
 	return f.pick()
 }
 
+// relay is the state of one client connection being relayed to a backend.
+// Records are pooled on the Frontend (so they never cross processes or
+// runtimes) and their handler closures are built once per record and
+// capture only the record, the way workload.request and server.reqState
+// do it: relaying a request allocates nothing.
+//
+// A record goes back to the pool the moment both connections are closed
+// and no dial result is owed, which is earlier than the last callback
+// that can still name it: a message or close already queued in the
+// process mailbox is dispatched after closeBoth, possibly after the
+// record has a new tenant. Every handler therefore first checks that the
+// connection it was called for is the one the record holds now — the
+// queued entry pins its connection, so a pooled connection cannot have
+// been reused in the meantime, and the comparison is exact.
+type relay struct {
+	f       *Frontend
+	client  cnet.Conn
+	backend cnet.Conn
+	req     *server.ReqMsg // waiting for the backend dial
+	dials   int            // dial results still owed to this tenant
+	closed  bool
+
+	clientH  cnet.StreamHandlers
+	backendH cnet.StreamHandlers
+	onDial   func(cnet.Conn, error)
+}
+
 // acceptClient relays one request to a backend.
 func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
-	var backendConn cnet.Conn
-	closed := false
-	closeBoth := func() {
-		if closed {
-			return
-		}
-		closed = true
-		client.Close()
-		if backendConn != nil {
-			backendConn.Close()
-			cnet.ReleaseConn(backendConn) // pin taken when the relay stored it
-		}
+	r := f.relays.Get()
+	if r.f == nil {
+		r.f = f
+		r.clientH = cnet.StreamHandlers{OnMessage: r.clientMessage, OnClose: r.connClosed}
+		r.backendH = cnet.StreamHandlers{OnMessage: r.backendMessage, OnClose: r.connClosed}
+		r.onDial = r.dialResult
 	}
-	return cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) {
-			req, ok := m.(*server.ReqMsg)
-			if !ok {
-				return
-			}
-			f.env.Charge(f.cfg.Cost)
-			target := f.pickFor(req.Doc)
-			if target == cnet.None {
-				closeBoth() // nothing healthy: the client sees a reset
-				return
-			}
-			f.relayed++
-			bh := cnet.StreamHandlers{
-				OnMessage: func(bc cnet.Conn, bm cnet.Message) {
-					// Relay the response and tear the pair down. The record
-					// is passed through unreleased: the client is the final
-					// consumer. After closeBoth ran, the client conn may have
-					// been recycled for a new connection — the old code relied
-					// on TrySend-on-closed being a silent drop, which pooling
-					// no longer guarantees.
-					if closed {
-						return
-					}
-					if resp, ok := bm.(*server.RespMsg); ok {
-						size := 128
-						if resp.OK {
-							size += 27 * 1024
-						}
-						client.TrySend(resp, size)
-					}
-				},
-				OnClose: func(bc cnet.Conn, err error) { closeBoth() },
-			}
-			f.env.Dial(target, cnet.ClassClient, server.PortHTTP, bh, func(bc cnet.Conn, err error) {
-				if closed {
-					if bc != nil {
-						bc.Close()
-					}
-					return
-				}
-				if err != nil {
-					// LVS does not retry: the loss is the client's.
-					closeBoth()
-					return
-				}
-				backendConn = bc
-				cnet.RetainConn(bc) // held by the relay until closeBoth
-				bc.TrySend(req, 256)
-			})
-		},
-		OnClose: func(c cnet.Conn, err error) { closeBoth() },
+	r.client = client
+	return r.clientH
+}
+
+// closeBoth tears the relay down, once, and recycles the record unless a
+// dial result is still owed (dialResult recycles it then).
+func (r *relay) closeBoth() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	r.client.Close()
+	if r.backend != nil {
+		r.backend.Close()
+		cnet.ReleaseConn(r.backend) // pin taken when the relay stored it
+	}
+	r.recycle()
+}
+
+func (r *relay) recycle() {
+	if r.dials > 0 {
+		return
+	}
+	r.client, r.backend, r.req, r.closed = nil, nil, nil, false
+	r.f.relays.Put(r)
+}
+
+func (r *relay) clientMessage(c cnet.Conn, m cnet.Message) {
+	req, ok := m.(*server.ReqMsg)
+	if !ok || c != r.client {
+		return
+	}
+	f := r.f
+	f.env.Charge(f.cfg.Cost)
+	target := f.pickFor(req.Doc)
+	if target == cnet.None {
+		r.closeBoth() // nothing healthy: the client sees a reset
+		return
+	}
+	f.relayed++
+	r.req = req
+	r.dials++
+	f.env.Dial(target, cnet.ClassClient, server.PortHTTP, r.backendH, r.onDial)
+}
+
+func (r *relay) dialResult(bc cnet.Conn, err error) {
+	r.dials--
+	if r.closed {
+		if bc != nil {
+			bc.Close()
+		}
+		r.recycle()
+		return
+	}
+	if err != nil {
+		// LVS does not retry: the loss is the client's.
+		r.closeBoth()
+		return
+	}
+	r.backend = bc
+	cnet.RetainConn(bc) // held by the relay until closeBoth
+	bc.TrySend(r.req, 256)
+	r.req = nil
+}
+
+// backendMessage relays the response and leaves the teardown to the
+// client's close. The record is passed through unreleased: the client is
+// the final consumer.
+func (r *relay) backendMessage(bc cnet.Conn, bm cnet.Message) {
+	if bc != r.backend || r.closed {
+		return
+	}
+	if resp, ok := bm.(*server.RespMsg); ok {
+		size := 128
+		if resp.OK {
+			size += 27 * 1024
+		}
+		r.client.TrySend(resp, size)
+	}
+}
+
+// connClosed serves both ends: either one closing ends the relay.
+func (r *relay) connClosed(c cnet.Conn, err error) {
+	if c == r.client || c == r.backend {
+		r.closeBoth()
 	}
 }
 

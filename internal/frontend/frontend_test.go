@@ -272,3 +272,127 @@ func TestSFMEMasksIsolatedNode(t *testing.T) {
 		t.Fatalf("healthy = %d after reintegration", got)
 	}
 }
+
+// relayRig is a front-end between hand-driven clients and a backend that
+// answers only when told to: the relay's corner cases are a matter of
+// which callback the front-end's mailbox dispatches first.
+type relayRig struct {
+	sim     *sim.Sim
+	clients *simnet.Iface
+	pending []heldReq // requests the backend has received and not answered
+}
+
+type heldReq struct {
+	conn cnet.Conn
+	id   uint64
+}
+
+func newRelayRig(cost time.Duration) *relayRig {
+	s := sim.New(5)
+	log := &metrics.Log{}
+	net := simnet.New(s, simnet.DefaultConfig(), log)
+	rig := &relayRig{sim: s, clients: net.AddIface(1000)}
+	net.AddIface(0).Listen(server.PortHTTP, func(cnet.Conn) cnet.StreamHandlers {
+		return cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+			rig.pending = append(rig.pending, heldReq{c, m.(*server.ReqMsg).ID})
+		}}
+	})
+	machine.New(s, net, 100, nil, log).AddProc("frontend", func(env *machine.Env) {
+		frontend.New(frontend.Config{Self: 100, Backends: []cnet.NodeID{0}, PingPeriod: time.Hour, Cost: cost}, env)
+	})
+	return rig
+}
+
+// client dials the front-end and records the response IDs it is sent.
+func (r *relayRig) client(got *[]uint64) (conn cnet.Conn) {
+	r.clients.Dial(100, cnet.ClassClient, server.PortHTTP, cnet.StreamHandlers{
+		OnMessage: func(_ cnet.Conn, m cnet.Message) { *got = append(*got, m.(*server.RespMsg).ID) },
+	}, func(c cnet.Conn, err error) { conn = c })
+	r.sim.RunFor(time.Millisecond)
+	return conn
+}
+
+// answer makes the backend reply to every request it holds.
+func (r *relayRig) answer() {
+	for _, p := range r.pending {
+		p.conn.TrySend(&server.RespMsg{ID: p.id, OK: true}, 1024)
+	}
+	r.pending = nil
+}
+
+// A backend response that was already queued in the front-end's mailbox
+// when the relay tore down must die with that relay, even though its
+// pooled record has been handed to the next client by the time the
+// response is dispatched.
+func TestLateBackendResponseNeverReachesTheNextClient(t *testing.T) {
+	const cost = 10 * time.Millisecond
+	rig := newRelayRig(cost)
+	var gotA, gotB, gotC, gotD []uint64
+	a, c, d := rig.client(&gotA), rig.client(&gotC), rig.client(&gotD)
+
+	a.TrySend(&server.ReqMsg{ID: 'A'}, 256)
+	rig.sim.RunFor(2 * cost) // relayed: the backend holds A's request
+	if len(rig.pending) != 1 {
+		t.Fatalf("backend holds %d requests, want A's", len(rig.pending))
+	}
+
+	c.TrySend(&server.ReqMsg{ID: 'C'}, 256) // keeps the front-end busy for one cost
+	rig.sim.RunFor(time.Millisecond)
+	a.Close() // queued: A's relay tears down and recycles its record ...
+	rig.sim.RunFor(time.Millisecond)
+	d.TrySend(&server.ReqMsg{ID: 'D'}, 256) // ... then the front-end is busy again ...
+	rig.sim.RunFor(time.Millisecond)
+	rig.answer() // ... with A's response queued behind it (C's is not relayed yet)
+	rig.sim.RunFor(cost)
+
+	// B connects while D is being charged and inherits A's record.
+	b := rig.client(&gotB)
+	b.TrySend(&server.ReqMsg{ID: 'B'}, 256)
+	rig.sim.RunFor(4 * cost)
+	rig.answer()
+	rig.sim.RunFor(4 * cost)
+
+	if len(gotA) != 0 {
+		t.Errorf("closed client A was sent %q", gotA)
+	}
+	for name, got := range map[string][]uint64{"B": gotB, "C": gotC, "D": gotD} {
+		if len(got) != 1 || got[0] != uint64(name[0]) {
+			t.Errorf("client %s was sent %q, want its own response only", name, got)
+		}
+	}
+}
+
+// Relaying allocates nothing per request: the relay record, its handlers
+// and the dial callback are pooled (seven closures per request before).
+func TestRelayAllocatesNothingPerRequest(t *testing.T) {
+	s := sim.New(5)
+	log := &metrics.Log{}
+	net := simnet.New(s, simnet.DefaultConfig(), log)
+	var pool cnet.MsgPool[server.RespMsg]
+	echo := cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+		req := m.(*server.ReqMsg)
+		resp := server.NewRespMsg(&pool)
+		resp.ID, resp.OK = req.ID, true
+		req.Release()
+		c.TrySend(resp, 256)
+	}}
+	net.AddIface(0).Listen(server.PortHTTP, func(cnet.Conn) cnet.StreamHandlers { return echo })
+	var fe *frontend.Frontend
+	machine.New(s, net, 100, nil, log).AddProc("frontend", func(env *machine.Env) {
+		fe = frontend.New(frontend.Config{Self: 100, Backends: []cnet.NodeID{0}, PingPeriod: time.Hour}, env)
+	})
+	rec := workload.NewRecorder()
+	gen := workload.NewGenerator(s, net, 1000, workload.Config{
+		Rate: 500, Targets: []cnet.NodeID{100}, Catalog: trace.NewCatalog(500, 27*1024, 0.8),
+	}, rec)
+	gen.Start()
+	s.RunFor(2 * time.Second)
+	const window = 200 * time.Millisecond // ~100 requests
+	perWindow := testing.AllocsPerRun(20, func() { s.RunFor(window) })
+	if perWindow > 5 {
+		t.Errorf("%v allocations per %v of relaying (~100 requests), want next to none", perWindow, window)
+	}
+	if rec.Failed != 0 || fe.Relayed() < 1000 {
+		t.Errorf("relayed %d, failed %d", fe.Relayed(), rec.Failed)
+	}
+}
