@@ -668,7 +668,7 @@ type half struct {
 	// Size is deliberate too: a 256-node mesh keeps 65,280 pairs live, so
 	// the class and the pending close verdict are stored as one byte each
 	// and the owner slot as an int32 in the padding — 104 bytes a half, a
-	// pair in the 208-byte size class (it was 272 bytes in the 288 class).
+	// pair in the 208-byte size class (TestConnPairSize).
 	closed     bool
 	zombie     bool // machine died; silent until reboot RST
 	paused     bool // receiver not reading (freeze/hang/stall)
