@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"press/internal/clock"
@@ -448,18 +449,24 @@ func (t *tcpConn) TrySend(m cnet.Message, size int) bool {
 	return true
 }
 
-// Close implements cnet.Conn (orderly FIN).
-func (t *tcpConn) Close() {
-	t.closed.Do(func() {
-		t.c.Close()
-		t.env.dropCloser(t.closerID)
-	})
-}
+// Close implements cnet.Conn (orderly FIN). As on the simulator, the
+// side that closes is not told so: OnClose is the peer's news.
+func (t *tcpConn) Close() { t.release(false) }
 
-// abort closes with RST semantics.
-func (t *tcpConn) abort() {
+// abort closes with RST semantics; it is the connection's shutdown hook.
+func (t *tcpConn) abort() { t.release(true) }
+
+// release gives back everything the connection holds, once: the socket,
+// and the shutdown hook that would otherwise sit in Env.closers for the
+// life of the process. Every way a connection ends comes through here —
+// Close, Proc.Kill through the hook, and the read loop when the peer's
+// FIN or RST arrives — and on the local paths closing the socket is
+// what ends the read goroutine.
+func (t *tcpConn) release(reset bool) {
 	t.closed.Do(func() {
-		t.c.SetLinger(0)
+		if reset {
+			t.c.SetLinger(0)
+		}
 		t.c.Close()
 		t.env.dropCloser(t.closerID)
 	})
@@ -470,19 +477,29 @@ type streamFrame struct {
 	Payload any
 }
 
+// readLoop delivers the peer's messages until the stream ends, then
+// releases the connection: a socket whose peer is gone has no further
+// use, and leaving it open cost one descriptor per request.
 func (t *tcpConn) readLoop() {
+	err := t.deliver()
+	t.Close()
+	if errors.Is(err, net.ErrClosed) {
+		return // closed or killed on this side
+	}
+	if t.env.alive() && t.h.OnClose != nil {
+		cause := closeCause(err)
+		t.env.post(func() { t.h.OnClose(t, cause) })
+	}
+}
+
+// deliver posts every decoded message to the dispatch loop and returns
+// the error that ended the stream.
+func (t *tcpConn) deliver() error {
 	dec := gob.NewDecoder(t.c)
 	for {
 		var f streamFrame
 		if err := dec.Decode(&f); err != nil {
-			e := cnet.ErrClosed
-			if isReset(err) {
-				e = cnet.ErrReset
-			}
-			if t.env.alive() && t.h.OnClose != nil {
-				t.env.post(func() { t.h.OnClose(t, e) })
-			}
-			return
+			return err
 		}
 		if t.peer == cnet.None {
 			t.peer = f.From
@@ -494,15 +511,23 @@ func (t *tcpConn) readLoop() {
 	}
 }
 
-func isReset(err error) bool {
-	if err == nil {
-		return false
+// closeCause maps the error that ended a stream onto the transport
+// errors components know: a reset if the peer's kernel said so (its
+// process was killed), an orderly close otherwise.
+func closeCause(err error) error {
+	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+		return cnet.ErrReset
 	}
-	var ne *net.OpError
-	if errors.As(err, &ne) {
-		return strings.Contains(ne.Err.Error(), "reset")
+	return cnet.ErrClosed
+}
+
+// dialCause does the same for a failed connect: refused when the machine
+// answered that nothing listens, timed out for everything else.
+func dialCause(err error) error {
+	if errors.Is(err, syscall.ECONNREFUSED) {
+		return cnet.ErrRefused
 	}
-	return strings.Contains(err.Error(), "reset")
+	return cnet.ErrTimeout
 }
 
 // Listen implements cnet.Env over a loopback TCP listener.
