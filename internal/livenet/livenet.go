@@ -1,7 +1,10 @@
 // Package livenet runs the same protocol components that the simulator
 // hosts — the PRESS server, the membership daemon, the front-end — on
-// real goroutines and real loopback TCP/UDP sockets with gob framing and
-// wall-clock time. It implements cnet.Env, so no component code changes.
+// real goroutines, real loopback TCP/UDP sockets and wall-clock time. It
+// implements cnet.Env, so no component code changes. Streams carry the
+// snapshot engine's message encoding in length-prefixed frames (wire.go);
+// datagrams carry gob, because membership's and the front-end's messages
+// have no snapshot codec yet.
 //
 // This is the demonstration runtime (cmd/pressd and the failover
 // example): you can watch an actual cluster of sockets detect a killed
@@ -16,6 +19,7 @@
 package livenet
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -24,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -36,13 +41,12 @@ import (
 )
 
 func init() {
-	// Everything that crosses a socket must be gob-registered.
-	// The pooled hot-path messages travel as pointers; a decoded copy has
-	// no home pool, so its Release is a no-op on the receive side.
+	// Everything a datagram port carries must be gob-registered (stream
+	// messages go through wireCodec instead). The pooled heartbeats travel
+	// as pointers; a decoded copy has no home pool, so its Release is a
+	// no-op on the receive side.
 	for _, m := range []any{
-		&server.ReqMsg{}, &server.RespMsg{}, server.HelloMsg{}, &server.FwdMsg{},
-		&server.FwdReplyMsg{}, &server.AnnounceMsg{}, &server.HBMsg{},
-		server.ExcludeMsg{}, server.JoinReqMsg{}, server.JoinRespMsg{},
+		&server.HBMsg{}, server.ExcludeMsg{}, server.JoinReqMsg{}, server.JoinRespMsg{},
 		&membership.MHeartbeat{}, membership.MJoinReq{}, membership.MJoinOffer{},
 		membership.MJoinAsk{}, membership.MPrepare{}, membership.MAck{},
 		membership.MCommit{}, membership.MNodeDown{},
@@ -280,6 +284,20 @@ func (e *Env) dropCloser(id uint64) {
 	e.resMu.Unlock()
 }
 
+// Event kinds the transport itself emits into the world log (source
+// "livenet"): things a component cannot see because the transport
+// absorbed them.
+const (
+	// EvWireFault: a stream was closed because what crossed it, or was
+	// about to, is not the wire protocol.
+	EvWireFault = "livenet.wire"
+)
+
+func (e *Env) emit(kind, detail string) {
+	w := e.p.node.w
+	w.log.Emit(w.clk.Now(), "livenet", kind, int(e.p.node.id), detail)
+}
+
 // Local implements cnet.Env.
 func (e *Env) Local() cnet.NodeID { return e.p.node.id }
 
@@ -426,26 +444,54 @@ func (e *Env) Multicast(group, port string, m cnet.Message, size int) {
 // --- streams -----------------------------------------------------------------
 
 type tcpConn struct {
-	env      *Env
-	peer     cnet.NodeID
-	c        *net.TCPConn
-	encMu    sync.Mutex
-	enc      *gob.Encoder
-	h        cnet.StreamHandlers
+	env *Env
+	c   *net.TCPConn
+	h   cnet.StreamHandlers
+	// peer is a cnet.NodeID: known from the start on a dialed connection,
+	// cnet.None on an accepted one until the dialer's preamble arrives,
+	// which is before its first message.
+	peer atomic.Int64
+
+	wmu      sync.Mutex
+	greeting []byte // the dialer's preamble, until it has gone out with the first frame
+
+	// broken is set when this side closed the connection over a wire
+	// fault rather than at its owner's request, so the owner is still
+	// owed an OnClose.
+	broken   atomic.Bool
 	closed   sync.Once
 	closerID uint64
 }
 
 var _ cnet.Conn = (*tcpConn)(nil)
 
-func (t *tcpConn) Peer() cnet.NodeID { return t.peer }
+func (e *Env) newConn(c net.Conn, peer cnet.NodeID, h cnet.StreamHandlers) *tcpConn {
+	t := &tcpConn{env: e, c: c.(*net.TCPConn), h: h}
+	t.peer.Store(int64(peer))
+	t.closerID = e.addCloser(t.abort)
+	return t
+}
 
-// TrySend implements cnet.Conn; live TCP buffers, so it never reports a
-// full window.
+func (t *tcpConn) Peer() cnet.NodeID { return cnet.NodeID(t.peer.Load()) }
+
+// TrySend implements cnet.Conn: one frame, one write. Live TCP buffers,
+// so it never reports a full window. A message the wire codec cannot
+// carry is a fault of this process, not a loss: the connection closes
+// and both ends hear of it.
 func (t *tcpConn) TrySend(m cnet.Message, size int) bool {
-	t.encMu.Lock()
-	defer t.encMu.Unlock()
-	t.enc.Encode(&streamFrame{From: t.env.p.node.id, Payload: m})
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	frame, err := appendFrame(t.greeting, m)
+	if err != nil {
+		t.env.emit(EvWireFault, err.Error())
+		t.broken.Store(true)
+		t.Close()
+		return true
+	}
+	t.greeting = nil
+	// A write to a dead connection discards the message, as the contract
+	// says; the read loop is what reports the death.
+	_, _ = t.c.Write(frame)
 	return true
 }
 
@@ -472,19 +518,17 @@ func (t *tcpConn) release(reset bool) {
 	})
 }
 
-type streamFrame struct {
-	From    cnet.NodeID
-	Payload any
-}
-
 // readLoop delivers the peer's messages until the stream ends, then
 // releases the connection: a socket whose peer is gone has no further
 // use, and leaving it open cost one descriptor per request.
 func (t *tcpConn) readLoop() {
 	err := t.deliver()
 	t.Close()
-	if errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, net.ErrClosed) && !t.broken.Load() {
 		return // closed or killed on this side
+	}
+	if errors.Is(err, errWire) {
+		t.env.emit(EvWireFault, err.Error())
 	}
 	if t.env.alive() && t.h.OnClose != nil {
 		cause := closeCause(err)
@@ -492,20 +536,23 @@ func (t *tcpConn) readLoop() {
 	}
 }
 
-// deliver posts every decoded message to the dispatch loop and returns
-// the error that ended the stream.
+// deliver posts every message the peer sends to the dispatch loop and
+// returns the error that ended the stream.
 func (t *tcpConn) deliver() error {
-	dec := gob.NewDecoder(t.c)
-	for {
-		var f streamFrame
-		if err := dec.Decode(&f); err != nil {
+	br := bufio.NewReader(t.c)
+	if t.Peer() == cnet.None {
+		from, err := readPreamble(br)
+		if err != nil {
 			return err
 		}
-		if t.peer == cnet.None {
-			t.peer = f.From
+		t.peer.Store(int64(from))
+	}
+	for {
+		m, err := readFrame(br)
+		if err != nil {
+			return err
 		}
 		if t.env.alive() && t.h.OnMessage != nil {
-			m := f.Payload
 			t.env.post(func() { t.h.OnMessage(t, m) })
 		}
 	}
@@ -551,9 +598,7 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 			if err != nil {
 				return
 			}
-			tc := &tcpConn{env: e, peer: cnet.None, c: c.(*net.TCPConn)}
-			tc.enc = gob.NewEncoder(c)
-			tc.closerID = e.addCloser(tc.abort)
+			tc := e.newConn(c, cnet.None, cnet.StreamHandlers{})
 			if !e.alive() {
 				tc.abort()
 				return
@@ -584,16 +629,11 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 		}
 		c, err := net.DialTimeout("tcp", addr, 3*time.Second)
 		if err != nil {
-			if strings.Contains(err.Error(), "refused") {
-				fail(cnet.ErrRefused)
-			} else {
-				fail(cnet.ErrTimeout)
-			}
+			fail(dialCause(err))
 			return
 		}
-		tc := &tcpConn{env: e, peer: to, c: c.(*net.TCPConn), h: h}
-		tc.enc = gob.NewEncoder(c)
-		tc.closerID = e.addCloser(tc.abort)
+		tc := e.newConn(c, to, h)
+		tc.greeting = appendPreamble(nil, e.p.node.id)
 		if !e.alive() {
 			tc.abort()
 			return

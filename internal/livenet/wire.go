@@ -1,0 +1,168 @@
+package livenet
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+
+	"press/internal/cnet"
+	"press/internal/server"
+	"press/internal/snapio"
+)
+
+// The stream wire format.
+//
+// The dialer opens with an 8-byte preamble, sent once and in the same
+// write as its first frame:
+//
+//	'P' 'R' 'S'  version(1)  sender NodeID (int32, big-endian)
+//
+// Everything after it, in both directions, is frames:
+//
+//	body length (uint32, big-endian, at most maxFrame)  body
+//
+// and a body is exactly what snapio.MsgCodec.Encode writes for the
+// message under server.RegisterMessages — the registered name, then the
+// fields — so a message has one encoding whether it sits in a snapshot's
+// connection buffer or crosses a socket. There is no type negotiation:
+// both ends are this binary, the version byte says so, and a name the
+// codec does not know ends the connection.
+
+const (
+	wireVersion = 1
+	preambleLen = 8
+	headerLen   = 4
+	// maxFrame bounds a body. The largest real message is a HelloMsg
+	// listing a node's cached documents, a few bytes each; a length above
+	// the bound is refused before anything is allocated for it.
+	maxFrame = 1 << 20
+)
+
+// errWire marks a stream that is not the protocol: a bad preamble, an
+// oversized or trailing-garbage frame, a message the codec cannot encode
+// or does not know. The connection it happened on is closed.
+var errWire = errors.New("livenet: malformed stream")
+
+// wireCodec is the snapshot engine's message codec, unchanged.
+var wireCodec = func() *snapio.MsgCodec {
+	c := snapio.NewMsgCodec()
+	server.RegisterMessages(c)
+	return c
+}()
+
+// recoverWire is the connection boundary's half of snapio.Failf's panic
+// protocol, as snapshot.recoverSnap is the snapshot boundary's: a
+// SnapError becomes the returned error, anything else is a bug and keeps
+// unwinding.
+func recoverWire(err *error) {
+	if r := recover(); r != nil {
+		se, ok := r.(*snapio.SnapError)
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("%w: %w", errWire, se)
+	}
+}
+
+func appendPreamble(b []byte, from cnet.NodeID) []byte {
+	b = append(b, 'P', 'R', 'S', wireVersion)
+	return binary.BigEndian.AppendUint32(b, uint32(int32(from)))
+}
+
+func parsePreamble(p []byte) (cnet.NodeID, error) {
+	if len(p) != preambleLen || p[0] != 'P' || p[1] != 'R' || p[2] != 'S' {
+		return cnet.None, fmt.Errorf("%w: bad preamble % x", errWire, p)
+	}
+	if p[3] != wireVersion {
+		return cnet.None, fmt.Errorf("%w: wire version %d, have %d", errWire, p[3], wireVersion)
+	}
+	from := cnet.NodeID(int32(binary.BigEndian.Uint32(p[4:])))
+	if from < 0 {
+		return cnet.None, fmt.Errorf("%w: preamble names node %d", errWire, from)
+	}
+	return from, nil
+}
+
+// appendFrame appends the frame that carries m.
+func appendFrame(b []byte, m cnet.Message) (_ []byte, err error) {
+	defer recoverWire(&err)
+	if m == nil {
+		return b, fmt.Errorf("%w: nil message", errWire)
+	}
+	var e snapio.Encoder
+	wireCodec.Encode(&e, m)
+	if e.Len() > maxFrame {
+		return b, fmt.Errorf("%w: %T encodes to %d bytes, over the %d-byte frame bound", errWire, m, e.Len(), maxFrame)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(e.Len()))
+	return append(b, e.Bytes()...), nil
+}
+
+// decodeBody is appendFrame's inverse on one frame body. The value it
+// returns shares nothing with body.
+func decodeBody(body []byte) (m cnet.Message, err error) {
+	defer recoverWire(&err)
+	d := snapio.NewDecoder(body)
+	m = wireCodec.Decode(d)
+	switch {
+	case d.Err() != nil:
+		return nil, fmt.Errorf("%w: %w", errWire, d.Err())
+	case !d.Done():
+		return nil, fmt.Errorf("%w: bytes left over after a %T", errWire, m)
+	case m == nil:
+		return nil, fmt.Errorf("%w: empty message", errWire)
+	}
+	return m, nil
+}
+
+// readPreamble consumes the dialer's preamble. A peer that closes before
+// sending one has simply closed: the error is then io.EOF.
+func readPreamble(br *bufio.Reader) (cnet.NodeID, error) {
+	p, err := br.Peek(preambleLen)
+	if err != nil {
+		return cnet.None, truncated(err, len(p))
+	}
+	from, err := parsePreamble(p)
+	br.Discard(preambleLen)
+	return from, err
+}
+
+// readFrame consumes one frame. io.EOF means the stream ended between
+// frames; a stream that ends inside one is io.ErrUnexpectedEOF.
+func readFrame(br *bufio.Reader) (cnet.Message, error) {
+	hdr, err := br.Peek(headerLen)
+	if err != nil {
+		return nil, truncated(err, len(hdr))
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > maxFrame {
+		return nil, fmt.Errorf("%w: frame of %d bytes, over the %d-byte bound", errWire, n, maxFrame)
+	}
+	br.Discard(headerLen)
+	if n > br.Size() {
+		// Too long to decode in place (a large HelloMsg).
+		body := make([]byte, n)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return nil, truncated(err, 1)
+		}
+		return decodeBody(body)
+	}
+	body, err := br.Peek(n)
+	if err != nil {
+		return nil, truncated(err, 1)
+	}
+	m, err := decodeBody(body)
+	br.Discard(n)
+	return m, err
+}
+
+// truncated names an end of stream that fell inside a unit (got bytes of
+// it had arrived) for what it is.
+func truncated(err error, got int) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}

@@ -3,6 +3,7 @@ package snapio
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"time"
 )
 
@@ -214,6 +215,17 @@ func (c *MsgCodec) Register(name string, proto any, enc func(*Encoder, any), dec
 	}
 	c.byType[t] = msgEnc{name: name, enc: enc}
 	c.byName[name] = dec
+}
+
+// Names lists the registered message names in sorted order: what a test
+// enumerates to show that every message the codec knows is covered.
+func (c *MsgCodec) Names() []string {
+	names := make([]string, 0, len(c.byName))
+	for name := range c.byName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Encode writes one message (nil allowed).

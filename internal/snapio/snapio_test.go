@@ -144,4 +144,11 @@ func TestMsgCodec(t *testing.T) {
 	if c.Decode(d) != nil {
 		t.Fatal("nil message mismatch")
 	}
+
+	c.Register("a", msg{},
+		func(e *Encoder, v any) { e.Int(v.(msg).A) },
+		func(d *Decoder) any { return msg{A: d.Int()} })
+	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "m" {
+		t.Fatalf("Names() = %q, want the registered names sorted", got)
+	}
 }
