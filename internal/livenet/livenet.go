@@ -20,6 +20,7 @@ package livenet
 
 import (
 	"bufio"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -197,7 +198,8 @@ type Env struct {
 
 	qmu     sync.Mutex
 	cond    *sync.Cond
-	queue   []func()
+	queue   []task // queue[head:] is waiting; the slots before head are spent
+	head    int
 	stalled bool
 	dead    bool
 
@@ -209,27 +211,76 @@ type Env struct {
 
 var _ cnet.Env = (*Env)(nil)
 
+// task is one unit of work for the dispatch loop: a callback (a timer,
+// a datagram, a dial result), or, with fn nil, the next event of a stream
+// connection, which needs no closure to say what it is — the message to
+// hand to OnMessage, or with msg nil too the cause to hand to OnClose.
+type task struct {
+	fn    func()
+	conn  *tcpConn
+	msg   cnet.Message
+	cause error
+}
+
+func (t task) run() {
+	switch {
+	case t.fn != nil:
+		t.fn()
+	case t.msg != nil:
+		if h := t.conn.h.OnMessage; h != nil {
+			h(t.conn, t.msg)
+		}
+	default:
+		if h := t.conn.h.OnClose; h != nil {
+			h(t.conn, t.cause)
+		}
+	}
+}
+
 func (e *Env) loop() {
 	for {
 		e.qmu.Lock()
-		for (len(e.queue) == 0 || e.stalled) && !e.dead {
+		for (e.head == len(e.queue) || e.stalled) && !e.dead {
 			e.cond.Wait()
 		}
 		if e.dead {
 			e.qmu.Unlock()
 			return
 		}
-		fn := e.queue[0]
-		e.queue = e.queue[1:]
+		t := e.take()
 		e.qmu.Unlock()
-		fn()
+		t.run()
 	}
 }
 
-func (e *Env) post(fn func()) {
+// take removes the task at the head of a non-empty queue; qmu is held.
+func (e *Env) take() task {
+	t := e.queue[e.head]
+	e.queue[e.head] = task{}
+	e.head++
+	if e.head == len(e.queue) {
+		e.queue, e.head = e.queue[:0], 0
+	}
+	return t
+}
+
+func (e *Env) post(fn func()) { e.enqueue(task{fn: fn}) }
+
+// enqueue appends to the dispatch queue; a dead process takes no more
+// work. The queue is a slice consumed from head, so the usual case — the
+// loop keeps up and the queue drains — reuses one backing array for good.
+// Under a standing backlog the spent prefix is reclaimed once it is at
+// least half the slice, which keeps both the copying and the memory
+// proportional to what is actually waiting.
+func (e *Env) enqueue(t task) {
 	e.qmu.Lock()
 	if !e.dead {
-		e.queue = append(e.queue, fn)
+		if len(e.queue) == cap(e.queue) && e.head >= (len(e.queue)+1)/2 && e.head > 0 {
+			n := copy(e.queue, e.queue[e.head:])
+			clear(e.queue[n:])
+			e.queue, e.head = e.queue[:n], 0
+		}
+		e.queue = append(e.queue, t)
 		e.cond.Signal()
 	}
 	e.qmu.Unlock()
@@ -452,8 +503,8 @@ type tcpConn struct {
 	// which is before its first message.
 	peer atomic.Int64
 
-	wmu      sync.Mutex
-	greeting []byte // the dialer's preamble, until it has gone out with the first frame
+	wmu   sync.Mutex
+	greet bool // a dialer still owes its preamble; it goes out with the first frame
 
 	// broken is set when this side closed the connection over a wire
 	// fault rather than at its owner's request, so the owner is still
@@ -479,21 +530,38 @@ func (t *tcpConn) Peer() cnet.NodeID { return cnet.NodeID(t.peer.Load()) }
 // carry is a fault of this process, not a loss: the connection closes
 // and both ends hear of it.
 func (t *tcpConn) TrySend(m cnet.Message, size int) bool {
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	frame, err := appendFrame(t.greeting, m)
+	frame := (*buf)[:0]
+	if t.greet {
+		frame = appendPreamble(frame, t.env.p.node.id)
+	}
+	frame, err := appendFrame(frame, m)
+	if cap(frame) <= 64<<10 {
+		*buf = frame // keep what it grew to, unless a huge HelloMsg grew it
+	}
 	if err != nil {
 		t.env.emit(EvWireFault, err.Error())
 		t.broken.Store(true)
 		t.Close()
 		return true
 	}
-	t.greeting = nil
+	t.greet = false
 	// A write to a dead connection discards the message, as the contract
 	// says; the read loop is what reports the death.
 	_, _ = t.c.Write(frame)
 	return true
 }
+
+// frameBufs and readers recycle what a connection needs only while it
+// sends one message or lives one short life: connections come and go per
+// request, so a buffer of their own each would be garbage per request.
+var (
+	frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+	readers   = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+)
 
 // Close implements cnet.Conn (orderly FIN). As on the simulator, the
 // side that closes is not told so: OnClose is the peer's news.
@@ -530,16 +598,18 @@ func (t *tcpConn) readLoop() {
 	if errors.Is(err, errWire) {
 		t.env.emit(EvWireFault, err.Error())
 	}
-	if t.env.alive() && t.h.OnClose != nil {
-		cause := closeCause(err)
-		t.env.post(func() { t.h.OnClose(t, cause) })
-	}
+	t.env.enqueue(task{conn: t, cause: closeCause(err)})
 }
 
 // deliver posts every message the peer sends to the dispatch loop and
 // returns the error that ended the stream.
 func (t *tcpConn) deliver() error {
-	br := bufio.NewReader(t.c)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(t.c)
+	defer func() {
+		br.Reset(nil)
+		readers.Put(br)
+	}()
 	if t.Peer() == cnet.None {
 		from, err := readPreamble(br)
 		if err != nil {
@@ -552,9 +622,7 @@ func (t *tcpConn) deliver() error {
 		if err != nil {
 			return err
 		}
-		if t.env.alive() && t.h.OnMessage != nil {
-			t.env.post(func() { t.h.OnMessage(t, m) })
-		}
+		t.env.enqueue(task{conn: t, msg: m})
 	}
 }
 
@@ -579,7 +647,7 @@ func dialCause(err error) error {
 
 // Listen implements cnet.Env over a loopback TCP listener.
 func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listenCfg.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
@@ -611,36 +679,49 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 	}()
 }
 
+// Keep-alive probing is off at both ends of every stream. On loopback a
+// dead peer process is a FIN or an RST at once, a hung one is what the
+// protocols' own heartbeats are for, and leaving the default on costs
+// four setsockopt calls per connection end on connections that live for
+// one request.
+var (
+	listenCfg = net.ListenConfig{KeepAlive: -1}
+	dialer    = net.Dialer{Timeout: 3 * time.Second, KeepAlive: -1}
+)
+
 // Dial implements cnet.Env.
 func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	go func() {
-		w := e.p.node.w
-		w.mu.Lock()
-		addr := w.tcpAddrs[portKey{to, port}]
-		w.mu.Unlock()
-		fail := func(err error) {
-			if e.alive() {
-				e.post(func() { result(nil, err) })
-			}
-		}
-		if addr == "" {
-			fail(cnet.ErrRefused)
-			return
-		}
-		c, err := net.DialTimeout("tcp", addr, 3*time.Second)
+		c, err := e.connect(to, port)
 		if err != nil {
-			fail(dialCause(err))
+			e.post(func() { result(nil, err) })
 			return
 		}
 		tc := e.newConn(c, to, h)
-		tc.greeting = appendPreamble(nil, e.p.node.id)
+		tc.greet = true
 		if !e.alive() {
 			tc.abort()
 			return
 		}
-		go tc.readLoop()
 		e.post(func() { result(tc, nil) })
+		tc.readLoop() // this goroutine has done its dialing; no need for a second
 	}()
+}
+
+// connect opens the socket behind a Dial, or says in cnet's terms why not.
+func (e *Env) connect(to cnet.NodeID, port string) (net.Conn, error) {
+	w := e.p.node.w
+	w.mu.Lock()
+	addr := w.tcpAddrs[portKey{to, port}]
+	w.mu.Unlock()
+	if addr == "" {
+		return nil, cnet.ErrRefused // nothing registered: the process is down
+	}
+	c, err := dialer.Dial("tcp", addr)
+	if err != nil {
+		return nil, dialCause(err)
+	}
+	return c, nil
 }
 
 // MemDisk is the live stand-in for the disk subsystem: reads complete

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,6 +158,40 @@ func TestStallResumeLive(t *testing.T) {
 	}
 	env.Resume()
 	waitFor(t, "resume", func() bool { return ran.Load() == 1 })
+}
+
+// TestDispatchQueueKeepsOrderUnderAStandingBacklog drives the queue the
+// way a saturated process does: work arrives as fast as it is taken, the
+// queue never drains, and still nothing is reordered and the backing
+// array stays the size of the backlog, not of the traffic.
+func TestDispatchQueueKeepsOrderUnderAStandingBacklog(t *testing.T) {
+	e := &Env{}
+	e.cond = sync.NewCond(&e.qmu)
+	const backlog, total = 10, 100000
+	var ran []int
+	for i := 0; i < total; i++ {
+		e.post(func() { ran = append(ran, i) })
+		if len(e.queue)-e.head > backlog {
+			e.take().run()
+		}
+		if cap(e.queue) > 8*backlog {
+			t.Fatalf("after %d posts with %d waiting the queue holds %d slots", i+1, backlog, cap(e.queue))
+		}
+	}
+	for e.head < len(e.queue) {
+		e.take().run()
+	}
+	if len(ran) != total {
+		t.Fatalf("%d of %d tasks ran", len(ran), total)
+	}
+	for i, v := range ran {
+		if v != i {
+			t.Fatalf("task %d ran in position %d", v, i)
+		}
+	}
+	if e.head != 0 || len(e.queue) != 0 {
+		t.Fatalf("a drained queue did not rewind: head %d, len %d", e.head, len(e.queue))
+	}
 }
 
 func TestMulticastReachesGroup(t *testing.T) {
