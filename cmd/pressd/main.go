@@ -152,7 +152,8 @@ func main() {
 				switch e.Kind {
 				case metrics.EvDetect, metrics.EvExclude, metrics.EvInclude,
 					metrics.EvFrontendMask, metrics.EvFrontendUnmask,
-					metrics.EvMemberJoin, metrics.EvMemberLeave, metrics.EvServerUp:
+					metrics.EvMemberJoin, metrics.EvMemberLeave, metrics.EvServerUp,
+					livenet.EvSendDrop, livenet.EvWireFault:
 					fmt.Println(e)
 				}
 			}

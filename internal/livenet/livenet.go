@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -41,18 +42,21 @@ import (
 	"press/internal/server"
 )
 
+// datagramMessages is everything a datagram port carries; each must be
+// gob-registered (messages only streams carry go through wireCodec
+// alone). The pooled heartbeats, announcements and gossip digests travel
+// as pointers; a decoded copy has no home pool, so its Release is a no-op
+// on the receive side.
+var datagramMessages = []any{
+	&server.HBMsg{}, &server.AnnounceMsg{}, server.ExcludeMsg{}, server.JoinReqMsg{}, server.JoinRespMsg{},
+	&membership.MHeartbeat{}, &membership.MGossip{}, membership.MJoinReq{}, membership.MJoinOffer{},
+	membership.MJoinAsk{}, membership.MPrepare{}, membership.MAck{},
+	membership.MCommit{}, membership.MNodeDown{},
+	frontend.PingMsg{}, frontend.PongMsg{},
+}
+
 func init() {
-	// Everything a datagram port carries must be gob-registered (stream
-	// messages go through wireCodec instead). The pooled heartbeats travel
-	// as pointers; a decoded copy has no home pool, so its Release is a
-	// no-op on the receive side.
-	for _, m := range []any{
-		&server.HBMsg{}, server.ExcludeMsg{}, server.JoinReqMsg{}, server.JoinRespMsg{},
-		&membership.MHeartbeat{}, membership.MJoinReq{}, membership.MJoinOffer{},
-		membership.MJoinAsk{}, membership.MPrepare{}, membership.MAck{},
-		membership.MCommit{}, membership.MNodeDown{},
-		frontend.PingMsg{}, frontend.PongMsg{},
-	} {
+	for _, m := range datagramMessages {
 		gob.Register(m)
 	}
 }
@@ -73,6 +77,9 @@ type World struct {
 	udpAddrs map[portKey]string
 	groups   map[string]map[cnet.NodeID]bool
 	nodes    map[cnet.NodeID]*Node
+	// unsendable holds the datagram types already reported as impossible
+	// to encode, so each is logged once and not once per heartbeat.
+	unsendable map[reflect.Type]bool
 }
 
 // NewWorld creates an empty live world.
@@ -85,6 +92,8 @@ func NewWorld(seed int64) *World {
 		udpAddrs: make(map[portKey]string),
 		groups:   make(map[string]map[cnet.NodeID]bool),
 		nodes:    make(map[cnet.NodeID]*Node),
+
+		unsendable: make(map[reflect.Type]bool),
 	}
 }
 
@@ -339,6 +348,9 @@ func (e *Env) dropCloser(id uint64) {
 // "livenet"): things a component cannot see because the transport
 // absorbed them.
 const (
+	// EvSendDrop: datagrams of some type cannot be encoded, so none of
+	// them is ever sent. Emitted once per type.
+	EvSendDrop = "livenet.drop"
 	// EvWireFault: a stream was closed because what crossed it, or was
 	// about to, is not the wire protocol.
 	EvWireFault = "livenet.wire"
@@ -451,6 +463,17 @@ func (e *Env) Send(to cnet.NodeID, class cnet.Class, port string, m cnet.Message
 	}
 	var b strings.Builder
 	if err := gob.NewEncoder(&b).Encode(dgramPacket{From: e.p.node.id, Payload: m}); err != nil {
+		// Not a lost datagram but every datagram of this type, for good: a
+		// type missing from datagramMessages once kept gossip membership
+		// from ever forming, in silence.
+		t := reflect.TypeOf(m)
+		w.mu.Lock()
+		seen := w.unsendable[t]
+		w.unsendable[t] = true
+		w.mu.Unlock()
+		if !seen {
+			e.emit(EvSendDrop, fmt.Sprintf("every %v datagram is dropped: %v", t, err))
+		}
 		return
 	}
 	conn, err := net.Dial("udp", addr)

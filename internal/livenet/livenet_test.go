@@ -262,4 +262,11 @@ func TestLivePressClusterFormsAndServes(t *testing.T) {
 		try()
 	})
 	waitFor(t, "live request served", ok.Load)
+	// Nothing the protocols sent was refused by the transport: a message
+	// type missing from either codec shows here.
+	for _, kind := range []string{EvSendDrop, EvWireFault} {
+		if e, found := w.Log().First(kind, 0); found {
+			t.Errorf("the transport reports %v", e)
+		}
+	}
 }
