@@ -69,6 +69,10 @@ func main() {
 	for i := 0; i < *nNodes; i++ {
 		ids = append(ids, cnet.NodeID(i))
 	}
+	// Every process reports in once it is constructed, which is when its
+	// listeners and datagram ports are registered: the client starts after
+	// that, so its first request cannot beat the front-end's Listen.
+	up := make(chan struct{}, 3**nNodes+1)
 	var nodes []*livenet.Node
 	for i := range ids {
 		i := i
@@ -80,8 +84,12 @@ func main() {
 				Self: ids[i], HBPeriod: *hb, HBMiss: 3,
 				Gossip: scalable, Peers: ids, Fanout: *fanout,
 			}, env, pub)
+			up <- struct{}{}
 		})
-		n.Spawn("icmp", func(env cnet.Env) { frontend.NewPingResponder(env) })
+		n.Spawn("icmp", func(env cnet.Env) {
+			frontend.NewPingResponder(env)
+			up <- struct{}{}
+		})
 		n.Spawn("press", func(env cnet.Env) {
 			server.New(server.Config{
 				Self: ids[i], Nodes: ids, Cooperative: true, Sharded: scalable,
@@ -90,6 +98,7 @@ func main() {
 				MembershipPoll: *hb / 2,
 			}, env, livenet.MemDisk{Service: time.Millisecond},
 				membership.NewClient(env, pub, *hb/2))
+			up <- struct{}{}
 		})
 	}
 
@@ -101,7 +110,11 @@ func main() {
 			PingPeriod: *hb, PingMiss: 3,
 			ConnMonitor: true, ConnPeriod: *hb, ConnDeadline: 2 * *hb,
 		}, env)
+		up <- struct{}{}
 	})
+	for i := 0; i < cap(up); i++ {
+		<-up
+	}
 
 	ok := make(chan int, 1)
 	fail := make(chan int, 1)

@@ -284,7 +284,7 @@ func (e *Env) post(fn func()) { e.enqueue(task{fn: fn}) }
 func (e *Env) enqueue(t task) {
 	e.qmu.Lock()
 	if !e.dead {
-		if len(e.queue) == cap(e.queue) && e.head >= (len(e.queue)+1)/2 && e.head > 0 {
+		if len(e.queue) == cap(e.queue) && 2*e.head >= len(e.queue) {
 			n := copy(e.queue, e.queue[e.head:])
 			clear(e.queue[n:])
 			e.queue, e.head = e.queue[:n], 0

@@ -85,8 +85,10 @@ func parsePreamble(p []byte) (cnet.NodeID, error) {
 	return from, nil
 }
 
-// appendFrame appends the frame that carries m.
-func appendFrame(b []byte, m cnet.Message) (_ []byte, err error) {
+// appendFrame appends the frame that carries m; on error b comes back
+// as it was.
+func appendFrame(b []byte, m cnet.Message) (frame []byte, err error) {
+	frame = b
 	defer recoverWire(&err)
 	if m == nil {
 		return b, fmt.Errorf("%w: nil message", errWire)
@@ -118,23 +120,23 @@ func decodeBody(body []byte) (m cnet.Message, err error) {
 }
 
 // readPreamble consumes the dialer's preamble. A peer that closes before
-// sending one has simply closed: the error is then io.EOF.
+// it has sent all of one has simply closed: the error is the read's.
 func readPreamble(br *bufio.Reader) (cnet.NodeID, error) {
 	p, err := br.Peek(preambleLen)
 	if err != nil {
-		return cnet.None, truncated(err, len(p))
+		return cnet.None, err
 	}
 	from, err := parsePreamble(p)
 	br.Discard(preambleLen)
 	return from, err
 }
 
-// readFrame consumes one frame. io.EOF means the stream ended between
-// frames; a stream that ends inside one is io.ErrUnexpectedEOF.
+// readFrame consumes one frame. A stream that ends, between frames or
+// inside one, is a read error and not a wire fault: the peer went away.
 func readFrame(br *bufio.Reader) (cnet.Message, error) {
 	hdr, err := br.Peek(headerLen)
 	if err != nil {
-		return nil, truncated(err, len(hdr))
+		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
@@ -145,24 +147,15 @@ func readFrame(br *bufio.Reader) (cnet.Message, error) {
 		// Too long to decode in place (a large HelloMsg).
 		body := make([]byte, n)
 		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, truncated(err, 1)
+			return nil, err
 		}
 		return decodeBody(body)
 	}
 	body, err := br.Peek(n)
 	if err != nil {
-		return nil, truncated(err, 1)
+		return nil, err
 	}
 	m, err := decodeBody(body)
 	br.Discard(n)
 	return m, err
-}
-
-// truncated names an end of stream that fell inside a unit (got bytes of
-// it had arrived) for what it is.
-func truncated(err error, got int) error {
-	if err == io.EOF && got > 0 {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
