@@ -38,13 +38,20 @@ const settleSpan = 10 * time.Second
 type runner struct {
 	c     *harness.Cluster
 	sched Schedule
-	rc    RunConfig
-	res   Result
+	rc    RunConfig //availlint:skipfield rc run configuration, supplied again by whoever resumes the run
+	res   Result    //availlint:skipfield res assembled when the run ends, from the verdict fields below and the final world
 
 	t0       time.Duration // schedule t=0 on the sim clock
 	deadline time.Duration // current operator-reset wait bound
 	target   time.Duration // absolute time of the next transition
 	phase    uint8
+
+	// The verdict so far: what the run has decided before assemble reads
+	// the rest of the Result off the final world. A snapshot carries it.
+	start, end   time.Duration
+	resets       int
+	reintegrated bool
+	skipped      []string
 
 	// Per-schedule-entry state, allocated by arm. The timers are retained
 	// (unlike the original fire-and-forget Sim.At calls) so a snapshot can
@@ -105,7 +112,7 @@ func (r *runner) transition() {
 	case phPoll:
 		r.pollCheck()
 	case phFinal:
-		r.res.End = r.c.Sim.Now()
+		r.end = r.c.Sim.Now()
 		r.c.Gen.Stop()
 		r.phase = phSettleReqs
 		r.target = r.c.Sim.Now() + settleSpan
@@ -121,7 +128,7 @@ func (r *runner) transition() {
 func (r *runner) arm() {
 	t0 := r.c.Sim.Now()
 	r.t0 = t0
-	r.res.Start = t0
+	r.start = t0
 	r.actives = make([]*faults.Active, len(r.sched))
 	r.injT = make([]sim.Timer, len(r.sched))
 	r.repT = make([]sim.Timer, len(r.sched))
@@ -137,7 +144,7 @@ func (r *runner) arm() {
 func (r *runner) fireInject(i int) {
 	e := r.sched[i]
 	if !r.c.Injector.Applicable(e.Fault) || !harness.TargetHealthy(r.c, e.Fault, e.Component) {
-		r.res.Skipped = append(r.res.Skipped, fmt.Sprintf("%s: target unavailable", e))
+		r.skipped = append(r.skipped, fmt.Sprintf("%s: target unavailable", e))
 		return
 	}
 	a, err := r.c.Injector.InjectWith(e.Fault, e.Component, faults.InjectOpts{
@@ -146,7 +153,7 @@ func (r *runner) fireInject(i int) {
 		Group:    e.Group,
 	})
 	if err != nil {
-		r.res.Skipped = append(r.res.Skipped, fmt.Sprintf("%s: %v", e, err))
+		r.skipped = append(r.skipped, fmt.Sprintf("%s: %v", e, err))
 		return
 	}
 	r.actives[i] = a
@@ -163,14 +170,14 @@ func (r *runner) fireRepair(i int) {
 // reintegration first, then up to two operator rounds (§3's reset;
 // compound faults may legitimately need a second).
 func (r *runner) verdict() {
-	if r.res.Resets < 2 && !r.c.Reintegrated() {
-		r.res.Resets++
+	if r.resets < 2 && !r.c.Reintegrated() {
+		r.resets++
 		r.c.OperatorReset()
 		r.deadline = r.c.Sim.Now() + r.rc.ResetLimit
 		r.pollCheck()
 		return
 	}
-	r.res.Reintegrated = r.c.Reintegrated()
+	r.reintegrated = r.c.Reintegrated()
 	r.phase = phFinal
 	r.target = r.c.Sim.Now() + r.rc.FinalObserve
 }
@@ -191,6 +198,7 @@ func (r *runner) pollCheck() {
 func (r *runner) assemble() {
 	c := r.c
 	res := &r.res
+	res.Start, res.End, res.Resets, res.Reintegrated, res.Skipped = r.start, r.end, r.resets, r.reintegrated, r.skipped
 	res.Log = c.Log
 	res.Nodes = len(c.Machines)
 	res.Offered = c.Rec.Offered
@@ -227,101 +235,45 @@ func (r *runner) assemble() {
 	res.FMEMisses = fmeMisses(c, r.sched, r.t0)
 }
 
-// encTimer claims one retained schedule timer from the pending table and
-// writes its kernel slot.
-func (r *runner) encTimer(ctx *snapio.Ctx, t sim.Timer, what string, i int) {
-	e := ctx.Enc
-	at, seq, ok := t.Key()
-	e.Bool(ok)
-	if !ok {
-		return
-	}
-	e.Dur(at)
-	e.U64(seq)
-	claimed := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
-		return ev.At == at && ev.Seq == seq
-	})
-	if len(claimed) != 1 {
-		snapio.Failf("chaos: entry %d %s timer not in pending table", i, what)
-	}
-}
-
-// SaveExtra serializes the runner's driver state into the world stream's
-// extra slot (it implements snapshot.Extra). The per-entry section is
-// written only once the schedule has armed; an un-armed (warm-fork)
-// snapshot carries no schedule state at all, which is what lets a fork
-// substitute a different schedule.
-func (r *runner) SaveExtra(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	e.Int(int(r.phase))
-	e.Dur(r.target)
-	e.Dur(r.t0)
-	e.Dur(r.deadline)
-	e.Dur(r.res.Start)
-	e.Dur(r.res.End)
-	e.Int(r.res.Resets)
-	e.Bool(r.res.Reintegrated)
-	e.Int(len(r.res.Skipped))
-	for _, s := range r.res.Skipped {
-		e.Str(s)
-	}
-	armed := r.phase != phWarmup
-	e.Bool(armed)
-	if !armed {
-		return
-	}
-	e.U64(r.sched.Hash())
-	for i := range r.sched {
-		r.encTimer(ctx, r.injT[i], "inject", i)
-		r.encTimer(ctx, r.repT[i], "repair", i)
-		e.Bool(r.actives[i] != nil)
-	}
-}
-
-// loadExtra mirrors SaveExtra against a restored cluster: pending
+// SnapExtra moves the runner's driver state at the world stream's extra
+// slot (it implements snapshot.Extra). The per-entry section exists only
+// once the schedule has armed; an un-armed (warm-fork) snapshot carries
+// no schedule state at all, which is what lets a fork substitute a
+// different schedule. Loading runs against the restored cluster: pending
 // inject/repair fires re-arm at their exact kernel slots as fresh
 // closures, and each entry's Active handle re-links to the injector
-// record faults.LoadState rebuilt.
-func (r *runner) loadExtra(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	r.phase = uint8(d.Int())
-	r.target = d.Dur()
-	r.t0 = d.Dur()
-	r.deadline = d.Dur()
-	r.res.Start = d.Dur()
-	r.res.End = d.Dur()
-	r.res.Resets = d.Int()
-	r.res.Reintegrated = d.Bool()
-	for k := d.Count(1 << 16); k > 0; k-- {
-		r.res.Skipped = append(r.res.Skipped, d.Str())
-	}
-	if !d.Bool() {
+// record the injector's walk rebuilt.
+func (r *runner) SnapExtra(x *snapio.Ctx) {
+	snapio.Int(x, &r.phase)
+	snapio.Int(x, &r.target)
+	snapio.Int(x, &r.t0)
+	snapio.Int(x, &r.deadline)
+	snapio.Int(x, &r.start)
+	snapio.Int(x, &r.end)
+	snapio.Int(x, &r.resets)
+	x.Bool(&r.reintegrated)
+	snapio.Slice(x, &r.skipped, 1<<16, x.Str)
+	armed := r.phase != phWarmup
+	if x.Bool(&armed); !armed {
 		return // un-armed: this world accepts any schedule
 	}
-	if h := d.U64(); h != r.sched.Hash() {
+	h := r.sched.Hash()
+	if x.U64(&h); h != r.sched.Hash() {
 		snapio.Failf("chaos: snapshot armed with schedule %016x; cannot resume it as %016x", h, r.sched.Hash())
 	}
-	r.actives = make([]*faults.Active, len(r.sched))
-	r.injT = make([]sim.Timer, len(r.sched))
-	r.repT = make([]sim.Timer, len(r.sched))
-	decT := func(fn func()) sim.Timer {
-		if !d.Bool() {
-			return sim.Timer{}
-		}
-		at := d.Dur()
-		seq := d.U64()
-		return r.c.Sim.RestoreAt(at, seq, fn)
+	if !x.Saving() {
+		r.actives = make([]*faults.Active, len(r.sched))
+		r.injT = make([]sim.Timer, len(r.sched))
+		r.repT = make([]sim.Timer, len(r.sched))
 	}
-	for i := range r.sched {
-		i, e := i, r.sched[i]
-		r.injT[i] = decT(func() { r.fireInject(i) })
-		r.repT[i] = decT(func() { r.fireRepair(i) })
-		if d.Bool() {
-			a := r.c.Injector.ActiveAt(e.Fault, e.Component)
-			if a == nil {
+	for i, e := range r.sched {
+		x.Timer(&r.injT[i], func() { r.fireInject(i) }, "chaos: schedule inject")
+		x.Timer(&r.repT[i], func() { r.fireRepair(i) }, "chaos: schedule repair")
+		active := r.actives[i] != nil
+		if x.Bool(&active); active && !x.Saving() {
+			if r.actives[i] = r.c.Injector.ActiveAt(e.Fault, e.Component); r.actives[i] == nil {
 				snapio.Failf("chaos: entry %d's active fault %v/%d missing after restore", i, e.Fault, e.Component)
 			}
-			r.actives[i] = a
 		}
 	}
 }

@@ -81,9 +81,9 @@ func ResumeUncached(snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result, 
 func restoreRunner(snap *snapshot.Snap, sched Schedule, rc RunConfig) (*runner, error) {
 	r := &runner{sched: sched, rc: rc}
 	r.res = Result{Version: snap.Version, Schedule: sched}
-	_, err := snap.Restore(func(c *harness.Cluster, ctx *snapio.Ctx) {
+	_, err := snap.Restore(func(c *harness.Cluster, x *snapio.Ctx) {
 		r.c = c
-		r.loadExtra(ctx)
+		r.SnapExtra(x)
 	})
 	if err != nil {
 		return nil, err

@@ -63,8 +63,8 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	}{
 		// mid-fault doubles as the regression pin for the typed-nil ref
 		// bugs the snapshot audit found: a reaped conn's nil peer and an
-		// in-flight dialSyn's nil local half both crashed SaveConns until
-		// the save side learned to encode them as ref 0.
+		// in-flight dialSyn's nil local half both crashed the conn-table
+		// save until the save side learned to encode them as ref 0.
 		{"warmup-end", 70 * time.Second},    // pre-arm: the warm-fork point
 		{"mid-fault", 100 * time.Second},    // node 1 crashed AND node 2's link flapping
 		{"mid-recovery", 186 * time.Second}, // past the drain verdict
@@ -268,5 +268,52 @@ func TestFaultsRoundTripMidFlap(t *testing.T) {
 	}
 	if err := a.Repair(); !errors.Is(err, faults.ErrNotActive) {
 		t.Fatalf("double repair: err=%v, want ErrNotActive", err)
+	}
+}
+
+// firstDiff returns the offset of the first byte at which a and b differ
+// (the shorter length when one is a prefix of the other), or -1.
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// TestRestoreThenCaptureIsFixedPoint snapshots a restored runner without
+// running it forward: the second blob must be the first, byte for byte.
+// A walk that writes a field it does not read back (or reads one into the
+// wrong place) fails here at once, at the warm-fork point, mid compound
+// fault, just after repair and past the drain verdict.
+func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
+	o := fastOpts(1)
+	rc := fastRun().withDefaults()
+	sched := replaySchedule().Canonical()
+	for _, at := range []time.Duration{70 * time.Second, 100 * time.Second, 120 * time.Second, 141 * time.Second, 186 * time.Second} {
+		at := at
+		t.Run(at.String(), func(t *testing.T) {
+			t.Parallel()
+			_, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := restoreRunner(snap, sched, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := snapshot.Take(r.c, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Hash() != snap.Hash() {
+				t.Fatalf("re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
+					firstDiff(snap.Bytes(), again.Bytes()), snap.Size(), again.Size())
+			}
+		})
 	}
 }

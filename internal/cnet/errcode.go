@@ -1,5 +1,7 @@
 package cnet
 
+import "press/internal/snapio"
+
 // Transport errors are package-level sentinels, which lets snapshots
 // serialize them as a tiny enum instead of string round-trips.
 
@@ -37,4 +39,13 @@ func ErrFromCode(c uint64) error {
 		return ErrClosed
 	}
 	return ErrReset
+}
+
+// SnapErr moves a transport error across a snapshot as its code.
+func SnapErr(x *snapio.Ctx, err *error) {
+	code := ErrCode(*err)
+	x.U64(&code)
+	if !x.Saving() {
+		*err = ErrFromCode(code)
+	}
 }

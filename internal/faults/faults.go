@@ -333,7 +333,7 @@ type Active struct {
 	// power event); 0 marks an independent fault.
 	Group int
 
-	in       *Injector //availlint:skipfield in owner backlink, rebuilt by LoadState
+	in       *Injector // owner backlink
 	undo     func()    // reverses the applied effect; nil while in a flap's off phase
 	timer    sim.Timer
 	repaired bool //availlint:skipfield repaired Repair removes the fault from the active map, so a serialized Active is never repaired

@@ -9,77 +9,50 @@ import (
 // Snapshot support. Active faults serialize as (slot, flap spec, whether
 // the effect is currently applied, pending toggle identity). The effect
 // itself lives in the target subsystems (link state, disk fault flags,
-// machine state) and is restored with them; LoadState therefore rebuilds
+// machine state) and is restored with them; a load therefore rebuilds
 // each fault's undo closure via undoFor WITHOUT re-imposing the effect,
 // and re-arms the flap toggle pinned at its exact kernel slot.
 
 // ActiveAt returns the active fault occupying (t, c), or nil. The chaos
 // runner's restore path uses it to re-link its per-entry Active handles
-// to the injector records faults.LoadState rebuilt.
+// to the injector records the injector's walk rebuilt.
 func (in *Injector) ActiveAt(t Type, c int) *Active { return in.active[slot{t, c}] }
 
-// SaveState serializes the active fault set.
-func (in *Injector) SaveState(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	slots := make([]slot, 0, len(in.active))
-	for k := range in.active {
-		slots = append(slots, k)
+// SnapState moves the active fault set, in slot order; loading, into a
+// freshly built injector over equivalent targets.
+func (in *Injector) SnapState(x *snapio.Ctx) {
+	actives := make([]*Active, 0, len(in.active))
+	for _, a := range in.active {
+		actives = append(actives, a)
 	}
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].t != slots[j].t {
-			return slots[i].t < slots[j].t
+	sort.Slice(actives, func(i, j int) bool {
+		if actives[i].Type != actives[j].Type {
+			return actives[i].Type < actives[j].Type
 		}
-		return slots[i].c < slots[j].c
+		return actives[i].Component < actives[j].Component
 	})
-	e.Int(len(slots))
-	for _, k := range slots {
-		a := in.active[k]
-		e.Int(int(a.Type))
-		e.Int(a.Component)
-		e.Dur(a.Flap.On)
-		e.Dur(a.Flap.Off)
-		e.F64(a.Severity)
-		e.Int(a.Group)
-		e.Bool(a.undo != nil)
-		at, seq, pending := a.timer.Key()
-		e.Bool(pending)
-		if pending {
-			e.Dur(at)
-			e.U64(seq)
-			claimed := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
-				return ev.At == at && ev.Seq == seq
-			})
-			if len(claimed) != 1 {
-				snapio.Failf("faults: toggle timer for %v/%d not in pending table", a.Type, a.Component)
-			}
+	snapio.Slice(x, &actives, 1<<12, func(ap **Active) {
+		if !x.Saving() {
+			*ap = &Active{in: in}
 		}
-	}
-}
-
-// LoadState restores the active fault set into a freshly built injector
-// over equivalent targets.
-func (in *Injector) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	for k := d.Count(1 << 12); k > 0; k-- {
-		a := &Active{in: in}
-		a.Type = Type(d.Int())
-		a.Component = d.Int()
-		a.Flap.On = d.Dur()
-		a.Flap.Off = d.Dur()
-		a.Severity = d.F64()
-		a.Group = d.Int()
-		if d.Bool() {
+		a := *ap
+		snapio.Int(x, &a.Type)
+		snapio.Int(x, &a.Component)
+		snapio.Int(x, &a.Flap.On)
+		snapio.Int(x, &a.Flap.Off)
+		x.F64(&a.Severity)
+		snapio.Int(x, &a.Group)
+		applied := a.undo != nil
+		if x.Bool(&applied); applied && !x.Saving() {
 			a.undo = in.undoFor(a.Type, a.Component)
 		}
-		if d.Bool() {
-			at := d.Dur()
-			seq := d.U64()
-			a.timer = in.sim.RestoreAt(at, seq, a.toggle)
+		x.Timer(&a.timer, a.toggle, "faults: flap toggle")
+		if !x.Saving() {
+			key := slot{a.Type, a.Component}
+			if _, dup := in.active[key]; dup {
+				snapio.Failf("faults: duplicate active slot %v/%d in snapshot", a.Type, a.Component)
+			}
+			in.active[key] = a
 		}
-		key := slot{a.Type, a.Component}
-		if _, dup := in.active[key]; dup {
-			snapio.Failf("faults: duplicate active slot %v/%d in snapshot", a.Type, a.Component)
-		}
-		in.active[key] = a
-	}
+	})
 }

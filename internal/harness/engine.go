@@ -144,15 +144,6 @@ func (e *Engine) releaseSlot() {
 	e.poolMu.Unlock()
 }
 
-// RunOnPool executes fn while holding one worker-pool slot, so external
-// simulation drivers (snapshot forks) share this engine's concurrency
-// bound instead of oversubscribing the machine.
-func (e *Engine) RunOnPool(fn func()) {
-	e.acquireSlot()
-	defer e.releaseSlot()
-	fn()
-}
-
 // MemoStats returns how many episodes, campaigns and saturation probes
 // are currently memoized. The chaos package's cache-hygiene regression
 // asserts chaos runs leave these untouched.
@@ -172,8 +163,8 @@ func (e *Engine) ResetMemos() {
 
 // SnapMemoized returns the keyed table's value for key, computing it at
 // most once per engine. compute runs while holding one worker-pool slot,
-// so it must not re-enter RunOnPool (or any pool-holding entry point):
-// with a 1-slot pool that nesting would deadlock.
+// so it must not re-enter a pool-holding entry point: with a 1-slot pool
+// that nesting would deadlock.
 func (e *Engine) SnapMemoized(key string, compute func() (any, error)) (any, error) {
 	return e.keyed.do(key, func() (any, error) {
 		e.acquireSlot()

@@ -1,17 +1,15 @@
 package harness
 
 import (
-	"time"
-
 	"press/internal/server"
 	"press/internal/snapio"
 )
 
 // World serialization: the harness owns the section order because it is
 // the only layer that sees every subsystem. The envelope (magic, format
-// version, options, offered rate) is written by internal/snapshot; this
-// file serializes everything inside one built world, in an order chosen
-// so that save and load read the same linear byte stream:
+// version, options, offered rate) is moved by internal/snapshot; SnapWorld
+// is the one walk over everything inside one built world, the same linear
+// byte stream in both directions:
 //
 //	metrics log → network core → machines → per-node server sections →
 //	workload → fault injector → disks → caller extra → network pending
@@ -20,7 +18,7 @@ import (
 // The network core comes first because it registers every interface's
 // connection halves in ctx.Conns in deterministic order; the pending and
 // connection tables come last because by then every owner (dial records,
-// disk operations, requests) has registered in ctx.Owners; the kernel
+// disk operations, requests) is defined in ctx.Owners; the kernel
 // counters come very last so SetCounters overwrites whatever bookkeeping
 // the re-arming of events touched.
 
@@ -33,53 +31,70 @@ const (
 	srvHusk        // press dead: stats, view, queue lengths
 )
 
-// SaveWorld serializes the cluster's complete dynamic state. extra, when
-// non-nil, is invoked between the subsystem sections and the network
-// tables — the slot where a driver (the chaos runner) saves its own
-// pending timers, which must still claim from the pending table.
-func (c *Cluster) SaveWorld(ctx *snapio.Ctx, extra func(*snapio.Ctx)) {
-	if !snapshotSupported(c.Traits) {
-		snapio.Failf("harness: version %s not supported by snapshots (phase 1: INDEP, COOP)", c.Version)
+// SnapWorld moves the cluster's complete dynamic state; loading, into the
+// cold world BuildForRestore made. extra, when non-nil, runs between the
+// subsystem sections and the network tables — the slot where a driver
+// (the chaos runner) moves its own pending timers, which a save must
+// still be able to claim from the pending table.
+func (c *Cluster) SnapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
+	x.Sim = c.Sim
+	if x.Saving() {
+		if !snapshotSupported(c.Traits) {
+			snapio.Failf("harness: version %s not supported by snapshots (phase 1: INDEP, COOP)", c.Version)
+		}
+		x.CapturePending()
+	} else if n := c.Sim.Pending(); n != 0 {
+		snapio.Failf("harness: cold world booted %d stray kernel events", n)
 	}
 
-	var evs []snapio.PendingEvent
-	c.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, fn func()) {
-		evs = append(evs, snapio.PendingEvent{At: at, Seq: seq, AFn: afn, Arg: arg, Fn: fn})
-	})
-	ctx.SetPending(evs)
-
-	c.Log.SaveState(ctx)
-	c.Net.SaveCore(ctx)
+	c.Log.SnapState(x)
+	c.Net.SnapCore(x)
 	for _, m := range c.Machines {
-		m.SaveState(ctx)
+		m.SnapState(x)
 	}
-	e := ctx.Enc
 	for i, m := range c.Machines {
-		srv := *c.servers[i]
-		p := m.Proc("press")
-		switch {
-		case srv == nil:
-			e.Int(srvNone)
-		case p != nil && p.Alive():
-			e.Int(srvLive)
-			srv.SaveState(ctx)
+		srv := c.servers[i]
+		tag := srvHusk
+		if p := m.Proc("press"); *srv == nil {
+			tag = srvNone
+		} else if p != nil && p.Alive() {
+			tag = srvLive
+		}
+		snapio.Int(x, &tag)
+		switch tag {
+		case srvNone:
+		case srvLive:
+			if x.Saving() {
+				(*srv).SnapState(x)
+			} else {
+				*srv = server.Restore(c.srvCfgs[i], m.RestoreEnv("press"), m.Disks(), nil, x)
+			}
+		case srvHusk:
+			if !x.Saving() {
+				*srv = new(server.Server)
+			}
+			(*srv).SnapHusk(x)
 		default:
-			e.Int(srvHusk)
-			srv.SaveHusk(ctx)
+			snapio.Failf("harness: bad server section tag %d for node %d", tag, i)
 		}
 	}
-	c.Gen.SaveState(ctx)
-	c.Injector.SaveState(ctx)
+	if !x.Saving() {
+		for _, m := range c.Machines {
+			m.FinishRestore()
+		}
+	}
+	c.Gen.SnapState(x)
+	c.Injector.SnapState(x)
 	for _, m := range c.Machines {
-		m.Disks().SaveState(ctx)
+		m.Disks().SnapState(x)
 	}
 	if extra != nil {
-		extra(ctx)
+		extra(x)
 	}
-	c.Net.SavePending(ctx)
-	c.Net.SaveConns(ctx)
+	c.Net.SnapPending(x)
+	c.Net.SnapConns(x)
 
-	if un := ctx.Unclaimed(); len(un) > 0 {
+	if un := x.Unclaimed(); len(un) > 0 {
 		ev := un[0]
 		name := snapio.FnName(ev.AFn)
 		if ev.AFn == nil {
@@ -90,57 +105,24 @@ func (c *Cluster) SaveWorld(ctx *snapio.Ctx, extra func(*snapio.Ctx)) {
 	}
 
 	now, seq, fired, maxQ := c.Sim.Counters()
-	e.Dur(now)
-	e.U64(seq)
-	e.U64(fired)
-	e.Int(maxQ)
+	snapio.Int(x, &now)
+	x.U64(&seq)
+	x.U64(&fired)
+	snapio.Int(x, &maxQ)
+	if !x.Saving() {
+		c.Sim.SetCounters(now, seq, fired, maxQ)
+	}
 }
 
-// RestoreWorld builds a cold world and rehydrates SaveWorld's stream
-// into it. extra mirrors SaveWorld's hook and runs at the same stream
-// position. The returned cluster continues byte-identically to the one
-// that was saved.
-func RestoreWorld(v Version, o Options, rate float64, ctx *snapio.Ctx, extra func(*Cluster, *snapio.Ctx)) *Cluster {
+// RestoreWorld builds a cold world and runs SnapWorld's stream into it;
+// extra gets the half-restored cluster at SnapWorld's extra slot. The
+// returned cluster continues byte-identically to the one that was saved.
+func RestoreWorld(v Version, o Options, rate float64, x *snapio.Ctx, extra func(*Cluster, *snapio.Ctx)) *Cluster {
 	c := BuildForRestore(v, o, rate)
-	if n := c.Sim.Pending(); n != 0 {
-		snapio.Failf("harness: cold world booted %d stray kernel events", n)
-	}
-
-	c.Log.LoadState(ctx)
-	c.Net.LoadCore(ctx)
-	for _, m := range c.Machines {
-		m.LoadState(ctx)
-	}
-	d := ctx.Dec
-	for i, m := range c.Machines {
-		switch tag := d.Int(); tag {
-		case srvNone:
-		case srvLive:
-			*c.servers[i] = server.Restore(c.srvCfgs[i], m.RestoreEnv("press"), m.Disks(), nil, ctx)
-		case srvHusk:
-			*c.servers[i] = server.RestoreHusk(ctx)
-		default:
-			snapio.Failf("harness: bad server section tag %d for node %d", tag, i)
-		}
-	}
-	for _, m := range c.Machines {
-		m.FinishRestore(ctx)
-	}
-	c.Gen.LoadState(ctx)
-	c.Injector.LoadState(ctx)
-	for _, m := range c.Machines {
-		m.Disks().LoadState(ctx)
-	}
+	var hook func(*snapio.Ctx)
 	if extra != nil {
-		extra(c, ctx)
+		hook = func(x *snapio.Ctx) { extra(c, x) }
 	}
-	c.Net.LoadPending(ctx)
-	c.Net.LoadConns(ctx)
-
-	now := d.Dur()
-	seq := d.U64()
-	fired := d.U64()
-	maxQ := d.Int()
-	c.Sim.SetCounters(now, seq, fired, maxQ)
+	c.SnapWorld(x, hook)
 	return c
 }

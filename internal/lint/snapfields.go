@@ -4,94 +4,64 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-
-	"press/internal/snapio"
 )
 
-// Snapfields cross-checks snapshot field coverage: for every type that
-// participates in the snapshot engine (it has a Save*/Load* method pair
-// taking a snapio context, or its fields are serialized by such a pair),
-// every struct field must be reachable from both the save path and the
-// load path. A field that the save closure never touches is exactly the
-// PR 6 bug class — someone adds a field, the snapshot silently omits it,
-// and a forked campaign diverges from the uninterrupted run in a way no
-// unit test notices. Audited exceptions (caches rebuilt by constructors,
-// immutable config, free lists) are annotated on the field's line with
+// Snapfields checks snapshot field coverage. A snapshot section is one
+// walk — a function taking a *snapio.Ctx that both saving and loading
+// run — and a walk hands each piece of state to a primitive by address
+// (x.Bool(&p.alive), snapio.Int(x, &r.now)). So a struct is snapshot
+// state when some walk takes the address of one of its fields, and then
+// every one of its fields must be mentioned somewhere in the package's
+// walks. A field no walk touches is exactly the PR 6 bug class — someone
+// adds a field, the snapshot silently omits it, and a forked campaign
+// diverges from the uninterrupted run in a way no unit test notices.
+// Audited exceptions (caches rebuilt by constructors, immutable config,
+// free lists) are annotated on the field's line with
 // //availlint:skipfield <name> <reason>.
 //
-// Mechanics: the analyzer seeds a call-graph walk at every Save-prefixed
-// method/function that takes a snapio parameter (and symmetrically
-// Load/Restore/Finish for the load side), closes it over same-package
-// callees, and records every struct field mentioned in those bodies —
-// selector expressions, keyed composite literals, and full positional
-// literals all count, as does every hop of an embedded-field path. A
-// package-level named struct type is then "snapshot-checked" if it owns
-// a Save/Load pair or if any of its fields appear in the save closure;
-// each of its fields must appear in both closures.
+// Mechanics: the analyzer seeds one call-graph walk at every declared
+// function or method with a *snapio.Ctx parameter, closes it over
+// same-package callees, and records every struct field mentioned in
+// those bodies — selector expressions, keyed composite literals, and
+// full positional literals all count, as does every hop of an
+// embedded-field path — and, separately, every field whose address is
+// taken there.
 var Snapfields = &Analyzer{
 	Name: "snapfields",
-	Doc:  "require every field of a snapshot-checked struct to be covered by both the save and load paths (or carry //availlint:skipfield)",
+	Doc:  "require every field of a snapshot-checked struct to be covered by the package's snapshot walks (or carry //availlint:skipfield)",
 	Run:  runSnapfields,
 }
 
 const snapioPath = "press/internal/snapio"
 
-// snapioCtxNames is the set of snapio context/codec type names, taken
-// from snapio's own introspection helper so the contract lives next to
-// the codec it describes.
-var snapioCtxNames = func() map[string]bool {
-	m := map[string]bool{}
-	for _, n := range snapio.CtxTypeNames() {
-		m[n] = true
-	}
-	return m
-}()
-
-// isSnapioParam reports whether t is a snapio context/codec parameter
-// type: *snapio.Ctx, *snapio.Encoder or *snapio.Decoder.
-func isSnapioParam(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	if named.Obj().Pkg().Path() != snapioPath {
-		return false
-	}
-	return snapioCtxNames[named.Obj().Name()]
-}
-
-func hasSnapioParam(sig *types.Signature) bool {
+// hasCtxParam reports whether sig takes a *snapio.Ctx: the mark of a
+// snapshot walk.
+func hasCtxParam(sig *types.Signature) bool {
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isSnapioParam(sig.Params().At(i).Type()) {
+		ptr, ok := sig.Params().At(i).Type().(*types.Pointer)
+		if !ok {
+			continue
+		}
+		named, ok := ptr.Elem().(*types.Named)
+		if ok && named.Obj().Name() == "Ctx" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == snapioPath {
 			return true
 		}
 	}
 	return false
 }
 
-// savePrefix/loadPrefix classify snapshot entry points by name; the
-// naming contract itself is defined in snapio, next to the codec.
-func savePrefix(name string) bool { return snapio.IsSaveName(name) }
-func loadPrefix(name string) bool { return snapio.IsLoadName(name) }
-
 func runSnapfields(pass *Pass) {
-	// The snapio package is the codec itself: its helpers (SaveRand,
-	// LoadRand) serialize foreign state reflectively, not snapshot
-	// structs of their own.
+	// The snapio package is the codec itself: its primitives move foreign
+	// state, not snapshot structs of their own.
 	if pass.PkgPath == snapioPath {
 		return
 	}
 
 	// Index package-level function/method declarations by their object,
-	// for same-package call-graph closure. declList keeps declaration
-	// order so seed collection below is deterministic.
+	// for same-package call-graph closure, and seed the closure at the
+	// walks.
 	decls := map[*types.Func]*ast.FuncDecl{}
-	var declList []*types.Func
+	var seeds []*types.Func
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -100,118 +70,42 @@ func runSnapfields(pass *Pass) {
 			}
 			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
 				decls[fn] = fd
-				declList = append(declList, fn)
+				if hasCtxParam(fn.Type().(*types.Signature)) {
+					seeds = append(seeds, fn)
+				}
 			}
 		}
 	}
-	sort.Slice(declList, func(i, j int) bool {
-		pi, pj := pass.Fset.Position(declList[i].Pos()), pass.Fset.Position(declList[j].Pos())
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		return pi.Offset < pj.Offset
-	})
-
-	// Seed the save and load closures. A seed is any declared function or
-	// method whose name carries a snapshot prefix and whose signature
-	// takes a snapio context (methods like RestoreTimer that re-claim
-	// state without a context are pulled in transitively if called, and
-	// seeded directly when their receiver type owns a pair).
-	var saveSeeds, loadSeeds []*types.Func
-	pairTypes := map[*types.Named]bool{}
-	perType := map[*types.Named][2]bool{} // has save / has load method
-	for _, fn := range declList {
-		sig := fn.Type().(*types.Signature)
-		snap := hasSnapioParam(sig)
-		if snap && savePrefix(fn.Name()) {
-			saveSeeds = append(saveSeeds, fn)
-		}
-		if snap && loadPrefix(fn.Name()) {
-			loadSeeds = append(loadSeeds, fn)
-		}
-		if recv := sig.Recv(); recv != nil && snap {
-			if named := namedOf(recv.Type()); named != nil {
-				has := perType[named]
-				if savePrefix(fn.Name()) {
-					has[0] = true
-				}
-				if loadPrefix(fn.Name()) {
-					has[1] = true
-				}
-				perType[named] = has
-			}
-		}
-	}
-	for named, has := range perType {
-		if has[0] && has[1] {
-			pairTypes[named] = true
-		}
-	}
-	if len(pairTypes) == 0 {
+	if len(seeds) == 0 {
 		return // package does not participate in the snapshot engine
 	}
-	// Load-side helpers without a snapio parameter (RestoreTimer,
-	// RestoreConn, ...) are called by other packages' components during
-	// restore, so a plain call-graph walk from LoadState never reaches
-	// them. Seed every Restore/Finish-prefixed exported method too.
-	for _, fn := range declList {
-		sig := fn.Type().(*types.Signature)
-		if sig.Recv() != nil && loadPrefix(fn.Name()) && !hasSnapioParam(sig) {
-			loadSeeds = append(loadSeeds, fn)
-		}
-	}
+	mentions, moved := closureMentions(pass, decls, seeds)
 
-	saveMentions := closureMentions(pass, decls, saveSeeds)
-	loadMentions := closureMentions(pass, decls, loadSeeds)
-
-	// Collect the package-level named struct types to check: pair owners
-	// plus any struct whose fields the save closure serializes.
-	var checked []*types.Named
+	// Check the package-level named struct types a walk moves a field of.
+	// scope.Names() is sorted, so findings come out in a stable order.
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || tn.IsAlias() {
 			continue
 		}
-		named, ok := tn.Type().(*types.Named)
+		st, ok := tn.Type().Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
+		checked := false
+		for i := 0; i < st.NumFields() && !checked; i++ {
+			checked = moved[st.Field(i).Pos()]
+		}
+		if !checked {
 			continue
 		}
-		if pairTypes[named] {
-			checked = append(checked, named)
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if saveMentions[st.Field(i).Pos()] {
-				checked = append(checked, named)
-				break
-			}
-		}
-	}
-	sort.Slice(checked, func(i, j int) bool {
-		return checked[i].Obj().Name() < checked[j].Obj().Name()
-	})
-
-	for _, named := range checked {
-		st := named.Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if pass.SkipfieldAt(f.Pos(), f.Name()) {
-				continue
-			}
-			switch {
-			case !saveMentions[f.Pos()]:
+			if !mentions[f.Pos()] && !pass.SkipfieldAt(f.Pos(), f.Name()) {
 				pass.Reportf(f.Pos(),
-					"field %s of snapshot type %s is not written by any save path: forked campaigns will silently diverge from the uninterrupted run; serialize it or annotate //availlint:skipfield %s <reason>",
-					f.Name(), named.Obj().Name(), f.Name())
-			case !loadMentions[f.Pos()]:
-				pass.Reportf(f.Pos(),
-					"field %s of snapshot type %s is saved but never restored by any load path; restore it or annotate //availlint:skipfield %s <reason>",
-					f.Name(), named.Obj().Name(), f.Name())
+					"field %s of snapshot type %s is missing from the snapshot walk: forked campaigns will silently diverge from the uninterrupted run; move it in the walk or annotate //availlint:skipfield %s <reason>",
+					f.Name(), name, f.Name())
 			}
 		}
 	}
@@ -228,11 +122,32 @@ func namedOf(t types.Type) *types.Named {
 
 // closureMentions walks the bodies of seeds plus every same-package
 // function they transitively call, and returns the set of struct fields
-// mentioned, keyed by the field's declaration position. (Positions, not
-// objects: fields of generic instantiations are fresh objects per
-// instantiation but share the declaration site.)
-func closureMentions(pass *Pass, decls map[*types.Func]*ast.FuncDecl, seeds []*types.Func) map[token.Pos]bool {
-	mentions := map[token.Pos]bool{}
+// mentioned and the subset whose address is taken, keyed by the field's
+// declaration position. (Positions, not objects: fields of generic
+// instantiations are fresh objects per instantiation but share the
+// declaration site.)
+func closureMentions(pass *Pass, decls map[*types.Func]*ast.FuncDecl, seeds []*types.Func) (mentions, moved map[token.Pos]bool) {
+	mentions, moved = map[token.Pos]bool{}, map[token.Pos]bool{}
+	// fieldPath marks every hop of a (possibly embedded) field selection
+	// as mentioned and returns the field it ends at.
+	fieldPath := func(n *ast.SelectorExpr) *types.Var {
+		sel, ok := pass.Info.Selections[n]
+		if !ok || sel.Kind() != types.FieldVal {
+			return nil
+		}
+		var f *types.Var
+		t := sel.Recv()
+		for _, idx := range sel.Index() {
+			st, ok := deref(t).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			f = st.Field(idx)
+			mentions[f.Pos()] = true
+			t = f.Type()
+		}
+		return f
+	}
 	visited := map[*types.Func]bool{}
 	queue := append([]*types.Func(nil), seeds...)
 	for len(queue) > 0 {
@@ -249,17 +164,27 @@ func closureMentions(pass *Pass, decls map[*types.Func]*ast.FuncDecl, seeds []*t
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if sel, ok := pass.Info.Selections[n]; ok && sel.Kind() == types.FieldVal {
-					// Mark every hop of the (possibly embedded) path.
-					t := sel.Recv()
-					for _, idx := range sel.Index() {
-						st, ok := deref(t).Underlying().(*types.Struct)
-						if !ok {
-							break
+				fieldPath(n)
+			case *ast.UnaryExpr:
+				// &v.f, &v.f[i], &(*v.f)[i]: the field a walk hands to a primitive.
+				if n.Op != token.AND {
+					return true
+				}
+				for e := n.X; e != nil; {
+					switch x := e.(type) {
+					case *ast.ParenExpr:
+						e = x.X
+					case *ast.StarExpr:
+						e = x.X
+					case *ast.IndexExpr:
+						e = x.X
+					case *ast.SelectorExpr:
+						if f := fieldPath(x); f != nil {
+							moved[f.Pos()] = true
 						}
-						f := st.Field(idx)
-						mentions[f.Pos()] = true
-						t = f.Type()
+						e = nil
+					default:
+						e = nil
 					}
 				}
 			case *ast.CompositeLit:
@@ -300,7 +225,7 @@ func closureMentions(pass *Pass, decls map[*types.Func]*ast.FuncDecl, seeds []*t
 			return true
 		})
 	}
-	return mentions
+	return mentions, moved
 }
 
 // deref unwraps one level of pointer.

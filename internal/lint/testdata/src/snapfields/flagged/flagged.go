@@ -1,46 +1,40 @@
-// Package flagged exercises snapfields on a Save/Load pair: a field the
-// save path never writes, a field saved but never restored, a skipfield
-// exemption, and coverage that flows through a same-package helper.
+// Package flagged exercises snapfields on one-walk snapshot sections: a
+// field the walk never mentions, a skipfield exemption, a field only the
+// walk's load-only block touches, and coverage that flows through a
+// same-package helper.
 package flagged
 
 import "press/internal/snapio"
 
 type Counter struct {
 	n       uint64
-	peak    uint64 // want `field peak of snapshot type Counter is not written by any save path`
-	last    uint64 // want `field last of snapshot type Counter is saved but never restored`
+	peak    uint64 // want `field peak of snapshot type Counter is missing from the snapshot walk`
+	slot    int    // assigned, not moved: restore wiring beside the field it follows still counts
 	scratch []byte //availlint:skipfield scratch rebuilt lazily by the next observation
 }
 
-func (c *Counter) SaveState(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	e.U64(c.n)
-	e.U64(c.last)
+func (c *Counter) SnapState(x *snapio.Ctx) {
+	x.U64(&c.n)
+	if !x.Saving() {
+		c.slot = int(c.n)
+	}
 }
 
-func (c *Counter) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	c.n = d.U64()
-	_ = d.U64()
-}
-
-// inner is serialized only through helpers: the closure walk must reach
-// saveInner/loadInner from the Outer pair to see its coverage.
+// inner is serialized only through a helper: the closure walk must reach
+// snapInner from Outer's walk to see its coverage.
 type inner struct {
 	x int
-	y int // want `field y of snapshot type inner is not written by any save path`
+	y int // want `field y of snapshot type inner is missing from the snapshot walk`
 }
 
 type Outer struct {
 	in inner
 }
 
-func (o *Outer) SaveState(ctx *snapio.Ctx) { saveInner(ctx, &o.in) }
-func (o *Outer) LoadState(ctx *snapio.Ctx) { loadInner(ctx, &o.in) }
+func (o *Outer) SnapState(x *snapio.Ctx) { snapInner(x, &o.in) }
 
-func saveInner(ctx *snapio.Ctx, in *inner) { ctx.Enc.Int(in.x) }
+func snapInner(x *snapio.Ctx, in *inner) { snapio.Int(x, &in.x) }
 
-func loadInner(ctx *snapio.Ctx, in *inner) {
-	in.x = ctx.Dec.Int()
-	in.y = 0
-}
+// restore has no context parameter and no walk calls it: what it touches
+// is not coverage.
+func (o *Outer) restore() { o.in.y = 0 }

@@ -1,9 +1,9 @@
 // Package regression pins the PR 6 bug class as a fixture: a copy of a
 // real snapshot type (internal/faults.Active's serialized shape) grows a
-// field — lastToggle — without the Save/Load pair being extended.
-// snapfields must catch exactly this, so adding a field to a snapshot
-// type without serializing it is a lint-gate failure, not a silent
-// replay divergence discovered mid-campaign.
+// field — lastToggle — without the walk being extended. snapfields must
+// catch exactly this, once, so adding a field to a snapshot type without
+// serializing it is a lint-gate failure, not a silent replay divergence
+// discovered mid-campaign.
 package regression
 
 import (
@@ -20,35 +20,30 @@ type active struct {
 	flapOn     time.Duration
 	flapOff    time.Duration
 	applied    bool
-	lastToggle time.Duration // want `field lastToggle of snapshot type active is not written by any save path`
+	lastToggle time.Duration // want `field lastToggle of snapshot type active is missing from the snapshot walk`
 }
 
 type injector struct {
 	active map[int]*active
 }
 
-func (in *injector) SaveState(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	e.Int(len(in.active))
+func (in *injector) SnapState(x *snapio.Ctx) {
+	actives := make([]*active, 0, len(in.active))
 	for k := 0; k < len(in.active); k++ {
-		a := in.active[k]
-		e.Int(a.typ)
-		e.Int(a.component)
-		e.Dur(a.flapOn)
-		e.Dur(a.flapOff)
-		e.Bool(a.applied)
+		actives = append(actives, in.active[k])
 	}
-}
-
-func (in *injector) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	for k := d.Count(1 << 12); k > 0; k-- {
-		a := &active{}
-		a.typ = d.Int()
-		a.component = d.Int()
-		a.flapOn = d.Dur()
-		a.flapOff = d.Dur()
-		a.applied = d.Bool()
-		in.active[a.component] = a
-	}
+	snapio.Slice(x, &actives, 1<<12, func(ap **active) {
+		if !x.Saving() {
+			*ap = &active{}
+		}
+		a := *ap
+		snapio.Int(x, &a.typ)
+		snapio.Int(x, &a.component)
+		snapio.Int(x, &a.flapOn)
+		snapio.Int(x, &a.flapOff)
+		x.Bool(&a.applied)
+		if !x.Saving() {
+			in.active[a.component] = a
+		}
+	})
 }

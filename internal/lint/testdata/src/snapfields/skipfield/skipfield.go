@@ -12,5 +12,4 @@ type Res struct {
 	pool  []int //availlint:skipfield pool free list; empty after restore is behaviorally identical
 }
 
-func (r *Res) SaveState(ctx *snapio.Ctx) { ctx.Enc.Int(r.n) }
-func (r *Res) LoadState(ctx *snapio.Ctx) { r.n = ctx.Dec.Int() }
+func (r *Res) SnapState(x *snapio.Ctx) { snapio.Int(x, &r.n) }

@@ -235,10 +235,15 @@ func hostileStreams() []hostileStream {
 	hello := appendPreamble(nil, 3)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	req := snapshotEncoding(&server.ReqMsg{ID: 1, Doc: 2})
-	var unknown, nameless snapio.Encoder
+	var unknown, nameless, greedy snapio.Encoder
 	unknown.Str("press.Nope")
 	unknown.U64(1)
 	nameless.Str("")
+	// A hello from node 3 claiming 16M cache entries and carrying none: 17
+	// well-framed bytes that once had the decoder reserve 128 MB for them.
+	greedy.Str("press.Hello")
+	greedy.I64(3)
+	greedy.Int(1 << 24)
 	return []hostileStream{
 		{"another protocol", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), "bad preamble"},
 		{"a later wire version", cat([]byte{'P', 'R', 'S', wireVersion + 1, 0, 0, 0, 3}, frameOf(req)), "wire version"},
@@ -251,6 +256,7 @@ func hostileStreams() []hostileStream {
 		{"a large frame that never comes", cat(hello, binary.BigEndian.AppendUint32(nil, maxFrame), req), ""},
 		{"an unknown message name", cat(hello, frameOf(unknown.Bytes())), `unknown message type "press.Nope"`},
 		{"no message at all", cat(hello, frameOf(nameless.Bytes())), "empty message"},
+		{"a count larger than the frame that carries it", cat(hello, frameOf(greedy.Bytes())), "exceeds the 0 bytes left"},
 		{"an empty frame", cat(hello, frameOf(nil)), "corrupt stream"},
 		{"trailing bytes in a frame", cat(hello, frameOf(append(append([]byte(nil), req...), 0))), "bytes left over"},
 		{"a message cut short inside its frame", cat(hello, frameOf(req[:len(req)-1])), "corrupt stream"},

@@ -62,9 +62,6 @@ type Machine struct {
 	// yet delivered), kept so snapshots can enumerate them. Registered in
 	// Env.Dial, removed when the record is released.
 	dials []*dialRec
-
-	// rst holds machine-level restore scratch; nil outside a restore.
-	rst *machineRestore //availlint:skipfield rst restore-only scratch, nil whenever a snapshot can be taken
 }
 
 // New attaches a machine to the network. disks may be nil for hosts
@@ -318,7 +315,7 @@ func (c *call) dispatch() {
 // resumeRec carries the charge-elapsed wakeup through sim.AfterArg; one
 // per process, reused, since at most one charge is elapsing at a time.
 type resumeRec struct {
-	p   *Proc //availlint:skipfield p owner backlink, re-set by pump before every arm
+	p   *Proc // owner backlink, re-set by pump before every arm
 	inc uint64
 }
 
@@ -581,7 +578,7 @@ type dialRec struct {
 	cb     func(cnet.Conn, error) //availlint:skipfield cb completion closure, built once per record
 	to     cnet.NodeID            // snapshot identity of the dial
 	port   string
-	slot   int //availlint:skipfield slot registry index, reassigned as restore re-registers in-flight dials
+	slot   int // registry index, reassigned as restore re-registers in-flight dials
 }
 
 func (m *Machine) getDial() *dialRec {

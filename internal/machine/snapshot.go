@@ -2,7 +2,7 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"press/internal/clock"
@@ -17,17 +17,18 @@ import (
 // component callbacks those entries dispatch into. Restore therefore
 // runs in two passes:
 //
-//  1. LoadState reads the records and rebuilds process flags and each
-//     live incarnation's Env (random stream included), stashing
-//     everything that needs a callback in procRestore scratch.
+//  1. SnapState, the one walk that also saves, reads the records and
+//     rebuilds process flags and each live incarnation's Env (random
+//     stream included), stashing everything that needs a callback in
+//     procRestore scratch.
 //  2. The component restores itself against the Env, re-registering its
 //     handlers (Listen/BindDatagram), re-claiming its pending timers
 //     (RestoreTimer), and re-attaching handlers to its connections
 //     (RestoreConn) and in-flight dials (RestoreDialer).
 //  3. FinishRestore resolves the stashed records against those
 //     registrations: mailbox entries get their typed callbacks back,
-//     adopted connections get close hooks and owner slots, dial records
-//     rejoin the registry, and timers nobody claimed — they belonged to
+//     adopted connections get close hooks and owner slots, live dial
+//     records their endpoint callbacks, and timers nobody claimed — they belonged to
 //     dead incarnations — are re-armed against a dead Env so they still
 //     occupy their exact kernel slot and fire as no-ops.
 
@@ -49,6 +50,8 @@ type restTimer struct {
 	consumed bool
 }
 
+// mailTag is a mailbox entry as the stream carries it: which kind of
+// callback it dispatches, and the arguments that kind keeps.
 type mailTag struct {
 	kind   uint8
 	c      cnet.Conn
@@ -70,277 +73,222 @@ type dialEndpoint struct {
 	result func(cnet.Conn, error)
 }
 
-type restDial struct {
-	id   uint64
-	proc string
-	to   cnet.NodeID
-	port string
-	live bool
-}
-
-// procRestore is per-process scratch state between LoadState and
-// FinishRestore.
+// procRestore is per-process scratch state between the machine's walk
+// and FinishRestore.
 type procRestore struct {
 	timers       map[uint64]*restTimer
 	mailTags     []mailTag
 	mailTimers   map[uint64]bool
 	mailTimerFns map[uint64]func()
-	connRefs     []uint64
+	adopted      []simnet.StreamConn               // adopted conns in owner-slot order
 	conns        []cnet.Conn                       // adopted conns, then mailbox-only (closed) conns
 	handlers     map[cnet.Conn]cnet.StreamHandlers // component handlers by conn, from RestoreConn
 	dialers      map[dialKey]dialEndpoint
 }
 
-// SaveState serializes the machine. Pending proc timers and the charge
-// wakeup are claimed from the kernel's pending table.
-func (m *Machine) SaveState(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	e.Int(int(m.state))
-	e.F64(m.slow)
-	e.Int(len(m.order))
+// SnapState moves the machine. Saving claims pending proc timers and the
+// charge wakeup from the kernel's pending table; loading reads the
+// records into process flags and restore scratch — component restores run
+// between this walk and FinishRestore.
+func (m *Machine) SnapState(x *snapio.Ctx) {
+	snapio.Int(x, &m.state)
+	x.F64(&m.slow)
+	if n := x.Len(len(m.order), 1<<8); n != len(m.order) {
+		snapio.Failf("machine %d: snapshot has %d procs, world has %d", m.id, n, len(m.order))
+	}
 	for _, name := range m.order {
+		got := name
+		if x.Str(&got); got != name {
+			snapio.Failf("machine %d: proc order mismatch (%q vs %q)", m.id, got, name)
+		}
 		p := m.procs[name]
-		e.Str(name)
-		e.Bool(p.alive)
-		e.U64(p.incarnation)
-		e.Bool(p.hung)
-		e.Bool(p.stalled)
-		e.Bool(p.running)
-		e.U64(p.timerSeq)
+		x.Bool(&p.alive)
+		x.U64(&p.incarnation)
+		x.Bool(&p.hung)
+		x.Bool(&p.stalled)
+		x.Bool(&p.running)
+		x.U64(&p.timerSeq)
+		if !x.Saving() {
+			p.rst = &procRestore{
+				timers:       map[uint64]*restTimer{},
+				mailTimers:   map[uint64]bool{},
+				mailTimerFns: map[uint64]func(){},
+				handlers:     map[cnet.Conn]cnet.StreamHandlers{},
+				dialers:      map[dialKey]dialEndpoint{},
+			}
+		}
 
-		resume := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
-			rr, ok := ev.Arg.(*resumeRec)
-			return ok && rr == &p.resume
+		resumes := 0
+		snapio.Pending(x, procResume, 4, func(rr *resumeRec) bool { return rr == &p.resume }, func(*resumeRec) *resumeRec {
+			if resumes++; resumes > 1 {
+				snapio.Failf("machine %d/%s: more than one pending resume event", m.id, name)
+			}
+			if !x.Saving() {
+				p.resume.p = p
+			}
+			x.U64(&p.resume.inc)
+			return &p.resume
 		})
-		if len(resume) > 1 {
-			snapio.Failf("machine %d/%s: %d pending resume events", m.id, name, len(resume))
-		}
-		e.Int(len(resume))
-		for _, ev := range resume {
-			e.Dur(ev.At)
-			e.U64(ev.Seq)
-			e.U64(ev.Arg.(*resumeRec).inc)
-		}
 
 		if p.alive {
-			snapio.SaveRand(e, p.env.rand)
-		}
-
-		fire := snapio.FnPtr(procTimerFire)
-		timers := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
-			if ev.AFn == nil || snapio.FnPtr(ev.AFn) != fire {
-				return false
+			if !x.Saving() {
+				p.env = newEnv(p, p.incarnation)
+				p.env.rand = m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", m.id, name, p.incarnation))
 			}
-			return ev.Arg.(*timerRec).e.p == p
-		})
-		e.Int(len(timers))
-		for _, ev := range timers {
-			rec := ev.Arg.(*timerRec)
-			e.U64(rec.serial)
-			e.Dur(ev.At)
-			e.U64(ev.Seq)
-			e.Bool(rec.e.live())
+			x.Rand(p.env.rand)
+		} else if !x.Saving() {
+			p.env = nil
 		}
 
-		e.Int(p.MailboxLen())
-		for i := p.head; i < len(p.mailbox); i++ {
-			saveMailEntry(ctx, m, name, &p.mailbox[i])
+		// Pending proc timers travel by serial: the component that armed one
+		// re-claims it (RestoreTimer) with the callback the stream cannot carry.
+		timers := snapio.Claim(x, procTimerFire, func(r *timerRec) bool { return r.e.p == p })
+		for i := range x.Len(len(timers), 1<<20) {
+			var ev snapio.PendingEvent
+			var serial uint64
+			var live bool
+			if x.Saving() {
+				rec := timers[i].Arg.(*timerRec)
+				ev, serial, live = timers[i], rec.serial, rec.e.live()
+			}
+			x.U64(&serial)
+			x.Slot(&ev)
+			x.Bool(&live)
+			if !x.Saving() {
+				p.rst.timers[serial] = &restTimer{at: ev.At, seq: ev.Seq, live: live}
+			}
 		}
 
-		e.Int(len(p.conns))
-		for _, r := range p.conns {
-			e.U64(ctx.Conns.Ref(r.c))
+		for i := range x.Len(p.MailboxLen(), 1<<20) {
+			var t mailTag
+			if x.Saving() {
+				t = m.tagOf(name, &p.mailbox[p.head+i])
+			}
+			t.snap(x)
+			if !x.Saving() {
+				if t.kind == tagTimer {
+					p.rst.mailTimers[t.serial] = true
+				}
+				p.rst.mailTags = append(p.rst.mailTags, t)
+			}
+		}
+
+		for i := range x.Len(len(p.conns), 1<<20) {
+			var c simnet.StreamConn
+			if x.Saving() {
+				c = p.conns[i].c
+			}
+			if snapio.Conn(x, &c); c == nil {
+				snapio.Failf("machine %d/%s: adopted conn %d is not a conn", m.id, name, i)
+			}
+			if !x.Saving() {
+				p.rst.adopted = append(p.rst.adopted, c)
+				p.rst.conns = append(p.rst.conns, c)
+			}
+		}
+		// Mailbox-only connections (typically closed ones awaiting their
+		// OnClose dispatch) join the list after the adopted set so the
+		// component can restore handlers on them too.
+		if !x.Saving() {
+			for _, t := range p.rst.mailTags {
+				if t.c != nil && !slices.Contains(p.rst.conns, t.c) {
+					p.rst.conns = append(p.rst.conns, t.c)
+				}
+			}
 		}
 	}
 
-	e.Int(len(m.dials))
-	for _, dr := range m.dials {
-		e.U64(ctx.Owners.Ref(dr))
-		e.Str(dr.e.p.name)
-		e.I64(int64(dr.to))
-		e.Str(dr.port)
-		e.Bool(dr.e.live())
+	// In-flight dial records are owners the network's pending section
+	// refers to. A loaded record is built here, on its live incarnation's
+	// environment or on a dead one's stand-in; FinishRestore hands the live
+	// ones their endpoint callbacks back.
+	for i := range x.Len(len(m.dials), 1<<20) {
+		var dr *dialRec
+		var proc string
+		var live bool
+		if x.Saving() {
+			dr = m.dials[i]
+			proc, live = dr.e.p.name, dr.e.live()
+		} else {
+			dr = m.getDial()
+			dr.slot = len(m.dials)
+			m.dials = append(m.dials, dr)
+		}
+		x.Define(dr)
+		x.Str(&proc)
+		snapio.Int(x, &dr.to)
+		x.Str(&dr.port)
+		x.Bool(&live)
+		if !x.Saving() {
+			p := m.procs[proc]
+			if p == nil {
+				snapio.Failf("machine %d: dial record for unknown proc %q", m.id, proc)
+			}
+			if dr.e = p.env; !live {
+				dr.e = &Env{p: p}
+			}
+		}
 	}
 }
 
-func saveMailEntry(ctx *snapio.Ctx, m *Machine, proc string, c *call) {
-	e := ctx.Enc
+// tagOf classifies a mailbox entry for the stream. Only typed entries can
+// cross a snapshot: their callbacks are rebuilt from the tag on restore.
+func (m *Machine) tagOf(proc string, c *call) mailTag {
 	if c.fn != nil {
 		snapio.Failf("machine %d/%s: mailbox holds a raw closure (%s)", m.id, proc, snapio.FnName(c.fn))
 	}
 	if c.env == nil {
 		snapio.Failf("machine %d/%s: mailbox entry without env", m.id, proc)
 	}
-	if !c.env.live() {
-		e.U64(tagDead)
-		return
-	}
+	t := mailTag{c: c.c, m: c.m, from: c.from, to: c.to, port: c.port, err: c.err}
 	switch {
+	case !c.env.live():
+		t.kind = tagDead
 	case c.tr != nil:
-		e.U64(tagTimer)
-		e.U64(c.tr.serial)
+		t.kind, t.serial = tagTimer, c.tr.serial
 	case c.sfn != nil:
-		e.U64(tagStream)
-		e.U64(ctx.Conns.Ref(c.c))
-		ctx.Msgs.Encode(e, c.m)
+		t.kind = tagStream
 	case c.dfn != nil:
-		e.U64(tagDgram)
-		e.Str(c.port)
-		e.I64(int64(c.from))
-		ctx.Msgs.Encode(e, c.m)
+		t.kind = tagDgram
 	case c.rfn != nil && c.dial:
-		e.U64(tagDial)
-		e.I64(int64(c.to))
-		e.Str(c.port)
-		e.U64(ctx.Conns.Ref(c.c))
-		e.U64(cnet.ErrCode(c.err))
+		t.kind = tagDial
 	case c.rfn != nil:
-		e.U64(tagClosed)
-		e.U64(ctx.Conns.Ref(c.c))
-		e.U64(cnet.ErrCode(c.err))
+		t.kind = tagClosed
 	case c.wfn != nil:
-		e.U64(tagWritable)
-		e.U64(ctx.Conns.Ref(c.c))
+		t.kind = tagWritable
 	default:
 		snapio.Failf("machine %d/%s: empty mailbox entry", m.id, proc)
 	}
+	return t
 }
 
-// machineRestore holds machine-level in-flight dial records between
-// LoadState and FinishRestore.
-type machineRestore struct {
-	dials []restDial
-}
-
-// LoadState reads the machine section into process flags and restore
-// scratch. Component restores run between LoadState and FinishRestore.
-func (m *Machine) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	m.state = State(d.Int())
-	m.slow = d.F64()
-	n := d.Count(1 << 8)
-	if n != len(m.order) {
-		snapio.Failf("machine %d: snapshot has %d procs, world has %d", m.id, n, len(m.order))
-	}
-	for _, name := range m.order {
-		if got := d.Str(); got != name {
-			snapio.Failf("machine %d: proc order mismatch (%q vs %q)", m.id, got, name)
-		}
-		p := m.procs[name]
-		p.alive = d.Bool()
-		p.incarnation = d.U64()
-		p.hung = d.Bool()
-		p.stalled = d.Bool()
-		p.running = d.Bool()
-		p.timerSeq = d.U64()
-		p.rst = &procRestore{
-			timers:       map[uint64]*restTimer{},
-			mailTimers:   map[uint64]bool{},
-			mailTimerFns: map[uint64]func(){},
-			handlers:     map[cnet.Conn]cnet.StreamHandlers{},
-			dialers:      map[dialKey]dialEndpoint{},
-		}
-
-		for k := d.Count(4); k > 0; k-- {
-			at := d.Dur()
-			seq := d.U64()
-			p.resume.p, p.resume.inc = p, d.U64()
-			m.sim.RestoreAtArg(at, seq, procResume, &p.resume)
-		}
-
-		if p.alive {
-			p.env = newEnv(p, p.incarnation)
-			p.env.rand = m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", m.id, name, p.incarnation))
-			snapio.LoadRand(d, p.env.rand)
-		} else {
-			p.env = nil
-		}
-
-		for k := d.Count(1 << 20); k > 0; k-- {
-			serial := d.U64()
-			rt := &restTimer{at: d.Dur(), seq: d.U64(), live: d.Bool()}
-			p.rst.timers[serial] = rt
-		}
-
-		for k := d.Count(1 << 20); k > 0; k-- {
-			t := loadMailEntry(ctx)
-			if t.kind == tagTimer {
-				p.rst.mailTimers[t.serial] = true
-			}
-			p.rst.mailTags = append(p.rst.mailTags, t)
-		}
-
-		for k := d.Count(1 << 20); k > 0; k-- {
-			ref := d.U64()
-			p.rst.connRefs = append(p.rst.connRefs, ref)
-			c, ok := ctx.Conns.Obj(ref).(cnet.Conn)
-			if !ok {
-				snapio.Failf("machine %d/%s: conn ref %d is not a conn", m.id, name, ref)
-			}
-			p.rst.conns = append(p.rst.conns, c)
-		}
-		// Mailbox-only connections (typically closed ones awaiting their
-		// OnClose dispatch) join the list after the adopted set so the
-		// component can restore handlers on them too.
-		for _, t := range p.rst.mailTags {
-			if t.c == nil {
-				continue
-			}
-			seen := false
-			for _, c := range p.rst.conns {
-				if c == t.c {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				p.rst.conns = append(p.rst.conns, t.c)
-			}
-		}
-	}
-
-	mr := &machineRestore{}
-	for k := d.Count(1 << 20); k > 0; k-- {
-		mr.dials = append(mr.dials, restDial{
-			id:   d.U64(),
-			proc: d.Str(),
-			to:   cnet.NodeID(d.I64()),
-			port: d.Str(),
-			live: d.Bool(),
-		})
-	}
-	m.rst = mr
-}
-
-func loadMailEntry(ctx *snapio.Ctx) mailTag {
-	d := ctx.Dec
-	var t mailTag
-	t.kind = uint8(d.U64())
+// snap moves one mailbox entry: its tag, then what that kind carries.
+func (t *mailTag) snap(x *snapio.Ctx) {
+	snapio.Uint(x, &t.kind)
 	switch t.kind {
 	case tagDead:
 	case tagTimer:
-		t.serial = d.U64()
+		x.U64(&t.serial)
 	case tagStream:
-		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
-		t.m = ctx.Msgs.Decode(d)
+		snapio.Conn(x, &t.c)
+		snapio.Msg(x, &t.m)
 	case tagDgram:
-		t.port = d.Str()
-		t.from = cnet.NodeID(d.I64())
-		t.m = ctx.Msgs.Decode(d)
+		x.Str(&t.port)
+		snapio.Int(x, &t.from)
+		snapio.Msg(x, &t.m)
 	case tagDial:
-		t.to = cnet.NodeID(d.I64())
-		t.port = d.Str()
-		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
-		t.err = cnet.ErrFromCode(d.U64())
+		snapio.Int(x, &t.to)
+		x.Str(&t.port)
+		snapio.Conn(x, &t.c)
+		cnet.SnapErr(x, &t.err)
 	case tagClosed:
-		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
-		t.err = cnet.ErrFromCode(d.U64())
+		snapio.Conn(x, &t.c)
+		cnet.SnapErr(x, &t.err)
 	case tagWritable:
-		t.c, _ = ctx.Conns.Obj(d.U64()).(cnet.Conn)
+		snapio.Conn(x, &t.c)
 	default:
 		snapio.Failf("machine: unknown mailbox tag %d", t.kind)
 	}
-	return t
 }
 
 // RestoreEnv returns the restored live environment of the named process
@@ -439,22 +387,18 @@ func noopStream(cnet.Conn, cnet.Message) {}
 // FinishRestore resolves the stashed records against component
 // registrations. Must run after every component of this machine has
 // restored.
-func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
+func (m *Machine) FinishRestore() {
 	for _, name := range m.order {
 		p := m.procs[name]
 		r := p.rst
 		if r == nil {
-			snapio.Failf("machine %d/%s: FinishRestore without LoadState", m.id, name)
+			snapio.Failf("machine %d/%s: FinishRestore without SnapState", m.id, name)
 		}
 
-		for i, ref := range r.connRefs {
-			c, ok := ctx.Conns.Obj(ref).(simnet.StreamConn)
-			if !ok {
-				snapio.Failf("machine %d/%s: conn ref %d is not a stream conn", m.id, name, ref)
-			}
+		for i, c := range r.adopted {
 			h, ok := r.handlers[c]
 			if !ok {
-				snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, ref)
+				snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, i)
 			}
 			c.SetOwnerSlot(i)
 			p.conns = append(p.conns, connRec{c: c, h: h})
@@ -465,7 +409,7 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 		for s := range r.timers {
 			serials = append(serials, s)
 		}
-		sort.Slice(serials, func(a, b int) bool { return serials[a] < serials[b] })
+		slices.Sort(serials)
 		for _, s := range serials {
 			rt := r.timers[s]
 			if rt.consumed {
@@ -485,32 +429,15 @@ func (m *Machine) FinishRestore(ctx *snapio.Ctx) {
 		p.head = 0
 	}
 
-	mr := m.rst
-	if mr == nil {
-		snapio.Failf("machine %d: FinishRestore without LoadState", m.id)
-	}
-	m.rst = nil
-	for _, rd := range mr.dials {
-		p := m.procs[rd.proc]
-		if p == nil {
-			snapio.Failf("machine %d: dial record for unknown proc %q", m.id, rd.proc)
+	for _, dr := range m.dials {
+		if !dr.e.live() {
+			continue
 		}
-		var env *Env
-		dr := m.getDial()
-		if rd.live {
-			env = p.env
-			ep, ok := p.rst.dialers[dialKey{rd.to, rd.port}]
-			if !ok {
-				snapio.Failf("machine %d/%s: in-flight dial to %d port %q unclaimed by component", m.id, rd.proc, rd.to, rd.port)
-			}
-			dr.h, dr.result = ep.h, ep.result
-		} else {
-			env = &Env{p: p}
+		ep, ok := dr.e.p.rst.dialers[dialKey{dr.to, dr.port}]
+		if !ok {
+			snapio.Failf("machine %d/%s: in-flight dial to %d port %q unclaimed by component", m.id, dr.e.p.name, dr.to, dr.port)
 		}
-		dr.e, dr.to, dr.port = env, rd.to, rd.port
-		dr.slot = len(m.dials)
-		m.dials = append(m.dials, dr)
-		ctx.Owners.Put(rd.id, dr)
+		dr.h, dr.result = ep.h, ep.result
 	}
 
 	for _, name := range m.order {

@@ -1,7 +1,6 @@
 package membership_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"press/internal/metrics"
 	"press/internal/sim"
 	"press/internal/simnet"
-	"press/internal/snapio"
 )
 
 // newGossipWorld builds n machines each running a gossip-mode membership
@@ -164,57 +162,6 @@ func TestGossipLinkFlapSplinterRejoin64(t *testing.T) {
 	w.sim.RunFor(time.Duration(2*gossipRounds(n)) * time.Second)
 	if !allInOneGroup(w, fullGroup(n)) {
 		t.Fatalf("64-node group did not reconverge after link flap: %v", w.groupSizes())
-	}
-}
-
-// TestGossipSnapshotRoundTrip64: SaveGossip on a 64-node world captured
-// mid-convergence (views still growing, counters mid-flood) must restore
-// bit-exactly — Load into fresh daemons, re-Save, byte-compare — and the
-// restored world must go on to full convergence. Ticker phase is
-// deliberately not captured; restored daemons restart their rounds.
-func TestGossipSnapshotRoundTrip64(t *testing.T) {
-	const n = 64
-	live := newGossipWorld(t, n)
-	// 3.5 s: past boot, short of the ~9 s convergence bound — views are
-	// genuinely partial here.
-	live.sim.RunFor(3500 * time.Millisecond)
-	converged := allInOneGroup(live, fullGroup(n))
-
-	blobs := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		var e snapio.Encoder
-		live.daemon(i).SaveGossip(&e)
-		blobs[i] = append([]byte(nil), e.Bytes()...)
-	}
-
-	restored := newGossipWorld(t, n)
-	restored.sim.RunFor(0) // run constructors
-	for i := 0; i < n; i++ {
-		dec := snapio.NewDecoder(blobs[i])
-		restored.daemon(i).LoadGossip(dec)
-		if err := dec.Err(); err != nil {
-			t.Fatalf("daemon %d decode: %v", i, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		var e snapio.Encoder
-		restored.daemon(i).SaveGossip(&e)
-		if !bytes.Equal(blobs[i], e.Bytes()) {
-			t.Fatalf("daemon %d snapshot not bit-stable across restore (%d vs %d bytes)",
-				i, len(blobs[i]), len(e.Bytes()))
-		}
-		v1, m1 := live.pubs[i].Snapshot()
-		v2, m2 := restored.pubs[i].Snapshot()
-		if v1 != v2 || len(m1) != len(m2) {
-			t.Fatalf("daemon %d published view diverged: v%d/%d members vs v%d/%d", i, v1, len(m1), v2, len(m2))
-		}
-	}
-	if converged {
-		t.Log("note: world already converged at capture time; mid-flood coverage weakened")
-	}
-	restored.sim.RunFor(time.Duration(gossipRounds(n)+4) * time.Second)
-	if !allInOneGroup(restored, fullGroup(n)) {
-		t.Fatalf("restored world did not converge: %v", restored.groupSizes())
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
-	"press/internal/snapio"
 )
 
 // Port and group names.
@@ -223,39 +222,38 @@ type MNodeDown struct {
 
 // Daemon is the membership server process.
 type Daemon struct {
-	cfg Config           //availlint:skipfield cfg construction config, identical across restores
-	env cnet.Env         //availlint:skipfield env process backlink, supplied by the restore constructor
-	pub *Published       //availlint:skipfield pub shared segment backlink, supplied by the restore constructor
-	src metrics.SourceID //availlint:skipfield src interned tag, rebuilt by the constructor
+	cfg Config
+	env cnet.Env
+	pub *Published
+	src metrics.SourceID
 	// missDetail is the constant heartbeat-miss detect reason, formatted
 	// once at construction.
-	missDetail string //availlint:skipfield missDetail constant string, rebuilt by the constructor
+	missDetail string
 
 	version uint64
 	members []cnet.NodeID // sorted, includes self
 
-	lastSeen map[cnet.NodeID]time.Duration //availlint:skipfield lastSeen ring-mode heartbeat evidence; the gossip snapshot carries gseen instead
-	busy     bool                          //availlint:skipfield busy 2PC scratch; gossip mode never runs a 2PC
-	wait     *ackWait                      //availlint:skipfield wait 2PC scratch; gossip mode never runs a 2PC
+	lastSeen map[cnet.NodeID]time.Duration
+	busy     bool
+	wait     *ackWait
 
-	offers     []MJoinOffer //availlint:skipfield offers join-protocol scratch, unused in gossip mode
-	collecting bool         //availlint:skipfield collecting join-protocol scratch, unused in gossip mode
+	offers     []MJoinOffer
+	collecting bool
 
-	//availlint:skipfield seekT ticker handle; restored daemons restart their tickers fresh
 	seekT clock.Ticker // variable-period seek loop, retimed each pass
 
 	// hbPool recycles heartbeat records; receivers release them.
-	hbPool cnet.MsgPool[MHeartbeat] //availlint:skipfield hbPool message free list; an empty pool after restore is behaviorally identical
+	hbPool cnet.MsgPool[MHeartbeat]
 
 	// Epidemic-mode state (Config.Gossip): own and remembered heartbeat
 	// counters, the last time fresh evidence arrived for each peer, and
 	// the recycled digest/pick scratch.
 	counts map[cnet.NodeID]uint64
 	gseen  map[cnet.NodeID]time.Duration
-	peerOK map[cnet.NodeID]bool //availlint:skipfield peerOK lookup set derived from cfg.Peers, rebuilt by the constructor
+	peerOK map[cnet.NodeID]bool
 	// gossipPool recycles digest records; receivers release them.
-	gossipPool cnet.MsgPool[MGossip] //availlint:skipfield gossipPool message free list; an empty pool after restore is behaviorally identical
-	pickBuf    []cnet.NodeID         //availlint:skipfield pickBuf per-round target-draw scratch, rebuilt every tick
+	gossipPool cnet.MsgPool[MGossip]
+	pickBuf    []cnet.NodeID
 }
 
 // NewDaemon starts a membership daemon on env, publishing into pub.
@@ -497,62 +495,6 @@ func sameView(a, b []cnet.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// SaveGossip serializes the epidemic-mode state: the installed view and
-// the counter/evidence tables, walked in sorted node order so the blob
-// is deterministic. Ticker phase is not captured — a restored daemon
-// restarts its round timer fresh.
-func (d *Daemon) SaveGossip(e *snapio.Encoder) {
-	e.U64(d.version)
-	e.Int(len(d.members))
-	for _, m := range d.members {
-		e.I64(int64(m))
-	}
-	e.Int(len(d.counts))
-	for _, p := range sortedNodeKeys(d.counts) {
-		e.I64(int64(p))
-		e.U64(d.counts[p])
-	}
-	e.Int(len(d.gseen))
-	for _, p := range sortedNodeKeys(d.gseen) {
-		e.I64(int64(p))
-		e.Dur(d.gseen[p])
-	}
-}
-
-// sortedNodeKeys returns m's keys in ascending order, for deterministic
-// snapshot walks over the gossip tables.
-func sortedNodeKeys[V any](m map[cnet.NodeID]V) []cnet.NodeID {
-	ids := make([]cnet.NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// LoadGossip restores the state SaveGossip captured into a freshly
-// constructed gossip daemon and republishes the view.
-func (d *Daemon) LoadGossip(dec *snapio.Decoder) {
-	d.version = dec.U64()
-	d.members = d.members[:0]
-	for i, n := 0, dec.Int(); i < n; i++ {
-		d.members = append(d.members, cnet.NodeID(dec.I64()))
-	}
-	d.pub.set(d.version, d.members)
-	nc := dec.Int()
-	d.counts = make(map[cnet.NodeID]uint64, nc)
-	for i := 0; i < nc; i++ {
-		id := cnet.NodeID(dec.I64())
-		d.counts[id] = dec.U64()
-	}
-	ns := dec.Int()
-	d.gseen = make(map[cnet.NodeID]time.Duration, ns)
-	for i := 0; i < ns; i++ {
-		id := cnet.NodeID(dec.I64())
-		d.gseen[id] = dec.Dur()
-	}
 }
 
 // startExclusion coordinates the two-phase removal of n.

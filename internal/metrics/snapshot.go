@@ -11,62 +11,35 @@ import (
 // processes; the snapshot therefore carries names through a per-blob
 // string table and re-interns on load.
 
-// SaveState serializes the full log.
-func (l *Log) SaveState(ctx *snapio.Ctx) {
+// SnapState moves the full log: loading replaces the log's contents,
+// re-interning source and kind names in this process's registry.
+func (l *Log) SnapState(x *snapio.Ctx) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := ctx.Enc
 
 	// String table: unique detail strings and source/kind names in
-	// first-appearance order.
-	strIdx := map[string]int{}
+	// first-appearance order, and each record's three indices into it.
+	type strRefs struct{ detail, src, kind int }
 	var strs []string
-	intern := func(s string) int {
-		if i, ok := strIdx[s]; ok {
+	var refs []strRefs
+	if x.Saving() {
+		strIdx := map[string]int{}
+		intern := func(s string) int {
+			i, ok := strIdx[s]
+			if !ok {
+				i = len(strs)
+				strIdx[s] = i
+				strs = append(strs, s)
+			}
 			return i
 		}
-		i := len(strs)
-		strIdx[s] = i
-		strs = append(strs, s)
-		return i
-	}
-	type encRec struct{ detail, src, kind int }
-	encs := make([]encRec, l.n)
-	for i := 0; i < l.n; i++ {
-		r := l.rec(i)
-		encs[i] = encRec{
-			detail: intern(r.detail),
-			src:    intern(sourceName(r.src)),
-			kind:   intern(kindName(r.kind)),
+		refs = make([]strRefs, l.n)
+		for i := range refs {
+			r := l.rec(i)
+			refs[i] = strRefs{intern(r.detail), intern(sourceName(r.src)), intern(kindName(r.kind))}
 		}
 	}
-	e.Int(len(strs))
-	for _, s := range strs {
-		e.Str(s)
-	}
-	e.Int(l.n)
-	for i := 0; i < l.n; i++ {
-		r := l.rec(i)
-		e.Dur(r.at)
-		e.I64(r.a0)
-		e.I64(r.a1)
-		e.Int(encs[i].detail)
-		e.I64(int64(r.node))
-		e.Int(encs[i].src)
-		e.Int(encs[i].kind)
-		e.U64(uint64(r.nargs))
-	}
-}
-
-// LoadState replaces the log's contents with a serialized snapshot,
-// re-interning source and kind names in this process's registry.
-func (l *Log) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	nstr := d.Count(1 << 24)
-	strs := make([]string, nstr)
-	for i := range strs {
-		strs[i] = d.Str()
-	}
+	snapio.Slice(x, &strs, 1<<24, x.Str)
 	str := func(i int) string {
 		if i < 0 || i >= len(strs) {
 			snapio.Failf("event log: string index %d out of range", i)
@@ -76,21 +49,29 @@ func (l *Log) LoadState(ctx *snapio.Ctx) {
 	srcIDs := map[string]SourceID{}
 	kindIDs := map[string]KindID{}
 
-	n := d.Count(1 << 28)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.chunks = nil
-	l.n = 0
+	n := x.Len(l.n, 1<<28)
+	if !x.Saving() {
+		l.chunks, l.n = nil, 0
+	}
 	for i := 0; i < n; i++ {
 		var r record
-		r.at = d.Dur()
-		r.a0 = d.I64()
-		r.a1 = d.I64()
-		r.detail = str(d.Int())
-		r.node = int32(d.I64())
-		srcName := str(d.Int())
-		kindName := str(d.Int())
-		r.nargs = uint8(d.U64())
+		var ref strRefs
+		if x.Saving() {
+			r, ref = *l.rec(i), refs[i]
+		}
+		snapio.Int(x, &r.at)
+		snapio.Int(x, &r.a0)
+		snapio.Int(x, &r.a1)
+		snapio.Int(x, &ref.detail)
+		snapio.Int(x, &r.node)
+		snapio.Int(x, &ref.src)
+		snapio.Int(x, &ref.kind)
+		snapio.Uint(x, &r.nargs)
+		if x.Saving() {
+			continue
+		}
+		r.detail = str(ref.detail)
+		srcName, kindName := str(ref.src), str(ref.kind)
 		src, ok := srcIDs[srcName]
 		if !ok {
 			src = InternSource(srcName)
@@ -110,23 +91,8 @@ func (l *Log) LoadState(ctx *snapio.Ctx) {
 	}
 }
 
-// SaveState serializes the series.
-func (s *Series) SaveState(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	e.Dur(s.Width)
-	e.Int(len(s.buckets))
-	for _, v := range s.buckets {
-		e.F64(v)
-	}
-}
-
-// LoadState restores a series saved with SaveState.
-func (s *Series) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	s.Width = d.Dur()
-	n := d.Count(1 << 26)
-	s.buckets = make([]float64, n)
-	for i := range s.buckets {
-		s.buckets[i] = d.F64()
-	}
+// SnapState moves the series.
+func (s *Series) SnapState(x *snapio.Ctx) {
+	snapio.Int(x, &s.Width)
+	snapio.Slice(x, &s.buckets, 1<<26, x.F64)
 }

@@ -80,7 +80,7 @@ type Server struct {
 	fwdPool    cnet.MsgPool[FwdMsg]
 	fwdRepPool cnet.MsgPool[FwdReplyMsg]
 	annPool    cnet.MsgPool[AnnounceMsg]
-	hbPool     cnet.MsgPool[HBMsg]
+	hbPool     cnet.MsgPool[HBMsg] //availlint:skipfield hbPool message free list; an empty pool after restore is behaviorally identical
 
 	ring  ringDetector
 	stats Stats

@@ -14,397 +14,105 @@ import (
 // directory, view, peers, in-flight requests, pooled disk/admit
 // continuations, ring detector — but no callbacks: those are rebuilt by
 // Restore, which constructs an unstarted server on the restored process
-// environment, re-registers its listeners, re-attaches handlers to every
-// restored connection, and re-claims its pending timers by serial.
+// environment, re-registers its listeners, runs the same walk that saved
+// the state — re-claiming pending timers by serial as it meets them — and
+// re-attaches handlers to every restored connection.
 //
 // Phase 1 covers the INDEP and COOP(+ring) configurations; a server with
 // queue monitoring or an external membership view refuses to snapshot.
 
-// RegisterMessages registers every PRESS wire message with the snapshot
-// codec, so mailbox entries, connection buffers, and send queues can
-// carry them. Pooled messages decode as pool-less records (their Release
-// leaks to the GC, the pre-pooling behaviour).
+// RegisterMessages describes every PRESS wire message to the codec, one
+// walk each, so mailbox entries, connection buffers, send queues and
+// livenet's stream frames can carry them. Pooled messages decode as
+// pool-less records (their Release leaks to the GC, the pre-pooling
+// behaviour).
 func RegisterMessages(c *snapio.MsgCodec) {
-	c.Register("press.Req", (*ReqMsg)(nil),
-		func(e *snapio.Encoder, m any) {
-			r := m.(*ReqMsg)
-			e.U64(r.ID)
-			e.I64(int64(r.Doc))
-			e.Bool(r.Probe)
-		},
-		func(d *snapio.Decoder) any {
-			return &ReqMsg{ID: d.U64(), Doc: trace.DocID(d.I64()), Probe: d.Bool()}
-		})
-	c.Register("press.Resp", (*RespMsg)(nil),
-		func(e *snapio.Encoder, m any) {
-			r := m.(*RespMsg)
-			e.U64(r.ID)
-			e.Bool(r.OK)
-			e.Bool(r.Probe)
-			encNodes(e, r.View)
-		},
-		func(d *snapio.Decoder) any {
-			return &RespMsg{ID: d.U64(), OK: d.Bool(), Probe: d.Bool(), View: decNodes(d)}
-		})
-	c.Register("press.Hello", HelloMsg{},
-		func(e *snapio.Encoder, m any) {
-			h := m.(HelloMsg)
-			e.I64(int64(h.From))
-			e.Int(len(h.CacheDocs))
-			for _, doc := range h.CacheDocs {
-				e.I64(int64(doc))
-			}
-		},
-		func(d *snapio.Decoder) any {
-			h := HelloMsg{From: cnet.NodeID(d.I64())}
-			if n := d.Count(1 << 24); n > 0 {
-				h.CacheDocs = make([]trace.DocID, 0, n)
-				for ; n > 0; n-- {
-					h.CacheDocs = append(h.CacheDocs, trace.DocID(d.I64()))
-				}
-			}
-			return h
-		})
-	c.Register("press.Fwd", (*FwdMsg)(nil),
-		func(e *snapio.Encoder, m any) {
-			r := m.(*FwdMsg)
-			e.U64(r.ID)
-			e.I64(int64(r.Doc))
-			e.Int(r.Load)
-			e.I64(int64(r.Origin))
-		},
-		func(d *snapio.Decoder) any {
-			return &FwdMsg{ID: d.U64(), Doc: trace.DocID(d.I64()), Load: d.Int(), Origin: cnet.NodeID(d.I64())}
-		})
-	c.Register("press.FwdReply", (*FwdReplyMsg)(nil),
-		func(e *snapio.Encoder, m any) {
-			r := m.(*FwdReplyMsg)
-			e.U64(r.ID)
-			e.I64(int64(r.Doc))
-			e.Bool(r.OK)
-			e.Int(r.Load)
-		},
-		func(d *snapio.Decoder) any {
-			return &FwdReplyMsg{ID: d.U64(), Doc: trace.DocID(d.I64()), OK: d.Bool(), Load: d.Int()}
-		})
-	c.Register("press.Announce", (*AnnounceMsg)(nil),
-		func(e *snapio.Encoder, m any) {
-			r := m.(*AnnounceMsg)
-			e.I64(int64(r.From))
-			e.I64(int64(r.Doc))
-			e.Bool(r.Cached)
-			e.Int(r.Load)
-		},
-		func(d *snapio.Decoder) any {
-			return &AnnounceMsg{From: cnet.NodeID(d.I64()), Doc: trace.DocID(d.I64()), Cached: d.Bool(), Load: d.Int()}
-		})
-	c.Register("press.HB", (*HBMsg)(nil),
-		func(e *snapio.Encoder, m any) {
-			r := m.(*HBMsg)
-			e.I64(int64(r.From))
-			e.Int(r.Load)
-		},
-		func(d *snapio.Decoder) any {
-			return &HBMsg{From: cnet.NodeID(d.I64()), Load: d.Int()}
-		})
-	c.Register("press.Exclude", ExcludeMsg{},
-		func(e *snapio.Encoder, m any) {
-			r := m.(ExcludeMsg)
-			e.I64(int64(r.From))
-			e.I64(int64(r.Dead))
-		},
-		func(d *snapio.Decoder) any {
-			return ExcludeMsg{From: cnet.NodeID(d.I64()), Dead: cnet.NodeID(d.I64())}
-		})
-	c.Register("press.JoinReq", JoinReqMsg{},
-		func(e *snapio.Encoder, m any) {
-			e.I64(int64(m.(JoinReqMsg).From))
-		},
-		func(d *snapio.Decoder) any {
-			return JoinReqMsg{From: cnet.NodeID(d.I64())}
-		})
-	c.Register("press.JoinResp", JoinRespMsg{},
-		func(e *snapio.Encoder, m any) {
-			r := m.(JoinRespMsg)
-			e.I64(int64(r.From))
-			encNodes(e, r.View)
-		},
-		func(d *snapio.Decoder) any {
-			return JoinRespMsg{From: cnet.NodeID(d.I64()), View: decNodes(d)}
-		})
-}
-
-func encNodes(e *snapio.Encoder, ns []cnet.NodeID) {
-	e.Int(len(ns))
-	for _, n := range ns {
-		e.I64(int64(n))
-	}
-}
-
-func decNodes(d *snapio.Decoder) []cnet.NodeID {
-	n := d.Count(1 << 16)
-	if n == 0 {
-		return nil
-	}
-	out := make([]cnet.NodeID, 0, n)
-	for ; n > 0; n-- {
-		out = append(out, cnet.NodeID(d.I64()))
-	}
-	return out
-}
-
-// timerSerial extracts the proc-clock serial from a retained handle.
-func timerSerial(h any, what string) uint64 {
-	ts, ok := h.(interface{ TimerSerial() uint64 })
-	if !ok {
-		snapio.Failf("server: %s handle %T carries no timer serial", what, h)
-	}
-	return ts.TimerSerial()
-}
-
-func encConn(ctx *snapio.Ctx, c cnet.Conn) {
-	ctx.Enc.Bool(c != nil)
-	if c != nil {
-		ctx.Enc.U64(ctx.Conns.Ref(c))
-	}
-}
-
-func decConn(ctx *snapio.Ctx) cnet.Conn {
-	if !ctx.Dec.Bool() {
-		return nil
-	}
-	ref := ctx.Dec.U64()
-	c, ok := ctx.Conns.Obj(ref).(cnet.Conn)
-	if !ok {
-		snapio.Failf("server: conn ref %d is not a conn", ref)
-	}
-	return c
-}
-
-func encTimer(e *snapio.Encoder, h any, what string) {
-	e.Bool(h != nil)
-	if h != nil {
-		e.U64(timerSerial(h, what))
-	}
-}
-
-// SaveState serializes the server. Pooled messages in queues are encoded
-// by the message codec; retained timer handles by serial; connections as
-// table references. Pending disk reads register their continuation
-// records in ctx.Owners for the disk section, which saves later.
-func (s *Server) SaveState(ctx *snapio.Ctx) {
-	if s.qm != nil {
-		snapio.Failf("server %d: snapshotting with queue monitoring is not supported yet", s.cfg.Self)
-	}
-	if s.memb != nil {
-		snapio.Failf("server %d: snapshotting with a membership view is not supported yet", s.cfg.Self)
-	}
-	e := ctx.Enc
-	e.Bool(s.joined)
-	e.U64(s.nextID)
-	e.Int(s.active)
-	st := &s.stats
-	for _, v := range []uint64{st.Served, st.LocalHits, st.RemoteServed, st.DiskReads,
-		st.ForwardsOut, st.PeerServes, st.Rerouted, st.Excludes, st.Includes} {
-		e.U64(v)
-	}
-
-	encNodes(e, s.sortedView())
-
-	docs := s.cache.Docs()
-	e.Int(len(docs))
-	for _, doc := range docs {
-		e.I64(int64(doc))
-	}
-
-	// The directory's word count is derived from cfg.Nodes on both ends,
-	// so the layouts need no discriminator: one mask word per entry in
-	// the faithful ≤64-node shape, s.dir.words in the wide shape.
-	if s.dir.words > 1 {
-		dirDocs := make([]trace.DocID, 0, len(s.dir.wide))
-		for doc := range s.dir.wide {
-			dirDocs = append(dirDocs, doc)
+	c.Register("press.Req", (*ReqMsg)(nil), func(x *snapio.Ctx, m any) any {
+		r := m.(*ReqMsg)
+		if r == nil {
+			r = new(ReqMsg)
 		}
-		sort.Slice(dirDocs, func(i, j int) bool { return dirDocs[i] < dirDocs[j] })
-		e.Int(len(dirDocs))
-		for _, doc := range dirDocs {
-			e.I64(int64(doc))
-			for _, w := range s.dir.wide[doc] {
-				e.U64(w)
-			}
-		}
-	} else {
-		dirDocs := make([]trace.DocID, 0, len(s.dir.bits))
-		for doc := range s.dir.bits {
-			dirDocs = append(dirDocs, doc)
-		}
-		sort.Slice(dirDocs, func(i, j int) bool { return dirDocs[i] < dirDocs[j] })
-		e.Int(len(dirDocs))
-		for _, doc := range dirDocs {
-			e.I64(int64(doc))
-			e.U64(s.dir.bits[doc])
-		}
-	}
-
-	peerIDs := make([]cnet.NodeID, 0, len(s.peers))
-	for n, p := range s.peers {
-		if p != nil {
-			peerIDs = append(peerIDs, cnet.NodeID(n))
-		}
-	}
-	e.Int(len(peerIDs))
-	for _, n := range peerIDs {
-		p := s.peers[n]
-		e.I64(int64(n))
-		encConn(ctx, p.conn)
-		e.Bool(p.dialing)
-		encTimer(e, p.retry, "peer retry")
-		e.Int(p.load)
-		e.Int(p.qlen())
-		for i := p.sendHead; i < len(p.sendQ); i++ {
-			om := p.sendQ[i]
-			ctx.Msgs.Encode(e, om.m)
-			e.Int(om.size)
-			e.Bool(om.isReq)
-			e.U64(om.reqID)
-		}
-	}
-
-	type inbound struct {
-		ref  uint64
-		node cnet.NodeID
-	}
-	ins := make([]inbound, 0, len(s.inboundFrom))
-	for c, n := range s.inboundFrom {
-		ins = append(ins, inbound{ctx.Conns.Ref(c), n})
-	}
-	sort.Slice(ins, func(i, j int) bool {
-		if ins[i].node != ins[j].node {
-			return ins[i].node < ins[j].node
-		}
-		return ins[i].ref < ins[j].ref
+		x.U64(&r.ID)
+		snapio.Int(x, &r.Doc)
+		x.Bool(&r.Probe)
+		return r
 	})
-	e.Int(len(ins))
-	for _, in := range ins {
-		e.U64(in.ref)
-		e.I64(int64(in.node))
-	}
-
-	reqIDs := make([]uint64, 0, len(s.inflight))
-	for id := range s.inflight {
-		reqIDs = append(reqIDs, id)
-	}
-	sort.Slice(reqIDs, func(i, j int) bool { return reqIDs[i] < reqIDs[j] })
-	e.Int(len(reqIDs))
-	for _, id := range reqIDs {
-		rs := s.inflight[id]
-		e.U64(rs.id)
-		e.I64(int64(rs.doc))
-		encConn(ctx, rs.client)
-		e.I64(int64(rs.forwardedTo))
-		e.U64(rs.gen)
-	}
-
-	e.Int(s.QueuedAccepts())
-	for i := s.acceptHead; i < len(s.acceptQ); i++ {
-		encConn(ctx, s.acceptQ[i].conn)
-		ctx.Msgs.Encode(e, s.acceptQ[i].msg)
-	}
-
-	e.Int(len(s.diskOps))
-	for _, op := range s.diskOps {
-		e.U64(ctx.Owners.Ref(op))
-		e.I64(int64(op.doc))
-		e.Bool(op.ok)
-		e.Bool(op.peerServe)
-		if op.peerServe {
-			e.I64(int64(op.from))
-			e.U64(op.id)
-		} else {
-			live := op.st != nil && op.st.gen == op.stGen
-			e.Bool(live)
-			if live {
-				e.U64(op.st.id)
-			}
-			e.U64(op.stGen)
+	c.Register("press.Resp", (*RespMsg)(nil), func(x *snapio.Ctx, m any) any {
+		r := m.(*RespMsg)
+		if r == nil {
+			r = new(RespMsg)
 		}
-		encTimer(e, op.bounceT, "disk bounce")
-		encTimer(e, op.requeueT, "disk requeue")
-	}
-
-	e.Int(len(s.admitOps))
-	for _, op := range s.admitOps {
-		encConn(ctx, op.conn)
-		ctx.Msgs.Encode(e, op.msg)
-		encTimer(e, op.runT, "deferred admission")
-	}
-
-	r := &s.ring
-	e.Bool(r.enabled)
-	e.I64(int64(r.pred))
-	e.I64(int64(r.succ))
-	e.Dur(r.lastHB)
-	if r.enabled {
-		hb, ok := r.hb.(interface {
-			Stopped() bool
-			PendingTimer() clock.Timer
-		})
-		if !ok {
-			snapio.Failf("server %d: ring ticker %T is not restorable", s.cfg.Self, r.hb)
+		x.U64(&r.ID)
+		x.Bool(&r.OK)
+		x.Bool(&r.Probe)
+		snapio.Ints(x, &r.View, 1<<16)
+		return r
+	})
+	c.Register("press.Hello", HelloMsg{}, func(x *snapio.Ctx, m any) any {
+		h := m.(HelloMsg)
+		snapio.Int(x, &h.From)
+		snapio.Ints(x, &h.CacheDocs, 1<<24)
+		return h
+	})
+	c.Register("press.Fwd", (*FwdMsg)(nil), func(x *snapio.Ctx, m any) any {
+		r := m.(*FwdMsg)
+		if r == nil {
+			r = new(FwdMsg)
 		}
-		e.Bool(hb.Stopped())
-		encTimer(e, hb.PendingTimer(), "ring heartbeat")
-	}
-
-	encTimer(e, s.joinTimer, "join timeout")
-}
-
-// SaveHusk serializes the post-mortem observables of a dead incarnation.
-// After an application crash the harness holder still points at the old
-// *Server, and the driver's operator-reset and result-assembly paths read
-// View() and SendQueueLen() from it; nothing else of the corpse is
-// reachable. The husk carries exactly those observables plus the counters.
-func (s *Server) SaveHusk(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	st := &s.stats
-	for _, v := range []uint64{st.Served, st.LocalHits, st.RemoteServed, st.DiskReads,
-		st.ForwardsOut, st.PeerServes, st.Rerouted, st.Excludes, st.Includes} {
-		e.U64(v)
-	}
-	encNodes(e, s.sortedView())
-	peerIDs := make([]cnet.NodeID, 0, len(s.peers))
-	for n, p := range s.peers {
-		if p != nil {
-			peerIDs = append(peerIDs, cnet.NodeID(n))
+		x.U64(&r.ID)
+		snapio.Int(x, &r.Doc)
+		snapio.Int(x, &r.Load)
+		snapio.Int(x, &r.Origin)
+		return r
+	})
+	c.Register("press.FwdReply", (*FwdReplyMsg)(nil), func(x *snapio.Ctx, m any) any {
+		r := m.(*FwdReplyMsg)
+		if r == nil {
+			r = new(FwdReplyMsg)
 		}
-	}
-	e.Int(len(peerIDs))
-	for _, n := range peerIDs {
-		e.I64(int64(n))
-		e.Int(s.peers[n].qlen())
-	}
-}
-
-// RestoreHusk rebuilds the observable shell SaveHusk captured. The husk
-// is inert — no environment, no listeners, no timers — it only answers
-// the accessors a dead incarnation can still be asked.
-func RestoreHusk(ctx *snapio.Ctx) *Server {
-	d := ctx.Dec
-	s := &Server{}
-	st := &s.stats
-	for _, f := range []*uint64{&st.Served, &st.LocalHits, &st.RemoteServed, &st.DiskReads,
-		&st.ForwardsOut, &st.PeerServes, &st.Rerouted, &st.Excludes, &st.Includes} {
-		*f = d.U64()
-	}
-	s.sorted = decNodes(d)
-	for _, n := range s.sorted {
-		s.viewAdd(n)
-	}
-	for k := d.Count(1 << 16); k > 0; k-- {
-		n := cnet.NodeID(d.I64())
-		s.setPeer(n, &peer{id: n, sendQ: make([]outMsg, d.Int())})
-	}
-	return s
+		x.U64(&r.ID)
+		snapio.Int(x, &r.Doc)
+		x.Bool(&r.OK)
+		snapio.Int(x, &r.Load)
+		return r
+	})
+	c.Register("press.Announce", (*AnnounceMsg)(nil), func(x *snapio.Ctx, m any) any {
+		r := m.(*AnnounceMsg)
+		if r == nil {
+			r = new(AnnounceMsg)
+		}
+		snapio.Int(x, &r.From)
+		snapio.Int(x, &r.Doc)
+		x.Bool(&r.Cached)
+		snapio.Int(x, &r.Load)
+		return r
+	})
+	c.Register("press.HB", (*HBMsg)(nil), func(x *snapio.Ctx, m any) any {
+		r := m.(*HBMsg)
+		if r == nil {
+			r = new(HBMsg)
+		}
+		snapio.Int(x, &r.From)
+		snapio.Int(x, &r.Load)
+		return r
+	})
+	c.Register("press.Exclude", ExcludeMsg{}, func(x *snapio.Ctx, m any) any {
+		r := m.(ExcludeMsg)
+		snapio.Int(x, &r.From)
+		snapio.Int(x, &r.Dead)
+		return r
+	})
+	c.Register("press.JoinReq", JoinReqMsg{}, func(x *snapio.Ctx, m any) any {
+		r := m.(JoinReqMsg)
+		snapio.Int(x, &r.From)
+		return r
+	})
+	c.Register("press.JoinResp", JoinRespMsg{}, func(x *snapio.Ctx, m any) any {
+		r := m.(JoinRespMsg)
+		snapio.Int(x, &r.From)
+		snapio.Ints(x, &r.View, 1<<16)
+		return r
+	})
 }
 
 // RestoreEnv is the process environment surface the restore path needs:
@@ -420,192 +128,340 @@ type RestoreEnv interface {
 	RestoreConnList() []cnet.Conn
 }
 
-// decTimer restores a retained timer handle: nil when none was saved,
-// otherwise re-claimed by serial (a live pending timer re-arms at its
+// timer moves a retained proc-clock timer handle: whether there is one,
+// then its serial. Loading re-claims it from the environment with fn, the
+// callback the stream cannot carry (a live pending timer re-arms at its
 // exact kernel slot; a spent or stopped one yields an inert handle).
-func decTimer(d *snapio.Decoder, env RestoreEnv, fn func()) timerHandle {
-	if !d.Bool() {
-		return nil
+func (s *Server) timer(x *snapio.Ctx, h *timerHandle, fn func(), what string) {
+	has := *h != nil
+	if x.Bool(&has); !has {
+		*h = nil
+		return
 	}
-	return env.RestoreTimer(d.U64(), fn)
+	var serial uint64
+	if x.Saving() {
+		ts, ok := (*h).(interface{ TimerSerial() uint64 })
+		if !ok {
+			snapio.Failf("server: %s handle %T carries no timer serial", what, *h)
+		}
+		serial = ts.TimerSerial()
+	}
+	if x.U64(&serial); !x.Saving() {
+		*h = s.env.(RestoreEnv).RestoreTimer(serial, fn)
+	}
 }
 
-// Restore rebuilds a server from SaveState inside a snapshot restore:
-// the constructed server re-registers its listeners on env (registration
-// only — no events), loads its protocol state, re-attaches stream
-// handlers to every restored connection, and re-claims its timers.
-func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, ctx *snapio.Ctx) *Server {
-	if memb != nil {
-		snapio.Failf("server: restoring with a membership view is not supported yet")
+// snap moves the counters, which a live server and a husk both carry.
+func (st *Stats) snap(x *snapio.Ctx) {
+	for _, v := range []*uint64{&st.Served, &st.LocalHits, &st.RemoteServed, &st.DiskReads,
+		&st.ForwardsOut, &st.PeerServes, &st.Rerouted, &st.Excludes, &st.Includes} {
+		x.U64(v)
 	}
-	s := newServer(cfg, env, disk, memb)
+}
+
+// snapView moves the cooperation set in ascending node order.
+func (s *Server) snapView(x *snapio.Ctx) {
+	var view []cnet.NodeID
+	if x.Saving() {
+		view = s.sortedView()
+	}
+	snapio.Ints(x, &view, 1<<16)
+	if !x.Saving() {
+		for _, n := range view {
+			s.viewAdd(n)
+		}
+	}
+}
+
+// peerIDs lists the nodes this server has plumbing towards, ascending.
+func (s *Server) peerIDs() []cnet.NodeID {
+	var ids []cnet.NodeID
+	for n, p := range s.peers {
+		if p != nil {
+			ids = append(ids, cnet.NodeID(n))
+		}
+	}
+	return ids
+}
+
+// SnapState moves the server's protocol state; loading, into the
+// unstarted server Restore built. Pooled messages in queues go through
+// the message codec; retained timer handles by serial; connections as
+// table references. Pending disk reads define their continuation records
+// in ctx.Owners for the disk section, which runs later.
+func (s *Server) SnapState(x *snapio.Ctx) {
 	if s.qm != nil {
-		snapio.Failf("server %d: restoring with queue monitoring is not supported yet", s.cfg.Self)
+		snapio.Failf("server %d: snapshotting with queue monitoring is not supported yet", s.cfg.Self)
 	}
+	if s.memb != nil {
+		snapio.Failf("server %d: snapshotting with a membership view is not supported yet", s.cfg.Self)
+	}
+	env, _ := s.env.(RestoreEnv) // used by the load-only blocks
+	x.Bool(&s.joined)
+	x.U64(&s.nextID)
+	snapio.Int(x, &s.active)
+	s.stats.snap(x)
+	s.snapView(x)
+
+	// Docs are listed MRU-first; inserting oldest-first reproduces the order.
+	var docs []trace.DocID
+	if x.Saving() {
+		docs = s.cache.Docs()
+	}
+	snapio.Ints(x, &docs, 1<<24)
+	if !x.Saving() {
+		for i := len(docs) - 1; i >= 0; i-- {
+			s.cache.Insert(docs[i])
+		}
+	}
+
+	// The directory's word count is derived from cfg.Nodes on both ends,
+	// so the layouts need no discriminator: one mask word per entry in
+	// the faithful ≤64-node shape, s.dir.words in the wide shape.
+	if s.dir.words > 1 {
+		snapio.Map(x, s.dir.wide, 1<<24, func(doc *trace.DocID, mask *[]uint64) {
+			snapio.Int(x, doc)
+			if !x.Saving() {
+				*mask = make([]uint64, s.dir.words)
+			}
+			for i := range *mask {
+				x.U64(&(*mask)[i])
+			}
+		})
+	} else {
+		snapio.Map(x, s.dir.bits, 1<<24, func(doc *trace.DocID, mask *uint64) {
+			snapio.Int(x, doc)
+			x.U64(mask)
+		})
+	}
+
+	ids := s.peerIDs()
+	snapio.Slice(x, &ids, 1<<16, func(n *cnet.NodeID) {
+		snapio.Int(x, n)
+		p := s.peer(*n)
+		snapio.OptConn(x, &p.conn)
+		x.Bool(&p.dialing)
+		s.timer(x, &p.retry, p.redial, "peer retry")
+		snapio.Int(x, &p.load)
+		q := p.sendQ[p.sendHead:]
+		snapio.Slice(x, &q, 1<<20, func(om *outMsg) {
+			snapio.Msg(x, &om.m)
+			snapio.Int(x, &om.size)
+			x.Bool(&om.isReq)
+			x.U64(&om.reqID)
+			if !x.Saving() && om.isReq {
+				p.reqInQ++
+			}
+		})
+		if !x.Saving() {
+			p.sendQ = q
+			cnet.RetainConn(p.conn) // no-op on snapshot-built conns; keeps the pin balanced
+			if p.dialing {
+				env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
+			}
+		}
+	})
+
+	// Inbound peer streams, ordered by (sender, connection id): every
+	// attached connection got its id in the network's core section, so the
+	// map's iteration order never reaches the stream.
+	type inbound struct {
+		c    cnet.Conn
+		ref  uint64
+		node cnet.NodeID
+	}
+	ins := make([]inbound, 0, len(s.inboundFrom))
+	for c, n := range s.inboundFrom {
+		ins = append(ins, inbound{c, x.Conns.Ref(c), n})
+	}
+	sort.Slice(ins, func(i, j int) bool {
+		if ins[i].node != ins[j].node {
+			return ins[i].node < ins[j].node
+		}
+		return ins[i].ref < ins[j].ref
+	})
+	snapio.Slice(x, &ins, 1<<16, func(in *inbound) {
+		snapio.Conn(x, &in.c)
+		snapio.Int(x, &in.node)
+		if !x.Saving() {
+			if in.c == nil {
+				snapio.Failf("server: inbound conn ref 0 is not a conn")
+			}
+			s.inboundFrom[in.c] = in.node
+		}
+	})
+
+	snapio.Map(x, s.inflight, 1<<20, func(id *uint64, rsp **reqState) {
+		if !x.Saving() {
+			*rsp = new(reqState)
+		}
+		rs := *rsp
+		x.U64(&rs.id)
+		snapio.Int(x, &rs.doc)
+		snapio.OptConn(x, &rs.client)
+		snapio.Int(x, &rs.forwardedTo)
+		x.U64(&rs.gen)
+		*id = rs.id
+		if !x.Saving() && rs.client != nil {
+			s.clientOf[rs.client] = rs.id
+			cnet.RetainConn(rs.client) // no-op on snapshot-built conns; keeps the pin balanced with admit
+		}
+	})
+
+	accepts := s.acceptQ[s.acceptHead:]
+	snapio.Slice(x, &accepts, 1<<20, func(pr *pendingReq) {
+		snapio.OptConn(x, &pr.conn)
+		snapio.Msg(x, &pr.msg)
+	})
+	if !x.Saving() {
+		s.acceptQ = accepts
+	}
+
+	for i := range x.Len(len(s.diskOps), 1<<20) {
+		var op *diskOp
+		if x.Saving() {
+			op = s.diskOps[i]
+		} else {
+			op = s.getDiskOp()
+		}
+		x.Define(op)
+		snapio.Int(x, &op.doc)
+		x.Bool(&op.ok)
+		x.Bool(&op.peerServe)
+		if op.peerServe {
+			snapio.Int(x, &op.from)
+			x.U64(&op.id)
+		} else {
+			live := op.st != nil && op.st.gen == op.stGen
+			x.Bool(&live)
+			var liveID uint64
+			if live {
+				if x.Saving() {
+					liveID = op.st.id
+				}
+				x.U64(&liveID)
+			}
+			x.U64(&op.stGen)
+			switch {
+			case x.Saving():
+			case !live:
+				// The request died while the read was in flight: any state
+				// with a newer generation reproduces the stale-guard path.
+				op.st = &reqState{forwardedTo: cnet.None, gen: op.stGen + 1}
+			default:
+				if op.st = s.inflight[liveID]; op.st == nil {
+					snapio.Failf("server %d: disk op for unknown request %d", s.cfg.Self, liveID)
+				}
+			}
+		}
+		s.timer(x, &op.bounceT, op.bounce, "disk bounce")
+		s.timer(x, &op.requeueT, op.requeue, "disk requeue")
+	}
+
+	for i := range x.Len(len(s.admitOps), 1<<20) {
+		var op *admitOp
+		if x.Saving() {
+			op = s.admitOps[i]
+		} else {
+			op = s.getAdmitOp()
+		}
+		snapio.OptConn(x, &op.conn)
+		if !x.Saving() {
+			cnet.RetainConn(op.conn) // no-op on snapshot-built conns; keeps the pin balanced with putAdmitOp
+		}
+		snapio.Msg(x, &op.msg)
+		s.timer(x, &op.runT, op.run, "deferred admission")
+	}
+
+	r := &s.ring
+	if !x.Saving() {
+		r.s = s
+	}
+	x.Bool(&r.enabled)
+	snapio.Int(x, &r.pred)
+	snapio.Int(x, &r.succ)
+	snapio.Int(x, &r.lastHB)
+	if r.enabled {
+		// The heartbeat ticker travels as its stopped flag and its pending
+		// fire; a load rebuilds it unarmed and hands it the re-claimed fire.
+		var stopped bool
+		var pending timerHandle
+		if x.Saving() {
+			hb, ok := r.hb.(interface {
+				Stopped() bool
+				PendingTimer() clock.Timer
+			})
+			if !ok {
+				snapio.Failf("server %d: ring ticker %T is not restorable", s.cfg.Self, r.hb)
+			}
+			stopped, pending = hb.Stopped(), hb.PendingTimer()
+		}
+		x.Bool(&stopped)
+		var fire func()
+		var adopt func(clock.Timer)
+		if !x.Saving() {
+			r.hb = env.RestoreTicker(s.cfg.HeartbeatPeriod, r.tick, stopped)
+			rt, ok := r.hb.(interface {
+				FireFunc() func()
+				AdoptTimer(clock.Timer)
+			})
+			if !ok {
+				snapio.Failf("server %d: restored ring ticker %T lacks a timer-adoption surface", s.cfg.Self, r.hb)
+			}
+			fire, adopt = rt.FireFunc(), rt.AdoptTimer
+		}
+		if s.timer(x, &pending, fire, "ring heartbeat"); !x.Saving() && pending != nil {
+			adopt(pending)
+		}
+	}
+
+	s.timer(x, &s.joinTimer, s.joinTimeout, "join timeout")
+}
+
+// SnapHusk moves the post-mortem observables of a dead incarnation.
+// After an application crash the harness holder still points at the old
+// *Server, and the driver's operator-reset and result-assembly paths read
+// View() and SendQueueLen() from it; nothing else of the corpse is
+// reachable. The husk carries exactly those observables plus the counters,
+// and a loaded one (into an empty Server) is inert — no environment, no
+// listeners, no timers — it only answers the accessors a dead incarnation
+// can still be asked.
+func (s *Server) SnapHusk(x *snapio.Ctx) {
+	s.stats.snap(x)
+	s.snapView(x)
+	ids := s.peerIDs()
+	snapio.Slice(x, &ids, 1<<16, func(n *cnet.NodeID) {
+		snapio.Int(x, n)
+		qlen := 0
+		if x.Saving() {
+			qlen = s.peers[*n].qlen()
+		}
+		if snapio.Int(x, &qlen); qlen < 0 || qlen > 1<<20 {
+			snapio.Failf("server: husk send queue length %d out of range", qlen)
+		}
+		if !x.Saving() {
+			s.setPeer(*n, &peer{id: *n, sendQ: make([]outMsg, qlen)})
+		}
+	})
+}
+
+// Restore rebuilds a server inside a snapshot restore: the constructed
+// server re-registers its listeners on env (registration only — no
+// events), loads its protocol state through SnapState, and re-attaches
+// stream handlers to every restored connection.
+func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, x *snapio.Ctx) *Server {
+	s := newServer(cfg, env, disk, memb)
 	s.env.Listen(PortHTTP, s.acceptClient)
 	if s.cfg.Cooperative {
 		s.env.Listen(PortPress, s.acceptPeer)
 		s.env.BindDatagram(PortControl, s.onControl)
 		s.env.BindDatagram(PortHB, s.onHeartbeat)
 	}
+	s.SnapState(x)
 
-	d := ctx.Dec
-	s.joined = d.Bool()
-	s.nextID = d.U64()
-	s.active = d.Int()
-	st := &s.stats
-	for _, f := range []*uint64{&st.Served, &st.LocalHits, &st.RemoteServed, &st.DiskReads,
-		&st.ForwardsOut, &st.PeerServes, &st.Rerouted, &st.Excludes, &st.Includes} {
-		*f = d.U64()
-	}
-
-	for _, n := range decNodes(d) {
-		s.viewAdd(n)
-	}
-
-	nd := d.Count(1 << 24)
-	docs := make([]trace.DocID, nd)
-	for i := range docs {
-		docs[i] = trace.DocID(d.I64())
-	}
-	// Docs listed MRU-first; inserting oldest-first reproduces the order.
-	for i := len(docs) - 1; i >= 0; i-- {
-		s.cache.Insert(docs[i])
-	}
-
-	if s.dir.words > 1 {
-		for k := d.Count(1 << 24); k > 0; k-- {
-			doc := trace.DocID(d.I64())
-			mask := make([]uint64, s.dir.words)
-			for i := range mask {
-				mask[i] = d.U64()
-			}
-			s.dir.wide[doc] = mask
-		}
-	} else {
-		for k := d.Count(1 << 24); k > 0; k-- {
-			doc := trace.DocID(d.I64())
-			s.dir.bits[doc] = d.U64()
-		}
-	}
-
-	for k := d.Count(1 << 16); k > 0; k-- {
-		p := s.peer(cnet.NodeID(d.I64()))
-		p.conn = decConn(ctx)
-		cnet.RetainConn(p.conn) // no-op on snapshot-built conns; keeps the pin balanced
-		p.dialing = d.Bool()
-		p.retry = decTimer(d, env, p.redial)
-		p.load = d.Int()
-		for q := d.Count(1 << 20); q > 0; q-- {
-			om := outMsg{m: ctx.Msgs.Decode(d), size: d.Int(), isReq: d.Bool(), reqID: d.U64()}
-			p.sendQ = append(p.sendQ, om)
-			if om.isReq {
-				p.reqInQ++
-			}
-		}
-		if p.dialing {
-			env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
-		}
-	}
-
-	for k := d.Count(1 << 16); k > 0; k-- {
-		ref := d.U64()
-		c, ok := ctx.Conns.Obj(ref).(cnet.Conn)
-		if !ok {
-			snapio.Failf("server: inbound conn ref %d is not a conn", ref)
-		}
-		s.inboundFrom[c] = cnet.NodeID(d.I64())
-	}
-
-	for k := d.Count(1 << 20); k > 0; k-- {
-		rs := &reqState{
-			id:          d.U64(),
-			doc:         trace.DocID(d.I64()),
-			client:      decConn(ctx),
-			forwardedTo: cnet.NodeID(d.I64()),
-			gen:         d.U64(),
-		}
-		s.inflight[rs.id] = rs
-		if rs.client != nil {
-			s.clientOf[rs.client] = rs.id
-			cnet.RetainConn(rs.client) // no-op on snapshot-built conns; keeps the pin balanced with admit
-		}
-	}
-
-	for k := d.Count(1 << 20); k > 0; k-- {
-		pr := pendingReq{conn: decConn(ctx)}
-		pr.msg, _ = ctx.Msgs.Decode(d).(*ReqMsg)
-		s.acceptQ = append(s.acceptQ, pr)
-	}
-
-	for k := d.Count(1 << 20); k > 0; k-- {
-		ownerID := d.U64()
-		op := s.getDiskOp()
-		op.doc = trace.DocID(d.I64())
-		op.ok = d.Bool()
-		op.peerServe = d.Bool()
-		if op.peerServe {
-			op.from = cnet.NodeID(d.I64())
-			op.id = d.U64()
-		} else {
-			live := d.Bool()
-			var liveID uint64
-			if live {
-				liveID = d.U64()
-			}
-			op.stGen = d.U64()
-			if live {
-				op.st = s.inflight[liveID]
-				if op.st == nil {
-					snapio.Failf("server %d: disk op for unknown request %d", s.cfg.Self, liveID)
-				}
-			} else {
-				// The request died while the read was in flight: any state
-				// with a newer generation reproduces the stale-guard path.
-				op.st = &reqState{forwardedTo: cnet.None, gen: op.stGen + 1}
-			}
-		}
-		op.bounceT = decTimer(d, env, op.bounce)
-		op.requeueT = decTimer(d, env, op.requeue)
-		ctx.Owners.Put(ownerID, op)
-	}
-
-	for k := d.Count(1 << 20); k > 0; k-- {
-		op := s.getAdmitOp()
-		op.conn = decConn(ctx)
-		cnet.RetainConn(op.conn) // no-op on snapshot-built conns; keeps the pin balanced with putAdmitOp
-		op.msg, _ = ctx.Msgs.Decode(d).(*ReqMsg)
-		op.runT = decTimer(d, env, op.run)
-	}
-
-	r := &s.ring
-	r.s = s
-	r.enabled = d.Bool()
-	r.pred = cnet.NodeID(d.I64())
-	r.succ = cnet.NodeID(d.I64())
-	r.lastHB = d.Dur()
-	if r.enabled {
-		stopped := d.Bool()
-		hb := env.RestoreTicker(s.cfg.HeartbeatPeriod, r.tick, stopped)
-		rt, ok := hb.(interface {
-			FireFunc() func()
-			AdoptTimer(clock.Timer)
-		})
-		if !ok {
-			snapio.Failf("server %d: restored ring ticker %T lacks a timer-adoption surface", s.cfg.Self, hb)
-		}
-		if t := decTimer(d, env, rt.FireFunc()); t != nil {
-			rt.AdoptTimer(t)
-		}
-		r.hb = hb
-	}
-
-	s.joinTimer = decTimer(d, env, s.joinTimeout)
-
-	// Re-attach stream handlers to every connection the process carried
-	// across the snapshot: inbound peer streams get the shared peer
-	// handlers, established outbound peer streams each peer's own, and
-	// everything else is a client connection.
+	// Inbound peer streams get the shared peer handlers, established
+	// outbound peer streams each peer's own, and everything else the
+	// process carried across the snapshot is a client connection.
 	peerConns := make(map[cnet.Conn]*peer, len(s.peers))
 	for _, p := range s.peers {
 		if p != nil && p.conn != nil {

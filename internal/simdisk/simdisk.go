@@ -114,7 +114,7 @@ func (d *Disk) serviceTime() time.Duration {
 
 type op struct {
 	key   int
-	done  func(ok bool) //availlint:skipfield done completion closure, rebuilt from the owner tag on restore
+	done  func(ok bool) // completion closure; a restore rebuilds it from the owner tag
 	owner any           // snapshot identity, set via SetNextOwner
 }
 
@@ -142,7 +142,7 @@ type Array struct {
 
 // spaceCb is one registered NotifySpace callback plus its owner tag.
 type spaceCb struct {
-	fn    func() //availlint:skipfield fn callback closure, rebuilt from the owner tag on restore
+	fn    func() // callback closure; a restore rebuilds it from the owner tag
 	owner any
 }
 

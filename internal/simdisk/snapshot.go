@@ -1,14 +1,16 @@
 package simdisk
 
 import (
+	"slices"
+
 	"press/internal/snapio"
 )
 
 // Snapshot support. Callbacks (op completions, space notifications)
 // cannot be serialized; every Read and NotifySpace is tagged with an
-// owner record (SetNextOwner) that is registered in ctx.Owners by its
-// own section and re-supplies the callbacks on load through the
-// interfaces below.
+// owner record (SetNextOwner) that is defined in ctx.Owners by its own
+// section and re-supplies the callbacks on load through the interfaces
+// below.
 
 // ReadOwner re-supplies the completion callback of a restored read.
 type ReadOwner interface {
@@ -21,131 +23,70 @@ type SpaceOwner interface {
 	RestoreDiskNotify() func()
 }
 
-func ownerRef(ctx *snapio.Ctx, owner any, what string) uint64 {
-	if owner == nil {
-		snapio.Failf("simdisk: %s has no owner tag", what)
+// snap moves one read: its document key and the owner its completion
+// comes back from.
+func (o *op) snap(x *snapio.Ctx, what string) {
+	snapio.Int(x, &o.key)
+	x.Owner(&o.owner, what)
+	if !x.Saving() {
+		ro, ok := o.owner.(ReadOwner)
+		if !ok {
+			snapio.Failf("simdisk: op owner %T cannot restore a read", o.owner)
+		}
+		o.done = ro.RestoreDiskDone()
 	}
-	id, ok := ctx.Owners.Lookup(owner)
-	if !ok {
-		snapio.Failf("simdisk: %s owner %T not registered in snapshot", what, owner)
-	}
-	return id
 }
 
-func saveOp(ctx *snapio.Ctx, o op, what string) {
-	ctx.Enc.Int(o.key)
-	ctx.Enc.U64(ownerRef(ctx, o.owner, what))
-}
-
-func loadOp(ctx *snapio.Ctx) op {
-	key := ctx.Dec.Int()
-	owner := ctx.Owners.Obj(ctx.Dec.U64())
-	ro, ok := owner.(ReadOwner)
-	if !ok {
-		snapio.Failf("simdisk: op owner %T cannot restore a read", owner)
-	}
-	return op{key: key, done: ro.RestoreDiskDone(), owner: owner}
-}
-
-// SaveState serializes the array: device state, the shared generator,
-// the queue, blocked threads, space waiters, and in-service operations
+// SnapState moves the array: device state, the shared generator, the
+// queue, blocked threads, space waiters, and in-service operations
 // (claimed from the kernel's pending table, re-armed pinned on load).
-// Owner sections must have registered their records first.
-func (a *Array) SaveState(ctx *snapio.Ctx) {
-	e := ctx.Enc
+// Loading fills a freshly built array. Owner sections must have run
+// first.
+func (a *Array) SnapState(x *snapio.Ctx) {
 	for _, d := range a.disks {
 		if d.rng != a.disks[0].rng {
 			snapio.Failf("simdisk: devices do not share one generator")
 		}
 	}
-	snapio.SaveRand(e, a.disks[0].rng)
-	e.Int(len(a.disks))
-	for _, d := range a.disks {
-		e.Bool(d.faulty)
-		e.F64(d.degraded)
-		e.U64(d.reads)
-	}
-	e.Int(a.idle)
-	e.Int(len(a.queue))
-	for _, o := range a.queue {
-		saveOp(ctx, o, "queued read")
-	}
-	for _, d := range a.disks {
-		ops := a.blocked[d]
-		e.Int(len(ops))
-		for _, o := range ops {
-			saveOp(ctx, o, "blocked read")
-		}
-	}
-	e.Int(len(a.onSpace))
-	for _, cb := range a.onSpace {
-		e.U64(ownerRef(ctx, cb.owner, "space waiter"))
-	}
-
-	svc := ctx.ClaimWhere(func(ev snapio.PendingEvent) bool {
-		if ev.AFn == nil || snapio.FnPtr(ev.AFn) != snapio.FnPtr(svcDone) {
-			return false
-		}
-		return ev.Arg.(*svcOp).a == a
-	})
-	e.Int(len(svc))
-	for _, ev := range svc {
-		r := ev.Arg.(*svcOp)
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		idx := -1
-		for i, d := range a.disks {
-			if d == r.d {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			snapio.Failf("simdisk: in-service op on foreign device")
-		}
-		e.Int(idx)
-		saveOp(ctx, r.o, "in-service read")
-	}
-}
-
-// LoadState restores SaveState's sections into a freshly built array.
-// Owner sections must have loaded first.
-func (a *Array) LoadState(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	snapio.LoadRand(d, a.disks[0].rng)
-	nd := d.Count(1 << 8)
-	if nd != len(a.disks) {
+	x.Rand(a.disks[0].rng)
+	if nd := x.Len(len(a.disks), 1<<8); nd != len(a.disks) {
 		snapio.Failf("simdisk: snapshot has %d devices, world has %d", nd, len(a.disks))
 	}
-	for _, dev := range a.disks {
-		dev.faulty = d.Bool()
-		dev.degraded = d.F64()
-		dev.reads = d.U64()
+	for _, d := range a.disks {
+		x.Bool(&d.faulty)
+		x.F64(&d.degraded)
+		x.U64(&d.reads)
 	}
-	a.idle = d.Int()
-	for k := d.Count(1 << 16); k > 0; k-- {
-		a.queue = append(a.queue, loadOp(ctx))
-	}
-	for _, dev := range a.disks {
-		for k := d.Count(1 << 16); k > 0; k-- {
-			a.blocked[dev] = append(a.blocked[dev], loadOp(ctx))
+	snapio.Int(x, &a.idle)
+	snapio.Slice(x, &a.queue, 1<<16, func(o *op) { o.snap(x, "simdisk: queued read") })
+	for _, d := range a.disks {
+		ops := a.blocked[d]
+		snapio.Slice(x, &ops, 1<<16, func(o *op) { o.snap(x, "simdisk: blocked read") })
+		if !x.Saving() && ops != nil {
+			a.blocked[d] = ops
 		}
 	}
-	for k := d.Count(1 << 16); k > 0; k-- {
-		owner := ctx.Owners.Obj(d.U64())
-		so, ok := owner.(SpaceOwner)
-		if !ok {
-			snapio.Failf("simdisk: space waiter %T cannot restore", owner)
+	snapio.Slice(x, &a.onSpace, 1<<16, func(cb *spaceCb) {
+		x.Owner(&cb.owner, "simdisk: space waiter")
+		if !x.Saving() {
+			so, ok := cb.owner.(SpaceOwner)
+			if !ok {
+				snapio.Failf("simdisk: space waiter %T cannot restore", cb.owner)
+			}
+			cb.fn = so.RestoreDiskNotify()
 		}
-		a.onSpace = append(a.onSpace, spaceCb{fn: so.RestoreDiskNotify(), owner: owner})
-	}
-	for k := d.Count(1 << 16); k > 0; k-- {
-		at := d.Dur()
-		seq := d.U64()
-		idx := d.Int()
-		if idx < 0 || idx >= len(a.disks) {
-			snapio.Failf("simdisk: device index %d out of range", idx)
+	})
+
+	snapio.Pending(x, svcDone, 1<<16, func(r *svcOp) bool { return r.a == a }, func(r *svcOp) *svcOp {
+		if r == nil {
+			r = &svcOp{a: a}
 		}
-		r := &svcOp{a: a, d: a.disks[idx], o: loadOp(ctx)}
-		a.sim.RestoreAtArg(at, seq, svcDone, r)
-	}
+		idx := slices.Index(a.disks, r.d)
+		if snapio.Int(x, &idx); idx < 0 || idx >= len(a.disks) {
+			snapio.Failf("simdisk: in-service op on device %d of %d", idx, len(a.disks))
+		}
+		r.d = a.disks[idx]
+		r.o.snap(x, "simdisk: in-service read")
+		return r
+	})
 }

@@ -535,8 +535,8 @@ type dialOp struct {
 	dst    *Iface
 	class  cnet.Class
 	port   string
-	h      cnet.StreamHandlers    //availlint:skipfield h caller-side handlers, re-registered by the owner on restore
-	result func(cnet.Conn, error) //availlint:skipfield result caller-side callback, re-registered by the owner on restore
+	h      cnet.StreamHandlers    // caller-side handlers; a restore asks the owner for them again
+	result func(cnet.Conn, error) // caller-side callback; a restore asks the owner for it again
 	err    error                  // verdict delivered by dialFail
 	local  *half                  // verdict delivered by dialDone
 	owner  any                    // snapshot identity, set via SetNextDialOwner
@@ -677,7 +677,7 @@ type half struct {
 	class      uint8 // cnet.Class
 	closeCode  uint8 // cnet.ErrCode of the pending verdict carried to deliverCloseArg
 	inTransit  int32
-	connIdx    int32 //availlint:skipfield connIdx position in the owning iface's conns list, recomputed as restore re-appends
+	connIdx    int32 // position in the owning iface's conns list, recomputed as a restore refills it
 	refs       int32 //availlint:skipfield refs pin count of scheduled events and mailbox entries; the restored world re-creates its own pins
 	ownerSlot  int32 // owning process's index of this half's record (opaque)
 	iface      *Iface

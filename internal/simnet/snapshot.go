@@ -1,13 +1,12 @@
 package simnet
 
 import (
-	"sort"
-
 	"press/internal/cnet"
 	"press/internal/snapio"
 )
 
-// Snapshot support. The network serializes in three sections:
+// Snapshot support. The network serializes in three sections, each one
+// walk that both directions run:
 //
 //   - Core (early): switch, aliases, groups, per-interface fault state
 //     and NIC serialization clocks, plus each interface's ordered list
@@ -46,103 +45,50 @@ type DialRestorer interface {
 	RestoreDial() (cnet.StreamHandlers, func(cnet.Conn, error))
 }
 
-// SaveCore serializes topology-independent network state. Must run
-// before component sections so every attached conn half is registered
-// in iface order.
-func (n *Network) SaveCore(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	e.Bool(n.switchUp)
-	snapio.SaveRand(e, n.lossRng)
+// SnapCore moves topology-independent network state; loading, into a
+// freshly built topology (same interfaces, no connections, no groups).
+// Must run before component sections so every attached conn half is
+// registered in iface order.
+func (n *Network) SnapCore(x *snapio.Ctx) {
+	x.Bool(&n.switchUp)
+	x.Rand(n.lossRng)
 
-	vips := make([]cnet.NodeID, 0, len(n.aliases))
-	for v := range n.aliases {
-		vips = append(vips, v)
+	if !x.Saving() {
+		n.aliases = make(map[cnet.NodeID]cnet.NodeID)
+		n.groups = make(map[string][]*Iface)
 	}
-	sort.Slice(vips, func(a, b int) bool { return vips[a] < vips[b] })
-	e.Int(len(vips))
-	for _, v := range vips {
-		e.I64(int64(v))
-		e.I64(int64(n.aliases[v]))
-	}
+	snapio.Map(x, n.aliases, 1<<16, func(vip, to *cnet.NodeID) {
+		snapio.Int(x, vip)
+		snapio.Int(x, to)
+	})
+	snapio.Map(x, n.groups, 1<<16, func(g *string, members *[]*Iface) {
+		x.Str(g)
+		snapio.Slice(x, members, 1<<16, func(m **Iface) { n.iface(x, m, false) })
+	})
 
-	names := make([]string, 0, len(n.groups))
-	for g := range n.groups {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	e.Int(len(names))
-	for _, g := range names {
-		e.Str(g)
-		members := n.groups[g]
-		e.Int(len(members))
-		for _, m := range members {
-			e.I64(int64(m.id))
-		}
-	}
-
-	ids := make([]cnet.NodeID, 0, len(n.ifaces))
-	for id := range n.ifaces {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	e.Int(len(ids))
-	for _, id := range ids {
-		i := n.ifaces[id]
-		e.I64(int64(id))
-		e.Int(int(i.state))
-		e.Bool(i.linkUp)
-		e.F64(i.lossDrop)
-		e.Dur(i.lossLat)
-		e.Dur(i.sendFreeAt)
-		e.Int(len(i.conns))
-		for _, hc := range i.conns {
-			e.U64(ctx.Conns.Ref(hc))
-		}
-	}
-}
-
-// LoadCore restores SaveCore state into a freshly built topology (same
-// interfaces, no connections, no groups).
-func (n *Network) LoadCore(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	n.switchUp = d.Bool()
-	snapio.LoadRand(d, n.lossRng)
-
-	n.aliases = make(map[cnet.NodeID]cnet.NodeID)
-	for k := d.Count(1 << 16); k > 0; k-- {
-		v := cnet.NodeID(d.I64())
-		n.aliases[v] = cnet.NodeID(d.I64())
-	}
-
-	n.groups = make(map[string][]*Iface)
-	for k := d.Count(1 << 16); k > 0; k-- {
-		g := d.Str()
-		members := make([]*Iface, 0, 4)
-		for m := d.Count(1 << 16); m > 0; m-- {
-			members = append(members, n.mustIface(cnet.NodeID(d.I64())))
-		}
-		n.groups[g] = members
-	}
-
-	nif := d.Count(1 << 16)
-	if nif != len(n.ifaces) {
-		snapio.Failf("simnet: snapshot has %d ifaces, world has %d", nif, len(n.ifaces))
-	}
-	for ; nif > 0; nif-- {
-		i := n.mustIface(cnet.NodeID(d.I64()))
-		i.state = NodeState(d.Int())
-		i.linkUp = d.Bool()
-		i.lossDrop = d.F64()
-		i.lossLat = d.Dur()
-		i.sendFreeAt = d.Dur()
-		if len(i.conns) != 0 {
+	seen := 0
+	snapio.Map(x, n.ifaces, 1<<16, func(id *cnet.NodeID, ip **Iface) {
+		snapio.Int(x, id)
+		i := n.mustIface(*id)
+		*ip = i
+		seen++
+		snapio.Int(x, &i.state)
+		x.Bool(&i.linkUp)
+		x.F64(&i.lossDrop)
+		snapio.Int(x, &i.lossLat)
+		snapio.Int(x, &i.sendFreeAt)
+		if !x.Saving() && len(i.conns) != 0 {
 			snapio.Failf("simnet: iface %d not virgin at restore", i.id)
 		}
-		for k := d.Count(1 << 20); k > 0; k-- {
-			hc := ctx.Conns.Obj(d.U64()).(*half)
-			hc.connIdx = int32(len(i.conns))
-			i.conns = append(i.conns, hc)
+		snapio.Slice(x, &i.conns, 1<<20, func(hc **half) { snapio.Conn(x, hc) })
+		if !x.Saving() {
+			for k, hc := range i.conns {
+				hc.connIdx = int32(k)
+			}
 		}
+	})
+	if seen != len(n.ifaces) {
+		snapio.Failf("simnet: snapshot has %d ifaces, world has %d", seen, len(n.ifaces))
 	}
 }
 
@@ -154,277 +100,129 @@ func (n *Network) mustIface(id cnet.NodeID) *Iface {
 	return i
 }
 
-// ifaceID maps an interface to its id for serialization, with None for
-// nil (a dial op whose destination did not resolve).
-func ifaceID(i *Iface) cnet.NodeID {
-	if i == nil {
-		return cnet.None
+// iface moves an interface reference as its node id. An optional one may
+// be nil (a dial op whose destination did not resolve, a reaped half) and
+// travels as None.
+func (n *Network) iface(x *snapio.Ctx, i **Iface, optional bool) {
+	id := cnet.None
+	if *i != nil {
+		id = (*i).id
 	}
-	return i.id
-}
-
-func (n *Network) ifaceOrNil(id cnet.NodeID) *Iface {
-	if id == cnet.None {
-		return nil
-	}
-	return n.mustIface(id)
-}
-
-// SavePending claims and serializes every in-flight network delivery.
-// Must run after the owner sections so dial owners resolve, and before
-// SaveConns so packet-referenced halves make it into the table.
-func (n *Network) SavePending(ctx *snapio.Ctx) {
-	e := ctx.Enc
-
-	dgrams := ctx.ClaimArg(deliverDgram)
-	e.Int(len(dgrams))
-	for _, ev := range dgrams {
-		p := ev.Arg.(*dgramPkt)
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		e.I64(int64(p.src.id))
-		e.I64(int64(p.dst.id))
-		e.Int(int(p.class))
-		e.Str(p.port)
-		ctx.Msgs.Encode(e, p.m)
-	}
-
-	batches := ctx.ClaimArg(deliverBatch)
-	e.Int(len(batches))
-	for _, ev := range batches {
-		p := ev.Arg.(*batchPkt)
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		e.I64(int64(p.src.id))
-		e.Str(p.port)
-		ctx.Msgs.Encode(e, p.m)
-		e.Int(len(p.dsts))
-		for _, dst := range p.dsts {
-			e.I64(int64(dst.id))
+	snapio.Int(x, &id)
+	if !x.Saving() {
+		*i = nil
+		if !optional || id != cnet.None {
+			*i = n.mustIface(id)
 		}
-	}
-
-	streams := ctx.ClaimArg(deliverStream)
-	e.Int(len(streams))
-	for _, ev := range streams {
-		p := ev.Arg.(*streamPkt)
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		e.U64(ctx.Conns.Ref(p.from))
-		e.U64(ctx.Conns.Ref(p.to))
-		ctx.Msgs.Encode(e, p.m)
-	}
-
-	saveDials := func(evs []snapio.PendingEvent) {
-		e.Int(len(evs))
-		for _, ev := range evs {
-			op := ev.Arg.(*dialOp)
-			if op.owner == nil {
-				snapio.Failf("simnet: in-flight dial to %d port %q has no owner tag", ifaceID(op.dst), op.port)
-			}
-			if _, ok := ctx.Owners.Lookup(op.owner); !ok {
-				snapio.Failf("simnet: dial owner %T not registered in snapshot", op.owner)
-			}
-			e.Dur(ev.At)
-			e.U64(ev.Seq)
-			e.I64(int64(op.i.id))
-			e.I64(int64(ifaceID(op.dst)))
-			e.Int(int(op.class))
-			e.Str(op.port)
-			e.U64(cnet.ErrCode(op.err))
-			// op.local is nil until the syn stage runs; a typed nil must not
-			// enter the ref table.
-			var localRef uint64
-			if op.local != nil {
-				localRef = ctx.Conns.Ref(op.local)
-			}
-			e.U64(localRef)
-			id, _ := ctx.Owners.Lookup(op.owner)
-			e.U64(id)
-		}
-	}
-	saveDials(ctx.ClaimArg(dialSyn))
-	saveDials(ctx.ClaimArg(dialDone))
-	saveDials(ctx.ClaimArg(dialFail))
-
-	closes := ctx.ClaimArg(deliverCloseArg)
-	e.Int(len(closes))
-	for _, ev := range closes {
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		e.U64(ctx.Conns.Ref(ev.Arg.(*half)))
-	}
-
-	writables := ctx.ClaimArg(deliverWritable)
-	e.Int(len(writables))
-	for _, ev := range writables {
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		e.U64(ctx.Conns.Ref(ev.Arg.(*half)))
 	}
 }
 
-// LoadPending re-arms the deliveries saved by SavePending at their
-// pinned (time, sequence) slots. Must run after owner sections (dial
-// owners registered) and after LoadConns on the decode side ordering
-// used by the harness — the conn objects it references are resolved
-// through the table either way.
-func (n *Network) LoadPending(ctx *snapio.Ctx) {
-	d := ctx.Dec
-
-	for k := d.Count(1 << 24); k > 0; k-- {
-		at := d.Dur()
-		seq := d.U64()
-		p := &dgramPkt{
-			src:   n.mustIface(cnet.NodeID(d.I64())),
-			dst:   n.mustIface(cnet.NodeID(d.I64())),
-			class: cnet.Class(d.Int()),
-			port:  d.Str(),
+// SnapPending moves every in-flight network delivery: saving claims them
+// from the pending table, loading re-arms each at its pinned (time,
+// sequence) slot. Must run after the owner sections so dial owners
+// resolve, and before SnapConns so packet-referenced halves make it into
+// the table.
+func (n *Network) SnapPending(x *snapio.Ctx) {
+	snapio.Pending(x, deliverDgram, 1<<24, nil, func(p *dgramPkt) *dgramPkt {
+		if p == nil {
+			p = new(dgramPkt)
 		}
-		p.m = ctx.Msgs.Decode(d)
-		n.sim.RestoreAtArg(at, seq, deliverDgram, p)
-	}
+		n.iface(x, &p.src, false)
+		n.iface(x, &p.dst, false)
+		snapio.Int(x, &p.class)
+		x.Str(&p.port)
+		snapio.Msg(x, &p.m)
+		return p
+	})
 
-	for k := d.Count(1 << 24); k > 0; k-- {
-		at := d.Dur()
-		seq := d.U64()
-		p := &batchPkt{
-			src:  n.mustIface(cnet.NodeID(d.I64())),
-			port: d.Str(),
+	snapio.Pending(x, deliverBatch, 1<<24, nil, func(p *batchPkt) *batchPkt {
+		if p == nil {
+			p = new(batchPkt)
 		}
-		p.m = ctx.Msgs.Decode(d)
-		nd := d.Count(1 << 20)
-		p.dsts = make([]*Iface, 0, nd)
-		for ; nd > 0; nd-- {
-			p.dsts = append(p.dsts, n.mustIface(cnet.NodeID(d.I64())))
-		}
-		n.sim.RestoreAtArg(at, seq, deliverBatch, p)
-	}
+		n.iface(x, &p.src, false)
+		x.Str(&p.port)
+		snapio.Msg(x, &p.m)
+		snapio.Slice(x, &p.dsts, 1<<20, func(dst **Iface) { n.iface(x, dst, false) })
+		return p
+	})
 
-	for k := d.Count(1 << 24); k > 0; k-- {
-		at := d.Dur()
-		seq := d.U64()
-		p := &streamPkt{
-			from: ctx.Conns.Obj(d.U64()).(*half),
-			to:   ctx.Conns.Obj(d.U64()).(*half),
+	snapio.Pending(x, deliverStream, 1<<24, nil, func(p *streamPkt) *streamPkt {
+		if p == nil {
+			p = new(streamPkt)
 		}
-		p.m = ctx.Msgs.Decode(d)
-		n.sim.RestoreAtArg(at, seq, deliverStream, p)
-	}
+		snapio.Conn(x, &p.from)
+		snapio.Conn(x, &p.to)
+		snapio.Msg(x, &p.m)
+		return p
+	})
 
-	loadDials := func(stage func(any)) {
-		for k := d.Count(1 << 24); k > 0; k-- {
-			at := d.Dur()
-			seq := d.U64()
-			op := new(dialOp)
-			op.i = n.mustIface(cnet.NodeID(d.I64()))
-			op.dst = n.ifaceOrNil(cnet.NodeID(d.I64()))
-			op.class = cnet.Class(d.Int())
-			op.port = d.Str()
-			op.err = cnet.ErrFromCode(d.U64())
-			if local := ctx.Conns.Obj(d.U64()); local != nil {
-				op.local = local.(*half)
+	for _, stage := range []func(any){dialSyn, dialDone, dialFail} {
+		snapio.Pending(x, stage, 1<<24, nil, func(op *dialOp) *dialOp {
+			if op == nil {
+				op = new(dialOp)
 			}
-			owner := ctx.Owners.Obj(d.U64())
-			dr, ok := owner.(DialRestorer)
-			if !ok {
-				snapio.Failf("simnet: dial owner %T cannot restore a dial", owner)
+			n.iface(x, &op.i, false)
+			n.iface(x, &op.dst, true)
+			snapio.Int(x, &op.class)
+			x.Str(&op.port)
+			cnet.SnapErr(x, &op.err)
+			snapio.Conn(x, &op.local) // nil until the syn stage runs
+			x.Owner(&op.owner, "simnet: in-flight dial")
+			if !x.Saving() {
+				dr, ok := op.owner.(DialRestorer)
+				if !ok {
+					snapio.Failf("simnet: dial owner %T cannot restore a dial", op.owner)
+				}
+				op.h, op.result = dr.RestoreDial()
 			}
-			op.h, op.result = dr.RestoreDial()
-			op.owner = owner
-			n.sim.RestoreAtArg(at, seq, stage, op)
-		}
+			return op
+		})
 	}
-	loadDials(dialSyn)
-	loadDials(dialDone)
-	loadDials(dialFail)
 
-	for k := d.Count(1 << 24); k > 0; k-- {
-		at := d.Dur()
-		seq := d.U64()
-		n.sim.RestoreAtArg(at, seq, deliverCloseArg, ctx.Conns.Obj(d.U64()).(*half))
-	}
-	for k := d.Count(1 << 24); k > 0; k-- {
-		at := d.Dur()
-		seq := d.U64()
-		n.sim.RestoreAtArg(at, seq, deliverWritable, ctx.Conns.Obj(d.U64()).(*half))
+	for _, notify := range []func(any){deliverCloseArg, deliverWritable} {
+		snapio.Pending(x, notify, 1<<24, nil, func(hc *half) *half {
+			snapio.Conn(x, &hc)
+			return hc
+		})
 	}
 }
 
-// SaveConns writes the state table for every connection half any prior
-// section referenced. Encoding a half can register its peer, so the
-// walk loops until no new ids appear; the stream marks each record with
-// a continuation bit.
-func (n *Network) SaveConns(ctx *snapio.Ctx) {
-	e := ctx.Enc
-	idx := 0
-	for {
-		objs := ctx.Conns.Assigned()
-		if idx >= len(objs) {
-			break
+// SnapConns moves the state table of every connection half any prior
+// section referenced: saving, one record per assigned id, each marked
+// with a continuation bit because encoding a half can register its peer,
+// so the walk loops until no new ids appear; loading fills the blank
+// halves earlier references created. Handlers and close hooks are not
+// here — owners re-attached those during their restore.
+func (n *Network) SnapConns(x *snapio.Ctx) {
+	for id := uint64(1); ; id++ {
+		var obj any
+		more := true
+		if x.Saving() {
+			if more = int(id) <= len(x.Conns.Assigned()); more {
+				obj = x.Conns.Assigned()[id-1]
+			}
 		}
-		hc, ok := objs[idx].(*half)
+		if x.Bool(&more); !more {
+			return
+		}
+		if !x.Saving() {
+			obj = x.Conns.Obj(id)
+		}
+		hc, ok := obj.(*half)
 		if !ok {
-			snapio.Failf("snapshot: conn table holds a %T", objs[idx])
+			snapio.Failf("snapshot: conn table id %d is a %T", id, obj)
 		}
-		idx++
-		e.Bool(true)
-		e.I64(int64(ifaceID(hc.iface)))
-		// A reaped peer is a typed nil *half; Ref would happily assign it
-		// an id and the walk would then visit it. Encode the nil directly.
-		var peerRef uint64
-		if hc.peer != nil {
-			peerRef = ctx.Conns.Ref(hc.peer)
-		}
-		e.U64(peerRef)
-		e.Int(int(hc.class))
-		e.Bool(hc.closed)
-		e.Bool(hc.zombie)
-		e.Bool(hc.paused)
-		e.Bool(hc.procPaused)
-		e.Int(len(hc.buf))
-		for _, m := range hc.buf {
-			ctx.Msgs.Encode(e, m)
-		}
-		e.Int(int(hc.inTransit))
-		e.Bool(hc.wantWrite)
-		e.U64(uint64(hc.closeCode))
-		e.Int(int(hc.ownerSlot))
-	}
-	e.Bool(false)
-}
-
-// LoadConns fills the blank halves created by earlier references. It
-// does not touch handlers or close hooks — owners re-attached those
-// during their restore.
-func (n *Network) LoadConns(ctx *snapio.Ctx) {
-	d := ctx.Dec
-	for id := uint64(1); d.Bool(); id++ {
-		hc, ok := ctx.Conns.Obj(id).(*half)
-		if !ok {
-			snapio.Failf("snapshot: conn table id %d is a %T", id, ctx.Conns.Obj(id))
-		}
-		hc.iface = n.ifaceOrNil(cnet.NodeID(d.I64()))
-		if peer := ctx.Conns.Obj(d.U64()); peer != nil {
-			hc.peer = peer.(*half)
-		} else {
-			hc.peer = nil
-		}
-		hc.class = uint8(d.Int())
-		hc.closed = d.Bool()
-		hc.zombie = d.Bool()
-		hc.paused = d.Bool()
-		hc.procPaused = d.Bool()
-		nb := d.Count(1 << 20)
-		if nb > 0 {
-			hc.buf = make([]cnet.Message, 0, nb)
-			for ; nb > 0; nb-- {
-				hc.buf = append(hc.buf, ctx.Msgs.Decode(d))
-			}
-		}
-		hc.inTransit = int32(d.Int())
-		hc.wantWrite = d.Bool()
-		hc.closeCode = uint8(d.U64())
-		hc.ownerSlot = int32(d.Int())
+		n.iface(x, &hc.iface, true)
+		snapio.Conn(x, &hc.peer) // nil once the peer is reaped
+		snapio.Int(x, &hc.class)
+		x.Bool(&hc.closed)
+		x.Bool(&hc.zombie)
+		x.Bool(&hc.paused)
+		x.Bool(&hc.procPaused)
+		snapio.Slice(x, &hc.buf, 1<<20, func(m *cnet.Message) { snapio.Msg(x, m) })
+		snapio.Int(x, &hc.inTransit)
+		x.Bool(&hc.wantWrite)
+		snapio.Uint(x, &hc.closeCode)
+		snapio.Int(x, &hc.ownerSlot)
 	}
 }

@@ -1,9 +1,10 @@
 // Package snapio holds the low-level machinery the snapshot engine is
-// built from: a compact varint codec, the shared save/load context that
-// subsystems claim pending kernel events and exchange object references
-// through, and an in-place capturer for math/rand generator state.
+// built from: a compact varint codec, the direction-free context that
+// subsystems describe their state, claim pending kernel events and
+// exchange object references through, and an in-place capturer for
+// math/rand generator state.
 //
-// It deliberately imports nothing above the standard library so that
+// It deliberately imports nothing above the simulation kernel so that
 // every simulation package (simnet, machine, server, workload, ...) can
 // depend on it without cycles; the orchestration lives in
 // internal/snapshot.
@@ -30,7 +31,15 @@ func Failf(format string, args ...any) {
 }
 
 // Encoder appends a varint-based byte stream. It cannot fail.
-type Encoder struct{ buf []byte }
+type Encoder struct {
+	buf []byte
+	// msg is the context MsgCodec.Encode walks a lone message with. It
+	// lives here, in an object the caller already has, because livenet
+	// encodes and decodes a message per frame: with a context allocated
+	// per message pressbench's live3 read 3.7 % more raw wall time (worse
+	// in 16 of 24 back-to-back pairs), with this it reads the parent's.
+	msg Ctx
+}
 
 // Bytes returns the encoded stream.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -84,6 +93,7 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	msg Ctx // MsgCodec.Decode's context; see Encoder.msg
 }
 
 // NewDecoder wraps an encoded stream.
@@ -194,12 +204,17 @@ func (d *Decoder) Blob() []byte {
 	return b
 }
 
-// Count reads a non-negative element count and validates it against a
-// sanity bound, guarding slice preallocation against corrupt streams.
+// Count reads a non-negative element count, the only door a length
+// handed in from outside comes through, and refuses it before anything
+// is allocated: against the caller's sanity bound, and against the bytes
+// left in the stream, since every counted element encodes at least one.
 func (d *Decoder) Count(max int) int {
 	n := d.Int()
 	if n < 0 || n > max {
 		Failf("count %d out of range [0,%d]", n, max)
+	}
+	if left := len(d.buf) - d.off; n > left {
+		Failf("count %d exceeds the %d bytes left in the stream", n, left)
 	}
 	return n
 }

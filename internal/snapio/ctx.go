@@ -1,15 +1,17 @@
 package snapio
 
 import (
+	"cmp"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
+
+	"press/internal/sim"
 )
 
-// PendingEvent mirrors one pending kernel event during a save: its
-// firing identity plus the callback/argument the owner uses to
-// recognize it.
+// PendingEvent mirrors one pending kernel event: its firing identity
+// plus the callback/argument the owner recognizes it by.
 type PendingEvent struct {
 	At  time.Duration
 	Seq uint64
@@ -39,71 +41,384 @@ func FnName(fn any) string {
 	return "<unknown>"
 }
 
-// Ctx is the shared save/load context threaded through every
-// subsystem's SaveState/LoadState. Exactly one of Enc/Dec is set.
+// Ctx is the context threaded through every subsystem's snapshot walk.
+// Exactly one of Enc/Dec is set, and a walk is one function that both
+// directions run: each primitive below moves one value between the
+// stream and the place it lives, so a section's byte layout is written
+// down once. Work only a load does (constructing records, re-arming
+// events, re-attaching handlers) sits in `if !x.Saving()` blocks beside
+// the field it belongs to.
 type Ctx struct {
 	Enc *Encoder
 	Dec *Decoder
 
+	// World is what the sections of one world share beyond the stream. It
+	// is a pointer, and Ctx three words, because a context is also made
+	// for every lone message (MsgCodec.Encode/Decode, once per livenet
+	// frame), and that one points at the codec's own.
+	*World
+}
+
+// World is the part of a walk's context that outlives any one section.
+type World struct {
+	// Sim is the kernel whose pending events a save claims and a load
+	// re-arms at the (time, sequence) slots they held.
+	Sim *sim.Sim
+
 	// Conns maps stream-connection objects (simnet halves) to stable
 	// ids. References are written wherever they occur; the connection
-	// state table itself is one of the last save sections, so on load
-	// the table creates blank halves on first reference and fills them
-	// when the table section arrives.
+	// state table itself is one of the last sections, so on load the
+	// table creates blank halves on first reference and fills them when
+	// the table section arrives.
 	Conns *RefTable
 
 	// Owners maps callback-owner records (machine dial records, server
 	// disk operations, workload requests, ...) to stable ids. Owner
-	// sections register their objects before the sections that
-	// reference them resolve ids, so Owners needs no blank factory.
+	// sections Define their objects before the sections that reference
+	// them resolve ids, so Owners needs no blank factory.
 	Owners *RefTable
 
-	// Msgs encodes and decodes wire messages appearing in connection
-	// buffers, in-flight packets, mailboxes and peer send queues.
+	// Msgs describes the wire messages appearing in connection buffers,
+	// in-flight packets, mailboxes and peer send queues.
 	Msgs *MsgCodec
 
 	// pending is the save-side table of every pending kernel event in
-	// firing order; claimed marks the ones some subsystem recognized
-	// and serialized. Unclaimed events at the end of a save are a hard
-	// error.
+	// firing order, afn their dispatch code pointers; claimed marks the
+	// ones some walk recognized and serialized. Unclaimed events at the
+	// end of a save are a hard error.
 	pending []PendingEvent
+	afn     []uintptr
 	claimed []bool
 }
 
-// SetPending installs the pending-event table a save walks.
-func (c *Ctx) SetPending(evs []PendingEvent) {
-	c.pending = evs
-	c.claimed = make([]bool, len(evs))
+// Saving reports the direction: true while writing a snapshot.
+func (x *Ctx) Saving() bool { return x.Enc != nil }
+
+// Bool moves a boolean.
+func (x *Ctx) Bool(v *bool) {
+	if x.Enc != nil {
+		x.Enc.Bool(*v)
+	} else {
+		*v = x.Dec.Bool()
+	}
 }
 
-// ClaimArg claims every pending event dispatching through afn and
-// returns them in firing order together with their arguments. Owners
-// that share a dispatch function filter by Arg afterwards.
-func (c *Ctx) ClaimArg(afn func(any)) []PendingEvent {
-	return c.ClaimWhere(func(ev PendingEvent) bool {
-		return ev.AFn != nil && FnPtr(ev.AFn) == FnPtr(afn)
+// U64 moves an unsigned varint.
+func (x *Ctx) U64(v *uint64) {
+	if x.Enc != nil {
+		x.Enc.U64(*v)
+	} else {
+		*v = x.Dec.U64()
+	}
+}
+
+// F64 moves a float64 bit pattern.
+func (x *Ctx) F64(v *float64) {
+	if x.Enc != nil {
+		x.Enc.F64(*v)
+	} else {
+		*v = x.Dec.F64()
+	}
+}
+
+// Str moves a length-prefixed string.
+func (x *Ctx) Str(v *string) {
+	if x.Enc != nil {
+		x.Enc.Str(*v)
+	} else {
+		*v = x.Dec.Str()
+	}
+}
+
+type integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// Int moves any integer-kinded value (ids, durations, enums, counters)
+// as a signed varint.
+func Int[T integer](x *Ctx, v *T) {
+	if x.Enc != nil {
+		x.Enc.I64(int64(*v))
+	} else {
+		*v = T(x.Dec.I64())
+	}
+}
+
+// Uint moves a narrow unsigned value as an unsigned varint.
+func Uint[T integer](x *Ctx, v *T) {
+	if x.Enc != nil {
+		x.Enc.U64(uint64(*v))
+	} else {
+		*v = T(x.Dec.U64())
+	}
+}
+
+// Len moves an element count: saving writes n; loading reads the count
+// through Decoder.Count, which refuses one that is negative, above max,
+// or larger than the stream could hold, before anything is allocated.
+func (x *Ctx) Len(n, max int) int {
+	if x.Enc != nil {
+		x.Enc.Int(n)
+		return n
+	}
+	return x.Dec.Count(max)
+}
+
+// resize moves a sequence's length; loading, it replaces *s with that
+// many zero elements for the caller to fill (nil when there are none).
+func resize[T any](x *Ctx, s *[]T, max int) {
+	n := x.Len(len(*s), max)
+	if !x.Saving() {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+}
+
+// Slice moves a counted sequence: its length, then elem once per element
+// in order.
+func Slice[T any](x *Ctx, s *[]T, max int, elem func(*T)) {
+	resize(x, s, max)
+	for i := range *s {
+		elem(&(*s)[i])
+	}
+}
+
+// Ints moves a counted sequence of integer-kinded values.
+func Ints[T integer](x *Ctx, s *[]T, max int) {
+	resize(x, s, max)
+	for i := range *s {
+		Int(x, &(*s)[i])
+	}
+}
+
+// Map moves a map as a counted sequence of entries in ascending key
+// order, so the bytes do not depend on iteration order. entry moves one
+// key and its value; loading inserts what it filled in.
+func Map[K cmp.Ordered, V any](x *Ctx, m map[K]V, max int, entry func(*K, *V)) {
+	var keys []K
+	if x.Saving() {
+		keys = make([]K, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+	}
+	// One key and one value cell for the whole walk: entry is an indirect
+	// call, so cells declared per iteration would each be a heap object.
+	var k, zeroK K
+	var v, zeroV V
+	for i := range x.Len(len(keys), max) {
+		k, v = zeroK, zeroV
+		if x.Saving() {
+			k, v = keys[i], m[keys[i]]
+		}
+		entry(&k, &v)
+		if !x.Saving() {
+			m[k] = v
+		}
+	}
+}
+
+// Conn moves a connection reference (see Ctx.Conns); a nil reference is
+// id 0. A typed nil must not enter the table (it would be assigned an id
+// and the conn-table walk would then visit it), which the comparison
+// against T's zero value sees to.
+func Conn[T comparable](x *Ctx, v *T) {
+	var zero T
+	if x.Saving() {
+		var id uint64
+		if *v != zero {
+			id = x.Conns.Ref(*v)
+		}
+		x.Enc.U64(id)
+		return
+	}
+	id := x.Dec.U64()
+	*v = zero
+	if obj := x.Conns.Obj(id); obj != nil {
+		tv, ok := obj.(T)
+		if !ok {
+			Failf("conn ref %d is a %T, not a %T", id, obj, zero)
+		}
+		*v = tv
+	}
+}
+
+// OptConn moves a connection reference that says first whether it is
+// there at all.
+func OptConn[T comparable](x *Ctx, v *T) {
+	var zero T
+	has := *v != zero
+	x.Bool(&has)
+	if !has {
+		*v = zero
+		return
+	}
+	if Conn(x, v); *v == zero {
+		Failf("conn ref 0 where a connection was promised")
+	}
+}
+
+// Define moves the id of obj, an owner record the running section
+// describes: saving assigns it, loading registers the record the section
+// just built under the id the stream carries.
+func (x *Ctx) Define(obj any) {
+	if x.Saving() {
+		x.Enc.U64(x.Owners.Ref(obj))
+	} else {
+		x.Owners.Put(x.Dec.U64(), obj)
+	}
+}
+
+// Owner moves a reference to an owner record an earlier section defined.
+// what names the referencing operation when the save finds it untagged
+// or tagged with a record no section described.
+func (x *Ctx) Owner(owner *any, what string) {
+	if !x.Saving() {
+		*owner = x.Owners.Obj(x.Dec.U64())
+		return
+	}
+	if *owner == nil {
+		Failf("%s has no owner tag", what)
+	}
+	id, ok := x.Owners.Lookup(*owner)
+	if !ok {
+		Failf("%s owner %T not registered in snapshot", what, *owner)
+	}
+	x.Enc.U64(id)
+}
+
+// Msg moves one wire message (possibly nil) held in a field of static
+// type M — cnet.Message or a concrete message pointer.
+func Msg[M any](x *Ctx, m *M) {
+	if x.Saving() {
+		x.Msgs.move(x, *m)
+		return
+	}
+	var zero M
+	*m = zero
+	if a := x.Msgs.move(x, nil); a != nil {
+		v, ok := a.(M)
+		if !ok {
+			Failf("msg codec: decoded a %T where a %T belongs", a, zero)
+		}
+		*m = v
+	}
+}
+
+// CapturePending installs the table of x.Sim's pending events that a
+// save's walks claim from.
+func (x *Ctx) CapturePending() {
+	n := x.Sim.Pending()
+	x.pending, x.afn = make([]PendingEvent, 0, n), make([]uintptr, 0, n)
+	x.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, fn func()) {
+		x.pending = append(x.pending, PendingEvent{At: at, Seq: seq, AFn: afn, Arg: arg, Fn: fn})
+		x.afn = append(x.afn, FnPtr(afn))
 	})
+	x.claimed = make([]bool, len(x.pending))
 }
 
-// ClaimWhere claims every unclaimed pending event matching pred, in
-// firing order.
-func (c *Ctx) ClaimWhere(pred func(PendingEvent) bool) []PendingEvent {
+// Claim claims, in firing order, every unclaimed pending event that
+// dispatches through afn with an argument keep accepts (nil accepts
+// all). It is the save half of a pending-event section and returns nil
+// when loading.
+func Claim[T any](x *Ctx, afn func(any), keep func(*T) bool) []PendingEvent {
+	if !x.Saving() {
+		return nil
+	}
 	var out []PendingEvent
-	for i, ev := range c.pending {
-		if c.claimed[i] || !pred(ev) {
+	ptr := FnPtr(afn)
+	for i, ev := range x.pending {
+		if x.claimed[i] || x.afn[i] != ptr {
 			continue
 		}
-		c.claimed[i] = true
-		out = append(out, ev)
+		if keep == nil || keep(ev.Arg.(*T)) {
+			x.claimed[i] = true
+			out = append(out, ev)
+		}
 	}
 	return out
 }
 
-// Unclaimed returns the pending events no subsystem claimed.
-func (c *Ctx) Unclaimed() []PendingEvent {
+// Slot moves an event's firing identity, its (time, sequence) pair.
+func (x *Ctx) Slot(ev *PendingEvent) {
+	Int(x, &ev.At)
+	x.U64(&ev.Seq)
+}
+
+// Pending moves the pending events that dispatch through afn (and that
+// keep accepts): a count, then per event its slot followed by whatever
+// walk moves of its argument record. Saving claims them and hands walk
+// each argument; loading hands walk nil, and re-arms afn at the saved
+// slot with the record walk built and returned.
+func Pending[T any](x *Ctx, afn func(any), max int, keep func(*T) bool, walk func(*T) *T) {
+	evs := Claim(x, afn, keep)
+	for i := range x.Len(len(evs), max) {
+		var ev PendingEvent
+		var arg *T
+		if x.Saving() {
+			ev, arg = evs[i], evs[i].Arg.(*T)
+		}
+		x.Slot(&ev)
+		arg = walk(arg)
+		if !x.Saving() {
+			x.Sim.RestoreAtArg(ev.At, ev.Seq, afn, arg)
+		}
+	}
+}
+
+// Timer moves a retained kernel timer whose event calls fn: whether it
+// is pending, then its slot. Saving claims the event, which must be in
+// the pending table (what names the timer when it is not); loading
+// re-arms fn at the slot and stores the new handle (the inert zero handle
+// when nothing was pending).
+func (x *Ctx) Timer(t *sim.Timer, fn func(), what string) {
+	if ev, rearm := x.timerSlot(t, what); rearm {
+		*t = x.Sim.RestoreAt(ev.At, ev.Seq, fn)
+	}
+}
+
+// TimerArg is Timer for an event dispatching through afn with arg.
+func (x *Ctx) TimerArg(t *sim.Timer, afn func(any), arg any, what string) {
+	if ev, rearm := x.timerSlot(t, what); rearm {
+		*t = x.Sim.RestoreAtArg(ev.At, ev.Seq, afn, arg)
+	}
+}
+
+// timerSlot moves a timer's optional slot and does the save half of
+// Timer; rearm reports a loaded slot the caller must arm.
+func (x *Ctx) timerSlot(t *sim.Timer, what string) (ev PendingEvent, rearm bool) {
+	var ok bool
+	if x.Saving() {
+		ev.At, ev.Seq, ok = t.Key()
+	}
+	if x.Bool(&ok); ok {
+		x.Slot(&ev)
+	}
+	if !x.Saving() {
+		*t = sim.Timer{}
+		return ev, ok
+	}
+	if ok {
+		// The table is in firing order, so the slot is found by bisection.
+		i, found := slices.BinarySearchFunc(x.pending, ev, func(p, t PendingEvent) int {
+			return cmp.Or(cmp.Compare(p.At, t.At), cmp.Compare(p.Seq, t.Seq))
+		})
+		if !found || x.claimed[i] {
+			Failf("%s timer (at %v, seq %d) not in pending table", what, ev.At, ev.Seq)
+		}
+		x.claimed[i] = true
+	}
+	return ev, false
+}
+
+// Unclaimed returns the pending events no walk claimed.
+func (x *Ctx) Unclaimed() []PendingEvent {
 	var out []PendingEvent
-	for i, ev := range c.pending {
-		if !c.claimed[i] {
+	for i, ev := range x.pending {
+		if !x.claimed[i] {
 			out = append(out, ev)
 		}
 	}
@@ -155,9 +470,6 @@ func (t *RefTable) Lookup(obj any) (uint64, bool) {
 	return id, ok
 }
 
-// Count returns how many ids have been assigned so far.
-func (t *RefTable) Count() int { return int(t.next) - 1 }
-
 // Put registers obj under id on the load side. Registering over a blank
 // is an error — fill the blank instead; Obj hands it out.
 func (t *RefTable) Put(id uint64, obj any) {
@@ -187,34 +499,42 @@ func (t *RefTable) Obj(id uint64) any {
 	return obj
 }
 
-// MsgCodec serializes wire messages by registered type name.
+// MsgCodec describes wire messages by registered type name. A message
+// has one description, its walk, which snapshots and livenet's stream
+// frames both run.
 type MsgCodec struct {
-	byName map[string]func(*Decoder) any
-	byType map[reflect.Type]msgEnc
+	byName map[string]*msgType
+	byType map[reflect.Type]*msgType
+	world  *World // all a lone message's context needs: this codec
 }
 
-type msgEnc struct {
+type msgType struct {
 	name string
-	enc  func(*Encoder, any)
+	zero any
+	walk func(*Ctx, any) any
 }
 
 // NewMsgCodec returns an empty codec.
 func NewMsgCodec() *MsgCodec {
-	return &MsgCodec{byName: map[string]func(*Decoder) any{}, byType: map[reflect.Type]msgEnc{}}
+	c := &MsgCodec{byName: map[string]*msgType{}, byType: map[reflect.Type]*msgType{}}
+	c.world = &World{Msgs: c}
+	return c
 }
 
-// Register adds a message type under name. proto supplies the concrete
-// type (a value or pointer of the type enc expects).
-func (c *MsgCodec) Register(name string, proto any, enc func(*Encoder, any), dec func(*Decoder) any) {
-	t := reflect.TypeOf(proto)
+// Register adds a message type under name. zero is the zero value of the
+// concrete type — a nil pointer or an empty struct — and what walk is
+// handed when decoding; walk moves the message's fields, allocating the
+// record behind a nil pointer first, and returns the message.
+func (c *MsgCodec) Register(name string, zero any, walk func(x *Ctx, m any) any) {
+	t := reflect.TypeOf(zero)
 	if _, dup := c.byType[t]; dup {
 		Failf("msg codec: duplicate type %v", t)
 	}
 	if _, dup := c.byName[name]; dup {
 		Failf("msg codec: duplicate name %q", name)
 	}
-	c.byType[t] = msgEnc{name: name, enc: enc}
-	c.byName[name] = dec
+	mt := &msgType{name: name, zero: zero, walk: walk}
+	c.byType[t], c.byName[name] = mt, mt
 }
 
 // Names lists the registered message names in sorted order: what a test
@@ -224,33 +544,42 @@ func (c *MsgCodec) Names() []string {
 	for name := range c.byName {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
 // Encode writes one message (nil allowed).
 func (c *MsgCodec) Encode(e *Encoder, m any) {
-	if m == nil {
-		e.Str("")
-		return
-	}
-	me, ok := c.byType[reflect.TypeOf(m)]
-	if !ok {
-		Failf("msg codec: unregistered message type %T", m)
-	}
-	e.Str(me.name)
-	me.enc(e, m)
+	e.msg = Ctx{Enc: e, World: c.world}
+	c.move(&e.msg, m)
 }
 
 // Decode reads one message (possibly nil).
 func (c *MsgCodec) Decode(d *Decoder) any {
-	name := d.Str()
-	if name == "" {
+	d.msg = Ctx{Dec: d, World: c.world}
+	return c.move(&d.msg, nil)
+}
+
+// move is the one layout of a message on the stream: its registered name
+// (empty for nil), then its walk. It returns the message: m when saving,
+// the one it read when loading.
+func (c *MsgCodec) move(x *Ctx, m any) any {
+	var mt *msgType
+	var name string
+	if x.Saving() && m != nil {
+		if mt = c.byType[reflect.TypeOf(m)]; mt == nil {
+			Failf("msg codec: unregistered message type %T", m)
+		}
+		name = mt.name
+	}
+	if x.Str(&name); name == "" {
 		return nil
 	}
-	dec, ok := c.byName[name]
-	if !ok {
-		Failf("msg codec: unknown message type %q", name)
+	if !x.Saving() {
+		if mt = c.byName[name]; mt == nil {
+			Failf("msg codec: unknown message type %q", name)
+		}
+		m = mt.zero
 	}
-	return dec(d)
+	return mt.walk(x, m)
 }

@@ -13,8 +13,8 @@ import (
 // package (an additive lagged-Fibonacci generator with a 607-entry
 // state vector); we mirror it with unsafe and guard the assumption two
 // ways: a reflection check of field names and offsets, and a functional
-// round-trip self-test — both run once, and SaveRand/LoadRand refuse to
-// operate if either fails.
+// round-trip self-test — both run once, and Ctx.Rand refuses to operate
+// if either fails.
 
 const rngLen = 607
 
@@ -105,33 +105,19 @@ func requireRandLayout() {
 	}
 }
 
-// SaveRand appends the full generator state of r.
-func SaveRand(e *Encoder, r *rand.Rand) {
+// Rand moves the full generator state of r, in place: after a load every
+// existing reference to r resumes the saved sequence.
+func (x *Ctx) Rand(r *rand.Rand) {
 	requireRandLayout()
 	src := sourceOf(r)
 	m := mirrorOf(r)
-	e.I64(int64(src.tap))
-	e.I64(int64(src.feed))
-	for _, v := range src.vec {
-		e.I64(v)
-	}
-	e.I64(m.readVal)
-	e.I64(int64(m.readPos))
-}
-
-// LoadRand restores generator state captured by SaveRand into r,
-// in place: every existing reference to r resumes the saved sequence.
-func LoadRand(d *Decoder, r *rand.Rand) {
-	requireRandLayout()
-	src := sourceOf(r)
-	m := mirrorOf(r)
-	src.tap = int(d.I64())
-	src.feed = int(d.I64())
+	Int(x, &src.tap)
+	Int(x, &src.feed)
 	for i := range src.vec {
-		src.vec[i] = d.I64()
+		Int(x, &src.vec[i])
 	}
-	m.readVal = d.I64()
-	m.readPos = int8(d.I64())
+	Int(x, &m.readVal)
+	Int(x, &m.readPos)
 	if src.tap < 0 || src.tap >= rngLen || src.feed < 0 || src.feed >= rngLen {
 		Failf("rand state out of range (tap=%d feed=%d)", src.tap, src.feed)
 	}

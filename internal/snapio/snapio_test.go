@@ -1,9 +1,14 @@
 package snapio
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"press/internal/sim"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -81,12 +86,12 @@ func TestRandStateRoundTrip(t *testing.T) {
 		ref.Float64()
 	}
 	var e Encoder
-	SaveRand(&e, orig)
+	(&Ctx{Enc: &e}).Rand(orig)
 
 	dst := rand.New(rand.NewSource(7))
 	dst.Int63() // desync on purpose
 	d := NewDecoder(e.Bytes())
-	LoadRand(d, dst)
+	(&Ctx{Dec: d}).Rand(dst)
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
@@ -131,9 +136,14 @@ func TestRefTable(t *testing.T) {
 func TestMsgCodec(t *testing.T) {
 	type msg struct{ A int }
 	c := NewMsgCodec()
-	c.Register("m", &msg{},
-		func(e *Encoder, v any) { e.Int(v.(*msg).A) },
-		func(d *Decoder) any { return &msg{A: d.Int()} })
+	c.Register("m", (*msg)(nil), func(x *Ctx, v any) any {
+		m := v.(*msg)
+		if m == nil {
+			m = new(msg)
+		}
+		Int(x, &m.A)
+		return m
+	})
 	var e Encoder
 	c.Encode(&e, &msg{A: 9})
 	c.Encode(&e, nil)
@@ -145,10 +155,178 @@ func TestMsgCodec(t *testing.T) {
 		t.Fatal("nil message mismatch")
 	}
 
-	c.Register("a", msg{},
-		func(e *Encoder, v any) { e.Int(v.(msg).A) },
-		func(d *Decoder) any { return msg{A: d.Int()} })
+	c.Register("a", msg{}, func(x *Ctx, v any) any {
+		m := v.(msg)
+		Int(x, &m.A)
+		return m
+	})
 	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "m" {
 		t.Fatalf("Names() = %q, want the registered names sorted", got)
+	}
+}
+
+// failure runs fn and returns the SnapError it raised, or nil.
+func failure(fn func()) (se *SnapError) {
+	defer func() {
+		if r := recover(); r != nil {
+			se = r.(*SnapError)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// A count is believed only as far as the stream could back it: a section
+// cut short, or a hostile one, is refused before its slice is allocated.
+func TestCountRefusesMoreThanTheStreamHolds(t *testing.T) {
+	var e Encoder
+	nums := make([]int, 100)
+	for i := range nums {
+		nums[i] = i
+	}
+	Ints(&Ctx{Enc: &e}, &nums, 1<<20)
+	whole := e.Bytes()
+
+	var got []int
+	Ints(&Ctx{Dec: NewDecoder(whole)}, &got, 1<<20)
+	if len(got) != 100 || got[99] != 99 {
+		t.Fatalf("whole section decoded as %d elements", len(got))
+	}
+	// A hundred bytes behind the two-byte count: just enough to believe it.
+	if se := failure(func() { NewDecoder(whole[:102]).Count(1 << 20) }); se != nil {
+		t.Fatalf("a count the stream can back was refused: %v", se)
+	}
+	got = nil
+	se := failure(func() { Ints(&Ctx{Dec: NewDecoder(whole[:60])}, &got, 1<<20) })
+	if se == nil || !strings.Contains(se.Msg, "exceeds the 58 bytes left") {
+		t.Fatalf("truncated section: got %v, want the count refused against the 58 bytes left", se)
+	}
+	if got != nil {
+		t.Fatalf("truncated section allocated %d elements before it was refused", len(got))
+	}
+	if se := failure(func() { NewDecoder(whole).Count(99) }); se == nil || !strings.Contains(se.Msg, "out of range") {
+		t.Fatalf("count over the caller's bound: got %v", se)
+	}
+}
+
+// One walk, run in both directions, writes exactly what the codec's own
+// calls would and reads it back into a second value.
+func TestWalkIsItsOwnInverse(t *testing.T) {
+	type rec struct {
+		on    bool
+		n     uint64
+		d     time.Duration
+		small uint8
+		f     float64
+		s     string
+		list  []int32
+		byKey map[string]int
+	}
+	walk := func(x *Ctx, r *rec) {
+		x.Bool(&r.on)
+		x.U64(&r.n)
+		Int(x, &r.d)
+		Uint(x, &r.small)
+		x.F64(&r.f)
+		x.Str(&r.s)
+		Ints(x, &r.list, 16)
+		Map(x, r.byKey, 16, func(k *string, v *int) {
+			x.Str(k)
+			Int(x, v)
+		})
+	}
+	in := rec{true, 1 << 40, -3 * time.Second, 200, 2.5, "abc", []int32{-1, 7}, map[string]int{"b": 2, "a": 1}}
+	var e Encoder
+	walk(&Ctx{Enc: &e}, &in)
+
+	var want Encoder
+	want.Bool(true)
+	want.U64(1 << 40)
+	want.Dur(-3 * time.Second)
+	want.U64(200)
+	want.F64(2.5)
+	want.Str("abc")
+	want.Int(2)
+	want.Int(-1)
+	want.Int(7)
+	want.Int(2)
+	want.Str("a")
+	want.Int(1)
+	want.Str("b")
+	want.Int(2)
+	if !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatalf("walk wrote % x, the codec calls write % x", e.Bytes(), want.Bytes())
+	}
+
+	out := rec{byKey: map[string]int{}}
+	d := NewDecoder(e.Bytes())
+	walk(&Ctx{Dec: d}, &out)
+	if !d.Done() || !reflect.DeepEqual(in, out) {
+		t.Fatalf("read back %+v (done %v), want %+v", out, d.Done(), in)
+	}
+}
+
+// Pending events leave one kernel through a walk and arrive in another at
+// the same (time, sequence) slots; an event nobody claims is reported,
+// and a retained timer whose event is gone fails the save.
+func TestPendingEventsKeepTheirSlots(t *testing.T) {
+	type job struct{ id int }
+	var fired []int
+	run := func(arg any) { fired = append(fired, arg.(*job).id) }
+	tick := func() { fired = append(fired, -1) }
+	walk := func(x *Ctx, held *sim.Timer) {
+		Pending(x, run, 8, nil, func(j *job) *job {
+			if j == nil {
+				j = new(job)
+			}
+			Int(x, &j.id)
+			return j
+		})
+		x.Timer(held, tick, "test tick")
+	}
+
+	a := sim.New(1)
+	a.AfterArg(3*time.Second, run, &job{id: 3})
+	a.AfterArg(time.Second, run, &job{id: 1})
+	held := a.At(2*time.Second, tick)
+	stray := a.At(5*time.Second, func() {})
+	save := &Ctx{Enc: &Encoder{}, World: &World{Sim: a}}
+	save.CapturePending()
+	walk(save, &held)
+	if un := save.Unclaimed(); len(un) != 1 || un[0].At != 5*time.Second {
+		t.Fatalf("unclaimed after the walk: %+v, want only the stray event at 5s", un)
+	}
+	stray.Stop()
+
+	b := sim.New(2)
+	var restored sim.Timer
+	walk(&Ctx{Dec: NewDecoder(save.Enc.Bytes()), World: &World{Sim: b}}, &restored)
+	type slot struct {
+		at  time.Duration
+		seq uint64
+	}
+	slots := func(s *sim.Sim) (out []slot) {
+		s.VisitPending(func(at time.Duration, seq uint64, _ func(any), _ any, _ func()) {
+			out = append(out, slot{at, seq})
+		})
+		return out
+	}
+	if got, want := slots(b), slots(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored kernel holds %v, the saved one %v", got, want)
+	}
+	if at, ok := restored.When(); !ok || at != 2*time.Second {
+		t.Fatalf("restored handle: due %v, armed %v", at, ok)
+	}
+	b.RunUntil(10 * time.Second)
+	if !reflect.DeepEqual(fired, []int{1, -1, 3}) {
+		t.Fatalf("restored events fired as %v, want [1 -1 3]", fired)
+	}
+
+	held.Stop()
+	save = &Ctx{Enc: &Encoder{}, World: &World{Sim: a}}
+	save.CapturePending()
+	held = a.At(4*time.Second, tick) // armed after the table was captured
+	if se := failure(func() { walk(save, &held) }); se == nil || !strings.Contains(se.Msg, "test tick timer") {
+		t.Fatalf("a handle without its pending event: got %v, want the save refused", se)
 	}
 }

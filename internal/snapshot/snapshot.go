@@ -11,7 +11,7 @@
 // membership, qmon or FME daemons). The blob is self-describing: an
 // envelope (format version, experiment version, options, resolved
 // offered rate, capture time) followed by the harness world stream
-// (see harness.SaveWorld for the section order).
+// (see harness.SnapWorld for the section order).
 package snapshot
 
 import (
@@ -35,10 +35,10 @@ const (
 
 // Extra lets a simulation driver (the chaos runner) piggyback its own
 // state — pending fault-arm timers, phase machine — on the world
-// stream. SaveExtra runs between the subsystem sections and the network
-// tables, so it can still claim pending kernel events.
+// stream. SnapExtra runs between the subsystem sections and the network
+// tables, so a save can still claim pending kernel events.
 type Extra interface {
-	SaveExtra(ctx *snapio.Ctx)
+	SnapExtra(x *snapio.Ctx)
 }
 
 // Snap is one captured world.
@@ -48,8 +48,8 @@ type Snap struct {
 	Rate    float64         // resolved offered load the world runs at
 	At      time.Duration   // sim time of the capture
 
-	blob []byte
-	hash string
+	blob []byte //availlint:skipfield blob the stream itself, adopted whole by seal
+	hash string //availlint:skipfield hash the stream's content address, computed by seal
 }
 
 // Bytes returns the serialized snapshot (envelope + world stream).
@@ -62,18 +62,24 @@ func (s *Snap) Size() int { return len(s.blob) }
 // blob. Two captures hash equal iff their worlds are byte-identical.
 func (s *Snap) Hash() string { return s.hash }
 
-// newCtx builds the shared save/load context: connection references
-// resolve through blank simnet halves (the connection table is one of
-// the last sections), and the wire-message codec knows every server
-// message that can sit in a buffer or mailbox.
+// seal adopts blob as the snapshot's bytes and content address.
+func (s *Snap) seal(blob []byte) {
+	sum := sha256.Sum256(blob)
+	s.blob, s.hash = blob, hex.EncodeToString(sum[:])
+}
+
+// newCtx builds the shared walk context: connection references resolve
+// through blank simnet halves (the connection table is one of the last
+// sections), and the wire-message codec knows every server message that
+// can sit in a buffer or mailbox.
 func newCtx() *snapio.Ctx {
 	msgs := snapio.NewMsgCodec()
 	server.RegisterMessages(msgs)
-	return &snapio.Ctx{
+	return &snapio.Ctx{World: &snapio.World{
 		Conns:  snapio.NewRefTable(simnet.BlankConn),
 		Owners: snapio.NewRefTable(nil),
 		Msgs:   msgs,
-	}
+	}}
 }
 
 // recoverSnap converts the snapio.Failf panic protocol into an ordinary
@@ -88,89 +94,61 @@ func recoverSnap(err *error) {
 	}
 }
 
-func encOptions(e *snapio.Encoder, o harness.Options) {
-	e.I64(o.Seed)
-	e.Int(o.Nodes)
-	e.I64(o.CacheBytes)
-	e.F64(o.Rate)
-	e.Dur(o.Warmup)
-	e.Dur(o.HeartbeatPeriod)
-	e.Dur(o.OperatorResponse)
-	e.Bool(o.RedundantFE)
-	e.Int(o.Docs)
-	e.F64(o.Alpha)
-	e.Int(int(o.Protocol))
-}
-
-func decOptions(d *snapio.Decoder) harness.Options {
-	return harness.Options{
-		Seed:             d.I64(),
-		Nodes:            d.Int(),
-		CacheBytes:       d.I64(),
-		Rate:             d.F64(),
-		Warmup:           d.Dur(),
-		HeartbeatPeriod:  d.Dur(),
-		OperatorResponse: d.Dur(),
-		RedundantFE:      d.Bool(),
-		Docs:             d.Int(),
-		Alpha:            d.F64(),
-		Protocol:         harness.ProtocolSuite(d.Int()),
+// envelope moves the self-describing header every blob starts with:
+// magic, format, then the snapshot's exported fields.
+func (s *Snap) envelope(x *snapio.Ctx) {
+	m, f := magic, format
+	if x.Str(&m); m != magic {
+		snapio.Failf("not a press snapshot (bad magic)")
 	}
+	if snapio.Int(x, &f); f != format {
+		snapio.Failf("unsupported snapshot format %d (have %d)", f, format)
+	}
+	x.Str((*string)(&s.Version))
+	o := &s.Opts
+	snapio.Int(x, &o.Seed)
+	snapio.Int(x, &o.Nodes)
+	snapio.Int(x, &o.CacheBytes)
+	x.F64(&o.Rate)
+	snapio.Int(x, &o.Warmup)
+	snapio.Int(x, &o.HeartbeatPeriod)
+	snapio.Int(x, &o.OperatorResponse)
+	x.Bool(&o.RedundantFE)
+	snapio.Int(x, &o.Docs)
+	x.F64(&o.Alpha)
+	snapio.Int(x, &o.Protocol)
+	x.F64(&s.Rate)
+	snapio.Int(x, &s.At)
 }
 
 // Take captures the cluster's complete state. extra, when non-nil,
 // appends driver state at the world stream's extra slot.
 func Take(c *harness.Cluster, extra Extra) (s *Snap, err error) {
 	defer recoverSnap(&err)
-	ctx := newCtx()
-	ctx.Enc = &snapio.Encoder{}
-	e := ctx.Enc
-	e.Str(magic)
-	e.Int(format)
-	e.Str(string(c.Version))
-	encOptions(e, c.Opts)
-	e.F64(c.Offered())
-	e.Dur(c.Sim.Now())
-
+	x := newCtx()
+	x.Enc = &snapio.Encoder{}
+	s = &Snap{Version: c.Version, Opts: c.Opts, Rate: c.Offered(), At: c.Sim.Now()}
+	s.envelope(x)
 	var hook func(*snapio.Ctx)
 	if extra != nil {
-		hook = extra.SaveExtra
+		hook = extra.SnapExtra
 	}
-	c.SaveWorld(ctx, hook)
-
-	blob := e.Bytes()
-	sum := sha256.Sum256(blob)
-	return &Snap{
-		Version: c.Version,
-		Opts:    c.Opts,
-		Rate:    c.Offered(),
-		At:      c.Sim.Now(),
-		blob:    blob,
-		hash:    hex.EncodeToString(sum[:]),
-	}, nil
+	c.SnapWorld(x, hook)
+	s.seal(x.Enc.Bytes())
+	return s, nil
 }
 
 // Load wraps a serialized snapshot, validating and parsing only the
 // envelope; the world stream is decoded by Restore.
 func Load(data []byte) (s *Snap, err error) {
 	defer recoverSnap(&err)
-	d := snapio.NewDecoder(data)
-	if d.Str() != magic {
-		snapio.Failf("not a press snapshot (bad magic)")
-	}
-	if f := d.Int(); f != format {
-		snapio.Failf("unsupported snapshot format %d (have %d)", f, format)
-	}
-	s = &Snap{Version: harness.Version(d.Str())}
-	s.Opts = decOptions(d)
-	s.Rate = d.F64()
-	s.At = d.Dur()
-	if err := d.Err(); err != nil {
+	x := &snapio.Ctx{Dec: snapio.NewDecoder(data)}
+	s = new(Snap)
+	s.envelope(x)
+	if err := x.Dec.Err(); err != nil {
 		return nil, err
 	}
-	s.blob = data
-	sum := sha256.Sum256(data)
-	s.hash = hex.EncodeToString(sum[:])
+	s.seal(data)
 	return s, nil
 }
 
@@ -181,62 +159,19 @@ func Load(data []byte) (s *Snap, err error) {
 // times.
 func (s *Snap) Restore(extra func(*harness.Cluster, *snapio.Ctx)) (c *harness.Cluster, err error) {
 	defer recoverSnap(&err)
-	ctx := newCtx()
-	d := snapio.NewDecoder(s.blob)
-	ctx.Dec = d
-	if d.Str() != magic {
-		snapio.Failf("not a press snapshot (bad magic)")
-	}
-	if f := d.Int(); f != format {
-		snapio.Failf("unsupported snapshot format %d (have %d)", f, format)
-	}
-	v := harness.Version(d.Str())
-	o := decOptions(d)
-	rate := d.F64()
-	at := d.Dur()
-
-	c = harness.RestoreWorld(v, o, rate, ctx, extra)
-	if err := d.Err(); err != nil {
+	x := newCtx()
+	x.Dec = snapio.NewDecoder(s.blob)
+	var h Snap
+	h.envelope(x)
+	c = harness.RestoreWorld(h.Version, h.Opts, h.Rate, x, extra)
+	if err := x.Dec.Err(); err != nil {
 		return nil, err
 	}
-	if !d.Done() {
+	if !x.Dec.Done() {
 		snapio.Failf("trailing bytes after world stream")
 	}
-	if c.Sim.Now() != at {
-		snapio.Failf("restored clock %v does not match capture time %v", c.Sim.Now(), at)
+	if c.Sim.Now() != h.At {
+		snapio.Failf("restored clock %v does not match capture time %v", c.Sim.Now(), h.At)
 	}
 	return c, nil
-}
-
-// Fork rehydrates n independent clusters and runs work on each,
-// fanning out across the engine's worker pool. The first error stops
-// nothing (every fork still runs) but is returned.
-func (s *Snap) Fork(eng *harness.Engine, n int, work func(i int, c *harness.Cluster) error) error {
-	errs := make([]error, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		// Orchestration-only launcher: the restore and the simulation work
-		// happen while holding a pool slot inside RunOnPool.
-		go func() { //availlint:allow simgoroutine bounded by the engine worker pool
-			defer func() { done <- i }()
-			eng.RunOnPool(func() {
-				c, err := s.Restore(nil)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = work(i, c)
-			})
-		}()
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -111,9 +111,9 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestForkIndependence forks a warm snapshot twice and checks the forks
-// are fully independent worlds that evolve identically from identical
-// state.
+// TestForkIndependence restores a warm snapshot twice and checks the
+// forks are fully independent worlds that evolve identically from
+// identical state.
 func TestForkIndependence(t *testing.T) {
 	o := fastOpts(3)
 	c := harness.NewEngine(0).Build(harness.VCOOP, o)
@@ -123,17 +123,55 @@ func TestForkIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Take: %v", err)
 	}
-	eng := harness.NewEngine(2)
 	dumps := make([]string, 2)
-	err = snap.Fork(eng, 2, func(i int, fc *harness.Cluster) error {
+	for i := range dumps {
+		fc, err := snap.Restore(nil)
+		if err != nil {
+			t.Fatalf("Restore %d: %v", i, err)
+		}
 		fc.Sim.RunUntil(2 * time.Minute)
 		dumps[i] = dump(fc)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
 	}
 	if dumps[0] != dumps[1] {
 		t.Fatalf("forks of the same snapshot diverged")
+	}
+}
+
+// TestRestoreThenCaptureIsFixedPoint: a snapshot of a restored world is
+// the snapshot it was restored from. Nothing runs between the two, so a
+// field a walk writes but does not read back shows as a differing byte
+// here without a continuation having to stumble on it.
+func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
+	for _, v := range []harness.Version{harness.VINDEP, harness.VCOOP} {
+		for _, at := range []time.Duration{30 * time.Second, 90 * time.Second} {
+			v, at := v, at
+			t.Run(fmt.Sprintf("%s/%v", v, at), func(t *testing.T) {
+				t.Parallel()
+				c := harness.NewEngine(0).Build(v, fastOpts(4))
+				c.Gen.Start()
+				c.Sim.RunUntil(at)
+				snap, err := Take(c, nil)
+				if err != nil {
+					t.Fatalf("Take: %v", err)
+				}
+				r, err := snap.Restore(nil)
+				if err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				again, err := Take(r, nil)
+				if err != nil {
+					t.Fatalf("Take of the restored world: %v", err)
+				}
+				if again.Hash() != snap.Hash() {
+					a, b := snap.Bytes(), again.Bytes()
+					i := 0
+					for i < len(a) && i < len(b) && a[i] == b[i] {
+						i++
+					}
+					t.Fatalf("re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
+						i, len(a), len(b))
+				}
+			})
+		}
 	}
 }

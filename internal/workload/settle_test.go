@@ -138,7 +138,7 @@ func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 	newCtx := func() *snapio.Ctx {
 		msgs := snapio.NewMsgCodec()
 		server.RegisterMessages(msgs)
-		return &snapio.Ctx{Conns: snapio.NewRefTable(simnet.BlankConn), Owners: snapio.NewRefTable(nil), Msgs: msgs}
+		return &snapio.Ctx{World: &snapio.World{Conns: snapio.NewRefTable(simnet.BlankConn), Owners: snapio.NewRefTable(nil), Msgs: msgs}}
 	}
 
 	s, net, gen, _, srv := build()
@@ -150,17 +150,13 @@ func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 	}
 
 	ctx := newCtx()
-	ctx.Enc = new(snapio.Encoder)
-	var evs []snapio.PendingEvent
-	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, fn func()) {
-		evs = append(evs, snapio.PendingEvent{At: at, Seq: seq, AFn: afn, Arg: arg, Fn: fn})
-	})
-	ctx.SetPending(evs)
-	net.SaveCore(ctx)
-	gen.SaveState(ctx)
+	ctx.Enc, ctx.Sim = new(snapio.Encoder), s
+	ctx.CapturePending()
+	net.SnapCore(ctx)
+	gen.SnapState(ctx)
 	ctx.Enc.U64(ctx.Conns.Ref(*srv))
-	net.SavePending(ctx)
-	net.SaveConns(ctx)
+	net.SnapPending(ctx)
+	net.SnapConns(ctx)
 	if un := ctx.Unclaimed(); len(un) != 0 {
 		t.Fatalf("%d pending events unclaimed by the save", len(un))
 	}
@@ -168,12 +164,12 @@ func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 
 	s2, net2, gen2, rec2, _ := build()
 	ctx2 := newCtx()
-	ctx2.Dec = snapio.NewDecoder(ctx.Enc.Bytes())
-	net2.LoadCore(ctx2)
-	gen2.LoadState(ctx2)
+	ctx2.Dec, ctx2.Sim = snapio.NewDecoder(ctx.Enc.Bytes()), s2
+	net2.SnapCore(ctx2)
+	gen2.SnapState(ctx2)
 	srv2 := ctx2.Conns.Obj(ctx2.Dec.U64()).(cnet.Conn)
-	net2.LoadPending(ctx2)
-	net2.LoadConns(ctx2)
+	net2.SnapPending(ctx2)
+	net2.SnapConns(ctx2)
 	s2.SetCounters(now, seq, fired, maxQ)
 
 	if len(gen2.reqLive) != 1 {

@@ -219,14 +219,14 @@ type request struct {
 
 	conn cnet.Conn
 	// The two timeout handles are saved as their pending kernel events
-	// (claimed by callback identity) and re-armed by RestoreAtArg.
+	// (claimed by the slot each handle names) and re-armed by RestoreAtArg.
 	connectDeadline sim.Timer
 	completeTimeout sim.Timer
 
 	h      cnet.StreamHandlers    //availlint:skipfield h once-built handler closures, recreated with the record (see RestoreDial)
 	onDial func(cnet.Conn, error) //availlint:skipfield onDial once-built dial closure, recreated with the record (see RestoreDial)
 
-	slot int //availlint:skipfield slot registry index, reassigned as restore re-registers in-flight requests
+	slot int // registry index, reassigned as restore re-registers in-flight requests
 }
 
 func (g *Generator) newRequest() *request {
