@@ -92,11 +92,13 @@ func (rt realTimer) Stop() bool { return rt.t.Stop() }
 var _ Clock = (*Real)(nil)
 
 // FuncTicker adapts any Clock's one-shot AfterFunc into the periodic
-// Ticker contract: fire, run fn, rearm after fn returns. Wall-clock and
-// wrapper Clocks (livenet, the per-process simulated clock) use it so
-// the rearm happens on the implementation's own dispatch path — after
-// mailbox delivery and CPU charging, not at schedule time — exactly
-// matching the hand-rolled rearm-at-end-of-callback idiom it replaces.
+// Ticker contract: fire, run fn, rearm after fn returns. The wall-clock
+// Clocks (Real, livenet's per-process clock) use it so the rearm happens
+// on the implementation's own dispatch path — after mailbox delivery,
+// not at schedule time — exactly matching the hand-rolled
+// rearm-at-end-of-callback idiom it replaces. Simulated processes tick
+// through machine.procTicker instead, which keeps the same contract and
+// can be snapshotted.
 type FuncTicker struct {
 	mu      sync.Mutex
 	c       Clock

@@ -87,9 +87,9 @@ type typeMeta struct {
 	defSeverity float64
 }
 
-func perNode(n, _ int, _ bool) int    { return n }
-func perDisk(n, d int, _ bool) int    { return n * d }
-func oneSwitch(_, _ int, _ bool) int  { return 1 }
+func perNode(n, _ int, _ bool) int   { return n }
+func perDisk(n, d int, _ bool) int   { return n * d }
+func oneSwitch(_, _ int, _ bool) int { return 1 }
 func feOnly(_, _ int, withFE bool) int {
 	if withFE {
 		return 1
@@ -307,9 +307,9 @@ type slot struct {
 // independently (partial repair); the same slot can hold only one
 // active fault at a time.
 type Injector struct {
-	sim    *sim.Sim     //availlint:skipfield sim kernel backlink; the restored injector is built over the restored kernel
-	log    *metrics.Log //availlint:skipfield log event-log backlink, wired by NewInjector
-	t      Targets      //availlint:skipfield t targets are construction config, identical across forks
+	sim    *sim.Sim
+	log    *metrics.Log
+	t      Targets //availlint:skipfield t targets are construction config, identical across forks
 	active map[slot]*Active
 }
 

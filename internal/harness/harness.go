@@ -431,10 +431,11 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 	log := &metrics.Log{}
 	scalable := o.Protocol == Scalable
 	netCfg := simnet.DefaultConfig()
-	// Gossip fan-outs dominate the kernel event count at wide N; coalescing
-	// them keeps the schedule (and EventsFired) identical while popping one
-	// event per multicast instead of one per recipient. Faithful runs keep
-	// the unbatched path so their golden dumps stay byte-identical.
+	// Coalesces a multicast fan-out into one kernel event. Nothing the
+	// Scalable suite runs multicasts (gossip pushes digests with Send; the
+	// one Multicast caller is the ring's seek), so this executes no batch
+	// code today: DESIGN §17 "Batched wide-cluster delivery" has the
+	// measurement and why the path is still here.
 	netCfg.BatchDelivery = scalable
 	net := simnet.New(s, netCfg, log)
 	cat := o.catalog()

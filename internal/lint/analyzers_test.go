@@ -36,6 +36,7 @@ func TestSprintfemit(t *testing.T) {
 func TestSnapfields(t *testing.T) {
 	runFixture(t, Snapfields, cover("snapfields/flagged"))
 	runFixture(t, Snapfields, cover("snapfields/skipfield"))
+	runFixture(t, Snapfields, cover("snapfields/wiring"))
 	// The regression fixture reproduces the PR 6 bug class: a copy of a
 	// real snapshot type with a deliberately added unserialized field.
 	runFixture(t, Snapfields, cover("snapfields/regression"))

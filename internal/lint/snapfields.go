@@ -15,9 +15,10 @@ import (
 // walks. A field no walk touches is exactly the PR 6 bug class — someone
 // adds a field, the snapshot silently omits it, and a forked campaign
 // diverges from the uninterrupted run in a way no unit test notices.
-// Audited exceptions (caches rebuilt by constructors, immutable config,
-// free lists) are annotated on the field's line with
-// //availlint:skipfield <name> <reason>.
+// Audited exceptions (caches rebuilt by constructors, immutable config)
+// are annotated on the field's line with
+// //availlint:skipfield <name> <reason>. A field whose type cannot hold
+// snapshot state at all (see wiring) needs neither.
 //
 // Mechanics: the analyzer seeds one call-graph walk at every declared
 // function or method with a *snapio.Ctx parameter, closes it over
@@ -33,6 +34,50 @@ var Snapfields = &Analyzer{
 }
 
 const snapioPath = "press/internal/snapio"
+
+// wiring reports whether a field of type t cannot hold snapshot state,
+// whatever it is called: code (a func, a struct of funcs such as
+// cnet.StreamHandlers, a map of either — a restored component binds its
+// handlers again), a record free list (cnet.MsgPool: an empty pool
+// behaves as a full one), or a backlink to the kernel or the event log
+// (*sim.Sim, *metrics.Log: the restored world is built over its own).
+func wiring(t types.Type) bool {
+	if m, ok := t.Underlying().(*types.Map); ok {
+		return funcsOnly(m.Elem())
+	}
+	if funcsOnly(t) {
+		return true
+	}
+	_, ptr := t.(*types.Pointer)
+	named := namedOf(t)
+	if named == nil || named.Obj().Pkg() == nil {
+		return false
+	}
+	switch named.Obj().Pkg().Path() + "." + named.Obj().Name() {
+	case "press/internal/cnet.MsgPool":
+		return !ptr
+	case "press/internal/sim.Sim", "press/internal/metrics.Log":
+		return ptr
+	}
+	return false
+}
+
+// funcsOnly reports whether t is a func or a struct made only of them.
+// Structs nest by value, so this terminates.
+func funcsOnly(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Signature:
+		return true
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if !funcsOnly(u.Field(i).Type()) {
+				return false
+			}
+		}
+		return u.NumFields() > 0
+	}
+	return false
+}
 
 // hasCtxParam reports whether sig takes a *snapio.Ctx: the mark of a
 // snapshot walk.
@@ -102,7 +147,7 @@ func runSnapfields(pass *Pass) {
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if !mentions[f.Pos()] && !pass.SkipfieldAt(f.Pos(), f.Name()) {
+			if !mentions[f.Pos()] && !wiring(f.Type()) && !pass.SkipfieldAt(f.Pos(), f.Name()) {
 				pass.Reportf(f.Pos(),
 					"field %s of snapshot type %s is missing from the snapshot walk: forked campaigns will silently diverge from the uninterrupted run; move it in the walk or annotate //availlint:skipfield %s <reason>",
 					f.Name(), name, f.Name())

@@ -1,10 +1,13 @@
 // Package flagged exercises snapfields on one-walk snapshot sections: a
 // field the walk never mentions, a skipfield exemption, a field only the
-// walk's load-only block touches, and coverage that flows through a
-// same-package helper.
+// walk's load-only block touches, coverage that flows through a
+// same-package helper, and state sitting beside wiring.
 package flagged
 
-import "press/internal/snapio"
+import (
+	"press/internal/cnet"
+	"press/internal/snapio"
+)
 
 type Counter struct {
 	n       uint64
@@ -38,3 +41,19 @@ func snapInner(x *snapio.Ctx, in *inner) { snapio.Int(x, &in.x) }
 // restore has no context parameter and no walk calls it: what it touches
 // is not coverage.
 func (o *Outer) restore() { o.in.y = 0 }
+
+// Timer's callback is exempt by its type; the counter beside it is state
+// like any other, and so is a struct that mixes the two, or a pointer to
+// a pool (a record's home, which says where the record lives).
+type Timer struct {
+	at      int
+	fn      func()
+	retries int      // want `field retries of snapshot type Timer is missing from the snapshot walk`
+	armed   struct { // want `field armed of snapshot type Timer is missing from the snapshot walk`
+		fn func()
+		on bool
+	}
+	home *cnet.MsgPool[Timer] // want `field home of snapshot type Timer is missing from the snapshot walk`
+}
+
+func (t *Timer) SnapState(x *snapio.Ctx) { snapio.Int(x, &t.at) }

@@ -40,8 +40,8 @@ const (
 
 // handleTypeName returns a description of t if it is (or contains, via
 // pointers/slices/arrays/maps) a timer or ticker handle type: the
-// concrete sim kernel handles sim.Timer / sim.Ticker, or the portable
-// clock.Timer / clock.Ticker interfaces. "" otherwise.
+// concrete sim kernel handle sim.Timer, or the portable clock.Timer /
+// clock.Ticker interfaces. "" otherwise.
 func handleTypeName(t types.Type) string {
 	switch u := t.(type) {
 	case *types.Pointer:
@@ -58,10 +58,10 @@ func handleTypeName(t types.Type) string {
 		return ""
 	}
 	pkg, name := named.Obj().Pkg().Path(), named.Obj().Name()
-	if (pkg == simPath || pkg == clockPath) && (name == "Timer" || name == "Ticker") {
-		if pkg == simPath {
-			return "sim." + name
-		}
+	switch {
+	case pkg == simPath && name == "Timer":
+		return "sim.Timer"
+	case pkg == clockPath && (name == "Timer" || name == "Ticker"):
 		return "clock." + name
 	}
 	return ""

@@ -37,8 +37,8 @@ type State = simnet.NodeState
 
 // Machine is one simulated host.
 type Machine struct {
-	sim   *sim.Sim     //availlint:skipfield sim kernel backlink; the restored machine is built over the restored kernel
-	log   *metrics.Log //availlint:skipfield log event-log backlink, wired by New
+	sim   *sim.Sim
+	log   *metrics.Log
 	id    cnet.NodeID
 	iface *simnet.Iface  //availlint:skipfield iface interface backlink; simnet restores its own state
 	disks *simdisk.Array //availlint:skipfield disks disk-array backlink; simdisk restores its own state
@@ -55,8 +55,8 @@ type Machine struct {
 	// a dial storm's high-water is not kept (cnet.MsgPool). Records that
 	// never reach their release point (stopped timers) fall to the garbage
 	// collector instead.
-	dialFree  cnet.MsgPool[dialRec]  //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
-	timerFree cnet.MsgPool[timerRec] //availlint:skipfield timerFree free list; an empty list after restore is behaviorally identical
+	dialFree  cnet.MsgPool[dialRec]
+	timerFree cnet.MsgPool[timerRec]
 
 	// dials is the registry of in-flight dial records (issued, result not
 	// yet delivered), kept so snapshots can enumerate them. Registered in
@@ -228,7 +228,7 @@ func (m *Machine) emit(kind metrics.KindID, detail string) {
 type Proc struct {
 	m           *Machine //availlint:skipfield m owner backlink, set by AddProc on the rebuilt machine
 	name        string
-	start       func(env *Env) //availlint:skipfield start component entry closure, re-supplied by AddProc during the rebuild
+	start       func(env *Env) // component entry closure, re-supplied by AddProc during the rebuild
 	incarnation uint64
 	alive       bool
 	hung        bool
@@ -517,7 +517,7 @@ func (p *Proc) syncConnPause() {
 // record through the slot.
 type connRec struct {
 	c simnet.StreamConn
-	h cnet.StreamHandlers //availlint:skipfield h component handlers, re-attached by the owning component via RestoreConn
+	h cnet.StreamHandlers // component handlers, re-attached by the owning component via RestoreConn
 }
 
 func (p *Proc) adoptConn(e *Env, c simnet.StreamConn, h cnet.StreamHandlers) {
@@ -573,9 +573,9 @@ func (p *Proc) dropConn(c cnet.Conn) {
 // the connection's record on success.
 type dialRec struct {
 	e      *Env
-	result func(cnet.Conn, error) //availlint:skipfield result endpoint callback, re-registered via Env.RestoreDialer
-	h      cnet.StreamHandlers    //availlint:skipfield h endpoint handlers, re-registered via Env.RestoreDialer
-	cb     func(cnet.Conn, error) //availlint:skipfield cb completion closure, built once per record
+	result func(cnet.Conn, error) // endpoint callback, re-registered via Env.RestoreDialer
+	h      cnet.StreamHandlers    // endpoint handlers, re-registered via Env.RestoreDialer
+	cb     func(cnet.Conn, error) // completion closure, built once per record
 	to     cnet.NodeID            // snapshot identity of the dial
 	port   string
 	slot   int // registry index, reassigned as restore re-registers in-flight dials
@@ -624,7 +624,7 @@ func (m *Machine) putDial(r *dialRec) {
 // which is rare and harmless.
 type timerRec struct {
 	e      *Env
-	fn     func() //availlint:skipfield fn timer callback, re-supplied by the component via Env.RestoreTimer
+	fn     func() // timer callback, re-supplied by the component via Env.RestoreTimer
 	serial uint64
 }
 
@@ -658,11 +658,11 @@ type Env struct {
 
 	// dgramH keeps the raw component handler per bound port so snapshot
 	// restore can rebuild pending mailbox datagram entries.
-	dgramH map[string]func(from cnet.NodeID, m cnet.Message) //availlint:skipfield dgramH rebuilt as restored components re-bind their handlers
+	dgramH map[string]func(from cnet.NodeID, m cnet.Message) // rebuilt as restored components re-bind their handlers
 
 	// hooks is what this incarnation installs on every connection it
 	// adopts: closures over the Env alone, built once by newEnv.
-	hooks connHooks //availlint:skipfield hooks closures over the Env, rebuilt by newEnv
+	hooks connHooks // closures over the Env, rebuilt by newEnv
 }
 
 // connHooks are an incarnation's shared connection callbacks: the handler
@@ -911,8 +911,8 @@ func (pc procClock) Every(d time.Duration, fn func()) clock.Ticker {
 type procTicker struct {
 	e       *Env
 	period  time.Duration
-	fn      func()    //availlint:skipfield fn tick callback, re-supplied by the component on restore (Env.RestoreTicker)
-	fireFn  func()    //availlint:skipfield fireFn once-bound dispatch closure, rebuilt with the ticker
+	fn      func()    // tick callback, re-supplied by the component on restore (Env.RestoreTicker)
+	fireFn  func()    // once-bound dispatch closure, rebuilt with the ticker
 	t       sim.Timer //availlint:skipfield t pending kernel handle, re-armed by serial claim on restore
 	serial  uint64
 	firing  bool
@@ -974,8 +974,7 @@ func (t *procTicker) Reschedule(d time.Duration) {
 }
 
 // PendingTimer returns the pending (or fire-in-mailbox) timer handle for
-// snapshot code, nil when stopped or never armed. Mirrors
-// clock.FuncTicker.PendingTimer.
+// snapshot code, nil when stopped or never armed.
 func (t *procTicker) PendingTimer() clock.Timer {
 	if t.serial == 0 {
 		return nil

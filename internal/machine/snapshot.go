@@ -330,7 +330,7 @@ func (e *Env) RestoreTimer(serial uint64, fn func()) clock.Timer {
 // RestoreTicker rebuilds an unarmed native ticker from snapshot state.
 // The caller re-claims the ticker's pending fire (if one was saved)
 // through RestoreTimer with the ticker's FireFunc and hands the handle
-// to AdoptTimer — the same protocol clock.RestoreFuncTicker uses.
+// to AdoptTimer.
 func (e *Env) RestoreTicker(period time.Duration, fn func(), stopped bool) clock.Ticker {
 	if fn == nil {
 		panic("clock: nil ticker function")

@@ -10,41 +10,12 @@ import (
 	"press/internal/machine"
 	"press/internal/membership"
 	"press/internal/metrics"
-	"press/internal/sim"
-	"press/internal/simnet"
 )
 
 // newGossipWorld builds n machines each running a gossip-mode membership
 // daemon over the full peer set, with a 1 s round period.
 func newGossipWorld(t *testing.T, n int) *world {
-	t.Helper()
-	s := sim.New(11)
-	log := &metrics.Log{}
-	net := simnet.New(s, simnet.DefaultConfig(), log)
-	w := &world{sim: s, net: net, log: log}
-	var ids []cnet.NodeID
-	for i := 0; i < n; i++ {
-		ids = append(ids, cnet.NodeID(i))
-	}
-	for i := 0; i < n; i++ {
-		m := machine.New(s, net, cnet.NodeID(i), nil, log)
-		pub := &membership.Published{}
-		holder := new(*membership.Daemon)
-		c := membership.Config{
-			Self:     cnet.NodeID(i),
-			HBPeriod: time.Second,
-			HBMiss:   3,
-			Gossip:   true,
-			Peers:    ids,
-		}
-		m.AddProc("membd", func(env *machine.Env) {
-			*holder = membership.NewDaemon(c, env, pub)
-		})
-		w.machines = append(w.machines, m)
-		w.daemons = append(w.daemons, holder)
-		w.pubs = append(w.pubs, pub)
-	}
-	return w
+	return newWorldOf(t, n, membership.Config{HBPeriod: time.Second, HBMiss: 3, Gossip: true, Peers: nodeIDs(n)})
 }
 
 // gossipRounds is the dissemination budget the daemon itself derives:

@@ -18,15 +18,19 @@
 // publishes the current group to a shared-memory segment (Published); the
 // application links the client library (Client), which polls the segment
 // and delivers callbacks, and may hint at dead nodes via NodeDown.
+//
+// That algorithm is ring.go. The scale-out suite replaces it with an
+// epidemic one (epidemic.go, Config.Gossip); NewDaemon picks one, and this
+// file holds only what both share: the configuration, the wire messages,
+// the view and its publication, and the client library.
 package membership
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
 )
@@ -65,7 +69,8 @@ type Config struct {
 	// them flow again.
 	Gossip bool
 	// Peers is the static candidate set gossip draws targets from (the
-	// cluster's server IDs; self is skipped). Required in gossip mode.
+	// cluster's server IDs; self is skipped). Required in gossip mode —
+	// NewDaemon panics without it — and ignored by the ring.
 	Peers []cnet.NodeID
 	// Fanout is how many peers each round's digest goes to (default 3).
 	Fanout int
@@ -220,75 +225,47 @@ type MNodeDown struct {
 	Node cnet.NodeID
 }
 
-// Daemon is the membership server process.
+// Daemon is the membership server process. It holds what both protocol
+// suites share — the view, its version and the published segment — and
+// owns one agreement value that decides when the view changes.
 type Daemon struct {
 	cfg Config
 	env cnet.Env
 	pub *Published
 	src metrics.SourceID
-	// missDetail is the constant heartbeat-miss detect reason, formatted
-	// once at construction.
-	missDetail string
 
 	version uint64
 	members []cnet.NodeID // sorted, includes self
 
-	lastSeen map[cnet.NodeID]time.Duration
-	busy     bool
-	wait     *ackWait
+	agree agreement
+}
 
-	offers     []MJoinOffer
-	collecting bool
-
-	seekT clock.Ticker // variable-period seek loop, retimed each pass
-
-	// hbPool recycles heartbeat records; receivers release them.
-	hbPool cnet.MsgPool[MHeartbeat]
-
-	// Epidemic-mode state (Config.Gossip): own and remembered heartbeat
-	// counters, the last time fresh evidence arrived for each peer, and
-	// the recycled digest/pick scratch.
-	counts map[cnet.NodeID]uint64
-	gseen  map[cnet.NodeID]time.Duration
-	peerOK map[cnet.NodeID]bool
-	// gossipPool recycles digest records; receivers release them.
-	gossipPool cnet.MsgPool[MGossip]
-	pickBuf    []cnet.NodeID
+// agreement is the protocol that decides the view: the paper's ring
+// (ring.go) or the scale-out epidemic (epidemic.go). Each speaks only its
+// own messages on Port — a datagram of the other suite falls through its
+// switch — and changes the view through Daemon.install.
+type agreement interface {
+	// start installs the boot view and arms the protocol's tickers.
+	start()
+	onMessage(from cnet.NodeID, m cnet.Message)
 }
 
 // NewDaemon starts a membership daemon on env, publishing into pub.
 func NewDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
 	d := &Daemon{
-		cfg:      cfg.withDefaults(),
-		env:      env,
-		pub:      pub,
-		members:  []cnet.NodeID{cfg.Self},
-		lastSeen: make(map[cnet.NodeID]time.Duration),
+		cfg:     cfg.withDefaults(),
+		env:     env,
+		pub:     pub,
+		members: []cnet.NodeID{cfg.Self},
 	}
 	d.src = metrics.InternSource(fmt.Sprintf("membd/%d", d.cfg.Self))
 	if d.cfg.Gossip {
-		// Epidemic mode: no join multicasts, no ring, no 2PC — just the
-		// per-round digest push. Convergence is bounded by the flood
-		// diameter, so staleness tolerates the Table-1 miss budget plus
-		// one full dissemination.
-		d.missDetail = fmt.Sprintf("membership: counter stale for %d gossip rounds", d.staleRounds())
-		d.counts = map[cnet.NodeID]uint64{d.cfg.Self: 1}
-		d.gseen = map[cnet.NodeID]time.Duration{d.cfg.Self: d.env.Clock().Now()}
-		d.peerOK = make(map[cnet.NodeID]bool, len(d.cfg.Peers))
-		for _, p := range d.cfg.Peers {
-			d.peerOK[p] = true
-		}
-		d.env.BindDatagram(Port, d.onMessage)
-		d.install(1, d.members, "boot")
-		d.env.Clock().Every(d.cfg.HBPeriod, d.gossipTick)
-		return d
+		d.agree = newEpidemic(d)
+	} else {
+		d.agree = newRing(d)
 	}
-	d.missDetail = fmt.Sprintf("membership: %d heartbeats missed", d.cfg.HBMiss)
-	d.env.JoinGroup(JoinGroup)
-	d.env.BindDatagram(Port, d.onMessage)
-	d.install(1, d.members, "boot")
-	d.startTicking()
-	d.seekLater(true)
+	d.env.BindDatagram(Port, d.agree.onMessage)
+	d.agree.start()
 	return d
 }
 
@@ -306,408 +283,26 @@ func (d *Daemon) emit(kind metrics.KindID, node cnet.NodeID, detail string) {
 	d.env.Events().EmitID(d.env.Clock().Now(), d.src, kind, int(node), detail)
 }
 
-func (d *Daemon) isMember(n cnet.NodeID) bool {
-	for _, m := range d.members {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
+func (d *Daemon) isMember(n cnet.NodeID) bool { return slices.Contains(d.members, n) }
 
-// neighbours returns the ring neighbours (upstream, downstream).
-func (d *Daemon) neighbours() (up, down cnet.NodeID) {
-	n := len(d.members)
-	if n <= 1 {
-		return cnet.None, cnet.None
-	}
-	idx := sort.Search(n, func(i int) bool { return d.members[i] >= d.cfg.Self })
-	return d.members[(idx-1+n)%n], d.members[(idx+1)%n]
-}
-
+// install adopts a view: sorts it, publishes it, and logs who joined and
+// who left.
 func (d *Daemon) install(ver uint64, members []cnet.NodeID, why string) {
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	old := d.members
 	d.version = ver
 	d.members = append([]cnet.NodeID(nil), members...)
 	d.pub.set(ver, d.members)
-	now := d.env.Clock().Now()
 	for _, m := range d.members {
-		if !contains(old, m) && m != d.cfg.Self {
+		if !slices.Contains(old, m) && m != d.cfg.Self {
 			d.emit(metrics.KMemberJoin, m, why)
 		}
-		d.lastSeen[m] = now // grace for new ring shape
 	}
 	for _, m := range old {
-		if !contains(d.members, m) && m != d.cfg.Self {
+		if !slices.Contains(d.members, m) && m != d.cfg.Self {
 			d.emit(metrics.KMemberLeave, m, why)
-			delete(d.lastSeen, m)
 		}
 	}
-	d.busy = false
-}
-
-func contains(ns []cnet.NodeID, n cnet.NodeID) bool {
-	for _, m := range ns {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
-
-func (d *Daemon) startTicking() {
-	d.env.Clock().Every(d.cfg.HBPeriod, d.tick)
-}
-
-func (d *Daemon) tick() {
-	up, down := d.neighbours()
-	now := d.env.Clock().Now()
-	for _, nb := range []cnet.NodeID{up, down} {
-		if nb == cnet.None || nb == d.cfg.Self {
-			continue
-		}
-		hb := NewMHeartbeat(&d.hbPool)
-		hb.From, hb.Ver = d.cfg.Self, d.version
-		d.env.Send(nb, cnet.ClassIntra, Port, hb, 48)
-		deadline := time.Duration(d.cfg.HBMiss) * d.cfg.HBPeriod
-		if seen, ok := d.lastSeen[nb]; ok && now-seen > deadline {
-			d.emit(metrics.KDetect, nb, d.missDetail)
-			d.startExclusion(nb)
-		}
-	}
-}
-
-// staleRounds is the gossip liveness budget in rounds: the ring mode's
-// miss count plus ceil(log2 N) rounds for a counter increment to flood
-// the cluster through bounded-fanout pushes.
-func (d *Daemon) staleRounds() int {
-	r := d.cfg.HBMiss
-	for n := 1; n < len(d.cfg.Peers); n *= 2 {
-		r++
-	}
-	return r
-}
-
-// gossipTick runs one epidemic round: bump our own counter, push the
-// full digest to Fanout distinct random peers, and refresh the derived
-// view. Target draws come from the env's deterministic stream; the
-// digest is built by walking the static sorted peer list, never by
-// ranging a map.
-func (d *Daemon) gossipTick() {
-	d.counts[d.cfg.Self]++
-	d.gseen[d.cfg.Self] = d.env.Clock().Now()
-	d.pickBuf = d.pickBuf[:0]
-	for _, p := range d.cfg.Peers {
-		if p != d.cfg.Self {
-			d.pickBuf = append(d.pickBuf, p)
-		}
-	}
-	rng := d.env.Rand()
-	k := d.cfg.Fanout
-	if k > len(d.pickBuf) {
-		k = len(d.pickBuf)
-	}
-	for i := 0; i < k; i++ {
-		// Partial Fisher-Yates: the first k slots become a uniform draw of
-		// k distinct targets.
-		j := i + rng.Intn(len(d.pickBuf)-i)
-		d.pickBuf[i], d.pickBuf[j] = d.pickBuf[j], d.pickBuf[i]
-		g := NewMGossip(&d.gossipPool)
-		g.From = d.cfg.Self
-		for _, p := range d.cfg.Peers {
-			if c, ok := d.counts[p]; ok {
-				g.Nodes = append(g.Nodes, p)
-				g.Counts = append(g.Counts, c)
-			}
-		}
-		d.env.Send(d.pickBuf[i], cnet.ClassIntra, Port, g, 48+12*len(g.Nodes))
-	}
-	d.recompute()
-}
-
-// mergeGossip folds a received digest into our counters: a strictly
-// larger counter is fresh evidence for that node. Receiving our own
-// counter from the future means we restarted behind the cluster's
-// memory of us — jump past it so peers see a new incarnation. The
-// sender itself is directly evidenced by the message's arrival.
-func (d *Daemon) mergeGossip(msg *MGossip) {
-	now := d.env.Clock().Now()
-	for i, n := range msg.Nodes {
-		if !d.peerOK[n] {
-			continue
-		}
-		c := msg.Counts[i]
-		if n == d.cfg.Self {
-			if c > d.counts[n] {
-				d.counts[n] = c + 1
-			}
-			continue
-		}
-		if c > d.counts[n] {
-			d.counts[n] = c
-			d.gseen[n] = now
-		}
-	}
-	if d.peerOK[msg.From] && msg.From != d.cfg.Self {
-		d.gseen[msg.From] = now
-	}
-	d.recompute()
-}
-
-// recompute derives the gossip-mode view: self plus every peer whose
-// evidence is within the staleness deadline. A changed view is
-// installed through the same path ring mode uses, so version numbers,
-// the published segment and join/leave events behave identically.
-func (d *Daemon) recompute() {
-	now := d.env.Clock().Now()
-	deadline := time.Duration(d.staleRounds()) * d.cfg.HBPeriod
-	next := make([]cnet.NodeID, 0, len(d.members))
-	for _, p := range d.cfg.Peers {
-		if p == d.cfg.Self {
-			next = append(next, p)
-			continue
-		}
-		if seen, ok := d.gseen[p]; ok && now-seen <= deadline {
-			next = append(next, p)
-		}
-	}
-	if sameView(next, d.members) {
-		return
-	}
-	for _, m := range d.members {
-		if m != d.cfg.Self && !contains(next, m) {
-			d.emit(metrics.KDetect, m, d.missDetail)
-			delete(d.gseen, m)
-		}
-	}
-	d.install(d.version+1, next, "gossip")
-}
-
-// sameView reports whether two sorted member lists are identical.
-func sameView(a, b []cnet.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// startExclusion coordinates the two-phase removal of n.
-func (d *Daemon) startExclusion(n cnet.NodeID) {
-	if d.busy || !d.isMember(n) || n == d.cfg.Self {
-		return
-	}
-	var next []cnet.NodeID
-	for _, m := range d.members {
-		if m != n {
-			next = append(next, m)
-		}
-	}
-	d.runChange(next, n, false)
-}
-
-// runChange runs the 2PC for a proposed view.
-func (d *Daemon) runChange(proposed []cnet.NodeID, subject cnet.NodeID, add bool) {
-	d.busy = true
-	ver := d.version + 1
-	prep := MPrepare{From: d.cfg.Self, Ver: ver, Members: proposed, Subject: subject, Add: add}
-	acked := map[cnet.NodeID]bool{d.cfg.Self: true}
-	need := 0
-	for _, m := range proposed {
-		if m != d.cfg.Self {
-			need++
-			d.env.Send(m, cnet.ClassIntra, Port, prep, 64+4*len(proposed))
-		}
-	}
-	d.expectAcks(ver, proposed, acked, need, subject, add)
-}
-
-// ackWait tracks one in-flight 2PC at the coordinator.
-type ackWait struct {
-	ver        uint64
-	proposed   []cnet.NodeID
-	acked      map[cnet.NodeID]bool
-	need       int
-	onComplete func()
-}
-
-func (d *Daemon) expectAcks(ver uint64, proposed []cnet.NodeID, acked map[cnet.NodeID]bool, need int, subject cnet.NodeID, add bool) {
-	d.wait = &ackWait{ver: ver, proposed: proposed, acked: acked, need: need}
-	commit := func() {
-		if d.wait == nil || d.wait.ver != ver {
-			return
-		}
-		w := d.wait
-		d.wait = nil
-		// Commit to everyone who acked; the silent ones will be detected
-		// and excluded by heartbeat monitoring in due course.
-		var final []cnet.NodeID
-		for _, m := range w.proposed {
-			if w.acked[m] {
-				final = append(final, m)
-			}
-		}
-		cm := MCommit{From: d.cfg.Self, Ver: ver, Members: final}
-		for _, m := range final {
-			if m != d.cfg.Self {
-				d.env.Send(m, cnet.ClassIntra, Port, cm, 64+4*len(final))
-			}
-		}
-		what := "exclude"
-		if add {
-			what = "admit"
-		}
-		d.install(ver, final, fmt.Sprintf("%s %d (coordinator)", what, subject))
-	}
-	if need == 0 {
-		commit()
-		return
-	}
-	d.wait.onComplete = commit
-	d.env.Clock().AfterFunc(d.cfg.AckTimeout, commit)
-}
-
-func (d *Daemon) onMessage(from cnet.NodeID, m cnet.Message) {
-	switch msg := m.(type) {
-	case *MHeartbeat:
-		d.lastSeen[msg.From] = d.env.Clock().Now()
-		msg.Release()
-	case *MGossip:
-		d.mergeGossip(msg)
-		msg.Release()
-	case MNodeDown:
-		if d.cfg.Gossip {
-			if d.isMember(msg.Node) && msg.Node != d.cfg.Self {
-				d.emit(metrics.KDetect, msg.Node, "application NodeDown hint")
-				delete(d.gseen, msg.Node)
-				d.recompute()
-			}
-			return
-		}
-		if d.isMember(msg.Node) {
-			d.emit(metrics.KDetect, msg.Node, "application NodeDown hint")
-			d.startExclusion(msg.Node)
-		}
-	case MPrepare:
-		if msg.Ver <= d.version {
-			return // stale proposal
-		}
-		d.env.Send(msg.From, cnet.ClassIntra, Port, MAck{From: d.cfg.Self, Ver: msg.Ver}, 48)
-	case MAck:
-		if d.wait != nil && d.wait.ver == msg.Ver && !d.wait.acked[msg.From] {
-			d.wait.acked[msg.From] = true
-			d.wait.need--
-			if d.wait.need <= 0 && d.wait.onComplete != nil {
-				d.wait.onComplete()
-			}
-		}
-	case MCommit:
-		if msg.Ver <= d.version {
-			return
-		}
-		if !contains(msg.Members, d.cfg.Self) {
-			return // a view without us is not ours to install
-		}
-		d.install(msg.Ver, msg.Members, fmt.Sprintf("commit from %d", msg.From))
-	case MJoinReq:
-		d.onJoinReq(msg)
-	case MJoinOffer:
-		if d.collecting {
-			d.offers = append(d.offers, msg)
-		}
-	case MJoinAsk:
-		if d.busy || d.isMember(msg.From) {
-			return
-		}
-		d.runChange(append(append([]cnet.NodeID(nil), d.members...), msg.From), msg.From, true)
-	}
-}
-
-// onJoinReq answers a seeker when our group would be better for it.
-func (d *Daemon) onJoinReq(msg MJoinReq) {
-	if d.isMember(msg.From) {
-		return
-	}
-	if !betterGroup(d.members, msg.Members) {
-		return
-	}
-	d.env.Send(msg.From, cnet.ClassIntra, Port,
-		MJoinOffer{From: d.cfg.Self, Ver: d.version, Members: d.Members()}, 64+4*len(d.members))
-}
-
-// betterGroup reports whether group a is preferable to group b: strictly
-// larger, or equal-sized with a lower minimum ID. The asymmetry guarantees
-// convergence to a single group after partitions heal.
-func betterGroup(a, b []cnet.NodeID) bool {
-	if len(a) != len(b) {
-		return len(a) > len(b)
-	}
-	if len(a) == 0 {
-		return false
-	}
-	return minID(a) < minID(b)
-}
-
-func minID(ns []cnet.NodeID) cnet.NodeID {
-	min := ns[0]
-	for _, n := range ns {
-		if n < min {
-			min = n
-		}
-	}
-	return min
-}
-
-func (d *Daemon) seekLater(fast bool) {
-	period := d.cfg.SeekPeriod
-	if fast || len(d.members) == 1 {
-		period = d.cfg.SeekPeriod / 4
-	}
-	if d.seekT == nil {
-		d.seekT = d.env.Clock().Every(period, d.seek)
-		return
-	}
-	// Inside seek's deferred rearm: replaces the ticker's automatic rearm
-	// with the period chosen for the current group size.
-	d.seekT.Reschedule(period)
-}
-
-// seek multicasts a join request and, after the offer window, asks the
-// best offering member to admit us.
-func (d *Daemon) seek() {
-	defer d.seekLater(false)
-	if d.busy || d.collecting {
-		return
-	}
-	d.collecting = true
-	d.offers = nil
-	d.env.Multicast(JoinGroup, Port, MJoinReq{
-		From:    d.cfg.Self,
-		Size:    len(d.members),
-		MinID:   minID(d.members),
-		Members: d.Members(),
-	}, 64+4*len(d.members))
-	d.env.Clock().AfterFunc(d.cfg.OfferWindow, func() {
-		d.collecting = false
-		best := -1
-		for i, off := range d.offers {
-			if !betterGroup(off.Members, d.members) {
-				continue
-			}
-			if best == -1 || betterGroup(d.offers[i].Members, d.offers[best].Members) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return
-		}
-		d.env.Send(d.offers[best].From, cnet.ClassIntra, Port, MJoinAsk{From: d.cfg.Self}, 48)
-	})
 }
 
 // Client is the application-side library (§4.2): it polls the shared

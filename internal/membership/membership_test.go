@@ -22,17 +22,19 @@ type world struct {
 	pubs     []*membership.Published
 }
 
+// newWorld builds n machines each running a ring-mode daemon.
 func newWorld(t *testing.T, n int) *world {
+	return newWorldOf(t, n, membership.Config{HBPeriod: time.Second, HBMiss: 3, SeekPeriod: 2 * time.Second})
+}
+
+// newWorldOf builds n machines (nodes 0..n-1), each running a daemon
+// configured by cfg with Self filled in.
+func newWorldOf(t *testing.T, n int, cfg membership.Config) *world {
 	t.Helper()
 	s := sim.New(11)
 	log := &metrics.Log{}
 	net := simnet.New(s, simnet.DefaultConfig(), log)
 	w := &world{sim: s, net: net, log: log}
-	cfg := membership.Config{
-		HBPeriod:   time.Second,
-		HBMiss:     3,
-		SeekPeriod: 2 * time.Second,
-	}
 	for i := 0; i < n; i++ {
 		m := machine.New(s, net, cnet.NodeID(i), nil, log)
 		pub := &membership.Published{}
@@ -47,6 +49,15 @@ func newWorld(t *testing.T, n int) *world {
 		w.pubs = append(w.pubs, pub)
 	}
 	return w
+}
+
+// nodeIDs is the peer list 0..n-1.
+func nodeIDs(n int) []cnet.NodeID {
+	ids := make([]cnet.NodeID, n)
+	for i := range ids {
+		ids[i] = cnet.NodeID(i)
+	}
+	return ids
 }
 
 func (w *world) daemon(i int) *membership.Daemon { return *w.daemons[i] }

@@ -228,12 +228,9 @@ func (s *Server) onPeerMsg(st *inPeer, c cnet.Conn, m cnet.Message) {
 		st.from, st.known = msg.From, true
 		s.inboundFrom[c] = msg.From
 		for _, d := range msg.CacheDocs {
-			// Sharded directory: only record the shards this node owns;
-			// the rest of the Hello is directory state for other homes.
-			if s.cfg.Sharded && s.shardOwner(d) != s.cfg.Self {
-				continue
+			if s.proto.records(d) {
+				s.dir.Set(msg.From, d, true)
 			}
-			s.dir.Set(msg.From, d, true)
 		}
 		// A Hello from a node outside the view is a (re)joining member:
 		// NodeIn. (Base PRESS: the rejoining node re-establishes the

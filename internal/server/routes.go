@@ -151,21 +151,7 @@ func (s *Server) pickService(doc trace.DocID) (cnet.NodeID, bool) {
 	if len(view) <= 1 {
 		return cnet.None, false
 	}
-	best := cnet.None
-	bestLoad := int(^uint(0) >> 1)
-	s.dir.eachHolder(doc, func(n cnet.NodeID) {
-		if n == s.cfg.Self || !s.inView(n) {
-			return
-		}
-		if s.qm != nil && s.qm.ShouldReroute(n) {
-			s.stats.Rerouted++
-			return
-		}
-		if l := s.peer(n).load; l < bestLoad {
-			best, bestLoad = n, l
-		}
-	})
-	if best != cnet.None {
+	if best := s.leastLoadedHolder(doc, cnet.None); best != cnet.None {
 		return best, true
 	}
 	home := view[int(doc)%len(view)]
@@ -179,80 +165,15 @@ func (s *Server) pickService(doc trace.DocID) (cnet.NodeID, bool) {
 	return home, true
 }
 
-func (s *Server) forward(st *reqState, target cnet.NodeID) {
-	s.env.Charge(s.cfg.Cost.Forward)
-	st.forwardedTo = target
-	s.stats.ForwardsOut++
-	m := NewFwdMsg(&s.fwdPool)
-	m.ID, m.Doc, m.Load = st.id, st.doc, s.active
-	m.Origin = cnet.None // first hop; pool recycling zeroes the field
-	s.enqueue(target, outMsg{m: m, size: sizeFwd, isReq: true, reqID: st.id})
-}
-
-// completeForwarded handles a service node's reply. In the sharded
-// protocol the reply may come from a holder the home node relayed to —
-// a node other than the one we forwarded to — so the sender check
-// relaxes to "still awaiting a forward at all".
-func (s *Server) completeForwarded(from cnet.NodeID, msg *FwdReplyMsg) {
-	st := s.inflight[msg.ID]
-	if st == nil {
-		return // request already dead (client timeout)
-	}
-	if s.cfg.Sharded {
-		if st.forwardedTo == cnet.None {
-			return // rerouted meanwhile; a newer path owns the request
-		}
-	} else if st.forwardedTo != from {
-		return // rerouted elsewhere
-	}
-	s.env.Charge(s.cfg.Cost.Reply)
-	s.stats.RemoteServed++
-	s.respond(st, msg.OK)
-}
-
-// servePeer is the service-node half of a forwarded request. Under the
-// sharded protocol the home node additionally acts as directory
-// authority: on a local miss it relays the forward to a known holder
-// (stamping Origin so the holder replies straight to the initial node)
-// before falling back to its own disks. A relayed forward that loses
-// its holder dies by client timeout — the home keeps no per-request
-// state for it.
-func (s *Server) servePeer(from cnet.NodeID, msg *FwdMsg) {
-	replyTo := from
-	if msg.Origin != cnet.None {
-		replyTo = msg.Origin
-	}
-	if s.cache.Has(msg.Doc) {
-		s.env.Charge(s.cfg.Cost.PeerServe)
-		s.replyPeer(replyTo, msg.ID, msg.Doc, true)
-		return
-	}
-	if s.cfg.Sharded && msg.Origin == cnet.None {
-		if holder, ok := s.pickHolder(msg.Doc, from); ok {
-			s.env.Charge(s.cfg.Cost.Forward)
-			m := NewFwdMsg(&s.fwdPool)
-			m.ID, m.Doc, m.Load = msg.ID, msg.Doc, s.active
-			m.Origin = from
-			s.enqueue(holder, outMsg{m: m, size: sizeFwd, isReq: true})
-			return
-		}
-	}
-	// Miss at the service node: read and start caching (the announce
-	// happens when the read completes).
-	s.env.Charge(s.cfg.Cost.PeerServe)
-	op := s.getDiskOp()
-	op.doc, op.peerServe, op.from, op.id = msg.Doc, true, replyTo, msg.ID
-	s.diskRead(op)
-}
-
-// pickHolder chooses the least-loaded node recorded as caching doc,
-// excluding ourselves and the requester (who just missed on it) and
-// honouring queue monitoring — the sharded home node's relay target.
-func (s *Server) pickHolder(doc trace.DocID, origin cnet.NodeID) (cnet.NodeID, bool) {
+// leastLoadedHolder returns the least-loaded node the directory records
+// as caching doc, or cnet.None. It passes over ourselves, the node
+// except, nodes outside the view and nodes queue monitoring says to
+// route away from.
+func (s *Server) leastLoadedHolder(doc trace.DocID, except cnet.NodeID) cnet.NodeID {
 	best := cnet.None
 	bestLoad := int(^uint(0) >> 1)
 	s.dir.eachHolder(doc, func(n cnet.NodeID) {
-		if n == s.cfg.Self || n == origin || !s.inView(n) {
+		if n == s.cfg.Self || n == except || !s.inView(n) {
 			return
 		}
 		if s.qm != nil && s.qm.ShouldReroute(n) {
@@ -263,7 +184,55 @@ func (s *Server) pickHolder(doc trace.DocID, origin cnet.NodeID) (cnet.NodeID, b
 			best, bestLoad = n, l
 		}
 	})
-	return best, best != cnet.None
+	return best
+}
+
+func (s *Server) forward(st *reqState, target cnet.NodeID) {
+	s.env.Charge(s.cfg.Cost.Forward)
+	st.forwardedTo = target
+	s.stats.ForwardsOut++
+	m := NewFwdMsg(&s.fwdPool)
+	m.ID, m.Doc, m.Load = st.id, st.doc, s.active
+	m.Origin = cnet.None // first hop; pool recycling zeroes the field
+	s.enqueue(target, outMsg{m: m, size: sizeFwd, isReq: true, reqID: st.id})
+}
+
+// completeForwarded handles a service node's reply.
+func (s *Server) completeForwarded(from cnet.NodeID, msg *FwdReplyMsg) {
+	st := s.inflight[msg.ID]
+	if st == nil {
+		return // request already dead (client timeout)
+	}
+	if !s.proto.awaits(st, from) {
+		return // rerouted elsewhere
+	}
+	s.env.Charge(s.cfg.Cost.Reply)
+	s.stats.RemoteServed++
+	s.respond(st, msg.OK)
+}
+
+// servePeer is the service-node half of a forwarded request: serve from
+// the cache, let the directory protocol relay the miss, or read the
+// local disks.
+func (s *Server) servePeer(from cnet.NodeID, msg *FwdMsg) {
+	replyTo := from
+	if msg.Origin != cnet.None {
+		replyTo = msg.Origin
+	}
+	if s.cache.Has(msg.Doc) {
+		s.env.Charge(s.cfg.Cost.PeerServe)
+		s.replyPeer(replyTo, msg.ID, msg.Doc, true)
+		return
+	}
+	if s.proto.relay(from, msg) {
+		return
+	}
+	// Miss at the service node: read and start caching (the announce
+	// happens when the read completes).
+	s.env.Charge(s.cfg.Cost.PeerServe)
+	op := s.getDiskOp()
+	op.doc, op.peerServe, op.from, op.id = msg.Doc, true, replyTo, msg.ID
+	s.diskRead(op)
 }
 
 // replyPeer answers a forwarded request back to the requesting node.
@@ -409,9 +378,9 @@ func (s *Server) diskDone(op *diskOp) {
 func (s *Server) insertCache(doc trace.DocID) {
 	evicted, didEvict := s.cache.Insert(doc)
 	if s.cfg.Cooperative {
-		s.announce(doc, true)
+		s.proto.announce(doc, true)
 		if didEvict {
-			s.announce(evicted, false)
+			s.proto.announce(evicted, false)
 		}
 	}
 }

@@ -38,6 +38,7 @@ type Server struct {
 
 	cache *docCache
 	dir   *directory
+	proto dirProtocol
 
 	// view and peers are dense by NodeID (server IDs are small ints):
 	// membership tests and peer lookups run on every routed request, and
@@ -80,7 +81,7 @@ type Server struct {
 	fwdPool    cnet.MsgPool[FwdMsg]
 	fwdRepPool cnet.MsgPool[FwdReplyMsg]
 	annPool    cnet.MsgPool[AnnounceMsg]
-	hbPool     cnet.MsgPool[HBMsg] //availlint:skipfield hbPool message free list; an empty pool after restore is behaviorally identical
+	hbPool     cnet.MsgPool[HBMsg]
 
 	ring  ringDetector
 	stats Stats
@@ -128,6 +129,11 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 		inflight:       make(map[uint64]*reqState),
 		clientOf:       make(map[cnet.Conn]uint64),
 		inboundFrom:    make(map[cnet.Conn]cnet.NodeID),
+	}
+	if cfg.Sharded {
+		s.proto = shardedDir{s}
+	} else {
+		s.proto = broadcastDir{s}
 	}
 	s.viewAdd(cfg.Self)
 	s.clientH = cnet.StreamHandlers{OnMessage: s.onClientMsg, OnClose: s.onClientClose}
@@ -414,39 +420,4 @@ func (s *Server) emit(kind metrics.KindID, node int, detail string) {
 
 func (s *Server) emitDetect(node int, by string) {
 	s.env.Events().EmitID(s.env.Clock().Now(), s.src, metrics.KDetect, node, by)
-}
-
-// shardOwner is the document's home node under hash placement — the
-// same mod-N rule pickService's fallback uses, so in the sharded
-// protocol the directory authority and the miss target coincide.
-func (s *Server) shardOwner(doc trace.DocID) cnet.NodeID {
-	view := s.sortedView()
-	return view[int(doc)%len(view)]
-}
-
-// announce publishes a caching decision. The faithful protocol
-// broadcasts it to the whole cooperation set; the sharded protocol
-// sends one message to the document's home node, which becomes the
-// directory authority for that shard (an owner's own decisions need no
-// message — its local cache is consulted before the directory). Each
-// destination gets its own pooled record — the receivers release
-// independently, so one record must never be shared across sends.
-func (s *Server) announce(doc trace.DocID, cached bool) {
-	if s.cfg.Sharded {
-		owner := s.shardOwner(doc)
-		if owner == s.cfg.Self {
-			return
-		}
-		m := NewAnnounceMsg(&s.annPool)
-		m.From, m.Doc, m.Cached, m.Load = s.cfg.Self, doc, cached, s.active
-		s.env.Send(owner, cnet.ClassIntra, PortControl, m, sizeControl)
-		return
-	}
-	for _, n := range s.sortedView() {
-		if n != s.cfg.Self {
-			m := NewAnnounceMsg(&s.annPool)
-			m.From, m.Doc, m.Cached, m.Load = s.cfg.Self, doc, cached, s.active
-			s.env.Send(n, cnet.ClassIntra, PortControl, m, sizeControl)
-		}
-	}
 }

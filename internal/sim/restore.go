@@ -28,11 +28,11 @@ func (t Timer) Key() (at time.Duration, seq uint64, ok bool) {
 }
 
 // VisitPending calls visit for every pending event in firing order
-// (ascending (at, seq)). Tickers' keep-alive events are included. The
-// callback must not schedule or cancel events; snapshot code uses it to
-// let each subsystem claim the pending events it owns, and treats any
-// event left unclaimed as a hard save error — the completeness check
-// that keeps "what the snapshot captures" honest.
+// (ascending (at, seq)). The callback must not schedule or cancel
+// events; snapshot code uses it to let each subsystem claim the pending
+// events it owns, and treats any event left unclaimed as a hard save
+// error — the completeness check that keeps "what the snapshot captures"
+// honest.
 func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any, fn func())) {
 	ents := make([]heapEnt, 0, s.npend)
 	ents = append(ents, s.cur...)

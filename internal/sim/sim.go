@@ -16,12 +16,12 @@
 // The event loop is the hot path of every experiment — a campaign fires
 // tens of millions of events — so the kernel recycles event objects
 // through a free list (handles are generation-counted, making a stale
-// Stop a safe no-op), offers allocation-free argument-passing variants
-// (AtArg, AfterArg) so packet-rate callers need no per-event closure,
-// and a periodic Ticker that reuses one event for an entire tick loop.
+// Stop a safe no-op) and offers allocation-free argument-passing variants
+// (AtArg, AfterArg) so packet-rate callers need no per-event closure.
 //
-// Sim implements clock.Clock, so protocol code written against that
-// interface runs under the simulator without modification.
+// The kernel has one-shot events only. Protocol code is written against
+// clock.Clock and reaches the kernel through its process's clock
+// (internal/machine), which is where periodic tickers live.
 package sim
 
 import (
@@ -43,7 +43,6 @@ type event struct {
 	seq  uint64 // tie-breaker: equal deadlines fire in scheduling order
 	slot int32  // arena slot while queued; -1 while not queued
 	gen  uint32 // bumped on every release; validates Timer handles
-	keep bool   // owned by a Ticker: never returned to the free list
 	fn   func()
 	afn  func(any) // argument-passing form; fn and afn are exclusive
 	arg  any
@@ -156,7 +155,7 @@ func (s *Sim) Pending() int { return s.npend }
 func (s *Sim) MaxQueued() int { return s.maxQ }
 
 // LiveEvents returns how many event objects exist outside the free list
-// (queued events plus Ticker-owned ones). The pool-reuse regression test
+// (the queued ones and the one firing). The pool-reuse regression test
 // asserts this stays flat under a steady-state workload.
 func (s *Sim) LiveEvents() int { return s.live }
 
@@ -180,9 +179,6 @@ func (s *Sim) release(e *event) {
 	e.fn = nil
 	e.afn = nil
 	e.arg = nil
-	if e.keep {
-		return // Ticker-owned: reused in place, never pooled
-	}
 	s.live--
 	s.free = append(s.free, e)
 }
@@ -224,13 +220,7 @@ func (s *Sim) AtArg(t time.Duration, fn func(any), arg any) Timer {
 	return Timer{e: e, gen: e.gen}
 }
 
-// AfterFunc schedules fn to run d after the current instant. It
-// implements clock.Clock.
-func (s *Sim) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	return s.After(d, fn)
-}
-
-// After is AfterFunc returning the concrete Timer handle.
+// After schedules fn to run d after the current instant.
 func (s *Sim) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
@@ -245,105 +235,6 @@ func (s *Sim) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	}
 	return s.AtArg(s.now+d, fn, arg)
 }
-
-// Ticker is a periodic event that reuses one kernel event object for its
-// whole life: each rearm costs zero allocations. Obtain one from Every.
-type Ticker struct {
-	s       *Sim
-	e       *event
-	period  time.Duration
-	fn      func()
-	firing  bool // inside fn right now
-	rearmed bool // Reschedule was called during the current firing
-	stopped bool
-}
-
-// Every schedules fn every d of virtual time, first firing at now+d.
-// The next deadline is set after fn returns (virtual time does not
-// advance while fn runs, so the cadence is exact); fn may call Stop to
-// end the loop or Reschedule to choose its own next interval — exactly
-// like the rearm-at-end-of-callback idiom this replaces, and with the
-// same event ordering. Every implements clock.Clock's periodic contract.
-func (s *Sim) Every(d time.Duration, fn func()) clock.Ticker {
-	return s.NewTicker(d, fn)
-}
-
-// NewTicker is Every returning the concrete *Ticker.
-func (s *Sim) NewTicker(d time.Duration, fn func()) *Ticker {
-	if fn == nil {
-		panic("sim: nil ticker function")
-	}
-	if d <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t := &Ticker{s: s, fn: fn, period: d}
-	t.e = s.alloc()
-	t.e.keep = true
-	t.e.afn = tickerFire
-	t.e.arg = t
-	t.arm(d)
-	return t
-}
-
-// tickerFire dispatches one tick. Package-level so ticker events carry
-// no per-arm closure.
-func tickerFire(arg any) {
-	t := arg.(*Ticker)
-	t.firing, t.rearmed = true, false
-	t.fn()
-	t.firing = false
-	if t.stopped || t.rearmed {
-		return
-	}
-	t.arm(t.period)
-}
-
-// arm queues the ticker's event at now+d with a fresh sequence number.
-func (t *Ticker) arm(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e, s := t.e, t.s
-	e.at = s.now + d
-	e.seq = s.seq
-	s.seq++
-	e.afn = tickerFire
-	e.arg = t
-	s.push(e)
-}
-
-// Stop ends the periodic loop and reports whether the ticker was still
-// active (pending, or currently firing with a rearm ahead of it).
-// Stopping from inside fn suppresses the automatic rearm. A stopped
-// ticker can be revived with Reschedule.
-func (t *Ticker) Stop() bool {
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	if t.e.slot >= 0 {
-		t.s.remove(t.e)
-		return true
-	}
-	return t.firing
-}
-
-// Reschedule makes the ticker fire next at now+d, then resume its
-// regular period. Called from inside fn it replaces the automatic
-// rearm (the callback picks its own next interval); called from outside
-// it moves the pending deadline, reviving the ticker if stopped.
-func (t *Ticker) Reschedule(d time.Duration) {
-	t.stopped = false
-	if t.e.slot >= 0 {
-		t.s.remove(t.e)
-	}
-	if t.firing {
-		t.rearmed = true
-	}
-	t.arm(d)
-}
-
-var _ clock.Ticker = (*Ticker)(nil)
 
 // Halt makes the current Run/RunUntil call return after the event that
 // is executing finishes. Pending events remain queued.
@@ -368,9 +259,6 @@ func (s *Sim) Step() bool {
 	s.fired++
 	if e.afn != nil {
 		e.afn(e.arg)
-		if e.keep {
-			return true // Ticker-owned; tickerFire handled the rearm
-		}
 	} else {
 		e.fn()
 	}
@@ -414,8 +302,6 @@ func (s *Sim) NewRand(label string) *rand.Rand {
 	fmt.Fprintf(h, "%d/%s", s.seed, label)
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
-
-var _ clock.Clock = (*Sim)(nil)
 
 // The event queue is a two-level hierarchical timer wheel with a sorted
 // front and an overflow heap, replacing the single global 4-ary heap

@@ -421,96 +421,18 @@ func TestQuickPopOrderIsDeadlineSeq(t *testing.T) {
 	}
 }
 
-func TestEveryFiresAtExactCadence(t *testing.T) {
-	s := New(1)
-	var fires []time.Duration
-	tk := s.NewTicker(3*time.Second, func() { fires = append(fires, s.Now()) })
-	s.RunUntil(10 * time.Second)
-	want := []time.Duration{3 * time.Second, 6 * time.Second, 9 * time.Second}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	}
-	if !tk.Stop() {
-		t.Fatal("Stop on an active ticker returned false")
-	}
-	if tk.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	s.RunUntil(30 * time.Second)
-	if len(fires) != 3 {
-		t.Fatal("stopped ticker kept firing")
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	s := New(1)
-	count := 0
-	var tk *Ticker
-	tk = s.NewTicker(time.Second, func() {
-		count++
-		if count == 3 {
-			if !tk.Stop() {
-				t.Error("Stop from inside the firing tick returned false")
-			}
-		}
-	})
-	s.RunUntil(20 * time.Second)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop inside fn must suppress the rearm)", count)
-	}
-}
-
-func TestTickerRescheduleInsideCallbackSetsNextInterval(t *testing.T) {
-	s := New(1)
-	var fires []time.Duration
-	var tk *Ticker
-	tk = s.NewTicker(2*time.Second, func() {
-		fires = append(fires, s.Now())
-		if len(fires) == 1 {
-			tk.Reschedule(5 * time.Second) // one long gap, then back to 2s
-		}
-	})
-	s.RunUntil(12 * time.Second)
-	want := []time.Duration{2 * time.Second, 7 * time.Second, 9 * time.Second, 11 * time.Second}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	}
-}
-
-func TestTickerRescheduleRevivesStopped(t *testing.T) {
-	s := New(1)
-	count := 0
-	tk := s.NewTicker(time.Second, func() { count++ })
-	s.RunUntil(2 * time.Second) // 2 fires
-	tk.Stop()
-	s.RunUntil(5 * time.Second)
-	if count != 2 {
-		t.Fatalf("count = %d after Stop, want 2", count)
-	}
-	tk.Reschedule(time.Second)
-	s.RunUntil(7 * time.Second) // fires at 6s, 7s
-	if count != 4 {
-		t.Fatalf("count = %d after Reschedule revival, want 4", count)
-	}
-}
-
-// Steady-state pooling: a ticker-driven workload with one-shot AfterArg
-// events in flight must neither allocate per event nor grow the live
-// event population.
+// Steady-state pooling: a self-rearming periodic event with one-shot
+// AfterArg events in flight must neither allocate per event nor grow the
+// live event population.
 func TestPoolReuseSteadyStateAllocFree(t *testing.T) {
 	s := New(1)
 	ticks := 0
-	s.NewTicker(time.Second, func() { ticks++ })
+	var tick func(any)
+	tick = func(any) {
+		ticks++
+		s.AfterArg(time.Second, tick, nil)
+	}
+	s.AfterArg(time.Second, tick, nil)
 	noop := func(any) {}
 	s.AfterArg(500*time.Millisecond, noop, nil)
 	s.RunUntil(10 * time.Second) // reach steady state
@@ -520,13 +442,13 @@ func TestPoolReuseSteadyStateAllocFree(t *testing.T) {
 		s.RunFor(10 * time.Second)
 	})
 	if allocs > 0.1 {
-		t.Fatalf("steady-state ticker+one-shot workload allocates %.1f allocs/run, want ~0", allocs)
+		t.Fatalf("steady-state periodic+one-shot workload allocates %.1f allocs/run, want ~0", allocs)
 	}
 	if s.LiveEvents() != base {
 		t.Fatalf("live events grew from %d to %d under steady-state load", base, s.LiveEvents())
 	}
 	if ticks == 0 {
-		t.Fatal("ticker never fired")
+		t.Fatal("periodic event never fired")
 	}
 }
 

@@ -43,7 +43,7 @@ func DefaultConfig() Config {
 
 // Disk is a single device: a fault flag and a service-time sampler.
 type Disk struct {
-	sim    *sim.Sim //availlint:skipfield sim kernel backlink; the restored array is built over the restored kernel
+	sim    *sim.Sim
 	rng    *rand.Rand
 	mean   time.Duration //availlint:skipfield mean construction config, identical across forks
 	jitter float64       //availlint:skipfield jitter construction config, identical across forks
@@ -122,8 +122,8 @@ type op struct {
 // shared queue. Documents are placed on devices by key, as PRESS spreads
 // its replicated document set across the local disks.
 type Array struct {
-	sim     *sim.Sim //availlint:skipfield sim kernel backlink; the restored array is built over the restored kernel
-	cfg     Config   //availlint:skipfield cfg construction config, identical across forks
+	sim     *sim.Sim
+	cfg     Config //availlint:skipfield cfg construction config, identical across forks
 	disks   []*Disk
 	queue   []op
 	idle    int            // free helper threads

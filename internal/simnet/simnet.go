@@ -78,9 +78,9 @@ func DefaultConfig() Config {
 // Network is the simulated cluster network: a set of interfaces joined by
 // one intra-cluster switch, plus an always-up client-access path.
 type Network struct {
-	sim      *sim.Sim     //availlint:skipfield sim kernel backlink; the restored network is built over the restored kernel
-	cfg      Config       //availlint:skipfield cfg construction config, identical across forks
-	log      *metrics.Log //availlint:skipfield log event-log backlink, wired at construction
+	sim      *sim.Sim
+	cfg      Config //availlint:skipfield cfg construction config, identical across forks
+	log      *metrics.Log
 	switchUp bool
 	ifaces   map[cnet.NodeID]*Iface
 	byID     []*Iface            //availlint:skipfield byID dense resolve index derived from ifaces, rebuilt as interfaces attach
@@ -99,10 +99,10 @@ type Network struct {
 	// records dispatched through sim.AtArg, so the steady-state cost of
 	// a hop is zero allocations. The lists are bounded (cnet.MsgPool), so
 	// the boot storm's high-water is not kept.
-	dgramFree  cnet.MsgPool[dgramPkt]  //availlint:skipfield dgramFree free list; an empty list after restore is behaviorally identical
-	streamFree cnet.MsgPool[streamPkt] //availlint:skipfield streamFree free list; an empty list after restore is behaviorally identical
-	dialFree   cnet.MsgPool[dialOp]    //availlint:skipfield dialFree free list; an empty list after restore is behaviorally identical
-	batchFree  cnet.MsgPool[batchPkt]  //availlint:skipfield batchFree free list; an empty list after restore is behaviorally identical
+	dgramFree  cnet.MsgPool[dgramPkt]
+	streamFree cnet.MsgPool[streamPkt]
+	dialFree   cnet.MsgPool[dialOp]
+	batchFree  cnet.MsgPool[batchPkt]
 
 	// pairFree recycles connection-pair allocations. A pair returns here
 	// once both halves are closed and no scheduled event or mailbox entry
@@ -110,7 +110,7 @@ type Network struct {
 	// the connPair was the dominant allocation of a campaign. Halves
 	// rebuilt from a snapshot are born without a pair backlink and are
 	// simply never recycled.
-	pairFree cnet.MsgPool[connPair] //availlint:skipfield pairFree free list; an empty list after restore is behaviorally identical
+	pairFree cnet.MsgPool[connPair]
 
 	// nextDialOwner tags the next Dial's handshake record with the
 	// caller-side object that owns its callbacks, so snapshots can
@@ -259,8 +259,8 @@ type Iface struct {
 	lossDrop float64
 	lossLat  time.Duration
 
-	dgram     map[string]func(from cnet.NodeID, m cnet.Message) //availlint:skipfield dgram handler map, rebuilt as restored components re-bind
-	listeners map[string]func(cnet.Conn) cnet.StreamHandlers    //availlint:skipfield listeners handler map, rebuilt as restored components re-listen
+	dgram     map[string]func(from cnet.NodeID, m cnet.Message) // handler map, rebuilt as restored components re-bind
+	listeners map[string]func(cnet.Conn) cnet.StreamHandlers    // handler map, rebuilt as restored components re-listen
 	conns     []*half                                           // local halves of open/zombie conns
 }
 
@@ -683,9 +683,9 @@ type half struct {
 	iface      *Iface
 	peer       *half
 	pair       *connPair           //availlint:skipfield pair pool backlink; snapshot-built halves have none and are never recycled
-	h          cnet.StreamHandlers //availlint:skipfield h handlers, re-attached by the owning process via RestoreConn
+	h          cnet.StreamHandlers // handlers, re-attached by the owning process via RestoreConn
 	buf        []cnet.Message
-	closeHook  func(cnet.Conn) //availlint:skipfield closeHook close callback, re-attached by the owning process via RestoreConn
+	closeHook  func(cnet.Conn) // close callback, re-attached by the owning process via RestoreConn
 }
 
 // connPair is the single allocation backing both halves of a connection.

@@ -112,7 +112,7 @@ func (r *Recorder) MeanLatency() time.Duration {
 // Generator drives the request stream. It occupies one node ID on the
 // simulated network (a client driver machine).
 type Generator struct {
-	sim     *sim.Sim      //availlint:skipfield sim kernel backlink; the restored generator is built over the restored kernel
+	sim     *sim.Sim
 	iface   *simnet.Iface //availlint:skipfield iface interface backlink; simnet restores its own state
 	cfg     Config        //availlint:skipfield cfg construction config, identical across forks
 	rec     *Recorder
@@ -128,13 +128,13 @@ type Generator struct {
 	completeCancelled uint64
 	// reqFree recycles request records (and their once-built handler
 	// closures) so a steady-state request costs no heap allocation.
-	reqFree cnet.MsgPool[request] //availlint:skipfield reqFree free list; an empty list after restore is behaviorally identical
+	reqFree cnet.MsgPool[request]
 	// reqLive registers in-flight request records (launched, not yet
 	// recycled) so snapshots can enumerate them; slot-indexed.
 	reqLive []*request
 	// reqPool recycles the ReqMsg wire records; the server releases them
 	// after admission.
-	reqPool cnet.MsgPool[server.ReqMsg] //availlint:skipfield reqPool message free list; an empty pool after restore is behaviorally identical
+	reqPool cnet.MsgPool[server.ReqMsg]
 }
 
 // NewGenerator attaches a client driver to the network as node id.
@@ -223,8 +223,8 @@ type request struct {
 	connectDeadline sim.Timer
 	completeTimeout sim.Timer
 
-	h      cnet.StreamHandlers    //availlint:skipfield h once-built handler closures, recreated with the record (see RestoreDial)
-	onDial func(cnet.Conn, error) //availlint:skipfield onDial once-built dial closure, recreated with the record (see RestoreDial)
+	h      cnet.StreamHandlers    // once-built handler closures, recreated with the record (see RestoreDial)
+	onDial func(cnet.Conn, error) // once-built dial closure, recreated with the record (see RestoreDial)
 
 	slot int // registry index, reassigned as restore re-registers in-flight requests
 }
