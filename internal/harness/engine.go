@@ -180,13 +180,36 @@ func (e *Engine) SnapMemoStats() int { return e.keyed.len() }
 // engine's worker pool exactly once per engine. Options and
 // EpisodeSchedule are flat value structs, so %+v is a faithful key.
 func (e *Engine) RunEpisode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
+	return e.episode(v, o, f, comp, sched, nil)
+}
+
+// episode is RunEpisode with the world's origin open: warm, when non-nil,
+// is a campaign's shared warm-up, and the episode runs on a fork of it
+// instead of warming a world of its own. Both origins give the same
+// bytes, so they share one memo key. warm is asked before the episode
+// takes its pool slot, because the first caller simulates the warm-up on
+// a slot of its own and a 1-slot pool has no second one.
+func (e *Engine) episode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule, warm func() (*warmWorld, error)) (Episode, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
 	key := fmt.Sprintf("%s|%+v|%v|%d|%+v", v, o, f, comp, sched)
 	return e.episodes.do(key, func() (Episode, error) {
+		if warm == nil {
+			e.acquireSlot()
+			defer e.releaseSlot()
+			return e.runEpisodeUncached(v, o, f, comp, sched)
+		}
+		w, err := warm()
+		if err != nil {
+			return Episode{Version: v, Fault: f, Component: comp}, err
+		}
 		e.acquireSlot()
 		defer e.releaseSlot()
-		return e.runEpisodeUncached(v, o, f, comp, sched)
+		c, err := w.fork()
+		if err != nil {
+			return Episode{Version: v, Fault: f, Component: comp}, err
+		}
+		return episodeFrom(c, f, comp, sched)
 	})
 }
 

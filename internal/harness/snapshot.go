@@ -2,14 +2,17 @@ package harness
 
 import (
 	"press/internal/server"
+	"press/internal/simnet"
 	"press/internal/snapio"
 )
 
 // World serialization: the harness owns the section order because it is
-// the only layer that sees every subsystem. The envelope (magic, format
-// version, options, offered rate) is moved by internal/snapshot; SnapWorld
-// is the one walk over everything inside one built world, the same linear
-// byte stream in both directions:
+// the only layer that sees every subsystem. SnapWorld is the one walk over
+// everything inside one built world, the same linear byte stream in both
+// directions; internal/snapshot puts a self-describing envelope (magic,
+// format version, options, offered rate) in front of it for blobs that
+// leave the process, and a campaign forks its episodes from the bare
+// stream (campaign.go):
 //
 //	metrics log → network core → machines → per-node server sections →
 //	workload → fault injector → disks → caller extra → network pending
@@ -31,12 +34,35 @@ const (
 	srvHusk        // press dead: stats, view, queue lengths
 )
 
-// SnapWorld moves the cluster's complete dynamic state; loading, into the
-// cold world BuildForRestore made. extra, when non-nil, runs between the
-// subsystem sections and the network tables — the slot where a driver
-// (the chaos runner) moves its own pending timers, which a save must
-// still be able to claim from the pending table.
-func (c *Cluster) SnapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
+// newCtx builds the context one world's walks share: connection
+// references resolve through blank simnet halves (the connection table is
+// one of the last sections), and the wire-message codec knows every
+// message that can sit in a buffer, a mailbox or an in-flight packet.
+func newCtx() *snapio.Ctx {
+	msgs := snapio.NewMsgCodec()
+	server.RegisterMessages(msgs)
+	return &snapio.Ctx{World: &snapio.World{
+		Conns:  snapio.NewRefTable(simnet.BlankConn),
+		Owners: snapio.NewRefTable(nil),
+		Msgs:   msgs,
+	}}
+}
+
+// SnapWorld appends the cluster's complete dynamic state to enc. extra,
+// when non-nil, runs between the subsystem sections and the network
+// tables — the slot where a driver (the chaos runner) moves its own
+// pending timers, which a save must still be able to claim from the
+// pending table. A structural problem is a snapio.Failf panic, which the
+// caller's boundary turns into an error.
+func (c *Cluster) SnapWorld(enc *snapio.Encoder, extra func(*snapio.Ctx)) {
+	x := newCtx()
+	x.Enc = enc
+	c.snapWorld(x, extra)
+}
+
+// snapWorld is the walk itself; loading, into the cold world
+// BuildForRestore made.
+func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	x.Sim = c.Sim
 	if x.Saving() {
 		if !snapshotSupported(c.Traits) {
@@ -114,15 +140,25 @@ func (c *Cluster) SnapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	}
 }
 
-// RestoreWorld builds a cold world and runs SnapWorld's stream into it;
-// extra gets the half-restored cluster at SnapWorld's extra slot. The
-// returned cluster continues byte-identically to the one that was saved.
-func RestoreWorld(v Version, o Options, rate float64, x *snapio.Ctx, extra func(*Cluster, *snapio.Ctx)) *Cluster {
+// RestoreWorld builds a cold world and runs the rest of dec, a stream
+// SnapWorld wrote, into it; extra gets the half-restored cluster at
+// SnapWorld's extra slot. The returned cluster continues byte-identically
+// to the one that was saved. Any number of calls may read one stream at
+// the same time: each builds its own world and its own tables.
+func RestoreWorld(v Version, o Options, rate float64, dec *snapio.Decoder, extra func(*Cluster, *snapio.Ctx)) *Cluster {
 	c := BuildForRestore(v, o, rate)
+	x := newCtx()
+	x.Dec = dec
 	var hook func(*snapio.Ctx)
 	if extra != nil {
 		hook = func(x *snapio.Ctx) { extra(c, x) }
 	}
-	c.SnapWorld(x, hook)
+	c.snapWorld(x, hook)
+	if err := dec.Err(); err != nil {
+		panic(err) // a *snapio.SnapError, like every other refusal
+	}
+	if !dec.Done() {
+		snapio.Failf("trailing bytes after world stream")
+	}
 	return c
 }

@@ -86,9 +86,10 @@ func (e *Encoder) Blob(b []byte) {
 }
 
 // Decoder reads an Encoder stream. The first malformed read makes the
-// error sticky and every subsequent read returns zero values, so decode
-// code can run straight-line and check Err once at the end; structural
-// validation (counts, tags) additionally raises SnapError via Failf.
+// error (a *SnapError) sticky and every subsequent read returns zero
+// values, so decode code can run straight-line and check Err once at the
+// end; structural validation (counts, tags) additionally raises SnapError
+// via Failf.
 type Decoder struct {
 	buf []byte
 	off int
@@ -107,7 +108,7 @@ func (d *Decoder) Done() bool { return d.err == nil && d.off == len(d.buf) }
 
 func (d *Decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: corrupt stream: bad %s at offset %d", what, d.off)
+		d.err = &SnapError{Msg: fmt.Sprintf("corrupt stream: bad %s at offset %d", what, d.off)}
 	}
 }
 

@@ -20,8 +20,6 @@ import (
 	"time"
 
 	"press/internal/harness"
-	"press/internal/server"
-	"press/internal/simnet"
 	"press/internal/snapio"
 )
 
@@ -30,7 +28,9 @@ const (
 	// format 2: Options carries the protocol suite, and the forward
 	// message codec carries the sharded-mode relay origin.
 	// format 3: the generator section carries its cancelled-timeout count.
-	format = 3
+	// format 4: Options carries the load modulation (a format-3 blob of a
+	// diurnal or flash-crowd world restored as a stationary one).
+	format = 4
 )
 
 // Extra lets a simulation driver (the chaos runner) piggyback its own
@@ -68,20 +68,6 @@ func (s *Snap) seal(blob []byte) {
 	s.blob, s.hash = blob, hex.EncodeToString(sum[:])
 }
 
-// newCtx builds the shared walk context: connection references resolve
-// through blank simnet halves (the connection table is one of the last
-// sections), and the wire-message codec knows every server message that
-// can sit in a buffer or mailbox.
-func newCtx() *snapio.Ctx {
-	msgs := snapio.NewMsgCodec()
-	server.RegisterMessages(msgs)
-	return &snapio.Ctx{World: &snapio.World{
-		Conns:  snapio.NewRefTable(simnet.BlankConn),
-		Owners: snapio.NewRefTable(nil),
-		Msgs:   msgs,
-	}}
-}
-
 // recoverSnap converts the snapio.Failf panic protocol into an ordinary
 // error at the package boundary.
 func recoverSnap(err *error) {
@@ -117,6 +103,15 @@ func (s *Snap) envelope(x *snapio.Ctx) {
 	snapio.Int(x, &o.Docs)
 	x.F64(&o.Alpha)
 	snapio.Int(x, &o.Protocol)
+	mod := &o.Mod
+	x.F64(&mod.DiurnalAmp)
+	snapio.Int(x, &mod.DiurnalPeriod)
+	x.F64(&mod.DiurnalPhase)
+	x.F64(&mod.FlashBoost)
+	snapio.Int(x, &mod.FlashAt)
+	snapio.Int(x, &mod.FlashRamp)
+	snapio.Int(x, &mod.FlashHold)
+	snapio.Int(x, &mod.FlashDecay)
 	x.F64(&s.Rate)
 	snapio.Int(x, &s.At)
 }
@@ -125,16 +120,15 @@ func (s *Snap) envelope(x *snapio.Ctx) {
 // appends driver state at the world stream's extra slot.
 func Take(c *harness.Cluster, extra Extra) (s *Snap, err error) {
 	defer recoverSnap(&err)
-	x := newCtx()
-	x.Enc = &snapio.Encoder{}
+	enc := &snapio.Encoder{}
 	s = &Snap{Version: c.Version, Opts: c.Opts, Rate: c.Offered(), At: c.Sim.Now()}
-	s.envelope(x)
+	s.envelope(&snapio.Ctx{Enc: enc})
 	var hook func(*snapio.Ctx)
 	if extra != nil {
 		hook = extra.SnapExtra
 	}
-	c.SnapWorld(x, hook)
-	s.seal(x.Enc.Bytes())
+	c.SnapWorld(enc, hook)
+	s.seal(enc.Bytes())
 	return s, nil
 }
 
@@ -159,17 +153,10 @@ func Load(data []byte) (s *Snap, err error) {
 // times.
 func (s *Snap) Restore(extra func(*harness.Cluster, *snapio.Ctx)) (c *harness.Cluster, err error) {
 	defer recoverSnap(&err)
-	x := newCtx()
-	x.Dec = snapio.NewDecoder(s.blob)
+	dec := snapio.NewDecoder(s.blob)
 	var h Snap
-	h.envelope(x)
-	c = harness.RestoreWorld(h.Version, h.Opts, h.Rate, x, extra)
-	if err := x.Dec.Err(); err != nil {
-		return nil, err
-	}
-	if !x.Dec.Done() {
-		snapio.Failf("trailing bytes after world stream")
-	}
+	h.envelope(&snapio.Ctx{Dec: dec})
+	c = harness.RestoreWorld(h.Version, h.Opts, h.Rate, dec, extra)
 	if c.Sim.Now() != h.At {
 		snapio.Failf("restored clock %v does not match capture time %v", c.Sim.Now(), h.At)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"press/internal/harness"
+	"press/internal/trace"
 )
 
 // fastOpts keeps the world small and pins the rate so Build never runs
@@ -31,13 +32,24 @@ func dump(c *harness.Cluster) string {
 
 // TestPlainWorldRoundTrip warms INDEP and COOP worlds, snapshots them,
 // and checks a restored world continues byte-identically to the
-// uninterrupted original.
+// uninterrupted original. The diurnal case holds the envelope to every
+// option the world was built from: until format 4 it left the modulation
+// out, and the restored world offered a stationary load without an error.
 func TestPlainWorldRoundTrip(t *testing.T) {
-	for _, v := range []harness.Version{harness.VINDEP, harness.VCOOP} {
-		v := v
-		t.Run(string(v), func(t *testing.T) {
+	diurnal := fastOpts(1)
+	diurnal.Mod = trace.Modulation{DiurnalAmp: 0.5, DiurnalPeriod: 2 * time.Minute}
+	for _, tc := range []struct {
+		name string
+		v    harness.Version
+		o    harness.Options
+	}{
+		{"INDEP", harness.VINDEP, fastOpts(1)},
+		{"COOP", harness.VCOOP, fastOpts(1)},
+		{"COOP/diurnal", harness.VCOOP, diurnal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			o := fastOpts(1)
+			v, o := tc.v, tc.o
 			c := harness.NewEngine(0).Build(v, o)
 			c.Gen.Start()
 			c.Sim.RunUntil(o.Warmup)
