@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,23 +38,17 @@ func diffAt(t *testing.T, what string, want, got []byte) {
 	t.Fatalf("%s diverged: lengths %d vs %d", what, len(want), len(got))
 }
 
-// TestSnapshotRestoreByteIdentical is the tentpole's correctness bar:
-// the COOP acceptance campaign is paused at the warm-fork point, mid
+// TestSnapshotRestoreByteIdentical is the snapshot engine's correctness
+// bar: the acceptance campaign is paused at the warm-fork point, mid
 // compound fault, and mid recovery; each pause captures a snapshot, the
 // paused run finishes (and must match the never-paused baseline), and a
 // run restored from each snapshot must serialize byte-for-byte equal to
 // the baseline — same counters, availability, verdicts, throughput
-// series, and full event log.
+// series, and full event log. On every version the snapshot tests cover.
 func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun()
 	sched := replaySchedule()
-
-	base, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := base.Serialize()
 
 	// t0 = warmup(60s) + settle(10s) = 70s; faults span 80s..140s; drain
 	// verdict at 185s.
@@ -69,25 +64,34 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		{"mid-fault", 100 * time.Second},    // node 1 crashed AND node 2's link flapping
 		{"mid-recovery", 186 * time.Second}, // past the drain verdict
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			paused, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, tc.at)
+	for _, v := range snapVersions() {
+		t.Run(string(v), func(t *testing.T) {
+			t.Parallel()
+			base, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := paused.Serialize(); !bytes.Equal(got, want) {
-				diffAt(t, "paused run", want, got)
-			}
-			if snap.At != tc.at {
-				t.Fatalf("snapshot captured at %v, want %v", snap.At, tc.at)
-			}
-			res, err := ResumeUncached(snap, sched, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Serialize(); !bytes.Equal(got, want) {
-				diffAt(t, "restored run", want, got)
+			want := base.Serialize()
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					paused, snap, err := RunWithSnapshotAt(harness.NewEngine(0), v, o, sched, rc, tc.at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := paused.Serialize(); !bytes.Equal(got, want) {
+						diffAt(t, "paused run", want, got)
+					}
+					if snap.At != tc.at {
+						t.Fatalf("snapshot captured at %v, want %v", snap.At, tc.at)
+					}
+					res, err := ResumeUncached(snap, sched, rc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := res.Serialize(); !bytes.Equal(got, want) {
+						diffAt(t, "restored run", want, got)
+					}
+				})
 			}
 		})
 	}
@@ -100,40 +104,44 @@ func TestWarmForkMatchesCold(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun()
 	sched := replaySchedule()
+	for _, v := range snapVersions() {
+		t.Run(string(v), func(t *testing.T) {
+			t.Parallel()
+			eng := harness.NewEngine(0)
+			snap, err := WarmSnapshot(eng, v, o, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork, err := ResumeUncached(snap, sched, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := cold.Serialize(), fork.Serialize(); !bytes.Equal(got, want) {
+				diffAt(t, "warm fork", want, got)
+			}
 
-	eng := harness.NewEngine(0)
-	snap, err := WarmSnapshot(eng, harness.VCOOP, o, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := ResumeUncached(snap, sched, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := cold.Serialize(), fork.Serialize(); !bytes.Equal(got, want) {
-		diffAt(t, "warm fork", want, got)
-	}
-
-	// The memoized entry point returns the same result and actually
-	// lands in the snapshot memo table, not the episode/campaign caches.
-	ep0, camp0, sat0 := eng.MemoStats()
-	res, err := RunFromSnapshot(eng, snap, sched, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := cold.Serialize(), res.Serialize(); !bytes.Equal(got, want) {
-		diffAt(t, "memoized fork", want, got)
-	}
-	if eng.SnapMemoStats() != 2 { // the warm snapshot and this fork
-		t.Fatalf("keyed memo holds %d entries after WarmSnapshot + RunFromSnapshot, want 2", eng.SnapMemoStats())
-	}
-	if ep1, camp1, sat1 := eng.MemoStats(); ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
-		t.Fatalf("fork run touched the cold-start caches: %d/%d/%d -> %d/%d/%d",
-			ep0, camp0, sat0, ep1, camp1, sat1)
+			// The memoized entry point returns the same result and actually
+			// lands in the snapshot memo table, not the episode/campaign caches.
+			ep0, camp0, sat0 := eng.MemoStats()
+			res, err := RunFromSnapshot(eng, snap, sched, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := cold.Serialize(), res.Serialize(); !bytes.Equal(got, want) {
+				diffAt(t, "memoized fork", want, got)
+			}
+			if eng.SnapMemoStats() != 2 { // the warm snapshot and this fork
+				t.Fatalf("keyed memo holds %d entries after WarmSnapshot + RunFromSnapshot, want 2", eng.SnapMemoStats())
+			}
+			if ep1, camp1, sat1 := eng.MemoStats(); ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
+				t.Fatalf("fork run touched the cold-start caches: %d/%d/%d -> %d/%d/%d",
+					ep0, camp0, sat0, ep1, camp1, sat1)
+			}
+		})
 	}
 }
 
@@ -142,6 +150,15 @@ func TestWarmForkMatchesCold(t *testing.T) {
 // same schedule serialize identically, and a different schedule either
 // diverges (pre-arm snapshots) or is rejected (armed snapshots).
 func TestSnapshotForkProperty(t *testing.T) {
+	for _, v := range snapVersions() {
+		t.Run(string(v), func(t *testing.T) {
+			t.Parallel()
+			forkProperty(t, v)
+		})
+	}
+}
+
+func forkProperty(t *testing.T, v harness.Version) {
 	o := fastOpts(1)
 	rc := fastRun()
 	sched := replaySchedule()
@@ -149,7 +166,7 @@ func TestSnapshotForkProperty(t *testing.T) {
 		{At: 12 * time.Second, Fault: faults.AppCrash, Component: 0, Duration: 25 * time.Second},
 	}
 
-	base, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
+	base, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +176,7 @@ func TestSnapshotForkProperty(t *testing.T) {
 
 	check := func(raw uint32) bool {
 		at := time.Duration(raw) % horizon
-		_, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, at)
+		_, snap, err := RunWithSnapshotAt(harness.NewEngine(0), v, o, sched, rc, at)
 		if err != nil {
 			t.Logf("at=%v: %v", at, err)
 			return false
@@ -285,34 +302,56 @@ func firstDiff(a, b []byte) int {
 	return -1
 }
 
+// snapVersions lists the versions the snapshot tests run on: the two the
+// benchmark's campaigns use in the -short tier, every measured one in the
+// full tier.
+func snapVersions() []harness.Version {
+	if testing.Short() {
+		return []harness.Version{harness.VCOOP, harness.VFEX}
+	}
+	return []harness.Version{harness.VINDEP, harness.VFEXINDEP, harness.VCOOP, harness.VFEX}
+}
+
 // TestRestoreThenCaptureIsFixedPoint snapshots a restored runner without
 // running it forward: the second blob must be the first, byte for byte.
 // A walk that writes a field it does not read back (or reads one into the
-// wrong place) fails here at once, at the warm-fork point, mid compound
-// fault, just after repair and past the drain verdict.
+// wrong place) fails here at once. One run per version is paused every
+// 1.7 s from the first second to past the drain verdict — a step that
+// drifts against the 1 s, 2 s, 2.5 s and 5 s protocol periods, so the
+// captures land inside heartbeat rounds, two-phase commits, probe rounds
+// and the reset alike, besides the warm-fork point itself.
 func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun().withDefaults()
 	sched := replaySchedule().Canonical()
-	for _, at := range []time.Duration{70 * time.Second, 100 * time.Second, 120 * time.Second, 141 * time.Second, 186 * time.Second} {
-		at := at
-		t.Run(at.String(), func(t *testing.T) {
+	for _, v := range snapVersions() {
+		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
-			_, snap, err := RunWithSnapshotAt(harness.NewEngine(0), harness.VCOOP, o, sched, rc, at)
-			if err != nil {
-				t.Fatal(err)
+			r := newRunner(harness.NewEngine(0), v, o, sched, rc)
+			var ats []time.Duration
+			for at := time.Second; at < 200*time.Second; at += 1700 * time.Millisecond {
+				ats = append(ats, at)
 			}
-			r, err := restoreRunner(snap, sched, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := snapshot.Take(r.c, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.Hash() != snap.Hash() {
-				t.Fatalf("re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
-					firstDiff(snap.Bytes(), again.Bytes()), snap.Size(), again.Size())
+			ats = append(ats, 70*time.Second)
+			slices.Sort(ats)
+			for _, at := range ats {
+				r.advance(at)
+				snap, err := snapshot.Take(r.c, r)
+				if err != nil {
+					t.Fatalf("at %v: %v", at, err)
+				}
+				back, err := restoreRunner(snap, sched, rc)
+				if err != nil {
+					t.Fatalf("at %v: %v", at, err)
+				}
+				again, err := snapshot.Take(back.c, back)
+				if err != nil {
+					t.Fatalf("at %v, of the restored world: %v", at, err)
+				}
+				if again.Hash() != snap.Hash() {
+					t.Fatalf("at %v the re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
+						at, firstDiff(snap.Bytes(), again.Bytes()), snap.Size(), again.Size())
+				}
 			}
 		})
 	}

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
 	"press/internal/server"
@@ -108,21 +109,64 @@ type Frontend struct {
 	relayed  uint64
 	probeSeq uint64
 	relays   cnet.MsgPool[relay]
+
+	// live and probes list the relays and the connection probes in
+	// progress, each record at the index its slot field holds, so that a
+	// snapshot can enumerate them; pingT and connT drive the two monitors.
+	live   []*relay
+	probes []*probe
+	pingT  clock.Ticker
+	connT  clock.Ticker
+
+	// tagSeq numbers relays and probes; a record's number tags its dials
+	// (cnet.DialTagger), which is how a restored front-end gets each dial
+	// in flight back to the record that issued it.
+	tagSeq  uint32
+	tagDial func(uint32) // nil on a runtime without dial tags
 }
 
 // New starts a front-end process on env.
 func New(cfg Config, env cnet.Env) *Frontend {
+	f := newFrontend(cfg, env)
+	f.pingT = f.env.Clock().Every(f.cfg.PingPeriod, f.pingTick)
+	if f.probing() {
+		f.connT = f.env.Clock().Every(f.cfg.ConnPeriod, f.connProbeTick)
+	}
+	return f
+}
+
+// newFrontend builds the front-end and registers its ports, everything
+// but the monitors' tickers — shared by New and the snapshot Restore path.
+func newFrontend(cfg Config, env cnet.Env) *Frontend {
 	f := &Frontend{cfg: cfg.withDefaults(), env: env, backends: make(map[cnet.NodeID]*backendState)}
 	for _, b := range f.cfg.Backends {
 		f.backends[b] = &backendState{}
 	}
+	if t, ok := env.(cnet.DialTagger); ok {
+		f.tagDial = t.TagNextDial
+	}
 	env.Listen(server.PortHTTP, f.acceptClient)
 	env.BindDatagram(PortPing, f.onPong)
-	f.startPinging()
-	if f.cfg.ConnMonitor || f.cfg.SFME {
-		f.startConnProbing()
-	}
 	return f
+}
+
+// probing reports whether the C-MON / S-FME connection probes run.
+func (f *Frontend) probing() bool { return f.cfg.ConnMonitor || f.cfg.SFME }
+
+// nextTag numbers a new relay or probe (never 0, the untagged dial).
+func (f *Frontend) nextTag() uint32 {
+	if f.tagSeq++; f.tagSeq == 0 {
+		f.tagSeq = 1
+	}
+	return f.tagSeq
+}
+
+// dial issues a dial under the issuing record's tag.
+func (f *Frontend) dial(to cnet.NodeID, tag uint32, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	if f.tagDial != nil {
+		f.tagDial(tag)
+	}
+	f.env.Dial(to, cnet.ClassClient, server.PortHTTP, h, result)
 }
 
 // Healthy returns the nodes currently in rotation, sorted (tests and the
@@ -200,7 +244,9 @@ func (f *Frontend) pickFor(doc trace.DocID) cnet.NodeID {
 // queued entry pins its connection, so a pooled connection cannot have
 // been reused in the meantime, and the comparison is exact.
 type relay struct {
-	f       *Frontend
+	f       *Frontend //availlint:skipfield f owner backlink, set when the record is first used
+	tag     uint32    // this tenant's number, the tag of its dials
+	slot    int       //availlint:skipfield slot index in Frontend.live, reassigned as a restore refills the list
 	client  cnet.Conn
 	backend cnet.Conn
 	req     *server.ReqMsg // waiting for the backend dial
@@ -212,8 +258,8 @@ type relay struct {
 	onDial   func(cnet.Conn, error)
 }
 
-// acceptClient relays one request to a backend.
-func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
+// newRelay takes a record for a new tenant and lists it as live.
+func (f *Frontend) newRelay() *relay {
 	r := f.relays.Get()
 	if r.f == nil {
 		r.f = f
@@ -221,6 +267,15 @@ func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
 		r.backendH = cnet.StreamHandlers{OnMessage: r.backendMessage, OnClose: r.connClosed}
 		r.onDial = r.dialResult
 	}
+	r.slot = len(f.live)
+	f.live = append(f.live, r)
+	return r
+}
+
+// acceptClient relays one request to a backend.
+func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
+	r := f.newRelay()
+	r.tag = f.nextTag()
 	r.client = client
 	return r.clientH
 }
@@ -244,6 +299,11 @@ func (r *relay) recycle() {
 	if r.dials > 0 {
 		return
 	}
+	live := r.f.live
+	last := live[len(live)-1]
+	live[r.slot], last.slot = last, r.slot
+	live[len(live)-1] = nil
+	r.f.live = live[:len(live)-1]
 	r.client, r.backend, r.req, r.closed = nil, nil, nil, false
 	r.f.relays.Put(r)
 }
@@ -263,7 +323,7 @@ func (r *relay) clientMessage(c cnet.Conn, m cnet.Message) {
 	f.relayed++
 	r.req = req
 	r.dials++
-	f.env.Dial(target, cnet.ClassClient, server.PortHTTP, r.backendH, r.onDial)
+	f.dial(target, r.tag, r.backendH, r.onDial)
 }
 
 func (r *relay) dialResult(bc cnet.Conn, err error) {
@@ -311,10 +371,6 @@ func (r *relay) connClosed(c cnet.Conn, err error) {
 
 // --- mon pinger -----------------------------------------------------------
 
-func (f *Frontend) startPinging() {
-	f.env.Clock().Every(f.cfg.PingPeriod, f.pingTick)
-}
-
 func (f *Frontend) pingTick() {
 	for _, n := range f.cfg.Backends {
 		b := f.backends[n]
@@ -347,78 +403,122 @@ func (f *Frontend) onPong(from cnet.NodeID, m cnet.Message) {
 
 // --- C-MON / S-FME probes ---------------------------------------------------
 
-func (f *Frontend) startConnProbing() {
-	f.env.Clock().Every(f.cfg.ConnPeriod, f.connProbeTick)
-}
-
 func (f *Frontend) connProbeTick() {
 	for _, n := range f.cfg.Backends {
 		f.probeBackend(n)
 	}
 }
 
+// probe is one HTTP probe of a backend under the C-MON deadline. It is
+// listed in Frontend.probes until its deadline has fired and its dial
+// result has arrived; every connection it held is closed by then, so a
+// callback still queued for one finds the probe finished and does nothing.
+type probe struct {
+	f        *Frontend //availlint:skipfield f owner backlink, set at construction
+	n        cnet.NodeID
+	tag      uint32 // the tag of its dial
+	slot     int    //availlint:skipfield slot index in Frontend.probes, reassigned as a restore refills the list
+	finished bool
+	conn     cnet.Conn
+	dialing  bool // the dial result is still owed
+	expired  bool // the deadline has fired
+	deadline clock.Timer
+
+	h cnet.StreamHandlers
+}
+
+func (f *Frontend) newProbe(n cnet.NodeID) *probe {
+	p := &probe{f: f, n: n, slot: len(f.probes)}
+	p.h = cnet.StreamHandlers{OnMessage: p.onMessage, OnClose: p.onClose}
+	f.probes = append(f.probes, p)
+	return p
+}
+
 // probeBackend runs one HTTP probe against n with the C-MON deadline.
 func (f *Frontend) probeBackend(n cnet.NodeID) {
-	b := f.backends[n]
-	finished := false
-	var conn cnet.Conn
-	fail := func() {
-		if finished {
-			return
-		}
-		finished = true
-		if conn != nil {
-			conn.Close()
-		}
-		if f.cfg.ConnMonitor && !b.connDown {
-			f.setDown(n, &b.connDown, true, "connection probe failed")
-		}
-		b.lastView = nil
-		f.refreshIsolation()
+	p := f.newProbe(n)
+	p.tag = f.nextTag()
+	p.deadline = f.env.Clock().AfterFunc(f.cfg.ConnDeadline, p.onDeadline)
+	p.dialing = true
+	f.dial(n, p.tag, p.h, p.onDial)
+}
+
+func (p *probe) fail() {
+	if p.finished {
+		return
 	}
-	f.env.Clock().AfterFunc(f.cfg.ConnDeadline, func() {
-		fail()
-		if conn != nil {
-			cnet.ReleaseConn(conn) // the deadline always outlives the probe's hold
-		}
-	})
-	h := cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) {
-			resp, ok := m.(*server.RespMsg)
-			if !ok {
-				return
-			}
-			isProbe, view := resp.Probe, resp.View
-			resp.Release() // the View slice itself is never recycled
-			if !isProbe || finished {
-				return
-			}
-			finished = true
+	p.finished = true
+	if p.conn != nil {
+		p.conn.Close()
+	}
+	f, b := p.f, p.f.backends[p.n]
+	if f.cfg.ConnMonitor && !b.connDown {
+		f.setDown(p.n, &b.connDown, true, "connection probe failed")
+	}
+	b.lastView = nil
+	f.refreshIsolation()
+}
+
+func (p *probe) onDeadline() {
+	p.fail()
+	if p.conn != nil {
+		cnet.ReleaseConn(p.conn) // the deadline always outlives the probe's hold
+	}
+	p.expired = true
+	p.retire()
+}
+
+func (p *probe) onMessage(c cnet.Conn, m cnet.Message) {
+	resp, ok := m.(*server.RespMsg)
+	if !ok {
+		return
+	}
+	isProbe, view := resp.Probe, resp.View
+	resp.Release() // the View slice itself is never recycled
+	if !isProbe || p.finished {
+		return
+	}
+	p.finished = true
+	c.Close()
+	f, b := p.f, p.f.backends[p.n]
+	if b.connDown {
+		f.setDown(p.n, &b.connDown, false, "connection probe restored")
+	}
+	b.lastView = view
+	f.refreshIsolation()
+}
+
+func (p *probe) onClose(c cnet.Conn, err error) { p.fail() }
+
+func (p *probe) onDial(c cnet.Conn, err error) {
+	p.dialing = false
+	defer p.retire()
+	if p.finished {
+		if c != nil {
 			c.Close()
-			if b.connDown {
-				f.setDown(n, &b.connDown, false, "connection probe restored")
-			}
-			b.lastView = view
-			f.refreshIsolation()
-		},
-		OnClose: func(c cnet.Conn, err error) { fail() },
+		}
+		return
 	}
-	f.env.Dial(n, cnet.ClassClient, server.PortHTTP, h, func(c cnet.Conn, err error) {
-		if finished {
-			if c != nil {
-				c.Close()
-			}
-			return
-		}
-		if err != nil {
-			fail()
-			return
-		}
-		conn = c
-		cnet.RetainConn(c) // held across events until the deadline fires
-		f.probeSeq++
-		c.TrySend(&server.ReqMsg{ID: f.probeSeq, Probe: true}, 64)
-	})
+	if err != nil {
+		p.fail()
+		return
+	}
+	p.conn = c
+	cnet.RetainConn(c) // held across events until the deadline fires
+	p.f.probeSeq++
+	c.TrySend(&server.ReqMsg{ID: p.f.probeSeq, Probe: true}, 64)
+}
+
+// retire unlists a probe nothing can call back any more.
+func (p *probe) retire() {
+	if !p.expired || p.dialing {
+		return
+	}
+	ps := p.f.probes
+	last := ps[len(ps)-1]
+	ps[p.slot], last.slot = last, p.slot
+	ps[len(ps)-1] = nil
+	p.f.probes = ps[:len(ps)-1]
 }
 
 // refreshIsolation recomputes S-FME masking: the reference cooperation

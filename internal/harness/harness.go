@@ -349,11 +349,14 @@ type Cluster struct {
 	Gen *workload.Generator
 
 	servers []**server.Server
-	srvCfgs []server.Config
 	fe      **frontend.Frontend
 	fes     []**frontend.Frontend // one per FEMachines entry; fes[0] == fe
 	feb     **frontend.Frontend
 	standby **frontend.Standby
+
+	// parts are the processes' components in build order, each as the
+	// world walk moves it (see buildWorld's addProc).
+	parts []func(*snapio.Ctx)
 
 	genTargets []cnet.NodeID
 	offered    float64
@@ -420,12 +423,32 @@ func (e *Engine) Build(v Version, o Options) *Cluster {
 // no stray boot events).
 func buildWorld(v Version, o Options, cold bool) *Cluster {
 	t := versionTraits(v)
-	addProc := func(m *machine.Machine, name string, start func(*machine.Env)) {
+	c := &Cluster{Version: v, Opts: o, Traits: t}
+	// addProc registers a process and, as the world walk's next part, its
+	// component. part moves the component: saving, from the live one;
+	// loading, by rebuilding it on env first — nil when the process is dead
+	// in the snapshot, which most components answer with no bytes at all,
+	// since the next boot builds them from nothing. A nil part stands for a
+	// component that is nothing but its registrations, which start makes
+	// again.
+	addProc := func(m *machine.Machine, name string, start func(*machine.Env), part func(x *snapio.Ctx, env *machine.Env)) {
 		if cold {
 			m.AddProcCold(name, start)
 		} else {
 			m.AddProc(name, start)
 		}
+		c.parts = append(c.parts, func(x *snapio.Ctx) {
+			var env *machine.Env
+			if m.Proc(name).Alive() {
+				env = m.RestoreEnv(name)
+			}
+			switch {
+			case part != nil:
+				part(x, env)
+			case env != nil && !x.Saving():
+				start(env)
+			}
+		})
 	}
 	s := sim.New(o.Seed)
 	log := &metrics.Log{}
@@ -444,10 +467,7 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 	n := topo.Nodes
 	ids := topo.ServerIDs()
 
-	c := &Cluster{
-		Version: v, Opts: o, Traits: t,
-		Sim: s, Net: net, Log: log, Catalog: cat,
-	}
+	c.Sim, c.Net, c.Log, c.Catalog = s, net, log, cat
 
 	diskCfg := simdisk.DefaultConfig()
 	for i := 0; i < n; i++ {
@@ -468,10 +488,10 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 					Peers:    ids,
 					Fanout:   GossipFanout,
 				}, env, pub)
-			})
+			}, nil)
 		}
 		if t.fe {
-			addProc(m, "icmp", func(env *machine.Env) { frontend.NewPingResponder(env) })
+			addProc(m, "icmp", func(env *machine.Env) { frontend.NewPingResponder(env) }, nil)
 		}
 
 		holder := new(*server.Server)
@@ -491,13 +511,39 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			qc := qmon.DefaultConfig()
 			cfg.QMon = &qc
 		}
-		c.srvCfgs = append(c.srvCfgs, cfg)
 		addProc(m, "press", func(env *machine.Env) {
 			var mv server.MembershipView
 			if pub != nil {
 				mv = membership.NewClient(env, pub, time.Second)
 			}
 			*holder = server.New(cfg, env, disks, mv)
+		}, func(x *snapio.Ctx, env *machine.Env) {
+			// A node whose press process died keeps a stale *Server holder
+			// that OperatorReset and the chaos result assembly still read;
+			// it is saved as a husk (observable accessors only).
+			tag := srvHusk
+			if *holder == nil {
+				tag = srvNone
+			} else if env != nil {
+				tag = srvLive
+			}
+			snapio.Int(x, &tag)
+			switch tag {
+			case srvNone:
+			case srvLive:
+				if x.Saving() {
+					(*holder).SnapState(x)
+				} else {
+					*holder = server.Restore(cfg, env, disks, nil, x)
+				}
+			case srvHusk:
+				if !x.Saving() {
+					*holder = new(server.Server)
+				}
+				(*holder).SnapHusk(x)
+			default:
+				snapio.Failf("harness: bad server section tag %d for node %d", tag, i)
+			}
 		})
 
 		if t.fme {
@@ -506,7 +552,7 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 					Self:        ids[i],
 					ProbePeriod: o.HeartbeatPeriod,
 				}, env, disks, fmeControl{s: s, m: m})
-			})
+			}, nil)
 		}
 	}
 
@@ -538,7 +584,7 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			holder := new(*frontend.Frontend)
 			addProc(m, "frontend", func(env *machine.Env) {
 				*holder = frontend.New(feCfg, env)
-			})
+			}, fePart(holder, feCfg))
 			c.FEMachines = append(c.FEMachines, m)
 			c.fes = append(c.fes, holder)
 		}
@@ -552,21 +598,21 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			// The scalable multi-front-end tier has no pairing: its
 			// redundancy is the tier itself.
 			net.SetAlias(feVIP, feNodeID)
-			addProc(c.FEMach, "fepair", func(env *machine.Env) { frontend.NewPairResponder(env) })
+			addProc(c.FEMach, "fepair", func(env *machine.Env) { frontend.NewPairResponder(env) }, nil)
 			c.FEBackup = machine.New(s, net, feBackupID, nil, log)
 			c.feb = new(*frontend.Frontend)
 			c.standby = new(*frontend.Standby)
 			backupCfg := mkFECfg(feBackupID)
 			addProc(c.FEBackup, "frontend", func(env *machine.Env) {
 				*c.feb = frontend.New(backupCfg, env)
-			})
+			}, fePart(c.feb, backupCfg))
 			addProc(c.FEBackup, "standby", func(env *machine.Env) {
 				*c.standby = frontend.NewStandby(frontend.StandbyConfig{
 					Self:     feBackupID,
 					Primary:  feNodeID,
 					HBPeriod: time.Second,
 				}, env, takeoverControl{c})
-			})
+			}, nil)
 			targets = []cnet.NodeID{feVIP}
 		}
 	}
@@ -580,6 +626,21 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 
 	c.genTargets = targets
 	return c
+}
+
+// fePart is a front-end process's part of the world walk. A front-end
+// that is dead in the snapshot leaves its holder empty: nothing reads a
+// front-end whose machine is down (Reintegrated asks the machine first).
+func fePart(holder **frontend.Frontend, cfg frontend.Config) func(*snapio.Ctx, *machine.Env) {
+	return func(x *snapio.Ctx, env *machine.Env) {
+		switch {
+		case env == nil:
+		case x.Saving():
+			(*holder).SnapState(x)
+		default:
+			*holder = frontend.Restore(cfg, env, x)
+		}
+	}
 }
 
 // attachWorkload finishes a built world with its load generator at the
@@ -596,11 +657,20 @@ func (c *Cluster) attachWorkload(rate float64) {
 	}, c.Rec)
 }
 
-// snapshotSupported reports whether the snapshot engine covers this
-// version (phase 1: the plain independent and base cooperative worlds —
-// no front-end tier, membership, qmon, or FME daemons yet).
-func snapshotSupported(t traits) bool {
-	return t == traits{} || t == (traits{cooperative: true, ring: true})
+// snapshotGap names the property of a (version, options) world that the
+// snapshot walks do not reach yet, or "" when they cover it whole. A
+// campaign on such a world warms every episode's world in place.
+func snapshotGap(v Version, o Options) string {
+	t := versionTraits(v)
+	switch {
+	case t.memb:
+		return "the membership service"
+	case t.qmon:
+		return "queue monitoring"
+	case t.fe && o.RedundantFE:
+		return "the standby front-end"
+	}
+	return ""
 }
 
 // BuildForRestore constructs a cold world ready for RestoreWorld: same
@@ -609,8 +679,8 @@ func snapshotSupported(t traits) bool {
 // envelope — the saturation probe must not rerun).
 func BuildForRestore(v Version, o Options, rate float64) *Cluster {
 	o = o.withDefaults()
-	if !snapshotSupported(versionTraits(v)) {
-		snapio.Failf("harness: version %s not supported by snapshots (phase 1: INDEP, COOP)", v)
+	if gap := snapshotGap(v, o); gap != "" {
+		snapio.Failf("harness: a snapshot does not cover %s yet (%s)", gap, v)
 	}
 	if rate <= 0 {
 		snapio.Failf("harness: BuildForRestore needs a resolved rate, got %v", rate)

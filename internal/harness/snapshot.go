@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"press/internal/frontend"
+	"press/internal/machine"
 	"press/internal/server"
 	"press/internal/simnet"
 	"press/internal/snapio"
@@ -25,14 +27,22 @@ import (
 // counters come very last so SetCounters overwrites whatever bookkeeping
 // the re-arming of events touched.
 
-// Per-node server section tags. A node whose press process died keeps a
-// stale *Server holder that OperatorReset and the chaos result assembly
-// still read; it is saved as a husk (observable accessors only).
+// Server section tags: what a node's press part says first.
 const (
 	srvNone = iota // holder is nil (never booted)
 	srvLive        // press alive: full state
 	srvHusk        // press dead: stats, view, queue lengths
 )
+
+// machines lists every machine of the world in walk order: servers, the
+// front-end tier, the standby front-end.
+func (c *Cluster) machines() []*machine.Machine {
+	ms := append(c.Machines[:len(c.Machines):len(c.Machines)], c.FEMachines...)
+	if c.FEBackup != nil {
+		ms = append(ms, c.FEBackup)
+	}
+	return ms
+}
 
 // newCtx builds the context one world's walks share: connection
 // references resolve through blank simnet halves (the connection table is
@@ -41,6 +51,7 @@ const (
 func newCtx() *snapio.Ctx {
 	msgs := snapio.NewMsgCodec()
 	server.RegisterMessages(msgs)
+	frontend.RegisterMessages(msgs)
 	return &snapio.Ctx{World: &snapio.World{
 		Conns:  snapio.NewRefTable(simnet.BlankConn),
 		Owners: snapio.NewRefTable(nil),
@@ -65,8 +76,8 @@ func (c *Cluster) SnapWorld(enc *snapio.Encoder, extra func(*snapio.Ctx)) {
 func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	x.Sim = c.Sim
 	if x.Saving() {
-		if !snapshotSupported(c.Traits) {
-			snapio.Failf("harness: version %s not supported by snapshots (phase 1: INDEP, COOP)", c.Version)
+		if gap := snapshotGap(c.Version, c.Opts); gap != "" {
+			snapio.Failf("harness: a snapshot does not cover %s yet (%s)", gap, c.Version)
 		}
 		x.CapturePending()
 	} else if n := c.Sim.Pending(); n != 0 {
@@ -75,37 +86,14 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 
 	c.Log.SnapState(x)
 	c.Net.SnapCore(x)
-	for _, m := range c.Machines {
+	for _, m := range c.machines() {
 		m.SnapState(x)
 	}
-	for i, m := range c.Machines {
-		srv := c.servers[i]
-		tag := srvHusk
-		if p := m.Proc("press"); *srv == nil {
-			tag = srvNone
-		} else if p != nil && p.Alive() {
-			tag = srvLive
-		}
-		snapio.Int(x, &tag)
-		switch tag {
-		case srvNone:
-		case srvLive:
-			if x.Saving() {
-				(*srv).SnapState(x)
-			} else {
-				*srv = server.Restore(c.srvCfgs[i], m.RestoreEnv("press"), m.Disks(), nil, x)
-			}
-		case srvHusk:
-			if !x.Saving() {
-				*srv = new(server.Server)
-			}
-			(*srv).SnapHusk(x)
-		default:
-			snapio.Failf("harness: bad server section tag %d for node %d", tag, i)
-		}
+	for _, part := range c.parts {
+		part(x)
 	}
 	if !x.Saving() {
-		for _, m := range c.Machines {
+		for _, m := range c.machines() {
 			m.FinishRestore()
 		}
 	}

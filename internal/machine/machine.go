@@ -249,6 +249,10 @@ type Proc struct {
 	// retained timer handles.
 	timerSeq uint64
 
+	// nextDialTag is the tag of the Dial about to be issued
+	// (Env.TagNextDial), consumed by that call.
+	nextDialTag uint32 //availlint:skipfield nextDialTag transient, zero between events
+
 	// rst holds restore-only scratch state; nil outside a restore.
 	rst *procRestore //availlint:skipfield rst restore-only scratch, nil whenever a snapshot can be taken
 }
@@ -275,7 +279,9 @@ type call struct {
 	// Snapshot tags: enough identity to rebuild the entry's callback on
 	// restore (the function values themselves cannot be serialized).
 	// dial distinguishes a dial result from an OnClose — both post rfn.
+	// tag sits in dial's padding: the entry is copied at packet rate.
 	dial bool
+	tag  uint32      // dial tag (Env.TagNextDial), 0 for an untagged dial
 	to   cnet.NodeID // dial destination
 	port string      // dgram port / dial port
 }
@@ -576,9 +582,10 @@ type dialRec struct {
 	result func(cnet.Conn, error) // endpoint callback, re-registered via Env.RestoreDialer
 	h      cnet.StreamHandlers    // endpoint handlers, re-registered via Env.RestoreDialer
 	cb     func(cnet.Conn, error) // completion closure, built once per record
-	to     cnet.NodeID            // snapshot identity of the dial
+	to     cnet.NodeID            // snapshot identity of the dial: destination, port
 	port   string
-	slot   int // registry index, reassigned as restore re-registers in-flight dials
+	tag    uint32 // ... and the component's tag (Env.TagNextDial), 0 without one
+	slot   int    // registry index, reassigned as restore re-registers in-flight dials
 }
 
 func (m *Machine) getDial() *dialRec {
@@ -598,7 +605,7 @@ func (m *Machine) getDial() *dialRec {
 		if c != nil {
 			e.p.adoptConn(e, c.(simnet.StreamConn), r.h)
 		}
-		e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, to: r.to, port: r.port})
+		e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, tag: r.tag, to: r.to, port: r.port})
 		e.p.m.putDial(r)
 	}
 	return r
@@ -614,7 +621,7 @@ func (m *Machine) putDial(r *dialRec) {
 		m.dials = m.dials[:last]
 	}
 	r.e, r.result, r.h = nil, nil, cnet.StreamHandlers{}
-	r.to, r.port, r.slot = cnet.None, "", -1
+	r.to, r.port, r.tag, r.slot = cnet.None, "", 0, -1
 	m.dialFree.Put(r)
 }
 
@@ -823,6 +830,15 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 	})
 }
 
+// TagNextDial implements cnet.DialTagger: the next Dial carries tag, which
+// is how a restore tells this process's concurrent dials to one (node,
+// port) apart.
+func (e *Env) TagNextDial(tag uint32) {
+	if e.live() {
+		e.p.nextDialTag = tag
+	}
+}
+
 // Dial implements cnet.Env.
 func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	if !e.live() {
@@ -830,7 +846,8 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 	}
 	dr := e.p.m.getDial()
 	dr.e, dr.result, dr.h = e, result, h
-	dr.to, dr.port = to, port
+	dr.to, dr.port, dr.tag = to, port, e.p.nextDialTag
+	e.p.nextDialTag = 0
 	dr.slot = len(e.p.m.dials)
 	e.p.m.dials = append(e.p.m.dials, dr)
 	e.p.m.iface.Network().SetNextDialOwner(dr)

@@ -41,6 +41,7 @@ const (
 	tagClosed   = 4
 	tagWritable = 5
 	tagTimer    = 6
+	tagDialTag  = 7 // tagDial of a tagged dial: the tag follows the port
 )
 
 type restTimer struct {
@@ -61,11 +62,22 @@ type mailTag struct {
 	port   string
 	err    error
 	serial uint64
+	tag    uint32
 }
 
+// dialKey names a dial's endpoint callbacks: a tagged dial's by the tag
+// alone, an untagged one's by its destination.
 type dialKey struct {
 	to   cnet.NodeID
 	port string
+	tag  uint32
+}
+
+func keyOf(to cnet.NodeID, port string, tag uint32) dialKey {
+	if tag != 0 {
+		return dialKey{to: cnet.None, tag: tag}
+	}
+	return dialKey{to: to, port: port}
 }
 
 type dialEndpoint struct {
@@ -218,7 +230,22 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		x.Str(&proc)
 		snapio.Int(x, &dr.to)
 		x.Str(&dr.port)
-		x.Bool(&live)
+		// One byte: bit 0 live, bit 1 a tag follows — an untagged dial's
+		// record reads as it did when this was the live flag alone.
+		flags := uint8(0)
+		if live {
+			flags |= 1
+		}
+		if dr.tag != 0 {
+			flags |= 2
+		}
+		if snapio.Uint(x, &flags); flags > 3 {
+			snapio.Failf("machine %d: dial record flags %#x", m.id, flags)
+		}
+		live = flags&1 != 0
+		if flags&2 != 0 {
+			snapio.Uint(x, &dr.tag)
+		}
 		if !x.Saving() {
 			p := m.procs[proc]
 			if p == nil {
@@ -240,7 +267,7 @@ func (m *Machine) tagOf(proc string, c *call) mailTag {
 	if c.env == nil {
 		snapio.Failf("machine %d/%s: mailbox entry without env", m.id, proc)
 	}
-	t := mailTag{c: c.c, m: c.m, from: c.from, to: c.to, port: c.port, err: c.err}
+	t := mailTag{c: c.c, m: c.m, from: c.from, to: c.to, port: c.port, err: c.err, tag: c.tag}
 	switch {
 	case !c.env.live():
 		t.kind = tagDead
@@ -250,6 +277,8 @@ func (m *Machine) tagOf(proc string, c *call) mailTag {
 		t.kind = tagStream
 	case c.dfn != nil:
 		t.kind = tagDgram
+	case c.rfn != nil && c.dial && c.tag != 0:
+		t.kind = tagDialTag
 	case c.rfn != nil && c.dial:
 		t.kind = tagDial
 	case c.rfn != nil:
@@ -276,9 +305,12 @@ func (t *mailTag) snap(x *snapio.Ctx) {
 		x.Str(&t.port)
 		snapio.Int(x, &t.from)
 		snapio.Msg(x, &t.m)
-	case tagDial:
+	case tagDial, tagDialTag:
 		snapio.Int(x, &t.to)
 		x.Str(&t.port)
+		if t.kind == tagDialTag {
+			snapio.Uint(x, &t.tag)
+		}
 		snapio.Conn(x, &t.c)
 		cnet.SnapErr(x, &t.err)
 	case tagClosed:
@@ -352,14 +384,28 @@ func (e *Env) RestoreConnList() []cnet.Conn {
 	return p.rst.conns
 }
 
-// RestoreDialer registers the endpoint callbacks for an in-flight dial
-// (or a dial result already sitting in the mailbox) to (to, port).
+// RestoreDialer registers the endpoint callbacks of the untagged dials to
+// (to, port) that are in flight or whose result already sits in the
+// mailbox.
 func (e *Env) RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	e.restoreDialer(keyOf(to, port, 0), h, result)
+}
+
+// RestoreTaggedDialer is RestoreDialer for the dials issued under tag
+// (TagNextDial).
+func (e *Env) RestoreTaggedDialer(tag uint32, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	if tag == 0 {
+		snapio.Failf("machine %d/%s: RestoreTaggedDialer with tag 0", e.p.m.id, e.p.name)
+	}
+	e.restoreDialer(keyOf(cnet.None, "", tag), h, result)
+}
+
+func (e *Env) restoreDialer(k dialKey, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	p := e.p
 	if p.rst == nil {
 		snapio.Failf("machine %d/%s: RestoreDialer outside restore", p.m.id, p.name)
 	}
-	p.rst.dialers[dialKey{to, port}] = dialEndpoint{h: h, result: result}
+	p.rst.dialers[k] = dialEndpoint{h: h, result: result}
 }
 
 // RestoreConn re-attaches the component's handlers to a restored
@@ -393,6 +439,21 @@ func (m *Machine) FinishRestore() {
 		r := p.rst
 		if r == nil {
 			snapio.Failf("machine %d/%s: FinishRestore without SnapState", m.id, name)
+		}
+
+		// A connection whose dial result is still in the mailbox was adopted
+		// with the dial's handlers, and the component has not seen it yet.
+		for _, t := range r.mailTags {
+			if t.kind != tagDial && t.kind != tagDialTag {
+				continue
+			}
+			ep, ok := r.dialers[keyOf(t.to, t.port, t.tag)]
+			if !ok {
+				snapio.Failf("machine %d/%s: mailbox dial result for %d port %q tag %d unclaimed", m.id, name, t.to, t.port, t.tag)
+			}
+			if t.c != nil {
+				p.env.RestoreConn(t.c, ep.h)
+			}
 		}
 
 		for i, c := range r.adopted {
@@ -433,9 +494,9 @@ func (m *Machine) FinishRestore() {
 		if !dr.e.live() {
 			continue
 		}
-		ep, ok := dr.e.p.rst.dialers[dialKey{dr.to, dr.port}]
+		ep, ok := dr.e.p.rst.dialers[keyOf(dr.to, dr.port, dr.tag)]
 		if !ok {
-			snapio.Failf("machine %d/%s: in-flight dial to %d port %q unclaimed by component", m.id, dr.e.p.name, dr.to, dr.port)
+			snapio.Failf("machine %d/%s: in-flight dial to %d port %q tag %d unclaimed by component", m.id, dr.e.p.name, dr.to, dr.port, dr.tag)
 		}
 		dr.h, dr.result = ep.h, ep.result
 	}
@@ -470,12 +531,9 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 			snapio.Failf("machine %d/%s: mailbox dgram entry for unbound port %q", m.id, p.name, t.port)
 		}
 		return call{dfn: h, env: env, from: t.from, m: t.m, port: t.port}
-	case tagDial:
-		ep, ok := p.rst.dialers[dialKey{t.to, t.port}]
-		if !ok {
-			snapio.Failf("machine %d/%s: mailbox dial result for %d port %q unclaimed", m.id, p.name, t.to, t.port)
-		}
-		return call{rfn: ep.result, env: env, c: t.c, err: t.err, dial: true, to: t.to, port: t.port}
+	case tagDial, tagDialTag:
+		ep := p.rst.dialers[keyOf(t.to, t.port, t.tag)] // FinishRestore saw to it that there is one
+		return call{rfn: ep.result, env: env, c: t.c, err: t.err, dial: true, tag: t.tag, to: t.to, port: t.port}
 	case tagClosed:
 		h := p.rst.handlers[t.c]
 		if h.OnClose == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
 	"press/internal/qmon"
@@ -89,7 +90,7 @@ type Server struct {
 	joinTimer timerHandle
 }
 
-type timerHandle interface{ Stop() bool }
+type timerHandle = clock.Timer
 
 type pendingReq struct {
 	conn cnet.Conn

@@ -2,9 +2,7 @@ package server
 
 import (
 	"sort"
-	"time"
 
-	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/snapio"
 	"press/internal/trace"
@@ -115,42 +113,6 @@ func RegisterMessages(c *snapio.MsgCodec) {
 	})
 }
 
-// RestoreEnv is the process environment surface the restore path needs:
-// the normal cnet.Env plus the machine's restore registrations (implemented
-// by machine.Env during a restore; structural so this package does not
-// import machine).
-type RestoreEnv interface {
-	cnet.Env
-	RestoreTimer(serial uint64, fn func()) clock.Timer
-	RestoreTicker(period time.Duration, fn func(), stopped bool) clock.Ticker
-	RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, result func(cnet.Conn, error))
-	RestoreConn(c cnet.Conn, h cnet.StreamHandlers)
-	RestoreConnList() []cnet.Conn
-}
-
-// timer moves a retained proc-clock timer handle: whether there is one,
-// then its serial. Loading re-claims it from the environment with fn, the
-// callback the stream cannot carry (a live pending timer re-arms at its
-// exact kernel slot; a spent or stopped one yields an inert handle).
-func (s *Server) timer(x *snapio.Ctx, h *timerHandle, fn func(), what string) {
-	has := *h != nil
-	if x.Bool(&has); !has {
-		*h = nil
-		return
-	}
-	var serial uint64
-	if x.Saving() {
-		ts, ok := (*h).(interface{ TimerSerial() uint64 })
-		if !ok {
-			snapio.Failf("server: %s handle %T carries no timer serial", what, *h)
-		}
-		serial = ts.TimerSerial()
-	}
-	if x.U64(&serial); !x.Saving() {
-		*h = s.env.(RestoreEnv).RestoreTimer(serial, fn)
-	}
-}
-
 // snap moves the counters, which a live server and a husk both carry.
 func (st *Stats) snap(x *snapio.Ctx) {
 	for _, v := range []*uint64{&st.Served, &st.LocalHits, &st.RemoteServed, &st.DiskReads,
@@ -196,7 +158,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	if s.memb != nil {
 		snapio.Failf("server %d: snapshotting with a membership view is not supported yet", s.cfg.Self)
 	}
-	env, _ := s.env.(RestoreEnv) // used by the load-only blocks
+	env, _ := s.env.(cnet.RestoreEnv) // used by the load-only blocks
 	x.Bool(&s.joined)
 	x.U64(&s.nextID)
 	snapio.Int(x, &s.active)
@@ -241,7 +203,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		p := s.peer(*n)
 		snapio.OptConn(x, &p.conn)
 		x.Bool(&p.dialing)
-		s.timer(x, &p.retry, p.redial, "peer retry")
+		cnet.SnapTimer(x, s.env, &p.retry, p.redial, "server: peer retry")
 		snapio.Int(x, &p.load)
 		q := p.sendQ[p.sendHead:]
 		snapio.Slice(x, &q, 1<<20, func(om *outMsg) {
@@ -354,8 +316,8 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 				}
 			}
 		}
-		s.timer(x, &op.bounceT, op.bounce, "disk bounce")
-		s.timer(x, &op.requeueT, op.requeue, "disk requeue")
+		cnet.SnapTimer(x, s.env, &op.bounceT, op.bounce, "server: disk bounce")
+		cnet.SnapTimer(x, s.env, &op.requeueT, op.requeue, "server: disk requeue")
 	}
 
 	for i := range x.Len(len(s.admitOps), 1<<20) {
@@ -370,7 +332,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 			cnet.RetainConn(op.conn) // no-op on snapshot-built conns; keeps the pin balanced with putAdmitOp
 		}
 		snapio.Msg(x, &op.msg)
-		s.timer(x, &op.runT, op.run, "deferred admission")
+		cnet.SnapTimer(x, s.env, &op.runT, op.run, "server: deferred admission")
 	}
 
 	r := &s.ring
@@ -382,40 +344,10 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	snapio.Int(x, &r.succ)
 	snapio.Int(x, &r.lastHB)
 	if r.enabled {
-		// The heartbeat ticker travels as its stopped flag and its pending
-		// fire; a load rebuilds it unarmed and hands it the re-claimed fire.
-		var stopped bool
-		var pending timerHandle
-		if x.Saving() {
-			hb, ok := r.hb.(interface {
-				Stopped() bool
-				PendingTimer() clock.Timer
-			})
-			if !ok {
-				snapio.Failf("server %d: ring ticker %T is not restorable", s.cfg.Self, r.hb)
-			}
-			stopped, pending = hb.Stopped(), hb.PendingTimer()
-		}
-		x.Bool(&stopped)
-		var fire func()
-		var adopt func(clock.Timer)
-		if !x.Saving() {
-			r.hb = env.RestoreTicker(s.cfg.HeartbeatPeriod, r.tick, stopped)
-			rt, ok := r.hb.(interface {
-				FireFunc() func()
-				AdoptTimer(clock.Timer)
-			})
-			if !ok {
-				snapio.Failf("server %d: restored ring ticker %T lacks a timer-adoption surface", s.cfg.Self, r.hb)
-			}
-			fire, adopt = rt.FireFunc(), rt.AdoptTimer
-		}
-		if s.timer(x, &pending, fire, "ring heartbeat"); !x.Saving() && pending != nil {
-			adopt(pending)
-		}
+		cnet.SnapTicker(x, s.env, &r.hb, s.cfg.HeartbeatPeriod, r.tick, "server: ring heartbeat")
 	}
 
-	s.timer(x, &s.joinTimer, s.joinTimeout, "join timeout")
+	cnet.SnapTimer(x, s.env, &s.joinTimer, s.joinTimeout, "server: join timeout")
 }
 
 // SnapHusk moves the post-mortem observables of a dead incarnation.
@@ -449,7 +381,7 @@ func (s *Server) SnapHusk(x *snapio.Ctx) {
 // server re-registers its listeners on env (registration only — no
 // events), loads its protocol state through SnapState, and re-attaches
 // stream handlers to every restored connection.
-func Restore(cfg Config, env RestoreEnv, disk DiskArray, memb MembershipView, x *snapio.Ctx) *Server {
+func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipView, x *snapio.Ctx) *Server {
 	s := newServer(cfg, env, disk, memb)
 	s.env.Listen(PortHTTP, s.acceptClient)
 	if s.cfg.Cooperative {
