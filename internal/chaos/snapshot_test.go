@@ -309,7 +309,7 @@ func snapVersions() []harness.Version {
 	if testing.Short() {
 		return []harness.Version{harness.VCOOP, harness.VFEX}
 	}
-	return []harness.Version{harness.VINDEP, harness.VFEXINDEP, harness.VCOOP, harness.VFEX}
+	return []harness.Version{harness.VINDEP, harness.VFEXINDEP, harness.VCOOP, harness.VFEX, harness.VMEM, harness.VQMON, harness.VMQ}
 }
 
 // TestRestoreThenCaptureIsFixedPoint snapshots a restored runner without

@@ -46,7 +46,7 @@ func diffCampaigns(t *testing.T, what string, want, got []byte) {
 // must return exactly those; and the events the kernels fired must drop by
 // what was not simulated again: (episodes-1) warm-ups, to the event.
 func TestCampaignForkMatchesCold(t *testing.T) {
-	versions := []Version{VINDEP, VFEXINDEP, VCOOP, VFEX} // the versions the walks reach so far
+	versions := []Version{VINDEP, VFEXINDEP, VCOOP, VFEX, VMEM, VQMON, VMQ} // the versions the walks reach so far
 	if testing.Short() {
 		versions = []Version{VCOOP}
 	}

@@ -478,17 +478,30 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 
 		var pub *membership.Published
 		if t.memb {
+			// The segment is shared memory: it survives both its writer and
+			// its reader, so it is a part of its own, ahead of theirs.
 			pub = &membership.Published{}
+			c.parts = append(c.parts, pub.SnapState)
+			mcfg := membership.Config{
+				Self:     ids[i],
+				HBPeriod: o.HeartbeatPeriod,
+				HBMiss:   3,
+				Gossip:   scalable,
+				Peers:    ids,
+				Fanout:   GossipFanout,
+			}
+			var membd *membership.Daemon
 			addProc(m, "membd", func(env *machine.Env) {
-				membership.NewDaemon(membership.Config{
-					Self:     ids[i],
-					HBPeriod: o.HeartbeatPeriod,
-					HBMiss:   3,
-					Gossip:   scalable,
-					Peers:    ids,
-					Fanout:   GossipFanout,
-				}, env, pub)
-			}, nil)
+				membd = membership.NewDaemon(mcfg, env, pub)
+			}, func(x *snapio.Ctx, env *machine.Env) {
+				switch {
+				case env == nil:
+				case x.Saving():
+					membd.SnapState(x)
+				default:
+					membd = membership.Restore(mcfg, env, pub, x)
+				}
+			})
 		}
 		if t.fe {
 			addProc(m, "icmp", func(env *machine.Env) { frontend.NewPingResponder(env) }, nil)
@@ -511,12 +524,20 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			qc := qmon.DefaultConfig()
 			cfg.QMon = &qc
 		}
-		addProc(m, "press", func(env *machine.Env) {
-			var mv server.MembershipView
-			if pub != nil {
-				mv = membership.NewClient(env, pub, time.Second)
+		// The press process links the membership client library; its poll
+		// loop travels right ahead of the server it calls back.
+		var client *membership.Client
+		view := func() server.MembershipView {
+			if client == nil {
+				return nil
 			}
-			*holder = server.New(cfg, env, disks, mv)
+			return client
+		}
+		addProc(m, "press", func(env *machine.Env) {
+			if pub != nil {
+				client = membership.NewClient(env, pub, time.Second)
+			}
+			*holder = server.New(cfg, env, disks, view())
 		}, func(x *snapio.Ctx, env *machine.Env) {
 			// A node whose press process died keeps a stale *Server holder
 			// that OperatorReset and the chaos result assembly still read;
@@ -531,10 +552,16 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			switch tag {
 			case srvNone:
 			case srvLive:
+				switch {
+				case x.Saving() && pub != nil:
+					client.SnapState(x)
+				case pub != nil:
+					client = membership.RestoreClient(env, pub, time.Second, x)
+				}
 				if x.Saving() {
 					(*holder).SnapState(x)
 				} else {
-					*holder = server.Restore(cfg, env, disks, nil, x)
+					*holder = server.Restore(cfg, env, disks, view(), x)
 				}
 			case srvHusk:
 				if !x.Saving() {
@@ -663,10 +690,8 @@ func (c *Cluster) attachWorkload(rate float64) {
 func snapshotGap(v Version, o Options) string {
 	t := versionTraits(v)
 	switch {
-	case t.memb:
-		return "the membership service"
-	case t.qmon:
-		return "queue monitoring"
+	case t.fme:
+		return "fault model enforcement"
 	case t.fe && o.RedundantFE:
 		return "the standby front-end"
 	}

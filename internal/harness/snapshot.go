@@ -3,6 +3,7 @@ package harness
 import (
 	"press/internal/frontend"
 	"press/internal/machine"
+	"press/internal/membership"
 	"press/internal/server"
 	"press/internal/simnet"
 	"press/internal/snapio"
@@ -52,6 +53,7 @@ func newCtx() *snapio.Ctx {
 	msgs := snapio.NewMsgCodec()
 	server.RegisterMessages(msgs)
 	frontend.RegisterMessages(msgs)
+	membership.RegisterMessages(msgs)
 	return &snapio.Ctx{World: &snapio.World{
 		Conns:  snapio.NewRefTable(simnet.BlankConn),
 		Owners: snapio.NewRefTable(nil),

@@ -37,13 +37,16 @@ const snapioPath = "press/internal/snapio"
 
 // wiring reports whether a field of type t cannot hold snapshot state,
 // whatever it is called: code (a func, a struct of funcs such as
-// cnet.StreamHandlers, a map of either — a restored component binds its
-// handlers again), a record free list (cnet.MsgPool: an empty pool
+// cnet.StreamHandlers, a map or slice of either — a restored component
+// binds its handlers and subscribes again), a record free list (cnet.MsgPool: an empty pool
 // behaves as a full one), or a backlink to the kernel or the event log
 // (*sim.Sim, *metrics.Log: the restored world is built over its own).
 func wiring(t types.Type) bool {
-	if m, ok := t.Underlying().(*types.Map); ok {
-		return funcsOnly(m.Elem())
+	switch c := t.Underlying().(type) {
+	case *types.Map:
+		return funcsOnly(c.Elem())
+	case *types.Slice:
+		return funcsOnly(c.Elem())
 	}
 	if funcsOnly(t) {
 		return true

@@ -29,6 +29,7 @@ type Endpoint struct {
 	hooks   hooks
 	dgram   map[string]func(from cnet.NodeID, m cnet.Message)
 	accepts map[string]hooks
+	subs    []func(members []cnet.NodeID)
 }
 
 func (e *Endpoint) SnapState(x *snapio.Ctx) { snapio.Int(x, &e.n) }

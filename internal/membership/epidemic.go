@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
 )
@@ -29,9 +30,11 @@ type epidemic struct {
 	gseen  map[cnet.NodeID]time.Duration
 	peerOK map[cnet.NodeID]bool
 
+	tickT clock.Ticker
+
 	// gossipPool recycles digest records; receivers release them.
 	gossipPool cnet.MsgPool[MGossip]
-	pickBuf    []cnet.NodeID
+	pickBuf    []cnet.NodeID //availlint:skipfield pickBuf scratch, refilled at the start of every round
 }
 
 func newEpidemic(d *Daemon) *epidemic {
@@ -58,7 +61,7 @@ func newEpidemic(d *Daemon) *epidemic {
 
 func (g *epidemic) start() {
 	g.install(1, g.members, "boot")
-	g.env.Clock().Every(g.cfg.HBPeriod, g.tick)
+	g.tickT = g.env.Clock().Every(g.cfg.HBPeriod, g.tick)
 }
 
 // tick runs one epidemic round: bump our own counter, push the full

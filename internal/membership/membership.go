@@ -31,8 +31,10 @@ import (
 	"sync"
 	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/metrics"
+	"press/internal/snapio"
 )
 
 // Port and group names.
@@ -248,10 +250,20 @@ type agreement interface {
 	// start installs the boot view and arms the protocol's tickers.
 	start()
 	onMessage(from cnet.NodeID, m cnet.Message)
+	// snap moves the protocol's state across a snapshot (snapshot.go).
+	snap(x *snapio.Ctx)
 }
 
 // NewDaemon starts a membership daemon on env, publishing into pub.
 func NewDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
+	d := newDaemon(cfg, env, pub)
+	d.agree.start()
+	return d
+}
+
+// newDaemon builds the daemon and binds its port, everything but the boot
+// view and the tickers — shared by NewDaemon and the snapshot Restore path.
+func newDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
 	d := &Daemon{
 		cfg:     cfg.withDefaults(),
 		env:     env,
@@ -265,7 +277,6 @@ func NewDaemon(cfg Config, env cnet.Env, pub *Published) *Daemon {
 		d.agree = newRing(d)
 	}
 	d.env.BindDatagram(Port, d.agree.onMessage)
-	d.agree.start()
 	return d
 }
 
@@ -309,20 +320,25 @@ func (d *Daemon) install(ver uint64, members []cnet.NodeID, why string) {
 // segment and calls the application back with view updates, and lets the
 // application hint at dead nodes.
 type Client struct {
-	env  cnet.Env
-	pub  *Published
-	poll time.Duration
-	subs []func(members []cnet.NodeID)
+	env   cnet.Env
+	pub   *Published
+	poll  time.Duration
+	pollT clock.Ticker
+	subs  []func(members []cnet.NodeID)
 }
 
 // NewClient attaches a client to the local node's published view.
 func NewClient(env cnet.Env, pub *Published, poll time.Duration) *Client {
+	c := newClient(env, pub, poll)
+	c.pollT = c.env.Clock().Every(c.poll, c.pollTick)
+	return c
+}
+
+func newClient(env cnet.Env, pub *Published, poll time.Duration) *Client {
 	if poll <= 0 {
 		poll = time.Second
 	}
-	c := &Client{env: env, pub: pub, poll: poll}
-	c.pollLater()
-	return c
+	return &Client{env: env, pub: pub, poll: poll}
 }
 
 // Subscribe registers a callback invoked on every poll with the current
@@ -334,10 +350,6 @@ func (c *Client) Subscribe(fn func(members []cnet.NodeID)) {
 // NodeDown forwards the application's down-hint to the local daemon.
 func (c *Client) NodeDown(n cnet.NodeID) {
 	c.env.Send(c.env.Local(), cnet.ClassIntra, Port, MNodeDown{From: c.env.Local(), Node: n}, 48)
-}
-
-func (c *Client) pollLater() {
-	c.env.Clock().Every(c.poll, c.pollTick)
 }
 
 func (c *Client) pollTick() {

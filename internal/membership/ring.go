@@ -24,10 +24,16 @@ type ring struct {
 	lastSeen map[cnet.NodeID]time.Duration
 	busy     bool
 	wait     *ackWait
+	// acks are the armed ack timeouts, oldest first. One is never stopped:
+	// a change the acks completed early leaves its timeout to fire into
+	// whatever came after, which is why each carries its version.
+	acks []*ackTimer
 
 	offers     []MJoinOffer
 	collecting bool
+	offerT     clock.Timer // closes the offer window; nil outside one
 
+	hbT   clock.Ticker
 	seekT clock.Ticker // variable-period seek loop, retimed each pass
 
 	// hbPool recycles heartbeat records; receivers release them.
@@ -46,7 +52,7 @@ func newRing(d *Daemon) *ring {
 
 func (r *ring) start() {
 	r.install(1, r.members, "boot")
-	r.env.Clock().Every(r.cfg.HBPeriod, r.tick)
+	r.hbT = r.env.Clock().Every(r.cfg.HBPeriod, r.tick)
 	r.seekLater(true)
 }
 
@@ -127,47 +133,71 @@ func (r *ring) runChange(proposed []cnet.NodeID, subject cnet.NodeID, add bool) 
 
 // ackWait tracks one in-flight 2PC at the coordinator.
 type ackWait struct {
-	ver        uint64
-	proposed   []cnet.NodeID
-	acked      map[cnet.NodeID]bool
-	need       int
-	onComplete func()
+	ver      uint64
+	proposed []cnet.NodeID
+	acked    map[cnet.NodeID]bool
+	need     int
+	subject  cnet.NodeID // the node being added or removed, for the log
+	add      bool
+}
+
+// ackTimer is one armed ack timeout: the version it was armed for and the
+// handle a snapshot names it by.
+type ackTimer struct {
+	r   *ring //availlint:skipfield r owner backlink, set at construction
+	ver uint64
+	t   clock.Timer
+}
+
+func (r *ring) armAckTimeout(ver uint64) *ackTimer {
+	a := &ackTimer{r: r, ver: ver}
+	r.acks = append(r.acks, a)
+	return a
+}
+
+func (a *ackTimer) fire() {
+	r := a.r
+	r.acks = slices.DeleteFunc(r.acks, func(o *ackTimer) bool { return o == a })
+	r.commit(a.ver)
 }
 
 func (r *ring) expectAcks(ver uint64, proposed []cnet.NodeID, acked map[cnet.NodeID]bool, need int, subject cnet.NodeID, add bool) {
-	r.wait = &ackWait{ver: ver, proposed: proposed, acked: acked, need: need}
-	commit := func() {
-		if r.wait == nil || r.wait.ver != ver {
-			return
-		}
-		w := r.wait
-		r.wait = nil
-		// Commit to everyone who acked; the silent ones will be detected
-		// and excluded by heartbeat monitoring in due course.
-		var final []cnet.NodeID
-		for _, m := range w.proposed {
-			if w.acked[m] {
-				final = append(final, m)
-			}
-		}
-		cm := MCommit{From: r.cfg.Self, Ver: ver, Members: final}
-		for _, m := range final {
-			if m != r.cfg.Self {
-				r.env.Send(m, cnet.ClassIntra, Port, cm, 64+4*len(final))
-			}
-		}
-		what := "exclude"
-		if add {
-			what = "admit"
-		}
-		r.install(ver, final, fmt.Sprintf("%s %d (coordinator)", what, subject))
-	}
+	r.wait = &ackWait{ver: ver, proposed: proposed, acked: acked, need: need, subject: subject, add: add}
 	if need == 0 {
-		commit()
+		r.commit(ver)
 		return
 	}
-	r.wait.onComplete = commit
-	r.env.Clock().AfterFunc(r.cfg.AckTimeout, commit)
+	a := r.armAckTimeout(ver)
+	a.t = r.env.Clock().AfterFunc(r.cfg.AckTimeout, a.fire)
+}
+
+// commit ends the change proposed as ver, when the last ack arrives or
+// its timeout fires, whichever is first; the other finds it done.
+func (r *ring) commit(ver uint64) {
+	if r.wait == nil || r.wait.ver != ver {
+		return
+	}
+	w := r.wait
+	r.wait = nil
+	// Commit to everyone who acked; the silent ones will be detected
+	// and excluded by heartbeat monitoring in due course.
+	var final []cnet.NodeID
+	for _, m := range w.proposed {
+		if w.acked[m] {
+			final = append(final, m)
+		}
+	}
+	cm := MCommit{From: r.cfg.Self, Ver: ver, Members: final}
+	for _, m := range final {
+		if m != r.cfg.Self {
+			r.env.Send(m, cnet.ClassIntra, Port, cm, 64+4*len(final))
+		}
+	}
+	what := "exclude"
+	if w.add {
+		what = "admit"
+	}
+	r.install(ver, final, fmt.Sprintf("%s %d (coordinator)", what, w.subject))
 }
 
 func (r *ring) onMessage(from cnet.NodeID, m cnet.Message) {
@@ -189,8 +219,8 @@ func (r *ring) onMessage(from cnet.NodeID, m cnet.Message) {
 		if r.wait != nil && r.wait.ver == msg.Ver && !r.wait.acked[msg.From] {
 			r.wait.acked[msg.From] = true
 			r.wait.need--
-			if r.wait.need <= 0 && r.wait.onComplete != nil {
-				r.wait.onComplete()
+			if r.wait.need <= 0 {
+				r.commit(msg.Ver)
 			}
 		}
 	case MCommit:
@@ -269,20 +299,25 @@ func (r *ring) seek() {
 		MinID:   slices.Min(r.members),
 		Members: r.Members(),
 	}, 64+4*len(r.members))
-	r.env.Clock().AfterFunc(r.cfg.OfferWindow, func() {
-		r.collecting = false
-		best := -1
-		for i, off := range r.offers {
-			if !betterGroup(off.Members, r.members) {
-				continue
-			}
-			if best == -1 || betterGroup(r.offers[i].Members, r.offers[best].Members) {
-				best = i
-			}
+	r.offerT = r.env.Clock().AfterFunc(r.cfg.OfferWindow, r.closeOffers)
+}
+
+// closeOffers ends the offer window: ask the best offering member, if any
+// offered a better group than ours, to admit us.
+func (r *ring) closeOffers() {
+	r.offerT = nil
+	r.collecting = false
+	best := -1
+	for i, off := range r.offers {
+		if !betterGroup(off.Members, r.members) {
+			continue
 		}
-		if best == -1 {
-			return
+		if best == -1 || betterGroup(r.offers[i].Members, r.offers[best].Members) {
+			best = i
 		}
-		r.env.Send(r.offers[best].From, cnet.ClassIntra, Port, MJoinAsk{From: r.cfg.Self}, 48)
-	})
+	}
+	if best == -1 {
+		return
+	}
+	r.env.Send(r.offers[best].From, cnet.ClassIntra, Port, MJoinAsk{From: r.cfg.Self}, 48)
 }

@@ -16,8 +16,9 @@ import (
 // the state — re-claiming pending timers by serial as it meets them — and
 // re-attaches handlers to every restored connection.
 //
-// Phase 1 covers the INDEP and COOP(+ring) configurations; a server with
-// queue monitoring or an external membership view refuses to snapshot.
+// The queue monitor, when there is one, travels at the end of the server's
+// section; the membership client library is the embedding process's, which
+// restores it first and hands it to Restore.
 
 // RegisterMessages describes every PRESS wire message to the codec, one
 // walk each, so mailbox entries, connection buffers, send queues and
@@ -152,12 +153,6 @@ func (s *Server) peerIDs() []cnet.NodeID {
 // table references. Pending disk reads define their continuation records
 // in ctx.Owners for the disk section, which runs later.
 func (s *Server) SnapState(x *snapio.Ctx) {
-	if s.qm != nil {
-		snapio.Failf("server %d: snapshotting with queue monitoring is not supported yet", s.cfg.Self)
-	}
-	if s.memb != nil {
-		snapio.Failf("server %d: snapshotting with a membership view is not supported yet", s.cfg.Self)
-	}
 	env, _ := s.env.(cnet.RestoreEnv) // used by the load-only blocks
 	x.Bool(&s.joined)
 	x.U64(&s.nextID)
@@ -218,9 +213,9 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		if !x.Saving() {
 			p.sendQ = q
 			cnet.RetainConn(p.conn) // no-op on snapshot-built conns; keeps the pin balanced
-			if p.dialing {
-				env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
-			}
+			// Whether or not p.dialing says so: teardown clears the flag
+			// under a dial in flight, whose result still comes back here.
+			env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
 		}
 	})
 
@@ -348,6 +343,10 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	}
 
 	cnet.SnapTimer(x, s.env, &s.joinTimer, s.joinTimeout, "server: join timeout")
+
+	if s.qm != nil {
+		s.qm.SnapState(x)
+	}
 }
 
 // SnapHusk moves the post-mortem observables of a dead incarnation.
@@ -390,6 +389,9 @@ func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipVie
 		s.env.BindDatagram(PortHB, s.onHeartbeat)
 	}
 	s.SnapState(x)
+	if s.memb != nil {
+		s.memb.Subscribe(s.reconcileMembership)
+	}
 
 	// Inbound peer streams get the shared peer handlers, established
 	// outbound peer streams each peer's own, and everything else the
