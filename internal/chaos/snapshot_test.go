@@ -63,6 +63,15 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		{"warmup-end", 70 * time.Second},    // pre-arm: the warm-fork point
 		{"mid-fault", 100 * time.Second},    // node 1 crashed AND node 2's link flapping
 		{"mid-recovery", 186 * time.Second}, // past the drain verdict
+		// What the membership and FME daemons add (the other versions just
+		// take three more captures). On FME at seed 1: node 0 detects node
+		// 1's silence at 95 s and commits its exclusion at 97.5 s, when the
+		// ack timeout fires for unreachable node 2; node 3 hangs at 110 s,
+		// its FME daemon restarts the application at 120.49 s and the
+		// process comes back 10 s later.
+		{"mid-2PC", 96 * time.Second},
+		{"mid-probe", 116 * time.Second}, // an HTTP probe of the hung server, one second into its two
+		{"mid-restart", 125 * time.Second},
 	}
 	for _, v := range snapVersions() {
 		t.Run(string(v), func(t *testing.T) {
@@ -307,9 +316,9 @@ func firstDiff(a, b []byte) int {
 // full tier.
 func snapVersions() []harness.Version {
 	if testing.Short() {
-		return []harness.Version{harness.VCOOP, harness.VFEX}
+		return []harness.Version{harness.VCOOP, harness.VFME}
 	}
-	return []harness.Version{harness.VINDEP, harness.VFEXINDEP, harness.VCOOP, harness.VFEX, harness.VMEM, harness.VQMON, harness.VMQ}
+	return harness.AllMeasuredVersions()
 }
 
 // TestRestoreThenCaptureIsFixedPoint snapshots a restored runner without

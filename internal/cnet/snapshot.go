@@ -21,8 +21,9 @@ import (
 type RestoreEnv interface {
 	Env
 	// RestoreTimer re-claims the pending timer the saved incarnation armed
-	// under serial, with the callback the stream cannot carry.
-	RestoreTimer(serial uint64, fn func()) clock.Timer
+	// under serial, with the callback the stream cannot carry; live is
+	// false when that timer was spent and fn will never be called.
+	RestoreTimer(serial uint64, fn func()) (t clock.Timer, live bool)
 	// RestoreTicker rebuilds an unarmed ticker.
 	RestoreTicker(period time.Duration, fn func(), stopped bool) clock.Ticker
 	// RestoreDialer supplies the endpoint callbacks of the untagged dials
@@ -66,7 +67,7 @@ func SnapTimer(x *snapio.Ctx, env Env, h *clock.Timer, fn func(), what string) {
 		serial = ts.TimerSerial()
 	}
 	if x.U64(&serial); !x.Saving() {
-		*h = env.(RestoreEnv).RestoreTimer(serial, fn)
+		*h, _ = env.(RestoreEnv).RestoreTimer(serial, fn)
 	}
 }
 
@@ -102,5 +103,20 @@ func SnapTicker(x *snapio.Ctx, env Env, t *clock.Ticker, period time.Duration, f
 	}
 	if SnapTimer(x, env, &pending, fire, what); !x.Saving() && pending != nil {
 		adopt(pending)
+	}
+}
+
+// RestoreConns re-attaches handlers to every connection env carried across
+// the snapshot: held[c] for one a record of the component holds, inert
+// ones for the rest — connections only a stale mailbox entry still names,
+// closed by a record that has since been recycled or unlisted, whose
+// handlers would have looked at the record's state and done nothing.
+func RestoreConns(env RestoreEnv, held map[Conn]StreamHandlers) {
+	for _, c := range env.RestoreConnList() {
+		h, ok := held[c]
+		if !ok {
+			h = StreamHandlers{OnMessage: func(Conn, Message) {}, OnClose: func(Conn, error) {}}
+		}
+		env.RestoreConn(c, h)
 	}
 }

@@ -85,17 +85,41 @@ type Daemon struct {
 	actions    uint64
 
 	// probeT drives the probe loop. Each tick suppresses the automatic
-	// rearm (Stop) and the asynchronous decide() revives the ticker once
-	// both probe verdicts are in, so the next tick is a full ProbePeriod
-	// after the decision, not after the probes were sent.
+	// rearm (Stop) and the round's decide() revives the ticker once both
+	// probe verdicts are in, so the next tick is a full ProbePeriod after
+	// the decision, not after the probes were sent.
 	probeT clock.Ticker
+
+	// rounds lists the probe rounds something can still call back, each at
+	// the index its slot field holds, so that a snapshot can enumerate
+	// them. Normally that is the current round, if any.
+	rounds []*round
+
+	// The simulator's hooks for snapshot identity; nil on a runtime
+	// without them. tagSeq numbers the rounds (never 0).
+	tagSeq  uint32
+	tagDial func(uint32)
+	tagDisk func(owner any)
 }
 
 // NewDaemon starts the FME daemon.
 func NewDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
+	d := newDaemon(cfg, env, disk, ctl)
+	d.probeT = d.env.Clock().Every(d.cfg.ProbePeriod, d.tick)
+	return d
+}
+
+// newDaemon builds the daemon without arming it — shared by NewDaemon and
+// the snapshot Restore path.
+func newDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
 	d := &Daemon{cfg: cfg.withDefaults(), env: env, disk: disk, ctl: ctl}
 	d.src = metrics.InternSource(fmt.Sprintf("fme/%d", d.cfg.Self))
-	d.probeT = d.env.Clock().Every(d.cfg.ProbePeriod, d.tick)
+	if t, ok := env.(cnet.DialTagger); ok {
+		d.tagDial = t.TagNextDial
+	}
+	if t, ok := disk.(interface{ SetNextOwner(owner any) }); ok {
+		d.tagDisk = t.SetNextOwner
+	}
 	return d
 }
 
@@ -115,77 +139,145 @@ const (
 	appDead                        // connection refused: crash, outside our jurisdiction
 )
 
+// round is one tick's pair of probes: the two verdicts as they come in,
+// and the HTTP probe's connection, dial and timeout. It stays listed in
+// Daemon.rounds until nothing can call it back: the disk verdict is in,
+// the timeout has fired, the dial result has arrived and the connection,
+// if one was made, is closed.
+type round struct {
+	d    *Daemon
+	tag  uint32 // the tag of its dial
+	slot int
+
+	haveDisk, diskHealthy bool
+	haveApp               bool
+	app                   appProbeResult
+
+	conn     cnet.Conn
+	closed   bool // conn was closed, by either end
+	dialing  bool // the dial result is still owed
+	expired  bool // the timeout has fired
+	timeoutT clock.Timer
+
+	h cnet.StreamHandlers
+}
+
+func (d *Daemon) newRound() *round {
+	r := &round{d: d, slot: len(d.rounds)}
+	r.h = cnet.StreamHandlers{OnMessage: r.onMessage, OnClose: r.onClose}
+	d.rounds = append(d.rounds, r)
+	return r
+}
+
 func (d *Daemon) tick() {
 	// Suppress the automatic rearm up front: decide() revives the ticker,
 	// and doing it first keeps a synchronous probe completion safe.
 	d.probeT.Stop()
-	var (
-		diskHealthy *bool
-		appState    *appProbeResult
-	)
-	decide := func() {
-		if diskHealthy == nil || appState == nil {
-			return
-		}
-		d.decide(*diskHealthy, *appState)
-		d.probeT.Reschedule(d.cfg.ProbePeriod)
+	r := d.newRound()
+	if d.tagSeq++; d.tagSeq == 0 {
+		d.tagSeq = 1
 	}
-	d.disk.Probe(d.cfg.ProbeTimeout, func(h bool) {
-		diskHealthy = &h
-		decide()
-	})
-	d.probeApp(func(r appProbeResult) {
-		appState = &r
-		decide()
-	})
+	r.tag = d.tagSeq
+	if d.tagDisk != nil {
+		d.tagDisk(r)
+	}
+	d.disk.Probe(d.cfg.ProbeTimeout, r.diskVerdict)
+	r.probeApp()
+}
+
+func (r *round) diskVerdict(healthy bool) {
+	r.haveDisk, r.diskHealthy = true, healthy
+	r.decide()
+	r.retire()
+}
+
+// appVerdict takes the HTTP probe's first verdict; later ones are stale.
+func (r *round) appVerdict(res appProbeResult) {
+	if r.haveApp {
+		return
+	}
+	r.haveApp, r.app = true, res
+	r.decide()
+}
+
+func (r *round) decide() {
+	if !r.haveDisk || !r.haveApp {
+		return
+	}
+	r.d.decide(r.diskHealthy, r.app)
+	r.d.probeT.Reschedule(r.d.cfg.ProbePeriod)
 }
 
 // probeApp sends one HTTP probe to the local server.
-func (d *Daemon) probeApp(done func(appProbeResult)) {
-	finished := false
-	finish := func(r appProbeResult) {
-		if finished {
-			return
-		}
-		finished = true
-		done(r)
-	}
+func (r *round) probeApp() {
+	d := r.d
 	d.probeSeq++
-	var conn cnet.Conn
-	d.env.Clock().AfterFunc(d.cfg.ProbeTimeout, func() {
-		if conn != nil {
-			conn.Close()
-			cnet.ReleaseConn(conn) // pin taken when the dial stored it
-		}
-		finish(appUnresponsive)
-	})
-	h := cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) {
-			if resp, ok := m.(*server.RespMsg); ok && resp.Probe {
-				resp.Release()
-				c.Close()
-				finish(appResponsive)
-			}
-		},
-		OnClose: func(c cnet.Conn, err error) {
-			if errors.Is(err, cnet.ErrReset) {
-				finish(appDead)
-			}
-		},
+	r.timeoutT = d.env.Clock().AfterFunc(d.cfg.ProbeTimeout, r.onTimeout)
+	r.dialing = true
+	if d.tagDial != nil {
+		d.tagDial(r.tag)
 	}
-	d.env.Dial(d.env.Local(), cnet.ClassClient, server.PortHTTP, h, func(c cnet.Conn, err error) {
-		if err != nil {
-			if errors.Is(err, cnet.ErrRefused) {
-				finish(appDead)
-				return
-			}
-			finish(appUnresponsive)
+	d.env.Dial(d.env.Local(), cnet.ClassClient, server.PortHTTP, r.h, r.onDial)
+}
+
+func (r *round) onTimeout() {
+	if r.conn != nil {
+		r.conn.Close()
+		cnet.ReleaseConn(r.conn) // pin taken when the dial stored it
+		r.closed = true
+	}
+	r.appVerdict(appUnresponsive)
+	r.expired = true
+	r.retire()
+}
+
+func (r *round) onMessage(c cnet.Conn, m cnet.Message) {
+	if resp, ok := m.(*server.RespMsg); ok && resp.Probe {
+		resp.Release()
+		c.Close()
+		r.closed = true
+		r.appVerdict(appResponsive)
+		r.retire()
+	}
+}
+
+func (r *round) onClose(c cnet.Conn, err error) {
+	r.closed = true
+	if errors.Is(err, cnet.ErrReset) {
+		r.appVerdict(appDead)
+	}
+	r.retire()
+}
+
+func (r *round) onDial(c cnet.Conn, err error) {
+	r.dialing = false
+	defer r.retire()
+	if err != nil {
+		if errors.Is(err, cnet.ErrRefused) {
+			r.appVerdict(appDead)
 			return
 		}
-		conn = c
-		cnet.RetainConn(c) // held across events until the timeout fires
-		c.TrySend(&server.ReqMsg{ID: d.probeSeq, Probe: true}, 64)
-	})
+		r.appVerdict(appUnresponsive)
+		return
+	}
+	r.conn = c
+	cnet.RetainConn(c) // held across events until the timeout fires
+	c.TrySend(&server.ReqMsg{ID: r.d.probeSeq, Probe: true}, 64)
+}
+
+// retire unlists a round nothing can call back any more.
+func (r *round) retire() {
+	if !r.haveDisk || !r.expired || r.dialing || r.conn != nil && !r.closed {
+		return
+	}
+	rs := r.d.rounds
+	if r.slot >= len(rs) || rs[r.slot] != r {
+		return // already unlisted
+	}
+	last := rs[len(rs)-1]
+	rs[r.slot], last.slot = last, r.slot
+	rs[len(rs)-1] = nil
+	r.d.rounds = rs[:len(rs)-1]
 }
 
 // decide applies the translation rules.

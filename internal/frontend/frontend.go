@@ -244,9 +244,9 @@ func (f *Frontend) pickFor(doc trace.DocID) cnet.NodeID {
 // queued entry pins its connection, so a pooled connection cannot have
 // been reused in the meantime, and the comparison is exact.
 type relay struct {
-	f       *Frontend //availlint:skipfield f owner backlink, set when the record is first used
-	tag     uint32    // this tenant's number, the tag of its dials
-	slot    int       //availlint:skipfield slot index in Frontend.live, reassigned as a restore refills the list
+	f       *Frontend
+	tag     uint32 // this tenant's number, the tag of its dials
+	slot    int
 	client  cnet.Conn
 	backend cnet.Conn
 	req     *server.ReqMsg // waiting for the backend dial
@@ -414,10 +414,10 @@ func (f *Frontend) connProbeTick() {
 // result has arrived; every connection it held is closed by then, so a
 // callback still queued for one finds the probe finished and does nothing.
 type probe struct {
-	f        *Frontend //availlint:skipfield f owner backlink, set at construction
+	f        *Frontend
 	n        cnet.NodeID
 	tag      uint32 // the tag of its dial
-	slot     int    //availlint:skipfield slot index in Frontend.probes, reassigned as a restore refills the list
+	slot     int
 	finished bool
 	conn     cnet.Conn
 	dialing  bool // the dial result is still owed

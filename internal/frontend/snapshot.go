@@ -89,15 +89,6 @@ func (f *Frontend) SnapState(x *snapio.Ctx) {
 	}
 }
 
-// inert is what a connection gets that no relay or probe holds any more:
-// one a mailbox entry still names after its record went back to the pool.
-// The record's handlers would have compared it against the connections
-// they hold now, found neither, and returned.
-var inert = cnet.StreamHandlers{
-	OnMessage: func(cnet.Conn, cnet.Message) {},
-	OnClose:   func(cnet.Conn, error) {},
-}
-
 // Restore rebuilds a front-end inside a snapshot restore: ports
 // registered, state loaded through SnapState, and handlers re-attached to
 // every connection and dial the process carried across.
@@ -125,12 +116,23 @@ func Restore(cfg Config, env cnet.RestoreEnv, x *snapio.Ctx) *Frontend {
 			env.RestoreTaggedDialer(p.tag, p.h, p.onDial)
 		}
 	}
-	for _, c := range env.RestoreConnList() {
-		h, held := handlers[c]
-		if !held {
-			h = inert
-		}
-		env.RestoreConn(c, h)
-	}
+	cnet.RestoreConns(env, handlers)
 	return f
+}
+
+// SnapState moves the standby's monitor. The address it may have taken
+// over is the network's state, and restored with it.
+func (s *Standby) SnapState(x *snapio.Ctx) {
+	x.U64(&s.seq)
+	x.Bool(&s.awaiting)
+	snapio.Int(x, &s.misses)
+	x.Bool(&s.active)
+	cnet.SnapTicker(x, s.env, &s.hb, s.cfg.HBPeriod, s.tick, "frontend: pair heartbeat")
+}
+
+// RestoreStandby rebuilds the standby's monitor inside a snapshot restore.
+func RestoreStandby(cfg StandbyConfig, env cnet.RestoreEnv, ctl TakeoverControl, x *snapio.Ctx) *Standby {
+	s := newStandby(cfg, env, ctl)
+	s.SnapState(x)
+	return s
 }

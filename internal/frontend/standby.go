@@ -71,9 +71,14 @@ type Standby struct {
 // NewStandby starts monitoring the primary. The caller runs a Frontend on
 // the same process so traffic is served immediately after takeover.
 func NewStandby(cfg StandbyConfig, env cnet.Env, ctl TakeoverControl) *Standby {
+	s := newStandby(cfg, env, ctl)
+	s.hb = s.env.Clock().Every(s.cfg.HBPeriod, s.tick)
+	return s
+}
+
+func newStandby(cfg StandbyConfig, env cnet.Env, ctl TakeoverControl) *Standby {
 	s := &Standby{cfg: cfg.withDefaults(), env: env, ctl: ctl}
 	env.BindDatagram(PortPair, s.onPong)
-	s.hb = s.env.Clock().Every(s.cfg.HBPeriod, s.tick)
 	return s
 }
 

@@ -59,9 +59,6 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 	// Warmed by the first episode that is not already memoized, dropped
 	// when the campaign returns.
 	warm := sync.OnceValues(func() (*warmWorld, error) { return e.warm(v, o, sched) })
-	if snapshotGap(v, o) != "" {
-		warm = nil // every episode warms a world of its own
-	}
 	eps := make([]Episode, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup

@@ -46,9 +46,9 @@ func diffCampaigns(t *testing.T, what string, want, got []byte) {
 // must return exactly those; and the events the kernels fired must drop by
 // what was not simulated again: (episodes-1) warm-ups, to the event.
 func TestCampaignForkMatchesCold(t *testing.T) {
-	versions := []Version{VINDEP, VFEXINDEP, VCOOP, VFEX, VMEM, VQMON, VMQ} // the versions the walks reach so far
+	versions := AllMeasuredVersions()
 	if testing.Short() {
-		versions = []Version{VCOOP}
+		versions = []Version{VCOOP, VFME}
 	}
 	// Events of one Warmup+Settle at FastOptions(1)/FastSchedule().
 	prefixEvents := map[Version]uint64{VCOOP: 386_654, VFME: 356_595}

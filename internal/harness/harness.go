@@ -8,6 +8,8 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"press/internal/cnet"
@@ -398,9 +400,12 @@ func (c fmeControl) TakeOffline(reason string) { c.m.TakeOffline(reason) }
 
 func (c fmeControl) RestartApp() {
 	c.m.KillProc("press")
-	m := c.m
-	c.s.After(10*time.Second, func() { m.StartProc("press") })
+	c.s.AfterArg(10*time.Second, startPress, c.m)
 }
+
+// startPress ends an FME restart: the application comes back up. A named
+// function of the machine, so that a snapshot can carry a pending one.
+func startPress(m any) { m.(*machine.Machine).StartProc("press") }
 
 // Build assembles a cluster for the given version. rate <= 0 uses
 // Options.Rate (which itself may be auto-resolved by higher layers);
@@ -564,22 +569,31 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 					*holder = server.Restore(cfg, env, disks, view(), x)
 				}
 			case srvHusk:
-				if !x.Saving() {
-					*holder = new(server.Server)
+				if x.Saving() {
+					(*holder).SnapHusk(x)
+				} else {
+					*holder = server.RestoreHusk(cfg, x)
 				}
-				(*holder).SnapHusk(x)
 			default:
 				snapio.Failf("harness: bad server section tag %d for node %d", tag, i)
 			}
 		})
 
 		if t.fme {
+			fcfg := fme.Config{Self: ids[i], ProbePeriod: o.HeartbeatPeriod}
+			ctl := fmeControl{s: s, m: m}
+			var fmed *fme.Daemon
 			addProc(m, "fme", func(env *machine.Env) {
-				fme.NewDaemon(fme.Config{
-					Self:        ids[i],
-					ProbePeriod: o.HeartbeatPeriod,
-				}, env, disks, fmeControl{s: s, m: m})
-			}, nil)
+				fmed = fme.NewDaemon(fcfg, env, disks, ctl)
+			}, func(x *snapio.Ctx, env *machine.Env) {
+				switch {
+				case env == nil:
+				case x.Saving():
+					fmed.SnapState(x)
+				default:
+					fmed = fme.Restore(fcfg, env, disks, ctl, x)
+				}
+			})
 		}
 	}
 
@@ -633,13 +647,18 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			addProc(c.FEBackup, "frontend", func(env *machine.Env) {
 				*c.feb = frontend.New(backupCfg, env)
 			}, fePart(c.feb, backupCfg))
+			scfg := frontend.StandbyConfig{Self: feBackupID, Primary: feNodeID, HBPeriod: time.Second}
 			addProc(c.FEBackup, "standby", func(env *machine.Env) {
-				*c.standby = frontend.NewStandby(frontend.StandbyConfig{
-					Self:     feBackupID,
-					Primary:  feNodeID,
-					HBPeriod: time.Second,
-				}, env, takeoverControl{c})
-			}, nil)
+				*c.standby = frontend.NewStandby(scfg, env, takeoverControl{c})
+			}, func(x *snapio.Ctx, env *machine.Env) {
+				switch {
+				case env == nil:
+				case x.Saving():
+					(*c.standby).SnapState(x)
+				default:
+					*c.standby = frontend.RestoreStandby(scfg, env, takeoverControl{c}, x)
+				}
+			})
 			targets = []cnet.NodeID{feVIP}
 		}
 	}
@@ -684,30 +703,35 @@ func (c *Cluster) attachWorkload(rate float64) {
 	}, c.Rec)
 }
 
-// snapshotGap names the property of a (version, options) world that the
-// snapshot walks do not reach yet, or "" when they cover it whole. A
-// campaign on such a world warms every episode's world in place.
-func snapshotGap(v Version, o Options) string {
-	t := versionTraits(v)
-	switch {
-	case t.fme:
-		return "fault model enforcement"
-	case t.fe && o.RedundantFE:
-		return "the standby front-end"
-	}
-	return ""
-}
-
 // BuildForRestore constructs a cold world ready for RestoreWorld: same
 // topology as Build, but no process boots the virgin kernel, and the
 // offered rate must already be resolved (it is recorded in the snapshot
-// envelope — the saturation probe must not rerun).
+// envelope — the saturation probe must not rerun). The arguments may come
+// from a file: a world nobody could have built is refused here, before
+// anything is sized by them.
 func BuildForRestore(v Version, o Options, rate float64) *Cluster {
-	o = o.withDefaults()
-	if gap := snapshotGap(v, o); gap != "" {
-		snapio.Failf("harness: a snapshot does not cover %s yet (%s)", gap, v)
+	if !slices.Contains(append(AllMeasuredVersions(), VXSW, VXSWRAID), v) {
+		snapio.Failf("harness: unknown version %q", v)
 	}
-	if rate <= 0 {
+	o = o.withDefaults()
+	finite := func(fs ...float64) bool {
+		for _, f := range fs {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	m := o.Mod
+	switch {
+	case o.Nodes < 1 || o.Nodes > 1<<25 || o.Docs < 1 || o.Docs > 1<<25 || o.Nodes*o.Docs > 1<<25, // every server indexes every document
+		o.CacheBytes < 0,
+		o.Warmup < 0, o.HeartbeatPeriod < 0, o.OperatorResponse < 0,
+		o.Protocol != Faithful && o.Protocol != Scalable,
+		!finite(o.Alpha, o.Rate, m.DiurnalAmp, m.DiurnalPhase, m.FlashBoost) || o.Alpha < 0,
+		m.DiurnalPeriod < 0 || m.FlashAt < 0 || m.FlashRamp < 0 || m.FlashHold < 0 || m.FlashDecay < 0:
+		snapio.Failf("harness: options no world is built with: %+v", o)
+	case !finite(rate) || rate <= 0:
 		snapio.Failf("harness: BuildForRestore needs a resolved rate, got %v", rate)
 	}
 	c := buildWorld(v, o, true)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"slices"
+
 	"press/internal/frontend"
 	"press/internal/machine"
 	"press/internal/membership"
@@ -78,9 +80,6 @@ func (c *Cluster) SnapWorld(enc *snapio.Encoder, extra func(*snapio.Ctx)) {
 func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	x.Sim = c.Sim
 	if x.Saving() {
-		if gap := snapshotGap(c.Version, c.Opts); gap != "" {
-			snapio.Failf("harness: a snapshot does not cover %s yet (%s)", gap, c.Version)
-		}
 		x.CapturePending()
 	} else if n := c.Sim.Pending(); n != 0 {
 		snapio.Failf("harness: cold world booted %d stray kernel events", n)
@@ -103,6 +102,20 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	c.Injector.SnapState(x)
 	for _, m := range c.Machines {
 		m.Disks().SnapState(x)
+	}
+	if c.Traits.fme {
+		// What only FME leaves pending: disk health checks, and the
+		// application restarts its daemons ordered.
+		for _, m := range c.Machines {
+			m.Disks().SnapProbes(x)
+		}
+		snapio.Pending(x, startPress, 1<<16, nil, func(m *machine.Machine) *machine.Machine {
+			node := slices.Index(c.Machines, m)
+			if snapio.Int(x, &node); node < 0 || node >= len(c.Machines) {
+				snapio.Failf("harness: application restart pending for node %d of %d", node, len(c.Machines))
+			}
+			return c.Machines[node]
+		})
 	}
 	if extra != nil {
 		extra(x)

@@ -234,7 +234,7 @@ type Proc struct {
 	hung        bool
 	stalled     bool
 	running     bool          // a handler's charged CPU time is still elapsing
-	curCharge   time.Duration //availlint:skipfield curCharge nonzero only inside a single handler dispatch; snapshots run between events
+	curCharge   time.Duration //availlint:skipfield curCharge zeroed before every handler dispatch; between events it is a leftover nobody reads
 	mailbox     []call
 	head        int // next mailbox slot to dispatch; storage before it is spent
 	resume      resumeRec
@@ -242,7 +242,7 @@ type Proc struct {
 	conns       []connRec
 	// pauseScratch is syncConnPause's reusable snapshot of the conn list,
 	// used as a stack so a nested call leaves the outer one's span alone.
-	pauseScratch []simnet.StreamConn //availlint:skipfield pauseScratch iteration scratch, empty between events
+	pauseScratch []simnet.StreamConn
 
 	// timerSeq numbers every proc-clock timer ever armed, monotonically
 	// across incarnations, giving components a serializable identity for
@@ -251,10 +251,10 @@ type Proc struct {
 
 	// nextDialTag is the tag of the Dial about to be issued
 	// (Env.TagNextDial), consumed by that call.
-	nextDialTag uint32 //availlint:skipfield nextDialTag transient, zero between events
+	nextDialTag uint32
 
 	// rst holds restore-only scratch state; nil outside a restore.
-	rst *procRestore //availlint:skipfield rst restore-only scratch, nil whenever a snapshot can be taken
+	rst *procRestore
 }
 
 // call is one mailbox entry. Stream/datagram/dial callbacks at packet
@@ -733,6 +733,12 @@ func (e *Env) connOf(c cnet.Conn) *connRec {
 }
 
 func (e *Env) live() bool { return e.p.alive && e.p.incarnation == e.inc }
+
+// Live reports whether this is still the process's running incarnation.
+// Protocol code has no use for it — a dead incarnation's Env ignores it —
+// but what outlives an incarnation elsewhere (a read in the disk queue)
+// is snapshotted by whether its owner is alive.
+func (e *Env) Live() bool { return e.live() }
 
 // Local implements cnet.Env.
 func (e *Env) Local() cnet.NodeID { return e.p.m.id }

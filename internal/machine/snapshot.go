@@ -114,6 +114,11 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			snapio.Failf("machine %d: proc order mismatch (%q vs %q)", m.id, got, name)
 		}
 		p := m.procs[name]
+		if x.Saving() && (len(p.pauseScratch) != 0 || p.nextDialTag != 0 || p.rst != nil) {
+			// What an event leaves behind it only while it runs.
+			snapio.Failf("machine %d/%s: snapshot taken inside an event (%d conns mid-pause, dial tag %d, restoring %v)",
+				m.id, name, len(p.pauseScratch), p.nextDialTag, p.rst != nil)
+		}
 		x.Bool(&p.alive)
 		x.U64(&p.incarnation)
 		x.Bool(&p.hung)
@@ -339,7 +344,8 @@ func (m *Machine) RestoreEnv(name string) *Env {
 // serial whose fire already sits in the mailbox registers the callback
 // for FinishRestore and returns an inert handle (Stop reports false,
 // matching a post-fire handle); a spent serial returns an inert handle.
-func (e *Env) RestoreTimer(serial uint64, fn func()) clock.Timer {
+// live reports whether fn will still be called: not for a spent serial.
+func (e *Env) RestoreTimer(serial uint64, fn func()) (t clock.Timer, live bool) {
 	p := e.p
 	if p.rst == nil {
 		snapio.Failf("machine %d/%s: RestoreTimer outside restore", p.m.id, p.name)
@@ -351,12 +357,13 @@ func (e *Env) RestoreTimer(serial uint64, fn func()) clock.Timer {
 		}
 		rec := p.m.timerFree.Get()
 		rec.e, rec.fn, rec.serial = e, fn, serial
-		return procTimer{t: p.m.sim.RestoreAtArg(rt.at, rt.seq, procTimerFire, rec), serial: serial}
+		return procTimer{t: p.m.sim.RestoreAtArg(rt.at, rt.seq, procTimerFire, rec), serial: serial}, true
 	}
 	if p.rst.mailTimers[serial] {
 		p.rst.mailTimerFns[serial] = fn
+		return procTimer{serial: serial}, true
 	}
-	return procTimer{serial: serial}
+	return procTimer{serial: serial}, false
 }
 
 // RestoreTicker rebuilds an unarmed native ticker from snapshot state.

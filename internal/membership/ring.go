@@ -144,7 +144,7 @@ type ackWait struct {
 // ackTimer is one armed ack timeout: the version it was armed for and the
 // handle a snapshot names it by.
 type ackTimer struct {
-	r   *ring //availlint:skipfield r owner backlink, set at construction
+	r   *ring
 	ver uint64
 	t   clock.Timer
 }

@@ -21,13 +21,40 @@ type peer struct {
 	reqInQ   int // FwdMsgs among the queued messages
 	load     int // piggybacked open-request count
 	dialing  bool
-	retry    timerHandle
+	// retry is the redial timer armed last, the one teardown stops;
+	// retries are all that are armed and have not run yet, oldest first.
+	// There can be several: teardown clears dialing under a dial in flight,
+	// the next include dials again, and each refused dial arms a redial.
+	retry   timerHandle
+	retries []*redial
 
-	// Dial and connection callbacks, built once per peer: redialing is hot
-	// during fault episodes and must not allocate per attempt.
+	// Dial and connection callbacks, built once per peer.
 	h      cnet.StreamHandlers
 	onDial func(c cnet.Conn, err error)
-	redial func()
+}
+
+// redial is one armed redial timer.
+type redial struct {
+	s *Server
+	p *peer
+	t timerHandle
+}
+
+func (p *peer) newRedial(s *Server) *redial {
+	r := &redial{s: s, p: p}
+	p.retries = append(p.retries, r)
+	return r
+}
+
+func (r *redial) fire() {
+	p := r.p
+	for i, o := range p.retries {
+		if o == r {
+			p.retries = append(p.retries[:i], p.retries[i+1:]...)
+			break
+		}
+	}
+	r.s.connectPeer(p.id)
 }
 
 func (p *peer) qlen() int { return len(p.sendQ) - p.sendHead }
@@ -78,7 +105,9 @@ func (s *Server) peer(n cnet.NodeID) *peer {
 				// retrying while it remains in the view; the detectors decide
 				// whether it should stay there.
 				if s.inView(p.id) {
-					p.retry = s.env.Clock().AfterFunc(2*time.Second, p.redial)
+					r := p.newRedial(s)
+					r.t = s.env.Clock().AfterFunc(2*time.Second, r.fire)
+					p.retry = r.t
 				}
 				return
 			}
@@ -92,7 +121,6 @@ func (s *Server) peer(n cnet.NodeID) *peer {
 			c.TrySend(hello, sizeHello+4*len(hello.CacheDocs))
 			s.drain(p.id)
 		}
-		p.redial = func() { s.connectPeer(p.id) }
 		s.setPeer(n, p)
 	}
 	return p
@@ -168,8 +196,8 @@ func (p *peer) teardown() {
 	p.sendQ = nil
 	p.sendHead = 0
 	p.reqInQ = 0
-	if p.retry != nil {
-		p.retry.Stop()
+	if p.retry != nil && p.retry.Stop() {
+		p.retries = p.retries[:len(p.retries)-1] // pending, so not run yet: the newest of them
 	}
 	if p.conn != nil {
 		p.conn.Close()
@@ -203,6 +231,10 @@ type inPeer struct {
 // acceptPeer handles inbound intra-cluster connections (the peer's send
 // connection). The first message must be a Hello identifying the dialer.
 func (s *Server) acceptPeer(c cnet.Conn) cnet.StreamHandlers {
+	// Registered before its Hello, as from nobody yet: a hung server
+	// accepts (the handshake is the kernel's) and reads the Hello when it
+	// wakes, and a snapshot in between has to know this is a peer stream.
+	s.inboundFrom[c] = cnet.None
 	return s.inboundHandlers(&inPeer{})
 }
 

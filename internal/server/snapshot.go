@@ -122,13 +122,32 @@ func (st *Stats) snap(x *snapio.Ctx) {
 	}
 }
 
+// node moves a cluster node's id. A loaded one has to be a node of this
+// cluster (or None, where the field allows): ids index the dense view and
+// peer tables, which grow to whatever they are handed.
+func (s *Server) node(x *snapio.Ctx, n *cnet.NodeID, orNone bool) {
+	snapio.Int(x, n)
+	if _, known := s.dir.idx[*n]; !x.Saving() && !known && !(orNone && *n == cnet.None) {
+		snapio.Failf("server %d: node id %d is not in this cluster", s.cfg.Self, *n)
+	}
+}
+
+// doc moves a document id; a loaded one has to be in the catalog, whose
+// size the cache's and the directory's tables are built for.
+func (s *Server) doc(x *snapio.Ctx, d *trace.DocID) {
+	snapio.Int(x, d)
+	if !x.Saving() && (*d < 0 || int(*d) >= s.cfg.Catalog.Docs) {
+		snapio.Failf("server %d: document id %d is not in the catalog", s.cfg.Self, *d)
+	}
+}
+
 // snapView moves the cooperation set in ascending node order.
 func (s *Server) snapView(x *snapio.Ctx) {
 	var view []cnet.NodeID
 	if x.Saving() {
 		view = s.sortedView()
 	}
-	snapio.Ints(x, &view, 1<<16)
+	snapio.Slice(x, &view, 1<<16, func(n *cnet.NodeID) { s.node(x, n, false) })
 	if !x.Saving() {
 		for _, n := range view {
 			s.viewAdd(n)
@@ -145,6 +164,66 @@ func (s *Server) peerIDs() []cnet.NodeID {
 		}
 	}
 	return ids
+}
+
+// OwnerGone tells the disk subsystem's walk that this continuation's
+// server has died (snapio.Ctx.Owner): the read is still in the array, and
+// its completion will find nobody.
+func (op *diskOp) OwnerGone() bool {
+	env, ok := op.s.env.(interface{ Live() bool })
+	return ok && !env.Live()
+}
+
+// snapRedials moves a peer's redial timers: a count, the serial of the one
+// armed last (p.retry, which may be spent), then those of the older ones
+// still to run. With none older — the only state there is unless dials to
+// one peer overlapped — that is one retained timer, as cnet.SnapTimer
+// writes it.
+func (s *Server) snapRedials(x *snapio.Ctx, p *peer) {
+	older := p.retries
+	if n := len(older); n > 0 && older[n-1].t == p.retry {
+		older = older[:n-1]
+	}
+	count := uint64(len(older))
+	if p.retry != nil {
+		count++
+	}
+	if x.U64(&count); count == 0 {
+		return
+	}
+	if count > 1<<16 {
+		snapio.Failf("server %d: %d redial timers towards %d", s.cfg.Self, count, p.id)
+	}
+	serialOf := func(h timerHandle) (serial uint64) {
+		if x.Saving() {
+			ts, ok := h.(interface{ TimerSerial() uint64 })
+			if !ok {
+				snapio.Failf("server: peer retry handle %T carries no timer serial", h)
+			}
+			serial = ts.TimerSerial()
+		}
+		x.U64(&serial)
+		return serial
+	}
+	last := serialOf(p.retry)
+	if x.Saving() {
+		for _, r := range older {
+			serialOf(r.t)
+		}
+		return
+	}
+	env := s.env.(cnet.RestoreEnv)
+	for range count - 1 {
+		r := p.newRedial(s)
+		r.t, _ = env.RestoreTimer(serialOf(nil), r.fire)
+	}
+	r := p.newRedial(s)
+	var live bool
+	if p.retry, live = env.RestoreTimer(last, r.fire); live {
+		r.t = p.retry
+	} else {
+		p.retries = p.retries[:len(p.retries)-1]
+	}
 }
 
 // SnapState moves the server's protocol state; loading, into the
@@ -165,7 +244,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	if x.Saving() {
 		docs = s.cache.Docs()
 	}
-	snapio.Ints(x, &docs, 1<<24)
+	snapio.Slice(x, &docs, 1<<24, func(d *trace.DocID) { s.doc(x, d) })
 	if !x.Saving() {
 		for i := len(docs) - 1; i >= 0; i-- {
 			s.cache.Insert(docs[i])
@@ -177,7 +256,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	// the faithful ≤64-node shape, s.dir.words in the wide shape.
 	if s.dir.words > 1 {
 		snapio.Map(x, s.dir.wide, 1<<24, func(doc *trace.DocID, mask *[]uint64) {
-			snapio.Int(x, doc)
+			s.doc(x, doc)
 			if !x.Saving() {
 				*mask = make([]uint64, s.dir.words)
 			}
@@ -187,18 +266,18 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		})
 	} else {
 		snapio.Map(x, s.dir.bits, 1<<24, func(doc *trace.DocID, mask *uint64) {
-			snapio.Int(x, doc)
+			s.doc(x, doc)
 			x.U64(mask)
 		})
 	}
 
 	ids := s.peerIDs()
 	snapio.Slice(x, &ids, 1<<16, func(n *cnet.NodeID) {
-		snapio.Int(x, n)
+		s.node(x, n, false)
 		p := s.peer(*n)
 		snapio.OptConn(x, &p.conn)
 		x.Bool(&p.dialing)
-		cnet.SnapTimer(x, s.env, &p.retry, p.redial, "server: peer retry")
+		s.snapRedials(x, p)
 		snapio.Int(x, &p.load)
 		q := p.sendQ[p.sendHead:]
 		snapio.Slice(x, &q, 1<<20, func(om *outMsg) {
@@ -254,7 +333,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		}
 		rs := *rsp
 		x.U64(&rs.id)
-		snapio.Int(x, &rs.doc)
+		s.doc(x, &rs.doc)
 		snapio.OptConn(x, &rs.client)
 		snapio.Int(x, &rs.forwardedTo)
 		x.U64(&rs.gen)
@@ -282,7 +361,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 			op = s.getDiskOp()
 		}
 		x.Define(op)
-		snapio.Int(x, &op.doc)
+		s.doc(x, &op.doc)
 		x.Bool(&op.ok)
 		x.Bool(&op.peerServe)
 		if op.peerServe {
@@ -353,16 +432,14 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 // After an application crash the harness holder still points at the old
 // *Server, and the driver's operator-reset and result-assembly paths read
 // View() and SendQueueLen() from it; nothing else of the corpse is
-// reachable. The husk carries exactly those observables plus the counters,
-// and a loaded one (into an empty Server) is inert — no environment, no
-// listeners, no timers — it only answers the accessors a dead incarnation
-// can still be asked.
+// reachable. The husk carries exactly those observables plus the counters;
+// RestoreHusk loads one.
 func (s *Server) SnapHusk(x *snapio.Ctx) {
 	s.stats.snap(x)
 	s.snapView(x)
 	ids := s.peerIDs()
 	snapio.Slice(x, &ids, 1<<16, func(n *cnet.NodeID) {
-		snapio.Int(x, n)
+		s.node(x, n, false)
 		qlen := 0
 		if x.Saving() {
 			qlen = s.peers[*n].qlen()
@@ -374,6 +451,15 @@ func (s *Server) SnapHusk(x *snapio.Ctx) {
 			s.setPeer(*n, &peer{id: *n, sendQ: make([]outMsg, qlen)})
 		}
 	})
+}
+
+// RestoreHusk rebuilds a dead incarnation's husk: a Server with no
+// environment, no listeners and no timers, which only answers the
+// accessors a dead incarnation can still be asked.
+func RestoreHusk(cfg Config, x *snapio.Ctx) *Server {
+	s := &Server{cfg: cfg, dir: newDirectory(cfg.Nodes)}
+	s.SnapHusk(x)
+	return s
 }
 
 // Restore rebuilds a server inside a snapshot restore: the constructed
@@ -408,7 +494,7 @@ func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipVie
 			env.RestoreConn(c, peerConns[c].h)
 		default:
 			if n, inbound := s.inboundFrom[c]; inbound {
-				env.RestoreConn(c, s.inboundHandlers(&inPeer{from: n, known: true}))
+				env.RestoreConn(c, s.inboundHandlers(&inPeer{from: n, known: n != cnet.None}))
 			} else {
 				env.RestoreConn(c, s.clientH)
 			}

@@ -87,17 +87,52 @@ func (d *Disk) SetFaulty(f bool) {
 	}
 }
 
-// Probe issues a direct SCSI health check, the way the FME daemon does
+// probe issues a direct SCSI health check, the way the FME daemon does
 // through the SCSI generic interface: it bypasses the request queue, so it
-// works even when the queue is full and all helper threads are stuck.
-// done(false) fires after `timeout` on a faulty disk, done(true) after one
-// service time otherwise.
-func (d *Disk) Probe(timeout time.Duration, done func(healthy bool)) {
+// works even when the queue is full and all helper threads are stuck. A
+// faulty disk reports unhealthy after `timeout`, any other its state after
+// one service time.
+func (d *Disk) probe(timeout time.Duration, r *probeRound) {
+	op := &probeOp{d: d, timedOut: d.faulty, round: r}
 	if d.faulty {
-		d.sim.After(timeout, func() { done(false) })
+		d.sim.AfterArg(timeout, probeDone, op)
 		return
 	}
-	d.sim.After(d.serviceTime(), func() { done(!d.faulty) })
+	d.sim.AfterArg(d.serviceTime(), probeDone, op)
+}
+
+// probeOp is one device's health check in flight.
+type probeOp struct {
+	d        *Disk
+	timedOut bool // the device was faulty when probed; this is its timeout
+	round    *probeRound
+}
+
+// probeRound is one Array.Probe: unhealthy as soon as one device says so,
+// healthy once all have passed.
+type probeRound struct {
+	remaining int
+	reported  bool
+	done      func(healthy bool) // a restore asks the owner for it again
+	owner     any                // snapshot identity, set via SetNextOwner
+}
+
+// probeDone is the completion callback of Disk.probe.
+func probeDone(arg any) {
+	op := arg.(*probeOp)
+	r := op.round
+	if r.reported {
+		return
+	}
+	if op.timedOut || op.d.faulty {
+		r.reported = true
+		r.done(false)
+		return
+	}
+	if r.remaining--; r.remaining == 0 {
+		r.reported = true
+		r.done(true)
+	}
 }
 
 func (d *Disk) serviceTime() time.Duration {
@@ -135,9 +170,9 @@ type Array struct {
 	spaceSpare []spaceCb //availlint:skipfield spaceSpare allocation-reuse spare; an empty spare after restore is behaviorally identical
 	svcFree    []*svcOp  //availlint:skipfield svcFree free list; an empty list after restore is behaviorally identical
 
-	// nextOwner tags the next Read or NotifySpace with the record that
-	// owns its callback, for snapshot identity. Consumed by that call.
-	nextOwner any //availlint:skipfield nextOwner transient tag consumed within the same call it is set for; nil between events
+	// nextOwner tags the next Read, NotifySpace or Probe with the record
+	// that owns its callback, for snapshot identity. Consumed by that call.
+	nextOwner any
 }
 
 // spaceCb is one registered NotifySpace callback plus its owner tag.
@@ -146,8 +181,8 @@ type spaceCb struct {
 	owner any
 }
 
-// SetNextOwner tags the next Read or NotifySpace call with its owning
-// record so snapshots can serialize the callback as a reference.
+// SetNextOwner tags the next Read, NotifySpace or Probe call with its
+// owning record so snapshots can serialize the callback as a reference.
 func (a *Array) SetNextOwner(owner any) { a.nextOwner = owner }
 
 // svcOp carries one in-service read through the sim kernel's pooled
@@ -257,24 +292,10 @@ func (a *Array) AnyFaulty() bool {
 // Probe health-checks every device; done(false) as soon as one reports
 // unhealthy, done(true) once all pass.
 func (a *Array) Probe(timeout time.Duration, done func(healthy bool)) {
-	remaining := len(a.disks)
-	reported := false
+	r := &probeRound{remaining: len(a.disks), done: done, owner: a.nextOwner}
+	a.nextOwner = nil
 	for _, d := range a.disks {
-		d.Probe(timeout, func(h bool) {
-			if reported {
-				return
-			}
-			if !h {
-				reported = true
-				done(false)
-				return
-			}
-			remaining--
-			if remaining == 0 {
-				reported = true
-				done(true)
-			}
-		})
+		d.probe(timeout, r)
 	}
 }
 

@@ -116,7 +116,7 @@ type Network struct {
 	// caller-side object that owns its callbacks, so snapshots can
 	// serialize an in-flight dial as a reference its owner resolves on
 	// restore. Consumed (and cleared) by the next Dial.
-	nextDialOwner any //availlint:skipfield nextDialOwner transient tag consumed by the Dial it is set for; nil between events
+	nextDialOwner any
 }
 
 // SetNextDialOwner tags the next Dial call on any interface of this

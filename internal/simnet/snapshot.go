@@ -50,6 +50,9 @@ type DialRestorer interface {
 // Must run before component sections so every attached conn half is
 // registered in iface order.
 func (n *Network) SnapCore(x *snapio.Ctx) {
+	if n.nextDialOwner != nil {
+		snapio.Failf("simnet: dial owner tag %T set and not consumed: snapshot taken inside an event", n.nextDialOwner)
+	}
 	x.Bool(&n.switchUp)
 	x.Rand(n.lossRng)
 

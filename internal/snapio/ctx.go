@@ -274,7 +274,10 @@ func (x *Ctx) Define(obj any) {
 
 // Owner moves a reference to an owner record an earlier section defined.
 // what names the referencing operation when the save finds it untagged
-// or tagged with a record no section described.
+// or tagged with a record no section described. An owner whose process
+// incarnation has died — it says so through OwnerGone — is described by
+// no section any more: it travels as id 0 and loads as nil, for the
+// caller to put callbacks that do nothing in its place.
 func (x *Ctx) Owner(owner *any, what string) {
 	if !x.Saving() {
 		*owner = x.Owners.Obj(x.Dec.U64())
@@ -282,6 +285,10 @@ func (x *Ctx) Owner(owner *any, what string) {
 	}
 	if *owner == nil {
 		Failf("%s has no owner tag", what)
+	}
+	if g, ok := (*owner).(interface{ OwnerGone() bool }); ok && g.OwnerGone() {
+		x.Enc.U64(0)
+		return
 	}
 	id, ok := x.Owners.Lookup(*owner)
 	if !ok {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"press/internal/faults"
 	"press/internal/harness"
 	"press/internal/trace"
 )
@@ -30,22 +31,44 @@ func dump(c *harness.Cluster) string {
 	return s
 }
 
-// TestPlainWorldRoundTrip warms INDEP and COOP worlds, snapshots them,
-// and checks a restored world continues byte-identically to the
-// uninterrupted original. The diurnal case holds the envelope to every
+// TestWorldRoundTrip warms a world of each shape the walks have to carry,
+// snapshots it, and checks a restored world continues byte-identically to
+// the uninterrupted original. The diurnal case holds the envelope to every
 // option the world was built from: until format 4 it left the modulation
 // out, and the restored world offered a stationary load without an error.
-func TestPlainWorldRoundTrip(t *testing.T) {
-	diurnal := fastOpts(1)
-	diurnal.Mod = trace.Modulation{DiurnalAmp: 0.5, DiurnalPeriod: 2 * time.Minute}
+// The pair case captures two seconds into a front-end crash, the standby
+// two missed heartbeats from taking the address over; the scalable cases
+// carry gossip membership, the sharded directory and a two-machine
+// front-end tier.
+func TestWorldRoundTrip(t *testing.T) {
+	with := func(edit func(*harness.Options)) harness.Options {
+		o := fastOpts(1)
+		edit(&o)
+		return o
+	}
+	crashFrontend := func(t *testing.T, c *harness.Cluster) {
+		if _, err := c.Injector.Inject(faults.FrontendFailure, 0); err != nil {
+			t.Fatal(err)
+		}
+		c.Sim.RunFor(2 * time.Second)
+	}
 	for _, tc := range []struct {
-		name string
-		v    harness.Version
-		o    harness.Options
+		name   string
+		v      harness.Version
+		o      harness.Options
+		before func(*testing.T, *harness.Cluster) // after the warm-up, before the capture
 	}{
-		{"INDEP", harness.VINDEP, fastOpts(1)},
-		{"COOP", harness.VCOOP, fastOpts(1)},
-		{"COOP/diurnal", harness.VCOOP, diurnal},
+		{"INDEP", harness.VINDEP, fastOpts(1), nil},
+		{"COOP", harness.VCOOP, fastOpts(1), nil},
+		{"COOP/diurnal", harness.VCOOP, with(func(o *harness.Options) {
+			o.Mod = trace.Modulation{DiurnalAmp: 0.5, DiurnalPeriod: 2 * time.Minute}
+		}), nil},
+		{"FME", harness.VFME, fastOpts(1), nil},
+		{"C-MON/pair/mid-takeover", harness.VCMON, with(func(o *harness.Options) { o.RedundantFE = true }), crashFrontend},
+		{"COOP/scalable", harness.VCOOP, with(func(o *harness.Options) { o.Protocol, o.Nodes = harness.Scalable, 8 }), nil},
+		{"FME/scalable/two-frontends", harness.VFME, with(func(o *harness.Options) {
+			o.Protocol, o.Nodes, o.Rate = harness.Scalable, 34, 400
+		}), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -53,6 +76,9 @@ func TestPlainWorldRoundTrip(t *testing.T) {
 			c := harness.NewEngine(0).Build(v, o)
 			c.Gen.Start()
 			c.Sim.RunUntil(o.Warmup)
+			if tc.before != nil {
+				tc.before(t, c)
+			}
 
 			snap, err := Take(c, nil)
 			if err != nil {
@@ -154,9 +180,8 @@ func TestForkIndependence(t *testing.T) {
 // field a walk writes but does not read back shows as a differing byte
 // here without a continuation having to stumble on it.
 func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
-	for _, v := range []harness.Version{harness.VINDEP, harness.VCOOP} {
+	for _, v := range harness.AllMeasuredVersions() {
 		for _, at := range []time.Duration{30 * time.Second, 90 * time.Second} {
-			v, at := v, at
 			t.Run(fmt.Sprintf("%s/%v", v, at), func(t *testing.T) {
 				t.Parallel()
 				c := harness.NewEngine(0).Build(v, fastOpts(4))
