@@ -38,6 +38,10 @@ func (in *Injector) SnapState(x *snapio.Ctx) {
 		a := *ap
 		snapio.Int(x, &a.Type)
 		snapio.Int(x, &a.Component)
+		if t, c := a.Type, a.Component; !x.Saving() && (t < 0 || t >= numTypes || c < 0 ||
+			c >= max(1, typeMetas[t].comps(len(in.t.Machines), 2, in.t.Frontend != nil))) {
+			snapio.Failf("faults: active fault %d on component %d, which these targets do not have", t, c)
+		}
 		snapio.Int(x, &a.Flap.On)
 		snapio.Int(x, &a.Flap.Off)
 		x.F64(&a.Severity)

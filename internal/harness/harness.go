@@ -734,6 +734,12 @@ func BuildForRestore(v Version, o Options, rate float64) *Cluster {
 	case !finite(rate) || rate <= 0:
 		snapio.Failf("harness: BuildForRestore needs a resolved rate, got %v", rate)
 	}
+	// Server ids run from 0 and must stay clear of the front-end's (when
+	// it is the paper's single one, with its pair and address) and the
+	// client driver's.
+	if topo := NewTopology(v, o); topo.Nodes > int(clientNodeID) || len(topo.FrontendIDs()) == 1 && topo.Nodes > int(feVIP) {
+		snapio.Failf("harness: %d server nodes collide with the fixed node ids of %s", topo.Nodes, v)
+	}
 	c := buildWorld(v, o, true)
 	c.attachWorkload(rate)
 	return c

@@ -177,6 +177,9 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		}
 
 		for i := range x.Len(p.MailboxLen(), 1<<20) {
+			if !p.alive { // kill empties it; there is no environment to resolve an entry against
+				snapio.Failf("machine %d/%s: a dead process with a mailbox", m.id, name)
+			}
 			var t mailTag
 			if x.Saving() {
 				t = m.tagOf(name, &p.mailbox[p.head+i])
@@ -191,6 +194,9 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		}
 
 		for i := range x.Len(len(p.conns), 1<<20) {
+			if !p.alive {
+				snapio.Failf("machine %d/%s: a dead process with connections", m.id, name)
+			}
 			var c simnet.StreamConn
 			if x.Saving() {
 				c = p.conns[i].c
@@ -258,6 +264,8 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 			if dr.e = p.env; !live {
 				dr.e = &Env{p: p}
+			} else if !p.alive {
+				snapio.Failf("machine %d: a live dial record of dead process %q", m.id, proc)
 			}
 		}
 	}

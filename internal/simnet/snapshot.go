@@ -83,7 +83,11 @@ func (n *Network) SnapCore(x *snapio.Ctx) {
 		if !x.Saving() && len(i.conns) != 0 {
 			snapio.Failf("simnet: iface %d not virgin at restore", i.id)
 		}
-		snapio.Slice(x, &i.conns, 1<<20, func(hc **half) { snapio.Conn(x, hc) })
+		snapio.Slice(x, &i.conns, 1<<20, func(hc **half) {
+			if snapio.Conn(x, hc); *hc == nil {
+				snapio.Failf("simnet: iface %d lists conn ref 0", i.id)
+			}
+		})
 		if !x.Saving() {
 			for k, hc := range i.conns {
 				hc.connIdx = int32(k)
@@ -184,7 +188,9 @@ func (n *Network) SnapPending(x *snapio.Ctx) {
 
 	for _, notify := range []func(any){deliverCloseArg, deliverWritable} {
 		snapio.Pending(x, notify, 1<<24, nil, func(hc *half) *half {
-			snapio.Conn(x, &hc)
+			if snapio.Conn(x, &hc); hc == nil {
+				snapio.Failf("simnet: notification pending for conn ref 0")
+			}
 			return hc
 		})
 	}
