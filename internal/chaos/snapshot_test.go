@@ -41,9 +41,9 @@ func diffAt(t *testing.T, what string, want, got []byte) {
 // TestSnapshotRestoreByteIdentical is the snapshot engine's correctness
 // bar: the acceptance campaign is paused at the warm-fork point, mid
 // compound fault, and mid recovery; each pause captures a snapshot, the
-// paused run finishes (and must match the never-paused baseline), and a
-// run restored from each snapshot must serialize byte-for-byte equal to
-// the baseline — same counters, availability, verdicts, throughput
+// paused run finishes (and must match the never-paused baseline: taking
+// a snapshot perturbs nothing), and a run restored from each snapshot
+// must serialize byte-for-byte equal to the baseline — same counters, availability, verdicts, throughput
 // series, and full event log. On every version the snapshot tests cover.
 func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	o := fastOpts(1)
@@ -60,9 +60,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		// bugs the snapshot audit found: a reaped conn's nil peer and an
 		// in-flight dialSyn's nil local half both crashed the conn-table
 		// save until the save side learned to encode them as ref 0.
-		{"warmup-end", 70 * time.Second},    // pre-arm: the warm-fork point
-		{"mid-fault", 100 * time.Second},    // node 1 crashed AND node 2's link flapping
-		{"mid-recovery", 186 * time.Second}, // past the drain verdict
+		{"warmup-end", 70 * time.Second}, // pre-arm: the warm-fork point
 		// What the membership and FME daemons add (the other versions just
 		// take three more captures). On FME at seed 1: node 0 detects node
 		// 1's silence at 95 s and commits its exclusion at 97.5 s, when the
@@ -70,35 +68,62 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		// its FME daemon restarts the application at 120.49 s and the
 		// process comes back 10 s later.
 		{"mid-2PC", 96 * time.Second},
+		{"mid-fault", 100 * time.Second}, // node 1 crashed AND node 2's link flapping
 		{"mid-probe", 116 * time.Second}, // an HTTP probe of the hung server, one second into its two
 		{"mid-restart", 125 * time.Second},
+		{"mid-recovery", 186 * time.Second}, // past the drain verdict
 	}
-	for _, v := range snapVersions() {
-		t.Run(string(v), func(t *testing.T) {
-			t.Parallel()
-			base, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := base.Serialize()
-			for _, tc := range cases {
-				t.Run(tc.name, func(t *testing.T) {
-					paused, snap, err := RunWithSnapshotAt(harness.NewEngine(0), v, o, sched, rc, tc.at)
+	sched = sched.Canonical()
+	rc = rc.withDefaults()
+	versions := snapVersions()
+	want := make([][]byte, len(versions))
+	snaps := make([][]*snapshot.Snap, len(versions))
+
+	// One run per version, paused at every capture point in turn.
+	t.Run("paused", func(t *testing.T) {
+		for vi, v := range versions {
+			t.Run(string(v), func(t *testing.T) {
+				t.Parallel()
+				r := newRunner(harness.NewEngine(0), v, o, sched, rc)
+				snaps[vi] = make([]*snapshot.Snap, len(cases))
+				for i, tc := range cases {
+					var err error
+					r.advance(tc.at)
+					if snaps[vi][i], err = snapshot.Take(r.c, r); err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+					if snaps[vi][i].At != tc.at {
+						t.Fatalf("%s: snapshot captured at %v, want %v", tc.name, snaps[vi][i].At, tc.at)
+					}
+				}
+				r.advance(-1)
+				want[vi] = r.res.Serialize()
+				if benchmarked(v) { // that pausing perturbs nothing is shown on two versions
+					base, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := paused.Serialize(); !bytes.Equal(got, want) {
+					if got, want := want[vi], base.Serialize(); !bytes.Equal(got, want) {
 						diffAt(t, "paused run", want, got)
 					}
-					if snap.At != tc.at {
-						t.Fatalf("snapshot captured at %v, want %v", snap.At, tc.at)
+				}
+			})
+		}
+	})
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for vi, v := range versions {
+				t.Run(string(v), func(t *testing.T) {
+					t.Parallel()
+					if want[vi] == nil {
+						t.Skip("the paused run failed")
 					}
-					res, err := ResumeUncached(snap, sched, rc)
+					res, err := ResumeUncached(snaps[vi][i], sched, rc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := res.Serialize(); !bytes.Equal(got, want) {
-						diffAt(t, "restored run", want, got)
+					if got := res.Serialize(); !bytes.Equal(got, want[vi]) {
+						diffAt(t, "restored run", want[vi], got)
 					}
 				})
 			}
@@ -113,7 +138,9 @@ func TestWarmForkMatchesCold(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun()
 	sched := replaySchedule()
-	for _, v := range snapVersions() {
+	// The warm-fork point is TestSnapshotRestoreByteIdentical's first
+	// capture on every version; the memo contract needs two.
+	for _, v := range []harness.Version{harness.VCOOP, harness.VFME} {
 		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
 			eng := harness.NewEngine(0)
@@ -159,7 +186,10 @@ func TestWarmForkMatchesCold(t *testing.T) {
 // same schedule serialize identically, and a different schedule either
 // diverges (pre-arm snapshots) or is rejected (armed snapshots).
 func TestSnapshotForkProperty(t *testing.T) {
-	for _, v := range snapVersions() {
+	// On the benchmark's two versions: a sample is four whole runs, and
+	// what it checks at a random instant the other tests check on every
+	// version at many chosen ones.
+	for _, v := range []harness.Version{harness.VCOOP, harness.VFME} {
 		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
 			forkProperty(t, v)
@@ -226,7 +256,7 @@ func forkProperty(t *testing.T, v harness.Version) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 6}
+	cfg := &quick.Config{MaxCount: 4}
 	if testing.Short() {
 		cfg.MaxCount = 3
 	}
@@ -321,46 +351,108 @@ func snapVersions() []harness.Version {
 	return harness.AllMeasuredVersions()
 }
 
+// benchmarked reports whether v is one of the two versions the benchmark's
+// campaigns run, which get the densest treatment here.
+func benchmarked(v harness.Version) bool { return v == harness.VCOOP || v == harness.VFME }
+
+// diskSchedule is the acceptance schedule's complement: a disk that hangs
+// (which under FME ends with the node taken offline, its blocked reads
+// left in the array by a server that is gone), a frozen node, and an
+// application crash on the node the join protocol answers from.
+func diskSchedule() Schedule {
+	return Schedule{
+		{At: 8 * time.Second, Fault: faults.SCSITimeout, Component: 2, Duration: 35 * time.Second},
+		{At: 20 * time.Second, Fault: faults.NodeFreeze, Component: 3, Duration: 25 * time.Second},
+		{At: 50 * time.Second, Fault: faults.AppCrash, Component: 0, Duration: 20 * time.Second},
+	}
+}
+
 // TestRestoreThenCaptureIsFixedPoint snapshots a restored runner without
 // running it forward: the second blob must be the first, byte for byte.
 // A walk that writes a field it does not read back (or reads one into the
-// wrong place) fails here at once. One run per version is paused every
-// 1.7 s from the first second to past the drain verdict — a step that
-// drifts against the 1 s, 2 s, 2.5 s and 5 s protocol periods, so the
-// captures land inside heartbeat rounds, two-phase commits, probe rounds
-// and the reset alike, besides the warm-fork point itself.
+// wrong place) fails here at once, and so does a save that meets state no
+// walk describes. One run per version is paused every 1.7 s (COOP and
+// FME; every 3.1 s on the others) from the first second to past the drain
+// verdict — steps that drift against the 1 s, 2 s, 2.5 s and 5 s protocol
+// periods, so the captures land inside heartbeat rounds, two-phase
+// commits, probe rounds and the reset alike; FME is swept under the disk
+// schedule as well. The same runs are captured at five chosen instants —
+// the warm-fork point, mid compound fault, just after each repair, past
+// the drain verdict — which are checked under their own names.
 func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun().withDefaults()
-	sched := replaySchedule().Canonical()
-	for _, v := range snapVersions() {
-		t.Run(string(v), func(t *testing.T) {
-			t.Parallel()
-			r := newRunner(harness.NewEngine(0), v, o, sched, rc)
-			var ats []time.Duration
-			for at := time.Second; at < 200*time.Second; at += 1700 * time.Millisecond {
-				ats = append(ats, at)
+	fixed := func(t *testing.T, snap *snapshot.Snap, sched Schedule) {
+		t.Helper()
+		back, err := restoreRunner(snap, sched, rc)
+		if err != nil {
+			t.Fatalf("at %v: %v", snap.At, err)
+		}
+		again, err := snapshot.Take(back.c, back)
+		if err != nil {
+			t.Fatalf("at %v, of the restored world: %v", snap.At, err)
+		}
+		if again.Hash() != snap.Hash() {
+			t.Fatalf("at %v the re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
+				snap.At, firstDiff(snap.Bytes(), again.Bytes()), snap.Size(), again.Size())
+		}
+	}
+	chosen := []time.Duration{70 * time.Second, 100 * time.Second, 120 * time.Second, 141 * time.Second, 186 * time.Second}
+	// sweep runs v under sched, checks every step on the way, and returns
+	// the captures at the chosen instants unchecked.
+	sweep := func(t *testing.T, v harness.Version, sched Schedule) []*snapshot.Snap {
+		step := 3100 * time.Millisecond
+		if benchmarked(v) {
+			step = 1700 * time.Millisecond
+		}
+		ats := slices.Clone(chosen)
+		for at := time.Second; at < 200*time.Second; at += step {
+			ats = append(ats, at)
+		}
+		slices.Sort(ats)
+		r := newRunner(harness.NewEngine(0), v, o, sched, rc)
+		var at []*snapshot.Snap
+		for _, when := range slices.Compact(ats) {
+			r.advance(when)
+			snap, err := snapshot.Take(r.c, r)
+			if err != nil {
+				t.Fatalf("at %v: %v", when, err)
 			}
-			ats = append(ats, 70*time.Second)
-			slices.Sort(ats)
-			for _, at := range ats {
-				r.advance(at)
-				snap, err := snapshot.Take(r.c, r)
-				if err != nil {
-					t.Fatalf("at %v: %v", at, err)
+			if slices.Contains(chosen, when) {
+				at = append(at, snap)
+			} else {
+				fixed(t, snap, sched)
+			}
+		}
+		return at
+	}
+
+	versions := snapVersions()
+	replay := replaySchedule().Canonical()
+	captured := make([][]*snapshot.Snap, len(versions))
+	t.Run("sweep", func(t *testing.T) {
+		for vi, v := range versions {
+			t.Run(string(v), func(t *testing.T) {
+				t.Parallel()
+				captured[vi] = sweep(t, v, replay)
+			})
+		}
+		t.Run("FME/disk", func(t *testing.T) {
+			t.Parallel()
+			disk := diskSchedule().Canonical()
+			for _, snap := range sweep(t, harness.VFME, disk) {
+				fixed(t, snap, disk)
+			}
+		})
+	})
+	for i, at := range chosen {
+		t.Run(at.String(), func(t *testing.T) {
+			for vi, v := range versions {
+				if captured[vi] == nil {
+					t.Errorf("%s: the sweep failed", v)
+					continue
 				}
-				back, err := restoreRunner(snap, sched, rc)
-				if err != nil {
-					t.Fatalf("at %v: %v", at, err)
-				}
-				again, err := snapshot.Take(back.c, back)
-				if err != nil {
-					t.Fatalf("at %v, of the restored world: %v", at, err)
-				}
-				if again.Hash() != snap.Hash() {
-					t.Fatalf("at %v the re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
-						at, firstDiff(snap.Bytes(), again.Bytes()), snap.Size(), again.Size())
-				}
+				t.Run(string(v), func(t *testing.T) { fixed(t, captured[vi][i], replay) })
 			}
 		})
 	}

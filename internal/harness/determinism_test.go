@@ -1,105 +1,50 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
-	"time"
 
-	"press/internal/avail"
 	"press/internal/faults"
 )
 
 // TestParallelDeterminism is the engine's core regression test: the same
 // episode set, run serially and through a 4-worker pool, must produce
 // bit-identical templates, markers and throughput numbers. Both passes
-// bypass the memo, so this really re-simulates every episode twice.
+// bypass the memo, so every episode really is simulated twice (the two
+// runs are shared with the other tests that need an all-cold campaign).
 func TestParallelDeterminism(t *testing.T) {
-	o := FastOptions(1)
-	sched := FastSchedule()
-	specs := faults.Table1(serverCount(VCOOP, o.withDefaults()), 2, versionTraits(VCOOP).fe)
-	if testing.Short() {
-		specs = specs[:3]
+	t.Parallel()
+	serial, pooled := coldCampaign(VCOOP, 1), coldCampaign(VCOOP, 4)
+	if serial.err != nil || pooled.err != nil {
+		t.Fatal(serial.err, pooled.err)
 	}
-	// Prewarm the shared saturation probe so both passes time episodes only.
-	eng := NewEngine(0)
-	eng.Saturation(VCOOP, o)
-
-	start := time.Now()
-	serial, err := eng.episodesUncached(VCOOP, o, specs, sched, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialDur := time.Since(start)
-
-	start = time.Now()
-	pooled, err := eng.episodesUncached(VCOOP, o, specs, sched, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooledDur := time.Since(start)
-	t.Logf("%d episodes: serial %.2fs, pooled(4) %.2fs (%.2fx)",
-		len(specs), serialDur.Seconds(), pooledDur.Seconds(), serialDur.Seconds()/pooledDur.Seconds())
-
-	for i, spec := range specs {
-		if serial[i].Tpl != pooled[i].Tpl {
-			t.Errorf("%v: template differs between serial and pooled runs:\nserial: %v\npooled: %v",
-				spec.Type, serial[i].Tpl, pooled[i].Tpl)
+	for i, spec := range serial.specs {
+		s, p := serial.eps[i], pooled.eps[i]
+		if s.Tpl != p.Tpl {
+			t.Errorf("%v: template differs between serial and pooled runs:\nserial: %v\npooled: %v", spec.Type, s.Tpl, p.Tpl)
 		}
-		if serial[i].Markers != pooled[i].Markers {
-			t.Errorf("%v: stage boundaries differ:\nserial: %+v\npooled: %+v",
-				spec.Type, serial[i].Markers, pooled[i].Markers)
+		if s.Markers != p.Markers {
+			t.Errorf("%v: stage boundaries differ:\nserial: %+v\npooled: %+v", spec.Type, s.Markers, p.Markers)
 		}
-		if serial[i].Normal != pooled[i].Normal || serial[i].Offered != pooled[i].Offered {
-			t.Errorf("%v: normal/offered differ: serial (%v, %v) pooled (%v, %v)",
-				spec.Type, serial[i].Normal, serial[i].Offered, pooled[i].Normal, pooled[i].Offered)
+		if s.Normal != p.Normal || s.Offered != p.Offered {
+			t.Errorf("%v: normal/offered differ: serial (%v, %v) pooled (%v, %v)", spec.Type, s.Normal, s.Offered, p.Normal, p.Offered)
 		}
 	}
 }
 
 // TestCampaignReplayByteIdentical is the whole-pipeline determinism
 // regression the availlint suite exists to protect: the same campaign,
-// simulated twice (memo bypassed, 4-way pool active both times), must
-// serialize to byte-identical output, events and all. A single unordered
-// map range or stray RNG draw anywhere in the pipeline flips this test.
+// simulated twice (memo bypassed; once serially, once with a 4-way pool
+// active), must serialize to byte-identical output, events and all. A
+// single unordered map range or stray RNG draw anywhere in the pipeline
+// flips this test.
 func TestCampaignReplayByteIdentical(t *testing.T) {
-	o := FastOptions(1)
-	sched := FastSchedule()
-	specs := faults.Table1(serverCount(VCOOP, o.withDefaults()), 2, versionTraits(VCOOP).fe)
-	if testing.Short() {
-		specs = specs[:3] // keep the -short tier under a minute
+	t.Parallel()
+	serial, pooled := coldCampaign(VCOOP, 1), coldCampaign(VCOOP, 4)
+	if serial.err != nil || pooled.err != nil {
+		t.Fatal(serial.err, pooled.err)
 	}
-	eng := NewEngine(0)
-	eng.Saturation(VCOOP, o) // resolve the shared load probe outside the timed passes
-	runOnce := func() []byte {
-		eps, err := eng.episodesUncached(VCOOP, o, specs, sched, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		camp := CampaignResult{Version: VCOOP, Opts: o}
-		for i, ep := range eps {
-			camp.Eps = append(camp.Eps, ep)
-			camp.Loads = append(camp.Loads, avail.FaultLoad{Spec: specs[i], Tpl: ep.Tpl})
-			if ep.Normal > camp.Normal {
-				camp.Normal = ep.Normal
-			}
-			camp.Offered = ep.Offered
-		}
-		return SerializeCampaign(camp)
-	}
-	first := runOnce()
-	second := runOnce()
-	if !bytes.Equal(first, second) {
-		a, b := string(first), string(second)
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				lo := max(0, i-120)
-				t.Fatalf("replay diverges at byte %d:\nfirst:  ...%s\nsecond: ...%s",
-					i, a[lo:min(len(a), i+120)], b[lo:min(len(b), i+120)])
-			}
-		}
-		t.Fatalf("replay output lengths differ: %d vs %d bytes", len(first), len(second))
-	}
-	if len(first) == 0 {
+	diffCampaigns(t, "the pooled replay", serial.bytes, pooled.bytes)
+	if len(serial.bytes) == 0 {
 		t.Fatal("serialized campaign is empty")
 	}
 }
@@ -147,7 +92,7 @@ func TestCampaignMatchesEpisodes(t *testing.T) {
 	t.Parallel()
 	o := FastOptions(1)
 	sched := FastSchedule()
-	eng := NewEngine(0)
+	eng := sharedEngine(VCOOP)
 	camp, err := eng.Campaign(VCOOP, o, sched)
 	if err != nil {
 		t.Fatal(err)

@@ -498,15 +498,9 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			var membd *membership.Daemon
 			addProc(m, "membd", func(env *machine.Env) {
 				membd = membership.NewDaemon(mcfg, env, pub)
-			}, func(x *snapio.Ctx, env *machine.Env) {
-				switch {
-				case env == nil:
-				case x.Saving():
-					membd.SnapState(x)
-				default:
-					membd = membership.Restore(mcfg, env, pub, x)
-				}
-			})
+			}, livePart(&membd, func(env *machine.Env, x *snapio.Ctx) *membership.Daemon {
+				return membership.Restore(mcfg, env, pub, x)
+			}))
 		}
 		if t.fe {
 			addProc(m, "icmp", func(env *machine.Env) { frontend.NewPingResponder(env) }, nil)
@@ -557,15 +551,15 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			switch tag {
 			case srvNone:
 			case srvLive:
-				switch {
-				case x.Saving() && pub != nil:
-					client.SnapState(x)
-				case pub != nil:
-					client = membership.RestoreClient(env, pub, time.Second, x)
-				}
 				if x.Saving() {
+					if pub != nil {
+						client.SnapState(x)
+					}
 					(*holder).SnapState(x)
 				} else {
+					if pub != nil {
+						client = membership.RestoreClient(env, pub, time.Second, x)
+					}
 					*holder = server.Restore(cfg, env, disks, view(), x)
 				}
 			case srvHusk:
@@ -585,15 +579,9 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			var fmed *fme.Daemon
 			addProc(m, "fme", func(env *machine.Env) {
 				fmed = fme.NewDaemon(fcfg, env, disks, ctl)
-			}, func(x *snapio.Ctx, env *machine.Env) {
-				switch {
-				case env == nil:
-				case x.Saving():
-					fmed.SnapState(x)
-				default:
-					fmed = fme.Restore(fcfg, env, disks, ctl, x)
-				}
-			})
+			}, livePart(&fmed, func(env *machine.Env, x *snapio.Ctx) *fme.Daemon {
+				return fme.Restore(fcfg, env, disks, ctl, x)
+			}))
 		}
 	}
 
@@ -625,7 +613,9 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			holder := new(*frontend.Frontend)
 			addProc(m, "frontend", func(env *machine.Env) {
 				*holder = frontend.New(feCfg, env)
-			}, fePart(holder, feCfg))
+			}, livePart(holder, func(env *machine.Env, x *snapio.Ctx) *frontend.Frontend {
+				return frontend.Restore(feCfg, env, x)
+			}))
 			c.FEMachines = append(c.FEMachines, m)
 			c.fes = append(c.fes, holder)
 		}
@@ -646,19 +636,15 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			backupCfg := mkFECfg(feBackupID)
 			addProc(c.FEBackup, "frontend", func(env *machine.Env) {
 				*c.feb = frontend.New(backupCfg, env)
-			}, fePart(c.feb, backupCfg))
+			}, livePart(c.feb, func(env *machine.Env, x *snapio.Ctx) *frontend.Frontend {
+				return frontend.Restore(backupCfg, env, x)
+			}))
 			scfg := frontend.StandbyConfig{Self: feBackupID, Primary: feNodeID, HBPeriod: time.Second}
 			addProc(c.FEBackup, "standby", func(env *machine.Env) {
 				*c.standby = frontend.NewStandby(scfg, env, takeoverControl{c})
-			}, func(x *snapio.Ctx, env *machine.Env) {
-				switch {
-				case env == nil:
-				case x.Saving():
-					(*c.standby).SnapState(x)
-				default:
-					*c.standby = frontend.RestoreStandby(scfg, env, takeoverControl{c}, x)
-				}
-			})
+			}, livePart(c.standby, func(env *machine.Env, x *snapio.Ctx) *frontend.Standby {
+				return frontend.RestoreStandby(scfg, env, takeoverControl{c}, x)
+			}))
 			targets = []cnet.NodeID{feVIP}
 		}
 	}
@@ -674,17 +660,20 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 	return c
 }
 
-// fePart is a front-end process's part of the world walk. A front-end
-// that is dead in the snapshot leaves its holder empty: nothing reads a
-// front-end whose machine is down (Reintegrated asks the machine first).
-func fePart(holder **frontend.Frontend, cfg frontend.Config) func(*snapio.Ctx, *machine.Env) {
+// livePart is the part (see buildWorld's addProc) of a component that
+// travels only while its process is alive: saved from *holder, restored
+// into it. A process dead in the snapshot leaves the holder as the cold
+// build made it, empty — nothing reads a daemon between its death and the
+// boot that replaces it, nor a front-end whose machine is down
+// (Reintegrated asks the machine first).
+func livePart[T interface{ SnapState(*snapio.Ctx) }](holder *T, restore func(*machine.Env, *snapio.Ctx) T) func(*snapio.Ctx, *machine.Env) {
 	return func(x *snapio.Ctx, env *machine.Env) {
 		switch {
 		case env == nil:
 		case x.Saving():
 			(*holder).SnapState(x)
 		default:
-			*holder = frontend.Restore(cfg, env, x)
+			*holder = restore(env, x)
 		}
 	}
 }

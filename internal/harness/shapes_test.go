@@ -18,11 +18,10 @@ func TestPaperHeadlineShapes(t *testing.T) {
 	o := FastOptions(1)
 	sched := FastSchedule()
 	env := avail.DefaultEnv()
-	eng := NewEngine(0)
 
 	model := func(v Version) avail.Result {
 		t.Helper()
-		camp, err := eng.Campaign(v, o, sched)
+		camp, err := sharedEngine(v).Campaign(v, o, sched)
 		if err != nil {
 			t.Fatalf("%v campaign: %v", v, err)
 		}
@@ -54,8 +53,8 @@ func TestPaperHeadlineShapes(t *testing.T) {
 	}
 
 	// §6.3: scaled COOP grows, scaled FME stays flat.
-	coopCamp, _ := eng.Campaign(VCOOP, o, sched)
-	fmeCamp, _ := eng.Campaign(VFME, o, sched)
+	coopCamp, _ := sharedEngine(VCOOP).Campaign(VCOOP, o, sched)
+	fmeCamp, _ := sharedEngine(VFME).Campaign(VFME, o, sched)
 	coop8, err := avail.Availability(2*coopCamp.Offered, 2*coopCamp.Offered,
 		avail.ScaleLoads(coopCamp.Loads, 2, 0.1), env)
 	if err != nil {

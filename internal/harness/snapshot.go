@@ -19,16 +19,25 @@ import (
 // leave the process, and a campaign forks its episodes from the bare
 // stream (campaign.go):
 //
-//	metrics log → network core → machines → per-node server sections →
-//	workload → fault injector → disks → caller extra → network pending
-//	events → connection tables → kernel counters.
+//	metrics log → network core → machines → the processes' parts →
+//	workload → fault injector → disks (→ what only FME leaves pending) →
+//	caller extra → network pending events → connection tables → kernel
+//	counters.
 //
 // The network core comes first because it registers every interface's
-// connection halves in ctx.Conns in deterministic order; the pending and
-// connection tables come last because by then every owner (dial records,
-// disk operations, requests) is defined in ctx.Owners; the kernel
-// counters come very last so SetCounters overwrites whatever bookkeeping
-// the re-arming of events touched.
+// connection halves in ctx.Conns in deterministic order; the machines
+// (servers, front-end tier, standby) come before any process's part
+// because a part re-claims what its machine section listed — timers by
+// serial, dials by tag, connections; the parts run in build order, node
+// by node: the membership segment and daemon, the echo responder, the
+// press process (its membership client, then the server or its husk),
+// the FME daemon, and after the servers the front-ends and the standby;
+// the pending and connection tables come last because by then every
+// owner (dial records, disk operations, probe rounds, requests) is
+// defined in ctx.Owners; the kernel counters come very last so
+// SetCounters overwrites whatever bookkeeping the re-arming of events
+// touched. A trait the world lacks writes no bytes: a COOP stream is what
+// it was before the walks reached the rest.
 
 // Server section tags: what a node's press part says first.
 const (

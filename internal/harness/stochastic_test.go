@@ -27,7 +27,7 @@ func TestStochasticValidation(t *testing.T) {
 	// one or the model (rightly) refuses; SCSI repairs take an hour, so
 	// ~150x is the ceiling for the FME version. Two simulated hours at
 	// 150x yields a handful of faults, including overlapping ones.
-	res, err := StochasticRun(NewEngine(0), VFME, FastOptions(1), FastSchedule(), StochasticConfig{
+	res, err := StochasticRun(sharedEngine(VFME), VFME, FastOptions(1), FastSchedule(), StochasticConfig{
 		Horizon: 2 * time.Hour,
 		Accel:   150,
 	})
@@ -66,11 +66,11 @@ func TestStochasticCOOPWorseThanFME(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		coop, coopErr = StochasticRun(NewEngine(0), VCOOP, FastOptions(1), FastSchedule(), cfg)
+		coop, coopErr = StochasticRun(sharedEngine(VCOOP), VCOOP, FastOptions(1), FastSchedule(), cfg)
 	}()
 	go func() {
 		defer wg.Done()
-		fme, fmeErr = StochasticRun(NewEngine(0), VFME, FastOptions(1), FastSchedule(), cfg)
+		fme, fmeErr = StochasticRun(sharedEngine(VFME), VFME, FastOptions(1), FastSchedule(), cfg)
 	}()
 	wg.Wait()
 	if coopErr != nil {

@@ -26,18 +26,18 @@ func warmBlob(tb testing.TB, v harness.Version) []byte {
 // (recoverSnap re-raises anything that is not a Failf), a hang, or an
 // allocation sized by a length the stream merely claims. The seed corpus,
 // which plain `go test` runs, is a COOP and an FME warm blob, each whole,
-// cut short at 48 lengths and with one bit flipped at 192 offsets, spread
+// cut short at 24 lengths and with one bit flipped at 96 offsets, spread
 // evenly so every section is hit.
 func FuzzLoadRestore(f *testing.F) {
 	for _, v := range []harness.Version{harness.VCOOP, harness.VFME} {
 		blob := warmBlob(f, v)
 		f.Add(blob)
-		for i := range 48 {
-			f.Add(blob[:len(blob)*i/48])
+		for i := range 24 {
+			f.Add(blob[:len(blob)*i/24])
 		}
-		for i := range 192 {
+		for i := range 96 {
 			flipped := append([]byte(nil), blob...)
-			flipped[(len(blob)-1)*i/191] ^= 1 << (i % 8)
+			flipped[(len(blob)-1)*i/95] ^= 1 << (i % 8)
 			f.Add(flipped)
 		}
 	}

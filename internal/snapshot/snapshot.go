@@ -7,11 +7,16 @@
 // so an episode restored at time T produces the same event log and
 // metrics series as the uninterrupted run from T onward.
 //
-// Phase 1 covers the INDEP and COOP versions (no front-end tier,
-// membership, qmon or FME daemons). The blob is self-describing: an
-// envelope (format version, experiment version, options, resolved
-// offered rate, capture time) followed by the harness world stream
-// (see harness.SnapWorld for the section order).
+// Every world the harness builds is covered: the ten measured versions
+// (front-end tier, membership, queue monitoring and FME daemons
+// included), both protocol suites, the primary/standby front-end pair.
+// The blob is self-describing: an envelope (format version, experiment
+// version, every option the world was built from, resolved offered rate,
+// capture time) followed by the harness world stream (see
+// harness.SnapWorld for the section order). The harness forks a
+// campaign's episodes from the bare world stream without coming through
+// here; this package is for snapshots that outlive a call — written to
+// disk, memoized by hash, handed to a chaos campaign.
 package snapshot
 
 import (

@@ -31,16 +31,17 @@ func dump(c *harness.Cluster) string {
 	return s
 }
 
-// TestWorldRoundTrip warms a world of each shape the walks have to carry,
-// snapshots it, and checks a restored world continues byte-identically to
-// the uninterrupted original. The diurnal case holds the envelope to every
+// TestPlainWorldRoundTrip warms a world of each shape the walks have to
+// carry — plain: nothing drives it but its load, and no driver's state
+// rides on the stream — snapshots it, and checks a restored world
+// continues byte-identically to the uninterrupted original. The diurnal case holds the envelope to every
 // option the world was built from: until format 4 it left the modulation
 // out, and the restored world offered a stationary load without an error.
 // The pair case captures two seconds into a front-end crash, the standby
 // two missed heartbeats from taking the address over; the scalable cases
 // carry gossip membership, the sharded directory and a two-machine
 // front-end tier.
-func TestWorldRoundTrip(t *testing.T) {
+func TestPlainWorldRoundTrip(t *testing.T) {
 	with := func(edit func(*harness.Options)) harness.Options {
 		o := fastOpts(1)
 		edit(&o)
