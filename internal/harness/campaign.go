@@ -74,19 +74,26 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 		}()
 	}
 	wg.Wait()
-	for i, spec := range specs {
-		if errs[i] != nil {
-			return res, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return res, err
 		}
-		ep := eps[i]
-		res.Eps = append(res.Eps, ep)
-		res.Loads = append(res.Loads, avail.FaultLoad{Spec: spec, Tpl: ep.Tpl})
+	}
+	return assemble(v, o, specs, eps), nil
+}
+
+// assemble puts a campaign's episodes, one per spec and in that order,
+// together with the fault loads the phase-2 model reads.
+func assemble(v Version, o Options, specs []faults.Spec, eps []Episode) CampaignResult {
+	res := CampaignResult{Version: v, Opts: o, Eps: eps}
+	for i, ep := range eps {
+		res.Loads = append(res.Loads, avail.FaultLoad{Spec: specs[i], Tpl: ep.Tpl})
 		if ep.Normal > res.Normal {
 			res.Normal = ep.Normal
 		}
 		res.Offered = ep.Offered
 	}
-	return res, nil
+	return res
 }
 
 // warmWorld is a world standing at an episode's injection point, as a

@@ -194,17 +194,18 @@ func (e *Engine) episode(v Version, o Options, f faults.Type, comp int, sched Ep
 	sched = sched.withDefaults()
 	key := fmt.Sprintf("%s|%+v|%v|%d|%+v", v, o, f, comp, sched)
 	return e.episodes.do(key, func() (Episode, error) {
-		if warm == nil {
-			e.acquireSlot()
-			defer e.releaseSlot()
-			return e.runEpisodeUncached(v, o, f, comp, sched)
-		}
-		w, err := warm()
-		if err != nil {
-			return Episode{Version: v, Fault: f, Component: comp}, err
+		var w *warmWorld
+		if warm != nil {
+			var err error
+			if w, err = warm(); err != nil {
+				return Episode{Version: v, Fault: f, Component: comp}, err
+			}
 		}
 		e.acquireSlot()
 		defer e.releaseSlot()
+		if w == nil {
+			return e.runEpisodeUncached(v, o, f, comp, sched)
+		}
 		c, err := w.fork()
 		if err != nil {
 			return Episode{Version: v, Fault: f, Component: comp}, err

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"press/internal/avail"
 	"press/internal/faults"
 )
 
@@ -93,20 +92,6 @@ func simulateCold(v Version, o Options, sched EpisodeSchedule, workers int) *col
 		r.bytes = SerializeCampaign(assemble(v, r.o, r.specs, r.eps))
 	}
 	return r
-}
-
-// assemble is runCampaign's assembly over episodes obtained some other way.
-func assemble(v Version, o Options, specs []faults.Spec, eps []Episode) CampaignResult {
-	camp := CampaignResult{Version: v, Opts: o}
-	for i, ep := range eps {
-		camp.Eps = append(camp.Eps, ep)
-		camp.Loads = append(camp.Loads, avail.FaultLoad{Spec: specs[i], Tpl: ep.Tpl})
-		if ep.Normal > camp.Normal {
-			camp.Normal = ep.Normal
-		}
-		camp.Offered = ep.Offered
-	}
-	return camp
 }
 
 func diffCampaigns(t *testing.T, what string, want, got []byte) {

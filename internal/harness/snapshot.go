@@ -2,6 +2,7 @@ package harness
 
 import (
 	"slices"
+	"sync"
 
 	"press/internal/frontend"
 	"press/internal/machine"
@@ -56,19 +57,26 @@ func (c *Cluster) machines() []*machine.Machine {
 	return ms
 }
 
-// newCtx builds the context one world's walks share: connection
-// references resolve through blank simnet halves (the connection table is
-// one of the last sections), and the wire-message codec knows every
-// message that can sit in a buffer, a mailbox or an in-flight packet.
-func newCtx() *snapio.Ctx {
+// worldMsgs describes every message that can sit in a buffer, a mailbox
+// or an in-flight packet of a world. A codec is only read once its
+// messages are registered, so every walk, concurrent ones included,
+// shares this one.
+var worldMsgs = sync.OnceValue(func() *snapio.MsgCodec {
 	msgs := snapio.NewMsgCodec()
 	server.RegisterMessages(msgs)
 	frontend.RegisterMessages(msgs)
 	membership.RegisterMessages(msgs)
+	return msgs
+})
+
+// newCtx builds the context one world's walks share: connection
+// references resolve through blank simnet halves (the connection table is
+// one of the last sections).
+func newCtx() *snapio.Ctx {
 	return &snapio.Ctx{World: &snapio.World{
 		Conns:  snapio.NewRefTable(simnet.BlankConn),
 		Owners: snapio.NewRefTable(nil),
-		Msgs:   msgs,
+		Msgs:   worldMsgs(),
 	}}
 }
 
