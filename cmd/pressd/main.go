@@ -10,13 +10,12 @@
 // Usage:
 //
 //	pressd [-nodes 3] [-hb 500ms] [-rate 20] [-duration 30s] [-kill 1]
-//	       [-protocol faithful|scalable] [-fanout 3]
+//	       [-protocol faithful|scalable]
 //
 // -protocol scalable runs the large-cluster protocol suite on the same
 // live stack: gossip membership (bounded-fanout dissemination), the
 // hash-partitioned cache directory, and document-hash routing at the
-// front end. -fanout tunes the gossip fanout and is only meaningful
-// there; pressd rejects it under the faithful suite.
+// front end.
 package main
 
 import (
@@ -43,7 +42,6 @@ func main() {
 	kill := flag.Int("kill", 1, "node whose PRESS process is killed mid-run (-1: none)")
 	seed := flag.Int64("seed", 1, "world seed (fixed by default so runs are reproducible)")
 	protocol := flag.String("protocol", "faithful", "protocol suite: faithful (paper) or scalable (gossip membership + sharded directory)")
-	fanout := flag.Int("fanout", 0, "gossip fanout (scalable protocol only; 0 = default 3)")
 	flag.Parse()
 
 	suite, err := harness.ParseProtocolSuite(*protocol)
@@ -56,10 +54,6 @@ func main() {
 		os.Exit(2)
 	}
 	scalable := suite == harness.Scalable
-	if *fanout != 0 && !scalable {
-		fmt.Fprintln(os.Stderr, "-fanout tunes the gossip dissemination and needs -protocol scalable: the faithful suite's membership ring has no fanout")
-		os.Exit(2)
-	}
 
 	fmt.Printf("pressd: seed %d, %s protocols\n", *seed, suite)
 	w := livenet.NewWorld(*seed)
@@ -82,7 +76,7 @@ func main() {
 		n.Spawn("membd", func(env cnet.Env) {
 			membership.NewDaemon(membership.Config{
 				Self: ids[i], HBPeriod: *hb, HBMiss: 3,
-				Gossip: scalable, Peers: ids, Fanout: *fanout,
+				Gossip: scalable, Peers: ids,
 			}, env, pub)
 			up <- struct{}{}
 		})

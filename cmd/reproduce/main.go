@@ -284,6 +284,14 @@ func runChaosCampaign(v press.Version, nSeeds int, fast bool, seed int64, shrink
 	}
 	fmt.Printf("%s(campaign took %.1fs)\n", sum, time.Since(start).Seconds())
 
+	return writeRepros(sum, reproDir)
+}
+
+// writeRepros writes one runnable repro file under dir per violating seed
+// and returns the campaign's exit code. A repro names the version the
+// campaign ran, which is the summary's: a campaign forked from a snapshot
+// file runs the snapshot's version, whatever -version says.
+func writeRepros(sum press.ChaosCampaignSummary, dir string) int {
 	code := 0
 	for _, oc := range sum.Outcomes {
 		if !oc.Violated() {
@@ -297,13 +305,13 @@ func runChaosCampaign(v press.Version, nSeeds int, fast bool, seed int64, shrink
 		if len(oc.Minimal) > 0 {
 			sched, viol = oc.Minimal, oc.MinimalViol
 		}
-		rep := press.NewChaosRepro(v, oc.Options, press.ChaosRunConfig{}, sched, viol)
+		rep := press.NewChaosRepro(sum.Version, oc.Options, press.ChaosRunConfig{}, sched, viol)
 		data, err := rep.Marshal()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			continue
 		}
-		name := fmt.Sprintf("%s/chaos-repro-%s-seed%d-%s.json", reproDir, v, oc.Seed, rep.Hash)
+		name := fmt.Sprintf("%s/chaos-repro-%s-seed%d-%s.json", dir, sum.Version, oc.Seed, rep.Hash)
 		if err := os.WriteFile(name, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			continue

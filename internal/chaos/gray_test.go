@@ -8,7 +8,6 @@ import (
 
 	"press/internal/faults"
 	"press/internal/harness"
-	"press/internal/snapshot"
 )
 
 // grayReplaySchedule is the gray-engine acceptance schedule: all three
@@ -117,7 +116,7 @@ func TestGrayFaultStateSurvivesRestore(t *testing.T) {
 	r := newRunner(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	r.advance(118 * time.Second)
 
-	snap, err := snapshot.Take(r.c, r)
+	snap, err := harness.Take(r.c, r.SnapExtra)
 	if err != nil {
 		t.Fatal(err)
 	}

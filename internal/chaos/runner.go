@@ -236,10 +236,10 @@ func (r *runner) assemble() {
 }
 
 // SnapExtra moves the runner's driver state at the world stream's extra
-// slot (it implements snapshot.Extra). The per-entry section exists only
-// once the schedule has armed; an un-armed (warm-fork) snapshot carries
-// no schedule state at all, which is what lets a fork substitute a
-// different schedule. Loading runs against the restored cluster: pending
+// slot (the hook harness.Take and Snap.Restore take). The per-entry
+// section exists only once the schedule has armed; an un-armed (warm-fork)
+// snapshot carries no schedule state at all, which is what lets a fork
+// substitute a different schedule. Loading runs against the restored cluster: pending
 // inject/repair fires re-arm at their exact kernel slots as fresh
 // closures, and each entry's Active handle re-links to the injector
 // record the injector's walk rebuilt.

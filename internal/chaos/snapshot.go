@@ -6,7 +6,6 @@ import (
 
 	"press/internal/harness"
 	"press/internal/snapio"
-	"press/internal/snapshot"
 )
 
 // Warm-fork campaigns: every seed of a campaign shares one world warmed
@@ -23,25 +22,25 @@ import (
 // compose with). The capture point
 // is warmup + settle, immediately before a schedule would arm, so the
 // snapshot is schedule-free and any schedule can be forked onto it.
-func WarmSnapshot(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig) (*snapshot.Snap, error) {
+func WarmSnapshot(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig) (*harness.Snap, error) {
 	rc = rc.withDefaults()
 	key := fmt.Sprintf("warm|%s|%+v|%v", v, o, rc.Settle)
 	val, err := eng.SnapMemoized(key, func() (any, error) {
 		r := newRunner(eng, v, o, nil, rc)
 		r.advance(r.target)
-		return snapshot.Take(r.c, r)
+		return harness.Take(r.c, r.SnapExtra)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return val.(*snapshot.Snap), nil
+	return val.(*harness.Snap), nil
 }
 
 // RunWithSnapshotAt runs the schedule cold, pausing once when the sim
 // clock reaches the absolute time at to capture a snapshot, then
 // continues to completion. The pause is observationally free: the
 // returned Result is byte-identical to an uninterrupted RunUncached.
-func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig, at time.Duration) (Result, *snapshot.Snap, error) {
+func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig, at time.Duration) (Result, *harness.Snap, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
@@ -49,7 +48,7 @@ func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options
 	}
 	r := newRunner(eng, v, o, sched, rc)
 	r.advance(at)
-	snap, err := snapshot.Take(r.c, r)
+	snap, err := harness.Take(r.c, r.SnapExtra)
 	if err != nil {
 		return Result{Version: v, Schedule: sched}, nil, err
 	}
@@ -60,7 +59,7 @@ func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options
 // ResumeUncached restores a run from the snapshot and plays it to
 // completion, bypassing every memo (the equivalence tests need real
 // restored executions, not cache hits).
-func ResumeUncached(snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result, error) {
+func ResumeUncached(snap *harness.Snap, sched Schedule, rc RunConfig) (Result, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
@@ -78,7 +77,7 @@ func ResumeUncached(snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result, 
 // schedule. If the snapshot was taken pre-arm the schedule arms on the
 // restored world; if it was taken mid-run the schedule must be the one
 // the snapshot was armed with.
-func restoreRunner(snap *snapshot.Snap, sched Schedule, rc RunConfig) (*runner, error) {
+func restoreRunner(snap *harness.Snap, sched Schedule, rc RunConfig) (*runner, error) {
 	r := &runner{sched: sched, rc: rc}
 	r.res = Result{Version: snap.Version, Schedule: sched}
 	_, err := snap.Restore(func(c *harness.Cluster, x *snapio.Ctx) {
@@ -96,7 +95,7 @@ func restoreRunner(snap *snapshot.Snap, sched Schedule, rc RunConfig) (*runner, 
 // table under ("fork|", snapshot hash, schedule hash, run config) — a
 // key that can never alias a cold run's, which has no content-hash
 // dimension.
-func RunFromSnapshot(eng *harness.Engine, snap *snapshot.Snap, sched Schedule, rc RunConfig) (Result, error) {
+func RunFromSnapshot(eng *harness.Engine, snap *harness.Snap, sched Schedule, rc RunConfig) (Result, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
@@ -120,19 +119,6 @@ func RunFromSnapshot(eng *harness.Engine, snap *snapshot.Snap, sched Schedule, r
 	return val.(Result), nil
 }
 
-// RunCampaignForked is the warm-fork campaign: one world is warmed and
-// captured once, then every seed forks an independent copy and arms the
-// schedule Generate derives from that seed. The offered load is resolved
-// exactly as RunCampaign does, so the forked and cold campaigns run
-// identical worlds.
-func RunCampaignForked(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig) (CampaignSummary, error) {
-	snap, err := WarmSnapshot(eng, v, resolveRate(eng, v, o), cfg.Run)
-	if err != nil {
-		return CampaignSummary{Version: v}, err
-	}
-	return RunCampaignFromSnapshot(eng, snap, cfg)
-}
-
 // RunCampaignFromSnapshot plays a campaign against an already-captured
 // warm snapshot (one taken by WarmSnapshot, possibly serialized to disk
 // and loaded back in a later process). The snapshot's envelope supplies
@@ -142,7 +128,7 @@ func RunCampaignForked(eng *harness.Engine, v harness.Version, o harness.Options
 // each outcome records the base world's options: replaying its schedule
 // cold against them (RunUncached) reproduces the forked result
 // byte-identically.
-func RunCampaignFromSnapshot(eng *harness.Engine, snap *snapshot.Snap, cfg CampaignConfig) (CampaignSummary, error) {
+func RunCampaignFromSnapshot(eng *harness.Engine, snap *harness.Snap, cfg CampaignConfig) (CampaignSummary, error) {
 	o := snap.Opts
 	o.Rate = snap.Rate // pin the resolved load so a cold replay matches
 	return runSeeds(eng, snap.Version, o, cfg, func(_ harness.Options, sched Schedule) (harness.Options, Result, error) {

@@ -10,7 +10,6 @@ import (
 
 	"press/internal/faults"
 	"press/internal/harness"
-	"press/internal/snapshot"
 )
 
 // diffAt renders the first divergence between two serialized runs.
@@ -77,7 +76,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	rc = rc.withDefaults()
 	versions := snapVersions()
 	want := make([][]byte, len(versions))
-	snaps := make([][]*snapshot.Snap, len(versions))
+	snaps := make([][]*harness.Snap, len(versions))
 
 	// One run per version, paused at every capture point in turn.
 	t.Run("paused", func(t *testing.T) {
@@ -85,11 +84,11 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			t.Run(string(v), func(t *testing.T) {
 				t.Parallel()
 				r := newRunner(harness.NewEngine(0), v, o, sched, rc)
-				snaps[vi] = make([]*snapshot.Snap, len(cases))
+				snaps[vi] = make([]*harness.Snap, len(cases))
 				for i, tc := range cases {
 					var err error
 					r.advance(tc.at)
-					if snaps[vi][i], err = snapshot.Take(r.c, r); err != nil {
+					if snaps[vi][i], err = harness.Take(r.c, r.SnapExtra); err != nil {
 						t.Fatalf("%s: %v", tc.name, err)
 					}
 					if snaps[vi][i].At != tc.at {
@@ -285,7 +284,7 @@ func TestFaultsRoundTripMidFlap(t *testing.T) {
 	if r.c.Injector.ActiveAt(faults.LinkDown, 2) == nil {
 		t.Fatal("link flap not active at the capture point")
 	}
-	snap, err := snapshot.Take(r.c, r)
+	snap, err := harness.Take(r.c, r.SnapExtra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,13 +381,13 @@ func diskSchedule() Schedule {
 func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun().withDefaults()
-	fixed := func(t *testing.T, snap *snapshot.Snap, sched Schedule) {
+	fixed := func(t *testing.T, snap *harness.Snap, sched Schedule) {
 		t.Helper()
 		back, err := restoreRunner(snap, sched, rc)
 		if err != nil {
 			t.Fatalf("at %v: %v", snap.At, err)
 		}
-		again, err := snapshot.Take(back.c, back)
+		again, err := harness.Take(back.c, back.SnapExtra)
 		if err != nil {
 			t.Fatalf("at %v, of the restored world: %v", snap.At, err)
 		}
@@ -400,7 +399,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 	chosen := []time.Duration{70 * time.Second, 100 * time.Second, 120 * time.Second, 141 * time.Second, 186 * time.Second}
 	// sweep runs v under sched, checks every step on the way, and returns
 	// the captures at the chosen instants unchecked.
-	sweep := func(t *testing.T, v harness.Version, sched Schedule) []*snapshot.Snap {
+	sweep := func(t *testing.T, v harness.Version, sched Schedule) []*harness.Snap {
 		step := 3100 * time.Millisecond
 		if benchmarked(v) {
 			step = 1700 * time.Millisecond
@@ -411,10 +410,10 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 		}
 		slices.Sort(ats)
 		r := newRunner(harness.NewEngine(0), v, o, sched, rc)
-		var at []*snapshot.Snap
+		var at []*harness.Snap
 		for _, when := range slices.Compact(ats) {
 			r.advance(when)
-			snap, err := snapshot.Take(r.c, r)
+			snap, err := harness.Take(r.c, r.SnapExtra)
 			if err != nil {
 				t.Fatalf("at %v: %v", when, err)
 			}
@@ -429,7 +428,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 
 	versions := snapVersions()
 	replay := replaySchedule().Canonical()
-	captured := make([][]*snapshot.Snap, len(versions))
+	captured := make([][]*harness.Snap, len(versions))
 	t.Run("sweep", func(t *testing.T) {
 		for vi, v := range versions {
 			t.Run(string(v), func(t *testing.T) {

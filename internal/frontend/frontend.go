@@ -106,6 +106,7 @@ type Frontend struct {
 	env      cnet.Env
 	backends map[cnet.NodeID]*backendState
 	rr       int
+	route    func(trace.DocID) cnet.NodeID // pick or pickOwner, chosen once by newFrontend
 	relayed  uint64
 	probeSeq uint64
 	relays   cnet.MsgPool[relay]
@@ -144,6 +145,10 @@ func newFrontend(cfg Config, env cnet.Env) *Frontend {
 	}
 	if t, ok := env.(cnet.DialTagger); ok {
 		f.tagDial = t.TagNextDial
+	}
+	f.route = f.pick
+	if f.cfg.ShardRoute {
+		f.route = f.pickOwner
 	}
 	env.Listen(server.PortHTTP, f.acceptClient)
 	env.BindDatagram(PortPing, f.onPong)
@@ -203,8 +208,9 @@ func (f *Frontend) setDown(n cnet.NodeID, field *bool, down bool, why string) {
 	}
 }
 
-// pick returns the next healthy backend round-robin, or None.
-func (f *Frontend) pick() cnet.NodeID {
+// pick returns the next healthy backend round-robin, or None, whatever
+// the document: the faithful suite's route.
+func (f *Frontend) pick(trace.DocID) cnet.NodeID {
 	n := len(f.cfg.Backends)
 	for i := 0; i < n; i++ {
 		cand := f.cfg.Backends[f.rr%n]
@@ -216,17 +222,14 @@ func (f *Frontend) pick() cnet.NodeID {
 	return cnet.None
 }
 
-// pickFor returns the routing target for doc: under ShardRoute the
-// shard owner when healthy, otherwise (and in the faithful mode always)
-// the round-robin choice.
-func (f *Frontend) pickFor(doc trace.DocID) cnet.NodeID {
-	if f.cfg.ShardRoute {
-		owner := f.cfg.Backends[int(doc)%len(f.cfg.Backends)]
-		if f.backends[owner].healthy() {
-			return owner
-		}
+// pickOwner is the ShardRoute route: doc's shard owner when healthy,
+// otherwise the round-robin choice.
+func (f *Frontend) pickOwner(doc trace.DocID) cnet.NodeID {
+	owner := f.cfg.Backends[int(doc)%len(f.cfg.Backends)]
+	if f.backends[owner].healthy() {
+		return owner
 	}
-	return f.pick()
+	return f.pick(doc)
 }
 
 // relay is the state of one client connection being relayed to a backend.
@@ -315,7 +318,7 @@ func (r *relay) clientMessage(c cnet.Conn, m cnet.Message) {
 	}
 	f := r.f
 	f.env.Charge(f.cfg.Cost)
-	target := f.pickFor(req.Doc)
+	target := f.route(req.Doc)
 	if target == cnet.None {
 		r.closeBoth() // nothing healthy: the client sees a reset
 		return

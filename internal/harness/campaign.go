@@ -7,7 +7,6 @@ import (
 
 	"press/internal/avail"
 	"press/internal/faults"
-	"press/internal/snapio"
 )
 
 // CampaignResult is one version's complete phase-1 measurement set.
@@ -33,10 +32,10 @@ func (r CampaignResult) Model(env avail.Env) (avail.Result, error) {
 // concurrently on the engine's worker pool; each is independently
 // memoized, so a campaign and a figure that share a (version, fault)
 // episode simulate it once, and the warm-up they all begin with is
-// simulated once for the campaign (see warmWorld). The campaign itself is also memoized with
-// singleflight semantics: the simulator is deterministic, so a campaign
-// is a pure function of its parameters, and concurrent requests for the
-// same campaign share one assembly.
+// simulated once for the campaign (see warm). The campaign itself is also
+// memoized with singleflight semantics: the simulator is deterministic, so
+// a campaign is a pure function of its parameters, and concurrent requests
+// for the same campaign share one assembly.
 func (e *Engine) Campaign(v Version, o Options, sched EpisodeSchedule) (CampaignResult, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
@@ -58,7 +57,7 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 	specs := faults.Table1(serverCount(v, o), 2, versionTraits(v).fe)
 	// Warmed by the first episode that is not already memoized, dropped
 	// when the campaign returns.
-	warm := sync.OnceValues(func() (*warmWorld, error) { return e.warm(v, o, sched) })
+	warm := sync.OnceValues(func() (*Snap, error) { return e.warm(v, o, sched) })
 	eps := make([]Episode, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -96,53 +95,22 @@ func assemble(v Version, o Options, specs []faults.Spec, eps []Episode) Campaign
 	return res
 }
 
-// warmWorld is a world standing at an episode's injection point, as a
-// value: the stream SnapWorld wrote of it, with what BuildForRestore needs
-// to make the cold world a fork is loaded into. The 7 or 8 episodes of a
-// Table-1 campaign all begin with the same Warmup + Settle from the same
-// seed, options and offered load — a third of a campaign's events — so
-// the campaign simulates that once and every episode continues on a fork
-// of its own (own kernel, log and recorder). A fork continues
-// byte-identically to the world that was captured (DESIGN §13), so the
-// campaign's numbers do not change. It is held by one runCampaign call
-// and never memoized: a wide world's stream is large, and nothing but
-// that campaign's episodes could use it.
-type warmWorld struct {
-	v      Version
-	o      Options
-	rate   float64
-	stream []byte
-}
-
-// warm builds v's world, warms it on a pool slot and captures it.
-func (e *Engine) warm(v Version, o Options, sched EpisodeSchedule) (w *warmWorld, err error) {
-	defer recoverSnap(&err)
+// warm builds v's world, brings it to an episode's injection point on a
+// pool slot and captures it. The 7 or 8 episodes of a Table-1 campaign all
+// begin with the same Warmup + Settle from the same seed, options and
+// offered load — a third of a campaign's events — so the campaign
+// simulates that once and every episode continues on a fork of its own
+// (own kernel, log and recorder). A fork continues byte-identically to the
+// world that was captured (DESIGN §13), so the campaign's numbers do not
+// change. The capture is held by one runCampaign call and never memoized:
+// a wide world's blob is large, and nothing but that campaign's episodes
+// could use it.
+func (e *Engine) warm(v Version, o Options, sched EpisodeSchedule) (*Snap, error) {
 	e.acquireSlot()
 	defer e.releaseSlot()
 	c := e.Build(v, o)
 	c.warmUp(sched)
-	enc := &snapio.Encoder{}
-	c.SnapWorld(enc, nil)
-	return &warmWorld{v: v, o: c.Opts, rate: c.Offered(), stream: enc.Bytes()}, nil
-}
-
-// fork restores one independent world from the capture; concurrent calls
-// read the one immutable stream.
-func (w *warmWorld) fork() (c *Cluster, err error) {
-	defer recoverSnap(&err)
-	return RestoreWorld(w.v, w.o, w.rate, snapio.NewDecoder(w.stream), nil), nil
-}
-
-// recoverSnap turns the walks' snapio.Failf panic into the error it
-// carries; anything else is a bug and keeps unwinding.
-func recoverSnap(err *error) {
-	if r := recover(); r != nil {
-		se, ok := r.(*snapio.SnapError)
-		if !ok {
-			panic(r)
-		}
-		*err = fmt.Errorf("harness: forking a campaign's warm world: %w", se)
-	}
+	return Take(c, nil)
 }
 
 // FastSchedule shortens an episode for tests: the stage structure is

@@ -189,12 +189,12 @@ func (e *Engine) RunEpisode(v Version, o Options, f faults.Type, comp int, sched
 // bytes, so they share one memo key. warm is asked before the episode
 // takes its pool slot, because the first caller simulates the warm-up on
 // a slot of its own and a 1-slot pool has no second one.
-func (e *Engine) episode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule, warm func() (*warmWorld, error)) (Episode, error) {
+func (e *Engine) episode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule, warm func() (*Snap, error)) (Episode, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
 	key := fmt.Sprintf("%s|%+v|%v|%d|%+v", v, o, f, comp, sched)
 	return e.episodes.do(key, func() (Episode, error) {
-		var w *warmWorld
+		var w *Snap
 		if warm != nil {
 			var err error
 			if w, err = warm(); err != nil {
@@ -206,7 +206,7 @@ func (e *Engine) episode(v Version, o Options, f faults.Type, comp int, sched Ep
 		if w == nil {
 			return e.runEpisodeUncached(v, o, f, comp, sched)
 		}
-		c, err := w.fork()
+		c, err := w.Restore(nil)
 		if err != nil {
 			return Episode{Version: v, Fault: f, Component: comp}, err
 		}

@@ -157,7 +157,7 @@ func TestCampaignForkMatchesCold(t *testing.T) {
 			forkEvents := prefix
 			forked := make([]Episode, len(specs))
 			for i, spec := range specs {
-				c, err := w.fork()
+				c, err := w.Restore(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +179,7 @@ func TestCampaignForkMatchesCold(t *testing.T) {
 				t.Errorf("one warm-up is %d events, pinned at %d", prefix, prefixEvents[v])
 			}
 			t.Logf("%d episodes: %d events cold, %d forked (one warm-up = %d, %d bytes)",
-				len(specs), cold.events, forkEvents, prefix, len(w.stream))
+				len(specs), cold.events, forkEvents, prefix, w.Size())
 
 			if !pinned {
 				return

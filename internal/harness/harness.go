@@ -217,6 +217,33 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// snap moves every option through a snapshot's envelope, so a restored
+// world is built from exactly what the captured one was. A field added to
+// Options is added here, to withDefaults and to buildForRestore's check
+// (TestEnvelopeCarriesEveryOption holds this walk to the struct).
+func (o *Options) snap(x *snapio.Ctx) {
+	snapio.Int(x, &o.Seed)
+	snapio.Int(x, &o.Nodes)
+	snapio.Int(x, &o.CacheBytes)
+	x.F64(&o.Rate)
+	snapio.Int(x, &o.Warmup)
+	snapio.Int(x, &o.HeartbeatPeriod)
+	snapio.Int(x, &o.OperatorResponse)
+	x.Bool(&o.RedundantFE)
+	snapio.Int(x, &o.Docs)
+	x.F64(&o.Alpha)
+	snapio.Int(x, &o.Protocol)
+	mod := &o.Mod
+	x.F64(&mod.DiurnalAmp)
+	snapio.Int(x, &mod.DiurnalPeriod)
+	x.F64(&mod.DiurnalPhase)
+	x.F64(&mod.FlashBoost)
+	snapio.Int(x, &mod.FlashAt)
+	snapio.Int(x, &mod.FlashRamp)
+	snapio.Int(x, &mod.FlashHold)
+	snapio.Int(x, &mod.FlashDecay)
+}
+
 func (o Options) catalog() *trace.Catalog {
 	return trace.NewCatalog(o.Docs, trace.DefaultSize, o.Alpha)
 }
@@ -306,18 +333,6 @@ func (t Topology) FrontendIDs() []cnet.NodeID {
 	}
 	return ids
 }
-
-// Racks returns how many racks the servers occupy.
-func (t Topology) Racks() int {
-	if t.RackSize <= 0 || t.Nodes <= 0 {
-		return 0
-	}
-	return (t.Nodes + t.RackSize - 1) / t.RackSize
-}
-
-// GossipFanout is how many peers each gossip round's digest goes to in
-// the Scalable membership mode.
-const GossipFanout = 3
 
 // Node IDs: servers 0..n-1; front-end 90 (backup 91, virtual address 89);
 // client driver 1000.
@@ -493,7 +508,6 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 				HBMiss:   3,
 				Gossip:   scalable,
 				Peers:    ids,
-				Fanout:   GossipFanout,
 			}
 			var membd *membership.Daemon
 			addProc(m, "membd", func(env *machine.Env) {
@@ -692,13 +706,13 @@ func (c *Cluster) attachWorkload(rate float64) {
 	}, c.Rec)
 }
 
-// BuildForRestore constructs a cold world ready for RestoreWorld: same
+// buildForRestore constructs a cold world ready for Snap.Restore: same
 // topology as Build, but no process boots the virgin kernel, and the
 // offered rate must already be resolved (it is recorded in the snapshot
 // envelope — the saturation probe must not rerun). The arguments may come
 // from a file: a world nobody could have built is refused here, before
 // anything is sized by them.
-func BuildForRestore(v Version, o Options, rate float64) *Cluster {
+func buildForRestore(v Version, o Options, rate float64) *Cluster {
 	if !slices.Contains(append(AllMeasuredVersions(), VXSW, VXSWRAID), v) {
 		snapio.Failf("harness: unknown version %q", v)
 	}
@@ -721,7 +735,7 @@ func BuildForRestore(v Version, o Options, rate float64) *Cluster {
 		m.DiurnalPeriod < 0 || m.FlashAt < 0 || m.FlashRamp < 0 || m.FlashHold < 0 || m.FlashDecay < 0:
 		snapio.Failf("harness: options no world is built with: %+v", o)
 	case !finite(rate) || rate <= 0:
-		snapio.Failf("harness: BuildForRestore needs a resolved rate, got %v", rate)
+		snapio.Failf("harness: a restored world needs a resolved rate, got %v", rate)
 	}
 	// Server ids run from 0 and must stay clear of the front-end's (when
 	// it is the paper's single one, with its pair and address) and the

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"slices"
 	"sync"
+	"time"
 
 	"press/internal/frontend"
 	"press/internal/machine"
@@ -12,13 +15,25 @@ import (
 	"press/internal/snapio"
 )
 
-// World serialization: the harness owns the section order because it is
-// the only layer that sees every subsystem. SnapWorld is the one walk over
-// everything inside one built world, the same linear byte stream in both
-// directions; internal/snapshot puts a self-describing envelope (magic,
-// format version, options, offered rate) in front of it for blobs that
-// leave the process, and a campaign forks its episodes from the bare
-// stream (campaign.go):
+// A captured world is a Snap: a cluster checkpointed into a compact,
+// hash-addressed blob that rehydrates into any number of independent
+// forks. A restored world continues byte-identically: every pending kernel
+// event is re-armed at its exact (time, sequence) slot, every random
+// stream resumes mid-sequence, and every in-flight network, disk and
+// request operation picks up where the saved world stopped — so an episode
+// restored at time T produces the same event log and metrics series as the
+// uninterrupted run from T onward. Every world the harness builds is
+// covered: the ten measured versions, both protocol suites, the
+// primary/standby front-end pair. A Table-1 campaign forks its episodes
+// from one (campaign.go), a chaos campaign its seeds, and the bytes can be
+// written to disk and loaded by a later process.
+//
+// The blob is self-describing: an envelope (magic, format, version, every
+// option the world was built from, resolved offered rate, capture time)
+// followed by the world stream. The harness owns the stream's section
+// order because it is the only layer that sees every subsystem; snapWorld
+// is the one walk over everything inside one built world, the same linear
+// byte stream in both directions:
 //
 //	metrics log → network core → machines → the processes' parts →
 //	workload → fault injector → disks (→ what only FME leaves pending) →
@@ -39,6 +54,131 @@ import (
 // SetCounters overwrites whatever bookkeeping the re-arming of events
 // touched. A trait the world lacks writes no bytes: a COOP stream is what
 // it was before the walks reached the rest.
+
+const (
+	magic = "press-snap"
+	// format 2: Options carries the protocol suite, and the forward
+	// message codec carries the sharded-mode relay origin.
+	// format 3: the generator section carries its cancelled-timeout count.
+	// format 4: Options carries the load modulation (a format-3 blob of a
+	// diurnal or flash-crowd world restored as a stationary one).
+	format = 4
+)
+
+// Snap is one captured world.
+type Snap struct {
+	Version Version
+	Opts    Options       // normalized (withDefaults applied by Build)
+	Rate    float64       // resolved offered load the world runs at
+	At      time.Duration // sim time of the capture
+
+	blob []byte //availlint:skipfield blob the stream itself, adopted whole by seal
+	hash string //availlint:skipfield hash the stream's content address, computed by seal
+}
+
+// Bytes returns the serialized snapshot (envelope + world stream).
+func (s *Snap) Bytes() []byte { return s.blob }
+
+// Size returns the blob size in bytes.
+func (s *Snap) Size() int { return len(s.blob) }
+
+// Hash returns the snapshot's content address: the hex sha256 of the
+// blob. Two captures hash equal iff their worlds are byte-identical.
+func (s *Snap) Hash() string { return s.hash }
+
+// seal adopts blob as the snapshot's bytes and content address.
+func (s *Snap) seal(blob []byte) {
+	sum := sha256.Sum256(blob)
+	s.blob, s.hash = blob, hex.EncodeToString(sum[:])
+}
+
+// recoverSnap converts the snapio.Failf panic protocol into an ordinary
+// error at the package boundary; anything else is a bug and keeps
+// unwinding.
+func recoverSnap(err *error) {
+	if r := recover(); r != nil {
+		se, ok := r.(*snapio.SnapError)
+		if !ok {
+			panic(r)
+		}
+		*err = se
+	}
+}
+
+// envelope moves the self-describing header every blob starts with:
+// magic, format, then the snapshot's exported fields.
+func (s *Snap) envelope(x *snapio.Ctx) {
+	m, f := magic, format
+	if x.Str(&m); m != magic {
+		snapio.Failf("not a press snapshot (bad magic)")
+	}
+	if snapio.Int(x, &f); f != format {
+		snapio.Failf("unsupported snapshot format %d (have %d)", f, format)
+	}
+	x.Str((*string)(&s.Version))
+	s.Opts.snap(x)
+	x.F64(&s.Rate)
+	snapio.Int(x, &s.At)
+}
+
+// Take captures the cluster's complete state. extra, when non-nil, runs
+// between the subsystem sections and the network tables — the slot where
+// a driver (the chaos runner) moves its own pending timers, which a save
+// must still be able to claim from the pending table.
+func Take(c *Cluster, extra func(*snapio.Ctx)) (s *Snap, err error) {
+	defer recoverSnap(&err)
+	x := newCtx()
+	x.Enc = &snapio.Encoder{}
+	s = &Snap{Version: c.Version, Opts: c.Opts, Rate: c.Offered(), At: c.Sim.Now()}
+	s.envelope(x)
+	c.snapWorld(x, extra)
+	s.seal(x.Enc.Bytes())
+	return s, nil
+}
+
+// Load wraps a serialized snapshot, validating and parsing only the
+// envelope; the world stream is decoded by Restore.
+func Load(data []byte) (s *Snap, err error) {
+	defer recoverSnap(&err)
+	x := &snapio.Ctx{Dec: snapio.NewDecoder(data)}
+	s = new(Snap)
+	s.envelope(x)
+	if err := x.Dec.Err(); err != nil {
+		return nil, err
+	}
+	s.seal(data)
+	return s, nil
+}
+
+// Restore rehydrates one independent cluster from the snapshot: a cold
+// world built from the envelope, then the same walk Take ran. extra
+// mirrors Take's hook: it runs at the same stream position with the
+// half-restored cluster in hand. Each call builds a fresh world and its
+// own tables; the snapshot itself is never consumed, and any number of
+// calls may read it at the same time.
+func (s *Snap) Restore(extra func(*Cluster, *snapio.Ctx)) (c *Cluster, err error) {
+	defer recoverSnap(&err)
+	x := newCtx()
+	x.Dec = snapio.NewDecoder(s.blob)
+	var h Snap
+	h.envelope(x)
+	c = buildForRestore(h.Version, h.Opts, h.Rate)
+	var hook func(*snapio.Ctx)
+	if extra != nil {
+		hook = func(x *snapio.Ctx) { extra(c, x) }
+	}
+	c.snapWorld(x, hook)
+	if err := x.Dec.Err(); err != nil {
+		return nil, err
+	}
+	if !x.Dec.Done() {
+		snapio.Failf("trailing bytes after world stream")
+	}
+	if c.Sim.Now() != h.At {
+		snapio.Failf("restored clock %v does not match capture time %v", c.Sim.Now(), h.At)
+	}
+	return c, nil
+}
 
 // Server section tags: what a node's press part says first.
 const (
@@ -80,20 +220,9 @@ func newCtx() *snapio.Ctx {
 	}}
 }
 
-// SnapWorld appends the cluster's complete dynamic state to enc. extra,
-// when non-nil, runs between the subsystem sections and the network
-// tables — the slot where a driver (the chaos runner) moves its own
-// pending timers, which a save must still be able to claim from the
-// pending table. A structural problem is a snapio.Failf panic, which the
-// caller's boundary turns into an error.
-func (c *Cluster) SnapWorld(enc *snapio.Encoder, extra func(*snapio.Ctx)) {
-	x := newCtx()
-	x.Enc = enc
-	c.snapWorld(x, extra)
-}
-
 // snapWorld is the walk itself; loading, into the cold world
-// BuildForRestore made.
+// buildForRestore made. A structural problem is a snapio.Failf panic,
+// which Take and Restore turn into an error.
 func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	x.Sim = c.Sim
 	if x.Saving() {
@@ -158,27 +287,4 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	if !x.Saving() {
 		c.Sim.SetCounters(now, seq, fired, maxQ)
 	}
-}
-
-// RestoreWorld builds a cold world and runs the rest of dec, a stream
-// SnapWorld wrote, into it; extra gets the half-restored cluster at
-// SnapWorld's extra slot. The returned cluster continues byte-identically
-// to the one that was saved. Any number of calls may read one stream at
-// the same time: each builds its own world and its own tables.
-func RestoreWorld(v Version, o Options, rate float64, dec *snapio.Decoder, extra func(*Cluster, *snapio.Ctx)) *Cluster {
-	c := BuildForRestore(v, o, rate)
-	x := newCtx()
-	x.Dec = dec
-	var hook func(*snapio.Ctx)
-	if extra != nil {
-		hook = func(x *snapio.Ctx) { extra(c, x) }
-	}
-	c.snapWorld(x, hook)
-	if err := dec.Err(); err != nil {
-		panic(err) // a *snapio.SnapError, like every other refusal
-	}
-	if !dec.Done() {
-		snapio.Failf("trailing bytes after world stream")
-	}
-	return c
 }

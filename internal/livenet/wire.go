@@ -53,7 +53,7 @@ var wireCodec = func() *snapio.MsgCodec {
 }()
 
 // recoverWire is the connection boundary's half of snapio.Failf's panic
-// protocol, as snapshot.recoverSnap is the snapshot boundary's: a
+// protocol, as harness.recoverSnap is the snapshot boundary's: a
 // SnapError becomes the returned error, anything else is a bug and keeps
 // unwinding.
 func recoverWire(err *error) {

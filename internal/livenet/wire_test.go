@@ -86,7 +86,7 @@ var streamSamples = map[string]streamSample{
 }
 
 // snapshotEncoding is the message as the snapshot engine writes it into a
-// mailbox or connection buffer: a codec built the way internal/snapshot
+// mailbox or connection buffer: a codec built the way internal/harness
 // builds its own.
 func snapshotEncoding(m cnet.Message) []byte {
 	c := snapio.NewMsgCodec()

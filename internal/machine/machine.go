@@ -261,16 +261,15 @@ type Proc struct {
 // rate carry their handler and arguments in typed fields instead of a
 // per-delivery closure, so posting them allocates nothing once the
 // mailbox's storage has grown to its high-water mark. Exactly one of
-// fn/sfn/dfn/rfn/wfn is set; the typed forms are gated on env.live() at
+// sfn/dfn/rfn/wfn/tr is set; every form is gated on env.live() at
 // dispatch, which is what their closure equivalents did.
 type call struct {
-	fn   func()                          // plain post; no gating
 	sfn  func(cnet.Conn, cnet.Message)   // stream OnMessage
 	dfn  func(cnet.NodeID, cnet.Message) // datagram handler
 	rfn  func(cnet.Conn, error)          // dial result
 	wfn  func(cnet.Conn)                 // stream OnWritable
 	tr   *timerRec                       // pooled AfterFunc callback
-	env  *Env                            // liveness gate for typed forms
+	env  *Env                            // liveness gate
 	c    cnet.Conn
 	m    cnet.Message
 	from cnet.NodeID
@@ -288,8 +287,6 @@ type call struct {
 
 func (c *call) dispatch() {
 	switch {
-	case c.fn != nil:
-		c.fn()
 	case c.sfn != nil:
 		if c.env.live() {
 			c.sfn(c.c, c.m)
@@ -425,10 +422,6 @@ func (p *Proc) kill(abortConns bool) {
 
 func (p *Proc) runnable() bool {
 	return p.alive && !p.hung && !p.stalled && p.m.state == simnet.NodeUp
-}
-
-func (p *Proc) post(fn func()) {
-	p.postCall(call{fn: fn})
 }
 
 // postCall enqueues one mailbox entry, reclaiming spent storage when the

@@ -271,12 +271,9 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 	}
 }
 
-// tagOf classifies a mailbox entry for the stream. Only typed entries can
-// cross a snapshot: their callbacks are rebuilt from the tag on restore.
+// tagOf classifies a mailbox entry for the stream: its callback is rebuilt
+// from the tag on restore.
 func (m *Machine) tagOf(proc string, c *call) mailTag {
-	if c.fn != nil {
-		snapio.Failf("machine %d/%s: mailbox holds a raw closure (%s)", m.id, proc, snapio.FnName(c.fn))
-	}
 	if c.env == nil {
 		snapio.Failf("machine %d/%s: mailbox entry without env", m.id, proc)
 	}

@@ -108,9 +108,6 @@ func (c *docCache) Insert(doc trace.DocID) (evicted trace.DocID, didEvict bool) 
 	return 0, false
 }
 
-// Len returns the number of cached documents.
-func (c *docCache) Len() int { return c.n }
-
 // Docs lists the cached documents, most recent first. Used to seed a
 // peer's directory on (re)connection.
 func (c *docCache) Docs() []trace.DocID {

@@ -63,7 +63,7 @@ func TestQuickDocCacheBounded(t *testing.T) {
 		c := newDocCache(capDocs, 0)
 		for _, op := range ops {
 			c.Insert(trace.DocID(op % 100))
-			if c.Len() > capDocs {
+			if c.n > capDocs {
 				return false
 			}
 		}

@@ -270,12 +270,6 @@ func (s *Server) QueuedAccepts() int { return len(s.acceptQ) - s.acceptHead }
 // Stats returns a copy of the server counters.
 func (s *Server) Stats() Stats { return s.stats }
 
-// CacheLen returns the number of locally cached documents.
-func (s *Server) CacheLen() int { return s.cache.Len() }
-
-// Joined reports whether the join protocol completed.
-func (s *Server) Joined() bool { return s.joined }
-
 // SendQueueLen reports the send-queue length towards peer (tests).
 func (s *Server) SendQueueLen(n cnet.NodeID) int {
 	if p := s.peerAt(n); p != nil {

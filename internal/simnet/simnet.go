@@ -294,9 +294,6 @@ func (i *Iface) SetLossy(drop float64, extra time.Duration) {
 // Lossy reports whether the link is in gray degradation.
 func (i *Iface) Lossy() bool { return i.lossDrop > 0 }
 
-// LossDrop returns the current drop probability (0 when healthy).
-func (i *Iface) LossDrop() float64 { return i.lossDrop }
-
 // SetState mirrors a machine state change into the transport, applying the
 // crash/freeze semantics from the package documentation.
 func (i *Iface) SetState(s NodeState) {

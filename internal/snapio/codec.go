@@ -6,15 +6,14 @@
 //
 // It deliberately imports nothing above the simulation kernel so that
 // every simulation package (simnet, machine, server, workload, ...) can
-// depend on it without cycles; the orchestration lives in
-// internal/snapshot.
+// depend on it without cycles; the orchestration (harness.Snap) lives in
+// internal/harness.
 package snapio
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 )
 
 // SnapError is the panic payload snapshot code raises on a structural
@@ -56,9 +55,6 @@ func (e *Encoder) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 // Int appends an int.
 func (e *Encoder) Int(v int) { e.I64(int64(v)) }
 
-// Dur appends a time.Duration.
-func (e *Encoder) Dur(v time.Duration) { e.I64(int64(v)) }
-
 // Bool appends a boolean.
 func (e *Encoder) Bool(v bool) {
 	if v {
@@ -77,12 +73,6 @@ func (e *Encoder) F64(v float64) {
 func (e *Encoder) Str(s string) {
 	e.U64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-// Blob appends a length-prefixed byte slice.
-func (e *Encoder) Blob(b []byte) {
-	e.U64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 // Decoder reads an Encoder stream. The first malformed read makes the
@@ -143,9 +133,6 @@ func (d *Decoder) I64() int64 {
 // Int reads an int.
 func (d *Decoder) Int() int { return int(d.I64()) }
 
-// Dur reads a time.Duration.
-func (d *Decoder) Dur() time.Duration { return time.Duration(d.I64()) }
-
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool {
 	if d.err != nil {
@@ -187,22 +174,6 @@ func (d *Decoder) Str() string {
 	s := string(d.buf[d.off : d.off+int(n)])
 	d.off += int(n)
 	return s
-}
-
-// Blob reads a length-prefixed byte slice (a copy).
-func (d *Decoder) Blob() []byte {
-	n := d.U64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("blob length")
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return b
 }
 
 // Count reads a non-negative element count, the only door a length

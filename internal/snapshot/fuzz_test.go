@@ -14,7 +14,7 @@ func warmBlob(tb testing.TB, v harness.Version) []byte {
 	c := harness.NewEngine(0).Build(v, o)
 	c.Gen.Start()
 	c.Sim.RunUntil(o.Warmup)
-	snap, err := Take(c, nil)
+	snap, err := harness.Take(c, nil)
 	if err != nil {
 		tb.Fatalf("Take %s: %v", v, err)
 	}
@@ -42,7 +42,7 @@ func FuzzLoadRestore(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(data)
+		s, err := harness.Load(data)
 		if err == nil {
 			_, err = s.Restore(nil)
 		}

@@ -81,14 +81,14 @@ func TestPlainWorldRoundTrip(t *testing.T) {
 				tc.before(t, c)
 			}
 
-			snap, err := Take(c, nil)
+			snap, err := harness.Take(c, nil)
 			if err != nil {
 				t.Fatalf("Take: %v", err)
 			}
 
 			// A second capture of the same moment must be byte-identical
 			// (taking a snapshot does not perturb the world).
-			again, err := Take(c, nil)
+			again, err := harness.Take(c, nil)
 			if err != nil {
 				t.Fatalf("second Take: %v", err)
 			}
@@ -131,11 +131,11 @@ func TestLoadRoundTrip(t *testing.T) {
 	c := harness.NewEngine(0).Build(harness.VCOOP, o)
 	c.Gen.Start()
 	c.Sim.RunUntil(30 * time.Second)
-	snap, err := Take(c, nil)
+	snap, err := harness.Take(c, nil)
 	if err != nil {
 		t.Fatalf("Take: %v", err)
 	}
-	re, err := Load(snap.Bytes())
+	re, err := harness.Load(snap.Bytes())
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestLoadRoundTrip(t *testing.T) {
 	if re.Version != snap.Version || re.Rate != snap.Rate || re.At != snap.At || re.Opts != snap.Opts {
 		t.Fatalf("envelope changed across Load: %+v vs %+v", re, snap)
 	}
-	if _, err := Load(snap.Bytes()[:8]); err == nil {
+	if _, err := harness.Load(snap.Bytes()[:8]); err == nil {
 		t.Fatalf("Load accepted a truncated blob")
 	}
 }
@@ -158,7 +158,7 @@ func TestForkIndependence(t *testing.T) {
 	c := harness.NewEngine(0).Build(harness.VCOOP, o)
 	c.Gen.Start()
 	c.Sim.RunUntil(time.Minute)
-	snap, err := Take(c, nil)
+	snap, err := harness.Take(c, nil)
 	if err != nil {
 		t.Fatalf("Take: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 				c := harness.NewEngine(0).Build(v, fastOpts(4))
 				c.Gen.Start()
 				c.Sim.RunUntil(at)
-				snap, err := Take(c, nil)
+				snap, err := harness.Take(c, nil)
 				if err != nil {
 					t.Fatalf("Take: %v", err)
 				}
@@ -196,7 +196,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Restore: %v", err)
 				}
-				again, err := Take(r, nil)
+				again, err := harness.Take(r, nil)
 				if err != nil {
 					t.Fatalf("Take of the restored world: %v", err)
 				}

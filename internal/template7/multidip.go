@@ -33,9 +33,6 @@ type Dip struct {
 	Depth    float64       // 1 - Min/normal, clamped to [0, 1]
 }
 
-// Span is the dip's length.
-func (d Dip) Span() time.Duration { return d.To - d.From }
-
 // FindDips scans the throughput series over [from, to) and returns every
 // maximal run of buckets whose rate falls below frac*normal, in time
 // order. Runs separated by fewer than dipMergeGap recovered buckets are

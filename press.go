@@ -30,7 +30,6 @@ import (
 	"press/internal/chaos"
 	"press/internal/faults"
 	"press/internal/harness"
-	"press/internal/snapshot"
 	"press/internal/template7"
 )
 
@@ -365,25 +364,25 @@ func NewChaosRepro(v Version, o Options, rc ChaosRunConfig, sched ChaosSchedule,
 func LoadChaosRepro(data []byte) (ChaosRepro, error) { return chaos.LoadRepro(data) }
 func ChaosSeeds(n int) []int64                       { return chaos.Seeds(n) }
 
-// Snapshot/fork engine (internal/snapshot): checkpoint a fully warmed
+// Snapshot/fork engine (harness.Snap): checkpoint a fully warmed
 // deployment into a compact hash-addressed blob and rehydrate any number
 // of independent forks. A restored world continues byte-identically —
 // same event log, same metrics series — which is what lets whole chaos
-// campaigns pay the warm ramp once instead of per seed. Phase 1 covers
-// the INDEP and COOP versions. See DESIGN.md §13.
+// campaigns pay the warm ramp once instead of per seed. Every measured
+// version and both protocol suites are covered. See DESIGN.md §13.
 
 // Snapshot is one captured world: envelope (version, options, resolved
 // offered load, capture time) plus the serialized world stream, content-
 // addressed by its sha256 hash.
-type Snapshot = snapshot.Snap
+type Snapshot = harness.Snap
 
 // TakeSnapshot captures a deployment's complete state at the current
 // simulated instant.
-func TakeSnapshot(d *Deployment) (*Snapshot, error) { return snapshot.Take(d, nil) }
+func TakeSnapshot(d *Deployment) (*Snapshot, error) { return harness.Take(d, nil) }
 
 // LoadSnapshot wraps a serialized snapshot (Snapshot.Bytes), validating
 // its envelope.
-func LoadSnapshot(data []byte) (*Snapshot, error) { return snapshot.Load(data) }
+func LoadSnapshot(data []byte) (*Snapshot, error) { return harness.Load(data) }
 
 // RestoreSnapshot rehydrates one independent deployment from the
 // snapshot; the snapshot is reusable and can be restored any number of
@@ -402,13 +401,6 @@ func WarmChaosSnapshot(v Version, o Options, rc ChaosRunConfig) (*Snapshot, erro
 // schedule hash — a key space disjoint from every cold-start cache).
 func RunChaosFromSnapshot(s *Snapshot, sched ChaosSchedule, rc ChaosRunConfig) (ChaosResult, error) {
 	return chaos.RunFromSnapshot(shared, s, sched, rc)
-}
-
-// RunChaosCampaignForked is the warm-fork campaign: the world is warmed
-// and captured once, then every seed forks an independent copy and arms
-// its own generated schedule.
-func RunChaosCampaignForked(v Version, o Options, cfg ChaosCampaignConfig) (ChaosCampaignSummary, error) {
-	return chaos.RunCampaignForked(shared, v, o, cfg)
 }
 
 // RunChaosCampaignFromSnapshot plays a warm-fork campaign against an
