@@ -69,7 +69,6 @@ func main() {
 	up := make(chan struct{}, 3**nNodes+1)
 	var nodes []*livenet.Node
 	for i := range ids {
-		i := i
 		n := w.AddNode(ids[i])
 		nodes = append(nodes, n)
 		pub := &membership.Published{}
@@ -157,10 +156,10 @@ func main() {
 					break
 				}
 				switch e.Kind {
-				case metrics.EvDetect, metrics.EvExclude, metrics.EvInclude,
-					metrics.EvFrontendMask, metrics.EvFrontendUnmask,
-					metrics.EvMemberJoin, metrics.EvMemberLeave, metrics.EvServerUp,
-					livenet.EvSendDrop, livenet.EvWireFault:
+				case metrics.KDetect, metrics.KExclude, metrics.KInclude,
+					metrics.KFrontendMask, metrics.KFrontendUnmask,
+					metrics.KMemberJoin, metrics.KMemberLeave, metrics.KServerUp,
+					livenet.KSendDrop, livenet.KWireFault:
 					fmt.Println(e)
 				}
 			}
@@ -183,6 +182,10 @@ func main() {
 	time.Sleep(third)
 
 	o, f := <-ok, <-fail
+	if o+f == 0 {
+		fmt.Println("\nserved 0 requests: none completed")
+		return
+	}
 	fmt.Printf("\nserved %d requests, %d failed (availability %.4f)\n",
 		o, f, float64(o)/float64(o+f))
 }

@@ -110,6 +110,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)
 	}
+	if *snapOut != "" && *snapIn != "" {
+		fmt.Fprintln(os.Stderr, "-snapshot and -from-snapshot are two ways to get the campaign's warm world: pass one")
+		exit(2)
+	}
 	topo := func(o press.Options) press.Options {
 		o.Nodes = *nodes
 		o.Protocol = suite
@@ -148,7 +152,7 @@ func main() {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		defer f.Close()
 		sink = f

@@ -31,17 +31,11 @@ func run(v press.Version) (flaps int, lost float64, log []metrics.Event, ep pres
 		panic(err)
 	}
 	// Count exclusion/inclusion flaps of node 2 while the hang is active.
-	for _, e := range ep.Log.All() {
-		if e.At < ep.Markers.Fault || e.At > ep.Markers.Recover {
-			continue
-		}
-		if e.Node != 2 {
-			continue
-		}
+	for _, e := range ep.Log.Query().Node(2).Between(ep.Markers.Fault, ep.Markers.Recover+1).Events() {
 		switch e.Kind {
-		case metrics.EvExclude, metrics.EvInclude, metrics.EvQMonFail, metrics.EvFMEAction:
+		case metrics.KExclude, metrics.KInclude, metrics.KQMonFail, metrics.KFMEAction:
 			log = append(log, e)
-			if e.Kind == metrics.EvInclude {
+			if e.Kind == metrics.KInclude {
 				flaps++
 			}
 		}

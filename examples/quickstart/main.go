@@ -57,9 +57,7 @@ func main() {
 
 	// Show the interesting part of the event log.
 	fmt.Println("\nevents around the fault:")
-	for _, e := range ep.Log.All() {
-		if e.At >= ep.Markers.Fault-time.Second && e.At <= ep.Markers.Recover+30*time.Second {
-			fmt.Println("  " + e.String())
-		}
+	for _, e := range ep.Log.Query().Between(ep.Markers.Fault-time.Second, ep.Markers.Recover+30*time.Second+1).Events() {
+		fmt.Println("  " + e.String())
 	}
 }

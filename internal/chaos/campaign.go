@@ -95,9 +95,10 @@ func (c CampaignSummary) String() string {
 // seed, so the whole campaign replays bit-identically.
 func RunCampaign(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig) CampaignSummary {
 	o = resolveRate(eng, v, o)
-	return runSeeds(eng, v, o, cfg, func(seeded harness.Options, sched Schedule) (harness.Options, Result, error) {
-		res, err := Run(eng, v, seeded, sched, cfg.Run)
-		return seeded, res, err
+	return runSeeds(v, cfg, func(seed int64) (harness.Options, func(Schedule) (Result, error)) {
+		seeded := o
+		seeded.Seed = seed
+		return seeded, func(s Schedule) (Result, error) { return Run(eng, v, seeded, s, cfg.Run) }
 	})
 }
 
@@ -113,15 +114,15 @@ func resolveRate(eng *harness.Engine, v harness.Version, o harness.Options) harn
 	return o
 }
 
-// runSeeds is the per-seed campaign loop. run plays one seed's generated
-// schedule — it is handed o reseeded for that seed — and returns the
-// options of the world it actually ran against: what the outcome
-// records, and what a shrink replays cold, so a repro built from it
-// reproduces the result byte-identically. Seeds fan out concurrently;
-// each run still takes an engine worker-pool slot, so the machine never
-// oversubscribes.
-func runSeeds(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig,
-	run func(seeded harness.Options, sched Schedule) (harness.Options, Result, error)) CampaignSummary {
+// runSeeds is the per-seed campaign loop. world resolves a seed to the
+// options of the world its schedule plays on — what the outcome records,
+// so a repro built from it replays cold to the byte-identical result — and
+// to the replay that plays a schedule on that world, which runs the seed's
+// generated schedule and then every candidate a shrink tries. Seeds fan
+// out concurrently; each replay still takes an engine worker-pool slot, so
+// the machine never oversubscribes.
+func runSeeds(v harness.Version, cfg CampaignConfig,
+	world func(seed int64) (harness.Options, func(Schedule) (Result, error))) CampaignSummary {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = Seeds(4)
 	}
@@ -132,24 +133,22 @@ func runSeeds(eng *harness.Engine, v harness.Version, o harness.Options, cfg Cam
 	sum := CampaignSummary{Version: v, Outcomes: make([]SeedOutcome, len(cfg.Seeds))}
 	var wg sync.WaitGroup
 	for i, seed := range cfg.Seeds {
-		i, seed := i, seed
 		wg.Add(1)
-		// Orchestration-only: run and Shrink take pool slots; the launcher
+		// Orchestration-only: the replays take pool slots; the launcher
 		// goroutine itself never simulates.
 		go func() { //availlint:allow simgoroutine bounded by the engine worker pool
 			defer wg.Done()
 			oc := &sum.Outcomes[i]
 			oc.Seed = seed
-			seeded := o
-			seeded.Seed = seed
-			oc.Schedule = Generate(seed, v, seeded, cfg.Gen)
-			oc.Options, oc.Result, oc.Err = run(seeded, oc.Schedule)
-			if oc.Err != nil {
+			var replay func(Schedule) (Result, error)
+			oc.Options, replay = world(seed)
+			oc.Schedule = Generate(seed, v, oc.Options, cfg.Gen)
+			if oc.Result, oc.Err = replay(oc.Schedule); oc.Err != nil {
 				return
 			}
 			oc.Violations = Check(&oc.Result, invs)
 			if len(oc.Violations) > 0 && cfg.Shrink {
-				min, viol, stats, err := Shrink(eng, v, oc.Options, cfg.Run, oc.Schedule, invs)
+				min, viol, stats, err := Shrink(replay, oc.Schedule, invs)
 				if err == nil {
 					oc.Minimal, oc.MinimalViol, oc.Stats = min, viol, stats
 				}

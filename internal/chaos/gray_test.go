@@ -174,7 +174,7 @@ func TestShrinkerGroupAsUnit(t *testing.T) {
 	}
 	invs := []Invariant{AvailabilityAtLeast(0.95)}
 
-	min, viol, stats, err := Shrink(harness.NewEngine(0), harness.VMQ, o, rc, sched, invs)
+	min, viol, stats, err := Shrink(coldReplay(harness.NewEngine(0), harness.VMQ, o, rc), sched, invs)
 	if err != nil {
 		t.Fatal(err)
 	}

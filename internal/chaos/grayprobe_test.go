@@ -41,9 +41,9 @@ func TestGrayExperimentProbe(t *testing.T) {
 			winFrom, winTo := r.Start+e.At, r.Start+e.End()
 			var seen []string
 			for _, kind := range detectionKinds {
-				if ev, ok := r.Log.Filter("", kind).Node(node).After(winFrom).
+				if ev, ok := r.Log.Query().Kind(kind).Node(node).After(winFrom).
 					FirstWhere(func(ev metrics.Event) bool { return ev.At <= winTo }); ok {
-					seen = append(seen, fmt.Sprintf("%s@+%s", kind, (ev.At - winFrom).Round(time.Second)))
+					seen = append(seen, fmt.Sprintf("%s@+%s", kind, (ev.At-winFrom).Round(time.Second)))
 				}
 			}
 			viol := ""

@@ -155,9 +155,9 @@ func soloGray(r *Result, minSpan time.Duration, visit func(e Entry)) {
 // detectionKinds are the event classes that count as "some subsystem
 // noticed this node": heartbeat/probe detection, membership removal,
 // cooperation-view exclusion, and the queue monitor's two verdicts.
-var detectionKinds = []string{
-	metrics.EvDetect, metrics.EvExclude, metrics.EvMemberLeave,
-	metrics.EvQMonReroute, metrics.EvQMonFail, metrics.EvFMEAction,
+var detectionKinds = []metrics.KindID{
+	metrics.KDetect, metrics.KExclude, metrics.KMemberLeave,
+	metrics.KQMonReroute, metrics.KQMonFail, metrics.KFMEAction,
 }
 
 // GrayDetected: every isolated, steady gray fault lasting at least the
@@ -178,7 +178,7 @@ func GrayDetected(bound time.Duration) Invariant {
 				node := grayNode(e)
 				winFrom, winTo := r.Start+e.At, r.Start+e.At+bound
 				for _, kind := range detectionKinds {
-					if _, ok := r.Log.Filter("", kind).Node(node).After(winFrom).
+					if _, ok := r.Log.Query().Kind(kind).Node(node).After(winFrom).
 						FirstWhere(func(ev metrics.Event) bool { return ev.At <= winTo }); ok {
 						return
 					}
@@ -200,7 +200,7 @@ func GrayDetected(bound time.Duration) Invariant {
 // translated "slow" into "dead", the gray misclassification the
 // Beowulf performability literature warns about. Opt-in.
 func NoFalseEviction() Invariant {
-	evict := []string{metrics.EvExclude, metrics.EvMemberLeave, metrics.EvQMonFail}
+	evict := []metrics.KindID{metrics.KExclude, metrics.KMemberLeave, metrics.KQMonFail}
 	return Invariant{
 		Name: "no-false-eviction",
 		Doc:  "a merely-slow node is rerouted around, never evicted or declared failed",
@@ -213,7 +213,7 @@ func NoFalseEviction() Invariant {
 				node := grayNode(e)
 				winFrom, winTo := r.Start+e.At, r.Start+e.End()
 				for _, kind := range evict {
-					if ev, ok := r.Log.Filter("", kind).Node(node).After(winFrom).
+					if ev, ok := r.Log.Query().Kind(kind).Node(node).After(winFrom).
 						FirstWhere(func(ev metrics.Event) bool { return ev.At <= winTo }); ok {
 						evicted = append(evicted, fmt.Sprintf("%s: node %d hit %s at %s", e, node, kind, ev.At))
 						return

@@ -166,7 +166,7 @@ func fmeMisses(c *harness.Cluster, sched Schedule, t0 time.Duration) []string {
 			continue
 		}
 		winFrom, winTo := t0+e.At, t0+e.At+bound
-		_, ok := c.Log.Filter("", metrics.EvFMEAction).Node(e.Component).After(winFrom).
+		_, ok := c.Log.Query().Kind(metrics.KFMEAction).Node(e.Component).After(winFrom).
 			FirstWhere(func(ev metrics.Event) bool { return ev.At <= winTo })
 		if !ok {
 			misses = append(misses, fmt.Sprintf("%s: no fme.action on node %d within %s", e, e.Component, bound))

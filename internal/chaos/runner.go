@@ -231,7 +231,7 @@ func (r *runner) assemble() {
 		}
 	}
 	res.ActiveFaults = c.Injector.ActiveCount()
-	res.FMEActions = c.Log.Between(r.t0, res.End).Filter("", metrics.EvFMEAction).Count()
+	res.FMEActions = c.Log.Query().Kind(metrics.KFMEAction).Between(r.t0, res.End).Count()
 	res.FMEMisses = fmeMisses(c, r.sched, r.t0)
 }
 

@@ -3,8 +3,6 @@ package chaos
 import (
 	"fmt"
 	"time"
-
-	"press/internal/harness"
 )
 
 // ShrinkStats reports what the shrinker did.
@@ -27,25 +25,38 @@ const minSpan = 10 * time.Second
 // returned minimal schedule reproduces the violation on every future
 // replay; it is what goes into the repro file.
 //
-// Replays go through the memoized Run, so revisited sub-schedules are
-// free and the worst case is O(entries²) simulations.
-func Shrink(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant) (Schedule, Violation, ShrinkStats, error) {
+// replay plays a candidate the way the failing run was played: the
+// memoized cold Run for a campaign that builds a world per seed,
+// RunFromSnapshot for one forked from a warm snapshot — whose candidates
+// then fork too, and none re-simulates the warm ramp. Either way revisited
+// sub-schedules are memo hits and the worst case is O(entries²) replays.
+func Shrink(replay func(Schedule) (Result, error), sched Schedule, invs []Invariant) (Schedule, Violation, ShrinkStats, error) {
 	var stats ShrinkStats
+	violations := func(s Schedule) ([]Violation, error) {
+		stats.Runs++
+		r, err := replay(s)
+		if err != nil {
+			return nil, err
+		}
+		return Check(&r, invs), nil
+	}
 
-	// Establish the target: the first invariant the full schedule breaks.
-	target, err := firstViolation(eng, v, o, rc, sched, invs, &stats)
+	// Establish the target: the first invariant, in catalog order, the
+	// full schedule breaks.
+	viols, err := violations(sched)
 	if err != nil {
 		return sched, Violation{}, stats, err
 	}
-	if target.Invariant == "" {
+	if len(viols) == 0 {
 		return sched, Violation{}, stats, fmt.Errorf("chaos: schedule does not violate any given invariant; nothing to shrink")
 	}
+	target := viols[0]
 
 	// stillFails replays a candidate and keeps it only if the same
 	// invariant still fails: shrinking must not wander to a different
 	// bug (other invariants failing alongside is fine).
 	stillFails := func(s Schedule) (bool, error) {
-		viols, err := violations(eng, v, o, rc, s, invs, &stats)
+		viols, err := violations(s)
 		if err != nil {
 			return false, err
 		}
@@ -148,7 +159,7 @@ func Shrink(eng *harness.Engine, v harness.Version, o harness.Options, rc RunCon
 
 	// Re-derive the final violation from the minimal schedule so the
 	// repro file's detail matches what replaying it will print.
-	finals, err := violations(eng, v, o, rc, cur, invs, &stats)
+	finals, err := violations(cur)
 	if err != nil {
 		return cur, target, stats, err
 	}
@@ -158,24 +169,4 @@ func Shrink(eng *harness.Engine, v harness.Version, o harness.Options, rc RunCon
 		}
 	}
 	return cur, target, stats, fmt.Errorf("chaos: shrunken schedule no longer violates %q", target.Invariant)
-}
-
-// firstViolation replays (memoized) and returns the first violation in
-// invariant-catalog order (zero Violation when the run is clean).
-func firstViolation(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant, stats *ShrinkStats) (Violation, error) {
-	viols, err := violations(eng, v, o, rc, sched, invs, stats)
-	if err != nil || len(viols) == 0 {
-		return Violation{}, err
-	}
-	return viols[0], nil
-}
-
-// violations replays (memoized) and checks the catalog.
-func violations(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig, sched Schedule, invs []Invariant, stats *ShrinkStats) ([]Violation, error) {
-	stats.Runs++
-	r, err := Run(eng, v, o, sched, rc)
-	if err != nil {
-		return nil, err
-	}
-	return Check(&r, invs), nil
 }

@@ -8,6 +8,11 @@ import (
 	"press/internal/harness"
 )
 
+// coldReplay is the replay of a campaign that builds a world per run.
+func coldReplay(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig) func(Schedule) (Result, error) {
+	return func(s Schedule) (Result, error) { return Run(eng, v, o, s, rc) }
+}
+
 // TestShrinkerMinimizes seeds an invariant violation — a switch outage
 // buried in a schedule with two harmless app crashes — and requires the
 // shrinker to strip the noise: the minimal schedule must still violate
@@ -25,12 +30,31 @@ func TestShrinkerMinimizes(t *testing.T) {
 	invs := []Invariant{AvailabilityAtLeast(0.95)}
 
 	eng := harness.NewEngine(0)
-	min, viol, stats, err := Shrink(eng, harness.VMQ, o, rc, sched, invs)
+	t0 := time.Now()
+	min, viol, stats, err := Shrink(coldReplay(eng, harness.VMQ, o, rc), sched, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("shrunk %d -> %d entries in %d replays (%d removed, %d shortened, %d deflapped): %s",
-		len(sched), len(min), stats.Runs, stats.Removed, stats.Shortened, stats.Deflapped, viol)
+	t.Logf("cold: shrunk %d -> %d entries in %d replays (%d removed, %d shortened, %d deflapped) in %v: %s",
+		len(sched), len(min), stats.Runs, stats.Removed, stats.Shortened, stats.Deflapped, time.Since(t0).Round(time.Millisecond), viol)
+
+	// The shrink of a campaign forked from a warm snapshot forks its
+	// candidates from that snapshot too: the same decisions on the same
+	// results, without any candidate simulating the warm ramp.
+	feng := harness.NewEngine(0)
+	snap, err := WarmSnapshot(feng, harness.VMQ, o, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 = time.Now()
+	fmin, fviol, fstats, err := Shrink(func(s Schedule) (Result, error) { return RunFromSnapshot(feng, snap, s, rc) }, sched, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("forked: %d replays in %v (the warm-up, once, is not in it)", fstats.Runs, time.Since(t0).Round(time.Millisecond))
+	if fmin.String() != min.String() || fviol != viol || fstats != stats {
+		t.Fatalf("forked shrink diverged from the cold one:\n%s%v %+v\nwant\n%s%v %+v", fmin, fviol, fstats, min, viol, stats)
+	}
 
 	if viol.Invariant != "availability-at-least" {
 		t.Fatalf("final violation is %v, want availability-at-least", viol)

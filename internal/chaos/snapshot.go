@@ -131,8 +131,8 @@ func RunFromSnapshot(eng *harness.Engine, snap *harness.Snap, sched Schedule, rc
 func RunCampaignFromSnapshot(eng *harness.Engine, snap *harness.Snap, cfg CampaignConfig) (CampaignSummary, error) {
 	o := snap.Opts
 	o.Rate = snap.Rate // pin the resolved load so a cold replay matches
-	return runSeeds(eng, snap.Version, o, cfg, func(_ harness.Options, sched Schedule) (harness.Options, Result, error) {
-		res, err := RunFromSnapshot(eng, snap, sched, cfg.Run)
-		return o, res, err
+	replay := func(s Schedule) (Result, error) { return RunFromSnapshot(eng, snap, s, cfg.Run) }
+	return runSeeds(snap.Version, cfg, func(int64) (harness.Options, func(Schedule) (Result, error)) {
+		return o, replay
 	}), nil
 }

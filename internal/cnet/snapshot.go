@@ -24,11 +24,13 @@ type RestoreEnv interface {
 	// under serial, with the callback the stream cannot carry; live is
 	// false when that timer was spent and fn will never be called.
 	RestoreTimer(serial uint64, fn func()) (t clock.Timer, live bool)
-	// RestoreTicker rebuilds an unarmed ticker.
-	RestoreTicker(period time.Duration, fn func(), stopped bool) clock.Ticker
+	// SnapTicker moves a ticker of this runtime's clock: its stopped flag
+	// and its pending fire. Loading builds it on this environment, calling
+	// fn every period, and re-claims the fire.
+	SnapTicker(x *snapio.Ctx, t *clock.Ticker, period time.Duration, fn func(), what string)
 	// RestoreDialer supplies the endpoint callbacks of the untagged dials
 	// to (to, port) whose result the saved incarnation had not seen yet;
-	// RestoreTaggedDialer those of the dials issued under tag (DialTagger).
+	// RestoreTaggedDialer those of the dials issued under tag (TaggedDialer).
 	RestoreDialer(to NodeID, port string, h StreamHandlers, result func(Conn, error))
 	RestoreTaggedDialer(tag uint32, h StreamHandlers, result func(Conn, error))
 	// RestoreConn re-attaches the component's handlers to a connection.
@@ -38,14 +40,28 @@ type RestoreEnv interface {
 	RestoreConnList() []Conn
 }
 
-// DialTagger is the optional surface of an Env whose runtime can snapshot
+// TaggedDialer is the optional surface of an Env whose runtime can snapshot
 // dials in flight. A component that may have several dials to one (node,
-// port) outstanding at once, with different callbacks, calls TagNextDial
-// with a nonzero tag, unique within the process among dials with
-// different callbacks, right before each Dial, and hands the same tag to
-// RestoreTaggedDialer.
-type DialTagger interface {
-	TagNextDial(tag uint32)
+// port) outstanding at once, with different callbacks, issues each through
+// DialTagged with a nonzero tag, unique within the process among dials with
+// different callbacks, and hands the same tag to RestoreTaggedDialer.
+type TaggedDialer interface {
+	DialTagged(tag uint32, to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error))
+}
+
+// TaggedDialFunc is the signature of TaggedDialer.DialTagged.
+type TaggedDialFunc func(tag uint32, to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error))
+
+// TaggedDial returns env's DialTagged, or on a runtime without dial tags
+// its Dial with the tag dropped: what a component picks once, when it is
+// built.
+func TaggedDial(env Env) TaggedDialFunc {
+	if t, ok := env.(TaggedDialer); ok {
+		return t.DialTagged
+	}
+	return func(_ uint32, to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error)) {
+		env.Dial(to, class, port, h, result)
+	}
 }
 
 // SnapTimer moves a retained one-shot timer handle: whether there is one,
@@ -71,39 +87,9 @@ func SnapTimer(x *snapio.Ctx, env Env, h *clock.Timer, fn func(), what string) {
 	}
 }
 
-// SnapTicker moves a periodic ticker as its stopped flag and its pending
-// fire; a load rebuilds it unarmed on env, calling fn every period, and
-// hands it the re-claimed fire.
+// SnapTicker moves a periodic ticker env's clock made (RestoreEnv.SnapTicker).
 func SnapTicker(x *snapio.Ctx, env Env, t *clock.Ticker, period time.Duration, fn func(), what string) {
-	var stopped bool
-	var pending clock.Timer
-	if x.Saving() {
-		st, ok := (*t).(interface {
-			Stopped() bool
-			PendingTimer() clock.Timer
-		})
-		if !ok {
-			snapio.Failf("%s ticker %T is not restorable", what, *t)
-		}
-		stopped, pending = st.Stopped(), st.PendingTimer()
-	}
-	x.Bool(&stopped)
-	var fire func()
-	var adopt func(clock.Timer)
-	if !x.Saving() {
-		*t = env.(RestoreEnv).RestoreTicker(period, fn, stopped)
-		rt, ok := (*t).(interface {
-			FireFunc() func()
-			AdoptTimer(clock.Timer)
-		})
-		if !ok {
-			snapio.Failf("restored %s ticker %T lacks a timer-adoption surface", what, *t)
-		}
-		fire, adopt = rt.FireFunc(), rt.AdoptTimer
-	}
-	if SnapTimer(x, env, &pending, fire, what); !x.Saving() && pending != nil {
-		adopt(pending)
-	}
+	env.(RestoreEnv).SnapTicker(x, t, period, fn, what)
 }
 
 // RestoreConns re-attaches handlers to every connection env carried across

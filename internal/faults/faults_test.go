@@ -313,8 +313,8 @@ func TestFlapTogglesDeterministically(t *testing.T) {
 		t.Fatal("flap kept toggling after repair")
 	}
 	// Inject/repair events paired in the log.
-	inj := log.Count(metrics.EvFaultInject)
-	rep := log.Count(metrics.EvFaultRepair)
+	inj := log.Query().Kind(metrics.KFaultInject).Count()
+	rep := log.Query().Kind(metrics.KFaultRepair).Count()
 	if inj < 2 || inj != rep {
 		t.Fatalf("flap events unbalanced: %d injects, %d repairs", inj, rep)
 	}
@@ -382,10 +382,10 @@ func TestInjectLogsEvents(t *testing.T) {
 	a := mustInject(t, in, NodeCrash, 0)
 	s.RunFor(time.Second)
 	mustRepair(t, a)
-	if _, ok := log.First(metrics.EvFaultInject, 0); !ok {
+	if _, ok := log.Query().Kind(metrics.KFaultInject).After(0).First(); !ok {
 		t.Fatal("no inject event")
 	}
-	if _, ok := log.First(metrics.EvFaultRepair, 0); !ok {
+	if _, ok := log.Query().Kind(metrics.KFaultRepair).After(0).First(); !ok {
 		t.Fatal("no repair event")
 	}
 }

@@ -42,8 +42,9 @@ type Control interface {
 
 // Disk is the probe surface of the local disk subsystem.
 type Disk interface {
-	// Probe health-checks the disks, bypassing the request queue.
-	Probe(timeout time.Duration, done func(healthy bool))
+	// Probe health-checks the disks, bypassing the request queue;
+	// owner.DiskProbe hears the verdict.
+	Probe(timeout time.Duration, owner interface{ DiskProbe(healthy bool) })
 }
 
 // Config parameterizes the daemon.
@@ -95,11 +96,12 @@ type Daemon struct {
 	// them. Normally that is the current round, if any.
 	rounds []*round
 
-	// The simulator's hooks for snapshot identity; nil on a runtime
-	// without them. tagSeq numbers the rounds (never 0).
-	tagSeq  uint32
-	tagDial func(uint32)
-	tagDisk func(owner any)
+	// tagSeq numbers the rounds (never 0); a round's number tags its dial,
+	// which is how a restored daemon gets a dial in flight back to the round
+	// that issued it. dial is the environment's tagged dial, or its plain
+	// one on a runtime without tags.
+	tagSeq uint32
+	dial   cnet.TaggedDialFunc
 }
 
 // NewDaemon starts the FME daemon.
@@ -114,12 +116,7 @@ func NewDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
 func newDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
 	d := &Daemon{cfg: cfg.withDefaults(), env: env, disk: disk, ctl: ctl}
 	d.src = metrics.InternSource(fmt.Sprintf("fme/%d", d.cfg.Self))
-	if t, ok := env.(cnet.DialTagger); ok {
-		d.tagDial = t.TagNextDial
-	}
-	if t, ok := disk.(interface{ SetNextOwner(owner any) }); ok {
-		d.tagDisk = t.SetNextOwner
-	}
+	d.dial = cnet.TaggedDial(env)
 	return d
 }
 
@@ -178,14 +175,12 @@ func (d *Daemon) tick() {
 		d.tagSeq = 1
 	}
 	r.tag = d.tagSeq
-	if d.tagDisk != nil {
-		d.tagDisk(r)
-	}
-	d.disk.Probe(d.cfg.ProbeTimeout, r.diskVerdict)
+	d.disk.Probe(d.cfg.ProbeTimeout, r)
 	r.probeApp()
 }
 
-func (r *round) diskVerdict(healthy bool) {
+// DiskProbe takes the disk subsystem's verdict.
+func (r *round) DiskProbe(healthy bool) {
 	r.haveDisk, r.diskHealthy = true, healthy
 	r.decide()
 	r.retire()
@@ -214,10 +209,7 @@ func (r *round) probeApp() {
 	d.probeSeq++
 	r.timeoutT = d.env.Clock().AfterFunc(d.cfg.ProbeTimeout, r.onTimeout)
 	r.dialing = true
-	if d.tagDial != nil {
-		d.tagDial(r.tag)
-	}
-	d.env.Dial(d.env.Local(), cnet.ClassClient, server.PortHTTP, r.h, r.onDial)
+	d.dial(r.tag, d.env.Local(), cnet.ClassClient, server.PortHTTP, r.h, r.onDial)
 }
 
 func (r *round) onTimeout() {

@@ -99,7 +99,7 @@ func TestHangTranslatedToRestart(t *testing.T) {
 	if !fx.m.Proc("press").Alive() || fx.m.Proc("press").Hung() {
 		t.Fatal("app not healthy after crash-restart translation")
 	}
-	if _, ok := fx.log.First(metrics.EvFMEAction, 0); !ok {
+	if _, ok := fx.log.Query().Kind(metrics.KFMEAction).After(0).First(); !ok {
 		t.Fatal("no FME action event logged")
 	}
 }

@@ -8,10 +8,7 @@ import (
 // Snapshot support. The daemon moves its counters, its probe ticker and
 // the probe rounds something can still call back. A round is an owner: the
 // disk subsystem's section, which runs later, names it as the receiver of
-// the health check's verdict (simdisk.ProbeOwner).
-
-// RestoreDiskProbe implements simdisk.ProbeOwner.
-func (r *round) RestoreDiskProbe() func(healthy bool) { return r.diskVerdict }
+// the health check's verdict (round.DiskProbe).
 
 // OwnerGone tells the disk subsystem's walk that this round's daemon has
 // died with its machine (snapio.Ctx.Owner). The verdict of a health check

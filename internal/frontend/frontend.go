@@ -119,11 +119,12 @@ type Frontend struct {
 	pingT  clock.Ticker
 	connT  clock.Ticker
 
-	// tagSeq numbers relays and probes; a record's number tags its dials
-	// (cnet.DialTagger), which is how a restored front-end gets each dial
-	// in flight back to the record that issued it.
-	tagSeq  uint32
-	tagDial func(uint32) // nil on a runtime without dial tags
+	// tagSeq numbers relays and probes; a record's number tags its dials,
+	// which is how a restored front-end gets each dial in flight back to the
+	// record that issued it. dialTagged is the environment's tagged dial, or
+	// its plain one on a runtime without tags.
+	tagSeq     uint32
+	dialTagged cnet.TaggedDialFunc
 }
 
 // New starts a front-end process on env.
@@ -143,9 +144,7 @@ func newFrontend(cfg Config, env cnet.Env) *Frontend {
 	for _, b := range f.cfg.Backends {
 		f.backends[b] = &backendState{}
 	}
-	if t, ok := env.(cnet.DialTagger); ok {
-		f.tagDial = t.TagNextDial
-	}
+	f.dialTagged = cnet.TaggedDial(env)
 	f.route = f.pick
 	if f.cfg.ShardRoute {
 		f.route = f.pickOwner
@@ -168,10 +167,7 @@ func (f *Frontend) nextTag() uint32 {
 
 // dial issues a dial under the issuing record's tag.
 func (f *Frontend) dial(to cnet.NodeID, tag uint32, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	if f.tagDial != nil {
-		f.tagDial(tag)
-	}
-	f.env.Dial(to, cnet.ClassClient, server.PortHTTP, h, result)
+	f.dialTagged(tag, to, cnet.ClassClient, server.PortHTTP, h, result)
 }
 
 // Healthy returns the nodes currently in rotation, sorted (tests and the

@@ -71,8 +71,11 @@ func newFEWorld(t *testing.T, n int, feCfg frontend.Config) *feWorld {
 // nullDisk satisfies server.DiskArray for fully-cached configurations.
 type nullDisk struct{}
 
-func (nullDisk) Read(key int, done func(ok bool)) bool { done(true); return true }
-func (nullDisk) NotifySpace(fn func())                 {}
+func (nullDisk) ReadFor(key int, owner interface{ DiskDone(ok bool) }) bool {
+	owner.DiskDone(true)
+	return true
+}
+func (nullDisk) NotifySpace(interface{ DiskSpace() }) {}
 
 func (w *feWorld) warm(t *testing.T) {
 	t.Helper()
@@ -103,8 +106,8 @@ func TestPingMasksCrashedNode(t *testing.T) {
 	if len(healthy) != 2 {
 		t.Fatalf("healthy = %v after crash", healthy)
 	}
-	ev, ok := w.log.FirstMatch(crashAt, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvFrontendMask && e.Node == 1
+	ev, ok := w.log.Query().After(crashAt).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KFrontendMask && e.Node == 1
 	})
 	if !ok {
 		t.Fatal("no mask event")
@@ -154,8 +157,8 @@ func TestCMonMasksAppCrashFast(t *testing.T) {
 	if got := len((*w.fe).Healthy()); got != 2 {
 		t.Fatalf("C-MON did not mask the app crash (healthy=%d)", got)
 	}
-	ev, _ := w.log.FirstMatch(crashAt, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvFrontendMask && e.Node == 1
+	ev, _ := w.log.Query().After(crashAt).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KFrontendMask && e.Node == 1
 	})
 	if ev.At-crashAt > 3*time.Second {
 		t.Fatalf("C-MON detection took %v, want ~2s", ev.At-crashAt)

@@ -76,6 +76,12 @@ func NewStandby(cfg StandbyConfig, env cnet.Env, ctl TakeoverControl) *Standby {
 	return s
 }
 
+// KTakeover is the standby's own event kind: it took the primary's address.
+var (
+	KTakeover  = metrics.InternKind("fe.takeover")
+	srcStandby = metrics.InternSource("fe-standby")
+)
+
 func newStandby(cfg StandbyConfig, env cnet.Env, ctl TakeoverControl) *Standby {
 	s := &Standby{cfg: cfg.withDefaults(), env: env, ctl: ctl}
 	env.BindDatagram(PortPair, s.onPong)
@@ -94,10 +100,9 @@ func (s *Standby) tick() {
 		s.misses++
 		if s.misses >= s.cfg.HBMiss {
 			s.active = true
-			s.env.Events().EmitInt(s.env.Clock().Now(), metrics.InternSource("fe-standby"),
-				metrics.InternKind(metrics.EvDetect),
+			s.env.Events().EmitInt(s.env.Clock().Now(), srcStandby, metrics.KDetect,
 				int(s.cfg.Primary), "primary missed %d heartbeats", int64(s.misses))
-			s.env.Events().Emit(s.env.Clock().Now(), "fe-standby", "fe.takeover",
+			s.env.Events().EmitID(s.env.Clock().Now(), srcStandby, KTakeover,
 				int(s.cfg.Self), "IP takeover")
 			s.ctl.Takeover()
 			s.hb.Stop()

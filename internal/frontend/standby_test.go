@@ -55,7 +55,7 @@ func TestStandbyTakesOverOnPrimaryCrash(t *testing.T) {
 	if !sb.Active() {
 		t.Fatal("standby not active after takeover")
 	}
-	ev, ok := log.First("fe.takeover", crashAt)
+	ev, ok := log.Query().Kind(frontend.KTakeover).After(crashAt).First()
 	if !ok {
 		t.Fatal("no takeover event")
 	}

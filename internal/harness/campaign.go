@@ -62,7 +62,6 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
-		i, spec := i, spec
 		wg.Add(1)
 		// Orchestration-only goroutine: each immediately blocks inside
 		// episode on the warm-up or on the engine's worker-pool slot, so

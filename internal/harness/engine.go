@@ -229,7 +229,6 @@ func (e *Engine) episodesUncached(v Version, o Options, specs []faults.Spec, sch
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, spec := range specs {
-		i, spec := i, spec
 		wg.Add(1)
 		go func() { //availlint:allow simgoroutine bounded by the local sem; this IS the benchmark pool
 			defer wg.Done()
@@ -261,7 +260,6 @@ func (e *Engine) prewarmJobs(sched EpisodeSchedule, jobs []campaignJob) error {
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
-		i, j := i, j
 		wg.Add(1)
 		// Orchestration-only: Campaign's episodes take pool slots; the
 		// launcher goroutine itself never simulates.

@@ -182,13 +182,13 @@ func episodeFrom(c *Cluster, f faults.Type, comp int, sched EpisodeSchedule) (Ep
 // exactly how the template handles undetected faults.
 func findDetection(log *metrics.Log, f faults.Type, comp int, tFault, tRepair time.Duration) time.Duration {
 	node := faultNode(f, comp)
-	q := log.Between(tFault, tRepair)
+	q := log.Query().Between(tFault, tRepair)
 	if node >= 0 {
 		q = q.Node(node)
 	}
 	ev, ok := q.FirstWhere(func(e metrics.Event) bool {
 		switch e.Kind {
-		case metrics.EvDetect, metrics.EvQMonFail, metrics.EvFMEAction:
+		case metrics.KDetect, metrics.KQMonFail, metrics.KFMEAction:
 			return true
 		}
 		return false

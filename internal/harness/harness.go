@@ -491,7 +491,6 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 
 	diskCfg := simdisk.DefaultConfig()
 	for i := 0; i < n; i++ {
-		i := i
 		disks := simdisk.NewArray(s, s.NewRand(fmt.Sprintf("disks/%d", i)), diskCfg, 2)
 		m := machine.New(s, net, ids[i], disks, log)
 		c.Machines = append(c.Machines, m)

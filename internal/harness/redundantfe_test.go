@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"press/internal/faults"
+	"press/internal/frontend"
 	"press/internal/template7"
 )
 
@@ -28,7 +29,7 @@ func TestRedundantFETakeover(t *testing.T) {
 		t.Fatalf("stage C %.1f of %.1f: takeover ineffective", c, ep.Normal)
 	}
 	// The takeover event must be logged.
-	if _, ok := ep.Log.First("fe.takeover", ep.Markers.Fault); !ok {
+	if _, ok := ep.Log.Query().Kind(frontend.KTakeover).After(ep.Markers.Fault).First(); !ok {
 		t.Fatal("no takeover event")
 	}
 }

@@ -80,7 +80,7 @@ func TestEveryDatagramMessageIsDelivered(t *testing.T) {
 			t.Errorf("%T never arrived", m)
 		}
 	}
-	if e, ok := w.Log().First(EvSendDrop, 0); ok {
+	if e, ok := w.Log().Query().Kind(KSendDrop).First(); ok {
 		t.Errorf("the world log reports %v", e)
 	}
 }
@@ -106,7 +106,7 @@ func TestUnencodableDatagramIsLoggedOncePerType(t *testing.T) {
 		sender.Send(1, cnet.ClassIntra, "p", stranger{i}, 8)
 	}
 	sender.Send(1, cnet.ClassIntra, "p", other{"x"}, 8)
-	drops := w.Log().Filter("livenet", EvSendDrop).Events()
+	drops := w.Log().Query().Source(srcLivenet).Kind(KSendDrop).Events()
 	if len(drops) != 2 || !strings.Contains(drops[0].Detail, "stranger") || !strings.Contains(drops[1].Detail, "other") || drops[0].Node != 0 {
 		t.Fatalf("world log holds %v, want one drop event for each of the two types, from node 0", drops)
 	}

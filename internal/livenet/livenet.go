@@ -347,18 +347,20 @@ func (e *Env) dropCloser(id uint64) {
 // Event kinds the transport itself emits into the world log (source
 // "livenet"): things a component cannot see because the transport
 // absorbed them.
-const (
-	// EvSendDrop: datagrams of some type cannot be encoded, so none of
+var (
+	// KSendDrop: datagrams of some type cannot be encoded, so none of
 	// them is ever sent. Emitted once per type.
-	EvSendDrop = "livenet.drop"
-	// EvWireFault: a stream was closed because what crossed it, or was
+	KSendDrop = metrics.InternKind("livenet.drop")
+	// KWireFault: a stream was closed because what crossed it, or was
 	// about to, is not the wire protocol.
-	EvWireFault = "livenet.wire"
+	KWireFault = metrics.InternKind("livenet.wire")
+
+	srcLivenet = metrics.InternSource("livenet")
 )
 
-func (e *Env) emit(kind, detail string) {
+func (e *Env) emit(kind metrics.KindID, detail string) {
 	w := e.p.node.w
-	w.log.Emit(w.clk.Now(), "livenet", kind, int(e.p.node.id), detail)
+	w.log.EmitID(w.clk.Now(), srcLivenet, kind, int(e.p.node.id), detail)
 }
 
 // Local implements cnet.Env.
@@ -472,7 +474,7 @@ func (e *Env) Send(to cnet.NodeID, class cnet.Class, port string, m cnet.Message
 		w.unsendable[t] = true
 		w.mu.Unlock()
 		if !seen {
-			e.emit(EvSendDrop, fmt.Sprintf("every %v datagram is dropped: %v", t, err))
+			e.emit(KSendDrop, fmt.Sprintf("every %v datagram is dropped: %v", t, err))
 		}
 		return
 	}
@@ -566,7 +568,7 @@ func (t *tcpConn) TrySend(m cnet.Message, size int) bool {
 		*buf = frame // keep what it grew to, unless a huge HelloMsg grew it
 	}
 	if err != nil {
-		t.env.emit(EvWireFault, err.Error())
+		t.env.emit(KWireFault, err.Error())
 		t.broken.Store(true)
 		t.Close()
 		return true
@@ -619,7 +621,7 @@ func (t *tcpConn) readLoop() {
 		return // closed or killed on this side
 	}
 	if errors.Is(err, errWire) {
-		t.env.emit(EvWireFault, err.Error())
+		t.env.emit(KWireFault, err.Error())
 	}
 	t.env.enqueue(task{conn: t, cause: closeCause(err)})
 }
@@ -754,20 +756,20 @@ type MemDisk struct {
 	Service time.Duration
 }
 
-// Read implements server.DiskArray.
-func (d MemDisk) Read(key int, done func(ok bool)) bool {
+// ReadFor implements server.DiskArray.
+func (d MemDisk) ReadFor(key int, owner interface{ DiskDone(ok bool) }) bool {
 	svc := d.Service
 	if svc <= 0 {
 		svc = 2 * time.Millisecond
 	}
-	time.AfterFunc(svc, func() { done(true) })
+	time.AfterFunc(svc, func() { owner.DiskDone(true) })
 	return true
 }
 
 // NotifySpace implements server.DiskArray (the queue never fills).
-func (d MemDisk) NotifySpace(fn func()) {}
+func (d MemDisk) NotifySpace(interface{ DiskSpace() }) {}
 
 // Probe implements fme.Disk.
-func (d MemDisk) Probe(timeout time.Duration, done func(healthy bool)) {
-	time.AfterFunc(time.Millisecond, func() { done(true) })
+func (d MemDisk) Probe(timeout time.Duration, owner interface{ DiskProbe(healthy bool) }) {
+	time.AfterFunc(time.Millisecond, func() { owner.DiskProbe(true) })
 }

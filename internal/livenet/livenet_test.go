@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"press/internal/cnet"
+	"press/internal/metrics"
 	"press/internal/server"
 )
 
@@ -264,8 +265,8 @@ func TestLivePressClusterFormsAndServes(t *testing.T) {
 	waitFor(t, "live request served", ok.Load)
 	// Nothing the protocols sent was refused by the transport: a message
 	// type missing from either codec shows here.
-	for _, kind := range []string{EvSendDrop, EvWireFault} {
-		if e, found := w.Log().First(kind, 0); found {
+	for _, kind := range []metrics.KindID{KSendDrop, KWireFault} {
+		if e, found := w.Log().Query().Kind(kind).First(); found {
 			t.Errorf("the transport reports %v", e)
 		}
 	}

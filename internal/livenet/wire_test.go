@@ -331,7 +331,7 @@ func TestHostileStreamClosesTheConnection(t *testing.T) {
 			if !ok {
 				break
 			}
-			if e.Kind == EvWireFault && e.Source == "livenet" && e.Node == 0 {
+			if e.Kind == KWireFault && e.Source == srcLivenet && e.Node == 0 {
 				said = append(said, e.Detail)
 			}
 		}
@@ -439,7 +439,7 @@ func TestUnsendableMessageClosesTheConnection(t *testing.T) {
 			t.Fatalf("an end was told %v, want cnet.ErrClosed", err)
 		}
 	}
-	e, ok := w.Log().First(EvWireFault, 0)
+	e, ok := w.Log().Query().Kind(KWireFault).First()
 	if !ok || e.Node != 1 || !strings.Contains(e.Detail, "stranger") {
 		t.Fatalf("world log: %v (found %v), want a wire fault on node 1 naming the type", e, ok)
 	}

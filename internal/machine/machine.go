@@ -249,10 +249,6 @@ type Proc struct {
 	// retained timer handles.
 	timerSeq uint64
 
-	// nextDialTag is the tag of the Dial about to be issued
-	// (Env.TagNextDial), consumed by that call.
-	nextDialTag uint32
-
 	// rst holds restore-only scratch state; nil outside a restore.
 	rst *procRestore
 }
@@ -280,7 +276,7 @@ type call struct {
 	// dial distinguishes a dial result from an OnClose — both post rfn.
 	// tag sits in dial's padding: the entry is copied at packet rate.
 	dial bool
-	tag  uint32      // dial tag (Env.TagNextDial), 0 for an untagged dial
+	tag  uint32      // dial tag (Env.DialTagged), 0 for an untagged dial
 	to   cnet.NodeID // dial destination
 	port string      // dgram port / dial port
 }
@@ -566,42 +562,41 @@ func (p *Proc) dropConn(c cnet.Conn) {
 	p.conns = p.conns[:last]
 }
 
-// dialRec carries one Dial's result callback and the component's
-// handlers through the dial machinery without a per-dial closure. It is
-// released as soon as the result callback has run; the handlers move to
-// the connection's record on success.
+// dialRec is one Dial in flight: the network's owner record for the
+// handshake (simnet.DialOwner), carrying the component's handlers and
+// result callback without a per-dial closure. It is released as soon as the
+// result has been posted; the handlers move to the connection's record on
+// success.
 type dialRec struct {
 	e      *Env
 	result func(cnet.Conn, error) // endpoint callback, re-registered via Env.RestoreDialer
 	h      cnet.StreamHandlers    // endpoint handlers, re-registered via Env.RestoreDialer
-	cb     func(cnet.Conn, error) // completion closure, built once per record
 	to     cnet.NodeID            // snapshot identity of the dial: destination, port
 	port   string
-	tag    uint32 // ... and the component's tag (Env.TagNextDial), 0 without one
+	tag    uint32 // ... and the component's tag (Env.DialTagged), 0 without one
 	slot   int    // registry index, reassigned as restore re-registers in-flight dials
 }
 
-func (m *Machine) getDial() *dialRec {
-	r := m.dialFree.Get()
-	if r.cb != nil {
-		return r // recycled: completion closure already built
-	}
-	r.cb = func(c cnet.Conn, err error) {
-		e := r.e
-		if !e.live() {
-			if c != nil {
-				c.Close() // never adopted
-			}
-			e.p.m.putDial(r)
-			return
-		}
+// DialHandlers implements simnet.DialOwner: the half gets the incarnation's
+// mailbox wrappers.
+func (r *dialRec) DialHandlers() cnet.StreamHandlers { return r.e.hooks.h }
+
+// DialResult implements simnet.DialOwner: adopt the connection and post the
+// component's callback, or drop both when the incarnation has died.
+func (r *dialRec) DialResult(c cnet.Conn, err error) {
+	e := r.e
+	if !e.live() {
 		if c != nil {
-			e.p.adoptConn(e, c.(simnet.StreamConn), r.h)
+			c.Close() // never adopted
 		}
-		e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, tag: r.tag, to: r.to, port: r.port})
 		e.p.m.putDial(r)
+		return
 	}
-	return r
+	if c != nil {
+		e.p.adoptConn(e, c.(simnet.StreamConn), r.h)
+	}
+	e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, tag: r.tag, to: r.to, port: r.port})
+	e.p.m.putDial(r)
 }
 
 func (m *Machine) putDial(r *dialRec) {
@@ -829,28 +824,23 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 	})
 }
 
-// TagNextDial implements cnet.DialTagger: the next Dial carries tag, which
-// is how a restore tells this process's concurrent dials to one (node,
-// port) apart.
-func (e *Env) TagNextDial(tag uint32) {
-	if e.live() {
-		e.p.nextDialTag = tag
-	}
-}
-
 // Dial implements cnet.Env.
 func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	e.DialTagged(0, to, class, port, h, result)
+}
+
+// DialTagged implements cnet.TaggedDialer: Dial under tag, which is how a
+// restore tells this process's concurrent dials to one (node, port) apart.
+func (e *Env) DialTagged(tag uint32, to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	if !e.live() {
 		return
 	}
-	dr := e.p.m.getDial()
+	dr := e.p.m.dialFree.Get()
 	dr.e, dr.result, dr.h = e, result, h
-	dr.to, dr.port, dr.tag = to, port, e.p.nextDialTag
-	e.p.nextDialTag = 0
+	dr.to, dr.port, dr.tag = to, port, tag
 	dr.slot = len(e.p.m.dials)
 	e.p.m.dials = append(e.p.m.dials, dr)
-	e.p.m.iface.Network().SetNextDialOwner(dr)
-	e.p.m.iface.Dial(to, class, port, e.hooks.h, dr.cb)
+	e.p.m.iface.DialFor(to, class, port, dr)
 }
 
 // Listen implements cnet.Env.
@@ -874,7 +864,10 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 	})
 }
 
-var _ cnet.Env = (*Env)(nil)
+var (
+	_ cnet.Env          = (*Env)(nil)
+	_ cnet.TaggedDialer = (*Env)(nil)
+)
 
 // procClock delivers timer callbacks through the process mailbox.
 type procClock struct{ e *Env }
@@ -927,12 +920,12 @@ func (pc procClock) Every(d time.Duration, fn func()) clock.Ticker {
 type procTicker struct {
 	e       *Env
 	period  time.Duration
-	fn      func()    // tick callback, re-supplied by the component on restore (Env.RestoreTicker)
+	fn      func()    // tick callback, re-supplied by the component on restore (Env.SnapTicker)
 	fireFn  func()    // once-bound dispatch closure, rebuilt with the ticker
-	t       sim.Timer //availlint:skipfield t pending kernel handle, re-armed by serial claim on restore
+	t       sim.Timer // pending kernel handle, re-armed by serial claim on restore
 	serial  uint64
-	firing  bool
-	rearmed bool
+	firing  bool // fn is running
+	rearmed bool // ... and called Reschedule; both false between events
 	stopped bool
 }
 
@@ -954,10 +947,11 @@ func (t *procTicker) fire() {
 	if t.stopped {
 		return
 	}
-	t.firing, t.rearmed = true, false
+	t.firing = true
 	t.fn()
-	t.firing = false
-	if !t.stopped && !t.rearmed {
+	rearmed := t.rearmed
+	t.firing, t.rearmed = false, false
+	if !t.stopped && !rearmed {
 		t.arm(t.period)
 	}
 }
@@ -987,31 +981,6 @@ func (t *procTicker) Reschedule(d time.Duration) {
 	}
 	t.t.Stop()
 	t.arm(d)
-}
-
-// PendingTimer returns the pending (or fire-in-mailbox) timer handle for
-// snapshot code, nil when stopped or never armed.
-func (t *procTicker) PendingTimer() clock.Timer {
-	if t.serial == 0 {
-		return nil
-	}
-	return procTimer{t: t.t, serial: t.serial}
-}
-
-// Stopped reports whether Stop ended the loop (snapshot surface).
-func (t *procTicker) Stopped() bool { return t.stopped }
-
-// FireFunc returns the bound dispatch closure a restored pending timer
-// must invoke (snapshot surface).
-func (t *procTicker) FireFunc() func() { return t.fireFn }
-
-// AdoptTimer attaches a restored pending timer handle (snapshot surface).
-func (t *procTicker) AdoptTimer(h clock.Timer) {
-	pt, ok := h.(procTimer)
-	if !ok {
-		panic(fmt.Sprintf("machine: procTicker cannot adopt timer %T", h))
-	}
-	t.t, t.serial = pt.t, pt.serial
 }
 
 var _ clock.Ticker = (*procTicker)(nil)

@@ -299,7 +299,7 @@ func TestTakeOfflineLogsAndCrashes(t *testing.T) {
 	if m.Up() {
 		t.Fatal("machine still up after TakeOffline")
 	}
-	if _, ok := w.log.First(metrics.EvFMEAction, 0); !ok {
+	if _, ok := w.log.Query().Kind(metrics.KFMEAction).After(0).First(); !ok {
 		t.Fatal("no FME action event logged")
 	}
 }

@@ -114,10 +114,10 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			snapio.Failf("machine %d: proc order mismatch (%q vs %q)", m.id, got, name)
 		}
 		p := m.procs[name]
-		if x.Saving() && (len(p.pauseScratch) != 0 || p.nextDialTag != 0 || p.rst != nil) {
+		if x.Saving() && (len(p.pauseScratch) != 0 || p.rst != nil) {
 			// What an event leaves behind it only while it runs.
-			snapio.Failf("machine %d/%s: snapshot taken inside an event (%d conns mid-pause, dial tag %d, restoring %v)",
-				m.id, name, len(p.pauseScratch), p.nextDialTag, p.rst != nil)
+			snapio.Failf("machine %d/%s: snapshot taken inside an event (%d conns mid-pause, restoring %v)",
+				m.id, name, len(p.pauseScratch), p.rst != nil)
 		}
 		x.Bool(&p.alive)
 		x.U64(&p.incarnation)
@@ -233,7 +233,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			dr = m.dials[i]
 			proc, live = dr.e.p.name, dr.e.live()
 		} else {
-			dr = m.getDial()
+			dr = m.dialFree.Get()
 			dr.slot = len(m.dials)
 			m.dials = append(m.dials, dr)
 		}
@@ -371,17 +371,33 @@ func (e *Env) RestoreTimer(serial uint64, fn func()) (t clock.Timer, live bool) 
 	return procTimer{serial: serial}, false
 }
 
-// RestoreTicker rebuilds an unarmed native ticker from snapshot state.
-// The caller re-claims the ticker's pending fire (if one was saved)
-// through RestoreTimer with the ticker's FireFunc and hands the handle
-// to AdoptTimer.
-func (e *Env) RestoreTicker(period time.Duration, fn func(), stopped bool) clock.Ticker {
-	if fn == nil {
-		panic("clock: nil ticker function")
+// SnapTicker implements cnet.RestoreEnv: a native ticker travels as its
+// stopped flag and, when a fire is pending or sits in the mailbox, that
+// fire's serial — an ordinary proc timer, which a load re-claims.
+func (e *Env) SnapTicker(x *snapio.Ctx, t *clock.Ticker, period time.Duration, fn func(), what string) {
+	var pt *procTicker
+	if x.Saving() {
+		var ok bool
+		if pt, ok = (*t).(*procTicker); !ok {
+			snapio.Failf("%s ticker %T is not restorable", what, *t)
+		}
+		if pt.firing || pt.rearmed {
+			snapio.Failf("%s ticker: snapshot taken inside its tick", what)
+		}
+	} else {
+		pt = &procTicker{e: e, period: period, fn: fn}
+		pt.fireFn = pt.fire
+		*t = pt
 	}
-	t := &procTicker{e: e, period: period, fn: fn, stopped: stopped}
-	t.fireFn = t.fire
-	return t
+	x.Bool(&pt.stopped)
+	armed := pt.serial != 0
+	if x.Bool(&armed); !armed {
+		return
+	}
+	if x.U64(&pt.serial); !x.Saving() {
+		h, _ := e.RestoreTimer(pt.serial, pt.fireFn)
+		pt.t = h.(procTimer).t
+	}
 }
 
 // RestoreConnList returns every connection the restoring process
@@ -404,7 +420,7 @@ func (e *Env) RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, 
 }
 
 // RestoreTaggedDialer is RestoreDialer for the dials issued under tag
-// (TagNextDial).
+// (DialTagged).
 func (e *Env) RestoreTaggedDialer(tag uint32, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	if tag == 0 {
 		snapio.Failf("machine %d/%s: RestoreTaggedDialer with tag 0", e.p.m.id, e.p.name)
@@ -561,10 +577,4 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 	}
 	snapio.Failf("machine: unknown mailbox tag %d", t.kind)
 	return call{}
-}
-
-// RestoreDial implements simnet.DialRestorer for in-flight handshakes
-// owned by this machine's dial records.
-func (r *dialRec) RestoreDial() (cnet.StreamHandlers, func(cnet.Conn, error)) {
-	return r.e.hooks.h, r.cb
 }

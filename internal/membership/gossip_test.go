@@ -83,7 +83,7 @@ func TestGossipCrashExcludeRejoin(t *testing.T) {
 			t.Fatalf("daemon %d still sees crashed node: %v", i, members)
 		}
 	}
-	if _, ok := w.log.Filter("", metrics.EvMemberLeave).Node(5).After(crashAt).First(); !ok {
+	if _, ok := w.log.Query().Kind(metrics.KMemberLeave).Node(5).After(crashAt).First(); !ok {
 		t.Fatal("no member-leave event for the crashed node")
 	}
 	w.machines[5].Restart()
@@ -127,7 +127,7 @@ func TestGossipLinkFlapSplinterRejoin64(t *testing.T) {
 	if err := a.Repair(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := w.log.Filter("", metrics.EvMemberLeave).Node(7).After(flapStart).First(); !ok {
+	if _, ok := w.log.Query().Kind(metrics.KMemberLeave).Node(7).After(flapStart).First(); !ok {
 		t.Fatalf("link flap never caused an exclusion\n%s", w.log.Dump())
 	}
 	w.sim.RunFor(time.Duration(2*gossipRounds(n)) * time.Second)

@@ -110,7 +110,7 @@ func TestCrashExcludedByNeighbours(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := w.log.Filter("", metrics.EvMemberLeave).Node(1).After(crashAt).First(); !ok {
+	if _, ok := w.log.Query().Kind(metrics.KMemberLeave).Node(1).After(crashAt).First(); !ok {
 		t.Fatal("no member-leave event")
 	}
 }
@@ -314,7 +314,7 @@ func TestLinkFlapSplinterRejoin(t *testing.T) {
 
 	// The flap must actually have splintered the group at least once —
 	// otherwise this test witnesses nothing.
-	if _, ok := w.log.Filter("", metrics.EvMemberLeave).Node(2).After(flapStart).First(); !ok {
+	if _, ok := w.log.Query().Kind(metrics.KMemberLeave).Node(2).After(flapStart).First(); !ok {
 		t.Fatalf("link flap never caused an exclusion\n%s", w.log.Dump())
 	}
 

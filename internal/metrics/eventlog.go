@@ -12,13 +12,13 @@ import (
 // the 7-stage template (fault occurs, fault detected, component recovers,
 // operator reset, ...) and tests read it to assert protocol behaviour.
 //
-// Event is the materialized, public view: the log stores interned source
-// and kind IDs plus (possibly lazily formatted) detail internally and
-// builds Events on read.
+// Event is the materialized, public view: source and kind stay the
+// interned IDs the log stores (they print as their names), and the
+// possibly lazily formatted detail is rendered on read.
 type Event struct {
 	At     time.Duration // virtual time
-	Source string        // component, e.g. "press", "membership", "fme", "frontend", "injector"
-	Kind   string        // e.g. "fault.inject", "detect.exclude", "member.join"
+	Source SourceID      // component, e.g. "press/3", "membd/2", "fme/1", "frontend", "injector"
+	Kind   KindID        // e.g. KFaultInject, KExclude, KMemberJoin
 	Node   int           // node the event concerns, -1 if not applicable
 	Detail string
 }
@@ -33,31 +33,50 @@ func (e Event) String() string {
 // never rebuilds or hashes the string.
 type SourceID uint16
 
-// KindID is an interned event kind. The well-known kinds have fixed IDs
-// (KFaultInject ...); ad-hoc kinds intern on first use.
+// KindID is an interned event kind: the one vocabulary components emit in
+// and readers match on. The well-known kinds have fixed IDs; a component
+// with a kind of its own interns it once, as a package-level variable.
 type KindID uint16
 
-// Fixed kind registry: these IDs are stable, in declaration order, and
-// mirror the Ev* string constants below.
+// The fixed kinds shared across components, with the names they print as.
 const (
-	KFaultInject KindID = iota
-	KFaultRepair
-	KDetect
-	KExclude
-	KInclude
-	KOperatorReset
-	KServerUp
-	KServerDown
-	KFMEAction
-	KSplinter
-	KQMonReroute
-	KQMonFail
-	KMemberJoin
-	KMemberLeave
-	KFrontendMask
-	KFrontendUnmask
+	KFaultInject    KindID = iota // injector: fault becomes active
+	KFaultRepair                  // injector: fault repaired
+	KDetect                       // any detector: fault noticed
+	KExclude                      // node removed from a cooperation/membership/routing view
+	KInclude                      // node (re)admitted to a view
+	KOperatorReset                // harness: operator restarts the server
+	KServerUp                     // server process finished starting
+	KServerDown                   // server process stopped
+	KFMEAction                    // FME translated a fault
+	KSplinter                     // cooperation views became mutually disjoint
+	KQMonReroute                  // queue monitor started rerouting
+	KQMonFail                     // queue monitor declared a peer failed
+	KMemberJoin                   // membership: node joined group
+	KMemberLeave                  // membership: node removed from group
+	KFrontendMask                 // front-end stopped routing to a node
+	KFrontendUnmask               // front-end resumed routing to a node
 	numFixedKinds
 )
+
+var fixedKinds = [numFixedKinds]string{
+	KFaultInject:    "fault.inject",
+	KFaultRepair:    "fault.repair",
+	KDetect:         "detect",
+	KExclude:        "exclude",
+	KInclude:        "include",
+	KOperatorReset:  "operator.reset",
+	KServerUp:       "server.up",
+	KServerDown:     "server.down",
+	KFMEAction:      "fme.action",
+	KSplinter:       "splinter",
+	KQMonReroute:    "qmon.reroute",
+	KQMonFail:       "qmon.fail",
+	KMemberJoin:     "member.join",
+	KMemberLeave:    "member.leave",
+	KFrontendMask:   "frontend.mask",
+	KFrontendUnmask: "frontend.unmask",
+}
 
 // Fixed source registry: singleton component tags. Per-node tags
 // ("press/3", "membd/2", "fme/1") intern dynamically via InternSource.
@@ -69,102 +88,68 @@ const (
 	numFixedSources
 )
 
-// registry maps source/kind names to interned IDs and back. It is global
-// (IDs are process-wide), append-only, and guarded by a mutex: parallel
-// episode workers may intern concurrently, and because matching and
-// rendering always go through the same bijection, ID assignment order
-// cannot affect any rendered output.
-var registry = struct {
-	mu      sync.RWMutex
-	srcIDs  map[string]SourceID
-	srcs    []string
-	kindIDs map[string]KindID
-	kinds   []string
-}{
-	srcIDs: map[string]SourceID{
-		"machine":  SrcMachine,
-		"injector": SrcInjector,
-		"frontend": SrcFrontend,
-		"operator": SrcOperator,
-	},
-	srcs: []string{"machine", "injector", "frontend", "operator"},
-	kindIDs: map[string]KindID{
-		EvFaultInject:    KFaultInject,
-		EvFaultRepair:    KFaultRepair,
-		EvDetect:         KDetect,
-		EvExclude:        KExclude,
-		EvInclude:        KInclude,
-		EvOperatorReset:  KOperatorReset,
-		EvServerUp:       KServerUp,
-		EvServerDown:     KServerDown,
-		EvFMEAction:      KFMEAction,
-		EvSplinter:       KSplinter,
-		EvQMonReroute:    KQMonReroute,
-		EvQMonFail:       KQMonFail,
-		EvMemberJoin:     KMemberJoin,
-		EvMemberLeave:    KMemberLeave,
-		EvFrontendMask:   KFrontendMask,
-		EvFrontendUnmask: KFrontendUnmask,
-	},
-	kinds: []string{
-		EvFaultInject, EvFaultRepair, EvDetect, EvExclude, EvInclude,
-		EvOperatorReset, EvServerUp, EvServerDown, EvFMEAction, EvSplinter,
-		EvQMonReroute, EvQMonFail, EvMemberJoin, EvMemberLeave,
-		EvFrontendMask, EvFrontendUnmask,
-	},
+var fixedSources = [numFixedSources]string{
+	SrcMachine:  "machine",
+	SrcInjector: "injector",
+	SrcFrontend: "frontend",
+	SrcOperator: "operator",
 }
+
+// names is one interning table: names to dense IDs and back, seeded with
+// the fixed ones. It is global (IDs are process-wide), append-only, and
+// guarded by a mutex: parallel episode workers may intern concurrently,
+// and because matching and rendering always go through the same
+// bijection, ID assignment order cannot affect any rendered output.
+type names struct {
+	mu   sync.RWMutex
+	ids  map[string]uint16
+	list []string
+}
+
+func newNames(fixed []string) *names {
+	t := &names{ids: make(map[string]uint16, len(fixed)), list: fixed}
+	for id, name := range fixed {
+		t.ids[name] = uint16(id)
+	}
+	return t
+}
+
+func (t *names) intern(name string) uint16 {
+	t.mu.RLock()
+	id, ok := t.ids[name]
+	t.mu.RUnlock()
+	if ok {
+		return id
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok = t.ids[name]; ok {
+		return id
+	}
+	id = uint16(len(t.list))
+	t.ids[name] = id
+	t.list = append(t.list, name)
+	return id
+}
+
+func (t *names) name(id uint16) string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.list[id]
+}
+
+var sources, kinds = newNames(fixedSources[:]), newNames(fixedKinds[:])
 
 // InternSource returns the ID for a source tag, registering it on first
 // use. Call once at component construction, not per emit.
-func InternSource(name string) SourceID {
-	registry.mu.RLock()
-	id, ok := registry.srcIDs[name]
-	registry.mu.RUnlock()
-	if ok {
-		return id
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if id, ok = registry.srcIDs[name]; ok {
-		return id
-	}
-	id = SourceID(len(registry.srcs))
-	registry.srcIDs[name] = id
-	registry.srcs = append(registry.srcs, name)
-	return id
-}
+func InternSource(name string) SourceID { return SourceID(sources.intern(name)) }
 
-// InternKind returns the ID for an event kind, registering it on first
-// use. The Ev* constants are pre-registered as K*.
-func InternKind(name string) KindID {
-	registry.mu.RLock()
-	id, ok := registry.kindIDs[name]
-	registry.mu.RUnlock()
-	if ok {
-		return id
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if id, ok = registry.kindIDs[name]; ok {
-		return id
-	}
-	id = KindID(len(registry.kinds))
-	registry.kindIDs[name] = id
-	registry.kinds = append(registry.kinds, name)
-	return id
-}
+// InternKind returns the ID for an event kind outside the fixed set,
+// registering it on first use. Call once, for a package-level variable.
+func InternKind(name string) KindID { return KindID(kinds.intern(name)) }
 
-func sourceName(id SourceID) string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return registry.srcs[id]
-}
-
-func kindName(id KindID) string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return registry.kinds[id]
-}
+func (id SourceID) String() string { return sources.name(uint16(id)) }
+func (id KindID) String() string   { return kinds.name(uint16(id)) }
 
 // record is the internal storage form of one event: interned IDs and a
 // detail that is either a literal string (nargs == 0) or a format string
@@ -192,8 +177,7 @@ func (r *record) renderDetail() string {
 }
 
 func (r *record) event() Event {
-	return Event{At: r.at, Source: sourceName(r.src), Kind: kindName(r.kind),
-		Node: int(r.node), Detail: r.renderDetail()}
+	return Event{At: r.at, Source: r.src, Kind: r.kind, Node: int(r.node), Detail: r.renderDetail()}
 }
 
 // Log storage is a list of fixed-size chunks: appends never move
@@ -234,12 +218,6 @@ func (l *Log) rec(i int) *record {
 	return &l.chunks[i>>chunkShift].recs[i&chunkMask]
 }
 
-// Emit appends an event, interning source and kind by name. Compat shim
-// for cold call sites; hot paths use EmitID/EmitInt with pre-interned IDs.
-func (l *Log) Emit(at time.Duration, source, kind string, node int, detail string) {
-	l.EmitID(at, InternSource(source), InternKind(kind), node, detail)
-}
-
 // EmitID appends an event with pre-interned source and kind IDs and a
 // literal detail. With a constant or precomputed detail this is
 // allocation-free in the steady state.
@@ -257,20 +235,6 @@ func (l *Log) EmitInt(at time.Duration, src SourceID, kind KindID, node int, for
 // EmitInt2 is EmitInt with two integer args.
 func (l *Log) EmitInt2(at time.Duration, src SourceID, kind KindID, node int, format string, v0, v1 int64) {
 	l.append(record{at: at, src: src, kind: kind, node: int32(node), detail: format, a0: v0, a1: v1, nargs: 2})
-}
-
-// All returns a materialized snapshot of the events in emission order.
-// It copies (and renders every lazy detail of) the whole log: public
-// snapshot API for examples and external consumers. Internal scans use
-// Cursor or a Query instead.
-func (l *Log) All() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, l.n)
-	for i := 0; i < l.n; i++ {
-		out[i] = l.rec(i).event()
-	}
-	return out
 }
 
 // Len returns the number of recorded events.
@@ -305,30 +269,13 @@ func (c *Cursor) Next() (Event, bool) {
 	return r.event(), true
 }
 
-// First returns the earliest event with the given kind at or after `after`.
-func (l *Log) First(kind string, after time.Duration) (Event, bool) {
-	return l.Filter("", kind).After(after).First()
-}
-
-// FirstMatch returns the earliest event at or after `after` satisfying
-// the predicate.
-func (l *Log) FirstMatch(after time.Duration, pred func(Event) bool) (Event, bool) {
-	return l.Between(after, maxInstant).FirstWhere(pred)
-}
-
-// Count returns the number of events of the given kind in the whole log.
-// Use Between(t0, t1).Count() to count within a time window.
-func (l *Log) Count(kind string) int {
-	return l.Filter("", kind).Count()
-}
-
 // maxInstant is the open upper bound of an unwindowed Query.
 const maxInstant = time.Duration(1<<63 - 1)
 
 // Query is an immutable filtered view over a Log. Queries chain:
 //
-//	log.Filter("fme/2", metrics.EvFMEAction).Between(t0, t1).Count()
-//	log.Filter("", metrics.EvMemberLeave).Node(3).After(crash).First()
+//	log.Query().Source(fme2).Kind(metrics.KFMEAction).Between(t0, t1).Count()
+//	log.Query().Kind(metrics.KMemberLeave).Node(3).After(crash).First()
 //
 // A Query holds no snapshot; each terminal call (Count, Events, First,
 // FirstWhere) scans the interned records under the log's lock — source
@@ -336,37 +283,29 @@ const maxInstant = time.Duration(1<<63 - 1)
 // its record matches. Events are appended in nondecreasing time order,
 // so "first in emission order" and "earliest" coincide.
 type Query struct {
-	l         *Log
-	src       SourceID
-	kind      KindID
-	anySource bool
-	anyKind   bool
-	node      int32
-	hasNode   bool
-	from      time.Duration
-	to        time.Duration // exclusive
+	l       *Log
+	src     SourceID
+	kind    KindID
+	hasSrc  bool
+	hasKind bool
+	node    int32
+	hasNode bool
+	from    time.Duration
+	to      time.Duration // exclusive
 }
 
-// Filter starts a query matching the given source and kind; either may
-// be "" to match any.
-func (l *Log) Filter(source, kind string) Query {
-	return Query{l: l, to: maxInstant, anySource: true, anyKind: true}.Filter(source, kind)
+// Query starts a query matching every event of the log.
+func (l *Log) Query() Query { return Query{l: l, to: maxInstant} }
+
+// Source narrows the query to events from the given source.
+func (q Query) Source(s SourceID) Query {
+	q.src, q.hasSrc = s, true
+	return q
 }
 
-// Between starts a query over the time window [t0, t1).
-func (l *Log) Between(t0, t1 time.Duration) Query {
-	return Query{l: l, from: t0, to: t1, anySource: true, anyKind: true}
-}
-
-// Filter narrows the query to the given source and kind ("" = any).
-func (q Query) Filter(source, kind string) Query {
-	q.anySource, q.anyKind = source == "", kind == ""
-	if !q.anySource {
-		q.src = InternSource(source)
-	}
-	if !q.anyKind {
-		q.kind = InternKind(kind)
-	}
+// Kind narrows the query to events of the given kind.
+func (q Query) Kind(k KindID) Query {
+	q.kind, q.hasKind = k, true
 	return q
 }
 
@@ -392,10 +331,10 @@ func (q Query) match(r *record) bool {
 	if r.at < q.from || r.at >= q.to {
 		return false
 	}
-	if !q.anySource && r.src != q.src {
+	if q.hasSrc && r.src != q.src {
 		return false
 	}
-	if !q.anyKind && r.kind != q.kind {
+	if q.hasKind && r.kind != q.kind {
 		return false
 	}
 	return !q.hasNode || r.node == q.node
@@ -433,8 +372,8 @@ func (q Query) First() (Event, bool) {
 }
 
 // FirstWhere returns the earliest event matching both the query and the
-// predicate (nil = no extra condition). It exists for conditions a
-// Filter cannot express, e.g. a set of kinds.
+// predicate (nil = no extra condition). It exists for conditions the
+// filters cannot express, e.g. a set of kinds; the predicate compares IDs.
 func (q Query) FirstWhere(pred func(Event) bool) (Event, bool) {
 	q.l.mu.Lock()
 	defer q.l.mu.Unlock()
@@ -461,24 +400,3 @@ func (l *Log) Dump() string {
 	}
 	return b.String()
 }
-
-// Well-known event kinds shared across components. Keeping them in one
-// place prevents the string-typo class of bugs in harness extraction code.
-const (
-	EvFaultInject    = "fault.inject"    // injector: fault becomes active
-	EvFaultRepair    = "fault.repair"    // injector: fault repaired
-	EvDetect         = "detect"          // any detector: fault noticed
-	EvExclude        = "exclude"         // node removed from a cooperation/membership/routing view
-	EvInclude        = "include"         // node (re)admitted to a view
-	EvOperatorReset  = "operator.reset"  // harness: operator restarts the server
-	EvServerUp       = "server.up"       // server process finished starting
-	EvServerDown     = "server.down"     // server process stopped
-	EvFMEAction      = "fme.action"      // FME translated a fault
-	EvSplinter       = "splinter"        // cooperation views became mutually disjoint
-	EvQMonReroute    = "qmon.reroute"    // queue monitor started rerouting
-	EvQMonFail       = "qmon.fail"       // queue monitor declared a peer failed
-	EvMemberJoin     = "member.join"     // membership: node joined group
-	EvMemberLeave    = "member.leave"    // membership: node removed from group
-	EvFrontendMask   = "frontend.mask"   // front-end stopped routing to a node
-	EvFrontendUnmask = "frontend.unmask" // front-end resumed routing to a node
-)

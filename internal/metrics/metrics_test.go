@@ -143,81 +143,120 @@ func TestQuickSumConservation(t *testing.T) {
 	}
 }
 
+// emit is the tests' by-name emit: intern, then EmitID.
+func emit(l *Log, at time.Duration, source string, kind KindID, node int, detail string) {
+	l.EmitID(at, InternSource(source), kind, node, detail)
+}
+
 func TestEventLogFirstAndCount(t *testing.T) {
 	var l Log
-	l.Emit(1*time.Second, "injector", EvFaultInject, 2, "scsi")
-	l.Emit(5*time.Second, "press", EvDetect, 2, "heartbeat loss")
-	l.Emit(9*time.Second, "press", EvDetect, 2, "again")
-	e, ok := l.First(EvDetect, 0)
+	emit(&l, 1*time.Second, "injector", KFaultInject, 2, "scsi")
+	emit(&l, 5*time.Second, "press", KDetect, 2, "heartbeat loss")
+	emit(&l, 9*time.Second, "press", KDetect, 2, "again")
+	e, ok := l.Query().Kind(KDetect).First()
 	if !ok || e.At != 5*time.Second || e.Node != 2 {
 		t.Fatalf("First = %+v ok=%v", e, ok)
 	}
-	if _, ok := l.First(EvDetect, 6*time.Second); !ok {
+	if _, ok := l.Query().Kind(KDetect).After(6 * time.Second).First(); !ok {
 		t.Fatal("First with after failed")
 	}
-	if _, ok := l.First("missing", 0); ok {
-		t.Fatal("found nonexistent kind")
+	if _, ok := l.Query().Kind(InternKind("missing")).First(); ok {
+		t.Fatal("found a kind nothing emitted")
 	}
-	if n := l.Count(EvDetect); n != 2 {
+	if n := l.Query().Kind(KDetect).Count(); n != 2 {
 		t.Fatalf("Count = %d, want 2", n)
 	}
-	if n := l.Between(6*time.Second, 20*time.Second).Filter("", EvDetect).Count(); n != 1 {
+	if n := l.Query().Kind(KDetect).Between(6*time.Second, 20*time.Second).Count(); n != 1 {
 		t.Fatalf("Count windowed = %d, want 1", n)
 	}
 }
 
 func TestEventLogQuery(t *testing.T) {
 	var l Log
-	l.Emit(1*time.Second, "injector", EvFaultInject, 2, "scsi")
-	l.Emit(5*time.Second, "press", EvDetect, 2, "heartbeat loss")
-	l.Emit(9*time.Second, "fme/3", EvDetect, 3, "probe")
-	l.Emit(9*time.Second, "fme/3", EvFMEAction, 3, "restart")
+	press, fme3 := InternSource("press"), InternSource("fme/3")
+	emit(&l, 1*time.Second, "injector", KFaultInject, 2, "scsi")
+	emit(&l, 5*time.Second, "press", KDetect, 2, "heartbeat loss")
+	emit(&l, 9*time.Second, "fme/3", KDetect, 3, "probe")
+	emit(&l, 9*time.Second, "fme/3", KFMEAction, 3, "restart")
 
-	if n := l.Filter("press", "").Count(); n != 1 {
-		t.Fatalf("Filter by source Count = %d, want 1", n)
+	if n := l.Query().Source(press).Count(); n != 1 {
+		t.Fatalf("Source Count = %d, want 1", n)
 	}
-	if n := l.Filter("", EvDetect).Count(); n != 2 {
-		t.Fatalf("Filter by kind Count = %d, want 2", n)
+	if n := l.Query().Kind(KDetect).Count(); n != 2 {
+		t.Fatalf("Kind Count = %d, want 2", n)
 	}
-	if n := l.Filter("fme/3", EvDetect).Count(); n != 1 {
-		t.Fatalf("Filter by source+kind Count = %d, want 1", n)
+	if n := l.Query().Source(fme3).Kind(KDetect).Count(); n != 1 {
+		t.Fatalf("Source+Kind Count = %d, want 1", n)
 	}
 	// Between is [t0, t1): the 9 s events fall outside [1 s, 9 s).
-	if n := l.Between(time.Second, 9*time.Second).Count(); n != 2 {
+	if n := l.Query().Between(time.Second, 9*time.Second).Count(); n != 2 {
 		t.Fatalf("Between Count = %d, want 2", n)
 	}
-	if e, ok := l.Filter("", EvDetect).Node(3).First(); !ok || e.Source != "fme/3" {
+	if e, ok := l.Query().Kind(KDetect).Node(3).First(); !ok || e.Source != fme3 {
 		t.Fatalf("Node-filtered First = %+v ok=%v", e, ok)
 	}
-	if _, ok := l.Filter("", EvDetect).After(10 * time.Second).First(); ok {
+	if _, ok := l.Query().Kind(KDetect).After(10 * time.Second).First(); ok {
 		t.Fatal("After past the last event still matched")
 	}
-	evs := l.Filter("fme/3", "").Events()
-	if len(evs) != 2 || evs[0].Kind != EvDetect || evs[1].Kind != EvFMEAction {
+	evs := l.Query().Source(fme3).Events()
+	if len(evs) != 2 || evs[0].Kind != KDetect || evs[1].Kind != KFMEAction {
 		t.Fatalf("Events = %+v, want detect then action in emission order", evs)
 	}
-	if e, ok := l.Filter("", "").FirstWhere(func(e Event) bool {
-		return e.Kind == EvFMEAction || e.Kind == EvFaultInject
-	}); !ok || e.Kind != EvFaultInject {
+	if e, ok := l.Query().FirstWhere(func(e Event) bool {
+		return e.Kind == KFMEAction || e.Kind == KFaultInject
+	}); !ok || e.Kind != KFaultInject {
 		t.Fatalf("FirstWhere = %+v ok=%v, want the 1s inject", e, ok)
 	}
 }
 
 func TestEventLogFirstMatch(t *testing.T) {
 	var l Log
-	l.Emit(1*time.Second, "a", EvExclude, 1, "")
-	l.Emit(2*time.Second, "b", EvExclude, 3, "")
-	e, ok := l.FirstMatch(0, func(e Event) bool { return e.Node == 3 })
-	if !ok || e.Source != "b" {
-		t.Fatalf("FirstMatch = %+v ok=%v", e, ok)
+	emit(&l, 1*time.Second, "a", KExclude, 1, "")
+	emit(&l, 2*time.Second, "b", KExclude, 3, "")
+	e, ok := l.Query().FirstWhere(func(e Event) bool { return e.Node == 3 })
+	if !ok || e.Source.String() != "b" {
+		t.Fatalf("FirstWhere = %+v ok=%v", e, ok)
 	}
 }
 
 func TestEventLogDump(t *testing.T) {
 	var l Log
-	l.Emit(time.Second, "press", EvSplinter, -1, "sets {0,1,2} {3}")
+	emit(&l, time.Second, "press", KSplinter, -1, "sets {0,1,2} {3}")
 	out := l.Dump()
 	if !strings.Contains(out, "splinter") || !strings.Contains(out, "press") {
 		t.Fatalf("Dump missing fields:\n%s", out)
+	}
+}
+
+// TestFixedKindsRoundTrip pins the vocabulary: every fixed kind and source
+// prints as the name goldens and repro files hold, interning that name
+// gives the ID back, and an event renders in the one line format.
+func TestFixedKindsRoundTrip(t *testing.T) {
+	want := []string{"fault.inject", "fault.repair", "detect", "exclude", "include", "operator.reset",
+		"server.up", "server.down", "fme.action", "splinter", "qmon.reroute", "qmon.fail",
+		"member.join", "member.leave", "frontend.mask", "frontend.unmask"}
+	if len(want) != int(numFixedKinds) {
+		t.Fatalf("%d fixed kinds, the test names %d", numFixedKinds, len(want))
+	}
+	for k := KindID(0); k < numFixedKinds; k++ {
+		if k.String() != want[k] {
+			t.Errorf("kind %d prints %q, want %q", k, k, want[k])
+		}
+		if got := InternKind(want[k]); got != k {
+			t.Errorf("InternKind(%q) = %d, want the fixed %d", want[k], got, k)
+		}
+	}
+	for s, name := range []string{"machine", "injector", "frontend", "operator"} {
+		if SourceID(s).String() != name || InternSource(name) != SourceID(s) {
+			t.Errorf("source %d prints %q and %q interns as %d", s, SourceID(s), name, InternSource(name))
+		}
+	}
+	own := InternKind("test.own-kind")
+	if own < numFixedKinds || own.String() != "test.own-kind" || InternKind("test.own-kind") != own {
+		t.Errorf("an interned kind got id %d, prints %q", own, own)
+	}
+	e := Event{At: 1500 * time.Millisecond, Source: SrcInjector, Kind: KFaultInject, Node: 2, Detail: "scsi"}
+	if got, want := e.String(), "     1.50s injector   fault.inject           node=2  scsi"; got != want {
+		t.Errorf("Event.String() = %q, want %q", got, want)
 	}
 }

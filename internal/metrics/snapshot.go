@@ -36,7 +36,7 @@ func (l *Log) SnapState(x *snapio.Ctx) {
 		refs = make([]strRefs, l.n)
 		for i := range refs {
 			r := l.rec(i)
-			refs[i] = strRefs{intern(r.detail), intern(sourceName(r.src)), intern(kindName(r.kind))}
+			refs[i] = strRefs{intern(r.detail), intern(r.src.String()), intern(r.kind.String())}
 		}
 	}
 	snapio.Slice(x, &strs, 1<<24, x.Str)

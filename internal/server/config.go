@@ -158,11 +158,15 @@ type MembershipView interface {
 }
 
 // DiskArray is the disk subsystem surface the server needs (implemented
-// by simdisk.Array and by livenet's memory-backed stand-in).
+// by simdisk.Array, and by livenet.MemDisk on a live stack). An operation
+// is handed the record that owns it, which the subsystem calls back from
+// its own context — on a live stack, another goroutine.
 type DiskArray interface {
-	// Read submits a read keyed by document; reports false when the queue
-	// is full (the caller must stall).
-	Read(key int, done func(ok bool)) bool
-	// NotifySpace registers a one-shot wakeup for queue space.
-	NotifySpace(fn func())
+	// ReadFor submits a read keyed by document; owner.DiskDone hears the
+	// outcome. It reports false when the queue is full (the caller must
+	// stall).
+	ReadFor(key int, owner interface{ DiskDone(ok bool) }) bool
+	// NotifySpace parks owner for a one-shot DiskSpace wakeup when the
+	// queue has room again.
+	NotifySpace(owner interface{ DiskSpace() })
 }

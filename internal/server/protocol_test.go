@@ -192,8 +192,8 @@ func TestExclusionRequeuesInflightForwards(t *testing.T) {
 	if tc.rec.Succeeded == okBefore {
 		t.Fatal("nothing served after the crash")
 	}
-	if _, ok := tc.log.FirstMatch(0, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvExclude && e.Node == 2
+	if _, ok := tc.log.Query().After(0).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KExclude && e.Node == 2
 	}); !ok {
 		t.Fatal("no exclusion recorded")
 	}

@@ -254,7 +254,9 @@ func diskKey(doc trace.DocID) int { return int(doc) >> 3 }
 
 // diskOp is a pooled disk-read continuation: one record carries a read
 // through submission, the queue-full stall/retry loop, and the completion
-// bounce, with every callback built once at record creation.
+// bounce. It is the operation's owner in the disk subsystem, which calls
+// DiskDone and DiskSpace on it; the two hops back to server context are
+// closures built once at record creation.
 type diskOp struct {
 	s   *Server
 	doc trace.DocID
@@ -270,10 +272,8 @@ type diskOp struct {
 	from      cnet.NodeID
 	id        uint64
 
-	onDone  func(ok bool) // disk context: bounce through the mailbox
-	bounce  func()        // server context: finish the read
-	notify  func()        // disk context: queue space freed
-	requeue func()        // server context: retry the submission
+	bounce  func() // server context: finish the read
+	requeue func() // server context: retry the submission
 
 	// Snapshot identity: slot indexes s.diskOps while the op is live, and
 	// the bounce/requeue timer handles are retained so their serials can
@@ -290,28 +290,7 @@ func (s *Server) getDiskOp() *diskOp {
 		s.diskFree = s.diskFree[:n-1]
 	} else {
 		op = &diskOp{s: s}
-		op.onDone = func(ok bool) {
-			// Disk completions arrive from the disk subsystem's context;
-			// bounce them through the mailbox. The handle is retained only
-			// in snapshot-tagged (sim) worlds: there the disk context is the
-			// single sim goroutine, while on a live stack this closure runs
-			// on a real timer goroutine and the write would race putDiskOp.
-			op.ok = ok
-			t := op.s.env.Clock().AfterFunc(0, op.bounce)
-			if op.s.diskTag != nil {
-				op.bounceT = t
-			}
-		}
 		op.bounce = func() { op.s.diskDone(op) }
-		op.notify = func() {
-			// Queue space freed: unblock the main thread, then retry this same
-			// operation as its own work item.
-			op.s.env.Resume()
-			t := op.s.env.Clock().AfterFunc(0, op.requeue)
-			if op.s.diskTag != nil {
-				op.requeueT = t
-			}
-		}
 		op.requeue = func() { op.s.diskRead(op) }
 	}
 	op.slot = len(s.diskOps)
@@ -335,17 +314,33 @@ func (s *Server) putDiskOp(op *diskOp) {
 // diskRead submits a read, blocking the main thread (Stall) when the disk
 // queue is full — the behaviour at the heart of Figure 4.
 func (s *Server) diskRead(op *diskOp) {
-	if s.diskTag != nil {
-		s.diskTag.SetNextOwner(op)
-	}
-	if s.disk.Read(diskKey(op.doc), op.onDone) {
+	if s.disk.ReadFor(diskKey(op.doc), op) {
 		return
 	}
 	s.env.Stall()
-	if s.diskTag != nil {
-		s.diskTag.SetNextOwner(op)
+	s.disk.NotifySpace(op)
+}
+
+// DiskDone hears the read's outcome in the disk subsystem's context and
+// bounces it through the mailbox. The hop's handle is what a snapshot
+// names the pending bounce by, so it is kept where there are snapshots: in
+// a simulated world, whose disk calls on the goroutine that runs the
+// server. A live stack's disk calls from a timer goroutine, and by the time
+// AfterFunc returns there the hop may have run and recycled the record.
+func (op *diskOp) DiskDone(ok bool) {
+	op.ok = ok
+	t := op.s.env.Clock().AfterFunc(0, op.bounce)
+	if _, sim := op.s.env.(cnet.RestoreEnv); sim {
+		op.bounceT = t
 	}
-	s.disk.NotifySpace(op.notify)
+}
+
+// DiskSpace hears that the queue has room again (only a simulated array's
+// ever fills): unblock the main thread, then retry this same operation as
+// its own work item.
+func (op *diskOp) DiskSpace() {
+	op.s.env.Resume()
+	op.requeueT = op.s.env.Clock().AfterFunc(0, op.requeue)
 }
 
 // diskDone completes a read in server context.
@@ -479,11 +474,3 @@ func (s *Server) putAdmitOp(op *admitOp) {
 	op.conn, op.msg, op.runT = nil, nil, nil
 	s.admitFree = append(s.admitFree, op)
 }
-
-// RestoreDiskDone re-supplies the disk completion callback when this op
-// is restored from a snapshot (simdisk's ReadOwner, asserted structurally).
-func (op *diskOp) RestoreDiskDone() func(ok bool) { return op.onDone }
-
-// RestoreDiskNotify re-supplies the space-wait callback when this op is
-// restored from a snapshot (simdisk's SpaceOwner).
-func (op *diskOp) RestoreDiskNotify() func() { return op.notify }

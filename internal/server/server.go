@@ -72,10 +72,6 @@ type Server struct {
 	diskOps  []*diskOp
 	admitOps []*admitOp
 
-	// diskTag, when the disk subsystem supports it, tags every Read and
-	// NotifySpace with the owning diskOp for snapshot identity.
-	diskTag interface{ SetNextOwner(owner any) }
-
 	// Per-send message pools (see messages.go): the final consumer
 	// releases each record back to its sender's pool.
 	respPool   cnet.MsgPool[RespMsg]
@@ -150,22 +146,27 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 			},
 		}, env.Rand())
 	}
-	if dt, ok := disk.(interface{ SetNextOwner(owner any) }); ok {
-		s.diskTag = dt
-	}
 	return s
 }
 
-func (s *Server) start() {
+// listen registers the server's ports: registration only, no events, so a
+// restore runs it too.
+func (s *Server) listen() {
 	s.env.Listen(PortHTTP, s.acceptClient)
+	if s.cfg.Cooperative {
+		s.env.Listen(PortPress, s.acceptPeer)
+		s.env.BindDatagram(PortControl, s.onControl)
+		s.env.BindDatagram(PortHB, s.onHeartbeat)
+	}
+}
+
+func (s *Server) start() {
+	s.listen()
 	if !s.cfg.Cooperative {
 		s.joined = true
 		s.emit(metrics.KServerUp, int(s.cfg.Self), "independent")
 		return
 	}
-	s.env.Listen(PortPress, s.acceptPeer)
-	s.env.BindDatagram(PortControl, s.onControl)
-	s.env.BindDatagram(PortHB, s.onHeartbeat)
 	s.ring.init(s)
 
 	// Rejoin protocol (§3): broadcast our identity; the lowest-ID active

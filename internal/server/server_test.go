@@ -196,8 +196,8 @@ func TestNodeCrashDetectedExcludedAndRejoins(t *testing.T) {
 			t.Fatalf("node %d view size %d after crash, want 3", i, got)
 		}
 	}
-	if _, ok := tc.log.FirstMatch(crashAt, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvDetect && e.Node == 2
+	if _, ok := tc.log.Query().After(crashAt).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KDetect && e.Node == 2
 	}); !ok {
 		t.Fatalf("no detection event for node 2\n%s", tc.log.Dump())
 	}
@@ -255,8 +255,8 @@ func TestAppCrashFastExclusionAndRejoin(t *testing.T) {
 		}
 	}
 	// Exclusion must have happened well before the ring deadline (3 x 1 s).
-	ev, ok := tc.log.FirstMatch(crashAt, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvExclude && e.Node == 3
+	ev, ok := tc.log.Query().After(crashAt).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KExclude && e.Node == 3
 	})
 	if !ok || ev.At-crashAt > 2*time.Second {
 		t.Fatalf("exclusion too slow or missing (ev=%+v ok=%v)", ev, ok)
@@ -282,7 +282,7 @@ func TestDiskFaultWedgesClusterThenRingExcludes(t *testing.T) {
 	// The sick node's main thread eventually blocks on the full disk
 	// queue, stops heartbeating, and the ring excludes it.
 	tc.run(60 * time.Second)
-	if _, ok := tc.log.Filter("", metrics.EvExclude).Node(0).After(faultAt + 1).First(); !ok {
+	if _, ok := tc.log.Query().Kind(metrics.KExclude).Node(0).After(faultAt + 1).First(); !ok {
 		t.Fatalf("sick node never excluded\n%s", tc.log.Dump())
 	}
 	if !tc.machines[0].Proc("press").Stalled() {
@@ -305,8 +305,8 @@ func TestQMonExcludesHungPeerWithoutRing(t *testing.T) {
 	tc.machines[2].Proc("press").Hang()
 	tc.run(150 * time.Second)
 
-	if _, ok := tc.log.FirstMatch(hangAt, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvQMonFail && e.Node == 2
+	if _, ok := tc.log.Query().After(hangAt).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KQMonFail && e.Node == 2
 	}); !ok {
 		t.Fatalf("queue monitoring never failed the hung peer\n%s", tc.log.Dump())
 	}

@@ -90,8 +90,8 @@ func TestShardedCrashExcludeRejoin(t *testing.T) {
 			t.Fatalf("node %d view size %d after crash, want %d", i, got, n-1)
 		}
 	}
-	if _, ok := tc.log.FirstMatch(crashAt, func(e metrics.Event) bool {
-		return e.Kind == metrics.EvDetect && e.Node == 3
+	if _, ok := tc.log.Query().After(crashAt).FirstWhere(func(e metrics.Event) bool {
+		return e.Kind == metrics.KDetect && e.Node == 3
 	}); !ok {
 		t.Fatalf("no detection event for node 3\n%s", tc.log.Dump())
 	}

@@ -468,12 +468,7 @@ func RestoreHusk(cfg Config, x *snapio.Ctx) *Server {
 // stream handlers to every restored connection.
 func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipView, x *snapio.Ctx) *Server {
 	s := newServer(cfg, env, disk, memb)
-	s.env.Listen(PortHTTP, s.acceptClient)
-	if s.cfg.Cooperative {
-		s.env.Listen(PortPress, s.acceptPeer)
-		s.env.BindDatagram(PortControl, s.onControl)
-		s.env.BindDatagram(PortHB, s.onHeartbeat)
-	}
+	s.listen()
 	s.SnapState(x)
 	if s.memb != nil {
 		s.memb.Subscribe(s.reconcileMembership)

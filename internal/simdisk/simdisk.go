@@ -113,8 +113,7 @@ type probeOp struct {
 type probeRound struct {
 	remaining int
 	reported  bool
-	done      func(healthy bool) // a restore asks the owner for it again
-	owner     any                // snapshot identity, set via SetNextOwner
+	owner     ProbeOwner // hears the verdict
 }
 
 // probeDone is the completion callback of Disk.probe.
@@ -126,12 +125,12 @@ func probeDone(arg any) {
 	}
 	if op.timedOut || op.d.faulty {
 		r.reported = true
-		r.done(false)
+		r.owner.DiskProbe(false)
 		return
 	}
 	if r.remaining--; r.remaining == 0 {
 		r.reported = true
-		r.done(true)
+		r.owner.DiskProbe(true)
 	}
 }
 
@@ -147,11 +146,29 @@ func (d *Disk) serviceTime() time.Duration {
 	return t
 }
 
+// An operation in the array is its owner: the record that submitted it,
+// which the array calls back directly and a snapshot names by reference
+// (the owner's own section defines it; see snapshot.go). There is no
+// second description of the continuation to keep in step with it.
+type (
+	// ReadOwner submitted a read and hears its completion.
+	ReadOwner = interface{ DiskDone(ok bool) }
+	// SpaceOwner waits for queue space and is told once when there is some.
+	SpaceOwner = interface{ DiskSpace() }
+	// ProbeOwner started a health check and hears its verdict.
+	ProbeOwner = interface{ DiskProbe(healthy bool) }
+)
+
 type op struct {
 	key   int
-	done  func(ok bool) // completion closure; a restore rebuilds it from the owner tag
-	owner any           // snapshot identity, set via SetNextOwner
+	owner ReadOwner
 }
+
+// readFunc adapts a completion closure to ReadOwner. No snapshot section
+// describes it, so a capture taken while its read is in the array fails.
+type readFunc func(ok bool)
+
+func (f readFunc) DiskDone(ok bool) { f(ok) }
 
 // Array is a node's disk subsystem: devices, helper threads, and the
 // shared queue. Documents are placed on devices by key, as PRESS spreads
@@ -163,27 +180,13 @@ type Array struct {
 	queue   []op
 	idle    int            // free helper threads
 	blocked map[*Disk][]op // threads captured by a faulty device, with their ops
-	onSpace []spaceCb
+	onSpace []SpaceOwner
 	// spaceSpare is the previous onSpace backing array, swapped back in
 	// when finish drains the callbacks so steady-state NotifySpace
 	// registration allocates nothing.
-	spaceSpare []spaceCb //availlint:skipfield spaceSpare allocation-reuse spare; an empty spare after restore is behaviorally identical
-	svcFree    []*svcOp  //availlint:skipfield svcFree free list; an empty list after restore is behaviorally identical
-
-	// nextOwner tags the next Read, NotifySpace or Probe with the record
-	// that owns its callback, for snapshot identity. Consumed by that call.
-	nextOwner any
+	spaceSpare []SpaceOwner //availlint:skipfield spaceSpare allocation-reuse spare; an empty spare after restore is behaviorally identical
+	svcFree    []*svcOp     //availlint:skipfield svcFree free list; an empty list after restore is behaviorally identical
 }
-
-// spaceCb is one registered NotifySpace callback plus its owner tag.
-type spaceCb struct {
-	fn    func() // callback closure; a restore rebuilds it from the owner tag
-	owner any
-}
-
-// SetNextOwner tags the next Read, NotifySpace or Probe call with its
-// owning record so snapshots can serialize the callback as a reference.
-func (a *Array) SetNextOwner(owner any) { a.nextOwner = owner }
 
 // svcOp carries one in-service read through the sim kernel's pooled
 // argument timers, replacing a per-dispatch closure.
@@ -220,7 +223,7 @@ func svcDone(arg any) {
 	}
 	d.reads++
 	a.finish()
-	o.done(true)
+	o.owner.DiskDone(true)
 }
 
 // NewArray builds the subsystem with n devices.
@@ -253,14 +256,13 @@ func (a *Array) QueueLen() int { return len(a.queue) }
 // Full reports whether a Read would be rejected right now.
 func (a *Array) Full() bool { return a.idle == 0 && len(a.queue) >= a.cfg.QueueCap }
 
-// Read submits a read for the document with the given placement key.
-// done(true) runs after service (much later if the device is faulty and
-// must be repaired first). Read reports false — without accepting the
-// operation — when the queue is full; the caller stalls and retries after
-// NotifySpace, exactly like the PRESS main thread.
-func (a *Array) Read(key int, done func(ok bool)) bool {
-	o := op{key: key, done: done, owner: a.nextOwner}
-	a.nextOwner = nil
+// ReadFor submits a read for the document with the given placement key.
+// owner.DiskDone(true) runs after service (much later if the device is
+// faulty and must be repaired first). ReadFor reports false — without
+// accepting the operation — when the queue is full; the caller stalls and
+// retries after NotifySpace, exactly like the PRESS main thread.
+func (a *Array) ReadFor(key int, owner ReadOwner) bool {
+	o := op{key: key, owner: owner}
 	if a.idle > 0 {
 		a.start(o)
 		return true
@@ -272,11 +274,15 @@ func (a *Array) Read(key int, done func(ok bool)) bool {
 	return true
 }
 
-// NotifySpace registers a one-shot callback invoked the next time an
-// operation could be accepted again.
-func (a *Array) NotifySpace(fn func()) {
-	a.onSpace = append(a.onSpace, spaceCb{fn: fn, owner: a.nextOwner})
-	a.nextOwner = nil
+// Read is ReadFor for a caller with a completion closure and no record.
+func (a *Array) Read(key int, done func(ok bool)) bool {
+	return a.ReadFor(key, readFunc(done))
+}
+
+// NotifySpace parks owner until the next time an operation could be
+// accepted again, and tells it once.
+func (a *Array) NotifySpace(owner SpaceOwner) {
+	a.onSpace = append(a.onSpace, owner)
 }
 
 // AnyFaulty reports whether any device is faulty.
@@ -289,11 +295,10 @@ func (a *Array) AnyFaulty() bool {
 	return false
 }
 
-// Probe health-checks every device; done(false) as soon as one reports
-// unhealthy, done(true) once all pass.
-func (a *Array) Probe(timeout time.Duration, done func(healthy bool)) {
-	r := &probeRound{remaining: len(a.disks), done: done, owner: a.nextOwner}
-	a.nextOwner = nil
+// Probe health-checks every device: owner.DiskProbe(false) as soon as one
+// reports unhealthy, DiskProbe(true) once all pass.
+func (a *Array) Probe(timeout time.Duration, owner ProbeOwner) {
+	r := &probeRound{remaining: len(a.disks), owner: owner}
 	for _, d := range a.disks {
 		d.probe(timeout, r)
 	}
@@ -327,9 +332,9 @@ func (a *Array) finish() {
 		// pattern) append into the spare array rather than a fresh one.
 		cbs := a.onSpace
 		a.onSpace = a.spaceSpare[:0]
-		for i, cb := range cbs {
-			cbs[i] = spaceCb{}
-			cb.fn()
+		for i, w := range cbs {
+			cbs[i] = nil
+			w.DiskSpace()
 		}
 		a.spaceSpare = cbs[:0]
 	}

@@ -70,6 +70,16 @@ func TestQueueCapRejects(t *testing.T) {
 	s.Run()
 }
 
+// spaceFunc and probeFunc let a test wait for space or a verdict with a
+// closure, as readFunc does for Array.Read.
+type (
+	spaceFunc func()
+	probeFunc func(healthy bool)
+)
+
+func (f spaceFunc) DiskSpace()             { f() }
+func (f probeFunc) DiskProbe(healthy bool) { f(healthy) }
+
 func TestNotifySpaceFires(t *testing.T) {
 	s := sim.New(1)
 	a := newArray(s, cfg(time.Millisecond, 1, 1), 1)
@@ -79,7 +89,7 @@ func TestNotifySpaceFires(t *testing.T) {
 		t.Fatal("queue should be full")
 	}
 	notified := false
-	a.NotifySpace(func() { notified = true })
+	a.NotifySpace(spaceFunc(func() { notified = true }))
 	s.RunFor(1500 * time.Microsecond)
 	if !notified {
 		t.Fatal("NotifySpace did not fire after space freed")
@@ -168,7 +178,7 @@ func TestProbeHealthyAndFaulty(t *testing.T) {
 	s := sim.New(1)
 	a := newArray(s, cfg(5*time.Millisecond, 4, 2), 2)
 	var got []bool
-	a.Probe(2*time.Second, func(h bool) { got = append(got, h) })
+	a.Probe(2*time.Second, probeFunc(func(h bool) { got = append(got, h) }))
 	s.Run()
 	if len(got) != 1 || !got[0] {
 		t.Fatalf("healthy probe = %v", got)
@@ -176,7 +186,7 @@ func TestProbeHealthyAndFaulty(t *testing.T) {
 	a.Disks()[0].SetFaulty(true)
 	got = nil
 	start := s.Now()
-	a.Probe(2*time.Second, func(h bool) { got = append(got, h) })
+	a.Probe(2*time.Second, probeFunc(func(h bool) { got = append(got, h) }))
 	s.Run()
 	if len(got) != 1 || got[0] {
 		t.Fatalf("faulty probe = %v", got)
@@ -193,7 +203,7 @@ func TestProbeBypassesWedgedArray(t *testing.T) {
 	a.Read(1, func(bool) {}) // captures the only worker
 	a.Read(1, func(bool) {}) // fills the queue
 	var got []bool
-	a.Probe(time.Second, func(h bool) { got = append(got, h) })
+	a.Probe(time.Second, probeFunc(func(h bool) { got = append(got, h) }))
 	s.RunFor(2 * time.Second)
 	if len(got) != 1 || got[0] {
 		t.Fatalf("probe through wedged array = %v, want unhealthy", got)

@@ -6,52 +6,28 @@ import (
 	"press/internal/snapio"
 )
 
-// Snapshot support. Callbacks (op completions, space notifications)
-// cannot be serialized; every Read and NotifySpace is tagged with an
-// owner record (SetNextOwner) that is defined in ctx.Owners by its own
-// section and re-supplies the callbacks on load through the interfaces
-// below.
-
-// ReadOwner re-supplies the completion callback of a restored read.
-type ReadOwner interface {
-	RestoreDiskDone() func(ok bool)
-}
-
-// SpaceOwner re-supplies the callback of a restored NotifySpace
-// registration.
-type SpaceOwner interface {
-	RestoreDiskNotify() func()
-}
+// Snapshot support. A continuation cannot be serialized, and need not be:
+// every operation in the array holds the record that owns it, which its
+// own section defined in ctx.Owners, so an operation travels as that
+// record's id and a loaded one is handed the record back — the same value
+// the live path calls. An owner no section defined (a closure behind
+// Array.Read) makes the capture fail.
 
 // gone owns what a dead process incarnation left in the array (see
 // snapio.Ctx.Owner): its callbacks reached only that incarnation's own
 // state, so nothing is what a restored world has them do.
 type gone struct{}
 
-func (gone) OwnerGone() bool                      { return true }
-func (gone) RestoreDiskDone() func(ok bool)       { return func(bool) {} }
-func (gone) RestoreDiskNotify() func()            { return func() {} }
-func (gone) RestoreDiskProbe() func(healthy bool) { return func(bool) {} }
-
-// owner moves an operation's owner tag.
-func owner(x *snapio.Ctx, o *any, what string) {
-	if x.Owner(o, what); *o == nil {
-		*o = gone{}
-	}
-}
+func (gone) OwnerGone() bool { return true }
+func (gone) DiskDone(bool)   {}
+func (gone) DiskSpace()      {}
+func (gone) DiskProbe(bool)  {}
 
 // snap moves one read: its document key and the owner its completion
-// comes back from.
+// goes to.
 func (o *op) snap(x *snapio.Ctx, what string) {
 	snapio.Int(x, &o.key)
-	owner(x, &o.owner, what)
-	if !x.Saving() {
-		ro, ok := o.owner.(ReadOwner)
-		if !ok {
-			snapio.Failf("simdisk: op owner %T cannot restore a read", o.owner)
-		}
-		o.done = ro.RestoreDiskDone()
-	}
+	snapio.Owner(x, &o.owner, gone{}, what)
 }
 
 // SnapState moves the array: device state, the shared generator, the
@@ -60,9 +36,6 @@ func (o *op) snap(x *snapio.Ctx, what string) {
 // Loading fills a freshly built array. Owner sections must have run
 // first.
 func (a *Array) SnapState(x *snapio.Ctx) {
-	if a.nextOwner != nil {
-		snapio.Failf("simdisk: owner tag %T set and not consumed: snapshot taken inside an event", a.nextOwner)
-	}
 	for _, d := range a.disks {
 		if d.rng != a.disks[0].rng {
 			snapio.Failf("simdisk: devices do not share one generator")
@@ -86,16 +59,7 @@ func (a *Array) SnapState(x *snapio.Ctx) {
 			a.blocked[d] = ops
 		}
 	}
-	snapio.Slice(x, &a.onSpace, 1<<16, func(cb *spaceCb) {
-		owner(x, &cb.owner, "simdisk: space waiter")
-		if !x.Saving() {
-			so, ok := cb.owner.(SpaceOwner)
-			if !ok {
-				snapio.Failf("simdisk: space waiter %T cannot restore", cb.owner)
-			}
-			cb.fn = so.RestoreDiskNotify()
-		}
-	})
+	snapio.Slice(x, &a.onSpace, 1<<16, func(w *SpaceOwner) { snapio.Owner(x, w, gone{}, "simdisk: space waiter") })
 
 	snapio.Pending(x, svcDone, 1<<16, func(r *svcOp) bool { return r.a == a }, func(r *svcOp) *svcOp {
 		if r == nil {
@@ -109,11 +73,6 @@ func (a *Array) SnapState(x *snapio.Ctx) {
 		r.o.snap(x, "simdisk: in-service read")
 		return r
 	})
-}
-
-// ProbeOwner re-supplies the verdict callback of a restored Probe.
-type ProbeOwner interface {
-	RestoreDiskProbe() func(healthy bool)
 }
 
 // SnapProbes moves the health checks in flight, which only a world with
@@ -138,14 +97,7 @@ func (a *Array) SnapProbes(x *snapio.Ctx) {
 		if x.Bool(&r.reported); r.reported {
 			return
 		}
-		owner(x, &r.owner, "simdisk: health check")
-		if !x.Saving() {
-			po, ok := r.owner.(ProbeOwner)
-			if !ok {
-				snapio.Failf("simdisk: probe owner %T cannot restore a health check", r.owner)
-			}
-			r.done = po.RestoreDiskProbe()
-		}
+		snapio.Owner(x, &r.owner, gone{}, "simdisk: health check")
 	})
 	for i := range x.Len(len(evs), 1<<16) {
 		var ev snapio.PendingEvent

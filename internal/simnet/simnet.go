@@ -111,17 +111,7 @@ type Network struct {
 	// rebuilt from a snapshot are born without a pair backlink and are
 	// simply never recycled.
 	pairFree cnet.MsgPool[connPair]
-
-	// nextDialOwner tags the next Dial's handshake record with the
-	// caller-side object that owns its callbacks, so snapshots can
-	// serialize an in-flight dial as a reference its owner resolves on
-	// restore. Consumed (and cleared) by the next Dial.
-	nextDialOwner any
 }
-
-// SetNextDialOwner tags the next Dial call on any interface of this
-// network with its owning record, for snapshot identity.
-func (n *Network) SetNextDialOwner(owner any) { n.nextDialOwner = owner }
 
 // New creates an empty network.
 func New(s *sim.Sim, cfg Config, log *metrics.Log) *Network {
@@ -266,9 +256,6 @@ type Iface struct {
 
 // ID returns the node this interface belongs to.
 func (i *Iface) ID() cnet.NodeID { return i.id }
-
-// Network returns the network this interface is attached to.
-func (i *Iface) Network() *Network { return i.net }
 
 // State returns the mirrored machine state.
 func (i *Iface) State() NodeState { return i.state }
@@ -525,18 +512,37 @@ func deliverDgram(arg any) {
 	}
 }
 
+// DialOwner is the caller-side record of one dial: the network asks it for
+// the new connection's handlers and tells it the verdict, and a snapshot
+// names a handshake in flight by it (the owner's own section defines it in
+// ctx.Owners).
+type DialOwner interface {
+	// DialHandlers returns the handlers the connection gets on success.
+	DialHandlers() cnet.StreamHandlers
+	// DialResult delivers the verdict, exactly once: a live conn or an error.
+	DialResult(c cnet.Conn, err error)
+}
+
+// dialFuncs adapts Dial's closure pair to DialOwner. No snapshot section
+// describes it, so a capture taken while its handshake is in flight fails.
+type dialFuncs struct {
+	h      cnet.StreamHandlers
+	result func(cnet.Conn, error)
+}
+
+func (f *dialFuncs) DialHandlers() cnet.StreamHandlers { return f.h }
+func (f *dialFuncs) DialResult(c cnet.Conn, err error) { f.result(c, err) }
+
 // dialOp carries one connection handshake through its scheduled stages;
 // recycled through Network.dialFree.
 type dialOp struct {
-	i      *Iface
-	dst    *Iface
-	class  cnet.Class
-	port   string
-	h      cnet.StreamHandlers    // caller-side handlers; a restore asks the owner for them again
-	result func(cnet.Conn, error) // caller-side callback; a restore asks the owner for it again
-	err    error                  // verdict delivered by dialFail
-	local  *half                  // verdict delivered by dialDone
-	owner  any                    // snapshot identity, set via SetNextDialOwner
+	i     *Iface
+	dst   *Iface
+	class cnet.Class
+	port  string
+	err   error     // verdict delivered by dialFail
+	local *half     // verdict delivered by dialDone
+	owner DialOwner // hears the verdict
 }
 
 func (n *Network) freeDialOp(op *dialOp) {
@@ -551,18 +557,23 @@ func (op *dialOp) fail(err error, after time.Duration) {
 
 func dialFail(arg any) {
 	op := arg.(*dialOp)
-	result, err, n := op.result, op.err, op.i.net
+	owner, err, n := op.owner, op.err, op.i.net
 	n.freeDialOp(op)
-	result(nil, err)
+	owner.DialResult(nil, err)
 }
 
-// Dial opens a stream to (to, port). See cnet.Env.Dial for semantics.
+// Dial is DialFor for a caller with closures and no record.
 func (i *Iface) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	i.DialFor(to, class, port, &dialFuncs{h, result})
+}
+
+// DialFor opens a stream to (to, port) for owner. See cnet.Env.Dial for
+// semantics.
+func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner DialOwner) {
 	dst := i.net.resolve(to)
 	rtt := 2 * i.net.cfg.PropDelay
 	op := i.net.dialFree.Get()
-	op.i, op.dst, op.class, op.port, op.h, op.result = i, dst, class, port, h, result
-	op.owner, i.net.nextDialOwner = i.net.nextDialOwner, nil
+	op.i, op.dst, op.class, op.port, op.owner = i, dst, class, port, owner
 	if i.state != NodeUp {
 		op.fail(cnet.ErrTimeout, i.net.cfg.SynTimeout)
 		return
@@ -615,10 +626,10 @@ func dialSyn(arg any) {
 // dialDone is the final ACK stage of Dial.
 func dialDone(arg any) {
 	op := arg.(*dialOp)
-	local, h, result, n := op.local, op.h, op.result, op.i.net
+	local, owner, n := op.local, op.owner, op.i.net
 	n.freeDialOp(op)
-	local.h = h
-	result(local, nil)
+	local.h = owner.DialHandlers()
+	owner.DialResult(local, nil)
 	local.Release()
 }
 

@@ -38,21 +38,11 @@ type HandlerRestorer interface {
 // RestoreHandlers implements HandlerRestorer.
 func (hc *half) RestoreHandlers(h cnet.StreamHandlers) { hc.h = h }
 
-// DialRestorer is implemented by the owner record a pending dial was
-// tagged with (SetNextDialOwner). On load the network asks it for the
-// handshake's handlers and result callback.
-type DialRestorer interface {
-	RestoreDial() (cnet.StreamHandlers, func(cnet.Conn, error))
-}
-
 // SnapCore moves topology-independent network state; loading, into a
 // freshly built topology (same interfaces, no connections, no groups).
 // Must run before component sections so every attached conn half is
 // registered in iface order.
 func (n *Network) SnapCore(x *snapio.Ctx) {
-	if n.nextDialOwner != nil {
-		snapio.Failf("simnet: dial owner tag %T set and not consumed: snapshot taken inside an event", n.nextDialOwner)
-	}
 	x.Bool(&n.switchUp)
 	x.Rand(n.lossRng)
 
@@ -174,14 +164,7 @@ func (n *Network) SnapPending(x *snapio.Ctx) {
 			x.Str(&op.port)
 			cnet.SnapErr(x, &op.err)
 			snapio.Conn(x, &op.local) // nil until the syn stage runs
-			x.Owner(&op.owner, "simnet: in-flight dial")
-			if !x.Saving() {
-				dr, ok := op.owner.(DialRestorer)
-				if !ok {
-					snapio.Failf("simnet: dial owner %T cannot restore a dial", op.owner)
-				}
-				op.h, op.result = dr.RestoreDial()
-			}
+			snapio.Owner(x, &op.owner, nil, "simnet: in-flight dial")
 			return op
 		})
 	}

@@ -272,27 +272,36 @@ func (x *Ctx) Define(obj any) {
 	}
 }
 
-// Owner moves a reference to an owner record an earlier section defined.
-// what names the referencing operation when the save finds it untagged
-// or tagged with a record no section described. An owner whose process
-// incarnation has died — it says so through OwnerGone — is described by
-// no section any more: it travels as id 0 and loads as nil, for the
-// caller to put callbacks that do nothing in its place.
-func (x *Ctx) Owner(owner *any, what string) {
+// Owner moves a reference to an owner record an earlier section defined,
+// held as the interface T its holder calls it through. what names the
+// referencing operation when the save finds it without an owner or with
+// one no section described. An owner whose process incarnation has died —
+// it says so through OwnerGone — is described by no section any more: it
+// travels as id 0 and loads as gone, whose methods do nothing (nil where
+// owners do not die; id 0 is then refused).
+func Owner[T any](x *Ctx, owner *T, gone any, what string) {
 	if !x.Saving() {
-		*owner = x.Owners.Obj(x.Dec.U64())
+		ref := x.Owners.Obj(x.Dec.U64())
+		if ref == nil {
+			ref = gone
+		}
+		var ok bool
+		if *owner, ok = ref.(T); !ok {
+			Failf("%s: owner %T cannot take its callback", what, ref)
+		}
 		return
 	}
-	if *owner == nil {
-		Failf("%s has no owner tag", what)
+	ref := any(*owner)
+	if ref == nil {
+		Failf("%s has no owner", what)
 	}
-	if g, ok := (*owner).(interface{ OwnerGone() bool }); ok && g.OwnerGone() {
+	if g, ok := ref.(interface{ OwnerGone() bool }); ok && g.OwnerGone() {
 		x.Enc.U64(0)
 		return
 	}
-	id, ok := x.Owners.Lookup(*owner)
+	id, ok := x.Owners.Lookup(ref)
 	if !ok {
-		Failf("%s owner %T not registered in snapshot", what, *owner)
+		Failf("%s owner %T not registered in snapshot", what, ref)
 	}
 	x.Enc.U64(id)
 }
@@ -471,8 +480,13 @@ func (t *RefTable) Ref(obj any) uint64 {
 // more.
 func (t *RefTable) Assigned() []any { return t.list }
 
-// Lookup returns obj's id without assigning one.
+// Lookup returns obj's id without assigning one. A value that cannot be
+// a map key (a closure adaptor standing in for an owner record) was never
+// assigned one.
 func (t *RefTable) Lookup(obj any) (uint64, bool) {
+	if !reflect.TypeOf(obj).Comparable() {
+		return 0, false
+	}
 	id, ok := t.ids[obj]
 	return id, ok
 }

@@ -1,12 +1,18 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"press/internal/cnet"
 	"press/internal/faults"
 	"press/internal/harness"
+	"press/internal/server"
+	"press/internal/snapio"
 	"press/internal/trace"
 )
 
@@ -176,40 +182,131 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
+// TestClosureAdaptorRefusesCapture: a continuation handed over as a closure
+// (Array.Read, Iface.Dial — the forms with no owner record) is described by
+// no section, so a capture taken while it is outstanding fails with a typed
+// error naming what it found; the closure still runs, and the world captures
+// again once it has.
+func TestClosureAdaptorRefusesCapture(t *testing.T) {
+	for _, tc := range []struct {
+		name, owner string
+		submit      func(c *harness.Cluster, done func())
+	}{
+		{"Array.Read", "simdisk.readFunc", func(c *harness.Cluster, done func()) {
+			if !c.Machines[0].Disks().Read(0, func(bool) { done() }) {
+				t.Fatal("the read was refused")
+			}
+		}},
+		{"Iface.Dial", "*simnet.dialFuncs", func(c *harness.Cluster, done func()) {
+			c.Machines[0].Iface().Dial(c.Machines[1].ID(), cnet.ClassClient, server.PortHTTP, cnet.StreamHandlers{},
+				func(conn cnet.Conn, err error) {
+					if err == nil {
+						conn.Close()
+					}
+					done()
+				})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := harness.NewEngine(0).Build(harness.VCOOP, fastOpts(5))
+			c.Gen.Start()
+			c.Sim.RunUntil(30 * time.Second)
+			called := false
+			tc.submit(c, func() { called = true })
+
+			_, err := harness.Take(c, nil)
+			var se *snapio.SnapError
+			if !errors.As(err, &se) || !strings.Contains(se.Msg, "owner "+tc.owner+" not registered") {
+				t.Fatalf("Take with the closure outstanding: %v, want a *snapio.SnapError naming the unregistered owner %s", err, tc.owner)
+			}
+			c.Sim.RunFor(2 * time.Second)
+			if !called {
+				t.Fatal("the closure was never called")
+			}
+			if _, err := harness.Take(c, nil); err != nil {
+				t.Fatalf("Take once the closure has run: %v", err)
+			}
+		})
+	}
+}
+
+// wedgeDisk hangs a disk of node 1 and steps the world to an instant at
+// which every kind of continuation the disk array and the network hold for
+// a record is outstanding at once: reads queued behind a full disk queue,
+// the server parked as the queue's space waiter, an FME health check in
+// flight, and a tagged front-end dial mid-handshake.
+func wedgeDisk(t *testing.T, c *harness.Cluster) {
+	if _, err := c.Injector.Inject(faults.SCSITimeout, harness.DefaultComponent(faults.SCSITimeout)); err != nil {
+		t.Fatal(err)
+	}
+	m := c.Machines[1]
+	feDials := reflect.ValueOf(c.FEMach).Elem().FieldByName("dials")
+	for deadline := c.Sim.Now() + time.Minute; ; {
+		probes := 0
+		c.Sim.VisitPending(func(_ time.Duration, _ uint64, afn func(any), _ any, _ func()) {
+			if strings.HasSuffix(snapio.FnName(afn), "simdisk.probeDone") {
+				probes++
+			}
+		})
+		queued, parked := m.Disks().Full() && m.Disks().QueueLen() > 0, m.Proc("press").Stalled()
+		if queued && parked && probes > 0 && feDials.Len() > 0 {
+			return
+		}
+		if !c.Sim.Step() || c.Sim.Now() > deadline {
+			t.Fatalf("no instant with all four outstanding by %v: queue full %v, waiter parked %v, %d probes, %d front-end dials",
+				c.Sim.Now(), queued, parked, probes, feDials.Len())
+		}
+	}
+}
+
 // TestRestoreThenCaptureIsFixedPoint: a snapshot of a restored world is
 // the snapshot it was restored from. Nothing runs between the two, so a
 // field a walk writes but does not read back shows as a differing byte
 // here without a continuation having to stumble on it.
 func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
+	type capture struct {
+		v      harness.Version
+		at     time.Duration
+		what   string                             // names the instant when before picks it
+		before func(*testing.T, *harness.Cluster) // after running to at, before the capture
+	}
+	var rows []capture
 	for _, v := range harness.AllMeasuredVersions() {
 		for _, at := range []time.Duration{30 * time.Second, 90 * time.Second} {
-			t.Run(fmt.Sprintf("%s/%v", v, at), func(t *testing.T) {
-				t.Parallel()
-				c := harness.NewEngine(0).Build(v, fastOpts(4))
-				c.Gen.Start()
-				c.Sim.RunUntil(at)
-				snap, err := harness.Take(c, nil)
-				if err != nil {
-					t.Fatalf("Take: %v", err)
-				}
-				r, err := snap.Restore(nil)
-				if err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
-				again, err := harness.Take(r, nil)
-				if err != nil {
-					t.Fatalf("Take of the restored world: %v", err)
-				}
-				if again.Hash() != snap.Hash() {
-					a, b := snap.Bytes(), again.Bytes()
-					i := 0
-					for i < len(a) && i < len(b) && a[i] == b[i] {
-						i++
-					}
-					t.Fatalf("re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
-						i, len(a), len(b))
-				}
-			})
+			rows = append(rows, capture{v: v, at: at})
 		}
+	}
+	rows = append(rows, capture{harness.VFME, time.Minute, "/disk-wedged", wedgeDisk})
+	for _, row := range rows {
+		t.Run(fmt.Sprintf("%s/%v%s", row.v, row.at, row.what), func(t *testing.T) {
+			t.Parallel()
+			c := harness.NewEngine(0).Build(row.v, fastOpts(4))
+			c.Gen.Start()
+			c.Sim.RunUntil(row.at)
+			if row.before != nil {
+				row.before(t, c)
+			}
+			snap, err := harness.Take(c, nil)
+			if err != nil {
+				t.Fatalf("Take: %v", err)
+			}
+			r, err := snap.Restore(nil)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			again, err := harness.Take(r, nil)
+			if err != nil {
+				t.Fatalf("Take of the restored world: %v", err)
+			}
+			if again.Hash() != snap.Hash() {
+				a, b := snap.Bytes(), again.Bytes()
+				i := 0
+				for i < len(a) && i < len(b) && a[i] == b[i] {
+					i++
+				}
+				t.Fatalf("re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
+					i, len(a), len(b))
+			}
+		})
 	}
 }

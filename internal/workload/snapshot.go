@@ -13,12 +13,6 @@ import (
 // timeout) and the arrival tick are claimed from the pending table and
 // re-armed pinned on load.
 
-// RestoreDial implements simnet.DialRestorer: an in-flight handshake
-// owned by a request gets its handlers and result callback back.
-func (r *request) RestoreDial() (cnet.StreamHandlers, func(cnet.Conn, error)) {
-	return r.h, r.onDial
-}
-
 // SnapState moves the generator, recorder, and in-flight requests;
 // loading, into a freshly built generator (same config, same topology).
 func (g *Generator) SnapState(x *snapio.Ctx) {

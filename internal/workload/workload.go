@@ -223,8 +223,7 @@ type request struct {
 	connectDeadline sim.Timer
 	completeTimeout sim.Timer
 
-	h      cnet.StreamHandlers    // once-built handler closures, recreated with the record (see RestoreDial)
-	onDial func(cnet.Conn, error) // once-built dial closure, recreated with the record (see RestoreDial)
+	h cnet.StreamHandlers // once-built handler closures, recreated with the record
 
 	slot int // registry index, reassigned as restore re-registers in-flight requests
 }
@@ -236,7 +235,6 @@ func (g *Generator) newRequest() *request {
 	}
 	r.g = g
 	r.h = cnet.StreamHandlers{OnMessage: r.onMessage, OnClose: r.onClose}
-	r.onDial = r.dialResult
 	return r
 }
 
@@ -251,7 +249,7 @@ func (r *request) unref() {
 		g.reqLive[last] = nil
 		g.reqLive = g.reqLive[:last]
 		if r.conn != nil {
-			cnet.ReleaseConn(r.conn) // pin taken when dialResult stored it
+			cnet.ReleaseConn(r.conn) // pin taken when DialResult stored it
 			r.conn = nil
 		}
 		r.connectDeadline = sim.Timer{}
@@ -329,7 +327,12 @@ func (r *request) onMessage(c cnet.Conn, m cnet.Message) {
 
 func (r *request) onClose(c cnet.Conn, err error) { r.fail(false) }
 
-func (r *request) dialResult(c cnet.Conn, err error) {
+// DialHandlers implements simnet.DialOwner: the request is its dial's
+// owner record.
+func (r *request) DialHandlers() cnet.StreamHandlers { return r.h }
+
+// DialResult implements simnet.DialOwner.
+func (r *request) DialResult(c cnet.Conn, err error) {
 	if r.done {
 		if c != nil {
 			c.Close()
@@ -374,6 +377,5 @@ func (g *Generator) launch() {
 	g.reqLive = append(g.reqLive, r)
 
 	r.connectDeadline = g.sim.AfterArg(g.cfg.ConnectTimeout, reqConnectTimeout, r)
-	g.iface.Network().SetNextDialOwner(r)
-	g.iface.Dial(target, cnet.ClassClient, server.PortHTTP, r.h, r.onDial)
+	g.iface.DialFor(target, cnet.ClassClient, server.PortHTTP, r)
 }

@@ -352,7 +352,7 @@ func RunChaosCampaign(v Version, o Options, cfg ChaosCampaignConfig) ChaosCampai
 
 // ShrinkChaos minimizes a violating schedule to a replayable minimum.
 func ShrinkChaos(v Version, o Options, rc ChaosRunConfig, sched ChaosSchedule, invs []ChaosInvariant) (ChaosSchedule, ChaosViolation, chaos.ShrinkStats, error) {
-	return chaos.Shrink(shared, v, o, rc, sched, invs)
+	return chaos.Shrink(func(s ChaosSchedule) (chaos.Result, error) { return chaos.Run(shared, v, o, s, rc) }, sched, invs)
 }
 
 // NewChaosRepro packages a violation into a replayable repro body;
