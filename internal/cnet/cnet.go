@@ -185,6 +185,15 @@ type Env interface {
 	// Listen accepts streams on port. For every accepted connection the
 	// callback returns the handlers to attach.
 	Listen(port string, accept func(c Conn) StreamHandlers)
+
+	// SetConnWord and ConnWord write and read the one word the runtime
+	// keeps, for the component that owns it, with each connection of this
+	// process: what a server would otherwise look up in a table keyed by
+	// connection. It is zero on a new connection and lasts until the
+	// connection's OnClose has run; on a connection the process no longer
+	// holds a write does nothing and a read may say zero.
+	SetConnWord(c Conn, w uint64)
+	ConnWord(c Conn) uint64
 }
 
 // MsgPool recycles pointer records of one concrete type: the wire

@@ -37,8 +37,10 @@ const snapioPath = "press/internal/snapio"
 
 // wiring reports whether a field of type t cannot hold snapshot state,
 // whatever it is called: code (a func, a struct of funcs such as
-// cnet.StreamHandlers, a map or slice of either — a restored component
-// binds its handlers and subscribes again), a record free list (cnet.MsgPool: an empty pool
+// cnet.StreamHandlers, a map or slice of either, or a slice of funcs each
+// beside the string it is registered under, which is such a map written
+// flat — a restored component binds its handlers and subscribes again), a
+// record free list (cnet.MsgPool: an empty pool
 // behaves as a full one), or a backlink to the kernel or the event log
 // (*sim.Sim, *metrics.Log: the restored world is built over its own).
 func wiring(t types.Type) bool {
@@ -46,7 +48,7 @@ func wiring(t types.Type) bool {
 	case *types.Map:
 		return funcsOnly(c.Elem())
 	case *types.Slice:
-		return funcsOnly(c.Elem())
+		return funcsOnly(c.Elem()) || keyedFuncs(c.Elem())
 	}
 	if funcsOnly(t) {
 		return true
@@ -80,6 +82,27 @@ func funcsOnly(t types.Type) bool {
 		return u.NumFields() > 0
 	}
 	return false
+}
+
+// keyedFuncs reports whether t is one entry of a map from string to code
+// written as a struct: funcs and the string that names them, nothing else.
+func keyedFuncs(t types.Type) bool {
+	u, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	funcs, keys := 0, 0
+	for i := 0; i < u.NumFields(); i++ {
+		ft := u.Field(i).Type()
+		if b, ok := ft.Underlying().(*types.Basic); ok && b.Kind() == types.String {
+			keys++
+		} else if funcsOnly(ft) {
+			funcs++
+		} else {
+			return false
+		}
+	}
+	return funcs > 0 && keys == 1
 }
 
 // hasCtxParam reports whether sig takes a *snapio.Ctx: the mark of a

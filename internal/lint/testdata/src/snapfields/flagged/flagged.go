@@ -54,6 +54,12 @@ type Timer struct {
 		on bool
 	}
 	home *cnet.MsgPool[Timer] // want `field home of snapshot type Timer is missing from the snapshot walk`
+	// A func beside its name is wiring; with a counter beside both it is not.
+	byName []struct { // want `field byName of snapshot type Timer is missing from the snapshot walk`
+		name string
+		fn   func()
+		hits int
+	}
 }
 
 func (t *Timer) SnapState(x *snapio.Ctx) { snapio.Int(x, &t.at) }

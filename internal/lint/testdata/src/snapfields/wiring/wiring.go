@@ -30,6 +30,12 @@ type Endpoint struct {
 	dgram   map[string]func(from cnet.NodeID, m cnet.Message)
 	accepts map[string]hooks
 	subs    []func(members []cnet.NodeID)
+	binds   []binding // a map[string]hooks written flat
+}
+
+type binding struct {
+	port string
+	h    hooks
 }
 
 func (e *Endpoint) SnapState(x *snapio.Ctx) { snapio.Int(x, &e.n) }

@@ -527,6 +527,9 @@ type tcpConn struct {
 	// cnet.None on an accepted one until the dialer's preamble arrives,
 	// which is before its first message.
 	peer atomic.Int64
+	// word is the owner's (cnet.Env.SetConnWord); only its dispatch loop
+	// touches it.
+	word uint64
 
 	wmu   sync.Mutex
 	greet bool // a dialer still owes its preamble; it goes out with the first frame
@@ -702,6 +705,21 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 			})
 		}
 	}()
+}
+
+// SetConnWord implements cnet.Env.
+func (e *Env) SetConnWord(c cnet.Conn, w uint64) {
+	if t, ok := c.(*tcpConn); ok {
+		t.word = w
+	}
+}
+
+// ConnWord implements cnet.Env.
+func (e *Env) ConnWord(c cnet.Conn) uint64 {
+	if t, ok := c.(*tcpConn); ok {
+		return t.word
+	}
+	return 0
 }
 
 // Keep-alive probing is off at both ends of every stream. On loopback a

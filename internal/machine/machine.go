@@ -240,6 +240,14 @@ type Proc struct {
 	resume      resumeRec
 	env         *Env
 	conns       []connRec
+	// closing[closingHead:] holds the records of connections the peer
+	// closed whose OnClose still waits in the mailbox: out of conns the
+	// moment the close arrives, but the owner's word has to last until its
+	// OnClose has run. A queue in the order of the mailbox's close entries,
+	// one record each, which is also why a snapshot does not write it: a
+	// restore makes it again from those entries.
+	closing     []connRec
+	closingHead int
 	// pauseScratch is syncConnPause's reusable snapshot of the conn list,
 	// used as a stack so a nested call leaves the outer one's span alone.
 	pauseScratch []simnet.StreamConn
@@ -294,6 +302,9 @@ func (c *call) dispatch() {
 	case c.rfn != nil:
 		if c.env.live() {
 			c.rfn(c.c, c.err)
+			if !c.dial && c.env.live() {
+				c.env.p.unparkConn() // its OnClose has run
+			}
 		}
 	case c.wfn != nil:
 		if c.env.live() {
@@ -377,7 +388,7 @@ func (p *Proc) boot() {
 	p.running = false
 	p.mailbox = nil
 	p.head = 0
-	p.conns = nil
+	p.conns, p.closing, p.closingHead = nil, nil, 0
 	p.env = newEnv(p, p.incarnation)
 	p.env.rand = p.m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", p.m.id, p.name, p.incarnation))
 	p.start(p.env)
@@ -408,7 +419,7 @@ func (p *Proc) kill(abortConns bool) {
 		}
 	}
 	conns := p.conns
-	p.conns = nil
+	p.conns, p.closing, p.closingHead = nil, nil, 0
 	if abortConns {
 		for _, r := range conns {
 			r.c.Abort()
@@ -485,19 +496,29 @@ func (p *Proc) pump() {
 
 func (p *Proc) syncConnPause() {
 	paused := p.hung || p.stalled
+	if paused {
+		// Pausing calls nothing back, so the list cannot change under the
+		// walk. A server blocking on a full disk queue comes through here
+		// once per stall.
+		for i := range p.conns {
+			p.conns[i].c.SetPaused(true)
+		}
+		return
+	}
 	// Unpausing drains buffered messages, which can close connections and
 	// mutate p.conns via the close hook: iterate a snapshot. It lives on
-	// the process and is reused — a server blocking on a full disk queue
-	// comes through here twice per stall. The drain can also re-enter (a
-	// drained handler stalls again), so the scratch is a stack: a nested
-	// call appends its snapshot above this one's span and pops it again.
+	// the process and is reused — the same server comes through here once
+	// per stall too. The drain can also re-enter (a drained handler stalls
+	// again and the disk frees a slot at once), so the scratch is a stack:
+	// a nested call appends its snapshot above this one's span and pops it
+	// again.
 	base := len(p.pauseScratch)
 	for i := range p.conns {
 		p.pauseScratch = append(p.pauseScratch, p.conns[i].c)
 	}
 	end := len(p.pauseScratch)
 	for i := base; i < end; i++ {
-		p.pauseScratch[i].SetPaused(paused)
+		p.pauseScratch[i].SetPaused(false)
 	}
 	clear(p.pauseScratch[base:end])
 	p.pauseScratch = p.pauseScratch[:base]
@@ -513,6 +534,10 @@ func (p *Proc) syncConnPause() {
 type connRec struct {
 	c simnet.StreamConn
 	h cnet.StreamHandlers // component handlers, re-attached by the owning component via RestoreConn
+	// word is the owning component's (cnet.Env.SetConnWord): the PRESS
+	// server keeps the id of the request a client connection carries here.
+	// A restoring component writes it again.
+	word uint64
 }
 
 func (p *Proc) adoptConn(e *Env, c simnet.StreamConn, h cnet.StreamHandlers) {
@@ -545,12 +570,14 @@ func (p *Proc) connOf(c cnet.Conn) *connRec {
 }
 
 func (p *Proc) dropConn(c cnet.Conn) {
-	r := p.connOf(c)
-	if r == nil {
-		return
+	if r := p.connOf(c); r != nil {
+		p.removeConn(r)
 	}
-	// O(1) swap-remove, which preserves the exact order a first-match
-	// scan produced (conns are unique).
+}
+
+// removeConn takes r out of the conn list: an O(1) swap-remove, which
+// preserves the exact order a first-match scan produced (conns are unique).
+func (p *Proc) removeConn(r *connRec) {
 	i := r.c.OwnerSlot()
 	r.c.SetOwnerSlot(-1)
 	last := len(p.conns) - 1
@@ -560,6 +587,57 @@ func (p *Proc) dropConn(c cnet.Conn) {
 	}
 	p.conns[last] = connRec{}
 	p.conns = p.conns[:last]
+}
+
+// parkConn moves r from the conn list to the back of the closing queue: the
+// peer's close has arrived and the component's OnClose is about to be
+// posted.
+func (p *Proc) parkConn(r *connRec) {
+	// Reuse the spent front of the queue's storage before growing it: all
+	// of it when the queue has drained, and under a standing backlog once
+	// it is at least half, so the copying stays proportional to the appends.
+	if q, head := p.closing, p.closingHead; head == len(q) || (len(q) == cap(q) && 2*head >= len(q)) {
+		n := copy(q, q[head:])
+		clear(q[n:])
+		p.closing, p.closingHead = q[:n], 0
+	}
+	p.closing = append(p.closing, *r)
+	p.removeConn(r)
+}
+
+// unparkConn retires the front of the closing queue: the mailbox has just
+// run the OnClose of the connection parked longest. A process that died
+// and restarted inside that OnClose has a new queue, which this close is
+// not on.
+func (p *Proc) unparkConn() {
+	if p.closingHead < len(p.closing) {
+		p.closing[p.closingHead] = connRec{}
+		p.closingHead++
+	}
+}
+
+// wordOf returns the owner's word of c, held or parked; nil for a
+// connection the process has no record of. The parked one asked about is
+// the front of the queue when its own OnClose asks; anyone else — a server
+// admitting a request whose client has hung up meanwhile — looks down the
+// queue.
+func (p *Proc) wordOf(c cnet.Conn) *uint64 {
+	sc, ok := c.(simnet.StreamConn)
+	if !ok {
+		return nil
+	}
+	if i := sc.OwnerSlot(); i >= 0 {
+		if i < len(p.conns) && p.conns[i].c == sc {
+			return &p.conns[i].word
+		}
+		return nil // the slot is not ours: a connection of an incarnation that died
+	}
+	for k := p.closingHead; k < len(p.closing); k++ {
+		if p.closing[k].c == sc {
+			return &p.closing[k].word
+		}
+	}
+	return nil
 }
 
 // dialRec is one Dial in flight: the network's owner record for the
@@ -651,9 +729,9 @@ type Env struct {
 	dgramPorts  []string //availlint:skipfield dgramPorts repopulated as restored components re-bind their ports
 	listenPorts []string //availlint:skipfield listenPorts repopulated as restored components re-listen
 
-	// dgramH keeps the raw component handler per bound port so snapshot
+	// dgramH keeps the raw component handler of dgramPorts[i], so snapshot
 	// restore can rebuild pending mailbox datagram entries.
-	dgramH map[string]func(from cnet.NodeID, m cnet.Message) // rebuilt as restored components re-bind their handlers
+	dgramH []func(from cnet.NodeID, m cnet.Message) // rebuilt as restored components re-bind their handlers
 
 	// hooks is what this incarnation installs on every connection it
 	// adopts: closures over the Env alone, built once by newEnv.
@@ -689,13 +767,16 @@ func newEnv(p *Proc, inc uint64) *Env {
 			if r == nil {
 				return
 			}
-			// Drop before posting: the component's OnClose may run at
-			// once and must see the list without this connection.
+			// Off the list before posting: the component's OnClose may run
+			// at once and must see the list without this connection. The
+			// record waits in the closing queue until it has.
 			fn := r.h.OnClose
-			p.dropConn(c)
-			if fn != nil {
-				p.postCall(call{rfn: fn, env: e, c: c, err: err})
+			if fn == nil {
+				p.removeConn(r)
+				return
 			}
+			p.parkConn(r)
+			p.postCall(call{rfn: fn, env: e, c: c, err: err})
 		},
 		OnWritable: func(c cnet.Conn) {
 			if r := e.connOf(c); r != nil && r.h.OnWritable != nil {
@@ -812,10 +893,7 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 		return
 	}
 	e.dgramPorts = append(e.dgramPorts, port)
-	if e.dgramH == nil {
-		e.dgramH = make(map[string]func(cnet.NodeID, cnet.Message))
-	}
-	e.dgramH[port] = h
+	e.dgramH = append(e.dgramH, h)
 	e.p.m.iface.BindDatagram(port, func(from cnet.NodeID, m cnet.Message) {
 		if !e.live() || !e.p.runnable() {
 			return
@@ -862,6 +940,31 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 		}
 		return e.hooks.h
 	})
+}
+
+// SetConnWord implements cnet.Env. Inside a restore the conn list is not
+// built yet: the word waits with the handlers RestoreConn left.
+func (e *Env) SetConnWord(c cnet.Conn, w uint64) {
+	if !e.live() {
+		return
+	}
+	if rst := e.p.rst; rst != nil {
+		if _, own := rst.words[c]; own {
+			rst.words[c] = w
+		}
+	} else if word := e.p.wordOf(c); word != nil {
+		*word = w
+	}
+}
+
+// ConnWord implements cnet.Env.
+func (e *Env) ConnWord(c cnet.Conn) uint64 {
+	if e.live() {
+		if word := e.p.wordOf(c); word != nil {
+			return *word
+		}
+	}
+	return 0
 }
 
 var (

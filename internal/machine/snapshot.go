@@ -95,7 +95,16 @@ type procRestore struct {
 	adopted      []simnet.StreamConn               // adopted conns in owner-slot order
 	conns        []cnet.Conn                       // adopted conns, then mailbox-only (closed) conns
 	handlers     map[cnet.Conn]cnet.StreamHandlers // component handlers by conn, from RestoreConn
+	words        map[cnet.Conn]uint64              // every conn of conns, with the word its component wrote back (SetConnWord)
 	dialers      map[dialKey]dialEndpoint
+}
+
+// own lists c among the restoring process's connections, once.
+func (r *procRestore) own(c cnet.Conn) {
+	if _, listed := r.words[c]; !listed {
+		r.words[c] = 0
+		r.conns = append(r.conns, c)
+	}
 }
 
 // SnapState moves the machine. Saving claims pending proc timers and the
@@ -131,6 +140,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 				mailTimers:   map[uint64]bool{},
 				mailTimerFns: map[uint64]func(){},
 				handlers:     map[cnet.Conn]cnet.StreamHandlers{},
+				words:        map[cnet.Conn]uint64{},
 				dialers:      map[dialKey]dialEndpoint{},
 			}
 		}
@@ -176,6 +186,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 		}
 
+		closes := 0
 		for i := range x.Len(p.MailboxLen(), 1<<20) {
 			if !p.alive { // kill empties it; there is no environment to resolve an entry against
 				snapio.Failf("machine %d/%s: a dead process with a mailbox", m.id, name)
@@ -184,13 +195,21 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			if x.Saving() {
 				t = m.tagOf(name, &p.mailbox[p.head+i])
 			}
-			t.snap(x)
+			if t.snap(x); t.kind == tagClosed {
+				closes++
+			}
 			if !x.Saving() {
 				if t.kind == tagTimer {
 					p.rst.mailTimers[t.serial] = true
 				}
 				p.rst.mailTags = append(p.rst.mailTags, t)
 			}
+		}
+
+		if parked := len(p.closing) - p.closingHead; x.Saving() && closes != parked {
+			// The parked records are not written: FinishRestore rebuilds one
+			// per close entry, which is only right while that is what they are.
+			snapio.Failf("machine %d/%s: %d closes in the mailbox, %d connections parked", m.id, name, closes, parked)
 		}
 
 		for i := range x.Len(len(p.conns), 1<<20) {
@@ -206,7 +225,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 			if !x.Saving() {
 				p.rst.adopted = append(p.rst.adopted, c)
-				p.rst.conns = append(p.rst.conns, c)
+				p.rst.own(c)
 			}
 		}
 		// Mailbox-only connections (typically closed ones awaiting their
@@ -214,8 +233,8 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		// component can restore handlers on them too.
 		if !x.Saving() {
 			for _, t := range p.rst.mailTags {
-				if t.c != nil && !slices.Contains(p.rst.conns, t.c) {
-					p.rst.conns = append(p.rst.conns, t.c)
+				if t.c != nil {
+					p.rst.own(t.c)
 				}
 			}
 		}
@@ -452,6 +471,9 @@ func (e *Env) RestoreConn(c cnet.Conn, h cnet.StreamHandlers) {
 	if !ok {
 		snapio.Failf("machine %d/%s: conn %T cannot restore handlers", p.m.id, p.name, c)
 	}
+	if _, own := p.rst.words[c]; !own {
+		snapio.Failf("machine %d/%s: component restores a connection the process did not carry", p.m.id, p.name)
+	}
 	hr.RestoreHandlers(e.hooks.h)
 	p.rst.handlers[c] = h
 }
@@ -490,8 +512,18 @@ func (m *Machine) FinishRestore() {
 				snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, i)
 			}
 			c.SetOwnerSlot(i)
-			p.conns = append(p.conns, connRec{c: c, h: h})
+			p.conns = append(p.conns, connRec{c: c, h: h, word: r.words[c]})
 			c.SetCloseHook(p.env.hooks.closed)
+		}
+		// A close waiting in the mailbox has its connection's record parked.
+		for _, t := range r.mailTags {
+			if t.kind == tagClosed {
+				sc, ok := t.c.(simnet.StreamConn)
+				if !ok {
+					snapio.Failf("machine %d/%s: mailbox close entry names no conn", m.id, name)
+				}
+				p.closing = append(p.closing, connRec{c: sc, h: r.handlers[t.c], word: r.words[t.c]})
+			}
 		}
 
 		serials := make([]uint64, 0, len(r.timers))
@@ -554,7 +586,12 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		}
 		return call{sfn: h.OnMessage, env: env, c: t.c, m: t.m}
 	case tagDgram:
-		h := env.dgramH[t.port]
+		var h func(cnet.NodeID, cnet.Message)
+		for i, port := range env.dgramPorts {
+			if port == t.port {
+				h = env.dgramH[i] // the last binding of a port is the one in force
+			}
+		}
 		if h == nil {
 			snapio.Failf("machine %d/%s: mailbox dgram entry for unbound port %q", m.id, p.name, t.port)
 		}

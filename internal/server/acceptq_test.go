@@ -1,0 +1,111 @@
+package server
+
+import (
+	"testing"
+	"time"
+
+	"press/internal/cnet"
+	"press/internal/machine"
+	"press/internal/metrics"
+	"press/internal/sim"
+	"press/internal/simdisk"
+	"press/internal/simnet"
+	"press/internal/trace"
+)
+
+// A client connection is either admitted — then the connection's word
+// names its request and it is nowhere in the accept queue — or it waits in
+// the accept queue with no word. TestClientCloseFindsItsRequest closes one
+// of each on a one-slot server with a disk that takes a second per read:
+// the waiter's close takes exactly its entry out of the queue, and the
+// admitted one's close ends its request and leaves the queue as it was but
+// for the head, which gets the freed slot.
+func TestClientCloseFindsItsRequest(t *testing.T) {
+	s := sim.New(1)
+	log := &metrics.Log{}
+	net := simnet.New(s, simnet.DefaultConfig(), log)
+	cat := trace.NewCatalog(100, 27*1024, 0.8)
+	disks := simdisk.NewArray(s, s.NewRand("disks"), simdisk.Config{MeanService: time.Second, QueueCap: 8, Workers: 1}, 1)
+	m := machine.New(s, net, 0, disks, log)
+	var srv *Server
+	m.AddProc("press", func(env *machine.Env) {
+		srv = New(Config{Self: 0, Nodes: []cnet.NodeID{0}, Catalog: cat, CacheBytes: 10 * 27 * 1024, MaxConcurrent: 1}, env, disks, nil)
+	})
+
+	client := net.AddIface(1000)
+	conns := make([]cnet.Conn, 5)
+	for i := range conns {
+		i := i
+		client.Dial(0, cnet.ClassClient, PortHTTP, cnet.StreamHandlers{}, func(c cnet.Conn, err error) {
+			if err != nil {
+				t.Fatalf("dial %d: %v", i, err)
+			}
+			conns[i] = c
+			c.TrySend(&ReqMsg{Doc: trace.DocID(10 + i)}, 64)
+		})
+		s.RunFor(time.Millisecond) // one after the other, so the queue order is the dial order
+	}
+	s.RunFor(10 * time.Millisecond)
+
+	queued := func() []trace.DocID {
+		var docs []trace.DocID
+		for _, pr := range srv.acceptQ[srv.acceptHead:] {
+			docs = append(docs, pr.msg.Doc)
+		}
+		return docs
+	}
+	if srv.Active() != 1 || !equalDocs(queued(), 11, 12, 13, 14) {
+		t.Fatalf("set-up: active %d, queue %v; want request 10 in service and 11..14 waiting", srv.Active(), queued())
+	}
+	for _, pr := range srv.acceptQ[srv.acceptHead:] {
+		if w := srv.env.ConnWord(pr.conn); w != 0 {
+			t.Fatalf("a waiting connection carries word %d", w)
+		}
+	}
+	admitted := srv.inflight.ascending()[0].id // the record itself is recycled when the request ends
+	if w := srv.env.ConnWord(srv.inflight.get(admitted).client); w != admitted {
+		t.Fatalf("the admitted connection carries word %d, its request is %d", w, admitted)
+	}
+
+	// A waiter in the middle of the queue gives up.
+	conns[2].Close()
+	s.RunFor(10 * time.Millisecond)
+	if srv.Active() != 1 || !equalDocs(queued(), 11, 13, 14) {
+		t.Fatalf("after the waiter's close: active %d, queue %v; want 11, 13, 14", srv.Active(), queued())
+	}
+
+	// The admitted client gives up: its request ends, the head of the queue
+	// gets the slot, and the rest of the queue is untouched.
+	conns[0].Close()
+	s.RunFor(10 * time.Millisecond)
+	if srv.inflight.get(admitted) != nil {
+		t.Fatal("the closed client's request is still in flight")
+	}
+	if srv.Active() != 1 || !equalDocs(queued(), 13, 14) {
+		t.Fatalf("after the admitted client's close: active %d, queue %v; want 13, 14", srv.Active(), queued())
+	}
+	if now := srv.inflight.ascending(); len(now) != 1 || now[0].doc != 11 || srv.env.ConnWord(now[0].client) != now[0].id {
+		t.Fatalf("request 11 did not take the slot: %+v", now)
+	}
+
+	// Everything left is served in order; the table and the queue drain.
+	s.RunFor(10 * time.Second)
+	if srv.Active() != 0 || srv.inflight.n != 0 || srv.QueuedAccepts() != 0 {
+		t.Fatalf("not drained: active %d, in flight %d, queued %d", srv.Active(), srv.inflight.n, srv.QueuedAccepts())
+	}
+	if got := srv.Stats().Served; got != 3 {
+		t.Fatalf("served %d, want 3 (requests 11, 13, 14)", got)
+	}
+}
+
+func equalDocs(got []trace.DocID, want ...trace.DocID) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}

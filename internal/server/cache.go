@@ -121,37 +121,78 @@ func (c *docCache) Docs() []trace.DocID {
 // directory tracks which cluster nodes cache which documents, fed by
 // broadcast announcements and Hello exchanges. Node sets are bitmasks
 // indexed by position in the static node list. Clusters up to 64 nodes
-// use one word per document (the faithful layout, unchanged down to the
-// snapshot bytes); larger clusters spill into multi-word masks.
+// keep one word per catalog document in a table indexed by DocID — every
+// routed miss reads it and every announcement writes it, so it is a load
+// and a store, not a hash probe; larger clusters spill into multi-word
+// masks, kept in a map because a dense table of them would cost
+// docs × words × 8 bytes on each of hundreds of servers.
 type directory struct {
-	bits  map[trace.DocID]uint64
-	wide  map[trace.DocID][]uint64 // multi-word masks; used iff words > 1
-	words int
-	idx   map[cnet.NodeID]uint //availlint:skipfield idx static bit-position table, rebuilt by the constructor
-	nodes []cnet.NodeID        //availlint:skipfield nodes static bit-position table, rebuilt by the constructor
+	bits    []uint64                 // narrow shape: bits[doc], zero when nobody holds doc
+	entries int                      // non-zero words of bits
+	wide    map[trace.DocID][]uint64 // multi-word masks; used iff words > 1
+	words   int
+	idx     []uint32      // static bit-position table (position+1 by NodeID, 0 for a stranger), rebuilt by the constructor
+	nodes   []cnet.NodeID // static bit-position table, rebuilt by the constructor
 }
 
-func newDirectory(nodes []cnet.NodeID) *directory {
-	d := &directory{
-		idx:   make(map[cnet.NodeID]uint),
-		nodes: append([]cnet.NodeID(nil), nodes...),
-	}
+// newDirectory builds the directory of a cluster of nodes over a catalog
+// of docs documents. The narrow shape records nothing about a document
+// outside the catalog.
+func newDirectory(nodes []cnet.NodeID, docs int) *directory {
+	d := &directory{nodes: append([]cnet.NodeID(nil), nodes...)}
 	for i, n := range nodes {
-		d.idx[n] = uint(i)
+		if n < 0 {
+			continue
+		}
+		if int(n) >= len(d.idx) {
+			d.idx = append(d.idx, make([]uint32, int(n)+1-len(d.idx))...)
+		}
+		d.idx[n] = uint32(i) + 1
 	}
 	d.words = (len(nodes) + 63) / 64
 	if d.words <= 1 {
 		d.words = 1
-		d.bits = make(map[trace.DocID]uint64)
+		d.bits = make([]uint64, docs)
 	} else {
 		d.wide = make(map[trace.DocID][]uint64)
 	}
 	return d
 }
 
+// bit returns node's position in the masks; ok is false for a node that is
+// not in the static list.
+func (d *directory) bit(node cnet.NodeID) (bit uint, ok bool) {
+	if node < 0 || int(node) >= len(d.idx) || d.idx[node] == 0 {
+		return 0, false
+	}
+	return uint(d.idx[node] - 1), true
+}
+
+// mask returns doc's word in the narrow shape.
+func (d *directory) mask(doc trace.DocID) uint64 {
+	if doc < 0 || int(doc) >= len(d.bits) {
+		return 0
+	}
+	return d.bits[doc]
+}
+
+// setMask replaces doc's word in the narrow shape, keeping the entry count.
+func (d *directory) setMask(doc trace.DocID, mask uint64) {
+	if doc < 0 || int(doc) >= len(d.bits) {
+		return
+	}
+	switch old := d.bits[doc]; {
+	case old == 0 && mask != 0:
+		d.entries++
+	case old != 0 && mask == 0:
+		d.entries--
+	}
+	d.bits[doc] = mask
+}
+
 // Set records (or clears) that node caches doc.
 func (d *directory) Set(node cnet.NodeID, doc trace.DocID, cached bool) {
-	bit, ok := d.idx[node]
+	bit, ok := d.bit(node)
 	if !ok {
 		return
 	}
@@ -178,29 +219,10 @@ func (d *directory) Set(node cnet.NodeID, doc trace.DocID, cached bool) {
 		return
 	}
 	if cached {
-		d.bits[doc] |= 1 << bit
-		return
+		d.setMask(doc, d.mask(doc)|1<<bit)
+	} else {
+		d.setMask(doc, d.mask(doc)&^(1<<bit))
 	}
-	d.bits[doc] &^= 1 << bit
-	if d.bits[doc] == 0 {
-		delete(d.bits, doc)
-	}
-}
-
-// Holders returns the nodes (from candidates) recorded as caching doc.
-// Holds reports whether node n is recorded as caching doc — the
-// allocation-free per-candidate form of Holders for the routing hot path.
-func (d *directory) Holds(doc trace.DocID, n cnet.NodeID) bool {
-	bit, ok := d.idx[n]
-	if !ok {
-		return false
-	}
-	if d.words > 1 {
-		mask := d.wide[doc]
-		return mask != nil && mask[bit/64]&(1<<(bit%64)) != 0
-	}
-	mask := d.bits[doc]
-	return mask&(1<<bit) != 0
 }
 
 // eachHolder calls fn for every node recorded as caching doc, in
@@ -219,7 +241,7 @@ func (d *directory) eachHolder(doc trace.DocID, fn func(cnet.NodeID)) {
 		}
 		return
 	}
-	w := d.bits[doc]
+	w := d.mask(doc)
 	for w != 0 {
 		b := mbits.TrailingZeros64(w)
 		w &= w - 1
@@ -227,19 +249,9 @@ func (d *directory) eachHolder(doc trace.DocID, fn func(cnet.NodeID)) {
 	}
 }
 
-func (d *directory) Holders(doc trace.DocID, candidates []cnet.NodeID) []cnet.NodeID {
-	var out []cnet.NodeID
-	for _, n := range candidates {
-		if d.Holds(doc, n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // DropNode forgets everything recorded about a node (it left the set).
 func (d *directory) DropNode(node cnet.NodeID) {
-	bit, ok := d.idx[node]
+	bit, ok := d.bit(node)
 	if !ok {
 		return
 	}
@@ -260,19 +272,8 @@ func (d *directory) DropNode(node cnet.NodeID) {
 		return
 	}
 	for doc, mask := range d.bits {
-		mask &^= 1 << bit
-		if mask == 0 {
-			delete(d.bits, doc)
-		} else {
-			d.bits[doc] = mask
+		if mask&(1<<bit) != 0 {
+			d.setMask(trace.DocID(doc), mask&^(1<<bit))
 		}
 	}
-}
-
-// Entries returns the number of documents with at least one holder.
-func (d *directory) Entries() int {
-	if d.words > 1 {
-		return len(d.wide)
-	}
-	return len(d.bits)
 }

@@ -81,7 +81,7 @@ func TestQuickDocCacheBounded(t *testing.T) {
 
 func TestDirectorySetAndHolders(t *testing.T) {
 	nodes := []cnet.NodeID{0, 1, 2, 3}
-	d := newDirectory(nodes)
+	d := newDirectory(nodes, 100)
 	d.Set(1, 7, true)
 	d.Set(3, 7, true)
 	holders := d.Holders(7, nodes)
@@ -101,7 +101,7 @@ func TestDirectorySetAndHolders(t *testing.T) {
 
 func TestDirectoryDropNode(t *testing.T) {
 	nodes := []cnet.NodeID{0, 1}
-	d := newDirectory(nodes)
+	d := newDirectory(nodes, 100)
 	d.Set(0, 1, true)
 	d.Set(1, 1, true)
 	d.Set(1, 2, true)
@@ -118,7 +118,7 @@ func TestDirectoryDropNode(t *testing.T) {
 }
 
 func TestDirectoryUnknownNodeIgnored(t *testing.T) {
-	d := newDirectory([]cnet.NodeID{0, 1})
+	d := newDirectory([]cnet.NodeID{0, 1}, 100)
 	d.Set(99, 5, true) // not in the static node list
 	if h := d.Holders(5, []cnet.NodeID{0, 1, 99}); len(h) != 0 {
 		t.Fatalf("unknown node recorded: %v", h)
@@ -132,7 +132,7 @@ func TestQuickDirectoryConsistency(t *testing.T) {
 	nodes := []cnet.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := newDirectory(nodes)
+		d := newDirectory(nodes, 100)
 		last := map[[2]int]bool{}
 		for i := 0; i < 200; i++ {
 			n := cnet.NodeID(rng.Intn(8))

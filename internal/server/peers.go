@@ -219,46 +219,57 @@ func (s *Server) peerConnLost(n cnet.NodeID, err error) {
 	s.exclude(n, "connection lost")
 }
 
-// inPeer is an inbound peer connection's identity, unknown until its
-// Hello arrives. The connection's own handlers capture it, so the hot
-// receive path reads a pointer instead of hashing the conn-keyed
-// registry per message; inboundFrom stays authoritative for snapshots.
+// inPeer is one inbound peer connection and its dialer's identity, unknown
+// until the Hello arrives. The connection's own handlers capture the
+// record, so the receive path reads a pointer; s.inbound lists the records
+// for snapshots.
 type inPeer struct {
+	c     cnet.Conn
 	from  cnet.NodeID
 	known bool
+	slot  int // index in s.inbound
 }
 
 // acceptPeer handles inbound intra-cluster connections (the peer's send
 // connection). The first message must be a Hello identifying the dialer.
 func (s *Server) acceptPeer(c cnet.Conn) cnet.StreamHandlers {
-	// Registered before its Hello, as from nobody yet: a hung server
-	// accepts (the handshake is the kernel's) and reads the Hello when it
-	// wakes, and a snapshot in between has to know this is a peer stream.
-	s.inboundFrom[c] = cnet.None
-	return s.inboundHandlers(&inPeer{})
+	// Listed before its Hello, as from nobody yet: a hung server accepts
+	// (the handshake is the kernel's) and reads the Hello when it wakes,
+	// and a snapshot in between has to know this is a peer stream.
+	return s.inboundHandlers(s.addInbound(c, cnet.None))
+}
+
+func (s *Server) addInbound(c cnet.Conn, from cnet.NodeID) *inPeer {
+	st := &inPeer{c: c, from: from, known: from != cnet.None, slot: len(s.inbound)}
+	s.inbound = append(s.inbound, st)
+	return st
 }
 
 func (s *Server) inboundHandlers(st *inPeer) cnet.StreamHandlers {
 	return cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) { s.onPeerMsg(st, c, m) },
-		OnClose:   func(c cnet.Conn, err error) { s.onPeerClose(st, c, err) },
+		OnMessage: func(c cnet.Conn, m cnet.Message) { s.onPeerMsg(st, m) },
+		OnClose:   func(c cnet.Conn, err error) { s.onPeerClose(st, err) },
 	}
 }
 
-func (s *Server) onPeerClose(st *inPeer, c cnet.Conn, err error) {
-	delete(s.inboundFrom, c)
+func (s *Server) onPeerClose(st *inPeer, err error) {
+	last := len(s.inbound) - 1
+	moved := s.inbound[last]
+	s.inbound[st.slot] = moved
+	moved.slot = st.slot
+	s.inbound[last] = nil
+	s.inbound = s.inbound[:last]
 	if st.known {
 		s.peerConnLost(st.from, err)
 	}
 }
 
-func (s *Server) onPeerMsg(st *inPeer, c cnet.Conn, m cnet.Message) {
+func (s *Server) onPeerMsg(st *inPeer, m cnet.Message) {
 	from, known := st.from, st.known
 	switch msg := m.(type) {
 	case HelloMsg:
 		s.env.Charge(s.cfg.Cost.Control)
 		st.from, st.known = msg.From, true
-		s.inboundFrom[c] = msg.From
 		for _, d := range msg.CacheDocs {
 			if s.proto.records(d) {
 				s.dir.Set(msg.From, d, true)

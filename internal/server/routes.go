@@ -33,15 +33,18 @@ func (s *Server) onClientMsg(c cnet.Conn, m cnet.Message) {
 func (s *Server) onClientClose(c cnet.Conn, err error) {
 	// Client gave up (timeout) or finished: release anything the request
 	// still holds.
-	if id, ok := s.clientOf[c]; ok {
-		delete(s.clientOf, c)
-		if st := s.inflight[id]; st != nil {
+	if id := s.env.ConnWord(c); id != 0 {
+		// The connection's one request was admitted; it is in flight still
+		// or it has finished, and either way it left the accept queue when
+		// it got its slot: there is nothing there to look for.
+		if st := s.inflight.get(id); st != nil {
 			cnet.ReleaseConn(c) // pin taken when admit stored it
 			st.client = nil
 			s.finish(st, false)
 		}
+		return
 	}
-	// Also drop it from the accept queue if it never got a slot.
+	// It never got a slot: drop it from the accept queue if it waits there.
 	for i := s.acceptHead; i < len(s.acceptQ); i++ {
 		if s.acceptQ[i].conn == c {
 			s.acceptQ = append(s.acceptQ[:i], s.acceptQ[i+1:]...)
@@ -86,15 +89,15 @@ func (s *Server) admit(c cnet.Conn, req *ReqMsg) {
 	st := s.getReq()
 	st.id, st.doc, st.client = s.nextID, req.Doc, c
 	// The request record holds the conn until finish. The pin matters even
-	// though clientOf normally clears st.client on close: a deferred
+	// though the close normally clears st.client: a deferred
 	// admission can store a conn whose close already dispatched (it was
 	// popped from the accept queue before the close arrived), and then
 	// nothing ever clears st.client — without the pin the pair would
 	// recycle under the record and respond would send into a reused conn.
 	cnet.RetainConn(c)
 	req.Release()
-	s.inflight[st.id] = st
-	s.clientOf[c] = st.id
+	s.inflight.put(st)
+	s.env.SetConnWord(c, st.id)
 	s.route(st)
 }
 
@@ -199,7 +202,7 @@ func (s *Server) forward(st *reqState, target cnet.NodeID) {
 
 // completeForwarded handles a service node's reply.
 func (s *Server) completeForwarded(from cnet.NodeID, msg *FwdReplyMsg) {
-	st := s.inflight[msg.ID]
+	st := s.inflight.get(msg.ID)
 	if st == nil {
 		return // request already dead (client timeout)
 	}
@@ -398,12 +401,10 @@ func (s *Server) respond(st *reqState, ok bool) {
 // finish tears down request state, recycles it, and pulls the next
 // waiter in.
 func (s *Server) finish(st *reqState, responded bool) {
-	if s.inflight[st.id] == nil {
+	if !s.inflight.del(st.id) {
 		return
 	}
-	delete(s.inflight, st.id)
 	if st.client != nil {
-		delete(s.clientOf, st.client)
 		cnet.ReleaseConn(st.client) // pin taken when admit stored it
 	}
 	s.putReq(st)

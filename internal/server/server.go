@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"press/internal/clock"
 	"press/internal/cnet"
@@ -50,13 +49,21 @@ type Server struct {
 	peers    []*peer       // nil entry: no plumbing towards that node yet
 	joined   bool
 
-	active      int
-	acceptQ     []pendingReq
-	acceptHead  int // consumed prefix of acceptQ (popped without re-slicing)
-	nextID      uint64
-	inflight    map[uint64]*reqState
-	clientOf    map[cnet.Conn]uint64
-	inboundFrom map[cnet.Conn]cnet.NodeID
+	active     int
+	acceptQ    []pendingReq
+	acceptHead int // consumed prefix of acceptQ (popped without re-slicing)
+	nextID     uint64
+	// inflight holds the admitted requests by id. Which request a client
+	// connection carries is not kept here: the connection itself carries
+	// the id, in the word its runtime keeps for the owner (Env.ConnWord).
+	// admit writes it and nothing clears it — a connection carries one
+	// request, and ids are never reused, so a finished request's id just
+	// finds nothing.
+	inflight reqTable
+	// inbound lists the peer streams other nodes dialed, each at its own
+	// slot. The receive path never looks here (the stream's handlers hold
+	// the record); a snapshot does.
+	inbound []*inPeer
 
 	// Hot-path recycling: the handler sets are built once per server, and
 	// the per-request records (request state, disk continuations, deferred
@@ -122,11 +129,9 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 		disk:           disk,
 		memb:           memb,
 		cache:          newDocCache(cfg.Catalog.DocsFitting(cfg.CacheBytes), cfg.Catalog.Docs),
-		dir:            newDirectory(cfg.Nodes),
-		inflight:       make(map[uint64]*reqState),
-		clientOf:       make(map[cnet.Conn]uint64),
-		inboundFrom:    make(map[cnet.Conn]cnet.NodeID),
+		dir:            newDirectory(cfg.Nodes, cfg.Catalog.Docs),
 	}
+	s.sizeNodeTables()
 	if cfg.Sharded {
 		s.proto = shardedDir{s}
 	} else {
@@ -212,6 +217,19 @@ func (s *Server) adoptView(nodes []cnet.NodeID, why string) {
 // in routing, so it must stay a bounds check and a load.
 func (s *Server) inView(n cnet.NodeID) bool {
 	return n >= 0 && int(n) < len(s.view) && s.view[n]
+}
+
+// sizeNodeTables sizes the tables that are dense by NodeID for the static
+// configuration, once. Growing them a slot at a time as ids turned up
+// (viewAdd and setPeer's fallback, now only for an id outside cfg.Nodes)
+// copied O(N²) bytes per server while a wide cluster formed.
+func (s *Server) sizeNodeTables() {
+	n := int(s.cfg.Self) + 1
+	for _, id := range s.cfg.Nodes {
+		n = max(n, int(id)+1)
+	}
+	s.view = make([]bool, n)
+	s.peers = make([]*peer, n)
 }
 
 func (s *Server) viewAdd(n cnet.NodeID) {
@@ -316,14 +334,13 @@ func (s *Server) exclude(n cnet.NodeID, why string) {
 	// queue"). Queued ones are covered here too: forward() stamps
 	// forwardedTo before enqueueing.
 	var requeue []uint64
-	for id, st := range s.inflight {
+	for _, st := range s.inflight.ascending() {
 		if st.forwardedTo == n {
-			requeue = append(requeue, id)
+			requeue = append(requeue, st.id)
 		}
 	}
-	sort.Slice(requeue, func(i, j int) bool { return requeue[i] < requeue[j] })
 	for _, id := range requeue {
-		st := s.inflight[id]
+		st := s.inflight.get(id)
 		if st == nil {
 			continue
 		}

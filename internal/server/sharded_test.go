@@ -20,7 +20,7 @@ func wideNodes(n int) []cnet.NodeID {
 
 func TestDirectoryWideSetAndHolders(t *testing.T) {
 	nodes := wideNodes(100)
-	d := newDirectory(nodes)
+	d := newDirectory(nodes, 100)
 	if d.words != 2 {
 		t.Fatalf("words = %d for 100 nodes, want 2", d.words)
 	}
@@ -49,7 +49,7 @@ func TestDirectoryWideSetAndHolders(t *testing.T) {
 }
 
 func TestDirectoryWideDropNode(t *testing.T) {
-	d := newDirectory(wideNodes(130))
+	d := newDirectory(wideNodes(130), 100)
 	d.Set(64, 1, true) // second word
 	d.Set(129, 1, true)
 	d.Set(64, 2, true) // sole holder
@@ -69,8 +69,8 @@ func TestDirectoryWideDropNode(t *testing.T) {
 // sequence against a 64-node single-word directory and the same 64 nodes
 // embedded in a 128-node multi-word one; every Holds answer must agree.
 func TestQuickDirectoryWideMatchesNarrow(t *testing.T) {
-	narrow := newDirectory(wideNodes(64))
-	wide := newDirectory(wideNodes(128))
+	narrow := newDirectory(wideNodes(64), 100)
+	wide := newDirectory(wideNodes(128), 100)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 5000; i++ {
 		n := cnet.NodeID(rng.Intn(64))

@@ -127,7 +127,7 @@ func (st *Stats) snap(x *snapio.Ctx) {
 // peer tables, which grow to whatever they are handed.
 func (s *Server) node(x *snapio.Ctx, n *cnet.NodeID, orNone bool) {
 	snapio.Int(x, n)
-	if _, known := s.dir.idx[*n]; !x.Saving() && !known && !(orNone && *n == cnet.None) {
+	if _, known := s.dir.bit(*n); !x.Saving() && !known && !(orNone && *n == cnet.None) {
 		snapio.Failf("server %d: node id %d is not in this cluster", s.cfg.Self, *n)
 	}
 }
@@ -265,10 +265,22 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 			}
 		})
 	} else {
-		snapio.Map(x, s.dir.bits, 1<<24, func(doc *trace.DocID, mask *uint64) {
-			s.doc(x, doc)
-			x.U64(mask)
-		})
+		// The documents somebody holds, ascending: what the sorted walk of
+		// the map this table replaced wrote.
+		doc := trace.DocID(-1)
+		for range x.Len(s.dir.entries, 1<<24) {
+			var mask uint64
+			if x.Saving() {
+				for doc++; s.dir.bits[doc] == 0; doc++ {
+				}
+				mask = s.dir.bits[doc]
+			}
+			s.doc(x, &doc)
+			x.U64(&mask)
+			if !x.Saving() {
+				s.dir.setMask(doc, mask)
+			}
+		}
 	}
 
 	ids := s.peerIDs()
@@ -300,15 +312,16 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 
 	// Inbound peer streams, ordered by (sender, connection id): every
 	// attached connection got its id in the network's core section, so the
-	// map's iteration order never reaches the stream.
+	// list's own order (closes swap-remove from it) never reaches the
+	// stream.
 	type inbound struct {
 		c    cnet.Conn
 		ref  uint64
 		node cnet.NodeID
 	}
-	ins := make([]inbound, 0, len(s.inboundFrom))
-	for c, n := range s.inboundFrom {
-		ins = append(ins, inbound{c, x.Conns.Ref(c), n})
+	ins := make([]inbound, 0, len(s.inbound))
+	for _, in := range s.inbound {
+		ins = append(ins, inbound{in.c, x.Conns.Ref(in.c), in.from})
 	}
 	sort.Slice(ins, func(i, j int) bool {
 		if ins[i].node != ins[j].node {
@@ -323,11 +336,13 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 			if in.c == nil {
 				snapio.Failf("server: inbound conn ref 0 is not a conn")
 			}
-			s.inboundFrom[in.c] = in.node
+			s.addInbound(in.c, in.node)
 		}
 	})
 
-	snapio.Map(x, s.inflight, 1<<20, func(id *uint64, rsp **reqState) {
+	// In-flight requests, ascending by id.
+	reqs := s.inflight.ascending()
+	snapio.Slice(x, &reqs, 1<<20, func(rsp **reqState) {
 		if !x.Saving() {
 			*rsp = new(reqState)
 		}
@@ -337,9 +352,15 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		snapio.OptConn(x, &rs.client)
 		snapio.Int(x, &rs.forwardedTo)
 		x.U64(&rs.gen)
-		*id = rs.id
-		if !x.Saving() && rs.client != nil {
-			s.clientOf[rs.client] = rs.id
+		if x.Saving() {
+			return
+		}
+		if rs.id == 0 || s.inflight.get(rs.id) != nil {
+			snapio.Failf("server %d: in-flight request id %d is zero or listed twice", s.cfg.Self, rs.id)
+		}
+		s.inflight.put(rs)
+		if rs.client != nil {
+			s.env.SetConnWord(rs.client, rs.id)
 			cnet.RetainConn(rs.client) // no-op on snapshot-built conns; keeps the pin balanced with admit
 		}
 	})
@@ -385,7 +406,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 				// with a newer generation reproduces the stale-guard path.
 				op.st = &reqState{forwardedTo: cnet.None, gen: op.stGen + 1}
 			default:
-				if op.st = s.inflight[liveID]; op.st == nil {
+				if op.st = s.inflight.get(liveID); op.st == nil {
 					snapio.Failf("server %d: disk op for unknown request %d", s.cfg.Self, liveID)
 				}
 			}
@@ -457,7 +478,8 @@ func (s *Server) SnapHusk(x *snapio.Ctx) {
 // environment, no listeners and no timers, which only answers the
 // accessors a dead incarnation can still be asked.
 func RestoreHusk(cfg Config, x *snapio.Ctx) *Server {
-	s := &Server{cfg: cfg, dir: newDirectory(cfg.Nodes)}
+	s := &Server{cfg: cfg, dir: newDirectory(cfg.Nodes, 0)} // the husk's directory only says which ids are nodes
+	s.sizeNodeTables()
 	s.SnapHusk(x)
 	return s
 }
@@ -474,26 +496,20 @@ func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipVie
 		s.memb.Subscribe(s.reconcileMembership)
 	}
 
-	// Inbound peer streams get the shared peer handlers, established
-	// outbound peer streams each peer's own, and everything else the
-	// process carried across the snapshot is a client connection.
-	peerConns := make(map[cnet.Conn]*peer, len(s.peers))
+	// Everything the process carried across the snapshot is a client
+	// connection, except the established outbound peer streams, which get
+	// each peer's own handlers, and the inbound ones, which get their
+	// record's.
+	for _, c := range env.RestoreConnList() {
+		env.RestoreConn(c, s.clientH)
+	}
 	for _, p := range s.peers {
 		if p != nil && p.conn != nil {
-			peerConns[p.conn] = p
+			env.RestoreConn(p.conn, p.h)
 		}
 	}
-	for _, c := range env.RestoreConnList() {
-		switch {
-		case peerConns[c] != nil:
-			env.RestoreConn(c, peerConns[c].h)
-		default:
-			if n, inbound := s.inboundFrom[c]; inbound {
-				env.RestoreConn(c, s.inboundHandlers(&inPeer{from: n, known: n != cnet.None}))
-			} else {
-				env.RestoreConn(c, s.clientH)
-			}
-		}
+	for _, in := range s.inbound {
+		env.RestoreConn(in.c, s.inboundHandlers(in))
 	}
 	return s
 }

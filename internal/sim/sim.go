@@ -252,7 +252,19 @@ func (s *Sim) Step() bool {
 	if s.npend == 0 {
 		return false
 	}
-	e := s.pop()
+	s.ensureFront()
+	s.fireFront()
+	return true
+}
+
+// fireFront pops cur's minimum and runs it; the caller has made cur hold
+// the earliest pending entry (ensureFront).
+func (s *Sim) fireFront() {
+	top := s.heapPopEnt(&s.cur)
+	e := s.arena[top.slot].ev
+	s.freeSlot(top.slot)
+	e.slot = -1
+	s.npend--
 	if e.at > s.now {
 		s.now = e.at
 	}
@@ -263,7 +275,6 @@ func (s *Sim) Step() bool {
 		e.fn()
 	}
 	s.release(e)
-	return true
 }
 
 // Run executes events until none remain or Halt is called.
@@ -277,12 +288,13 @@ func (s *Sim) Run() {
 // to exactly t. Events scheduled beyond t remain pending.
 func (s *Sim) RunUntil(t time.Duration) {
 	s.halted = false
-	for !s.halted {
-		at, ok := s.peekMin()
-		if !ok || at > t {
+	// One ensureFront serves both the look at the deadline and the pop.
+	for !s.halted && s.npend > 0 {
+		s.ensureFront()
+		if s.cur[0].at > t {
 			break
 		}
-		s.Step()
+		s.fireFront()
 	}
 	if !s.halted && s.now < t {
 		s.now = t
@@ -509,16 +521,6 @@ func (s *Sim) drainOverflow() {
 	}
 }
 
-// peekMin returns the earliest pending deadline without popping. It may
-// advance the wheel cursor eagerly, which never changes pop order.
-func (s *Sim) peekMin() (time.Duration, bool) {
-	if s.npend == 0 {
-		return 0, false
-	}
-	s.ensureFront()
-	return s.cur[0].at, true
-}
-
 // freeSlot returns a slot id to the arena free list.
 func (s *Sim) freeSlot(slot int32) {
 	s.arena[slot].ev = nil
@@ -618,17 +620,6 @@ func (s *Sim) heapRemove(hp *[]heapEnt, i int) {
 			s.heapUp(h, i)
 		}
 	}
-}
-
-// pop removes and returns the earliest pending event, leaving slot == -1.
-func (s *Sim) pop() *event {
-	s.ensureFront()
-	top := s.heapPopEnt(&s.cur)
-	e := s.arena[top.slot].ev
-	s.freeSlot(top.slot)
-	e.slot = -1
-	s.npend--
-	return e
 }
 
 // remove deletes e from whichever structure holds it: a heap remove for

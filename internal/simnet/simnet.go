@@ -23,6 +23,7 @@ package simnet
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -196,12 +197,10 @@ func (n *Network) AddIface(id cnet.NodeID) *Iface {
 		panic("simnet: duplicate iface")
 	}
 	ifc := &Iface{
-		net:       n,
-		id:        id,
-		state:     NodeUp,
-		linkUp:    true,
-		dgram:     make(map[string]func(cnet.NodeID, cnet.Message)),
-		listeners: make(map[string]func(cnet.Conn) cnet.StreamHandlers),
+		net:    n,
+		id:     id,
+		state:  NodeUp,
+		linkUp: true,
 	}
 	n.ifaces[id] = ifc
 	if id >= 0 && id < denseIDCap {
@@ -249,9 +248,39 @@ type Iface struct {
 	lossDrop float64
 	lossLat  time.Duration
 
-	dgram     map[string]func(from cnet.NodeID, m cnet.Message) // handler map, rebuilt as restored components re-bind
-	listeners map[string]func(cnet.Conn) cnet.StreamHandlers    // handler map, rebuilt as restored components re-listen
+	// A node serves a handful of ports, named by constants: every datagram
+	// and every dial finds its handler by comparing a few strings, which
+	// costs less than hashing one.
+	dgram     []binding[func(from cnet.NodeID, m cnet.Message)] // rebuilt as restored components re-bind
+	listeners []binding[func(cnet.Conn) cnet.StreamHandlers]    // rebuilt as restored components re-listen
 	conns     []*half                                           // local halves of open/zombie conns
+}
+
+// binding is what one port is bound to: a datagram handler or a stream
+// acceptor.
+type binding[F any] struct {
+	port string
+	fn   F
+}
+
+// bound returns what port is bound to in bs, nil when nothing is.
+func bound[F any](bs []binding[F], port string) (fn F) {
+	for k := range bs {
+		if bs[k].port == port {
+			return bs[k].fn
+		}
+	}
+	return fn
+}
+
+// rebind drops port's binding from bs and, unless unbind is set, binds it
+// to fn.
+func rebind[F any](bs []binding[F], port string, fn F, unbind bool) []binding[F] {
+	bs = slices.DeleteFunc(bs, func(b binding[F]) bool { return b.port == port })
+	if !unbind {
+		bs = append(bs, binding[F]{port, fn})
+	}
+	return bs
 }
 
 // ID returns the node this interface belongs to.
@@ -289,8 +318,7 @@ func (i *Iface) SetState(s NodeState) {
 	switch {
 	case s == NodeDown && prev != NodeDown:
 		// Machine died: registrations vanish; conns become zombies.
-		i.dgram = make(map[string]func(cnet.NodeID, cnet.Message))
-		i.listeners = make(map[string]func(cnet.Conn) cnet.StreamHandlers)
+		i.dgram, i.listeners = nil, nil
 		for _, h := range i.conns {
 			h.zombie = true
 			h.paused = true
@@ -320,20 +348,12 @@ func (i *Iface) SetState(s NodeState) {
 // BindDatagram registers (or, with nil, removes) the datagram handler for
 // a port.
 func (i *Iface) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)) {
-	if h == nil {
-		delete(i.dgram, port)
-		return
-	}
-	i.dgram[port] = h
+	i.dgram = rebind(i.dgram, port, h, h == nil)
 }
 
 // Listen registers (or removes, with nil) the stream acceptor for a port.
 func (i *Iface) Listen(port string, accept func(cnet.Conn) cnet.StreamHandlers) {
-	if accept == nil {
-		delete(i.listeners, port)
-		return
-	}
-	i.listeners[port] = accept
+	i.listeners = rebind(i.listeners, port, accept, accept == nil)
 }
 
 // JoinGroup subscribes the interface to a multicast group.
@@ -460,7 +480,7 @@ func deliverBatch(arg any) {
 		if !n.pathUp(src, dst, cnet.ClassIntra) || dst.state != NodeUp {
 			continue
 		}
-		if h := dst.dgram[port]; h != nil {
+		if h := bound(dst.dgram, port); h != nil {
 			h(src.id, m)
 		}
 	}
@@ -507,7 +527,7 @@ func deliverDgram(arg any) {
 	if !n.pathUp(src, dst, class) || dst.state != NodeUp {
 		return
 	}
-	if h := dst.dgram[port]; h != nil {
+	if h := bound(dst.dgram, port); h != nil {
 		h(src.id, m)
 	}
 }
@@ -582,7 +602,7 @@ func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner Dia
 		op.fail(cnet.ErrTimeout, i.net.cfg.SynTimeout)
 		return
 	}
-	accept := dst.listeners[port]
+	accept := bound(dst.listeners, port)
 	if accept == nil {
 		op.fail(cnet.ErrRefused, rtt)
 		return
@@ -600,7 +620,7 @@ func dialSyn(arg any) {
 		op.fail(cnet.ErrTimeout, n.cfg.SynTimeout-n.cfg.PropDelay)
 		return
 	}
-	acceptNow := dst.listeners[op.port]
+	acceptNow := bound(dst.listeners, op.port)
 	if acceptNow == nil {
 		op.fail(cnet.ErrRefused, n.cfg.PropDelay)
 		return

@@ -14,7 +14,6 @@ package trace
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // DocID identifies a document in the catalog. IDs are dense in [0, Docs)
@@ -28,7 +27,17 @@ type Catalog struct {
 	Alpha float64 // Zipf exponent; 0 = uniform popularity
 
 	cdf []float64 // cdf[i] = P(rank <= i)
+	// guide[b] is the first rank whose cdf reaches b/guideSize, so a draw
+	// in bucket b lies between guide[b] and guide[b+1] and Sample searches
+	// that handful of ranks instead of the whole cdf. 16 KB, built once by
+	// NewCatalog and never written again: every server of a world shares
+	// one Catalog.
+	guide [guideSize + 1]uint32
 }
+
+// guideSize is a power of two, so a draw's bucket and the bucket's lower
+// edge are both exact in floating point.
+const guideSize = 4096
 
 // DefaultDocs, DefaultSize and DefaultAlpha reproduce the paper's workload
 // regime: 26 000 documents of 27 KB (≈702 MB total, so a 128 MB per-node
@@ -64,10 +73,16 @@ func NewCatalog(docs int, size int64, alpha float64) *Catalog {
 		c.cdf[i] = sum
 	}
 	inv := 1 / sum
+	b := 0 // next guide bucket without its rank
 	for i := range c.cdf {
 		c.cdf[i] *= inv
+		if i == docs-1 {
+			c.cdf[i] = 1 // guard against rounding
+		}
+		for ; b <= guideSize && float64(b)/guideSize <= c.cdf[i]; b++ {
+			c.guide[b] = uint32(i)
+		}
 	}
-	c.cdf[docs-1] = 1 // guard against rounding
 	return c
 }
 
@@ -76,12 +91,22 @@ func Default() *Catalog { return NewCatalog(DefaultDocs, DefaultSize, DefaultAlp
 
 // Sample draws a document according to the popularity distribution.
 func (c *Catalog) Sample(rng *rand.Rand) DocID {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(c.cdf, u)
-	if i >= c.Docs {
-		i = c.Docs - 1
+	return c.rank(rng.Float64())
+}
+
+// rank returns the first rank whose cdf reaches u, for u in [0, 1): what
+// sort.SearchFloat64s(c.cdf, u) returns, found inside u's guide bucket.
+func (c *Catalog) rank(u float64) DocID {
+	b := int(u * guideSize)
+	lo, hi := int(c.guide[b]), int(c.guide[b+1])
+	for lo < hi { // sort.Search's loop, over a handful of ranks
+		if mid := int(uint(lo+hi) >> 1); c.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return DocID(i)
+	return DocID(lo)
 }
 
 // TotalBytes returns the size of the whole document set.

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +158,47 @@ func TestQuickTopShareMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The guide table only narrows the search: for every draw, at every
+// catalog size the repository uses (and the degenerate ones), Sample names
+// the document a binary search of the whole cdf names.
+func TestSampleMatchesFullSearch(t *testing.T) {
+	for _, docs := range []int{1, 7, 500, 6500, 26000} {
+		for _, alpha := range []float64{0, DefaultAlpha, 1.2} {
+			c := NewCatalog(docs, DefaultSize, alpha)
+			// Bucket edges and their neighbours first: where an off-by-one
+			// in the guide would show.
+			for b := 0; b < guideSize; b++ {
+				edge := float64(b) / guideSize
+				for _, u := range []float64{edge, math.Nextafter(edge, 1), math.Nextafter(float64(b+1)/guideSize, 0)} {
+					checkRank(t, c, u)
+				}
+			}
+			draws := 1 << 16
+			if alpha == DefaultAlpha && !testing.Short() {
+				draws = 1 << 20 // the skew every experiment runs at
+			}
+			rng := rand.New(rand.NewSource(int64(docs)))
+			for i := 0; i < draws; i++ {
+				checkRank(t, c, rng.Float64())
+			}
+			// Every cdf value is itself a draw that must land on its rank.
+			for _, u := range c.cdf {
+				if u < 1 {
+					checkRank(t, c, u)
+					checkRank(t, c, math.Nextafter(u, 1))
+				}
+			}
+		}
+	}
+}
+
+func checkRank(t *testing.T, c *Catalog, u float64) {
+	t.Helper()
+	want := sort.SearchFloat64s(c.cdf, u)
+	if got := c.rank(u); int(got) != want {
+		t.Fatalf("docs=%d alpha=%v: rank(%v) = %d, full search says %d", c.Docs, c.Alpha, u, got, want)
 	}
 }
