@@ -55,9 +55,9 @@ func (c Class) String() string {
 }
 
 // Message is an application-defined payload. Implementations deliver the
-// same value that was sent (the simulator passes it by reference; livenet
-// round-trips it through encoding/gob, so messages must be exported
-// gob-encodable structs).
+// same value that was sent: the simulator passes it by reference; livenet
+// round-trips it through the snapshot codec (snapio.MsgCodec), so a type
+// that crosses a socket is one its package's RegisterMessages names.
 type Message any
 
 // Transport errors delivered to OnClose and dial callbacks.
@@ -203,8 +203,8 @@ type Env interface {
 // per-request records. It is deliberately NOT thread-safe: in simulation
 // every sender/receiver pair sharing a pool runs on the same
 // single-threaded world loop, and over a real network (livenet) the
-// receiver's copy is a fresh gob decode whose unexported home pointer is
-// nil — its Release is a no-op, so the pool never sees a cross-thread Put.
+// receiver's copy is a fresh decode with no home pool — its Release is a
+// no-op, so the pool never sees a cross-thread Put.
 type MsgPool[T any] struct{ free []*T }
 
 // poolCap bounds every free list. A pool exists to make steady-state

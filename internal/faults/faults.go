@@ -334,7 +334,7 @@ type Active struct {
 	Group int
 
 	in       *Injector // owner backlink
-	undo     func()    // reverses the applied effect; nil while in a flap's off phase
+	applied  bool      // the effect is imposed; false while in a flap's off phase
 	timer    sim.Timer
 	repaired bool //availlint:skipfield repaired Repair removes the fault from the active map, so a serialized Active is never repaired
 }
@@ -358,7 +358,7 @@ func (a *Active) Repair() error {
 	a.repaired = true
 	a.timer.Stop() // stale or zero handles are safe no-ops
 	delete(a.in.active, slot{a.Type, a.Component})
-	if a.undo != nil {
+	if a.applied {
 		a.unapply()
 	} else {
 		// A flap caught in its off phase: the effect is already off, but
@@ -453,7 +453,7 @@ func (a *Active) toggle() {
 	if a.repaired {
 		return
 	}
-	if a.undo != nil {
+	if a.applied {
 		a.unapply()
 		a.timer = a.in.sim.After(a.Flap.Off, a.toggle)
 	} else {
@@ -462,43 +462,86 @@ func (a *Active) toggle() {
 	}
 }
 
-// apply imposes the fault's effect and remembers how to reverse it. Each
-// application builds fresh closures, so a flap re-applied after the node
-// changed state underneath it (another fault's doing) acts on current
-// reality; the machine/process guards make redundant transitions no-ops.
+// apply imposes the fault's effect.
 func (a *Active) apply() {
-	in, t, c := a.in, a.Type, a.Component
-	switch t {
+	a.set(true)
+	a.applied = true
+	a.in.emit(metrics.KFaultInject, a.Component, a.detail())
+}
+
+// unapply reverses the current application.
+func (a *Active) unapply() {
+	a.applied = false
+	a.set(false)
+	a.in.emit(metrics.KFaultRepair, a.Component, a.detail())
+}
+
+// set is the fault's effect, imposed (on) or lifted, on the targets as
+// they are now: a flap re-applied or a fault repaired after the node
+// changed state underneath it (another fault's doing) acts on current
+// reality, and the machine/process guards make redundant transitions
+// no-ops.
+func (a *Active) set(on bool) {
+	in, c := a.in, a.Component
+	sev := 0.0 // lifted
+	if on {
+		sev = a.Severity
+	}
+	switch a.Type {
 	case LinkDown:
-		in.t.Machines[c].Iface().SetLink(false)
+		in.t.Machines[c].Iface().SetLink(!on)
 	case SwitchDown:
-		in.t.Net.SetSwitch(false)
+		in.t.Net.SetSwitch(!on)
 	case SCSITimeout:
-		in.t.Machines[c/2].Disks().Disks()[c%2].SetFaulty(true)
+		m := in.t.Machines[c/2]
+		m.Disks().Disks()[c%2].SetFaulty(on)
+		// Repair crews boot the node back if it was taken offline (e.g. by
+		// FME's fault-model translation).
+		if !on && !m.Up() && m.State() == simnet.NodeDown {
+			m.Restart()
+		}
 	case NodeCrash:
-		in.t.Machines[c].Crash()
+		if m := in.t.Machines[c]; on {
+			m.Crash()
+		} else {
+			m.Restart()
+		}
 	case NodeFreeze:
-		in.t.Machines[c].Freeze()
+		if m := in.t.Machines[c]; on {
+			m.Freeze()
+		} else {
+			m.Unfreeze()
+		}
 	case AppCrash:
-		in.t.Machines[c].KillProc(in.t.AppProc)
+		if m := in.t.Machines[c]; on {
+			m.KillProc(in.t.AppProc)
+		} else {
+			m.StartProc(in.t.AppProc)
+		}
 	case AppHang:
-		in.t.Machines[c].Proc(in.t.AppProc).Hang()
+		if p := in.t.Machines[c].Proc(in.t.AppProc); on {
+			p.Hang()
+		} else {
+			p.Unhang()
+		}
 	case FrontendFailure:
 		if in.t.Frontend == nil {
 			panic("faults: no front-end to fail")
 		}
-		in.t.Frontend.Crash()
+		if on {
+			in.t.Frontend.Crash()
+		} else {
+			in.t.Frontend.Restart()
+		}
 	case NodeSlow:
-		in.t.Machines[c].SetSlow(a.Severity)
+		in.t.Machines[c].SetSlow(sev)
 	case LinkLossy:
-		in.t.Machines[c].Iface().SetLossy(a.Severity, LossyLatency(a.Severity))
+		in.t.Machines[c].Iface().SetLossy(sev, LossyLatency(sev))
 	case DiskDegraded:
-		in.t.Machines[c/2].Disks().Disks()[c%2].SetDegraded(a.Severity)
+		in.t.Machines[c/2].Disks().Disks()[c%2].SetDegraded(sev)
 	default:
-		panic(fmt.Sprintf("faults: unknown type %v", t))
+		panic(fmt.Sprintf("faults: unknown type %v", a.Type))
 	}
-	a.undo = in.undoFor(t, c)
-	in.emit(metrics.KFaultInject, c, a.detail())
 }
 
 // LossyLatency derives the per-direction latency inflation a lossy link
@@ -507,63 +550,6 @@ func (a *Active) apply() {
 // rate. At the default severity 0.3 each traversal of the link gains 6ms.
 func LossyLatency(sev float64) time.Duration {
 	return time.Duration(sev * float64(20*time.Millisecond))
-}
-
-// undoFor builds the repair closure for one fault slot against current
-// targets. Shared by apply and the snapshot restore path (which must
-// rebuild undo for an applied fault without re-imposing its effect).
-func (in *Injector) undoFor(t Type, c int) func() {
-	switch t {
-	case LinkDown:
-		ifc := in.t.Machines[c].Iface()
-		return func() { ifc.SetLink(true) }
-	case SwitchDown:
-		return func() { in.t.Net.SetSwitch(true) }
-	case SCSITimeout:
-		m := in.t.Machines[c/2]
-		d := m.Disks().Disks()[c%2]
-		return func() {
-			d.SetFaulty(false)
-			// Repair crews boot the node back if it was taken offline
-			// (e.g. by FME's fault-model translation).
-			if !m.Up() && m.State() == simnet.NodeDown {
-				m.Restart()
-			}
-		}
-	case NodeCrash:
-		m := in.t.Machines[c]
-		return func() { m.Restart() }
-	case NodeFreeze:
-		m := in.t.Machines[c]
-		return func() { m.Unfreeze() }
-	case AppCrash:
-		m := in.t.Machines[c]
-		return func() { m.StartProc(in.t.AppProc) }
-	case AppHang:
-		p := in.t.Machines[c].Proc(in.t.AppProc)
-		return func() { p.Unhang() }
-	case FrontendFailure:
-		return func() { in.t.Frontend.Restart() }
-	case NodeSlow:
-		m := in.t.Machines[c]
-		return func() { m.SetSlow(0) }
-	case LinkLossy:
-		ifc := in.t.Machines[c].Iface()
-		return func() { ifc.SetLossy(0, 0) }
-	case DiskDegraded:
-		d := in.t.Machines[c/2].Disks().Disks()[c%2]
-		return func() { d.SetDegraded(0) }
-	default:
-		panic(fmt.Sprintf("faults: unknown type %v", t))
-	}
-}
-
-// unapply reverses the current application.
-func (a *Active) unapply() {
-	undo := a.undo
-	a.undo = nil
-	undo()
-	a.in.emit(metrics.KFaultRepair, a.Component, a.detail())
 }
 
 func (a *Active) detail() string {

@@ -9,9 +9,9 @@ import (
 // Snapshot support. Active faults serialize as (slot, flap spec, whether
 // the effect is currently applied, pending toggle identity). The effect
 // itself lives in the target subsystems (link state, disk fault flags,
-// machine state) and is restored with them; a load therefore rebuilds
-// each fault's undo closure via undoFor WITHOUT re-imposing the effect,
-// and re-arms the flap toggle pinned at its exact kernel slot.
+// machine state) and is restored with them; a load therefore moves the
+// applied bit WITHOUT re-imposing the effect, and re-arms the flap toggle
+// pinned at its exact kernel slot.
 
 // ActiveAt returns the active fault occupying (t, c), or nil. The chaos
 // runner's restore path uses it to re-link its per-entry Active handles
@@ -46,10 +46,7 @@ func (in *Injector) SnapState(x *snapio.Ctx) {
 		snapio.Int(x, &a.Flap.Off)
 		x.F64(&a.Severity)
 		snapio.Int(x, &a.Group)
-		applied := a.undo != nil
-		if x.Bool(&applied); applied && !x.Saving() {
-			a.undo = in.undoFor(a.Type, a.Component)
-		}
+		x.Bool(&a.applied)
 		x.Timer(&a.timer, a.toggle, "faults: flap toggle")
 		if !x.Saving() {
 			key := slot{a.Type, a.Component}

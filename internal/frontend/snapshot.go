@@ -14,7 +14,7 @@ import (
 // pins the records hold on theirs (cnet.RetainConn) are not taken again.
 
 // RegisterMessages describes the echo stand-ins to the codec, so that a
-// mailbox or an in-flight datagram can carry them.
+// mailbox, an in-flight datagram or a livenet one can carry them.
 func RegisterMessages(c *snapio.MsgCodec) {
 	c.Register("fe.Ping", PingMsg{}, func(x *snapio.Ctx, m any) any {
 		p := m.(PingMsg)

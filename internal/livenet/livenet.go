@@ -1,16 +1,14 @@
 // Package livenet runs the same protocol components that the simulator
 // hosts — the PRESS server, the membership daemon, the front-end — on
 // real goroutines, real loopback TCP/UDP sockets and wall-clock time. It
-// implements cnet.Env, so no component code changes. Streams carry the
-// snapshot engine's message encoding in length-prefixed frames (wire.go);
-// datagrams carry gob, because membership's and the front-end's messages
-// have no snapshot codec yet.
+// implements cnet.Env, so no component code changes. Both kinds of socket
+// carry the snapshot engine's message encoding (wire.go): streams in
+// length-prefixed frames, datagrams behind the sender's ID.
 //
-// This is the demonstration runtime (cmd/pressd and the failover
-// example): you can watch an actual cluster of sockets detect a killed
-// process, reconfigure, and reintegrate it. The availability experiments
-// stay on the simulator, where time is virtual and every run is
-// deterministic.
+// This is the demonstration runtime (cmd/pressd): you can watch an actual
+// cluster of sockets detect a killed process, reconfigure, and reintegrate
+// it. The availability experiments stay on the simulator, where time is
+// virtual and every run is deterministic.
 //
 // Process model: a Node is a machine; each Proc spawned on it gets its
 // own serial dispatch loop (the "main thread"), its own sockets, and its
@@ -21,14 +19,12 @@ package livenet
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -36,30 +32,8 @@ import (
 
 	"press/internal/clock"
 	"press/internal/cnet"
-	"press/internal/frontend"
-	"press/internal/membership"
 	"press/internal/metrics"
-	"press/internal/server"
 )
-
-// datagramMessages is everything a datagram port carries; each must be
-// gob-registered (messages only streams carry go through wireCodec
-// alone). The pooled heartbeats, announcements and gossip digests travel
-// as pointers; a decoded copy has no home pool, so its Release is a no-op
-// on the receive side.
-var datagramMessages = []any{
-	&server.HBMsg{}, &server.AnnounceMsg{}, server.ExcludeMsg{}, server.JoinReqMsg{}, server.JoinRespMsg{},
-	&membership.MHeartbeat{}, &membership.MGossip{}, membership.MJoinReq{}, membership.MJoinOffer{},
-	membership.MJoinAsk{}, membership.MPrepare{}, membership.MAck{},
-	membership.MCommit{}, membership.MNodeDown{},
-	frontend.PingMsg{}, frontend.PongMsg{},
-}
-
-func init() {
-	for _, m := range datagramMessages {
-		gob.Register(m)
-	}
-}
 
 type portKey struct {
 	node cnet.NodeID
@@ -77,9 +51,9 @@ type World struct {
 	udpAddrs map[portKey]string
 	groups   map[string]map[cnet.NodeID]bool
 	nodes    map[cnet.NodeID]*Node
-	// unsendable holds the datagram types already reported as impossible
-	// to encode, so each is logged once and not once per heartbeat.
-	unsendable map[reflect.Type]bool
+	// unsendable holds the datagram types (reflect.Type) already reported as
+	// impossible to encode: each is logged once, not once per heartbeat.
+	unsendable sync.Map
 }
 
 // NewWorld creates an empty live world.
@@ -92,16 +66,11 @@ func NewWorld(seed int64) *World {
 		udpAddrs: make(map[portKey]string),
 		groups:   make(map[string]map[cnet.NodeID]bool),
 		nodes:    make(map[cnet.NodeID]*Node),
-
-		unsendable: make(map[reflect.Type]bool),
 	}
 }
 
 // Log returns the shared event log.
 func (w *World) Log() *metrics.Log { return w.log }
-
-// Clock returns the shared wall clock.
-func (w *World) Clock() clock.Clock { return w.clk }
 
 // AddNode registers a machine.
 func (w *World) AddNode(id cnet.NodeID) *Node {
@@ -122,9 +91,6 @@ type Node struct {
 	mu    sync.Mutex
 	procs map[string]*Proc
 }
-
-// ID returns the node's ID.
-func (n *Node) ID() cnet.NodeID { return n.id }
 
 // Spawn starts a process. start runs on the process's dispatch loop.
 func (n *Node) Spawn(name string, start func(env cnet.Env)) *Proc {
@@ -348,8 +314,8 @@ func (e *Env) dropCloser(id uint64) {
 // "livenet"): things a component cannot see because the transport
 // absorbed them.
 var (
-	// KSendDrop: datagrams of some type cannot be encoded, so none of
-	// them is ever sent. Emitted once per type.
+	// KSendDrop: the wire codec has no name for some type of datagram, so
+	// none of them is ever sent. Emitted once per type.
 	KSendDrop = metrics.InternKind("livenet.drop")
 	// KWireFault: a stream was closed because what crossed it, or was
 	// about to, is not the wire protocol.
@@ -416,11 +382,6 @@ func (lc liveClock) Every(d time.Duration, fn func()) clock.Ticker {
 
 // --- datagrams ---------------------------------------------------------------
 
-type dgramPacket struct {
-	From    cnet.NodeID
-	Payload any
-}
-
 // BindDatagram implements cnet.Env over a loopback UDP socket.
 func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -443,12 +404,14 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 			if err != nil {
 				return
 			}
-			var pkt dgramPacket
-			if err := gob.NewDecoder(strings.NewReader(string(buf[:n]))).Decode(&pkt); err != nil {
+			// Anyone on the host can write here. What is not a datagram of ours
+			// is lost, and not logged: the log would be a stranger's to fill.
+			from, m, err := parseDatagram(buf[:n])
+			if err != nil {
 				continue
 			}
 			if e.alive() {
-				e.post(func() { h(pkt.From, pkt.Payload) })
+				e.post(func() { h(from, m) })
 			}
 		}
 	}()
@@ -463,27 +426,25 @@ func (e *Env) Send(to cnet.NodeID, class cnet.Class, port string, m cnet.Message
 	if addr == "" {
 		return // nothing listening: UDP silently drops
 	}
-	var b strings.Builder
-	if err := gob.NewEncoder(&b).Encode(dgramPacket{From: e.p.node.id, Payload: m}); err != nil {
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	pkt, err := appendBody(appendSender((*buf)[:0], e.p.node.id), m)
+	if err != nil {
 		// Not a lost datagram but every datagram of this type, for good: a
-		// type missing from datagramMessages once kept gossip membership
-		// from ever forming, in silence.
-		t := reflect.TypeOf(m)
-		w.mu.Lock()
-		seen := w.unsendable[t]
-		w.unsendable[t] = true
-		w.mu.Unlock()
-		if !seen {
-			e.emit(KSendDrop, fmt.Sprintf("every %v datagram is dropped: %v", t, err))
+		// type nobody had registered once kept gossip membership from ever
+		// forming, in silence.
+		if _, seen := w.unsendable.LoadOrStore(reflect.TypeOf(m), true); !seen {
+			e.emit(KSendDrop, fmt.Sprintf("every %T datagram is dropped: %v", m, err))
 		}
 		return
 	}
+	*buf = pkt
 	conn, err := net.Dial("udp", addr)
 	if err != nil {
 		return
 	}
 	defer conn.Close()
-	conn.Write([]byte(b.String()))
+	conn.Write(pkt)
 }
 
 // JoinGroup implements cnet.Env.

@@ -8,14 +8,20 @@ import (
 	"io"
 
 	"press/internal/cnet"
+	"press/internal/frontend"
+	"press/internal/membership"
 	"press/internal/server"
 	"press/internal/snapio"
 )
 
-// The stream wire format.
+// The wire format.
 //
-// The dialer opens with an 8-byte preamble, sent once and in the same
-// write as its first frame:
+// A datagram is its sender and one message:
+//
+//	sender NodeID (int32, big-endian)  body
+//
+// A stream's dialer opens with an 8-byte preamble, sent once and in the
+// same write as its first frame:
 //
 //	'P' 'R' 'S'  version(1)  sender NodeID (int32, big-endian)
 //
@@ -24,15 +30,16 @@ import (
 //	body length (uint32, big-endian, at most maxFrame)  body
 //
 // and a body is exactly what snapio.MsgCodec.Encode writes for the
-// message under server.RegisterMessages — the registered name, then the
-// fields — so a message has one encoding whether it sits in a snapshot's
-// connection buffer or crosses a socket. There is no type negotiation:
+// message under the snapshot engine's registrations — the registered
+// name, then the fields — so a message has one encoding whether it sits
+// in a snapshot or crosses either socket. There is no type negotiation:
 // both ends are this binary, the version byte says so, and a name the
-// codec does not know ends the connection.
+// codec does not know ends the connection or loses the datagram.
 
 const (
 	wireVersion = 1
 	preambleLen = 8
+	senderLen   = 4
 	headerLen   = 4
 	// maxFrame bounds a body. The largest real message is a HelloMsg
 	// listing a node's cached documents, a few bytes each; a length above
@@ -40,15 +47,17 @@ const (
 	maxFrame = 1 << 20
 )
 
-// errWire marks a stream that is not the protocol: a bad preamble, an
-// oversized or trailing-garbage frame, a message the codec cannot encode
-// or does not know. The connection it happened on is closed.
+// errWire marks bytes that are not the protocol: a bad preamble or sender,
+// an oversized or trailing-garbage frame, a message the codec cannot encode
+// or does not know. A connection it happens on is closed, a datagram lost.
 var errWire = errors.New("livenet: malformed stream")
 
-// wireCodec is the snapshot engine's message codec, unchanged.
+// wireCodec is the snapshot engine's message codec, as harness.worldMsgs.
 var wireCodec = func() *snapio.MsgCodec {
 	c := snapio.NewMsgCodec()
 	server.RegisterMessages(c)
+	frontend.RegisterMessages(c)
+	membership.RegisterMessages(c)
 	return c
 }()
 
@@ -66,9 +75,21 @@ func recoverWire(err *error) {
 	}
 }
 
-func appendPreamble(b []byte, from cnet.NodeID) []byte {
-	b = append(b, 'P', 'R', 'S', wireVersion)
+func appendSender(b []byte, from cnet.NodeID) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(int32(from)))
+}
+
+// parseSender reads who is talking; no node has a negative ID.
+func parseSender(p []byte) (cnet.NodeID, error) {
+	from := cnet.NodeID(int32(binary.BigEndian.Uint32(p)))
+	if from < 0 {
+		return cnet.None, fmt.Errorf("%w: the sender names node %d", errWire, from)
+	}
+	return from, nil
+}
+
+func appendPreamble(b []byte, from cnet.NodeID) []byte {
+	return appendSender(append(b, 'P', 'R', 'S', wireVersion), from)
 }
 
 func parsePreamble(p []byte) (cnet.NodeID, error) {
@@ -78,32 +99,49 @@ func parsePreamble(p []byte) (cnet.NodeID, error) {
 	if p[3] != wireVersion {
 		return cnet.None, fmt.Errorf("%w: wire version %d, have %d", errWire, p[3], wireVersion)
 	}
-	from := cnet.NodeID(int32(binary.BigEndian.Uint32(p[4:])))
-	if from < 0 {
-		return cnet.None, fmt.Errorf("%w: preamble names node %d", errWire, from)
-	}
-	return from, nil
+	return parseSender(p[4:])
 }
 
-// appendFrame appends the frame that carries m; on error b comes back
-// as it was.
-func appendFrame(b []byte, m cnet.Message) (frame []byte, err error) {
-	frame = b
+// appendBody appends the body that carries m on either socket.
+func appendBody(b []byte, m cnet.Message) (_ []byte, err error) {
 	defer recoverWire(&err)
 	if m == nil {
 		return b, fmt.Errorf("%w: nil message", errWire)
 	}
 	var e snapio.Encoder
 	wireCodec.Encode(&e, m)
-	if e.Len() > maxFrame {
-		return b, fmt.Errorf("%w: %T encodes to %d bytes, over the %d-byte frame bound", errWire, m, e.Len(), maxFrame)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(e.Len()))
 	return append(b, e.Bytes()...), nil
 }
 
-// decodeBody is appendFrame's inverse on one frame body. The value it
-// returns shares nothing with body.
+// appendFrame appends the frame that carries m; on error b comes back
+// as it was.
+func appendFrame(b []byte, m cnet.Message) ([]byte, error) {
+	frame, err := appendBody(append(b, make([]byte, headerLen)...), m)
+	if err != nil {
+		return b, err
+	}
+	n := len(frame) - len(b) - headerLen
+	if n > maxFrame {
+		return b, fmt.Errorf("%w: %T encodes to %d bytes, over the %d-byte frame bound", errWire, m, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(frame[len(b):], uint32(n))
+	return frame, nil
+}
+
+// parseDatagram splits a packet as it came off the socket; the message
+// shares nothing with p.
+func parseDatagram(p []byte) (from cnet.NodeID, m cnet.Message, err error) {
+	if len(p) < senderLen {
+		return cnet.None, nil, fmt.Errorf("%w: a datagram of %d bytes", errWire, len(p))
+	}
+	if from, err = parseSender(p); err == nil {
+		m, err = decodeBody(p[senderLen:])
+	}
+	return from, m, err
+}
+
+// decodeBody is appendBody's inverse. The value it returns shares nothing
+// with body.
 func decodeBody(body []byte) (m cnet.Message, err error) {
 	defer recoverWire(&err)
 	d := snapio.NewDecoder(body)

@@ -15,12 +15,14 @@ import (
 	"time"
 
 	"press/internal/cnet"
+	"press/internal/frontend"
+	"press/internal/membership"
 	"press/internal/server"
 	"press/internal/snapio"
 	"press/internal/trace"
 )
 
-// Pools for the sending side of the stream tests: a record drawn from one
+// Pools for the sending side of the wire tests: a record drawn from one
 // carries a home pointer, which must not survive the wire.
 var (
 	reqPool      cnet.MsgPool[server.ReqMsg]
@@ -29,26 +31,29 @@ var (
 	fwdReplyPool cnet.MsgPool[server.FwdReplyMsg]
 	announcePool cnet.MsgPool[server.AnnounceMsg]
 	hbPool       cnet.MsgPool[server.HBMsg]
+	mhbPool      cnet.MsgPool[membership.MHeartbeat]
+	gossipPool   cnet.MsgPool[membership.MGossip]
 )
 
-// streamSample is one value of a registered stream message: what must
-// arrive, and (for the pooled types) a pool-drawn record to send instead
-// of the literal.
-type streamSample struct {
+// wireSample is one value of a registered message, every field set,
+// slices included: what must arrive, and (for the pooled types) a
+// pool-drawn record to send instead of the literal.
+type wireSample struct {
 	want cnet.Message
 	send func() cnet.Message
 }
 
-func (s streamSample) outgoing() cnet.Message {
+func (s wireSample) outgoing() cnet.Message {
 	if s.send != nil {
 		return s.send()
 	}
 	return s.want
 }
 
-// streamSamples has one entry per name server.RegisterMessages registers;
-// TestEveryStreamMessageCrossesTheWire fails on a name without one.
-var streamSamples = map[string]streamSample{
+// wireSamples has one entry per name wireCodec registers. The stream test
+// and the datagram test both enumerate the codec's names and fail on one
+// without an entry: there is no second list of what a socket carries.
+var wireSamples = map[string]wireSample{
 	"press.Req": {&server.ReqMsg{ID: 1<<40 + 7, Doc: 311, Probe: true}, func() cnet.Message {
 		m := server.NewReqMsg(&reqPool)
 		m.ID, m.Doc, m.Probe = 1<<40+7, 311, true
@@ -83,14 +88,37 @@ var streamSamples = map[string]streamSample{
 	"press.Exclude":  {want: server.ExcludeMsg{From: 0, Dead: 2}},
 	"press.JoinReq":  {want: server.JoinReqMsg{From: 1}},
 	"press.JoinResp": {want: server.JoinRespMsg{From: 0, View: []cnet.NodeID{0, 1}}},
+
+	"memb.Heartbeat": {&membership.MHeartbeat{From: 2, Ver: 9}, func() cnet.Message {
+		m := membership.NewMHeartbeat(&mhbPool)
+		m.From, m.Ver = 2, 9
+		return m
+	}},
+	"memb.Gossip": {&membership.MGossip{From: 1, Nodes: []cnet.NodeID{0, 1, 2}, Counts: []uint64{4, 5, 1 << 40}}, func() cnet.Message {
+		m := membership.NewMGossip(&gossipPool)
+		m.From, m.Nodes, m.Counts = 1, append(m.Nodes, 0, 1, 2), append(m.Counts, 4, 5, 1<<40)
+		return m
+	}},
+	"memb.JoinReq":   {want: membership.MJoinReq{From: 2, Size: 1, MinID: 2, Members: []cnet.NodeID{2}}},
+	"memb.JoinOffer": {want: membership.MJoinOffer{From: 0, Ver: 3, Members: []cnet.NodeID{0, 1}}},
+	"memb.JoinAsk":   {want: membership.MJoinAsk{From: 2}},
+	"memb.Prepare":   {want: membership.MPrepare{From: 0, Ver: 4, Members: []cnet.NodeID{0, 1, 2}, Subject: 2, Add: true}},
+	"memb.Ack":       {want: membership.MAck{From: 1, Ver: 4}},
+	"memb.Commit":    {want: membership.MCommit{From: 0, Ver: 4, Members: []cnet.NodeID{0, 1, 2}}},
+	"memb.NodeDown":  {want: membership.MNodeDown{From: 1, Node: 2}},
+
+	"fe.Ping": {want: frontend.PingMsg{From: 90, Seq: 11}},
+	"fe.Pong": {want: frontend.PongMsg{From: 1, Seq: 11}},
 }
 
 // snapshotEncoding is the message as the snapshot engine writes it into a
-// mailbox or connection buffer: a codec built the way internal/harness
-// builds its own.
+// mailbox, a connection buffer or an in-flight packet: a codec built the
+// way internal/harness builds its own.
 func snapshotEncoding(m cnet.Message) []byte {
 	c := snapio.NewMsgCodec()
 	server.RegisterMessages(c)
+	frontend.RegisterMessages(c)
+	membership.RegisterMessages(c)
 	var e snapio.Encoder
 	c.Encode(&e, m)
 	return e.Bytes()
@@ -124,8 +152,8 @@ func recv[T any](t *testing.T, ch <-chan T, what string) T {
 
 func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 	names := wireCodec.Names()
-	if len(names) != len(streamSamples) {
-		t.Errorf("the codec registers %d names, the sample table has %d", len(names), len(streamSamples))
+	if len(names) != len(wireSamples) {
+		t.Errorf("the codec registers %d names, the sample table has %d", len(names), len(wireSamples))
 	}
 
 	w := NewWorld(1)
@@ -167,9 +195,9 @@ func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 	}
 
 	for _, name := range names {
-		s, ok := streamSamples[name]
+		s, ok := wireSamples[name]
 		if !ok {
-			t.Errorf("%s is registered with the codec and has no sample in streamSamples", name)
+			t.Errorf("%s is registered with the codec and has no sample in wireSamples", name)
 			continue
 		}
 
@@ -211,8 +239,8 @@ func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 			t.Errorf("%s: on the wire % x, want preamble, length and the snapshot encoding % x", name, stream, wantStream)
 		}
 	}
-	for name := range streamSamples {
-		if _, err := decodeBody(snapshotEncoding(streamSamples[name].want)); err != nil {
+	for name := range wireSamples {
+		if _, err := decodeBody(snapshotEncoding(wireSamples[name].want)); err != nil {
 			t.Errorf("sample %s is not a registered message: %v", name, err)
 		}
 	}
@@ -368,7 +396,7 @@ func TestHostileStreamClosesTheConnection(t *testing.T) {
 // table above, so plain go test runs them.
 func FuzzStreamFrame(f *testing.F) {
 	for _, name := range wireCodec.Names() {
-		if s, ok := streamSamples[name]; ok {
+		if s, ok := wireSamples[name]; ok {
 			f.Add(append(appendPreamble(nil, 3), frameOf(snapshotEncoding(s.want))...))
 		}
 	}

@@ -125,7 +125,7 @@ func (p *Published) set(version uint64, members []cnet.NodeID) {
 	p.members = append([]cnet.NodeID(nil), members...)
 }
 
-// Wire messages (gob-encodable for livenet).
+// Wire messages; RegisterMessages (snapshot.go) gives each its one encoding.
 
 // MHeartbeat is a ring-neighbour heartbeat. It travels as a pooled
 // pointer (see cnet.MsgPool); the receiver releases it.

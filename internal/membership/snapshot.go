@@ -13,8 +13,8 @@ import (
 // ticker (the application subscribes again when it is restored).
 
 // RegisterMessages describes the membership datagrams to the codec, so
-// that a mailbox or an in-flight packet can carry them. The two pooled
-// ones decode as pool-less records.
+// that a mailbox, an in-flight packet or a livenet datagram can carry
+// them. The two pooled ones decode as pool-less records.
 func RegisterMessages(c *snapio.MsgCodec) {
 	nodes := func(x *snapio.Ctx, s *[]cnet.NodeID) { snapio.Ints(x, s, 1<<16) }
 	c.Register("memb.Heartbeat", (*MHeartbeat)(nil), func(x *snapio.Ctx, m any) any {

@@ -5,14 +5,14 @@ import (
 	"press/internal/trace"
 )
 
-// Wire messages. All are exported gob-encodable structs so the same
-// protocol runs over livenet's real TCP.
+// Wire messages. Each has one walk under RegisterMessages (snapshot.go),
+// which is its encoding in a snapshot and on livenet's real sockets.
 //
 // The per-request types (ReqMsg, RespMsg, FwdMsg, FwdReplyMsg,
 // AnnounceMsg, HBMsg) travel as pointers and recycle through cnet.MsgPool
 // free lists: the sender takes a record from its pool, the final consumer
 // calls Release. A record whose home pool is unset (a plain &ReqMsg{...}
-// literal on a cold path, or a gob-decoded copy on the livenet receive
+// literal on a cold path, or a decoded copy on the livenet receive
 // side) just leaks to the GC on Release, which is the old behaviour.
 
 // ReqMsg is a client HTTP request. Probe requests are FME's liveness

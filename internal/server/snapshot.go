@@ -22,7 +22,7 @@ import (
 
 // RegisterMessages describes every PRESS wire message to the codec, one
 // walk each, so mailbox entries, connection buffers, send queues and
-// livenet's stream frames can carry them. Pooled messages decode as
+// livenet's sockets can carry them. Pooled messages decode as
 // pool-less records (their Release leaks to the GC, the pre-pooling
 // behaviour).
 func RegisterMessages(c *snapio.MsgCodec) {

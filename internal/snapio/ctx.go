@@ -521,8 +521,8 @@ func (t *RefTable) Obj(id uint64) any {
 }
 
 // MsgCodec describes wire messages by registered type name. A message
-// has one description, its walk, which snapshots and livenet's stream
-// frames both run.
+// has one description, its walk, which snapshots and livenet's sockets,
+// stream and datagram, all run.
 type MsgCodec struct {
 	byName map[string]*msgType
 	byType map[reflect.Type]*msgType
