@@ -49,7 +49,11 @@ func (r Repro) Marshal() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// LoadRepro parses a repro file body and validates its schedule.
+// LoadRepro parses a repro file body and validates it against the world
+// it names: the version and options (harness.CheckWorld), the schedule,
+// and each entry's component against its class's count in that world's
+// Table 1 or gray table. The format is hand-editable, so a file no world
+// can run is an error here, not a panic in Replay.
 func LoadRepro(data []byte) (Repro, error) {
 	var r Repro
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -64,12 +68,26 @@ func LoadRepro(data []byte) (Repro, error) {
 	if want := fmt.Sprintf("%016x", r.Schedule.Hash()); r.Hash != "" && r.Hash != want {
 		return r, fmt.Errorf("chaos: repro hash %s does not match schedule (%s): file edited? update or drop the hash field", r.Hash, want)
 	}
+	if err := harness.CheckWorld(r.Version, r.Options); err != nil {
+		return r, fmt.Errorf("chaos: repro file: %w", err)
+	}
+	topo := harness.NewTopology(r.Version, r.Options)
+	comps := map[faults.Type]int{}
+	for _, sp := range append(faults.Table1(topo.Nodes, 2, topo.Frontend), faults.GrayTable(topo.Nodes, 2)...) {
+		comps[sp.Type] = sp.Components
+	}
+	for _, e := range r.Schedule {
+		if n := comps[e.Fault]; e.Component < 0 || e.Component >= n {
+			return r, fmt.Errorf("chaos: repro entry %s: a %d-server %s world has %d %s components", e, topo.Nodes, r.Version, n, e.Fault)
+		}
+	}
 	return r, nil
 }
 
 // Replay re-executes the repro (memo bypassed: a repro exists to
 // re-observe the violation, not to read a cache) and re-checks the
-// given invariants.
+// given invariants. A file without an offered rate replays at the one the
+// saturation probe resolves, as its campaign did.
 func (r Repro) Replay(invs []Invariant) (Result, []Violation, error) {
 	res, err := RunUncached(harness.NewEngine(1), r.Version, r.Options, r.Schedule, r.Run)
 	if err != nil {

@@ -8,7 +8,7 @@
 //     cluster used for all availability experiments (the stand-in for the
 //     paper's testbed + Mendosus);
 //   - internal/livenet: real goroutines and loopback TCP, used by
-//     cmd/pressd and the failover example.
+//     cmd/pressd and pressbench's live3 workload.
 //
 // The model is intentionally close to the sockets API the original PRESS
 // used: unreliable datagrams (UDP) for heartbeats and membership,
@@ -177,9 +177,13 @@ type Env interface {
 	// BindDatagram registers the handler for datagrams arriving on port.
 	BindDatagram(port string, h func(from NodeID, m Message))
 
-	// Dial opens a stream to (to, port). The result callback runs first,
-	// exactly once, with either a live Conn or an error; handlers h are
-	// attached on success.
+	// DialFor opens a stream to (to, port) for owner: on success the Conn
+	// gets owner.DialHandlers(), and owner.DialResult runs first, exactly
+	// once, with either the live Conn or an error.
+	DialFor(to NodeID, class Class, port string, owner DialOwner)
+
+	// Dial is DialFor for a caller with closures and no record: every
+	// runtime's is DialFor(to, class, port, &DialFuncs{h, result}).
 	Dial(to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error))
 
 	// Listen accepts streams on port. For every accepted connection the
@@ -195,6 +199,27 @@ type Env interface {
 	SetConnWord(c Conn, w uint64)
 	ConnWord(c Conn) uint64
 }
+
+// DialOwner is the record that issued a dial: the runtime asks it for the
+// new connection's handlers and tells it the verdict, and a snapshot names
+// a dial outstanding by it (the owner's own section defines it in
+// ctx.Owners).
+type DialOwner interface {
+	// DialHandlers returns the handlers the connection gets on success.
+	DialHandlers() StreamHandlers
+	// DialResult delivers the verdict, exactly once: a live conn or an error.
+	DialResult(c Conn, err error)
+}
+
+// DialFuncs adapts Dial's closure pair to a DialOwner. No snapshot section
+// defines it, so a capture taken while its dial is outstanding fails.
+type DialFuncs struct {
+	H      StreamHandlers
+	Result func(Conn, error)
+}
+
+func (f *DialFuncs) DialHandlers() StreamHandlers { return f.H }
+func (f *DialFuncs) DialResult(c Conn, err error) { f.Result(c, err) }
 
 // MsgPool recycles pointer records of one concrete type: the wire
 // messages of the protocol hot path, which re-sends the same handful of

@@ -9,9 +9,10 @@ import (
 
 // Snapshot support shared by the protocol components. A component's walk
 // moves its own fields; what it holds of the runtime — timers, tickers,
-// connections, dials in flight — it moves through the helpers here, which
-// talk to the hosting runtime structurally, so that no component imports
-// the simulator's machine package.
+// connections — it moves through the helpers here, which talk to the
+// hosting runtime structurally, so that no component imports the
+// simulator's machine package. A dial needs no helper: its owner record
+// defines itself in the walk that lists it (DialOwner).
 
 // RestoreEnv is the process environment a component is rebuilt on inside
 // a snapshot restore: the normal Env plus the runtime's restore
@@ -28,40 +29,11 @@ type RestoreEnv interface {
 	// and its pending fire. Loading builds it on this environment, calling
 	// fn every period, and re-claims the fire.
 	SnapTicker(x *snapio.Ctx, t *clock.Ticker, period time.Duration, fn func(), what string)
-	// RestoreDialer supplies the endpoint callbacks of the untagged dials
-	// to (to, port) whose result the saved incarnation had not seen yet;
-	// RestoreTaggedDialer those of the dials issued under tag (TaggedDialer).
-	RestoreDialer(to NodeID, port string, h StreamHandlers, result func(Conn, error))
-	RestoreTaggedDialer(tag uint32, h StreamHandlers, result func(Conn, error))
 	// RestoreConn re-attaches the component's handlers to a connection.
 	RestoreConn(c Conn, h StreamHandlers)
 	// RestoreConnList lists every connection the process carried across
 	// the snapshot: adopted ones, then those only a mailbox entry names.
 	RestoreConnList() []Conn
-}
-
-// TaggedDialer is the optional surface of an Env whose runtime can snapshot
-// dials in flight. A component that may have several dials to one (node,
-// port) outstanding at once, with different callbacks, issues each through
-// DialTagged with a nonzero tag, unique within the process among dials with
-// different callbacks, and hands the same tag to RestoreTaggedDialer.
-type TaggedDialer interface {
-	DialTagged(tag uint32, to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error))
-}
-
-// TaggedDialFunc is the signature of TaggedDialer.DialTagged.
-type TaggedDialFunc func(tag uint32, to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error))
-
-// TaggedDial returns env's DialTagged, or on a runtime without dial tags
-// its Dial with the tag dropped: what a component picks once, when it is
-// built.
-func TaggedDial(env Env) TaggedDialFunc {
-	if t, ok := env.(TaggedDialer); ok {
-		return t.DialTagged
-	}
-	return func(_ uint32, to NodeID, class Class, port string, h StreamHandlers, result func(Conn, error)) {
-		env.Dial(to, class, port, h, result)
-	}
 }
 
 // SnapTimer moves a retained one-shot timer handle: whether there is one,

@@ -95,13 +95,6 @@ type Daemon struct {
 	// the index its slot field holds, so that a snapshot can enumerate
 	// them. Normally that is the current round, if any.
 	rounds []*round
-
-	// tagSeq numbers the rounds (never 0); a round's number tags its dial,
-	// which is how a restored daemon gets a dial in flight back to the round
-	// that issued it. dial is the environment's tagged dial, or its plain
-	// one on a runtime without tags.
-	tagSeq uint32
-	dial   cnet.TaggedDialFunc
 }
 
 // NewDaemon starts the FME daemon.
@@ -116,7 +109,6 @@ func NewDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
 func newDaemon(cfg Config, env cnet.Env, disk Disk, ctl Control) *Daemon {
 	d := &Daemon{cfg: cfg.withDefaults(), env: env, disk: disk, ctl: ctl}
 	d.src = metrics.InternSource(fmt.Sprintf("fme/%d", d.cfg.Self))
-	d.dial = cnet.TaggedDial(env)
 	return d
 }
 
@@ -140,10 +132,10 @@ const (
 // and the HTTP probe's connection, dial and timeout. It stays listed in
 // Daemon.rounds until nothing can call it back: the disk verdict is in,
 // the timeout has fired, the dial result has arrived and the connection,
-// if one was made, is closed.
+// if one was made, is closed. The round owns its dial (cnet.DialOwner) and
+// its health check.
 type round struct {
 	d    *Daemon
-	tag  uint32 // the tag of its dial
 	slot int
 
 	haveDisk, diskHealthy bool
@@ -171,10 +163,6 @@ func (d *Daemon) tick() {
 	// and doing it first keeps a synchronous probe completion safe.
 	d.probeT.Stop()
 	r := d.newRound()
-	if d.tagSeq++; d.tagSeq == 0 {
-		d.tagSeq = 1
-	}
-	r.tag = d.tagSeq
 	d.disk.Probe(d.cfg.ProbeTimeout, r)
 	r.probeApp()
 }
@@ -209,7 +197,7 @@ func (r *round) probeApp() {
 	d.probeSeq++
 	r.timeoutT = d.env.Clock().AfterFunc(d.cfg.ProbeTimeout, r.onTimeout)
 	r.dialing = true
-	d.dial(r.tag, d.env.Local(), cnet.ClassClient, server.PortHTTP, r.h, r.onDial)
+	d.env.DialFor(d.env.Local(), cnet.ClassClient, server.PortHTTP, r)
 }
 
 func (r *round) onTimeout() {
@@ -241,7 +229,11 @@ func (r *round) onClose(c cnet.Conn, err error) {
 	r.retire()
 }
 
-func (r *round) onDial(c cnet.Conn, err error) {
+// DialHandlers implements cnet.DialOwner.
+func (r *round) DialHandlers() cnet.StreamHandlers { return r.h }
+
+// DialResult implements cnet.DialOwner.
+func (r *round) DialResult(c cnet.Conn, err error) {
 	r.dialing = false
 	defer r.retire()
 	if err != nil {

@@ -7,8 +7,9 @@ import (
 
 // Snapshot support. The daemon moves its counters, its probe ticker and
 // the probe rounds something can still call back. A round is an owner: the
-// disk subsystem's section, which runs later, names it as the receiver of
-// the health check's verdict (round.DiskProbe).
+// machine's dial-owner walk and the disk subsystem's section, which run
+// later, name it as the receiver of its dial's result (round.DialResult)
+// and of the health check's verdict (round.DiskProbe).
 
 // OwnerGone tells the disk subsystem's walk that this round's daemon has
 // died with its machine (snapio.Ctx.Owner). The verdict of a health check
@@ -24,7 +25,6 @@ func (d *Daemon) SnapState(x *snapio.Ctx) {
 	snapio.Int(x, &d.appStrikes)
 	x.U64(&d.probeSeq)
 	x.U64(&d.actions)
-	snapio.Uint(x, &d.tagSeq)
 	cnet.SnapTicker(x, d.env, &d.probeT, d.cfg.ProbePeriod, d.tick, "fme: probe")
 
 	for i := range x.Len(len(d.rounds), 1<<16) {
@@ -35,7 +35,6 @@ func (d *Daemon) SnapState(x *snapio.Ctx) {
 			r = d.newRound()
 		}
 		x.Define(r)
-		snapio.Uint(x, &r.tag)
 		x.Bool(&r.haveDisk)
 		x.Bool(&r.diskHealthy)
 		x.Bool(&r.haveApp)
@@ -49,8 +48,8 @@ func (d *Daemon) SnapState(x *snapio.Ctx) {
 }
 
 // Restore rebuilds a daemon inside a snapshot restore: state loaded
-// through SnapState, and handlers re-attached to every connection and
-// dial the process carried across.
+// through SnapState, and handlers re-attached to every connection the
+// process carried across.
 func Restore(cfg Config, env cnet.RestoreEnv, disk Disk, ctl Control, x *snapio.Ctx) *Daemon {
 	d := newDaemon(cfg, env, disk, ctl)
 	d.SnapState(x)
@@ -58,9 +57,6 @@ func Restore(cfg Config, env cnet.RestoreEnv, disk Disk, ctl Control, x *snapio.
 	for _, r := range d.rounds {
 		if r.conn != nil {
 			handlers[r.conn] = r.h
-		}
-		if r.dialing {
-			env.RestoreTaggedDialer(r.tag, r.h, r.onDial)
 		}
 	}
 	cnet.RestoreConns(env, handlers)

@@ -118,13 +118,6 @@ type Frontend struct {
 	probes []*probe
 	pingT  clock.Ticker
 	connT  clock.Ticker
-
-	// tagSeq numbers relays and probes; a record's number tags its dials,
-	// which is how a restored front-end gets each dial in flight back to the
-	// record that issued it. dialTagged is the environment's tagged dial, or
-	// its plain one on a runtime without tags.
-	tagSeq     uint32
-	dialTagged cnet.TaggedDialFunc
 }
 
 // New starts a front-end process on env.
@@ -144,7 +137,6 @@ func newFrontend(cfg Config, env cnet.Env) *Frontend {
 	for _, b := range f.cfg.Backends {
 		f.backends[b] = &backendState{}
 	}
-	f.dialTagged = cnet.TaggedDial(env)
 	f.route = f.pick
 	if f.cfg.ShardRoute {
 		f.route = f.pickOwner
@@ -156,19 +148,6 @@ func newFrontend(cfg Config, env cnet.Env) *Frontend {
 
 // probing reports whether the C-MON / S-FME connection probes run.
 func (f *Frontend) probing() bool { return f.cfg.ConnMonitor || f.cfg.SFME }
-
-// nextTag numbers a new relay or probe (never 0, the untagged dial).
-func (f *Frontend) nextTag() uint32 {
-	if f.tagSeq++; f.tagSeq == 0 {
-		f.tagSeq = 1
-	}
-	return f.tagSeq
-}
-
-// dial issues a dial under the issuing record's tag.
-func (f *Frontend) dial(to cnet.NodeID, tag uint32, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	f.dialTagged(tag, to, cnet.ClassClient, server.PortHTTP, h, result)
-}
 
 // Healthy returns the nodes currently in rotation, sorted (tests and the
 // S-FME bench inspect it).
@@ -241,10 +220,11 @@ func (f *Frontend) pickOwner(doc trace.DocID) cnet.NodeID {
 // record has a new tenant. Every handler therefore first checks that the
 // connection it was called for is the one the record holds now — the
 // queued entry pins its connection, so a pooled connection cannot have
-// been reused in the meantime, and the comparison is exact.
+// been reused in the meantime, and the comparison is exact. The relay is
+// its backend dials' owner (cnet.DialOwner), so it stays with its tenant
+// while a dial result is owed.
 type relay struct {
 	f       *Frontend
-	tag     uint32 // this tenant's number, the tag of its dials
 	slot    int
 	client  cnet.Conn
 	backend cnet.Conn
@@ -254,7 +234,6 @@ type relay struct {
 
 	clientH  cnet.StreamHandlers
 	backendH cnet.StreamHandlers
-	onDial   func(cnet.Conn, error)
 }
 
 // newRelay takes a record for a new tenant and lists it as live.
@@ -264,7 +243,6 @@ func (f *Frontend) newRelay() *relay {
 		r.f = f
 		r.clientH = cnet.StreamHandlers{OnMessage: r.clientMessage, OnClose: r.connClosed}
 		r.backendH = cnet.StreamHandlers{OnMessage: r.backendMessage, OnClose: r.connClosed}
-		r.onDial = r.dialResult
 	}
 	r.slot = len(f.live)
 	f.live = append(f.live, r)
@@ -274,13 +252,12 @@ func (f *Frontend) newRelay() *relay {
 // acceptClient relays one request to a backend.
 func (f *Frontend) acceptClient(client cnet.Conn) cnet.StreamHandlers {
 	r := f.newRelay()
-	r.tag = f.nextTag()
 	r.client = client
 	return r.clientH
 }
 
 // closeBoth tears the relay down, once, and recycles the record unless a
-// dial result is still owed (dialResult recycles it then).
+// dial result is still owed (DialResult recycles it then).
 func (r *relay) closeBoth() {
 	if r.closed {
 		return
@@ -322,10 +299,14 @@ func (r *relay) clientMessage(c cnet.Conn, m cnet.Message) {
 	f.relayed++
 	r.req = req
 	r.dials++
-	f.dial(target, r.tag, r.backendH, r.onDial)
+	f.env.DialFor(target, cnet.ClassClient, server.PortHTTP, r)
 }
 
-func (r *relay) dialResult(bc cnet.Conn, err error) {
+// DialHandlers implements cnet.DialOwner.
+func (r *relay) DialHandlers() cnet.StreamHandlers { return r.backendH }
+
+// DialResult implements cnet.DialOwner.
+func (r *relay) DialResult(bc cnet.Conn, err error) {
 	r.dials--
 	if r.closed {
 		if bc != nil {
@@ -412,10 +393,10 @@ func (f *Frontend) connProbeTick() {
 // listed in Frontend.probes until its deadline has fired and its dial
 // result has arrived; every connection it held is closed by then, so a
 // callback still queued for one finds the probe finished and does nothing.
+// The probe is its dial's owner (cnet.DialOwner).
 type probe struct {
 	f        *Frontend
 	n        cnet.NodeID
-	tag      uint32 // the tag of its dial
 	slot     int
 	finished bool
 	conn     cnet.Conn
@@ -436,10 +417,9 @@ func (f *Frontend) newProbe(n cnet.NodeID) *probe {
 // probeBackend runs one HTTP probe against n with the C-MON deadline.
 func (f *Frontend) probeBackend(n cnet.NodeID) {
 	p := f.newProbe(n)
-	p.tag = f.nextTag()
 	p.deadline = f.env.Clock().AfterFunc(f.cfg.ConnDeadline, p.onDeadline)
 	p.dialing = true
-	f.dial(n, p.tag, p.h, p.onDial)
+	f.env.DialFor(n, cnet.ClassClient, server.PortHTTP, p)
 }
 
 func (p *probe) fail() {
@@ -489,7 +469,11 @@ func (p *probe) onMessage(c cnet.Conn, m cnet.Message) {
 
 func (p *probe) onClose(c cnet.Conn, err error) { p.fail() }
 
-func (p *probe) onDial(c cnet.Conn, err error) {
+// DialHandlers implements cnet.DialOwner.
+func (p *probe) DialHandlers() cnet.StreamHandlers { return p.h }
+
+// DialResult implements cnet.DialOwner.
+func (p *probe) DialResult(c cnet.Conn, err error) {
 	p.dialing = false
 	defer p.retire()
 	if p.finished {

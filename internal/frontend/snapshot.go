@@ -7,11 +7,11 @@ import (
 
 // Snapshot support. The front-end moves its routing table, its two
 // monitors' tickers, and every relay and connection probe in progress —
-// as data: which connections a record holds, what it still waits for. The
-// handler closures are built again with the records, and Restore hands
-// them back to the connections and to the dials in flight, which carry
-// the issuing record's tag. A restored connection is not pooled, so the
-// pins the records hold on theirs (cnet.RetainConn) are not taken again.
+// as data: which connections a record holds, what it still waits for. Each
+// record defines itself for the dials it owns; the handler closures are
+// built again with the records, and Restore hands them back to the
+// connections. A restored connection is not pooled, so the pins the
+// records hold on theirs (cnet.RetainConn) are not taken again.
 
 // RegisterMessages describes the echo stand-ins to the codec, so that a
 // mailbox, an in-flight datagram or a livenet one can carry them.
@@ -35,7 +35,6 @@ func (f *Frontend) SnapState(x *snapio.Ctx) {
 	snapio.Int(x, &f.rr)
 	x.U64(&f.relayed)
 	x.U64(&f.probeSeq)
-	snapio.Uint(x, &f.tagSeq)
 	for _, n := range f.cfg.Backends {
 		b := f.backends[n]
 		snapio.Int(x, &b.pingMisses)
@@ -57,7 +56,7 @@ func (f *Frontend) SnapState(x *snapio.Ctx) {
 		} else {
 			r = f.newRelay()
 		}
-		snapio.Uint(x, &r.tag)
+		x.Define(r)
 		snapio.OptConn(x, &r.client)
 		snapio.OptConn(x, &r.backend)
 		waiting := r.req != nil
@@ -80,7 +79,7 @@ func (f *Frontend) SnapState(x *snapio.Ctx) {
 			}
 			p = f.newProbe(n)
 		}
-		snapio.Uint(x, &p.tag)
+		x.Define(p)
 		x.Bool(&p.finished)
 		snapio.OptConn(x, &p.conn)
 		x.Bool(&p.dialing)
@@ -91,7 +90,7 @@ func (f *Frontend) SnapState(x *snapio.Ctx) {
 
 // Restore rebuilds a front-end inside a snapshot restore: ports
 // registered, state loaded through SnapState, and handlers re-attached to
-// every connection and dial the process carried across.
+// every connection the process carried across.
 func Restore(cfg Config, env cnet.RestoreEnv, x *snapio.Ctx) *Frontend {
 	f := newFrontend(cfg, env)
 	f.SnapState(x)
@@ -104,16 +103,10 @@ func Restore(cfg Config, env cnet.RestoreEnv, x *snapio.Ctx) *Frontend {
 		if r.backend != nil {
 			handlers[r.backend] = r.backendH
 		}
-		if r.dials > 0 {
-			env.RestoreTaggedDialer(r.tag, r.backendH, r.onDial)
-		}
 	}
 	for _, p := range f.probes {
 		if p.conn != nil {
 			handlers[p.conn] = p.h
-		}
-		if p.dialing {
-			env.RestoreTaggedDialer(p.tag, p.h, p.onDial)
 		}
 	}
 	cnet.RestoreConns(env, handlers)

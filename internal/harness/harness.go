@@ -712,18 +712,25 @@ func (c *Cluster) attachWorkload(rate float64) {
 // from a file: a world nobody could have built is refused here, before
 // anything is sized by them.
 func buildForRestore(v Version, o Options, rate float64) *Cluster {
+	if err := CheckWorld(v, o); err != nil {
+		snapio.Failf("%v", err)
+	}
+	if !finite(rate) || rate <= 0 {
+		snapio.Failf("harness: a restored world needs a resolved rate, got %v", rate)
+	}
+	c := buildWorld(v, o.withDefaults(), true)
+	c.attachWorkload(rate)
+	return c
+}
+
+// CheckWorld refuses a version and options no world is built from. What
+// arrives in a file — a snapshot's envelope, a hand-edited chaos repro —
+// passes here before anything is sized by it.
+func CheckWorld(v Version, o Options) error {
 	if !slices.Contains(append(AllMeasuredVersions(), VXSW, VXSWRAID), v) {
-		snapio.Failf("harness: unknown version %q", v)
+		return fmt.Errorf("harness: unknown version %q", v)
 	}
 	o = o.withDefaults()
-	finite := func(fs ...float64) bool {
-		for _, f := range fs {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return false
-			}
-		}
-		return true
-	}
 	m := o.Mod
 	switch {
 	case o.Nodes < 1 || o.Nodes > 1<<25 || o.Docs < 1 || o.Docs > 1<<25 || o.Nodes*o.Docs > 1<<25, // every server indexes every document
@@ -732,19 +739,24 @@ func buildForRestore(v Version, o Options, rate float64) *Cluster {
 		o.Protocol != Faithful && o.Protocol != Scalable,
 		!finite(o.Alpha, o.Rate, m.DiurnalAmp, m.DiurnalPhase, m.FlashBoost) || o.Alpha < 0,
 		m.DiurnalPeriod < 0 || m.FlashAt < 0 || m.FlashRamp < 0 || m.FlashHold < 0 || m.FlashDecay < 0:
-		snapio.Failf("harness: options no world is built with: %+v", o)
-	case !finite(rate) || rate <= 0:
-		snapio.Failf("harness: a restored world needs a resolved rate, got %v", rate)
+		return fmt.Errorf("harness: options no world is built with: %+v", o)
 	}
 	// Server ids run from 0 and must stay clear of the front-end's (when
 	// it is the paper's single one, with its pair and address) and the
 	// client driver's.
 	if topo := NewTopology(v, o); topo.Nodes > int(clientNodeID) || len(topo.FrontendIDs()) == 1 && topo.Nodes > int(feVIP) {
-		snapio.Failf("harness: %d server nodes collide with the fixed node ids of %s", topo.Nodes, v)
+		return fmt.Errorf("harness: %d server nodes collide with the fixed node ids of %s", topo.Nodes, v)
 	}
-	c := buildWorld(v, o, true)
-	c.attachWorkload(rate)
-	return c
+	return nil
+}
+
+func finite(fs ...float64) bool {
+	for _, f := range fs {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // FaultSpecs returns the Table 1 fault load applicable to this version.

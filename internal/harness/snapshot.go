@@ -36,21 +36,23 @@ import (
 // byte stream in both directions:
 //
 //	metrics log → network core → machines → the processes' parts →
-//	workload → fault injector → disks (→ what only FME leaves pending) →
-//	caller extra → network pending events → connection tables → kernel
-//	counters.
+//	machines' dial owners → workload → fault injector → disks (→ what
+//	only FME leaves pending) → caller extra → network pending events →
+//	connection tables → kernel counters.
 //
 // The network core comes first because it registers every interface's
 // connection halves in ctx.Conns in deterministic order; the machines
 // (servers, front-end tier, standby) come before any process's part
 // because a part re-claims what its machine section listed — timers by
-// serial, dials by tag, connections; the parts run in build order, node
-// by node: the membership segment and daemon, the echo responder, the
-// press process (its membership client, then the server or its husk),
-// the FME daemon, and after the servers the front-ends and the standby;
-// the pending and connection tables come last because by then every
-// owner (dial records, disk operations, probe rounds, requests) is
-// defined in ctx.Owners; the kernel counters come very last so
+// serial, connections; the parts run in build order, node by node: the
+// membership segment and daemon, the echo responder, the press process
+// (its membership client, then the server or its husk), the FME daemon,
+// and after the servers the front-ends and the standby, each defining the
+// records its dials answer to (peers, relays, probes, rounds), which the
+// machines' short dial-owner walks then name; the pending and connection
+// tables come last because by then every owner (dial records, disk
+// operations, probe rounds, requests) is defined in ctx.Owners; the
+// kernel counters come very last so
 // SetCounters overwrites whatever bookkeeping the re-arming of events
 // touched. A trait the world lacks writes no bytes: a COOP stream is what
 // it was before the walks reached the rest.
@@ -62,7 +64,11 @@ const (
 	// format 3: the generator section carries its cancelled-timeout count.
 	// format 4: Options carries the load modulation (a format-3 blob of a
 	// diurnal or flash-crowd world restored as a stationary one).
-	format = 4
+	// format 5: a dial is its owner record — dial records and mailbox dial
+	// results lose their destination and tag, and the records that issue
+	// dials (server peers, front-end relays and probes, FME rounds) are
+	// named after the parts.
+	format = 5
 )
 
 // Snap is one captured world.
@@ -239,8 +245,9 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	for _, part := range c.parts {
 		part(x)
 	}
-	if !x.Saving() {
-		for _, m := range c.machines() {
+	for _, m := range c.machines() {
+		m.SnapDialOwners(x)
+		if !x.Saving() {
 			m.FinishRestore()
 		}
 	}

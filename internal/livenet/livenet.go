@@ -693,12 +693,14 @@ var (
 	dialer    = net.Dialer{Timeout: 3 * time.Second, KeepAlive: -1}
 )
 
-// Dial implements cnet.Env.
-func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+// DialFor implements cnet.Env. The handlers are asked for here, on the
+// dispatch goroutine that owns the record.
+func (e *Env) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
+	h := owner.DialHandlers()
 	go func() {
 		c, err := e.connect(to, port)
 		if err != nil {
-			e.post(func() { result(nil, err) })
+			e.post(func() { owner.DialResult(nil, err) })
 			return
 		}
 		tc := e.newConn(c, to, h)
@@ -707,9 +709,14 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 			tc.abort()
 			return
 		}
-		e.post(func() { result(tc, nil) })
+		e.post(func() { owner.DialResult(tc, nil) })
 		tc.readLoop() // this goroutine has done its dialing; no need for a second
 	}()
+}
+
+// Dial implements cnet.Env.
+func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	e.DialFor(to, class, port, &cnet.DialFuncs{H: h, Result: result})
 }
 
 // connect opens the socket behind a Dial, or says in cnet's terms why not.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"press/internal/cnet"
 )
@@ -163,11 +164,29 @@ func TestNestedStallDuringResumeDrain(t *testing.T) {
 	}
 }
 
+// A mailbox entry is copied by value at packet rate (postCall, pump), so
+// its size is pinned: 128 bytes, two cache lines, since a dial result is
+// its dial record (136 while the entry carried the dial's destination and
+// tag).
+func TestMailboxEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(call{}); got > 128 {
+		t.Errorf("call is %d bytes, want at most 128", got)
+	}
+}
+
+// pingDialer is a component record that owns its dials, as the server's
+// peers and the front-end's relays do: one record serves every dial.
+type pingDialer struct{ h cnet.StreamHandlers }
+
+func (d *pingDialer) DialHandlers() cnet.StreamHandlers { return d.h }
+func (d *pingDialer) DialResult(c cnet.Conn, err error) { c.TrySend("ping", 10) }
+
 // An adopted connection end costs the machine layer one record, held by
 // value in the owning process's conn list — no wrapper, closure or hook
 // object per connection — so a connection's whole life (dial, adopt on
 // both sides, exchange, close, prune) allocates nothing once the pools
-// and lists are warm.
+// and lists are warm. The dial is a DialFor on the owning record: the
+// closure form, Dial, boxes its pair in a cnet.DialFuncs per call.
 func TestConnectionLifeAllocatesNothing(t *testing.T) {
 	w := newWorld()
 	a := New(w.sim, w.net, 0, nil, w.log)
@@ -182,11 +201,10 @@ func TestConnectionLifeAllocatesNothing(t *testing.T) {
 		}}
 		e.Listen("s", func(cnet.Conn) cnet.StreamHandlers { return h })
 	})
-	client := cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) { c.Close() }}
-	onDial := func(c cnet.Conn, err error) { c.TrySend("ping", 10) }
+	client := &pingDialer{cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) { c.Close() }}}
 	life := func() {
 		for i := 0; i < 4; i++ { // a few at once, so both conn lists hold several records
-			envA.Dial(1, cnet.ClassIntra, "s", client, onDial)
+			envA.DialFor(1, cnet.ClassIntra, "s", client)
 		}
 		w.sim.Run()
 	}

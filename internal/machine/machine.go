@@ -58,9 +58,9 @@ type Machine struct {
 	dialFree  cnet.MsgPool[dialRec]
 	timerFree cnet.MsgPool[timerRec]
 
-	// dials is the registry of in-flight dial records (issued, result not
-	// yet delivered), kept so snapshots can enumerate them. Registered in
-	// Env.Dial, removed when the record is released.
+	// dials lists the dial records whose result has not been dispatched
+	// yet — in flight, or waiting in a mailbox — so snapshots can enumerate
+	// them. Listed in Env.DialFor, unlisted when the record is released.
 	dials []*dialRec
 }
 
@@ -265,28 +265,21 @@ type Proc struct {
 // rate carry their handler and arguments in typed fields instead of a
 // per-delivery closure, so posting them allocates nothing once the
 // mailbox's storage has grown to its high-water mark. Exactly one of
-// sfn/dfn/rfn/wfn/tr is set; every form is gated on env.live() at
+// sfn/dfn/rfn/wfn/tr/dr is set; every form is gated on env.live() at
 // dispatch, which is what their closure equivalents did.
 type call struct {
 	sfn  func(cnet.Conn, cnet.Message)   // stream OnMessage
 	dfn  func(cnet.NodeID, cnet.Message) // datagram handler
-	rfn  func(cnet.Conn, error)          // dial result
+	rfn  func(cnet.Conn, error)          // stream OnClose
 	wfn  func(cnet.Conn)                 // stream OnWritable
 	tr   *timerRec                       // pooled AfterFunc callback
+	dr   *dialRec                        // dial result, for the record's owner
 	env  *Env                            // liveness gate
 	c    cnet.Conn
 	m    cnet.Message
 	from cnet.NodeID
 	err  error
-
-	// Snapshot tags: enough identity to rebuild the entry's callback on
-	// restore (the function values themselves cannot be serialized).
-	// dial distinguishes a dial result from an OnClose — both post rfn.
-	// tag sits in dial's padding: the entry is copied at packet rate.
-	dial bool
-	tag  uint32      // dial tag (Env.DialTagged), 0 for an untagged dial
-	to   cnet.NodeID // dial destination
-	port string      // dgram port / dial port
+	port string // dgram port: the entry's snapshot identity (a handler cannot be serialized)
 }
 
 func (c *call) dispatch() {
@@ -302,9 +295,16 @@ func (c *call) dispatch() {
 	case c.rfn != nil:
 		if c.env.live() {
 			c.rfn(c.c, c.err)
-			if !c.dial && c.env.live() {
+			if c.env.live() {
 				c.env.p.unparkConn() // its OnClose has run
 			}
+		}
+	case c.dr != nil:
+		// Recycle before running: the owner may dial again at once.
+		owner := c.dr.owner
+		c.env.p.m.putDial(c.dr)
+		if c.env.live() {
+			owner.DialResult(c.c, c.err)
 		}
 	case c.wfn != nil:
 		if c.env.live() {
@@ -402,10 +402,14 @@ func (p *Proc) kill(abortConns bool) {
 	p.incarnation++
 	// Discarded mailbox entries drop their conn pins (taken in postCall)
 	// before the aborts below — an aborted pair with no surviving pins can
-	// go straight back to the network's pool.
+	// go straight back to the network's pool — and their dial records.
 	for i := p.head; i < len(p.mailbox); i++ {
-		if sc, ok := p.mailbox[i].c.(simnet.StreamConn); ok {
+		c := &p.mailbox[i]
+		if sc, ok := c.c.(simnet.StreamConn); ok {
 			sc.Release()
+		}
+		if c.dr != nil {
+			p.m.putDial(c.dr)
 		}
 	}
 	p.mailbox = nil
@@ -640,27 +644,23 @@ func (p *Proc) wordOf(c cnet.Conn) *uint64 {
 	return nil
 }
 
-// dialRec is one Dial in flight: the network's owner record for the
-// handshake (simnet.DialOwner), carrying the component's handlers and
-// result callback without a per-dial closure. It is released as soon as the
-// result has been posted; the handlers move to the connection's record on
-// success.
+// dialRec is one Env.DialFor whose result has not been dispatched: the
+// network's owner record for the handshake, in front of the component's
+// record that issued the dial. It is released when the mailbox dispatches
+// the result to owner (or discards it); the owner's handlers go to the
+// connection's record on success.
 type dialRec struct {
-	e      *Env
-	result func(cnet.Conn, error) // endpoint callback, re-registered via Env.RestoreDialer
-	h      cnet.StreamHandlers    // endpoint handlers, re-registered via Env.RestoreDialer
-	to     cnet.NodeID            // snapshot identity of the dial: destination, port
-	port   string
-	tag    uint32 // ... and the component's tag (Env.DialTagged), 0 without one
-	slot   int    // registry index, reassigned as restore re-registers in-flight dials
+	e     *Env
+	owner cnet.DialOwner // the issuing component's record, defined by its walk
+	slot  int            // index in Machine.dials
 }
 
-// DialHandlers implements simnet.DialOwner: the half gets the incarnation's
+// DialHandlers implements cnet.DialOwner: the half gets the incarnation's
 // mailbox wrappers.
 func (r *dialRec) DialHandlers() cnet.StreamHandlers { return r.e.hooks.h }
 
-// DialResult implements simnet.DialOwner: adopt the connection and post the
-// component's callback, or drop both when the incarnation has died.
+// DialResult implements cnet.DialOwner: adopt the connection and post the
+// result for the owner, or drop both when the incarnation has died.
 func (r *dialRec) DialResult(c cnet.Conn, err error) {
 	e := r.e
 	if !e.live() {
@@ -671,10 +671,9 @@ func (r *dialRec) DialResult(c cnet.Conn, err error) {
 		return
 	}
 	if c != nil {
-		e.p.adoptConn(e, c.(simnet.StreamConn), r.h)
+		e.p.adoptConn(e, c.(simnet.StreamConn), r.owner.DialHandlers())
 	}
-	e.p.postCall(call{rfn: r.result, env: e, c: c, err: err, dial: true, tag: r.tag, to: r.to, port: r.port})
-	e.p.m.putDial(r)
+	e.p.postCall(call{dr: r, env: e, c: c, err: err})
 }
 
 func (m *Machine) putDial(r *dialRec) {
@@ -686,8 +685,7 @@ func (m *Machine) putDial(r *dialRec) {
 		m.dials[last] = nil
 		m.dials = m.dials[:last]
 	}
-	r.e, r.result, r.h = nil, nil, cnet.StreamHandlers{}
-	r.to, r.port, r.tag, r.slot = cnet.None, "", 0, -1
+	r.e, r.owner, r.slot = nil, nil, -1
 	m.dialFree.Put(r)
 }
 
@@ -902,23 +900,21 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 	})
 }
 
-// Dial implements cnet.Env.
-func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	e.DialTagged(0, to, class, port, h, result)
-}
-
-// DialTagged implements cnet.TaggedDialer: Dial under tag, which is how a
-// restore tells this process's concurrent dials to one (node, port) apart.
-func (e *Env) DialTagged(tag uint32, to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+// DialFor implements cnet.Env.
+func (e *Env) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
 	if !e.live() {
 		return
 	}
 	dr := e.p.m.dialFree.Get()
-	dr.e, dr.result, dr.h = e, result, h
-	dr.to, dr.port, dr.tag = to, port, tag
+	dr.e, dr.owner = e, owner
 	dr.slot = len(e.p.m.dials)
 	e.p.m.dials = append(e.p.m.dials, dr)
 	e.p.m.iface.DialFor(to, class, port, dr)
+}
+
+// Dial implements cnet.Env.
+func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
+	e.DialFor(to, class, port, &cnet.DialFuncs{H: h, Result: result})
 }
 
 // Listen implements cnet.Env.
@@ -967,10 +963,7 @@ func (e *Env) ConnWord(c cnet.Conn) uint64 {
 	return 0
 }
 
-var (
-	_ cnet.Env          = (*Env)(nil)
-	_ cnet.TaggedDialer = (*Env)(nil)
-)
+var _ cnet.Env = (*Env)(nil)
 
 // procClock delivers timer callbacks through the process mailbox.
 type procClock struct{ e *Env }

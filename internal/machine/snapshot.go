@@ -13,24 +13,25 @@ import (
 
 // Snapshot support. A machine serializes its processes' control state —
 // liveness, incarnation, hang/stall/charge flags, the mailbox, adopted
-// connections, pending proc timers, in-flight dials — but none of the
+// connections, pending proc timers, dial records — but none of the
 // component callbacks those entries dispatch into. Restore therefore
-// runs in two passes:
+// runs in three steps:
 //
 //  1. SnapState, the one walk that also saves, reads the records and
 //     rebuilds process flags and each live incarnation's Env (random
 //     stream included), stashing everything that needs a callback in
-//     procRestore scratch.
+//     procRestore scratch, and defines the dial records.
 //  2. The component restores itself against the Env, re-registering its
 //     handlers (Listen/BindDatagram), re-claiming its pending timers
-//     (RestoreTimer), and re-attaching handlers to its connections
-//     (RestoreConn) and in-flight dials (RestoreDialer).
+//     (RestoreTimer), re-attaching handlers to its connections
+//     (RestoreConn) and defining the records its dials answer to. Then
+//     SnapDialOwners hands each live dial record its owner back.
 //  3. FinishRestore resolves the stashed records against those
 //     registrations: mailbox entries get their typed callbacks back,
-//     adopted connections get close hooks and owner slots, live dial
-//     records their endpoint callbacks, and timers nobody claimed — they belonged to
-//     dead incarnations — are re-armed against a dead Env so they still
-//     occupy their exact kernel slot and fire as no-ops.
+//     adopted connections get close hooks and owner slots, and timers
+//     nobody claimed — they belonged to dead incarnations — are re-armed
+//     against a dead Env so they still occupy their exact kernel slot and
+//     fire as no-ops.
 
 // Mailbox entry tags.
 const (
@@ -41,7 +42,6 @@ const (
 	tagClosed   = 4
 	tagWritable = 5
 	tagTimer    = 6
-	tagDialTag  = 7 // tagDial of a tagged dial: the tag follows the port
 )
 
 type restTimer struct {
@@ -58,31 +58,10 @@ type mailTag struct {
 	c      cnet.Conn
 	m      cnet.Message
 	from   cnet.NodeID
-	to     cnet.NodeID
 	port   string
 	err    error
 	serial uint64
-	tag    uint32
-}
-
-// dialKey names a dial's endpoint callbacks: a tagged dial's by the tag
-// alone, an untagged one's by its destination.
-type dialKey struct {
-	to   cnet.NodeID
-	port string
-	tag  uint32
-}
-
-func keyOf(to cnet.NodeID, port string, tag uint32) dialKey {
-	if tag != 0 {
-		return dialKey{to: cnet.None, tag: tag}
-	}
-	return dialKey{to: to, port: port}
-}
-
-type dialEndpoint struct {
-	h      cnet.StreamHandlers
-	result func(cnet.Conn, error)
+	dial   int // a dial result's record, as its index in Machine.dials
 }
 
 // procRestore is per-process scratch state between the machine's walk
@@ -96,7 +75,6 @@ type procRestore struct {
 	conns        []cnet.Conn                       // adopted conns, then mailbox-only (closed) conns
 	handlers     map[cnet.Conn]cnet.StreamHandlers // component handlers by conn, from RestoreConn
 	words        map[cnet.Conn]uint64              // every conn of conns, with the word its component wrote back (SetConnWord)
-	dialers      map[dialKey]dialEndpoint
 }
 
 // own lists c among the restoring process's connections, once.
@@ -141,7 +119,6 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 				mailTimerFns: map[uint64]func(){},
 				handlers:     map[cnet.Conn]cnet.StreamHandlers{},
 				words:        map[cnet.Conn]uint64{},
-				dialers:      map[dialKey]dialEndpoint{},
 			}
 		}
 
@@ -240,10 +217,10 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		}
 	}
 
-	// In-flight dial records are owners the network's pending section
-	// refers to. A loaded record is built here, on its live incarnation's
-	// environment or on a dead one's stand-in; FinishRestore hands the live
-	// ones their endpoint callbacks back.
+	// Dial records are owners the network's pending section refers to, and
+	// a mailbox's dial results by index. A loaded record is built here, on
+	// its live incarnation's environment or on a dead one's stand-in;
+	// SnapDialOwners hands the live ones their owners back.
 	for i := range x.Len(len(m.dials), 1<<20) {
 		var dr *dialRec
 		var proc string
@@ -258,25 +235,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		}
 		x.Define(dr)
 		x.Str(&proc)
-		snapio.Int(x, &dr.to)
-		x.Str(&dr.port)
-		// One byte: bit 0 live, bit 1 a tag follows — an untagged dial's
-		// record reads as it did when this was the live flag alone.
-		flags := uint8(0)
-		if live {
-			flags |= 1
-		}
-		if dr.tag != 0 {
-			flags |= 2
-		}
-		if snapio.Uint(x, &flags); flags > 3 {
-			snapio.Failf("machine %d: dial record flags %#x", m.id, flags)
-		}
-		live = flags&1 != 0
-		if flags&2 != 0 {
-			snapio.Uint(x, &dr.tag)
-		}
-		if !x.Saving() {
+		if x.Bool(&live); !x.Saving() {
 			p := m.procs[proc]
 			if p == nil {
 				snapio.Failf("machine %d: dial record for unknown proc %q", m.id, proc)
@@ -296,7 +255,7 @@ func (m *Machine) tagOf(proc string, c *call) mailTag {
 	if c.env == nil {
 		snapio.Failf("machine %d/%s: mailbox entry without env", m.id, proc)
 	}
-	t := mailTag{c: c.c, m: c.m, from: c.from, to: c.to, port: c.port, err: c.err, tag: c.tag}
+	t := mailTag{c: c.c, m: c.m, from: c.from, port: c.port, err: c.err}
 	switch {
 	case !c.env.live():
 		t.kind = tagDead
@@ -306,10 +265,8 @@ func (m *Machine) tagOf(proc string, c *call) mailTag {
 		t.kind = tagStream
 	case c.dfn != nil:
 		t.kind = tagDgram
-	case c.rfn != nil && c.dial && c.tag != 0:
-		t.kind = tagDialTag
-	case c.rfn != nil && c.dial:
-		t.kind = tagDial
+	case c.dr != nil:
+		t.kind, t.dial = tagDial, c.dr.slot
 	case c.rfn != nil:
 		t.kind = tagClosed
 	case c.wfn != nil:
@@ -334,12 +291,8 @@ func (t *mailTag) snap(x *snapio.Ctx) {
 		x.Str(&t.port)
 		snapio.Int(x, &t.from)
 		snapio.Msg(x, &t.m)
-	case tagDial, tagDialTag:
-		snapio.Int(x, &t.to)
-		x.Str(&t.port)
-		if t.kind == tagDialTag {
-			snapio.Uint(x, &t.tag)
-		}
+	case tagDial:
+		snapio.Int(x, &t.dial)
 		snapio.Conn(x, &t.c)
 		cnet.SnapErr(x, &t.err)
 	case tagClosed:
@@ -431,28 +384,17 @@ func (e *Env) RestoreConnList() []cnet.Conn {
 	return p.rst.conns
 }
 
-// RestoreDialer registers the endpoint callbacks of the untagged dials to
-// (to, port) that are in flight or whose result already sits in the
-// mailbox.
-func (e *Env) RestoreDialer(to cnet.NodeID, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	e.restoreDialer(keyOf(to, port, 0), h, result)
-}
-
-// RestoreTaggedDialer is RestoreDialer for the dials issued under tag
-// (DialTagged).
-func (e *Env) RestoreTaggedDialer(tag uint32, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	if tag == 0 {
-		snapio.Failf("machine %d/%s: RestoreTaggedDialer with tag 0", e.p.m.id, e.p.name)
+// SnapDialOwners moves, for every live dial record, the component record
+// it answers to. Those are defined by the processes' parts, which run
+// after the machine sections, so this walk follows the parts and precedes
+// FinishRestore, which asks the owners of results waiting in a mailbox for
+// their connections' handlers.
+func (m *Machine) SnapDialOwners(x *snapio.Ctx) {
+	for _, dr := range m.dials {
+		if dr.e.live() {
+			snapio.Owner(x, &dr.owner, nil, "machine: dial")
+		}
 	}
-	e.restoreDialer(keyOf(cnet.None, "", tag), h, result)
-}
-
-func (e *Env) restoreDialer(k dialKey, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	p := e.p
-	if p.rst == nil {
-		snapio.Failf("machine %d/%s: RestoreDialer outside restore", p.m.id, p.name)
-	}
-	p.rst.dialers[k] = dialEndpoint{h: h, result: result}
 }
 
 // RestoreConn re-attaches the component's handlers to a restored
@@ -492,17 +434,16 @@ func (m *Machine) FinishRestore() {
 		}
 
 		// A connection whose dial result is still in the mailbox was adopted
-		// with the dial's handlers, and the component has not seen it yet.
+		// with the owner's handlers, and the owner has not seen it yet.
 		for _, t := range r.mailTags {
-			if t.kind != tagDial && t.kind != tagDialTag {
+			if t.kind != tagDial {
 				continue
 			}
-			ep, ok := r.dialers[keyOf(t.to, t.port, t.tag)]
-			if !ok {
-				snapio.Failf("machine %d/%s: mailbox dial result for %d port %q tag %d unclaimed", m.id, name, t.to, t.port, t.tag)
+			if t.dial < 0 || t.dial >= len(m.dials) || m.dials[t.dial].e != p.env {
+				snapio.Failf("machine %d/%s: mailbox dial result names no live dial record of its process", m.id, name)
 			}
 			if t.c != nil {
-				p.env.RestoreConn(t.c, ep.h)
+				p.env.RestoreConn(t.c, m.dials[t.dial].owner.DialHandlers())
 			}
 		}
 
@@ -548,21 +489,7 @@ func (m *Machine) FinishRestore() {
 			p.mailbox = append(p.mailbox, m.resolveMailEntry(p, t))
 		}
 		p.head = 0
-	}
-
-	for _, dr := range m.dials {
-		if !dr.e.live() {
-			continue
-		}
-		ep, ok := dr.e.p.rst.dialers[keyOf(dr.to, dr.port, dr.tag)]
-		if !ok {
-			snapio.Failf("machine %d/%s: in-flight dial to %d port %q tag %d unclaimed by component", m.id, dr.e.p.name, dr.to, dr.port, dr.tag)
-		}
-		dr.h, dr.result = ep.h, ep.result
-	}
-
-	for _, name := range m.order {
-		m.procs[name].rst = nil
+		p.rst = nil
 	}
 }
 
@@ -596,9 +523,8 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 			snapio.Failf("machine %d/%s: mailbox dgram entry for unbound port %q", m.id, p.name, t.port)
 		}
 		return call{dfn: h, env: env, from: t.from, m: t.m, port: t.port}
-	case tagDial, tagDialTag:
-		ep := p.rst.dialers[keyOf(t.to, t.port, t.tag)] // FinishRestore saw to it that there is one
-		return call{rfn: ep.result, env: env, c: t.c, err: t.err, dial: true, tag: t.tag, to: t.to, port: t.port}
+	case tagDial:
+		return call{dr: m.dials[t.dial], env: env, c: t.c, err: t.err} // FinishRestore checked the index
 	case tagClosed:
 		h := p.rst.handlers[t.c]
 		if h.OnClose == nil {

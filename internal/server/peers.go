@@ -10,6 +10,7 @@ import (
 // a pair of unidirectional streams per node pair: each node dials its own
 // send connection and receives on the one the peer dialed. The send queue
 // in front of the connection is the structure queue monitoring watches.
+// The peer is its dials' owner (cnet.DialOwner).
 type peer struct {
 	// Hot fields first: every forward touches conn, the send queue and
 	// load, so they share the record's leading cache line; dial/retry
@@ -28,20 +29,20 @@ type peer struct {
 	retry   timerHandle
 	retries []*redial
 
-	// Dial and connection callbacks, built once per peer.
-	h      cnet.StreamHandlers
-	onDial func(c cnet.Conn, err error)
+	// The server, for DialResult, and the send connection's callbacks,
+	// built once per peer.
+	s *Server
+	h cnet.StreamHandlers
 }
 
 // redial is one armed redial timer.
 type redial struct {
-	s *Server
 	p *peer
 	t timerHandle
 }
 
-func (p *peer) newRedial(s *Server) *redial {
-	r := &redial{s: s, p: p}
+func (p *peer) newRedial() *redial {
+	r := &redial{p: p}
 	p.retries = append(p.retries, r)
 	return r
 }
@@ -54,7 +55,7 @@ func (r *redial) fire() {
 			break
 		}
 	}
-	r.s.connectPeer(p.id)
+	p.s.connectPeer(p.id)
 }
 
 func (p *peer) qlen() int { return len(p.sendQ) - p.sendHead }
@@ -87,43 +88,50 @@ func (s *Server) setPeer(n cnet.NodeID, p *peer) {
 func (s *Server) peer(n cnet.NodeID) *peer {
 	p := s.peerAt(n)
 	if p == nil {
-		p = &peer{id: n}
+		p = &peer{s: s, id: n}
 		p.h = cnet.StreamHandlers{
 			OnClose: func(c cnet.Conn, err error) {
 				if p.conn == c {
 					p.conn = nil
-					cnet.ReleaseConn(c) // pin taken when onDial stored it
+					cnet.ReleaseConn(c) // pin taken when DialResult stored it
 					s.peerConnLost(p.id, err)
 				}
 			},
 			OnWritable: func(c cnet.Conn) { s.drain(p.id) },
 		}
-		p.onDial = func(c cnet.Conn, err error) {
-			p.dialing = false
-			if err != nil {
-				// The peer application is dead or the node unreachable. Keep
-				// retrying while it remains in the view; the detectors decide
-				// whether it should stay there.
-				if s.inView(p.id) {
-					r := p.newRedial(s)
-					r.t = s.env.Clock().AfterFunc(2*time.Second, r.fire)
-					p.retry = r.t
-				}
-				return
-			}
-			if !s.inView(p.id) {
-				c.Close()
-				return
-			}
-			p.conn = c
-			cnet.RetainConn(c) // the record holds the conn across events
-			hello := HelloMsg{From: s.cfg.Self, CacheDocs: s.cache.Docs()}
-			c.TrySend(hello, sizeHello+4*len(hello.CacheDocs))
-			s.drain(p.id)
-		}
 		s.setPeer(n, p)
 	}
 	return p
+}
+
+// DialHandlers implements cnet.DialOwner.
+func (p *peer) DialHandlers() cnet.StreamHandlers { return p.h }
+
+// DialResult implements cnet.DialOwner: the send connection is up, or a
+// redial is armed.
+func (p *peer) DialResult(c cnet.Conn, err error) {
+	s := p.s
+	p.dialing = false
+	if err != nil {
+		// The peer application is dead or the node unreachable. Keep
+		// retrying while it remains in the view; the detectors decide
+		// whether it should stay there.
+		if s.inView(p.id) {
+			r := p.newRedial()
+			r.t = s.env.Clock().AfterFunc(2*time.Second, r.fire)
+			p.retry = r.t
+		}
+		return
+	}
+	if !s.inView(p.id) {
+		c.Close()
+		return
+	}
+	p.conn = c
+	cnet.RetainConn(c) // the record holds the conn across events
+	hello := HelloMsg{From: s.cfg.Self, CacheDocs: s.cache.Docs()}
+	c.TrySend(hello, sizeHello+4*len(hello.CacheDocs))
+	s.drain(p.id)
 }
 
 func (s *Server) peerLoad(n cnet.NodeID, load int) {
@@ -141,7 +149,7 @@ func (s *Server) connectPeer(n cnet.NodeID) {
 		return
 	}
 	p.dialing = true
-	s.env.Dial(n, cnet.ClassIntra, PortPress, p.h, p.onDial)
+	s.env.DialFor(n, cnet.ClassIntra, PortPress, p)
 }
 
 // enqueue appends a message to n's send queue and pushes the queue.
@@ -201,7 +209,7 @@ func (p *peer) teardown() {
 	}
 	if p.conn != nil {
 		p.conn.Close()
-		cnet.ReleaseConn(p.conn) // pin taken when onDial stored it
+		cnet.ReleaseConn(p.conn) // pin taken when DialResult stored it
 		p.conn = nil
 	}
 	p.dialing = false

@@ -214,10 +214,10 @@ func (s *Server) snapRedials(x *snapio.Ctx, p *peer) {
 	}
 	env := s.env.(cnet.RestoreEnv)
 	for range count - 1 {
-		r := p.newRedial(s)
+		r := p.newRedial()
 		r.t, _ = env.RestoreTimer(serialOf(nil), r.fire)
 	}
-	r := p.newRedial(s)
+	r := p.newRedial()
 	var live bool
 	if p.retry, live = env.RestoreTimer(last, r.fire); live {
 		r.t = p.retry
@@ -232,7 +232,6 @@ func (s *Server) snapRedials(x *snapio.Ctx, p *peer) {
 // table references. Pending disk reads define their continuation records
 // in ctx.Owners for the disk section, which runs later.
 func (s *Server) SnapState(x *snapio.Ctx) {
-	env, _ := s.env.(cnet.RestoreEnv) // used by the load-only blocks
 	x.Bool(&s.joined)
 	x.U64(&s.nextID)
 	snapio.Int(x, &s.active)
@@ -287,6 +286,9 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	snapio.Slice(x, &ids, 1<<16, func(n *cnet.NodeID) {
 		s.node(x, n, false)
 		p := s.peer(*n)
+		// Defined whether or not p.dialing says so: teardown clears the flag
+		// under a dial in flight, whose result still comes back here.
+		x.Define(p)
 		snapio.OptConn(x, &p.conn)
 		x.Bool(&p.dialing)
 		s.snapRedials(x, p)
@@ -304,9 +306,6 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		if !x.Saving() {
 			p.sendQ = q
 			cnet.RetainConn(p.conn) // no-op on snapshot-built conns; keeps the pin balanced
-			// Whether or not p.dialing says so: teardown clears the flag
-			// under a dial in flight, whose result still comes back here.
-			env.RestoreDialer(p.id, PortPress, p.h, p.onDial)
 		}
 	})
 

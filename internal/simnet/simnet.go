@@ -532,27 +532,6 @@ func deliverDgram(arg any) {
 	}
 }
 
-// DialOwner is the caller-side record of one dial: the network asks it for
-// the new connection's handlers and tells it the verdict, and a snapshot
-// names a handshake in flight by it (the owner's own section defines it in
-// ctx.Owners).
-type DialOwner interface {
-	// DialHandlers returns the handlers the connection gets on success.
-	DialHandlers() cnet.StreamHandlers
-	// DialResult delivers the verdict, exactly once: a live conn or an error.
-	DialResult(c cnet.Conn, err error)
-}
-
-// dialFuncs adapts Dial's closure pair to DialOwner. No snapshot section
-// describes it, so a capture taken while its handshake is in flight fails.
-type dialFuncs struct {
-	h      cnet.StreamHandlers
-	result func(cnet.Conn, error)
-}
-
-func (f *dialFuncs) DialHandlers() cnet.StreamHandlers { return f.h }
-func (f *dialFuncs) DialResult(c cnet.Conn, err error) { f.result(c, err) }
-
 // dialOp carries one connection handshake through its scheduled stages;
 // recycled through Network.dialFree.
 type dialOp struct {
@@ -560,9 +539,9 @@ type dialOp struct {
 	dst   *Iface
 	class cnet.Class
 	port  string
-	err   error     // verdict delivered by dialFail
-	local *half     // verdict delivered by dialDone
-	owner DialOwner // hears the verdict
+	err   error          // verdict delivered by dialFail
+	local *half          // verdict delivered by dialDone
+	owner cnet.DialOwner // hears the verdict
 }
 
 func (n *Network) freeDialOp(op *dialOp) {
@@ -584,12 +563,12 @@ func dialFail(arg any) {
 
 // Dial is DialFor for a caller with closures and no record.
 func (i *Iface) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
-	i.DialFor(to, class, port, &dialFuncs{h, result})
+	i.DialFor(to, class, port, &cnet.DialFuncs{H: h, Result: result})
 }
 
-// DialFor opens a stream to (to, port) for owner. See cnet.Env.Dial for
+// DialFor opens a stream to (to, port) for owner. See cnet.Env.DialFor for
 // semantics.
-func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner DialOwner) {
+func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
 	dst := i.net.resolve(to)
 	rtt := 2 * i.net.cfg.PropDelay
 	op := i.net.dialFree.Get()

@@ -11,6 +11,7 @@ import (
 	"press/internal/cnet"
 	"press/internal/faults"
 	"press/internal/harness"
+	"press/internal/machine"
 	"press/internal/server"
 	"press/internal/snapio"
 	"press/internal/trace"
@@ -183,11 +184,19 @@ func TestForkIndependence(t *testing.T) {
 }
 
 // TestClosureAdaptorRefusesCapture: a continuation handed over as a closure
-// (Array.Read, Iface.Dial — the forms with no owner record) is described by
-// no section, so a capture taken while it is outstanding fails with a typed
-// error naming what it found; the closure still runs, and the world captures
-// again once it has.
+// (Array.Read, and the Dial of the network and of a process — the forms
+// with no owner record) is described by no section, so a capture taken
+// while it is outstanding fails with a typed error naming what it found;
+// the closure still runs, and the world captures again once it has.
 func TestClosureAdaptorRefusesCapture(t *testing.T) {
+	dialed := func(done func()) func(cnet.Conn, error) {
+		return func(conn cnet.Conn, err error) {
+			if err == nil {
+				conn.Close()
+			}
+			done()
+		}
+	}
 	for _, tc := range []struct {
 		name, owner string
 		submit      func(c *harness.Cluster, done func())
@@ -197,14 +206,11 @@ func TestClosureAdaptorRefusesCapture(t *testing.T) {
 				t.Fatal("the read was refused")
 			}
 		}},
-		{"Iface.Dial", "*simnet.dialFuncs", func(c *harness.Cluster, done func()) {
-			c.Machines[0].Iface().Dial(c.Machines[1].ID(), cnet.ClassClient, server.PortHTTP, cnet.StreamHandlers{},
-				func(conn cnet.Conn, err error) {
-					if err == nil {
-						conn.Close()
-					}
-					done()
-				})
+		{"Iface.Dial", "*cnet.DialFuncs", func(c *harness.Cluster, done func()) {
+			c.Machines[0].Iface().Dial(c.Machines[1].ID(), cnet.ClassClient, server.PortHTTP, cnet.StreamHandlers{}, dialed(done))
+		}},
+		{"Env.Dial", "*cnet.DialFuncs", func(c *harness.Cluster, done func()) {
+			c.Machines[0].Proc("press").Env().Dial(c.Machines[1].ID(), cnet.ClassClient, server.PortHTTP, cnet.StreamHandlers{}, dialed(done))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,7 +240,7 @@ func TestClosureAdaptorRefusesCapture(t *testing.T) {
 // which every kind of continuation the disk array and the network hold for
 // a record is outstanding at once: reads queued behind a full disk queue,
 // the server parked as the queue's space waiter, an FME health check in
-// flight, and a tagged front-end dial mid-handshake.
+// flight, and a front-end dial not yet dispatched.
 func wedgeDisk(t *testing.T, c *harness.Cluster) {
 	if _, err := c.Injector.Inject(faults.SCSITimeout, harness.DefaultComponent(faults.SCSITimeout)); err != nil {
 		t.Fatal(err)
@@ -259,6 +265,41 @@ func wedgeDisk(t *testing.T, c *harness.Cluster) {
 	}
 }
 
+// stepUntil steps c to the first instant at which cond holds, within a
+// minute.
+func stepUntil(t *testing.T, c *harness.Cluster, what string, cond func() bool) {
+	for deadline := c.Sim.Now() + time.Minute; !cond(); {
+		if !c.Sim.Step() || c.Sim.Now() > deadline {
+			t.Fatalf("no instant with %s by %v", what, c.Sim.Now())
+		}
+	}
+}
+
+// mailboxDials counts, by reflection, the dial results waiting in p's
+// mailbox.
+func mailboxDials(p *machine.Proc) int {
+	v := reflect.ValueOf(p).Elem()
+	mb, n := v.FieldByName("mailbox"), 0
+	for i := int(v.FieldByName("head").Int()); i < mb.Len(); i++ {
+		if !mb.Index(i).FieldByName("dr").IsNil() {
+			n++
+		}
+	}
+	return n
+}
+
+// dialsOwnedBy counts, by reflection, the dial records m lists whose owner
+// is a typ (as %T prints it): in flight, or with a result in a mailbox.
+func dialsOwnedBy(m *machine.Machine, typ string) int {
+	ds, n := reflect.ValueOf(m).Elem().FieldByName("dials"), 0
+	for i := range ds.Len() {
+		if o := ds.Index(i).Elem().FieldByName("owner"); !o.IsNil() && o.Elem().Type().String() == typ {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRestoreThenCaptureIsFixedPoint: a snapshot of a restored world is
 // the snapshot it was restored from. Nothing runs between the two, so a
 // field a walk writes but does not read back shows as a differing byte
@@ -276,7 +317,28 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 			rows = append(rows, capture{v: v, at: at})
 		}
 	}
-	rows = append(rows, capture{harness.VFME, time.Minute, "/disk-wedged", wedgeDisk})
+	rows = append(rows,
+		capture{harness.VFME, time.Minute, "/disk-wedged", wedgeDisk},
+		capture{harness.VFME, time.Minute, "/dial-result-in-mailbox", func(t *testing.T, c *harness.Cluster) {
+			fe := c.FEMach.Proc("frontend")
+			stepUntil(t, c, "a dial result queued behind the front-end's charge", func() bool {
+				return mailboxDials(fe) > 0 && reflect.ValueOf(fe).Elem().FieldByName("running").Bool()
+			})
+		}},
+		capture{harness.VFME, time.Minute, "/peer-dial-in-flight", func(t *testing.T, c *harness.Cluster) {
+			if _, err := c.Injector.Inject(faults.AppCrash, 1); err != nil {
+				t.Fatal(err)
+			}
+			stepUntil(t, c, "a server's peer dial in flight", func() bool {
+				for i, m := range c.Machines {
+					if i != 1 && dialsOwnedBy(m, "*server.peer") > mailboxDials(m.Proc("press")) {
+						return true
+					}
+				}
+				return false
+			})
+		}},
+	)
 	for _, row := range rows {
 		t.Run(fmt.Sprintf("%s/%v%s", row.v, row.at, row.what), func(t *testing.T) {
 			t.Parallel()

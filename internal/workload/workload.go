@@ -327,11 +327,11 @@ func (r *request) onMessage(c cnet.Conn, m cnet.Message) {
 
 func (r *request) onClose(c cnet.Conn, err error) { r.fail(false) }
 
-// DialHandlers implements simnet.DialOwner: the request is its dial's
+// DialHandlers implements cnet.DialOwner: the request is its dial's
 // owner record.
 func (r *request) DialHandlers() cnet.StreamHandlers { return r.h }
 
-// DialResult implements simnet.DialOwner.
+// DialResult implements cnet.DialOwner.
 func (r *request) DialResult(c cnet.Conn, err error) {
 	if r.done {
 		if c != nil {
