@@ -36,11 +36,14 @@ func (t Timer) Key() (at time.Duration, seq uint64, ok bool) {
 func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any, fn func())) {
 	ents := make([]heapEnt, 0, s.npend)
 	ents = append(ents, s.cur...)
-	for i := range s.l0 {
-		ents = append(ents, s.l0[i]...)
-	}
-	for i := range s.l1 {
-		ents = append(ents, s.l1[i]...)
+	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
+		head, occ, i := s.bucket(code)
+		if !occ.has(i) {
+			continue
+		}
+		for slot := *head; slot >= 0; slot = s.arena[slot].next {
+			ents = append(ents, heapEnt{at: s.arena[slot].at, seq: s.arena[slot].seq, slot: slot})
+		}
 	}
 	ents = append(ents, s.overflow...)
 	sort.Slice(ents, func(i, j int) bool { return entLess(ents[i], ents[j]) })

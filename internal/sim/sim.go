@@ -101,10 +101,10 @@ type Sim struct {
 	halted   bool
 
 	// Hierarchical timer wheel (see the commentary above heapEnt).
-	cur      []heapEnt // small indexed 4-ary heap: the front of the timeline
-	overflow []heapEnt // indexed 4-ary heap: events beyond the wheel horizon
-	l0       [l0Buckets][]heapEnt
-	l1       [l1Buckets][]heapEnt
+	cur      []heapEnt        // small indexed 4-ary heap: the front of the timeline
+	overflow []heapEnt        // indexed 4-ary heap: events beyond the wheel horizon
+	l0       [l0Buckets]int32 // head slot of each L0 bucket's list; valid while its l0occ bit is set
+	l1       [l1Buckets]int32 // head slot of each L1 bucket's list; valid while its l1occ bit is set
 	l0occ    wheelOcc
 	l1occ    wheelOcc
 	l0Win    int64 // granule number (at >> g0Shift) covered by l0[0]
@@ -114,21 +114,11 @@ type Sim struct {
 }
 
 // New returns an empty simulator whose clock reads zero. The seed is the
-// root of all derived random streams (see NewRand).
+// root of all derived random streams (see NewRand). The wheel's buckets
+// are lists threaded through the slot arena, so an empty kernel is one
+// small object: nothing is pre-sized.
 func New(seed int64) *Sim {
-	s := &Sim{seed: seed}
-	// Seed every wheel bucket with a small backing array up front. Buckets
-	// keep their capacity across drains, but lazily grown buckets ramp
-	// 1→2→4→8 as event phases drift across granule alignments — a slow
-	// trickle of allocations that lasts thousands of granule cycles. ~100KB
-	// once per kernel buys an allocation-free steady state immediately.
-	for i := range s.l0 {
-		s.l0[i] = make([]heapEnt, 0, 8)
-	}
-	for i := range s.l1 {
-		s.l1[i] = make([]heapEnt, 0, 8)
-	}
-	return s
+	return &Sim{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -315,7 +305,7 @@ func (s *Sim) NewRand(label string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// The event queue is a two-level hierarchical timer wheel with a sorted
+// The event queue is a two-level hierarchical timer wheel with a heap
 // front and an overflow heap, replacing the single global 4-ary heap
 // whose O(log E) sifts dominated wide-cluster episodes (the pending-set
 // high water grows with cluster size; at N=256 it passes 60k entries and
@@ -329,23 +319,27 @@ func (s *Sim) NewRand(label string) *rand.Rand {
 //     order is preserved exactly: entries reach cur no later than the
 //     granule they fire in, and a heap with unique keys pops the same
 //     sequence regardless of insertion order.
-//   - l0: 256 unsorted buckets of 2^16 ns (≈65.5µs) each — appends and
-//     swap-removes are O(1) on pointer-free entries.
+//   - l0: 256 unsorted buckets of 2^16 ns (≈65.5µs) each.
 //   - l1: 256 unsorted buckets of 2^24 ns (≈16.8ms) each; the bucket at
 //     l1Idx is expanded across the l0 window. Horizon ≈4.3s covers
 //     propagation delays, process charges, tickers and SYN timeouts.
 //   - overflow: an indexed 4-ary heap for the far future (beyond the l1
 //     horizon). It stays small and cold: only long timeouts land here.
 //
-// Occupancy bitmaps (one bit per bucket) make skipping empty granules a
-// few TrailingZeros64 scans. When both wheels drain, the windows re-base
-// at the overflow minimum, so idle stretches cost nothing. Entries are
+// A wheel bucket owns no storage: it is a list threaded through the slot
+// arena (slotRec.next/prev), its head in l0 or l1. Linking at the tail
+// and unlinking are O(1), a drain walks the list in insertion order, and
+// a bucket that once held a storm keeps nothing of it. Occupancy bitmaps
+// (one bit per bucket) say which lists are non-empty, so skipping empty
+// granules is a few TrailingZeros64 scans and a head is read only while
+// its bit is set. When both wheels drain, the windows re-base at the
+// overflow minimum, so idle stretches cost nothing. Heap entries are
 // pointer-free — ordering key plus an arena slot id — so moves are plain
-// word copies with no GC write barrier and none of the queue slices are
-// scanned; the event pointers live in a side arena of slotRec records,
-// each carrying its (structure, index) home for cancellation.
-// seq is unique, so pop order is fully deterministic regardless of
-// internal layout, and identical to the single-heap kernel's.
+// word copies with no GC write barrier and neither heap is scanned; the
+// event pointers live in the arena, each record carrying its key and its
+// home for cancellation. seq is unique, so pop order is fully
+// deterministic regardless of internal layout, and identical to the
+// single-heap kernel's.
 
 const (
 	g0Shift   = 16          // L0 granule: 2^16 ns
@@ -360,21 +354,31 @@ const (
 // wheelOcc is an occupancy bitmap: bit i set iff bucket i is non-empty.
 type wheelOcc [l1Buckets / 64]uint64
 
+func (o *wheelOcc) has(i int) bool { return o[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (o *wheelOcc) set(i int)      { o[i>>6] |= 1 << (uint(i) & 63) }
+func (o *wheelOcc) clear(i int)    { o[i>>6] &^= 1 << (uint(i) & 63) }
+
 type heapEnt struct {
 	at   time.Duration
 	seq  uint64
 	slot int32
 }
 
-// slotRec is one arena entry: the queued event plus its current home —
-// which structure holds its heapEnt (loc) and at what index (pos). The
-// three fields were once parallel arrays; every queue operation reads
-// and writes them together, so one record costs one cache line where
-// the split layout cost three.
+// slotRec is one arena entry: the queued event, its ordering key and its
+// current home (loc). In cur or overflow, pos is its index in that heap.
+// In a wheel bucket, loc is the bucket's code and next/prev link it into
+// the bucket's list: next is -1 at the tail, and the head's prev names
+// the tail, which is what lets a put append. The key is a copy of the
+// event's, so a drain or cascade reads one record per entry and never
+// the event itself.
 type slotRec struct {
-	ev  *event
-	pos int32
-	loc int32 // locCur / locOver / bucket code
+	ev   *event
+	at   time.Duration
+	seq  uint64
+	pos  int32
+	loc  int32 // locCur / locOver / bucket code
+	next int32
+	prev int32
 }
 
 func entLess(a, b heapEnt) bool {
@@ -384,7 +388,7 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
-// push assigns e an arena slot and inserts its entry into the queue.
+// push assigns e an arena slot and inserts it into the queue.
 func (s *Sim) push(e *event) {
 	var slot int32
 	if n := len(s.slotFree); n > 0 {
@@ -394,42 +398,95 @@ func (s *Sim) push(e *event) {
 		slot = int32(len(s.arena))
 		s.arena = append(s.arena, slotRec{})
 	}
-	s.arena[slot].ev = e
+	r := &s.arena[slot]
+	r.ev, r.at, r.seq = e, e.at, e.seq
 	e.slot = slot
-	s.insertEnt(heapEnt{at: e.at, seq: e.seq, slot: slot})
+	s.insert(slot)
 	s.npend++
 	if s.npend > s.maxQ {
 		s.maxQ = s.npend
 	}
 }
 
-// insertEnt routes an entry to cur, an L0/L1 bucket, or overflow by
-// deadline. Anything at or before the granule cur is draining goes to
-// cur so the front stays complete.
-func (s *Sim) insertEnt(ent heapEnt) {
-	g0 := int64(ent.at) >> g0Shift
+// insert routes a slot to cur, an L0/L1 bucket, or overflow by deadline.
+// Anything at or before the granule cur is draining goes to cur so the
+// front stays complete.
+func (s *Sim) insert(slot int32) {
+	at := s.arena[slot].at
+	g0 := int64(at) >> g0Shift
 	if g0 <= s.l0Win+int64(s.curIdx) {
-		s.heapPush(&s.cur, locCur, ent)
+		s.heapPush(&s.cur, locCur, heapEnt{at: at, seq: s.arena[slot].seq, slot: slot})
 		return
 	}
 	if d := g0 - s.l0Win; d < l0Buckets {
-		s.bucketPut(&s.l0[d], int32(d), &s.l0occ, int(d), ent)
+		s.bucketPut(int32(d), slot)
 		return
 	}
-	if d := (int64(ent.at) >> g1Shift) - s.l1Win; d < l1Buckets {
-		s.bucketPut(&s.l1[d], int32(l0Buckets+d), &s.l1occ, int(d), ent)
+	if d := (int64(at) >> g1Shift) - s.l1Win; d < l1Buckets {
+		s.bucketPut(int32(l0Buckets+d), slot)
 		return
 	}
-	s.heapPush(&s.overflow, locOver, ent)
+	s.heapPush(&s.overflow, locOver, heapEnt{at: at, seq: s.arena[slot].seq, slot: slot})
 }
 
-// bucketPut appends ent to a wheel bucket and marks it occupied.
-func (s *Sim) bucketPut(b *[]heapEnt, code int32, occ *wheelOcc, idx int, ent heapEnt) {
-	r := &s.arena[ent.slot]
-	r.pos = int32(len(*b))
-	r.loc = code
-	*b = append(*b, ent)
-	occ[idx>>6] |= 1 << (uint(idx) & 63)
+// bucket returns the list head and occupancy bitmap of a bucket code,
+// and the bucket's bit in it.
+func (s *Sim) bucket(code int32) (head *int32, occ *wheelOcc, i int) {
+	if code < l0Buckets {
+		return &s.l0[code], &s.l0occ, int(code)
+	}
+	return &s.l1[code-l0Buckets], &s.l1occ, int(code - l0Buckets)
+}
+
+// bucketPut links slot at the tail of a wheel bucket's list and marks the
+// bucket occupied.
+func (s *Sim) bucketPut(code, slot int32) {
+	head, occ, i := s.bucket(code)
+	r := &s.arena[slot]
+	r.loc, r.next = code, -1
+	if !occ.has(i) {
+		occ.set(i)
+		*head, r.prev = slot, slot
+		return
+	}
+	h := &s.arena[*head]
+	tail := h.prev
+	s.arena[tail].next = slot
+	r.prev = tail
+	h.prev = slot
+}
+
+// bucketUnlink takes slot out of its wheel bucket's list, clearing the
+// bucket's bit with its last member.
+func (s *Sim) bucketUnlink(code, slot int32) {
+	head, occ, i := s.bucket(code)
+	r := &s.arena[slot]
+	if *head == slot {
+		if r.next < 0 {
+			occ.clear(i)
+			return
+		}
+		s.arena[r.next].prev = r.prev // the new head names the tail
+		*head = r.next
+		return
+	}
+	s.arena[r.prev].next = r.next
+	if r.next >= 0 {
+		s.arena[r.next].prev = r.prev
+	} else {
+		s.arena[*head].prev = r.prev // slot was the tail
+	}
+}
+
+// bucketTake empties a wheel bucket, returning the head of its list (-1
+// when it was empty). The members keep their links for the caller's walk.
+func (s *Sim) bucketTake(code int32) int32 {
+	head, occ, i := s.bucket(code)
+	if !occ.has(i) {
+		return -1
+	}
+	occ.clear(i)
+	return *head
 }
 
 // nextOcc returns the first occupied bucket index >= from, or the bucket
@@ -477,34 +534,32 @@ func (s *Sim) ensureFront() {
 	}
 }
 
-// drainL0 dumps bucket l0[i] into the (empty) cur heap and heapifies.
+// drainL0 walks bucket l0[i]'s list into the (empty) cur heap and
+// heapifies.
 func (s *Sim) drainL0(i int) {
-	b := s.l0[i]
-	s.l0[i] = b[:0]
-	s.l0occ[i>>6] &^= 1 << (uint(i) & 63)
-	h := append(s.cur, b...)
-	s.cur = h
-	for k := range h {
-		r := &s.arena[h[k].slot]
-		r.loc = locCur
-		r.pos = int32(k)
+	h := s.cur
+	for slot := s.bucketTake(int32(i)); slot >= 0; {
+		r := &s.arena[slot]
+		r.loc, r.pos = locCur, int32(len(h))
+		h = append(h, heapEnt{at: r.at, seq: r.seq, slot: slot})
+		slot = r.next
 	}
+	s.cur = h
 	for k := (len(h) - 2) >> 2; k >= 0; k-- {
 		s.heapDown(h, k)
 	}
 }
 
-// expandL1 scatters bucket l1[j] across a fresh L0 window.
+// expandL1 relinks bucket l1[j]'s members across a fresh L0 window.
 func (s *Sim) expandL1(j int) {
 	s.l1Idx = j
 	s.l0Win = (s.l1Win + int64(j)) << (g1Shift - g0Shift)
 	s.curIdx = -1
-	b := s.l1[j]
-	s.l1[j] = b[:0]
-	s.l1occ[j>>6] &^= 1 << (uint(j) & 63)
-	for _, ent := range b {
-		d := (int64(ent.at) >> g0Shift) - s.l0Win
-		s.bucketPut(&s.l0[d], int32(d), &s.l0occ, int(d), ent)
+	for slot := s.bucketTake(int32(l0Buckets + j)); slot >= 0; {
+		r := &s.arena[slot]
+		next := r.next
+		s.bucketPut(int32((int64(r.at)>>g0Shift)-s.l0Win), slot)
+		slot = next
 	}
 }
 
@@ -516,8 +571,7 @@ func (s *Sim) drainOverflow() {
 	horizon := time.Duration((s.l1Win + l1Buckets) << g1Shift)
 	for len(s.overflow) > 0 && s.overflow[0].at < horizon {
 		ent := s.heapPopEnt(&s.overflow)
-		d := (int64(ent.at) >> g1Shift) - s.l1Win
-		s.bucketPut(&s.l1[d], int32(l0Buckets+d), &s.l1occ, int(d), ent)
+		s.bucketPut(int32(l0Buckets+(int64(ent.at)>>g1Shift)-s.l1Win), ent.slot)
 	}
 }
 
@@ -623,40 +677,18 @@ func (s *Sim) heapRemove(hp *[]heapEnt, i int) {
 }
 
 // remove deletes e from whichever structure holds it: a heap remove for
-// cur/overflow, an O(1) swap-remove for a wheel bucket.
+// cur/overflow, an O(1) unlink for a wheel bucket.
 func (s *Sim) remove(e *event) {
 	slot := e.slot
-	i := int(s.arena[slot].pos)
-	code := s.arena[slot].loc
+	switch r := &s.arena[slot]; r.loc {
+	case locCur:
+		s.heapRemove(&s.cur, int(r.pos))
+	case locOver:
+		s.heapRemove(&s.overflow, int(r.pos))
+	default:
+		s.bucketUnlink(r.loc, slot)
+	}
 	s.freeSlot(slot)
 	e.slot = -1
 	s.npend--
-	switch {
-	case code == locCur:
-		s.heapRemove(&s.cur, i)
-	case code == locOver:
-		s.heapRemove(&s.overflow, i)
-	default:
-		var b *[]heapEnt
-		if code < l0Buckets {
-			b = &s.l0[code]
-		} else {
-			b = &s.l1[code-l0Buckets]
-		}
-		h := *b
-		n := len(h) - 1
-		if i < n {
-			h[i] = h[n]
-			s.arena[h[i].slot].pos = int32(i)
-		}
-		*b = h[:n]
-		if n == 0 {
-			if code < l0Buckets {
-				s.l0occ[code>>6] &^= 1 << (uint(code) & 63)
-			} else {
-				c := code - l0Buckets
-				s.l1occ[c>>6] &^= 1 << (uint(c) & 63)
-			}
-		}
-	}
 }

@@ -99,6 +99,87 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			pend = append(pend, refEvent{at: at, seq: seq, id: id})
 		}
 
+		// stopID stops handle i, keeping the reference model in step. A
+		// handle whose event already fired or was already stopped is
+		// stale: its generation count must make Stop a no-op that reports
+		// false.
+		stopID := func(i int) bool {
+			h := handles[i]
+			ok := h.Stop()
+			if ok != (!done[i] && !stopped[i]) {
+				return false // stale handle cancelled something, or live stop missed
+			}
+			if ok {
+				stopped[i] = true
+				for j := range pend {
+					if pend[j].id == i {
+						pend = append(pend[:j], pend[j+1:]...)
+						break
+					}
+				}
+			}
+			return !h.Stop() // double Stop is always stale
+		}
+		// idOf names the pending event in an arena slot.
+		idOf := func(slot int32) int {
+			e := s.arena[slot].ev
+			for i, h := range handles {
+				if h.e == e && h.gen == e.gen {
+					return i
+				}
+			}
+			panic("pending slot with no live handle")
+		}
+
+		// targeted stops, in one L0 and one L1 bucket with three or more
+		// members, the head, a middle member and the tail, and the only
+		// member of a one-member bucket of each tier, whose occupancy bit
+		// must clear with it. cascaded, when non-nil, names events that
+		// sat in an L1 bucket before the clock last moved: one of them
+		// that has since been relinked into L0 is stopped first.
+		targeted := func(cascaded map[int]bool) bool {
+			if cascaded != nil {
+				for code := int32(0); code < l0Buckets; code++ {
+					if m := bucketMembers(s, code); len(m) > 0 && cascaded[idOf(m[len(m)/2])] {
+						if !stopID(idOf(m[len(m)/2])) {
+							return false
+						}
+						break
+					}
+				}
+			}
+			for _, tier := range [][2]int32{{0, l0Buckets}, {l0Buckets, l0Buckets + l1Buckets}} {
+				multi, single := false, false
+				for code := tier[0]; code < tier[1]; code++ {
+					m := bucketMembers(s, code)
+					switch {
+					case len(m) >= 3 && !multi:
+						multi = true
+						for _, slot := range []int32{m[0], m[len(m)/2], m[len(m)-1]} {
+							if !stopID(idOf(slot)) {
+								return false
+							}
+						}
+					case len(m) == 1 && !single:
+						single = true
+						if !stopID(idOf(m[0])) || bucketOccupied(s, code) {
+							return false
+						}
+					}
+				}
+			}
+			return wheelConsistent(s)
+		}
+		inL1 := func() map[int]bool {
+			ids := map[int]bool{}
+			for code := int32(l0Buckets); code < l0Buckets+l1Buckets; code++ {
+				for _, slot := range bucketMembers(s, code) {
+					ids[idOf(slot)] = true
+				}
+			}
+			return ids
+		}
+
 		// randDelay mixes magnitudes so schedules land in every tier:
 		// the cur heap, an L0 bucket, an L1 bucket, or the overflow heap
 		// (past the ~4.3s L1 horizon).
@@ -120,35 +201,22 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			for i := 0; i < 20+rng.Intn(40); i++ {
 				schedule(randDelay())
 			}
-			// Stop a random sample. A handle whose event already fired or
-			// was already stopped is stale: its generation count must make
-			// Stop a no-op that reports false.
+			// Stop a random sample, then the targeted bucket positions.
 			for i := range handles {
-				if rng.Intn(4) != 0 {
-					continue
-				}
-				h := handles[i]
-				ok := h.Stop()
-				wasLive := !done[i] && !stopped[i]
-				if ok != wasLive {
-					return false // stale handle cancelled something, or live stop missed
-				}
-				if ok {
-					stopped[i] = true
-					for j := range pend {
-						if pend[j].id == i {
-							pend = append(pend[:j], pend[j+1:]...)
-							break
-						}
-					}
-				}
-				if h.Stop() { // double Stop is always stale
+				if rng.Intn(4) == 0 && !stopID(i) {
 					return false
 				}
 			}
+			if !targeted(nil) {
+				return false
+			}
 			// Advance partway, checking the fire order prefix as we go.
 			until := s.Now() + time.Duration(rng.Intn(3000))*time.Millisecond
+			was := inL1()
 			s.RunUntil(until)
+			if !wheelConsistent(s) || !targeted(was) {
+				return false
+			}
 			k := 0
 			for len(pend) > 0 {
 				best := pend[0]
@@ -184,4 +252,54 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bucketMembers lists a wheel bucket's slots from head to tail.
+func bucketMembers(s *Sim, code int32) []int32 {
+	head, occ, i := s.bucket(code)
+	if !occ.has(i) {
+		return nil
+	}
+	var m []int32
+	for slot := *head; slot >= 0; slot = s.arena[slot].next {
+		m = append(m, slot)
+	}
+	return m
+}
+
+func bucketOccupied(s *Sim, code int32) bool {
+	_, occ, i := s.bucket(code)
+	return occ.has(i)
+}
+
+// wheelConsistent checks the threaded lists: every occupied bucket's list
+// is doubly linked, its head names the tail, every member records the
+// bucket as its home, and the lists, cur and overflow together hold
+// exactly the pending events.
+func wheelConsistent(s *Sim) bool {
+	n := len(s.cur) + len(s.overflow)
+	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
+		head, _, _ := s.bucket(code)
+		if bucketOccupied(s, code) && *head < 0 {
+			return false
+		}
+		m := bucketMembers(s, code)
+		if len(m) == 0 {
+			continue
+		}
+		if s.arena[m[0]].prev != m[len(m)-1] {
+			return false
+		}
+		for k, slot := range m {
+			r := s.arena[slot]
+			if r.loc != code || r.ev == nil || r.ev.slot != slot || r.at != r.ev.at || r.seq != r.ev.seq {
+				return false
+			}
+			if k > 0 && r.prev != m[k-1] {
+				return false
+			}
+		}
+		n += len(m)
+	}
+	return n == s.Pending()
 }

@@ -1,6 +1,7 @@
 package press_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,15 +30,11 @@ const (
 	scale256HeapHW = 65_335
 )
 
-// TestScale256EventCountInvariant is the CI scale-smoke anchor for the
-// wide-cluster fast path: the full 256-node chaos window must fire
-// exactly the recorded number of kernel events. Any divergence is a
-// behavioral change in the scalable suite, not flake — the run is
-// seeded and bit-deterministic.
-func TestScale256EventCountInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("256-node chaos window is a few seconds of wall clock; skipped in -short")
-	}
+// scale256Window builds the 256-node world, settles it for 20 s and runs
+// the chaos window, returning the deployment and the events the window
+// fired.
+func scale256Window(t *testing.T) (*press.Deployment, uint64) {
+	t.Helper()
 	o := press.FastOptions(1)
 	o.Nodes = 256
 	o.Protocol = press.Scalable
@@ -68,11 +65,49 @@ func TestScale256EventCountInvariant(t *testing.T) {
 	}
 	_ = hang.Repair() // FME may have already restarted the hung app
 	dep.Sim.RunFor(60 * time.Second)
+	return dep, dep.Sim.EventsFired() - e0
+}
 
-	if events := dep.Sim.EventsFired() - e0; events != scale256Events {
+// TestScale256EventCountInvariant is the CI scale-smoke anchor for the
+// wide-cluster fast path: the full 256-node chaos window must fire
+// exactly the recorded number of kernel events. Any divergence is a
+// behavioral change in the scalable suite, not flake — the run is
+// seeded and bit-deterministic.
+func TestScale256EventCountInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-node chaos window is a few seconds of wall clock; skipped in -short")
+	}
+	dep, events := scale256Window(t)
+	if events != scale256Events {
 		t.Errorf("256-node chaos window fired %d events, want %d", events, scale256Events)
 	}
 	if hw := dep.Sim.MaxQueued(); hw != scale256HeapHW {
 		t.Errorf("event heap high-water %d, want %d", hw, scale256HeapHW)
+	}
+}
+
+// scale256LiveHeapMB is the live heap at the end of the same window,
+// after a forced collection, as measured on linux/amd64 (DESIGN §17: it
+// repeats to ±0.2 MB). The world is deterministic, so the bytes it keeps
+// are a pinned number like the event count; the test allows 1 MB over.
+const scale256LiveHeapMB = 90.0
+
+// TestScale256LiveHeap pins the bytes per node: what the 256-node world
+// keeps resident at the end of the chaos window. A change that makes a
+// per-connection or per-event structure bigger, or keeps a storm's
+// high-water that used to be dropped, shows here as megabytes.
+func TestScale256LiveHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-node chaos window is a few seconds of wall clock; skipped in -short")
+	}
+	dep, _ := scale256Window(t)
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(dep)
+	mb := float64(ms.HeapAlloc) / (1 << 20)
+	t.Logf("live heap %.1f MB, %.0f KB per node, %d objects", mb, mb*1024/256, ms.HeapObjects)
+	if mb > scale256LiveHeapMB+1 {
+		t.Errorf("live heap %.1f MB after the 256-node window, want at most %.1f + 1", mb, float64(scale256LiveHeapMB))
 	}
 }
