@@ -37,10 +37,11 @@ const snapioPath = "press/internal/snapio"
 
 // wiring reports whether a field of type t cannot hold snapshot state,
 // whatever it is called: code (a func, a struct of funcs such as
-// cnet.StreamHandlers, a map or slice of either, or a slice of funcs each
-// beside the string it is registered under, which is such a map written
-// flat — a restored component binds its handlers and subscribes again), a
-// record free list (cnet.MsgPool: an empty pool
+// cnet.StreamHandlers, a pointer to one such as the simnet.Router an owner
+// shares among its connection ends, a map or slice of either, or a slice
+// of funcs each beside the string it is registered under, which is such a
+// map written flat — a restored component binds its handlers and
+// subscribes again), a record free list (cnet.MsgPool: an empty pool
 // behaves as a full one), or a backlink to the kernel or the event log
 // (*sim.Sim, *metrics.Log: the restored world is built over its own).
 func wiring(t types.Type) bool {
@@ -49,6 +50,10 @@ func wiring(t types.Type) bool {
 		return funcsOnly(c.Elem())
 	case *types.Slice:
 		return funcsOnly(c.Elem()) || keyedFuncs(c.Elem())
+	case *types.Pointer:
+		if funcsOnly(c.Elem()) {
+			return true
+		}
 	}
 	if funcsOnly(t) {
 		return true

@@ -43,13 +43,18 @@ func snapInner(x *snapio.Ctx, in *inner) { snapio.Int(x, &in.x) }
 func (o *Outer) restore() { o.in.y = 0 }
 
 // Timer's callback is exempt by its type; the counter beside it is state
-// like any other, and so is a struct that mixes the two, or a pointer to
-// a pool (a record's home, which says where the record lives).
+// like any other, and so is a struct that mixes the two, a pointer to
+// one, or a pointer to a pool (a record's home, which says where the
+// record lives).
 type Timer struct {
 	at      int
 	fn      func()
 	retries int      // want `field retries of snapshot type Timer is missing from the snapshot walk`
 	armed   struct { // want `field armed of snapshot type Timer is missing from the snapshot walk`
+		fn func()
+		on bool
+	}
+	armedAt *struct { // want `field armedAt of snapshot type Timer is missing from the snapshot walk`
 		fn func()
 		on bool
 	}

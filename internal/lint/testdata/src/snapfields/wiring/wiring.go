@@ -27,6 +27,7 @@ type Endpoint struct {
 	fn      func()
 	h       cnet.StreamHandlers
 	hooks   hooks
+	router  *hooks // shared by every endpoint of one owner
 	dgram   map[string]func(from cnet.NodeID, m cnet.Message)
 	accepts map[string]hooks
 	subs    []func(members []cnet.NodeID)

@@ -11,7 +11,7 @@ import (
 // connection is zero at first, holds what was written while the connection
 // is open, stays readable and writable between the peer's close arriving
 // and the component's OnClose running — a hung process sits in that state
-// for as long as it hangs, off the conn list but in the closing queue — is
+// for as long as it hangs, off the conn list but still routed to it — is
 // what OnClose reads, and is gone afterwards.
 func TestConnWordLastsUntilOnCloseHasRun(t *testing.T) {
 	w := newWorld()
@@ -95,4 +95,14 @@ func TestConnWordLastsUntilOnCloseHasRun(t *testing.T) {
 	}
 }
 
-func parked(p *Proc) int { return len(p.closing) - p.closingHead }
+// parked counts the connection ends the peer closed whose OnClose still
+// waits in the mailbox.
+func parked(p *Proc) int {
+	n := 0
+	for _, c := range p.mailbox[p.head:] {
+		if c.rfn != nil {
+			n++
+		}
+	}
+	return n
+}

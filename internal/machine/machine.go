@@ -234,20 +234,16 @@ type Proc struct {
 	hung        bool
 	stalled     bool
 	running     bool          // a handler's charged CPU time is still elapsing
-	curCharge   time.Duration //availlint:skipfield curCharge zeroed before every handler dispatch; between events it is a leftover nobody reads
+	curCharge   time.Duration // zeroed before every handler dispatch; between events it is a leftover nobody reads
 	mailbox     []call
 	head        int // next mailbox slot to dispatch; storage before it is spent
 	resume      resumeRec
 	env         *Env
-	conns       []connRec
-	// closing[closingHead:] holds the records of connections the peer
-	// closed whose OnClose still waits in the mailbox: out of conns the
-	// moment the close arrives, but the owner's word has to last until its
-	// OnClose has run. A queue in the order of the mailbox's close entries,
-	// one record each, which is also why a snapshot does not write it: a
-	// restore makes it again from those entries.
-	closing     []connRec
-	closingHead int
+	// conns lists the open connection ends this incarnation adopted, each
+	// at the index it carries as its owner slot. An end is the
+	// incarnation's while it is routed to Env.router: on this list, or
+	// closed by the peer with its OnClose still waiting in the mailbox.
+	conns []simnet.StreamConn
 	// pauseScratch is syncConnPause's reusable snapshot of the conn list,
 	// used as a stack so a nested call leaves the outer one's span alone.
 	pauseScratch []simnet.StreamConn
@@ -296,7 +292,7 @@ func (c *call) dispatch() {
 		if c.env.live() {
 			c.rfn(c.c, c.err)
 			if c.env.live() {
-				c.env.p.unparkConn() // its OnClose has run
+				c.c.(simnet.StreamConn).Route(nil) // its OnClose has run: the end is nobody's
 			}
 		}
 	case c.dr != nil:
@@ -388,7 +384,7 @@ func (p *Proc) boot() {
 	p.running = false
 	p.mailbox = nil
 	p.head = 0
-	p.conns, p.closing, p.closingHead = nil, nil, 0
+	p.conns = nil
 	p.env = newEnv(p, p.incarnation)
 	p.env.rand = p.m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", p.m.id, p.name, p.incarnation))
 	p.start(p.env)
@@ -423,10 +419,10 @@ func (p *Proc) kill(abortConns bool) {
 		}
 	}
 	conns := p.conns
-	p.conns, p.closing, p.closingHead = nil, nil, 0
+	p.conns = nil
 	if abortConns {
-		for _, r := range conns {
-			r.c.Abort()
+		for _, c := range conns {
+			c.Abort()
 		}
 	}
 }
@@ -504,22 +500,20 @@ func (p *Proc) syncConnPause() {
 		// Pausing calls nothing back, so the list cannot change under the
 		// walk. A server blocking on a full disk queue comes through here
 		// once per stall.
-		for i := range p.conns {
-			p.conns[i].c.SetPaused(true)
+		for _, c := range p.conns {
+			c.SetPaused(true)
 		}
 		return
 	}
 	// Unpausing drains buffered messages, which can close connections and
-	// mutate p.conns via the close hook: iterate a snapshot. It lives on
+	// mutate p.conns via the router: iterate a snapshot. It lives on
 	// the process and is reused — the same server comes through here once
 	// per stall too. The drain can also re-enter (a drained handler stalls
 	// again and the disk frees a slot at once), so the scratch is a stack:
 	// a nested call appends its snapshot above this one's span and pops it
 	// again.
 	base := len(p.pauseScratch)
-	for i := range p.conns {
-		p.pauseScratch = append(p.pauseScratch, p.conns[i].c)
-	}
+	p.pauseScratch = append(p.pauseScratch, p.conns...)
 	end := len(p.pauseScratch)
 	for i := base; i < end; i++ {
 		p.pauseScratch[i].SetPaused(false)
@@ -528,136 +522,58 @@ func (p *Proc) syncConnPause() {
 	p.pauseScratch = p.pauseScratch[:base]
 }
 
-// connRec is everything the machine layer keeps for one adopted
-// connection end: the conn and the component's handlers for it. Records
-// live by value in the owning process's conn list, at the index the
-// connection carries as its owner slot — adopting a connection allocates
-// nothing beyond that list's growth. The handlers simnet calls are the
-// incarnation's shared mailbox wrappers (Env.hooks), which find the
-// record through the slot.
-type connRec struct {
-	c simnet.StreamConn
-	h cnet.StreamHandlers // component handlers, re-attached by the owning component via RestoreConn
-	// word is the owning component's (cnet.Env.SetConnWord): the PRESS
-	// server keeps the id of the request a client connection carries here.
-	// A restoring component writes it again.
-	word uint64
-}
-
-func (p *Proc) adoptConn(e *Env, c simnet.StreamConn, h cnet.StreamHandlers) {
+// adoptConn makes c an end of this incarnation: on the conn list at the
+// index it carries as its owner slot, and routed to the mailbox. The
+// component's handlers are already on it. Adopting allocates nothing
+// beyond the list's growth. A connection shed before it got here is
+// already closed: Route runs the router's Closed at once, which drops it
+// again.
+func (p *Proc) adoptConn(e *Env, c simnet.StreamConn) {
 	c.SetOwnerSlot(len(p.conns))
-	p.conns = append(p.conns, connRec{c: c, h: h})
-	// Prune on every close path, including component-initiated Close —
-	// without this, long-lived processes (the front-end relays two
-	// connections per request) accumulate dead connections and every
-	// scan over p.conns degenerates. A connection shed before it got here
-	// is already closed: the hook runs at once and drops the record again.
-	c.SetCloseHook(e.hooks.closed)
+	p.conns = append(p.conns, c)
+	c.Route(&e.router)
 	if p.hung || p.stalled {
 		c.SetPaused(true)
 	}
 }
 
-// connOf returns the process's record of c, or nil when c is not (or no
-// longer) among its connections: the owner slot may be stale after a
-// process restart reset p.conns, so it must actually hold this connection.
-func (p *Proc) connOf(c cnet.Conn) *connRec {
-	sc, ok := c.(simnet.StreamConn)
-	if !ok {
-		return nil
+// removeConn takes c off the conn list: an O(1) swap-remove, which
+// preserves the exact order a first-match scan produced (conns are
+// unique). A connection the list does not hold at its slot is left alone.
+func (p *Proc) removeConn(c simnet.StreamConn) {
+	i := c.OwnerSlot()
+	if i < 0 || i >= len(p.conns) || p.conns[i] != c {
+		return
 	}
-	i := sc.OwnerSlot()
-	if i < 0 || i >= len(p.conns) || p.conns[i].c != sc {
-		return nil
-	}
-	return &p.conns[i]
-}
-
-func (p *Proc) dropConn(c cnet.Conn) {
-	if r := p.connOf(c); r != nil {
-		p.removeConn(r)
-	}
-}
-
-// removeConn takes r out of the conn list: an O(1) swap-remove, which
-// preserves the exact order a first-match scan produced (conns are unique).
-func (p *Proc) removeConn(r *connRec) {
-	i := r.c.OwnerSlot()
-	r.c.SetOwnerSlot(-1)
+	c.SetOwnerSlot(-1)
 	last := len(p.conns) - 1
 	p.conns[i] = p.conns[last]
 	if i != last {
-		p.conns[i].c.SetOwnerSlot(i)
+		p.conns[i].SetOwnerSlot(i)
 	}
-	p.conns[last] = connRec{}
+	p.conns[last] = nil
 	p.conns = p.conns[:last]
-}
-
-// parkConn moves r from the conn list to the back of the closing queue: the
-// peer's close has arrived and the component's OnClose is about to be
-// posted.
-func (p *Proc) parkConn(r *connRec) {
-	// Reuse the spent front of the queue's storage before growing it: all
-	// of it when the queue has drained, and under a standing backlog once
-	// it is at least half, so the copying stays proportional to the appends.
-	if q, head := p.closing, p.closingHead; head == len(q) || (len(q) == cap(q) && 2*head >= len(q)) {
-		n := copy(q, q[head:])
-		clear(q[n:])
-		p.closing, p.closingHead = q[:n], 0
-	}
-	p.closing = append(p.closing, *r)
-	p.removeConn(r)
-}
-
-// unparkConn retires the front of the closing queue: the mailbox has just
-// run the OnClose of the connection parked longest. A process that died
-// and restarted inside that OnClose has a new queue, which this close is
-// not on.
-func (p *Proc) unparkConn() {
-	if p.closingHead < len(p.closing) {
-		p.closing[p.closingHead] = connRec{}
-		p.closingHead++
-	}
-}
-
-// wordOf returns the owner's word of c, held or parked; nil for a
-// connection the process has no record of. The parked one asked about is
-// the front of the queue when its own OnClose asks; anyone else — a server
-// admitting a request whose client has hung up meanwhile — looks down the
-// queue.
-func (p *Proc) wordOf(c cnet.Conn) *uint64 {
-	sc, ok := c.(simnet.StreamConn)
-	if !ok {
-		return nil
-	}
-	if i := sc.OwnerSlot(); i >= 0 {
-		if i < len(p.conns) && p.conns[i].c == sc {
-			return &p.conns[i].word
-		}
-		return nil // the slot is not ours: a connection of an incarnation that died
-	}
-	for k := p.closingHead; k < len(p.closing); k++ {
-		if p.closing[k].c == sc {
-			return &p.closing[k].word
-		}
-	}
-	return nil
 }
 
 // dialRec is one Env.DialFor whose result has not been dispatched: the
 // network's owner record for the handshake, in front of the component's
 // record that issued the dial. It is released when the mailbox dispatches
 // the result to owner (or discards it); the owner's handlers go to the
-// connection's record on success.
+// connection on success.
 type dialRec struct {
 	e     *Env
 	owner cnet.DialOwner // the issuing component's record, defined by its walk
 	slot  int            // index in Machine.dials
 }
 
-// DialHandlers implements cnet.DialOwner: the half gets the incarnation's
-// mailbox wrappers.
-func (r *dialRec) DialHandlers() cnet.StreamHandlers { return r.e.hooks.h }
+// DialHandlers implements cnet.DialOwner: the connection gets the owner's
+// handlers, or none when the incarnation has died.
+func (r *dialRec) DialHandlers() cnet.StreamHandlers {
+	if !r.e.live() {
+		return cnet.StreamHandlers{}
+	}
+	return r.owner.DialHandlers()
+}
 
 // DialResult implements cnet.DialOwner: adopt the connection and post the
 // result for the owner, or drop both when the incarnation has died.
@@ -671,7 +587,7 @@ func (r *dialRec) DialResult(c cnet.Conn, err error) {
 		return
 	}
 	if c != nil {
-		e.p.adoptConn(e, c.(simnet.StreamConn), r.owner.DialHandlers())
+		e.p.adoptConn(e, c.(simnet.StreamConn))
 	}
 	e.p.postCall(call{dr: r, env: e, c: c, err: err})
 }
@@ -731,72 +647,67 @@ type Env struct {
 	// restore can rebuild pending mailbox datagram entries.
 	dgramH []func(from cnet.NodeID, m cnet.Message) // rebuilt as restored components re-bind their handlers
 
-	// hooks is what this incarnation installs on every connection it
-	// adopts: closures over the Env alone, built once by newEnv.
-	hooks connHooks // closures over the Env, rebuilt by newEnv
+	// router carries the events of every connection end this incarnation
+	// adopted to its mailbox; built once by newEnv.
+	router simnet.Router // closures over the Env, rebuilt by newEnv
 }
 
-// connHooks are an incarnation's shared connection callbacks: the handler
-// set that routes simnet's deliveries through the mailbox to the
-// component handlers in the connection's record, and the close hook that
-// retires the record.
-type connHooks struct {
-	h      cnet.StreamHandlers
-	closed func(cnet.Conn)
-}
-
-// newEnv builds the environment of one incarnation, mailbox wrappers
-// included.
+// newEnv builds the environment of one incarnation, its router included.
 func newEnv(p *Proc, inc uint64) *Env {
 	e := &Env{p: p, inc: inc}
-	// All three wrappers are always installed: simnet's delivery schedule
-	// does not depend on handler presence, and a wrapper whose component
-	// handler is nil posts nothing. A dead incarnation's wrappers find no
-	// record (its connections were aborted, or went down with the machine)
-	// and post nothing either.
-	e.hooks.h = cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, msg cnet.Message) {
-			if r := e.connOf(c); r != nil && r.h.OnMessage != nil {
-				p.postCall(call{sfn: r.h.OnMessage, env: e, c: c, m: msg})
+	// simnet's delivery schedule does not depend on handler presence: an
+	// event whose component handler is nil posts nothing. A dead
+	// incarnation's ends were aborted, or went down with the machine, and
+	// its router posts nothing either.
+	e.router = simnet.Router{
+		Message: func(c cnet.Conn, msg cnet.Message) {
+			if f := c.(simnet.StreamConn).Handlers().OnMessage; f != nil && e.live() {
+				p.postCall(call{sfn: f, env: e, c: c, m: msg})
 			}
 		},
-		OnClose: func(c cnet.Conn, err error) {
-			r := e.connOf(c)
-			if r == nil {
+		Close: func(c cnet.Conn, err error) {
+			if !e.live() {
 				return
 			}
 			// Off the list before posting: the component's OnClose may run
-			// at once and must see the list without this connection. The
-			// record waits in the closing queue until it has.
-			fn := r.h.OnClose
-			if fn == nil {
-				p.removeConn(r)
+			// at once and must see the list without this connection. The end
+			// stays routed here, and so keeps its word, until it has.
+			sc := c.(simnet.StreamConn)
+			p.removeConn(sc)
+			f := sc.Handlers().OnClose
+			if f == nil {
+				sc.Route(nil)
 				return
 			}
-			p.parkConn(r)
-			p.postCall(call{rfn: fn, env: e, c: c, err: err})
+			p.postCall(call{rfn: f, env: e, c: c, err: err})
 		},
-		OnWritable: func(c cnet.Conn) {
-			if r := e.connOf(c); r != nil && r.h.OnWritable != nil {
-				p.postCall(call{wfn: r.h.OnWritable, env: e, c: c})
+		Writable: func(c cnet.Conn) {
+			if f := c.(simnet.StreamConn).Handlers().OnWritable; f != nil && e.live() {
+				p.postCall(call{wfn: f, env: e, c: c})
 			}
 		},
-	}
-	e.hooks.closed = func(c cnet.Conn) {
-		if e.live() {
-			p.dropConn(c)
-		}
+		// Every close path the component or the process takes, including a
+		// component-initiated Close: without this, long-lived processes
+		// (the front-end relays two connections per request) accumulate
+		// dead connections and every scan over p.conns degenerates.
+		Closed: func(c cnet.Conn) {
+			if e.live() {
+				sc := c.(simnet.StreamConn)
+				p.removeConn(sc)
+				sc.Route(nil)
+			}
+		},
 	}
 	return e
 }
 
-// connOf is Proc.connOf gated on this incarnation being the live one: the
-// conn list belongs to whichever incarnation is.
-func (e *Env) connOf(c cnet.Conn) *connRec {
-	if !e.live() {
-		return nil
+// owned returns c when it is an end of this incarnation: on its conn
+// list, or closed by the peer with its OnClose still in the mailbox.
+func (e *Env) owned(c cnet.Conn) simnet.StreamConn {
+	if sc, ok := c.(simnet.StreamConn); ok && e.live() && sc.Router() == &e.router {
+		return sc
 	}
-	return e.p.connOf(c)
+	return nil
 }
 
 func (e *Env) live() bool { return e.p.alive && e.p.incarnation == e.inc }
@@ -927,38 +838,32 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 		// Handshake succeeds even while hung (TCP backlog); the conn is
 		// adopted paused in that case. It is adopted before accept runs,
 		// so a component that sheds the connection by closing it inside
-		// accept goes through the ordinary close hook; the record is then
-		// already gone and the handlers accept returned have no home.
-		e.p.adoptConn(e, c.(simnet.StreamConn), cnet.StreamHandlers{})
-		h := accept(c)
-		if r := e.p.connOf(c); r != nil {
-			r.h = h
-		}
-		return e.hooks.h
+		// accept goes through the router's Closed like any other close.
+		e.p.adoptConn(e, c.(simnet.StreamConn))
+		return accept(c)
 	})
 }
 
-// SetConnWord implements cnet.Env. Inside a restore the conn list is not
-// built yet: the word waits with the handlers RestoreConn left.
+// SetConnWord implements cnet.Env: the word lives on the end. Inside a
+// restore the ends are not routed yet: the word waits with the handlers
+// RestoreConn left.
 func (e *Env) SetConnWord(c cnet.Conn, w uint64) {
 	if !e.live() {
 		return
 	}
 	if rst := e.p.rst; rst != nil {
-		if _, own := rst.words[c]; own {
-			rst.words[c] = w
+		if rc := rst.carried[c]; rc != nil {
+			rc.word = w
 		}
-	} else if word := e.p.wordOf(c); word != nil {
-		*word = w
+	} else if sc := e.owned(c); sc != nil {
+		sc.SetWord(w)
 	}
 }
 
 // ConnWord implements cnet.Env.
 func (e *Env) ConnWord(c cnet.Conn) uint64 {
-	if e.live() {
-		if word := e.p.wordOf(c); word != nil {
-			return *word
-		}
+	if sc := e.owned(c); sc != nil {
+		return sc.Word()
 	}
 	return 0
 }

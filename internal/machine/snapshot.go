@@ -71,18 +71,34 @@ type procRestore struct {
 	mailTags     []mailTag
 	mailTimers   map[uint64]bool
 	mailTimerFns map[uint64]func()
-	adopted      []simnet.StreamConn               // adopted conns in owner-slot order
-	conns        []cnet.Conn                       // adopted conns, then mailbox-only (closed) conns
-	handlers     map[cnet.Conn]cnet.StreamHandlers // component handlers by conn, from RestoreConn
-	words        map[cnet.Conn]uint64              // every conn of conns, with the word its component wrote back (SetConnWord)
+	// conns[:adopted] is the saved conn list in owner-slot order; the rest
+	// are connections only mailbox entries name (closed ones awaiting their
+	// OnClose dispatch, or a message or dial result to dispatch first).
+	conns   []cnet.Conn
+	adopted int
+	carried map[cnet.Conn]*restConn // every conn of conns
+}
+
+// restConn is what a restore gathers for one carried connection end
+// before FinishRestore attaches it.
+type restConn struct {
+	h        cnet.StreamHandlers // from RestoreConn
+	restored bool
+	word     uint64 // written back by the component (SetConnWord)
+	// owned: the end is the incarnation's, routed to it — on the conn list,
+	// or closed with its OnClose in the mailbox.
+	owned bool
 }
 
 // own lists c among the restoring process's connections, once.
-func (r *procRestore) own(c cnet.Conn) {
-	if _, listed := r.words[c]; !listed {
-		r.words[c] = 0
+func (r *procRestore) own(c cnet.Conn) *restConn {
+	rc := r.carried[c]
+	if rc == nil {
+		rc = &restConn{}
+		r.carried[c] = rc
 		r.conns = append(r.conns, c)
 	}
+	return rc
 }
 
 // SnapState moves the machine. Saving claims pending proc timers and the
@@ -117,8 +133,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 				timers:       map[uint64]*restTimer{},
 				mailTimers:   map[uint64]bool{},
 				mailTimerFns: map[uint64]func(){},
-				handlers:     map[cnet.Conn]cnet.StreamHandlers{},
-				words:        map[cnet.Conn]uint64{},
+				carried:      map[cnet.Conn]*restConn{},
 			}
 		}
 
@@ -163,7 +178,6 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 		}
 
-		closes := 0
 		for i := range x.Len(p.MailboxLen(), 1<<20) {
 			if !p.alive { // kill empties it; there is no environment to resolve an entry against
 				snapio.Failf("machine %d/%s: a dead process with a mailbox", m.id, name)
@@ -172,21 +186,12 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			if x.Saving() {
 				t = m.tagOf(name, &p.mailbox[p.head+i])
 			}
-			if t.snap(x); t.kind == tagClosed {
-				closes++
-			}
-			if !x.Saving() {
+			if t.snap(x); !x.Saving() {
 				if t.kind == tagTimer {
 					p.rst.mailTimers[t.serial] = true
 				}
 				p.rst.mailTags = append(p.rst.mailTags, t)
 			}
-		}
-
-		if parked := len(p.closing) - p.closingHead; x.Saving() && closes != parked {
-			// The parked records are not written: FinishRestore rebuilds one
-			// per close entry, which is only right while that is what they are.
-			snapio.Failf("machine %d/%s: %d closes in the mailbox, %d connections parked", m.id, name, closes, parked)
 		}
 
 		for i := range x.Len(len(p.conns), 1<<20) {
@@ -195,23 +200,26 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 			var c simnet.StreamConn
 			if x.Saving() {
-				c = p.conns[i].c
+				c = p.conns[i]
 			}
 			if snapio.Conn(x, &c); c == nil {
 				snapio.Failf("machine %d/%s: adopted conn %d is not a conn", m.id, name, i)
 			}
 			if !x.Saving() {
-				p.rst.adopted = append(p.rst.adopted, c)
-				p.rst.own(c)
+				p.rst.own(c).owned = true
+				p.rst.adopted++
 			}
 		}
 		// Mailbox-only connections (typically closed ones awaiting their
 		// OnClose dispatch) join the list after the adopted set so the
-		// component can restore handlers on them too.
+		// component can restore handlers on them too. One whose close waits
+		// in the mailbox is still the incarnation's until its OnClose runs.
 		if !x.Saving() {
 			for _, t := range p.rst.mailTags {
 				if t.c != nil {
-					p.rst.own(t.c)
+					if rc := p.rst.own(t.c); t.kind == tagClosed {
+						rc.owned = true
+					}
 				}
 			}
 		}
@@ -398,26 +406,24 @@ func (m *Machine) SnapDialOwners(x *snapio.Ctx) {
 }
 
 // RestoreConn re-attaches the component's handlers to a restored
-// connection: the half gets the incarnation's mailbox wrappers back, the
-// component's own handlers wait for FinishRestore, which rebuilds the
-// record (owner slot, close hook) of every connection in the process's
-// saved conn list. Closed connections still referenced by the component
-// (a pending OnClose in the mailbox) only need the handlers for mailbox
-// resolution.
+// connection. They wait for FinishRestore, which attaches every carried
+// end: its handlers, and for the incarnation's own ends the router and
+// word, plus the owner slot for those on the saved conn list. Closed
+// connections still referenced by the component (a pending OnClose in
+// the mailbox) need the handlers for their mailbox entries.
 func (e *Env) RestoreConn(c cnet.Conn, h cnet.StreamHandlers) {
 	p := e.p
 	if p.rst == nil {
 		snapio.Failf("machine %d/%s: RestoreConn outside restore", p.m.id, p.name)
 	}
-	hr, ok := c.(simnet.HandlerRestorer)
-	if !ok {
+	if _, ok := c.(simnet.StreamConn); !ok {
 		snapio.Failf("machine %d/%s: conn %T cannot restore handlers", p.m.id, p.name, c)
 	}
-	if _, own := p.rst.words[c]; !own {
+	rc := p.rst.carried[c]
+	if rc == nil {
 		snapio.Failf("machine %d/%s: component restores a connection the process did not carry", p.m.id, p.name)
 	}
-	hr.RestoreHandlers(e.hooks.h)
-	p.rst.handlers[c] = h
+	rc.h, rc.restored = h, true
 }
 
 func noopStream(cnet.Conn, cnet.Message) {}
@@ -447,24 +453,21 @@ func (m *Machine) FinishRestore() {
 			}
 		}
 
-		for i, c := range r.adopted {
-			h, ok := r.handlers[c]
-			if !ok {
-				snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, i)
-			}
-			c.SetOwnerSlot(i)
-			p.conns = append(p.conns, connRec{c: c, h: h, word: r.words[c]})
-			c.SetCloseHook(p.env.hooks.closed)
-		}
-		// A close waiting in the mailbox has its connection's record parked.
-		for _, t := range r.mailTags {
-			if t.kind == tagClosed {
-				sc, ok := t.c.(simnet.StreamConn)
-				if !ok {
-					snapio.Failf("machine %d/%s: mailbox close entry names no conn", m.id, name)
+		for i, c := range r.conns {
+			rc, sc := r.carried[c], c.(simnet.StreamConn) // RestoreConn and the walk checked the type
+			if i < r.adopted {
+				if !rc.restored {
+					snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, i)
 				}
-				p.closing = append(p.closing, connRec{c: sc, h: r.handlers[t.c], word: r.words[t.c]})
+				sc.SetOwnerSlot(i)
+				p.conns = append(p.conns, sc)
 			}
+			var router *simnet.Router
+			if rc.owned {
+				router = &p.env.router
+				sc.SetWord(rc.word)
+			}
+			sc.RestoreHandlers(router, rc.h)
 		}
 
 		serials := make([]uint64, 0, len(r.timers))
@@ -507,7 +510,7 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		rec.e, rec.fn, rec.serial = env, fn, t.serial
 		return call{tr: rec, env: env}
 	case tagStream:
-		h := p.rst.handlers[t.c]
+		h := p.rst.handlers(t.c)
 		if h.OnMessage == nil {
 			snapio.Failf("machine %d/%s: mailbox stream entry unresolvable", m.id, p.name)
 		}
@@ -526,13 +529,13 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 	case tagDial:
 		return call{dr: m.dials[t.dial], env: env, c: t.c, err: t.err} // FinishRestore checked the index
 	case tagClosed:
-		h := p.rst.handlers[t.c]
+		h := p.rst.handlers(t.c)
 		if h.OnClose == nil {
 			snapio.Failf("machine %d/%s: mailbox close entry unresolvable", m.id, p.name)
 		}
 		return call{rfn: h.OnClose, env: env, c: t.c, err: t.err}
 	case tagWritable:
-		h := p.rst.handlers[t.c]
+		h := p.rst.handlers(t.c)
 		if h.OnWritable == nil {
 			snapio.Failf("machine %d/%s: mailbox writable entry unresolvable", m.id, p.name)
 		}
@@ -540,4 +543,12 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 	}
 	snapio.Failf("machine: unknown mailbox tag %d", t.kind)
 	return call{}
+}
+
+// handlers returns what the component restored on c, if anything.
+func (r *procRestore) handlers(c cnet.Conn) cnet.StreamHandlers {
+	if rc := r.carried[c]; rc != nil {
+		return rc.h
+	}
+	return cnet.StreamHandlers{}
 }

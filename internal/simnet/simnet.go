@@ -616,6 +616,7 @@ func dialSyn(arg any) {
 	i.conns = append(i.conns, local)
 	remote.connIdx = int32(len(dst.conns))
 	dst.conns = append(dst.conns, remote)
+	remote.router = Direct // an owner that routes its ends elsewhere re-routes inside accept
 	remote.h = acceptNow(remote)
 	op.local = local
 	local.Retain() // pinned by the dialDone event
@@ -627,14 +628,16 @@ func dialDone(arg any) {
 	op := arg.(*dialOp)
 	local, owner, n := op.local, op.owner, op.i.net
 	n.freeDialOp(op)
-	local.h = owner.DialHandlers()
+	local.router, local.h = Direct, owner.DialHandlers()
 	owner.DialResult(local, nil)
 	local.Release()
 }
 
 // StreamConn is the control surface the machine layer needs on simulated
 // connections beyond cnet.Conn: pausing reads while the owning process is
-// hung or stalled, and abortive close when the process dies.
+// hung or stalled, abortive close when the process dies, and the owner's
+// attachment — its router, its handlers and its word — which live on the
+// end itself.
 type StreamConn interface {
 	cnet.Conn
 	// SetPaused stops (true) or resumes (false) reading at this end.
@@ -643,25 +646,73 @@ type StreamConn interface {
 	Abort()
 	// Buffered reports messages waiting unread at this end.
 	Buffered() int
-	// SetCloseHook registers a callback invoked with this half exactly
-	// once when it closes, whatever the path (local Close/Abort or
-	// peer-initiated, there after OnClose) — the owner's bookkeeping hook.
-	// It takes the conn so one func value serves every connection of an
-	// owner. On a half that has already closed the callback runs at once,
-	// so an owner never tracks a dead half.
-	SetCloseHook(func(cnet.Conn))
+	// Handlers returns the component handlers attached to this end: what
+	// the accepting side's acceptor or the dialing owner's DialHandlers
+	// returned. They do not change afterwards outside a restore.
+	Handlers() cnet.StreamHandlers
+	// Route makes r carry this end's events; nil makes the end nobody's,
+	// and its events are dropped. On an end that has already closed, r's
+	// Closed runs at once, so an owner never keeps a dead end. Router
+	// returns the end's router.
+	Route(r *Router)
+	Router() *Router
+	// RestoreHandlers re-attaches a restored end to its owner: the router
+	// and the handlers, set as given.
+	RestoreHandlers(r *Router, h cnet.StreamHandlers)
 	// SetOwnerSlot/OwnerSlot stash the owning process's bookkeeping index
-	// for this half: where its per-connection record lives, which makes
-	// both handler lookup and close-time removal O(1). The value is opaque
-	// to simnet.
+	// for this end: its position in the process's conn list, which makes
+	// close-time removal O(1). The value is opaque to simnet.
 	SetOwnerSlot(int)
 	OwnerSlot() int
+	// SetWord/Word keep the owner's one word with this end
+	// (cnet.Env.SetConnWord). It is zero on a new connection.
+	SetWord(uint64)
+	Word() uint64
 	// Retain/Release pin the connection's backing allocation against
 	// pool recycling while a caller-side record (a mailbox entry, a
 	// deferred operation) stashes the conn pointer across events. Both
 	// are no-ops on connections that are not pool-managed.
 	Retain()
 	Release()
+}
+
+// Router carries a connection end's events to its owner. An end holds a
+// pointer to one (StreamConn.Route), shared by every end of that owner:
+// Direct calls the end's handlers at once; a simulated process posts the
+// event to its mailbox and dispatches the handler from there.
+type Router struct {
+	// Message delivers the next in-order message.
+	Message func(c cnet.Conn, m cnet.Message)
+	// Close reports that the peer closed the connection, or reset it; the
+	// end has closed. No event follows it.
+	Close func(c cnet.Conn, err error)
+	// Writable reports window space after a refused TrySend.
+	Writable func(c cnet.Conn)
+	// Closed reports that the end closed itself (Close, Abort) or was
+	// reset by its machine's reboot.
+	Closed func(c cnet.Conn)
+}
+
+// Direct is the router of ends whose owner is not a simulated process
+// (the client generator, tests): every event calls the end's handler, if
+// it has one, at once.
+var Direct = &Router{
+	Message: func(c cnet.Conn, m cnet.Message) {
+		if f := c.(*half).h.OnMessage; f != nil {
+			f(c, m)
+		}
+	},
+	Close: func(c cnet.Conn, err error) {
+		if f := c.(*half).h.OnClose; f != nil {
+			f(c, err)
+		}
+	},
+	Writable: func(c cnet.Conn) {
+		if f := c.(*half).h.OnWritable; f != nil {
+			f(c)
+		}
+	},
+	Closed: func(cnet.Conn) {},
 }
 
 // half is one direction-endpoint of a stream connection; cnet.Conn is
@@ -674,8 +725,10 @@ type half struct {
 	//
 	// Size is deliberate too: a 256-node mesh keeps 65,280 pairs live, so
 	// the class and the pending close verdict are stored as one byte each
-	// and the owner slot as an int32 in the padding — 104 bytes a half, a
-	// pair in the 208-byte size class (TestConnPairSize).
+	// and the owner slot as an int32 in the padding. The owner keeps
+	// nothing per end beside it: its router is a pointer shared by all its
+	// ends and its word is here — 112 bytes a half, a pair in the 224-byte
+	// size class (TestConnPairSize).
 	closed     bool
 	zombie     bool // machine died; silent until reboot RST
 	paused     bool // receiver not reading (freeze/hang/stall)
@@ -690,9 +743,10 @@ type half struct {
 	iface      *Iface
 	peer       *half
 	pair       *connPair           //availlint:skipfield pair pool backlink; snapshot-built halves have none and are never recycled
-	h          cnet.StreamHandlers // handlers, re-attached by the owning process via RestoreConn
+	h          cnet.StreamHandlers // handlers, re-attached by the owner via RestoreHandlers
+	router     *Router             // owner's router, re-attached by the owner via RestoreHandlers
+	word       uint64              //availlint:skipfield word the owner's connection word, which the restoring component writes back
 	buf        []cnet.Message
-	closeHook  func(cnet.Conn) // close callback, re-attached by the owning process via RestoreConn
 }
 
 // connPair is the single allocation backing both halves of a connection.
@@ -827,8 +881,8 @@ func deliverStream(arg any) {
 		p.buf = append(p.buf, m) //availlint:allow poolsafety open half pins the pair past the Release above
 		return
 	}
-	if p.h.OnMessage != nil { //availlint:allow poolsafety open half pins the pair past the Release above
-		p.h.OnMessage(p, m) //availlint:allow poolsafety open half pins the pair past the Release above
+	if r := p.router; r != nil { //availlint:allow poolsafety open half pins the pair past the Release above
+		r.Message(p, m)
 	}
 }
 
@@ -839,18 +893,26 @@ func (hc *half) Close() { hc.shutdown(cnet.ErrClosed) }
 // The machine layer uses it when a process (not the whole machine) dies.
 func (hc *half) Abort() { hc.shutdown(cnet.ErrReset) }
 
-// SetCloseHook implements StreamConn. A dialer half can reach its owner
-// already closed: when the accepting side sheds the connection inside
-// dialSyn, the close notification is scheduled ahead of dialDone. No close
-// path will run again for such a half, so the hook fires here — otherwise
-// the owner would list it forever, past the pair's recycling and reuse.
-func (hc *half) SetCloseHook(fn func(cnet.Conn)) {
-	if hc.closed {
-		fn(hc)
-		return
+// Handlers implements StreamConn.
+func (hc *half) Handlers() cnet.StreamHandlers { return hc.h }
+
+// Route implements StreamConn. A dialer end can reach its owner already
+// closed: when the accepting side sheds the connection inside dialSyn, the
+// close notification is scheduled ahead of dialDone. No close path will
+// run again for such an end, so Closed runs here — otherwise the owner
+// would list it forever, past the pair's recycling and reuse.
+func (hc *half) Route(r *Router) {
+	hc.router = r
+	if hc.closed && r != nil {
+		r.Closed(hc)
 	}
-	hc.closeHook = fn
 }
+
+// Router implements StreamConn.
+func (hc *half) Router() *Router { return hc.router }
+
+// RestoreHandlers implements StreamConn.
+func (hc *half) RestoreHandlers(r *Router, h cnet.StreamHandlers) { hc.router, hc.h = r, h }
 
 // SetOwnerSlot implements StreamConn.
 func (hc *half) SetOwnerSlot(i int) { hc.ownerSlot = int32(i) }
@@ -858,11 +920,16 @@ func (hc *half) SetOwnerSlot(i int) { hc.ownerSlot = int32(i) }
 // OwnerSlot implements StreamConn.
 func (hc *half) OwnerSlot() int { return int(hc.ownerSlot) }
 
-func (hc *half) ranCloseHook() {
-	if hc.closeHook != nil {
-		fn := hc.closeHook
-		hc.closeHook = nil
-		fn(hc)
+// SetWord implements StreamConn.
+func (hc *half) SetWord(w uint64) { hc.word = w }
+
+// Word implements StreamConn.
+func (hc *half) Word() uint64 { return hc.word }
+
+// closedSelf tells the owner that this end closed itself.
+func (hc *half) closedSelf() {
+	if r := hc.router; r != nil {
+		r.Closed(hc)
 	}
 }
 
@@ -872,7 +939,7 @@ func (hc *half) shutdown(peerErr error) {
 	}
 	hc.closed = true
 	hc.buf = nil
-	hc.ranCloseHook()
+	hc.closedSelf()
 	hc.iface.dropConn(hc)
 	p := hc.peer
 	if p == nil || p.closed || p.zombie {
@@ -889,7 +956,7 @@ func (hc *half) shutdown(peerErr error) {
 func (hc *half) abortPeer(err error) {
 	hc.closed = true
 	hc.buf = nil
-	hc.ranCloseHook()
+	hc.closedSelf()
 	p := hc.peer
 	if p == nil || p.closed || p.zombie {
 		hc.maybeRecycle()
@@ -917,12 +984,9 @@ func (hc *half) deliverClose(err error) {
 	hc.closed = true
 	hc.buf = nil
 	hc.iface.dropConn(hc)
-	// OnClose before the hook: the owner's OnClose still finds its record
-	// of this half, which the hook then retires.
-	if hc.h.OnClose != nil {
-		hc.h.OnClose(hc, err)
+	if r := hc.router; r != nil {
+		r.Close(hc, err)
 	}
-	hc.ranCloseHook()
 }
 
 // SetPaused is called by the proc layer when the owning process stops or
@@ -951,8 +1015,8 @@ func (hc *half) setPaused(paused bool) {
 	hc.buf = nil
 	for i, m := range buf {
 		buf[i] = nil
-		if hc.h.OnMessage != nil {
-			hc.h.OnMessage(hc, m)
+		if r := hc.router; r != nil {
+			r.Message(hc, m)
 		}
 	}
 	if hc.buf == nil && !hc.closed && buf != nil {
@@ -975,8 +1039,8 @@ func (hc *half) notifyWritable() {
 // deliverWritable is the arrival half of notifyWritable.
 func deliverWritable(arg any) {
 	p := arg.(*half)
-	if !p.closed && p.h.OnWritable != nil {
-		p.h.OnWritable(p)
+	if r := p.router; r != nil && !p.closed {
+		r.Writable(p)
 	}
 	p.Release() // pin taken when the notification was scheduled
 }

@@ -21,22 +21,14 @@ import (
 //     anywhere in the snapshot. On load, references met before this
 //     section produce blank halves (BlankConn) that the table fills.
 //
-// Handler closures (half.h, close hooks, dial callbacks, dgram and
-// listen registrations) are never serialized: the component that owns
-// them re-attaches during its own restore, before the conn table and
+// An end's attachment to its owner (half.h, half.router, half.word), dial
+// callbacks, and dgram and listen registrations are never serialized: the
+// component that owns them re-attaches during its own restore
+// (StreamConn.RestoreHandlers, SetWord), before the conn table and
 // pending sections resolve.
 
 // BlankConn is the blank factory for the snapshot connection table.
 func BlankConn() any { return new(half) }
-
-// HandlerRestorer lets a connection owner re-attach its stream handlers
-// to a restored conn.
-type HandlerRestorer interface {
-	RestoreHandlers(h cnet.StreamHandlers)
-}
-
-// RestoreHandlers implements HandlerRestorer.
-func (hc *half) RestoreHandlers(h cnet.StreamHandlers) { hc.h = h }
 
 // SnapCore moves topology-independent network state; loading, into a
 // freshly built topology (same interfaces, no connections, no groups).
@@ -183,8 +175,8 @@ func (n *Network) SnapPending(x *snapio.Ctx) {
 // section referenced: saving, one record per assigned id, each marked
 // with a continuation bit because encoding a half can register its peer,
 // so the walk loops until no new ids appear; loading fills the blank
-// halves earlier references created. Handlers and close hooks are not
-// here — owners re-attached those during their restore.
+// halves earlier references created. Routers, handlers and words are not
+// here — owners re-attach those during their restore.
 func (n *Network) SnapConns(x *snapio.Ctx) {
 	for id := uint64(1); ; id++ {
 		var obj any

@@ -64,11 +64,11 @@ func (g *Generator) SnapState(x *snapio.Ctx) {
 		snapio.OptConn(x, &r.conn)
 		if !x.Saving() && r.conn != nil {
 			cnet.RetainConn(r.conn) // no-op on snapshot-built conns; keeps the pin balanced
-			hr, ok := r.conn.(simnet.HandlerRestorer)
+			sc, ok := r.conn.(simnet.StreamConn)
 			if !ok {
 				snapio.Failf("workload: conn %T cannot restore handlers", r.conn)
 			}
-			hr.RestoreHandlers(r.h)
+			sc.RestoreHandlers(simnet.Direct, r.h)
 		}
 		// A request's timeouts are saved as the pending events its handles
 		// name, so a live handle without its event fails the save here and
