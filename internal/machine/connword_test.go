@@ -100,7 +100,7 @@ func TestConnWordLastsUntilOnCloseHasRun(t *testing.T) {
 func parked(p *Proc) int {
 	n := 0
 	for _, c := range p.mailbox[p.head:] {
-		if c.rfn != nil {
+		if c.tag == tagClosed {
 			n++
 		}
 	}

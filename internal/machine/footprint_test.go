@@ -164,13 +164,69 @@ func TestNestedStallDuringResumeDrain(t *testing.T) {
 	}
 }
 
-// A mailbox entry is copied by value at packet rate (postCall, pump), so
-// its size is pinned: 128 bytes, two cache lines, since a dial result is
-// its dial record (136 while the entry carried the dial's destination and
-// tag).
+// A mailbox entry is copied by value at packet rate (postCall, pump), and
+// a backlog keeps its storage, so its size is pinned to one cache line.
+// An entry carries no handler — stream, close and writable entries read
+// theirs from the connection end, a datagram entry names its port's by
+// index — an error travels as its code, and a timer or dial record
+// shares the message's field (it was 128 bytes while it carried a func
+// per kind, the port's name and the error).
 func TestMailboxEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(call{}); got > 128 {
-		t.Errorf("call is %d bytes, want at most 128", got)
+	if got := unsafe.Sizeof(call{}); got > 64 {
+		t.Errorf("call is %d bytes, want at most 64", got)
+	}
+}
+
+// A post to an idle process — alive, runnable, no charge elapsing,
+// nothing queued — runs its handler at once and stores nothing, so a
+// cluster's quiet processes own no mailbox storage. A process whose
+// handler charged CPU still queues what arrives meanwhile, and runs it in
+// arrival order once the charge has elapsed.
+func TestIdleProcessStoresNoEntry(t *testing.T) {
+	w := newWorld()
+	a := New(w.sim, w.net, 0, nil, w.log)
+	b := New(w.sim, w.net, 1, nil, w.log)
+	var envA *Env
+	var got []cnet.Message
+	var at []time.Duration
+	charge := time.Duration(0)
+	a.AddProc("client", func(e *Env) { envA = e })
+	srv := b.AddProc("server", func(e *Env) {
+		e.BindDatagram("d", func(_ cnet.NodeID, m cnet.Message) {
+			got = append(got, m)
+			at = append(at, w.sim.Now())
+			e.Charge(charge)
+		})
+	})
+	for i := 0; i < 3; i++ {
+		envA.Send(1, cnet.ClassIntra, "d", i, 10)
+		w.sim.Run()
+		if len(got) != i+1 || cap(srv.mailbox) != 0 {
+			t.Fatalf("idle post %d: handler ran %d times, mailbox capacity %d", i, len(got), cap(srv.mailbox))
+		}
+	}
+
+	got, at = nil, nil
+	charge = time.Millisecond
+	for i := 0; i < 3; i++ {
+		envA.Send(1, cnet.ClassIntra, "d", i, 10) // back to back: the later two arrive while the first's charge elapses
+	}
+	var queued int
+	for w.sim.Step() {
+		if n := srv.MailboxLen(); n > queued {
+			queued = n
+		}
+	}
+	if queued != 2 {
+		t.Errorf("at most %d entries queued behind the charged handler, want 2", queued)
+	}
+	for i := range got {
+		if got[i] != i || (i > 0 && at[i]-at[i-1] != charge) {
+			t.Fatalf("charged process ran %v at %v, want 0, 1, 2 one charge apart", got, at)
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("charged process ran %v, want 0, 1, 2", got)
 	}
 }
 
@@ -181,11 +237,11 @@ type pingDialer struct{ h cnet.StreamHandlers }
 func (d *pingDialer) DialHandlers() cnet.StreamHandlers { return d.h }
 func (d *pingDialer) DialResult(c cnet.Conn, err error) { c.TrySend("ping", 10) }
 
-// An adopted connection end costs the machine layer one record, held by
-// value in the owning process's conn list — no wrapper, closure or hook
-// object per connection — so a connection's whole life (dial, adopt on
-// both sides, exchange, close, prune) allocates nothing once the pools
-// and lists are warm. The dial is a DialFor on the owning record: the
+// An adopted connection end costs the machine layer one slot in the
+// owning process's conn list — the end itself is the record, with no
+// wrapper, closure or hook object per connection — so a connection's
+// whole life (dial, adopt on both sides, exchange, close, prune)
+// allocates nothing once the pools and lists are warm. The dial is a DialFor on the owning record: the
 // closure form, Dial, boxes its pair in a cnet.DialFuncs per call.
 func TestConnectionLifeAllocatesNothing(t *testing.T) {
 	w := newWorld()

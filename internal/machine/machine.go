@@ -257,64 +257,76 @@ type Proc struct {
 	rst *procRestore
 }
 
-// call is one mailbox entry. Stream/datagram/dial callbacks at packet
-// rate carry their handler and arguments in typed fields instead of a
-// per-delivery closure, so posting them allocates nothing once the
-// mailbox's storage has grown to its high-water mark. Exactly one of
-// sfn/dfn/rfn/wfn/tr/dr is set; every form is gated on env.live() at
-// dispatch, which is what their closure equivalents did.
+// Mailbox entry tags: what an entry dispatches. A snapshot writes an entry
+// as its tag and the arguments that tag keeps (mailTag), so the values are
+// the format's.
+const (
+	tagDead     = 0 // entry whose incarnation died; dispatch is a no-op
+	tagStream   = 1
+	tagDgram    = 2
+	tagDial     = 3
+	tagClosed   = 4
+	tagWritable = 5
+	tagTimer    = 6
+)
+
+// call is one mailbox entry: a tag and the arguments that tag keeps, in
+// typed fields instead of a per-delivery closure, so posting allocates
+// nothing once the mailbox's storage has grown to its high-water mark.
+// Nor does an entry carry a handler: stream, close and writable entries
+// read theirs from the connection end at dispatch (handlers never change
+// after adoption outside a restore), and a datagram entry names its
+// port's by index. Every tag is gated on env.live() at dispatch.
 type call struct {
-	sfn  func(cnet.Conn, cnet.Message)   // stream OnMessage
-	dfn  func(cnet.NodeID, cnet.Message) // datagram handler
-	rfn  func(cnet.Conn, error)          // stream OnClose
-	wfn  func(cnet.Conn)                 // stream OnWritable
-	tr   *timerRec                       // pooled AfterFunc callback
-	dr   *dialRec                        // dial result, for the record's owner
-	env  *Env                            // liveness gate
-	c    cnet.Conn
-	m    cnet.Message
-	from cnet.NodeID
-	err  error
-	port string // dgram port: the entry's snapshot identity (a handler cannot be serialized)
+	env *Env      // liveness gate
+	c   cnet.Conn // stream, close, writable; a dial's result
+	// arg is a stream or datagram entry's message, and a timer or dial
+	// entry's record (*timerRec, *dialRec).
+	arg  any
+	from cnet.NodeID // datagram sender
+	port int32       // datagram port, as its index in env.dgramPorts/dgramH
+	tag  uint8
+	err  uint8 // cnet.ErrCode of a close or a dial's result
 }
 
 func (c *call) dispatch() {
-	switch {
-	case c.sfn != nil:
-		if c.env.live() {
-			c.sfn(c.c, c.m)
-		}
-	case c.dfn != nil:
-		if c.env.live() {
-			c.dfn(c.from, c.m)
-		}
-	case c.rfn != nil:
-		if c.env.live() {
-			c.rfn(c.c, c.err)
-			if c.env.live() {
-				c.c.(simnet.StreamConn).Route(nil) // its OnClose has run: the end is nobody's
-			}
-		}
-	case c.dr != nil:
-		// Recycle before running: the owner may dial again at once.
-		owner := c.dr.owner
-		c.env.p.m.putDial(c.dr)
-		if c.env.live() {
-			owner.DialResult(c.c, c.err)
-		}
-	case c.wfn != nil:
-		if c.env.live() {
-			c.wfn(c.c)
-		}
-	case c.tr != nil:
+	switch c.tag {
+	case tagTimer:
 		// Recycle before running: fn may itself schedule a timer and
 		// reuse the record immediately.
-		r := c.tr
+		r := c.arg.(*timerRec)
 		fn := r.fn
-		r.e.p.m.putTimer(r)
+		c.env.p.m.putTimer(r)
 		if c.env.live() {
 			fn()
 		}
+		return
+	case tagDial:
+		// Recycle before running: the owner may dial again at once.
+		r := c.arg.(*dialRec)
+		owner := r.owner
+		c.env.p.m.putDial(r)
+		if c.env.live() {
+			owner.DialResult(c.c, cnet.ErrFromCode(uint64(c.err)))
+		}
+		return
+	}
+	if !c.env.live() {
+		return
+	}
+	switch c.tag {
+	case tagStream:
+		c.c.(simnet.StreamConn).Handlers().OnMessage(c.c, c.arg)
+	case tagDgram:
+		c.env.dgramH[c.port](c.from, c.arg)
+	case tagClosed:
+		sc := c.c.(simnet.StreamConn)
+		sc.Handlers().OnClose(c.c, cnet.ErrFromCode(uint64(c.err)))
+		if c.env.live() {
+			sc.Route(nil) // its OnClose has run: the end is nobody's
+		}
+	case tagWritable:
+		c.c.(simnet.StreamConn).Handlers().OnWritable(c.c)
 	}
 }
 
@@ -404,8 +416,8 @@ func (p *Proc) kill(abortConns bool) {
 		if sc, ok := c.c.(simnet.StreamConn); ok {
 			sc.Release()
 		}
-		if c.dr != nil {
-			p.m.putDial(c.dr)
+		if c.tag == tagDial {
+			p.m.putDial(c.arg.(*dialRec))
 		}
 	}
 	p.mailbox = nil
@@ -431,17 +443,24 @@ func (p *Proc) runnable() bool {
 	return p.alive && !p.hung && !p.stalled && p.m.state == simnet.NodeUp
 }
 
-// postCall enqueues one mailbox entry, reclaiming spent storage when the
-// queue drains so steady-state posting reuses one backing array.
+// postCall runs one mailbox entry: at once when the process is idle —
+// alive, runnable, no charge elapsing, nothing queued — so an idle process
+// stores no entry, and otherwise behind the queue, reclaiming spent
+// storage when the queue drains so steady-state posting reuses one
+// backing array.
 func (p *Proc) postCall(c call) {
 	if !p.alive {
 		return
 	}
-	// A queued entry stashes its conn pointer across events: pin the
-	// conn's backing allocation until the entry is dispatched (pump) or
-	// discarded (kill).
+	// An entry stashes its conn pointer until it has run: pin the conn's
+	// backing allocation until the entry is dispatched (step) or discarded
+	// (kill).
 	if sc, ok := c.c.(simnet.StreamConn); ok {
 		sc.Retain()
+	}
+	if !p.running && p.runnable() && p.head == len(p.mailbox) {
+		p.step(&c)
+		return
 	}
 	if p.head > 0 {
 		if p.head == len(p.mailbox) {
@@ -473,25 +492,35 @@ func (p *Proc) pump() {
 		c := p.mailbox[p.head]
 		p.mailbox[p.head] = call{}
 		p.head++
-		inc := p.incarnation
-		p.curCharge = 0
-		c.dispatch()
-		if sc, ok := c.c.(simnet.StreamConn); ok {
-			sc.Release() // pin taken by postCall
-		}
-		if p.incarnation != inc {
+		if !p.step(&c) {
 			return // died inside the handler
-		}
-		if p.curCharge > 0 {
-			p.running = true
-			p.resume.p, p.resume.inc = p, inc
-			p.m.sim.AfterArg(p.curCharge, procResume, &p.resume)
 		}
 	}
 	if p.head > 0 && p.head == len(p.mailbox) {
 		p.mailbox = p.mailbox[:0]
 		p.head = 0
 	}
+}
+
+// step runs one entry and starts the CPU charge its handler accrued: the
+// one dispatch step of pump and of postCall's idle path. It reports
+// whether the process outlived the handler.
+func (p *Proc) step(c *call) bool {
+	inc := p.incarnation
+	p.curCharge = 0
+	c.dispatch()
+	if sc, ok := c.c.(simnet.StreamConn); ok {
+		sc.Release() // pin taken by postCall
+	}
+	if p.incarnation != inc {
+		return false
+	}
+	if p.curCharge > 0 {
+		p.running = true
+		p.resume.p, p.resume.inc = p, inc
+		p.m.sim.AfterArg(p.curCharge, procResume, &p.resume)
+	}
+	return true
 }
 
 func (p *Proc) syncConnPause() {
@@ -589,7 +618,7 @@ func (r *dialRec) DialResult(c cnet.Conn, err error) {
 	if c != nil {
 		e.p.adoptConn(e, c.(simnet.StreamConn))
 	}
-	e.p.postCall(call{dr: r, env: e, c: c, err: err})
+	e.p.postCall(call{tag: tagDial, env: e, c: c, arg: r, err: uint8(cnet.ErrCode(err))})
 }
 
 func (m *Machine) putDial(r *dialRec) {
@@ -630,7 +659,7 @@ func procTimerFire(arg any) {
 		e.p.m.putTimer(r)
 		return
 	}
-	e.p.postCall(call{tr: r, env: e})
+	e.p.postCall(call{tag: tagTimer, env: e, arg: r})
 }
 
 // Env implements cnet.Env for one incarnation of one process. Every method
@@ -643,8 +672,8 @@ type Env struct {
 	dgramPorts  []string //availlint:skipfield dgramPorts repopulated as restored components re-bind their ports
 	listenPorts []string //availlint:skipfield listenPorts repopulated as restored components re-listen
 
-	// dgramH keeps the raw component handler of dgramPorts[i], so snapshot
-	// restore can rebuild pending mailbox datagram entries.
+	// dgramH keeps the component handler of dgramPorts[i]: a datagram
+	// entry names its handler by that index.
 	dgramH []func(from cnet.NodeID, m cnet.Message) // rebuilt as restored components re-bind their handlers
 
 	// router carries the events of every connection end this incarnation
@@ -661,8 +690,8 @@ func newEnv(p *Proc, inc uint64) *Env {
 	// its router posts nothing either.
 	e.router = simnet.Router{
 		Message: func(c cnet.Conn, msg cnet.Message) {
-			if f := c.(simnet.StreamConn).Handlers().OnMessage; f != nil && e.live() {
-				p.postCall(call{sfn: f, env: e, c: c, m: msg})
+			if c.(simnet.StreamConn).Handlers().OnMessage != nil && e.live() {
+				p.postCall(call{tag: tagStream, env: e, c: c, arg: msg})
 			}
 		},
 		Close: func(c cnet.Conn, err error) {
@@ -674,16 +703,15 @@ func newEnv(p *Proc, inc uint64) *Env {
 			// stays routed here, and so keeps its word, until it has.
 			sc := c.(simnet.StreamConn)
 			p.removeConn(sc)
-			f := sc.Handlers().OnClose
-			if f == nil {
+			if sc.Handlers().OnClose == nil {
 				sc.Route(nil)
 				return
 			}
-			p.postCall(call{rfn: f, env: e, c: c, err: err})
+			p.postCall(call{tag: tagClosed, env: e, c: c, err: uint8(cnet.ErrCode(err))})
 		},
 		Writable: func(c cnet.Conn) {
-			if f := c.(simnet.StreamConn).Handlers().OnWritable; f != nil && e.live() {
-				p.postCall(call{wfn: f, env: e, c: c})
+			if c.(simnet.StreamConn).Handlers().OnWritable != nil && e.live() {
+				p.postCall(call{tag: tagWritable, env: e, c: c})
 			}
 		},
 		// Every close path the component or the process takes, including a
@@ -801,13 +829,14 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 	if !e.live() {
 		return
 	}
+	i := int32(len(e.dgramPorts))
 	e.dgramPorts = append(e.dgramPorts, port)
 	e.dgramH = append(e.dgramH, h)
 	e.p.m.iface.BindDatagram(port, func(from cnet.NodeID, m cnet.Message) {
 		if !e.live() || !e.p.runnable() {
 			return
 		}
-		e.p.postCall(call{dfn: h, env: e, from: from, m: m, port: port})
+		e.p.postCall(call{tag: tagDgram, env: e, from: from, arg: m, port: i})
 	})
 }
 

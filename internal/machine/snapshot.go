@@ -27,22 +27,12 @@ import (
 //     (RestoreConn) and defining the records its dials answer to. Then
 //     SnapDialOwners hands each live dial record its owner back.
 //  3. FinishRestore resolves the stashed records against those
-//     registrations: mailbox entries get their typed callbacks back,
-//     adopted connections get close hooks and owner slots, and timers
+//     registrations: every connection end the process carried gets its
+//     handlers back, and its own ends their router, word and owner slot;
+//     mailbox entries get their records and port indexes back; and timers
 //     nobody claimed — they belonged to dead incarnations — are re-armed
 //     against a dead Env so they still occupy their exact kernel slot and
 //     fire as no-ops.
-
-// Mailbox entry tags.
-const (
-	tagDead     = 0 // entry whose incarnation died; dispatch is a no-op
-	tagStream   = 1
-	tagDgram    = 2
-	tagDial     = 3
-	tagClosed   = 4
-	tagWritable = 5
-	tagTimer    = 6
-)
 
 type restTimer struct {
 	at       time.Duration
@@ -257,29 +247,25 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 	}
 }
 
-// tagOf classifies a mailbox entry for the stream: its callback is rebuilt
-// from the tag on restore.
+// tagOf writes a mailbox entry as the stream carries it: its record and
+// handler travel as their names, and a restore resolves them again.
 func (m *Machine) tagOf(proc string, c *call) mailTag {
 	if c.env == nil {
 		snapio.Failf("machine %d/%s: mailbox entry without env", m.id, proc)
 	}
-	t := mailTag{c: c.c, m: c.m, from: c.from, port: c.port, err: c.err}
+	t := mailTag{kind: c.tag, c: c.c, from: c.from, err: cnet.ErrFromCode(uint64(c.err))}
 	switch {
 	case !c.env.live():
 		t.kind = tagDead
-	case c.tr != nil:
-		t.kind, t.serial = tagTimer, c.tr.serial
-	case c.sfn != nil:
-		t.kind = tagStream
-	case c.dfn != nil:
-		t.kind = tagDgram
-	case c.dr != nil:
-		t.kind, t.dial = tagDial, c.dr.slot
-	case c.rfn != nil:
-		t.kind = tagClosed
-	case c.wfn != nil:
-		t.kind = tagWritable
-	default:
+	case c.tag == tagTimer:
+		t.serial = c.arg.(*timerRec).serial
+	case c.tag == tagDial:
+		t.dial = c.arg.(*dialRec).slot
+	case c.tag == tagDgram:
+		t.m, t.port = c.arg, c.env.dgramPorts[c.port]
+	case c.tag == tagStream:
+		t.m = c.arg
+	case c.tag != tagClosed && c.tag != tagWritable:
 		snapio.Failf("machine %d/%s: empty mailbox entry", m.id, proc)
 	}
 	return t
@@ -426,8 +412,6 @@ func (e *Env) RestoreConn(c cnet.Conn, h cnet.StreamHandlers) {
 	rc.h, rc.restored = h, true
 }
 
-func noopStream(cnet.Conn, cnet.Message) {}
-
 // FinishRestore resolves the stashed records against component
 // registrations. Must run after every component of this machine has
 // restored.
@@ -498,9 +482,10 @@ func (m *Machine) FinishRestore() {
 
 func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 	env := p.env
+	c := call{tag: t.kind, env: env, c: t.c, err: uint8(cnet.ErrCode(t.err))}
 	switch t.kind {
 	case tagDead:
-		return call{sfn: noopStream, env: &Env{p: p}}
+		c.env = &Env{p: p}
 	case tagTimer:
 		fn := p.rst.mailTimerFns[t.serial]
 		if fn == nil {
@@ -508,41 +493,37 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 		}
 		rec := m.timerFree.Get()
 		rec.e, rec.fn, rec.serial = env, fn, t.serial
-		return call{tr: rec, env: env}
+		c.arg = rec
 	case tagStream:
-		h := p.rst.handlers(t.c)
-		if h.OnMessage == nil {
+		if p.rst.handlers(t.c).OnMessage == nil {
 			snapio.Failf("machine %d/%s: mailbox stream entry unresolvable", m.id, p.name)
 		}
-		return call{sfn: h.OnMessage, env: env, c: t.c, m: t.m}
+		c.arg = t.m
 	case tagDgram:
-		var h func(cnet.NodeID, cnet.Message)
+		c.port = -1
 		for i, port := range env.dgramPorts {
 			if port == t.port {
-				h = env.dgramH[i] // the last binding of a port is the one in force
+				c.port = int32(i) // the last binding of a port is the one in force
 			}
 		}
-		if h == nil {
+		if c.port < 0 {
 			snapio.Failf("machine %d/%s: mailbox dgram entry for unbound port %q", m.id, p.name, t.port)
 		}
-		return call{dfn: h, env: env, from: t.from, m: t.m, port: t.port}
+		c.from, c.arg = t.from, t.m
 	case tagDial:
-		return call{dr: m.dials[t.dial], env: env, c: t.c, err: t.err} // FinishRestore checked the index
+		c.arg = m.dials[t.dial] // FinishRestore checked the index
 	case tagClosed:
-		h := p.rst.handlers(t.c)
-		if h.OnClose == nil {
+		if p.rst.handlers(t.c).OnClose == nil {
 			snapio.Failf("machine %d/%s: mailbox close entry unresolvable", m.id, p.name)
 		}
-		return call{rfn: h.OnClose, env: env, c: t.c, err: t.err}
 	case tagWritable:
-		h := p.rst.handlers(t.c)
-		if h.OnWritable == nil {
+		if p.rst.handlers(t.c).OnWritable == nil {
 			snapio.Failf("machine %d/%s: mailbox writable entry unresolvable", m.id, p.name)
 		}
-		return call{wfn: h.OnWritable, env: env, c: t.c}
+	default:
+		snapio.Failf("machine: unknown mailbox tag %d", t.kind)
 	}
-	snapio.Failf("machine: unknown mailbox tag %d", t.kind)
-	return call{}
+	return c
 }
 
 // handlers returns what the component restored on c, if anything.

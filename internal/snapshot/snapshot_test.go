@@ -281,7 +281,7 @@ func mailboxDials(p *machine.Proc) int {
 	v := reflect.ValueOf(p).Elem()
 	mb, n := v.FieldByName("mailbox"), 0
 	for i := int(v.FieldByName("head").Int()); i < mb.Len(); i++ {
-		if !mb.Index(i).FieldByName("dr").IsNil() {
+		if arg := mb.Index(i).FieldByName("arg"); !arg.IsNil() && arg.Elem().Type().String() == "*machine.dialRec" {
 			n++
 		}
 	}

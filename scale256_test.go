@@ -90,7 +90,7 @@ func TestScale256EventCountInvariant(t *testing.T) {
 // after a forced collection, as measured on linux/amd64 (DESIGN §17: it
 // repeats to ±0.2 MB). The world is deterministic, so the bytes it keeps
 // are a pinned number like the event count; the test allows 1 MB over.
-const scale256LiveHeapMB = 85.2
+const scale256LiveHeapMB = 79.1
 
 // TestScale256LiveHeap pins the bytes per node: what the 256-node world
 // keeps resident at the end of the chaos window. A change that makes a
