@@ -478,13 +478,10 @@ func (s *Sim) bucketUnlink(code, slot int32) {
 	}
 }
 
-// bucketTake empties a wheel bucket, returning the head of its list (-1
-// when it was empty). The members keep their links for the caller's walk.
+// bucketTake empties an occupied wheel bucket, returning the head of its
+// list. The members keep their links for the caller's walk.
 func (s *Sim) bucketTake(code int32) int32 {
 	head, occ, i := s.bucket(code)
-	if !occ.has(i) {
-		return -1
-	}
 	occ.clear(i)
 	return *head
 }
