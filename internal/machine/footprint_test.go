@@ -169,8 +169,7 @@ func TestNestedStallDuringResumeDrain(t *testing.T) {
 // An entry carries no handler — stream, close and writable entries read
 // theirs from the connection end, a datagram entry names its port's by
 // index — an error travels as its code, and a timer or dial record
-// shares the message's field (it was 128 bytes while it carried a func
-// per kind, the port's name and the error).
+// shares the message's field.
 func TestMailboxEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(call{}); got > 64 {
 		t.Errorf("call is %d bytes, want at most 64", got)
