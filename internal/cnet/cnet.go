@@ -144,8 +144,14 @@ type Env interface {
 	Local() NodeID
 
 	// Clock returns a process-scoped clock: timers die with the process
-	// and never fire while it is hung, frozen, or stopped.
+	// and never fire while it is hung, frozen, or stopped. Its AfterFunc
+	// is AfterFor(d, TimerFunc(fn)).
 	Clock() clock.Clock
+
+	// AfterFor arms a one-shot timer of the process clock for owner:
+	// owner.OnTimer runs d from now, and a snapshot names the timer by
+	// owner (the owner's own section defines it in ctx.Owners).
+	AfterFor(d time.Duration, owner TimerOwner) clock.Timer
 
 	// Rand returns this process's deterministic random stream.
 	Rand() *rand.Rand
@@ -220,6 +226,18 @@ type DialFuncs struct {
 
 func (f *DialFuncs) DialHandlers() StreamHandlers { return f.H }
 func (f *DialFuncs) DialResult(c Conn, err error) { f.Result(c, err) }
+
+// TimerOwner is the record a timer fires for: the runtime runs its OnTimer,
+// and a snapshot names a timer outstanding for it.
+type TimerOwner interface {
+	OnTimer()
+}
+
+// TimerFunc adapts AfterFunc's closure to a TimerOwner. No snapshot section
+// defines it, so a capture taken while its timer is outstanding fails.
+type TimerFunc func()
+
+func (f TimerFunc) OnTimer() { f() }
 
 // MsgPool recycles pointer records of one concrete type: the wire
 // messages of the protocol hot path, which re-sends the same handful of

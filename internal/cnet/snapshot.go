@@ -8,11 +8,12 @@ import (
 )
 
 // Snapshot support shared by the protocol components. A component's walk
-// moves its own fields; what it holds of the runtime — timers, tickers,
-// connections — it moves through the helpers here, which talk to the
-// hosting runtime structurally, so that no component imports the
-// simulator's machine package. A dial needs no helper: its owner record
-// defines itself in the walk that lists it (DialOwner).
+// moves its own fields; what it holds of the runtime — timer handles,
+// tickers, connections — it moves through the helpers here, which talk to
+// the hosting runtime structurally, so that no component imports the
+// simulator's machine package. A timer or a dial needs no helper to
+// travel: its owner record defines itself in the walk that lists it
+// (TimerOwner, DialOwner), and the runtime's record names it.
 
 // RestoreEnv is the process environment a component is rebuilt on inside
 // a snapshot restore: the normal Env plus the runtime's restore
@@ -21,13 +22,9 @@ import (
 // and RestoreConn for every connection in RestoreConnList.
 type RestoreEnv interface {
 	Env
-	// RestoreTimer re-claims the pending timer the saved incarnation armed
-	// under serial, with the callback the stream cannot carry; live is
-	// false when that timer was spent and fn will never be called.
-	RestoreTimer(serial uint64, fn func()) (t clock.Timer, live bool)
 	// SnapTicker moves a ticker of this runtime's clock: its stopped flag
 	// and its pending fire. Loading builds it on this environment, calling
-	// fn every period, and re-claims the fire.
+	// fn every period, and takes the fire back.
 	SnapTicker(x *snapio.Ctx, t *clock.Ticker, period time.Duration, fn func(), what string)
 	// RestoreConn re-attaches the component's handlers to a connection.
 	RestoreConn(c Conn, h StreamHandlers)
@@ -36,26 +33,27 @@ type RestoreEnv interface {
 	RestoreConnList() []Conn
 }
 
-// SnapTimer moves a retained one-shot timer handle: whether there is one,
-// then the serial its runtime gave it. Loading re-claims it from env with
-// fn (a pending timer re-arms at its exact kernel slot; a spent or
-// stopped one yields an inert handle).
-func SnapTimer(x *snapio.Ctx, env Env, h *clock.Timer, fn func(), what string) {
-	has := *h != nil
-	if x.Bool(&has); !has {
-		*h = nil
+// SnapTimer moves a one-shot timer handle a component keeps to stop: a
+// reference to the runtime's timer record, which the runtime's own section
+// defined while the timer was pending or its fire queued, or 0 when the
+// handle is nil or spent. Either loads as nil, on which the component
+// calls nothing, as Stop on a spent handle did nothing.
+func SnapTimer(x *snapio.Ctx, h *clock.Timer, what string) {
+	if x.Saving() {
+		var id uint64
+		if *h != nil {
+			id, _ = x.Owners.Lookup(*h)
+		}
+		x.Enc.U64(id)
 		return
 	}
-	var serial uint64
-	if x.Saving() {
-		ts, ok := (*h).(interface{ TimerSerial() uint64 })
+	*h = nil
+	if ref := x.Owners.Obj(x.Dec.U64()); ref != nil {
+		t, ok := ref.(clock.Timer)
 		if !ok {
-			snapio.Failf("%s handle %T carries no timer serial", what, *h)
+			snapio.Failf("%s: %T is not a timer", what, ref)
 		}
-		serial = ts.TimerSerial()
-	}
-	if x.U64(&serial); !x.Saving() {
-		*h, _ = env.(RestoreEnv).RestoreTimer(serial, fn)
+		*h = t
 	}
 }
 

@@ -132,8 +132,8 @@ const (
 // and the HTTP probe's connection, dial and timeout. It stays listed in
 // Daemon.rounds until nothing can call it back: the disk verdict is in,
 // the timeout has fired, the dial result has arrived and the connection,
-// if one was made, is closed. The round owns its dial (cnet.DialOwner) and
-// its health check.
+// if one was made, is closed. The round owns its dial (cnet.DialOwner), its
+// timeout (cnet.TimerOwner) and its health check.
 type round struct {
 	d    *Daemon
 	slot int
@@ -142,11 +142,10 @@ type round struct {
 	haveApp               bool
 	app                   appProbeResult
 
-	conn     cnet.Conn
-	closed   bool // conn was closed, by either end
-	dialing  bool // the dial result is still owed
-	expired  bool // the timeout has fired
-	timeoutT clock.Timer
+	conn    cnet.Conn
+	closed  bool // conn was closed, by either end
+	dialing bool // the dial result is still owed
+	expired bool // the timeout has fired
 
 	h cnet.StreamHandlers
 }
@@ -195,12 +194,13 @@ func (r *round) decide() {
 func (r *round) probeApp() {
 	d := r.d
 	d.probeSeq++
-	r.timeoutT = d.env.Clock().AfterFunc(d.cfg.ProbeTimeout, r.onTimeout)
+	d.env.AfterFor(d.cfg.ProbeTimeout, r)
 	r.dialing = true
 	d.env.DialFor(d.env.Local(), cnet.ClassClient, server.PortHTTP, r)
 }
 
-func (r *round) onTimeout() {
+// OnTimer implements cnet.TimerOwner: the probe's timeout.
+func (r *round) OnTimer() {
 	if r.conn != nil {
 		r.conn.Close()
 		cnet.ReleaseConn(r.conn) // pin taken when the dial stored it

@@ -7,9 +7,10 @@ import (
 
 // Snapshot support. The daemon moves its counters, its probe ticker and
 // the probe rounds something can still call back. A round is an owner: the
-// machine's dial-owner walk and the disk subsystem's section, which run
-// later, name it as the receiver of its dial's result (round.DialResult)
-// and of the health check's verdict (round.DiskProbe).
+// machine's owner walk and the disk subsystem's section, which run later,
+// name it as the receiver of its timeout (round.OnTimer), of its dial's
+// result (round.DialResult) and of the health check's verdict
+// (round.DiskProbe).
 
 // OwnerGone tells the disk subsystem's walk that this round's daemon has
 // died with its machine (snapio.Ctx.Owner). The verdict of a health check
@@ -43,7 +44,6 @@ func (d *Daemon) SnapState(x *snapio.Ctx) {
 		x.Bool(&r.closed)
 		x.Bool(&r.dialing)
 		x.Bool(&r.expired)
-		cnet.SnapTimer(x, d.env, &r.timeoutT, r.onTimeout, "fme: probe timeout")
 	}
 }
 

@@ -393,7 +393,8 @@ func (f *Frontend) connProbeTick() {
 // listed in Frontend.probes until its deadline has fired and its dial
 // result has arrived; every connection it held is closed by then, so a
 // callback still queued for one finds the probe finished and does nothing.
-// The probe is its dial's owner (cnet.DialOwner).
+// The probe is its dial's owner (cnet.DialOwner) and its deadline's
+// (cnet.TimerOwner).
 type probe struct {
 	f        *Frontend
 	n        cnet.NodeID
@@ -402,7 +403,6 @@ type probe struct {
 	conn     cnet.Conn
 	dialing  bool // the dial result is still owed
 	expired  bool // the deadline has fired
-	deadline clock.Timer
 
 	h cnet.StreamHandlers
 }
@@ -417,7 +417,7 @@ func (f *Frontend) newProbe(n cnet.NodeID) *probe {
 // probeBackend runs one HTTP probe against n with the C-MON deadline.
 func (f *Frontend) probeBackend(n cnet.NodeID) {
 	p := f.newProbe(n)
-	p.deadline = f.env.Clock().AfterFunc(f.cfg.ConnDeadline, p.onDeadline)
+	f.env.AfterFor(f.cfg.ConnDeadline, p)
 	p.dialing = true
 	f.env.DialFor(n, cnet.ClassClient, server.PortHTTP, p)
 }
@@ -438,7 +438,8 @@ func (p *probe) fail() {
 	f.refreshIsolation()
 }
 
-func (p *probe) onDeadline() {
+// OnTimer implements cnet.TimerOwner: the C-MON deadline.
+func (p *probe) OnTimer() {
 	p.fail()
 	if p.conn != nil {
 		cnet.ReleaseConn(p.conn) // the deadline always outlives the probe's hold

@@ -84,7 +84,6 @@ func (f *Frontend) SnapState(x *snapio.Ctx) {
 		snapio.OptConn(x, &p.conn)
 		x.Bool(&p.dialing)
 		x.Bool(&p.expired)
-		cnet.SnapTimer(x, f.env, &p.deadline, p.onDeadline, "frontend: probe deadline")
 	}
 }
 

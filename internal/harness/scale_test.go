@@ -170,10 +170,8 @@ func TestScalableFootprint64(t *testing.T) {
 	}
 	ends := 0
 	for _, m := range c.Machines {
-		for _, f := range []string{"dialFree", "timerFree"} {
-			if n := unexportedLen(m, f); n > poolCap {
-				t.Errorf("machine %d %s holds %d records, bound %d", m.ID(), f, n, poolCap)
-			}
+		if n := unexportedLen(m, "dialFree"); n > poolCap {
+			t.Errorf("machine %d dialFree holds %d records, bound %d", m.ID(), n, poolCap)
 		}
 		attached := unexportedLen(m.Iface(), "conns")
 		records := 0

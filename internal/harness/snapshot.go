@@ -36,22 +36,23 @@ import (
 // byte stream in both directions:
 //
 //	metrics log → network core → machines → the processes' parts →
-//	machines' dial owners → workload → fault injector → disks (→ what
-//	only FME leaves pending) → caller extra → network pending events →
+//	machines' owners → workload → fault injector → disks (→ what only
+//	FME leaves pending) → caller extra → network pending events →
 //	connection tables → kernel counters.
 //
 // The network core comes first because it registers every interface's
 // connection halves in ctx.Conns in deterministic order; the machines
 // (servers, front-end tier, standby) come before any process's part
-// because a part re-claims what its machine section listed — timers by
-// serial, connections; the parts run in build order, node by node: the
+// because a part refers to what its machine section listed — timer
+// records, connections; the parts run in build order, node by node: the
 // membership segment and daemon, the echo responder, the press process
 // (its membership client, then the server or its husk), the FME daemon,
 // and after the servers the front-ends and the standby, each defining the
-// records its dials answer to (peers, relays, probes, rounds), which the
-// machines' short dial-owner walks then name; the pending and connection
-// tables come last because by then every owner (dial records, disk
-// operations, probe rounds, requests) is defined in ctx.Owners; the
+// records its timers and dials answer to (tickers, disk and admission
+// operations, peers and redials, ack timeouts, relays, probes, rounds),
+// which the machines' short owner walks then name; the pending and
+// connection tables come last because by then every owner (dial records,
+// disk operations, probe rounds, requests) is defined in ctx.Owners; the
 // kernel counters come very last so
 // SetCounters overwrites whatever bookkeeping the re-arming of events
 // touched. A trait the world lacks writes no bytes: a COOP stream is what
@@ -68,7 +69,11 @@ const (
 	// results lose their destination and tag, and the records that issue
 	// dials (server peers, front-end relays and probes, FME rounds) are
 	// named after the parts.
-	format = 5
+	// format 6: a timer is its owner record — process timers and mailbox
+	// timer entries lose their serial, retained handles travel as
+	// references to the machine's timer records, and the records that own
+	// timers are named after the parts with the dial owners.
+	format = 6
 )
 
 // Snap is one captured world.
@@ -246,7 +251,7 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 		part(x)
 	}
 	for _, m := range c.machines() {
-		m.SnapDialOwners(x)
+		m.SnapOwners(x)
 		if !x.Saving() {
 			m.FinishRestore()
 		}

@@ -365,10 +365,15 @@ type liveClock struct{ e *Env }
 func (lc liveClock) Now() time.Duration { return lc.e.p.node.w.clk.Now() }
 
 func (lc liveClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	e := lc.e
+	return lc.e.AfterFor(d, cnet.TimerFunc(fn))
+}
+
+// AfterFor implements cnet.Env: a wall-clock timer that posts the owner's
+// method to the dispatch loop while the incarnation lives.
+func (e *Env) AfterFor(d time.Duration, owner cnet.TimerOwner) clock.Timer {
 	return time.AfterFunc(d, func() {
 		if e.alive() {
-			e.post(fn)
+			e.post(owner.OnTimer)
 		}
 	})
 }

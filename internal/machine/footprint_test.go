@@ -14,8 +14,9 @@ import (
 func poolLen(pool any) int { return reflect.ValueOf(pool).Elem().Field(0).Len() }
 
 // A dial-and-timer storm far wider than any free list may keep runs to
-// completion, leaves every machine-level list at or under its bound, and
-// a second identical storm behaves the same.
+// completion, leaves the machine's dial free list at or under its bound
+// (timer records are handles, and never pooled), and a second identical
+// storm behaves the same.
 func TestFreeListsForgetAStorm(t *testing.T) {
 	const storm = 300
 	w := newWorld()
@@ -55,25 +56,14 @@ func TestFreeListsForgetAStorm(t *testing.T) {
 	if got := run(); got != want {
 		t.Fatalf("first storm: %v, want %v", got, want)
 	}
-	pools := []struct {
-		name string
-		pool any
-	}{
-		{"dialFree", &a.dialFree},
-		{"timerFree", &a.timerFree},
-	}
-	for _, p := range pools {
-		if got := poolLen(p.pool); got == 0 || got > 64 {
-			t.Errorf("%s holds %d records after a %d-wide storm, want 1..64", p.name, got, storm)
-		}
+	if got := poolLen(&a.dialFree); got == 0 || got > 64 {
+		t.Errorf("dialFree holds %d records after a %d-wide storm, want 1..64", got, storm)
 	}
 	if got := run(); got != want {
 		t.Errorf("second storm: %v, want %v", got, want)
 	}
-	for _, p := range pools {
-		if got := poolLen(p.pool); got > 64 {
-			t.Errorf("%s holds %d records after the second storm", p.name, got)
-		}
+	if got := poolLen(&a.dialFree); got > 64 {
+		t.Errorf("dialFree holds %d records after the second storm", got)
 	}
 	if n := len(a.Proc("client").conns) + len(b.Proc("server").conns) + len(a.dials); n != 0 {
 		t.Errorf("%d conns or dials still tracked", n)

@@ -51,17 +51,19 @@ type Machine struct {
 	procs map[string]*Proc
 	order []string
 
-	// Free lists for the per-dial and per-timer records below, bounded so
-	// a dial storm's high-water is not kept (cnet.MsgPool). Records that
-	// never reach their release point (stopped timers) fall to the garbage
-	// collector instead.
-	dialFree  cnet.MsgPool[dialRec]
-	timerFree cnet.MsgPool[timerRec]
+	// dialFree recycles the per-dial records below, bounded so a dial
+	// storm's high-water is not kept (cnet.MsgPool).
+	dialFree cnet.MsgPool[dialRec]
 
 	// dials lists the dial records whose result has not been dispatched
 	// yet — in flight, or waiting in a mailbox — so snapshots can enumerate
 	// them. Listed in Env.DialFor, unlisted when the record is released.
 	dials []*dialRec
+
+	// walked lists, from SnapState to SnapOwners, the live timer records
+	// SnapState moved, in stream order: their owners are named once the
+	// processes' parts have defined them.
+	walked []*timerRec
 }
 
 // New attaches a machine to the network. disks may be nil for hosts
@@ -248,11 +250,6 @@ type Proc struct {
 	// used as a stack so a nested call leaves the outer one's span alone.
 	pauseScratch []simnet.StreamConn
 
-	// timerSeq numbers every proc-clock timer ever armed, monotonically
-	// across incarnations, giving components a serializable identity for
-	// retained timer handles.
-	timerSeq uint64
-
 	// rst holds restore-only scratch state; nil outside a restore.
 	rst *procRestore
 }
@@ -290,18 +287,7 @@ type call struct {
 }
 
 func (c *call) dispatch() {
-	switch c.tag {
-	case tagTimer:
-		// Recycle before running: fn may itself schedule a timer and
-		// reuse the record immediately.
-		r := c.arg.(*timerRec)
-		fn := r.fn
-		c.env.p.m.putTimer(r)
-		if c.env.live() {
-			fn()
-		}
-		return
-	case tagDial:
+	if c.tag == tagDial {
 		// Recycle before running: the owner may dial again at once.
 		r := c.arg.(*dialRec)
 		owner := r.owner
@@ -315,6 +301,10 @@ func (c *call) dispatch() {
 		return
 	}
 	switch c.tag {
+	case tagTimer:
+		r := c.arg.(*timerRec)
+		r.queued = false
+		r.owner.OnTimer()
 	case tagStream:
 		c.c.(simnet.StreamConn).Handlers().OnMessage(c.c, c.arg)
 	case tagDgram:
@@ -634,32 +624,29 @@ func (m *Machine) putDial(r *dialRec) {
 	m.dialFree.Put(r)
 }
 
-// timerRec carries one AfterFunc callback through the sim kernel's
-// pooled argument timers; released when it fires (or is overtaken by
-// death of its incarnation). Stopped timers leak their record to the GC,
-// which is rare and harmless.
+// timerRec is one timer of a process clock: the kernel event's argument
+// and, once that fires, the mailbox entry's, naming the owner whose
+// OnTimer runs. It is also the handle AfterFor returns, so it is never
+// recycled: a handle kept past the fire stops nothing, and a snapshot
+// names the timer by the record.
 type timerRec struct {
 	e      *Env
-	fn     func() // timer callback, re-supplied by the component via Env.RestoreTimer
-	serial uint64
+	owner  cnet.TimerOwner // defined by its component's walk
+	t      sim.Timer       // the kernel event; spent once it fired or stopped
+	queued bool            // fired, and its mailbox entry not dispatched yet
 }
 
-func (m *Machine) putTimer(r *timerRec) {
-	r.e, r.fn, r.serial = nil, nil, 0
-	m.timerFree.Put(r)
-}
+// Stop implements clock.Timer.
+func (r *timerRec) Stop() bool { return r.t.Stop() }
 
-// procTimerFire is the sim-kernel callback for procClock.AfterFunc: route
-// the stored fn through the mailbox, or recycle immediately if the
-// incarnation died while the timer was pending.
+// procTimerFire is the kernel callback of every process timer: route it
+// through the mailbox, unless the incarnation died while it was pending.
 func procTimerFire(arg any) {
 	r := arg.(*timerRec)
-	e := r.e
-	if !e.live() {
-		e.p.m.putTimer(r)
-		return
+	if e := r.e; e.live() {
+		r.queued = true
+		e.p.postCall(call{tag: tagTimer, env: e, arg: r})
 	}
-	e.p.postCall(call{tag: tagTimer, env: e, arg: r})
 }
 
 // Env implements cnet.Env for one incarnation of one process. Every method
@@ -852,6 +839,17 @@ func (e *Env) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.
 	e.p.m.iface.DialFor(to, class, port, dr)
 }
 
+// AfterFor implements cnet.Env: the fire goes through the mailbox, so it
+// is deferred by freezes, hangs and stalls, and dies with the incarnation.
+func (e *Env) AfterFor(d time.Duration, owner cnet.TimerOwner) clock.Timer {
+	if !e.live() {
+		return deadTimer{}
+	}
+	r := &timerRec{e: e, owner: owner}
+	r.t = e.p.m.sim.AfterArg(d, procTimerFire, r)
+	return r
+}
+
 // Dial implements cnet.Env.
 func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
 	e.DialFor(to, class, port, &cnet.DialFuncs{H: h, Result: result})
@@ -905,14 +903,7 @@ type procClock struct{ e *Env }
 func (pc procClock) Now() time.Duration { return pc.e.p.m.sim.Now() }
 
 func (pc procClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	e := pc.e
-	if !e.live() {
-		return deadTimer{}
-	}
-	r := e.p.m.timerFree.Get()
-	e.p.timerSeq++
-	r.e, r.fn, r.serial = e, fn, e.p.timerSeq
-	return procTimer{t: e.p.m.sim.AfterArg(d, procTimerFire, r), serial: r.serial}
+	return pc.e.AfterFor(d, cnet.TimerFunc(fn))
 }
 
 // Every delivers a periodic callback through the process mailbox with
@@ -920,11 +911,10 @@ func (pc procClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
 // dispatch of the previous tick and dies with the process/incarnation
 // exactly as a hand-rolled rearm chain would: once live() fails, arm
 // stops scheduling. The simulated clock uses a machine-native ticker
-// rather than the generic clock.FuncTicker: the rearm path reuses the
-// same pooled timerRec and kernel events (identical schedules, serials,
-// and event counts), but never constructs a clock.Timer interface value
-// — that per-period box is the entire steady-state heap allocation of
-// an otherwise idle cluster.
+// rather than the generic clock.FuncTicker: the ticker is the owner of
+// its own fire and re-arms the same timer record, so a period allocates
+// nothing — that per-period handle was the entire steady-state heap
+// allocation of an otherwise idle cluster.
 func (pc procClock) Every(d time.Duration, fn func()) clock.Ticker {
 	if !pc.e.live() {
 		return deadTicker{}
@@ -936,7 +926,6 @@ func (pc procClock) Every(d time.Duration, fn func()) clock.Ticker {
 		panic("clock: ticker period must be positive")
 	}
 	t := &procTicker{e: pc.e, period: d, fn: fn}
-	t.fireFn = t.fire
 	t.arm(d)
 	return t
 }
@@ -944,36 +933,34 @@ func (pc procClock) Every(d time.Duration, fn func()) clock.Ticker {
 // procTicker is the simulated clock's Ticker. Semantics mirror
 // clock.FuncTicker exactly (fire, run fn, rearm after fn returns; Stop
 // inside the callback suppresses the rearm; Reschedule replaces it), and
-// the pending one-shot is an ordinary proc timer — same pooled record,
-// same serial sequence, same kernel callback — so the snapshot claim
-// machinery needs no new cases.
+// the pending fire is an ordinary process timer whose owner is the
+// ticker, so a snapshot moves it as any other.
 type procTicker struct {
 	e       *Env
 	period  time.Duration
 	fn      func()    // tick callback, re-supplied by the component on restore (Env.SnapTicker)
-	fireFn  func()    // once-bound dispatch closure, rebuilt with the ticker
-	t       sim.Timer // pending kernel handle, re-armed by serial claim on restore
-	serial  uint64
-	firing  bool // fn is running
-	rearmed bool // ... and called Reschedule; both false between events
+	rec     *timerRec // the fire armed last; nil before the first arm of a restored ticker
+	firing  bool      // fn is running
+	rearmed bool      // ... and called Reschedule; both false between events
 	stopped bool
 }
 
-// arm schedules the next fire as a plain proc timer, keeping the handle
-// unboxed.
+// arm schedules the next fire, on the ticker's record unless an earlier
+// fire of it still waits in the mailbox: that one keeps its record, and
+// runs the tick as its own.
 func (t *procTicker) arm(d time.Duration) {
 	e := t.e
 	if !e.live() {
 		return
 	}
-	r := e.p.m.timerFree.Get()
-	e.p.timerSeq++
-	r.e, r.fn, r.serial = e, t.fireFn, e.p.timerSeq
-	t.t = e.p.m.sim.AfterArg(d, procTimerFire, r)
-	t.serial = r.serial
+	if t.rec == nil || t.rec.queued {
+		t.rec = &timerRec{e: e, owner: t}
+	}
+	t.rec.t = e.p.m.sim.AfterArg(d, procTimerFire, t.rec)
 }
 
-func (t *procTicker) fire() {
+// OnTimer implements cnet.TimerOwner: one tick.
+func (t *procTicker) OnTimer() {
 	if t.stopped {
 		return
 	}
@@ -992,12 +979,7 @@ func (t *procTicker) Stop() bool {
 		return false
 	}
 	t.stopped = true
-	active := t.firing
-	if t.t.Stop() {
-		active = true
-	}
-	t.t, t.serial = sim.Timer{}, 0
-	return active
+	return t.rec != nil && t.rec.Stop() || t.firing
 }
 
 // Reschedule retimes (or revives) the loop; see the clock.Ticker contract.
@@ -1009,28 +991,13 @@ func (t *procTicker) Reschedule(d time.Duration) {
 	if t.firing {
 		t.rearmed = true
 	}
-	t.t.Stop()
+	if t.rec != nil {
+		t.rec.Stop()
+	}
 	t.arm(d)
 }
 
 var _ clock.Ticker = (*procTicker)(nil)
-
-// procTimer is the handle AfterFunc returns: the kernel timer plus the
-// proc-scoped serial snapshots use to re-identify pending timers. It
-// holds the concrete kernel handle — not a clock.Timer interface — so
-// returning it costs one interface allocation, not two (the heartbeat
-// rearm path is allocation-budgeted). The zero kernel handle is inert,
-// which is exactly what a restored fire-in-mailbox/spent handle needs.
-type procTimer struct {
-	t      sim.Timer
-	serial uint64
-}
-
-func (t procTimer) Stop() bool { return t.t.Stop() }
-
-// TimerSerial exposes the serial; components assert for it structurally
-// (interface{ TimerSerial() uint64 }) when saving retained handles.
-func (t procTimer) TimerSerial() uint64 { return t.serial }
 
 type deadTimer struct{}
 

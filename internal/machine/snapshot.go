@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"press/internal/clock"
@@ -13,54 +12,43 @@ import (
 
 // Snapshot support. A machine serializes its processes' control state —
 // liveness, incarnation, hang/stall/charge flags, the mailbox, adopted
-// connections, pending proc timers, dial records — but none of the
-// component callbacks those entries dispatch into. Restore therefore
-// runs in three steps:
+// connections, timer and dial records — but none of the component
+// callbacks those entries dispatch into. Restore therefore runs in three
+// steps:
 //
 //  1. SnapState, the one walk that also saves, reads the records and
 //     rebuilds process flags and each live incarnation's Env (random
-//     stream included), stashing everything that needs a callback in
-//     procRestore scratch, and defines the dial records.
+//     stream included), re-arms every pending timer at its kernel slot —
+//     a dead incarnation's on a stand-in Env, where it fires as a no-op —
+//     stashes the mailbox and connections in procRestore scratch, and
+//     defines the timer and dial records.
 //  2. The component restores itself against the Env, re-registering its
-//     handlers (Listen/BindDatagram), re-claiming its pending timers
-//     (RestoreTimer), re-attaching handlers to its connections
-//     (RestoreConn) and defining the records its dials answer to. Then
-//     SnapDialOwners hands each live dial record its owner back.
+//     handlers (Listen/BindDatagram), re-attaching handlers to its
+//     connections (RestoreConn) and defining the records its timers and
+//     dials answer to. Then SnapOwners hands each live timer and dial
+//     record its owner back.
 //  3. FinishRestore resolves the stashed records against those
 //     registrations: every connection end the process carried gets its
 //     handlers back, and its own ends their router, word and owner slot;
-//     mailbox entries get their records and port indexes back; and timers
-//     nobody claimed — they belonged to dead incarnations — are re-armed
-//     against a dead Env so they still occupy their exact kernel slot and
-//     fire as no-ops.
-
-type restTimer struct {
-	at       time.Duration
-	seq      uint64
-	live     bool
-	consumed bool
-}
+//     mailbox entries get their records and port indexes back.
 
 // mailTag is a mailbox entry as the stream carries it: which kind of
 // callback it dispatches, and the arguments that kind keeps.
 type mailTag struct {
-	kind   uint8
-	c      cnet.Conn
-	m      cnet.Message
-	from   cnet.NodeID
-	port   string
-	err    error
-	serial uint64
-	dial   int // a dial result's record, as its index in Machine.dials
+	kind  uint8
+	c     cnet.Conn
+	m     cnet.Message
+	from  cnet.NodeID
+	port  string
+	err   error
+	timer *timerRec // a timer fire's record, defined by the entry
+	dial  int       // a dial result's record, as its index in Machine.dials
 }
 
 // procRestore is per-process scratch state between the machine's walk
 // and FinishRestore.
 type procRestore struct {
-	timers       map[uint64]*restTimer
-	mailTags     []mailTag
-	mailTimers   map[uint64]bool
-	mailTimerFns map[uint64]func()
+	mailTags []mailTag
 	// conns[:adopted] is the saved conn list in owner-slot order; the rest
 	// are connections only mailbox entries name (closed ones awaiting their
 	// OnClose dispatch, or a message or dial result to dispatch first).
@@ -91,11 +79,12 @@ func (r *procRestore) own(c cnet.Conn) *restConn {
 	return rc
 }
 
-// SnapState moves the machine. Saving claims pending proc timers and the
-// charge wakeup from the kernel's pending table; loading reads the
-// records into process flags and restore scratch — component restores run
-// between this walk and FinishRestore.
+// SnapState moves the machine. Saving claims pending process timers and
+// the charge wakeup from the kernel's pending table; loading re-arms them
+// and reads the rest into process flags and restore scratch — component
+// restores run between this walk and FinishRestore.
 func (m *Machine) SnapState(x *snapio.Ctx) {
+	m.walked = nil
 	snapio.Int(x, &m.state)
 	x.F64(&m.slow)
 	if n := x.Len(len(m.order), 1<<8); n != len(m.order) {
@@ -117,14 +106,8 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		x.Bool(&p.hung)
 		x.Bool(&p.stalled)
 		x.Bool(&p.running)
-		x.U64(&p.timerSeq)
 		if !x.Saving() {
-			p.rst = &procRestore{
-				timers:       map[uint64]*restTimer{},
-				mailTimers:   map[uint64]bool{},
-				mailTimerFns: map[uint64]func(){},
-				carried:      map[cnet.Conn]*restConn{},
-			}
+			p.rst = &procRestore{carried: map[cnet.Conn]*restConn{}}
 		}
 
 		resumes := 0
@@ -149,22 +132,30 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			p.env = nil
 		}
 
-		// Pending proc timers travel by serial: the component that armed one
-		// re-claims it (RestoreTimer) with the callback the stream cannot carry.
+		// Pending timers: per event its slot, whether its incarnation lives,
+		// and the record's id. A loaded record is re-armed at the slot; a
+		// dead incarnation's on a stand-in Env, where it fires as a no-op.
+		// SnapOwners names the live ones' owners.
 		timers := snapio.Claim(x, procTimerFire, func(r *timerRec) bool { return r.e.p == p })
 		for i := range x.Len(len(timers), 1<<20) {
 			var ev snapio.PendingEvent
-			var serial uint64
-			var live bool
+			var r *timerRec
 			if x.Saving() {
-				rec := timers[i].Arg.(*timerRec)
-				ev, serial, live = timers[i], rec.serial, rec.e.live()
+				ev, r = timers[i], timers[i].Arg.(*timerRec)
 			}
-			x.U64(&serial)
 			x.Slot(&ev)
-			x.Bool(&live)
-			if !x.Saving() {
-				p.rst.timers[serial] = &restTimer{at: ev.At, seq: ev.Seq, live: live}
+			live := x.Saving() && r.e.live()
+			if x.Bool(&live); !x.Saving() {
+				r = &timerRec{e: p.env}
+				if !live {
+					r.e = &Env{p: p}
+				} else if !p.alive {
+					snapio.Failf("machine %d/%s: a live timer of a dead process", m.id, name)
+				}
+				r.t = m.sim.RestoreAtArg(ev.At, ev.Seq, procTimerFire, r)
+			}
+			if x.Define(r); live {
+				m.walked = append(m.walked, r)
 			}
 		}
 
@@ -176,10 +167,10 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			if x.Saving() {
 				t = m.tagOf(name, &p.mailbox[p.head+i])
 			}
-			if t.snap(x); !x.Saving() {
-				if t.kind == tagTimer {
-					p.rst.mailTimers[t.serial] = true
-				}
+			if t.snap(x); t.kind == tagTimer {
+				m.walked = append(m.walked, t.timer)
+			}
+			if !x.Saving() {
 				p.rst.mailTags = append(p.rst.mailTags, t)
 			}
 		}
@@ -218,7 +209,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 	// Dial records are owners the network's pending section refers to, and
 	// a mailbox's dial results by index. A loaded record is built here, on
 	// its live incarnation's environment or on a dead one's stand-in;
-	// SnapDialOwners hands the live ones their owners back.
+	// SnapOwners hands the live ones their owners back.
 	for i := range x.Len(len(m.dials), 1<<20) {
 		var dr *dialRec
 		var proc string
@@ -258,7 +249,7 @@ func (m *Machine) tagOf(proc string, c *call) mailTag {
 	case !c.env.live():
 		t.kind = tagDead
 	case c.tag == tagTimer:
-		t.serial = c.arg.(*timerRec).serial
+		t.timer = c.arg.(*timerRec)
 	case c.tag == tagDial:
 		t.dial = c.arg.(*dialRec).slot
 	case c.tag == tagDgram:
@@ -277,7 +268,10 @@ func (t *mailTag) snap(x *snapio.Ctx) {
 	switch t.kind {
 	case tagDead:
 	case tagTimer:
-		x.U64(&t.serial)
+		if !x.Saving() {
+			t.timer = &timerRec{queued: true}
+		}
+		x.Define(t.timer)
 	case tagStream:
 		snapio.Conn(x, &t.c)
 		snapio.Msg(x, &t.m)
@@ -309,37 +303,9 @@ func (m *Machine) RestoreEnv(name string) *Env {
 	return p.env
 }
 
-// RestoreTimer re-claims a pending proc-clock timer by serial: the
-// component supplies the callback the serialized snapshot could not
-// carry. Pending timers are re-armed at their exact kernel slot; a
-// serial whose fire already sits in the mailbox registers the callback
-// for FinishRestore and returns an inert handle (Stop reports false,
-// matching a post-fire handle); a spent serial returns an inert handle.
-// live reports whether fn will still be called: not for a spent serial.
-func (e *Env) RestoreTimer(serial uint64, fn func()) (t clock.Timer, live bool) {
-	p := e.p
-	if p.rst == nil {
-		snapio.Failf("machine %d/%s: RestoreTimer outside restore", p.m.id, p.name)
-	}
-	if rt := p.rst.timers[serial]; rt != nil && !rt.consumed {
-		rt.consumed = true
-		if !rt.live {
-			snapio.Failf("machine %d/%s: component claimed dead timer %d", p.m.id, p.name, serial)
-		}
-		rec := p.m.timerFree.Get()
-		rec.e, rec.fn, rec.serial = e, fn, serial
-		return procTimer{t: p.m.sim.RestoreAtArg(rt.at, rt.seq, procTimerFire, rec), serial: serial}, true
-	}
-	if p.rst.mailTimers[serial] {
-		p.rst.mailTimerFns[serial] = fn
-		return procTimer{serial: serial}, true
-	}
-	return procTimer{serial: serial}, false
-}
-
-// SnapTicker implements cnet.RestoreEnv: a native ticker travels as its
-// stopped flag and, when a fire is pending or sits in the mailbox, that
-// fire's serial — an ordinary proc timer, which a load re-claims.
+// SnapTicker implements cnet.RestoreEnv: a native ticker defines itself,
+// the owner of its fires, and travels as its stopped flag and the fire it
+// armed last, as the handle cnet.SnapTimer moves.
 func (e *Env) SnapTicker(x *snapio.Ctx, t *clock.Ticker, period time.Duration, fn func(), what string) {
 	var pt *procTicker
 	if x.Saving() {
@@ -352,17 +318,19 @@ func (e *Env) SnapTicker(x *snapio.Ctx, t *clock.Ticker, period time.Duration, f
 		}
 	} else {
 		pt = &procTicker{e: e, period: period, fn: fn}
-		pt.fireFn = pt.fire
 		*t = pt
 	}
+	x.Define(pt)
 	x.Bool(&pt.stopped)
-	armed := pt.serial != 0
-	if x.Bool(&armed); !armed {
-		return
+	var h clock.Timer
+	if pt.rec != nil {
+		h = pt.rec
 	}
-	if x.U64(&pt.serial); !x.Saving() {
-		h, _ := e.RestoreTimer(pt.serial, pt.fireFn)
-		pt.t = h.(procTimer).t
+	if cnet.SnapTimer(x, &h, what); !x.Saving() && h != nil {
+		var ok bool
+		if pt.rec, ok = h.(*timerRec); !ok {
+			snapio.Failf("%s ticker: %T is not a timer record", what, h)
+		}
 	}
 }
 
@@ -378,17 +346,23 @@ func (e *Env) RestoreConnList() []cnet.Conn {
 	return p.rst.conns
 }
 
-// SnapDialOwners moves, for every live dial record, the component record
-// it answers to. Those are defined by the processes' parts, which run
-// after the machine sections, so this walk follows the parts and precedes
-// FinishRestore, which asks the owners of results waiting in a mailbox for
-// their connections' handlers.
-func (m *Machine) SnapDialOwners(x *snapio.Ctx) {
+// SnapOwners moves, for every live dial and timer record, the component
+// record it answers to. Those are defined by the processes' parts, which
+// run after the machine sections, so this walk follows the parts and
+// precedes FinishRestore, which asks the owners of dial results waiting in
+// a mailbox for their connections' handlers. A timer armed through the
+// closure form (cnet.TimerFunc) has an owner no section defines, and fails
+// the save here.
+func (m *Machine) SnapOwners(x *snapio.Ctx) {
 	for _, dr := range m.dials {
 		if dr.e.live() {
 			snapio.Owner(x, &dr.owner, nil, "machine: dial")
 		}
 	}
+	for _, r := range m.walked {
+		snapio.Owner(x, &r.owner, nil, "machine: timer")
+	}
+	m.walked = nil
 }
 
 // RestoreConn re-attaches the component's handlers to a restored
@@ -454,24 +428,6 @@ func (m *Machine) FinishRestore() {
 			sc.RestoreHandlers(router, rc.h)
 		}
 
-		serials := make([]uint64, 0, len(r.timers))
-		for s := range r.timers {
-			serials = append(serials, s)
-		}
-		slices.Sort(serials)
-		for _, s := range serials {
-			rt := r.timers[s]
-			if rt.consumed {
-				continue
-			}
-			if rt.live {
-				snapio.Failf("machine %d/%s: live pending timer %d unclaimed by component", m.id, name, s)
-			}
-			rec := m.timerFree.Get()
-			rec.e, rec.serial = &Env{p: p}, s
-			m.sim.RestoreAtArg(rt.at, rt.seq, procTimerFire, rec)
-		}
-
 		for _, t := range r.mailTags {
 			p.mailbox = append(p.mailbox, m.resolveMailEntry(p, t))
 		}
@@ -487,13 +443,7 @@ func (m *Machine) resolveMailEntry(p *Proc, t mailTag) call {
 	case tagDead:
 		c.env = &Env{p: p}
 	case tagTimer:
-		fn := p.rst.mailTimerFns[t.serial]
-		if fn == nil {
-			snapio.Failf("machine %d/%s: mailbox timer %d unclaimed by component", m.id, p.name, t.serial)
-		}
-		rec := m.timerFree.Get()
-		rec.e, rec.fn, rec.serial = env, fn, t.serial
-		c.arg = rec
+		t.timer.e, c.arg = env, t.timer
 	case tagStream:
 		if p.rst.handlers(t.c).OnMessage == nil {
 			snapio.Failf("machine %d/%s: mailbox stream entry unresolvable", m.id, p.name)

@@ -29,9 +29,10 @@ type ring struct {
 	// whatever came after, which is why each carries its version.
 	acks []*ackTimer
 
+	// offers gathers the answers to a join request while collecting: the
+	// offer window, whose timer the ring owns (OnTimer).
 	offers     []MJoinOffer
 	collecting bool
-	offerT     clock.Timer // closes the offer window; nil outside one
 
 	hbT   clock.Ticker
 	seekT clock.Ticker // variable-period seek loop, retimed each pass
@@ -141,12 +142,11 @@ type ackWait struct {
 	add      bool
 }
 
-// ackTimer is one armed ack timeout: the version it was armed for and the
-// handle a snapshot names it by.
+// ackTimer is one armed ack timeout, the owner of its timer: the version
+// it was armed for.
 type ackTimer struct {
 	r   *ring
 	ver uint64
-	t   clock.Timer
 }
 
 func (r *ring) armAckTimeout(ver uint64) *ackTimer {
@@ -155,7 +155,8 @@ func (r *ring) armAckTimeout(ver uint64) *ackTimer {
 	return a
 }
 
-func (a *ackTimer) fire() {
+// OnTimer implements cnet.TimerOwner.
+func (a *ackTimer) OnTimer() {
 	r := a.r
 	r.acks = slices.DeleteFunc(r.acks, func(o *ackTimer) bool { return o == a })
 	r.commit(a.ver)
@@ -167,8 +168,7 @@ func (r *ring) expectAcks(ver uint64, proposed []cnet.NodeID, acked map[cnet.Nod
 		r.commit(ver)
 		return
 	}
-	a := r.armAckTimeout(ver)
-	a.t = r.env.Clock().AfterFunc(r.cfg.AckTimeout, a.fire)
+	r.env.AfterFor(r.cfg.AckTimeout, r.armAckTimeout(ver))
 }
 
 // commit ends the change proposed as ver, when the last ack arrives or
@@ -299,13 +299,13 @@ func (r *ring) seek() {
 		MinID:   slices.Min(r.members),
 		Members: r.Members(),
 	}, 64+4*len(r.members))
-	r.offerT = r.env.Clock().AfterFunc(r.cfg.OfferWindow, r.closeOffers)
+	r.env.AfterFor(r.cfg.OfferWindow, r)
 }
 
-// closeOffers ends the offer window: ask the best offering member, if any
-// offered a better group than ours, to admit us.
-func (r *ring) closeOffers() {
-	r.offerT = nil
+// OnTimer implements cnet.TimerOwner for the offer window, and ends it:
+// ask the best offering member, if any offered a better group than ours,
+// to admit us.
+func (r *ring) OnTimer() {
 	r.collecting = false
 	best := -1
 	for i, off := range r.offers {

@@ -122,6 +122,7 @@ func times(x *snapio.Ctx, m map[cnet.NodeID]time.Duration) {
 }
 
 func (r *ring) snap(x *snapio.Ctx) {
+	x.Define(r) // the offer window's owner
 	times(x, r.lastSeen)
 	x.Bool(&r.busy)
 
@@ -150,13 +151,11 @@ func (r *ring) snap(x *snapio.Ctx) {
 		if !x.Saving() {
 			r.armAckTimeout(ver)
 		}
-		a := r.acks[i]
-		cnet.SnapTimer(x, r.env, &a.t, a.fire, "membership: ack timeout")
+		x.Define(r.acks[i])
 	}
 
 	snapio.Slice(x, &r.offers, 1<<16, func(o *MJoinOffer) { o.snap(x) })
 	x.Bool(&r.collecting)
-	cnet.SnapTimer(x, r.env, &r.offerT, r.closeOffers, "membership: offer window")
 
 	cnet.SnapTicker(x, r.env, &r.hbT, r.cfg.HBPeriod, r.tick, "membership: heartbeat")
 	// The seek loop picks its next period itself, every pass (seekLater).

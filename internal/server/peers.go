@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 )
 
@@ -26,7 +27,7 @@ type peer struct {
 	// retries are all that are armed and have not run yet, oldest first.
 	// There can be several: teardown clears dialing under a dial in flight,
 	// the next include dials again, and each refused dial arms a redial.
-	retry   timerHandle
+	retry   clock.Timer
 	retries []*redial
 
 	// The server, for DialResult, and the send connection's callbacks,
@@ -35,11 +36,8 @@ type peer struct {
 	h cnet.StreamHandlers
 }
 
-// redial is one armed redial timer.
-type redial struct {
-	p *peer
-	t timerHandle
-}
+// redial is the owner of one armed redial timer.
+type redial struct{ p *peer }
 
 func (p *peer) newRedial() *redial {
 	r := &redial{p: p}
@@ -47,7 +45,8 @@ func (p *peer) newRedial() *redial {
 	return r
 }
 
-func (r *redial) fire() {
+// OnTimer implements cnet.TimerOwner: dial the peer again.
+func (r *redial) OnTimer() {
 	p := r.p
 	for i, o := range p.retries {
 		if o == r {
@@ -117,9 +116,7 @@ func (p *peer) DialResult(c cnet.Conn, err error) {
 		// retrying while it remains in the view; the detectors decide
 		// whether it should stay there.
 		if s.inView(p.id) {
-			r := p.newRedial()
-			r.t = s.env.Clock().AfterFunc(2*time.Second, r.fire)
-			p.retry = r.t
+			p.retry = s.env.AfterFor(2*time.Second, p.newRedial())
 		}
 		return
 	}

@@ -258,12 +258,13 @@ func diskKey(doc trace.DocID) int { return int(doc) >> 3 }
 // diskOp is a pooled disk-read continuation: one record carries a read
 // through submission, the queue-full stall/retry loop, and the completion
 // bounce. It is the operation's owner in the disk subsystem, which calls
-// DiskDone and DiskSpace on it; the two hops back to server context are
-// closures built once at record creation.
+// DiskDone and DiskSpace on it, and of the timer each of those arms to hop
+// back to server context (OnTimer).
 type diskOp struct {
-	s   *Server
-	doc trace.DocID
-	ok  bool
+	s    *Server
+	doc  trace.DocID
+	ok   bool
+	done bool // the disk answered: the hop finishes the read instead of retrying it
 
 	// Local-serve completion. stGen guards against the request dying
 	// (client timeout) and st being recycled while the read is in flight.
@@ -275,15 +276,7 @@ type diskOp struct {
 	from      cnet.NodeID
 	id        uint64
 
-	bounce  func() // server context: finish the read
-	requeue func() // server context: retry the submission
-
-	// Snapshot identity: slot indexes s.diskOps while the op is live, and
-	// the bounce/requeue timer handles are retained so their serials can
-	// be re-claimed on restore.
-	slot     int
-	bounceT  timerHandle
-	requeueT timerHandle
+	slot int // index in s.diskOps while the op is live
 }
 
 func (s *Server) getDiskOp() *diskOp {
@@ -293,8 +286,6 @@ func (s *Server) getDiskOp() *diskOp {
 		s.diskFree = s.diskFree[:n-1]
 	} else {
 		op = &diskOp{s: s}
-		op.bounce = func() { op.s.diskDone(op) }
-		op.requeue = func() { op.s.diskRead(op) }
 	}
 	op.slot = len(s.diskOps)
 	s.diskOps = append(s.diskOps, op)
@@ -309,8 +300,7 @@ func (s *Server) putDiskOp(op *diskOp) {
 	s.diskOps[last] = nil
 	s.diskOps = s.diskOps[:last]
 	op.st = nil
-	op.peerServe = false
-	op.bounceT, op.requeueT = nil, nil
+	op.peerServe, op.done = false, false
 	s.diskFree = append(s.diskFree, op)
 }
 
@@ -325,17 +315,10 @@ func (s *Server) diskRead(op *diskOp) {
 }
 
 // DiskDone hears the read's outcome in the disk subsystem's context and
-// bounces it through the mailbox. The hop's handle is what a snapshot
-// names the pending bounce by, so it is kept where there are snapshots: in
-// a simulated world, whose disk calls on the goroutine that runs the
-// server. A live stack's disk calls from a timer goroutine, and by the time
-// AfterFunc returns there the hop may have run and recycled the record.
+// bounces it through the mailbox.
 func (op *diskOp) DiskDone(ok bool) {
-	op.ok = ok
-	t := op.s.env.Clock().AfterFunc(0, op.bounce)
-	if _, sim := op.s.env.(cnet.RestoreEnv); sim {
-		op.bounceT = t
-	}
+	op.ok, op.done = ok, true
+	op.s.env.AfterFor(0, op)
 }
 
 // DiskSpace hears that the queue has room again (only a simulated array's
@@ -343,7 +326,18 @@ func (op *diskOp) DiskDone(ok bool) {
 // its own work item.
 func (op *diskOp) DiskSpace() {
 	op.s.env.Resume()
-	op.requeueT = op.s.env.Clock().AfterFunc(0, op.requeue)
+	op.s.env.AfterFor(0, op)
+}
+
+// OnTimer implements cnet.TimerOwner: the hop back to server context,
+// which finishes the read once the disk has answered and retries its
+// submission until then.
+func (op *diskOp) OnTimer() {
+	if op.done {
+		op.s.diskDone(op)
+	} else {
+		op.s.diskRead(op)
+	}
 }
 
 // diskDone completes a read in server context.
@@ -424,21 +418,17 @@ func (s *Server) finish(st *reqState, responded bool) {
 		op := s.getAdmitOp()
 		op.conn, op.msg = next.conn, next.msg
 		cnet.RetainConn(op.conn)
-		op.runT = s.env.Clock().AfterFunc(0, op.run)
+		s.env.AfterFor(0, op)
 	}
 }
 
-// admitOp is a pooled deferred-admission record.
+// admitOp is a pooled deferred-admission record, the owner of the timer
+// that admits it.
 type admitOp struct {
 	s    *Server
 	conn cnet.Conn
 	msg  *ReqMsg
-	run  func()
-
-	// Snapshot identity: slot indexes s.admitOps while live; runT is the
-	// retained deferred-admission timer handle.
-	slot int
-	runT timerHandle
+	slot int // index in s.admitOps while live
 }
 
 func (s *Server) getAdmitOp() *admitOp {
@@ -448,18 +438,21 @@ func (s *Server) getAdmitOp() *admitOp {
 		s.admitFree = s.admitFree[:n-1]
 	} else {
 		op = &admitOp{s: s}
-		op.run = func() {
-			s := op.s
-			conn, msg := op.conn, op.msg
-			s.putAdmitOp(op)
-			s.env.Charge(s.cfg.Cost.Accept)
-			s.admit(conn, msg)
-			cnet.ReleaseConn(conn) // pin taken when the op captured the conn
-		}
 	}
 	op.slot = len(s.admitOps)
 	s.admitOps = append(s.admitOps, op)
 	return op
+}
+
+// OnTimer implements cnet.TimerOwner: admit the request in its own work
+// item.
+func (op *admitOp) OnTimer() {
+	s := op.s
+	conn, msg := op.conn, op.msg
+	s.putAdmitOp(op)
+	s.env.Charge(s.cfg.Cost.Accept)
+	s.admit(conn, msg)
+	cnet.ReleaseConn(conn) // pin taken when the op captured the conn
 }
 
 func (s *Server) putAdmitOp(op *admitOp) {
@@ -469,9 +462,9 @@ func (s *Server) putAdmitOp(op *admitOp) {
 	moved.slot = op.slot
 	s.admitOps[last] = nil
 	s.admitOps = s.admitOps[:last]
-	// The pin on op.conn is dropped by op.run after admit, not here: run
-	// is the only caller, and it still uses the conn after recycling the
+	// The pin on op.conn is dropped by OnTimer after admit, not here: it is
+	// the only caller, and it still uses the conn after recycling the
 	// record.
-	op.conn, op.msg, op.runT = nil, nil, nil
+	op.conn, op.msg = nil, nil
 	s.admitFree = append(s.admitFree, op)
 }

@@ -90,10 +90,8 @@ type Server struct {
 	ring  ringDetector
 	stats Stats
 
-	joinTimer timerHandle
+	joinTimer clock.Timer // the server is its owner (OnTimer)
 }
-
-type timerHandle = clock.Timer
 
 type pendingReq struct {
 	conn cnet.Conn
@@ -183,7 +181,7 @@ func (s *Server) start() {
 			s.env.Send(n, cnet.ClassIntra, PortControl, JoinReqMsg{From: s.cfg.Self}, sizeControl)
 		}
 	}
-	s.joinTimer = s.env.Clock().AfterFunc(s.cfg.JoinTimeout, s.joinTimeout)
+	s.joinTimer = s.env.AfterFor(s.cfg.JoinTimeout, s)
 
 	if s.memb != nil {
 		s.memb.Subscribe(s.reconcileMembership)
@@ -191,9 +189,10 @@ func (s *Server) start() {
 	s.emit(metrics.KServerUp, int(s.cfg.Self), "cooperative")
 }
 
-// joinTimeout fires when no member answered the rejoin broadcast: this
-// is a cold start and the static configuration is adopted.
-func (s *Server) joinTimeout() {
+// OnTimer implements cnet.TimerOwner for the join timeout, which fires
+// when no member answered the rejoin broadcast: this is a cold start and
+// the static configuration is adopted.
+func (s *Server) OnTimer() {
 	if s.joined {
 		return
 	}

@@ -13,8 +13,8 @@ import (
 // continuations, ring detector — but no callbacks: those are rebuilt by
 // Restore, which constructs an unstarted server on the restored process
 // environment, re-registers its listeners, runs the same walk that saved
-// the state — re-claiming pending timers by serial as it meets them — and
-// re-attaches handlers to every restored connection.
+// the state — defining the records its pending timers answer to as it
+// meets them — and re-attaches handlers to every restored connection.
 //
 // The queue monitor, when there is one, travels at the end of the server's
 // section; the membership client library is the embedding process's, which
@@ -174,64 +174,14 @@ func (op *diskOp) OwnerGone() bool {
 	return ok && !env.Live()
 }
 
-// snapRedials moves a peer's redial timers: a count, the serial of the one
-// armed last (p.retry, which may be spent), then those of the older ones
-// still to run. With none older — the only state there is unless dials to
-// one peer overlapped — that is one retained timer, as cnet.SnapTimer
-// writes it.
-func (s *Server) snapRedials(x *snapio.Ctx, p *peer) {
-	older := p.retries
-	if n := len(older); n > 0 && older[n-1].t == p.retry {
-		older = older[:n-1]
-	}
-	count := uint64(len(older))
-	if p.retry != nil {
-		count++
-	}
-	if x.U64(&count); count == 0 {
-		return
-	}
-	if count > 1<<16 {
-		snapio.Failf("server %d: %d redial timers towards %d", s.cfg.Self, count, p.id)
-	}
-	serialOf := func(h timerHandle) (serial uint64) {
-		if x.Saving() {
-			ts, ok := h.(interface{ TimerSerial() uint64 })
-			if !ok {
-				snapio.Failf("server: peer retry handle %T carries no timer serial", h)
-			}
-			serial = ts.TimerSerial()
-		}
-		x.U64(&serial)
-		return serial
-	}
-	last := serialOf(p.retry)
-	if x.Saving() {
-		for _, r := range older {
-			serialOf(r.t)
-		}
-		return
-	}
-	env := s.env.(cnet.RestoreEnv)
-	for range count - 1 {
-		r := p.newRedial()
-		r.t, _ = env.RestoreTimer(serialOf(nil), r.fire)
-	}
-	r := p.newRedial()
-	var live bool
-	if p.retry, live = env.RestoreTimer(last, r.fire); live {
-		r.t = p.retry
-	} else {
-		p.retries = p.retries[:len(p.retries)-1]
-	}
-}
-
 // SnapState moves the server's protocol state; loading, into the
 // unstarted server Restore built. Pooled messages in queues go through
-// the message codec; retained timer handles by serial; connections as
-// table references. Pending disk reads define their continuation records
-// in ctx.Owners for the disk section, which runs later.
+// the message codec; the records that own timers, dials and disk reads
+// define themselves in ctx.Owners for the sections that name them, the
+// machine's and the disks', which run later; retained timer handles and
+// connections travel as table references.
 func (s *Server) SnapState(x *snapio.Ctx) {
+	x.Define(s) // the join timeout's owner
 	x.Bool(&s.joined)
 	x.U64(&s.nextID)
 	snapio.Int(x, &s.active)
@@ -291,7 +241,15 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		x.Define(p)
 		snapio.OptConn(x, &p.conn)
 		x.Bool(&p.dialing)
-		s.snapRedials(x, p)
+		// The redials still to run, oldest first, each its timer's owner,
+		// then the handle of the one armed last, which teardown stops.
+		snapio.Slice(x, &p.retries, 1<<16, func(r **redial) {
+			if !x.Saving() {
+				*r = &redial{p: p}
+			}
+			x.Define(*r)
+		})
+		cnet.SnapTimer(x, &p.retry, "server: peer redial")
 		snapio.Int(x, &p.load)
 		q := p.sendQ[p.sendHead:]
 		snapio.Slice(x, &q, 1<<20, func(om *outMsg) {
@@ -383,6 +341,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		x.Define(op)
 		s.doc(x, &op.doc)
 		x.Bool(&op.ok)
+		x.Bool(&op.done)
 		x.Bool(&op.peerServe)
 		if op.peerServe {
 			snapio.Int(x, &op.from)
@@ -410,8 +369,6 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 				}
 			}
 		}
-		cnet.SnapTimer(x, s.env, &op.bounceT, op.bounce, "server: disk bounce")
-		cnet.SnapTimer(x, s.env, &op.requeueT, op.requeue, "server: disk requeue")
 	}
 
 	for i := range x.Len(len(s.admitOps), 1<<20) {
@@ -421,12 +378,12 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		} else {
 			op = s.getAdmitOp()
 		}
+		x.Define(op)
 		snapio.OptConn(x, &op.conn)
 		if !x.Saving() {
 			cnet.RetainConn(op.conn) // no-op on snapshot-built conns; keeps the pin balanced with putAdmitOp
 		}
 		snapio.Msg(x, &op.msg)
-		cnet.SnapTimer(x, s.env, &op.runT, op.run, "server: deferred admission")
 	}
 
 	r := &s.ring
@@ -441,7 +398,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		cnet.SnapTicker(x, s.env, &r.hb, s.cfg.HeartbeatPeriod, r.tick, "server: ring heartbeat")
 	}
 
-	cnet.SnapTimer(x, s.env, &s.joinTimer, s.joinTimeout, "server: join timeout")
+	cnet.SnapTimer(x, &s.joinTimer, "server: join timeout")
 
 	if s.qm != nil {
 		s.qm.SnapState(x)

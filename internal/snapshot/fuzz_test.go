@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"press/internal/harness"
@@ -19,6 +20,29 @@ func warmBlob(tb testing.TB, v harness.Version) []byte {
 		tb.Fatalf("Take %s: %v", v, err)
 	}
 	return snap.Bytes()
+}
+
+// A blob of the previous format, 5, which named process timers by serial,
+// is refused at Load with a typed error rather than misread.
+func TestFormat5BlobIsRefused(t *testing.T) {
+	c := harness.NewEngine(0).Build(harness.VCOOP, fastOpts(1))
+	snap, err := harness.Take(c, nil)
+	if err != nil {
+		t.Fatalf("Take: %v", err)
+	}
+	// The envelope is the magic, length-prefixed, then the format as a
+	// zigzag varint: 6 is 12, 5 is 10.
+	blob := append([]byte(nil), snap.Bytes()...)
+	at := 1 + len("press-snap")
+	if blob[at] != 12 {
+		t.Fatalf("format byte is %d, want 12 (format 6)", blob[at])
+	}
+	blob[at] = 10
+	_, err = harness.Load(blob)
+	var se *snapio.SnapError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "unsupported snapshot format 5") {
+		t.Fatalf("Load of a format-5 blob: %v, want a *snapio.SnapError refusing format 5", err)
+	}
 }
 
 // FuzzLoadRestore feeds Load and Restore what a disk or a hostile sender

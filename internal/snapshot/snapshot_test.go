@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -184,10 +185,11 @@ func TestForkIndependence(t *testing.T) {
 }
 
 // TestClosureAdaptorRefusesCapture: a continuation handed over as a closure
-// (Array.Read, and the Dial of the network and of a process — the forms
-// with no owner record) is described by no section, so a capture taken
-// while it is outstanding fails with a typed error naming what it found;
-// the closure still runs, and the world captures again once it has.
+// (Array.Read, the Dial of the network and of a process, and a process
+// clock's AfterFunc — the forms with no owner record) is described by no
+// section, so a capture taken while it is outstanding fails with a typed
+// error naming what it found; the closure still runs, and the world
+// captures again once it has.
 func TestClosureAdaptorRefusesCapture(t *testing.T) {
 	dialed := func(done func()) func(cnet.Conn, error) {
 		return func(conn cnet.Conn, err error) {
@@ -211,6 +213,9 @@ func TestClosureAdaptorRefusesCapture(t *testing.T) {
 		}},
 		{"Env.Dial", "*cnet.DialFuncs", func(c *harness.Cluster, done func()) {
 			c.Machines[0].Proc("press").Env().Dial(c.Machines[1].ID(), cnet.ClassClient, server.PortHTTP, cnet.StreamHandlers{}, dialed(done))
+		}},
+		{"Clock.AfterFunc", "cnet.TimerFunc", func(c *harness.Cluster, done func()) {
+			c.Machines[0].Proc("press").Env().Clock().AfterFunc(time.Second, done)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,6 +305,48 @@ func dialsOwnedBy(m *machine.Machine, typ string) int {
 	return n
 }
 
+// timerOwner names, by reflection, the type (as %T prints it) of the owner
+// a process timer record answers to; "" when v holds no timer record.
+func timerOwner(v reflect.Value) string {
+	if v.Kind() == reflect.Interface {
+		v = v.Elem()
+	}
+	if !v.IsValid() || v.Type().String() != "*machine.timerRec" {
+		return ""
+	}
+	if o := v.Elem().FieldByName("owner"); !o.IsNil() {
+		return o.Elem().Type().String()
+	}
+	return ""
+}
+
+// mailboxTimers counts, by reflection, the timer fires waiting in p's
+// mailbox whose owner is one of owners.
+func mailboxTimers(p *machine.Proc, owners ...string) int {
+	v := reflect.ValueOf(p).Elem()
+	mb, n := v.FieldByName("mailbox"), 0
+	for i := int(v.FieldByName("head").Int()); i < mb.Len(); i++ {
+		if slices.Contains(owners, timerOwner(mb.Index(i).FieldByName("arg"))) {
+			n++
+		}
+	}
+	return n
+}
+
+// pendingTimers counts, by reflection, the timers armed on p that are
+// pending in c's kernel and whose owner is one of owners.
+func pendingTimers(c *harness.Cluster, p *machine.Proc, owners ...string) int {
+	n := 0
+	c.Sim.VisitPending(func(_ time.Duration, _ uint64, _ func(any), arg any, _ func()) {
+		v := reflect.ValueOf(arg)
+		if slices.Contains(owners, timerOwner(v)) &&
+			v.Elem().FieldByName("e").Elem().FieldByName("p").Pointer() == reflect.ValueOf(p).Pointer() {
+			n++
+		}
+	})
+	return n
+}
+
 // TestRestoreThenCaptureIsFixedPoint: a snapshot of a restored world is
 // the snapshot it was restored from. Nothing runs between the two, so a
 // field a walk writes but does not read back shows as a differing byte
@@ -337,6 +384,37 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 				}
 				return false
 			})
+		}},
+		capture{harness.VCOOP, time.Minute, "/timer-fire-in-mailbox", func(t *testing.T, c *harness.Cluster) {
+			stepUntil(t, c, "a disk bounce or deferred admission queued behind a server's charge", func() bool {
+				for _, m := range c.Machines {
+					p := m.Proc("press")
+					if mailboxTimers(p, "*server.diskOp", "*server.admitOp") > 0 && reflect.ValueOf(p).Elem().FieldByName("running").Bool() {
+						return true
+					}
+				}
+				return false
+			})
+		}},
+		capture{harness.VCOOP, time.Minute, "/dead-incarnation-timer", func(t *testing.T, c *harness.Cluster) {
+			crash, err := c.Injector.Inject(faults.AppCrash, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Sim.RunFor(time.Second)
+			if err := crash.Repair(); err != nil {
+				t.Fatal(err)
+			}
+			press := c.Machines[1].Proc("press")
+			stepUntil(t, c, "a redial or join timeout armed by node 1's server", func() bool {
+				return press.Alive() && pendingTimers(c, press, "*server.Server", "*server.redial") > 0
+			})
+			if _, err := c.Injector.Inject(faults.AppCrash, 1); err != nil {
+				t.Fatal(err)
+			}
+			if pendingTimers(c, press, "*server.Server", "*server.redial") == 0 {
+				t.Fatal("the crash left no timer of the dead incarnation pending")
+			}
 		}},
 	)
 	for _, row := range rows {
