@@ -7,40 +7,40 @@ import (
 	"press/internal/trace"
 )
 
-// cacheEnt is one intrusive LRU node. Entries are allocated only while
-// the cache fills; at capacity the evicted entry is re-stamped for the
-// incoming document, so a steady-state insert allocates nothing.
+// cacheEnt is one LRU entry, linked by positions in the cache's slab. The
+// slab grows only while the cache fills; at capacity the evicted entry is
+// re-stamped for the incoming document, so a steady-state insert allocates
+// nothing.
 type cacheEnt struct {
 	doc        trace.DocID
-	prev, next *cacheEnt
+	prev, next int32
 }
 
 // docCache is the per-node LRU file cache. All documents are uniform-size
 // (the paper's modified trace), so capacity is simply a document count.
+// Neither the slab nor the index holds a pointer for the collector to scan.
 type docCache struct {
 	cap  int
-	n    int
-	root cacheEnt // sentinel: root.next = most recent, root.prev = oldest
+	ents []cacheEnt // the slab; ents[0] is the sentinel: next = most recent, prev = oldest
 	// index is dense by DocID — catalog documents are numbered from zero,
 	// so presence is one bounds check and one load on the hottest path in
-	// the whole model (every request starts with Has). Grown on demand
-	// for out-of-catalog IDs (tests).
-	index []*cacheEnt
+	// the whole model (every request starts with Has). It holds the
+	// document's position in ents, 0 when it is not cached. Grown on
+	// demand for out-of-catalog IDs (tests).
+	index []int32
 }
 
 func newDocCache(capDocs, totalDocs int) *docCache {
 	if capDocs < 1 {
 		capDocs = 1
 	}
-	c := &docCache{cap: capDocs, index: make([]*cacheEnt, totalDocs)}
-	c.root.prev, c.root.next = &c.root, &c.root
-	return c
+	return &docCache{cap: capDocs, ents: make([]cacheEnt, 1), index: make([]int32, totalDocs)}
 }
 
-// ent returns doc's LRU entry, nil when not cached.
-func (c *docCache) ent(doc trace.DocID) *cacheEnt {
+// ent returns doc's position in the slab, 0 when not cached.
+func (c *docCache) ent(doc trace.DocID) int32 {
 	if int(doc) >= len(c.index) || doc < 0 {
-		return nil
+		return 0
 	}
 	return c.index[doc]
 }
@@ -48,72 +48,71 @@ func (c *docCache) ent(doc trace.DocID) *cacheEnt {
 // grow widens the index to cover doc.
 func (c *docCache) grow(doc trace.DocID) {
 	if int(doc) >= len(c.index) {
-		grown := make([]*cacheEnt, int(doc)+1)
+		grown := make([]int32, int(doc)+1)
 		copy(grown, c.index)
 		c.index = grown
 	}
 }
 
-func (c *docCache) pushFront(e *cacheEnt) {
-	e.prev = &c.root
-	e.next = c.root.next
-	e.prev.next = e
-	e.next.prev = e
+func (c *docCache) pushFront(i int32) {
+	e, root := &c.ents[i], &c.ents[0]
+	e.prev, e.next = 0, root.next
+	c.ents[root.next].prev = i
+	root.next = i
 }
 
-func (c *docCache) moveToFront(e *cacheEnt) {
-	if c.root.next == e {
-		return
+func (c *docCache) moveToFront(i int32) {
+	if e := c.ents[i]; e.prev != 0 { // not already the most recent
+		c.ents[e.prev].next = e.next
+		c.ents[e.next].prev = e.prev
+		c.pushFront(i)
 	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	c.pushFront(e)
 }
 
 // Has reports whether doc is cached, refreshing its recency on a hit.
 func (c *docCache) Has(doc trace.DocID) bool {
-	e := c.ent(doc)
-	if e != nil {
-		c.moveToFront(e)
+	i := c.ent(doc)
+	if i != 0 {
+		c.moveToFront(i)
 	}
-	return e != nil
+	return i != 0
 }
 
 // Peek reports presence without touching recency.
 func (c *docCache) Peek(doc trace.DocID) bool {
-	return c.ent(doc) != nil
+	return c.ent(doc) != 0
 }
 
 // Insert caches doc, returning the evicted document (and true) when the
 // cache was full. Inserting a present doc only refreshes recency.
 func (c *docCache) Insert(doc trace.DocID) (evicted trace.DocID, didEvict bool) {
-	if e := c.ent(doc); e != nil {
-		c.moveToFront(e)
+	if i := c.ent(doc); i != 0 {
+		c.moveToFront(i)
 		return 0, false
 	}
 	c.grow(doc)
-	if c.n >= c.cap {
-		e := c.root.prev // oldest
-		evicted = e.doc
-		c.index[evicted] = nil
-		e.doc = doc
-		c.index[doc] = e
-		c.moveToFront(e)
+	if len(c.ents)-1 >= c.cap {
+		i := c.ents[0].prev // oldest
+		evicted = c.ents[i].doc
+		c.index[evicted] = 0
+		c.ents[i].doc = doc
+		c.index[doc] = i
+		c.moveToFront(i)
 		return evicted, true
 	}
-	e := &cacheEnt{doc: doc}
-	c.n++
-	c.index[doc] = e
-	c.pushFront(e)
+	i := int32(len(c.ents))
+	c.ents = append(c.ents, cacheEnt{doc: doc})
+	c.index[doc] = i
+	c.pushFront(i)
 	return 0, false
 }
 
 // Docs lists the cached documents, most recent first. Used to seed a
 // peer's directory on (re)connection.
 func (c *docCache) Docs() []trace.DocID {
-	out := make([]trace.DocID, 0, c.n)
-	for e := c.root.next; e != &c.root; e = e.next {
-		out = append(out, e.doc)
+	out := make([]trace.DocID, 0, len(c.ents)-1)
+	for i := c.ents[0].next; i != 0; i = c.ents[i].next {
+		out = append(out, c.ents[i].doc)
 	}
 	return out
 }

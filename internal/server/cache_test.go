@@ -2,6 +2,7 @@ package server
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,25 +57,70 @@ func TestDocCacheDocsOrder(t *testing.T) {
 	}
 }
 
-// Property: the cache never exceeds capacity and Has agrees with Peek.
+// sliceLRU is the reference the cache is held to: its documents, most
+// recent first, in a plain slice.
+type sliceLRU struct {
+	cap  int
+	docs []trace.DocID
+}
+
+func (l *sliceLRU) touch(d trace.DocID) bool {
+	i := slices.Index(l.docs, d)
+	if i < 0 {
+		return false
+	}
+	copy(l.docs[1:i+1], l.docs[:i])
+	l.docs[0] = d
+	return true
+}
+
+func (l *sliceLRU) insert(d trace.DocID) (evicted trace.DocID, didEvict bool) {
+	if l.touch(d) {
+		return 0, false
+	}
+	if len(l.docs) == l.cap {
+		evicted, didEvict = l.docs[len(l.docs)-1], true
+		l.docs = l.docs[:len(l.docs)-1]
+	}
+	l.docs = slices.Insert(l.docs, 0, d)
+	return evicted, didEvict
+}
+
+// Property: over any sequence of Insert, Has and Peek, the cache evicts the
+// same documents and lists them in the same order as the slice LRU — the
+// order a Hello and the snapshot walk write. That also bounds it by its
+// capacity, and holds whether the index was sized for the catalog or grows.
 func TestQuickDocCacheBounded(t *testing.T) {
 	f := func(ops []uint16, capSeed uint8) bool {
-		capDocs := int(capSeed)%20 + 1
-		c := newDocCache(capDocs, 0)
-		for _, op := range ops {
-			c.Insert(trace.DocID(op % 100))
-			if c.n > capDocs {
-				return false
-			}
+		capDocs, docs := int(capSeed)%20+1, 0
+		if capSeed&0x80 != 0 {
+			docs = 40
 		}
-		for d := trace.DocID(0); d < 100; d++ {
-			if c.Peek(d) != c.Has(d) {
+		c, ref := newDocCache(capDocs, docs), &sliceLRU{cap: capDocs}
+		for _, op := range ops {
+			d := trace.DocID(op/3) % 40
+			switch op % 3 {
+			case 0:
+				ev, did := c.Insert(d)
+				if rev, rdid := ref.insert(d); ev != rev || did != rdid {
+					return false
+				}
+			case 1:
+				if c.Has(d) != ref.touch(d) {
+					return false
+				}
+			case 2:
+				if c.Peek(d) != slices.Contains(ref.docs, d) {
+					return false
+				}
+			}
+			if !slices.Equal(c.Docs(), ref.docs) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // a pair of unidirectional streams per node pair: each node dials its own
 // send connection and receives on the one the peer dialed. The send queue
 // in front of the connection is the structure queue monitoring watches.
-// The peer is its dials' owner (cnet.DialOwner).
+// The peer is its dials' owner (cnet.DialOwner), and its send stream's
+// word holds its id + 1, which is how the server's send handlers find it.
 type peer struct {
 	// Hot fields first: every forward touches conn, the send queue and
 	// load, so they share the record's leading cache line; dial/retry
@@ -30,10 +31,7 @@ type peer struct {
 	retry   clock.Timer
 	retries []*redial
 
-	// The server, for DialResult, and the send connection's callbacks,
-	// built once per peer.
-	s *Server
-	h cnet.StreamHandlers
+	s *Server // for DialResult and the redials
 }
 
 // redial is the owner of one armed redial timer.
@@ -88,23 +86,29 @@ func (s *Server) peer(n cnet.NodeID) *peer {
 	p := s.peerAt(n)
 	if p == nil {
 		p = &peer{s: s, id: n}
-		p.h = cnet.StreamHandlers{
-			OnClose: func(c cnet.Conn, err error) {
-				if p.conn == c {
-					p.conn = nil
-					cnet.ReleaseConn(c) // pin taken when DialResult stored it
-					s.peerConnLost(p.id, err)
-				}
-			},
-			OnWritable: func(c cnet.Conn) { s.drain(p.id) },
-		}
 		s.setPeer(n, p)
 	}
 	return p
 }
 
-// DialHandlers implements cnet.DialOwner.
-func (p *peer) DialHandlers() cnet.StreamHandlers { return p.h }
+// DialHandlers implements cnet.DialOwner: every send stream gets the
+// server's one set.
+func (p *peer) DialHandlers() cnet.StreamHandlers { return p.s.sendH }
+
+// sendPeer reads the peer DialResult wrote into c's word: None if it did not.
+func (s *Server) sendPeer(c cnet.Conn) cnet.NodeID {
+	return cnet.NodeID(s.env.ConnWord(c)) - 1
+}
+
+func (s *Server) onSendClose(c cnet.Conn, err error) {
+	if p := s.peerAt(s.sendPeer(c)); p != nil && p.conn == c {
+		p.conn = nil
+		cnet.ReleaseConn(c) // pin taken when DialResult stored it
+		s.peerConnLost(p.id, err)
+	}
+}
+
+func (s *Server) onSendWritable(c cnet.Conn) { s.drain(s.sendPeer(c)) }
 
 // DialResult implements cnet.DialOwner: the send connection is up, or a
 // redial is armed.
@@ -125,6 +129,7 @@ func (p *peer) DialResult(c cnet.Conn, err error) {
 		return
 	}
 	p.conn = c
+	s.env.SetConnWord(c, uint64(p.id)+1)
 	cnet.RetainConn(c) // the record holds the conn across events
 	hello := HelloMsg{From: s.cfg.Self, CacheDocs: s.cache.Docs()}
 	c.TrySend(hello, sizeHello+4*len(hello.CacheDocs))
@@ -224,16 +229,14 @@ func (s *Server) peerConnLost(n cnet.NodeID, err error) {
 	s.exclude(n, "connection lost")
 }
 
-// inPeer is one inbound peer connection and its dialer's identity, unknown
-// until the Hello arrives. The connection's own handlers capture the
-// record, so the receive path reads a pointer; s.inbound lists the records
-// for snapshots.
-type inPeer struct {
-	c     cnet.Conn
-	from  cnet.NodeID
-	known bool
-	slot  int // index in s.inbound
-}
+// An inbound peer stream's word is its whole record: the stream's slot in
+// s.inbound in the high 32 bits, and its dialer's id + 1 in the low 32 —
+// 0, which reads as None, until the Hello names the dialer.
+func inWord(slot int, from cnet.NodeID) uint64 { return uint64(slot)<<32 | uint64(uint32(from+1)) }
+
+func inSlot(w uint64) int { return int(w >> 32) }
+
+func inFrom(w uint64) cnet.NodeID { return cnet.NodeID(uint32(w)) - 1 }
 
 // acceptPeer handles inbound intra-cluster connections (the peer's send
 // connection). The first message must be a Hello identifying the dialer.
@@ -241,40 +244,35 @@ func (s *Server) acceptPeer(c cnet.Conn) cnet.StreamHandlers {
 	// Listed before its Hello, as from nobody yet: a hung server accepts
 	// (the handshake is the kernel's) and reads the Hello when it wakes,
 	// and a snapshot in between has to know this is a peer stream.
-	return s.inboundHandlers(s.addInbound(c, cnet.None))
+	s.addInbound(c, cnet.None)
+	return s.inH
 }
 
-func (s *Server) addInbound(c cnet.Conn, from cnet.NodeID) *inPeer {
-	st := &inPeer{c: c, from: from, known: from != cnet.None, slot: len(s.inbound)}
-	s.inbound = append(s.inbound, st)
-	return st
+func (s *Server) addInbound(c cnet.Conn, from cnet.NodeID) {
+	s.env.SetConnWord(c, inWord(len(s.inbound), from))
+	s.inbound = append(s.inbound, c)
 }
 
-func (s *Server) inboundHandlers(st *inPeer) cnet.StreamHandlers {
-	return cnet.StreamHandlers{
-		OnMessage: func(c cnet.Conn, m cnet.Message) { s.onPeerMsg(st, m) },
-		OnClose:   func(c cnet.Conn, err error) { s.onPeerClose(st, err) },
-	}
-}
-
-func (s *Server) onPeerClose(st *inPeer, err error) {
-	last := len(s.inbound) - 1
+func (s *Server) onPeerClose(c cnet.Conn, err error) {
+	w := s.env.ConnWord(c)
+	slot, last := inSlot(w), len(s.inbound)-1
 	moved := s.inbound[last]
-	s.inbound[st.slot] = moved
-	moved.slot = st.slot
+	s.inbound[slot] = moved
+	s.env.SetConnWord(moved, inWord(slot, inFrom(s.env.ConnWord(moved))))
 	s.inbound[last] = nil
 	s.inbound = s.inbound[:last]
-	if st.known {
-		s.peerConnLost(st.from, err)
+	if from := inFrom(w); from != cnet.None {
+		s.peerConnLost(from, err)
 	}
 }
 
-func (s *Server) onPeerMsg(st *inPeer, m cnet.Message) {
-	from, known := st.from, st.known
+func (s *Server) onPeerMsg(c cnet.Conn, m cnet.Message) {
+	w := s.env.ConnWord(c)
+	from := inFrom(w)
 	switch msg := m.(type) {
 	case HelloMsg:
 		s.env.Charge(s.cfg.Cost.Control)
-		st.from, st.known = msg.From, true
+		s.env.SetConnWord(c, inWord(inSlot(w), msg.From))
 		for _, d := range msg.CacheDocs {
 			if s.proto.records(d) {
 				s.dir.Set(msg.From, d, true)
@@ -285,13 +283,13 @@ func (s *Server) onPeerMsg(st *inPeer, m cnet.Message) {
 		// intra-cluster connections.)
 		s.include(msg.From, "hello")
 	case *FwdMsg:
-		if known {
+		if from != cnet.None {
 			s.peerLoad(from, msg.Load)
 			s.servePeer(from, msg)
 		}
 		msg.Release()
 	case *FwdReplyMsg:
-		if known {
+		if from != cnet.None {
 			s.peerLoad(from, msg.Load)
 			s.completeForwarded(from, msg)
 		}

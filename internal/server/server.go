@@ -60,16 +60,16 @@ type Server struct {
 	// request, and ids are never reused, so a finished request's id just
 	// finds nothing.
 	inflight reqTable
-	// inbound lists the peer streams other nodes dialed, each at its own
-	// slot. The receive path never looks here (the stream's handlers hold
-	// the record); a snapshot does.
-	inbound []*inPeer
+	// inbound lists the peer streams other nodes dialed, each at the slot
+	// its word names (inWord). The receive path never looks here (the word
+	// names the sender); a snapshot does.
+	inbound []cnet.Conn
 
-	// Hot-path recycling: the handler sets are built once per server, and
-	// the per-request records (request state, disk continuations, deferred
-	// admissions) cycle through free lists instead of being re-allocated
-	// for every request.
-	clientH   cnet.StreamHandlers
+	// Hot-path recycling: the handler sets (client, send, inbound streams)
+	// are built once per server, and the per-request records cycle through
+	// free lists instead of being re-allocated for every request.
+	clientH, sendH, inH cnet.StreamHandlers
+
 	reqFree   []*reqState
 	diskFree  []*diskOp
 	admitFree []*admitOp
@@ -137,6 +137,8 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 	}
 	s.viewAdd(cfg.Self)
 	s.clientH = cnet.StreamHandlers{OnMessage: s.onClientMsg, OnClose: s.onClientClose}
+	s.sendH = cnet.StreamHandlers{OnClose: s.onSendClose, OnWritable: s.onSendWritable}
+	s.inH = cnet.StreamHandlers{OnMessage: s.onPeerMsg, OnClose: s.onPeerClose}
 	if cfg.QMon != nil {
 		s.qm = qmon.New(*cfg.QMon, qmon.Callbacks{
 			OnReroute: func(p cnet.NodeID) {

@@ -277,8 +277,8 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		node cnet.NodeID
 	}
 	ins := make([]inbound, 0, len(s.inbound))
-	for _, in := range s.inbound {
-		ins = append(ins, inbound{in.c, x.Conns.Ref(in.c), in.from})
+	for _, c := range s.inbound {
+		ins = append(ins, inbound{c, x.Conns.Ref(c), inFrom(s.env.ConnWord(c))})
 	}
 	sort.Slice(ins, func(i, j int) bool {
 		if ins[i].node != ins[j].node {
@@ -454,18 +454,19 @@ func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipVie
 
 	// Everything the process carried across the snapshot is a client
 	// connection, except the established outbound peer streams, which get
-	// each peer's own handlers, and the inbound ones, which get their
-	// record's.
+	// the send handlers and their peer's word back, and the inbound ones,
+	// whose words the walk wrote back.
 	for _, c := range env.RestoreConnList() {
 		env.RestoreConn(c, s.clientH)
 	}
 	for _, p := range s.peers {
 		if p != nil && p.conn != nil {
-			env.RestoreConn(p.conn, p.h)
+			env.RestoreConn(p.conn, s.sendH)
+			env.SetConnWord(p.conn, uint64(p.id)+1)
 		}
 	}
-	for _, in := range s.inbound {
-		env.RestoreConn(in.c, s.inboundHandlers(in))
+	for _, c := range s.inbound {
+		env.RestoreConn(c, s.inH)
 	}
 	return s
 }

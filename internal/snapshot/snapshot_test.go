@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"press/internal/cnet"
 	"press/internal/faults"
@@ -347,6 +348,18 @@ func pendingTimers(c *harness.Cluster, p *machine.Proc, owners ...string) int {
 	return n
 }
 
+// inboundStreams returns, by reflection, the peer streams node i's live
+// server lists as inbound, and its process environment, which keeps their
+// words; nil when the server is dead.
+func inboundStreams(c *harness.Cluster, i int) ([]cnet.Conn, cnet.Env) {
+	p := c.Machines[i].Proc("press")
+	if !p.Alive() {
+		return nil, nil
+	}
+	v := reflect.ValueOf(c.Server(i)).Elem().FieldByName("inbound")
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Interface().([]cnet.Conn), p.Env()
+}
+
 // TestRestoreThenCaptureIsFixedPoint: a snapshot of a restored world is
 // the snapshot it was restored from. Nothing runs between the two, so a
 // field a walk writes but does not read back shows as a differing byte
@@ -415,6 +428,52 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 			if pendingTimers(c, press, "*server.Server", "*server.redial") == 0 {
 				t.Fatal("the crash left no timer of the dead incarnation pending")
 			}
+		}},
+		// An inbound stream's word packs its slot and its sender, which is
+		// nobody until the Hello has run.
+		capture{harness.VCOOP, time.Minute, "/inbound-before-hello", func(t *testing.T, c *harness.Cluster) {
+			crash, err := c.Injector.Inject(faults.AppCrash, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Sim.RunFor(time.Second)
+			if err := crash.Repair(); err != nil {
+				t.Fatal(err)
+			}
+			stepUntil(t, c, "a server holding an accepted peer stream whose Hello has not run", func() bool {
+				for i := range c.Machines {
+					conns, env := inboundStreams(c, i)
+					for _, conn := range conns {
+						if uint32(env.ConnWord(conn)) == 0 {
+							return true
+						}
+					}
+				}
+				return false
+			})
+		}},
+		capture{harness.VCOOP, time.Minute, "/inbound-slot-moved", func(t *testing.T, c *harness.Cluster) {
+			last := make([]int, len(c.Machines)) // each server's last inbound slot before the crash
+			lastConn := make([]cnet.Conn, len(c.Machines))
+			for i := range c.Machines {
+				conns, _ := inboundStreams(c, i)
+				last[i] = len(conns) - 1
+				if last[i] >= 0 {
+					lastConn[i] = conns[last[i]]
+				}
+			}
+			if _, err := c.Injector.Inject(faults.AppCrash, 1); err != nil {
+				t.Fatal(err)
+			}
+			stepUntil(t, c, "a close that moved a server's last inbound stream into a slot before it", func() bool {
+				for i := range c.Machines {
+					conns, _ := inboundStreams(c, i)
+					if j := slices.Index(conns, lastConn[i]); j >= 0 && j < last[i] {
+						return true
+					}
+				}
+				return false
+			})
 		}},
 	)
 	for _, row := range rows {

@@ -86,16 +86,22 @@ func TestScale256EventCountInvariant(t *testing.T) {
 	}
 }
 
-// scale256LiveHeapMB is the live heap at the end of the same window,
-// after a forced collection, as measured on linux/amd64 (DESIGN §17: it
-// repeats to ±0.2 MB). The world is deterministic, so the bytes it keeps
-// are a pinned number like the event count; the test allows 1 MB over.
-const scale256LiveHeapMB = 79.1
+// scale256LiveHeapMB and scale256LiveObjects are the live heap and its
+// object count at the end of the same window, after a forced collection,
+// as measured on linux/amd64 (DESIGN §17: the bytes repeat to ±0.2 MB, the
+// count to a few objects). The world is deterministic, so what it keeps is
+// a pinned number like the event count; the test allows 1 MB and 1 % of
+// the objects over.
+const (
+	scale256LiveHeapMB  = 61.4
+	scale256LiveObjects = 303_252
+)
 
 // TestScale256LiveHeap pins the bytes per node: what the 256-node world
 // keeps resident at the end of the chaos window. A change that makes a
 // per-connection or per-event structure bigger, or keeps a storm's
-// high-water that used to be dropped, shows here as megabytes.
+// high-water that used to be dropped, shows here as megabytes; a record
+// or closure kept per connection again shows as 65,280 objects more.
 func TestScale256LiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node chaos window is a few seconds of wall clock; skipped in -short")
@@ -109,5 +115,8 @@ func TestScale256LiveHeap(t *testing.T) {
 	t.Logf("live heap %.1f MB, %.0f KB per node, %d objects", mb, mb*1024/256, ms.HeapObjects)
 	if mb > scale256LiveHeapMB+1 {
 		t.Errorf("live heap %.1f MB after the 256-node window, want at most %.1f + 1", mb, float64(scale256LiveHeapMB))
+	}
+	if limit := uint64(scale256LiveObjects + scale256LiveObjects/100); ms.HeapObjects > limit {
+		t.Errorf("%d heap objects after the 256-node window, want at most %d (%d + 1 %%)", ms.HeapObjects, limit, scale256LiveObjects)
 	}
 }
