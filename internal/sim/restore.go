@@ -8,10 +8,10 @@ import (
 // This file is the kernel's snapshot/restore surface. A snapshot captures
 // the scheduler's semantic state — the clock, the counters, and every
 // pending event's (deadline, sequence) pair — while the physical layout
-// (heap shape, arena slots, free lists) is deliberately excluded: pop
+// (heap shape, record ids, the free list) is deliberately excluded: pop
 // order is a strict total order on (at, seq), so two kernels with the
 // same pending set and counters replay identically no matter how their
-// arenas are arranged. Owners of pending events (simnet, machine,
+// records are arranged. Owners of pending events (simnet, machine,
 // simdisk, workload, chaos) re-arm them with RestoreAt/RestoreAtArg,
 // pinning the original (at, seq) so the interleaving — and therefore the
 // entire downstream event log — is byte-identical.
@@ -20,19 +20,19 @@ import (
 // event, the stable name snapshots use for it. ok is false for stale or
 // zero handles, mirroring Stop.
 func (t Timer) Key() (at time.Duration, seq uint64, ok bool) {
-	e := t.e
-	if e == nil || e.gen != t.gen || e.slot < 0 {
-		return 0, 0, false
+	if r := t.pending(); r != nil {
+		return r.at, r.seq, true
 	}
-	return e.at, e.seq, true
+	return 0, 0, false
 }
 
 // VisitPending calls visit for every pending event in firing order
-// (ascending (at, seq)). The callback must not schedule or cancel
-// events; snapshot code uses it to let each subsystem claim the pending
-// events it owns, and treats any event left unclaimed as a hard save
-// error — the completeness check that keeps "what the snapshot captures"
-// honest.
+// (ascending (at, seq)): a closure event (At, RestoreAt) with fn set and
+// afn nil, an argument-passing one with afn and arg. The callback must
+// not schedule or cancel events; snapshot code uses it to let each
+// subsystem claim the pending events it owns, and treats any event left
+// unclaimed as a hard save error — the completeness check that keeps
+// "what the snapshot captures" honest.
 func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any, fn func())) {
 	ents := make([]heapEnt, 0, s.npend)
 	ents = append(ents, s.cur...)
@@ -41,15 +41,18 @@ func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any
 		if !occ.has(i) {
 			continue
 		}
-		for slot := *head; slot >= 0; slot = s.arena[slot].next {
-			ents = append(ents, heapEnt{at: s.arena[slot].at, seq: s.arena[slot].seq, slot: slot})
+		for id := *head; id >= 0; id = s.rec(id).next {
+			ents = append(ents, heapEnt{at: s.rec(id).at, seq: s.rec(id).seq, id: id})
 		}
 	}
 	ents = append(ents, s.overflow...)
 	sort.Slice(ents, func(i, j int) bool { return entLess(ents[i], ents[j]) })
 	for _, ent := range ents {
-		e := s.arena[ent.slot].ev
-		visit(e.at, e.seq, e.afn, e.arg, e.fn)
+		if r := s.rec(ent.id); r.afn == nil {
+			visit(r.at, r.seq, nil, nil, r.arg.(func()))
+		} else {
+			visit(r.at, r.seq, r.afn, r.arg, nil)
+		}
 	}
 }
 
@@ -62,9 +65,7 @@ func (s *Sim) RestoreAt(at time.Duration, seq uint64, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e := s.restoreEvent(at, seq)
-	e.fn = fn
-	return Timer{e: e, gen: e.gen}
+	return s.push(at, seq, nil, fn)
 }
 
 // RestoreAtArg is RestoreAt for pre-bound callbacks.
@@ -72,18 +73,7 @@ func (s *Sim) RestoreAtArg(at time.Duration, seq uint64, fn func(any), arg any) 
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e := s.restoreEvent(at, seq)
-	e.afn = fn
-	e.arg = arg
-	return Timer{e: e, gen: e.gen}
-}
-
-func (s *Sim) restoreEvent(at time.Duration, seq uint64) *event {
-	e := s.alloc()
-	e.at = at
-	e.seq = seq
-	s.push(e)
-	return e
+	return s.push(at, seq, fn, arg)
 }
 
 // Counters returns the kernel counters a snapshot must carry: the

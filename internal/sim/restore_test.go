@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -26,13 +27,13 @@ func capture(s *Sim) pendingSet {
 	return p
 }
 
-// TestRestoredTimerGenerations pins the free-list audit's arena rule:
+// TestRestoredTimerGenerations pins the free-list audit's record rule:
 // Timer handles never cross a restore — the durable identity of a
 // pending event is its (at, seq) pair, and a restored kernel re-derives
-// fresh handles (fresh arena slots, generation 0) via RestoreAt. The
+// fresh handles (fresh records, generation 0) via RestoreAt. The
 // generation guard must hold in the restored world exactly as in an
 // original one: a handle is live until its event fires or stops, and
-// stays a stale no-op after its arena slot is recycled by a new event.
+// stays a stale no-op after its record is recycled by a new event.
 func TestRestoredTimerGenerations(t *testing.T) {
 	src := New(1)
 	src.At(5*time.Second, func() {})
@@ -58,8 +59,8 @@ func TestRestoredTimerGenerations(t *testing.T) {
 		}
 	}
 
-	// Stop the first restored event, then refill the arena: the freed
-	// slot is recycled but the generation bump keeps the old handle dead.
+	// Stop the first restored event, then schedule another: the freed
+	// record is recycled but the generation bump keeps the old handle dead.
 	if !handles[0].Stop() {
 		t.Fatal("Stop on a live restored handle returned false")
 	}
@@ -75,6 +76,37 @@ func TestRestoredTimerGenerations(t *testing.T) {
 	}
 	if _, _, ok := recycled.Key(); !ok {
 		t.Fatal("the slot's new occupant lost its pending event")
+	}
+}
+
+// Snapshot code claims a pending event by how it dispatches: snapio's
+// Claim keys on afn, and Ctx.Timer finds a closure timer by (at, seq). So
+// a closure event must surface with fn set and afn nil, and an
+// argument-passing one with its afn and arg, in whichever tier it waits.
+func TestVisitPendingReportsClosureEvents(t *testing.T) {
+	s := New(1)
+	var ran []string
+	arg := new(int)
+	afn := func(a any) { *a.(*int)++ }
+	s.At(0, func() { ran = append(ran, "cur") })
+	s.AtArg(time.Millisecond, afn, arg)                                   // an L0 bucket
+	s.RestoreAt(time.Second, 7, func() { ran = append(ran, "restored") }) // an L1 bucket
+	s.RestoreAtArg(10*time.Second, 8, afn, arg)                           // overflow
+	var ats []time.Duration
+	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), a any, fn func()) {
+		ats = append(ats, at)
+		switch {
+		case fn != nil && afn == nil && a == nil:
+			fn()
+		case fn == nil && afn != nil && a == any(arg):
+			afn(a)
+		default:
+			t.Errorf("event at %v: afn set %v, arg %v, fn set %v", at, afn != nil, a, fn != nil)
+		}
+	})
+	want := []time.Duration{0, time.Millisecond, time.Second, 10 * time.Second}
+	if !slices.Equal(ats, want) || !slices.Equal(ran, []string{"cur", "restored"}) || *arg != 2 {
+		t.Errorf("visited %v running closures %v and the AtArg callback %d times, want %v, [cur restored] and 2", ats, ran, *arg, want)
 	}
 }
 

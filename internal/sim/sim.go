@@ -14,10 +14,11 @@
 // layered on top in sibling packages.
 //
 // The event loop is the hot path of every experiment — a campaign fires
-// tens of millions of events — so the kernel recycles event objects
-// through a free list (handles are generation-counted, making a stale
-// Stop a safe no-op) and offers allocation-free argument-passing variants
-// (AtArg, AfterArg) so packet-rate callers need no per-event closure.
+// tens of millions of events — so an event is one fixed record, minted
+// in chunks that never move and recycled through an intrusive free list
+// (handles are generation-counted, making a stale Stop a safe no-op), and
+// the kernel offers allocation-free argument-passing variants (AtArg,
+// AfterArg) so packet-rate callers need no per-event closure.
 //
 // The kernel has one-shot events only. Protocol code is written against
 // clock.Clock and reaches the kernel through its process's clock
@@ -29,58 +30,91 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"press/internal/clock"
 )
 
-// event is one scheduled callback. Events are owned by the kernel and
-// recycled through the simulator's free list; callers hold generation-
-// counted Timer handles instead of event pointers.
-type event struct {
-	s    *Sim
+// evRec is one scheduled callback: its ordering key, its callback and its
+// current home in the queue (loc). In cur or overflow, pos is its index
+// in that heap. In a wheel bucket, loc is the bucket's code and next/prev
+// link it into the bucket's list: next is -1 at the tail, and the head's
+// prev names the tail, which is what lets a put append. On the free list,
+// next names the next free record. Callers hold generation-counted Timer
+// handles, never the record.
+type evRec struct {
 	at   time.Duration
-	seq  uint64 // tie-breaker: equal deadlines fire in scheduling order
-	slot int32  // arena slot while queued; -1 while not queued
-	gen  uint32 // bumped on every release; validates Timer handles
-	fn   func()
-	afn  func(any) // argument-passing form; fn and afn are exclusive
+	seq  uint64    // tie-breaker: equal deadlines fire in scheduling order
+	afn  func(any) // nil for a closure event (At, RestoreAt), whose func() is arg
 	arg  any
+	pos  int32
+	loc  int32 // locCur / locOver / bucket code
+	next int32
+	prev int32
+	gen  uint32 // bumped on every release; validates Timer handles
 }
+
+// Records live in 16 KB chunks, minted as the pending set first reaches
+// them and never moved, so a record id names its record for the kernel's
+// life and a storm copies nothing as the kernel grows. Id >> chunkShift
+// is the chunk and the low bits the index in it. A chunk holds one record
+// fewer than chunkLen: the allocator puts an 8-byte header before an
+// object with pointers, and 256 records and the header would take the
+// next size class, 18 KB. The last index of each chunk is never minted.
+const (
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift
+)
+
+type chunk = [chunkLen - 1]evRec
 
 // Timer is the cancellation handle for a scheduled event. It is a small
 // value (copy freely); the zero Timer is inert. Handles stay valid after
 // the event fires or is cancelled: the kernel recycles the underlying
-// object, and the generation count makes Stop on a stale handle a no-op
+// record, and the generation count makes Stop on a stale handle a no-op
 // that reports false.
 type Timer struct {
-	e   *event
+	s   *Sim
+	id  int32
 	gen uint32
+}
+
+// pending returns the record t names while its event is pending, or nil.
+// A record's generation moves on when it is released, before a firing
+// event's callback runs, so only a pending event matches its handle.
+func (t Timer) pending() *evRec {
+	if t.s == nil {
+		return nil
+	}
+	if r := t.s.rec(t.id); r.gen == t.gen {
+		return r
+	}
+	return nil
 }
 
 // Stop cancels the event. It reports whether the event was still
 // pending; false means it already fired, was already stopped, or the
-// handle is stale (its event object has been recycled). Calling Stop
-// from inside the firing event's own callback returns false: the event
-// is no longer pending by the time its callback runs.
+// handle is stale (its record has been recycled). Calling Stop from
+// inside the firing event's own callback returns false: the event is no
+// longer pending by the time its callback runs.
 func (t Timer) Stop() bool {
-	e := t.e
-	if e == nil || e.gen != t.gen || e.slot < 0 {
+	r := t.pending()
+	if r == nil {
 		return false
 	}
-	e.s.remove(e)
-	e.s.release(e)
+	t.s.remove(t.id, r)
+	t.s.release(t.id, r)
 	return true
 }
 
 // When returns the virtual instant the event fires, and whether it is
 // still pending.
 func (t Timer) When() (time.Duration, bool) {
-	e := t.e
-	if e == nil || e.gen != t.gen || e.slot < 0 {
-		return 0, false
+	if r := t.pending(); r != nil {
+		return r.at, true
 	}
-	return e.at, true
+	return 0, false
 }
 
 var _ clock.Timer = Timer{}
@@ -88,23 +122,21 @@ var _ clock.Timer = Timer{}
 // Sim is a discrete-event simulator instance. It is not safe for
 // concurrent use: all model code runs single-threaded inside Run/Step.
 type Sim struct {
-	now      time.Duration
-	arena    []slotRec // slot id -> queued event + its (structure, index) home
-	slotFree []int32   // recycled slot ids (LIFO, deterministic)
-	free     []*event
-	seq      uint64
-	seed     int64
-	fired    uint64
-	maxQ     int
-	npend    int // total pending events across cur, wheels and overflow
-	live     int // events allocated and not on the free list
-	halted   bool
+	now    time.Duration
+	chunks []*chunk // record id -> chunks[id>>chunkShift][id&(chunkLen-1)]
+	free   int32    // head of the free records' list through next (LIFO, deterministic); -1 when empty
+	seq    uint64
+	seed   int64
+	fired  uint64
+	maxQ   int
+	npend  int // total pending events across cur, wheels and overflow
+	halted bool
 
 	// Hierarchical timer wheel (see the commentary above heapEnt).
 	cur      []heapEnt        // small indexed 4-ary heap: the front of the timeline
 	overflow []heapEnt        // indexed 4-ary heap: events beyond the wheel horizon
-	l0       [l0Buckets]int32 // head slot of each L0 bucket's list; valid while its l0occ bit is set
-	l1       [l1Buckets]int32 // head slot of each L1 bucket's list; valid while its l1occ bit is set
+	l0       [l0Buckets]int32 // head record of each L0 bucket's list; valid while its l0occ bit is set
+	l1       [l1Buckets]int32 // head record of each L1 bucket's list; valid while its l1occ bit is set
 	l0occ    wheelOcc
 	l1occ    wheelOcc
 	l0Win    int64 // granule number (at >> g0Shift) covered by l0[0]
@@ -114,11 +146,10 @@ type Sim struct {
 }
 
 // New returns an empty simulator whose clock reads zero. The seed is the
-// root of all derived random streams (see NewRand). The wheel's buckets
-// are lists threaded through the slot arena, so an empty kernel is one
-// small object: nothing is pre-sized.
+// root of all derived random streams (see NewRand). Records are minted
+// with the first event, so an empty kernel is one small object.
 func New(seed int64) *Sim {
-	return &Sim{seed: seed}
+	return &Sim{seed: seed, free: -1}
 }
 
 // Now returns the current virtual time.
@@ -144,46 +175,59 @@ func (s *Sim) Pending() int { return s.npend }
 // MaxQueued returns the high-water mark of the pending-event count.
 func (s *Sim) MaxQueued() int { return s.maxQ }
 
-// LiveEvents returns how many event objects exist outside the free list
-// (the queued ones and the one firing). The pool-reuse regression test
-// asserts this stays flat under a steady-state workload.
-func (s *Sim) LiveEvents() int { return s.live }
+// LiveEvents returns how many event records are outside the free list. A
+// firing event's record is recycled before its callback runs, so these
+// are the pending events. The pool-reuse regression test asserts this
+// stays flat under a steady-state workload.
+func (s *Sim) LiveEvents() int { return s.npend }
 
-// alloc takes an event from the free list, or makes one.
-func (s *Sim) alloc() *event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		s.live++
-		return e
+func (s *Sim) rec(id int32) *evRec { return &s.chunks[id>>chunkShift][id&(chunkLen-1)] }
+
+// alloc takes a record off the free list, minting a chunk of them when
+// the list is empty: the one place the kernel allocates event storage.
+func (s *Sim) alloc() (int32, *evRec) {
+	if s.free < 0 {
+		c := new(chunk)
+		base := int32(len(s.chunks)) << chunkShift
+		for i := range c {
+			c[i].next = base + int32(i) + 1
+		}
+		c[len(c)-1].next = -1
+		s.chunks = append(s.chunks, c)
+		s.free = base
 	}
-	s.live++
-	return &event{s: s, slot: -1}
+	id := s.free
+	r := s.rec(id)
+	s.free = r.next
+	return id, r
 }
 
-// release recycles a no-longer-queued event. The generation bump
+// release recycles a no-longer-queued record. The generation bump
 // invalidates every outstanding Timer handle to it.
-func (s *Sim) release(e *event) {
-	e.gen++
-	e.fn = nil
-	e.afn = nil
-	e.arg = nil
-	s.live--
-	s.free = append(s.free, e)
+func (s *Sim) release(id int32, r *evRec) {
+	r.gen++
+	r.afn, r.arg = nil, nil
+	r.next = s.free
+	s.free = id
 }
 
-// schedule inserts a fresh event at absolute time t (clamped to now).
-func (s *Sim) schedule(t time.Duration) *event {
-	if t < s.now {
-		t = s.now
-	}
-	e := s.alloc()
-	e.at = t
-	e.seq = s.seq
+// schedule queues an event at absolute time t (clamped to now) under the
+// next sequence number.
+func (s *Sim) schedule(t time.Duration, afn func(any), arg any) Timer {
 	s.seq++
-	s.push(e)
-	return e
+	return s.push(max(t, s.now), s.seq-1, afn, arg)
+}
+
+// push queues an event with the key (at, seq) in a fresh record.
+func (s *Sim) push(at time.Duration, seq uint64, afn func(any), arg any) Timer {
+	id, r := s.alloc()
+	r.at, r.seq, r.afn, r.arg = at, seq, afn, arg
+	s.insert(id, r)
+	s.npend++
+	if s.npend > s.maxQ {
+		s.maxQ = s.npend
+	}
+	return Timer{s: s, id: id, gen: r.gen}
 }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past (or
@@ -192,9 +236,7 @@ func (s *Sim) At(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e := s.schedule(t)
-	e.fn = fn
-	return Timer{e: e, gen: e.gen}
+	return s.schedule(t, nil, fn)
 }
 
 // AtArg is At for pre-bound callbacks: fn(arg) runs at time t. Packet-
@@ -204,10 +246,7 @@ func (s *Sim) AtArg(t time.Duration, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e := s.schedule(t)
-	e.afn = fn
-	e.arg = arg
-	return Timer{e: e, gen: e.gen}
+	return s.schedule(t, fn, arg)
 }
 
 // After schedules fn to run d after the current instant.
@@ -234,10 +273,10 @@ func (s *Sim) Halt() { s.halted = true }
 // to its deadline. It reports whether an event was executed.
 //
 // Cancel-during-dispatch is explicit: the firing event leaves the queue
-// (and its handles go stale) before its callback runs, so a Stop from
-// inside the callback — its own handle or any other — acts on the queue
-// as it stands and never corrupts dispatch. The fired event returns to
-// the free list only after its callback finishes.
+// and its record returns to the free list (so its handles go stale)
+// before its callback runs, so a Stop from inside the callback — its own
+// handle or any other — acts on the queue as it stands and never
+// corrupts dispatch.
 func (s *Sim) Step() bool {
 	if s.npend == 0 {
 		return false
@@ -251,20 +290,19 @@ func (s *Sim) Step() bool {
 // the earliest pending entry (ensureFront).
 func (s *Sim) fireFront() {
 	top := s.heapPopEnt(&s.cur)
-	e := s.arena[top.slot].ev
-	s.freeSlot(top.slot)
-	e.slot = -1
+	r := s.rec(top.id)
+	afn, arg := r.afn, r.arg
+	s.release(top.id, r)
 	s.npend--
-	if e.at > s.now {
-		s.now = e.at
+	if top.at > s.now {
+		s.now = top.at
 	}
 	s.fired++
-	if e.afn != nil {
-		e.afn(e.arg)
+	if afn != nil {
+		afn(arg)
 	} else {
-		e.fn()
+		arg.(func())()
 	}
-	s.release(e)
 }
 
 // Run executes events until none remain or Halt is called.
@@ -326,20 +364,18 @@ func (s *Sim) NewRand(label string) *rand.Rand {
 //   - overflow: an indexed 4-ary heap for the far future (beyond the l1
 //     horizon). It stays small and cold: only long timeouts land here.
 //
-// A wheel bucket owns no storage: it is a list threaded through the slot
-// arena (slotRec.next/prev), its head in l0 or l1. Linking at the tail
-// and unlinking are O(1), a drain walks the list in insertion order, and
-// a bucket that once held a storm keeps nothing of it. Occupancy bitmaps
-// (one bit per bucket) say which lists are non-empty, so skipping empty
-// granules is a few TrailingZeros64 scans and a head is read only while
-// its bit is set. When both wheels drain, the windows re-base at the
-// overflow minimum, so idle stretches cost nothing. Heap entries are
-// pointer-free — ordering key plus an arena slot id — so moves are plain
-// word copies with no GC write barrier and neither heap is scanned; the
-// event pointers live in the arena, each record carrying its key and its
-// home for cancellation. seq is unique, so pop order is fully
-// deterministic regardless of internal layout, and identical to the
-// single-heap kernel's.
+// A wheel bucket owns no storage: it is a list threaded through the
+// event records (evRec.next/prev), its head in l0 or l1. Linking at the
+// tail and unlinking are O(1), a drain walks the list in insertion order,
+// and a bucket that once held a storm keeps nothing of it. Occupancy
+// bitmaps (one bit per bucket) say which lists are non-empty, so skipping
+// empty granules is a few TrailingZeros64 scans and a head is read only
+// while its bit is set. When both wheels drain, the windows re-base at
+// the overflow minimum, so idle stretches cost nothing. Heap entries are
+// pointer-free — ordering key plus a record id — so moves are plain word
+// copies with no GC write barrier and neither heap is scanned. seq is
+// unique, so pop order is fully deterministic regardless of internal
+// layout, and identical to the single-heap kernel's.
 
 const (
 	g0Shift   = 16          // L0 granule: 2^16 ns
@@ -359,26 +395,9 @@ func (o *wheelOcc) set(i int)      { o[i>>6] |= 1 << (uint(i) & 63) }
 func (o *wheelOcc) clear(i int)    { o[i>>6] &^= 1 << (uint(i) & 63) }
 
 type heapEnt struct {
-	at   time.Duration
-	seq  uint64
-	slot int32
-}
-
-// slotRec is one arena entry: the queued event, its ordering key and its
-// current home (loc). In cur or overflow, pos is its index in that heap.
-// In a wheel bucket, loc is the bucket's code and next/prev link it into
-// the bucket's list: next is -1 at the tail, and the head's prev names
-// the tail, which is what lets a put append. The key is a copy of the
-// event's, so a drain or cascade reads one record per entry and never
-// the event itself.
-type slotRec struct {
-	ev   *event
-	at   time.Duration
-	seq  uint64
-	pos  int32
-	loc  int32 // locCur / locOver / bucket code
-	next int32
-	prev int32
+	at  time.Duration
+	seq uint64
+	id  int32
 }
 
 func entLess(a, b heapEnt) bool {
@@ -388,45 +407,24 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
-// push assigns e an arena slot and inserts it into the queue.
-func (s *Sim) push(e *event) {
-	var slot int32
-	if n := len(s.slotFree); n > 0 {
-		slot = s.slotFree[n-1]
-		s.slotFree = s.slotFree[:n-1]
-	} else {
-		slot = int32(len(s.arena))
-		s.arena = append(s.arena, slotRec{})
-	}
-	r := &s.arena[slot]
-	r.ev, r.at, r.seq = e, e.at, e.seq
-	e.slot = slot
-	s.insert(slot)
-	s.npend++
-	if s.npend > s.maxQ {
-		s.maxQ = s.npend
-	}
-}
-
-// insert routes a slot to cur, an L0/L1 bucket, or overflow by deadline.
-// Anything at or before the granule cur is draining goes to cur so the
-// front stays complete.
-func (s *Sim) insert(slot int32) {
-	at := s.arena[slot].at
-	g0 := int64(at) >> g0Shift
+// insert routes a record to cur, an L0/L1 bucket, or overflow by
+// deadline. Anything at or before the granule cur is draining goes to cur
+// so the front stays complete.
+func (s *Sim) insert(id int32, r *evRec) {
+	g0 := int64(r.at) >> g0Shift
 	if g0 <= s.l0Win+int64(s.curIdx) {
-		s.heapPush(&s.cur, locCur, heapEnt{at: at, seq: s.arena[slot].seq, slot: slot})
+		s.heapPush(&s.cur, locCur, heapEnt{at: r.at, seq: r.seq, id: id})
 		return
 	}
 	if d := g0 - s.l0Win; d < l0Buckets {
-		s.bucketPut(int32(d), slot)
+		s.bucketPut(int32(d), id)
 		return
 	}
-	if d := (int64(at) >> g1Shift) - s.l1Win; d < l1Buckets {
-		s.bucketPut(int32(l0Buckets+d), slot)
+	if d := (int64(r.at) >> g1Shift) - s.l1Win; d < l1Buckets {
+		s.bucketPut(int32(l0Buckets+d), id)
 		return
 	}
-	s.heapPush(&s.overflow, locOver, heapEnt{at: at, seq: s.arena[slot].seq, slot: slot})
+	s.heapPush(&s.overflow, locOver, heapEnt{at: r.at, seq: r.seq, id: id})
 }
 
 // bucket returns the list head and occupancy bitmap of a bucket code,
@@ -438,43 +436,43 @@ func (s *Sim) bucket(code int32) (head *int32, occ *wheelOcc, i int) {
 	return &s.l1[code-l0Buckets], &s.l1occ, int(code - l0Buckets)
 }
 
-// bucketPut links slot at the tail of a wheel bucket's list and marks the
-// bucket occupied.
-func (s *Sim) bucketPut(code, slot int32) {
+// bucketPut links record id at the tail of a wheel bucket's list and
+// marks the bucket occupied.
+func (s *Sim) bucketPut(code, id int32) {
 	head, occ, i := s.bucket(code)
-	r := &s.arena[slot]
+	r := s.rec(id)
 	r.loc, r.next = code, -1
 	if !occ.has(i) {
 		occ.set(i)
-		*head, r.prev = slot, slot
+		*head, r.prev = id, id
 		return
 	}
-	h := &s.arena[*head]
+	h := s.rec(*head)
 	tail := h.prev
-	s.arena[tail].next = slot
+	s.rec(tail).next = id
 	r.prev = tail
-	h.prev = slot
+	h.prev = id
 }
 
-// bucketUnlink takes slot out of its wheel bucket's list, clearing the
-// bucket's bit with its last member.
-func (s *Sim) bucketUnlink(code, slot int32) {
+// bucketUnlink takes record id out of its wheel bucket's list, clearing
+// the bucket's bit with its last member.
+func (s *Sim) bucketUnlink(code, id int32) {
 	head, occ, i := s.bucket(code)
-	r := &s.arena[slot]
-	if *head == slot {
+	r := s.rec(id)
+	if *head == id {
 		if r.next < 0 {
 			occ.clear(i)
 			return
 		}
-		s.arena[r.next].prev = r.prev // the new head names the tail
+		s.rec(r.next).prev = r.prev // the new head names the tail
 		*head = r.next
 		return
 	}
-	s.arena[r.prev].next = r.next
+	s.rec(r.prev).next = r.next
 	if r.next >= 0 {
-		s.arena[r.next].prev = r.prev
+		s.rec(r.next).prev = r.prev
 	} else {
-		s.arena[*head].prev = r.prev // slot was the tail
+		s.rec(*head).prev = r.prev // id was the tail
 	}
 }
 
@@ -532,14 +530,22 @@ func (s *Sim) ensureFront() {
 }
 
 // drainL0 walks bucket l0[i]'s list into the (empty) cur heap and
-// heapifies.
+// heapifies. cur keeps its capacity, so it grows only for a list longer
+// than any drained before, and then once, to the list's length.
 func (s *Sim) drainL0(i int) {
 	h := s.cur
-	for slot := s.bucketTake(int32(i)); slot >= 0; {
-		r := &s.arena[slot]
+	for id := s.bucketTake(int32(i)); id >= 0; {
+		if len(h) == cap(h) {
+			n := 0
+			for rest := id; rest >= 0; rest = s.rec(rest).next {
+				n++
+			}
+			h = slices.Grow(h, n)
+		}
+		r := s.rec(id)
 		r.loc, r.pos = locCur, int32(len(h))
-		h = append(h, heapEnt{at: r.at, seq: r.seq, slot: slot})
-		slot = r.next
+		h = append(h, heapEnt{at: r.at, seq: r.seq, id: id})
+		id = r.next
 	}
 	s.cur = h
 	for k := (len(h) - 2) >> 2; k >= 0; k-- {
@@ -552,11 +558,11 @@ func (s *Sim) expandL1(j int) {
 	s.l1Idx = j
 	s.l0Win = (s.l1Win + int64(j)) << (g1Shift - g0Shift)
 	s.curIdx = -1
-	for slot := s.bucketTake(int32(l0Buckets + j)); slot >= 0; {
-		r := &s.arena[slot]
+	for id := s.bucketTake(int32(l0Buckets + j)); id >= 0; {
+		r := s.rec(id)
 		next := r.next
-		s.bucketPut(int32((int64(r.at)>>g0Shift)-s.l0Win), slot)
-		slot = next
+		s.bucketPut(int32((int64(r.at)>>g0Shift)-s.l0Win), id)
+		id = next
 	}
 }
 
@@ -568,14 +574,8 @@ func (s *Sim) drainOverflow() {
 	horizon := time.Duration((s.l1Win + l1Buckets) << g1Shift)
 	for len(s.overflow) > 0 && s.overflow[0].at < horizon {
 		ent := s.heapPopEnt(&s.overflow)
-		s.bucketPut(int32(l0Buckets+(int64(ent.at)>>g1Shift)-s.l1Win), ent.slot)
+		s.bucketPut(int32(l0Buckets+(int64(ent.at)>>g1Shift)-s.l1Win), ent.id)
 	}
-}
-
-// freeSlot returns a slot id to the arena free list.
-func (s *Sim) freeSlot(slot int32) {
-	s.arena[slot].ev = nil
-	s.slotFree = append(s.slotFree, slot)
 }
 
 // heapPush appends ent to an indexed 4-ary heap and sifts it up.
@@ -583,7 +583,7 @@ func (s *Sim) heapPush(hp *[]heapEnt, code int32, ent heapEnt) {
 	h := append(*hp, ent)
 	*hp = h
 	i := len(h) - 1
-	r := &s.arena[ent.slot]
+	r := s.rec(ent.id)
 	r.loc = code
 	r.pos = int32(i)
 	s.heapUp(h, i)
@@ -591,7 +591,6 @@ func (s *Sim) heapPush(hp *[]heapEnt, code int32, ent heapEnt) {
 
 // heapUp moves h[i] towards the root until its parent is not greater.
 func (s *Sim) heapUp(h []heapEnt, i int) {
-	ar := s.arena
 	ent := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -599,17 +598,16 @@ func (s *Sim) heapUp(h []heapEnt, i int) {
 			break
 		}
 		h[i] = h[p]
-		ar[h[i].slot].pos = int32(i)
+		s.rec(h[i].id).pos = int32(i)
 		i = p
 	}
 	h[i] = ent
-	ar[ent.slot].pos = int32(i)
+	s.rec(ent.id).pos = int32(i)
 }
 
 // heapDown moves h[i] towards the leaves while a child is smaller,
 // reporting whether it moved.
 func (s *Sim) heapDown(h []heapEnt, i int) bool {
-	ar := s.arena
 	n := len(h)
 	ent := h[i]
 	start := i
@@ -632,16 +630,16 @@ func (s *Sim) heapDown(h []heapEnt, i int) bool {
 			break
 		}
 		h[i] = h[best]
-		ar[h[i].slot].pos = int32(i)
+		s.rec(h[i].id).pos = int32(i)
 		i = best
 	}
 	h[i] = ent
-	ar[ent.slot].pos = int32(i)
+	s.rec(ent.id).pos = int32(i)
 	return i != start
 }
 
-// heapPopEnt removes and returns the minimum entry of an indexed heap
-// without touching the slot arena; callers re-home or free the slot.
+// heapPopEnt removes and returns the minimum entry of an indexed heap;
+// callers re-home or release its record.
 func (s *Sim) heapPopEnt(hp *[]heapEnt) heapEnt {
 	h := *hp
 	top := h[0]
@@ -651,7 +649,7 @@ func (s *Sim) heapPopEnt(hp *[]heapEnt) heapEnt {
 	if n > 0 {
 		h = h[:n]
 		h[0] = last
-		s.arena[last.slot].pos = 0
+		s.rec(last.id).pos = 0
 		s.heapDown(h, 0)
 	}
 	return top
@@ -666,26 +664,23 @@ func (s *Sim) heapRemove(hp *[]heapEnt, i int) {
 	if i < n {
 		h = h[:n]
 		h[i] = last
-		s.arena[last.slot].pos = int32(i)
+		s.rec(last.id).pos = int32(i)
 		if !s.heapDown(h, i) {
 			s.heapUp(h, i)
 		}
 	}
 }
 
-// remove deletes e from whichever structure holds it: a heap remove for
-// cur/overflow, an O(1) unlink for a wheel bucket.
-func (s *Sim) remove(e *event) {
-	slot := e.slot
-	switch r := &s.arena[slot]; r.loc {
+// remove takes a pending record out of whichever structure holds it: a
+// heap remove for cur/overflow, an O(1) unlink for a wheel bucket.
+func (s *Sim) remove(id int32, r *evRec) {
+	switch r.loc {
 	case locCur:
 		s.heapRemove(&s.cur, int(r.pos))
 	case locOver:
 		s.heapRemove(&s.overflow, int(r.pos))
 	default:
-		s.bucketUnlink(r.loc, slot)
+		s.bucketUnlink(r.loc, id)
 	}
-	s.freeSlot(slot)
-	e.slot = -1
 	s.npend--
 }

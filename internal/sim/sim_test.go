@@ -345,26 +345,55 @@ func TestStopFromInsideFiringCallback(t *testing.T) {
 	}
 }
 
-// A handle to a recycled event must not cancel the event object's next
-// occupant: the generation count makes the stale Stop a no-op.
+// A handle to a recycled record must not reach the record's next
+// occupant, whatever either event's kind: the generation count makes the
+// stale Stop, When and Key report not pending, and the occupant fires.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
-	s := New(1)
-	old := s.After(time.Second, func() {})
-	s.Run() // fires; the event object returns to the free list
-	fired := false
-	fresh := s.After(time.Second, func() { fired = true })
-	if old.Stop() {
-		t.Fatal("stale Stop returned true")
-	}
-	if _, ok := old.When(); ok {
-		t.Fatal("stale When reported pending")
-	}
-	if _, ok := fresh.When(); !ok {
-		t.Fatal("fresh handle not pending")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("stale Stop cancelled the recycled event's new occupant")
+	type arm func(s *Sim, at time.Duration, fired *bool) Timer
+	closure := arm(func(s *Sim, at time.Duration, fired *bool) Timer {
+		return s.At(at, func() { *fired = true })
+	})
+	withArg := arm(func(s *Sim, at time.Duration, fired *bool) Timer {
+		return s.AtArg(at, func(a any) { *a.(*bool) = true }, fired)
+	})
+	for _, tc := range []struct {
+		name       string
+		busy       int // events pending beyond the test while the record recycles
+		old, fresh arm
+	}{
+		{"closure reissued as AtArg", 0, closure, withArg},
+		{"AtArg reissued as closure", 0, withArg, closure},
+		{"record past the first chunk", chunkLen + 44, closure, withArg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			for i := 0; i < tc.busy; i++ {
+				s.AtArg(time.Hour, func(any) {}, nil)
+			}
+			var oldFired, freshFired bool
+			old := tc.old(s, time.Second, &oldFired)
+			s.RunUntil(time.Second) // fires; the record returns to the free list
+			fresh := tc.fresh(s, 2*time.Second, &freshFired)
+			if fresh.id != old.id || int(old.id) < tc.busy {
+				t.Fatalf("old event in record %d, fresh in %d: want one record past the %d busy ones", old.id, fresh.id, tc.busy)
+			}
+			if old.Stop() {
+				t.Error("stale Stop returned true")
+			}
+			if _, ok := old.When(); ok {
+				t.Error("stale When reported pending")
+			}
+			if _, _, ok := old.Key(); ok {
+				t.Error("stale Key reported pending")
+			}
+			if _, ok := fresh.When(); !ok {
+				t.Error("fresh handle not pending")
+			}
+			s.RunUntil(2 * time.Second)
+			if !oldFired || !freshFired {
+				t.Errorf("old fired %v, fresh fired %v: want both", oldFired, freshFired)
+			}
+		})
 	}
 }
 

@@ -120,15 +120,14 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			}
 			return !h.Stop() // double Stop is always stale
 		}
-		// idOf names the pending event in an arena slot.
-		idOf := func(slot int32) int {
-			e := s.arena[slot].ev
+		// idOf names the pending event in a record.
+		idOf := func(rid int32) int {
 			for i, h := range handles {
-				if h.e == e && h.gen == e.gen {
+				if h.id == rid && h.gen == s.rec(rid).gen {
 					return i
 				}
 			}
-			panic("pending slot with no live handle")
+			panic("pending record with no live handle")
 		}
 
 		// targeted stops, in one L0 and one L1 bucket with three or more
@@ -254,15 +253,15 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// bucketMembers lists a wheel bucket's slots from head to tail.
+// bucketMembers lists a wheel bucket's record ids from head to tail.
 func bucketMembers(s *Sim, code int32) []int32 {
 	head, occ, i := s.bucket(code)
 	if !occ.has(i) {
 		return nil
 	}
 	var m []int32
-	for slot := *head; slot >= 0; slot = s.arena[slot].next {
-		m = append(m, slot)
+	for id := *head; id >= 0; id = s.rec(id).next {
+		m = append(m, id)
 	}
 	return m
 }
@@ -274,8 +273,8 @@ func bucketOccupied(s *Sim, code int32) bool {
 
 // wheelConsistent checks the threaded lists: every occupied bucket's list
 // is doubly linked, its head names the tail, every member records the
-// bucket as its home, and the lists, cur and overflow together hold
-// exactly the pending events.
+// bucket as its home and holds a callback, and the lists, cur and
+// overflow together hold exactly the pending events.
 func wheelConsistent(s *Sim) bool {
 	n := len(s.cur) + len(s.overflow)
 	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
@@ -287,12 +286,12 @@ func wheelConsistent(s *Sim) bool {
 		if len(m) == 0 {
 			continue
 		}
-		if s.arena[m[0]].prev != m[len(m)-1] {
+		if s.rec(m[0]).prev != m[len(m)-1] {
 			return false
 		}
-		for k, slot := range m {
-			r := s.arena[slot]
-			if r.loc != code || r.ev == nil || r.ev.slot != slot || r.at != r.ev.at || r.seq != r.ev.seq {
+		for k, id := range m {
+			r := s.rec(id)
+			if r.loc != code || r.arg == nil {
 				return false
 			}
 			if k > 0 && r.prev != m[k-1] {
