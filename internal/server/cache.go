@@ -22,35 +22,93 @@ type cacheEnt struct {
 type docCache struct {
 	cap  int
 	ents []cacheEnt // the slab; ents[0] is the sentinel: next = most recent, prev = oldest
-	// index is dense by DocID — catalog documents are numbered from zero,
-	// so presence is one bounds check and one load on the hottest path in
-	// the whole model (every request starts with Has). It holds the
-	// document's position in ents, 0 when it is not cached. Grown on
-	// demand for out-of-catalog IDs (tests).
+	// index finds a document's position in ents: an open-addressed table of
+	// slab positions (0 for an empty slot), keyed by each entry's document,
+	// which sits at its Fibonacci-hashed home slot or in the first free slot
+	// after it. Its length is a power of two and it is never more than half
+	// full, so it follows what the cache holds — a few hundred slots on a
+	// server holding 90 documents, whatever the catalog — and every request's
+	// Has costs one multiply, a load or two and a compare.
 	index []int32
+	shift uint // 64 − log2(len(index)): a hash's top bits are its home slot
 }
 
-func newDocCache(capDocs, totalDocs int) *docCache {
-	if capDocs < 1 {
-		capDocs = 1
-	}
-	return &docCache{cap: capDocs, ents: make([]cacheEnt, 1), index: make([]int32, totalDocs)}
+const cacheIndexMin = 16 // an empty cache's index: one cache line
+
+func newDocCache(capDocs int) *docCache {
+	c := &docCache{cap: max(capDocs, 1), ents: make([]cacheEnt, 1)}
+	c.fit(0)
+	return c
+}
+
+// home is doc's slot when nothing collides with it.
+func (c *docCache) home(doc trace.DocID) int {
+	return int(uint64(uint32(doc)) * 0x9e3779b97f4a7c15 >> c.shift)
 }
 
 // ent returns doc's position in the slab, 0 when not cached.
 func (c *docCache) ent(doc trace.DocID) int32 {
-	if int(doc) >= len(c.index) || doc < 0 {
-		return 0
+	mask := len(c.index) - 1
+	for i := c.home(doc); ; i = (i + 1) & mask {
+		if e := c.index[i]; e == 0 || c.ents[e].doc == doc {
+			return e
+		}
 	}
-	return c.index[doc]
 }
 
-// grow widens the index to cover doc.
-func (c *docCache) grow(doc trace.DocID) {
-	if int(doc) >= len(c.index) {
-		grown := make([]int32, int(doc)+1)
-		copy(grown, c.index)
-		c.index = grown
+// place files slab position e under its document, which is not in the
+// index.
+func (c *docCache) place(e int32) {
+	mask := len(c.index) - 1
+	i := c.home(c.ents[e].doc)
+	for c.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.index[i] = e
+}
+
+// unplace takes slab position e out of the index. What sat behind it in
+// the same run of occupied slots moves up, as in reqTable.del, so a lookup
+// never has to step over a grave.
+func (c *docCache) unplace(e int32) {
+	mask := len(c.index) - 1
+	i := c.home(c.ents[e].doc)
+	for c.index[i] != e {
+		i = (i + 1) & mask
+	}
+	for j := i; ; {
+		c.index[i] = 0
+		for {
+			j = (j + 1) & mask
+			o := c.index[j]
+			if o == 0 {
+				return
+			}
+			// o may move up to the hole at i unless its home lies after the
+			// hole, between i (exclusive) and j (inclusive).
+			if (j-c.home(c.ents[o].doc))&mask >= (j-i)&mask {
+				c.index[i] = o
+				i = j
+				break
+			}
+		}
+	}
+}
+
+// fit doubles the index until n documents leave it at most half full,
+// filing the cached ones again if it grew.
+func (c *docCache) fit(n int) {
+	size := max(len(c.index), cacheIndexMin)
+	for 2*n > size {
+		size *= 2
+	}
+	if size == len(c.index) {
+		return
+	}
+	c.index = make([]int32, size)
+	c.shift = uint(mbits.LeadingZeros64(uint64(size - 1)))
+	for e := int32(1); e < int32(len(c.ents)); e++ {
+		c.place(e)
 	}
 }
 
@@ -90,21 +148,30 @@ func (c *docCache) Insert(doc trace.DocID) (evicted trace.DocID, didEvict bool) 
 		c.moveToFront(i)
 		return 0, false
 	}
-	c.grow(doc)
 	if len(c.ents)-1 >= c.cap {
 		i := c.ents[0].prev // oldest
 		evicted = c.ents[i].doc
-		c.index[evicted] = 0
+		c.unplace(i)
 		c.ents[i].doc = doc
-		c.index[doc] = i
+		c.place(i)
 		c.moveToFront(i)
 		return evicted, true
 	}
+	c.fit(len(c.ents))
 	i := int32(len(c.ents))
 	c.ents = append(c.ents, cacheEnt{doc: doc})
-	c.index[doc] = i
+	c.place(i)
 	c.pushFront(i)
 	return 0, false
+}
+
+// refill caches docs, listed most recent first as Docs lists them. The
+// index is sized for them once, not doubled through every size on the way.
+func (c *docCache) refill(docs []trace.DocID) {
+	c.fit(min(len(c.ents)-1+len(docs), c.cap))
+	for i := len(docs) - 1; i >= 0; i-- {
+		c.Insert(docs[i])
+	}
 }
 
 // Docs lists the cached documents, most recent first. Used to seed a

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,7 +13,7 @@ import (
 )
 
 func TestDocCacheLRUEviction(t *testing.T) {
-	c := newDocCache(3, 16)
+	c := newDocCache(3)
 	for d := trace.DocID(0); d < 3; d++ {
 		if _, ev := c.Insert(d); ev {
 			t.Fatal("eviction before capacity")
@@ -34,7 +36,7 @@ func TestDocCacheLRUEviction(t *testing.T) {
 }
 
 func TestDocCacheReinsertRefreshes(t *testing.T) {
-	c := newDocCache(2, 16)
+	c := newDocCache(2)
 	c.Insert(1)
 	c.Insert(2)
 	if _, did := c.Insert(1); did {
@@ -47,7 +49,7 @@ func TestDocCacheReinsertRefreshes(t *testing.T) {
 }
 
 func TestDocCacheDocsOrder(t *testing.T) {
-	c := newDocCache(3, 16)
+	c := newDocCache(3)
 	c.Insert(1)
 	c.Insert(2)
 	c.Insert(3)
@@ -86,19 +88,58 @@ func (l *sliceLRU) insert(d trace.DocID) (evicted trace.DocID, didEvict bool) {
 	return evicted, didEvict
 }
 
+// sharedHomes returns n documents whose home is the last slot of every
+// index up to 256 slots long, so their run wraps past the end of the
+// table, and n whose home is slot 0, where the wrapped run lands.
+func sharedHomes(n int) []trace.DocID {
+	probe := newDocCache(128)
+	probe.fit(128) // 256 slots: a home's top 8 bits fix its home in every shorter table
+	var last, first []trace.DocID
+	for d := trace.DocID(0); len(last) < n || len(first) < n; d++ {
+		switch h := probe.home(d); {
+		case h == 255 && len(last) < n:
+			last = append(last, d)
+		case h == 0 && len(first) < n:
+			first = append(first, d)
+		}
+	}
+	return append(last, first...)
+}
+
 // Property: over any sequence of Insert, Has and Peek, the cache evicts the
 // same documents and lists them in the same order as the slice LRU — the
 // order a Hello and the snapshot walk write. That also bounds it by its
-// capacity, and holds whether the index was sized for the catalog or grows.
+// capacity, and its index stays at most half full. It holds for catalog
+// documents, for documents that share home slots (with a run that wraps
+// past the end of the table), and for ids no catalog has.
 func TestQuickDocCacheBounded(t *testing.T) {
+	var catalog, outside []trace.DocID
+	for d := range trace.DocID(40) {
+		catalog = append(catalog, d)
+	}
+	for d := range trace.DocID(20) {
+		outside = append(outside, -1-d, math.MaxInt32-d)
+	}
+	for _, alphabet := range []struct {
+		name string
+		docs []trace.DocID
+	}{
+		{"catalog", catalog},
+		{"shared-homes", sharedHomes(20)},
+		{"outside-catalog", outside},
+	} {
+		t.Run(alphabet.name, func(t *testing.T) {
+			checkAgainstSliceLRU(t, alphabet.docs)
+		})
+	}
+}
+
+func checkAgainstSliceLRU(t *testing.T, alphabet []trace.DocID) {
 	f := func(ops []uint16, capSeed uint8) bool {
-		capDocs, docs := int(capSeed)%20+1, 0
-		if capSeed&0x80 != 0 {
-			docs = 40
-		}
-		c, ref := newDocCache(capDocs, docs), &sliceLRU{cap: capDocs}
+		capDocs := int(capSeed)%20 + 1
+		c, ref := newDocCache(capDocs), &sliceLRU{cap: capDocs}
 		for _, op := range ops {
-			d := trace.DocID(op/3) % 40
+			d := alphabet[int(op/3)%len(alphabet)]
 			switch op % 3 {
 			case 0:
 				ev, did := c.Insert(d)
@@ -114,7 +155,7 @@ func TestQuickDocCacheBounded(t *testing.T) {
 					return false
 				}
 			}
-			if !slices.Equal(c.Docs(), ref.docs) {
+			if !slices.Equal(c.Docs(), ref.docs) || 2*(len(c.ents)-1) > len(c.index) {
 				return false
 			}
 		}
@@ -212,4 +253,55 @@ func TestDiskKeySpreadsAcrossDisks(t *testing.T) {
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("disk placement aliases ownership: %v", counts)
 	}
+}
+
+// BenchmarkDocCache measures the cache's share of a request on a Zipf
+// α 0.8 stream over a 6,500-document catalog, at the two shapes the
+// benchmark workloads run: campaign4's full cache of 1,213 documents and
+// the 90 a scale256 server holds (an index of 256 slots either way). has is
+// the lookup every request starts with; has+insert adds the Insert of a
+// node that reads every miss from its disk and evicts to make room.
+// refill is a restore's refill of a full 1,213-document cache.
+func BenchmarkDocCache(b *testing.B) {
+	cat := trace.NewCatalog(6500, 27*1024, 0.8)
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]trace.DocID, 1<<16)
+	for i := range stream {
+		stream[i] = cat.Sample(rng)
+	}
+	warm := func(capDocs int) *docCache {
+		c := newDocCache(capDocs)
+		for _, d := range stream {
+			if !c.Has(d) {
+				c.Insert(d)
+			}
+		}
+		return c
+	}
+	for _, capDocs := range []int{1213, 90} {
+		b.Run(fmt.Sprintf("has/docs=%d", capDocs), func(b *testing.B) {
+			c := warm(capDocs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Has(stream[i&(len(stream)-1)])
+			}
+		})
+		b.Run(fmt.Sprintf("has+insert/docs=%d", capDocs), func(b *testing.B) {
+			c := warm(capDocs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d := stream[i&(len(stream)-1)]; !c.Has(d) {
+					c.Insert(d)
+				}
+			}
+		})
+	}
+	b.Run("refill/docs=1213", func(b *testing.B) {
+		docs := warm(1213).Docs()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			newDocCache(1213).refill(docs)
+		}
+	})
 }

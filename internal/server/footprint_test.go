@@ -4,22 +4,27 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"press/internal/trace"
 )
 
 // Every server keeps a peer record per other node, so at N=256 a world
-// holds 65,280 of them: the record is pinned at two cache lines. It holds
+// holds 65,280 of them: the record is pinned at one cache line. It holds
 // no handlers — every send stream shares the server's one set, which finds
-// the record through the stream's word — so nothing else is kept per peer.
+// the record through the stream's word — and no send queue or redial
+// state until a message has had to wait or a dial has failed.
 func TestPeerRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(peer{}); got > 128 {
-		t.Errorf("peer is %d bytes, want at most 128", got)
+	if got := unsafe.Sizeof(peer{}); got > 64 {
+		t.Errorf("peer is %d bytes, want at most 64", got)
 	}
 }
 
-// The document cache's index is dense by catalog document on every server
-// (6,500 entries each at N=256), so it holds 4-byte slab positions, and the
-// slab's entries hold no pointer: the collector scans neither.
-func TestDocCacheEntrySize(t *testing.T) {
+// The document cache's index follows what the cache holds, not the
+// catalog: a scale256 server's cache of capacity 1,213 over a
+// 6,500-document catalog holds about 90 documents, in a few hundred 4-byte
+// slots, wherever in the id space they lie. The slab's entries hold no
+// pointer, so the collector scans neither.
+func TestDocCacheIndexFollowsFill(t *testing.T) {
 	if got := unsafe.Sizeof(cacheEnt{}); got != 12 {
 		t.Errorf("cacheEnt is %d bytes, want 12", got)
 	}
@@ -29,7 +34,24 @@ func TestDocCacheEntrySize(t *testing.T) {
 			t.Errorf("cacheEnt.%s is a %s, want an int32", f.Name, f.Type)
 		}
 	}
-	if idx, ok := reflect.TypeOf(docCache{}).FieldByName("index"); !ok || idx.Type.Elem().Kind() != reflect.Int32 {
+	if idx, _ := reflect.TypeOf(docCache{}).FieldByName("index"); idx.Type != reflect.TypeOf([]int32(nil)) {
 		t.Errorf("docCache.index is %v, want []int32", idx.Type)
+	}
+
+	const capDocs, catalog = 1213, 6500
+	for _, spread := range []trace.DocID{1, catalog / 90, 1 << 20} {
+		c := newDocCache(capDocs)
+		for i := range trace.DocID(90) {
+			c.Insert(i * spread)
+		}
+		if got := len(c.index); got > 256 {
+			t.Errorf("90 documents %d apart: the index has %d slots, want at most 256", spread, got)
+		}
+		for i := range trace.DocID(capDocs) {
+			c.Insert(catalog + i*spread)
+		}
+		if got := len(c.index); got > 4096 {
+			t.Errorf("a full cache of %d documents %d apart: the index has %d slots, want at most 4,096", capDocs, spread, got)
+		}
 	}
 }

@@ -13,49 +13,89 @@ import (
 // in front of the connection is the structure queue monitoring watches.
 // The peer is its dials' owner (cnet.DialOwner), and its send stream's
 // word holds its id + 1, which is how the server's send handlers find it.
+//
+// A server keeps one per other node, so at N=256 a world holds 65,280 of
+// them: the record is one cache line, and what only some peers need — a
+// queue for messages that had to wait, the redials of a dial that failed —
+// hangs off it, allocated the first time it is needed.
 type peer struct {
-	// Hot fields first: every forward touches conn, the send queue and
-	// load, so they share the record's leading cache line; dial/retry
-	// state is only walked during fault episodes and sits behind them.
-	id       cnet.NodeID
-	conn     cnet.Conn // outbound (send) connection; nil until established
-	sendQ    []outMsg
-	sendHead int // consumed prefix of sendQ (popped without re-slicing)
-	reqInQ   int // FwdMsgs among the queued messages
-	load     int // piggybacked open-request count
-	dialing  bool
-	// retry is the redial timer armed last, the one teardown stops;
-	// retries are all that are armed and have not run yet, oldest first.
-	// There can be several: teardown clears dialing under a dial in flight,
-	// the next include dials again, and each refused dial arms a redial.
-	retry   clock.Timer
-	retries []*redial
+	id      cnet.NodeID
+	conn    cnet.Conn  // outbound (send) connection; nil until established
+	q       *sendQueue // nil until a message first had to wait
+	load    int        // piggybacked open-request count
+	dialing bool
+	rd      *peerRedials // nil until a dial first failed
+	s       *Server      // for DialResult and the redials
+}
 
-	s *Server // for DialResult and the redials
+// sendQueue holds the messages waiting for the send stream: it is not up,
+// or its window is full.
+type sendQueue struct {
+	msgs []outMsg
+	head int // consumed prefix of msgs (popped without re-slicing)
+	reqs int // FwdMsgs among the queued messages
+}
+
+// peerRedials are the redial timers armed towards one peer. retry is the
+// one armed last, the one teardown stops; list holds all that are armed
+// and have not run yet, oldest first. There can be several: teardown
+// clears dialing under a dial in flight, the next include dials again, and
+// each refused dial arms a redial.
+type peerRedials struct {
+	retry clock.Timer
+	list  []*redial
 }
 
 // redial is the owner of one armed redial timer.
 type redial struct{ p *peer }
 
 func (p *peer) newRedial() *redial {
+	if p.rd == nil {
+		p.rd = new(peerRedials)
+	}
 	r := &redial{p: p}
-	p.retries = append(p.retries, r)
+	p.rd.list = append(p.rd.list, r)
 	return r
 }
 
 // OnTimer implements cnet.TimerOwner: dial the peer again.
 func (r *redial) OnTimer() {
 	p := r.p
-	for i, o := range p.retries {
+	for i, o := range p.rd.list {
 		if o == r {
-			p.retries = append(p.retries[:i], p.retries[i+1:]...)
+			p.rd.list = append(p.rd.list[:i], p.rd.list[i+1:]...)
 			break
 		}
 	}
 	p.s.connectPeer(p.id)
 }
 
-func (p *peer) qlen() int { return len(p.sendQ) - p.sendHead }
+// len and requests count the waiting messages and the requests among
+// them; a peer that never queued has a nil queue, which holds none.
+func (q *sendQueue) len() int {
+	if q == nil {
+		return 0
+	}
+	return len(q.msgs) - q.head
+}
+
+func (q *sendQueue) requests() int {
+	if q == nil {
+		return 0
+	}
+	return q.reqs
+}
+
+// wait queues om behind the messages already waiting.
+func (p *peer) wait(om outMsg) {
+	if p.q == nil {
+		p.q = new(sendQueue)
+	}
+	p.q.msgs = append(p.q.msgs, om)
+	if om.isReq {
+		p.q.reqs++
+	}
+}
 
 type outMsg struct {
 	m     cnet.Message
@@ -120,7 +160,8 @@ func (p *peer) DialResult(c cnet.Conn, err error) {
 		// retrying while it remains in the view; the detectors decide
 		// whether it should stay there.
 		if s.inView(p.id) {
-			p.retry = s.env.AfterFor(2*time.Second, p.newRedial())
+			r := p.newRedial()
+			p.rd.retry = s.env.AfterFor(2*time.Second, r)
 		}
 		return
 	}
@@ -154,19 +195,36 @@ func (s *Server) connectPeer(n cnet.NodeID) {
 	s.env.DialFor(n, cnet.ClassIntra, PortPress, p)
 }
 
-// enqueue appends a message to n's send queue and pushes the queue.
+// enqueue sends a message to n, behind any that wait for the send stream.
 func (s *Server) enqueue(n cnet.NodeID, om outMsg) {
 	p := s.peer(n)
-	p.sendQ = append(p.sendQ, om)
-	if om.isReq {
-		p.reqInQ++
-	}
-	s.observeQueue(p)
-	if p.conn == nil {
-		s.connectPeer(n)
+	if p.conn == nil || p.q.len() > 0 {
+		p.wait(om)
+		s.observeQueue(p)
+		if p.conn == nil {
+			s.connectPeer(n)
+			return
+		}
+		s.drain(n)
 		return
 	}
-	s.drain(n)
+	// Nothing waits on an open stream: send at once. Queue monitoring sees
+	// what a queue of this one message would show it.
+	reqs := 0
+	if om.isReq {
+		reqs = 1
+	}
+	s.observe(n, 1, reqs)
+	switch {
+	case p.conn == nil:
+		// That observation excluded n; the message went with its queue.
+		s.connectPeer(n)
+	case p.conn.TrySend(om.m, om.size):
+		s.observe(n, 0, 0)
+	default: // flow control: the peer is not reading
+		p.wait(om)
+		s.observeQueue(p)
+	}
 }
 
 // drain pushes queued messages until the connection's window fills.
@@ -175,39 +233,43 @@ func (s *Server) drain(n cnet.NodeID) {
 	if p == nil || p.conn == nil {
 		return
 	}
-	for p.sendHead < len(p.sendQ) {
-		om := p.sendQ[p.sendHead]
-		if !p.conn.TrySend(om.m, om.size) {
-			break // flow control: the peer is not reading
+	if q := p.q; q != nil {
+		for q.head < len(q.msgs) {
+			om := q.msgs[q.head]
+			if !p.conn.TrySend(om.m, om.size) {
+				break // flow control: the peer is not reading
+			}
+			q.msgs[q.head] = outMsg{}
+			q.head++
+			if om.isReq {
+				q.reqs--
+			}
 		}
-		p.sendQ[p.sendHead] = outMsg{}
-		p.sendHead++
-		if om.isReq {
-			p.reqInQ--
+		if q.head == len(q.msgs) {
+			// Fully drained: reset so the backing array is reused from the top.
+			q.msgs = q.msgs[:0]
+			q.head = 0
 		}
-	}
-	if p.sendHead == len(p.sendQ) {
-		// Fully drained: reset so the backing array is reused from the top.
-		p.sendQ = p.sendQ[:0]
-		p.sendHead = 0
 	}
 	s.observeQueue(p)
 }
 
-func (s *Server) observeQueue(p *peer) {
+func (s *Server) observeQueue(p *peer) { s.observe(p.id, p.q.len(), p.q.requests()) }
+
+// observe tells queue monitoring that total messages, reqs of them
+// requests, wait for n.
+func (s *Server) observe(n cnet.NodeID, total, reqs int) {
 	if s.qm != nil {
-		s.qm.Observe(p.id, p.qlen(), p.reqInQ)
+		s.qm.Observe(n, total, reqs)
 	}
 }
 
 // teardown closes the peer's plumbing and empties its send queue. Queued
 // requests are rerouted by the caller via the inflight table.
 func (p *peer) teardown() {
-	p.sendQ = nil
-	p.sendHead = 0
-	p.reqInQ = 0
-	if p.retry != nil && p.retry.Stop() {
-		p.retries = p.retries[:len(p.retries)-1] // pending, so not run yet: the newest of them
+	p.q = nil
+	if rd := p.rd; rd != nil && rd.retry != nil && rd.retry.Stop() {
+		rd.list = rd.list[:len(rd.list)-1] // pending, so not run yet: the newest of them
 	}
 	if p.conn != nil {
 		p.conn.Close()

@@ -7,6 +7,7 @@ import (
 	"press/internal/cnet"
 	"press/internal/metrics"
 	"press/internal/qmon"
+	"press/internal/snapio"
 	"press/internal/trace"
 )
 
@@ -34,7 +35,7 @@ type Server struct {
 	ringMissDetail string
 	disk           DiskArray
 	memb           MembershipView
-	qm             *qmon.Monitor
+	qm             queueMonitor // nil without queue monitoring
 
 	cache *docCache
 	dir   *directory
@@ -93,6 +94,15 @@ type Server struct {
 	joinTimer clock.Timer // the server is its owner (OnTimer)
 }
 
+// queueMonitor is what the server asks of a *qmon.Monitor.
+type queueMonitor interface {
+	Observe(peer cnet.NodeID, total, requests int)
+	ShouldReroute(peer cnet.NodeID) bool
+	ClearFailed(peer cnet.NodeID)
+	Forget(peer cnet.NodeID)
+	SnapState(x *snapio.Ctx)
+}
+
 type pendingReq struct {
 	conn cnet.Conn
 	msg  *ReqMsg
@@ -126,7 +136,7 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 		ringMissDetail: fmt.Sprintf("ring: %d heartbeats missed", cfg.HeartbeatMiss),
 		disk:           disk,
 		memb:           memb,
-		cache:          newDocCache(cfg.Catalog.DocsFitting(cfg.CacheBytes), cfg.Catalog.Docs),
+		cache:          newDocCache(cfg.Catalog.DocsFitting(cfg.CacheBytes)),
 		dir:            newDirectory(cfg.Nodes, cfg.Catalog.Docs),
 	}
 	s.sizeNodeTables()
@@ -293,7 +303,7 @@ func (s *Server) Stats() Stats { return s.stats }
 // SendQueueLen reports the send-queue length towards peer (tests).
 func (s *Server) SendQueueLen(n cnet.NodeID) int {
 	if p := s.peerAt(n); p != nil {
-		return p.qlen()
+		return p.q.len()
 	}
 	return 0
 }

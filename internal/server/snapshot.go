@@ -3,6 +3,7 @@ package server
 import (
 	"sort"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/snapio"
 	"press/internal/trace"
@@ -133,7 +134,7 @@ func (s *Server) node(x *snapio.Ctx, n *cnet.NodeID, orNone bool) {
 }
 
 // doc moves a document id; a loaded one has to be in the catalog, whose
-// size the cache's and the directory's tables are built for.
+// size the directory's table is built for.
 func (s *Server) doc(x *snapio.Ctx, d *trace.DocID) {
 	snapio.Int(x, d)
 	if !x.Saving() && (*d < 0 || int(*d) >= s.cfg.Catalog.Docs) {
@@ -188,16 +189,14 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 	s.stats.snap(x)
 	s.snapView(x)
 
-	// Docs are listed MRU-first; inserting oldest-first reproduces the order.
+	// Docs are listed MRU-first; refilling oldest-first reproduces the order.
 	var docs []trace.DocID
 	if x.Saving() {
 		docs = s.cache.Docs()
 	}
 	snapio.Slice(x, &docs, 1<<24, func(d *trace.DocID) { s.doc(x, d) })
 	if !x.Saving() {
-		for i := len(docs) - 1; i >= 0; i-- {
-			s.cache.Insert(docs[i])
-		}
+		s.cache.refill(docs)
 	}
 
 	// The directory's word count is derived from cfg.Nodes on both ends,
@@ -243,26 +242,41 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		x.Bool(&p.dialing)
 		// The redials still to run, oldest first, each its timer's owner,
 		// then the handle of the one armed last, which teardown stops.
-		snapio.Slice(x, &p.retries, 1<<16, func(r **redial) {
+		// A peer with neither writes what one with both empty writes.
+		var redials []*redial
+		var retry clock.Timer
+		if p.rd != nil {
+			redials, retry = p.rd.list, p.rd.retry
+		}
+		snapio.Slice(x, &redials, 1<<16, func(r **redial) {
 			if !x.Saving() {
 				*r = &redial{p: p}
 			}
 			x.Define(*r)
 		})
-		cnet.SnapTimer(x, &p.retry, "server: peer redial")
+		cnet.SnapTimer(x, &retry, "server: peer redial")
 		snapio.Int(x, &p.load)
-		q := p.sendQ[p.sendHead:]
-		snapio.Slice(x, &q, 1<<20, func(om *outMsg) {
+		var waiting []outMsg
+		if p.q != nil {
+			waiting = p.q.msgs[p.q.head:]
+		}
+		reqs := 0
+		snapio.Slice(x, &waiting, 1<<20, func(om *outMsg) {
 			snapio.Msg(x, &om.m)
 			snapio.Int(x, &om.size)
 			x.Bool(&om.isReq)
 			x.U64(&om.reqID)
-			if !x.Saving() && om.isReq {
-				p.reqInQ++
+			if om.isReq {
+				reqs++
 			}
 		})
 		if !x.Saving() {
-			p.sendQ = q
+			if redials != nil || retry != nil {
+				p.rd = &peerRedials{retry: retry, list: redials}
+			}
+			if waiting != nil {
+				p.q = &sendQueue{msgs: waiting, reqs: reqs}
+			}
 			cnet.RetainConn(p.conn) // no-op on snapshot-built conns; keeps the pin balanced
 		}
 	})
@@ -419,13 +433,13 @@ func (s *Server) SnapHusk(x *snapio.Ctx) {
 		s.node(x, n, false)
 		qlen := 0
 		if x.Saving() {
-			qlen = s.peers[*n].qlen()
+			qlen = s.peers[*n].q.len()
 		}
 		if snapio.Int(x, &qlen); qlen < 0 || qlen > 1<<20 {
 			snapio.Failf("server: husk send queue length %d out of range", qlen)
 		}
 		if !x.Saving() {
-			s.setPeer(*n, &peer{id: *n, sendQ: make([]outMsg, qlen)})
+			s.setPeer(*n, &peer{id: *n, q: &sendQueue{msgs: make([]outMsg, qlen)}})
 		}
 	})
 }

@@ -452,6 +452,37 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 				return false
 			})
 		}},
+		// A peer's send queue exists only once a message has had to wait:
+		// here behind the window of a hung server that reads nothing.
+		capture{harness.VCOOP, time.Minute, "/peer-queue-waiting", func(t *testing.T, c *harness.Cluster) {
+			if _, err := c.Injector.Inject(faults.AppHang, 1); err != nil {
+				t.Fatal(err)
+			}
+			stepUntil(t, c, "a message waiting in a server's send queue", func() bool {
+				for i := range c.Machines {
+					if i != 1 && c.Server(i).SendQueueLen(c.Machines[1].ID()) > 0 {
+						return true
+					}
+				}
+				return false
+			})
+		}},
+		// A peer's redials exist only once a dial has failed: here the
+		// membership service keeps a crashed server in the view, so its
+		// peers dial it again and are refused.
+		capture{harness.VMEM, time.Minute, "/peer-redials-armed", func(t *testing.T, c *harness.Cluster) {
+			if _, err := c.Injector.Inject(faults.AppCrash, 1); err != nil {
+				t.Fatal(err)
+			}
+			stepUntil(t, c, "a redial armed by a server towards the crashed one", func() bool {
+				for i, m := range c.Machines {
+					if i != 1 && pendingTimers(c, m.Proc("press"), "*server.redial") > 0 {
+						return true
+					}
+				}
+				return false
+			})
+		}},
 		capture{harness.VCOOP, time.Minute, "/inbound-slot-moved", func(t *testing.T, c *harness.Cluster) {
 			last := make([]int, len(c.Machines)) // each server's last inbound slot before the crash
 			lastConn := make([]cnet.Conn, len(c.Machines))

@@ -93,16 +93,18 @@ func TestScale256EventCountInvariant(t *testing.T) {
 // a pinned number like the event count; the test allows 1 MB and 1 % of
 // the objects over.
 const (
-	scale256LiveHeapMB  = 57.9
-	scale256LiveObjects = 238_176
+	scale256LiveHeapMB  = 44.6
+	scale256LiveObjects = 174_418
 )
 
 // TestScale256LiveHeap pins the bytes per node: what the 256-node world
 // keeps resident at the end of the chaos window. A change that makes a
 // per-connection or per-event structure bigger, or keeps a storm's
 // high-water that used to be dropped, shows here as megabytes; a record
-// or closure kept per connection again shows as 65,280 objects more, and
-// an object per event at the storm's high-water as 65,335 more.
+// or closure kept per connection again shows as 65,280 objects more, an
+// object per event at the storm's high-water as 65,335 more, and a send
+// queue allocated for every peer instead of the first time a message has
+// to wait as 65,280 more.
 func TestScale256LiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node chaos window is a few seconds of wall clock; skipped in -short")
