@@ -19,7 +19,7 @@ func scaleOpts64(seed int64) harness.Options {
 	return o
 }
 
-// TestScalableChaosCampaign64 is the CI scale-smoke campaign: 8 seeded
+// TestScalableChaosCampaign64 is the short tier's scale campaign: 8 seeded
 // multi-fault schedules against a 64-node COOP cluster on the Scalable
 // protocol suite (sharded directory + hash routing), judged by the
 // standing invariant catalog. The horizon is trimmed so the whole

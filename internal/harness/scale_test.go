@@ -24,7 +24,7 @@ func scaleOpts(seed int64, n int) Options {
 	return o
 }
 
-// TestScalableEpisode64 is the CI scale-smoke anchor: a 64-node COOP
+// TestScalableEpisode64 is the short tier's scale anchor: a 64-node COOP
 // cluster on the Scalable suite absorbs a node crash end to end —
 // detect, exclude, reintegrate — and the episode's fitted template shows
 // the crash cost ~1/64 of service, not a stall.
@@ -146,7 +146,7 @@ func unexportedLen(obj any, field string) int {
 	return v.Len()
 }
 
-// TestScalableFootprint64 is the CI scale-smoke check that resident
+// TestScalableFootprint64 checks that resident
 // simulator state follows live work, on counts that repeat exactly: at
 // steady state a 64-node world keeps no free list above its bound (its
 // boot storm dialed 4,032 connections), exactly one machine-layer record

@@ -108,14 +108,7 @@ func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, err := Load(".", "press/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; expected the whole module", len(pkgs))
-	}
-	diags := Run(pkgs, All(), DefaultConfig())
+	diags := Run(modulePackages(t), All(), DefaultConfig())
 	for _, d := range diags {
 		t.Errorf("unannotated finding: %s", d)
 	}

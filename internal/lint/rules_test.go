@@ -1,0 +1,267 @@
+package lint
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"os/exec"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// module is the module's product packages, loaded once for every test
+// that reads them (TestSelfClean and TestSourceRules).
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+func modulePackages(t *testing.T) []*Package {
+	t.Helper()
+	module.once.Do(func() { module.pkgs, module.err = Load(".", "press/...") })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	if len(module.pkgs) < 20 {
+		t.Fatalf("loaded only %d packages; expected the whole module", len(module.pkgs))
+	}
+	return module.pkgs
+}
+
+// A sourceRule is a structural property of the product code that no
+// behavioural test observes. It reports each violation it finds; every
+// name it matches is resolved through go/types, so a comment never does.
+type sourceRule struct {
+	name  string
+	check func(pkgs []*Package) []string
+}
+
+// TestSourceRules holds the product code (non-test files of press/...) to
+// the rules below. Rules that a behavioural test already pins are not
+// here: event storage (TestKernelStormAllocatesOnce, TestEventRecordSize)
+// and the server's per-peer and per-document state (TestPeerRecordSize,
+// TestDocCacheIndexFollowsFill).
+func TestSourceRules(t *testing.T) {
+	pkgs := modulePackages(t)
+	for _, r := range []sourceRule{
+		{"side-channel", sideChannels},
+		{"hash", hashedLookups},
+		{"handler-set", handlerSets},
+		{"suite-flag", suiteFlags},
+		{"gob", gobImports},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			for _, v := range r.check(pkgs) {
+				t.Error(v)
+			}
+		})
+	}
+}
+
+// deletedNames are the second descriptions of a continuation that
+// DESIGN §13 "Owners" removed: set-then-call owner tags, the callbacks a
+// restore used to rebuild a closure from, the dial registry and its tags,
+// and the timer serials. A continuation is its owner record
+// (cnet.Env.AfterFor, DialFor, ReadFor); product code that defines one of
+// these names again is bringing the second description back.
+var deletedNames = regexp.MustCompile(`^(SetNext[A-Z]\w*|TagNextDial|RestoreDisk(Done|Notify|Probe)|RestoreDialer|RestoreTaggedDialer|DialTagged|TaggedDial|tagDialTag|RestoreTimer|TimerSerial|timerSeq|mailTimer\w*)$`)
+
+// stringKind is the deleted string event kinds' name (DESIGN §12 "One
+// vocabulary"): an event kind is a metrics.KindID, and nothing uses a
+// metrics.Ev* object.
+var stringKind = regexp.MustCompile(`^Ev[A-Z]`)
+
+func sideChannels(pkgs []*Package) (out []string) {
+	for _, p := range pkgs {
+		eachNode(p, func(n ast.Node, _ *ast.FuncDecl) {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return
+			}
+			if obj := p.Info.Defs[id]; obj != nil && deletedNames.MatchString(obj.Name()) {
+				out = append(out, at(p, id, "defines %s, a deleted side channel", obj.Name()))
+			}
+			if obj := p.Info.Uses[id]; obj != nil && inPkg(obj, "internal/metrics") && stringKind.MatchString(obj.Name()) {
+				out = append(out, at(p, id, "uses metrics.%s, a string event kind", obj.Name()))
+			}
+		})
+	}
+	return out
+}
+
+// hashedLookups holds DESIGN §11 "No hashing on the request path": which
+// request a connection carries is the word the runtime keeps with it
+// (cnet.Env.ConnWord), and the ports a node serves are slices compared by
+// ==. A map type keyed by connection in the server, or from a name to a
+// handler in simnet or machine, is one of the deleted tables coming back.
+func hashedLookups(pkgs []*Package) (out []string) {
+	for _, p := range pkgs {
+		byConn := p.PkgPath == "press/internal/server"
+		byName := p.PkgPath == "press/internal/simnet" || p.PkgPath == "press/internal/machine"
+		if !byConn && !byName {
+			continue
+		}
+		eachNode(p, func(n ast.Node, _ *ast.FuncDecl) {
+			e, ok := n.(ast.Expr)
+			if !ok || !p.Info.Types[e].IsType() {
+				return
+			}
+			m, ok := p.Info.Types[e].Type.Underlying().(*types.Map)
+			if !ok {
+				return
+			}
+			key, isStr := m.Key().Underlying().(*types.Basic)
+			_, toFunc := m.Elem().Underlying().(*types.Signature)
+			if byConn && isNamed(m.Key(), "internal/cnet", "Conn") {
+				out = append(out, at(p, e, "%s is keyed by a connection", m))
+			}
+			if byName && isStr && key.Kind() == types.String && toFunc {
+				out = append(out, at(p, e, "%s looks a handler up by name", m))
+			}
+		})
+	}
+	return out
+}
+
+// handlerSets holds DESIGN §11 "The connection's word": a server has three
+// stream handler sets (client, send and inbound streams), built once in
+// newServer; each finds its record through the connection's word. A
+// handler literal elsewhere is a per-connection closure coming back. (An
+// empty set holds no closure: a refused connection gets one.)
+func handlerSets(pkgs []*Package) (out []string) {
+	for _, p := range pkgs {
+		if p.PkgPath != "press/internal/server" {
+			continue
+		}
+		inside := 0
+		eachNode(p, func(n ast.Node, fn *ast.FuncDecl) {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || len(lit.Elts) == 0 || !isNamed(p.Info.TypeOf(lit), "internal/cnet", "StreamHandlers") {
+				return
+			}
+			if isFunc(fn, "newServer") {
+				inside++
+				return
+			}
+			out = append(out, at(p, lit, "a cnet.StreamHandlers literal outside newServer"))
+		})
+		if inside != 3 {
+			out = append(out, fmt.Sprintf("newServer builds %d stream handler sets, want 3", inside))
+		}
+	}
+	return out
+}
+
+// suiteFlags holds DESIGN §16 "The seam": each protocol suite is one value
+// picked in a constructor, and everything after that is a method of the
+// value it picked. Each flag is read once in the module, in that
+// constructor; a second read is code branching on the suite again. A
+// composite-literal key sets the flag and is not a read.
+func suiteFlags(pkgs []*Package) (out []string) {
+	type flag struct{ pkg, field, ctor string }
+	flags := []flag{
+		{"internal/server", "Sharded", "newServer"},
+		{"internal/membership", "Gossip", "newDaemon"},
+		{"internal/frontend", "ShardRoute", "newFrontend"},
+	}
+	reads := map[flag]int{}
+	for _, p := range pkgs {
+		eachNode(p, func(n ast.Node, fn *ast.FuncDecl) {
+			se, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			sel := p.Info.Selections[se]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			recv := sel.Recv()
+			if ptr, ok := recv.Underlying().(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			for _, f := range flags {
+				if se.Sel.Name != f.field || !isNamed(recv, f.pkg, "Config") {
+					continue
+				}
+				reads[f]++
+				if p.PkgPath != "press/"+f.pkg || !isFunc(fn, f.ctor) {
+					out = append(out, at(p, se, "reads %s.Config.%s outside %s", f.pkg, f.field, f.ctor))
+				}
+			}
+		})
+	}
+	for _, f := range flags {
+		if reads[f] != 1 {
+			out = append(out, fmt.Sprintf("%s.Config.%s is read %d times, want once, in %s", f.pkg, f.field, reads[f], f.ctor))
+		}
+	}
+	return out
+}
+
+// gobImports holds DESIGN §18 "One codec on both sockets": livenet's
+// datagrams carry snapio.MsgCodec bytes as its stream frames do. A product
+// package importing encoding/gob is a second wire format coming back.
+// cmd/pressbench names the package only in its profile classifier.
+func gobImports(pkgs []*Package) (out []string) {
+	for _, p := range pkgs {
+		if p.PkgPath == "press/cmd/pressbench" {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, spec := range f.Imports {
+				if spec.Path.Value == `"encoding/gob"` {
+					out = append(out, at(p, spec, "imports encoding/gob"))
+				}
+			}
+		}
+	}
+	deps, err := exec.Command("go", "list", "-deps", "press/cmd/pressd", "press/cmd/reproduce").Output()
+	if err != nil {
+		return append(out, fmt.Sprintf("go list -deps: %v", err))
+	}
+	for _, d := range strings.Fields(string(deps)) {
+		if d == "encoding/gob" {
+			out = append(out, "encoding/gob is a dependency of cmd/pressd or cmd/reproduce")
+		}
+	}
+	return out
+}
+
+// eachNode walks p's files in order, passing each node and the function
+// declaration it sits in (nil outside one).
+func eachNode(p *Package, visit func(n ast.Node, fn *ast.FuncDecl)) {
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			fn, _ := d.(*ast.FuncDecl)
+			ast.Inspect(d, func(n ast.Node) bool {
+				if n != nil {
+					visit(n, fn)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// isFunc reports whether fn is the package-level function name.
+func isFunc(fn *ast.FuncDecl, name string) bool {
+	return fn != nil && fn.Recv == nil && fn.Name.Name == name
+}
+
+// inPkg reports whether obj belongs to the module package rel.
+func inPkg(obj types.Object, rel string) bool {
+	return obj.Pkg() != nil && obj.Pkg().Path() == "press/"+rel
+}
+
+// isNamed reports whether t is the type name declared in module package rel.
+func isNamed(t types.Type, rel, name string) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	return ok && n.Obj().Name() == name && inPkg(n.Obj(), rel)
+}
+
+func at(p *Package, n ast.Node, format string, args ...any) string {
+	return fmt.Sprintf("%s: %s", p.Fset.Position(n.Pos()), fmt.Sprintf(format, args...))
+}

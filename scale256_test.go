@@ -68,7 +68,7 @@ func scale256Window(t *testing.T) (*press.Deployment, uint64) {
 	return dep, dep.Sim.EventsFired() - e0
 }
 
-// TestScale256EventCountInvariant is the CI scale-smoke anchor for the
+// TestScale256EventCountInvariant is the full tier's anchor for the
 // wide-cluster fast path: the full 256-node chaos window must fire
 // exactly the recorded number of kernel events. Any divergence is a
 // behavioral change in the scalable suite, not flake — the run is
