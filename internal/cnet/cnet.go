@@ -122,7 +122,7 @@ func ReleaseConn(c Conn) {
 
 // StreamHandlers are the callbacks a component attaches to a Conn. All
 // callbacks run serialized on the owning process (the simulator's proc
-// mailbox, or livenet's per-node dispatch goroutine).
+// mailbox, or livenet's per-process task queue and run token).
 type StreamHandlers struct {
 	// OnMessage delivers the next in-order message.
 	OnMessage func(c Conn, m Message)

@@ -60,7 +60,7 @@ func TestEveryDatagramMessageIsDelivered(t *testing.T) {
 	}
 	defer raw.Close()
 	w.mu.Lock()
-	w.udpAddrs[portKey{50, "p"}] = raw.LocalAddr().String()
+	w.udpAddrs[portKey{50, "p"}] = raw.LocalAddr().(*net.UDPAddr)
 	w.mu.Unlock()
 	pkt := make([]byte, 64<<10)
 
@@ -148,7 +148,7 @@ func TestHostileDatagramIsDropped(t *testing.T) {
 	w.mu.Lock()
 	addr := w.udpAddrs[portKey{1, "p"}]
 	w.mu.Unlock()
-	c, err := net.Dial("udp", addr)
+	c, err := net.DialUDP("udp", nil, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

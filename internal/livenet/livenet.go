@@ -11,9 +11,12 @@
 // virtual and every run is deterministic.
 //
 // Process model: a Node is a machine; each Proc spawned on it gets its
-// own serial dispatch loop (the "main thread"), its own sockets, and its
-// own incarnation counter. Kill closes the sockets abortively (RST), so
-// peers observe exactly the app-crash semantics the simulator models.
+// own task queue and run token (the "main thread": one task at a time, in
+// order), its own sockets, and its own incarnation counter. A goroutine
+// that brings work to an idle process runs it there and then, as
+// machine.Proc.postCall does in the simulator; no goroutine waits for
+// work. Kill closes the sockets abortively (RST), so peers observe
+// exactly the app-crash semantics the simulator models.
 package livenet
 
 import (
@@ -48,7 +51,7 @@ type World struct {
 
 	mu       sync.Mutex
 	tcpAddrs map[portKey]string
-	udpAddrs map[portKey]string
+	udpAddrs map[portKey]*net.UDPAddr
 	groups   map[string]map[cnet.NodeID]bool
 	nodes    map[cnet.NodeID]*Node
 	// unsendable holds the datagram types (reflect.Type) already reported as
@@ -63,7 +66,7 @@ func NewWorld(seed int64) *World {
 		log:      &metrics.Log{},
 		seed:     seed,
 		tcpAddrs: make(map[portKey]string),
-		udpAddrs: make(map[portKey]string),
+		udpAddrs: make(map[portKey]*net.UDPAddr),
 		groups:   make(map[string]map[cnet.NodeID]bool),
 		nodes:    make(map[cnet.NodeID]*Node),
 	}
@@ -92,7 +95,8 @@ type Node struct {
 	procs map[string]*Proc
 }
 
-// Spawn starts a process. start runs on the process's dispatch loop.
+// Spawn starts a process. start is its first task, run on a goroutine of
+// its own: Spawn holds the node's lock, which start may need.
 func (n *Node) Spawn(name string, start func(env cnet.Env)) *Proc {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -112,7 +116,7 @@ func (n *Node) Proc(name string) *Proc {
 	return n.procs[name]
 }
 
-// Proc is one live process (component instance + dispatch loop).
+// Proc is one live process (component instance + task queue).
 type Proc struct {
 	node  *Node
 	name  string
@@ -130,11 +134,12 @@ func (p *Proc) boot() {
 		inc:  p.inc,
 		rand: rand.New(rand.NewSource(p.node.w.seed ^ int64(p.node.id)<<20 ^ int64(p.inc))),
 	}
-	e.cond = sync.NewCond(&e.qmu)
 	p.env = e
 	p.mu.Unlock()
-	go e.loop()
-	e.post(func() { p.start(e) })
+	// Nothing reaches the process before start binds its sockets, so start
+	// is its first task, run by a goroutine of its own: not by Spawn's,
+	// which holds the node's lock.
+	go e.post(func() { p.start(e) })
 }
 
 // Kill stops the process abortively: sockets RST, timers die.
@@ -172,9 +177,9 @@ type Env struct {
 	rand *rand.Rand
 
 	qmu     sync.Mutex
-	cond    *sync.Cond
 	queue   []task // queue[head:] is waiting; the slots before head are spent
 	head    int
+	running bool // the run token: some goroutine is in drain's loop
 	stalled bool
 	dead    bool
 
@@ -182,11 +187,12 @@ type Env struct {
 	closerSeq uint64
 	closers   map[uint64]func()
 	ownedKeys []portKey
+	udp       *net.UDPConn // the one socket Send writes from, opened on first use
 }
 
 var _ cnet.Env = (*Env)(nil)
 
-// task is one unit of work for the dispatch loop: a callback (a timer,
+// task is one unit of the process's work: a callback (a timer,
 // a datagram, a dial result), or, with fn nil, the next event of a stream
 // connection, which needs no closure to say what it is — the message to
 // hand to OnMessage, or with msg nil too the cause to hand to OnClose.
@@ -212,20 +218,23 @@ func (t task) run() {
 	}
 }
 
-func (e *Env) loop() {
-	for {
-		e.qmu.Lock()
-		for (e.head == len(e.queue) || e.stalled) && !e.dead {
-			e.cond.Wait()
-		}
-		if e.dead {
+// drain runs the queue on the calling goroutine, in order, until it is
+// empty or the process stalls or dies — unless another goroutine holds
+// the run token, and then that one runs it. qmu is held on entry and
+// released on return; it is not held while a task runs, so a task may
+// post, stall, resume or kill.
+func (e *Env) drain() {
+	if !e.running {
+		e.running = true
+		for !e.dead && !e.stalled && e.head < len(e.queue) {
+			t := e.take()
 			e.qmu.Unlock()
-			return
+			t.run()
+			e.qmu.Lock()
 		}
-		t := e.take()
-		e.qmu.Unlock()
-		t.run()
+		e.running = false
 	}
+	e.qmu.Unlock()
 }
 
 // take removes the task at the head of a non-empty queue; qmu is held.
@@ -241,12 +250,13 @@ func (e *Env) take() task {
 
 func (e *Env) post(fn func()) { e.enqueue(task{fn: fn}) }
 
-// enqueue appends to the dispatch queue; a dead process takes no more
-// work. The queue is a slice consumed from head, so the usual case — the
-// loop keeps up and the queue drains — reuses one backing array for good.
-// Under a standing backlog the spent prefix is reclaimed once it is at
-// least half the slice, which keeps both the copying and the memory
-// proportional to what is actually waiting.
+// enqueue appends to the queue and, if the process is idle, runs it on
+// the calling goroutine; a dead process takes no more work. The queue is
+// a slice consumed from head, so the usual case — the work is run as it
+// comes and the queue drains — reuses one backing array for good. Under a
+// standing backlog the spent prefix is reclaimed once it is at least half
+// the slice, which keeps both the copying and the memory proportional to
+// what is actually waiting.
 func (e *Env) enqueue(t task) {
 	e.qmu.Lock()
 	if !e.dead {
@@ -256,9 +266,8 @@ func (e *Env) enqueue(t task) {
 			e.queue, e.head = e.queue[:n], 0
 		}
 		e.queue = append(e.queue, t)
-		e.cond.Signal()
 	}
-	e.qmu.Unlock()
+	e.drain()
 }
 
 func (e *Env) alive() bool {
@@ -267,16 +276,20 @@ func (e *Env) alive() bool {
 	return !e.dead
 }
 
+// shutdown ends the incarnation: a task that is running finishes, no
+// queued one starts.
 func (e *Env) shutdown() {
 	e.qmu.Lock()
 	e.dead = true
-	e.cond.Broadcast()
 	e.qmu.Unlock()
 	e.resMu.Lock()
 	closers := e.closers
 	e.closers = nil
 	keys := e.ownedKeys
 	e.ownedKeys = nil
+	if e.udp != nil {
+		e.udp.Close()
+	}
 	e.resMu.Unlock()
 	for _, c := range closers {
 		c()
@@ -348,16 +361,16 @@ func (e *Env) Stall() {
 	e.qmu.Unlock()
 }
 
-// Resume implements cnet.Env.
+// Resume implements cnet.Env: the backlog runs on the caller's goroutine,
+// or, if a task of this process is the caller, after it.
 func (e *Env) Resume() {
 	e.qmu.Lock()
 	e.stalled = false
-	e.cond.Broadcast()
-	e.qmu.Unlock()
+	e.drain()
 }
 
-// Clock implements cnet.Env: wall time, callbacks through the dispatch
-// loop, dead with the incarnation.
+// Clock implements cnet.Env: wall time, callbacks through the task
+// queue, dead with the incarnation.
 func (e *Env) Clock() clock.Clock { return liveClock{e} }
 
 type liveClock struct{ e *Env }
@@ -369,7 +382,7 @@ func (lc liveClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
 }
 
 // AfterFor implements cnet.Env: a wall-clock timer that posts the owner's
-// method to the dispatch loop while the incarnation lives.
+// method to the process while the incarnation lives.
 func (e *Env) AfterFor(d time.Duration, owner cnet.TimerOwner) clock.Timer {
 	return time.AfterFunc(d, func() {
 		if e.alive() {
@@ -378,9 +391,9 @@ func (e *Env) AfterFor(d time.Duration, owner cnet.TimerOwner) clock.Timer {
 	})
 }
 
-// Every adapts the generic rearm-at-end ticker: each tick is posted
-// through the dispatch loop and the rearm happens after the callback
-// ran there, so the loop dies with the incarnation like any other timer.
+// Every adapts the generic rearm-at-end ticker: each tick is posted to
+// the process and the rearm happens after the callback ran there, so the
+// ticker dies with the incarnation like any other timer.
 func (lc liveClock) Every(d time.Duration, fn func()) clock.Ticker {
 	return clock.NewFuncTicker(lc, d, fn)
 }
@@ -396,7 +409,7 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 	w := e.p.node.w
 	key := portKey{e.p.node.id, port}
 	w.mu.Lock()
-	w.udpAddrs[key] = pc.LocalAddr().String()
+	w.udpAddrs[key] = pc.LocalAddr().(*net.UDPAddr)
 	w.mu.Unlock()
 	e.resMu.Lock()
 	e.ownedKeys = append(e.ownedKeys, key)
@@ -428,7 +441,7 @@ func (e *Env) Send(to cnet.NodeID, class cnet.Class, port string, m cnet.Message
 	w.mu.Lock()
 	addr := w.udpAddrs[portKey{to, port}]
 	w.mu.Unlock()
-	if addr == "" {
+	if addr == nil {
 		return // nothing listening: UDP silently drops
 	}
 	buf := frameBufs.Get().(*[]byte)
@@ -444,12 +457,21 @@ func (e *Env) Send(to cnet.NodeID, class cnet.Class, port string, m cnet.Message
 		return
 	}
 	*buf = pkt
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return
+	if conn := e.sendSocket(); conn != nil {
+		conn.WriteToUDP(pkt, addr)
 	}
-	defer conn.Close()
-	conn.Write(pkt)
+}
+
+// sendSocket is the incarnation's one unconnected loopback socket that
+// every datagram leaves from, opened by the first Send and closed by
+// shutdown; a dead process has none and opens none.
+func (e *Env) sendSocket() *net.UDPConn {
+	e.resMu.Lock()
+	defer e.resMu.Unlock()
+	if e.udp == nil && e.alive() {
+		e.udp, _ = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	}
+	return e.udp
 }
 
 // JoinGroup implements cnet.Env.
@@ -493,8 +515,8 @@ type tcpConn struct {
 	// cnet.None on an accepted one until the dialer's preamble arrives,
 	// which is before its first message.
 	peer atomic.Int64
-	// word is the owner's (cnet.Env.SetConnWord); only its dispatch loop
-	// touches it.
+	// word is the owner's (cnet.Env.SetConnWord); only the owner's tasks
+	// touch it.
 	word uint64
 
 	wmu   sync.Mutex
@@ -595,8 +617,8 @@ func (t *tcpConn) readLoop() {
 	t.env.enqueue(task{conn: t, cause: closeCause(err)})
 }
 
-// deliver posts every message the peer sends to the dispatch loop and
-// returns the error that ended the stream.
+// deliver posts every message the peer sends to the owner and returns the
+// error that ended the stream.
 func (t *tcpConn) deliver() error {
 	br := readers.Get().(*bufio.Reader)
 	br.Reset(t.c)
@@ -698,8 +720,8 @@ var (
 	dialer    = net.Dialer{Timeout: 3 * time.Second, KeepAlive: -1}
 )
 
-// DialFor implements cnet.Env. The handlers are asked for here, on the
-// dispatch goroutine that owns the record.
+// DialFor implements cnet.Env. The handlers are asked for here, in the
+// task that owns the record.
 func (e *Env) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
 	h := owner.DialHandlers()
 	go func() {

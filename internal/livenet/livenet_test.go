@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,8 +23,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// killAll kills every process in w, so a test leaves nothing running that
+// a later test's descriptor or goroutine count would see.
+func killAll(w *World) {
+	var procs []*Proc
+	w.mu.Lock()
+	for _, n := range w.nodes {
+		n.mu.Lock()
+		for _, p := range n.procs {
+			procs = append(procs, p)
+		}
+		n.mu.Unlock()
+	}
+	w.mu.Unlock()
+	for _, p := range procs {
+		p.Kill()
+	}
+}
+
 func TestDatagramRoundTrip(t *testing.T) {
 	w := NewWorld(1)
+	defer killAll(w)
 	a := w.AddNode(0)
 	b := w.AddNode(1)
 	var got atomic.Value
@@ -50,6 +68,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 
 func TestStreamRoundTripAndClose(t *testing.T) {
 	w := NewWorld(1)
+	defer killAll(w)
 	a := w.AddNode(0)
 	b := w.AddNode(1)
 	var serverGot atomic.Int32
@@ -90,6 +109,7 @@ func TestStreamRoundTripAndClose(t *testing.T) {
 
 func TestKillDeliversResetAndRestartWorks(t *testing.T) {
 	w := NewWorld(1)
+	defer killAll(w)
 	a := w.AddNode(0)
 	b := w.AddNode(1)
 	boots := atomic.Int32{}
@@ -145,6 +165,7 @@ func TestTimersDieWithIncarnation(t *testing.T) {
 
 func TestStallResumeLive(t *testing.T) {
 	w := NewWorld(1)
+	defer killAll(w)
 	n := w.AddNode(0)
 	var ran atomic.Int32
 	var env cnet.Env
@@ -164,10 +185,10 @@ func TestStallResumeLive(t *testing.T) {
 // TestDispatchQueueKeepsOrderUnderAStandingBacklog drives the queue the
 // way a saturated process does: work arrives as fast as it is taken, the
 // queue never drains, and still nothing is reordered and the backing
-// array stays the size of the backlog, not of the traffic.
+// array stays the size of the backlog, not of the traffic. The test holds
+// the run token, so every post queues and the test takes.
 func TestDispatchQueueKeepsOrderUnderAStandingBacklog(t *testing.T) {
-	e := &Env{}
-	e.cond = sync.NewCond(&e.qmu)
+	e := &Env{running: true}
 	const backlog, total = 10, 100000
 	var ran []int
 	for i := 0; i < total; i++ {
@@ -197,6 +218,7 @@ func TestDispatchQueueKeepsOrderUnderAStandingBacklog(t *testing.T) {
 
 func TestMulticastReachesGroup(t *testing.T) {
 	w := NewWorld(1)
+	defer killAll(w)
 	var got [3]atomic.Int32
 	var envs [3]cnet.Env
 	ready := make(chan struct{}, 3)
@@ -226,6 +248,7 @@ func TestLivePressClusterFormsAndServes(t *testing.T) {
 	// A miniature end-to-end check that the protocol stack really runs on
 	// sockets: 2 cooperative PRESS nodes, one client request.
 	w := NewWorld(1)
+	defer killAll(w)
 	ids := []cnet.NodeID{0, 1}
 	cat := testCatalog()
 	for i := range ids {
