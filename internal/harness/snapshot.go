@@ -73,7 +73,12 @@ const (
 	// timer entries lose their serial, retained handles travel as
 	// references to the machine's timer records, and the records that own
 	// timers are named after the parts with the dial owners.
-	format = 6
+	// format 7: only the events that fire are scheduled — a request's
+	// deadlines travel as their keys and each deadline list's wake as its
+	// slot; a process's charge as its end's reserved key, incarnation and
+	// armed bit; a machine carries its unarmed-end count and the kernel
+	// the bound on the keys at now that have passed.
+	format = 7
 )
 
 // Snap is one captured world.
@@ -291,12 +296,13 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 			len(un), name, ev.At, ev.Seq)
 	}
 
-	now, seq, fired, maxQ := c.Sim.Counters()
+	now, seq, fired, maxQ, through := c.Sim.Counters()
 	snapio.Int(x, &now)
 	x.U64(&seq)
 	x.U64(&fired)
 	snapio.Int(x, &maxQ)
+	x.U64(&through)
 	if !x.Saving() {
-		c.Sim.SetCounters(now, seq, fired, maxQ)
+		c.Sim.SetCounters(now, seq, fired, maxQ, through)
 	}
 }

@@ -1,10 +1,15 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/types"
+	"io/fs"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -40,7 +45,7 @@ type sourceRule struct {
 }
 
 // TestSourceRules holds the product code (non-test files of press/...) to
-// the rules below. Rules that a behavioural test already pins are not
+// the rules below, and every .go file of the module to gofmt. Rules that a behavioural test already pins are not
 // here: event storage (TestKernelStormAllocatesOnce, TestEventRecordSize)
 // and the server's per-peer and per-document state (TestPeerRecordSize,
 // TestDocCacheIndexFollowsFill).
@@ -52,6 +57,7 @@ func TestSourceRules(t *testing.T) {
 		{"handler-set", handlerSets},
 		{"suite-flag", suiteFlags},
 		{"gob", gobImports},
+		{"gofmt", unformatted},
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			for _, v := range r.check(pkgs) {
@@ -226,6 +232,47 @@ func gobImports(pkgs []*Package) (out []string) {
 		if d == "encoding/gob" {
 			out = append(out, "encoding/gob is a dependency of cmd/pressd or cmd/reproduce")
 		}
+	}
+	return out
+}
+
+// unformatted lists the module's .go files — test files and test data
+// included — that gofmt would rewrite.
+func unformatted([]*Package) (out []string) {
+	root, err := filepath.Abs(".")
+	for err == nil {
+		if _, statErr := os.Stat(filepath.Join(root, "go.mod")); statErr == nil {
+			break
+		}
+		if parent := filepath.Dir(root); parent != root {
+			root = parent
+		} else {
+			err = fmt.Errorf("no go.mod above the test's directory")
+		}
+	}
+	if err == nil {
+		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root:
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go"):
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if formatted, err := format.Source(src); err != nil || !bytes.Equal(formatted, src) {
+				rel, _ := filepath.Rel(root, path)
+				out = append(out, fmt.Sprintf("%s: not gofmt-formatted (gofmt -w %s)", rel, rel))
+			}
+			return nil
+		})
+	}
+	if err != nil {
+		out = append(out, err.Error())
 	}
 	return out
 }

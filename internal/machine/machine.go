@@ -64,6 +64,11 @@ type Machine struct {
 	// SnapState moved, in stream order: their owners are named once the
 	// processes' parts have defined them.
 	walked []*timerRec
+
+	// unarmed counts the charge ends the processes reserved and did not
+	// arm: each is a kernel event the schedule no longer carries once its
+	// key has passed (UnscheduledChargeEnds).
+	unarmed uint64
 }
 
 // New attaches a machine to the network. disks may be nil for hosts
@@ -235,12 +240,18 @@ type Proc struct {
 	alive       bool
 	hung        bool
 	stalled     bool
-	running     bool          // a handler's charged CPU time is still elapsing
 	curCharge   time.Duration // zeroed before every handler dispatch; between events it is a leftover nobody reads
 	mailbox     []call
 	head        int // next mailbox slot to dispatch; storage before it is spent
-	resume      resumeRec
-	env         *Env
+	// A handler's charged CPU time elapses until the kernel key reserved
+	// for its end (endAt, endSeq) has passed, in the incarnation endInc
+	// that charged it (charging). The end is scheduled, armed, only once
+	// work waits behind the charge.
+	endAt  time.Duration
+	endSeq uint64
+	endInc uint64
+	armed  bool
+	env    *Env
 	// conns lists the open connection ends this incarnation adopted, each
 	// at the index it carries as its owner slot. An end is the
 	// incarnation's while it is routed to Env.router: on this list, or
@@ -320,22 +331,44 @@ func (c *call) dispatch() {
 	}
 }
 
-// resumeRec carries the charge-elapsed wakeup through sim.AfterArg; one
-// per process, reused, since at most one charge is elapsing at a time.
-type resumeRec struct {
-	p   *Proc // owner backlink, re-set by pump before every arm
-	inc uint64
+// charging reports whether a handler's charge is still elapsing.
+func (p *Proc) charging() bool {
+	return p.endInc == p.incarnation && !p.m.sim.Passed(p.endAt, p.endSeq)
 }
 
-// procResume ends a CPU charge: back to draining the mailbox unless the
-// process died (or was restarted) while the charge elapsed.
+// arm schedules the end of the elapsing charge at its reserved key.
+func (p *Proc) arm() {
+	p.armed = true
+	p.m.unarmed--
+	p.m.sim.RestoreAtArg(p.endAt, p.endSeq, procResume, p)
+}
+
+// procResume ends a CPU charge that work waits behind: back to draining
+// the mailbox. The end is the armed charge's only while its key is the
+// one firing: one armed by an incarnation that has since died finds the
+// process disarmed, or armed at a key still to come.
 func procResume(arg any) {
-	r := arg.(*resumeRec)
-	if r.p.incarnation != r.inc {
+	p := arg.(*Proc)
+	if !p.armed || p.endInc != p.incarnation || !p.m.sim.Passed(p.endAt, p.endSeq) {
 		return
 	}
-	r.p.running = false
-	r.p.pump()
+	p.armed = false
+	p.pump()
+}
+
+// UnscheduledChargeEnds returns how many charge ends the machine's
+// processes reserved and never scheduled, their keys passed: the kernel
+// events the schedule no longer carries since a charge's end is armed
+// only when work waits behind it. A dead incarnation's unarmed end counts
+// from the death.
+func (m *Machine) UnscheduledChargeEnds() uint64 {
+	n := m.unarmed
+	for _, name := range m.order {
+		if p := m.procs[name]; p.charging() && !p.armed {
+			n--
+		}
+	}
+	return n
 }
 
 // Name returns the process name.
@@ -383,7 +416,6 @@ func (p *Proc) boot() {
 	p.alive = true
 	p.hung = false
 	p.stalled = false
-	p.running = false
 	p.mailbox = nil
 	p.head = 0
 	p.conns = nil
@@ -398,6 +430,7 @@ func (p *Proc) kill(abortConns bool) {
 	}
 	p.alive = false
 	p.incarnation++
+	p.armed = false // an armed end now fires as a no-op
 	// Discarded mailbox entries drop their conn pins (taken in postCall)
 	// before the aborts below — an aborted pair with no surviving pins can
 	// go straight back to the network's pool — and their dial records.
@@ -448,7 +481,7 @@ func (p *Proc) postCall(c call) {
 	if sc, ok := c.c.(simnet.StreamConn); ok {
 		sc.Retain()
 	}
-	if !p.running && p.runnable() && p.head == len(p.mailbox) {
+	if p.head == len(p.mailbox) && p.runnable() && !p.charging() {
 		p.step(&c)
 		return
 	}
@@ -476,9 +509,15 @@ func (p *Proc) postCall(c call) {
 
 // pump drains the mailbox, honoring CPU charges: a handler that charges d
 // delays everything behind it by d, exactly like work on PRESS's main
-// coordinating thread.
+// coordinating thread. Work left waiting behind a charge arms its end.
 func (p *Proc) pump() {
-	for !p.running && p.runnable() && p.head < len(p.mailbox) {
+	for p.head < len(p.mailbox) && p.runnable() {
+		if p.charging() {
+			if !p.armed {
+				p.arm()
+			}
+			return
+		}
 		c := p.mailbox[p.head]
 		p.mailbox[p.head] = call{}
 		p.head++
@@ -492,9 +531,10 @@ func (p *Proc) pump() {
 	}
 }
 
-// step runs one entry and starts the CPU charge its handler accrued: the
-// one dispatch step of pump and of postCall's idle path. It reports
-// whether the process outlived the handler.
+// step runs one entry and starts the CPU charge its handler accrued,
+// reserving the kernel key of its end: the one dispatch step of pump and
+// of postCall's idle path. It reports whether the process outlived the
+// handler.
 func (p *Proc) step(c *call) bool {
 	inc := p.incarnation
 	p.curCharge = 0
@@ -506,9 +546,8 @@ func (p *Proc) step(c *call) bool {
 		return false
 	}
 	if p.curCharge > 0 {
-		p.running = true
-		p.resume.p, p.resume.inc = p, inc
-		p.m.sim.AfterArg(p.curCharge, procResume, &p.resume)
+		p.endAt, p.endSeq, p.endInc = p.m.sim.Now()+p.curCharge, p.m.sim.Reserve(), inc
+		p.m.unarmed++
 	}
 	return true
 }

@@ -410,3 +410,35 @@ func TestShedAtAcceptIsNeverTracked(t *testing.T) {
 		t.Fatalf("dialer tracks %d conns, want 0", n)
 	}
 }
+
+// A charge's end belongs to the incarnation that charged it. An operator
+// reset kills and restarts a process in one instant; when that lands
+// mid-charge, the dead incarnation's charge end must not end the new
+// incarnation's charge. (With one resume record per process, re-stamped
+// by every charge, the old end did: the handler below ran at 11 ms,
+// behind a 20 ms charge that started at 2 ms.)
+func TestDeadIncarnationsChargeEndDoesNotCutTheNextShort(t *testing.T) {
+	w := newWorld()
+	m := New(w.sim, w.net, 0, nil, w.log)
+	boots := 0
+	var ran time.Duration
+	m.AddProc("app", func(env *Env) {
+		boots++
+		if boots == 1 {
+			// A 10 ms charge from 1 ms, with work queued behind it.
+			env.Clock().AfterFunc(time.Millisecond, func() { env.Charge(10 * time.Millisecond) })
+			env.Clock().AfterFunc(time.Millisecond, func() {})
+			return
+		}
+		env.Clock().AfterFunc(500*time.Microsecond, func() { env.Charge(20 * time.Millisecond) })
+		env.Clock().AfterFunc(time.Millisecond, func() { ran = w.sim.Now() })
+	})
+	w.sim.At(1500*time.Microsecond, func() {
+		m.KillProc("app")
+		m.StartProc("app")
+	})
+	w.sim.Run()
+	if want := 22 * time.Millisecond; ran != want {
+		t.Fatalf("handler queued behind the new incarnation's charge ran at %v, want %v", ran, want)
+	}
+}

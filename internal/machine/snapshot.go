@@ -11,7 +11,7 @@ import (
 )
 
 // Snapshot support. A machine serializes its processes' control state —
-// liveness, incarnation, hang/stall/charge flags, the mailbox, adopted
+// liveness, incarnation, hang/stall flags, the charge, the mailbox, adopted
 // connections, timer and dial records — but none of the component
 // callbacks those entries dispatch into. Restore therefore runs in three
 // steps:
@@ -80,13 +80,14 @@ func (r *procRestore) own(c cnet.Conn) *restConn {
 }
 
 // SnapState moves the machine. Saving claims pending process timers and
-// the charge wakeup from the kernel's pending table; loading re-arms them
+// the armed charge ends from the kernel's pending table; loading re-arms them
 // and reads the rest into process flags and restore scratch — component
 // restores run between this walk and FinishRestore.
 func (m *Machine) SnapState(x *snapio.Ctx) {
 	m.walked = nil
 	snapio.Int(x, &m.state)
 	x.F64(&m.slow)
+	x.U64(&m.unarmed)
 	if n := x.Len(len(m.order), 1<<8); n != len(m.order) {
 		snapio.Failf("machine %d: snapshot has %d procs, world has %d", m.id, n, len(m.order))
 	}
@@ -105,22 +106,27 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		x.U64(&p.incarnation)
 		x.Bool(&p.hung)
 		x.Bool(&p.stalled)
-		x.Bool(&p.running)
 		if !x.Saving() {
 			p.rst = &procRestore{carried: map[cnet.Conn]*restConn{}}
 		}
 
-		resumes := 0
-		snapio.Pending(x, procResume, 4, func(rr *resumeRec) bool { return rr == &p.resume }, func(*resumeRec) *resumeRec {
-			if resumes++; resumes > 1 {
-				snapio.Failf("machine %d/%s: more than one pending resume event", m.id, name)
+		// The elapsing charge: its end's reserved key, the incarnation that
+		// charged it and whether the end is armed. A charge that is over is
+		// written as none, whatever key it left behind.
+		end := chargeEnd{p.endAt, p.endSeq, p.endInc, p.armed}
+		if x.Saving() && !p.charging() {
+			end = chargeEnd{}
+		}
+		end.snap(x)
+		if !x.Saving() {
+			if end.inc != 0 && (end.inc != p.incarnation || !p.alive) {
+				snapio.Failf("machine %d/%s: a charge of incarnation %d in incarnation %d", m.id, name, end.inc, p.incarnation)
 			}
-			if !x.Saving() {
-				p.resume.p = p
-			}
-			x.U64(&p.resume.inc)
-			return &p.resume
-		})
+			p.endAt, p.endSeq, p.endInc, p.armed = end.at, end.seq, end.inc, end.armed
+		}
+		// Every armed end still pending: the charge's own, and those of
+		// incarnations that died with theirs armed, which fire as no-ops.
+		snapio.Pending(x, procResume, 1<<8, func(q *Proc) bool { return q == p }, func(*Proc) *Proc { return p })
 
 		if p.alive {
 			if !x.Saving() {
@@ -236,6 +242,21 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 		}
 	}
+}
+
+// chargeEnd is a process's charge as the stream carries it.
+type chargeEnd struct {
+	at    time.Duration
+	seq   uint64
+	inc   uint64
+	armed bool
+}
+
+func (c *chargeEnd) snap(x *snapio.Ctx) {
+	snapio.Int(x, &c.at)
+	x.U64(&c.seq)
+	x.U64(&c.inc)
+	x.Bool(&c.armed)
 }
 
 // tagOf writes a mailbox entry as the stream carries it: its record and

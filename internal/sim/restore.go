@@ -77,18 +77,21 @@ func (s *Sim) RestoreAtArg(at time.Duration, seq uint64, fn func(any), arg any) 
 }
 
 // Counters returns the kernel counters a snapshot must carry: the
-// clock, the next sequence number, the fired-event count and the heap
-// high-water mark.
-func (s *Sim) Counters() (now time.Duration, seq, fired uint64, maxQ int) {
-	return s.now, s.seq, s.fired, s.maxQ
+// clock, the next sequence number, the fired-event count, the heap
+// high-water mark, and the bound on the keys at now that have had their
+// turn (Passed) — a capture taken between two Steps of one instant stands
+// between two keys of it.
+func (s *Sim) Counters() (now time.Duration, seq, fired uint64, maxQ int, through uint64) {
+	return s.now, s.seq, s.fired, s.maxQ, s.through
 }
 
 // SetCounters restores the kernel counters captured by Counters. Restore
 // code calls it after re-arming every pending event, so the maxQ bumps
 // incurred during re-arming are overwritten by the snapshotted value.
-func (s *Sim) SetCounters(now time.Duration, seq, fired uint64, maxQ int) {
+func (s *Sim) SetCounters(now time.Duration, seq, fired uint64, maxQ int, through uint64) {
 	s.now = now
 	s.seq = seq
 	s.fired = fired
 	s.maxQ = maxQ
+	s.through = through
 }

@@ -15,6 +15,7 @@ type pendingSet struct {
 	seq  uint64
 	fire uint64
 	maxQ int
+	thru uint64
 }
 
 func capture(s *Sim) pendingSet {
@@ -23,7 +24,7 @@ func capture(s *Sim) pendingSet {
 		p.ats = append(p.ats, at)
 		p.seqs = append(p.seqs, seq)
 	})
-	p.now, p.seq, p.fire, p.maxQ = s.Counters()
+	p.now, p.seq, p.fire, p.maxQ, p.thru = s.Counters()
 	return p
 }
 
@@ -49,7 +50,7 @@ func TestRestoredTimerGenerations(t *testing.T) {
 	for i := range p.ats {
 		handles[i] = dst.RestoreAt(p.ats[i], p.seqs[i], func() {})
 	}
-	dst.SetCounters(p.now, p.seq, p.fire, p.maxQ)
+	dst.SetCounters(p.now, p.seq, p.fire, p.maxQ, p.thru)
 
 	for i, h := range handles {
 		at, seq, ok := h.Key()
@@ -130,9 +131,9 @@ func TestSequenceCounterRebase(t *testing.T) {
 		name := names[i]
 		dst.RestoreAt(p.ats[i], p.seqs[i], func() { order = append(order, name) })
 	}
-	dst.SetCounters(p.now, p.seq, p.fire, p.maxQ)
+	dst.SetCounters(p.now, p.seq, p.fire, p.maxQ, p.thru)
 
-	if now, seq, _, _ := dst.Counters(); now != p.now || seq != p.seq {
+	if now, seq, _, _, _ := dst.Counters(); now != p.now || seq != p.seq {
 		t.Fatalf("counters (%v, %d) after restore, want (%v, %d)", now, seq, p.now, p.seq)
 	}
 	// A fresh event at the same deadline must mint a sequence past every

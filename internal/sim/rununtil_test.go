@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -132,4 +133,102 @@ func TestQuickRunUntilMatchesPeekStepLoop(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPassed: a key has had its turn once an event at that key would have
+// fired — inside a callback, up to the firing event's own key; between
+// bare Steps, up to the last one fired; after a completed RunUntil(t),
+// every key at or before t; after a RunUntil stopped by Halt, up to the
+// halting event; and a restored kernel answers as the one it was captured
+// from.
+func TestPassed(t *testing.T) {
+	type key struct {
+		at  time.Duration
+		seq uint64
+	}
+	const ms = time.Millisecond
+	// Events at (1ms, 0), (1ms, 1), (2ms, 2); key (1ms, 3) is reserved,
+	// so it sorts after both 1 ms events and before the 2 ms one.
+	build := func() (*Sim, key) {
+		s := New(1)
+		s.At(ms, func() {})
+		s.At(ms, func() {})
+		s.At(2*ms, func() {})
+		return s, key{ms, s.Reserve()}
+	}
+	probes := func(r key) []key {
+		return []key{{0, 0}, {ms, 0}, {ms, 1}, r, {ms, 4}, {2 * ms, 2}, {2*ms + 1, 0}}
+	}
+	check := func(t *testing.T, s *Sim, r key, want []bool) {
+		t.Helper()
+		for i, k := range probes(r) {
+			if got := s.Passed(k.at, k.seq); got != want[i] {
+				t.Errorf("Passed(%v, %d) = %v, want %v", k.at, k.seq, got, want[i])
+			}
+		}
+	}
+
+	t.Run("fresh", func(t *testing.T) {
+		s, r := build()
+		check(t, s, r, []bool{false, false, false, false, false, false, false})
+	})
+	t.Run("bare Step", func(t *testing.T) {
+		s, r := build()
+		s.Step()
+		check(t, s, r, []bool{true, true, false, false, false, false, false})
+		s.Step()
+		check(t, s, r, []bool{true, true, true, false, false, false, false})
+		s.Step()
+		check(t, s, r, []bool{true, true, true, true, true, true, false})
+	})
+	t.Run("inside a callback", func(t *testing.T) {
+		s := New(1)
+		var inside []bool
+		s.At(ms, func() {})
+		s.At(ms, func() {
+			for _, k := range []key{{ms, 0}, {ms, 1}, {ms, 2}} {
+				inside = append(inside, s.Passed(k.at, k.seq))
+			}
+		})
+		s.Run()
+		if want := []bool{true, true, false}; !slices.Equal(inside, want) {
+			t.Errorf("inside (1ms, 1): Passed of (1ms, 0..2) = %v, want %v", inside, want)
+		}
+	})
+	t.Run("completed RunUntil", func(t *testing.T) {
+		s, r := build()
+		s.RunUntil(ms)
+		check(t, s, r, []bool{true, true, true, true, true, false, false})
+		s.RunUntil(ms + 1) // nothing fires, the clock moves on
+		check(t, s, r, []bool{true, true, true, true, true, false, false})
+		s.RunUntil(2 * ms)
+		check(t, s, r, []bool{true, true, true, true, true, true, false})
+	})
+	t.Run("RunUntil stopped by Halt", func(t *testing.T) {
+		s := New(1)
+		s.At(ms, func() { s.Halt() })
+		s.At(ms, func() {})
+		s.At(2*ms, func() {})
+		r := key{ms, s.Reserve()}
+		s.RunUntil(2 * ms)
+		if s.Now() != ms {
+			t.Fatalf("halted at %v, want 1ms", s.Now())
+		}
+		check(t, s, r, []bool{true, true, false, false, false, false, false})
+	})
+	t.Run("SetCounters", func(t *testing.T) {
+		for _, steps := range []int{0, 1, 2} {
+			s, r := build()
+			for range steps {
+				s.Step()
+			}
+			want := make([]bool, 0, 7)
+			for _, k := range probes(r) {
+				want = append(want, s.Passed(k.at, k.seq))
+			}
+			dst := New(1)
+			dst.SetCounters(s.Counters())
+			check(t, dst, r, want)
+		}
+	})
 }

@@ -20,6 +20,13 @@
 // the kernel offers allocation-free argument-passing variants (AtArg,
 // AfterArg) so packet-rate callers need no per-event closure.
 //
+// A caller that may not need an event at all can hold its place instead:
+// Reserve mints the sequence number the event would have had, Passed says
+// whether that key's turn has come, and RestoreAtArg arms the event at
+// the key if it turns out to be needed. An event armed at a reserved key
+// fires exactly where the eagerly scheduled one would have, so the
+// schedule of every event that fires is the same either way.
+//
 // The kernel has one-shot events only. Protocol code is written against
 // clock.Clock and reaches the kernel through its process's clock
 // (internal/machine), which is where periodic tickers live.
@@ -28,6 +35,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -108,15 +116,6 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// When returns the virtual instant the event fires, and whether it is
-// still pending.
-func (t Timer) When() (time.Duration, bool) {
-	if r := t.pending(); r != nil {
-		return r.at, true
-	}
-	return 0, false
-}
-
 var _ clock.Timer = Timer{}
 
 // Sim is a discrete-event simulator instance. It is not safe for
@@ -128,9 +127,14 @@ type Sim struct {
 	seq    uint64
 	seed   int64
 	fired  uint64
-	maxQ   int
-	npend  int // total pending events across cur, wheels and overflow
-	halted bool
+	// through bounds the keys that have had their turn: every key before
+	// now, and the keys at now whose seq is below through. It is the
+	// firing event's seq + 1, and MaxUint64 once a RunUntil has run the
+	// clock to its end.
+	through uint64
+	maxQ    int
+	npend   int // total pending events across cur, wheels and overflow
+	halted  bool
 
 	// Hierarchical timer wheel (see the commentary above heapEnt).
 	cur      []heapEnt        // small indexed 4-ary heap: the front of the timeline
@@ -162,24 +166,20 @@ func (s *Sim) Seed() int64 { return s.seed }
 // benchmarking and for detecting runaway models in tests.
 func (s *Sim) EventsFired() uint64 { return s.fired }
 
-// CountExtraFired adds n to the fired-event counter without running
-// anything. Batched delivery (simnet) fires one kernel event standing in
-// for n+1 logically separate deliveries; counting the collapsed n keeps
-// EventsFired equal to the unbatched schedule, which the scale gates
-// assert.
-func (s *Sim) CountExtraFired(n uint64) { s.fired += n }
+// AdjustFired adds n, which may be negative, to the fired-event counter
+// without running anything. Batched delivery (simnet) fires one kernel
+// event standing in for n+1 logically separate deliveries and counts the
+// collapsed n; a wake that finds nothing due (the workload's deadline
+// lists) takes its own count back with -1. Either way EventsFired stays
+// the count of the schedule the callers stand in for, which the scale
+// gates assert.
+func (s *Sim) AdjustFired(n int64) { s.fired += uint64(n) }
 
 // Pending returns the number of events currently scheduled.
 func (s *Sim) Pending() int { return s.npend }
 
 // MaxQueued returns the high-water mark of the pending-event count.
 func (s *Sim) MaxQueued() int { return s.maxQ }
-
-// LiveEvents returns how many event records are outside the free list. A
-// firing event's record is recycled before its callback runs, so these
-// are the pending events. The pool-reuse regression test asserts this
-// stays flat under a steady-state workload.
-func (s *Sim) LiveEvents() int { return s.npend }
 
 func (s *Sim) rec(id int32) *evRec { return &s.chunks[id>>chunkShift][id&(chunkLen-1)] }
 
@@ -209,6 +209,26 @@ func (s *Sim) release(id int32, r *evRec) {
 	r.afn, r.arg = nil, nil
 	r.next = s.free
 	s.free = id
+}
+
+// Reserve mints the next sequence number without scheduling anything. An
+// event armed later at (at, seq) through RestoreAtArg sorts exactly where
+// one scheduled now for at would have; if it is never armed, nothing
+// fires and the key is simply passed over. The caller picks an at after
+// now, and arms the key, if at all, before it has passed.
+func (s *Sim) Reserve() uint64 {
+	s.seq++
+	return s.seq - 1
+}
+
+// Passed reports whether the key (at, seq) has had its turn: whether an
+// event scheduled at that key would have fired by now. Inside a callback
+// that is every key up to the firing event's own; between Step calls,
+// every key up to the last event fired; once a RunUntil(t) completes,
+// every key at or before t. SetCounters restores the bound a capture
+// read (Counters).
+func (s *Sim) Passed(at time.Duration, seq uint64) bool {
+	return at < s.now || at == s.now && seq < s.through
 }
 
 // schedule queues an event at absolute time t (clamped to now) under the
@@ -297,6 +317,7 @@ func (s *Sim) fireFront() {
 	if top.at > s.now {
 		s.now = top.at
 	}
+	s.through = top.seq + 1
 	s.fired++
 	if afn != nil {
 		afn(arg)
@@ -324,8 +345,9 @@ func (s *Sim) RunUntil(t time.Duration) {
 		}
 		s.fireFront()
 	}
-	if !s.halted && s.now < t {
+	if !s.halted && s.now <= t {
 		s.now = t
+		s.through = math.MaxUint64
 	}
 }
 

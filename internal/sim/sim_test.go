@@ -380,13 +380,10 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 			if old.Stop() {
 				t.Error("stale Stop returned true")
 			}
-			if _, ok := old.When(); ok {
-				t.Error("stale When reported pending")
-			}
 			if _, _, ok := old.Key(); ok {
 				t.Error("stale Key reported pending")
 			}
-			if _, ok := fresh.When(); !ok {
+			if _, _, ok := fresh.Key(); !ok {
 				t.Error("fresh handle not pending")
 			}
 			s.RunUntil(2 * time.Second)
@@ -465,7 +462,7 @@ func TestPoolReuseSteadyStateAllocFree(t *testing.T) {
 	noop := func(any) {}
 	s.AfterArg(500*time.Millisecond, noop, nil)
 	s.RunUntil(10 * time.Second) // reach steady state
-	base := s.LiveEvents()
+	base := s.Pending()
 	allocs := testing.AllocsPerRun(100, func() {
 		s.AfterArg(500*time.Millisecond, noop, nil)
 		s.RunFor(10 * time.Second)
@@ -473,8 +470,8 @@ func TestPoolReuseSteadyStateAllocFree(t *testing.T) {
 	if allocs > 0.1 {
 		t.Fatalf("steady-state periodic+one-shot workload allocates %.1f allocs/run, want ~0", allocs)
 	}
-	if s.LiveEvents() != base {
-		t.Fatalf("live events grew from %d to %d under steady-state load", base, s.LiveEvents())
+	if s.Pending() != base {
+		t.Fatalf("live events grew from %d to %d under steady-state load", base, s.Pending())
 	}
 	if ticks == 0 {
 		t.Fatal("periodic event never fired")

@@ -11,9 +11,11 @@ import (
 // plain priority queue ordered by (deadline, schedule sequence). The
 // property test below drives both against the same randomized script —
 // schedules spanning every wheel tier (cur, L0, L1, overflow), stops of
-// pending handles, stops of stale generation-counted handles, and
-// deterministic in-callback respawns that land mid-drain — and demands
-// the exact same fire sequence.
+// pending handles, stops of stale generation-counted handles,
+// deterministic in-callback respawns that land mid-drain, keys reserved
+// now and armed later, and a FIFO deadline list behind one wake that
+// finds its deadline stopped and takes its count back — and demands the
+// exact same fire sequence and fired-event count.
 
 // refEvent is one entry in the reference model: a flat slice popped by
 // (at, seq), the kernel's documented ordering contract.
@@ -73,6 +75,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			handles []Timer
 			stopped = map[int]bool{} // ids whose Stop succeeded
 			done    = map[int]bool{} // ids the real run fired
+			pops    uint64           // events the reference fired
 		)
 
 		schedule := func(d time.Duration) {
@@ -99,6 +102,88 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			pend = append(pend, refEvent{at: at, seq: seq, id: id})
 		}
 
+		// Reserved keys: minted now, armed later unless passed first, when
+		// nothing fires for them.
+		var reserved []refEvent
+		reserve := func(d time.Duration) {
+			seq++
+			reserved = append(reserved, refEvent{at: s.Now() + d, seq: s.Reserve()})
+		}
+		armReserved := func() {
+			kept := reserved[:0]
+			for _, k := range reserved {
+				switch {
+				case s.Passed(k.at, k.seq):
+				case rng.Intn(2) == 0:
+					kept = append(kept, k)
+				default:
+					id := nextID
+					nextID++
+					handles = append(handles, s.RestoreAt(k.at, k.seq, func() {
+						fired = append(fired, id)
+						done[id] = true
+					}))
+					pend = append(pend, refEvent{at: k.at, seq: k.seq, id: id})
+				}
+			}
+			reserved = kept
+		}
+
+		// A deadline list: every deadline spans dlSpan, so arming order is
+		// key order; one wake, armed at a key no later than the head's,
+		// fires a due head and moves on from a stopped one uncounted.
+		const dlSpan = 2 * time.Second
+		var (
+			dls       []refEvent // listed deadlines, oldest first
+			isDL      = map[int]bool{}
+			wakeArmed bool
+			wake      func()
+		)
+		armWake := func(k refEvent) {
+			wakeArmed = true
+			s.RestoreAt(k.at, k.seq, wake)
+		}
+		wake = func() {
+			wakeArmed = false
+			if len(dls) == 0 || !s.Passed(dls[0].at, dls[0].seq) {
+				s.AdjustFired(-1)
+				if len(dls) > 0 {
+					armWake(dls[0])
+				}
+				return
+			}
+			ev := dls[0]
+			dls = dls[1:]
+			if len(dls) > 0 {
+				armWake(dls[0])
+			}
+			fired = append(fired, ev.id)
+			done[ev.id] = true
+		}
+		deadline := func() {
+			id := nextID
+			nextID++
+			seq++
+			ev := refEvent{at: s.Now() + dlSpan, seq: s.Reserve(), id: id}
+			handles = append(handles, Timer{}) // keeps ids and handles aligned
+			isDL[id] = true
+			dls = append(dls, ev)
+			pend = append(pend, ev)
+			if !wakeArmed {
+				armWake(ev)
+			}
+		}
+		stopDeadline := func(j int) {
+			id := dls[j].id
+			dls = append(dls[:j], dls[j+1:]...)
+			for i := range pend {
+				if pend[i].id == id {
+					pend = append(pend[:i], pend[i+1:]...)
+					break
+				}
+			}
+		}
+
 		// stopID stops handle i, keeping the reference model in step. A
 		// handle whose event already fired or was already stopped is
 		// stale: its generation count must make Stop a no-op that reports
@@ -120,14 +205,26 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			}
 			return !h.Stop() // double Stop is always stale
 		}
-		// idOf names the pending event in a record.
+		// idOf names the pending event in a record; -1 for a wake, which
+		// has no handle.
 		idOf := func(rid int32) int {
 			for i, h := range handles {
-				if h.id == rid && h.gen == s.rec(rid).gen {
+				if h.s != nil && h.id == rid && h.gen == s.rec(rid).gen {
 					return i
 				}
 			}
-			panic("pending record with no live handle")
+			return -1
+		}
+		// handled lists the ids of a bucket's members, nil when a wake is
+		// among them.
+		handled := func(m []int32) []int {
+			ids := make([]int, len(m))
+			for k, slot := range m {
+				if ids[k] = idOf(slot); ids[k] < 0 {
+					return nil
+				}
+			}
+			return ids
 		}
 
 		// targeted stops, in one L0 and one L1 bucket with three or more
@@ -139,8 +236,8 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 		targeted := func(cascaded map[int]bool) bool {
 			if cascaded != nil {
 				for code := int32(0); code < l0Buckets; code++ {
-					if m := bucketMembers(s, code); len(m) > 0 && cascaded[idOf(m[len(m)/2])] {
-						if !stopID(idOf(m[len(m)/2])) {
+					if m := handled(bucketMembers(s, code)); len(m) > 0 && cascaded[m[len(m)/2]] {
+						if !stopID(m[len(m)/2]) {
 							return false
 						}
 						break
@@ -150,18 +247,18 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			for _, tier := range [][2]int32{{0, l0Buckets}, {l0Buckets, l0Buckets + l1Buckets}} {
 				multi, single := false, false
 				for code := tier[0]; code < tier[1]; code++ {
-					m := bucketMembers(s, code)
+					m := handled(bucketMembers(s, code))
 					switch {
 					case len(m) >= 3 && !multi:
 						multi = true
-						for _, slot := range []int32{m[0], m[len(m)/2], m[len(m)-1]} {
-							if !stopID(idOf(slot)) {
+						for _, id := range []int{m[0], m[len(m)/2], m[len(m)-1]} {
+							if !stopID(id) {
 								return false
 							}
 						}
 					case len(m) == 1 && !single:
 						single = true
-						if !stopID(idOf(m[0])) || bucketOccupied(s, code) {
+						if !stopID(m[0]) || bucketOccupied(s, code) {
 							return false
 						}
 					}
@@ -173,7 +270,9 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			ids := map[int]bool{}
 			for code := int32(l0Buckets); code < l0Buckets+l1Buckets; code++ {
 				for _, slot := range bucketMembers(s, code) {
-					ids[idOf(slot)] = true
+					if id := idOf(slot); id >= 0 {
+						ids[id] = true
+					}
 				}
 			}
 			return ids
@@ -197,13 +296,26 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 
 		phases := 3 + rng.Intn(3)
 		for p := 0; p < phases; p++ {
+			armReserved()
 			for i := 0; i < 20+rng.Intn(40); i++ {
-				schedule(randDelay())
+				switch rng.Intn(8) {
+				case 0:
+					reserve(randDelay() + 1)
+				case 1:
+					deadline()
+				default:
+					schedule(randDelay())
+				}
 			}
 			// Stop a random sample, then the targeted bucket positions.
 			for i := range handles {
-				if rng.Intn(4) == 0 && !stopID(i) {
+				if rng.Intn(4) == 0 && !isDL[i] && !stopID(i) {
 					return false
+				}
+			}
+			for j := len(dls) - 1; j >= 0; j-- {
+				if rng.Intn(2) == 0 {
+					stopDeadline(j)
 				}
 			}
 			if !targeted(nil) {
@@ -230,10 +342,17 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 				if ev := refPop(&pend); k >= len(fired) || fired[k] != ev.id {
 					return false
 				}
+				pops++
 				k++
 			}
-			if k != len(fired) {
+			if k != len(fired) || s.EventsFired() != pops {
 				return false
+			}
+			// A completed RunUntil has passed every key up to its end.
+			for _, r := range reserved {
+				if s.Passed(r.at, r.seq) != (r.at <= until) {
+					return false
+				}
 			}
 			fired = fired[:0]
 		}
@@ -244,9 +363,10 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			if ev := refPop(&pend); len(fired) == 0 || fired[0] != ev.id {
 				return false
 			}
+			pops++
 			fired = fired[1:]
 		}
-		return len(fired) == 0 && s.Pending() == 0
+		return len(fired) == 0 && s.Pending() == 0 && s.EventsFired() == pops
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -473,7 +473,7 @@ func deliverBatch(arg any) {
 	bp := arg.(*batchPkt)
 	src, port, m := bp.src, bp.port, bp.m
 	n := src.net
-	n.sim.CountExtraFired(uint64(len(bp.dsts) - 1))
+	n.sim.AdjustFired(int64(len(bp.dsts) - 1))
 	for k := 0; k < len(bp.dsts); k++ {
 		dst := bp.dsts[k]
 		bp.dsts[k] = nil

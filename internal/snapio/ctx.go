@@ -391,21 +391,7 @@ func Pending[T any](x *Ctx, afn func(any), max int, keep func(*T) bool, walk fun
 // re-arms fn at the slot and stores the new handle (the inert zero handle
 // when nothing was pending).
 func (x *Ctx) Timer(t *sim.Timer, fn func(), what string) {
-	if ev, rearm := x.timerSlot(t, what); rearm {
-		*t = x.Sim.RestoreAt(ev.At, ev.Seq, fn)
-	}
-}
-
-// TimerArg is Timer for an event dispatching through afn with arg.
-func (x *Ctx) TimerArg(t *sim.Timer, afn func(any), arg any, what string) {
-	if ev, rearm := x.timerSlot(t, what); rearm {
-		*t = x.Sim.RestoreAtArg(ev.At, ev.Seq, afn, arg)
-	}
-}
-
-// timerSlot moves a timer's optional slot and does the save half of
-// Timer; rearm reports a loaded slot the caller must arm.
-func (x *Ctx) timerSlot(t *sim.Timer, what string) (ev PendingEvent, rearm bool) {
+	var ev PendingEvent
 	var ok bool
 	if x.Saving() {
 		ev.At, ev.Seq, ok = t.Key()
@@ -415,7 +401,10 @@ func (x *Ctx) timerSlot(t *sim.Timer, what string) (ev PendingEvent, rearm bool)
 	}
 	if !x.Saving() {
 		*t = sim.Timer{}
-		return ev, ok
+		if ok {
+			*t = x.Sim.RestoreAt(ev.At, ev.Seq, fn)
+		}
+		return
 	}
 	if ok {
 		// The table is in firing order, so the slot is found by bisection.
@@ -427,7 +416,6 @@ func (x *Ctx) timerSlot(t *sim.Timer, what string) (ev PendingEvent, rearm bool)
 		}
 		x.claimed[i] = true
 	}
-	return ev, false
 }
 
 // Unclaimed returns the pending events no walk claimed.

@@ -305,7 +305,7 @@ func TestPendingEventsKeepTheirSlots(t *testing.T) {
 	if got, want := slots(b), slots(a); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored kernel holds %v, the saved one %v", got, want)
 	}
-	if at, ok := restored.When(); !ok || at != 2*time.Second {
+	if at, _, ok := restored.Key(); !ok || at != 2*time.Second {
 		t.Fatalf("restored handle: due %v, armed %v", at, ok)
 	}
 	b.RunUntil(10 * time.Second)

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,7 +23,8 @@ func warmBlob(tb testing.TB, v harness.Version) []byte {
 	return snap.Bytes()
 }
 
-// A blob of the previous format, 5, which named process timers by serial,
+// A blob of an earlier format — 5, which named process timers by serial,
+// or 6, which carried a timer per request deadline and per charge end —
 // is refused at Load with a typed error rather than misread.
 func TestFormat5BlobIsRefused(t *testing.T) {
 	c := harness.NewEngine(0).Build(harness.VCOOP, fastOpts(1))
@@ -31,17 +33,19 @@ func TestFormat5BlobIsRefused(t *testing.T) {
 		t.Fatalf("Take: %v", err)
 	}
 	// The envelope is the magic, length-prefixed, then the format as a
-	// zigzag varint: 6 is 12, 5 is 10.
-	blob := append([]byte(nil), snap.Bytes()...)
+	// zigzag varint: 7 is 14, 6 is 12, 5 is 10.
 	at := 1 + len("press-snap")
-	if blob[at] != 12 {
-		t.Fatalf("format byte is %d, want 12 (format 6)", blob[at])
+	if b := snap.Bytes()[at]; b != 14 {
+		t.Fatalf("format byte is %d, want 14 (format 7)", b)
 	}
-	blob[at] = 10
-	_, err = harness.Load(blob)
-	var se *snapio.SnapError
-	if !errors.As(err, &se) || !strings.Contains(se.Msg, "unsupported snapshot format 5") {
-		t.Fatalf("Load of a format-5 blob: %v, want a *snapio.SnapError refusing format 5", err)
+	for _, old := range []int{5, 6} {
+		blob := append([]byte(nil), snap.Bytes()...)
+		blob[at] = byte(2 * old)
+		_, err = harness.Load(blob)
+		var se *snapio.SnapError
+		if want := fmt.Sprintf("unsupported snapshot format %d", old); !errors.As(err, &se) || !strings.Contains(se.Msg, want) {
+			t.Fatalf("Load of a format-%d blob: %v, want a *snapio.SnapError refusing format %d", old, err, old)
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ func fastOpts(seed int64) harness.Options {
 
 // dump renders everything observable about a cluster's dynamic state.
 func dump(c *harness.Cluster) string {
-	now, seq, fired, maxQ := c.Sim.Counters()
-	s := fmt.Sprintf("now=%v seq=%d fired=%d maxQ=%d\n", now, seq, fired, maxQ)
+	now, seq, fired, maxQ, through := c.Sim.Counters()
+	s := fmt.Sprintf("now=%v seq=%d fired=%d maxQ=%d through=%d\n", now, seq, fired, maxQ, through)
 	s += fmt.Sprintf("offered=%d succeeded=%d failed=%d connfail=%d compfail=%d\n",
 		c.Rec.Offered, c.Rec.Succeeded, c.Rec.Failed, c.Rec.ConnectFailures, c.Rec.CompleteFailures)
 	s += "throughput:" + c.Rec.Throughput.CSV() + "\n"
@@ -348,6 +348,46 @@ func pendingTimers(c *harness.Cluster, p *machine.Proc, owners ...string) int {
 	return n
 }
 
+// armed reports, by reflection, whether p's charge end is scheduled: work
+// waits behind its charge.
+func armed(p *machine.Proc) bool { return reflect.ValueOf(p).Elem().FieldByName("armed").Bool() }
+
+// charging reports, by reflection, whether a charge of p's live
+// incarnation is elapsing.
+func charging(c *harness.Cluster, p *machine.Proc) bool {
+	v := reflect.ValueOf(p).Elem()
+	return p.Alive() && v.FieldByName("endInc").Uint() == v.FieldByName("incarnation").Uint() &&
+		!c.Sim.Passed(time.Duration(v.FieldByName("endAt").Int()), v.FieldByName("endSeq").Uint())
+}
+
+// anyProc reports whether cond holds for some process of c's servers.
+func anyProc(c *harness.Cluster, cond func(*machine.Proc) bool) bool {
+	for _, m := range c.Machines {
+		if cond(m.Proc("press")) {
+			return true
+		}
+	}
+	return false
+}
+
+// deadlineList describes, by reflection, the generator's deadline list k
+// (0 connect, 1 complete): whether it holds a deadline and the key of its
+// head, and the key of its wake when one is pending.
+func deadlineList(c *harness.Cluster, k int) (head bool, headKey [2]int64, wake bool, wakeKey [2]int64) {
+	l := reflect.ValueOf(c.Gen).Elem().FieldByName("lists").Index(k)
+	if h := l.FieldByName("head"); !h.IsNil() {
+		d := h.Elem().FieldByName("dl").Index(k)
+		head, headKey = true, [2]int64{d.FieldByName("at").Int(), int64(d.FieldByName("seq").Uint())}
+	}
+	fn := []string{"workload.connectWake", "workload.completeWake"}[k]
+	c.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), _ any, _ func()) {
+		if afn != nil && strings.HasSuffix(snapio.FnName(afn), fn) {
+			wake, wakeKey = true, [2]int64{int64(at), int64(seq)}
+		}
+	})
+	return
+}
+
 // inboundStreams returns, by reflection, the peer streams node i's live
 // server lists as inbound, and its process environment, which keeps their
 // words; nil when the server is dead.
@@ -363,13 +403,30 @@ func inboundStreams(c *harness.Cluster, i int) ([]cnet.Conn, cnet.Env) {
 // TestRestoreThenCaptureIsFixedPoint: a snapshot of a restored world is
 // the snapshot it was restored from. Nothing runs between the two, so a
 // field a walk writes but does not read back shows as a differing byte
-// here without a continuation having to stumble on it.
+// here without a continuation having to stumble on it. Then both worlds
+// run on, and must reach the same dump: a state that captures to the same
+// bytes but restores to a different schedule (a key the kernel reserved
+// but has not scheduled, say) shows there.
 func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 	type capture struct {
 		v      harness.Version
 		at     time.Duration
 		what   string                             // names the instant when before picks it
 		before func(*testing.T, *harness.Cluster) // after running to at, before the capture
+	}
+	// deadlineRow captures the instant one of the generator's deadline
+	// lists is in the state cond names.
+	deadlineRow := func(what string, cond func(head bool, headKey [2]int64, wake bool, wakeKey [2]int64) bool) capture {
+		return capture{harness.VCOOP, time.Minute, what, func(t *testing.T, c *harness.Cluster) {
+			stepUntil(t, c, what, func() bool {
+				for k := range 2 {
+					if cond(deadlineList(c, k)) {
+						return true
+					}
+				}
+				return false
+			})
+		}}
 	}
 	var rows []capture
 	for _, v := range harness.AllMeasuredVersions() {
@@ -382,7 +439,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 		capture{harness.VFME, time.Minute, "/dial-result-in-mailbox", func(t *testing.T, c *harness.Cluster) {
 			fe := c.FEMach.Proc("frontend")
 			stepUntil(t, c, "a dial result queued behind the front-end's charge", func() bool {
-				return mailboxDials(fe) > 0 && reflect.ValueOf(fe).Elem().FieldByName("running").Bool()
+				return mailboxDials(fe) > 0 && armed(fe)
 			})
 		}},
 		capture{harness.VFME, time.Minute, "/peer-dial-in-flight", func(t *testing.T, c *harness.Cluster) {
@@ -402,7 +459,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 			stepUntil(t, c, "a disk bounce or deferred admission queued behind a server's charge", func() bool {
 				for _, m := range c.Machines {
 					p := m.Proc("press")
-					if mailboxTimers(p, "*server.diskOp", "*server.admitOp") > 0 && reflect.ValueOf(p).Elem().FieldByName("running").Bool() {
+					if mailboxTimers(p, "*server.diskOp", "*server.admitOp") > 0 && armed(p) {
 						return true
 					}
 				}
@@ -507,6 +564,34 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 			})
 		}},
 	)
+	rows = append(rows,
+		deadlineRow("/stale-deadline-wake", func(head bool, headKey [2]int64, wake bool, wakeKey [2]int64) bool {
+			return head && wake && wakeKey != headKey
+		}),
+		deadlineRow("/empty-list-wake-armed", func(head bool, _ [2]int64, wake bool, _ [2]int64) bool {
+			return !head && wake
+		}),
+		capture{harness.VCOOP, time.Minute, "/charge-end-reserved", func(t *testing.T, c *harness.Cluster) {
+			stepUntil(t, c, "a server charging with nothing waiting behind it", func() bool {
+				return anyProc(c, func(p *machine.Proc) bool { return charging(c, p) && !armed(p) })
+			})
+		}},
+		// Between two Steps of one instant: a charge whose end is due at
+		// this instant after the event that last fired. It is still
+		// elapsing, and so it must be in the restored world.
+		capture{harness.VCOOP, time.Minute, "/charge-end-due-now", func(t *testing.T, c *harness.Cluster) {
+			stepUntil(t, c, "a server charging until this very instant", func() bool {
+				return anyProc(c, func(p *machine.Proc) bool {
+					return charging(c, p) && time.Duration(reflect.ValueOf(p).Elem().FieldByName("endAt").Int()) == c.Sim.Now()
+				})
+			})
+		}},
+		capture{harness.VCOOP, time.Minute, "/charge-end-armed", func(t *testing.T, c *harness.Cluster) {
+			stepUntil(t, c, "a server charging with work waiting behind it", func() bool {
+				return anyProc(c, func(p *machine.Proc) bool { return charging(c, p) && armed(p) })
+			})
+		}},
+	)
 	for _, row := range rows {
 		t.Run(fmt.Sprintf("%s/%v%s", row.v, row.at, row.what), func(t *testing.T) {
 			t.Parallel()
@@ -536,6 +621,13 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 				}
 				t.Fatalf("re-captured snapshot differs from the one restored: first differing byte at offset %d (%d vs %d bytes)",
 					i, len(a), len(b))
+			}
+			horizon := snap.At + 10*time.Second
+			c.Sim.RunUntil(horizon)
+			r.Sim.RunUntil(horizon)
+			if want, got := dump(c), dump(r); got != want {
+				t.Fatalf("restored world diverged from original\n--- original ---\n%s\n--- restored ---\n%s",
+					tail(want, 2000), tail(got, 2000))
 			}
 		})
 	}

@@ -58,13 +58,13 @@ func TestModulationFlashCrowd(t *testing.T) {
 		want float64
 	}{
 		{0, 1},
-		{time.Minute, 1},                       // onset
-		{time.Minute + 10*time.Second, 2},      // mid-ramp
-		{time.Minute + 20*time.Second, 3},      // peak
-		{time.Minute + 40*time.Second, 3},      // holding
-		{time.Minute + 55*time.Second, 2},      // mid-decay
-		{time.Minute + 70*time.Second, 1},      // done
-		{2 * time.Hour, 1},                     // long after
+		{time.Minute, 1},                  // onset
+		{time.Minute + 10*time.Second, 2}, // mid-ramp
+		{time.Minute + 20*time.Second, 3}, // peak
+		{time.Minute + 40*time.Second, 3}, // holding
+		{time.Minute + 55*time.Second, 2}, // mid-decay
+		{time.Minute + 70*time.Second, 1}, // done
+		{2 * time.Hour, 1},                // long after
 	}
 	for _, tc := range cases {
 		if f := m.Factor(tc.at); math.Abs(f-tc.want) > 1e-9 {

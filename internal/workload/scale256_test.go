@@ -31,7 +31,9 @@ const pr10Scale256Events = 9_608_479
 //
 // K is the generator's own counter; A and D follow from the recorder
 // (armed = offered - connect failures - still connecting; decided after
-// arming = succeeded + complete failures).
+// arming = succeeded + complete failures). On the way, the charge ends the
+// machines never scheduled (X, their own count) are added back: the
+// window fires the pinned schedule's events - removed - X.
 func TestScale256CancelledTimeoutsAccountForSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node chaos window is a few seconds of wall clock; skipped in -short")
@@ -56,7 +58,18 @@ func TestScale256CancelledTimeoutsAccountForSchedule(t *testing.T) {
 	dep.Sim.RunFor(20*time.Second - T)
 	a0 := armed()
 	dep.Sim.RunFor(T) // settled: t0
-	e0, f0, k0 := dep.Sim.EventsFired(), timedOut(), gen.CompleteCancelled()
+	unscheduled := func() int64 {
+		ms := append(dep.Machines[:len(dep.Machines):len(dep.Machines)], dep.FEMachines...)
+		if dep.FEBackup != nil {
+			ms = append(ms, dep.FEBackup)
+		}
+		n := int64(0)
+		for _, m := range ms {
+			n += int64(m.UnscheduledChargeEnds())
+		}
+		return n
+	}
+	e0, f0, k0, x0 := dep.Sim.EventsFired(), timedOut(), gen.CompleteCancelled(), unscheduled()
 
 	crash, err := dep.Injector.Inject(press.NodeCrash, 1)
 	if err != nil {
@@ -82,10 +95,10 @@ func TestScale256CancelledTimeoutsAccountForSchedule(t *testing.T) {
 	a1 := armed()
 	dep.Sim.RunFor(T) // t1
 
-	events := int64(dep.Sim.EventsFired() - e0)
+	events := int64(dep.Sim.EventsFired()-e0) + unscheduled() - x0
 	removed := (a1 - a0) - (timedOut() - f0)
 	if events+removed != pr10Scale256Events {
-		t.Errorf("window fired %d events and cancelled timeouts removed %d: %d, want PR 10's %d",
+		t.Errorf("window scheduled %d events (unscheduled charge ends included) and cancelled timeouts removed %d: %d, want the pinned %d",
 			events, removed, events+removed, pr10Scale256Events)
 	}
 	if k := int64(gen.CompleteCancelled() - k0); k == 0 || removed <= 0 {

@@ -13,16 +13,44 @@ import (
 	"press/internal/trace"
 )
 
-// pendingCompleteTimeouts counts the complete timeouts in the kernel queue.
-func pendingCompleteTimeouts(s *sim.Sim) int {
+// listed counts the deadlines of kind k pending on g's list.
+func listed(g *Generator, k int) int {
 	n := 0
-	fire := snapio.FnPtr(reqCompleteTimeout)
-	s.VisitPending(func(_ time.Duration, _ uint64, afn func(any), _ any, _ func()) {
-		if afn != nil && snapio.FnPtr(afn) == fire {
-			n++
+	for r := g.lists[k].head; r != nil; r = r.dl[k].next {
+		n++
+	}
+	return n
+}
+
+// checkIdle holds an idle world to what it may keep: no request record,
+// no deadline, and no pending event but the generator's wakes, at most
+// one per deadline list (a wake stays armed when its list empties).
+func checkIdle(t *testing.T, s *sim.Sim, g *Generator) {
+	t.Helper()
+	if n := len(g.reqLive); n != 0 {
+		t.Errorf("%d request records still live with nothing in flight", n)
+	}
+	for k := range g.lists {
+		if n := listed(g, k); n != 0 || g.lists[k].tail != nil {
+			t.Errorf("deadline list %d holds %d deadlines with nothing in flight", k, n)
+		}
+	}
+	wakes := [2]int{}
+	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, _ func()) {
+		switch {
+		case arg == any(g) && snapio.FnPtr(afn) == snapio.FnPtr(connectWake):
+			wakes[connectDL]++
+		case arg == any(g) && snapio.FnPtr(afn) == snapio.FnPtr(completeWake):
+			wakes[completeDL]++
+		default:
+			t.Errorf("event pending in an idle world at (%v, %d): %s", at, seq, snapio.FnName(afn))
 		}
 	})
-	return n
+	for k, n := range wakes {
+		if n > 1 || (n == 1) != g.woken[k] {
+			t.Errorf("deadline list %d: %d wakes pending, armed %v", k, n, g.woken[k])
+		}
+	}
 }
 
 // echoServer answers every request OK at once from pooled records, the
@@ -41,7 +69,8 @@ func echoServer(net *simnet.Network, id cnet.NodeID) {
 
 // An answered request is over: once its reply is in, neither its complete
 // timeout nor its record outlives it. (Before the cancellation every
-// answered request left a timer and a live record behind for 6 s.)
+// answered request left a timer and a live record behind for 6 s.) What
+// the world keeps is the deadline lists' wakes, one at most per list.
 func TestAnsweredRequestsLeaveNothingBehind(t *testing.T) {
 	s, net, gen, rec := setup(t, 200, []cnet.NodeID{0})
 	echoServer(net, 0)
@@ -52,18 +81,10 @@ func TestAnsweredRequestsLeaveNothingBehind(t *testing.T) {
 	if rec.Offered == 0 || rec.Succeeded != rec.Offered {
 		t.Fatalf("succeeded %d of %d offered", rec.Succeeded, rec.Offered)
 	}
-	if n := pendingCompleteTimeouts(s); n != 0 {
-		t.Errorf("%d complete timeouts still pending after %d answered requests", n, rec.Succeeded)
-	}
-	if n := len(gen.reqLive); n != 0 {
-		t.Errorf("%d request records still live with nothing in flight", n)
-	}
 	if gen.completeCancelled != rec.Succeeded {
 		t.Errorf("cancelled %d complete timeouts, want one per answered request (%d)", gen.completeCancelled, rec.Succeeded)
 	}
-	if n := s.Pending(); n != 0 {
-		t.Errorf("%d events pending in an idle world", n)
-	}
+	checkIdle(t, s, gen)
 }
 
 // heldServer accepts and stays silent; the test replies by hand on the
@@ -96,10 +117,11 @@ func TestReplyRacingTheTimeoutIsCountedOnce(t *testing.T) {
 			if len(gen.reqLive) != 1 || srv == nil {
 				t.Fatalf("request not established: %d live", len(gen.reqLive))
 			}
-			due, ok := gen.reqLive[0].completeTimeout.When()
-			if !ok {
+			d := gen.reqLive[0].dl[completeDL]
+			if !d.listed {
 				t.Fatal("complete timeout not armed")
 			}
+			due := d.at
 			// 125 bytes serialize in exactly 1 µs on the default link.
 			flight := time.Microsecond + net.Config().PropDelay
 			s.At(due-flight-tc.early, func() { srv.TrySend(&server.RespMsg{OK: true}, 125) })
@@ -118,16 +140,13 @@ func TestReplyRacingTheTimeoutIsCountedOnce(t *testing.T) {
 			if gen.completeCancelled != wantCancelled {
 				t.Errorf("cancelled %d timeouts, want %d", gen.completeCancelled, wantCancelled)
 			}
-			if len(gen.reqLive) != 0 || s.Pending() != 0 {
-				t.Errorf("left behind: %d live records, %d pending events", len(gen.reqLive), s.Pending())
-			}
+			checkIdle(t, s, gen)
 		})
 	}
 }
 
 // A snapshot taken mid-request carries the armed complete timeout at its
-// exact kernel slot, and the restored request holds a handle that can
-// still cancel it.
+// exact kernel key, and the restored request can still cancel it.
 func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 	build := func() (*sim.Sim, *simnet.Network, *Generator, *Recorder, *cnet.Conn) {
 		s, net, gen, rec := setup(t, 1, []cnet.NodeID{0})
@@ -144,8 +163,8 @@ func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 	s, net, gen, _, srv := build()
 	gen.launch()
 	s.RunFor(time.Millisecond)
-	due, ok := gen.reqLive[0].completeTimeout.When()
-	if !ok {
+	due := gen.reqLive[0].dl[completeDL]
+	if !due.listed {
 		t.Fatal("complete timeout not armed")
 	}
 
@@ -160,7 +179,7 @@ func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 	if un := ctx.Unclaimed(); len(un) != 0 {
 		t.Fatalf("%d pending events unclaimed by the save", len(un))
 	}
-	now, seq, fired, maxQ := s.Counters()
+	now, seq, fired, maxQ, through := s.Counters()
 
 	s2, net2, gen2, rec2, _ := build()
 	ctx2 := newCtx()
@@ -170,22 +189,20 @@ func TestSnapshotRoundTripsArmedCompleteTimeout(t *testing.T) {
 	srv2 := ctx2.Conns.Obj(ctx2.Dec.U64()).(cnet.Conn)
 	net2.SnapPending(ctx2)
 	net2.SnapConns(ctx2)
-	s2.SetCounters(now, seq, fired, maxQ)
+	s2.SetCounters(now, seq, fired, maxQ, through)
 
 	if len(gen2.reqLive) != 1 {
 		t.Fatalf("restored %d live requests, want 1", len(gen2.reqLive))
 	}
-	if got, ok := gen2.reqLive[0].completeTimeout.When(); !ok || got != due {
-		t.Fatalf("restored complete timeout due %v (armed %v), want %v", got, ok, due)
+	if got := gen2.reqLive[0].dl[completeDL]; !got.listed || got.at != due.at || got.seq != due.seq || listed(gen2, completeDL) != 1 {
+		t.Fatalf("restored complete timeout at (%v, %d), listed %v, want (%v, %d)", got.at, got.seq, got.listed, due.at, due.seq)
 	}
 	srv2.TrySend(&server.RespMsg{OK: true}, 256)
 	s2.RunFor(time.Millisecond)
 	if rec2.Succeeded != 1 || gen2.completeCancelled != 1 {
 		t.Errorf("restored request: succeeded %d, cancelled %d, want 1 and 1", rec2.Succeeded, gen2.completeCancelled)
 	}
-	if n := pendingCompleteTimeouts(s2); n != 0 || len(gen2.reqLive) != 0 {
-		t.Errorf("restored request left %d timeouts and %d records behind", n, len(gen2.reqLive))
-	}
+	checkIdle(t, s2, gen2)
 }
 
 // The request cycle — launch, connect, reply, cancel, recycle — reuses its

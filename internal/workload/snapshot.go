@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"cmp"
+	"slices"
+
 	"press/internal/cnet"
 	"press/internal/simnet"
 	"press/internal/snapio"
@@ -9,9 +12,9 @@ import (
 // Snapshot support. The generator serializes its arrival process (rng,
 // cursors), the recorder, and every in-flight request. Request records
 // are defined in ctx.Owners so the network section can reference them as
-// dial owners; their pending kernel timers (connect deadline, complete
-// timeout) and the arrival tick are claimed from the pending table and
-// re-armed pinned on load.
+// dial owners; a request's deadlines travel as their keys, and the
+// arrival tick and each deadline list's wake are claimed from the pending
+// table and re-armed pinned on load.
 
 // SnapState moves the generator, recorder, and in-flight requests;
 // loading, into a freshly built generator (same config, same topology).
@@ -70,16 +73,51 @@ func (g *Generator) SnapState(x *snapio.Ctx) {
 			}
 			sc.RestoreHandlers(simnet.Direct, r.h)
 		}
-		// A request's timeouts are saved as the pending events its handles
-		// name, so a live handle without its event fails the save here and
-		// an event without a live handle fails it as unclaimed: either would
-		// restore a request that cannot stop its own timer.
-		x.TimerArg(&r.connectDeadline, reqConnectTimeout, r, "workload: connect deadline")
-		x.TimerArg(&r.completeTimeout, reqCompleteTimeout, r, "workload: complete timeout")
+		// A request's deadlines travel as their keys; the lists are
+		// rebuilt from them.
+		for k := range r.dl {
+			d := &r.dl[k]
+			if x.Bool(&d.listed); d.listed {
+				snapio.Int(x, &d.at)
+				x.U64(&d.seq)
+			}
+		}
 	})
 	if !x.Saving() {
 		for i, r := range g.reqLive {
 			r.slot = i
+		}
+	}
+
+	for k := range g.lists {
+		l := &g.lists[k]
+		if !x.Saving() {
+			// Arming order is key order.
+			var listed []*request
+			for _, r := range g.reqLive {
+				if r.dl[k].listed {
+					listed = append(listed, r)
+				}
+			}
+			slices.SortFunc(listed, func(a, b *request) int { return cmp.Compare(a.dl[k].seq, b.dl[k].seq) })
+			l.head, l.tail = nil, nil
+			for _, r := range listed {
+				g.link(k, r)
+			}
+		}
+		// The list's wake: at most one, held by no handle.
+		wakes := snapio.Claim(x, wakeFn(k), func(og *Generator) bool { return og == g })
+		if len(wakes) > 1 || x.Saving() && len(wakes) == 1 != g.woken[k] {
+			snapio.Failf("workload: %d pending wakes for deadline list %d (armed %v)", len(wakes), k, g.woken[k])
+		}
+		var wake snapio.PendingEvent
+		if len(wakes) == 1 {
+			wake = wakes[0]
+		}
+		if x.Bool(&g.woken[k]); g.woken[k] {
+			if x.Slot(&wake); !x.Saving() {
+				g.sim.RestoreAtArg(wake.At, wake.Seq, wakeFn(k), g)
+			}
 		}
 	}
 }

@@ -126,6 +126,11 @@ type Generator struct {
 	// is how the pinned N=256 event count is derived rather than re-recorded
 	// (TestScale256CancelledTimeoutsAccountForSchedule).
 	completeCancelled uint64
+	// lists holds the pending deadlines of each kind (connectDL,
+	// completeDL) in the order they were armed, and woken says whether
+	// each list's wake is pending.
+	lists [2]deadlineList
+	woken [2]bool
 	// reqFree recycles request records (and their once-built handler
 	// closures) so a steady-state request costs no heap allocation.
 	reqFree cnet.MsgPool[request]
@@ -206,9 +211,9 @@ func genNext(arg any) {
 // complete timeout), each of which either fires or is cancelled exactly
 // once — when it reaches zero the connection is closed, no further
 // callback can reference the record, and it returns to the pool. A
-// finished request cancels its complete timeout, so the record, its conn
-// pin and the kernel timer are held for the life of the request, not for
-// the 6 s the timeout would have waited.
+// finished request cancels its complete timeout, so the record and its
+// conn pin are held for the life of the request, not for the 6 s the
+// timeout would have waited.
 type request struct {
 	g    *Generator
 	now  time.Duration // offer time
@@ -218,10 +223,7 @@ type request struct {
 	refs int
 
 	conn cnet.Conn
-	// The two timeout handles are saved as their pending kernel events
-	// (claimed by the slot each handle names) and re-armed by RestoreAtArg.
-	connectDeadline sim.Timer
-	completeTimeout sim.Timer
+	dl   [2]deadline // the connect deadline and the complete timeout
 
 	h cnet.StreamHandlers // once-built handler closures, recreated with the record
 
@@ -252,8 +254,6 @@ func (r *request) unref() {
 			cnet.ReleaseConn(r.conn) // pin taken when DialResult stored it
 			r.conn = nil
 		}
-		r.connectDeadline = sim.Timer{}
-		r.completeTimeout = sim.Timer{}
 		g.reqFree.Put(r)
 	}
 }
@@ -282,21 +282,122 @@ func (r *request) fail(connectPhase bool) {
 // typically the last one, which recycles the record, unpins the conn and
 // lets the pair go back to the network's pool now instead of 6 s later.
 func (r *request) settle() {
-	if r.completeTimeout.Stop() {
+	if r.g.unlist(completeDL, r) {
 		r.g.completeCancelled++
 		r.unref()
 	}
 }
 
-func reqConnectTimeout(arg any) {
-	r := arg.(*request)
-	r.fail(true)
-	r.unref()
+// A request's two deadlines are the paper's: the connect deadline runs
+// from the offer, the complete timeout from the connection. All deadlines
+// of one kind have the same span, so they fall due in the order they were
+// armed, and each kind is a FIFO list through the request records. A
+// deadline takes the kernel key an event scheduled for it would have
+// (sim.Reserve) without scheduling one; a stop is an unlink. The list
+// keeps one kernel event, its wake, armed at a key no later than its
+// head's: a wake that finds its head due fires that deadline at the
+// deadline's own key, exactly where the per-request event fired, and one
+// armed for a deadline since stopped moves on to the new head and takes
+// back its count, so EventsFired is the per-request schedule's. The wake
+// of a list that empties stays armed: with one request in flight, the
+// next deadline is armed behind it for free.
+const (
+	connectDL = iota
+	completeDL
+)
+
+// deadline is one of a request's deadlines: its key, and its links in the
+// kind's list while listed.
+type deadline struct {
+	at         time.Duration
+	seq        uint64
+	next, prev *request
+	listed     bool
 }
 
-func reqCompleteTimeout(arg any) {
-	r := arg.(*request)
-	r.fail(false)
+// deadlineList is the pending deadlines of one kind, oldest first.
+type deadlineList struct{ head, tail *request }
+
+// connectWake and completeWake are the deadline lists' kernel callbacks.
+func connectWake(arg any)  { arg.(*Generator).wake(connectDL) }
+func completeWake(arg any) { arg.(*Generator).wake(completeDL) }
+
+// wakeFn returns list k's kernel callback.
+func wakeFn(k int) func(any) {
+	if k == connectDL {
+		return connectWake
+	}
+	return completeWake
+}
+
+// list arms r's deadline of kind k, span from now, at the key an event
+// scheduled now would take.
+func (g *Generator) list(k int, r *request, span time.Duration) {
+	d := &r.dl[k]
+	d.at, d.seq = g.sim.Now()+span, g.sim.Reserve()
+	g.link(k, r)
+	if !g.woken[k] {
+		g.arm(k, r)
+	}
+}
+
+// link appends r's deadline of kind k to its list.
+func (g *Generator) link(k int, r *request) {
+	l, d := &g.lists[k], &r.dl[k]
+	d.prev, d.next, d.listed = l.tail, nil, true
+	if l.tail != nil {
+		l.tail.dl[k].next = r
+	} else {
+		l.head = r
+	}
+	l.tail = r
+}
+
+// unlist stops r's deadline of kind k, reporting whether it was pending.
+// The kernel is not touched: a wake armed for it finds it gone.
+func (g *Generator) unlist(k int, r *request) bool {
+	l, d := &g.lists[k], &r.dl[k]
+	if !d.listed {
+		return false
+	}
+	if d.prev != nil {
+		d.prev.dl[k].next = d.next
+	} else {
+		l.head = d.next
+	}
+	if d.next != nil {
+		d.next.dl[k].prev = d.prev
+	} else {
+		l.tail = d.prev
+	}
+	*d = deadline{}
+	return true
+}
+
+// arm schedules list k's wake at r's deadline.
+func (g *Generator) arm(k int, r *request) {
+	g.woken[k] = true
+	g.sim.RestoreAtArg(r.dl[k].at, r.dl[k].seq, wakeFn(k), g)
+}
+
+// wake runs list k's kernel event. Its key is no later than the head's,
+// so the head is due exactly when its key has passed.
+func (g *Generator) wake(k int) {
+	g.woken[k] = false
+	l := &g.lists[k]
+	r := l.head
+	if r == nil || !g.sim.Passed(r.dl[k].at, r.dl[k].seq) {
+		g.sim.AdjustFired(-1) // armed for a deadline since stopped
+		if r != nil {
+			g.arm(k, r)
+		}
+		return
+	}
+	g.unlist(k, r)
+	if l.head != nil {
+		g.arm(k, l.head)
+	}
+	r.fail(k == connectDL)
 	r.unref()
 }
 
@@ -340,7 +441,7 @@ func (r *request) DialResult(c cnet.Conn, err error) {
 		r.unref()
 		return
 	}
-	if r.connectDeadline.Stop() {
+	if r.g.unlist(connectDL, r) {
 		r.unref()
 	}
 	if err != nil {
@@ -354,7 +455,7 @@ func (r *request) DialResult(c cnet.Conn, err error) {
 	req.ID, req.Doc = r.id, r.doc
 	c.TrySend(req, 256)
 	r.refs++
-	r.completeTimeout = r.g.sim.AfterArg(r.g.cfg.CompleteTimeout, reqCompleteTimeout, r)
+	r.g.list(completeDL, r, r.g.cfg.CompleteTimeout)
 	r.unref()
 }
 
@@ -376,6 +477,6 @@ func (g *Generator) launch() {
 	r.slot = len(g.reqLive)
 	g.reqLive = append(g.reqLive, r)
 
-	r.connectDeadline = g.sim.AfterArg(g.cfg.ConnectTimeout, reqConnectTimeout, r)
+	g.list(connectDL, r, g.cfg.ConnectTimeout)
 	g.iface.DialFor(target, cnet.ClassClient, server.PortHTTP, r)
 }
