@@ -19,6 +19,16 @@ func TestPeerRecordSize(t *testing.T) {
 	}
 }
 
+// The records live by value in one table per server, so a forward, a
+// forwarded reply or a piggybacked load reaches its peer's line without
+// first loading a pointer to it, and a 256-node world holds 256 tables
+// instead of 65,280 records.
+func TestPeerTableHoldsRecords(t *testing.T) {
+	if f, _ := reflect.TypeOf(Server{}).FieldByName("peers"); f.Type != reflect.TypeOf([]peer(nil)) {
+		t.Errorf("Server.peers is %v, want []peer", f.Type)
+	}
+}
+
 // The document cache's index follows what the cache holds, not the
 // catalog: a scale256 server's cache of capacity 1,213 over a
 // 6,500-document catalog holds about 90 documents, in a few hundred 4-byte

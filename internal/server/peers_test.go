@@ -1,10 +1,14 @@
 package server
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/qmon"
 	"press/internal/snapio"
@@ -27,15 +31,28 @@ func (c *stubConn) TrySend(cnet.Message, int) bool {
 
 func (c *stubConn) Close() {}
 
-// dialEnv is a process environment that only records dials.
+// dialEnv is a process environment that only records dials and the
+// owners of the timers armed on it.
 type dialEnv struct {
 	cnet.Env
-	dials []cnet.NodeID
+	dials  []cnet.NodeID
+	owners []cnet.DialOwner
+	timers []cnet.TimerOwner
 }
 
-func (e *dialEnv) DialFor(to cnet.NodeID, _ cnet.Class, _ string, _ cnet.DialOwner) {
+func (e *dialEnv) DialFor(to cnet.NodeID, _ cnet.Class, _ string, owner cnet.DialOwner) {
 	e.dials = append(e.dials, to)
+	e.owners = append(e.owners, owner)
 }
+
+func (e *dialEnv) AfterFor(_ time.Duration, owner cnet.TimerOwner) clock.Timer {
+	e.timers = append(e.timers, owner)
+	return stubTimer{}
+}
+
+type stubTimer struct{}
+
+func (stubTimer) Stop() bool { return false }
 
 // recordingMonitor records the queue lengths the server reports.
 type recordingMonitor struct{ seen [][2]int }
@@ -52,7 +69,7 @@ func (m *recordingMonitor) SnapState(*snapio.Ctx)          {}
 // when conn is nil).
 func senderTo(conn *stubConn, qm queueMonitor) (*Server, *dialEnv) {
 	env := &dialEnv{}
-	s := &Server{cfg: Config{Self: 0}, env: env, qm: qm, peers: make([]*peer, 2)}
+	s := &Server{cfg: Config{Self: 0}, env: env, qm: qm, view: make([]bool, 2)}
 	if conn != nil {
 		s.peer(1).conn = conn
 	}
@@ -93,6 +110,53 @@ func TestEnqueueObservesAsQueued(t *testing.T) {
 				t.Error("a send that went through allocated a send queue")
 			}
 		})
+	}
+}
+
+// The peer table has a slot for each node of the static configuration and
+// never grows, because the records in it are held by pointer. A Hello or a
+// join response naming any other node admits nothing, and asking for
+// plumbing towards one anyway is a bug the server names.
+func TestPeerOutsideConfigurationIsRefused(t *testing.T) {
+	s, env := senderTo(nil, nil)
+	s.include(2, "hello")
+	s.adoptView([]cnet.NodeID{5}, "join response")
+	if got := s.View(); len(got) != 0 || len(env.dials) != 0 {
+		t.Errorf("view %v and dials %v after hearing of nodes 2 and 5, want neither", got, env.dials)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "no peer slot for node 2") {
+			t.Errorf("enqueue towards node 2 recovered %v, want a panic naming the node", r)
+		}
+	}()
+	s.enqueue(2, outMsg{m: &FwdMsg{}, size: sizeFwd, isReq: true, reqID: 7})
+}
+
+// A redial armed towards one peer names that peer's record in the table
+// when it fires, however many other records were made in between: the
+// table is sized once and its records never move.
+func TestRedialNamesItsRecordInTheTable(t *testing.T) {
+	const n = 8
+	env := &dialEnv{}
+	s := &Server{cfg: Config{Self: 0}, env: env}
+	s.view = make([]bool, n)
+	for i := range cnet.NodeID(n) {
+		s.view[i] = true
+	}
+	s.connectPeer(3)
+	s.peer(3).DialResult(nil, errors.New("refused"))
+	for i := range cnet.NodeID(n) {
+		if i != s.cfg.Self && i != 3 {
+			s.connectPeer(i)
+		}
+	}
+	if len(env.timers) != 1 {
+		t.Fatalf("%d timers armed, want one redial", len(env.timers))
+	}
+	env.dials, env.owners = nil, nil
+	env.timers[0].OnTimer()
+	if want := &s.peers[3]; len(env.owners) != 1 || env.owners[0] != want || env.timers[0].(*redial).p != want {
+		t.Errorf("the redial dialed %v owned by %v, want node 3 owned by its record %p", env.dials, env.owners, want)
 	}
 }
 

@@ -47,7 +47,7 @@ type Server struct {
 	view     []bool        // view[n] ⇔ n is in the cooperation set (self included)
 	sorted   []cnet.NodeID //availlint:skipfield sorted cached sorted view, rebuilt on demand from view
 	sortedOK bool          //availlint:skipfield sortedOK validity of the sorted cache, recomputed on demand
-	peers    []*peer       // nil entry: no plumbing towards that node yet
+	peers    []peer        // nil until the first record, then never moved; made: plumbing towards that node exists
 	joined   bool
 
 	active     int
@@ -230,30 +230,23 @@ func (s *Server) inView(n cnet.NodeID) bool {
 	return n >= 0 && int(n) < len(s.view) && s.view[n]
 }
 
-// sizeNodeTables sizes the tables that are dense by NodeID for the static
-// configuration, once. Growing them a slot at a time as ids turned up
-// (viewAdd and setPeer's fallback, now only for an id outside cfg.Nodes)
-// copied O(N²) bytes per server while a wide cluster formed.
+// sizeNodeTables sizes the view, dense by NodeID, for the static
+// configuration, once; the peer table takes its length when the first
+// record is made (peer). Neither grows: the peer records live in theirs by
+// value and are held by pointer. include admits no id without a slot, and
+// a snapshot's ids are checked against the configuration.
 func (s *Server) sizeNodeTables() {
 	n := int(s.cfg.Self) + 1
 	for _, id := range s.cfg.Nodes {
 		n = max(n, int(id)+1)
 	}
 	s.view = make([]bool, n)
-	s.peers = make([]*peer, n)
 }
 
-func (s *Server) viewAdd(n cnet.NodeID) {
-	if n < 0 {
-		return
-	}
-	if int(n) >= len(s.view) {
-		grown := make([]bool, int(n)+1)
-		copy(grown, s.view)
-		s.view = grown
-	}
-	s.view[n] = true
-}
+// hasSlot reports whether the node tables have a slot for n.
+func (s *Server) hasSlot(n cnet.NodeID) bool { return n >= 0 && int(n) < len(s.view) }
+
+func (s *Server) viewAdd(n cnet.NodeID) { s.view[n] = true }
 
 func (s *Server) viewDel(n cnet.NodeID) {
 	if n >= 0 && int(n) < len(s.view) {
@@ -308,9 +301,11 @@ func (s *Server) SendQueueLen(n cnet.NodeID) int {
 	return 0
 }
 
-// include admits n to the cooperation set (NodeIn).
+// include admits n to the cooperation set (NodeIn). A Hello or a join
+// response naming a node the static configuration does not list admits
+// nothing.
 func (s *Server) include(n cnet.NodeID, why string) {
-	if n == s.cfg.Self || s.inView(n) {
+	if n == s.cfg.Self || s.inView(n) || !s.hasSlot(n) {
 		return
 	}
 	s.viewAdd(n)

@@ -102,6 +102,7 @@ func TestQuickDirectoryWideMatchesNarrow(t *testing.T) {
 func TestShardOwnerMatchesHomePlacement(t *testing.T) {
 	nodes := wideNodes(96)
 	s := &Server{cfg: Config{Self: 0, Nodes: nodes}}
+	s.sizeNodeTables()
 	for _, n := range nodes {
 		s.viewAdd(n)
 	}

@@ -159,8 +159,8 @@ func (s *Server) snapView(x *snapio.Ctx) {
 // peerIDs lists the nodes this server has plumbing towards, ascending.
 func (s *Server) peerIDs() []cnet.NodeID {
 	var ids []cnet.NodeID
-	for n, p := range s.peers {
-		if p != nil {
+	for n := range s.peers {
+		if s.peers[n].made {
 			ids = append(ids, cnet.NodeID(n))
 		}
 	}
@@ -439,7 +439,7 @@ func (s *Server) SnapHusk(x *snapio.Ctx) {
 			snapio.Failf("server: husk send queue length %d out of range", qlen)
 		}
 		if !x.Saving() {
-			s.setPeer(*n, &peer{id: *n, q: &sendQueue{msgs: make([]outMsg, qlen)}})
+			s.peer(*n).q = &sendQueue{msgs: make([]outMsg, qlen)}
 		}
 	})
 }
@@ -473,8 +473,8 @@ func Restore(cfg Config, env cnet.RestoreEnv, disk DiskArray, memb MembershipVie
 	for _, c := range env.RestoreConnList() {
 		env.RestoreConn(c, s.clientH)
 	}
-	for _, p := range s.peers {
-		if p != nil && p.conn != nil {
+	for i := range s.peers {
+		if p := &s.peers[i]; p.conn != nil {
 			env.RestoreConn(p.conn, s.sendH)
 			env.SetConnWord(p.conn, uint64(p.id)+1)
 		}
