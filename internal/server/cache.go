@@ -28,29 +28,53 @@ type docCache struct {
 	// after it. Its length is a power of two and it is never more than half
 	// full, so it follows what the cache holds — a few hundred slots on a
 	// server holding 90 documents, whatever the catalog — and every request's
-	// Has costs one multiply, a load or two and a compare.
-	index []int32
-	shift uint // 64 − log2(len(index)): a hash's top bits are its home slot
+	// Has costs one multiply, a load or two and a compare. Above the
+	// position, in the bits the slab does not need, a slot holds a tag of
+	// its document's hash: a lookup passes over another document's slot
+	// without reading that document's entry in the slab.
+	index   []int32
+	shift   uint // 64 − log2(len(index)): a hash's top bits are its home slot
+	posBits uint // a slot's low bits hold the slab position; the tag is above
 }
 
 const cacheIndexMin = 16 // an empty cache's index: one cache line
 
 func newDocCache(capDocs int) *docCache {
 	c := &docCache{cap: max(capDocs, 1), ents: make([]cacheEnt, 1)}
+	c.posBits = uint(mbits.Len(uint(c.cap)))
 	c.fit(0)
 	return c
 }
 
+// docHash is doc's Fibonacci hash: its top bits pick doc's home slot, and
+// its bits from 32 up tag the slot that holds doc.
+func docHash(doc trace.DocID) uint64 { return uint64(uint32(doc)) * 0x9e3779b97f4a7c15 }
+
 // home is doc's slot when nothing collides with it.
-func (c *docCache) home(doc trace.DocID) int {
-	return int(uint64(uint32(doc)) * 0x9e3779b97f4a7c15 >> c.shift)
+func (c *docCache) home(doc trace.DocID) int { return int(docHash(doc) >> c.shift) }
+
+// tagged is what the index holds for slab position e, whose document
+// hashes to h: e in the low posBits, and above it as many of the hash's
+// bits from 32 up as fit in a positive int32. A lookup that finds another
+// tag in a slot passes on without reading the slab.
+func (c *docCache) tagged(e int32, h uint64) int32 {
+	return int32(uint32(h>>32)<<c.posBits&(1<<31-1)) | e
 }
+
+// pos is the slab position a slot holds.
+func (c *docCache) pos(slot int32) int32 { return slot & (1<<c.posBits - 1) }
 
 // ent returns doc's position in the slab, 0 when not cached.
 func (c *docCache) ent(doc trace.DocID) int32 {
 	mask := len(c.index) - 1
-	for i := c.home(doc); ; i = (i + 1) & mask {
-		if e := c.index[i]; e == 0 || c.ents[e].doc == doc {
+	h := docHash(doc)
+	want := c.tagged(0, h)
+	for i := int(h >> c.shift); ; i = (i + 1) & mask {
+		slot := c.index[i]
+		if slot == 0 {
+			return 0
+		}
+		if e := c.pos(slot); slot^e == want && c.ents[e].doc == doc {
 			return e
 		}
 	}
@@ -60,11 +84,12 @@ func (c *docCache) ent(doc trace.DocID) int32 {
 // index.
 func (c *docCache) place(e int32) {
 	mask := len(c.index) - 1
-	i := c.home(c.ents[e].doc)
+	h := docHash(c.ents[e].doc)
+	i := int(h >> c.shift)
 	for c.index[i] != 0 {
 		i = (i + 1) & mask
 	}
-	c.index[i] = e
+	c.index[i] = c.tagged(e, h)
 }
 
 // unplace takes slab position e out of the index. What sat behind it in
@@ -73,7 +98,7 @@ func (c *docCache) place(e int32) {
 func (c *docCache) unplace(e int32) {
 	mask := len(c.index) - 1
 	i := c.home(c.ents[e].doc)
-	for c.index[i] != e {
+	for c.pos(c.index[i]) != e {
 		i = (i + 1) & mask
 	}
 	for j := i; ; {
@@ -86,7 +111,7 @@ func (c *docCache) unplace(e int32) {
 			}
 			// o may move up to the hole at i unless its home lies after the
 			// hole, between i (exclusive) and j (inclusive).
-			if (j-c.home(c.ents[o].doc))&mask >= (j-i)&mask {
+			if (j-c.home(c.ents[c.pos(o)].doc))&mask >= (j-i)&mask {
 				c.index[i] = o
 				i = j
 				break
