@@ -8,7 +8,6 @@ import (
 	"press/internal/faults"
 	"press/internal/harness"
 	"press/internal/metrics"
-	"press/internal/sim"
 	"press/internal/snapio"
 )
 
@@ -53,13 +52,18 @@ type runner struct {
 	reintegrated bool
 	skipped      []string
 
-	// Per-schedule-entry state, allocated by arm. The timers are retained
-	// (unlike the original fire-and-forget Sim.At calls) so a snapshot can
-	// claim them from the pending table and a restore can re-arm them at
-	// their exact kernel slots.
-	actives []*faults.Active
-	injT    []sim.Timer //availlint:allow timerretain owned by this world's single driving goroutine; touched only between advance steps
-	repT    []sim.Timer //availlint:allow timerretain owned by this world's single driving goroutine; touched only between advance steps
+	// Per-schedule-entry records, allocated by arm: each is the argument
+	// of its entry's inject and repair fires, so a snapshot claims those
+	// events by function and record.
+	entries []entry
+}
+
+// entry is schedule entry i's driver record: what its inject and repair
+// fires run over, and the fault its inject left active.
+type entry struct {
+	r      *runner
+	i      int
+	active *faults.Active
 }
 
 // newRunner builds and starts one world. sched must already be
@@ -129,20 +133,28 @@ func (r *runner) arm() {
 	t0 := r.c.Sim.Now()
 	r.t0 = t0
 	r.start = t0
-	r.actives = make([]*faults.Active, len(r.sched))
-	r.injT = make([]sim.Timer, len(r.sched))
-	r.repT = make([]sim.Timer, len(r.sched))
-	for i := range r.sched {
-		i, e := i, r.sched[i]
-		r.injT[i] = r.c.Sim.At(t0+e.At, func() { r.fireInject(i) })
-		r.repT[i] = r.c.Sim.At(t0+e.End(), func() { r.fireRepair(i) })
+	r.makeEntries()
+	for i, e := range r.sched {
+		r.c.Sim.AtArg(t0+e.At, fireInject, &r.entries[i])
+		r.c.Sim.AtArg(t0+e.End(), fireRepair, &r.entries[i])
 	}
 	r.phase = phDrain
 	r.target = t0 + r.sched.Horizon() + r.rc.DrainGrace
 }
 
-func (r *runner) fireInject(i int) {
-	e := r.sched[i]
+// makeEntries allocates one record per schedule entry.
+func (r *runner) makeEntries() {
+	r.entries = make([]entry, len(r.sched))
+	for i := range r.entries {
+		r.entries[i] = entry{r: r, i: i}
+	}
+}
+
+// fireInject is an entry's inject fire, the kernel callback armed at its
+// arrival.
+func fireInject(arg any) {
+	en := arg.(*entry)
+	r, e := en.r, en.r.sched[en.i]
 	if !r.c.Injector.Applicable(e.Fault) || !harness.TargetHealthy(r.c, e.Fault, e.Component) {
 		r.skipped = append(r.skipped, fmt.Sprintf("%s: target unavailable", e))
 		return
@@ -156,13 +168,14 @@ func (r *runner) fireInject(i int) {
 		r.skipped = append(r.skipped, fmt.Sprintf("%s: %v", e, err))
 		return
 	}
-	r.actives[i] = a
+	en.active = a
 }
 
-func (r *runner) fireRepair(i int) {
-	if r.actives[i] != nil {
-		_ = r.actives[i].Repair()
-		r.actives[i] = nil
+// fireRepair is an entry's repair fire, armed at its end.
+func fireRepair(arg any) {
+	if en := arg.(*entry); en.active != nil {
+		_ = en.active.Repair()
+		en.active = nil
 	}
 }
 
@@ -239,10 +252,10 @@ func (r *runner) assemble() {
 // slot (the hook harness.Take and Snap.Restore take). The per-entry
 // section exists only once the schedule has armed; an un-armed (warm-fork)
 // snapshot carries no schedule state at all, which is what lets a fork
-// substitute a different schedule. Loading runs against the restored cluster: pending
-// inject/repair fires re-arm at their exact kernel slots as fresh
-// closures, and each entry's Active handle re-links to the injector
-// record the injector's walk rebuilt.
+// substitute a different schedule. Loading runs against the restored
+// cluster: pending inject/repair fires re-arm at their exact kernel slots
+// over fresh entry records, and each entry's Active handle re-links to
+// the injector record the injector's walk rebuilt.
 func (r *runner) SnapExtra(x *snapio.Ctx) {
 	snapio.Int(x, &r.phase)
 	snapio.Int(x, &r.target)
@@ -262,16 +275,15 @@ func (r *runner) SnapExtra(x *snapio.Ctx) {
 		snapio.Failf("chaos: snapshot armed with schedule %016x; cannot resume it as %016x", h, r.sched.Hash())
 	}
 	if !x.Saving() {
-		r.actives = make([]*faults.Active, len(r.sched))
-		r.injT = make([]sim.Timer, len(r.sched))
-		r.repT = make([]sim.Timer, len(r.sched))
+		r.makeEntries()
 	}
 	for i, e := range r.sched {
-		x.Timer(&r.injT[i], func() { r.fireInject(i) }, "chaos: schedule inject")
-		x.Timer(&r.repT[i], func() { r.fireRepair(i) }, "chaos: schedule repair")
-		active := r.actives[i] != nil
+		en := &r.entries[i]
+		snapio.Event(x, fireInject, en)
+		snapio.Event(x, fireRepair, en)
+		active := en.active != nil
 		if x.Bool(&active); active && !x.Saving() {
-			if r.actives[i] = r.c.Injector.ActiveAt(e.Fault, e.Component); r.actives[i] == nil {
+			if en.active = r.c.Injector.ActiveAt(e.Fault, e.Component); en.active == nil {
 				snapio.Failf("chaos: entry %d's active fault %v/%d missing after restore", i, e.Fault, e.Component)
 			}
 		}

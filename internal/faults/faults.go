@@ -426,7 +426,7 @@ func (in *Injector) InjectWith(t Type, c int, o InjectOpts) (*Active, error) {
 	}
 	a.apply()
 	if a.Flapping() {
-		a.timer = in.sim.After(a.Flap.On, a.toggle)
+		a.timer = in.sim.AfterArg(a.Flap.On, toggle, a)
 	}
 	return a, nil
 }
@@ -447,18 +447,19 @@ func (in *Injector) InjectFlap(t Type, c int, f Flap) (*Active, error) {
 	return in.InjectWith(t, c, InjectOpts{Flap: f})
 }
 
-// toggle is the flap driver: lift the effect after each on span, reapply
-// it after each off span.
-func (a *Active) toggle() {
+// toggle is the flap driver, the kernel callback of a flapping *Active:
+// lift the effect after each on span, reapply it after each off span.
+func toggle(arg any) {
+	a := arg.(*Active)
 	if a.repaired {
 		return
 	}
 	if a.applied {
 		a.unapply()
-		a.timer = a.in.sim.After(a.Flap.Off, a.toggle)
+		a.timer = a.in.sim.AfterArg(a.Flap.Off, toggle, a)
 	} else {
 		a.apply()
-		a.timer = a.in.sim.After(a.Flap.On, a.toggle)
+		a.timer = a.in.sim.AfterArg(a.Flap.On, toggle, a)
 	}
 }
 

@@ -47,8 +47,8 @@ func (in *Injector) SnapState(x *snapio.Ctx) {
 		x.F64(&a.Severity)
 		snapio.Int(x, &a.Group)
 		x.Bool(&a.applied)
-		x.Timer(&a.timer, a.toggle, "faults: flap toggle")
-		if !x.Saving() {
+		if t := snapio.Event(x, toggle, a); !x.Saving() {
+			a.timer = t
 			key := slot{a.Type, a.Component}
 			if _, dup := in.active[key]; dup {
 				snapio.Failf("faults: duplicate active slot %v/%d in snapshot", a.Type, a.Component)

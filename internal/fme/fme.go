@@ -52,20 +52,18 @@ type Config struct {
 	Self cnet.NodeID
 	// ProbePeriod is the paper's 5 s test cadence.
 	ProbePeriod time.Duration
-	// ProbeTimeout bounds the HTTP probe (and the SCSI probe).
-	ProbeTimeout time.Duration
 	// Consecutive is how many consecutive unresponsive probes establish
 	// "the application fails to respond" (hysteresis against transient
 	// overload).
 	Consecutive int
 }
 
+// probeTimeout bounds the HTTP probe (and the SCSI probe).
+const probeTimeout = 2 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.ProbePeriod <= 0 {
 		c.ProbePeriod = 5 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.Consecutive <= 0 {
 		c.Consecutive = 2
@@ -162,7 +160,7 @@ func (d *Daemon) tick() {
 	// and doing it first keeps a synchronous probe completion safe.
 	d.probeT.Stop()
 	r := d.newRound()
-	d.disk.Probe(d.cfg.ProbeTimeout, r)
+	d.disk.Probe(probeTimeout, r)
 	r.probeApp()
 }
 
@@ -194,7 +192,7 @@ func (r *round) decide() {
 func (r *round) probeApp() {
 	d := r.d
 	d.probeSeq++
-	d.env.AfterFor(d.cfg.ProbeTimeout, r)
+	d.env.AfterFor(probeTimeout, r)
 	r.dialing = true
 	d.env.DialFor(d.env.Local(), cnet.ClassClient, server.PortHTTP, r)
 }

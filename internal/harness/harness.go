@@ -811,15 +811,6 @@ func (t takeoverControl) Takeover() {
 func (c *Cluster) OperatorReset() {
 	c.Log.EmitID(c.Sim.Now(), metrics.SrcOperator, metrics.KOperatorReset, -1, "restarting unhealthy servers")
 	n := len(c.Machines)
-	// The reference view size is the largest healthy view.
-	best := 0
-	if c.Traits.cooperative {
-		for i := range c.Machines {
-			if srv := c.Server(i); srv != nil && c.Machines[i].Up() && len(srv.View()) > best {
-				best = len(srv.View())
-			}
-		}
-	}
 	for _, m := range c.Machines {
 		// A node parked offline (e.g. by FME) whose hardware has since
 		// been repaired is the operator's to boot. Machines with faulty
@@ -836,7 +827,7 @@ func (c *Cluster) OperatorReset() {
 		needs := p == nil || !p.Alive() || p.Hung()
 		if !needs && c.Traits.cooperative {
 			srv := c.Server(i)
-			needs = srv == nil || (len(srv.View()) < best || len(srv.View()) < n)
+			needs = srv == nil || len(srv.View()) < n
 		}
 		if needs {
 			m.KillProc("press")

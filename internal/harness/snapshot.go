@@ -289,8 +289,8 @@ func (c *Cluster) snapWorld(x *snapio.Ctx, extra func(*snapio.Ctx)) {
 	if un := x.Unclaimed(); len(un) > 0 {
 		ev := un[0]
 		name := snapio.FnName(ev.AFn)
-		if ev.AFn == nil {
-			name = snapio.FnName(ev.Fn)
+		if fn, ok := ev.Arg.(func()); ok {
+			name = snapio.FnName(fn) // Sim.At/After: the closure, not the kernel's trampoline
 		}
 		snapio.Failf("harness: %d unclaimed pending events after save; first %s at %v seq %d",
 			len(un), name, ev.At, ev.Seq)

@@ -70,10 +70,12 @@ func TestSourceRules(t *testing.T) {
 // deletedNames are the second descriptions of a continuation that
 // DESIGN §13 "Owners" removed: set-then-call owner tags, the callbacks a
 // restore used to rebuild a closure from, the dial registry and its tags,
-// and the timer serials. A continuation is its owner record
-// (cnet.Env.AfterFor, DialFor, ReadFor); product code that defines one of
-// these names again is bringing the second description back.
-var deletedNames = regexp.MustCompile(`^(SetNext[A-Z]\w*|TagNextDial|RestoreDisk(Done|Notify|Probe)|RestoreDialer|RestoreTaggedDialer|DialTagged|TaggedDial|tagDialTag|RestoreTimer|TimerSerial|timerSeq|mailTimer\w*)$`)
+// the timer serials, and the kernel's re-arm of a closure event. A
+// continuation is its owner record (cnet.Env.AfterFor, DialFor, ReadFor;
+// a kernel event's function and record, sim.Sim.RestoreAtArg); product
+// code that defines one of these names again is bringing the second
+// description back.
+var deletedNames = regexp.MustCompile(`^(SetNext[A-Z]\w*|TagNextDial|RestoreDisk(Done|Notify|Probe)|RestoreDialer|RestoreTaggedDialer|DialTagged|TaggedDial|tagDialTag|RestoreTimer|RestoreAt|TimerSerial|timerSeq|mailTimer\w*)$`)
 
 // stringKind is the deleted string event kinds' name (DESIGN §12 "One
 // vocabulary"): an event kind is a metrics.KindID, and nothing uses a

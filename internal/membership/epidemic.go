@@ -65,9 +65,9 @@ func (g *epidemic) start() {
 }
 
 // tick runs one epidemic round: bump our own counter, push the full
-// digest to Fanout distinct random peers, and refresh the derived view.
-// Target draws come from the env's deterministic stream; the digest is
-// built by walking the static sorted peer list, never by ranging a map.
+// digest to gossipFanout distinct random peers, and refresh the derived
+// view. Target draws come from the env's deterministic stream; the digest
+// is built by walking the static sorted peer list, never by ranging a map.
 func (g *epidemic) tick() {
 	g.counts[g.cfg.Self]++
 	g.gseen[g.cfg.Self] = g.env.Clock().Now()
@@ -78,7 +78,7 @@ func (g *epidemic) tick() {
 		}
 	}
 	rng := g.env.Rand()
-	k := g.cfg.Fanout
+	k := gossipFanout
 	if k > len(g.pickBuf) {
 		k = len(g.pickBuf)
 	}

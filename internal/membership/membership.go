@@ -50,20 +50,12 @@ type Config struct {
 	// consecutive losses declare a neighbour dead.
 	HBPeriod time.Duration
 	HBMiss   int
-	// SeekPeriod is how often a node that believes its group could be
-	// bigger multicasts a join request.
-	SeekPeriod time.Duration
-	// AckTimeout bounds the two-phase commit's first round.
-	AckTimeout time.Duration
-	// OfferWindow is how long a joiner collects offers before choosing a
-	// coordinator.
-	OfferWindow time.Duration
 
 	// Gossip switches the daemon from the paper's ring heartbeats +
 	// three-round reorganization to the scale-out epidemic mode: each
 	// HBPeriod the daemon bumps its own heartbeat counter and pushes a
-	// full (node, counter) digest to Fanout random peers; receivers merge
-	// counter-wise, so liveness information floods the cluster in
+	// full (node, counter) digest to gossipFanout random peers; receivers
+	// merge counter-wise, so liveness information floods the cluster in
 	// O(log N) rounds regardless of size, and no round-based agreement is
 	// needed — each daemon's view is simply the set of peers whose
 	// counters are still advancing. Splinters and rejoins are implicit:
@@ -74,9 +66,18 @@ type Config struct {
 	// cluster's server IDs; self is skipped). Required in gossip mode —
 	// NewDaemon panics without it — and ignored by the ring.
 	Peers []cnet.NodeID
-	// Fanout is how many peers each round's digest goes to (default 3).
-	Fanout int
 }
+
+// gossipFanout is how many peers each epidemic round's digest goes to.
+const gossipFanout = 3
+
+// The ring's other timings follow from the heartbeat period: a node that
+// believes its group could be bigger multicasts a join request every
+// seekPeriod, a joiner collects offers for offerWindow before choosing a
+// coordinator, and ackTimeout bounds the two-phase commit's first round.
+func (c Config) seekPeriod() time.Duration  { return 2 * c.HBPeriod }
+func (c Config) offerWindow() time.Duration { return c.HBPeriod / 10 }
+func (c Config) ackTimeout() time.Duration  { return c.HBPeriod / 2 }
 
 func (c Config) withDefaults() Config {
 	if c.HBPeriod <= 0 {
@@ -84,18 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HBMiss <= 0 {
 		c.HBMiss = 3
-	}
-	if c.SeekPeriod <= 0 {
-		c.SeekPeriod = 2 * c.HBPeriod
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = c.HBPeriod / 2
-	}
-	if c.OfferWindow <= 0 {
-		c.OfferWindow = c.HBPeriod / 10
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 3
 	}
 	return c
 }

@@ -24,7 +24,7 @@ type world struct {
 
 // newWorld builds n machines each running a ring-mode daemon.
 func newWorld(t *testing.T, n int) *world {
-	return newWorldOf(t, n, membership.Config{HBPeriod: time.Second, HBMiss: 3, SeekPeriod: 2 * time.Second})
+	return newWorldOf(t, n, membership.Config{HBPeriod: time.Second, HBMiss: 3})
 }
 
 // newWorldOf builds n machines (nodes 0..n-1), each running a daemon

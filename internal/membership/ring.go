@@ -168,7 +168,7 @@ func (r *ring) expectAcks(ver uint64, proposed []cnet.NodeID, acked map[cnet.Nod
 		r.commit(ver)
 		return
 	}
-	r.env.AfterFor(r.cfg.AckTimeout, r.armAckTimeout(ver))
+	r.env.AfterFor(r.cfg.ackTimeout(), r.armAckTimeout(ver))
 }
 
 // commit ends the change proposed as ver, when the last ack arrives or
@@ -271,9 +271,9 @@ func betterGroup(a, b []cnet.NodeID) bool {
 }
 
 func (r *ring) seekLater(fast bool) {
-	period := r.cfg.SeekPeriod
+	period := r.cfg.seekPeriod()
 	if fast || len(r.members) == 1 {
-		period = r.cfg.SeekPeriod / 4
+		period = r.cfg.seekPeriod() / 4
 	}
 	if r.seekT == nil {
 		r.seekT = r.env.Clock().Every(period, r.seek)
@@ -299,7 +299,7 @@ func (r *ring) seek() {
 		MinID:   slices.Min(r.members),
 		Members: r.Members(),
 	}, 64+4*len(r.members))
-	r.env.AfterFor(r.cfg.OfferWindow, r)
+	r.env.AfterFor(r.cfg.offerWindow(), r)
 }
 
 // OnTimer implements cnet.TimerOwner for the offer window, and ends it:

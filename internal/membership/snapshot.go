@@ -159,7 +159,7 @@ func (r *ring) snap(x *snapio.Ctx) {
 
 	cnet.SnapTicker(x, r.env, &r.hbT, r.cfg.HBPeriod, r.tick, "membership: heartbeat")
 	// The seek loop picks its next period itself, every pass (seekLater).
-	cnet.SnapTicker(x, r.env, &r.seekT, r.cfg.SeekPeriod, r.seek, "membership: seek")
+	cnet.SnapTicker(x, r.env, &r.seekT, r.cfg.seekPeriod(), r.seek, "membership: seek")
 }
 
 func (g *epidemic) snap(x *snapio.Ctx) {

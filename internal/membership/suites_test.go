@@ -21,7 +21,7 @@ import (
 func newSuiteWorld(t *testing.T, gossip bool) (w *world, stray *machine.Env, replies *[]cnet.Message) {
 	t.Helper()
 	w = newWorldOf(t, 4, membership.Config{
-		HBPeriod: time.Second, HBMiss: 3, SeekPeriod: 2 * time.Second,
+		HBPeriod: time.Second, HBMiss: 3,
 		Gossip: gossip, Peers: nodeIDs(4),
 	})
 	replies = new([]cnet.Message)

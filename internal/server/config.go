@@ -100,12 +100,10 @@ type Config struct {
 
 	// MaxConcurrent bounds requests in service; beyond it, arrivals queue
 	// unserved (and typically die by client timeout). This is the resource
-	// through which a stuck peer stalls the whole cluster.
+	// through which a stuck peer stalls the whole cluster. Four times as
+	// many may queue (acceptBacklog, the listen backlog); beyond that new
+	// connections are rejected.
 	MaxConcurrent int
-
-	// AcceptBacklog bounds the queue of accepted-but-unserved requests
-	// (the listen backlog); beyond it new connections are rejected.
-	AcceptBacklog int
 
 	// QMon enables queue monitoring when non-nil.
 	QMon *qmon.Config
@@ -117,6 +115,9 @@ type Config struct {
 
 	Cost CostModel
 }
+
+// acceptBacklog bounds the queue of accepted-but-unserved requests.
+func (c Config) acceptBacklog() int { return 4 * c.MaxConcurrent }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -137,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 32
-	}
-	if c.AcceptBacklog <= 0 {
-		c.AcceptBacklog = 4 * c.MaxConcurrent
 	}
 	if c.MembershipPoll <= 0 {
 		c.MembershipPoll = time.Second

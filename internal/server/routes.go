@@ -15,7 +15,7 @@ import (
 // it, deep overload delays the heartbeat path enough to splinter the
 // cluster, which is not a behaviour the paper's testbed exhibited.
 func (s *Server) acceptClient(c cnet.Conn) cnet.StreamHandlers {
-	if s.active >= s.cfg.MaxConcurrent && s.QueuedAccepts() >= s.cfg.AcceptBacklog {
+	if s.active >= s.cfg.MaxConcurrent && s.QueuedAccepts() >= s.cfg.acceptBacklog() {
 		c.Close()
 		return cnet.StreamHandlers{}
 	}
@@ -65,7 +65,7 @@ func (s *Server) handleRequest(c cnet.Conn, req *ReqMsg) {
 		return
 	}
 	if s.active >= s.cfg.MaxConcurrent {
-		if s.QueuedAccepts() >= s.cfg.AcceptBacklog {
+		if s.QueuedAccepts() >= s.cfg.acceptBacklog() {
 			// Listen backlog full: shed the connection cheaply, like a
 			// kernel-level refusal, before any parsing happens.
 			s.env.Charge(s.cfg.Cost.Control)

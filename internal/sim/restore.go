@@ -12,28 +12,18 @@ import (
 // order is a strict total order on (at, seq), so two kernels with the
 // same pending set and counters replay identically no matter how their
 // records are arranged. Owners of pending events (simnet, machine,
-// simdisk, workload, chaos) re-arm them with RestoreAt/RestoreAtArg,
+// simdisk, workload, faults, chaos) re-arm them with RestoreAtArg,
 // pinning the original (at, seq) so the interleaving — and therefore the
 // entire downstream event log — is byte-identical.
 
-// Key returns the (deadline, sequence) identity of a still-pending
-// event, the stable name snapshots use for it. ok is false for stale or
-// zero handles, mirroring Stop.
-func (t Timer) Key() (at time.Duration, seq uint64, ok bool) {
-	if r := t.pending(); r != nil {
-		return r.at, r.seq, true
-	}
-	return 0, 0, false
-}
-
 // VisitPending calls visit for every pending event in firing order
-// (ascending (at, seq)): a closure event (At, RestoreAt) with fn set and
-// afn nil, an argument-passing one with afn and arg. The callback must
-// not schedule or cancel events; snapshot code uses it to let each
-// subsystem claim the pending events it owns, and treats any event left
-// unclaimed as a hard save error — the completeness check that keeps
-// "what the snapshot captures" honest.
-func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any, fn func())) {
+// (ascending (at, seq)) with its callback and argument; a closure event
+// (At, After) surfaces as the kernel's callFunc with the closure as its
+// argument. The callback must not schedule or cancel events; snapshot
+// code uses it to let each subsystem claim the pending events it owns,
+// and treats any event left unclaimed as a hard save error — the
+// completeness check that keeps "what the snapshot captures" honest.
+func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any)) {
 	ents := make([]heapEnt, 0, s.npend)
 	ents = append(ents, s.cur...)
 	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
@@ -48,27 +38,16 @@ func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any
 	ents = append(ents, s.overflow...)
 	sort.Slice(ents, func(i, j int) bool { return entLess(ents[i], ents[j]) })
 	for _, ent := range ents {
-		if r := s.rec(ent.id); r.afn == nil {
-			visit(r.at, r.seq, nil, nil, r.arg.(func()))
-		} else {
-			visit(r.at, r.seq, r.afn, r.arg, nil)
-		}
+		r := s.rec(ent.id)
+		visit(r.at, r.seq, r.afn, r.arg)
 	}
 }
 
-// RestoreAt schedules fn with an explicit (at, seq) taken from a
-// snapshot. Unlike At it neither clamps at to the current clock nor
-// draws from the sequence counter: the caller replays identities minted
-// by the snapshotted kernel and separately restores the counter via
-// SetCounters.
-func (s *Sim) RestoreAt(at time.Duration, seq uint64, fn func()) Timer {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	return s.push(at, seq, nil, fn)
-}
-
-// RestoreAtArg is RestoreAt for pre-bound callbacks.
+// RestoreAtArg schedules fn(arg) with an explicit (at, seq) taken from
+// a snapshot, or reserved with Reserve. Unlike AtArg it neither clamps at
+// to the current clock nor draws from the sequence counter: the caller
+// replays identities minted by the snapshotted kernel and separately
+// restores the counter via SetCounters.
 func (s *Sim) RestoreAtArg(at time.Duration, seq uint64, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: nil event function")

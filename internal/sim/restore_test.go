@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ type pendingSet struct {
 
 func capture(s *Sim) pendingSet {
 	var p pendingSet
-	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, fn func()) {
+	s.VisitPending(func(at time.Duration, seq uint64, _ func(any), _ any) {
 		p.ats = append(p.ats, at)
 		p.seqs = append(p.seqs, seq)
 	})
@@ -31,7 +32,7 @@ func capture(s *Sim) pendingSet {
 // TestRestoredTimerGenerations pins the free-list audit's record rule:
 // Timer handles never cross a restore — the durable identity of a
 // pending event is its (at, seq) pair, and a restored kernel re-derives
-// fresh handles (fresh records, generation 0) via RestoreAt. The
+// fresh handles (fresh records, generation 0) via RestoreAtArg. The
 // generation guard must hold in the restored world exactly as in an
 // original one: a handle is live until its event fires or stops, and
 // stays a stale no-op after its record is recycled by a new event.
@@ -48,15 +49,13 @@ func TestRestoredTimerGenerations(t *testing.T) {
 	dst := New(1)
 	handles := make([]Timer, len(p.ats))
 	for i := range p.ats {
-		handles[i] = dst.RestoreAt(p.ats[i], p.seqs[i], func() {})
+		handles[i] = dst.RestoreAtArg(p.ats[i], p.seqs[i], callFunc, func() {})
 	}
 	dst.SetCounters(p.now, p.seq, p.fire, p.maxQ, p.thru)
 
 	for i, h := range handles {
-		at, seq, ok := h.Key()
-		if !ok || at != p.ats[i] || seq != p.seqs[i] {
-			t.Fatalf("restored handle %d: key (%v, %d, %v), want (%v, %d, true)",
-				i, at, seq, ok, p.ats[i], p.seqs[i])
+		if r := h.pending(); r == nil || r.at != p.ats[i] || r.seq != p.seqs[i] {
+			t.Fatalf("restored handle %d: record %+v, want pending at (%v, %d)", i, r, p.ats[i], p.seqs[i])
 		}
 	}
 
@@ -69,45 +68,48 @@ func TestRestoredTimerGenerations(t *testing.T) {
 		t.Fatal("second Stop on the same handle returned true")
 	}
 	recycled := dst.At(9*time.Second, func() {})
-	if _, _, ok := handles[0].Key(); ok {
+	if handles[0].pending() != nil {
 		t.Fatal("stale handle went live again after its slot was recycled")
 	}
 	if handles[0].Stop() {
 		t.Fatal("stale handle stopped the slot's new occupant")
 	}
-	if _, _, ok := recycled.Key(); !ok {
+	if recycled.pending() == nil {
 		t.Fatal("the slot's new occupant lost its pending event")
 	}
 }
 
-// Snapshot code claims a pending event by how it dispatches: snapio's
-// Claim keys on afn, and Ctx.Timer finds a closure timer by (at, seq). So
-// a closure event must surface with fn set and afn nil, and an
-// argument-passing one with its afn and arg, in whichever tier it waits.
+// Snapshot code claims a pending event by its callback and argument, and
+// names an unclaimed closure event by the closure. So a closure event
+// (At, After) must surface as callFunc with the closure as its argument,
+// and an argument-passing one with its afn and arg, in whichever tier it
+// waits.
 func TestVisitPendingReportsClosureEvents(t *testing.T) {
 	s := New(1)
 	var ran []string
 	arg := new(int)
 	afn := func(a any) { *a.(*int)++ }
 	s.At(0, func() { ran = append(ran, "cur") })
-	s.AtArg(time.Millisecond, afn, arg)                                   // an L0 bucket
-	s.RestoreAt(time.Second, 7, func() { ran = append(ran, "restored") }) // an L1 bucket
-	s.RestoreAtArg(10*time.Second, 8, afn, arg)                           // overflow
+	s.AtArg(time.Millisecond, afn, arg)                         // an L0 bucket
+	s.After(time.Second, func() { ran = append(ran, "after") }) // an L1 bucket
+	s.RestoreAtArg(10*time.Second, 8, afn, arg)                 // overflow
+	ptr := func(fn func(any)) uintptr { return reflect.ValueOf(fn).Pointer() }
 	var ats []time.Duration
-	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), a any, fn func()) {
+	s.VisitPending(func(at time.Duration, seq uint64, f func(any), a any) {
 		ats = append(ats, at)
+		_, closure := a.(func())
 		switch {
-		case fn != nil && afn == nil && a == nil:
-			fn()
-		case fn == nil && afn != nil && a == any(arg):
-			afn(a)
+		case closure && ptr(f) == ptr(callFunc):
+		case a == any(arg) && ptr(f) == ptr(afn):
 		default:
-			t.Errorf("event at %v: afn set %v, arg %v, fn set %v", at, afn != nil, a, fn != nil)
+			t.Errorf("event at %v: callback %#x with argument %T", at, ptr(f), a)
+			return
 		}
+		f(a)
 	})
 	want := []time.Duration{0, time.Millisecond, time.Second, 10 * time.Second}
-	if !slices.Equal(ats, want) || !slices.Equal(ran, []string{"cur", "restored"}) || *arg != 2 {
-		t.Errorf("visited %v running closures %v and the AtArg callback %d times, want %v, [cur restored] and 2", ats, ran, *arg, want)
+	if !slices.Equal(ats, want) || !slices.Equal(ran, []string{"cur", "after"}) || *arg != 2 {
+		t.Errorf("visited %v running closures %v and the AtArg callback %d times, want %v, [cur after] and 2", ats, ran, *arg, want)
 	}
 }
 
@@ -129,7 +131,7 @@ func TestSequenceCounterRebase(t *testing.T) {
 	names := []string{"restored-a", "restored-b"}
 	for i := range p.ats {
 		name := names[i]
-		dst.RestoreAt(p.ats[i], p.seqs[i], func() { order = append(order, name) })
+		dst.RestoreAtArg(p.ats[i], p.seqs[i], callFunc, func() { order = append(order, name) })
 	}
 	dst.SetCounters(p.now, p.seq, p.fire, p.maxQ, p.thru)
 
@@ -139,8 +141,8 @@ func TestSequenceCounterRebase(t *testing.T) {
 	// A fresh event at the same deadline must mint a sequence past every
 	// restored one and therefore fire after both.
 	fresh := dst.At(10*time.Second, func() { order = append(order, "fresh") })
-	if _, seq, ok := fresh.Key(); !ok || seq < p.seq {
-		t.Fatalf("fresh event minted seq %d (ok=%v), want >= %d", seq, ok, p.seq)
+	if r := fresh.pending(); r == nil || r.seq < p.seq {
+		t.Fatalf("fresh event's record %+v, want pending with seq >= %d", r, p.seq)
 	}
 
 	order = nil

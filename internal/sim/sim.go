@@ -54,7 +54,7 @@ import (
 type evRec struct {
 	at   time.Duration
 	seq  uint64    // tie-breaker: equal deadlines fire in scheduling order
-	afn  func(any) // nil for a closure event (At, RestoreAt), whose func() is arg
+	afn  func(any) // a closure event (At, After) holds callFunc, its func() in arg
 	arg  any
 	pos  int32
 	loc  int32 // locCur / locOver / bucket code
@@ -256,8 +256,12 @@ func (s *Sim) At(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.schedule(t, nil, fn)
+	return s.schedule(t, callFunc, fn)
 }
+
+// callFunc is the callback of every closure event: At and After store
+// the closure as its argument, so every event dispatches one way.
+func callFunc(fn any) { fn.(func())() }
 
 // AtArg is At for pre-bound callbacks: fn(arg) runs at time t. Packet-
 // rate callers use it with a package-level function and a reused or
@@ -319,11 +323,7 @@ func (s *Sim) fireFront() {
 	}
 	s.through = top.seq + 1
 	s.fired++
-	if afn != nil {
-		afn(arg)
-	} else {
-		arg.(func())()
-	}
+	afn(arg)
 }
 
 // Run executes events until none remain or Halt is called.

@@ -347,7 +347,8 @@ func TestStopFromInsideFiringCallback(t *testing.T) {
 
 // A handle to a recycled record must not reach the record's next
 // occupant, whatever either event's kind: the generation count makes the
-// stale Stop, When and Key report not pending, and the occupant fires.
+// stale handle's Stop and record lookup report not pending, and the
+// occupant fires.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	type arm func(s *Sim, at time.Duration, fired *bool) Timer
 	closure := arm(func(s *Sim, at time.Duration, fired *bool) Timer {
@@ -380,10 +381,10 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 			if old.Stop() {
 				t.Error("stale Stop returned true")
 			}
-			if _, _, ok := old.Key(); ok {
-				t.Error("stale Key reported pending")
+			if old.pending() != nil {
+				t.Error("stale handle reported pending")
 			}
-			if _, _, ok := fresh.Key(); !ok {
+			if fresh.pending() == nil {
 				t.Error("fresh handle not pending")
 			}
 			s.RunUntil(2 * time.Second)

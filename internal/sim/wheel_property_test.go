@@ -119,7 +119,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 				default:
 					id := nextID
 					nextID++
-					handles = append(handles, s.RestoreAt(k.at, k.seq, func() {
+					handles = append(handles, s.RestoreAtArg(k.at, k.seq, callFunc, func() {
 						fired = append(fired, id)
 						done[id] = true
 					}))
@@ -141,7 +141,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 		)
 		armWake := func(k refEvent) {
 			wakeArmed = true
-			s.RestoreAt(k.at, k.seq, wake)
+			s.RestoreAtArg(k.at, k.seq, callFunc, wake)
 		}
 		wake = func() {
 			wakeArmed = false

@@ -17,7 +17,6 @@ type PendingEvent struct {
 	Seq uint64
 	AFn func(any)
 	Arg any
-	Fn  func()
 }
 
 // FnPtr returns the code pointer of a function value, the identity
@@ -329,8 +328,8 @@ func Msg[M any](x *Ctx, m *M) {
 func (x *Ctx) CapturePending() {
 	n := x.Sim.Pending()
 	x.pending, x.afn = make([]PendingEvent, 0, n), make([]uintptr, 0, n)
-	x.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, fn func()) {
-		x.pending = append(x.pending, PendingEvent{At: at, Seq: seq, AFn: afn, Arg: arg, Fn: fn})
+	x.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any) {
+		x.pending = append(x.pending, PendingEvent{At: at, Seq: seq, AFn: afn, Arg: arg})
 		x.afn = append(x.afn, FnPtr(afn))
 	})
 	x.claimed = make([]bool, len(x.pending))
@@ -385,37 +384,28 @@ func Pending[T any](x *Ctx, afn func(any), max int, keep func(*T) bool, walk fun
 	}
 }
 
-// Timer moves a retained kernel timer whose event calls fn: whether it
-// is pending, then its slot. Saving claims the event, which must be in
-// the pending table (what names the timer when it is not); loading
-// re-arms fn at the slot and stores the new handle (the inert zero handle
-// when nothing was pending).
-func (x *Ctx) Timer(t *sim.Timer, fn func(), what string) {
+// Event moves the event, if any, pending through afn with arg: whether
+// there is one, then its slot. Saving claims it; loading re-arms afn(arg)
+// at the slot and returns the handle, the inert zero handle when nothing
+// was pending (and always when saving).
+func Event[T any](x *Ctx, afn func(any), arg *T) sim.Timer {
+	evs := Claim(x, afn, func(p *T) bool { return p == arg })
+	if len(evs) > 1 {
+		Failf("%d events pending through %s for one record", len(evs), FnName(afn))
+	}
 	var ev PendingEvent
-	var ok bool
-	if x.Saving() {
-		ev.At, ev.Seq, ok = t.Key()
-	}
-	if x.Bool(&ok); ok {
-		x.Slot(&ev)
-	}
-	if !x.Saving() {
-		*t = sim.Timer{}
-		if ok {
-			*t = x.Sim.RestoreAt(ev.At, ev.Seq, fn)
-		}
-		return
-	}
+	ok := len(evs) == 1
 	if ok {
-		// The table is in firing order, so the slot is found by bisection.
-		i, found := slices.BinarySearchFunc(x.pending, ev, func(p, t PendingEvent) int {
-			return cmp.Or(cmp.Compare(p.At, t.At), cmp.Compare(p.Seq, t.Seq))
-		})
-		if !found || x.claimed[i] {
-			Failf("%s timer (at %v, seq %d) not in pending table", what, ev.At, ev.Seq)
-		}
-		x.claimed[i] = true
+		ev = evs[0]
 	}
+	if x.Bool(&ok); !ok {
+		return sim.Timer{}
+	}
+	x.Slot(&ev)
+	if x.Saving() {
+		return sim.Timer{}
+	}
+	return x.Sim.RestoreAtArg(ev.At, ev.Seq, afn, arg)
 }
 
 // Unclaimed returns the pending events no walk claimed.

@@ -258,14 +258,15 @@ func TestWalkIsItsOwnInverse(t *testing.T) {
 }
 
 // Pending events leave one kernel through a walk and arrive in another at
-// the same (time, sequence) slots; an event nobody claims is reported,
-// and a retained timer whose event is gone fails the save.
+// the same (time, sequence) slots, whether a counted section or one
+// record's Event moves them; an event nobody claims is reported, and so
+// is a record with two events where its walk moves one.
 func TestPendingEventsKeepTheirSlots(t *testing.T) {
 	type job struct{ id int }
 	var fired []int
 	run := func(arg any) { fired = append(fired, arg.(*job).id) }
-	tick := func() { fired = append(fired, -1) }
-	walk := func(x *Ctx, held *sim.Timer) {
+	tick := func(arg any) { fired = append(fired, -arg.(*job).id) }
+	walk := func(x *Ctx, held, idle *job) sim.Timer {
 		Pending(x, run, 8, nil, func(j *job) *job {
 			if j == nil {
 				j = new(job)
@@ -273,31 +274,34 @@ func TestPendingEventsKeepTheirSlots(t *testing.T) {
 			Int(x, &j.id)
 			return j
 		})
-		x.Timer(held, tick, "test tick")
+		if h := Event(x, tick, idle); h != (sim.Timer{}) {
+			t.Errorf("a record with nothing pending came back with the handle %v", h)
+		}
+		return Event(x, tick, held)
 	}
 
 	a := sim.New(1)
 	a.AfterArg(3*time.Second, run, &job{id: 3})
 	a.AfterArg(time.Second, run, &job{id: 1})
-	held := a.At(2*time.Second, tick)
+	held := &job{id: 2}
+	a.AfterArg(2*time.Second, tick, held)
 	stray := a.At(5*time.Second, func() {})
 	save := &Ctx{Enc: &Encoder{}, World: &World{Sim: a}}
 	save.CapturePending()
-	walk(save, &held)
+	walk(save, held, &job{id: 4})
 	if un := save.Unclaimed(); len(un) != 1 || un[0].At != 5*time.Second {
 		t.Fatalf("unclaimed after the walk: %+v, want only the stray event at 5s", un)
 	}
 	stray.Stop()
 
 	b := sim.New(2)
-	var restored sim.Timer
-	walk(&Ctx{Dec: NewDecoder(save.Enc.Bytes()), World: &World{Sim: b}}, &restored)
+	walk(&Ctx{Dec: NewDecoder(save.Enc.Bytes()), World: &World{Sim: b}}, &job{id: 2}, &job{id: 4})
 	type slot struct {
 		at  time.Duration
 		seq uint64
 	}
 	slots := func(s *sim.Sim) (out []slot) {
-		s.VisitPending(func(at time.Duration, seq uint64, _ func(any), _ any, _ func()) {
+		s.VisitPending(func(at time.Duration, seq uint64, _ func(any), _ any) {
 			out = append(out, slot{at, seq})
 		})
 		return out
@@ -305,19 +309,23 @@ func TestPendingEventsKeepTheirSlots(t *testing.T) {
 	if got, want := slots(b), slots(a); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored kernel holds %v, the saved one %v", got, want)
 	}
-	if at, _, ok := restored.Key(); !ok || at != 2*time.Second {
-		t.Fatalf("restored handle: due %v, armed %v", at, ok)
-	}
 	b.RunUntil(10 * time.Second)
-	if !reflect.DeepEqual(fired, []int{1, -1, 3}) {
-		t.Fatalf("restored events fired as %v, want [1 -1 3]", fired)
+	if !reflect.DeepEqual(fired, []int{1, -2, 3}) {
+		t.Fatalf("restored events fired as %v, want [1 -2 3]", fired)
+	}
+	fired = nil
+	c := sim.New(3)
+	if h := walk(&Ctx{Dec: NewDecoder(save.Enc.Bytes()), World: &World{Sim: c}}, &job{id: 2}, &job{id: 4}); !h.Stop() {
+		t.Fatal("the restored handle does not name its event")
+	}
+	if c.RunUntil(10 * time.Second); !reflect.DeepEqual(fired, []int{1, 3}) {
+		t.Fatalf("with the restored handle stopped, events fired as %v, want [1 3]", fired)
 	}
 
-	held.Stop()
+	a.AfterArg(4*time.Second, tick, held)
 	save = &Ctx{Enc: &Encoder{}, World: &World{Sim: a}}
 	save.CapturePending()
-	held = a.At(4*time.Second, tick) // armed after the table was captured
-	if se := failure(func() { walk(save, &held) }); se == nil || !strings.Contains(se.Msg, "test tick timer") {
-		t.Fatalf("a handle without its pending event: got %v, want the save refused", se)
+	if se := failure(func() { walk(save, held, &job{id: 4}) }); se == nil || !strings.Contains(se.Msg, "2 events pending") {
+		t.Fatalf("a record with two events: got %v, want the save refused", se)
 	}
 }

@@ -1,26 +1,61 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"press/internal/faults"
 	"press/internal/harness"
 	"press/internal/snapio"
 )
 
 // warmBlob is a world of version v, warmed and captured.
 func warmBlob(tb testing.TB, v harness.Version) []byte {
+	return blobAfter(tb, v, nil)
+}
+
+// blobAfter is a world of version v, warmed, handed to then (when not
+// nil) and captured.
+func blobAfter(tb testing.TB, v harness.Version, then func(*harness.Cluster)) []byte {
 	o := fastOpts(1)
 	c := harness.NewEngine(0).Build(v, o)
 	c.Gen.Start()
 	c.Sim.RunUntil(o.Warmup)
+	if then != nil {
+		then(c)
+	}
 	snap, err := harness.Take(c, nil)
 	if err != nil {
 		tb.Fatalf("Take %s: %v", v, err)
 	}
 	return snap.Bytes()
+}
+
+// midFlap is the flap a mid-flap blob carries: node 2's link, down 5 s
+// and up 3 s in turn.
+var midFlap = faults.Flap{On: 5 * time.Second, Off: 3 * time.Second}
+
+// flapBlob is a warm COOP world captured 12 s into a link flap, in its
+// second on span with the next toggle pending, and the offset of the
+// flap's spans in it: the middle of the injector's section.
+func flapBlob(tb testing.TB) ([]byte, int) {
+	blob := blobAfter(tb, harness.VCOOP, func(c *harness.Cluster) {
+		if _, err := c.Injector.InjectWith(faults.LinkDown, 2, faults.InjectOpts{Flap: midFlap}); err != nil {
+			tb.Fatal(err)
+		}
+		c.Sim.RunFor(12 * time.Second)
+	})
+	var spans snapio.Encoder
+	spans.I64(int64(midFlap.On))
+	spans.I64(int64(midFlap.Off))
+	if n := bytes.Count(blob, spans.Bytes()); n != 1 {
+		tb.Fatalf("the flap's spans appear %d times in the blob, want once", n)
+	}
+	return blob, bytes.Index(blob, spans.Bytes())
 }
 
 // A blob of an earlier format — 5, which named process timers by serial,
@@ -53,12 +88,15 @@ func TestFormat5BlobIsRefused(t *testing.T) {
 // could: the outcome is a world or a *snapio.SnapError — never a panic
 // (recoverSnap re-raises anything that is not a Failf), a hang, or an
 // allocation sized by a length the stream merely claims. The seed corpus,
-// which plain `go test` runs, is a COOP and an FME warm blob, each whole,
-// cut short at 24 lengths and with one bit flipped at 96 offsets, spread
-// evenly so every section is hit.
+// which plain `go test` runs, is a COOP and an FME warm blob and a COOP
+// blob captured mid-flap, each whole, cut short at 24 lengths and with one
+// bit flipped at 96 offsets, spread evenly so every section is hit. The
+// mid-flap blob also has one bit flipped in each of the 48 bytes around
+// its flap's spans, so corruption reaches every field of the injector's
+// active fault, its pending toggle's slot included.
 func FuzzLoadRestore(f *testing.F) {
-	for _, v := range []harness.Version{harness.VCOOP, harness.VFME} {
-		blob := warmBlob(f, v)
+	flap, at := flapBlob(f)
+	for _, blob := range [][]byte{warmBlob(f, harness.VCOOP), warmBlob(f, harness.VFME), flap} {
 		f.Add(blob)
 		for i := range 24 {
 			f.Add(blob[:len(blob)*i/24])
@@ -68,6 +106,11 @@ func FuzzLoadRestore(f *testing.F) {
 			flipped[(len(blob)-1)*i/95] ^= 1 << (i % 8)
 			f.Add(flipped)
 		}
+	}
+	for i := range 48 {
+		flipped := append([]byte(nil), flap...)
+		flipped[at-16+i] ^= 1 << (i % 8)
+		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := harness.Load(data)

@@ -186,11 +186,12 @@ func TestForkIndependence(t *testing.T) {
 }
 
 // TestClosureAdaptorRefusesCapture: a continuation handed over as a closure
-// (Array.Read, the Dial of the network and of a process, and a process
-// clock's AfterFunc — the forms with no owner record) is described by no
-// section, so a capture taken while it is outstanding fails with a typed
-// error naming what it found; the closure still runs, and the world
-// captures again once it has.
+// (Array.Read, the Dial of the network and of a process, a process clock's
+// AfterFunc and a kernel event armed with Sim.After — the forms with no
+// owner record) is described by no section, so a capture taken while it
+// is outstanding fails with a typed error naming what it found: the
+// unregistered owner, or the kernel closure's own function; the closure
+// still runs, and the world captures again once it has.
 func TestClosureAdaptorRefusesCapture(t *testing.T) {
 	dialed := func(done func()) func(cnet.Conn, error) {
 		return func(conn cnet.Conn, err error) {
@@ -201,7 +202,7 @@ func TestClosureAdaptorRefusesCapture(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name, owner string
+		name, owner string // owner is "" for a kernel closure, which the refusal names by its function
 		submit      func(c *harness.Cluster, done func())
 	}{
 		{"Array.Read", "simdisk.readFunc", func(c *harness.Cluster, done func()) {
@@ -218,18 +219,26 @@ func TestClosureAdaptorRefusesCapture(t *testing.T) {
 		{"Clock.AfterFunc", "cnet.TimerFunc", func(c *harness.Cluster, done func()) {
 			c.Machines[0].Proc("press").Env().Clock().AfterFunc(time.Second, done)
 		}},
+		{"Sim.After", "", func(c *harness.Cluster, done func()) {
+			c.Sim.After(time.Second, done)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := harness.NewEngine(0).Build(harness.VCOOP, fastOpts(5))
 			c.Gen.Start()
 			c.Sim.RunUntil(30 * time.Second)
 			called := false
-			tc.submit(c, func() { called = true })
+			done := func() { called = true }
+			tc.submit(c, done)
 
+			want := "owner " + tc.owner + " not registered"
+			if tc.owner == "" {
+				want = "first " + snapio.FnName(done) + " at"
+			}
 			_, err := harness.Take(c, nil)
 			var se *snapio.SnapError
-			if !errors.As(err, &se) || !strings.Contains(se.Msg, "owner "+tc.owner+" not registered") {
-				t.Fatalf("Take with the closure outstanding: %v, want a *snapio.SnapError naming the unregistered owner %s", err, tc.owner)
+			if !errors.As(err, &se) || !strings.Contains(se.Msg, want) {
+				t.Fatalf("Take with the closure outstanding: %v, want a *snapio.SnapError containing %q", err, want)
 			}
 			c.Sim.RunFor(2 * time.Second)
 			if !called {
@@ -255,7 +264,7 @@ func wedgeDisk(t *testing.T, c *harness.Cluster) {
 	feDials := reflect.ValueOf(c.FEMach).Elem().FieldByName("dials")
 	for deadline := c.Sim.Now() + time.Minute; ; {
 		probes := 0
-		c.Sim.VisitPending(func(_ time.Duration, _ uint64, afn func(any), _ any, _ func()) {
+		c.Sim.VisitPending(func(_ time.Duration, _ uint64, afn func(any), _ any) {
 			if strings.HasSuffix(snapio.FnName(afn), "simdisk.probeDone") {
 				probes++
 			}
@@ -338,7 +347,7 @@ func mailboxTimers(p *machine.Proc, owners ...string) int {
 // pending in c's kernel and whose owner is one of owners.
 func pendingTimers(c *harness.Cluster, p *machine.Proc, owners ...string) int {
 	n := 0
-	c.Sim.VisitPending(func(_ time.Duration, _ uint64, _ func(any), arg any, _ func()) {
+	c.Sim.VisitPending(func(_ time.Duration, _ uint64, _ func(any), arg any) {
 		v := reflect.ValueOf(arg)
 		if slices.Contains(owners, timerOwner(v)) &&
 			v.Elem().FieldByName("e").Elem().FieldByName("p").Pointer() == reflect.ValueOf(p).Pointer() {
@@ -380,8 +389,8 @@ func deadlineList(c *harness.Cluster, k int) (head bool, headKey [2]int64, wake 
 		head, headKey = true, [2]int64{d.FieldByName("at").Int(), int64(d.FieldByName("seq").Uint())}
 	}
 	fn := []string{"workload.connectWake", "workload.completeWake"}[k]
-	c.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), _ any, _ func()) {
-		if afn != nil && strings.HasSuffix(snapio.FnName(afn), fn) {
+	c.Sim.VisitPending(func(at time.Duration, seq uint64, afn func(any), _ any) {
+		if strings.HasSuffix(snapio.FnName(afn), fn) {
 			wake, wakeKey = true, [2]int64{int64(at), int64(seq)}
 		}
 	})

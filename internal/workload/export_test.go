@@ -9,8 +9,8 @@ import "time"
 // before they fired.
 func (g *Generator) CompleteCancelled() uint64 { return g.completeCancelled }
 
-// CompleteTimeout returns the resolved complete timeout.
-func (g *Generator) CompleteTimeout() time.Duration { return g.cfg.CompleteTimeout }
+// CompleteTimeout returns a request's complete timeout.
+func (g *Generator) CompleteTimeout() time.Duration { return completeTimeout }
 
 // Connecting returns the undecided requests still waiting for their dial
 // result — offered, but with no complete timeout armed yet.

@@ -36,7 +36,7 @@ func checkIdle(t *testing.T, s *sim.Sim, g *Generator) {
 		}
 	}
 	wakes := [2]int{}
-	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any, _ func()) {
+	s.VisitPending(func(at time.Duration, seq uint64, afn func(any), arg any) {
 		switch {
 		case arg == any(g) && snapio.FnPtr(afn) == snapio.FnPtr(connectWake):
 			wakes[connectDL]++

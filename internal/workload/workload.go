@@ -30,9 +30,6 @@ type Config struct {
 	// Targets are the addresses requests rotate over: the server nodes
 	// (round-robin DNS) or the front-end.
 	Targets []cnet.NodeID
-	// ConnectTimeout and CompleteTimeout are the paper's 2 s / 6 s.
-	ConnectTimeout  time.Duration
-	CompleteTimeout time.Duration
 	// Catalog supplies document popularity.
 	Catalog *trace.Catalog
 	// RampUp, when positive, scales the offered rate linearly from zero
@@ -44,13 +41,13 @@ type Config struct {
 	Mod trace.Modulation
 }
 
+// A request's connect and complete timeouts are the paper's 2 s / 6 s.
+const (
+	connectTimeout  = 2 * time.Second
+	completeTimeout = 6 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.ConnectTimeout <= 0 {
-		c.ConnectTimeout = 2 * time.Second
-	}
-	if c.CompleteTimeout <= 0 {
-		c.CompleteTimeout = 6 * time.Second
-	}
 	if c.Catalog == nil {
 		c.Catalog = trace.Default()
 	}
@@ -455,7 +452,7 @@ func (r *request) DialResult(c cnet.Conn, err error) {
 	req.ID, req.Doc = r.id, r.doc
 	c.TrySend(req, 256)
 	r.refs++
-	r.g.list(completeDL, r, r.g.cfg.CompleteTimeout)
+	r.g.list(completeDL, r, completeTimeout)
 	r.unref()
 }
 
@@ -477,6 +474,6 @@ func (g *Generator) launch() {
 	r.slot = len(g.reqLive)
 	g.reqLive = append(g.reqLive, r)
 
-	g.list(connectDL, r, g.cfg.ConnectTimeout)
+	g.list(connectDL, r, connectTimeout)
 	g.iface.DialFor(target, cnet.ClassClient, server.PortHTTP, r)
 }
