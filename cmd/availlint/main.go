@@ -1,76 +1,58 @@
-// Command availlint runs the repo's determinism & concurrency analyzer
-// suite (internal/lint) over the given packages — a multichecker for the
-// invariants every reproduced number depends on: sim-clock-only time
-// (wallclock), seeded-RNG discipline (globalrand), ordered map iteration
-// (maporder), pool-mediated goroutine spawning (simgoroutine), emit-path
-// formatting (sprintfemit), snapshot field coverage (snapfields), pooled
-// message ownership (poolsafety) and timer-handle retention (timerretain).
+// Command availlint runs the repo's analyzer suite (internal/lint) over
+// the given packages: the two checks whose bugs no behavioural test
+// catches, snapshot field coverage (snapfields) and ordered map iteration
+// (maporder). The determinism bans are rows of internal/lint's
+// TestSourceRules.
 //
 // Usage:
 //
 //	go run ./cmd/availlint ./...
-//	go run ./cmd/availlint -analyzers maporder,wallclock ./internal/harness
-//	go run ./cmd/availlint -json ./... # machine-readable findings on stdout
-//	go run ./cmd/availlint -vet ./...  # also run `go vet` on the patterns
+//	go run ./cmd/availlint -analyzers maporder ./internal/harness
+//	go run ./cmd/availlint -list
 //
 // Exit status: 0 means every selected analyzer is clean on every loaded
-// package; 1 means at least one finding (or a -vet failure) — the
-// findings themselves are on stdout; 2 means the run never happened:
-// bad -analyzers selection, or the packages failed to load/type-check.
+// package; 1 means at least one finding, printed on stdout; 2 means the
+// run never happened: an unknown flag or -analyzers name, or the
+// packages failed to load or type-check.
 //
-// With -json, findings are emitted as a single JSON array of
-// {file, line, col, analyzer, message} objects (an empty array when
-// clean), one self-contained document suitable for CI annotation
-// tooling; the human summary line is suppressed. Exit semantics are
-// unchanged.
-//
-// Suppress a finding with an `//availlint:allow <analyzer> <reason>`
-// annotation on or above the offending line, or exempt a struct field
-// from snapfields with `//availlint:skipfield <field> <reason>`;
-// internal/clock, internal/livenet, cmd/ and examples/ are
-// package-allowlisted for the SimOnly analyzers (see lint.DefaultConfig).
+// Exempt a struct field from snapfields with an
+// `//availlint:skipfield <field> <reason>` annotation on or above its
+// declaration, and an audited map range from maporder with
+// `//availlint:allow maporder <reason>` on or above the line.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 
 	"press/internal/lint"
 )
 
-// jsonDiag is the machine-readable finding shape emitted by -json.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-func main() {
-	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	vet := flag.Bool("vet", false, "additionally run `go vet` on the same patterns")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("availlint", flag.ContinueOnError)
+	analyzers := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	sel, err := lint.ByName(*analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "availlint:", err)
-		os.Exit(2)
+		return 2
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -78,46 +60,16 @@ func main() {
 	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "availlint:", err)
-		os.Exit(2)
+		return 2
 	}
 
-	diags := lint.Run(pkgs, sel, lint.DefaultConfig())
-	if *asJSON {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "availlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	diags := lint.Run(pkgs, sel)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-
-	failed := len(diags) > 0
-	if *vet {
-		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			failed = true
-		}
+	if len(diags) > 0 {
+		return 1
 	}
-	if failed {
-		os.Exit(1)
-	}
-	if !*asJSON {
-		fmt.Printf("availlint: %d packages clean\n", len(pkgs))
-	}
+	fmt.Printf("availlint: %d packages clean\n", len(pkgs))
+	return 0
 }

@@ -136,7 +136,7 @@ func runSeeds(v harness.Version, cfg CampaignConfig,
 		wg.Add(1)
 		// Orchestration-only: the replays take pool slots; the launcher
 		// goroutine itself never simulates.
-		go func() { //availlint:allow simgoroutine bounded by the engine worker pool
+		go func() { // bounded by the engine worker pool
 			defer wg.Done()
 			oc := &sum.Outcomes[i]
 			oc.Seed = seed

@@ -105,7 +105,7 @@ type FuncTicker struct {
 	period  time.Duration
 	fn      func()
 	fireFn  func() // t.fire, bound once so rearms don't allocate
-	timer   Timer  //availlint:allow timerretain every access is under mu; this is the audited wall-clock ticker implementation
+	timer   Timer  // every access is under mu
 	firing  bool
 	rearmed bool
 	stopped bool

@@ -66,7 +66,7 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 		// Orchestration-only goroutine: each immediately blocks inside
 		// episode on the warm-up or on the engine's worker-pool slot, so
 		// simulator parallelism stays bounded by SetWorkers.
-		go func() { //availlint:allow simgoroutine bounded by the engine worker pool
+		go func() { // bounded by the engine worker pool
 			defer wg.Done()
 			eps[i], errs[i] = e.episode(v, o, spec.Type, DefaultComponent(spec.Type), sched, warm)
 		}()

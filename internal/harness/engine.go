@@ -230,7 +230,7 @@ func (e *Engine) episodesUncached(v Version, o Options, specs []faults.Spec, sch
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
-		go func() { //availlint:allow simgoroutine bounded by the local sem; this IS the benchmark pool
+		go func() { // bounded by the local sem; this IS the benchmark pool
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -263,7 +263,7 @@ func (e *Engine) prewarmJobs(sched EpisodeSchedule, jobs []campaignJob) error {
 		wg.Add(1)
 		// Orchestration-only: Campaign's episodes take pool slots; the
 		// launcher goroutine itself never simulates.
-		go func() { //availlint:allow simgoroutine bounded by the engine worker pool
+		go func() { // bounded by the engine worker pool
 			defer wg.Done()
 			_, errs[i] = e.Campaign(j.v, j.o, sched)
 		}()

@@ -1,30 +1,23 @@
-// Package lint is availlint: a suite of static analyzers that enforce
-// the determinism and concurrency invariants the experiment harness
-// depends on. Every reproduced number in this repo assumes an episode is
-// a pure function of (version, options, fault, schedule, seed); these
-// analyzers turn the conventions that make that true — sim-clock-only
-// time, explicitly threaded RNGs, ordered map iteration, pool-mediated
-// goroutine spawning — into mechanically checked properties.
+// Package lint is availlint: the analyzers whose bugs no behavioural test
+// catches (DESIGN §14). snapfields requires every field of a struct a
+// snapshot walk moves to be mentioned by the package's walks, or to carry
+// an exemption; maporder flags order-sensitive bodies under a map range.
+// The determinism bans (no wall clock, no global RNG, no eager formatting
+// in an Emit argument, no goroutine outside the engine's pools) are rows
+// of TestSourceRules.
 //
 // The suite is self-contained on the standard library's go/ast and
-// go/types (this container has no network and no golang.org/x/tools in
-// the module cache, so the usual go/analysis + analysistest stack is
-// unavailable). The Analyzer/Pass shapes below deliberately mirror
-// golang.org/x/tools/go/analysis so the analyzers can migrate to the
-// real framework verbatim once the dependency is allowed.
+// go/types (golang.org/x/tools is not a dependency). The Analyzer/Pass
+// shapes below mirror golang.org/x/tools/go/analysis.
 //
 // Suppressing a finding:
 //
-//   - package allowlist: packages whose import path matches an entry in
-//     Config.AllowPackages are exempt from SimOnly analyzers (they host
-//     wall-clock or live-network code on purpose: internal/clock,
-//     internal/livenet, cmd/, examples/).
 //   - line annotation: a comment containing "availlint:allow <names>"
 //     suppresses the named analyzers on its own line and the line below,
-//     e.g. //availlint:allow simgoroutine worker pool spawn.
+//     e.g. //availlint:allow maporder each name appends to its own slice.
 //   - field annotation: a comment containing "availlint:skipfield <name>
 //     <reason>" on (or above) a struct field's declaration exempts that
-//     field from snapfields' snapshot-coverage requirement, e.g.
+//     field from snapfields' coverage requirement, e.g.
 //     //availlint:skipfield cfg immutable config, identical across forks.
 package lint
 
@@ -34,21 +27,17 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Analyzer is one named check. Run inspects the package in pass and
-// reports findings through pass.Reportf; suppression (annotations and
-// the package allowlist) is handled by the framework, not the analyzer.
+// reports findings through pass.Reportf.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// SimOnly analyzers apply only to simulation-facing packages: they
-	// skip packages matched by Config.AllowPackages. Analyzers with
-	// SimOnly unset run on every package (annotations still work).
-	SimOnly bool
-	Run     func(*Pass)
+	Run  func(*Pass)
 }
 
 // Diagnostic is one finding, positioned and attributed to its analyzer.
@@ -62,44 +51,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Config selects which packages count as simulation-facing.
-type Config struct {
-	// AllowPackages lists import-path prefixes exempt from SimOnly
-	// analyzers. An entry ending in "/" matches any package under it;
-	// otherwise the path must match exactly or be a subdirectory.
-	AllowPackages []string
-}
-
-// DefaultConfig is the repo's enforcement policy: everything in the
-// module is simulation-facing except the packages that exist to touch
-// wall-clock time and real sockets, the command/example entry points,
-// and the lint tooling itself.
-func DefaultConfig() Config {
-	return Config{AllowPackages: []string{
-		"press/cmd/",
-		"press/examples/",
-		"press/internal/clock",
-		"press/internal/livenet",
-		"press/internal/lint",
-	}}
-}
-
-// Allowed reports whether pkgPath is exempt from SimOnly analyzers.
-func (c Config) Allowed(pkgPath string) bool {
-	for _, p := range c.AllowPackages {
-		if strings.HasSuffix(p, "/") {
-			if strings.HasPrefix(pkgPath, p) {
-				return true
-			}
-			continue
-		}
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
@@ -108,10 +59,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	PkgPath  string
-	// Cfg is the package-classification policy the run was invoked with.
-	// Most analyzers never consult it (SimOnly filtering happens in the
-	// framework); timerretain reads it to classify wall-clock packages.
-	Cfg Config
 
 	allow map[string]map[int][]string // filename -> line -> analyzer names allowed there
 	skip  map[string]map[int][]string // filename -> line -> field names skipfield'd there
@@ -122,7 +69,7 @@ type Pass struct {
 // on that line (or the line above) names this analyzer.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if p.allowedAt(position) {
+	if annotated(p.allow, position, p.Analyzer.Name) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
@@ -132,29 +79,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-func (p *Pass) allowedAt(pos token.Position) bool {
-	lines := p.allow[pos.Filename]
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, name := range lines[line] {
-			if name == p.Analyzer.Name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // SkipfieldAt reports whether an "availlint:skipfield <name>" annotation
 // on pos's line (or the line above) names field. snapfields consults it
 // before requiring snapshot coverage of a struct field.
 func (p *Pass) SkipfieldAt(pos token.Pos, field string) bool {
-	position := p.Fset.Position(pos)
-	lines := p.skip[position.Filename]
-	for _, line := range []int{position.Line, position.Line - 1} {
-		for _, name := range lines[line] {
-			if name == field {
-				return true
-			}
+	return annotated(p.skip, p.Fset.Position(pos), field)
+}
+
+// annotated reports whether an annotation indexed in idx on pos's line or
+// the line above names name.
+func annotated(idx map[string]map[int][]string, pos token.Position, name string) bool {
+	lines := idx[pos.Filename]
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if slices.Contains(lines[line], name) {
+			return true
 		}
 	}
 	return false
@@ -162,66 +100,41 @@ func (p *Pass) SkipfieldAt(pos token.Pos, field string) bool {
 
 // allowRe matches the annotation anywhere inside a comment's text, so
 // both "//availlint:allow x" and "// availlint:allow x reason" work.
-var allowRe = regexp.MustCompile(`availlint:allow\s+([a-z, ]+)`)
+// skipfieldRe matches field exemptions, "availlint:skipfield <field>
+// <reason>": the field name is one Go identifier, the reason free text.
+var (
+	allowRe     = regexp.MustCompile(`availlint:allow\s+([a-z, ]+)`)
+	skipfieldRe = regexp.MustCompile(`availlint:skipfield\s+([A-Za-z_][A-Za-z0-9_]*)`)
+)
 
-// skipfieldRe matches field exemptions: "availlint:skipfield <field> <reason>".
-// The field name is a single Go identifier; the reason is free text.
-var skipfieldRe = regexp.MustCompile(`availlint:skipfield\s+([A-Za-z_][A-Za-z0-9_]*)`)
-
-// buildAllowMap indexes every availlint:allow annotation in the package
-// by file and line. The named analyzers are suppressed on the
-// annotation's line and the line immediately below it, so annotations
-// can sit at the end of the offending line or on their own line above.
-func buildAllowMap(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
-	allow := map[string]map[int][]string{}
+// annotations indexes every comment re matches by file and line, under
+// the names its first group lists (comma- or space-separated). An
+// annotation covers its own line and the line below, so it can sit at
+// the end of the line it is about or on its own line above.
+func annotations(fset *token.FileSet, files []*ast.File, re *regexp.Regexp) map[string]map[int][]string {
+	idx := map[string]map[int][]string{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
+				m := re.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				if allow[pos.Filename] == nil {
-					allow[pos.Filename] = map[int][]string{}
+				if idx[pos.Filename] == nil {
+					idx[pos.Filename] = map[int][]string{}
 				}
-				for _, name := range strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' }) {
-					allow[pos.Filename][pos.Line] = append(allow[pos.Filename][pos.Line], name)
-				}
+				names := strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' })
+				idx[pos.Filename][pos.Line] = append(idx[pos.Filename][pos.Line], names...)
 			}
 		}
 	}
-	return allow
-}
-
-// buildSkipfieldMap indexes every availlint:skipfield annotation by file
-// and line, mirroring buildAllowMap's placement rules.
-func buildSkipfieldMap(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
-	skip := map[string]map[int][]string{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := skipfieldRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if skip[pos.Filename] == nil {
-					skip[pos.Filename] = map[int][]string{}
-				}
-				skip[pos.Filename][pos.Line] = append(skip[pos.Filename][pos.Line], m[1])
-			}
-		}
-	}
-	return skip
+	return idx
 }
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Wallclock, Globalrand, Maporder, Simgoroutine, Sprintfemit,
-		Snapfields, Poolsafety, Timerretain,
-	}
+	return []*Analyzer{Maporder, Snapfields}
 }
 
 // ByName resolves a comma-separated analyzer selection ("" = all).
@@ -250,15 +163,12 @@ func ByName(names string) ([]*Analyzer, error) {
 // Run applies each analyzer to each package and returns the surviving
 // diagnostics sorted by position (then analyzer, then message), so the
 // output is deterministic regardless of analyzer iteration internals.
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Diagnostic {
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		allow := buildAllowMap(pkg.Fset, pkg.Files)
-		skip := buildSkipfieldMap(pkg.Fset, pkg.Files)
+		allow := annotations(pkg.Fset, pkg.Files, allowRe)
+		skip := annotations(pkg.Fset, pkg.Files, skipfieldRe)
 		for _, a := range analyzers {
-			if a.SimOnly && cfg.Allowed(pkg.PkgPath) {
-				continue
-			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -266,7 +176,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Diagnostic {
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				PkgPath:  pkg.PkgPath,
-				Cfg:      cfg,
 				allow:    allow,
 				skip:     skip,
 				diags:    &diags,

@@ -174,7 +174,7 @@ func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, obj types.Object, pos token.
 		if !ok || call.Pos() < pos {
 			return true
 		}
-		fn := calleeFunc(pass, call)
+		fn := calleeFunc(pass.Info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -209,12 +209,12 @@ var writeMethods = map[string]bool{
 
 // callHazard flags calls that emit output or consume randomness.
 func callHazard(pass *Pass, call *ast.CallExpr) string {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Info, call)
 	if fn == nil {
 		return ""
 	}
 	sig := fn.Type().(*types.Signature)
-	if fn.Pkg() != nil && isRandPkg(fn.Pkg().Path()) {
+	if fn.Pkg() != nil && (fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") {
 		return "consumes randomness (RNG draw order would vary run to run)"
 	}
 	if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && sig.Recv() == nil && outputFuncs[fn.Name()] {

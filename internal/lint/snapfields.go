@@ -294,7 +294,7 @@ func closureMentions(pass *Pass, decls map[*types.Func]*ast.FuncDecl, seeds []*t
 					}
 				}
 			case *ast.CallExpr:
-				if callee := calleeFunc(pass, n); callee != nil && callee.Pkg() == pass.Pkg && !visited[callee] {
+				if callee := calleeFunc(pass.Info, n); callee != nil && callee.Pkg() == pass.Pkg && !visited[callee] {
 					queue = append(queue, callee)
 				}
 			}
@@ -310,4 +310,17 @@ func deref(t types.Type) types.Type {
 		return ptr.Elem()
 	}
 	return t
+}
+
+// calleeFunc resolves a call's callee (a function or a method), or nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }

@@ -3,30 +3,66 @@ package server_test
 import (
 	"testing"
 	"time"
+
+	"press/internal/cnet"
+	"press/internal/machine"
+	"press/internal/membership"
+	"press/internal/metrics"
+	"press/internal/sim"
+	"press/internal/simnet"
 )
 
-// A ring-heartbeat interval on an idle, fully-formed cluster is the
-// steady-state control-plane hot path: every node sends one pooled HBMsg
-// to its ring successor and releases the one it receives. Once the
-// message pools and kernel event pools are warm, a whole heartbeat
-// period across the cluster must allocate (amortized) nothing beyond the
-// event log's occasional chunk. This pins the pooled-message discipline:
-// an un-released heartbeat or a closure sneaking into the tick path
-// fails the bound immediately.
+// A heartbeat period on an idle, fully-formed 4-node cluster is the
+// steady-state control-plane hot path: every node sends pooled heartbeat
+// records and releases the ones it receives, so once the message and
+// kernel pools are warm no record is allocated. Each row's bound is what
+// a warm period allocates: nothing on the server's ring; on the
+// membership ring the merge seek's view copy and retry timer (6), and in
+// gossip the view recompute (16). A receive path that drops its Release
+// leaks every record it gets: 4, 8 and 84 more objects per period.
 func TestRingHeartbeatAllocsPerRun(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{n: 4, coop: true, ring: true})
-	tc.run(10 * time.Second) // form the cluster, warm every pool
+	for _, row := range []struct {
+		name  string
+		build func(t *testing.T) *sim.Sim
+		want  float64 // objects a warm period allocates
+	}{
+		// The server's own ring detector (ring.go, onHeartbeat).
+		{"server-ring", func(t *testing.T) *sim.Sim {
+			return newTestCluster(t, clusterOpts{n: 4, coop: true, ring: true}).sim
+		}, 0},
+		// The membership daemon's ring heartbeat (ring.go, onMessage).
+		{"membership-ring", func(t *testing.T) *sim.Sim {
+			return membershipWorld(membership.Config{HBPeriod: time.Second, HBMiss: 3})
+		}, 6},
+		// The Scalable suite's gossip round (epidemic.go, onMessage).
+		{"gossip", func(t *testing.T) *sim.Sim {
+			peers := []cnet.NodeID{0, 1, 2, 3}
+			return membershipWorld(membership.Config{HBPeriod: time.Second, HBMiss: 3, Gossip: true, Peers: peers})
+		}, 16},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := row.build(t)
+			s.RunFor(18 * time.Second) // form the cluster, warm every pool
+			period := time.Second
+			if per := testing.AllocsPerRun(50, func() { s.RunFor(period) }); per > row.want {
+				t.Errorf("a heartbeat period allocates %.2f objects across 4 nodes; want at most %.0f with warm pools", per, row.want)
+			}
+		})
+	}
+}
 
-	period := time.Second // clusterOpts default hbPeriod
-	for i := 0; i < 8; i++ {
-		tc.run(period)
+// membershipWorld starts a membership daemon configured by cfg on each of
+// four machines.
+func membershipWorld(cfg membership.Config) *sim.Sim {
+	s := sim.New(11)
+	log := &metrics.Log{}
+	net := simnet.New(s, simnet.DefaultConfig(), log)
+	for i := range 4 {
+		c := cfg
+		c.Self = cnet.NodeID(i)
+		machine.New(s, net, c.Self, nil, log).AddProc("membd", func(env *machine.Env) {
+			membership.NewDaemon(c, env, &membership.Published{})
+		})
 	}
-	per := testing.AllocsPerRun(50, func() { tc.run(period) })
-	// Budget: one heartbeat per node per period, all pooled. Allow a few
-	// objects of amortized slack (log chunks, rare free-list growth) but
-	// fail hard if per-send allocation returns (4 sends/period would show
-	// up as >= 8: one message record + one event closure each).
-	if per > 4 {
-		t.Errorf("ring heartbeat period allocates %.2f objects across 4 nodes; want ~0 with warm pools", per)
-	}
+	return s
 }

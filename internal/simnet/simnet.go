@@ -870,18 +870,20 @@ func deliverStream(arg any) {
 	if dead {
 		return
 	}
-	if !net.pathUp(hc.iface, p.iface, cnet.Class(hc.class)) { //availlint:allow poolsafety open half pins the pair: recycle needs both halves closed, dead-check above covers that
+	// From here on an open half pins the pair past the Releases above:
+	// recycling needs both halves closed, and the dead check covers that.
+	if !net.pathUp(hc.iface, p.iface, cnet.Class(hc.class)) {
 		// Path broke while in flight; TCP would retransmit until the
 		// path heals or the connection errors. We drop: every
 		// protocol in this repo treats streams as unreliable across
 		// fault boundaries and resynchronizes on reconnect.
 		return
 	}
-	if p.paused { //availlint:allow poolsafety open half pins the pair past the Release above
-		p.buf = append(p.buf, m) //availlint:allow poolsafety open half pins the pair past the Release above
+	if p.paused {
+		p.buf = append(p.buf, m)
 		return
 	}
-	if r := p.router; r != nil { //availlint:allow poolsafety open half pins the pair past the Release above
+	if r := p.router; r != nil {
 		r.Message(p, m)
 	}
 }
