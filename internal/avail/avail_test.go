@@ -2,6 +2,7 @@ package avail
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,36 @@ func TestQuickScalingBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResultStringSortsFaults pins the order of String's per-fault lines,
+// which availcalc prints: sorted by fault name, and the same on every
+// call, whatever order the map hands its keys out in.
+func TestResultStringSortsFaults(t *testing.T) {
+	r := Result{AT: 1000, AA: 0.999, Unavailability: 0.1, ByFault: map[string]float64{}}
+	for i, name := range []string{"node-crash", "app-crash", "app-hang", "link-down", "switch-down",
+		"disk-fail", "scsi-timeout", "node-freeze", "mem-leak", "net-partition", "fe-crash", "fe-hang"} {
+		r.ByFault[name] = float64(i) / 100
+	}
+	var first []string
+	for call := 0; call < 50; call++ {
+		var lines []string
+		for _, line := range strings.Split(r.String(), "\n") {
+			if strings.HasPrefix(line, "  ") {
+				lines = append(lines, strings.Fields(line)[0])
+			}
+		}
+		if len(lines) != len(r.ByFault) {
+			t.Fatalf("call %d printed %d per-fault lines, want %d", call, len(lines), len(r.ByFault))
+		}
+		if !slices.IsSorted(lines) {
+			t.Fatalf("call %d printed the faults in the order %q", call, lines)
+		}
+		if first == nil {
+			first = lines
+		} else if !slices.Equal(lines, first) {
+			t.Fatalf("call %d printed %q, the first call %q", call, lines, first)
+		}
 	}
 }

@@ -127,7 +127,7 @@ func hostileDatagrams() []hostileDatagram {
 		{"a sender and no message", from3},
 		{"a negative sender", cat([]byte{0xff, 0xff, 0xff, 0xff}, hb)},
 		{"another protocol", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")},
-		{"a stream's preamble and frame", cat(appendPreamble(nil, 3), frameOf(hb))},
+		{"a stream's preamble and frame", cat(appendPreamble(nil, 3), msgFrame(1, hb))},
 		{"an unknown message name", cat(from3, unknown.Bytes())},
 		{"an empty name", cat(from3, nameless.Bytes())},
 		{"a message cut short", cat(from3, hb[:len(hb)-1])},

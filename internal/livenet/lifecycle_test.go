@@ -30,17 +30,25 @@ func openDescriptors(t *testing.T) int {
 	return len(ents)
 }
 
-func (e *Env) closerCount() int {
+// streamCount is how many streams the incarnation's trunks still hold:
+// the per-conversation state a finished conversation must give back (its
+// socket is the trunk's, shared with every other conversation).
+func (e *Env) streamCount() int {
 	e.resMu.Lock()
 	defer e.resMu.Unlock()
-	return len(e.closers)
+	n := 0
+	for t := range e.trunks {
+		t.mu.Lock()
+		n += len(t.streams)
+		t.mu.Unlock()
+	}
+	return n
 }
 
 // TestFinishedConnectionsReleaseDescriptors holds the connection lifecycle
 // to its contract: whichever side ends a conversation, and however, both
-// ends give back their socket, their shutdown hook and their read
-// goroutine. Before the read loop closed what it had finished with, every
-// cycle here left a descriptor and a hook behind on the side that saw EOF.
+// ends give back their stream, and a killed dialer its trunk's socket and
+// read goroutine.
 func TestFinishedConnectionsReleaseDescriptors(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts the entries of /proc/self/fd")
@@ -147,7 +155,7 @@ func TestFinishedConnectionsReleaseDescriptors(t *testing.T) {
 		return openDescriptors(t), runtime.NumGoroutine()
 	}
 	fd0, g0 := settle()
-	hooks0 := srvEnv.closerCount()
+	held0 := srvEnv.streamCount()
 
 	for i := 0; i < cycles; i++ {
 		for _, kind := range []trace.DocID{dialerCloses, acceptorCloses} {
@@ -162,13 +170,13 @@ func TestFinishedConnectionsReleaseDescriptors(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		fd1, g1 := settle()
-		hooks := srvEnv.closerCount() - hooks0 + cliEnv.closerCount()
-		if fd1 <= fd0+slack && g1 <= g0+slack && hooks == 0 {
+		held := srvEnv.streamCount() - held0 + cliEnv.streamCount()
+		if fd1 <= fd0+slack && g1 <= g0+slack && held == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after %d conversations of each kind: descriptors %d -> %d, goroutines %d -> %d, %d shutdown hooks of finished connections still registered",
-				cycles, fd0, fd1, g0, g1, hooks)
+			t.Fatalf("after %d conversations of each kind: descriptors %d -> %d, goroutines %d -> %d, %d streams of finished conversations still held",
+				cycles, fd0, fd1, g0, g1, held)
 		}
 	}
 }
@@ -231,7 +239,7 @@ func TestDialToAVanishedListenerIsRefused(t *testing.T) {
 	ln.Close()
 
 	w := NewWorld(1)
-	w.tcpAddrs[portKey{5, "press"}] = addr
+	w.tcpAddrs[portKey{5, "press"}] = &listener{addr: addr}
 	got := make(chan error, 1)
 	p := w.AddNode(0).Spawn("cli", func(env cnet.Env) {
 		env.Dial(5, cnet.ClassIntra, "press", cnet.StreamHandlers{}, func(c cnet.Conn, err error) {
@@ -249,5 +257,129 @@ func TestDialToAVanishedListenerIsRefused(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("dial never completed")
+	}
+}
+
+// TestStreamsShareOnePeerTrunk holds the trunk to its contract. Two
+// thousand dial, request, reply and close conversations between two
+// processes ride one trunk, so descriptors and goroutines stay where the
+// first conversation left them, and sixteen open streams cost none either.
+// Killing the listener resets the trunk, and each of the sixteen hears
+// ErrReset once; a dial after the kill is refused, and one after the
+// restart is served on a new trunk.
+func TestStreamsShareOnePeerTrunk(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts the entries of /proc/self/fd")
+	}
+	cycles := 2000
+	if testing.Short() {
+		cycles = 300
+	}
+	w := NewWorld(1)
+	defer killAll(w)
+	up := make(chan struct{}, 1)
+	srv := w.AddNode(0).Spawn("srv", func(env cnet.Env) {
+		env.Listen("press", func(cnet.Conn) cnet.StreamHandlers {
+			return cnet.StreamHandlers{OnMessage: func(c cnet.Conn, m cnet.Message) {
+				c.TrySend(&server.RespMsg{ID: m.(*server.ReqMsg).ID, OK: true}, 128)
+			}}
+		})
+		up <- struct{}{}
+	})
+	recv(t, up, "the listener")
+	_, cli := spawnIdle(t, w, 1)
+
+	// dial opens n streams and sends a request on each. A stream's reply
+	// is reported on replied; the end it is told of, or the dial's error,
+	// on ended. With hangUp the dialer closes each stream at its reply.
+	replied, ended := make(chan struct{}, 16), make(chan error, 32)
+	dial := func(n int, hangUp bool) {
+		cli.post(func() {
+			for i := 0; i < n; i++ {
+				cli.Dial(0, cnet.ClassIntra, "press", cnet.StreamHandlers{
+					OnMessage: func(c cnet.Conn, _ cnet.Message) {
+						if hangUp {
+							c.Close()
+						}
+						replied <- struct{}{}
+					},
+					OnClose: func(_ cnet.Conn, err error) { ended <- err },
+				}, func(c cnet.Conn, err error) {
+					if err != nil {
+						ended <- err
+						return
+					}
+					c.TrySend(&server.ReqMsg{ID: uint64(i)}, 256)
+				})
+			}
+		})
+	}
+	trunkOf := func() *trunk {
+		cli.resMu.Lock()
+		defer cli.resMu.Unlock()
+		for _, tr := range cli.dialed {
+			return tr
+		}
+		return nil
+	}
+	const slack = 2
+	dial(1, true)
+	recv(t, replied, "the first conversation")
+	fd0, g0 := openDescriptors(t), runtime.NumGoroutine()
+	first := trunkOf()
+	for i := 0; i < cycles; i++ {
+		dial(1, true)
+		recv(t, replied, "a conversation")
+		if fd, g := openDescriptors(t), runtime.NumGoroutine(); fd > fd0+slack || g > g0+slack {
+			t.Fatalf("after %d conversations: descriptors %d -> %d, goroutines %d -> %d", i+1, fd0, fd, g0, g)
+		}
+	}
+	select {
+	case err := <-ended:
+		t.Fatalf("a conversation the dialer closed told the dialer %v", err)
+	default:
+	}
+
+	dial(16, false)
+	for i := 0; i < 16; i++ {
+		recv(t, replied, "a reply on each of 16 open streams")
+	}
+	if fd, g := openDescriptors(t), runtime.NumGoroutine(); fd > fd0+slack || g > g0+slack || trunkOf() != first {
+		t.Fatalf("16 open streams: descriptors %d -> %d, goroutines %d -> %d, still the first trunk %v", fd0, fd, g0, g, trunkOf() == first)
+	}
+	srv.Kill()
+	for i := 0; i < 16; i++ {
+		if err := recv(t, ended, "a reset on each of 16 open streams"); !errors.Is(err, cnet.ErrReset) {
+			t.Fatalf("stream %d of 16 of a killed listener was told %v, want cnet.ErrReset", i+1, err)
+		}
+	}
+	select {
+	case err := <-ended:
+		t.Fatalf("a stream of the killed listener was told of its end twice, the second time %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	dial(1, true)
+	if err := recv(t, ended, "a dial to the killed listener"); !errors.Is(err, cnet.ErrRefused) {
+		t.Fatalf("a dial to a killed listener: %v, want cnet.ErrRefused", err)
+	}
+	srv.Start()
+	recv(t, up, "the restarted listener")
+	dial(1, true)
+	recv(t, replied, "a conversation with the restarted listener")
+	restarted := trunkOf()
+	if restarted == nil || restarted == first {
+		t.Fatalf("the restarted listener was reached on trunk %p, the first was %p", restarted, first)
+	}
+
+	// A trunk whose ids are spent takes no more dials: the next connects
+	// a fresh one.
+	restarted.mu.Lock()
+	restarted.ids = maxStreamID
+	restarted.mu.Unlock()
+	dial(1, true)
+	recv(t, replied, "a conversation after the ids ran out")
+	if tr := trunkOf(); tr == nil || tr == restarted {
+		t.Fatalf("a dial after the trunk's last id rode trunk %p, the spent one is %p", tr, restarted)
 	}
 }

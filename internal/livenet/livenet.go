@@ -2,8 +2,9 @@
 // hosts — the PRESS server, the membership daemon, the front-end — on
 // real goroutines, real loopback TCP/UDP sockets and wall-clock time. It
 // implements cnet.Env, so no component code changes. Both kinds of socket
-// carry the snapshot engine's message encoding (wire.go): streams in
-// length-prefixed frames, datagrams behind the sender's ID.
+// carry the snapshot engine's message encoding (wire.go): streams as
+// numbered frames on one TCP trunk per (dialing incarnation, listener),
+// datagrams behind the sender's ID.
 //
 // This is the demonstration runtime (cmd/pressd): you can watch an actual
 // cluster of sockets detect a killed process, reconfigure, and reintegrate
@@ -15,18 +16,25 @@
 // order), its own sockets, and its own incarnation counter. A goroutine
 // that brings work to an idle process runs it there and then, as
 // machine.Proc.postCall does in the simulator; no goroutine waits for
-// work. Kill closes the sockets abortively (RST), so peers observe
-// exactly the app-crash semantics the simulator models.
+// work. A dial to a listener this incarnation already has a trunk to is a
+// number on that trunk, not a connection: descriptors and read goroutines
+// grow with peers, not with requests. Kill closes the sockets abortively
+// (RST), so each stream's peer observes exactly the app-crash semantics
+// the simulator models.
 package livenet
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,7 +58,7 @@ type World struct {
 	seed int64
 
 	mu       sync.Mutex
-	tcpAddrs map[portKey]string
+	tcpAddrs map[portKey]*listener
 	udpAddrs map[portKey]*net.UDPAddr
 	groups   map[string]map[cnet.NodeID]bool
 	nodes    map[cnet.NodeID]*Node
@@ -65,7 +73,7 @@ func NewWorld(seed int64) *World {
 		clk:      clock.NewReal(),
 		log:      &metrics.Log{},
 		seed:     seed,
-		tcpAddrs: make(map[portKey]string),
+		tcpAddrs: make(map[portKey]*listener),
 		udpAddrs: make(map[portKey]*net.UDPAddr),
 		groups:   make(map[string]map[cnet.NodeID]bool),
 		nodes:    make(map[cnet.NodeID]*Node),
@@ -184,36 +192,62 @@ type Env struct {
 	dead    bool
 
 	resMu     sync.Mutex
-	closerSeq uint64
-	closers   map[uint64]func()
+	sockets   []io.Closer // listeners and bound datagram sockets
+	trunks    map[*trunk]bool
+	dialed    map[*listener]*trunk // the trunks this incarnation dialed
 	ownedKeys []portKey
 	udp       *net.UDPConn // the one socket Send writes from, opened on first use
 }
 
 var _ cnet.Env = (*Env)(nil)
 
-// task is one unit of the process's work: a callback (a timer,
-// a datagram, a dial result), or, with fn nil, the next event of a stream
-// connection, which needs no closure to say what it is — the message to
-// hand to OnMessage, or with msg nil too the cause to hand to OnClose.
+// task is one unit of the process's work: a callback (a timer, a
+// datagram), or an event of a stream, which needs no closure to say what
+// it is.
 type task struct {
+	kind  taskKind
 	fn    func()
-	conn  *tcpConn
+	dial  cnet.DialOwner
+	conn  *stream
 	msg   cnet.Message
 	cause error
 }
 
+type taskKind uint8
+
+const (
+	runFn     taskKind = iota
+	runDial            // dial.DialResult: conn, or with conn nil the cause
+	runAccept          // conn was opened: ask its listener for its handlers
+	runMsg             // OnMessage(conn, msg)
+	runClose           // OnClose(conn, cause)
+)
+
+// run does the task. A stream's owner hears nothing of it after its own
+// Close, and of its end only once.
 func (t task) run() {
-	switch {
-	case t.fn != nil:
+	s := t.conn
+	switch t.kind {
+	case runFn:
 		t.fn()
-	case t.msg != nil:
-		if h := t.conn.h.OnMessage; h != nil {
-			h(t.conn, t.msg)
+	case runDial:
+		if s == nil {
+			t.dial.DialResult(nil, t.cause)
+		} else {
+			t.dial.DialResult(s, nil)
 		}
-	default:
-		if h := t.conn.h.OnClose; h != nil {
-			h(t.conn, t.cause)
+	case runAccept:
+		s.h = s.t.accept(s)
+	case runMsg:
+		if h := s.h.OnMessage; h != nil && !s.closed {
+			h(s, t.msg)
+		}
+	case runClose:
+		if !s.closed {
+			s.closed = true
+			if h := s.h.OnClose; h != nil {
+				h(s, t.cause)
+			}
 		}
 	}
 }
@@ -277,50 +311,43 @@ func (e *Env) alive() bool {
 }
 
 // shutdown ends the incarnation: a task that is running finishes, no
-// queued one starts.
+// queued one starts. Its ports leave the registry before its sockets
+// close, so a dialer that hears of the death can no longer reach it.
 func (e *Env) shutdown() {
 	e.qmu.Lock()
 	e.dead = true
 	e.qmu.Unlock()
 	e.resMu.Lock()
-	closers := e.closers
-	e.closers = nil
-	keys := e.ownedKeys
-	e.ownedKeys = nil
+	sockets, trunks, keys := e.sockets, e.trunks, e.ownedKeys
+	e.sockets, e.trunks, e.dialed, e.ownedKeys = nil, nil, nil, nil
 	if e.udp != nil {
 		e.udp.Close()
 	}
 	e.resMu.Unlock()
-	for _, c := range closers {
-		c()
-	}
 	w := e.p.node.w
-	w.mu.Lock()
 	for _, k := range keys {
-		delete(w.tcpAddrs, k)
-		delete(w.udpAddrs, k)
+		w.forget(k)
 	}
-	w.mu.Unlock()
+	for _, c := range sockets {
+		c.Close()
+	}
+	for t := range trunks {
+		t.abort()
+	}
 }
 
-// addCloser registers a shutdown hook and returns a handle for
-// dropCloser, so finished connections do not accumulate for the lifetime
-// of a long-running process.
-func (e *Env) addCloser(fn func()) uint64 {
+// own records a port the incarnation bound, for shutdown to close and
+// unregister; a dead incarnation's is closed and unregistered at once.
+func (e *Env) own(key portKey, c io.Closer) {
 	e.resMu.Lock()
 	defer e.resMu.Unlock()
-	if e.closers == nil {
-		e.closers = make(map[uint64]func())
+	if !e.alive() {
+		c.Close()
+		e.p.node.w.forget(key)
+		return
 	}
-	e.closerSeq++
-	e.closers[e.closerSeq] = fn
-	return e.closerSeq
-}
-
-func (e *Env) dropCloser(id uint64) {
-	e.resMu.Lock()
-	delete(e.closers, id)
-	e.resMu.Unlock()
+	e.sockets = append(e.sockets, c)
+	e.ownedKeys = append(e.ownedKeys, key)
 }
 
 // Event kinds the transport itself emits into the world log (source
@@ -411,10 +438,7 @@ func (e *Env) BindDatagram(port string, h func(from cnet.NodeID, m cnet.Message)
 	w.mu.Lock()
 	w.udpAddrs[key] = pc.LocalAddr().(*net.UDPAddr)
 	w.mu.Unlock()
-	e.resMu.Lock()
-	e.ownedKeys = append(e.ownedKeys, key)
-	e.resMu.Unlock()
-	e.addCloser(func() { pc.Close() })
+	e.own(key, pc)
 	go func() {
 		buf := make([]byte, 64<<10)
 		for {
@@ -507,144 +531,290 @@ func (e *Env) Multicast(group, port string, m cnet.Message, size int) {
 
 // --- streams -----------------------------------------------------------------
 
-type tcpConn struct {
-	env *Env
-	c   *net.TCPConn
-	h   cnet.StreamHandlers
-	// peer is a cnet.NodeID: known from the start on a dialed connection,
-	// cnet.None on an accepted one until the dialer's preamble arrives,
-	// which is before its first message.
-	peer atomic.Int64
-	// word is the owner's (cnet.Env.SetConnWord); only the owner's tasks
-	// touch it.
-	word uint64
+// listener is one registered stream port of one incarnation. Dialers key
+// their trunks by it, not by its address, so a restarted listener that
+// happens to get the old port is a new trunk's, never a dead one's.
+type listener struct{ addr string }
 
-	wmu   sync.Mutex
-	greet bool // a dialer still owes its preamble; it goes out with the first frame
+// trunk is one TCP connection from a dialing incarnation to a listener:
+// every stream between the two is a numbered sequence of frames on it. The
+// two ends are one trunk record each, the dialer's (ln set) and the
+// listener's (accept set), and each has one read goroutine.
+type trunk struct {
+	env    *Env
+	ln     *listener                           // dialer's end: what the trunk is keyed by
+	accept func(cnet.Conn) cnet.StreamHandlers // listener's end: the listener's callback
+	// peer is the node at the other end: the one dialed, or on the
+	// listener's end the one the preamble names, which arrives before any
+	// stream is opened.
+	peer cnet.NodeID
+	c    *net.TCPConn // set once connected, before any stream exists
 
-	// broken is set when this side closed the connection over a wire
-	// fault rather than at its owner's request, so the owner is still
-	// owed an OnClose.
-	broken   atomic.Bool
-	closed   sync.Once
-	closerID uint64
+	mu      sync.Mutex
+	streams map[uint32]*stream // open streams; on the listener's end also those it closed whose fin is unanswered
+	ids     uint32             // the dialer's last id handed out; the listener's last id opened
+	waiting []pendingDial      // non-nil while the trunk connects: the dials that wait for it
+	ended   bool
+
+	wmu    sync.Mutex
+	opened uint32 // the dialer's last id whose open is written
 }
 
-var _ cnet.Conn = (*tcpConn)(nil)
-
-func (e *Env) newConn(c net.Conn, peer cnet.NodeID, h cnet.StreamHandlers) *tcpConn {
-	t := &tcpConn{env: e, c: c.(*net.TCPConn), h: h}
-	t.peer.Store(int64(peer))
-	t.closerID = e.addCloser(t.abort)
-	return t
+type pendingDial struct {
+	owner cnet.DialOwner
+	h     cnet.StreamHandlers
 }
 
-func (t *tcpConn) Peer() cnet.NodeID { return cnet.NodeID(t.peer.Load()) }
+// stream is a cnet.Conn: one id on a trunk.
+type stream struct {
+	t  *trunk
+	id uint32
+	h  cnet.StreamHandlers
+	// word is the owner's (cnet.Env.SetConnWord), and closed is set by the
+	// owner's Close or by the OnClose it is told; only the owner's tasks
+	// touch either.
+	word   uint64
+	closed bool
+	// finned: the stream has ended on this trunk (a fin went out or came
+	// in, or the trunk ended), so nothing more is written for it. Whoever
+	// sets it owes the owner the OnClose, unless that is the owner's Close.
+	finned atomic.Bool
+}
 
-// TrySend implements cnet.Conn: one frame, one write. Live TCP buffers,
-// so it never reports a full window. A message the wire codec cannot
-// carry is a fault of this process, not a loss: the connection closes
-// and both ends hear of it.
-func (t *tcpConn) TrySend(m cnet.Message, size int) bool {
+var _ cnet.Conn = (*stream)(nil)
+
+// A dialer numbers at most this many streams on one trunk; the dial after
+// that connects a fresh trunk. A listener holds at most maxStreams on one.
+const (
+	maxStreamID = math.MaxUint32
+	maxStreams  = 1 << 16
+)
+
+func (s *stream) Peer() cnet.NodeID { return s.t.peer }
+
+// TrySend implements cnet.Conn: one frame, one write, with the open of
+// every stream numbered up to this one that still owes it. Live TCP
+// buffers, so it never reports a full window. A message the wire codec
+// cannot carry is a fault of this process, not a loss: the stream ends
+// and both owners hear of it.
+func (s *stream) TrySend(m cnet.Message, size int) bool {
+	t := s.t
 	buf := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(buf)
 	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	frame := (*buf)[:0]
-	if t.greet {
-		frame = appendPreamble(frame, t.env.p.node.id)
+	if s.finned.Load() {
+		t.wmu.Unlock()
+		return true // a dead stream discards, as the contract says
 	}
-	frame, err := appendFrame(frame, m)
+	opened := t.opened
+	frame, err := appendMsg(t.appendOpens((*buf)[:0], s.id), s.id, m)
 	if cap(frame) <= 64<<10 {
 		*buf = frame // keep what it grew to, unless a huge HelloMsg grew it
 	}
+	if err == nil {
+		// A write to a dead trunk discards the message; the read loop is
+		// what reports the death.
+		_, _ = t.c.Write(frame)
+	} else {
+		t.opened = opened // the opens go out with the fin instead
+	}
+	t.wmu.Unlock()
 	if err != nil {
 		t.env.emit(KWireFault, err.Error())
-		t.broken.Store(true)
-		t.Close()
-		return true
+		if s.fin() {
+			t.env.enqueue(task{kind: runClose, conn: s, cause: cnet.ErrClosed})
+		}
 	}
-	t.greet = false
-	// A write to a dead connection discards the message, as the contract
-	// says; the read loop is what reports the death.
-	_, _ = t.c.Write(frame)
 	return true
 }
 
-// frameBufs and readers recycle what a connection needs only while it
-// sends one message or lives one short life: connections come and go per
-// request, so a buffer of their own each would be garbage per request.
-var (
-	frameBufs = sync.Pool{New: func() any { return new([]byte) }}
-	readers   = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-)
-
-// Close implements cnet.Conn (orderly FIN). As on the simulator, the
-// side that closes is not told so: OnClose is the peer's news.
-func (t *tcpConn) Close() { t.release(false) }
-
-// abort closes with RST semantics; it is the connection's shutdown hook.
-func (t *tcpConn) abort() { t.release(true) }
-
-// release gives back everything the connection holds, once: the socket,
-// and the shutdown hook that would otherwise sit in Env.closers for the
-// life of the process. Every way a connection ends comes through here —
-// Close, Proc.Kill through the hook, and the read loop when the peer's
-// FIN or RST arrives — and on the local paths closing the socket is
-// what ends the read goroutine.
-func (t *tcpConn) release(reset bool) {
-	t.closed.Do(func() {
-		if reset {
-			t.c.SetLinger(0)
-		}
-		t.c.Close()
-		t.env.dropCloser(t.closerID)
-	})
+// appendOpens appends the opens the dialer owes up to stream id, so opens
+// reach the listener in order whichever stream speaks first; wmu is held.
+func (t *trunk) appendOpens(b []byte, id uint32) []byte {
+	if t.accept != nil {
+		return b
+	}
+	for ; t.opened < id; t.opened++ {
+		b = appendCtl(b, kindOpen, t.opened+1)
+	}
+	return b
 }
 
-// readLoop delivers the peer's messages until the stream ends, then
-// releases the connection: a socket whose peer is gone has no further
-// use, and leaving it open cost one descriptor per request.
-func (t *tcpConn) readLoop() {
-	err := t.deliver()
-	t.Close()
-	if errors.Is(err, net.ErrClosed) && !t.broken.Load() {
-		return // closed or killed on this side
+// frameBufs recycles the buffer a frame is assembled in.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Close implements cnet.Conn: a fin. As on the simulator, the side that
+// closes is not told so: OnClose is the peer's news.
+func (s *stream) Close() {
+	if !s.closed {
+		s.closed = true
+		s.fin()
 	}
-	if errors.Is(err, errWire) {
-		t.env.emit(KWireFault, err.Error())
-	}
-	t.env.enqueue(task{conn: t, cause: closeCause(err)})
 }
 
-// deliver posts every message the peer sends to the owner and returns the
-// error that ended the stream.
-func (t *tcpConn) deliver() error {
-	br := readers.Get().(*bufio.Reader)
-	br.Reset(t.c)
-	defer func() {
-		br.Reset(nil)
-		readers.Put(br)
-	}()
-	if t.Peer() == cnet.None {
+// fin ends the stream from this side, once, and reports whether this call
+// did: it writes the fin (and the open, if that is still owed), and on the
+// dialer's end forgets the id at once. The listener's end keeps a stream
+// it closed until the dialer's answering fin, so that it can tell frames
+// that crossed its fin from frames a peer sent after its own.
+func (s *stream) fin() bool {
+	t := s.t
+	t.wmu.Lock()
+	if !s.finned.CompareAndSwap(false, true) {
+		t.wmu.Unlock()
+		return false
+	}
+	buf := frameBufs.Get().(*[]byte)
+	_, _ = t.c.Write(appendCtl(t.appendOpens((*buf)[:0], s.id), kindFin, s.id))
+	t.wmu.Unlock()
+	frameBufs.Put(buf)
+	if t.accept == nil {
+		t.mu.Lock()
+		delete(t.streams, s.id)
+		t.mu.Unlock()
+	}
+	return true
+}
+
+// abort resets the trunk: Kill's way out, which each stream's peer hears
+// as ErrReset. The read loop wakes with net.ErrClosed and tells no one.
+func (t *trunk) abort() {
+	t.c.SetLinger(0)
+	t.c.Close()
+}
+
+// readLoop serves the trunk until it ends, then ends every stream on it.
+func (t *trunk) readLoop() {
+	t.end(t.serve(bufio.NewReader(t.c)))
+}
+
+// serve reads frames and posts what they mean to the owner, and returns
+// the error that ended the trunk.
+func (t *trunk) serve(br *bufio.Reader) error {
+	if t.accept != nil {
 		from, err := readPreamble(br)
 		if err != nil {
 			return err
 		}
-		t.peer.Store(int64(from))
+		t.peer = from
 	}
 	for {
-		m, err := readFrame(br)
+		kind, id, m, err := readFrame(br)
+		if err == nil {
+			err = t.frame(kind, id, m)
+		}
 		if err != nil {
 			return err
 		}
-		t.env.enqueue(task{conn: t, msg: m})
 	}
 }
 
-// closeCause maps the error that ended a stream onto the transport
-// errors components know: a reset if the peer's kernel said so (its
-// process was killed), an orderly close otherwise.
+// frame applies one frame; an error is a wire fault that ends the trunk.
+// A frame for a stream this side has closed is one that crossed the fin,
+// and is dropped; one the peer sends for a stream it never opened, or
+// after its own fin, breaks the protocol.
+func (t *trunk) frame(kind byte, id uint32, m cnet.Message) error {
+	e := t.env
+	t.mu.Lock()
+	s := t.streams[id]
+	switch {
+	case kind == kindOpen:
+		s, err := t.open(id)
+		t.mu.Unlock()
+		if err == nil {
+			e.enqueue(task{kind: runAccept, conn: s})
+		}
+		return err
+	case s == nil:
+		last := t.ids
+		t.mu.Unlock()
+		switch {
+		case id == 0 || id > last:
+			return fmt.Errorf("%w: a kind-%d frame for stream %d, which was never opened", errWire, kind, id)
+		case t.accept != nil:
+			return fmt.Errorf("%w: a kind-%d frame for stream %d after its fin", errWire, kind, id)
+		}
+		return nil
+	case kind == kindFin:
+		delete(t.streams, id)
+	}
+	t.mu.Unlock()
+	if kind == kindMsg {
+		if !s.finned.Load() {
+			e.enqueue(task{kind: runMsg, conn: s, msg: m})
+		}
+		return nil
+	}
+	// A fin. The dialer answers one for a stream it has not closed; the
+	// listener has nothing to answer, and one for a stream it closed is
+	// that answer.
+	var ended bool
+	if t.accept == nil {
+		ended = s.fin()
+	} else {
+		ended = s.finned.CompareAndSwap(false, true)
+	}
+	if ended {
+		e.enqueue(task{kind: runClose, conn: s, cause: cnet.ErrClosed})
+	}
+	return nil
+}
+
+// open registers the stream an open frame names; mu is held. The dialer
+// numbers its streams in order, so the id must be the next one.
+func (t *trunk) open(id uint32) (*stream, error) {
+	switch {
+	case t.accept == nil:
+		return nil, fmt.Errorf("%w: the listener opened stream %d", errWire, id)
+	case id <= t.ids:
+		return nil, fmt.Errorf("%w: a duplicate open of stream %d", errWire, id)
+	case id > t.ids+1:
+		return nil, fmt.Errorf("%w: an open of stream %d, past the next id %d", errWire, id, t.ids+1)
+	case len(t.streams) >= maxStreams:
+		return nil, fmt.Errorf("%w: more than %d streams on one trunk", errWire, maxStreams)
+	}
+	t.ids = id
+	s := &stream{t: t, id: id}
+	t.streams[id] = s
+	return s, nil
+}
+
+// end releases the trunk, once its reader has stopped: the socket, its
+// place in the incarnation's tables, and every stream still on it, whose
+// owner hears why — unless the incarnation is the one that died.
+func (t *trunk) end(err error) {
+	e := t.env
+	if errors.Is(err, errWire) {
+		e.emit(KWireFault, err.Error()) // before the peer sees the trunk close
+	}
+	t.c.Close()
+	e.resMu.Lock()
+	delete(e.trunks, t)
+	e.resMu.Unlock()
+	e.retire(t)
+	t.mu.Lock()
+	t.ended = true
+	left := make([]*stream, 0, len(t.streams))
+	for _, s := range t.streams {
+		left = append(left, s)
+	}
+	t.streams = nil
+	t.mu.Unlock()
+	if errors.Is(err, net.ErrClosed) {
+		return // reset on this side: the process was killed
+	}
+	cause := closeCause(err)
+	slices.SortFunc(left, func(a, b *stream) int { return cmp.Compare(a.id, b.id) })
+	for _, s := range left {
+		if s.finned.CompareAndSwap(false, true) {
+			e.enqueue(task{kind: runClose, conn: s, cause: cause})
+		}
+	}
+}
+
+// closeCause maps the error that ended a trunk onto the transport errors
+// components know: a reset if the peer's kernel said so (its process was
+// killed), an orderly close otherwise.
 func closeCause(err error) error {
 	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return cnet.ErrReset
@@ -661,84 +831,101 @@ func dialCause(err error) error {
 	return cnet.ErrTimeout
 }
 
-// Listen implements cnet.Env over a loopback TCP listener.
+// adopt makes a connected trunk the incarnation's, for shutdown to reset;
+// a dead incarnation's is reset at once.
+func (e *Env) adopt(t *trunk) bool {
+	e.resMu.Lock()
+	defer e.resMu.Unlock()
+	if !e.alive() {
+		t.abort()
+		return false
+	}
+	if e.trunks == nil {
+		e.trunks = make(map[*trunk]bool)
+	}
+	e.trunks[t] = true
+	return true
+}
+
+// Listen implements cnet.Env over a loopback TCP listener: each
+// connection it accepts is a trunk.
 func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) {
-	ln, err := listenCfg.Listen(context.Background(), "tcp", "127.0.0.1:0")
+	nl, err := listenCfg.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
 	w := e.p.node.w
 	key := portKey{e.p.node.id, port}
 	w.mu.Lock()
-	w.tcpAddrs[key] = ln.Addr().String()
+	w.tcpAddrs[key] = &listener{addr: nl.Addr().String()}
 	w.mu.Unlock()
-	e.resMu.Lock()
-	e.ownedKeys = append(e.ownedKeys, key)
-	e.resMu.Unlock()
-	e.addCloser(func() { ln.Close() })
+	e.own(key, nl)
 	go func() {
 		for {
-			c, err := ln.Accept()
+			c, err := nl.Accept()
 			if err != nil {
 				return
 			}
-			tc := e.newConn(c, cnet.None, cnet.StreamHandlers{})
-			if !e.alive() {
-				tc.abort()
+			t := &trunk{env: e, accept: accept, peer: cnet.None, c: c.(*net.TCPConn), streams: make(map[uint32]*stream)}
+			if !e.adopt(t) {
 				return
 			}
-			e.post(func() {
-				tc.h = accept(tc)
-				go tc.readLoop()
-			})
+			go t.readLoop()
 		}
 	}()
 }
 
+// forget unregisters a port whose incarnation died while binding it.
+func (w *World) forget(key portKey) {
+	w.mu.Lock()
+	delete(w.tcpAddrs, key)
+	delete(w.udpAddrs, key)
+	w.mu.Unlock()
+}
+
 // SetConnWord implements cnet.Env.
 func (e *Env) SetConnWord(c cnet.Conn, w uint64) {
-	if t, ok := c.(*tcpConn); ok {
-		t.word = w
+	if s, ok := c.(*stream); ok {
+		s.word = w
 	}
 }
 
 // ConnWord implements cnet.Env.
 func (e *Env) ConnWord(c cnet.Conn) uint64 {
-	if t, ok := c.(*tcpConn); ok {
-		return t.word
+	if s, ok := c.(*stream); ok {
+		return s.word
 	}
 	return 0
 }
 
-// Keep-alive probing is off at both ends of every stream. On loopback a
-// dead peer process is a FIN or an RST at once, a hung one is what the
-// protocols' own heartbeats are for, and leaving the default on costs
-// four setsockopt calls per connection end on connections that live for
-// one request.
+// Keep-alive probing is off at both ends of every trunk. On loopback a
+// dead peer process is a FIN or an RST at once, and a hung one is what the
+// protocols' own heartbeats are for.
 var (
 	listenCfg = net.ListenConfig{KeepAlive: -1}
 	dialer    = net.Dialer{Timeout: 3 * time.Second, KeepAlive: -1}
 )
 
 // DialFor implements cnet.Env. The handlers are asked for here, in the
-// task that owns the record.
+// task that owns the record. A dial to a listener this incarnation has a
+// trunk to posts its result at once; the first dial to one connects.
 func (e *Env) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
 	h := owner.DialHandlers()
-	go func() {
-		c, err := e.connect(to, port)
-		if err != nil {
-			e.post(func() { owner.DialResult(nil, err) })
+	w := e.p.node.w
+	w.mu.Lock()
+	ln := w.tcpAddrs[portKey{to, port}]
+	w.mu.Unlock()
+	if ln == nil {
+		// Nothing registered: the process is down.
+		e.enqueue(task{kind: runDial, dial: owner, cause: cnet.ErrRefused})
+		return
+	}
+	for {
+		t := e.trunkTo(ln, to)
+		if t == nil || t.dial(owner, h) {
 			return
 		}
-		tc := e.newConn(c, to, h)
-		tc.greet = true
-		if !e.alive() {
-			tc.abort()
-			return
-		}
-		e.post(func() { owner.DialResult(tc, nil) })
-		tc.readLoop() // this goroutine has done its dialing; no need for a second
-	}()
+	}
 }
 
 // Dial implements cnet.Env.
@@ -746,20 +933,103 @@ func (e *Env) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamH
 	e.DialFor(to, class, port, &cnet.DialFuncs{H: h, Result: result})
 }
 
-// connect opens the socket behind a Dial, or says in cnet's terms why not.
-func (e *Env) connect(to cnet.NodeID, port string) (net.Conn, error) {
-	w := e.p.node.w
-	w.mu.Lock()
-	addr := w.tcpAddrs[portKey{to, port}]
-	w.mu.Unlock()
-	if addr == "" {
-		return nil, cnet.ErrRefused // nothing registered: the process is down
+// trunkTo returns the incarnation's trunk to ln, connecting one if there
+// is none; a dead incarnation has none and connects none.
+func (e *Env) trunkTo(ln *listener, to cnet.NodeID) *trunk {
+	e.resMu.Lock()
+	defer e.resMu.Unlock()
+	if t := e.dialed[ln]; t != nil {
+		return t
 	}
-	c, err := dialer.Dial("tcp", addr)
+	if !e.alive() {
+		return nil
+	}
+	if e.dialed == nil {
+		e.dialed = make(map[*listener]*trunk)
+	}
+	t := &trunk{env: e, ln: ln, peer: to, streams: make(map[uint32]*stream), waiting: []pendingDial{}}
+	e.dialed[ln] = t
+	go t.connect()
+	return t
+}
+
+// dial numbers a stream for owner on the trunk and posts it, or, while the
+// trunk connects, leaves the dial for connect to answer. It reports false
+// when the trunk can take no more streams; it has left the dial table
+// then, and the caller asks again.
+func (t *trunk) dial(owner cnet.DialOwner, h cnet.StreamHandlers) bool {
+	t.mu.Lock()
+	switch {
+	case t.ended || t.ids == maxStreamID:
+		t.mu.Unlock()
+		t.env.retire(t)
+		return false
+	case t.waiting != nil:
+		t.waiting = append(t.waiting, pendingDial{owner, h})
+		t.mu.Unlock()
+		return true
+	}
+	s := t.newStream(h)
+	t.mu.Unlock()
+	t.env.enqueue(task{kind: runDial, dial: owner, conn: s})
+	return true
+}
+
+// newStream numbers the next stream; mu is held.
+func (t *trunk) newStream(h cnet.StreamHandlers) *stream {
+	t.ids++
+	s := &stream{t: t, id: t.ids, h: h}
+	t.streams[s.id] = s
+	return s
+}
+
+// retire takes a trunk out of the dial table, so the next dial to its
+// listener connects anew; its streams carry on.
+func (e *Env) retire(t *trunk) {
+	e.resMu.Lock()
+	if e.dialed[t.ln] == t {
+		delete(e.dialed, t.ln)
+	}
+	e.resMu.Unlock()
+}
+
+// connect opens the trunk's socket and answers the dials that waited for
+// it, in order; on success the goroutine goes on to be the trunk's reader.
+func (t *trunk) connect() {
+	e := t.env
+	c, err := dialer.Dial("tcp", t.ln.addr)
+	if err == nil {
+		t.c = c.(*net.TCPConn)
+		_, err = t.c.Write(appendPreamble(nil, e.p.node.id))
+		switch {
+		case err != nil:
+			t.c.Close()
+		case !e.adopt(t): // the process died meanwhile; adopt reset the socket
+			err = net.ErrClosed
+		}
+	}
+	t.mu.Lock()
+	waiting := t.waiting
+	t.waiting = nil
+	posts := make([]task, len(waiting))
+	for i, d := range waiting {
+		if err == nil {
+			posts[i] = task{kind: runDial, dial: d.owner, conn: t.newStream(d.h)}
+		} else {
+			posts[i] = task{kind: runDial, dial: d.owner, cause: dialCause(err)}
+		}
+	}
+	t.ended = err != nil
+	t.mu.Unlock()
 	if err != nil {
-		return nil, dialCause(err)
+		e.retire(t)
 	}
-	return c, nil
+	for _, p := range posts {
+		e.enqueue(p)
+	}
+	if err == nil {
+		t.readLoop()
+	}
 }
 
 // MemDisk is the live stand-in for the disk subsystem: reads complete

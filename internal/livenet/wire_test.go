@@ -134,7 +134,7 @@ func listenRaw(t *testing.T, w *World, node cnet.NodeID, port string) net.Listen
 	}
 	t.Cleanup(func() { ln.Close() })
 	w.mu.Lock()
-	w.tcpAddrs[portKey{node, port}] = ln.Addr().String()
+	w.tcpAddrs[portKey{node, port}] = &listener{addr: ln.Addr().String()}
 	w.mu.Unlock()
 	return ln
 }
@@ -178,6 +178,12 @@ func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 	defer srv.Kill()
 	defer cli.Kill()
 	raw := listenRaw(t, w, 50, "press")
+	var trunk net.Conn // the one connection every dial to node 50 rides on
+	defer func() {
+		if trunk != nil {
+			trunk.Close()
+		}
+	}()
 
 	send := func(to cnet.NodeID, m cnet.Message) {
 		cliEnv.post(func() {
@@ -194,6 +200,7 @@ func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 		})
 	}
 
+	var id uint32
 	for _, name := range names {
 		s, ok := wireSamples[name]
 		if !ok {
@@ -218,25 +225,30 @@ func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 			}
 		}
 
-		// On the socket: the preamble once, then a length and the snapshot
-		// engine's bytes, nothing else.
+		// On the socket: the preamble once per trunk, then per dial an open,
+		// a msg frame around the snapshot engine's bytes and a fin, nothing
+		// else.
 		send(50, s.outgoing())
-		c, err := raw.Accept()
-		if err != nil {
-			t.Fatal(err)
+		var wantStream []byte
+		if trunk == nil {
+			c, err := raw.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			trunk = c
+			wantStream = appendPreamble(nil, 7)
 		}
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		stream, err := io.ReadAll(c)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s: reading the raw stream: %v", name, err)
+		id++
+		wantStream = append(wantStream, ctlFrame(kindOpen, id)...)
+		wantStream = append(wantStream, msgFrame(id, snapshotEncoding(s.want))...)
+		wantStream = append(wantStream, ctlFrame(kindFin, id)...)
+		trunk.SetReadDeadline(time.Now().Add(5 * time.Second))
+		stream := make([]byte, len(wantStream))
+		if _, err := io.ReadFull(trunk, stream); err != nil {
+			t.Fatalf("%s: reading the raw trunk: %v", name, err)
 		}
-		body := snapshotEncoding(s.want)
-		wantStream := appendPreamble(nil, 7)
-		wantStream = binary.BigEndian.AppendUint32(wantStream, uint32(len(body)))
-		wantStream = append(wantStream, body...)
 		if !bytes.Equal(stream, wantStream) {
-			t.Errorf("%s: on the wire % x, want preamble, length and the snapshot encoding % x", name, stream, wantStream)
+			t.Errorf("%s: on the wire % x, want open, msg frame of the snapshot encoding, fin: % x", name, stream, wantStream)
 		}
 	}
 	for name := range wireSamples {
@@ -246,22 +258,31 @@ func TestEveryStreamMessageCrossesTheWire(t *testing.T) {
 	}
 }
 
-// hostileStream is what a misbehaving dialer writes before half-closing.
+// hostileStream is what a misbehaving dialer writes on its trunk before
+// half-closing.
 type hostileStream struct {
 	name   string
 	stream []byte
 	// fault: the stream breaks the protocol (as opposed to merely ending
-	// early), so the world log must say why the connection was closed.
+	// early), so the world log must say why the trunk was closed.
 	fault string
+	// opens: stream 1 was opened, so its owner is owed one OnClose.
+	opens bool
 }
 
-func frameOf(body []byte) []byte {
-	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+// ctlFrame is an open or a fin for stream id.
+func ctlFrame(kind byte, id uint32) []byte { return appendCtl(nil, kind, id) }
+
+// msgFrame is a msg frame for stream id around body, whatever body is.
+func msgFrame(id uint32, body []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(frameHead-lengthLen+len(body)))
+	return append(binary.BigEndian.AppendUint32(append(b, kindMsg), id), body...)
 }
 
 func hostileStreams() []hostileStream {
 	hello := appendPreamble(nil, 3)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	open1 := cat(hello, ctlFrame(kindOpen, 1))
 	req := snapshotEncoding(&server.ReqMsg{ID: 1, Doc: 2})
 	var unknown, nameless, greedy snapio.Encoder
 	unknown.Str("press.Nope")
@@ -272,23 +293,35 @@ func hostileStreams() []hostileStream {
 	greedy.Str("press.Hello")
 	greedy.I64(3)
 	greedy.Int(1 << 24)
+	// header is a msg frame's head claiming a body of n bytes.
+	header := func(n uint32) []byte {
+		b := binary.BigEndian.AppendUint32(nil, frameHead-lengthLen+n)
+		return binary.BigEndian.AppendUint32(append(b, kindMsg), 1)
+	}
 	return []hostileStream{
-		{"another protocol", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), "bad preamble"},
-		{"a later wire version", cat([]byte{'P', 'R', 'S', wireVersion + 1, 0, 0, 0, 3}, frameOf(req)), "wire version"},
-		{"a negative sender", cat([]byte{'P', 'R', 'S', wireVersion, 0xff, 0xff, 0xff, 0xff}, frameOf(req)), "names node -1"},
-		{"half a preamble", hello[:5], ""},
-		{"a 4 GiB frame", cat(hello, []byte{0xff, 0xff, 0xff, 0xff}), "over the"},
-		{"a frame one byte over the bound", cat(hello, binary.BigEndian.AppendUint32(nil, maxFrame+1)), "over the"},
-		{"half a header", cat(hello, []byte{0, 0}), ""},
-		{"a truncated frame", cat(hello, frameOf(req)[:headerLen+3]), ""},
-		{"a large frame that never comes", cat(hello, binary.BigEndian.AppendUint32(nil, maxFrame), req), ""},
-		{"an unknown message name", cat(hello, frameOf(unknown.Bytes())), `unknown message type "press.Nope"`},
-		{"no message at all", cat(hello, frameOf(nameless.Bytes())), "empty message"},
-		{"a count larger than the frame that carries it", cat(hello, frameOf(greedy.Bytes())), "exceeds the 0 bytes left"},
-		{"an empty frame", cat(hello, frameOf(nil)), "corrupt stream"},
-		{"trailing bytes in a frame", cat(hello, frameOf(append(append([]byte(nil), req...), 0))), "bytes left over"},
-		{"a message cut short inside its frame", cat(hello, frameOf(req[:len(req)-1])), "corrupt stream"},
-		{"a good frame, then garbage", cat(hello, frameOf(req), []byte{0, 0, 0, 1, 0xff}), "corrupt stream"},
+		{"another protocol", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), "bad preamble", false},
+		{"a later wire version", cat([]byte{'P', 'R', 'S', wireVersion + 1, 0, 0, 0, 3}, ctlFrame(kindOpen, 1), msgFrame(1, req)), "wire version", false},
+		{"a negative sender", cat([]byte{'P', 'R', 'S', wireVersion, 0xff, 0xff, 0xff, 0xff}, ctlFrame(kindOpen, 1), msgFrame(1, req)), "names node -1", false},
+		{"half a preamble", hello[:5], "", false},
+		{"a 4 GiB frame", cat(open1, []byte{0xff, 0xff, 0xff, 0xff}), "over the", true},
+		{"a frame one byte over the bound", cat(open1, header(maxFrame+1)), "over the", true},
+		{"half a length", cat(open1, []byte{0, 0}), "", true},
+		{"a truncated frame", cat(open1, msgFrame(1, req)[:frameHead+3]), "", true},
+		{"a large frame that never comes", cat(open1, header(maxFrame), req), "", true},
+		{"an unknown message name", cat(open1, msgFrame(1, unknown.Bytes())), `unknown message type "press.Nope"`, true},
+		{"no message at all", cat(open1, msgFrame(1, nameless.Bytes())), "empty message", true},
+		{"a count larger than the frame that carries it", cat(open1, msgFrame(1, greedy.Bytes())), "exceeds the 0 bytes left", true},
+		{"an empty frame", cat(open1, msgFrame(1, nil)), "corrupt stream", true},
+		{"trailing bytes in a frame", cat(open1, msgFrame(1, append(append([]byte(nil), req...), 0))), "bytes left over", true},
+		{"a message cut short inside its frame", cat(open1, msgFrame(1, req[:len(req)-1])), "corrupt stream", true},
+		{"a good frame, then garbage", cat(open1, msgFrame(1, req), msgFrame(1, []byte{0xff})), "corrupt stream", true},
+		{"a msg for a stream never opened", cat(hello, msgFrame(1, req)), "never opened", false},
+		{"a duplicate open", cat(open1, ctlFrame(kindOpen, 1)), "duplicate open of stream 1", true},
+		{"a frame after fin", cat(open1, ctlFrame(kindFin, 1), msgFrame(1, req)), "stream 1 after its fin", true},
+		{"an unknown kind", cat(open1, ctlFrame(9, 1)), "unknown frame kind 9", true},
+		{"an id past the bound", cat(hello, ctlFrame(kindOpen, 2)), "past the next id 1", false},
+		{"a stream id cut short", cat(open1, []byte{0, 0, 0, 3, kindMsg, 0, 0}), "no room for its kind and stream id", true},
+		{"an open with a body", cat(open1, binary.BigEndian.AppendUint32(nil, frameHead-lengthLen+1), []byte{kindOpen, 0, 0, 0, 2, 0}), "bytes left over in a kind-1 frame", true},
 	}
 }
 
@@ -312,13 +345,13 @@ func TestHostileStreamClosesTheConnection(t *testing.T) {
 	defer srv.Kill()
 	<-up
 	w.mu.Lock()
-	addr := w.tcpAddrs[portKey{0, "press"}]
+	addr := w.tcpAddrs[portKey{0, "press"}].addr
 	w.mu.Unlock()
 
-	// talk writes stream as a dialer would and reads until the listener's
-	// side closes the connection, or, when a reply of want bytes is due,
-	// until that has arrived; only then does it close its own end (a cnet
-	// peer has no half-close: its FIN ends the conversation both ways).
+	// talk writes stream as a dialer would on a trunk of its own and reads
+	// until the listener's side closes the trunk, or, when a reply of want
+	// bytes is due, until that has arrived; only then does it close its own
+	// end, which ends every stream on the trunk.
 	talk := func(stream []byte, want int) (reply []byte) {
 		t.Helper()
 		c, err := net.Dial("tcp", addr)
@@ -350,8 +383,10 @@ func TestHostileStreamClosesTheConnection(t *testing.T) {
 	cur := w.Log().Cursor()
 	for _, h := range hostileStreams() {
 		talk(h.stream, 0)
-		if err := recv(t, closed, h.name+": OnClose"); !errors.Is(err, cnet.ErrClosed) {
-			t.Errorf("%s: OnClose(%v), want cnet.ErrClosed", h.name, err)
+		if h.opens {
+			if err := recv(t, closed, h.name+": OnClose"); !errors.Is(err, cnet.ErrClosed) {
+				t.Errorf("%s: OnClose(%v), want cnet.ErrClosed", h.name, err)
+			}
 		}
 		var said []string
 		for {
@@ -374,11 +409,19 @@ func TestHostileStreamClosesTheConnection(t *testing.T) {
 		for len(served) > 0 {
 			<-served
 		}
-		good := append(appendPreamble(nil, 3), frameOf(snapshotEncoding(&server.ReqMsg{ID: 5}))...)
-		want := frameOf(snapshotEncoding(&server.RespMsg{ID: 5, OK: true}))
+		good := append(appendPreamble(nil, 3), ctlFrame(kindOpen, 1)...)
+		good = append(good, msgFrame(1, snapshotEncoding(&server.ReqMsg{ID: 5}))...)
+		want := msgFrame(1, snapshotEncoding(&server.RespMsg{ID: 5, OK: true}))
 		reply := talk(good, len(want))
 		recv(t, served, h.name+": the next well-formed request")
-		recv(t, closed, h.name+": the well-formed client's close")
+		if err := recv(t, closed, h.name+": the well-formed client's close"); !errors.Is(err, cnet.ErrClosed) {
+			t.Errorf("after %s the well-formed stream ended with %v, want cnet.ErrClosed", h.name, err)
+		}
+		select {
+		case err := <-closed:
+			t.Errorf("%s: a stream was told of its end twice, the second time %v", h.name, err)
+		default:
+		}
 		if !bytes.Equal(reply, want) {
 			t.Errorf("after %s a well-formed request was answered % x, want % x", h.name, reply, want)
 		}
@@ -389,41 +432,53 @@ func TestHostileStreamClosesTheConnection(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrame feeds an accepted connection's read side arbitrary
-// bytes. Whatever arrives, reading ends in an error and not a panic, and
-// every message that does decode survives its own re-encoding. The seed
-// corpus is every registered message and every hostile stream of the
-// table above, so plain go test runs them.
+// FuzzStreamFrame feeds a listener's end of a trunk arbitrary bytes.
+// Whatever arrives, reading ends in an error and not a panic, every
+// message that does decode survives its own re-encoding, and the trunk's
+// stream table (serve) ends in an error too. The seed corpus is every
+// registered message on a stream of its own and every hostile stream of
+// the table above, so plain go test runs them.
 func FuzzStreamFrame(f *testing.F) {
 	for _, name := range wireCodec.Names() {
 		if s, ok := wireSamples[name]; ok {
-			f.Add(append(appendPreamble(nil, 3), frameOf(snapshotEncoding(s.want))...))
+			stream := append(appendPreamble(nil, 3), ctlFrame(kindOpen, 1)...)
+			stream = append(stream, msgFrame(1, snapshotEncoding(s.want))...)
+			f.Add(append(stream, ctlFrame(kindFin, 1)...))
 		}
 	}
 	for _, h := range hostileStreams() {
 		f.Add(h.stream)
 	}
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		br := bufio.NewReader(bytes.NewReader(stream))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		br := bufio.NewReader(bytes.NewReader(in))
 		if _, err := readPreamble(br); err != nil {
 			return
 		}
 		for {
-			m, err := readFrame(br)
+			kind, id, m, err := readFrame(br)
 			if err != nil {
 				if m != nil {
 					t.Fatalf("readFrame returned both %#v and %v", m, err)
 				}
-				return
+				break
 			}
-			frame, err := appendFrame(nil, m)
+			if kind != kindMsg {
+				continue
+			}
+			frame, err := appendMsg(nil, id, m)
 			if err != nil {
 				t.Fatalf("a decoded %T does not encode: %v", m, err)
 			}
-			again, err := decodeBody(frame[headerLen:])
+			again, err := decodeBody(frame[frameHead:])
 			if err != nil || !reflect.DeepEqual(again, m) {
 				t.Fatalf("%#v re-encoded and decoded as %#v, %v", m, again, err)
 			}
+		}
+		// The stream table, on an end whose process is dead: nothing runs.
+		tr := &trunk{env: &Env{dead: true}, peer: cnet.None, streams: make(map[uint32]*stream),
+			accept: func(cnet.Conn) cnet.StreamHandlers { return cnet.StreamHandlers{} }}
+		if err := tr.serve(bufio.NewReader(bytes.NewReader(in))); err == nil {
+			t.Fatal("serve returned without an error")
 		}
 	})
 }

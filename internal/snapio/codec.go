@@ -108,7 +108,7 @@ func (d *Decoder) U64() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	if !d.minimal(n) {
 		d.fail("uvarint")
 		return 0
 	}
@@ -122,12 +122,20 @@ func (d *Decoder) I64() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
+	if !d.minimal(n) {
 		d.fail("varint")
 		return 0
 	}
 	d.off += n
 	return v
+}
+
+// minimal reports whether the n-byte varint at the offset was read and is
+// the encoding the Encoder writes: one whose last byte is not a zero
+// continuation. A value has one encoding, so what decodes re-encodes to
+// the bytes it came from.
+func (d *Decoder) minimal(n int) bool {
+	return n == 1 || n > 1 && d.buf[d.off+n-1] != 0
 }
 
 // Int reads an int.
@@ -143,8 +151,12 @@ func (d *Decoder) Bool() bool {
 		return false
 	}
 	b := d.buf[d.off]
+	if b > 1 {
+		d.fail("bool")
+		return false
+	}
 	d.off++
-	return b != 0
+	return b == 1
 }
 
 // F64 reads a float64.

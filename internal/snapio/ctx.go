@@ -134,21 +134,28 @@ type integer interface {
 }
 
 // Int moves any integer-kinded value (ids, durations, enums, counters)
-// as a signed varint.
+// as a signed varint. Loading refuses a value T cannot hold.
 func Int[T integer](x *Ctx, v *T) {
 	if x.Enc != nil {
 		x.Enc.I64(int64(*v))
-	} else {
-		*v = T(x.Dec.I64())
+		return
+	}
+	n := x.Dec.I64()
+	if *v = T(n); int64(*v) != n {
+		Failf("integer %d out of range for %T", n, *v)
 	}
 }
 
-// Uint moves a narrow unsigned value as an unsigned varint.
+// Uint moves a narrow unsigned value as an unsigned varint. Loading
+// refuses a value T cannot hold.
 func Uint[T integer](x *Ctx, v *T) {
 	if x.Enc != nil {
 		x.Enc.U64(uint64(*v))
-	} else {
-		*v = T(x.Dec.U64())
+		return
+	}
+	n := x.Dec.U64()
+	if *v = T(n); uint64(*v) != n {
+		Failf("integer %d out of range for %T", n, *v)
 	}
 }
 
