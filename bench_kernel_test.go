@@ -33,13 +33,13 @@ func BenchmarkEpisode(b *testing.B) {
 }
 
 // BenchmarkChaosCampaign measures a 2-seed chaos campaign against FME on
-// the reduced-scale profile, caches defeated each iteration.
+// the reduced-scale profile. A package-level call caches nothing, so each
+// iteration simulates the whole campaign, saturation probe included.
 func BenchmarkChaosCampaign(b *testing.B) {
 	o := press.FastOptions(benchSeed)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		press.ResetGlobalCaches()
 		sum := press.RunChaosCampaign(press.FME, o, press.ChaosCampaignConfig{
 			Seeds: press.ChaosSeeds(2),
 		})

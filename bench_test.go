@@ -2,8 +2,9 @@
 // evaluation (DESIGN.md's per-experiment index), plus ablations over the
 // design choices the reproduction calls out.
 //
-// Campaigns are memoized inside the harness, so after the first iteration
-// of each benchmark subsequent iterations are nearly free; run with
+// Campaigns are memoized on the engine each benchmark's Figures owns, so
+// after the first iteration of each benchmark subsequent iterations are
+// nearly free; run with
 // -benchtime=1x for a single full regeneration. The benchmarks use the
 // reduced-scale profile; cmd/reproduce runs the paper-faithful one.
 //

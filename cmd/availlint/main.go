@@ -1,13 +1,13 @@
 // Command availlint runs the repo's analyzer suite (internal/lint) over
-// the given packages: the two checks whose bugs no behavioural test
-// catches, snapshot field coverage (snapfields) and ordered map iteration
-// (maporder). The determinism bans are rows of internal/lint's
-// TestSourceRules.
+// the given packages: the one check whose bugs no behavioural test
+// catches, snapshot field coverage (snapfields). The determinism bans are
+// rows of internal/lint's TestSourceRules; map iteration order is held by
+// behavioural tests (DESIGN §14).
 //
 // Usage:
 //
 //	go run ./cmd/availlint ./...
-//	go run ./cmd/availlint -analyzers maporder ./internal/harness
+//	go run ./cmd/availlint -analyzers snapfields ./internal/server
 //	go run ./cmd/availlint -list
 //
 // Exit status: 0 means every selected analyzer is clean on every loaded
@@ -17,8 +17,7 @@
 //
 // Exempt a struct field from snapfields with an
 // `//availlint:skipfield <field> <reason>` annotation on or above its
-// declaration, and an audited map range from maporder with
-// `//availlint:allow maporder <reason>` on or above the line.
+// declaration.
 package main
 
 import (

@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -90,6 +91,8 @@ func main() {
 
 	if *workers > 0 {
 		press.SetGlobalWorkers(*workers)
+	} else {
+		*workers = runtime.GOMAXPROCS(0)
 	}
 
 	suite, err := press.ParseProtocolSuite(*protocol)
@@ -165,7 +168,7 @@ func main() {
 	}
 
 	emit(fmt.Sprintf("# Reproduction run: seed=%d fast=%v workers=%d started %s\n\n",
-		*seed, *fast, press.GlobalWorkers(), time.Now().Format(time.RFC3339)))
+		*seed, *fast, *workers, time.Now().Format(time.RFC3339)))
 	for _, g := range gens {
 		if want != nil && !want[g.key] {
 			continue

@@ -92,10 +92,11 @@ func (c CampaignSummary) String() string {
 // invariant catalog against each, and (optionally) shrinks violations.
 // Each seed reseeds the world itself as well as the fault load. Results
 // are assembled in seed order and every run is a pure function of its
-// seed, so the whole campaign replays bit-identically.
+// seed, so the whole campaign replays bit-identically. The engine
+// resolves the offered load and bounds how many runs simulate at once.
 func RunCampaign(eng *harness.Engine, v harness.Version, o harness.Options, cfg CampaignConfig) CampaignSummary {
 	o = resolveRate(eng, v, o)
-	return runSeeds(v, cfg, func(seed int64) (harness.Options, func(Schedule) (Result, error)) {
+	return runSeeds(eng, v, cfg, func(seed int64) (harness.Options, func(Schedule) (Result, error)) {
 		seeded := o
 		seeded.Seed = seed
 		return seeded, func(s Schedule) (Result, error) { return Run(eng, v, seeded, s, cfg.Run) }
@@ -119,9 +120,9 @@ func resolveRate(eng *harness.Engine, v harness.Version, o harness.Options) harn
 // so a repro built from it replays cold to the byte-identical result — and
 // to the replay that plays a schedule on that world, which runs the seed's
 // generated schedule and then every candidate a shrink tries. Seeds fan
-// out concurrently; each replay still takes an engine worker-pool slot, so
+// out concurrently; each replay holds one of eng's worker-pool slots, so
 // the machine never oversubscribes.
-func runSeeds(v harness.Version, cfg CampaignConfig,
+func runSeeds(eng *harness.Engine, v harness.Version, cfg CampaignConfig,
 	world func(seed int64) (harness.Options, func(Schedule) (Result, error))) CampaignSummary {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = Seeds(4)
@@ -140,8 +141,12 @@ func runSeeds(v harness.Version, cfg CampaignConfig,
 			defer wg.Done()
 			oc := &sum.Outcomes[i]
 			oc.Seed = seed
-			var replay func(Schedule) (Result, error)
-			oc.Options, replay = world(seed)
+			var play func(Schedule) (Result, error)
+			oc.Options, play = world(seed)
+			replay := func(s Schedule) (r Result, err error) {
+				eng.WithSlot(func() { r, err = play(s) })
+				return r, err
+			}
 			oc.Schedule = Generate(seed, v, oc.Options, cfg.Gen)
 			if oc.Result, oc.Err = replay(oc.Schedule); oc.Err != nil {
 				return

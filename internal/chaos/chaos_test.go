@@ -159,7 +159,7 @@ func TestChaosReplayByteIdentical(t *testing.T) {
 	}
 	o := fastOpts(1)
 	runOnce := func() []byte {
-		r, err := RunUncached(harness.NewEngine(0), harness.VMQ, o, sched, fastRun())
+		r, err := Run(harness.NewEngine(0), harness.VMQ, o, sched, fastRun())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestRunSkipsInapplicable(t *testing.T) {
 		{At: 10 * time.Second, Fault: faults.LinkDown, Component: 1, Duration: 10 * time.Second},
 		{At: 15 * time.Second, Fault: faults.FrontendFailure, Component: 0, Duration: 10 * time.Second},
 	}
-	r, err := RunUncached(harness.NewEngine(0), harness.VCOOP, fastOpts(1), sched, fastRun())
+	r, err := Run(harness.NewEngine(0), harness.VCOOP, fastOpts(1), sched, fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,42 +236,19 @@ func TestRunSkipsInapplicable(t *testing.T) {
 	}
 }
 
-// TestMemoHygiene is the cache-poisoning regression (satellite f): chaos
-// runs must not create or disturb any harness episode/campaign/
-// saturation memo entry — they live in the engine's keyed table, keyed by
-// schedule hash — and that table itself must singleflight.
+// TestMemoHygiene is the cache-poisoning regression: a chaos run caches
+// nothing on the engine it runs on, so it can never create or disturb a
+// harness episode, campaign or saturation memo entry.
 func TestMemoHygiene(t *testing.T) {
 	sched := Schedule{
 		{At: 5 * time.Second, Fault: faults.AppCrash, Component: 1, Duration: 20 * time.Second},
 	}
 	eng := harness.NewEngine(0)
-	ep0, camp0, sat0 := eng.MemoStats()
-	r1, err := Run(eng, harness.VMQ, fastOpts(3), sched, fastRun())
-	if err != nil {
+	if _, err := Run(eng, harness.VMQ, fastOpts(3), sched, fastRun()); err != nil {
 		t.Fatal(err)
 	}
-	ep1, camp1, sat1 := eng.MemoStats()
-	if ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
-		t.Fatalf("chaos run touched harness memos: episodes %d->%d campaigns %d->%d saturations %d->%d",
-			ep0, ep1, camp0, camp1, sat0, sat1)
-	}
-	r2, err := Run(eng, harness.VMQ, fastOpts(3), sched, fastRun())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Log != r2.Log || eng.SnapMemoStats() != 1 {
-		t.Fatalf("second identical chaos Run re-simulated instead of hitting the keyed memo (%d entries)", eng.SnapMemoStats())
-	}
-	// A different schedule is a different key.
-	other := Schedule{
-		{At: 5 * time.Second, Fault: faults.AppCrash, Component: 2, Duration: 20 * time.Second},
-	}
-	r3, err := Run(eng, harness.VMQ, fastOpts(3), other, fastRun())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Log == r1.Log {
-		t.Fatal("distinct schedules shared one memo entry: schedule hash missing from the key")
+	if ep, camp, sat := eng.MemoStats(); ep+camp+sat != 0 {
+		t.Fatalf("chaos run touched harness memos: %d episodes, %d campaigns, %d saturations", ep, camp, sat)
 	}
 }
 

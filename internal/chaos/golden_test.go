@@ -61,7 +61,7 @@ func goldenSerialize(t *testing.T) []byte {
 	}
 	var b bytes.Buffer
 	b.Write(harness.SerializeCampaign(camp))
-	r, err := RunUncached(eng, harness.VFME, fastOpts(1), goldenChaosSchedule(), fastRun())
+	r, err := Run(eng, harness.VFME, fastOpts(1), goldenChaosSchedule(), fastRun())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestGrayReplayByteIdenticalViaRepro(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun()
 
-	direct, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
+	direct, err := Run(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGraySnapshotMidFault(t *testing.T) {
 	rc := fastRun()
 	const at = 118 * time.Second
 
-	base, err := RunUncached(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
+	base, err := Run(harness.NewEngine(0), harness.VCOOP, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

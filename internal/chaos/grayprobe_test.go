@@ -32,7 +32,7 @@ func TestGrayExperimentProbe(t *testing.T) {
 	}
 	for _, v := range versions {
 		for _, tc := range cases {
-			r, err := RunUncached(harness.NewEngine(0), v, fastOpts(1), tc.sched, fastRun())
+			r, err := Run(harness.NewEngine(0), v, fastOpts(1), tc.sched, fastRun())
 			if err != nil {
 				t.Fatalf("%v/%s: %v", v, tc.name, err)
 			}

@@ -84,12 +84,11 @@ func LoadRepro(data []byte) (Repro, error) {
 	return r, nil
 }
 
-// Replay re-executes the repro (memo bypassed: a repro exists to
-// re-observe the violation, not to read a cache) and re-checks the
-// given invariants. A file without an offered rate replays at the one the
-// saturation probe resolves, as its campaign did.
+// Replay re-executes the repro and re-checks the given invariants. A file
+// without an offered rate replays at the one the saturation probe
+// resolves, as its campaign did.
 func (r Repro) Replay(invs []Invariant) (Result, []Violation, error) {
-	res, err := RunUncached(harness.NewEngine(1), r.Version, r.Options, r.Schedule, r.Run)
+	res, err := Run(harness.NewEngine(1), r.Version, r.Options, r.Schedule, r.Run)
 	if err != nil {
 		return res, nil, err
 	}

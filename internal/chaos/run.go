@@ -122,13 +122,14 @@ func (r Result) Serialize() []byte {
 	return b.Bytes()
 }
 
-// RunUncached executes one chaos run: build the version, warm it up,
-// play the schedule against the injector, wait for the dust to settle
-// (operator resets allowed, as in the paper's stage E), and snapshot
-// every probe the invariants need. It builds a private sim.Sim, so
-// concurrent runs cannot interact; the same inputs always produce a
-// bit-identical Result. The engine only resolves an unset offered load.
-func RunUncached(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
+// Run executes one chaos run: build the version, warm it up, play the
+// schedule against the injector, wait for the dust to settle (operator
+// resets allowed, as in the paper's stage E), and snapshot every probe
+// the invariants need. It builds a private sim.Sim, so concurrent runs
+// cannot interact; the same inputs always produce a bit-identical
+// Result. The engine only resolves an unset offered load; Run caches
+// nothing and takes no worker-pool slot (a campaign takes one for it).
+func Run(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
 	if err := sched.Validate(); err != nil {
@@ -223,17 +224,4 @@ func analyticFloor(sched Schedule, window time.Duration, rc RunConfig) float64 {
 		floor = 0
 	}
 	return floor
-}
-
-// Run is the memoized RunUncached: keyed on (version, options, run
-// config, schedule hash) in the engine's keyed table and executed on its
-// worker pool. The "run|" prefix plus the schedule hash — a dimension no
-// single-fault episode key has — and the keyed table being separate from
-// the episode/campaign/saturation tables is what guarantees chaos runs
-// can never collide with or poison those caches.
-func Run(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig) (Result, error) {
-	sched = sched.Canonical()
-	key := fmt.Sprintf("run|%s|%+v|%+v|%016x", v, o, rc.withDefaults(), sched.Hash())
-	val, err := eng.SnapMemoized(key, func() (any, error) { return RunUncached(eng, v, o, sched, rc) })
-	return val.(Result), err
 }

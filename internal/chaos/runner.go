@@ -11,7 +11,7 @@ import (
 	"press/internal/snapio"
 )
 
-// The runner is RunUncached's control flow turned into an explicit state
+// The runner is Run's control flow turned into an explicit state
 // machine so a run can stop at ANY simulated instant, be serialized into
 // a snapshot, and resume byte-identically in another world. The model:
 // the run is always "executing toward target"; when the clock reaches
@@ -103,9 +103,6 @@ func (r *runner) advance(limit time.Duration) {
 		r.transition()
 	}
 }
-
-// done reports whether the run has fully completed (res is final).
-func (r *runner) done() bool { return r.phase == phDone }
 
 func (r *runner) transition() {
 	switch r.phase {
@@ -207,7 +204,7 @@ func (r *runner) pollCheck() {
 }
 
 // assemble snapshots every probe the invariant catalog needs, in the
-// original RunUncached order.
+// original Run order.
 func (r *runner) assemble() {
 	c := r.c
 	res := &r.res

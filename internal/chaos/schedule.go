@@ -162,17 +162,17 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// Hash is a stable FNV-64a digest of the canonical schedule. The chaos
-// run memo keys on it (alongside version and options), which is what
-// keeps chaos results out of the harness's single-fault caches.
+// Hash is a stable FNV-64a digest of the canonical schedule. Repro files
+// are named by it, a snapshot armed with a schedule checks it on resume,
+// and a shrink keys the candidates it has replayed on it.
 func (s Schedule) Hash() uint64 {
 	h := fnv.New64a()
 	for _, e := range s.Canonical() {
 		fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d\n",
 			e.At, e.Fault, e.Component, e.Duration, e.FlapOn, e.FlapOff)
 		// Severity/group feed the digest only when set, so every pre-gray
-		// schedule keeps its original hash (and its cached runs and repro
-		// files stay valid).
+		// schedule keeps its original hash (and its repro files stay
+		// valid).
 		if e.Severity != 0 || e.Group != 0 {
 			fmt.Fprintf(h, "sev=%g|group=%d\n", e.Severity, e.Group)
 		}

@@ -7,7 +7,7 @@ import (
 
 // ShrinkStats reports what the shrinker did.
 type ShrinkStats struct {
-	Runs      int // replays executed (memo hits included)
+	Runs      int // candidates judged (a revisited one is not replayed)
 	Removed   int // entries deleted
 	Shortened int // durations halved
 	Deflapped int // flap variants reduced to steady faults
@@ -25,20 +25,28 @@ const minSpan = 10 * time.Second
 // returned minimal schedule reproduces the violation on every future
 // replay; it is what goes into the repro file.
 //
-// replay plays a candidate the way the failing run was played: the
-// memoized cold Run for a campaign that builds a world per seed,
-// RunFromSnapshot for one forked from a warm snapshot — whose candidates
-// then fork too, and none re-simulates the warm ramp. Either way revisited
-// sub-schedules are memo hits and the worst case is O(entries²) replays.
+// replay plays a candidate the way the failing run was played: a cold
+// Run for a campaign that builds a world per seed, ResumeUncached for one
+// forked from a warm snapshot — whose candidates then fork too, and none
+// re-simulates the warm ramp. The shrink keeps each replayed candidate's
+// violations, keyed by schedule hash, for as long as it runs, so a
+// revisited sub-schedule is not replayed and the worst case is
+// O(entries²) replays.
 func Shrink(replay func(Schedule) (Result, error), sched Schedule, invs []Invariant) (Schedule, Violation, ShrinkStats, error) {
 	var stats ShrinkStats
+	judged := map[uint64][]Violation{}
 	violations := func(s Schedule) ([]Violation, error) {
 		stats.Runs++
+		h := s.Hash()
+		if viols, ok := judged[h]; ok {
+			return viols, nil
+		}
 		r, err := replay(s)
 		if err != nil {
 			return nil, err
 		}
-		return Check(&r, invs), nil
+		judged[h] = Check(&r, invs)
+		return judged[h], nil
 	}
 
 	// Establish the target: the first invariant, in catalog order, the

@@ -41,13 +41,12 @@ func TestShrinkerMinimizes(t *testing.T) {
 	// The shrink of a campaign forked from a warm snapshot forks its
 	// candidates from that snapshot too: the same decisions on the same
 	// results, without any candidate simulating the warm ramp.
-	feng := harness.NewEngine(0)
-	snap, err := WarmSnapshot(feng, harness.VMQ, o, rc)
+	snap, err := WarmSnapshot(harness.NewEngine(0), harness.VMQ, o, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 = time.Now()
-	fmin, fviol, fstats, err := Shrink(func(s Schedule) (Result, error) { return RunFromSnapshot(feng, snap, s, rc) }, sched, invs)
+	fmin, fviol, fstats, err := Shrink(func(s Schedule) (Result, error) { return ResumeUncached(snap, s, rc) }, sched, invs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"press/internal/harness"
@@ -13,33 +12,24 @@ import (
 // a snapshot and each seed forks an independent copy and arms its own
 // schedule — the expensive warm ramp is paid once instead of per seed.
 // A fork that runs a schedule produces the byte-identical Result the
-// cold RunUncached path produces for the same inputs, which is what the
+// cold Run path produces for the same inputs, which is what the
 // equivalence tests pin.
 
-// WarmSnapshot builds, warms and captures one world for (v, o),
-// memoized in the engine's keyed table under the "warm|" prefix (the
-// snapshot hash itself is the content address downstream memo keys
-// compose with). The capture point
-// is warmup + settle, immediately before a schedule would arm, so the
-// snapshot is schedule-free and any schedule can be forked onto it.
+// WarmSnapshot builds, warms and captures one world for (v, o). The
+// capture point is warmup + settle, immediately before a schedule would
+// arm, so the snapshot is schedule-free and any schedule can be forked
+// onto it. Each call simulates: the engine only resolves an unset
+// offered load.
 func WarmSnapshot(eng *harness.Engine, v harness.Version, o harness.Options, rc RunConfig) (*harness.Snap, error) {
-	rc = rc.withDefaults()
-	key := fmt.Sprintf("warm|%s|%+v|%v", v, o, rc.Settle)
-	val, err := eng.SnapMemoized(key, func() (any, error) {
-		r := newRunner(eng, v, o, nil, rc)
-		r.advance(r.target)
-		return harness.Take(r.c, r.SnapExtra)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return val.(*harness.Snap), nil
+	r := newRunner(eng, v, o, nil, rc.withDefaults())
+	r.advance(r.target)
+	return harness.Take(r.c, r.SnapExtra)
 }
 
 // RunWithSnapshotAt runs the schedule cold, pausing once when the sim
 // clock reaches the absolute time at to capture a snapshot, then
 // continues to completion. The pause is observationally free: the
-// returned Result is byte-identical to an uninterrupted RunUncached.
+// returned Result is byte-identical to an uninterrupted Run.
 func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedule, rc RunConfig, at time.Duration) (Result, *harness.Snap, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
@@ -57,8 +47,9 @@ func RunWithSnapshotAt(eng *harness.Engine, v harness.Version, o harness.Options
 }
 
 // ResumeUncached restores a run from the snapshot and plays it to
-// completion, bypassing every memo (the equivalence tests need real
-// restored executions, not cache hits).
+// completion. A pre-arm snapshot forks a fresh run of the schedule; a
+// mid-run one resumes the run it was taken in. Nothing in this package
+// caches a run; the name stays because cmd/pressbench calls it.
 func ResumeUncached(snap *harness.Snap, sched Schedule, rc RunConfig) (Result, error) {
 	rc = rc.withDefaults()
 	sched = sched.Canonical()
@@ -90,35 +81,6 @@ func restoreRunner(snap *harness.Snap, sched Schedule, rc RunConfig) (*runner, e
 	return r, nil
 }
 
-// RunFromSnapshot forks one world from the snapshot, plays the schedule
-// to completion, and returns the Result. Memoized in the engine's keyed
-// table under ("fork|", snapshot hash, schedule hash, run config) — a
-// key that can never alias a cold run's, which has no content-hash
-// dimension.
-func RunFromSnapshot(eng *harness.Engine, snap *harness.Snap, sched Schedule, rc RunConfig) (Result, error) {
-	rc = rc.withDefaults()
-	sched = sched.Canonical()
-	if err := sched.Validate(); err != nil {
-		return Result{Version: snap.Version, Schedule: sched}, err
-	}
-	key := fmt.Sprintf("fork|%s|%016x|%+v", snap.Hash(), sched.Hash(), rc)
-	val, err := eng.SnapMemoized(key, func() (any, error) {
-		r, err := restoreRunner(snap, sched, rc)
-		if err != nil {
-			return Result{}, err
-		}
-		r.advance(-1)
-		if !r.done() {
-			return Result{}, fmt.Errorf("chaos: forked run stalled in phase %d", r.phase)
-		}
-		return r.res, nil
-	})
-	if err != nil {
-		return Result{Version: snap.Version, Schedule: sched}, err
-	}
-	return val.(Result), nil
-}
-
 // RunCampaignFromSnapshot plays a campaign against an already-captured
 // warm snapshot (one taken by WarmSnapshot, possibly serialized to disk
 // and loaded back in a later process). The snapshot's envelope supplies
@@ -126,13 +88,13 @@ func RunFromSnapshot(eng *harness.Engine, snap *harness.Snap, sched Schedule, rc
 // RunCampaign — where each seed also reseeds the world itself — every
 // fork shares the base world, so the seeds vary only the fault load, and
 // each outcome records the base world's options: replaying its schedule
-// cold against them (RunUncached) reproduces the forked result
-// byte-identically.
+// cold against them (Run) reproduces the forked result byte-identically.
+// The engine bounds how many forks run at once.
 func RunCampaignFromSnapshot(eng *harness.Engine, snap *harness.Snap, cfg CampaignConfig) (CampaignSummary, error) {
 	o := snap.Opts
 	o.Rate = snap.Rate // pin the resolved load so a cold replay matches
-	replay := func(s Schedule) (Result, error) { return RunFromSnapshot(eng, snap, s, cfg.Run) }
-	return runSeeds(snap.Version, cfg, func(int64) (harness.Options, func(Schedule) (Result, error)) {
+	replay := func(s Schedule) (Result, error) { return ResumeUncached(snap, s, cfg.Run) }
+	return runSeeds(eng, snap.Version, cfg, func(int64) (harness.Options, func(Schedule) (Result, error)) {
 		return o, replay
 	}), nil
 }

@@ -98,7 +98,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 				r.advance(-1)
 				want[vi] = r.res.Serialize()
 				if benchmarked(v) { // that pausing perturbs nothing is shown on two versions
-					base, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
+					base, err := Run(harness.NewEngine(0), v, o, sched, rc)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,24 +130,23 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmForkMatchesCold pins the warm-fork contract: forking the
-// memoized warm snapshot and arming a schedule produces the exact
-// Result the cold path produces for the same world and schedule.
+// TestWarmForkMatchesCold pins the warm-fork contract: forking the warm
+// snapshot and arming a schedule produces the exact Result the cold path
+// produces for the same world and schedule.
 func TestWarmForkMatchesCold(t *testing.T) {
 	o := fastOpts(1)
 	rc := fastRun()
 	sched := replaySchedule()
 	// The warm-fork point is TestSnapshotRestoreByteIdentical's first
-	// capture on every version; the memo contract needs two.
+	// capture on every version; the warm-up's own path needs two.
 	for _, v := range []harness.Version{harness.VCOOP, harness.VFME} {
 		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
-			eng := harness.NewEngine(0)
-			snap, err := WarmSnapshot(eng, v, o, rc)
+			snap, err := WarmSnapshot(harness.NewEngine(0), v, o, rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
+			cold, err := Run(harness.NewEngine(0), v, o, sched, rc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,24 +156,6 @@ func TestWarmForkMatchesCold(t *testing.T) {
 			}
 			if want, got := cold.Serialize(), fork.Serialize(); !bytes.Equal(got, want) {
 				diffAt(t, "warm fork", want, got)
-			}
-
-			// The memoized entry point returns the same result and actually
-			// lands in the snapshot memo table, not the episode/campaign caches.
-			ep0, camp0, sat0 := eng.MemoStats()
-			res, err := RunFromSnapshot(eng, snap, sched, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want, got := cold.Serialize(), res.Serialize(); !bytes.Equal(got, want) {
-				diffAt(t, "memoized fork", want, got)
-			}
-			if eng.SnapMemoStats() != 2 { // the warm snapshot and this fork
-				t.Fatalf("keyed memo holds %d entries after WarmSnapshot + RunFromSnapshot, want 2", eng.SnapMemoStats())
-			}
-			if ep1, camp1, sat1 := eng.MemoStats(); ep1 != ep0 || camp1 != camp0 || sat1 != sat0 {
-				t.Fatalf("fork run touched the cold-start caches: %d/%d/%d -> %d/%d/%d",
-					ep0, camp0, sat0, ep1, camp1, sat1)
 			}
 		})
 	}
@@ -204,7 +185,7 @@ func forkProperty(t *testing.T, v harness.Version) {
 		{At: 12 * time.Second, Fault: faults.AppCrash, Component: 0, Duration: 25 * time.Second},
 	}
 
-	base, err := RunUncached(harness.NewEngine(0), v, o, sched, rc)
+	base, err := Run(harness.NewEngine(0), v, o, sched, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"press/internal/machine"
@@ -399,7 +398,7 @@ type InjectOpts struct {
 	// an error on binary classes.
 	Severity float64
 	// Group tags this fault as a member of a correlated event; purely
-	// observational (listed by ActiveFaults, round-tripped by snapshots).
+	// observational (kept on the Active record, round-tripped by snapshots).
 	Group int
 }
 
@@ -560,38 +559,8 @@ func (a *Active) detail() string {
 	return a.Type.String()
 }
 
-// ActiveFault names one currently-active fault slot.
-type ActiveFault struct {
-	Type      Type
-	Component int
-	Flapping  bool
-	Severity  float64 // resolved gray severity; 0 for binary classes
-	Group     int     // correlated-event tag; 0 for independent faults
-}
-
 // ActiveCount returns how many faults are currently active.
 func (in *Injector) ActiveCount() int { return len(in.active) }
-
-// ActiveFaults lists the active fault slots in deterministic (type,
-// component) order — the chaos invariant checks read it after a run to
-// assert the schedule fully quiesced.
-func (in *Injector) ActiveFaults() []ActiveFault {
-	out := make([]ActiveFault, 0, len(in.active))
-	for k := range in.active {
-		a := in.active[k]
-		out = append(out, ActiveFault{
-			Type: k.t, Component: k.c, Flapping: a.Flapping(),
-			Severity: a.Severity, Group: a.Group,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Type != out[j].Type {
-			return out[i].Type < out[j].Type
-		}
-		return out[i].Component < out[j].Component
-	})
-	return out
-}
 
 // Applicable reports whether fault class t can be injected on these
 // targets (front-end faults need a front-end).

@@ -271,9 +271,8 @@ func TestOverlappingFaultsRepairIndependently(t *testing.T) {
 	if !tg.Machines[1].Disks().AnyFaulty() {
 		t.Fatal("disk repaired by the link's repair (partial repair broken)")
 	}
-	af := in.ActiveFaults()
-	if len(af) != 1 || af[0].Type != SCSITimeout || af[0].Component != 2 {
-		t.Fatalf("ActiveFaults after partial repair: %+v", af)
+	if in.ActiveCount() != 1 || in.ActiveAt(SCSITimeout, 2) != disk {
+		t.Fatalf("after partial repair: %d active, SCSI slot holds %v", in.ActiveCount(), in.ActiveAt(SCSITimeout, 2))
 	}
 	mustRepair(t, disk)
 	if in.ActiveCount() != 0 {

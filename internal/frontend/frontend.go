@@ -24,7 +24,6 @@ package frontend
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"press/internal/clock"
@@ -149,16 +148,15 @@ func newFrontend(cfg Config, env cnet.Env) *Frontend {
 // probing reports whether the C-MON / S-FME connection probes run.
 func (f *Frontend) probing() bool { return f.cfg.ConnMonitor || f.cfg.SFME }
 
-// Healthy returns the nodes currently in rotation, sorted (tests and the
-// S-FME bench inspect it).
+// Healthy returns the nodes currently in rotation, in Config.Backends
+// order (tests and the S-FME bench inspect it).
 func (f *Frontend) Healthy() []cnet.NodeID {
 	var out []cnet.NodeID
-	for n, b := range f.backends {
-		if b.healthy() {
+	for _, n := range f.cfg.Backends {
+		if f.backends[n].healthy() {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

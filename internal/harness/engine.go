@@ -74,8 +74,10 @@ func (t *memo[V]) reset() {
 // Engine owns one worker pool and one set of memo tables, and is the only
 // thing that does: independent engines share nothing, so two experiments
 // built on separate engines run with different concurrency bounds and
-// never exchange cached results. press.New builds a private one per
-// handle; the package-level press functions share one.
+// never exchange cached results. Whoever runs an experiment owns the
+// engine it runs on: press.New builds one per handle, press.NewFigures
+// one per Figures, and every other package-level press call one per call.
+// No engine outlives its owner, so nothing is cached across them.
 type Engine struct {
 	// pool is a resizable counting semaphore bounding concurrent
 	// simulator runs. Orchestration code (campaign fan-out, figure
@@ -90,10 +92,6 @@ type Engine struct {
 	episodes    memo[Episode] // shared Series/Log pointers are immutable once the run completes
 	campaigns   memo[CampaignResult]
 	saturations memo[float64]
-	// keyed serves out-of-package callers (chaos cold runs, warm snapshots,
-	// forked runs), each under its own key prefix. It is a table of its own
-	// so such runs can never alias an episode, campaign or saturation entry.
-	keyed memo[any]
 }
 
 // NewEngine returns an engine bounded to the given number of concurrent
@@ -145,36 +143,29 @@ func (e *Engine) releaseSlot() {
 }
 
 // MemoStats returns how many episodes, campaigns and saturation probes
-// are currently memoized. The chaos package's cache-hygiene regression
-// asserts chaos runs leave these untouched.
+// are currently memoized.
 func (e *Engine) MemoStats() (episodes, campaigns, saturations int) {
 	return e.episodes.len(), e.campaigns.len(), e.saturations.len()
 }
 
-// ResetMemos drops every cached result: episodes, campaigns, saturation
-// probes and the keyed table. Benchmarks use this to measure real
-// simulation work instead of memo hits.
+// ResetMemos drops every cached result: episodes, campaigns and
+// saturation probes. Benchmarks use this to measure real simulation work
+// instead of memo hits.
 func (e *Engine) ResetMemos() {
 	e.episodes.reset()
 	e.campaigns.reset()
 	e.saturations.reset()
-	e.keyed.reset()
 }
 
-// SnapMemoized returns the keyed table's value for key, computing it at
-// most once per engine. compute runs while holding one worker-pool slot,
-// so it must not re-enter a pool-holding entry point: with a 1-slot pool
+// WithSlot runs fn while holding one worker-pool slot: a simulation the
+// engine does not run itself (a chaos replay) takes its turn through it.
+// fn must not re-enter a pool-holding entry point: with a 1-slot pool
 // that nesting would deadlock.
-func (e *Engine) SnapMemoized(key string, compute func() (any, error)) (any, error) {
-	return e.keyed.do(key, func() (any, error) {
-		e.acquireSlot()
-		defer e.releaseSlot()
-		return compute()
-	})
+func (e *Engine) WithSlot(fn func()) {
+	e.acquireSlot()
+	defer e.releaseSlot()
+	fn()
 }
-
-// SnapMemoStats reports how many keyed results are memoized.
-func (e *Engine) SnapMemoStats() int { return e.keyed.len() }
 
 // RunEpisode returns the episode for the parameters, computing it on the
 // engine's worker pool exactly once per engine. Options and

@@ -8,8 +8,7 @@ import (
 )
 
 // TestMemo pins the singleflight contract every engine table shares
-// (episodes, campaigns, saturation probes and the keyed table are all
-// instances of memo).
+// (episodes, campaigns and saturation probes are all instances of memo).
 func TestMemo(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
@@ -77,22 +76,6 @@ func TestMemo(t *testing.T) {
 		}
 		if v, _ := m.do("k", func() (string, error) { return "again", nil }); v != "new" || m.len() != 1 {
 			t.Fatalf("after the old flight landed the table serves %q (%d entries), want the post-reset entry", v, m.len())
-		}
-	})
-
-	t.Run("key prefixes never alias", func(t *testing.T) {
-		eng := NewEngine(1)
-		for _, key := range []string{"run|x", "warm|x", "fork|x"} {
-			v, _ := eng.SnapMemoized(key, func() (any, error) { return key, nil })
-			if v != key {
-				t.Fatalf("key %q served %v", key, v)
-			}
-		}
-		if n := eng.SnapMemoStats(); n != 3 {
-			t.Fatalf("keyed table holds %d entries, want 3", n)
-		}
-		if ep, camp, sat := eng.MemoStats(); ep+camp+sat != 0 {
-			t.Fatalf("keyed entries leaked into the typed tables: %d/%d/%d", ep, camp, sat)
 		}
 	})
 }

@@ -2,14 +2,9 @@ package lint
 
 import "testing"
 
-// Each analyzer gets a flagged fixture and at least one clean one. The
-// fixtures double as the reference corpus for the diagnostics' wording:
-// the `// want` comments pin the messages users see.
-
-func TestMaporder(t *testing.T) {
-	runFixture(t, Maporder, cover("maporder/sim"))
-	runFixture(t, Maporder, cover("maporder/clean"))
-}
+// The analyzer gets a flagged fixture and clean ones. The fixtures double
+// as the reference corpus for the diagnostics' wording: the `// want`
+// comments pin the messages users see.
 
 func TestSnapfields(t *testing.T) {
 	runFixture(t, Snapfields, cover("snapfields/flagged"))
@@ -23,12 +18,12 @@ func TestSnapfields(t *testing.T) {
 // TestByName covers analyzer selection, including the error path.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 2 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 2, nil", len(all), err)
+	if err != nil || len(all) != 1 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 1, nil", len(all), err)
 	}
-	two, err := ByName("snapfields, maporder")
-	if err != nil || len(two) != 2 || two[0].Name != "snapfields" || two[1].Name != "maporder" {
-		t.Fatalf("ByName subset failed: %v, %v", two, err)
+	one, err := ByName(" snapfields")
+	if err != nil || len(one) != 1 || one[0].Name != "snapfields" {
+		t.Fatalf("ByName(\" snapfields\") failed: %v, %v", one, err)
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("ByName(\"nope\") should fail")

@@ -1,24 +1,18 @@
-// Package lint is availlint: the analyzers whose bugs no behavioural test
+// Package lint is availlint: the analyzer whose bugs no behavioural test
 // catches (DESIGN §14). snapfields requires every field of a struct a
 // snapshot walk moves to be mentioned by the package's walks, or to carry
-// an exemption; maporder flags order-sensitive bodies under a map range.
-// The determinism bans (no wall clock, no global RNG, no eager formatting
-// in an Emit argument, no goroutine outside the engine's pools) are rows
-// of TestSourceRules.
+// an exemption. The determinism bans (no wall clock, no global RNG, no
+// eager formatting in an Emit argument, no goroutine outside the engine's
+// pools) are rows of TestSourceRules.
 //
 // The suite is self-contained on the standard library's go/ast and
 // go/types (golang.org/x/tools is not a dependency). The Analyzer/Pass
 // shapes below mirror golang.org/x/tools/go/analysis.
 //
-// Suppressing a finding:
-//
-//   - line annotation: a comment containing "availlint:allow <names>"
-//     suppresses the named analyzers on its own line and the line below,
-//     e.g. //availlint:allow maporder each name appends to its own slice.
-//   - field annotation: a comment containing "availlint:skipfield <name>
-//     <reason>" on (or above) a struct field's declaration exempts that
-//     field from snapfields' coverage requirement, e.g.
-//     //availlint:skipfield cfg immutable config, identical across forks.
+// Exempting a field: a comment containing "availlint:skipfield <name>
+// <reason>" on (or above) a struct field's declaration exempts that field
+// from snapfields' coverage requirement, e.g.
+// //availlint:skipfield cfg immutable config, identical across forks.
 package lint
 
 import (
@@ -60,20 +54,14 @@ type Pass struct {
 	Info     *types.Info
 	PkgPath  string
 
-	allow map[string]map[int][]string // filename -> line -> analyzer names allowed there
 	skip  map[string]map[int][]string // filename -> line -> field names skipfield'd there
 	diags *[]Diagnostic
 }
 
-// Reportf records a finding at pos unless an "availlint:allow" annotation
-// on that line (or the line above) names this analyzer.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if annotated(p.allow, position, p.Analyzer.Name) {
-		return
-	}
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      position,
+		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -83,40 +71,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // on pos's line (or the line above) names field. snapfields consults it
 // before requiring snapshot coverage of a struct field.
 func (p *Pass) SkipfieldAt(pos token.Pos, field string) bool {
-	return annotated(p.skip, p.Fset.Position(pos), field)
+	at := p.Fset.Position(pos)
+	lines := p.skip[at.Filename]
+	return slices.Contains(lines[at.Line], field) || slices.Contains(lines[at.Line-1], field)
 }
 
-// annotated reports whether an annotation indexed in idx on pos's line or
-// the line above names name.
-func annotated(idx map[string]map[int][]string, pos token.Position, name string) bool {
-	lines := idx[pos.Filename]
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if slices.Contains(lines[line], name) {
-			return true
-		}
-	}
-	return false
-}
+// skipfieldRe matches field exemptions anywhere inside a comment's text,
+// "availlint:skipfield <field> <reason>": the field name is one Go
+// identifier, the reason free text.
+var skipfieldRe = regexp.MustCompile(`availlint:skipfield\s+([A-Za-z_][A-Za-z0-9_]*)`)
 
-// allowRe matches the annotation anywhere inside a comment's text, so
-// both "//availlint:allow x" and "// availlint:allow x reason" work.
-// skipfieldRe matches field exemptions, "availlint:skipfield <field>
-// <reason>": the field name is one Go identifier, the reason free text.
-var (
-	allowRe     = regexp.MustCompile(`availlint:allow\s+([a-z, ]+)`)
-	skipfieldRe = regexp.MustCompile(`availlint:skipfield\s+([A-Za-z_][A-Za-z0-9_]*)`)
-)
-
-// annotations indexes every comment re matches by file and line, under
-// the names its first group lists (comma- or space-separated). An
-// annotation covers its own line and the line below, so it can sit at
-// the end of the line it is about or on its own line above.
-func annotations(fset *token.FileSet, files []*ast.File, re *regexp.Regexp) map[string]map[int][]string {
+// skipfields indexes every skipfield annotation by file and line, under
+// the field it names. An annotation covers its own line and the line
+// below, so it can sit at the end of the line it is about or on its own
+// line above.
+func skipfields(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
 	idx := map[string]map[int][]string{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := re.FindStringSubmatch(c.Text)
+				m := skipfieldRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
@@ -124,8 +98,7 @@ func annotations(fset *token.FileSet, files []*ast.File, re *regexp.Regexp) map[
 				if idx[pos.Filename] == nil {
 					idx[pos.Filename] = map[int][]string{}
 				}
-				names := strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' })
-				idx[pos.Filename][pos.Line] = append(idx[pos.Filename][pos.Line], names...)
+				idx[pos.Filename][pos.Line] = append(idx[pos.Filename][pos.Line], m[1])
 			}
 		}
 	}
@@ -134,7 +107,7 @@ func annotations(fset *token.FileSet, files []*ast.File, re *regexp.Regexp) map[
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Maporder, Snapfields}
+	return []*Analyzer{Snapfields}
 }
 
 // ByName resolves a comma-separated analyzer selection ("" = all).
@@ -166,8 +139,7 @@ func ByName(names string) ([]*Analyzer, error) {
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		allow := annotations(pkg.Fset, pkg.Files, allowRe)
-		skip := annotations(pkg.Fset, pkg.Files, skipfieldRe)
+		skip := skipfields(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
@@ -176,7 +148,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				PkgPath:  pkg.PkgPath,
-				allow:    allow,
 				skip:     skip,
 				diags:    &diags,
 			}

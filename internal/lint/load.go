@@ -215,7 +215,7 @@ func LoadFixture(moduleDir, dir, pkgPath string) (*Package, error) {
 	}
 	var missing []string
 	exportCache.Lock()
-	for path := range importSet { //availlint:allow maporder imports list is sorted below
+	for path := range importSet {
 		if _, ok := exportCache.m[path]; !ok {
 			missing = append(missing, path)
 		}

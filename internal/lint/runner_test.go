@@ -95,7 +95,7 @@ func matchWants(t *testing.T, dir string, got map[fixtureLine][]string) {
 			}
 		}
 	}
-	for k, ds := range got { //availlint:allow maporder test-failure reporting only
+	for k, ds := range got {
 		for _, d := range ds {
 			t.Errorf("%s:%d: unexpected diagnostic: %s", k.file, k.line, d)
 		}

@@ -26,6 +26,9 @@
 package press
 
 import (
+	"runtime"
+	"sync/atomic"
+
 	"press/internal/avail"
 	"press/internal/chaos"
 	"press/internal/faults"
@@ -125,8 +128,9 @@ type ModelResult = avail.Result
 // tables). Two Clusters share nothing — each caches its own episodes,
 // campaigns and saturation probes and bounds its own simulator
 // concurrency — so a library user can run independent experiments with
-// independent lifetimes, something the package-level entry points (which
-// share one process-wide engine) cannot offer.
+// independent lifetimes. The package-level entry points each build an
+// engine of their own per call (NewFigures one per Figures) and cache
+// nothing across calls.
 //
 //	c := press.New(press.WithVersion(press.FME), press.WithSeed(7), press.WithWorkers(4))
 //	camp, err := c.RunCampaign(press.FastSchedule())
@@ -172,11 +176,13 @@ func WithWorkers(n int) Option { return func(c *clusterConfig) { c.workers = n }
 // friends applied after it).
 func WithOptions(o Options) Option { return func(c *clusterConfig) { c.o = o } }
 
-// shared is the one process-wide engine: it serves the package-level
-// entry points below (figures, chaos campaigns, stochastic runs), which
-// take no handle. Nothing else in the repository holds an engine, a pool
-// or a memo at package level.
-var shared = harness.NewEngine(0)
+// globalWorkers is the worker bound SetGlobalWorkers last set (0:
+// GOMAXPROCS). It is the only package-level state: every package-level
+// entry point builds its own engine with this bound.
+var globalWorkers atomic.Int64
+
+// engine builds the engine one package-level call runs on.
+func engine() *harness.Engine { return harness.NewEngine(int(globalWorkers.Load())) }
 
 // New builds an experiment handle with its own engine and caches.
 func New(opts ...Option) *Cluster {
@@ -246,8 +252,10 @@ func WithRedundantFrontend(l []FaultLoad) []FaultLoad { return avail.WithRedunda
 // DefaultModelEnv returns the default evaluator parameters.
 func DefaultModelEnv() ModelEnv { return avail.DefaultEnv() }
 
-// NewFigures builds the generator for every paper table and figure.
-func NewFigures(o Options) *Figures { return harness.NewFigures(shared, o) }
+// NewFigures builds the generator for every paper table and figure, on an
+// engine of its own: the figures of one Figures share its episodes,
+// campaigns and saturation probes, and two Figures share nothing.
+func NewFigures(o Options) *Figures { return harness.NewFigures(engine(), o) }
 
 // Table1 returns the paper's expected fault load for an n-node cluster.
 func Table1(n, disksPerNode int, withFrontend bool) []faults.Spec {
@@ -271,25 +279,26 @@ type StochasticResult = harness.StochasticResult
 
 // RunStochastic executes the model-validation run for one version.
 func RunStochastic(v Version, o Options, s EpisodeSchedule, cfg StochasticConfig) (StochasticResult, error) {
-	return harness.StochasticRun(shared, v, o, s, cfg)
+	return harness.StochasticRun(engine(), v, o, s, cfg)
 }
 
-// ResetGlobalCaches drops the memo tables the package-level chaos and
-// figure entry points share (the shared engine's episodes, campaigns,
-// saturation probes, chaos runs and warm snapshots). Handle-scoped caches
-// are dropped via Cluster.ResetCaches. Results are deterministic, so this
-// is never needed for correctness; benchmarks use it to measure real
-// simulation work.
-func ResetGlobalCaches() { shared.ResetMemos() }
+// ResetGlobalCaches does nothing: no package-level entry point caches
+// anything across calls. It stays because cmd/pressbench calls it;
+// Cluster.ResetCaches drops a handle's caches.
+func ResetGlobalCaches() {}
 
-// SetGlobalWorkers bounds the concurrency of the shared engine behind
-// the package-level entry points (figures, chaos campaigns, stochastic
-// runs) and returns the previous bound. Cluster handles carry their own
+// SetGlobalWorkers bounds how many simulators each engine the
+// package-level entry points build (figures, chaos campaigns, stochastic
+// runs) runs at once, and returns the previous bound. n < 1 means one. It
+// stays because cmd/pressbench calls it; Cluster handles carry their own
 // bound — use WithWorkers / Cluster.SetWorkers for those.
-func SetGlobalWorkers(n int) int { return shared.SetWorkers(n) }
-
-// GlobalWorkers reports the shared engine's concurrency bound.
-func GlobalWorkers() int { return shared.Workers() }
+func SetGlobalWorkers(n int) int {
+	prev := int(globalWorkers.Swap(int64(max(n, 1))))
+	if prev == 0 {
+		prev = runtime.GOMAXPROCS(0)
+	}
+	return prev
+}
 
 // Chaos campaigns (internal/chaos): seeded multi-fault schedules played
 // against a version, judged by a cluster-invariant catalog, with
@@ -331,12 +340,6 @@ func GenerateChaos(seed int64, v Version, o Options, cfg ChaosGenConfig) ChaosSc
 	return chaos.Generate(seed, v, o, cfg)
 }
 
-// RunChaos plays one schedule (memoized by schedule hash, on the
-// engine's worker pool) and returns the measured result.
-func RunChaos(v Version, o Options, sched ChaosSchedule, rc ChaosRunConfig) (ChaosResult, error) {
-	return chaos.Run(shared, v, o, sched, rc)
-}
-
 // ChaosInvariants returns the standing invariant catalog.
 func ChaosInvariants() []ChaosInvariant { return chaos.DefaultInvariants() }
 
@@ -347,12 +350,7 @@ func CheckChaos(r *ChaosResult, invs []ChaosInvariant) []ChaosViolation {
 
 // RunChaosCampaign generates, runs and judges one schedule per seed.
 func RunChaosCampaign(v Version, o Options, cfg ChaosCampaignConfig) ChaosCampaignSummary {
-	return chaos.RunCampaign(shared, v, o, cfg)
-}
-
-// ShrinkChaos minimizes a violating schedule to a replayable minimum.
-func ShrinkChaos(v Version, o Options, rc ChaosRunConfig, sched ChaosSchedule, invs []ChaosInvariant) (ChaosSchedule, ChaosViolation, chaos.ShrinkStats, error) {
-	return chaos.Shrink(func(s ChaosSchedule) (chaos.Result, error) { return chaos.Run(shared, v, o, s, rc) }, sched, invs)
+	return chaos.RunCampaign(engine(), v, o, cfg)
 }
 
 // NewChaosRepro packages a violation into a replayable repro body;
@@ -390,21 +388,14 @@ func LoadSnapshot(data []byte) (*Snapshot, error) { return harness.Load(data) }
 func RestoreSnapshot(s *Snapshot) (*Deployment, error) { return s.Restore(nil) }
 
 // WarmChaosSnapshot builds and warms one world for (v, o) and captures
-// it at the pre-arm point (warmup + settle), memoized on the shared
-// engine. Any chaos schedule can then be forked onto it.
+// it at the pre-arm point (warmup + settle). Any chaos schedule can then
+// be forked onto it.
 func WarmChaosSnapshot(v Version, o Options, rc ChaosRunConfig) (*Snapshot, error) {
-	return chaos.WarmSnapshot(shared, v, o, rc)
-}
-
-// RunChaosFromSnapshot forks one world from the snapshot, arms the
-// schedule and plays it to completion (memoized under snapshot hash +
-// schedule hash — a key space disjoint from every cold-start cache).
-func RunChaosFromSnapshot(s *Snapshot, sched ChaosSchedule, rc ChaosRunConfig) (ChaosResult, error) {
-	return chaos.RunFromSnapshot(shared, s, sched, rc)
+	return chaos.WarmSnapshot(engine(), v, o, rc)
 }
 
 // RunChaosCampaignFromSnapshot plays a warm-fork campaign against an
 // already-captured (possibly disk-loaded) warm snapshot.
 func RunChaosCampaignFromSnapshot(s *Snapshot, cfg ChaosCampaignConfig) (ChaosCampaignSummary, error) {
-	return chaos.RunCampaignFromSnapshot(shared, s, cfg)
+	return chaos.RunCampaignFromSnapshot(engine(), s, cfg)
 }
