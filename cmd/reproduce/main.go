@@ -46,6 +46,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,65 +58,80 @@ import (
 	"press"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "which figure/table to regenerate (comma-separated), or 'all'")
-	fast := flag.Bool("fast", false, "reduced-scale profile")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	out := flag.String("o", "", "also write output to this file")
-	workers := flag.Int("workers", 0, "max concurrent simulators (0 = GOMAXPROCS, 1 = serial)")
-	nodes := flag.Int("nodes", 0, "server-node count (0 = the paper's 4; other counts require -protocol scalable)")
-	protocol := flag.String("protocol", "faithful", "protocol suite: faithful (paper, golden-dump identical) or scalable (gossip membership + sharded directory)")
-	chaosMode := flag.Bool("chaos", false, "run a chaos campaign instead of figures")
-	seeds := flag.Int("seeds", 8, "chaos: number of campaign seeds (1..N)")
-	version := flag.String("version", string(press.FME), "chaos: version to bombard")
-	shrink := flag.Bool("shrink", true, "chaos: shrink violating schedules before writing repros")
-	reproDir := flag.String("repro-dir", ".", "chaos: directory for violation repro files")
-	replay := flag.String("chaos-replay", "", "replay a chaos repro file and exit")
-	gray := flag.Bool("gray", false, "chaos: add gray faults, correlated groups and recovery chases to every seed's schedule")
-	snapOut := flag.String("snapshot", "", "chaos: warm once, write the warm snapshot here, fork the campaign from it")
-	snapIn := flag.String("from-snapshot", "", "chaos: fork the campaign from this snapshot file instead of warming")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	traceFlag := flag.String("trace", "", "write a runtime execution trace to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	stopProf, err := startProfiling(*cpuprofile, *memprofile, *traceFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	exit := func(code int) {
-		stopProf()
-		os.Exit(code)
-	}
-
-	if *workers > 0 {
-		press.SetGlobalWorkers(*workers)
-	} else {
-		*workers = runtime.GOMAXPROCS(0)
+// run executes one reproduce invocation and returns its exit status. A
+// flag no run can honour exits 2 before anything is simulated or written.
+func run(args []string) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fig := fs.String("fig", "all", "which figure/table to regenerate (comma-separated), or 'all'")
+	fast := fs.Bool("fast", false, "reduced-scale profile")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	out := fs.String("o", "", "also write output to this file")
+	workers := fs.Int("workers", 0, "max concurrent simulators (0 = GOMAXPROCS, 1 = serial)")
+	nodes := fs.Int("nodes", 0, "server-node count (0 = the paper's 4; other counts require -protocol scalable)")
+	protocol := fs.String("protocol", "faithful", "protocol suite: faithful (paper, golden-dump identical) or scalable (gossip membership + sharded directory)")
+	chaosMode := fs.Bool("chaos", false, "run a chaos campaign instead of figures")
+	seeds := fs.Int("seeds", 8, "chaos: number of campaign seeds (1..N)")
+	version := fs.String("version", string(press.FME), "chaos: version to bombard")
+	shrink := fs.Bool("shrink", true, "chaos: shrink violating schedules before writing repros")
+	reproDir := fs.String("repro-dir", ".", "chaos: directory for violation repro files")
+	replay := fs.String("chaos-replay", "", "replay a chaos repro file and exit")
+	gray := fs.Bool("gray", false, "chaos: add gray faults, correlated groups and recovery chases to every seed's schedule")
+	snapOut := fs.String("snapshot", "", "chaos: warm once, write the warm snapshot here, fork the campaign from it")
+	snapIn := fs.String("from-snapshot", "", "chaos: fork the campaign from this snapshot file instead of warming")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	traceFlag := fs.String("trace", "", "write a runtime execution trace to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // fs has printed the error and the usage
 	}
 
 	suite, err := press.ParseProtocolSuite(*protocol)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(2)
+		return 2
 	}
 	if *nodes < 0 {
 		fmt.Fprintf(os.Stderr, "-nodes %d: the server-node count must be positive (0 = the paper's 4)\n", *nodes)
-		exit(2)
+		return 2
 	}
 	if *nodes != 0 && *nodes != 4 && suite != press.Scalable {
 		fmt.Fprintf(os.Stderr, "-nodes %d needs -protocol scalable: the faithful suite's broadcast directory and all-pairs announce traffic are the paper's 4-node protocols and do not scale\n", *nodes)
-		exit(2)
+		return 2
 	}
 	want, err := parseFigs(*fig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(2)
+		return 2
+	}
+	if err := checkVersion(*version); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "-seeds %d: a chaos campaign runs seeds 1..N, N at least 1\n", *seeds)
+		return 2
 	}
 	if *snapOut != "" && *snapIn != "" {
 		fmt.Fprintln(os.Stderr, "-snapshot and -from-snapshot are two ways to get the campaign's warm world: pass one")
-		exit(2)
+		return 2
+	}
+
+	stopProf, err := startProfiling(*cpuprofile, *memprofile, *traceFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stopProf()
+
+	if *workers > 0 {
+		press.SetGlobalWorkers(*workers)
+	} else {
+		*workers = runtime.GOMAXPROCS(0)
 	}
 	topo := func(o press.Options) press.Options {
 		o.Nodes = *nodes
@@ -133,10 +149,10 @@ func main() {
 	}
 
 	if *replay != "" {
-		exit(replayRepro(*replay))
+		return replayRepro(*replay)
 	}
 	if *chaosMode {
-		exit(runChaosCampaign(press.Version(*version), *seeds, *fast, *seed, *shrink, *gray, *reproDir, *snapOut, *snapIn, topo))
+		return runChaosCampaign(press.Version(*version), *seeds, *fast, *seed, *shrink, *gray, *reproDir, *snapOut, *snapIn, topo)
 	}
 
 	var o press.Options
@@ -155,7 +171,7 @@ func main() {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			return 1
 		}
 		defer f.Close()
 		sink = f
@@ -182,7 +198,21 @@ func main() {
 		emit(tab.String())
 		emit(fmt.Sprintf("(generated in %.1fs)\n\n", time.Since(start).Seconds()))
 	}
-	stopProf()
+	return 0
+}
+
+// checkVersion refuses a -version no chaos campaign can run: one the
+// harness does not know, or one the paper only models.
+func checkVersion(v string) error {
+	measured := press.AllMeasuredVersions()
+	if slices.Contains(measured, press.Version(v)) {
+		return nil
+	}
+	names := make([]string, len(measured))
+	for i, m := range measured {
+		names[i] = string(m)
+	}
+	return fmt.Errorf("-version %q: not a measured version (want one of %s)", v, strings.Join(names, ", "))
 }
 
 // gens lists every table and figure in the order -fig all prints them.

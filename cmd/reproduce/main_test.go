@@ -30,6 +30,57 @@ func TestParseFigs(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExit2 holds every flag no run can honour to exit status 2,
+// refused before the run starts: the CPU profile every row asks for, which
+// the run would open before simulating anything, is never created.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chaos", "-version", "BOGUS"},
+		{"-chaos", "-version", "X-SW"}, // modeled, never measured
+		{"-chaos", "-seeds", "-3"},
+		{"-chaos", "-seeds", "0"},
+		{"-fig", "99"},
+		{"-nodes", "-1"},
+		{"-nodes", "7"},
+		{"-protocol", "nope"},
+		{"-chaos", "-snapshot", "a.snap", "-from-snapshot", "b.snap"},
+		{"-no-such-flag"},
+	} {
+		prof := filepath.Join(t.TempDir(), "cpu.prof")
+		code := func() (code int) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("reproduce %v panicked: %v", args, r)
+					code = -1
+				}
+			}()
+			return run(append(args, "-cpuprofile", prof))
+		}()
+		if code != 2 {
+			t.Errorf("reproduce %v exited %d, want 2", args, code)
+		}
+		if _, err := os.Stat(prof); err == nil {
+			t.Errorf("reproduce %v started the run before refusing it", args)
+		}
+	}
+}
+
+// TestCheckVersionNamesTheMeasured: a refused -version says which
+// versions a campaign can run.
+func TestCheckVersionNamesTheMeasured(t *testing.T) {
+	for _, v := range []string{"BOGUS", "X-SW"} {
+		err := checkVersion(v)
+		if err == nil || !strings.Contains(err.Error(), "INDEP, FE-X-INDEP, COOP") {
+			t.Errorf("checkVersion(%q) = %v, want the measured versions named", v, err)
+		}
+	}
+	for _, v := range press.AllMeasuredVersions() {
+		if err := checkVersion(string(v)); err != nil {
+			t.Errorf("checkVersion(%q) = %v", v, err)
+		}
+	}
+}
+
 // TestReproNamesTheCampaignsVersion: a campaign forked from a snapshot file
 // runs the snapshot's version, not the -version flag's (FME by default), so
 // the repro of a COOP campaign must replay on COOP.

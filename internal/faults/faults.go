@@ -308,7 +308,7 @@ type slot struct {
 type Injector struct {
 	sim    *sim.Sim
 	log    *metrics.Log
-	t      Targets //availlint:skipfield t targets are construction config, identical across forks
+	t      Targets // targets are construction config, identical across forks
 	active map[slot]*Active
 }
 

@@ -65,7 +65,7 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 		wg.Add(1)
 		// Orchestration-only goroutine: each immediately blocks inside
 		// episode on the warm-up or on the engine's worker-pool slot, so
-		// simulator parallelism stays bounded by SetWorkers.
+		// simulator parallelism stays bounded by the engine's cap.
 		go func() { // bounded by the engine worker pool
 			defer wg.Done()
 			eps[i], errs[i] = e.episode(v, o, spec.Type, DefaultComponent(spec.Type), sched, warm)

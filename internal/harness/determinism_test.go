@@ -32,11 +32,11 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestCampaignReplayByteIdentical is the whole-pipeline determinism
-// regression the availlint suite exists to protect: the same campaign,
-// simulated twice (memo bypassed; once serially, once with a 4-way pool
-// active), must serialize to byte-identical output, events and all. A
-// single unordered map range or stray RNG draw anywhere in the pipeline
-// flips this test.
+// regression the determinism conventions (DESIGN §8) protect: the same
+// campaign, simulated twice (memo bypassed; once serially, once with a
+// 4-way pool active), must serialize to byte-identical output, events
+// and all. A single unordered map range or stray RNG draw anywhere in
+// the pipeline flips this test.
 func TestCampaignReplayByteIdentical(t *testing.T) {
 	t.Parallel()
 	serial, pooled := coldCampaign(VCOOP, 1), coldCampaign(VCOOP, 4)
@@ -112,22 +112,6 @@ func TestCampaignMatchesEpisodes(t *testing.T) {
 		if camp.Eps[i].Tpl != ep.Tpl {
 			t.Fatalf("%v: campaign episode differs from direct (memoized) episode", spec.Type)
 		}
-	}
-}
-
-// TestSetWorkers exercises the pool bound accessors.
-func TestSetWorkers(t *testing.T) {
-	eng := NewEngine(0)
-	orig := eng.Workers()
-	if prev := eng.SetWorkers(3); prev != orig {
-		t.Fatalf("SetWorkers returned %d, want previous bound %d", prev, orig)
-	}
-	if eng.Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", eng.Workers())
-	}
-	eng.SetWorkers(0) // clamps to 1
-	if eng.Workers() != 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(0), want 1", eng.Workers())
 	}
 }
 

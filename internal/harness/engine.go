@@ -79,10 +79,10 @@ func (t *memo[V]) reset() {
 // one per Figures, and every other package-level press call one per call.
 // No engine outlives its owner, so nothing is cached across them.
 type Engine struct {
-	// pool is a resizable counting semaphore bounding concurrent
-	// simulator runs. Orchestration code (campaign fan-out, figure
-	// prewarms) never holds a slot; only code that is about to spin a
-	// simulator does, so nesting campaigns inside figures cannot
+	// pool is a counting semaphore bounding concurrent simulator runs at
+	// cap, fixed at construction. Orchestration code (campaign fan-out,
+	// figure prewarms) never holds a slot; only code that is about to spin
+	// a simulator does, so nesting campaigns inside figures cannot
 	// deadlock the pool.
 	poolMu   sync.Mutex
 	poolCond *sync.Cond
@@ -103,27 +103,6 @@ func NewEngine(workers int) *Engine {
 	e := &Engine{cap: workers}
 	e.poolCond = sync.NewCond(&e.poolMu)
 	return e
-}
-
-// SetWorkers bounds the number of concurrently running simulators and
-// returns the previous bound. n < 1 means one (fully serial execution).
-func (e *Engine) SetWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	e.poolMu.Lock()
-	prev := e.cap
-	e.cap = n
-	e.poolCond.Broadcast()
-	e.poolMu.Unlock()
-	return prev
-}
-
-// Workers returns the engine's current worker-pool bound.
-func (e *Engine) Workers() int {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	return e.cap
 }
 
 func (e *Engine) acquireSlot() {

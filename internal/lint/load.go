@@ -1,3 +1,8 @@
+// Package lint loads the module's packages, parsed and type-checked with
+// the standard library's go/ast and go/types, for TestSourceRules: the
+// structural rules over the product source that no behavioural test
+// observes, one row each, every row held to fixtures under testdata/src
+// (DESIGN §14). golang.org/x/tools is not a dependency.
 package lint
 
 import (
@@ -21,7 +26,6 @@ import (
 // Package is one parsed, type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -133,7 +137,6 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles
 	}
 	return &Package{
 		PkgPath: pkgPath,
-		Dir:     dir,
 		Fset:    fset,
 		Files:   files,
 		Types:   tpkg,
@@ -146,9 +149,6 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles
 // Only non-test files are analyzed: the determinism invariants protect
 // production simulation code; tests may use wall-clock timing freely.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err

@@ -13,29 +13,8 @@ import (
 	"regexp"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// module is the module's product packages, loaded once for every test
-// that reads them (TestSelfClean and TestSourceRules).
-var module struct {
-	once sync.Once
-	pkgs []*Package
-	err  error
-}
-
-func modulePackages(t *testing.T) []*Package {
-	t.Helper()
-	module.once.Do(func() { module.pkgs, module.err = Load(".", "press/...") })
-	if module.err != nil {
-		t.Fatal(module.err)
-	}
-	if len(module.pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; expected the whole module", len(module.pkgs))
-	}
-	return module.pkgs
-}
 
 // A sourceRule is a structural property of the product code that no
 // behavioural test observes. It reports each violation it finds; every
@@ -51,7 +30,13 @@ type sourceRule struct {
 // and the server's per-peer and per-document state (TestPeerRecordSize,
 // TestDocCacheIndexFollowsFill).
 func TestSourceRules(t *testing.T) {
-	pkgs := modulePackages(t)
+	pkgs, err := Load(".", "press/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("loaded only %d packages; expected the whole module", len(pkgs))
+	}
 	for _, r := range []sourceRule{
 		{"side-channel", sideChannels},
 		{"hash", hashedLookups},
@@ -60,6 +45,7 @@ func TestSourceRules(t *testing.T) {
 		{"gob", gobImports},
 		{"forbidden-callee", forbiddenCallees},
 		{"go-statement", goStatements},
+		{"snapshot-coverage", snapshotCoverage},
 		{"gofmt", unformatted},
 	} {
 		t.Run(r.name, func(t *testing.T) {
@@ -98,6 +84,16 @@ func TestSimgoroutine(t *testing.T) {
 	runRuleFixture(t, goStatements, cover("simgoroutine/sim"), "press/internal/harness")
 	for _, path := range []string{"press/internal/livenet", "press/cmd/pressd", "press/examples/failover"} {
 		runRuleFixture(t, goStatements, cover("simgoroutine/allowed"), path)
+	}
+}
+
+// TestSnapfields holds the snapshot-coverage row to its fixtures: a flagged
+// package, annotated and type-exempt true negatives, and the regression
+// fixture, which reproduces the PR 6 bug class: a copy of a real snapshot
+// type with a deliberately added unserialized field.
+func TestSnapfields(t *testing.T) {
+	for _, rel := range []string{"snapfields/flagged", "snapfields/skipfield", "snapfields/wiring", "snapfields/regression"} {
+		runRuleFixture(t, snapshotCoverage, cover(rel), rel)
 	}
 }
 
@@ -443,4 +439,17 @@ func isNamed(t types.Type, rel, name string) bool {
 
 func at(p *Package, n ast.Node, format string, args ...any) string {
 	return fmt.Sprintf("%s: %s", p.Fset.Position(n.Pos()), fmt.Sprintf(format, args...))
+}
+
+// calleeFunc resolves a call's callee (a function or a method), or nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }

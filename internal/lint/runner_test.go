@@ -11,27 +11,10 @@ import (
 )
 
 // This file is an analysistest-style golden runner: fixtures under
-// testdata/src/<analyzer or banned class>/<pkg> carry `// want "regexp"` comments on the
-// lines where a diagnostic is expected, and the runner asserts an exact
-// match between expected and reported diagnostics — unexpected findings
-// and unmatched expectations both fail.
-
-// runFixture loads testdata/src/<rel> as package path <rel> and runs the
-// analyzer over it, asserting the diagnostics match the want comments.
-func runFixture(t *testing.T, a *Analyzer, rel string) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", rel)
-	pkg, err := LoadFixture(".", dir, rel)
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-	got := map[fixtureLine][]string{}
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{a}) {
-		k := fixtureLine{d.Pos.Filename, d.Pos.Line}
-		got[k] = append(got[k], d.Message)
-	}
-	matchWants(t, dir, got)
-}
+// testdata/src/<rule or banned class>/<pkg> carry `// want "regexp"`
+// comments on the lines where a finding is expected, and the runner
+// asserts an exact match between expected and reported findings —
+// unexpected findings and unmatched expectations both fail.
 
 // runRuleFixture loads testdata/src/<rel> as package path pkgPath and
 // runs a TestSourceRules check over it, asserting its findings match the
@@ -159,7 +142,7 @@ func wantComments(t *testing.T, path string) map[int][]string {
 
 // TestFixtureTreeCovered keeps the fixture tree and the test functions in
 // sync: every directory under testdata/src must be exercised by some
-// runFixture call (tracked via coveredFixtures).
+// runRuleFixture call (tracked via coveredFixtures).
 var coveredFixtures = map[string]bool{}
 
 func cover(rel string) string {
@@ -168,7 +151,9 @@ func cover(rel string) string {
 }
 
 func TestZZFixtureTreeCovered(t *testing.T) {
-	// Runs last (alphabetical order within the package's sequential tests).
+	// Runs after every fixture test: a package's tests run in the order of
+	// their files' names, then of their declarations, and the fixture
+	// tests are in rules_test.go.
 	root := filepath.Join("testdata", "src")
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {

@@ -233,7 +233,7 @@ func (m *Machine) emit(kind metrics.KindID, detail string) {
 
 // Proc is one process on a machine: a serial event loop with a mailbox.
 type Proc struct {
-	m           *Machine //availlint:skipfield m owner backlink, set by AddProc on the rebuilt machine
+	m           *Machine // owner backlink, set by AddProc on the rebuilt machine
 	name        string
 	start       func(env *Env) // component entry closure, re-supplied by AddProc during the rebuild
 	incarnation uint64
@@ -695,8 +695,8 @@ type Env struct {
 	p           *Proc
 	inc         uint64
 	rand        *rand.Rand
-	dgramPorts  []string //availlint:skipfield dgramPorts repopulated as restored components re-bind their ports
-	listenPorts []string //availlint:skipfield listenPorts repopulated as restored components re-listen
+	dgramPorts  []string // repopulated as restored components re-bind their ports
+	listenPorts []string // repopulated as restored components re-listen
 
 	// dgramH keeps the component handler of dgramPorts[i]: a datagram
 	// entry names its handler by that index.

@@ -45,8 +45,8 @@ type Server struct {
 	// membership tests and peer lookups run on every routed request, and
 	// at 256 nodes the map hashing alone dominated the routing cost.
 	view     []bool        // view[n] ⇔ n is in the cooperation set (self included)
-	sorted   []cnet.NodeID //availlint:skipfield sorted cached sorted view, rebuilt on demand from view
-	sortedOK bool          //availlint:skipfield sortedOK validity of the sorted cache, recomputed on demand
+	sorted   []cnet.NodeID // cached sorted view, rebuilt on demand from view
+	sortedOK bool          // validity of the sorted cache, recomputed on demand
 	peers    []peer        // nil until the first record, then never moved; made: plumbing towards that node exists
 	joined   bool
 

@@ -53,7 +53,7 @@ type Disk struct {
 	// health checks keep passing.
 	degraded float64
 	reads    uint64
-	arr      *Array //availlint:skipfield arr owner backlink, set at construction
+	arr      *Array // owner backlink, set at construction
 }
 
 // Faulty reports the fault state.

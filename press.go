@@ -203,13 +203,6 @@ func (c *Cluster) Options() Options { return c.o }
 // grouping, protocol suite, front-end presence.
 func (c *Cluster) Topology() Topology { return harness.NewTopology(c.v, c.o) }
 
-// Workers returns the handle engine's concurrency bound.
-func (c *Cluster) Workers() int { return c.eng.Workers() }
-
-// SetWorkers rebounds the handle engine's concurrency and returns the
-// previous bound. Results never depend on it; wall-clock does.
-func (c *Cluster) SetWorkers(n int) int { return c.eng.SetWorkers(n) }
-
 // ResetCaches drops the handle's memoized episodes, campaigns and
 // saturation probes. Results are deterministic, so this only matters for
 // measuring real simulation work (benchmarks).
@@ -291,7 +284,7 @@ func ResetGlobalCaches() {}
 // package-level entry points build (figures, chaos campaigns, stochastic
 // runs) runs at once, and returns the previous bound. n < 1 means one. It
 // stays because cmd/pressbench calls it; Cluster handles carry their own
-// bound — use WithWorkers / Cluster.SetWorkers for those.
+// bound, set once by WithWorkers.
 func SetGlobalWorkers(n int) int {
 	prev := int(globalWorkers.Swap(int64(max(n, 1))))
 	if prev == 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestClusterHandleOptions checks that the functional options reach the
-// handle and that its engine bound is instance-scoped.
+// handle.
 func TestClusterHandleOptions(t *testing.T) {
 	c := press.New(press.WithVersion(press.FME), press.WithSeed(7), press.WithWorkers(3))
 	if got := c.Version(); got != press.FME {
@@ -15,28 +15,6 @@ func TestClusterHandleOptions(t *testing.T) {
 	}
 	if got := c.Options().Seed; got != 7 {
 		t.Fatalf("Options().Seed = %d, want 7", got)
-	}
-	if got := c.Workers(); got != 3 {
-		t.Fatalf("Workers() = %d, want 3", got)
-	}
-	if prev := c.SetWorkers(1); prev != 3 {
-		t.Fatalf("SetWorkers(1) returned %d, want previous bound 3", prev)
-	}
-	if got := c.Workers(); got != 1 {
-		t.Fatalf("Workers() after SetWorkers(1) = %d, want 1", got)
-	}
-}
-
-// TestClusterWorkersIndependent checks two handles do not share their
-// concurrency bound.
-func TestClusterWorkersIndependent(t *testing.T) {
-	a := press.New(press.WithWorkers(2))
-	b := press.New(press.WithWorkers(5))
-	if a.Workers() != 2 || b.Workers() != 5 {
-		t.Fatalf("handle bounds leaked: a=%d b=%d", a.Workers(), b.Workers())
-	}
-	if a.SetWorkers(6) != 2 || b.Workers() != 5 {
-		t.Fatalf("SetWorkers crossed handles: a=%d b=%d", a.Workers(), b.Workers())
 	}
 }
 
