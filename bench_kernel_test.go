@@ -1,5 +1,5 @@
 // Kernel-facing benchmarks: one fault-injection episode and one chaos
-// campaign, memoization defeated, so ns/op and allocs/op track the real
+// campaign, neither memoized, so ns/op and allocs/op track the real
 // cost of simulating. BenchmarkKernel (internal/sim) covers the raw event
 // loop; cmd/pressbench is where performance numbers are taken.
 //
@@ -14,7 +14,7 @@ import (
 
 // BenchmarkEpisode measures one COOP app-crash episode end to end —
 // build, warmup, inject, repair, template extraction — on a private
-// Cluster handle with its cache defeated each iteration. The
+// Cluster handle, which simulates every episode it is asked for. The
 // 90%-of-saturation load probe is resolved once outside the loop so
 // iterations time episode simulation only.
 func BenchmarkEpisode(b *testing.B) {
@@ -25,7 +25,6 @@ func BenchmarkEpisode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ResetCaches()
 		if _, err := c.RunEpisode(press.AppCrash, 0, sched); err != nil {
 			b.Fatal(err)
 		}

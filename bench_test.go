@@ -233,12 +233,12 @@ func BenchmarkAblationFMEvsPrecedence(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine measures a cold COOP campaign (memos dropped every
-// iteration, so every episode really re-simulates) with the experiment
-// engine's worker pool bounded at 1 (serial) vs GOMAXPROCS (pooled). On
-// an N-core machine the pooled ns/op approaches the longest episode
-// chain instead of the serial sum — ≥2x on 4 cores; the results are
-// bit-identical in both modes (see the harness determinism test).
+// BenchmarkEngine measures a cold COOP campaign (a fresh handle every
+// iteration, so the probe and every episode really re-simulate) with the
+// experiment engine's worker pool bounded at 1 (serial) vs GOMAXPROCS
+// (pooled). On an N-core machine the pooled ns/op approaches the longest
+// episode chain instead of the serial sum — ≥2x on 4 cores; the results
+// are bit-identical in both modes (see the harness determinism test).
 func BenchmarkEngine(b *testing.B) {
 	for _, bm := range []struct {
 		name    string
@@ -249,10 +249,9 @@ func BenchmarkEngine(b *testing.B) {
 	} {
 		bm := bm
 		b.Run(fmt.Sprintf("%s-%d", bm.name, bm.workers), func(b *testing.B) {
-			c := press.New(press.WithVersion(press.COOP),
-				press.WithOptions(press.FastOptions(benchSeed)), press.WithWorkers(bm.workers))
 			for i := 0; i < b.N; i++ {
-				c.ResetCaches()
+				c := press.New(press.WithVersion(press.COOP),
+					press.WithOptions(press.FastOptions(benchSeed)), press.WithWorkers(bm.workers))
 				if _, err := c.RunCampaign(press.FastSchedule()); err != nil {
 					b.Fatal(err)
 				}

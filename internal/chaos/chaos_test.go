@@ -238,7 +238,7 @@ func TestRunSkipsInapplicable(t *testing.T) {
 
 // TestMemoHygiene is the cache-poisoning regression: a chaos run caches
 // nothing on the engine it runs on, so it can never create or disturb a
-// harness episode, campaign or saturation memo entry.
+// harness campaign or saturation memo entry.
 func TestMemoHygiene(t *testing.T) {
 	sched := Schedule{
 		{At: 5 * time.Second, Fault: faults.AppCrash, Component: 1, Duration: 20 * time.Second},
@@ -247,8 +247,8 @@ func TestMemoHygiene(t *testing.T) {
 	if _, err := Run(eng, harness.VMQ, fastOpts(3), sched, fastRun()); err != nil {
 		t.Fatal(err)
 	}
-	if ep, camp, sat := eng.MemoStats(); ep+camp+sat != 0 {
-		t.Fatalf("chaos run touched harness memos: %d episodes, %d campaigns, %d saturations", ep, camp, sat)
+	if camp, sat := eng.MemoStats(); camp+sat != 0 {
+		t.Fatalf("chaos run touched harness memos: %d campaigns, %d saturations", camp, sat)
 	}
 }
 

@@ -42,15 +42,15 @@ type StandbyConfig struct {
 	Self     cnet.NodeID
 	Primary  cnet.NodeID
 	HBPeriod time.Duration // default 1s — pair heartbeats are cheap
-	HBMiss   int           // default 3
 }
+
+// standbyMiss is how many consecutive pair heartbeats the primary may miss
+// before the standby takes its address over.
+const standbyMiss = 3
 
 func (c StandbyConfig) withDefaults() StandbyConfig {
 	if c.HBPeriod <= 0 {
 		c.HBPeriod = time.Second
-	}
-	if c.HBMiss <= 0 {
-		c.HBMiss = 3
 	}
 	return c
 }
@@ -98,7 +98,7 @@ func (s *Standby) tick() {
 	}
 	if s.awaiting {
 		s.misses++
-		if s.misses >= s.cfg.HBMiss {
+		if s.misses >= standbyMiss {
 			s.active = true
 			s.env.Events().EmitInt(s.env.Clock().Now(), srcStandby, metrics.KDetect,
 				int(s.cfg.Primary), "primary missed %d heartbeats", int64(s.misses))

@@ -59,7 +59,7 @@ func TestStandbyTakesOverOnPrimaryCrash(t *testing.T) {
 	if !ok {
 		t.Fatal("no takeover event")
 	}
-	// Detection within ~HBMiss+1 heartbeats.
+	// Detection within ~standbyMiss+1 heartbeats.
 	if ev.At-crashAt > 6*time.Second {
 		t.Fatalf("takeover took %v", ev.At-crashAt)
 	}
@@ -75,7 +75,7 @@ func TestStandbySurvivesTransientMisses(t *testing.T) {
 	s, _, _, primary, backup := standbyWorld(t)
 	ctl := &fakeTakeover{}
 	backup.AddProc("standby", func(env *machine.Env) {
-		frontend.NewStandby(frontend.StandbyConfig{Self: 91, Primary: 90, HBPeriod: time.Second, HBMiss: 3}, env, ctl)
+		frontend.NewStandby(frontend.StandbyConfig{Self: 91, Primary: 90, HBPeriod: time.Second}, env, ctl)
 	})
 	s.RunFor(5 * time.Second)
 	// A freeze shorter than the miss budget must not flip the VIP.

@@ -28,14 +28,12 @@ func (r CampaignResult) Model(env avail.Env) (avail.Result, error) {
 }
 
 // Campaign runs one injection episode per applicable Table 1 fault class
-// and assembles the fault loads for the phase-2 model. The episodes run
-// concurrently on the engine's worker pool; each is independently
-// memoized, so a campaign and a figure that share a (version, fault)
-// episode simulate it once, and the warm-up they all begin with is
-// simulated once for the campaign (see warm). The campaign itself is also
-// memoized with singleflight semantics: the simulator is deterministic, so
-// a campaign is a pure function of its parameters, and concurrent requests
-// for the same campaign share one assembly.
+// and assembles the fault loads for the phase-2 model. The campaign warms
+// one world, captures it, and runs every episode on a fork of that
+// capture, concurrently on the engine's worker pool (see warm). The
+// campaign is memoized with singleflight semantics: the simulator is
+// deterministic, so a campaign is a pure function of its parameters, and
+// concurrent requests for the same campaign share one assembly.
 func (e *Engine) Campaign(v Version, o Options, sched EpisodeSchedule) (CampaignResult, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
@@ -43,32 +41,40 @@ func (e *Engine) Campaign(v Version, o Options, sched EpisodeSchedule) (Campaign
 	return e.campaigns.do(key, func() (CampaignResult, error) { return e.runCampaign(v, o, sched) })
 }
 
-// runCampaign fans the campaign's episodes out on the worker pool and
-// assembles the result in Table 1 order (so the output is independent of
-// completion order).
+// runCampaign takes the campaign's one warm capture, fans its episodes out
+// on the worker pool, each on a fork of the capture, and assembles the
+// result in Table 1 order (so the output is independent of completion
+// order).
 func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (CampaignResult, error) {
 	res := CampaignResult{Version: v, Opts: o}
-	// Resolve the shared 90%-of-saturation load once, up front: otherwise
-	// every episode's Build races to the same (memoized) probe and the
-	// losers idle in the pool while the winner measures.
+	specs := faults.Table1(serverCount(v, o), 2, versionTraits(v).fe)
+	// Resolve the 90%-of-saturation load before warm builds its world, so
+	// the probe's world is garbage before the campaign's exists.
 	if o.Rate <= 0 {
 		e.Saturation(v, o)
 	}
-	specs := faults.Table1(serverCount(v, o), 2, versionTraits(v).fe)
-	// Warmed by the first episode that is not already memoized, dropped
-	// when the campaign returns.
-	warm := sync.OnceValues(func() (*Snap, error) { return e.warm(v, o, sched) })
+	w, err := e.warm(v, o, sched)
+	if err != nil {
+		return res, err
+	}
 	eps := make([]Episode, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
-		// Orchestration-only goroutine: each immediately blocks inside
-		// episode on the warm-up or on the engine's worker-pool slot, so
-		// simulator parallelism stays bounded by the engine's cap.
+		// Orchestration-only goroutine: each immediately blocks on the
+		// engine's worker-pool slot, so simulator parallelism stays
+		// bounded by the engine's cap.
 		go func() { // bounded by the engine worker pool
 			defer wg.Done()
-			eps[i], errs[i] = e.episode(v, o, spec.Type, DefaultComponent(spec.Type), sched, warm)
+			e.acquireSlot()
+			defer e.releaseSlot()
+			c, err := w.Restore(nil)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			eps[i], errs[i] = episodeFrom(c, spec.Type, DefaultComponent(spec.Type), sched)
 		}()
 	}
 	wg.Wait()

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"press/internal/faults"
@@ -8,9 +10,10 @@ import (
 
 // TestParallelDeterminism is the engine's core regression test: the same
 // episode set, run serially and through a 4-worker pool, must produce
-// bit-identical templates, markers and throughput numbers. Both passes
-// bypass the memo, so every episode really is simulated twice (the two
-// runs are shared with the other tests that need an all-cold campaign).
+// bit-identical templates, markers and throughput numbers. Neither pass
+// goes through a campaign, so every episode really is simulated twice (the
+// two runs are shared with the other tests that need an all-cold
+// campaign).
 func TestParallelDeterminism(t *testing.T) {
 	t.Parallel()
 	serial, pooled := coldCampaign(VCOOP, 1), coldCampaign(VCOOP, 4)
@@ -33,10 +36,10 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestCampaignReplayByteIdentical is the whole-pipeline determinism
 // regression the determinism conventions (DESIGN §8) protect: the same
-// campaign, simulated twice (memo bypassed; once serially, once with a
-// 4-way pool active), must serialize to byte-identical output, events
-// and all. A single unordered map range or stray RNG draw anywhere in
-// the pipeline flips this test.
+// campaign, simulated twice with every episode warming a world of its own
+// (once serially, once on a 4-worker engine), must serialize to
+// byte-identical output, events and all. A single unordered map range or
+// stray RNG draw anywhere in the pipeline flips this test.
 func TestCampaignReplayByteIdentical(t *testing.T) {
 	t.Parallel()
 	serial, pooled := coldCampaign(VCOOP, 1), coldCampaign(VCOOP, 4)
@@ -49,83 +52,15 @@ func TestCampaignReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEpisodeMemoSingleflight fires concurrent requests for one episode:
-// all callers must receive the same underlying run (shared Series
-// pointer), i.e. the episode simulated once, not five times.
-func TestEpisodeMemoSingleflight(t *testing.T) {
-	o := FastOptions(1)
-	sched := FastSchedule()
-	const callers = 5
-	eng := NewEngine(0)
-	eps := make([]Episode, callers)
-	errs := make([]error, callers)
-	done := make(chan int, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		go func() {
-			eps[i], errs[i] = eng.RunEpisode(VCOOP, o, faults.NodeCrash, 1, sched)
-			done <- i
-		}()
-	}
-	for i := 0; i < callers; i++ {
-		<-done
-	}
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if eps[i].Series != eps[0].Series {
-			t.Fatalf("caller %d got a distinct simulation (Series pointers differ): memo did not singleflight", i)
-		}
-		if eps[i].Tpl != eps[0].Tpl {
-			t.Fatalf("caller %d got a different template", i)
-		}
-	}
-}
-
-// TestCampaignMatchesEpisodes: a campaign assembled on the pool must be
-// exactly the per-spec episodes in Table 1 order.
-func TestCampaignMatchesEpisodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign")
-	}
-	t.Parallel()
-	o := FastOptions(1)
-	sched := FastSchedule()
-	eng := sharedEngine(VCOOP)
-	camp, err := eng.Campaign(VCOOP, o, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := faults.Table1(serverCount(VCOOP, o.withDefaults()), 2, versionTraits(VCOOP).fe)
-	if len(camp.Eps) != len(specs) {
-		t.Fatalf("campaign has %d episodes, want %d", len(camp.Eps), len(specs))
-	}
-	for i, spec := range specs {
-		if camp.Loads[i].Spec.Type != spec.Type {
-			t.Fatalf("load %d is %v, want %v (order not preserved)", i, camp.Loads[i].Spec.Type, spec.Type)
-		}
-		ep, err := eng.RunEpisode(VCOOP, o, spec.Type, DefaultComponent(spec.Type), sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if camp.Eps[i].Tpl != ep.Tpl {
-			t.Fatalf("%v: campaign episode differs from direct (memoized) episode", spec.Type)
-		}
-	}
-}
-
 // BenchmarkCampaignEpisodes compares serial and pooled execution of the
-// COOP episode set, bypassing the memo, so b.N>1 genuinely re-simulates.
-// On a multi-core machine the pooled variant's wall-clock is the longest
-// episode chain instead of the sum (≥2x at 4 cores); ns/op is the number
-// to compare.
+// COOP episode set, each episode warming a world of its own. Episodes are
+// never memoized, so b.N>1 genuinely re-simulates. On a multi-core machine
+// the pooled variant's wall-clock is the longest episode chain instead of
+// the sum (≥2x at 4 cores); ns/op is the number to compare.
 func BenchmarkCampaignEpisodes(b *testing.B) {
 	o := FastOptions(1)
 	sched := FastSchedule()
 	specs := faults.Table1(serverCount(VCOOP, o.withDefaults()), 2, versionTraits(VCOOP).fe)
-	eng := NewEngine(0)
-	eng.Saturation(VCOOP, o)
 	for _, bm := range []struct {
 		name    string
 		workers int
@@ -134,11 +69,31 @@ func BenchmarkCampaignEpisodes(b *testing.B) {
 		{"pooled", 4},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
+			eng := NewEngine(bm.workers)
+			eng.Saturation(VCOOP, o)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.episodesUncached(VCOOP, o, specs, sched, bm.workers); err != nil {
+				if _, err := runEpisodes(eng, VCOOP, o, specs, sched); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// runEpisodes runs one episode per spec, each through eng.RunEpisode, all
+// at once: the engine's pool bounds how many simulate together.
+func runEpisodes(eng *Engine, v Version, o Options, specs []faults.Spec, sched EpisodeSchedule) ([]Episode, error) {
+	eps := make([]Episode, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eps[i], errs[i] = eng.RunEpisode(v, o, spec.Type, DefaultComponent(spec.Type), sched)
+		}()
+	}
+	wg.Wait()
+	return eps, errors.Join(errs...)
 }

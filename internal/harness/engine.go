@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -9,18 +8,20 @@ import (
 )
 
 // This file is the parallel experiment engine: a worker pool that bounds
-// how many simulator instances run at once, plus episode-granularity
-// memoization with singleflight semantics.
+// how many simulator instances run at once, plus singleflight memoization
+// of what figures share, campaigns and saturation probes.
 //
 // Every episode is a pure function of (version, options, fault,
 // component, schedule): each runs on its own sim.Sim with its own derived
 // random streams, so executing episodes concurrently cannot perturb their
-// results — the same key yields a bit-identical template whether the
-// episode runs serially, on the pool, or is replayed from the memo.
-// Singleflight matters because figures, tables, benches and tests share
-// episodes: when two campaigns race to the same (version, fault) episode,
-// one simulates and the rest wait for its result instead of duplicating
-// minutes of simulated time.
+// results — the same parameters yield a bit-identical template whether the
+// episode runs serially, on the pool, or on a fork of a campaign's warm
+// capture. Episodes are not memoized: a campaign runs each of its faults
+// once, and the figures that print an episode read it out of the
+// campaign. Singleflight matters because figures share campaigns and
+// probes: when two figures race to the same campaign, one simulates and
+// the rest wait for its result instead of duplicating minutes of
+// simulated time.
 
 // memo is a singleflight table: the first caller of a key computes and
 // closes done; everyone else blocks on done and shares the value and the
@@ -63,14 +64,6 @@ func (t *memo[V]) len() int {
 	return len(t.m)
 }
 
-// reset drops every entry. In-flight computations finish against the old
-// entries; only callers arriving afterwards recompute.
-func (t *memo[V]) reset() {
-	t.mu.Lock()
-	t.m = nil
-	t.mu.Unlock()
-}
-
 // Engine owns one worker pool and one set of memo tables, and is the only
 // thing that does: independent engines share nothing, so two experiments
 // built on separate engines run with different concurrency bounds and
@@ -89,8 +82,7 @@ type Engine struct {
 	cap      int
 	held     int
 
-	episodes    memo[Episode] // shared Series/Log pointers are immutable once the run completes
-	campaigns   memo[CampaignResult]
+	campaigns   memo[CampaignResult] // shared Series/Log pointers are immutable once the run completes
 	saturations memo[float64]
 }
 
@@ -121,19 +113,10 @@ func (e *Engine) releaseSlot() {
 	e.poolMu.Unlock()
 }
 
-// MemoStats returns how many episodes, campaigns and saturation probes
-// are currently memoized.
-func (e *Engine) MemoStats() (episodes, campaigns, saturations int) {
-	return e.episodes.len(), e.campaigns.len(), e.saturations.len()
-}
-
-// ResetMemos drops every cached result: episodes, campaigns and
-// saturation probes. Benchmarks use this to measure real simulation work
-// instead of memo hits.
-func (e *Engine) ResetMemos() {
-	e.episodes.reset()
-	e.campaigns.reset()
-	e.saturations.reset()
+// MemoStats returns how many campaigns and saturation probes are
+// currently memoized.
+func (e *Engine) MemoStats() (campaigns, saturations int) {
+	return e.campaigns.len(), e.saturations.len()
 }
 
 // WithSlot runs fn while holding one worker-pool slot: a simulation the
@@ -146,74 +129,21 @@ func (e *Engine) WithSlot(fn func()) {
 	fn()
 }
 
-// RunEpisode returns the episode for the parameters, computing it on the
-// engine's worker pool exactly once per engine. Options and
-// EpisodeSchedule are flat value structs, so %+v is a faithful key.
+// RunEpisode measures one episode on a world of its own, warmed in place
+// on one of the engine's pool slots. Nothing is memoized: every call
+// simulates. A campaign does not come through here: its episodes all begin
+// with the same warm-up, so it simulates that once and forks each
+// episode's world from the capture (campaign.go).
 func (e *Engine) RunEpisode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
-	return e.episode(v, o, f, comp, sched, nil)
-}
-
-// episode is RunEpisode with the world's origin open: warm, when non-nil,
-// is a campaign's shared warm-up, and the episode runs on a fork of it
-// instead of warming a world of its own. Both origins give the same
-// bytes, so they share one memo key. warm is asked before the episode
-// takes its pool slot, because the first caller simulates the warm-up on
-// a slot of its own and a 1-slot pool has no second one.
-func (e *Engine) episode(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule, warm func() (*Snap, error)) (Episode, error) {
 	o = o.withDefaults()
 	sched = sched.withDefaults()
-	key := fmt.Sprintf("%s|%+v|%v|%d|%+v", v, o, f, comp, sched)
-	return e.episodes.do(key, func() (Episode, error) {
-		var w *Snap
-		if warm != nil {
-			var err error
-			if w, err = warm(); err != nil {
-				return Episode{Version: v, Fault: f, Component: comp}, err
-			}
-		}
-		e.acquireSlot()
-		defer e.releaseSlot()
-		if w == nil {
-			return e.runEpisodeUncached(v, o, f, comp, sched)
-		}
-		c, err := w.Restore(nil)
-		if err != nil {
-			return Episode{Version: v, Fault: f, Component: comp}, err
-		}
-		return episodeFrom(c, f, comp, sched)
-	})
-}
-
-// episodesUncached reruns the given fault specs' episodes without
-// consulting or filling the episode memo, on up to `workers` concurrent
-// simulators (independent of the engine's pool; the engine only resolves
-// the offered load). It exists for the determinism regression test and
-// the serial-vs-pooled benchmark; real callers go through
-// RunEpisode/Campaign.
-func (e *Engine) episodesUncached(v Version, o Options, specs []faults.Spec, sched EpisodeSchedule, workers int) ([]Episode, error) {
-	if workers < 1 {
-		workers = 1
+	e.acquireSlot()
+	defer e.releaseSlot()
+	c := e.Build(v, o)
+	if c.Injector.Applicable(f) { // episodeFrom refuses the others, and needs no warm world to do it
+		c.warmUp(sched)
 	}
-	eps := make([]Episode, len(specs))
-	errs := make([]error, len(specs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func() { // bounded by the local sem; this IS the benchmark pool
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			eps[i], errs[i] = e.runEpisodeUncached(v, o, spec.Type, DefaultComponent(spec.Type), sched)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return eps, err
-		}
-	}
-	return eps, nil
+	return episodeFrom(c, f, comp, sched)
 }
 
 // campaignJob names one (version, options) campaign for prewarming.

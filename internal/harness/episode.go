@@ -83,22 +83,6 @@ func faultNode(f faults.Type, comp int) int {
 	}
 }
 
-// runEpisodeUncached is one episode measured on a world of its own, warmed
-// in place; Engine.RunEpisode wraps it with the memo and the pool. It
-// builds a private sim.Sim, so concurrent invocations cannot interact; the
-// engine only resolves the offered load. A campaign does not come through
-// here: its episodes all begin with the same warm-up, so it simulates that
-// once and forks each episode's world from the capture (campaign.go).
-func (e *Engine) runEpisodeUncached(v Version, o Options, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
-	o = o.withDefaults()
-	sched = sched.withDefaults()
-	c := e.Build(v, o)
-	if c.Injector.Applicable(f) { // episodeFrom refuses the others, and needs no warm world to do it
-		c.warmUp(sched)
-	}
-	return episodeFrom(c, f, comp, sched)
-}
-
 // warmUp starts the load and runs the world to an episode's injection
 // point: phase 1's "warm the service to peak" (§5), the same for every
 // fault of a campaign.
@@ -108,10 +92,10 @@ func (c *Cluster) warmUp(sched EpisodeSchedule) {
 }
 
 // episodeFrom is the measurement proper, on a world standing at the
-// injection point (warmed in place, or forked from a campaign's warm
-// capture): inject, repair, observe, reset if the service did not
-// reintegrate by itself, and fit the 7-stage template. sched has its
-// defaults applied.
+// injection point (warmed in place by RunEpisode, or forked from a
+// campaign's warm capture): inject, repair, observe, reset if the service
+// did not reintegrate by itself, and fit the 7-stage template. sched has
+// its defaults applied.
 func episodeFrom(c *Cluster, f faults.Type, comp int, sched EpisodeSchedule) (Episode, error) {
 	v := c.Version
 	ep := Episode{Version: v, Fault: f, Component: comp, Offered: c.Offered(), Log: c.Log}

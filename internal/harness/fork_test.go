@@ -72,10 +72,10 @@ func coldCampaign(v Version, workers int) *coldRun {
 func simulateCold(v Version, o Options, sched EpisodeSchedule, workers int) *coldRun {
 	r := &coldRun{o: o.withDefaults(), sched: sched.withDefaults()}
 	r.specs = faults.Table1(serverCount(v, r.o), 2, versionTraits(v).fe)
-	eng := sharedEngine(v)
 	if workers > 1 {
-		r.eps, r.err = eng.episodesUncached(v, r.o, r.specs, r.sched, workers)
+		r.eps, r.err = runEpisodes(NewEngine(workers), v, r.o, r.specs, r.sched)
 	} else {
+		eng := sharedEngine(v)
 		for _, spec := range r.specs {
 			c := eng.Build(v, r.o)
 			c.warmUp(r.sched)

@@ -528,7 +528,6 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			RingDetector:    t.ring,
 			Sharded:         scalable && t.cooperative,
 			HeartbeatPeriod: o.HeartbeatPeriod,
-			HeartbeatMiss:   3,
 			CacheBytes:      o.CacheBytes,
 			Catalog:         cat,
 		}

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestMemo pins the singleflight contract every engine table shares
-// (episodes, campaigns and saturation probes are all instances of memo).
+// TestMemo pins the singleflight contract both engine tables share
+// (campaigns and saturation probes are both instances of memo).
 func TestMemo(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
@@ -55,27 +55,4 @@ func TestMemo(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("reset during an in-flight compute", func(t *testing.T) {
-		var m memo[string]
-		started, release := make(chan struct{}), make(chan struct{})
-		inflight := make(chan string)
-		go func() {
-			v, _ := m.do("k", func() (string, error) { close(started); <-release; return "old", nil })
-			inflight <- v
-		}()
-		<-started
-		m.reset()
-		// The flight is still open: a caller served from it would block here.
-		if v, _ := m.do("k", func() (string, error) { return "new", nil }); v != "new" {
-			t.Fatalf("caller after reset got %q, want a recompute", v)
-		}
-		close(release)
-		if v := <-inflight; v != "old" {
-			t.Fatalf("in-flight caller got %q, want the value it was computing", v)
-		}
-		if v, _ := m.do("k", func() (string, error) { return "again", nil }); v != "new" || m.len() != 1 {
-			t.Fatalf("after the old flight landed the table serves %q (%d entries), want the post-reset entry", v, m.len())
-		}
-	})
 }

@@ -346,7 +346,7 @@ func forbiddenCallees(pkgs []*Package) (out []string) {
 // semaphore. Inside the simulated world concurrency is the event queue;
 // any other goroutine races it.
 var pools = map[string][]string{
-	"press/internal/harness": {"episodesUncached", "prewarmJobs", "runCampaign"},
+	"press/internal/harness": {"prewarmJobs", "runCampaign"},
 	"press/internal/chaos":   {"runSeeds"},
 }
 

@@ -87,7 +87,6 @@ type Config struct {
 	// their subsystems instead.
 	RingDetector    bool
 	HeartbeatPeriod time.Duration // default 5s
-	HeartbeatMiss   int           // consecutive losses ⇒ peer down (default 3)
 
 	// JoinTimeout bounds the rejoin broadcast wait; if no member answers,
 	// the node assumes a cold start and adopts the static view.
@@ -123,9 +122,6 @@ func (c Config) acceptBacklog() int { return 4 * c.MaxConcurrent }
 func (c Config) withDefaults() Config {
 	if c.HeartbeatPeriod <= 0 {
 		c.HeartbeatPeriod = 5 * time.Second
-	}
-	if c.HeartbeatMiss <= 0 {
-		c.HeartbeatMiss = 3
 	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 2 * time.Second

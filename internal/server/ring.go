@@ -7,6 +7,13 @@ import (
 	"press/internal/cnet"
 )
 
+// heartbeatMiss is how many consecutive heartbeats a predecessor may miss
+// before it is declared dead; ringMissDetail is the detection's reason.
+const (
+	heartbeatMiss  = 3
+	ringMissDetail = "ring: 3 heartbeats missed"
+)
+
 // ringDetector is PRESS's built-in fault detector (§3): cluster nodes
 // form a directed ring ordered by node ID; each node heartbeats only the
 // node it points to (its successor) and watches for heartbeats from its
@@ -50,10 +57,10 @@ func (r *ringDetector) tick() {
 		s.env.Send(r.succ, cnet.ClassIntra, PortHB, hb, sizeHB)
 	}
 	if r.pred != cnet.None {
-		deadline := time.Duration(s.cfg.HeartbeatMiss) * s.cfg.HeartbeatPeriod
+		deadline := heartbeatMiss * s.cfg.HeartbeatPeriod
 		if s.env.Clock().Now()-r.lastHB > deadline {
 			dead := r.pred
-			s.emitDetect(int(dead), s.ringMissDetail)
+			s.emitDetect(int(dead), ringMissDetail)
 			// Tell the rest of the ring before reconfiguring locally.
 			for _, n := range s.sortedView() {
 				if n != s.cfg.Self && n != dead {

@@ -27,15 +27,12 @@ type Stats struct {
 
 // Server is one PRESS process.
 type Server struct {
-	cfg Config
-	env cnet.Env
-	src metrics.SourceID // interned "press/<self>" tag
-	// ringMissDetail is the ring detector's constant detect reason,
-	// formatted once here instead of per detection.
-	ringMissDetail string
-	disk           DiskArray
-	memb           MembershipView
-	qm             queueMonitor // nil without queue monitoring
+	cfg  Config
+	env  cnet.Env
+	src  metrics.SourceID // interned "press/<self>" tag
+	disk DiskArray
+	memb MembershipView
+	qm   queueMonitor // nil without queue monitoring
 
 	cache *docCache
 	dir   *directory
@@ -130,14 +127,13 @@ func New(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *Server 
 func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:            cfg,
-		env:            env,
-		src:            metrics.InternSource(fmt.Sprintf("press/%d", cfg.Self)),
-		ringMissDetail: fmt.Sprintf("ring: %d heartbeats missed", cfg.HeartbeatMiss),
-		disk:           disk,
-		memb:           memb,
-		cache:          newDocCache(cfg.Catalog.DocsFitting(cfg.CacheBytes)),
-		dir:            newDirectory(cfg.Nodes, cfg.Catalog.Docs),
+		cfg:   cfg,
+		env:   env,
+		src:   metrics.InternSource(fmt.Sprintf("press/%d", cfg.Self)),
+		disk:  disk,
+		memb:  memb,
+		cache: newDocCache(cfg.Catalog.DocsFitting(cfg.CacheBytes)),
+		dir:   newDirectory(cfg.Nodes, cfg.Catalog.Docs),
 	}
 	s.sizeNodeTables()
 	if cfg.Sharded {

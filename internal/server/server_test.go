@@ -73,7 +73,6 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 			Sharded:         o.sharded,
 			RingDetector:    o.ring,
 			HeartbeatPeriod: o.hbPeriod,
-			HeartbeatMiss:   3,
 			JoinTimeout:     500 * time.Millisecond,
 			CacheBytes:      500 * 27 * 1024,
 			Catalog:         cat,

@@ -46,14 +46,19 @@ const (
 	NodeFrozen
 )
 
-// Config carries the physical parameters of the simulated network.
-type Config struct {
-	PropDelay  time.Duration // one-way propagation + switching latency
-	Bandwidth  float64       // bytes/second per NIC direction
-	SynTimeout time.Duration // connect attempts give up after this
-	RecvWindow int           // stream messages buffered at a non-reading receiver before senders stall
-	DgramSize  int           // default wire size when a send passes size<=0
+// The physical parameters of the simulated network mirror the paper's
+// 1 Gb/s cLAN in spirit: latency is tens of microseconds, bandwidth is
+// never the bottleneck for the workload.
+const (
+	PropDelay  = 50 * time.Microsecond // one-way propagation + switching latency
+	bandwidth  = 125e6                 // bytes/second per NIC direction
+	synTimeout = 3 * time.Second       // connect attempts give up after this
+	recvWindow = 16                    // stream messages buffered at a non-reading receiver before senders stall
+	dgramSize  = 64                    // default wire size when a send passes size<=0
+)
 
+// Config selects how the simulated network schedules its deliveries.
+type Config struct {
 	// BatchDelivery coalesces a multicast fan-out — same departure
 	// instant, same sending link — into one kernel event that drains the
 	// whole recipient list, instead of one event per recipient. Handler
@@ -64,17 +69,8 @@ type Config struct {
 	BatchDelivery bool
 }
 
-// DefaultConfig mirrors the paper's 1 Gb/s cLAN in spirit: latency is tens
-// of microseconds, bandwidth is never the bottleneck for the workload.
-func DefaultConfig() Config {
-	return Config{
-		PropDelay:  50 * time.Microsecond,
-		Bandwidth:  125e6,
-		SynTimeout: 3 * time.Second,
-		RecvWindow: 16,
-		DgramSize:  64,
-	}
-}
+// DefaultConfig is the unbatched network.
+func DefaultConfig() Config { return Config{} }
 
 // Network is the simulated cluster network: a set of interfaces joined by
 // one intra-cluster switch, plus an always-up client-access path.
@@ -116,21 +112,6 @@ type Network struct {
 
 // New creates an empty network.
 func New(s *sim.Sim, cfg Config, log *metrics.Log) *Network {
-	if cfg.PropDelay <= 0 {
-		cfg.PropDelay = DefaultConfig().PropDelay
-	}
-	if cfg.Bandwidth <= 0 {
-		cfg.Bandwidth = DefaultConfig().Bandwidth
-	}
-	if cfg.SynTimeout <= 0 {
-		cfg.SynTimeout = DefaultConfig().SynTimeout
-	}
-	if cfg.RecvWindow <= 0 {
-		cfg.RecvWindow = DefaultConfig().RecvWindow
-	}
-	if cfg.DgramSize <= 0 {
-		cfg.DgramSize = DefaultConfig().DgramSize
-	}
 	return &Network{
 		sim:      s,
 		cfg:      cfg,
@@ -179,9 +160,6 @@ func (n *Network) resolve(id cnet.NodeID) *Iface {
 
 // Sim returns the simulator driving this network.
 func (n *Network) Sim() *sim.Sim { return n.sim }
-
-// Config returns the network parameters.
-func (n *Network) Config() Config { return n.cfg }
 
 // SetSwitch raises or drops the intra-cluster switch. Client traffic is
 // unaffected (see package doc).
@@ -376,7 +354,7 @@ func (i *Iface) serialize(size int) time.Duration {
 	if i.sendFreeAt < now {
 		i.sendFreeAt = now
 	}
-	i.sendFreeAt += time.Duration(float64(size) / i.net.cfg.Bandwidth * float64(time.Second))
+	i.sendFreeAt += time.Duration(float64(size) / bandwidth * float64(time.Second))
 	return i.sendFreeAt
 }
 
@@ -387,13 +365,13 @@ func (i *Iface) Send(to cnet.NodeID, class cnet.Class, port string, m cnet.Messa
 		return
 	}
 	if size <= 0 {
-		size = i.net.cfg.DgramSize
+		size = dgramSize
 	}
 	dst := i.net.resolve(to)
 	if dst == nil {
 		return
 	}
-	arrive := i.serialize(size) + i.net.cfg.PropDelay
+	arrive := i.serialize(size) + PropDelay
 	i.net.sendDgram(arrive, i, dst, class, port, m)
 }
 
@@ -404,9 +382,9 @@ func (i *Iface) Multicast(group, port string, m cnet.Message, size int) {
 		return
 	}
 	if size <= 0 {
-		size = i.net.cfg.DgramSize
+		size = dgramSize
 	}
-	arrive := i.serialize(size) + i.net.cfg.PropDelay
+	arrive := i.serialize(size) + PropDelay
 	members := i.net.groups[group]
 	if i.net.cfg.BatchDelivery && len(members) > 2 {
 		i.net.sendBatch(arrive, i, port, m, members)
@@ -570,15 +548,15 @@ func (i *Iface) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.Strea
 // semantics.
 func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
 	dst := i.net.resolve(to)
-	rtt := 2 * i.net.cfg.PropDelay
+	rtt := 2 * PropDelay
 	op := i.net.dialFree.Get()
 	op.i, op.dst, op.class, op.port, op.owner = i, dst, class, port, owner
 	if i.state != NodeUp {
-		op.fail(cnet.ErrTimeout, i.net.cfg.SynTimeout)
+		op.fail(cnet.ErrTimeout, synTimeout)
 		return
 	}
 	if dst == nil || !i.net.pathUp(i, dst, class) || dst.state == NodeDown || dst.state == NodeFrozen {
-		op.fail(cnet.ErrTimeout, i.net.cfg.SynTimeout)
+		op.fail(cnet.ErrTimeout, synTimeout)
 		return
 	}
 	accept := bound(dst.listeners, port)
@@ -588,7 +566,7 @@ func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cne
 	}
 	// Handshake: completes at TCP level even if the accepting process is
 	// busy/hung. Re-check reachability at SYN arrival.
-	i.net.sim.AfterArg(i.net.cfg.PropDelay, dialSyn, op)
+	i.net.sim.AfterArg(PropDelay, dialSyn, op)
 }
 
 // dialSyn is the SYN-arrival stage of Dial.
@@ -596,12 +574,12 @@ func dialSyn(arg any) {
 	op := arg.(*dialOp)
 	i, dst, n := op.i, op.dst, op.i.net
 	if dst.state == NodeDown || dst.state == NodeFrozen || !n.pathUp(i, dst, op.class) {
-		op.fail(cnet.ErrTimeout, n.cfg.SynTimeout-n.cfg.PropDelay)
+		op.fail(cnet.ErrTimeout, synTimeout-PropDelay)
 		return
 	}
 	acceptNow := bound(dst.listeners, op.port)
 	if acceptNow == nil {
-		op.fail(cnet.ErrRefused, n.cfg.PropDelay)
+		op.fail(cnet.ErrRefused, PropDelay)
 		return
 	}
 	// Both halves live in one allocation: a connection's endpoints share
@@ -620,7 +598,7 @@ func dialSyn(arg any) {
 	remote.h = acceptNow(remote)
 	op.local = local
 	local.Retain() // pinned by the dialDone event
-	n.sim.AfterArg(n.cfg.PropDelay, dialDone, op)
+	n.sim.AfterArg(PropDelay, dialDone, op)
 }
 
 // dialDone is the final ACK stage of Dial.
@@ -821,15 +799,15 @@ func (hc *half) TrySend(m cnet.Message, size int) bool {
 	if p.closed {
 		return true
 	}
-	if p.paused && len(p.buf)+int(p.inTransit) >= hc.iface.net.cfg.RecvWindow {
+	if p.paused && len(p.buf)+int(p.inTransit) >= recvWindow {
 		hc.wantWrite = true
 		return false
 	}
 	if size <= 0 {
-		size = hc.iface.net.cfg.DgramSize
+		size = dgramSize
 	}
 	net := hc.iface.net
-	arrive := hc.iface.serialize(size) + net.cfg.PropDelay
+	arrive := hc.iface.serialize(size) + PropDelay
 	// A lossy link delays streams rather than dropping them: TCP
 	// retransmits, and the retransmission cost surfaces as latency.
 	if cnet.Class(hc.class) == cnet.ClassIntra && hc.iface != p.iface {
@@ -951,7 +929,7 @@ func (hc *half) shutdown(peerErr error) {
 	p.closeCode = uint8(cnet.ErrCode(peerErr))
 	p.Retain() // pinned by the close notification in flight
 	net := hc.iface.net
-	net.sim.AfterArg(net.cfg.PropDelay, deliverCloseArg, p)
+	net.sim.AfterArg(PropDelay, deliverCloseArg, p)
 }
 
 // abortPeer delivers an immediate reset to the peer half (reboot RST).
@@ -967,7 +945,7 @@ func (hc *half) abortPeer(err error) {
 	p.closeCode = uint8(cnet.ErrCode(err))
 	p.Retain() // pinned by the close notification in flight
 	net := hc.iface.net
-	net.sim.AfterArg(net.cfg.PropDelay, deliverCloseArg, p)
+	net.sim.AfterArg(PropDelay, deliverCloseArg, p)
 }
 
 // deliverCloseArg is the scheduled arrival of a peer's close: only the
@@ -1035,7 +1013,7 @@ func (hc *half) notifyWritable() {
 	p.wantWrite = false
 	p.Retain() // pinned by the writable notification in flight
 	net := hc.iface.net
-	net.sim.AfterArg(net.cfg.PropDelay, deliverWritable, p)
+	net.sim.AfterArg(PropDelay, deliverWritable, p)
 }
 
 // deliverWritable is the arrival half of notifyWritable.

@@ -189,8 +189,8 @@ func TestDialTimeoutWhenNodeDown(t *testing.T) {
 	if !errors.Is(err, cnet.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if got := s.Now() - start; got < n.Config().SynTimeout {
-		t.Fatalf("timeout after %v, want >= %v", got, n.Config().SynTimeout)
+	if got := s.Now() - start; got < synTimeout {
+		t.Fatalf("timeout after %v, want >= %v", got, synTimeout)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestFlowControlWindowFillsAndWritable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := n.Config().RecvWindow
+	window := recvWindow
 	sent := 0
 	for i := 0; i < window*2; i++ {
 		if conn.TrySend(i, 10) {

@@ -123,7 +123,7 @@ func TestReplyRacingTheTimeoutIsCountedOnce(t *testing.T) {
 			}
 			due := d.at
 			// 125 bytes serialize in exactly 1 µs on the default link.
-			flight := time.Microsecond + net.Config().PropDelay
+			flight := time.Microsecond + simnet.PropDelay
 			s.At(due-flight-tc.early, func() { srv.TrySend(&server.RespMsg{OK: true}, 125) })
 			s.RunFor(10 * time.Second)
 

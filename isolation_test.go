@@ -7,7 +7,8 @@ import (
 
 // TestHandleIsolation pins the one-engine contract: a handle's campaign
 // runs entirely on the handle's own engine — saturation probe included —
-// and Cluster.ResetCaches really resets everything the campaign cached.
+// and a second handle shares none of it, re-probing and re-simulating to
+// equal results.
 func TestHandleIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full campaigns")
@@ -17,29 +18,32 @@ func TestHandleIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, camp, sat := c.eng.MemoStats()
-	if ep != len(first.Eps) || camp != 1 || sat != 1 {
-		t.Fatalf("handle engine holds %d episodes, %d campaigns, %d saturations; want %d, 1, 1 (one probe per capacity key)",
-			ep, camp, sat, len(first.Eps))
+	if camp, sat := c.eng.MemoStats(); camp != 1 || sat != 1 {
+		t.Fatalf("handle engine holds %d campaigns, %d saturations; want 1, 1 (one probe per capacity key)", camp, sat)
 	}
 
-	c.ResetCaches()
-	if ep, camp, sat := c.eng.MemoStats(); ep+camp+sat != 0 {
-		t.Fatalf("ResetCaches left %d/%d/%d entries", ep, camp, sat)
+	d := New(WithVersion(COOP), WithOptions(FastOptions(1)), WithWorkers(1))
+	if camp, sat := d.eng.MemoStats(); camp+sat != 0 {
+		t.Fatalf("a new handle starts with %d/%d entries", camp, sat)
 	}
-	second, err := c.RunCampaign(FastSchedule())
+	second, err := d.RunCampaign(FastSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, sat := c.eng.MemoStats(); sat != 1 {
-		t.Fatalf("second campaign after ResetCaches holds %d saturation entries, want 1 (re-probed)", sat)
+	if camp, sat := d.eng.MemoStats(); camp != 1 || sat != 1 {
+		t.Fatalf("second handle holds %d campaigns, %d saturations; want 1, 1 (re-probed)", camp, sat)
 	}
-	// Re-simulated, not replayed from a surviving entry — and identical.
+	// Re-simulated, not shared with the first handle — and identical.
 	if second.Eps[0].Series == first.Eps[0].Series {
-		t.Fatal("second campaign shares the first's episode: ResetCaches did not reset")
+		t.Fatal("second handle shares the first's episode")
 	}
-	if second.Offered != first.Offered || second.Eps[0].Tpl != first.Eps[0].Tpl {
+	if second.Offered != first.Offered {
 		t.Fatalf("re-probed campaign differs: offered %v vs %v", second.Offered, first.Offered)
+	}
+	for i, ep := range first.Eps {
+		if second.Eps[i].Tpl != ep.Tpl {
+			t.Fatalf("%v: re-simulated template differs", ep.Fault)
+		}
 	}
 }
 

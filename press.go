@@ -125,12 +125,12 @@ type ModelResult = avail.Result
 
 // Cluster is the root experiment handle: one studied version, one set of
 // world options, and a private experiment engine (worker pool + memo
-// tables). Two Clusters share nothing — each caches its own episodes,
-// campaigns and saturation probes and bounds its own simulator
-// concurrency — so a library user can run independent experiments with
-// independent lifetimes. The package-level entry points each build an
-// engine of their own per call (NewFigures one per Figures) and cache
-// nothing across calls.
+// tables). Two Clusters share nothing — each caches its own campaigns
+// and saturation probes and bounds its own simulator concurrency — so a
+// library user can run independent experiments with independent
+// lifetimes. An episode is simulated on every call. The package-level
+// entry points each build an engine of their own per call (NewFigures one
+// per Figures) and cache nothing across calls.
 //
 //	c := press.New(press.WithVersion(press.FME), press.WithSeed(7), press.WithWorkers(4))
 //	camp, err := c.RunCampaign(press.FastSchedule())
@@ -203,11 +203,6 @@ func (c *Cluster) Options() Options { return c.o }
 // grouping, protocol suite, front-end presence.
 func (c *Cluster) Topology() Topology { return harness.NewTopology(c.v, c.o) }
 
-// ResetCaches drops the handle's memoized episodes, campaigns and
-// saturation probes. Results are deterministic, so this only matters for
-// measuring real simulation work (benchmarks).
-func (c *Cluster) ResetCaches() { c.eng.ResetMemos() }
-
 // Build assembles the simulated deployment; drive it via its Sim, Gen
 // and Injector fields. The 90%-of-saturation load resolution is memoized
 // on the handle's engine.
@@ -246,8 +241,8 @@ func WithRedundantFrontend(l []FaultLoad) []FaultLoad { return avail.WithRedunda
 func DefaultModelEnv() ModelEnv { return avail.DefaultEnv() }
 
 // NewFigures builds the generator for every paper table and figure, on an
-// engine of its own: the figures of one Figures share its episodes,
-// campaigns and saturation probes, and two Figures share nothing.
+// engine of its own: the figures of one Figures share its campaigns and
+// saturation probes, and two Figures share nothing.
 func NewFigures(o Options) *Figures { return harness.NewFigures(engine(), o) }
 
 // Table1 returns the paper's expected fault load for an n-node cluster.
@@ -276,8 +271,8 @@ func RunStochastic(v Version, o Options, s EpisodeSchedule, cfg StochasticConfig
 }
 
 // ResetGlobalCaches does nothing: no package-level entry point caches
-// anything across calls. It stays because cmd/pressbench calls it;
-// Cluster.ResetCaches drops a handle's caches.
+// anything across calls. It stays because cmd/pressbench calls it; a
+// handle's caches go with the handle.
 func ResetGlobalCaches() {}
 
 // SetGlobalWorkers bounds how many simulators each engine the
