@@ -295,35 +295,3 @@ func BenchmarkModelValidation(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationRedundantFrontend compares a front-end failure against
-// a single front-end vs the implemented primary/standby pair with IP
-// takeover (which the paper only models). Metric: requests lost across
-// one failure episode.
-func BenchmarkAblationRedundantFrontend(b *testing.B) {
-	for _, redundant := range []bool{false, true} {
-		redundant := redundant
-		name := "single"
-		if redundant {
-			name = "pair"
-		}
-		b.Run(name, func(b *testing.B) {
-			o := press.FastOptions(benchSeed)
-			o.RedundantFE = redundant
-			c := press.New(press.WithVersion(press.FEX), press.WithOptions(o))
-			for i := 0; i < b.N; i++ {
-				ep, err := c.RunEpisode(press.FrontendFailure, 0, press.FastSchedule())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					lost := 0.0
-					for s := 0; s < 7; s++ {
-						lost += ep.Tpl.Durations[s].Seconds() * (ep.Normal - ep.Tpl.Throughputs[s])
-					}
-					b.ReportMetric(lost, "lost-requests")
-				}
-			}
-		})
-	}
-}

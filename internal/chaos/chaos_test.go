@@ -22,12 +22,10 @@ func fastOpts(seed int64) harness.Options {
 // fastRun keeps run phases short enough for the -short CI tier.
 func fastRun() RunConfig {
 	return RunConfig{
-		Settle:        10 * time.Second,
-		DrainGrace:    45 * time.Second,
-		ResetLimit:    60 * time.Second,
-		FinalObserve:  15 * time.Second,
-		RecoveryGrace: 4 * time.Minute,
-		FloorMargin:   0.03,
+		Settle:       10 * time.Second,
+		DrainGrace:   45 * time.Second,
+		ResetLimit:   60 * time.Second,
+		FinalObserve: 15 * time.Second,
 	}
 }
 
@@ -49,8 +47,8 @@ func TestGenerateRespectsCaps(t *testing.T) {
 	cfg := GenConfig{}.withDefaults()
 	for seed := int64(1); seed <= 12; seed++ {
 		s := Generate(seed, harness.VFME, o, cfg)
-		if len(s) < cfg.MinFaults || len(s) > cfg.MaxFaults {
-			t.Fatalf("seed %d: %d entries outside [%d, %d]:\n%s", seed, len(s), cfg.MinFaults, cfg.MaxFaults, s)
+		if len(s) < minFaults || len(s) > cfg.MaxFaults {
+			t.Fatalf("seed %d: %d entries outside [%d, %d]:\n%s", seed, len(s), minFaults, cfg.MaxFaults, s)
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid schedule: %v\n%s", seed, err, s)

@@ -18,14 +18,8 @@ type GenConfig struct {
 	// inside the horizon (same acceleration idea as the stochastic
 	// validator, cranked higher to force overlap).
 	Accel float64 // default 6000
-	// MinFaults retries generation (doubling Accel, fresh stream) until
-	// the schedule has at least this many entries; MaxFaults keeps the
-	// earliest ones when a draw produces more.
-	MinFaults int // default 3
+	// MaxFaults keeps the earliest entries when a draw produces more.
 	MaxFaults int // default 10
-	// FlapFraction of flap-capable draws (link, disk) become
-	// intermittent variants.
-	FlapFraction float64 // default 0.3
 	// MinActive/MaxActive bound each fault's active span (Table 1 MTTRs
 	// are minutes-to-hours; chaos compresses them so repair and
 	// reconvergence both happen on screen).
@@ -55,6 +49,15 @@ type GenConfig struct {
 	RecoveryChase float64
 }
 
+const (
+	// minFaults: generation retries (doubling Accel, fresh stream) until
+	// the schedule has at least this many entries.
+	minFaults = 3
+	// flapFraction of flap-capable draws (link, disk) become
+	// intermittent variants.
+	flapFraction = 0.3
+)
+
 func (g GenConfig) withDefaults() GenConfig {
 	if g.Horizon <= 0 {
 		g.Horizon = 4 * time.Minute
@@ -62,14 +65,8 @@ func (g GenConfig) withDefaults() GenConfig {
 	if g.Accel <= 0 {
 		g.Accel = 6000
 	}
-	if g.MinFaults <= 0 {
-		g.MinFaults = 3
-	}
 	if g.MaxFaults <= 0 {
 		g.MaxFaults = 10
-	}
-	if g.FlapFraction <= 0 {
-		g.FlapFraction = 0.3
 	}
 	if g.MinActive <= 0 {
 		g.MinActive = 25 * time.Second
@@ -128,7 +125,7 @@ func drawSpecs(rng *rand.Rand, specs []faults.Spec, cfg GenConfig, accel, severi
 				if faults.Gray(sp.Type) && faults.ValidateSeverity(sp.Type, severity) == nil {
 					e.Severity = severity // 0 = class default
 				}
-				if faults.FlapCapable(sp.Type) && rng.Float64() < cfg.FlapFraction {
+				if faults.FlapCapable(sp.Type) && rng.Float64() < flapFraction {
 					e.FlapOn = time.Duration(3+rng.Intn(6)) * time.Second
 					e.FlapOff = time.Duration(2+rng.Intn(4)) * time.Second
 				}
@@ -170,7 +167,7 @@ func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) S
 	for try := 0; try < 8; try++ {
 		rng := genRand(seed, try)
 		sched = drawSpecs(rng, specs, cfg, accel, 0)
-		if len(sched) >= cfg.MinFaults {
+		if len(sched) >= minFaults {
 			break
 		}
 		accel *= 2 // sparse draw: crank the fault load and redraw

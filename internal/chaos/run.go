@@ -25,15 +25,18 @@ type RunConfig struct {
 	ResetLimit time.Duration // default 120s
 	// FinalObserve: measured quiet span after the recovery verdict.
 	FinalObserve time.Duration // default 30s
-	// RecoveryGrace extends each fault's window in the analytic
+}
+
+const (
+	// recoveryGrace extends each fault's window in the analytic
 	// availability floor: a fault's damage may outlive its repair by up
 	// to detection + rejoin + warmup.
-	RecoveryGrace time.Duration // default 4m
-	// FloorMargin is slack subtracted from the analytic floor (the floor
+	recoveryGrace = 4 * time.Minute
+	// floorMargin is slack subtracted from the analytic floor (the floor
 	// assumes total blackout during fault windows plus this margin for
 	// compound-fault interaction).
-	FloorMargin float64 // default 0.03
-}
+	floorMargin = 0.03
+)
 
 func (r RunConfig) withDefaults() RunConfig {
 	if r.Settle <= 0 {
@@ -47,12 +50,6 @@ func (r RunConfig) withDefaults() RunConfig {
 	}
 	if r.FinalObserve <= 0 {
 		r.FinalObserve = 30 * time.Second
-	}
-	if r.RecoveryGrace <= 0 {
-		r.RecoveryGrace = 4 * time.Minute
-	}
-	if r.FloorMargin <= 0 {
-		r.FloorMargin = 0.03
 	}
 	return r
 }
@@ -181,15 +178,15 @@ func fmeMisses(c *harness.Cluster, sched Schedule, t0 time.Duration) []string {
 // active window extended by the recovery grace (the worst any single
 // Table 1 fault does in the phase-1 campaigns is lose the whole service
 // until reintegration), overlap-merged so compound faults are not
-// double-counted, minus the configured margin.
-func analyticFloor(sched Schedule, window time.Duration, rc RunConfig) float64 {
+// double-counted, minus floorMargin.
+func analyticFloor(sched Schedule, window time.Duration) float64 {
 	if window <= 0 {
 		return 0
 	}
 	type span struct{ from, to time.Duration }
 	var spans []span
 	for _, e := range sched {
-		from, to := e.At, e.End()+rc.RecoveryGrace
+		from, to := e.At, e.End()+recoveryGrace
 		if from < 0 {
 			from = 0
 		}
@@ -219,7 +216,7 @@ func analyticFloor(sched Schedule, window time.Duration, rc RunConfig) float64 {
 	if started {
 		down += cur.to - cur.from
 	}
-	floor := 1 - down.Seconds()/window.Seconds() - rc.FloorMargin
+	floor := 1 - down.Seconds()/window.Seconds() - floorMargin
 	if floor < 0 {
 		floor = 0
 	}

@@ -215,7 +215,7 @@ func (r *runner) assemble() {
 	res.Succeeded = c.Rec.Succeeded
 	res.Failed = c.Rec.Failed
 	res.Availability = c.Rec.Availability(res.Start, res.End)
-	res.Floor = analyticFloor(r.sched, res.End-res.Start, r.rc)
+	res.Floor = analyticFloor(r.sched, res.End-res.Start)
 	res.Series = c.Rec.Throughput
 
 	for i, m := range c.Machines {

@@ -111,20 +111,3 @@ func Restore(cfg Config, env cnet.RestoreEnv, x *snapio.Ctx) *Frontend {
 	cnet.RestoreConns(env, handlers)
 	return f
 }
-
-// SnapState moves the standby's monitor. The address it may have taken
-// over is the network's state, and restored with it.
-func (s *Standby) SnapState(x *snapio.Ctx) {
-	x.U64(&s.seq)
-	x.Bool(&s.awaiting)
-	snapio.Int(x, &s.misses)
-	x.Bool(&s.active)
-	cnet.SnapTicker(x, s.env, &s.hb, s.cfg.HBPeriod, s.tick, "frontend: pair heartbeat")
-}
-
-// RestoreStandby rebuilds the standby's monitor inside a snapshot restore.
-func RestoreStandby(cfg StandbyConfig, env cnet.RestoreEnv, ctl TakeoverControl, x *snapio.Ctx) *Standby {
-	s := newStandby(cfg, env, ctl)
-	s.SnapState(x)
-	return s
-}

@@ -168,10 +168,6 @@ type Options struct {
 	// OperatorResponse is the phase-2 stage-E parameter.
 	OperatorResponse time.Duration
 
-	// RedundantFE builds the front-end as a primary/standby pair with IP
-	// takeover (the configuration §4.1 models; here it actually runs).
-	RedundantFE bool
-
 	// Docs/Alpha override the synthetic trace (0 = defaults).
 	Docs  int
 	Alpha float64
@@ -229,7 +225,12 @@ func (o *Options) snap(x *snapio.Ctx) {
 	snapio.Int(x, &o.Warmup)
 	snapio.Int(x, &o.HeartbeatPeriod)
 	snapio.Int(x, &o.OperatorResponse)
-	x.Bool(&o.RedundantFE)
+	// Format 7's retired front-end-pair flag: always false, since no
+	// build makes that world (format 8 drops the slot).
+	pair := false
+	if x.Bool(&pair); pair {
+		snapio.Failf("harness: a redundant front-end pair is modeled, never built")
+	}
 	snapio.Int(x, &o.Docs)
 	x.F64(&o.Alpha)
 	snapio.Int(x, &o.Protocol)
@@ -334,12 +335,9 @@ func (t Topology) FrontendIDs() []cnet.NodeID {
 	return ids
 }
 
-// Node IDs: servers 0..n-1; front-end 90 (backup 91, virtual address 89);
-// client driver 1000.
+// Node IDs: servers 0..n-1; front-end 90; client driver 1000.
 const (
-	feVIP        cnet.NodeID = 89
 	feNodeID     cnet.NodeID = 90
-	feBackupID   cnet.NodeID = 91
 	clientNodeID cnet.NodeID = 1000
 )
 
@@ -359,7 +357,6 @@ type Cluster struct {
 	// always FEMach. Nil without a front-end.
 	FEMachines []*machine.Machine
 	FEMach     *machine.Machine // nil without front-end
-	FEBackup   *machine.Machine // nil unless Options.RedundantFE
 	Injector   *faults.Injector
 
 	Rec *workload.Recorder
@@ -368,8 +365,6 @@ type Cluster struct {
 	servers []**server.Server
 	fe      **frontend.Frontend
 	fes     []**frontend.Frontend // one per FEMachines entry; fes[0] == fe
-	feb     **frontend.Frontend
-	standby **frontend.Standby
 
 	// parts are the processes' components in build order, each as the
 	// world walk moves it (see buildWorld's addProc).
@@ -385,25 +380,11 @@ func (c *Cluster) Offered() float64 { return c.offered }
 // Server returns node i's current server incarnation (nil while crashed).
 func (c *Cluster) Server(i int) *server.Server { return *c.servers[i] }
 
-// Frontend returns the front-end currently holding the service address
-// (the backup after an IP takeover), or nil without one.
-func (c *Cluster) Frontend() *frontend.Frontend {
-	if c.standby != nil && *c.standby != nil && (*c.standby).Active() {
-		return *c.feb
-	}
-	if c.fe == nil {
-		return nil
-	}
-	return *c.fe
-}
+// Frontend returns the front-end, or nil without one.
+func (c *Cluster) Frontend() *frontend.Frontend { return *c.fe }
 
 // activeFEMachine returns the machine behind the service address.
-func (c *Cluster) activeFEMachine() *machine.Machine {
-	if c.standby != nil && *c.standby != nil && (*c.standby).Active() {
-		return c.FEBackup
-	}
-	return c.FEMach
-}
+func (c *Cluster) activeFEMachine() *machine.Machine { return c.FEMach }
 
 // fmeControl adapts a machine to fme.Control.
 type fmeControl struct {
@@ -443,7 +424,7 @@ func (e *Engine) Build(v Version, o Options) *Cluster {
 // no stray boot events).
 func buildWorld(v Version, o Options, cold bool) *Cluster {
 	t := versionTraits(v)
-	c := &Cluster{Version: v, Opts: o, Traits: t}
+	c := &Cluster{Version: v, Opts: o, Traits: t, fe: new(*frontend.Frontend)}
 	// addProc registers a process and, as the world walk's next part, its
 	// component. part moves the component: saving, from the live one;
 	// loading, by rebuilding it on env first — nil when the process is dead
@@ -599,9 +580,13 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 
 	targets := ids
 	if t.fe {
-		mkFECfg := func(self cnet.NodeID) frontend.Config {
-			fc := frontend.Config{
-				Self:       self,
+		// One front-end for the faithful shape; a tier of them for wide
+		// scalable clusters, with the client generator striping over the
+		// tier round-robin (see FrontendIDs).
+		feIDs := topo.FrontendIDs()
+		for _, fid := range feIDs {
+			feCfg := frontend.Config{
+				Self:       fid,
 				Backends:   ids,
 				PingPeriod: o.HeartbeatPeriod,
 				PingMiss:   3,
@@ -609,18 +594,10 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 				ShardRoute: scalable,
 			}
 			if t.cmon {
-				fc.ConnMonitor = true
-				fc.ConnPeriod = time.Second
-				fc.ConnDeadline = 2 * time.Second
+				feCfg.ConnMonitor = true
+				feCfg.ConnPeriod = time.Second
+				feCfg.ConnDeadline = 2 * time.Second
 			}
-			return fc
-		}
-		// One front-end for the faithful shape; a tier of them for wide
-		// scalable clusters, with the client generator striping over the
-		// tier round-robin (see FrontendIDs).
-		feIDs := topo.FrontendIDs()
-		for _, fid := range feIDs {
-			feCfg := mkFECfg(fid)
 			m := machine.New(s, net, fid, nil, log)
 			holder := new(*frontend.Frontend)
 			addProc(m, "frontend", func(env *machine.Env) {
@@ -634,31 +611,6 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 		c.FEMach = c.FEMachines[0]
 		c.fe = c.fes[0]
 		targets = feIDs
-
-		if o.RedundantFE && len(feIDs) == 1 {
-			// Primary/standby pair behind a virtual address (§4.1's
-			// "redundant front-end, heartbeats, and IP take-over").
-			// The scalable multi-front-end tier has no pairing: its
-			// redundancy is the tier itself.
-			net.SetAlias(feVIP, feNodeID)
-			addProc(c.FEMach, "fepair", func(env *machine.Env) { frontend.NewPairResponder(env) }, nil)
-			c.FEBackup = machine.New(s, net, feBackupID, nil, log)
-			c.feb = new(*frontend.Frontend)
-			c.standby = new(*frontend.Standby)
-			backupCfg := mkFECfg(feBackupID)
-			addProc(c.FEBackup, "frontend", func(env *machine.Env) {
-				*c.feb = frontend.New(backupCfg, env)
-			}, livePart(c.feb, func(env *machine.Env, x *snapio.Ctx) *frontend.Frontend {
-				return frontend.Restore(backupCfg, env, x)
-			}))
-			scfg := frontend.StandbyConfig{Self: feBackupID, Primary: feNodeID, HBPeriod: time.Second}
-			addProc(c.FEBackup, "standby", func(env *machine.Env) {
-				*c.standby = frontend.NewStandby(scfg, env, takeoverControl{c})
-			}, livePart(c.standby, func(env *machine.Env, x *snapio.Ctx) *frontend.Standby {
-				return frontend.RestoreStandby(scfg, env, takeoverControl{c}, x)
-			}))
-			targets = []cnet.NodeID{feVIP}
-		}
 	}
 
 	c.Injector = faults.NewInjector(s, log, faults.Targets{
@@ -741,9 +693,8 @@ func CheckWorld(v Version, o Options) error {
 		return fmt.Errorf("harness: options no world is built with: %+v", o)
 	}
 	// Server ids run from 0 and must stay clear of the front-end's (when
-	// it is the paper's single one, with its pair and address) and the
-	// client driver's.
-	if topo := NewTopology(v, o); topo.Nodes > int(clientNodeID) || len(topo.FrontendIDs()) == 1 && topo.Nodes > int(feVIP) {
+	// it is the paper's single one) and the client driver's.
+	if topo := NewTopology(v, o); topo.Nodes > int(clientNodeID) || len(topo.FrontendIDs()) == 1 && topo.Nodes > int(feNodeID) {
 		return fmt.Errorf("harness: %d server nodes collide with the fixed node ids of %s", topo.Nodes, v)
 	}
 	return nil
@@ -795,13 +746,6 @@ func (c *Cluster) Reintegrated() bool {
 		}
 	}
 	return true
-}
-
-// takeoverControl performs the IP takeover for the standby front-end.
-type takeoverControl struct{ c *Cluster }
-
-func (t takeoverControl) Takeover() {
-	t.c.Net.SetAlias(feVIP, feBackupID)
 }
 
 // OperatorReset performs the operator's recovery action at the end of a

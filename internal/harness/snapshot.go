@@ -23,10 +23,10 @@ import (
 // request operation picks up where the saved world stopped — so an episode
 // restored at time T produces the same event log and metrics series as the
 // uninterrupted run from T onward. Every world the harness builds is
-// covered: the ten measured versions, both protocol suites, the
-// primary/standby front-end pair. A Table-1 campaign forks its episodes
-// from one (campaign.go), a chaos campaign its seeds, and the bytes can be
-// written to disk and loaded by a later process.
+// covered: the ten measured versions and both protocol suites. A Table-1
+// campaign forks its episodes from one (campaign.go), a chaos campaign its
+// seeds, and the bytes can be written to disk and loaded by a later
+// process.
 //
 // The blob is self-describing: an envelope (magic, format, version, every
 // option the world was built from, resolved offered rate, capture time)
@@ -42,20 +42,18 @@ import (
 //
 // The network core comes first because it registers every interface's
 // connection halves in ctx.Conns in deterministic order; the machines
-// (servers, front-end tier, standby) come before any process's part
-// because a part refers to what its machine section listed — timer
-// records, connections; the parts run in build order, node by node: the
-// membership segment and daemon, the echo responder, the press process
-// (its membership client, then the server or its husk), the FME daemon,
-// and after the servers the front-ends and the standby, each defining the
-// records its timers and dials answer to (tickers, disk and admission
-// operations, peers and redials, ack timeouts, relays, probes, rounds),
-// which the machines' short owner walks then name; the pending and
-// connection tables come last because by then every owner (dial records,
-// disk operations, probe rounds, requests) is defined in ctx.Owners; the
-// kernel counters come very last so
-// SetCounters overwrites whatever bookkeeping the re-arming of events
-// touched. A trait the world lacks writes no bytes: a COOP stream is what
+// (servers, front-end tier) come before any process's part because a part
+// refers to what its machine section listed — timer records, connections;
+// the parts run in build order, node by node: the membership segment and
+// daemon, the echo responder, the press process (its membership client,
+// then the server or its husk), the FME daemon, and after the servers the
+// front-ends, each defining the records its timers and dials answer to
+// (tickers, disk and admission operations, peers and redials, ack
+// timeouts, relays, probes, rounds), which the machines' short owner walks
+// then name; the pending and connection tables come last because by then
+// every owner (dial records, disk operations, probe rounds, requests) is
+// defined in ctx.Owners; the kernel counters come very last so SetCounters
+// overwrites whatever bookkeeping the re-arming of events touched. A trait the world lacks writes no bytes: a COOP stream is what
 // it was before the walks reached the rest.
 
 const (
@@ -203,14 +201,10 @@ const (
 	srvHusk        // press dead: stats, view, queue lengths
 )
 
-// machines lists every machine of the world in walk order: servers, the
-// front-end tier, the standby front-end.
+// machines lists every machine of the world in walk order: servers, then
+// the front-end tier.
 func (c *Cluster) machines() []*machine.Machine {
-	ms := append(c.Machines[:len(c.Machines):len(c.Machines)], c.FEMachines...)
-	if c.FEBackup != nil {
-		ms = append(ms, c.FEBackup)
-	}
-	return ms
+	return append(c.Machines[:len(c.Machines):len(c.Machines)], c.FEMachines...)
 }
 
 // worldMsgs describes every message that can sit in a buffer, a mailbox

@@ -82,7 +82,6 @@ type Network struct {
 	ifaces   map[cnet.NodeID]*Iface
 	byID     []*Iface            //availlint:skipfield byID dense resolve index derived from ifaces, rebuilt as interfaces attach
 	groups   map[string][]*Iface // kept sorted by NodeID for determinism
-	aliases  map[cnet.NodeID]cnet.NodeID
 
 	// lossRng drives the gray lossy-link drop decisions. It is consumed
 	// ONLY while some interface is lossy, so runs without gray faults
@@ -119,24 +118,8 @@ func New(s *sim.Sim, cfg Config, log *metrics.Log) *Network {
 		switchUp: true,
 		ifaces:   make(map[cnet.NodeID]*Iface),
 		groups:   make(map[string][]*Iface),
-		aliases:  make(map[cnet.NodeID]cnet.NodeID),
 		lossRng:  s.NewRand("simnet/loss"),
 	}
-}
-
-// SetAlias points the virtual address `vip` at `target` — the IP-takeover
-// primitive behind redundant front-end pairs: traffic addressed to the
-// vip is delivered to whoever currently holds it. Passing target ==
-// cnet.None clears the alias.
-func (n *Network) SetAlias(vip, target cnet.NodeID) {
-	if _, taken := n.ifaces[vip]; taken {
-		panic("simnet: alias collides with a real node")
-	}
-	if target == cnet.None {
-		delete(n.aliases, vip)
-		return
-	}
-	n.aliases[vip] = target
 }
 
 // denseIDCap bounds the dense resolve index: node ids below it resolve
@@ -145,13 +128,8 @@ func (n *Network) SetAlias(vip, target cnet.NodeID) {
 // under it; an exotic id beyond the cap still resolves via the map.
 const denseIDCap = 1 << 14
 
-// resolve maps a possibly-virtual address to the real interface.
+// resolve maps a node id to its interface.
 func (n *Network) resolve(id cnet.NodeID) *Iface {
-	if len(n.aliases) != 0 {
-		if t, ok := n.aliases[id]; ok {
-			id = t
-		}
-	}
 	if uint64(id) < uint64(len(n.byID)) {
 		return n.byID[id]
 	}

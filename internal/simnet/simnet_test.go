@@ -420,50 +420,3 @@ func TestDuplicateIfacePanics(t *testing.T) {
 	}()
 	n.AddIface(0)
 }
-
-func TestAliasRoutesDatagramsAndDials(t *testing.T) {
-	s, n := newNet(t)
-	a := n.AddIface(0)
-	b := n.AddIface(1)
-	c := n.AddIface(2)
-	n.SetAlias(99, 1)
-	got := map[cnet.NodeID]int{}
-	for _, ifc := range []*Iface{b, c} {
-		ifc := ifc
-		ifc.BindDatagram("p", func(cnet.NodeID, cnet.Message) { got[ifc.ID()]++ })
-		ifc.Listen("svc", func(cn cnet.Conn) cnet.StreamHandlers { return cnet.StreamHandlers{} })
-	}
-	a.Send(99, cnet.ClassClient, "p", "x", 0)
-	s.Run()
-	if got[1] != 1 || got[2] != 0 {
-		t.Fatalf("datagram routing via alias: %v", got)
-	}
-	if _, err := dial(t, s, a, 99, "svc", cnet.StreamHandlers{}); err != nil {
-		t.Fatalf("dial via alias: %v", err)
-	}
-	// Takeover: flip the alias; new traffic lands on node 2.
-	n.SetAlias(99, 2)
-	a.Send(99, cnet.ClassClient, "p", "y", 0)
-	s.Run()
-	if got[2] != 1 {
-		t.Fatalf("datagram after takeover: %v", got)
-	}
-	// Clearing the alias makes the VIP dark.
-	n.SetAlias(99, cnet.None)
-	a.Send(99, cnet.ClassClient, "p", "z", 0)
-	s.Run()
-	if got[1]+got[2] != 2 {
-		t.Fatalf("delivery to a cleared alias: %v", got)
-	}
-}
-
-func TestAliasCollisionPanics(t *testing.T) {
-	_, n := newNet(t)
-	n.AddIface(7)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic when alias shadows a real node")
-		}
-	}()
-	n.SetAlias(7, 1)
-}

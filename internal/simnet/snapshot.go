@@ -8,7 +8,7 @@ import (
 // Snapshot support. The network serializes in three sections, each one
 // walk that both directions run:
 //
-//   - Core (early): switch, aliases, groups, per-interface fault state
+//   - Core (early): switch, groups, per-interface fault state
 //     and NIC serialization clocks, plus each interface's ordered list
 //     of attached connection halves — the order matters because conn
 //     removal is a swap-remove, so future mutations depend on it.
@@ -38,14 +38,12 @@ func (n *Network) SnapCore(x *snapio.Ctx) {
 	x.Bool(&n.switchUp)
 	x.Rand(n.lossRng)
 
+	// Format 7's retired address-alias table, always empty (format 8
+	// drops the slot).
+	x.Len(0, 0)
 	if !x.Saving() {
-		n.aliases = make(map[cnet.NodeID]cnet.NodeID)
 		n.groups = make(map[string][]*Iface)
 	}
-	snapio.Map(x, n.aliases, 1<<16, func(vip, to *cnet.NodeID) {
-		snapio.Int(x, vip)
-		snapio.Int(x, to)
-	})
 	snapio.Map(x, n.groups, 1<<16, func(g *string, members *[]*Iface) {
 		x.Str(g)
 		snapio.Slice(x, members, 1<<16, func(m **Iface) { n.iface(x, m, false) })

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"press/internal/faults"
 	"press/internal/harness"
+	"press/internal/sim"
 	"press/internal/snapio"
 )
 
@@ -82,6 +84,80 @@ func TestFormat5BlobIsRefused(t *testing.T) {
 			t.Fatalf("Load of a format-%d blob: %v, want a *snapio.SnapError refusing format %d", old, err, old)
 		}
 	}
+}
+
+// TestRetiredPairSlotsAreRefused: format 7 keeps two slots of the
+// front-end pair no build makes any more, the envelope's pair flag and
+// the network core's address-alias count. A blob that fills either — a
+// world with a standby front-end, or one whose service address was
+// taken over — is refused with a typed error instead of restoring
+// without what it claims.
+func TestRetiredPairSlotsAreRefused(t *testing.T) {
+	o := fastOpts(1)
+	snap, err := harness.Take(harness.NewEngine(0).Build(harness.VCOOP, o), nil)
+	if err != nil {
+		t.Fatalf("Take: %v", err)
+	}
+	if _, err := snap.Restore(nil); err != nil {
+		t.Fatalf("Restore of the untouched blob: %v", err)
+	}
+	refused := func(what string, err error, want string) {
+		t.Helper()
+		var se *snapio.SnapError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, want) {
+			t.Fatalf("%s: %v, want a *snapio.SnapError saying %q", what, err, want)
+		}
+	}
+
+	// The envelope up to the pair flag: magic, format, version, then the
+	// options before it.
+	x := &snapio.Ctx{Enc: &snapio.Encoder{}}
+	magic, format, v := "press-snap", 7, string(snap.Version)
+	x.Str(&magic)
+	snapio.Int(x, &format)
+	x.Str(&v)
+	snapio.Int(x, &snap.Opts.Seed)
+	snapio.Int(x, &snap.Opts.Nodes)
+	snapio.Int(x, &snap.Opts.CacheBytes)
+	x.F64(&snap.Opts.Rate)
+	snapio.Int(x, &snap.Opts.Warmup)
+	snapio.Int(x, &snap.Opts.HeartbeatPeriod)
+	snapio.Int(x, &snap.Opts.OperatorResponse)
+	at := x.Enc.Len()
+	if !bytes.HasPrefix(snap.Bytes(), x.Enc.Bytes()) || snap.Bytes()[at] != 0 {
+		t.Fatalf("the envelope does not hold a false pair flag at byte %d", at)
+	}
+	blob := append([]byte(nil), snap.Bytes()...)
+	blob[at] = 1
+	_, err = harness.Load(blob)
+	refused("Load with the pair flag set", err, "pair")
+
+	// The network core opens with the switch state and the loss stream,
+	// untouched in a world without gray faults; the alias count follows.
+	x = &snapio.Ctx{Enc: &snapio.Encoder{}}
+	up := true
+	x.Bool(&up)
+	x.Rand(sim.New(o.Seed).NewRand("simnet/loss"))
+	if n := bytes.Count(snap.Bytes(), x.Enc.Bytes()); n != 1 {
+		t.Fatalf("the network core's opening appears %d times in the blob, want once", n)
+	}
+	at = bytes.Index(snap.Bytes(), x.Enc.Bytes()) + x.Enc.Len()
+	if snap.Bytes()[at] != 0 {
+		t.Fatalf("alias count byte is %d, want 0", snap.Bytes()[at])
+	}
+	// One alias, the service address 89 held by node 90, as format 7
+	// wrote it for a pair world.
+	var alias snapio.Encoder
+	for _, n := range []int{1, 89, 90} {
+		alias.Int(n)
+	}
+	blob = slices.Concat(snap.Bytes()[:at], alias.Bytes(), snap.Bytes()[at+1:])
+	aliased, err := harness.Load(blob)
+	if err != nil {
+		t.Fatalf("Load of the aliased blob: %v", err)
+	}
+	_, err = aliased.Restore(nil)
+	refused("Restore with an address alias", err, "count 1 out of range")
 }
 
 // FuzzLoadRestore feeds Load and Restore what a disk or a hostile sender

@@ -46,9 +46,9 @@ func dump(c *harness.Cluster) string {
 // continues byte-identically to the uninterrupted original. The diurnal case holds the envelope to every
 // option the world was built from: until format 4 it left the modulation
 // out, and the restored world offered a stationary load without an error.
-// The pair case captures two seconds into a front-end crash, the standby
-// two missed heartbeats from taking the address over; the scalable cases
-// carry gossip membership, the sharded directory and a two-machine
+// The frontend-down case captures two seconds into a front-end crash,
+// with the clients' requests to the dead machine in flight; the scalable
+// cases carry gossip membership, the sharded directory and a two-machine
 // front-end tier.
 func TestPlainWorldRoundTrip(t *testing.T) {
 	with := func(edit func(*harness.Options)) harness.Options {
@@ -74,7 +74,7 @@ func TestPlainWorldRoundTrip(t *testing.T) {
 			o.Mod = trace.Modulation{DiurnalAmp: 0.5, DiurnalPeriod: 2 * time.Minute}
 		}), nil},
 		{"FME", harness.VFME, fastOpts(1), nil},
-		{"C-MON/pair/mid-takeover", harness.VCMON, with(func(o *harness.Options) { o.RedundantFE = true }), crashFrontend},
+		{"C-MON/frontend-down", harness.VCMON, fastOpts(1), crashFrontend},
 		{"COOP/scalable", harness.VCOOP, with(func(o *harness.Options) { o.Protocol, o.Nodes = harness.Scalable, 8 }), nil},
 		{"FME/scalable/two-frontends", harness.VFME, with(func(o *harness.Options) {
 			o.Protocol, o.Nodes, o.Rate = harness.Scalable, 34, 400

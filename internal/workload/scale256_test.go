@@ -60,9 +60,6 @@ func TestScale256CancelledTimeoutsAccountForSchedule(t *testing.T) {
 	dep.Sim.RunFor(T) // settled: t0
 	unscheduled := func() int64 {
 		ms := append(dep.Machines[:len(dep.Machines):len(dep.Machines)], dep.FEMachines...)
-		if dep.FEBackup != nil {
-			ms = append(ms, dep.FEBackup)
-		}
 		n := int64(0)
 		for _, m := range ms {
 			n += int64(m.UnscheduledChargeEnds())

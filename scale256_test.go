@@ -41,9 +41,6 @@ const (
 // charge ends its processes never scheduled.
 func unscheduledChargeEnds(dep *press.Deployment) uint64 {
 	ms := append(dep.Machines[:len(dep.Machines):len(dep.Machines)], dep.FEMachines...)
-	if dep.FEBackup != nil {
-		ms = append(ms, dep.FEBackup)
-	}
 	n := uint64(0)
 	for _, m := range ms {
 		n += m.UnscheduledChargeEnds()
