@@ -56,3 +56,109 @@ func TestGrayExperimentProbe(t *testing.T) {
 		}
 	}
 }
+
+// grayNode maps a gray schedule entry to the node it degrades.
+func grayNode(e Entry) int {
+	if e.Fault == faults.DiskDegraded {
+		return e.Component / 2
+	}
+	return e.Component
+}
+
+// soloGray visits every steady gray entry of at least minSpan whose
+// active window no other entry overlaps — the only entries whose
+// detection behavior is attributable to one fault.
+func soloGray(r *Result, minSpan time.Duration, visit func(e Entry)) {
+	for i, e := range r.Schedule {
+		if !faults.Gray(e.Fault) || e.Flapping() || e.Duration < minSpan {
+			continue
+		}
+		solo := true
+		for j, f := range r.Schedule {
+			if i != j && e.At < f.End() && f.At < e.End() {
+				solo = false
+				break
+			}
+		}
+		if solo {
+			visit(e)
+		}
+	}
+}
+
+// detectionKinds are the event classes that count as "some subsystem
+// noticed this node": heartbeat/probe detection, membership removal,
+// cooperation-view exclusion, and the queue monitor's two verdicts.
+var detectionKinds = []metrics.KindID{
+	metrics.KDetect, metrics.KExclude, metrics.KMemberLeave,
+	metrics.KQMonReroute, metrics.KQMonFail, metrics.KFMEAction,
+}
+
+// GrayDetected: every isolated, steady gray fault lasting at least the
+// bound must draw SOME detection-class event naming the degraded node
+// within that bound. This is the gray-detection-latency question the
+// paper leaves open — its detectors (heartbeats, FME probes, TCP errors)
+// are all binary, so this invariant legitimately fails on versions whose
+// only gray signal is the queue monitor. Not in DefaultInvariants: the
+// gray probe above uses it to measure which subsystems see partial
+// degradation at all.
+func GrayDetected(bound time.Duration) Invariant {
+	return Invariant{
+		Name: "gray-detected",
+		Doc:  fmt.Sprintf("every isolated gray fault is noticed by some detector within %s", bound),
+		Check: func(r *Result) string {
+			var missed []string
+			soloGray(r, bound, func(e Entry) {
+				node := grayNode(e)
+				winFrom, winTo := r.Start+e.At, r.Start+e.At+bound
+				for _, kind := range detectionKinds {
+					if _, ok := r.Log.Query().Kind(kind).Node(node).After(winFrom).
+						FirstWhere(func(ev metrics.Event) bool { return ev.At <= winTo }); ok {
+						return
+					}
+				}
+				missed = append(missed, fmt.Sprintf("%s: node %d undetected within %s", e, node, bound))
+			})
+			if len(missed) == 0 {
+				return ""
+			}
+			return fmt.Sprintf("%d undetected gray faults: %v", len(missed), missed)
+		},
+	}
+}
+
+// NoFalseEviction: a node whose only fault is NodeSlow — degraded but
+// alive, answering every probe — must not be evicted from membership or
+// declared failed outright; the graceful response is rerouting
+// (qmon.reroute), not exclusion. A violation means some subsystem
+// translated "slow" into "dead", the gray misclassification the
+// Beowulf performability literature warns about. Not in
+// DefaultInvariants; the gray probe above checks it.
+func NoFalseEviction() Invariant {
+	evict := []metrics.KindID{metrics.KExclude, metrics.KMemberLeave, metrics.KQMonFail}
+	return Invariant{
+		Name: "no-false-eviction",
+		Doc:  "a merely-slow node is rerouted around, never evicted or declared failed",
+		Check: func(r *Result) string {
+			var evicted []string
+			soloGray(r, 0, func(e Entry) {
+				if e.Fault != faults.NodeSlow {
+					return
+				}
+				node := grayNode(e)
+				winFrom, winTo := r.Start+e.At, r.Start+e.End()
+				for _, kind := range evict {
+					if ev, ok := r.Log.Query().Kind(kind).Node(node).After(winFrom).
+						FirstWhere(func(ev metrics.Event) bool { return ev.At <= winTo }); ok {
+						evicted = append(evicted, fmt.Sprintf("%s: node %d hit %s at %s", e, node, kind, ev.At))
+						return
+					}
+				}
+			})
+			if len(evicted) == 0 {
+				return ""
+			}
+			return fmt.Sprintf("%d false evictions: %v", len(evicted), evicted)
+		},
+	}
+}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -95,5 +96,20 @@ func TestShrinkerMinimizes(t *testing.T) {
 		if vs := Check(&r, invs); len(vs) != 0 {
 			t.Fatalf("entry %d (%s) is removable: %v — schedule not minimal", i, min[i], vs)
 		}
+	}
+}
+
+// AvailabilityAtLeast is a parameterized floor for targeted experiments
+// (the shrinker tests seed violations with it).
+func AvailabilityAtLeast(min float64) Invariant {
+	return Invariant{
+		Name: "availability-at-least",
+		Doc:  fmt.Sprintf("availability stays at or above %.3f", min),
+		Check: func(r *Result) string {
+			if r.Availability >= min {
+				return ""
+			}
+			return fmt.Sprintf("availability %.5f below required %.3f", r.Availability, min)
+		},
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"press/internal/cnet"
+	"press/internal/simnet"
 )
 
 // poolLen reads how many spare records a cnet.MsgPool holds (its free
@@ -155,14 +156,26 @@ func TestNestedStallDuringResumeDrain(t *testing.T) {
 }
 
 // A mailbox entry is copied by value at packet rate (postCall, pump), and
-// a backlog keeps its storage, so its size is pinned to one cache line.
+// a backlog keeps its storage, so its size is pinned below one cache line.
 // An entry carries no handler — stream, close and writable entries read
 // theirs from the connection end, a datagram entry names its port's by
-// index — an error travels as its code, and a timer or dial record
-// shares the message's field.
+// index — its end is a concrete pointer, an error travels as its code,
+// and a timer or dial record shares the message's field.
 func TestMailboxEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(call{}); got > 64 {
-		t.Errorf("call is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(call{}); got > 48 {
+		t.Errorf("call is %d bytes, want at most 48", got)
+	}
+}
+
+// A process lists its ends by concrete pointer, 8 bytes a slot: at N=256
+// the servers' lists hold 130,560 ends, and an interface value would
+// take twice that.
+func TestProcListsEndsByPointer(t *testing.T) {
+	want := reflect.TypeOf([]*simnet.End(nil))
+	for _, name := range []string{"conns", "pauseScratch"} {
+		if f, _ := reflect.TypeOf(Proc{}).FieldByName(name); f.Type != want {
+			t.Errorf("Proc.%s is %v, want %v", name, f.Type, want)
+		}
 	}
 }
 

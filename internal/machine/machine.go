@@ -256,10 +256,10 @@ type Proc struct {
 	// at the index it carries as its owner slot. An end is the
 	// incarnation's while it is routed to Env.router: on this list, or
 	// closed by the peer with its OnClose still waiting in the mailbox.
-	conns []simnet.StreamConn
+	conns []*simnet.End
 	// pauseScratch is syncConnPause's reusable snapshot of the conn list,
 	// used as a stack so a nested call leaves the outer one's span alone.
-	pauseScratch []simnet.StreamConn
+	pauseScratch []*simnet.End
 
 	// rst holds restore-only scratch state; nil outside a restore.
 	rst *procRestore
@@ -286,8 +286,8 @@ const (
 // after adoption outside a restore), and a datagram entry names its
 // port's by index. Every tag is gated on env.live() at dispatch.
 type call struct {
-	env *Env      // liveness gate
-	c   cnet.Conn // stream, close, writable; a dial's result
+	env *Env        // liveness gate
+	c   *simnet.End // stream, close, writable; a dial's result (nil when it failed)
 	// arg is a stream or datagram entry's message, and a timer or dial
 	// entry's record (*timerRec, *dialRec).
 	arg  any
@@ -304,7 +304,11 @@ func (c *call) dispatch() {
 		owner := r.owner
 		c.env.p.m.putDial(r)
 		if c.env.live() {
-			owner.DialResult(c.c, cnet.ErrFromCode(uint64(c.err)))
+			var conn cnet.Conn // a failed dial's result is an untyped nil
+			if c.c != nil {
+				conn = c.c
+			}
+			owner.DialResult(conn, cnet.ErrFromCode(uint64(c.err)))
 		}
 		return
 	}
@@ -317,17 +321,16 @@ func (c *call) dispatch() {
 		r.queued = false
 		r.owner.OnTimer()
 	case tagStream:
-		c.c.(simnet.StreamConn).Handlers().OnMessage(c.c, c.arg)
+		c.c.Handlers().OnMessage(c.c, c.arg)
 	case tagDgram:
 		c.env.dgramH[c.port](c.from, c.arg)
 	case tagClosed:
-		sc := c.c.(simnet.StreamConn)
-		sc.Handlers().OnClose(c.c, cnet.ErrFromCode(uint64(c.err)))
+		c.c.Handlers().OnClose(c.c, cnet.ErrFromCode(uint64(c.err)))
 		if c.env.live() {
-			sc.Route(nil) // its OnClose has run: the end is nobody's
+			c.c.Route(nil) // its OnClose has run: the end is nobody's
 		}
 	case tagWritable:
-		c.c.(simnet.StreamConn).Handlers().OnWritable(c.c)
+		c.c.Handlers().OnWritable(c.c)
 	}
 }
 
@@ -420,7 +423,6 @@ func (p *Proc) boot() {
 	p.head = 0
 	p.conns = nil
 	p.env = newEnv(p, p.incarnation)
-	p.env.rand = p.m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", p.m.id, p.name, p.incarnation))
 	p.start(p.env)
 }
 
@@ -436,8 +438,8 @@ func (p *Proc) kill(abortConns bool) {
 	// go straight back to the network's pool — and their dial records.
 	for i := p.head; i < len(p.mailbox); i++ {
 		c := &p.mailbox[i]
-		if sc, ok := c.c.(simnet.StreamConn); ok {
-			sc.Release()
+		if c.c != nil {
+			c.c.Release()
 		}
 		if c.tag == tagDial {
 			p.m.putDial(c.arg.(*dialRec))
@@ -478,8 +480,8 @@ func (p *Proc) postCall(c call) {
 	// An entry stashes its conn pointer until it has run: pin the conn's
 	// backing allocation until the entry is dispatched (step) or discarded
 	// (kill).
-	if sc, ok := c.c.(simnet.StreamConn); ok {
-		sc.Retain()
+	if c.c != nil {
+		c.c.Retain()
 	}
 	if p.head == len(p.mailbox) && p.runnable() && !p.charging() {
 		p.step(&c)
@@ -539,8 +541,8 @@ func (p *Proc) step(c *call) bool {
 	inc := p.incarnation
 	p.curCharge = 0
 	c.dispatch()
-	if sc, ok := c.c.(simnet.StreamConn); ok {
-		sc.Release() // pin taken by postCall
+	if c.c != nil {
+		c.c.Release() // pin taken by postCall
 	}
 	if p.incarnation != inc {
 		return false
@@ -586,7 +588,7 @@ func (p *Proc) syncConnPause() {
 // beyond the list's growth. A connection shed before it got here is
 // already closed: Route runs the router's Closed at once, which drops it
 // again.
-func (p *Proc) adoptConn(e *Env, c simnet.StreamConn) {
+func (p *Proc) adoptConn(e *Env, c *simnet.End) {
 	c.SetOwnerSlot(len(p.conns))
 	p.conns = append(p.conns, c)
 	c.Route(&e.router)
@@ -598,7 +600,7 @@ func (p *Proc) adoptConn(e *Env, c simnet.StreamConn) {
 // removeConn takes c off the conn list: an O(1) swap-remove, which
 // preserves the exact order a first-match scan produced (conns are
 // unique). A connection the list does not hold at its slot is left alone.
-func (p *Proc) removeConn(c simnet.StreamConn) {
+func (p *Proc) removeConn(c *simnet.End) {
 	i := c.OwnerSlot()
 	if i < 0 || i >= len(p.conns) || p.conns[i] != c {
 		return
@@ -644,10 +646,12 @@ func (r *dialRec) DialResult(c cnet.Conn, err error) {
 		e.p.m.putDial(r)
 		return
 	}
+	var end *simnet.End
 	if c != nil {
-		e.p.adoptConn(e, c.(simnet.StreamConn))
+		end = c.(*simnet.End)
+		e.p.adoptConn(e, end)
 	}
-	e.p.postCall(call{tag: tagDial, env: e, c: c, arg: r, err: uint8(cnet.ErrCode(err))})
+	e.p.postCall(call{tag: tagDial, env: e, c: end, arg: r, err: uint8(cnet.ErrCode(err))})
 }
 
 func (m *Machine) putDial(r *dialRec) {
@@ -694,9 +698,9 @@ func procTimerFire(arg any) {
 type Env struct {
 	p           *Proc
 	inc         uint64
-	rand        *rand.Rand
-	dgramPorts  []string // repopulated as restored components re-bind their ports
-	listenPorts []string // repopulated as restored components re-listen
+	rand        *rand.Rand // built by the first Rand call
+	dgramPorts  []string   // repopulated as restored components re-bind their ports
+	listenPorts []string   // repopulated as restored components re-listen
 
 	// dgramH keeps the component handler of dgramPorts[i]: a datagram
 	// entry names its handler by that index.
@@ -715,28 +719,27 @@ func newEnv(p *Proc, inc uint64) *Env {
 	// incarnation's ends were aborted, or went down with the machine, and
 	// its router posts nothing either.
 	e.router = simnet.Router{
-		Message: func(c cnet.Conn, msg cnet.Message) {
-			if c.(simnet.StreamConn).Handlers().OnMessage != nil && e.live() {
+		Message: func(c *simnet.End, msg cnet.Message) {
+			if c.Handlers().OnMessage != nil && e.live() {
 				p.postCall(call{tag: tagStream, env: e, c: c, arg: msg})
 			}
 		},
-		Close: func(c cnet.Conn, err error) {
+		Close: func(c *simnet.End, err error) {
 			if !e.live() {
 				return
 			}
 			// Off the list before posting: the component's OnClose may run
 			// at once and must see the list without this connection. The end
 			// stays routed here, and so keeps its word, until it has.
-			sc := c.(simnet.StreamConn)
-			p.removeConn(sc)
-			if sc.Handlers().OnClose == nil {
-				sc.Route(nil)
+			p.removeConn(c)
+			if c.Handlers().OnClose == nil {
+				c.Route(nil)
 				return
 			}
 			p.postCall(call{tag: tagClosed, env: e, c: c, err: uint8(cnet.ErrCode(err))})
 		},
-		Writable: func(c cnet.Conn) {
-			if c.(simnet.StreamConn).Handlers().OnWritable != nil && e.live() {
+		Writable: func(c *simnet.End) {
+			if c.Handlers().OnWritable != nil && e.live() {
 				p.postCall(call{tag: tagWritable, env: e, c: c})
 			}
 		},
@@ -744,11 +747,10 @@ func newEnv(p *Proc, inc uint64) *Env {
 		// component-initiated Close: without this, long-lived processes
 		// (the front-end relays two connections per request) accumulate
 		// dead connections and every scan over p.conns degenerates.
-		Closed: func(c cnet.Conn) {
+		Closed: func(c *simnet.End) {
 			if e.live() {
-				sc := c.(simnet.StreamConn)
-				p.removeConn(sc)
-				sc.Route(nil)
+				p.removeConn(c)
+				c.Route(nil)
 			}
 		},
 	}
@@ -757,9 +759,9 @@ func newEnv(p *Proc, inc uint64) *Env {
 
 // owned returns c when it is an end of this incarnation: on its conn
 // list, or closed by the peer with its OnClose still in the mailbox.
-func (e *Env) owned(c cnet.Conn) simnet.StreamConn {
-	if sc, ok := c.(simnet.StreamConn); ok && e.live() && sc.Router() == &e.router {
-		return sc
+func (e *Env) owned(c cnet.Conn) *simnet.End {
+	if end, ok := c.(*simnet.End); ok && e.live() && end.Router() == &e.router {
+		return end
 	}
 	return nil
 }
@@ -784,8 +786,21 @@ func (e *Env) Machine() *Machine { return e.p.m }
 // and stalls).
 func (e *Env) Clock() clock.Clock { return procClock{e} }
 
-// Rand implements cnet.Env.
-func (e *Env) Rand() *rand.Rand { return e.rand }
+// Rand implements cnet.Env. The incarnation's stream is built on the first
+// call: a process that never draws (COOP's press server) keeps none.
+func (e *Env) Rand() *rand.Rand {
+	if e.rand == nil {
+		e.rand = e.newRand()
+	}
+	return e.rand
+}
+
+// newRand builds the incarnation's random stream as it stands before its
+// first draw.
+func (e *Env) newRand() *rand.Rand {
+	p := e.p
+	return p.m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", p.m.id, p.name, e.inc))
+}
 
 // Events implements cnet.Env.
 func (e *Env) Events() *metrics.Log {
@@ -905,7 +920,7 @@ func (e *Env) Listen(port string, accept func(c cnet.Conn) cnet.StreamHandlers) 
 		// adopted paused in that case. It is adopted before accept runs,
 		// so a component that sheds the connection by closing it inside
 		// accept goes through the router's Closed like any other close.
-		e.p.adoptConn(e, c.(simnet.StreamConn))
+		e.p.adoptConn(e, c.(*simnet.End))
 		return accept(c)
 	})
 }
@@ -921,15 +936,15 @@ func (e *Env) SetConnWord(c cnet.Conn, w uint64) {
 		if rc := rst.carried[c]; rc != nil {
 			rc.word = w
 		}
-	} else if sc := e.owned(c); sc != nil {
-		sc.SetWord(w)
+	} else if end := e.owned(c); end != nil {
+		end.SetWord(w)
 	}
 }
 
 // ConnWord implements cnet.Env.
 func (e *Env) ConnWord(c cnet.Conn) uint64 {
-	if sc := e.owned(c); sc != nil {
-		return sc.Word()
+	if end := e.owned(c); end != nil {
+		return end.Word()
 	}
 	return 0
 }

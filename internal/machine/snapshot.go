@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"time"
 
 	"press/internal/clock"
@@ -36,7 +35,7 @@ import (
 // callback it dispatches, and the arguments that kind keeps.
 type mailTag struct {
 	kind  uint8
-	c     cnet.Conn
+	c     *simnet.End
 	m     cnet.Message
 	from  cnet.NodeID
 	port  string
@@ -129,11 +128,18 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 		snapio.Pending(x, procResume, 1<<8, func(q *Proc) bool { return q == p }, func(*Proc) *Proc { return p })
 
 		if p.alive {
+			// A stream not built yet travels as the stream it would be: a
+			// capture writes the same bytes whether or not the process has
+			// drawn, and a load builds it.
 			if !x.Saving() {
 				p.env = newEnv(p, p.incarnation)
-				p.env.rand = m.sim.NewRand(fmt.Sprintf("node%d/%s/%d", m.id, name, p.incarnation))
+				p.env.rand = p.env.newRand()
 			}
-			x.Rand(p.env.rand)
+			r := p.env.rand
+			if r == nil {
+				r = p.env.newRand()
+			}
+			x.Rand(r)
 		} else if !x.Saving() {
 			p.env = nil
 		}
@@ -185,7 +191,7 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			if !p.alive {
 				snapio.Failf("machine %d/%s: a dead process with connections", m.id, name)
 			}
-			var c simnet.StreamConn
+			var c *simnet.End
 			if x.Saving() {
 				c = p.conns[i]
 			}
@@ -397,7 +403,7 @@ func (e *Env) RestoreConn(c cnet.Conn, h cnet.StreamHandlers) {
 	if p.rst == nil {
 		snapio.Failf("machine %d/%s: RestoreConn outside restore", p.m.id, p.name)
 	}
-	if _, ok := c.(simnet.StreamConn); !ok {
+	if _, ok := c.(*simnet.End); !ok {
 		snapio.Failf("machine %d/%s: conn %T cannot restore handlers", p.m.id, p.name, c)
 	}
 	rc := p.rst.carried[c]
@@ -433,20 +439,20 @@ func (m *Machine) FinishRestore() {
 		}
 
 		for i, c := range r.conns {
-			rc, sc := r.carried[c], c.(simnet.StreamConn) // RestoreConn and the walk checked the type
+			rc, end := r.carried[c], c.(*simnet.End) // RestoreConn and the walk checked the type
 			if i < r.adopted {
 				if !rc.restored {
 					snapio.Failf("machine %d/%s: adopted conn %d not restored by component", m.id, name, i)
 				}
-				sc.SetOwnerSlot(i)
-				p.conns = append(p.conns, sc)
+				end.SetOwnerSlot(i)
+				p.conns = append(p.conns, end)
 			}
 			var router *simnet.Router
 			if rc.owned {
 				router = &p.env.router
-				sc.SetWord(rc.word)
+				end.SetWord(rc.word)
 			}
-			sc.RestoreHandlers(router, rc.h)
+			end.RestoreHandlers(router, rc.h)
 		}
 
 		for _, t := range r.mailTags {

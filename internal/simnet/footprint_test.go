@@ -87,17 +87,17 @@ func TestFreeListsForgetAStorm(t *testing.T) {
 		}
 	}
 	if len(a.conns)+len(b.conns) != 0 {
-		t.Errorf("%d conn halves still attached", len(a.conns)+len(b.conns))
+		t.Errorf("%d conn ends still attached", len(a.conns)+len(b.conns))
 	}
 }
 
 // The live-connection mesh is the simulator's largest resident structure
-// (65,280 pairs at N=256), so a pair's size class is pinned: two
-// 112-byte halves in the 224-byte class. A half is its owner's whole
-// record of the end — router, handlers and word — so nothing else is
-// kept per end.
+// (65,280 pairs at N=256), so a pair's size class is pinned: two 96-byte
+// ends in the 192-byte class. An end is its owner's whole record of it —
+// router, handlers and word — so nothing else is kept per end, and its
+// receive buffer, which only a stalled reader fills, is out of line.
 func TestConnPairSize(t *testing.T) {
-	if got := unsafe.Sizeof(connPair{}); got > 224 {
-		t.Errorf("connPair is %d bytes, want at most 224 (the next size class is 240)", got)
+	if got := unsafe.Sizeof(connPair{}); got > 192 {
+		t.Errorf("connPair is %d bytes, want at most 192 (the next size class is 208)", got)
 	}
 }

@@ -209,7 +209,7 @@ type Iface struct {
 	// costs less than hashing one.
 	dgram     []binding[func(from cnet.NodeID, m cnet.Message)] // rebuilt as restored components re-bind
 	listeners []binding[func(cnet.Conn) cnet.StreamHandlers]    // rebuilt as restored components re-listen
-	conns     []*half                                           // local halves of open/zombie conns
+	conns     []*End                                            // local halves of open/zombie conns
 }
 
 // binding is what one port is bound to: a datagram handler or a stream
@@ -287,13 +287,13 @@ func (i *Iface) SetState(s NodeState) {
 			h.abortPeer(cnet.ErrReset)
 		}
 	case s == NodeFrozen:
-		for _, h := range append([]*half(nil), i.conns...) {
+		for _, h := range append([]*End(nil), i.conns...) {
 			h.setPaused(true)
 		}
 	case s == NodeUp && prev == NodeFrozen:
 		// Unpausing drains buffers and can close conns, mutating i.conns:
 		// iterate a snapshot.
-		for _, h := range append([]*half(nil), i.conns...) {
+		for _, h := range append([]*End(nil), i.conns...) {
 			if !h.closed && !h.procPaused {
 				h.setPaused(false)
 			}
@@ -496,7 +496,7 @@ type dialOp struct {
 	class cnet.Class
 	port  string
 	err   error          // verdict delivered by dialFail
-	local *half          // verdict delivered by dialDone
+	local *End           // verdict delivered by dialDone
 	owner cnet.DialOwner // hears the verdict
 }
 
@@ -589,91 +589,52 @@ func dialDone(arg any) {
 	local.Release()
 }
 
-// StreamConn is the control surface the machine layer needs on simulated
-// connections beyond cnet.Conn: pausing reads while the owning process is
-// hung or stalled, abortive close when the process dies, and the owner's
-// attachment — its router, its handlers and its word — which live on the
-// end itself.
-type StreamConn interface {
-	cnet.Conn
-	// SetPaused stops (true) or resumes (false) reading at this end.
-	SetPaused(bool)
-	// Abort closes abortively; the peer sees ErrReset.
-	Abort()
-	// Buffered reports messages waiting unread at this end.
-	Buffered() int
-	// Handlers returns the component handlers attached to this end: what
-	// the accepting side's acceptor or the dialing owner's DialHandlers
-	// returned. They do not change afterwards outside a restore.
-	Handlers() cnet.StreamHandlers
-	// Route makes r carry this end's events; nil makes the end nobody's,
-	// and its events are dropped. On an end that has already closed, r's
-	// Closed runs at once, so an owner never keeps a dead end. Router
-	// returns the end's router.
-	Route(r *Router)
-	Router() *Router
-	// RestoreHandlers re-attaches a restored end to its owner: the router
-	// and the handlers, set as given.
-	RestoreHandlers(r *Router, h cnet.StreamHandlers)
-	// SetOwnerSlot/OwnerSlot stash the owning process's bookkeeping index
-	// for this end: its position in the process's conn list, which makes
-	// close-time removal O(1). The value is opaque to simnet.
-	SetOwnerSlot(int)
-	OwnerSlot() int
-	// SetWord/Word keep the owner's one word with this end
-	// (cnet.Env.SetConnWord). It is zero on a new connection.
-	SetWord(uint64)
-	Word() uint64
-	// Retain/Release pin the connection's backing allocation against
-	// pool recycling while a caller-side record (a mailbox entry, a
-	// deferred operation) stashes the conn pointer across events. Both
-	// are no-ops on connections that are not pool-managed.
-	Retain()
-	Release()
-}
-
 // Router carries a connection end's events to its owner. An end holds a
-// pointer to one (StreamConn.Route), shared by every end of that owner:
-// Direct calls the end's handlers at once; a simulated process posts the
-// event to its mailbox and dispatches the handler from there.
+// pointer to one (End.Route), shared by every end of that owner: Direct
+// calls the end's handlers at once; a simulated process posts the event
+// to its mailbox and dispatches the handler from there.
 type Router struct {
 	// Message delivers the next in-order message.
-	Message func(c cnet.Conn, m cnet.Message)
+	Message func(c *End, m cnet.Message)
 	// Close reports that the peer closed the connection, or reset it; the
 	// end has closed. No event follows it.
-	Close func(c cnet.Conn, err error)
+	Close func(c *End, err error)
 	// Writable reports window space after a refused TrySend.
-	Writable func(c cnet.Conn)
+	Writable func(c *End)
 	// Closed reports that the end closed itself (Close, Abort) or was
 	// reset by its machine's reboot.
-	Closed func(c cnet.Conn)
+	Closed func(c *End)
 }
 
 // Direct is the router of ends whose owner is not a simulated process
 // (the client generator, tests): every event calls the end's handler, if
 // it has one, at once.
 var Direct = &Router{
-	Message: func(c cnet.Conn, m cnet.Message) {
-		if f := c.(*half).h.OnMessage; f != nil {
+	Message: func(c *End, m cnet.Message) {
+		if f := c.h.OnMessage; f != nil {
 			f(c, m)
 		}
 	},
-	Close: func(c cnet.Conn, err error) {
-		if f := c.(*half).h.OnClose; f != nil {
+	Close: func(c *End, err error) {
+		if f := c.h.OnClose; f != nil {
 			f(c, err)
 		}
 	},
-	Writable: func(c cnet.Conn) {
-		if f := c.(*half).h.OnWritable; f != nil {
+	Writable: func(c *End) {
+		if f := c.h.OnWritable; f != nil {
 			f(c)
 		}
 	},
-	Closed: func(cnet.Conn) {},
+	Closed: func(*End) {},
 }
 
-// half is one direction-endpoint of a stream connection; cnet.Conn is
-// implemented by *half.
-type half struct {
+// End is one direction-endpoint of a stream connection: the cnet.Conn a
+// component holds, and the whole of its owner's record of it — router,
+// handlers, word and owner slot live here. The machine layer holds ends by
+// this concrete pointer: pausing reads while the owning process is hung or
+// stalled, abortive close when the process dies, and the owner's
+// attachment are its methods.
+type End struct {
 	// Field order is deliberate: the flags, counters and pointers every
 	// TrySend/deliverStream touches sit in the struct's first cache line;
 	// the close/teardown fields live behind them. At N=256 the live-conn
@@ -683,8 +644,9 @@ type half struct {
 	// the class and the pending close verdict are stored as one byte each
 	// and the owner slot as an int32 in the padding. The owner keeps
 	// nothing per end beside it: its router is a pointer shared by all its
-	// ends and its word is here — 112 bytes a half, a pair in the 224-byte
-	// size class (TestConnPairSize).
+	// ends and its word is here. The receive buffer, which only an end
+	// whose reader stopped ever fills, is out of line: 96 bytes an end, a
+	// pair in the 192-byte size class (TestConnPairSize).
 	closed     bool
 	zombie     bool // machine died; silent until reboot RST
 	paused     bool // receiver not reading (freeze/hang/stall)
@@ -695,20 +657,23 @@ type half struct {
 	inTransit  int32
 	connIdx    int32 // position in the owning iface's conns list, recomputed as a restore refills it
 	refs       int32 //availlint:skipfield refs pin count of scheduled events and mailbox entries; the restored world re-creates its own pins
-	ownerSlot  int32 // owning process's index of this half's record (opaque)
+	ownerSlot  int32 // owning process's index of this end's record (opaque)
 	iface      *Iface
-	peer       *half
-	pair       *connPair           //availlint:skipfield pair pool backlink; snapshot-built halves have none and are never recycled
+	peer       *End
+	pair       *connPair           //availlint:skipfield pair pool backlink; snapshot-built ends have none and are never recycled
 	h          cnet.StreamHandlers // handlers, re-attached by the owner via RestoreHandlers
 	router     *Router             // owner's router, re-attached by the owner via RestoreHandlers
 	word       uint64              //availlint:skipfield word the owner's connection word, which the restoring component writes back
-	buf        []cnet.Message
+	// buf holds the messages that arrived while the end was paused, in
+	// order. It is made the first time the end buffers and then kept,
+	// emptied, across drains, closes and the pair's recycling.
+	buf *[]cnet.Message
 }
 
 // connPair is the single allocation backing both halves of a connection.
 type connPair struct {
-	dialer   half
-	acceptor half
+	dialer   End
+	acceptor End
 }
 
 // newPair takes a connection pair off the free list, or mints one with
@@ -724,7 +689,7 @@ func (n *Network) newPair() *connPair {
 // Retain pins this half against recycling: every scheduled kernel event
 // and every mailbox entry that stashes a conn pointer takes a pin and
 // drops it when the reference dies. A no-op on unpooled halves.
-func (hc *half) Retain() {
+func (hc *End) Retain() {
 	if hc.pair != nil {
 		hc.refs++
 	}
@@ -732,7 +697,7 @@ func (hc *half) Retain() {
 
 // Release drops a Retain pin and recycles the pair if this was the last
 // thing keeping it alive.
-func (hc *half) Release() {
+func (hc *End) Release() {
 	if hc.pair == nil {
 		return
 	}
@@ -742,8 +707,9 @@ func (hc *half) Release() {
 
 // maybeRecycle returns the pair to the free list once both halves are
 // closed and unpinned. Resetting clears both closed flags, so a second
-// call on a recycled pair is inert until the pair is reused.
-func (hc *half) maybeRecycle() {
+// call on a recycled pair is inert until the pair is reused. The ends'
+// receive buffers, emptied when they closed, stay with the pair.
+func (hc *End) maybeRecycle() {
 	p := hc.pair
 	if p == nil {
 		return
@@ -752,16 +718,17 @@ func (hc *half) maybeRecycle() {
 		return
 	}
 	net := hc.iface.net
+	dbuf, abuf := p.dialer.buf, p.acceptor.buf
 	*p = connPair{}
-	p.dialer.pair = p
-	p.acceptor.pair = p
+	p.dialer.pair, p.dialer.buf = p, dbuf
+	p.acceptor.pair, p.acceptor.buf = p, abuf
 	net.pairFree.Put(p)
 }
 
-var _ cnet.Conn = (*half)(nil)
+var _ cnet.Conn = (*End)(nil)
 
 // Peer returns the node at the other end.
-func (hc *half) Peer() cnet.NodeID {
+func (hc *End) Peer() cnet.NodeID {
 	if hc.peer == nil {
 		return cnet.None
 	}
@@ -769,7 +736,7 @@ func (hc *half) Peer() cnet.NodeID {
 }
 
 // TrySend implements cnet.Conn.
-func (hc *half) TrySend(m cnet.Message, size int) bool {
+func (hc *End) TrySend(m cnet.Message, size int) bool {
 	if hc.closed || hc.zombie || hc.peer == nil {
 		return true // dropped; death is reported via OnClose
 	}
@@ -777,7 +744,7 @@ func (hc *half) TrySend(m cnet.Message, size int) bool {
 	if p.closed {
 		return true
 	}
-	if p.paused && len(p.buf)+int(p.inTransit) >= recvWindow {
+	if p.paused && p.Buffered()+int(p.inTransit) >= recvWindow {
 		hc.wantWrite = true
 		return false
 	}
@@ -803,8 +770,8 @@ func (hc *half) TrySend(m cnet.Message, size int) bool {
 // streamPkt is one stream message in flight; recycled through
 // Network.streamFree.
 type streamPkt struct {
-	from *half
-	to   *half
+	from *End
+	to   *End
 	m    cnet.Message
 }
 
@@ -836,7 +803,10 @@ func deliverStream(arg any) {
 		return
 	}
 	if p.paused {
-		p.buf = append(p.buf, m)
+		if p.buf == nil {
+			p.buf = new([]cnet.Message)
+		}
+		*p.buf = append(*p.buf, m)
 		return
 	}
 	if r := p.router; r != nil {
@@ -845,58 +815,65 @@ func deliverStream(arg any) {
 }
 
 // Close implements cnet.Conn: orderly shutdown, peer sees ErrClosed.
-func (hc *half) Close() { hc.shutdown(cnet.ErrClosed) }
+func (hc *End) Close() { hc.shutdown(cnet.ErrClosed) }
 
 // Abort closes the connection abortively: the peer sees ErrReset now.
 // The machine layer uses it when a process (not the whole machine) dies.
-func (hc *half) Abort() { hc.shutdown(cnet.ErrReset) }
+func (hc *End) Abort() { hc.shutdown(cnet.ErrReset) }
 
-// Handlers implements StreamConn.
-func (hc *half) Handlers() cnet.StreamHandlers { return hc.h }
+// Handlers returns the component handlers attached to this end: what the
+// accepting side's acceptor or the dialing owner's DialHandlers returned.
+// They do not change afterwards outside a restore.
+func (hc *End) Handlers() cnet.StreamHandlers { return hc.h }
 
-// Route implements StreamConn. A dialer end can reach its owner already
+// Route makes r carry this end's events; nil makes the end nobody's, and
+// its events are dropped. A dialer end can reach its owner already
 // closed: when the accepting side sheds the connection inside dialSyn, the
 // close notification is scheduled ahead of dialDone. No close path will
-// run again for such an end, so Closed runs here — otherwise the owner
-// would list it forever, past the pair's recycling and reuse.
-func (hc *half) Route(r *Router) {
+// run again for such an end, so r's Closed runs here, at once — otherwise
+// the owner would list it forever, past the pair's recycling and reuse.
+func (hc *End) Route(r *Router) {
 	hc.router = r
 	if hc.closed && r != nil {
 		r.Closed(hc)
 	}
 }
 
-// Router implements StreamConn.
-func (hc *half) Router() *Router { return hc.router }
+// Router returns the end's router.
+func (hc *End) Router() *Router { return hc.router }
 
-// RestoreHandlers implements StreamConn.
-func (hc *half) RestoreHandlers(r *Router, h cnet.StreamHandlers) { hc.router, hc.h = r, h }
+// RestoreHandlers re-attaches a restored end to its owner: the router and
+// the handlers, set as given.
+func (hc *End) RestoreHandlers(r *Router, h cnet.StreamHandlers) { hc.router, hc.h = r, h }
 
-// SetOwnerSlot implements StreamConn.
-func (hc *half) SetOwnerSlot(i int) { hc.ownerSlot = int32(i) }
+// SetOwnerSlot and OwnerSlot stash the owning process's bookkeeping index
+// for this end: its position in the process's conn list, which makes
+// close-time removal O(1). The value is opaque to simnet.
+func (hc *End) SetOwnerSlot(i int) { hc.ownerSlot = int32(i) }
 
-// OwnerSlot implements StreamConn.
-func (hc *half) OwnerSlot() int { return int(hc.ownerSlot) }
+// OwnerSlot returns what SetOwnerSlot stashed.
+func (hc *End) OwnerSlot() int { return int(hc.ownerSlot) }
 
-// SetWord implements StreamConn.
-func (hc *half) SetWord(w uint64) { hc.word = w }
+// SetWord keeps the owner's one word with this end
+// (cnet.Env.SetConnWord). It is zero on a new connection.
+func (hc *End) SetWord(w uint64) { hc.word = w }
 
-// Word implements StreamConn.
-func (hc *half) Word() uint64 { return hc.word }
+// Word returns what SetWord kept.
+func (hc *End) Word() uint64 { return hc.word }
 
 // closedSelf tells the owner that this end closed itself.
-func (hc *half) closedSelf() {
+func (hc *End) closedSelf() {
 	if r := hc.router; r != nil {
 		r.Closed(hc)
 	}
 }
 
-func (hc *half) shutdown(peerErr error) {
+func (hc *End) shutdown(peerErr error) {
 	if hc.closed {
 		return
 	}
 	hc.closed = true
-	hc.buf = nil
+	hc.dropBuffered()
 	hc.closedSelf()
 	hc.iface.dropConn(hc)
 	p := hc.peer
@@ -911,9 +888,9 @@ func (hc *half) shutdown(peerErr error) {
 }
 
 // abortPeer delivers an immediate reset to the peer half (reboot RST).
-func (hc *half) abortPeer(err error) {
+func (hc *End) abortPeer(err error) {
 	hc.closed = true
-	hc.buf = nil
+	hc.dropBuffered()
 	hc.closedSelf()
 	p := hc.peer
 	if p == nil || p.closed || p.zombie {
@@ -930,26 +907,26 @@ func (hc *half) abortPeer(err error) {
 // peer half ever schedules it, at most once (its own closed guard), so
 // the pending verdict can ride on the target half itself.
 func deliverCloseArg(arg any) {
-	p := arg.(*half)
+	p := arg.(*End)
 	p.deliverClose(cnet.ErrFromCode(uint64(p.closeCode)))
 	p.Release() // pin taken when the notification was scheduled
 }
 
-func (hc *half) deliverClose(err error) {
+func (hc *End) deliverClose(err error) {
 	if hc.closed {
 		return
 	}
 	hc.closed = true
-	hc.buf = nil
+	hc.dropBuffered()
 	hc.iface.dropConn(hc)
 	if r := hc.router; r != nil {
 		r.Close(hc, err)
 	}
 }
 
-// SetPaused is called by the proc layer when the owning process stops or
-// resumes reading.
-func (hc *half) SetPaused(paused bool) {
+// SetPaused stops (true) or resumes (false) reading at this end: the proc
+// layer calls it when the owning process stops or resumes reading.
+func (hc *End) SetPaused(paused bool) {
 	hc.procPaused = paused
 	// Machine freeze dominates a proc-level resume.
 	if !paused && hc.iface.state == NodeFrozen {
@@ -958,7 +935,7 @@ func (hc *half) SetPaused(paused bool) {
 	hc.setPaused(paused)
 }
 
-func (hc *half) setPaused(paused bool) {
+func (hc *End) setPaused(paused bool) {
 	if hc.paused == paused {
 		return
 	}
@@ -967,23 +944,27 @@ func (hc *half) setPaused(paused bool) {
 		return
 	}
 	// Drain buffered messages in order, then wake a stalled writer. The
-	// backing array is handed back for reuse when the drain left no new
-	// buffer behind (an OnMessage may have re-paused and re-buffered).
-	buf := hc.buf
-	hc.buf = nil
-	for i, m := range buf {
-		buf[i] = nil
-		if r := hc.router; r != nil {
-			r.Message(hc, m)
+	// buffer is off the end while it drains, so a drain an OnMessage
+	// starts inside this one (it re-paused and resumed at once) finds
+	// nothing left to deliver; it goes back, empty, when the drain ends.
+	if buf := hc.buf; buf != nil && len(*buf) > 0 {
+		hc.buf = nil
+		msgs := *buf
+		for i, m := range msgs {
+			msgs[i] = nil
+			if r := hc.router; r != nil {
+				r.Message(hc, m)
+			}
 		}
-	}
-	if hc.buf == nil && !hc.closed && buf != nil {
-		hc.buf = buf[:0]
+		*buf = msgs[:0]
+		if hc.buf == nil {
+			hc.buf = buf
+		}
 	}
 	hc.notifyWritable()
 }
 
-func (hc *half) notifyWritable() {
+func (hc *End) notifyWritable() {
 	p := hc.peer
 	if p == nil || !p.wantWrite || p.closed {
 		return
@@ -996,17 +977,31 @@ func (hc *half) notifyWritable() {
 
 // deliverWritable is the arrival half of notifyWritable.
 func deliverWritable(arg any) {
-	p := arg.(*half)
+	p := arg.(*End)
 	if r := p.router; r != nil && !p.closed {
 		r.Writable(p)
 	}
 	p.Release() // pin taken when the notification was scheduled
 }
 
-// Buffered returns how many stream messages wait unread at this half.
-func (hc *half) Buffered() int { return len(hc.buf) }
+// Buffered returns how many stream messages wait unread at this end.
+func (hc *End) Buffered() int {
+	if hc.buf == nil {
+		return 0
+	}
+	return len(*hc.buf)
+}
 
-func (i *Iface) dropConn(hc *half) {
+// dropBuffered discards what waits unread at a closing end, keeping the
+// buffer for the pair's next connection.
+func (hc *End) dropBuffered() {
+	if buf := hc.buf; buf != nil {
+		clear(*buf)
+		*buf = (*buf)[:0]
+	}
+}
+
+func (i *Iface) dropConn(hc *End) {
 	// The half carries its own position, so removal is O(1) regardless of
 	// how many conns the interface holds (the workload node holds one per
 	// in-flight request). Swap-remove keeps the list compact and

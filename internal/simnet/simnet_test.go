@@ -217,7 +217,7 @@ func TestDialSucceedsToHungProcessConnsPause(t *testing.T) {
 	got := 0
 	b.Listen("http", func(c cnet.Conn) cnet.StreamHandlers {
 		serverConn = c
-		c.(*half).SetPaused(true) // process is hung at accept time
+		c.(*End).SetPaused(true) // process is hung at accept time
 		return cnet.StreamHandlers{OnMessage: func(cnet.Conn, cnet.Message) { got++ }}
 	})
 	conn, err := dial(t, s, a, 1, "http", cnet.StreamHandlers{})
@@ -229,7 +229,7 @@ func TestDialSucceedsToHungProcessConnsPause(t *testing.T) {
 	if got != 0 {
 		t.Fatal("hung process consumed a message")
 	}
-	serverConn.(*half).SetPaused(false)
+	serverConn.(*End).SetPaused(false)
 	s.Run()
 	if got != 1 {
 		t.Fatal("message lost after resume")
@@ -240,9 +240,9 @@ func TestFlowControlWindowFillsAndWritable(t *testing.T) {
 	s, n := newNet(t)
 	a := n.AddIface(0)
 	b := n.AddIface(1)
-	var serverConn *half
+	var serverConn *End
 	b.Listen("press", func(c cnet.Conn) cnet.StreamHandlers {
-		serverConn = c.(*half)
+		serverConn = c.(*End)
 		serverConn.SetPaused(true)
 		return cnet.StreamHandlers{OnMessage: func(cnet.Conn, cnet.Message) {}}
 	})
@@ -300,9 +300,9 @@ func TestAbortDeliversErrReset(t *testing.T) {
 	a := n.AddIface(0)
 	b := n.AddIface(1)
 	var clientErr error
-	var serverConn *half
+	var serverConn *End
 	b.Listen("press", func(c cnet.Conn) cnet.StreamHandlers {
-		serverConn = c.(*half)
+		serverConn = c.(*End)
 		return cnet.StreamHandlers{}
 	})
 	_, err := dial(t, s, a, 1, "press", cnet.StreamHandlers{

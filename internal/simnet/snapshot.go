@@ -21,14 +21,14 @@ import (
 //     anywhere in the snapshot. On load, references met before this
 //     section produce blank halves (BlankConn) that the table fills.
 //
-// An end's attachment to its owner (half.h, half.router, half.word), dial
+// An end's attachment to its owner (End.h, End.router, End.word), dial
 // callbacks, and dgram and listen registrations are never serialized: the
 // component that owns them re-attaches during its own restore
-// (StreamConn.RestoreHandlers, SetWord), before the conn table and
-// pending sections resolve.
+// (End.RestoreHandlers, SetWord), before the conn table and pending
+// sections resolve.
 
 // BlankConn is the blank factory for the snapshot connection table.
-func BlankConn() any { return new(half) }
+func BlankConn() any { return new(End) }
 
 // SnapCore moves topology-independent network state; loading, into a
 // freshly built topology (same interfaces, no connections, no groups).
@@ -63,7 +63,7 @@ func (n *Network) SnapCore(x *snapio.Ctx) {
 		if !x.Saving() && len(i.conns) != 0 {
 			snapio.Failf("simnet: iface %d not virgin at restore", i.id)
 		}
-		snapio.Slice(x, &i.conns, 1<<20, func(hc **half) {
+		snapio.Slice(x, &i.conns, 1<<20, func(hc **End) {
 			if snapio.Conn(x, hc); *hc == nil {
 				snapio.Failf("simnet: iface %d lists conn ref 0", i.id)
 			}
@@ -160,7 +160,7 @@ func (n *Network) SnapPending(x *snapio.Ctx) {
 	}
 
 	for _, notify := range []func(any){deliverCloseArg, deliverWritable} {
-		snapio.Pending(x, notify, 1<<24, nil, func(hc *half) *half {
+		snapio.Pending(x, notify, 1<<24, nil, func(hc *End) *End {
 			if snapio.Conn(x, &hc); hc == nil {
 				snapio.Failf("simnet: notification pending for conn ref 0")
 			}
@@ -190,7 +190,7 @@ func (n *Network) SnapConns(x *snapio.Ctx) {
 		if !x.Saving() {
 			obj = x.Conns.Obj(id)
 		}
-		hc, ok := obj.(*half)
+		hc, ok := obj.(*End)
 		if !ok {
 			snapio.Failf("snapshot: conn table id %d is a %T", id, obj)
 		}
@@ -201,7 +201,15 @@ func (n *Network) SnapConns(x *snapio.Ctx) {
 		x.Bool(&hc.zombie)
 		x.Bool(&hc.paused)
 		x.Bool(&hc.procPaused)
-		snapio.Slice(x, &hc.buf, 1<<20, func(m *cnet.Message) { snapio.Msg(x, m) })
+		// The buffer travels as its messages; a load makes one only for an
+		// end that has some waiting.
+		var buf []cnet.Message
+		if hc.buf != nil {
+			buf = *hc.buf
+		}
+		if snapio.Slice(x, &buf, 1<<20, func(m *cnet.Message) { snapio.Msg(x, m) }); !x.Saving() && len(buf) > 0 {
+			hc.buf = &buf
+		}
 		snapio.Int(x, &hc.inTransit)
 		x.Bool(&hc.wantWrite)
 		snapio.Uint(x, &hc.closeCode)

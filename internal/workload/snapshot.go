@@ -67,11 +67,11 @@ func (g *Generator) SnapState(x *snapio.Ctx) {
 		snapio.OptConn(x, &r.conn)
 		if !x.Saving() && r.conn != nil {
 			cnet.RetainConn(r.conn) // no-op on snapshot-built conns; keeps the pin balanced
-			sc, ok := r.conn.(simnet.StreamConn)
+			end, ok := r.conn.(*simnet.End)
 			if !ok {
 				snapio.Failf("workload: conn %T cannot restore handlers", r.conn)
 			}
-			sc.RestoreHandlers(simnet.Direct, r.h)
+			end.RestoreHandlers(simnet.Direct, r.h)
 		}
 		// A request's deadlines travel as their keys; the lists are
 		// rebuilt from them.
