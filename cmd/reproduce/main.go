@@ -29,10 +29,13 @@
 // seed violates. -chaos-replay re-executes such a repro file and reports
 // whether the recorded violation still reproduces.
 //
-// -gray widens each seed's schedule past Table 1: the partial-degradation
-// classes (node-slow, link-lossy, disk-degraded), correlated multi-fault
-// events (switch-takes-rack, power-event groups), and fault-during-
-// recovery chases. The standing invariant catalog still judges the runs;
+// -gray widens each seed's schedule past Table 1, in one fixed shape: the
+// partial-degradation classes (node-slow, link-lossy, disk-degraded) at
+// their class-default severity, one expected correlated multi-fault event
+// per horizon (a switch-takes-rack or power-event group over a 2-node
+// rack), and a one-in-four fault-during-recovery chase per steady fault.
+// The Table 1 entries of a seed's schedule stay as they were. The
+// standing invariant catalog still judges the runs;
 // the opt-in gray detection probes (gray-detected, no-false-eviction) are
 // experiment instruments, not CI gates — see EXPERIMENTS.md.
 //
@@ -49,6 +52,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -60,115 +64,152 @@ import (
 
 func main() { os.Exit(run(os.Args[1:])) }
 
+// invocation is one reproduce command line that some run can honour.
+type invocation struct {
+	figs                          map[string]bool // nil = all
+	fast                          bool
+	seed                          int64
+	out                           string
+	workers                       int
+	nodes                         int
+	suite                         press.ProtocolSuite
+	chaos                         bool
+	seeds                         int
+	version                       press.Version
+	shrink                        bool
+	reproDir, replay              string
+	gray                          bool
+	snapOut, snapIn               string
+	cpuprofile, memprofile, trace string
+}
+
+// parseArgs checks a command line before anything runs. It returns the
+// invocation, or nil and the exit status: 2 for arguments no run can
+// honour, with the reason written to stderr, and 0 after -help printed
+// the usage there.
+func parseArgs(args []string, stderr io.Writer) (*invocation, int) {
+	var inv invocation
+	var protocol, version string
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "which figure/table to regenerate (comma-separated), or 'all'")
+	fs.BoolVar(&inv.fast, "fast", false, "reduced-scale profile")
+	fs.Int64Var(&inv.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&inv.out, "o", "", "also write output to this file")
+	fs.IntVar(&inv.workers, "workers", 0, "max concurrent simulators (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&inv.nodes, "nodes", 0, "server-node count (0 = the paper's 4; other counts require -protocol scalable)")
+	fs.StringVar(&protocol, "protocol", "faithful", "protocol suite: faithful (paper, golden-dump identical) or scalable (gossip membership + sharded directory)")
+	fs.BoolVar(&inv.chaos, "chaos", false, "run a chaos campaign instead of figures")
+	fs.IntVar(&inv.seeds, "seeds", 8, "chaos: number of campaign seeds (1..N)")
+	fs.StringVar(&version, "version", string(press.FME), "chaos: version to bombard")
+	fs.BoolVar(&inv.shrink, "shrink", true, "chaos: shrink violating schedules before writing repros")
+	fs.StringVar(&inv.reproDir, "repro-dir", ".", "chaos: directory for violation repro files")
+	fs.StringVar(&inv.replay, "chaos-replay", "", "replay a chaos repro file and exit")
+	fs.BoolVar(&inv.gray, "gray", false, "chaos: add gray faults, correlated groups and recovery chases to every seed's schedule")
+	fs.StringVar(&inv.snapOut, "snapshot", "", "chaos: warm once, write the warm snapshot here, fork the campaign from it")
+	fs.StringVar(&inv.snapIn, "from-snapshot", "", "chaos: fork the campaign from this snapshot file instead of warming")
+	fs.StringVar(&inv.cpuprofile, "cpuprofile", "", "write a CPU profile of the selected mode to this file")
+	fs.StringVar(&inv.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
+	fs.StringVar(&inv.trace, "trace", "", "write a runtime execution trace to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2 // fs has printed the error and the usage
+	}
+
+	refuse := func(format string, a ...any) (*invocation, int) {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return nil, 2
+	}
+	if fs.NArg() > 0 {
+		return refuse("%q: reproduce takes no positional arguments (figures are chosen with -fig)", fs.Arg(0))
+	}
+	var err error
+	if inv.suite, err = press.ParseProtocolSuite(protocol); err != nil {
+		return refuse("%v", err)
+	}
+	if inv.nodes < 0 {
+		return refuse("-nodes %d: the server-node count must be positive (0 = the paper's 4)", inv.nodes)
+	}
+	if inv.nodes != 0 && inv.nodes != 4 && inv.suite != press.Scalable {
+		return refuse("-nodes %d needs -protocol scalable: the faithful suite's broadcast directory and all-pairs announce traffic are the paper's 4-node protocols and do not scale", inv.nodes)
+	}
+	if inv.figs, err = parseFigs(*fig); err != nil {
+		return refuse("%v", err)
+	}
+	if err := checkVersion(version); err != nil {
+		return refuse("%v", err)
+	}
+	inv.version = press.Version(version)
+	if inv.seeds < 1 {
+		return refuse("-seeds %d: a chaos campaign runs seeds 1..N, N at least 1", inv.seeds)
+	}
+	if inv.snapOut != "" && inv.snapIn != "" {
+		return refuse("-snapshot and -from-snapshot are two ways to get the campaign's warm world: pass one")
+	}
+	return &inv, 0
+}
+
+// options are the run's world options: the fast profile or the
+// paper-faithful one at -seed, shaped by -nodes and -protocol.
+func (inv *invocation) options() press.Options {
+	o := press.Options{Seed: inv.seed}
+	if inv.fast {
+		o = press.FastOptions(inv.seed)
+	}
+	o.Nodes = inv.nodes
+	o.Protocol = inv.suite
+	if inv.suite == press.Scalable && inv.nodes > 4 && o.Rate == 0 {
+		// The 90%-of-saturation probe is a 4-node instrument: at wide
+		// scale the cold-cache overload it applies splinters the
+		// cluster before it warms and measures zero. Load scalable
+		// topologies at the explicit per-node rate the scale tests
+		// and the bench curve use, with their shortened warmup.
+		o.Rate = 40 * float64(inv.nodes)
+		o.Warmup = time.Minute
+	}
+	return o
+}
+
 // run executes one reproduce invocation and returns its exit status. A
 // flag no run can honour exits 2 before anything is simulated or written.
 func run(args []string) int {
-	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "which figure/table to regenerate (comma-separated), or 'all'")
-	fast := fs.Bool("fast", false, "reduced-scale profile")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	out := fs.String("o", "", "also write output to this file")
-	workers := fs.Int("workers", 0, "max concurrent simulators (0 = GOMAXPROCS, 1 = serial)")
-	nodes := fs.Int("nodes", 0, "server-node count (0 = the paper's 4; other counts require -protocol scalable)")
-	protocol := fs.String("protocol", "faithful", "protocol suite: faithful (paper, golden-dump identical) or scalable (gossip membership + sharded directory)")
-	chaosMode := fs.Bool("chaos", false, "run a chaos campaign instead of figures")
-	seeds := fs.Int("seeds", 8, "chaos: number of campaign seeds (1..N)")
-	version := fs.String("version", string(press.FME), "chaos: version to bombard")
-	shrink := fs.Bool("shrink", true, "chaos: shrink violating schedules before writing repros")
-	reproDir := fs.String("repro-dir", ".", "chaos: directory for violation repro files")
-	replay := fs.String("chaos-replay", "", "replay a chaos repro file and exit")
-	gray := fs.Bool("gray", false, "chaos: add gray faults, correlated groups and recovery chases to every seed's schedule")
-	snapOut := fs.String("snapshot", "", "chaos: warm once, write the warm snapshot here, fork the campaign from it")
-	snapIn := fs.String("from-snapshot", "", "chaos: fork the campaign from this snapshot file instead of warming")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
-	memprofile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
-	traceFlag := fs.String("trace", "", "write a runtime execution trace to this file")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2 // fs has printed the error and the usage
+	inv, code := parseArgs(args, os.Stderr)
+	if inv == nil {
+		return code
 	}
 
-	suite, err := press.ParseProtocolSuite(*protocol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if *nodes < 0 {
-		fmt.Fprintf(os.Stderr, "-nodes %d: the server-node count must be positive (0 = the paper's 4)\n", *nodes)
-		return 2
-	}
-	if *nodes != 0 && *nodes != 4 && suite != press.Scalable {
-		fmt.Fprintf(os.Stderr, "-nodes %d needs -protocol scalable: the faithful suite's broadcast directory and all-pairs announce traffic are the paper's 4-node protocols and do not scale\n", *nodes)
-		return 2
-	}
-	want, err := parseFigs(*fig)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := checkVersion(*version); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "-seeds %d: a chaos campaign runs seeds 1..N, N at least 1\n", *seeds)
-		return 2
-	}
-	if *snapOut != "" && *snapIn != "" {
-		fmt.Fprintln(os.Stderr, "-snapshot and -from-snapshot are two ways to get the campaign's warm world: pass one")
-		return 2
-	}
-
-	stopProf, err := startProfiling(*cpuprofile, *memprofile, *traceFlag)
+	stopProf, err := startProfiling(inv.cpuprofile, inv.memprofile, inv.trace)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer stopProf()
 
-	if *workers > 0 {
-		press.SetGlobalWorkers(*workers)
+	workers := inv.workers
+	if workers > 0 {
+		press.SetGlobalWorkers(workers)
 	} else {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	topo := func(o press.Options) press.Options {
-		o.Nodes = *nodes
-		o.Protocol = suite
-		if suite == press.Scalable && *nodes > 4 && o.Rate == 0 {
-			// The 90%-of-saturation probe is a 4-node instrument: at wide
-			// scale the cold-cache overload it applies splinters the
-			// cluster before it warms and measures zero. Load scalable
-			// topologies at the explicit per-node rate the scale tests
-			// and the bench curve use, with their shortened warmup.
-			o.Rate = 40 * float64(*nodes)
-			o.Warmup = time.Minute
-		}
-		return o
+		workers = runtime.GOMAXPROCS(0)
 	}
 
-	if *replay != "" {
-		return replayRepro(*replay)
+	if inv.replay != "" {
+		return replayRepro(inv.replay)
 	}
-	if *chaosMode {
-		return runChaosCampaign(press.Version(*version), *seeds, *fast, *seed, *shrink, *gray, *reproDir, *snapOut, *snapIn, topo)
+	if inv.chaos {
+		return runChaosCampaign(inv)
 	}
 
-	var o press.Options
-	var fg *press.Figures
-	if *fast {
-		o = topo(press.FastOptions(*seed))
-		fg = press.NewFigures(o)
+	o := inv.options()
+	fg := press.NewFigures(o)
+	if inv.fast {
 		fg.Sched = press.FastSchedule()
-	} else {
-		o = topo(press.Options{Seed: *seed})
-		fg = press.NewFigures(o)
 	}
 
 	var sink *os.File
-	if *out != "" {
-		f, err := os.Create(*out)
+	if inv.out != "" {
+		f, err := os.Create(inv.out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -184,9 +225,9 @@ func run(args []string) int {
 	}
 
 	emit(fmt.Sprintf("# Reproduction run: seed=%d fast=%v workers=%d started %s\n\n",
-		*seed, *fast, *workers, time.Now().Format(time.RFC3339)))
+		inv.seed, inv.fast, workers, time.Now().Format(time.RFC3339)))
 	for _, g := range gens {
-		if want != nil && !want[g.key] {
+		if inv.figs != nil && !inv.figs[g.key] {
 			continue
 		}
 		start := time.Now()
@@ -258,26 +299,18 @@ func parseFigs(fig string) (map[string]bool, error) {
 
 // runChaosCampaign executes the -chaos mode and returns the exit code:
 // 0 when every seed satisfies the invariant catalog, 1 otherwise (with a
-// repro file written per violating seed). A non-empty snapOut or snapIn
+// repro file written per violating seed). -snapshot or -from-snapshot
 // switches to the warm-fork path: one warmed world is captured (or read
-// from snapIn) and every seed forks an independent copy of it.
-func runChaosCampaign(v press.Version, nSeeds int, fast bool, seed int64, shrink, gray bool, reproDir, snapOut, snapIn string, topo func(press.Options) press.Options) int {
-	var o press.Options
-	if fast {
-		o = topo(press.FastOptions(seed))
-	} else {
-		o = topo(press.Options{Seed: seed})
-	}
+// from the file) and every seed forks an independent copy of it.
+func runChaosCampaign(inv *invocation) int {
+	v, snapIn, snapOut := inv.version, inv.snapIn, inv.snapOut
+	o := inv.options()
 	cfg := press.ChaosCampaignConfig{
-		Seeds:  press.ChaosSeeds(nSeeds),
-		Shrink: shrink,
+		Seeds:  press.ChaosSeeds(inv.seeds),
+		Shrink: inv.shrink,
 	}
-	if gray {
-		// One expected correlated event and a one-in-four recovery chase
-		// per steady fault: enough to land multi-component and fault-
-		// during-recovery scenarios in most seeds without swamping the
-		// Table 1 draw the seeds were calibrated on.
-		cfg.Gen = press.ChaosGenConfig{Gray: true, Correlated: 1, RecoveryChase: 0.25}
+	if inv.gray {
+		cfg.Gen = press.ChaosGenConfig{Gray: true}
 		fmt.Println("gray engine on: partial-degradation classes + correlated groups + recovery chases")
 	}
 	start := time.Now()
@@ -321,7 +354,7 @@ func runChaosCampaign(v press.Version, nSeeds int, fast bool, seed int64, shrink
 	}
 	fmt.Printf("%s(campaign took %.1fs)\n", sum, time.Since(start).Seconds())
 
-	return writeRepros(sum, reproDir)
+	return writeRepros(sum, inv.reproDir)
 }
 
 // writeRepros writes one runnable repro file under dir per violating seed

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,18 +36,7 @@ func TestParseFigs(t *testing.T) {
 // refused before the run starts: the CPU profile every row asks for, which
 // the run would open before simulating anything, is never created.
 func TestBadFlagsExit2(t *testing.T) {
-	for _, args := range [][]string{
-		{"-chaos", "-version", "BOGUS"},
-		{"-chaos", "-version", "X-SW"}, // modeled, never measured
-		{"-chaos", "-seeds", "-3"},
-		{"-chaos", "-seeds", "0"},
-		{"-fig", "99"},
-		{"-nodes", "-1"},
-		{"-nodes", "7"},
-		{"-protocol", "nope"},
-		{"-chaos", "-snapshot", "a.snap", "-from-snapshot", "b.snap"},
-		{"-no-such-flag"},
-	} {
+	for _, args := range append(badArgs, []string{"-fast", "2"}) {
 		prof := filepath.Join(t.TempDir(), "cpu.prof")
 		code := func() (code int) {
 			defer func() {
@@ -63,6 +54,65 @@ func TestBadFlagsExit2(t *testing.T) {
 			t.Errorf("reproduce %v started the run before refusing it", args)
 		}
 	}
+}
+
+// badArgs are command lines no run can honour, one per refusal.
+var badArgs = [][]string{
+	{"-chaos", "-version", "BOGUS"},
+	{"-chaos", "-version", "X-SW"}, // modeled, never measured
+	{"-chaos", "-seeds", "-3"},
+	{"-chaos", "-seeds", "0"},
+	{"-fig", "99"},
+	{"-nodes", "-1"},
+	{"-nodes", "7"},
+	{"-protocol", "nope"},
+	{"-chaos", "-snapshot", "a.snap", "-from-snapshot", "b.snap"},
+	{"-no-such-flag"},
+}
+
+// FuzzReproduceArgs feeds parseArgs any command line (arguments separated
+// by NUL bytes): it never panics, and either returns an invocation some
+// run can honour or exits 2 — or 0, when the line asks for -help. It
+// fuzzes the parse alone, so no input starts a simulation or opens a file.
+func FuzzReproduceArgs(f *testing.F) {
+	for _, args := range badArgs {
+		f.Add(strings.Join(args, "\x00"))
+	}
+	f.Add("-chaos\x00-seeds\x002\x00-fast\x00-gray")
+	f.Add("-fig\x002,t1\x00-nodes\x0064\x00-protocol\x00scalable")
+	f.Fuzz(func(t *testing.T, line string) {
+		args := strings.Split(line, "\x00")
+		inv, code := parseArgs(args, io.Discard)
+		switch {
+		case inv == nil && code == 0:
+			if !slices.ContainsFunc(args, asksHelp) {
+				t.Fatalf("%q: exit 0 without a run, and no -help asked", args)
+			}
+		case inv == nil:
+			if code != 2 {
+				t.Fatalf("%q: exit %d, want 2", args, code)
+			}
+		case code != 0:
+			t.Fatalf("%q: an invocation and exit %d", args, code)
+		case inv.seeds < 1, inv.nodes < 0,
+			inv.nodes != 0 && inv.nodes != 4 && inv.suite != press.Scalable,
+			inv.snapIn != "" && inv.snapOut != "",
+			checkVersion(string(inv.version)) != nil:
+			t.Fatalf("%q: parsed an invocation no run can honour: %+v", args, *inv)
+		}
+	})
+}
+
+// asksHelp reports whether arg is the flag package's -h or -help, in any
+// of its spellings.
+func asksHelp(arg string) bool {
+	name, ok := strings.CutPrefix(arg, "-")
+	if !ok {
+		return false
+	}
+	name = strings.TrimPrefix(name, "-")
+	name, _, _ = strings.Cut(name, "=")
+	return name == "h" || name == "help"
 }
 
 // TestCheckVersionNamesTheMeasured: a refused -version says which

@@ -289,7 +289,7 @@ func TestFastCampaignsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three 8-seed campaigns")
 	}
-	gray := GenConfig{Gray: true, Correlated: 1, RecoveryChase: 0.25}
+	gray := GenConfig{Gray: true}
 	for _, tc := range []struct {
 		name string
 		v    harness.Version

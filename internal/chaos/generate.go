@@ -26,28 +26,29 @@ type GenConfig struct {
 	MinActive time.Duration // default 25s
 	MaxActive time.Duration // default 75s
 
-	// Gray layers the partial-degradation classes (node-slow, link-lossy,
-	// disk-degraded) on top of the Table 1 draw, at the GrayTable rates
-	// under the same acceleration. Default off; enabling it does not
-	// change the Table 1 entries a seed produces.
+	// Gray layers three phases on top of the Table 1 draw: the
+	// partial-degradation classes (node-slow, link-lossy, disk-degraded)
+	// at the GrayTable rates under the same acceleration, with their
+	// class-default severity; correlated rack events (grayCorrelated per
+	// horizon); and recovery chases (grayChase per steady entry). Default
+	// off; enabling it does not change the Table 1 entries a seed
+	// produces.
 	Gray bool
-	// GraySeverity overrides gray entries' severity knobs where the class
-	// accepts the value (multiplier classes want >1, link-lossy wants a
-	// drop probability in (0,1)); classes the value does not fit — and 0 —
-	// keep their per-class default.
-	GraySeverity float64
-	// Correlated is the expected number of correlated multi-fault events
-	// in the horizon — a switch-takes-rack event (links of one rack sever
-	// together) or a power event (one rack's machines crash together),
-	// injected atomically as one group. 0 disables.
-	Correlated float64
-	// RackSize is how many consecutive nodes one correlated event takes.
-	RackSize int // default 2
-	// RecoveryChase is the per-entry probability that a steady fault gets
-	// a second fault armed inside its repair window — the MSCS paper's
-	// failure-during-regroup scenario. 0 disables.
-	RecoveryChase float64
 }
+
+// The gray phases' fixed shape: one expected correlated event per
+// horizon — a switch-takes-rack event (the links of one rack of
+// harness.DefaultRackSize nodes sever together) or a power event (its
+// machines crash together), injected atomically as one group — and a
+// one-in-four chance that a steady fault gets a second fault armed inside
+// its repair window, the MSCS paper's failure-during-regroup scenario.
+// Enough to land multi-component and fault-during-recovery scenarios in
+// most seeds without swamping the Table 1 draw the seeds were calibrated
+// on.
+const (
+	grayCorrelated = 1.0
+	grayChase      = 0.25
+)
 
 const (
 	// minFaults: generation retries (doubling Accel, fresh stream) until
@@ -77,9 +78,6 @@ func (g GenConfig) withDefaults() GenConfig {
 			g.MaxActive = g.MinActive
 		}
 	}
-	if g.RackSize <= 0 {
-		g.RackSize = harness.DefaultRackSize
-	}
 	return g
 }
 
@@ -105,7 +103,7 @@ func genRand(seed int64, try int) *rand.Rand {
 // (class, component) slot produces arrivals at its accelerated rate,
 // each active for a uniform span, with flap-capable classes sometimes
 // drawn as intermittent variants.
-func drawSpecs(rng *rand.Rand, specs []faults.Spec, cfg GenConfig, accel, severity float64) Schedule {
+func drawSpecs(rng *rand.Rand, specs []faults.Spec, cfg GenConfig, accel float64) Schedule {
 	var sched Schedule
 	for _, sp := range specs {
 		mean := float64(sp.MTTF) / accel
@@ -121,9 +119,6 @@ func drawSpecs(rng *rand.Rand, specs []faults.Spec, cfg GenConfig, accel, severi
 					Fault:     sp.Type,
 					Component: comp,
 					Duration:  span.Round(time.Second),
-				}
-				if faults.Gray(sp.Type) && faults.ValidateSeverity(sp.Type, severity) == nil {
-					e.Severity = severity // 0 = class default
 				}
 				if faults.FlapCapable(sp.Type) && rng.Float64() < flapFraction {
 					e.FlapOn = time.Duration(3+rng.Intn(6)) * time.Second
@@ -151,11 +146,11 @@ func slotFree(sched Schedule, t faults.Type, comp int, at, end time.Duration) bo
 // Generate draws a seeded fault schedule for the version's cluster
 // shape: each Table 1 (class, component) slot produces Poisson arrivals
 // at its accelerated rate, each arrival active for a uniform span, with
-// flap-capable classes sometimes drawn as intermittent variants. The
-// gray/correlated knobs layer further phases on top, each from its own
-// derived stream, so the Table 1 portion of a seed's schedule is
-// identical whether or not they are enabled. The same (seed, v, o, cfg)
-// always yields the same schedule.
+// flap-capable classes sometimes drawn as intermittent variants. Gray
+// layers further phases on top, each from its own derived stream, so the
+// Table 1 portion of a seed's schedule is identical whether or not they
+// are enabled. The same (seed, v, o, cfg) always yields the same
+// schedule.
 func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) Schedule {
 	cfg = cfg.withDefaults()
 	topo := harness.NewTopology(v, o)
@@ -166,7 +161,7 @@ func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) S
 	var sched Schedule
 	for try := 0; try < 8; try++ {
 		rng := genRand(seed, try)
-		sched = drawSpecs(rng, specs, cfg, accel, 0)
+		sched = drawSpecs(rng, specs, cfg, accel)
 		if len(sched) >= minFaults {
 			break
 		}
@@ -179,27 +174,23 @@ func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) S
 	}
 
 	if cfg.Gray {
-		gray := drawSpecs(genRandL("chaos/gray", seed, 0), faults.GrayTable(n, 2), cfg, cfg.Accel, cfg.GraySeverity)
+		gray := drawSpecs(genRandL("chaos/gray", seed, 0), faults.GrayTable(n, 2), cfg, cfg.Accel)
 		gray = gray.Canonical()
 		if len(gray) > cfg.MaxFaults {
 			gray = gray[:cfg.MaxFaults]
 		}
 		sched = append(sched, gray...)
-	}
-
-	if cfg.Correlated > 0 && n > 0 {
-		sched = append(sched, drawCorrelated(genRandL("chaos/correlated", seed, 0), sched, cfg, n)...)
-	}
-
-	if cfg.RecoveryChase > 0 && n > 0 {
-		sched = append(sched, drawChase(genRandL("chaos/chase", seed, 0), sched, cfg, n)...)
+		if n > 0 {
+			sched = append(sched, drawCorrelated(genRandL("chaos/correlated", seed, 0), sched, cfg, n)...)
+			sched = append(sched, drawChase(genRandL("chaos/chase", seed, 0), sched, cfg, n)...)
+		}
 	}
 
 	return sched.Canonical()
 }
 
 // drawCorrelated draws the correlated multi-fault events: Poisson
-// arrivals at rate Correlated per horizon, each either a
+// arrivals at rate grayCorrelated per horizon, each either a
 // switch-takes-rack event (the rack's intra-cluster links sever
 // together) or a power event (the rack's machines crash together). A
 // group's members share one At and one duration — one event, one repair
@@ -210,16 +201,13 @@ func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) S
 func drawCorrelated(rng *rand.Rand, sched Schedule, cfg GenConfig, n int) Schedule {
 	var out Schedule
 	group := 0
-	mean := float64(cfg.Horizon) / cfg.Correlated
+	mean := float64(cfg.Horizon) / grayCorrelated
 	for at := time.Duration(rng.ExpFloat64() * mean); at < cfg.Horizon; at += time.Duration(rng.ExpFloat64() * mean) {
 		kind := faults.LinkDown // switch takes the rack's links
 		if rng.Intn(2) == 1 {
 			kind = faults.NodeCrash // power event takes the rack's machines
 		}
-		size := cfg.RackSize
-		if size > n {
-			size = n
-		}
+		size := min(harness.DefaultRackSize, n)
 		placed := false
 		for attempt := 0; attempt < 8 && !placed; attempt++ {
 			start := at.Round(time.Second)
@@ -262,7 +250,7 @@ func drawCorrelated(rng *rand.Rand, sched Schedule, cfg GenConfig, n int) Schedu
 const chaseWindow = 15 * time.Second
 
 // drawChase arms fault-during-recovery entries: for each steady,
-// independent base entry, with probability RecoveryChase, a second fault
+// independent base entry, with probability grayChase, a second fault
 // (node or app crash on another node) lands inside the repair window
 // that follows the entry's own repair — the regroup phase the MSCS paper
 // identifies as the most fragile. Collisions are dropped, not retried:
@@ -270,7 +258,7 @@ const chaseWindow = 15 * time.Second
 func drawChase(rng *rand.Rand, sched Schedule, cfg GenConfig, n int) Schedule {
 	var out Schedule
 	for _, e := range sched.Canonical() {
-		if e.Group != 0 || e.Flapping() || rng.Float64() >= cfg.RecoveryChase {
+		if e.Group != 0 || e.Flapping() || rng.Float64() >= grayChase {
 			continue
 		}
 		kind := faults.AppCrash

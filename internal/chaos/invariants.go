@@ -54,7 +54,6 @@ func Conservation() Invariant {
 // may still be active — lingering backlog means some repair never
 // propagated.
 func QueuesDrain() Invariant {
-	limit := qmon.DefaultConfig().RerouteThreshold
 	return Invariant{
 		Name: "queues-drain",
 		Doc:  "peer send queues drain below the reroute threshold after repair",
@@ -62,8 +61,8 @@ func QueuesDrain() Invariant {
 			if r.ActiveFaults != 0 {
 				return fmt.Sprintf("%d fault slots still active after the schedule ended", r.ActiveFaults)
 			}
-			if r.SendQueueMax >= limit {
-				return fmt.Sprintf("peer send queue still at %d (reroute threshold %d) after drain", r.SendQueueMax, limit)
+			if r.SendQueueMax >= qmon.RerouteThreshold {
+				return fmt.Sprintf("peer send queue still at %d (reroute threshold %d) after drain", r.SendQueueMax, qmon.RerouteThreshold)
 			}
 			return ""
 		},

@@ -19,7 +19,6 @@ import (
 	"press/internal/machine"
 	"press/internal/membership"
 	"press/internal/metrics"
-	"press/internal/qmon"
 	"press/internal/server"
 	"press/internal/sim"
 	"press/internal/simdisk"
@@ -168,15 +167,10 @@ type Options struct {
 	// OperatorResponse is the phase-2 stage-E parameter.
 	OperatorResponse time.Duration
 
-	// Docs/Alpha override the synthetic trace (0 = defaults).
-	Docs  int
-	Alpha float64
-
-	// Mod layers a deterministic time-varying shape (diurnal curve,
-	// flash-crowd spike) on the offered load; zero value = the paper's
-	// stationary load. Pure function of elapsed time, so it composes
-	// with snapshots and byte-identical replay unchanged.
-	Mod trace.Modulation
+	// Docs overrides the synthetic trace's document count (0 = default).
+	// Its popularity skew is always trace.DefaultAlpha, and the offered
+	// load is stationary, as in the paper's measurements (§5).
+	Docs int
 
 	// Protocol selects the intra-cluster protocol suite. The zero value
 	// (Faithful) is the paper's 4-node protocols, byte-identical to the
@@ -207,9 +201,6 @@ func (o Options) withDefaults() Options {
 	if o.Docs == 0 {
 		o.Docs = trace.DefaultDocs
 	}
-	if o.Alpha == 0 {
-		o.Alpha = trace.DefaultAlpha
-	}
 	return o
 }
 
@@ -232,21 +223,33 @@ func (o *Options) snap(x *snapio.Ctx) {
 		snapio.Failf("harness: a redundant front-end pair is modeled, never built")
 	}
 	snapio.Int(x, &o.Docs)
-	x.F64(&o.Alpha)
+	// Format 7's retired trace-skew slot: always the one skew a world is
+	// built with.
+	alpha := trace.DefaultAlpha
+	if x.F64(&alpha); alpha != trace.DefaultAlpha {
+		snapio.Failf("harness: a trace skew of %v; worlds are built with %v", alpha, trace.DefaultAlpha)
+	}
 	snapio.Int(x, &o.Protocol)
-	mod := &o.Mod
-	x.F64(&mod.DiurnalAmp)
-	snapio.Int(x, &mod.DiurnalPeriod)
-	x.F64(&mod.DiurnalPhase)
-	x.F64(&mod.FlashBoost)
-	snapio.Int(x, &mod.FlashAt)
-	snapio.Int(x, &mod.FlashRamp)
-	snapio.Int(x, &mod.FlashHold)
-	snapio.Int(x, &mod.FlashDecay)
+	// Format 7's eight retired load-modulation slots (a diurnal curve's
+	// amplitude, period and phase, a flash crowd's boost, onset, ramp, hold
+	// and decay): always zero, since the offered load is stationary.
+	// Format 8 drops them with the pair flag and the skew slot.
+	var amp, phase, boost float64
+	var period, onset, ramp, hold, decay int64
+	x.F64(&amp)
+	snapio.Int(x, &period)
+	x.F64(&phase)
+	x.F64(&boost)
+	for _, d := range []*int64{&onset, &ramp, &hold, &decay} {
+		snapio.Int(x, d)
+	}
+	if math.Float64bits(amp)|math.Float64bits(phase)|math.Float64bits(boost) != 0 || period|onset|ramp|hold|decay != 0 {
+		snapio.Failf("harness: a modulated offered load; worlds are built with a stationary one")
+	}
 }
 
 func (o Options) catalog() *trace.Catalog {
-	return trace.NewCatalog(o.Docs, trace.DefaultSize, o.Alpha)
+	return trace.NewCatalog(o.Docs, trace.DefaultSize, trace.DefaultAlpha)
 }
 
 // ServerCount returns how many server nodes the version builds with the
@@ -265,21 +268,20 @@ func serverCount(v Version, o Options) int {
 }
 
 // Topology is the single accessor for a built world's node layout: how
-// many server nodes exist, their IDs, how they group into racks, which
-// protocol suite they speak, and whether a front-end tier fronts them.
+// many server nodes exist, their IDs, which protocol suite they speak,
+// and whether a front-end tier fronts them.
 // Every place that used to assume the paper's fixed 4-node shape (chaos
 // component ranges, correlated-fault rack draws, scaling arithmetic)
 // derives from this instead of hard-coding literals.
 type Topology struct {
 	Version  Version
 	Nodes    int // server nodes, extra-capacity node included
-	RackSize int // consecutive nodes sharing a switch/power domain
 	Protocol ProtocolSuite
 	Frontend bool
 }
 
 // DefaultRackSize is how many consecutive nodes share one rack (switch
-// and power domain) unless a generator overrides it.
+// and power domain): what one correlated chaos event takes.
 const DefaultRackSize = 2
 
 // NewTopology resolves the topology for (version, options).
@@ -288,7 +290,6 @@ func NewTopology(v Version, o Options) Topology {
 	return Topology{
 		Version:  v,
 		Nodes:    serverCount(v, o),
-		RackSize: DefaultRackSize,
 		Protocol: o.Protocol,
 		Frontend: versionTraits(v).fe,
 	}
@@ -511,10 +512,7 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			HeartbeatPeriod: o.HeartbeatPeriod,
 			CacheBytes:      o.CacheBytes,
 			Catalog:         cat,
-		}
-		if t.qmon {
-			qc := qmon.DefaultConfig()
-			cfg.QMon = &qc
+			QMon:            t.qmon,
 		}
 		// The press process links the membership client library; its poll
 		// loop travels right ahead of the server it calls back.
@@ -652,7 +650,6 @@ func (c *Cluster) attachWorkload(rate float64) {
 		Targets: c.genTargets,
 		Catalog: c.Catalog,
 		RampUp:  c.Opts.Warmup,
-		Mod:     c.Opts.Mod,
 	}, c.Rec)
 }
 
@@ -682,14 +679,12 @@ func CheckWorld(v Version, o Options) error {
 		return fmt.Errorf("harness: unknown version %q", v)
 	}
 	o = o.withDefaults()
-	m := o.Mod
 	switch {
 	case o.Nodes < 1 || o.Nodes > 1<<25 || o.Docs < 1 || o.Docs > 1<<25 || o.Nodes*o.Docs > 1<<25, // every server indexes every document
 		o.CacheBytes < 0,
 		o.Warmup < 0, o.HeartbeatPeriod < 0, o.OperatorResponse < 0,
 		o.Protocol != Faithful && o.Protocol != Scalable,
-		!finite(o.Alpha, o.Rate, m.DiurnalAmp, m.DiurnalPhase, m.FlashBoost) || o.Alpha < 0,
-		m.DiurnalPeriod < 0 || m.FlashAt < 0 || m.FlashRamp < 0 || m.FlashHold < 0 || m.FlashDecay < 0:
+		!finite(o.Rate):
 		return fmt.Errorf("harness: options no world is built with: %+v", o)
 	}
 	// Server ids run from 0 and must stay clear of the front-end's (when

@@ -42,6 +42,6 @@ func (e *Engine) Saturation(v Version, o Options) float64 {
 func keyForTraits(tr traits, o Options) string {
 	// The protocol suite is capacity-relevant: the sharded directory
 	// trades broadcast announces for per-shard relays.
-	return fmt.Sprintf("coop=%v/fe=%v/extra=%v/%s/%d/%d/%d/%g/%d",
-		tr.cooperative, tr.fe, tr.extraNode, o.Protocol, o.Nodes, o.CacheBytes, o.Docs, o.Alpha, o.Seed)
+	return fmt.Sprintf("coop=%v/fe=%v/extra=%v/%s/%d/%d/%d/%d",
+		tr.cooperative, tr.fe, tr.extraNode, o.Protocol, o.Nodes, o.CacheBytes, o.Docs, o.Seed)
 }

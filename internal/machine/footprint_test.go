@@ -232,6 +232,55 @@ func TestIdleProcessStoresNoEntry(t *testing.T) {
 	}
 }
 
+// A backlog far past mailboxKeep — a boot storm's, one datagram per peer
+// — runs in arrival order, and once it drains the process holds no array
+// larger than mailboxKeep entries: the storm's 16 KB high-water is not
+// kept for the process's life. A backlog that fits keeps its array for
+// the next one.
+func TestDrainedMailboxDropsAStormsArray(t *testing.T) {
+	const storm = 1000
+	w := newWorld()
+	a := New(w.sim, w.net, 0, nil, w.log)
+	b := New(w.sim, w.net, 1, nil, w.log)
+	var envA *Env
+	var got []cnet.Message
+	a.AddProc("client", func(e *Env) { envA = e })
+	srv := b.AddProc("server", func(e *Env) {
+		e.BindDatagram("d", func(_ cnet.NodeID, m cnet.Message) {
+			got = append(got, m)
+			e.Charge(time.Millisecond) // what arrives meanwhile queues
+		})
+	})
+	burst := func(n int) (queued int) {
+		got = got[:0]
+		for i := 0; i < n; i++ {
+			envA.Send(1, cnet.ClassIntra, "d", i, 10)
+		}
+		for w.sim.Step() {
+			queued = max(queued, srv.MailboxLen())
+		}
+		for i := range got {
+			if got[i] != i {
+				t.Fatalf("a %d-entry backlog ran %v..., want 0..%d in order", n, got[:i+1], n-1)
+			}
+		}
+		if len(got) != n {
+			t.Fatalf("a %d-entry backlog ran %d handlers", n, len(got))
+		}
+		return queued
+	}
+	if q := burst(storm); q < storm-1 {
+		t.Fatalf("at most %d entries queued, want a %d-entry backlog", q, storm-1)
+	}
+	if c := cap(srv.mailbox); c > mailboxKeep {
+		t.Errorf("after a %d-entry backlog drained the mailbox holds a %d-entry array, want at most %d", storm, c, mailboxKeep)
+	}
+	burst(mailboxKeep / 2)
+	if c := cap(srv.mailbox); c == 0 || c > mailboxKeep {
+		t.Errorf("after a %d-entry backlog drained the mailbox holds a %d-entry array, want it kept", mailboxKeep/2, c)
+	}
+}
+
 // pingDialer is a component record that owns its dials, as the server's
 // peers and the front-end's relays do: one record serves every dial.
 type pingDialer struct{ h cnet.StreamHandlers }

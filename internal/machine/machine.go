@@ -468,6 +468,13 @@ func (p *Proc) runnable() bool {
 	return p.alive && !p.hung && !p.stalled && p.m.state == simnet.NodeUp
 }
 
+// mailboxKeep is the most entries a drained mailbox's array may hold and
+// still be kept for the next backlog. A larger one — a boot storm's
+// backlog of one control datagram per peer, which grows with the cluster —
+// is dropped when its queue drains, instead of staying at that high-water
+// for the process's life.
+const mailboxKeep = 64
+
 // postCall runs one mailbox entry: at once when the process is idle —
 // alive, runnable, no charge elapsing, nothing queued — so an idle process
 // stores no entry, and otherwise behind the queue, reclaiming spent
@@ -489,8 +496,7 @@ func (p *Proc) postCall(c call) {
 	}
 	if p.head > 0 {
 		if p.head == len(p.mailbox) {
-			p.mailbox = p.mailbox[:0]
-			p.head = 0
+			p.drained()
 		} else if len(p.mailbox) == cap(p.mailbox) {
 			// The mailbox is a queue consumed at head; with a standing
 			// backlog it never fully drains, so append-only growth would
@@ -528,9 +534,20 @@ func (p *Proc) pump() {
 		}
 	}
 	if p.head > 0 && p.head == len(p.mailbox) {
-		p.mailbox = p.mailbox[:0]
-		p.head = 0
+		p.drained()
 	}
+}
+
+// drained empties a mailbox whose every entry has run (each was zeroed as
+// it was taken), keeping its array for the next backlog only up to
+// mailboxKeep entries.
+func (p *Proc) drained() {
+	if cap(p.mailbox) > mailboxKeep {
+		p.mailbox = nil
+	} else {
+		p.mailbox = p.mailbox[:0]
+	}
+	p.head = 0
 }
 
 // step runs one entry and starts the CPU charge its handler accrued,

@@ -18,7 +18,7 @@ import "testing"
 // the eviction verdict. This is the dual-threshold gray mishandling —
 // the total threshold has no reroute analogue.
 func TestLossyPeerSkipsRerouteStage(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	// Queue fills with non-request traffic; requests never cross 16.
 	for q := 0; q <= 64; q += 4 {
 		m.Observe(1, q, q/8)
@@ -39,7 +39,7 @@ func TestLossyPeerSkipsRerouteStage(t *testing.T) {
 // failure verdict has none, so a flapping lossy peer turns into
 // fail/re-admit churn instead of settling into the rerouting regime.
 func TestFlappingLossyPeerChurnsFailures(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	fails := 0
 	for cycle := 0; cycle < 5; cycle++ {
 		// On phase: total climbs to the threshold, requests stay low.
@@ -70,7 +70,7 @@ func TestFlappingLossyPeerChurnsFailures(t *testing.T) {
 // reroute stage before failing. Gray handling is asymmetric across the
 // two thresholds — this is the half that works.
 func TestLossyPeerRequestRampReroutesFirst(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	for q := 0; q <= 32; q++ {
 		m.Observe(1, q, q)
 	}

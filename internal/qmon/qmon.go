@@ -22,21 +22,16 @@ import (
 	"press/internal/cnet"
 )
 
-// Config carries the thresholds. The defaults reproduce the paper's 512 /
-// 256 / 128 settings scaled to the simulation's request rate (the paper
-// ran ~10x more requests per second through the same heartbeat periods;
-// scaling the thresholds by the same factor preserves detection latency).
-type Config struct {
-	TotalThreshold   int     // messages of all types ⇒ failed
-	RequestThreshold int     // request messages ⇒ failed
-	RerouteThreshold int     // request messages ⇒ overloaded, start rerouting
-	ProbeFraction    float64 // share of requests still sent to an overloaded queue
-}
-
-// DefaultConfig returns the scaled paper settings.
-func DefaultConfig() Config {
-	return Config{TotalThreshold: 64, RequestThreshold: 32, RerouteThreshold: 16, ProbeFraction: 0.05}
-}
+// The thresholds: the paper's 512 / 256 / 128 settings scaled to the
+// simulation's request rate (the paper ran ~10x more requests per second
+// through the same heartbeat periods; scaling the thresholds by the same
+// factor preserves detection latency).
+const (
+	TotalThreshold   = 64   // messages of all types ⇒ failed
+	RequestThreshold = 32   // request messages ⇒ failed
+	RerouteThreshold = 16   // request messages ⇒ overloaded, start rerouting
+	ProbeFraction    = 0.05 // share of requests still sent to an overloaded queue
+)
 
 // Callbacks report state transitions. They are invoked synchronously from
 // Observe.
@@ -53,7 +48,6 @@ type Callbacks struct {
 // recycled through a free list, so churn in the cooperation set (repeated
 // exclusion and re-admission) reaches a steady state with no allocation.
 type Monitor struct {
-	cfg   Config
 	cb    Callbacks
 	rng   *rand.Rand
 	state map[cnet.NodeID]*peerState
@@ -67,15 +61,9 @@ type peerState struct {
 
 // New creates a Monitor. rng drives probe sampling and may be shared with
 // the owning component.
-func New(cfg Config, cb Callbacks, rng *rand.Rand) *Monitor {
-	if cfg.TotalThreshold <= 0 || cfg.RequestThreshold <= 0 || cfg.RerouteThreshold <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Monitor{cfg: cfg, cb: cb, rng: rng, state: make(map[cnet.NodeID]*peerState)}
+func New(cb Callbacks, rng *rand.Rand) *Monitor {
+	return &Monitor{cb: cb, rng: rng, state: make(map[cnet.NodeID]*peerState)}
 }
-
-// Config returns the thresholds in effect.
-func (m *Monitor) Config() Config { return m.cfg }
 
 func (m *Monitor) peer(id cnet.NodeID) *peerState {
 	ps := m.state[id]
@@ -100,7 +88,7 @@ func (m *Monitor) Observe(peer cnet.NodeID, total, requests int) {
 	if ps.failed {
 		return
 	}
-	if total >= m.cfg.TotalThreshold || requests >= m.cfg.RequestThreshold {
+	if total >= TotalThreshold || requests >= RequestThreshold {
 		ps.failed = true
 		ps.rerouting = false
 		if m.cb.OnFail != nil {
@@ -108,14 +96,14 @@ func (m *Monitor) Observe(peer cnet.NodeID, total, requests int) {
 		}
 		return
 	}
-	if !ps.rerouting && requests >= m.cfg.RerouteThreshold {
+	if !ps.rerouting && requests >= RerouteThreshold {
 		ps.rerouting = true
 		if m.cb.OnReroute != nil {
 			m.cb.OnReroute(peer)
 		}
 		return
 	}
-	if ps.rerouting && requests <= m.cfg.RerouteThreshold/2 {
+	if ps.rerouting && requests <= RerouteThreshold/2 {
 		ps.rerouting = false
 		if m.cb.OnRecover != nil {
 			m.cb.OnRecover(peer)
@@ -136,7 +124,7 @@ func (m *Monitor) ShouldReroute(peer cnet.NodeID) bool {
 	if !ps.rerouting {
 		return false
 	}
-	return m.rng.Float64() >= m.cfg.ProbeFraction
+	return m.rng.Float64() >= ProbeFraction
 }
 
 // Failed reports whether peer has been declared failed.

@@ -2,28 +2,25 @@ package qmon
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"press/internal/cnet"
 )
 
-func newMon(cfg Config) (*Monitor, *[]string) {
+func newMon() (*Monitor, *[]string) {
 	events := new([]string)
 	cb := Callbacks{
 		OnReroute: func(p cnet.NodeID) { *events = append(*events, "reroute") },
 		OnRecover: func(p cnet.NodeID) { *events = append(*events, "recover") },
 		OnFail:    func(p cnet.NodeID) { *events = append(*events, "fail") },
 	}
-	return New(cfg, cb, rand.New(rand.NewSource(1))), events
-}
-
-func cfg() Config {
-	return Config{TotalThreshold: 64, RequestThreshold: 32, RerouteThreshold: 16, ProbeFraction: 0.05}
+	return New(cb, rand.New(rand.NewSource(1))), events
 }
 
 func TestRerouteThenFailOnRequestGrowth(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	for q := 0; q <= 32; q++ {
 		m.Observe(1, q, q)
 	}
@@ -36,7 +33,7 @@ func TestRerouteThenFailOnRequestGrowth(t *testing.T) {
 }
 
 func TestTotalThresholdAloneFails(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	// Queue full of non-request messages (e.g. cache announcements).
 	m.Observe(2, 64, 0)
 	if len(*ev) != 1 || (*ev)[0] != "fail" {
@@ -45,7 +42,7 @@ func TestTotalThresholdAloneFails(t *testing.T) {
 }
 
 func TestRecoveryOnDrain(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	m.Observe(1, 16, 16) // reroute
 	m.Observe(1, 8, 8)   // drained to half the reroute threshold
 	if len(*ev) != 2 || (*ev)[1] != "recover" {
@@ -57,7 +54,7 @@ func TestRecoveryOnDrain(t *testing.T) {
 }
 
 func TestNoRecoveryUntilHalfDrain(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	m.Observe(1, 16, 16)
 	m.Observe(1, 12, 12) // above half threshold: still overloaded
 	if len(*ev) != 1 {
@@ -75,7 +72,7 @@ func TestNoRecoveryUntilHalfDrain(t *testing.T) {
 // recovery only on a genuine drain below half, after which a fresh
 // overload may re-arm exactly once.
 func TestFlappingPeerHysteresis(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	// Queue flaps 18 ⇄ 12 around the threshold (16) but never drains
 	// below half (8): one reroute, zero recoveries, however long it flaps.
 	for i := 0; i < 50; i++ {
@@ -107,7 +104,7 @@ func TestFlappingPeerHysteresis(t *testing.T) {
 }
 
 func TestFailedIsSticky(t *testing.T) {
-	m, ev := newMon(cfg())
+	m, ev := newMon()
 	m.Observe(1, 64, 64)
 	m.Observe(1, 0, 0) // drained (e.g. conn torn down): verdict must hold
 	if m.Failed(1) != true {
@@ -119,7 +116,7 @@ func TestFailedIsSticky(t *testing.T) {
 }
 
 func TestClearFailedReadmits(t *testing.T) {
-	m, _ := newMon(cfg())
+	m, _ := newMon()
 	m.Observe(1, 64, 64)
 	m.ClearFailed(1)
 	if m.Failed(1) || m.Rerouting(1) {
@@ -133,7 +130,7 @@ func TestClearFailedReadmits(t *testing.T) {
 }
 
 func TestShouldRerouteProbeFraction(t *testing.T) {
-	m, _ := newMon(cfg())
+	m, _ := newMon()
 	m.Observe(1, 20, 20) // overloaded
 	sent := 0
 	const n = 10000
@@ -149,7 +146,7 @@ func TestShouldRerouteProbeFraction(t *testing.T) {
 }
 
 func TestShouldRerouteStates(t *testing.T) {
-	m, _ := newMon(cfg())
+	m, _ := newMon()
 	if m.ShouldReroute(1) {
 		t.Fatal("healthy peer rerouted")
 	}
@@ -160,7 +157,7 @@ func TestShouldRerouteStates(t *testing.T) {
 }
 
 func TestForgetResets(t *testing.T) {
-	m, _ := newMon(cfg())
+	m, _ := newMon()
 	m.Observe(1, 64, 64)
 	m.Forget(1)
 	if m.Failed(1) {
@@ -168,10 +165,25 @@ func TestForgetResets(t *testing.T) {
 	}
 }
 
-func TestZeroConfigGetsDefaults(t *testing.T) {
-	m := New(Config{}, Callbacks{}, rand.New(rand.NewSource(1)))
-	if m.Config() != DefaultConfig() {
-		t.Fatalf("Config = %+v", m.Config())
+// TestThresholdEdges: each threshold — the paper's 512 / 256 / 128
+// scaled to 64 / 32 / 16 (§4.3) — acts at its value and not one below.
+func TestThresholdEdges(t *testing.T) {
+	for _, tc := range []struct {
+		total, requests int
+		want            string
+	}{
+		{TotalThreshold - 1, 0, ""},
+		{TotalThreshold, 0, "fail"},
+		{RerouteThreshold - 1, RerouteThreshold - 1, ""},
+		{RerouteThreshold, RerouteThreshold, "reroute"},
+		{RequestThreshold - 1, RequestThreshold - 1, "reroute"},
+		{RequestThreshold, RequestThreshold, "fail"},
+	} {
+		m, ev := newMon()
+		m.Observe(1, tc.total, tc.requests)
+		if got := strings.Join(*ev, ","); got != tc.want {
+			t.Errorf("Observe(total %d, requests %d): events %q, want %q", tc.total, tc.requests, got, tc.want)
+		}
 	}
 }
 
@@ -179,10 +191,9 @@ func TestZeroConfigGetsDefaults(t *testing.T) {
 // without the thresholds actually being crossed at that observation, and
 // reroute implies the request threshold was crossed at some prior point.
 func TestQuickThresholdSoundness(t *testing.T) {
-	c := cfg()
 	f := func(obs []uint8) bool {
 		failedAt := -1
-		m := New(c, Callbacks{
+		m := New(Callbacks{
 			OnFail: func(cnet.NodeID) {
 				if failedAt == -2 {
 					return
@@ -201,7 +212,7 @@ func TestQuickThresholdSoundness(t *testing.T) {
 				// Soundness: some observation so far crossed a threshold.
 				crossed := false
 				for _, p := range obs[:i+1] {
-					if int(p) >= c.TotalThreshold || int(p)/2 >= c.RequestThreshold {
+					if int(p) >= TotalThreshold || int(p)/2 >= RequestThreshold {
 						crossed = true
 					}
 				}

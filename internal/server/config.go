@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"press/internal/cnet"
-	"press/internal/qmon"
 	"press/internal/trace"
 )
 
@@ -104,8 +103,8 @@ type Config struct {
 	// connections are rejected.
 	MaxConcurrent int
 
-	// QMon enables queue monitoring when non-nil.
-	QMon *qmon.Config
+	// QMon enables queue monitoring (§4.3, at qmon's fixed thresholds).
+	QMon bool
 
 	// MembershipPoll is the period at which the membership client library
 	// re-publishes the external view to the server (§4.2's shared-memory

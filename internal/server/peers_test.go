@@ -164,7 +164,7 @@ func TestRedialNamesItsRecordInTheTable(t *testing.T) {
 // allocates nothing.
 func TestDirectSendAllocatesNothing(t *testing.T) {
 	conn := &stubConn{open: true}
-	s, _ := senderTo(conn, qmon.New(qmon.DefaultConfig(), qmon.Callbacks{}, rand.New(rand.NewSource(1))))
+	s, _ := senderTo(conn, qmon.New(qmon.Callbacks{}, rand.New(rand.NewSource(1))))
 	m := &FwdMsg{}
 	if n := testing.AllocsPerRun(100, func() {
 		s.enqueue(1, outMsg{m: m, size: sizeFwd, isReq: true, reqID: 7})

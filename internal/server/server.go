@@ -145,8 +145,8 @@ func newServer(cfg Config, env cnet.Env, disk DiskArray, memb MembershipView) *S
 	s.clientH = cnet.StreamHandlers{OnMessage: s.onClientMsg, OnClose: s.onClientClose}
 	s.sendH = cnet.StreamHandlers{OnClose: s.onSendClose, OnWritable: s.onSendWritable}
 	s.inH = cnet.StreamHandlers{OnMessage: s.onPeerMsg, OnClose: s.onPeerClose}
-	if cfg.QMon != nil {
-		s.qm = qmon.New(*cfg.QMon, qmon.Callbacks{
+	if cfg.QMon {
+		s.qm = qmon.New(qmon.Callbacks{
 			OnReroute: func(p cnet.NodeID) {
 				s.emit(metrics.KQMonReroute, int(p), "queue overloaded")
 			},

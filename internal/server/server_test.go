@@ -7,7 +7,6 @@ import (
 	"press/internal/cnet"
 	"press/internal/machine"
 	"press/internal/metrics"
-	"press/internal/qmon"
 	"press/internal/server"
 	"press/internal/sim"
 	"press/internal/simdisk"
@@ -77,16 +76,13 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 			CacheBytes:      500 * 27 * 1024,
 			Catalog:         cat,
 			MaxConcurrent:   o.maxConc,
+			QMon:            o.qmon,
 			Cost: server.CostModel{
 				Accept: time.Millisecond, LocalHit: 2 * time.Millisecond,
 				Forward: 500 * time.Microsecond, PeerServe: 1500 * time.Microsecond,
 				Reply: time.Millisecond, DiskDone: time.Millisecond,
 				Control: 100 * time.Microsecond,
 			},
-		}
-		if o.qmon {
-			qc := qmon.Config{TotalThreshold: 32, RequestThreshold: 16, RerouteThreshold: 8, ProbeFraction: 0.1}
-			cfg.QMon = &qc
 		}
 		m.AddProc("press", func(env *machine.Env) {
 			var mv server.MembershipView
@@ -295,7 +291,10 @@ func TestDiskFaultWedgesClusterThenRingExcludes(t *testing.T) {
 }
 
 func TestQMonExcludesHungPeerWithoutRing(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{n: 4, coop: true, ring: false, qmon: true, rate: 80})
+	// qmon's thresholds are scaled to a request rate: at 160 req/s every
+	// peer's queue to the hung node crosses them inside the window (at 80
+	// req/s node 1's takes longer than 150 s).
+	tc := newTestCluster(t, clusterOpts{n: 4, coop: true, ring: false, qmon: true, rate: 160})
 	tc.run(2 * time.Second)
 	tc.gen.Start()
 	tc.run(20 * time.Second)

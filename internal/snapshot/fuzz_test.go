@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"press/internal/harness"
 	"press/internal/sim"
 	"press/internal/snapio"
+	"press/internal/trace"
 )
 
 // warmBlob is a world of version v, warmed and captured.
@@ -158,6 +160,73 @@ func TestRetiredPairSlotsAreRefused(t *testing.T) {
 	}
 	_, err = aliased.Restore(nil)
 	refused("Restore with an address alias", err, "count 1 out of range")
+}
+
+// TestRetiredOptionSlotsAreRefused: format 7 keeps nine option slots no
+// world fills any more, the trace skew (always trace.DefaultAlpha) and
+// the eight of the load modulation (always zero: the offered load is
+// stationary). A blob whose skew is another value, or whose modulation
+// has any slot set, is refused with a typed error instead of restoring
+// as a world it does not describe.
+func TestRetiredOptionSlotsAreRefused(t *testing.T) {
+	snap, err := harness.Take(harness.NewEngine(0).Build(harness.VCOOP, fastOpts(1)), nil)
+	if err != nil {
+		t.Fatalf("Take: %v", err)
+	}
+	// envelope writes the envelope through the modulation slots: the
+	// snapshot's own values, with the skew given and the modulation slot
+	// set (its zero-based index; -1 sets none).
+	envelope := func(alpha float64, set int) []byte {
+		x := &snapio.Ctx{Enc: &snapio.Encoder{}}
+		magic, format, v, pair := "press-snap", 7, string(snap.Version), false
+		x.Str(&magic)
+		snapio.Int(x, &format)
+		x.Str(&v)
+		o := snap.Opts
+		snapio.Int(x, &o.Seed)
+		snapio.Int(x, &o.Nodes)
+		snapio.Int(x, &o.CacheBytes)
+		x.F64(&o.Rate)
+		snapio.Int(x, &o.Warmup)
+		snapio.Int(x, &o.HeartbeatPeriod)
+		snapio.Int(x, &o.OperatorResponse)
+		x.Bool(&pair)
+		snapio.Int(x, &o.Docs)
+		x.F64(&alpha)
+		snapio.Int(x, &o.Protocol)
+		// Amplitude, period, phase, boost, onset, ramp, hold, decay.
+		for i, float := range []bool{true, false, true, true, false, false, false, false} {
+			f, n := 0.0, int64(0)
+			if i == set {
+				f, n = 0.5, 1
+			}
+			if float {
+				x.F64(&f)
+			} else {
+				snapio.Int(x, &n)
+			}
+		}
+		return x.Enc.Bytes()
+	}
+	head := envelope(trace.DefaultAlpha, -1)
+	if !bytes.HasPrefix(snap.Bytes(), head) {
+		t.Fatal("the envelope does not hold the default skew and a zero modulation")
+	}
+	rest := snap.Bytes()[len(head):]
+	refused := func(what string, blob []byte, want string) {
+		t.Helper()
+		_, err := harness.Load(blob)
+		var se *snapio.SnapError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, want) {
+			t.Errorf("%s: %v, want a *snapio.SnapError saying %q", what, err, want)
+		}
+	}
+	for _, alpha := range []float64{0, 1.2, math.NaN()} {
+		refused(fmt.Sprintf("Load with skew %v", alpha), slices.Concat(envelope(alpha, -1), rest), "trace skew")
+	}
+	for slot := 0; slot < 8; slot++ {
+		refused(fmt.Sprintf("Load with modulation slot %d set", slot), slices.Concat(envelope(trace.DefaultAlpha, slot), rest), "modulated")
+	}
 }
 
 // FuzzLoadRestore feeds Load and Restore what a disk or a hostile sender

@@ -16,7 +16,6 @@ import (
 	"press/internal/machine"
 	"press/internal/server"
 	"press/internal/snapio"
-	"press/internal/trace"
 )
 
 // fastOpts keeps the world small and pins the rate so Build never runs
@@ -43,10 +42,8 @@ func dump(c *harness.Cluster) string {
 // TestPlainWorldRoundTrip warms a world of each shape the walks have to
 // carry — plain: nothing drives it but its load, and no driver's state
 // rides on the stream — snapshots it, and checks a restored world
-// continues byte-identically to the uninterrupted original. The diurnal case holds the envelope to every
-// option the world was built from: until format 4 it left the modulation
-// out, and the restored world offered a stationary load without an error.
-// The frontend-down case captures two seconds into a front-end crash,
+// continues byte-identically to the uninterrupted original. The
+// frontend-down case captures two seconds into a front-end crash,
 // with the clients' requests to the dead machine in flight; the scalable
 // cases carry gossip membership, the sharded directory and a two-machine
 // front-end tier.
@@ -70,9 +67,6 @@ func TestPlainWorldRoundTrip(t *testing.T) {
 	}{
 		{"INDEP", harness.VINDEP, fastOpts(1), nil},
 		{"COOP", harness.VCOOP, fastOpts(1), nil},
-		{"COOP/diurnal", harness.VCOOP, with(func(o *harness.Options) {
-			o.Mod = trace.Modulation{DiurnalAmp: 0.5, DiurnalPeriod: 2 * time.Minute}
-		}), nil},
 		{"FME", harness.VFME, fastOpts(1), nil},
 		{"C-MON/frontend-down", harness.VCMON, fastOpts(1), crashFrontend},
 		{"COOP/scalable", harness.VCOOP, with(func(o *harness.Options) { o.Protocol, o.Nodes = harness.Scalable, 8 }), nil},

@@ -36,9 +36,6 @@ type Config struct {
 	// over this span (the paper warms the server up to its 90% load over
 	// five minutes).
 	RampUp time.Duration
-	// Mod layers a deterministic time-varying shape (diurnal curve,
-	// flash-crowd spike) on the base rate. Zero value = stationary load.
-	Mod trace.Modulation
 }
 
 // A request's connect and complete timeouts are the paper's 2 s / 6 s.
@@ -169,9 +166,6 @@ func (g *Generator) Stop() { g.running = false }
 func (g *Generator) currentRate() float64 {
 	rate := g.cfg.Rate
 	el := g.sim.Now() - g.started
-	if g.cfg.Mod.Active() {
-		rate *= g.cfg.Mod.Factor(el)
-	}
 	if g.cfg.RampUp <= 0 || el >= g.cfg.RampUp {
 		return rate
 	}

@@ -111,18 +111,15 @@ func TestScale256EventCountInvariant(t *testing.T) {
 // as measured on linux/amd64 (DESIGN §17: the bytes repeat to ±0.2 MB, the
 // count to a few objects). The world is deterministic, so what it keeps is
 // a pinned number like the event count; the test allows 1 MB and 1 % of
-// the objects over. The count is derived, not read: 174,418 while each
-// server allocated its 255 peer records one by one, less those 65,280
-// records, plus the 256 tables that now hold them by value, less the 256
-// random streams (a source and its rand.Rand each) of the press servers,
-// which never draw and so never build one, plus the 309 receive buffers
-// (header and array) that ends which once buffered now keep through
-// their close, counted at deliverStream in a heap profile of the window
-// (103 → 412). The bytes fell from 44.6 MB when a pair went from 224 to
-// 192 bytes, a listed end from 16 to 8 and those streams went.
+// the objects over. Both are readings, and they only go down. Among what
+// they hold: 256 peer tables (records by value, not one object per peer),
+// no random stream for a press server that never draws, the receive
+// buffers of ends that once buffered, and no mailbox array over
+// mailboxKeep entries in a process whose queue has drained (keeping them
+// adds the 253 servers' 341-entry boot-storm arrays, 4 MB).
 const (
-	scale256LiveHeapMB  = 40.2
-	scale256LiveObjects = 174_418 - 65_280 + 256 - 2*256 + 309
+	scale256LiveHeapMB  = 36.2
+	scale256LiveObjects = 108_921
 )
 
 // TestScale256LiveHeap pins the bytes per node: what the 256-node world
