@@ -167,3 +167,19 @@ func TestReproNamesTheCampaignsVersion(t *testing.T) {
 		t.Errorf("repro replays on %s, the campaign ran on %s", rep.Version, press.COOP)
 	}
 }
+
+// TestStandingViolationReplays pins a wrong the simulator still has: the
+// checked-in repro of pressbench forkchaos seed 61 (COOP, FastOptions(1)
+// at 100 req/s with a 10-minute warm-up, shrunk 6 → 5 entries), which
+// violates
+//
+//	converges: cluster never became whole: 4/4 nodes up, views [4 3 4 3] after 2 resets
+//
+// -chaos-replay exits 0 while the violation reproduces. The change that
+// heals it makes the replay exit 2 (stale), and flips this test to expect 2.
+func TestStandingViolationReplays(t *testing.T) {
+	f := filepath.Join("testdata", "chaos-repro-COOP-seed61-4c994f70e2809376.json")
+	if code := run([]string{"-chaos-replay", f}); code != 0 {
+		t.Fatalf("-chaos-replay %s exited %d, want 0 (the recorded violation reproduces)", f, code)
+	}
+}

@@ -118,22 +118,6 @@ func (r Result) String() string {
 
 // --- Hardware redundancy (§6.1) --------------------------------------------
 
-// CompositeMTTF is the paper's composite-system formula ([26]): a
-// redundant group of n components, any n−1 of which suffice, fails when a
-// second component breaks before the first repair completes:
-//
-//	MTTF_composite = MTTF² / (n·(n−1)·MTTR)
-//
-// The result saturates at time.Duration's ~292-year ceiling; at that
-// magnitude the fault class's contribution is numerically negligible
-// anyway.
-func CompositeMTTF(mttf, mttr time.Duration, n int) time.Duration {
-	if n < 2 {
-		return mttf
-	}
-	return satDuration(float64(mttf) / float64(n*(n-1)) * (float64(mttf) / float64(mttr)))
-}
-
 // satDuration converts float nanoseconds to a Duration, saturating.
 func satDuration(ns float64) time.Duration {
 	const max = float64(1<<63 - 1)

@@ -111,23 +111,6 @@ func TestBadOffered(t *testing.T) {
 	}
 }
 
-func TestCompositeMTTF(t *testing.T) {
-	// Scaled-down instance of the paper's RAID math: 5-component group,
-	// MTTF 1000 h, MTTR 1 h → 1000²/20 = 50 000 h.
-	got := CompositeMTTF(1000*time.Hour, time.Hour, 5)
-	if math.Abs(got.Hours()-50000) > 1 {
-		t.Fatalf("composite MTTF = %.1f h, want 50000", got.Hours())
-	}
-	if CompositeMTTF(time.Hour, time.Minute, 1) != time.Hour {
-		t.Fatal("n=1 must be identity")
-	}
-	// The paper's actual numbers (1-year disks) exceed Duration's range
-	// and must saturate rather than wrap negative.
-	if CompositeMTTF(365*24*time.Hour, time.Hour, 5) <= 0 {
-		t.Fatal("composite MTTF overflowed")
-	}
-}
-
 func TestRedundancyScaling(t *testing.T) {
 	loads := []FaultLoad{
 		simpleLoad(faults.SCSITimeout, 8, 365*24*time.Hour, time.Hour, 100, 0, 75, sec(15), true),

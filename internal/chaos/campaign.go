@@ -10,11 +10,10 @@ import (
 
 // CampaignConfig drives a multi-seed chaos campaign.
 type CampaignConfig struct {
-	Seeds      []int64 // one run per seed; order is the report order
-	Gen        GenConfig
-	Run        RunConfig
-	Invariants []Invariant // nil means DefaultInvariants()
-	Shrink     bool        // minimize each violating schedule
+	Seeds  []int64 // one run per seed; order is the report order
+	Gen    GenConfig
+	Run    RunConfig
+	Shrink bool // minimize each violating schedule
 }
 
 // Seeds returns 1..n, the fixed seed set `cmd/reproduce -chaos -seeds n`
@@ -127,10 +126,7 @@ func runSeeds(eng *harness.Engine, v harness.Version, cfg CampaignConfig,
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = Seeds(4)
 	}
-	invs := cfg.Invariants
-	if invs == nil {
-		invs = DefaultInvariants()
-	}
+	invs := DefaultInvariants()
 	sum := CampaignSummary{Version: v, Outcomes: make([]SeedOutcome, len(cfg.Seeds))}
 	var wg sync.WaitGroup
 	for i, seed := range cfg.Seeds {

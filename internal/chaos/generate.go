@@ -14,10 +14,6 @@ import (
 type GenConfig struct {
 	// Horizon is the injection window: every entry starts inside it.
 	Horizon time.Duration // default 4m
-	// Accel divides every Table 1 MTTF so compound faults actually occur
-	// inside the horizon (same acceleration idea as the stochastic
-	// validator, cranked higher to force overlap).
-	Accel float64 // default 6000
 	// MaxFaults keeps the earliest entries when a draw produces more.
 	MaxFaults int // default 10
 	// MinActive/MaxActive bound each fault's active span (Table 1 MTTRs
@@ -51,8 +47,12 @@ const (
 )
 
 const (
-	// minFaults: generation retries (doubling Accel, fresh stream) until
-	// the schedule has at least this many entries.
+	// accel divides every Table 1 MTTF so compound faults actually occur
+	// inside the horizon (same acceleration idea as the stochastic
+	// validator, cranked higher to force overlap).
+	accel = 6000
+	// minFaults: generation retries (doubling the acceleration, fresh
+	// stream) until the schedule has at least this many entries.
 	minFaults = 3
 	// flapFraction of flap-capable draws (link, disk) become
 	// intermittent variants.
@@ -62,9 +62,6 @@ const (
 func (g GenConfig) withDefaults() GenConfig {
 	if g.Horizon <= 0 {
 		g.Horizon = 4 * time.Minute
-	}
-	if g.Accel <= 0 {
-		g.Accel = 6000
 	}
 	if g.MaxFaults <= 0 {
 		g.MaxFaults = 10
@@ -157,15 +154,15 @@ func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) S
 	n := topo.Nodes
 	specs := faults.Table1(n, 2, topo.Frontend)
 
-	accel := cfg.Accel
+	a := float64(accel)
 	var sched Schedule
 	for try := 0; try < 8; try++ {
 		rng := genRand(seed, try)
-		sched = drawSpecs(rng, specs, cfg, accel)
+		sched = drawSpecs(rng, specs, cfg, a)
 		if len(sched) >= minFaults {
 			break
 		}
-		accel *= 2 // sparse draw: crank the fault load and redraw
+		a *= 2 // sparse draw: crank the fault load and redraw
 	}
 
 	sched = sched.Canonical()
@@ -174,7 +171,7 @@ func Generate(seed int64, v harness.Version, o harness.Options, cfg GenConfig) S
 	}
 
 	if cfg.Gray {
-		gray := drawSpecs(genRandL("chaos/gray", seed, 0), faults.GrayTable(n, 2), cfg, cfg.Accel)
+		gray := drawSpecs(genRandL("chaos/gray", seed, 0), faults.GrayTable(n, 2), cfg, accel)
 		gray = gray.Canonical()
 		if len(gray) > cfg.MaxFaults {
 			gray = gray[:cfg.MaxFaults]

@@ -141,8 +141,8 @@ func Run(eng *harness.Engine, v harness.Version, o harness.Options, sched Schedu
 // application hang that lasts at least the enforcement bound — and does
 // not overlap any other scheduled fault that could mask or pre-empt the
 // probe — must draw an FME action on that node within the bound. The
-// bound is two missed probe strikes plus the restart grace (fme.Config
-// Consecutive=2 at the heartbeat cadence) with one period of slack.
+// bound is two missed probe strikes plus the restart grace (fme's
+// two-strike constant at the heartbeat cadence) with one period of slack.
 func fmeMisses(c *harness.Cluster, sched Schedule, t0 time.Duration) []string {
 	if !c.Version.HasFME() {
 		return nil

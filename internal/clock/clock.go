@@ -58,44 +58,11 @@ type Clock interface {
 	Every(d time.Duration, fn func()) Ticker
 }
 
-// Real is a Clock backed by the operating system clock. The zero value is
-// not usable; call NewReal.
-type Real struct {
-	epoch time.Time
-}
-
-// NewReal returns a wall-clock Clock whose epoch is the moment of the call.
-func NewReal() *Real {
-	return &Real{epoch: time.Now()}
-}
-
-// Now returns the wall-clock time elapsed since the epoch.
-func (r *Real) Now() time.Duration { return time.Since(r.epoch) }
-
-// AfterFunc schedules fn on the runtime timer heap.
-func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return realTimer{time.AfterFunc(d, fn)}
-}
-
-// Every schedules a periodic fn via the generic rearm-at-end ticker.
-func (r *Real) Every(d time.Duration, fn func()) Ticker {
-	return NewFuncTicker(r, d, fn)
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
-
-var _ Clock = (*Real)(nil)
-
 // FuncTicker adapts any Clock's one-shot AfterFunc into the periodic
-// Ticker contract: fire, run fn, rearm after fn returns. The wall-clock
-// Clocks (Real, livenet's per-process clock) use it so the rearm happens
-// on the implementation's own dispatch path — after mailbox delivery,
-// not at schedule time — exactly matching the hand-rolled
+// Ticker contract: fire, run fn, rearm after fn returns. livenet's
+// per-process wall clock uses it so the rearm happens on the
+// implementation's own dispatch path — after mailbox delivery, not at
+// schedule time — exactly matching the hand-rolled
 // rearm-at-end-of-callback idiom it replaces. Simulated processes tick
 // through machine.procTicker instead, which keeps the same contract and
 // can be snapshotted.

@@ -52,21 +52,18 @@ type Config struct {
 	Self cnet.NodeID
 	// ProbePeriod is the paper's 5 s test cadence.
 	ProbePeriod time.Duration
-	// Consecutive is how many consecutive unresponsive probes establish
-	// "the application fails to respond" (hysteresis against transient
-	// overload).
-	Consecutive int
 }
 
 // probeTimeout bounds the HTTP probe (and the SCSI probe).
 const probeTimeout = 2 * time.Second
 
+// consecutive is how many consecutive unresponsive probes establish "the
+// application fails to respond" (hysteresis against transient overload).
+const consecutive = 2
+
 func (c Config) withDefaults() Config {
 	if c.ProbePeriod <= 0 {
 		c.ProbePeriod = 5 * time.Second
-	}
-	if c.Consecutive <= 0 {
-		c.Consecutive = 2
 	}
 	return c
 }
@@ -270,13 +267,13 @@ func (d *Daemon) decide(diskHealthy bool, app appProbeResult) {
 		d.appStrikes = 0
 	}
 	switch {
-	case !diskHealthy && d.appStrikes >= d.cfg.Consecutive:
+	case !diskHealthy && d.appStrikes >= consecutive:
 		// Rule 1: disk fault wedged the application → node crash.
 		d.actions++
 		d.emit("disk faulty + app unresponsive: taking node offline")
 		d.appStrikes = 0
 		d.ctl.TakeOffline("fme: disk failure")
-	case diskHealthy && d.appStrikes >= d.cfg.Consecutive:
+	case diskHealthy && d.appStrikes >= consecutive:
 		// Rule 2: hang with a healthy disk → crash-restart.
 		d.actions++
 		d.emit("app unresponsive, disk healthy: restarting application")

@@ -65,7 +65,6 @@ func newFixture(t *testing.T) *fixture {
 		fx.d = fme.NewDaemon(fme.Config{
 			Self:        0,
 			ProbePeriod: time.Second,
-			Consecutive: 2,
 		}, env, disks, ctl)
 	})
 	return fx

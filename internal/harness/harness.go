@@ -455,14 +455,7 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 	s := sim.New(o.Seed)
 	log := &metrics.Log{}
 	scalable := o.Protocol == Scalable
-	netCfg := simnet.DefaultConfig()
-	// Coalesces a multicast fan-out into one kernel event. Nothing the
-	// Scalable suite runs multicasts (gossip pushes digests with Send; the
-	// one Multicast caller is the ring's seek), so this executes no batch
-	// code today: DESIGN §17 "Batched wide-cluster delivery" has the
-	// measurement and why the path is still here.
-	netCfg.BatchDelivery = scalable
-	net := simnet.New(s, netCfg, log)
+	net := simnet.New(s, simnet.DefaultConfig(), log)
 	cat := o.catalog()
 
 	topo := NewTopology(v, o)

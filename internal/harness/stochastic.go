@@ -28,11 +28,12 @@ type StochasticConfig struct {
 	// Accel divides every MTTF (e.g. 2000: a 2-week node-crash MTTF
 	// becomes ~10 minutes).
 	Accel float64
-	// OperatorCheck is how often the operator looks at the system; a
-	// reset happens when the system has been whole-fault-free but
-	// unreintegrated for the version Options' OperatorResponse.
-	OperatorCheck time.Duration
 }
+
+// operatorCheck is how often the operator looks at the system; a reset
+// happens when the system has been whole-fault-free but unreintegrated
+// for the version Options' OperatorResponse.
+const operatorCheck = 30 * time.Second
 
 func (c StochasticConfig) withDefaults() StochasticConfig {
 	if c.Horizon <= 0 {
@@ -40,9 +41,6 @@ func (c StochasticConfig) withDefaults() StochasticConfig {
 	}
 	if c.Accel <= 0 {
 		c.Accel = 2000
-	}
-	if c.OperatorCheck <= 0 {
-		c.OperatorCheck = 30 * time.Second
 	}
 	return c
 }
@@ -122,7 +120,7 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 		c.Sim.After(gap, func() {
 			defer schedule(s)
 			key := fmt.Sprintf("%v/%d", s.spec.Type, s.component)
-			if busy[key] || !targetHealthy(c, s.spec.Type, s.component) {
+			if busy[key] || !TargetHealthy(c, s.spec.Type, s.component) {
 				res.Skipped++
 				return
 			}
@@ -160,9 +158,9 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 			c.OperatorReset()
 			lastAllClear = c.Sim.Now()
 		}
-		c.Sim.After(cfg.OperatorCheck, operate)
+		c.Sim.After(operatorCheck, operate)
 	}
-	c.Sim.After(cfg.OperatorCheck, operate)
+	c.Sim.After(operatorCheck, operate)
 
 	c.Gen.Start()
 	start := o.Warmup + 30*time.Second
@@ -176,15 +174,9 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 
 // TargetHealthy reports whether injecting (t, comp) makes sense right now
 // (the component exists and is not already under some fault's effect).
-// The chaos scheduler uses it to skip arrivals whose target another
-// still-active fault already took down.
+// The stochastic driver and the chaos scheduler use it to skip arrivals
+// whose target another still-active fault already took down.
 func TargetHealthy(c *Cluster, t faults.Type, comp int) bool {
-	return targetHealthy(c, t, comp)
-}
-
-// targetHealthy reports whether injecting (t, comp) makes sense right now
-// (the component exists and is not already under some fault's effect).
-func targetHealthy(c *Cluster, t faults.Type, comp int) bool {
 	switch t {
 	case faults.SwitchDown:
 		return c.Net.SwitchUp()

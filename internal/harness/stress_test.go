@@ -45,7 +45,7 @@ func TestRandomFaultSequences(t *testing.T) {
 				default:
 					comp = rng.Intn(len(c.Machines))
 				}
-				if healthyTarget(c, ft, comp) {
+				if TargetHealthy(c, ft, comp) {
 					if a, err := c.Injector.Inject(ft, comp); err == nil {
 						active = append(active, a)
 					}
@@ -83,9 +83,4 @@ func TestRandomFaultSequences(t *testing.T) {
 			}
 		})
 	}
-}
-
-// healthyTarget mirrors stochastic.go's targetHealthy for the stress test.
-func healthyTarget(c *Cluster, t faults.Type, comp int) bool {
-	return targetHealthy(c, t, comp)
 }

@@ -9,7 +9,7 @@ import "fmt"
 const (
 	membershipNCSL = 472 // membership/membership.go + ring.go
 	qmonNCSL       = 94  // qmon/qmon.go
-	fmeNCSL        = 188 // fme/fme.go
+	fmeNCSL        = 185 // fme/fme.go
 )
 
 // Table2 reproduces the paper's Table 2: the implementation effort of

@@ -285,7 +285,7 @@ func simFacing(path string) bool {
 // name (DESIGN §8): the host's clock, math/rand's process-global
 // generator (its constructors are fine: randomness is a *rand.Rand from
 // the experiment seed), and, inside an Emit* argument, fmt's eager
-// formatting (the event log renders EmitInt/EmitInt2 details lazily).
+// formatting (the event log renders EmitInt details lazily).
 var forbidden = []struct {
 	pkg    string
 	names  *regexp.Regexp
@@ -295,7 +295,7 @@ var forbidden = []struct {
 	{"time", wallClock, false, "reads or waits on the wall clock; use the process clock (cnet.Env.Clock)"},
 	{"math/rand", globalRand, false, "draws from the process-global generator; thread a *rand.Rand from the experiment seed"},
 	{"math/rand/v2", globalRand, false, "draws from the process-global generator; thread a *rand.Rand from the experiment seed"},
-	{"fmt", regexp.MustCompile(`^Sprint(f|ln)?$`), true, "formats on every emission; use EmitInt/EmitInt2 or an interned constant"},
+	{"fmt", regexp.MustCompile(`^Sprint(f|ln)?$`), true, "formats on every emission; use EmitInt or an interned constant"},
 }
 
 var (

@@ -51,11 +51,11 @@ type portKey struct {
 	port string
 }
 
-// World is a registry of live nodes sharing one clock and event log.
+// World is a registry of live nodes sharing one epoch and event log.
 type World struct {
-	clk  *clock.Real
-	log  *metrics.Log
-	seed int64
+	epoch time.Time // instants are offsets from it
+	log   *metrics.Log
+	seed  int64
 
 	mu       sync.Mutex
 	tcpAddrs map[portKey]*listener
@@ -70,7 +70,7 @@ type World struct {
 // NewWorld creates an empty live world.
 func NewWorld(seed int64) *World {
 	return &World{
-		clk:      clock.NewReal(),
+		epoch:    time.Now(),
 		log:      &metrics.Log{},
 		seed:     seed,
 		tcpAddrs: make(map[portKey]*listener),
@@ -366,7 +366,7 @@ var (
 
 func (e *Env) emit(kind metrics.KindID, detail string) {
 	w := e.p.node.w
-	w.log.EmitID(w.clk.Now(), srcLivenet, kind, int(e.p.node.id), detail)
+	w.log.EmitID(time.Since(w.epoch), srcLivenet, kind, int(e.p.node.id), detail)
 }
 
 // Local implements cnet.Env.
@@ -402,7 +402,7 @@ func (e *Env) Clock() clock.Clock { return liveClock{e} }
 
 type liveClock struct{ e *Env }
 
-func (lc liveClock) Now() time.Duration { return lc.e.p.node.w.clk.Now() }
+func (lc liveClock) Now() time.Duration { return time.Since(lc.e.p.node.w.epoch) }
 
 func (lc liveClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
 	return lc.e.AfterFor(d, cnet.TimerFunc(fn))

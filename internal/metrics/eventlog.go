@@ -153,9 +153,11 @@ func (id KindID) String() string   { return kinds.name(uint16(id)) }
 
 // record is the internal storage form of one event: interned IDs and a
 // detail that is either a literal string (nargs == 0) or a format string
-// plus up to two integer args rendered only when something reads the
-// event. A hot emit therefore stores two words of strings and a few
-// integers — no formatting, no interface boxing.
+// plus an integer arg rendered only when something reads the event. A
+// hot emit therefore stores two words of strings and a few integers — no
+// formatting, no interface boxing. a1 is always 0 from an emit; snapshot
+// format 7 still carries it, and a record it loads with nargs == 2
+// renders both args.
 type record struct {
 	at     time.Duration
 	a0, a1 int64
@@ -230,11 +232,6 @@ func (l *Log) EmitID(at time.Duration, src SourceID, kind KindID, node int, deta
 // formatting and no boxing.
 func (l *Log) EmitInt(at time.Duration, src SourceID, kind KindID, node int, format string, v int64) {
 	l.append(record{at: at, src: src, kind: kind, node: int32(node), detail: format, a0: v, nargs: 1})
-}
-
-// EmitInt2 is EmitInt with two integer args.
-func (l *Log) EmitInt2(at time.Duration, src SourceID, kind KindID, node int, format string, v0, v1 int64) {
-	l.append(record{at: at, src: src, kind: kind, node: int32(node), detail: format, a0: v0, a1: v1, nargs: 2})
 }
 
 // Len returns the number of recorded events.

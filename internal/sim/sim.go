@@ -159,9 +159,6 @@ func New(seed int64) *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Seed returns the root seed the simulator was created with.
-func (s *Sim) Seed() int64 { return s.seed }
-
 // EventsFired returns the number of events executed so far. Useful for
 // benchmarking and for detecting runaway models in tests.
 func (s *Sim) EventsFired() uint64 { return s.fired }

@@ -101,21 +101,6 @@ func FindDips(tp *metrics.Series, from, to time.Duration, normal, frac float64) 
 	return dips
 }
 
-// Deepest returns the dip with the largest depth (ties to the earlier
-// one), or false when the slice is empty.
-func Deepest(dips []Dip) (Dip, bool) {
-	if len(dips) == 0 {
-		return Dip{}, false
-	}
-	best := dips[0]
-	for _, d := range dips[1:] {
-		if d.Depth > best.Depth {
-			best = d
-		}
-	}
-	return best, true
-}
-
 // clampMarkers forces the marker sequence monotone. A secondary dip can
 // push a stabilization search past the next scripted event — the series
 // never steadies between the repair and the reset because a chased fault

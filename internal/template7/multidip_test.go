@@ -28,10 +28,6 @@ func TestFindDipsTwoDips(t *testing.T) {
 	if dips[0].Min != 20 || dips[1].Min != 60 {
 		t.Errorf("dip mins %v/%v, want 20/60", dips[0].Min, dips[1].Min)
 	}
-	deep, ok := Deepest(dips)
-	if !ok || deep.From != sec(50) {
-		t.Errorf("Deepest = %+v, want the 20-rate dip", deep)
-	}
 }
 
 func TestFindDipsMergesShortRecovery(t *testing.T) {

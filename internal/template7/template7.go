@@ -102,16 +102,6 @@ func (t Template) ModelDurations(mttr, operatorResponse time.Duration) [NumStage
 	return d
 }
 
-// TotalModelTime sums the effective durations (the fault's expected
-// degraded span per occurrence).
-func (t Template) TotalModelTime(mttr, operatorResponse time.Duration) time.Duration {
-	var sum time.Duration
-	for _, d := range t.ModelDurations(mttr, operatorResponse) {
-		sum += d
-	}
-	return sum
-}
-
 // String renders the template as a compact table row set.
 func (t Template) String() string {
 	var b strings.Builder

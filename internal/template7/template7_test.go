@@ -163,15 +163,6 @@ func TestModelDurationsSubstitution(t *testing.T) {
 	}
 }
 
-func TestTotalModelTime(t *testing.T) {
-	tpl := Template{Normal: 100}
-	tpl.Durations[StageA] = sec(15)
-	got := tpl.TotalModelTime(3*time.Minute, time.Hour)
-	if got != 3*time.Minute { // A(15) + C(180-15)
-		t.Fatalf("TotalModelTime = %v", got)
-	}
-}
-
 func TestFindStable(t *testing.T) {
 	tp := metrics.NewSeries(time.Second)
 	for i := 0; i < 30; i++ { // noisy transient before the plateau

@@ -13,12 +13,12 @@
 // user needs:
 //
 //   - Build an experiment handle over any studied version and drive it:
-//     New (with WithVersion / WithSeed / WithWorkers options), Version
+//     New (with WithVersion / WithOptions / WithWorkers options), Version
 //     constants, Options, the built Deployment.
 //   - Run fault-injection episodes and whole campaigns on the handle:
 //     Cluster.RunEpisode, Cluster.RunCampaign, EpisodeSchedule.
-//   - Quantify: Template, FaultLoad, ModelAvailability, scaling and
-//     redundancy transforms.
+//   - Quantify: Template, FaultLoad, ModelAvailability, the §6.3 scaling
+//     rules and the RAID and backup-switch MTTF transforms.
 //   - Regenerate the paper's tables and figures: NewFigures.
 //
 // See DESIGN.md for the system inventory and the per-experiment index,
@@ -72,9 +72,6 @@ const (
 // ParseProtocolSuite maps a CLI spelling ("faithful", "scalable") onto
 // the suite constant.
 func ParseProtocolSuite(s string) (ProtocolSuite, error) { return harness.ParseProtocolSuite(s) }
-
-// Topology describes a built world's node layout (see harness.Topology).
-type Topology = harness.Topology
 
 // Deployment is a built simulated deployment: the sim, the machines, the
 // workload generator and the injector, ready to drive. (This type was
@@ -132,7 +129,7 @@ type ModelResult = avail.Result
 // entry points each build an engine of their own per call (NewFigures one
 // per Figures) and cache nothing across calls.
 //
-//	c := press.New(press.WithVersion(press.FME), press.WithSeed(7), press.WithWorkers(4))
+//	c := press.New(press.WithVersion(press.FME), press.WithOptions(press.Options{Seed: 7}), press.WithWorkers(4))
 //	camp, err := c.RunCampaign(press.FastSchedule())
 type Cluster struct {
 	v   Version
@@ -154,26 +151,13 @@ type clusterConfig struct {
 // WithVersion selects the studied server configuration (default COOP).
 func WithVersion(v Version) Option { return func(c *clusterConfig) { c.v = v } }
 
-// WithSeed sets the master seed of the deterministic world (default 1).
-func WithSeed(s int64) Option { return func(c *clusterConfig) { c.o.Seed = s } }
-
-// WithNodes sets the server-node count (default 4, the paper's testbed).
-// Counts other than 4 are meant for the Scalable protocol suite; the
-// Faithful suite runs them but its broadcast directory and all-pairs
-// announce traffic scale poorly past a few dozen nodes.
-func WithNodes(n int) Option { return func(c *clusterConfig) { c.o.Nodes = n } }
-
-// WithProtocolSuite selects Faithful (default) or Scalable protocols.
-func WithProtocolSuite(p ProtocolSuite) Option {
-	return func(c *clusterConfig) { c.o.Protocol = p }
-}
-
 // WithWorkers bounds how many simulators this handle's private engine
 // runs concurrently (default GOMAXPROCS; 1 forces serial execution).
 func WithWorkers(n int) Option { return func(c *clusterConfig) { c.workers = n } }
 
-// WithOptions replaces the full option set (composes with WithSeed and
-// friends applied after it).
+// WithOptions replaces the full option set (default: the paper's
+// 4-node Faithful world at seed 1; a zero field takes its default). Seed,
+// node count and protocol suite are all set through it.
 func WithOptions(o Options) Option { return func(c *clusterConfig) { c.o = o } }
 
 // globalWorkers is the worker bound SetGlobalWorkers last set (0:
@@ -192,16 +176,6 @@ func New(opts ...Option) *Cluster {
 	}
 	return &Cluster{v: cfg.v, o: cfg.o, eng: harness.NewEngine(cfg.workers)}
 }
-
-// Version returns the handle's studied configuration.
-func (c *Cluster) Version() Version { return c.v }
-
-// Options returns the handle's world options.
-func (c *Cluster) Options() Options { return c.o }
-
-// Topology resolves the handle's node layout: server count, rack
-// grouping, protocol suite, front-end presence.
-func (c *Cluster) Topology() Topology { return harness.NewTopology(c.v, c.o) }
 
 // Build assembles the simulated deployment; drive it via its Sim, Gen
 // and Injector fields. The 90%-of-saturation load resolution is memoized
@@ -231,11 +205,10 @@ func ScaleLoads(loads []FaultLoad, k float64) []FaultLoad {
 	return avail.ScaleLoads(loads, k, 0.1)
 }
 
-// WithRAID, WithBackupSwitch and WithRedundantFrontend apply the §6.1
-// hardware-redundancy MTTF transforms.
-func WithRAID(loads []FaultLoad) []FaultLoad          { return avail.WithRAID(loads) }
-func WithBackupSwitch(loads []FaultLoad) []FaultLoad  { return avail.WithBackupSwitch(loads) }
-func WithRedundantFrontend(l []FaultLoad) []FaultLoad { return avail.WithRedundantFrontend(l) }
+// WithRAID and WithBackupSwitch apply the §6.1 hardware-redundancy MTTF
+// transforms.
+func WithRAID(loads []FaultLoad) []FaultLoad         { return avail.WithRAID(loads) }
+func WithBackupSwitch(loads []FaultLoad) []FaultLoad { return avail.WithBackupSwitch(loads) }
 
 // DefaultModelEnv returns the default evaluator parameters.
 func DefaultModelEnv() ModelEnv { return avail.DefaultEnv() }

@@ -7,26 +7,34 @@ import (
 )
 
 // TestClusterHandleOptions checks that the functional options reach the
-// handle.
+// deployment the handle builds. The rate is fixed so Build runs no
+// saturation probe.
 func TestClusterHandleOptions(t *testing.T) {
-	c := press.New(press.WithVersion(press.FME), press.WithSeed(7), press.WithWorkers(3))
-	if got := c.Version(); got != press.FME {
-		t.Fatalf("Version() = %v, want FME", got)
+	c := press.New(press.WithVersion(press.FME), press.WithOptions(press.Options{Seed: 7, Rate: 100}), press.WithWorkers(3))
+	d := c.Build()
+	if d.Version != press.FME {
+		t.Fatalf("built version %v, want FME", d.Version)
 	}
-	if got := c.Options().Seed; got != 7 {
-		t.Fatalf("Options().Seed = %d, want 7", got)
+	if d.Opts.Seed != 7 {
+		t.Fatalf("built seed %d, want 7", d.Opts.Seed)
 	}
 }
 
-// TestWithOptionsComposition checks WithOptions composes with later
-// option functions.
+// TestWithOptionsComposition checks that WithOptions and WithVersion
+// compose in either order.
 func TestWithOptionsComposition(t *testing.T) {
-	o := press.FastOptions(3)
-	c := press.New(press.WithOptions(o), press.WithSeed(9))
-	if got := c.Options().Seed; got != 9 {
-		t.Fatalf("Options().Seed = %d, want 9 (WithSeed after WithOptions)", got)
-	}
-	if got := c.Options().Docs; got != o.Docs {
-		t.Fatalf("Options().Docs = %d, want %d from WithOptions", got, o.Docs)
+	o := press.FastOptions(9)
+	o.Rate = 100
+	for _, opts := range [][]press.Option{
+		{press.WithOptions(o), press.WithVersion(press.FME)},
+		{press.WithVersion(press.FME), press.WithOptions(o)},
+	} {
+		d := press.New(opts...).Build()
+		if d.Version != press.FME {
+			t.Fatalf("built version %v, want FME", d.Version)
+		}
+		if d.Opts.Seed != 9 || d.Opts.Docs != o.Docs {
+			t.Fatalf("built seed %d, docs %d; want 9, %d from WithOptions", d.Opts.Seed, d.Opts.Docs, o.Docs)
+		}
 	}
 }
