@@ -153,6 +153,11 @@ type Env interface {
 	// owner (the owner's own section defines it in ctx.Owners).
 	AfterFor(d time.Duration, owner TimerOwner) clock.Timer
 
+	// Hop is AfterFor(0, owner) for a caller that keeps no handle: owner's
+	// OnTimer runs as a work item of its own, and the runtime may reuse
+	// the timer's storage once it ran.
+	Hop(owner TimerOwner)
+
 	// Rand returns this process's deterministic random stream.
 	Rand() *rand.Rand
 

@@ -406,8 +406,13 @@ func startPress(m any) { m.(*machine.Machine).StartProc("press") }
 
 // Build assembles a cluster for the given version. rate <= 0 uses
 // Options.Rate (which itself may be auto-resolved by higher layers);
-// the auto-resolving saturation probe is memoized on this engine.
+// the auto-resolving saturation probe is memoized on this engine. A
+// version and options no world is built from (CheckWorld) panic with
+// CheckWorld's error before anything is built.
 func (e *Engine) Build(v Version, o Options) *Cluster {
+	if err := CheckWorld(v, o); err != nil {
+		panic(err)
+	}
 	o = o.withDefaults()
 	c := buildWorld(v, o, false)
 	rate := o.Rate

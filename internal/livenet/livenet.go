@@ -418,6 +418,9 @@ func (e *Env) AfterFor(d time.Duration, owner cnet.TimerOwner) clock.Timer {
 	})
 }
 
+// Hop implements cnet.Env.
+func (e *Env) Hop(owner cnet.TimerOwner) { e.AfterFor(0, owner) }
+
 // Every adapts the generic rearm-at-end ticker: each tick is posted to
 // the process and the rearm happens after the callback ran there, so the
 // ticker dies with the incarnation like any other timer.

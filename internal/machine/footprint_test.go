@@ -323,3 +323,69 @@ func TestConnectionLifeAllocatesNothing(t *testing.T) {
 		t.Errorf("served %d, %d conns still tracked", served, len(a.Proc("client").conns)+len(b.Proc("server").conns))
 	}
 }
+
+// hopper hops back to itself left more times.
+type hopper struct {
+	e     *Env
+	left  int
+	fired int
+}
+
+func (h *hopper) OnTimer() {
+	h.fired++
+	if h.left > 0 {
+		h.left--
+		h.e.Hop(h)
+	}
+}
+
+// A hop (Env.Hop) has no handle, so its timer record goes back to the
+// machine once it ran — a chain of hops allocates nothing once the pool is
+// warm — and once a dead incarnation dropped it, from the kernel or from a
+// hung process's mailbox.
+func TestHopRecordsAreRecycled(t *testing.T) {
+	w := newWorld()
+	m := New(w.sim, w.net, 0, nil, w.log)
+	var env *Env
+	p := m.AddProc("app", func(e *Env) { env = e })
+	h := &hopper{e: env}
+	chain := func() {
+		h.left = 16
+		env.Hop(h)
+		w.sim.Run()
+	}
+	chain()
+	if avg := testing.AllocsPerRun(100, chain); avg != 0 {
+		t.Errorf("a chain of 17 hops allocates %v objects", avg)
+	}
+	if h.fired != 17*102 || poolLen(&m.hopFree) != 1 {
+		t.Fatalf("fired %d hops with %d spare records, want %d and 1", h.fired, poolLen(&m.hopFree), 17*102)
+	}
+
+	// Dropped in the kernel: armed, then the incarnation dies.
+	fired := h.fired
+	for range 8 {
+		env.Hop(h)
+	}
+	m.KillProc("app")
+	w.sim.Run()
+	if h.fired != fired || poolLen(&m.hopFree) != 8 {
+		t.Errorf("a dead incarnation's hops ran %d times and left %d spare records, want 0 and 8", h.fired-fired, poolLen(&m.hopFree))
+	}
+
+	// Dropped from the mailbox: fired into a hung process, which dies.
+	m.StartProc("app")
+	h.e = env
+	p.Hang()
+	for range 8 {
+		env.Hop(h)
+	}
+	w.sim.Run()
+	if p.MailboxLen() != 8 {
+		t.Fatalf("a hung process queued %d hops, want 8", p.MailboxLen())
+	}
+	m.KillProc("app")
+	if h.fired != fired || poolLen(&m.hopFree) != 8 {
+		t.Errorf("a killed process's queued hops ran %d times and left %d spare records, want 0 and 8", h.fired-fired, poolLen(&m.hopFree))
+	}
+}

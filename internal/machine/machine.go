@@ -55,6 +55,9 @@ type Machine struct {
 	// storm's high-water is not kept (cnet.MsgPool).
 	dialFree cnet.MsgPool[dialRec]
 
+	// hopFree recycles the timer records of Env.Hop, which no handle names.
+	hopFree cnet.MsgPool[timerRec]
+
 	// dials lists the dial records whose result has not been dispatched
 	// yet — in flight, or waiting in a mailbox — so snapshots can enumerate
 	// them. Listed in Env.DialFor, unlisted when the record is released.
@@ -313,13 +316,19 @@ func (c *call) dispatch() {
 		return
 	}
 	if !c.env.live() {
+		if c.tag == tagTimer {
+			c.env.p.m.putHop(c.arg.(*timerRec))
+		}
 		return
 	}
 	switch c.tag {
 	case tagTimer:
+		// Recycle a hop's record before running: the owner may hop again.
 		r := c.arg.(*timerRec)
 		r.queued = false
-		r.owner.OnTimer()
+		owner := r.owner
+		c.env.p.m.putHop(r)
+		owner.OnTimer()
 	case tagStream:
 		c.c.Handlers().OnMessage(c.c, c.arg)
 	case tagDgram:
@@ -441,8 +450,11 @@ func (p *Proc) kill(abortConns bool) {
 		if c.c != nil {
 			c.c.Release()
 		}
-		if c.tag == tagDial {
+		switch c.tag {
+		case tagDial:
 			p.m.putDial(c.arg.(*dialRec))
+		case tagTimer:
+			p.m.putHop(c.arg.(*timerRec))
 		}
 	}
 	p.mailbox = nil
@@ -686,14 +698,16 @@ func (m *Machine) putDial(r *dialRec) {
 
 // timerRec is one timer of a process clock: the kernel event's argument
 // and, once that fires, the mailbox entry's, naming the owner whose
-// OnTimer runs. It is also the handle AfterFor returns, so it is never
-// recycled: a handle kept past the fire stops nothing, and a snapshot
-// names the timer by the record.
+// OnTimer runs. It is also the handle AfterFor returns, so that record is
+// never recycled: a handle kept past the fire stops nothing, and a
+// snapshot names the timer by the record. A Hop's record has no handle,
+// and the machine takes it back (putHop) once it ran or was dropped.
 type timerRec struct {
 	e      *Env
 	owner  cnet.TimerOwner // defined by its component's walk
 	t      sim.Timer       // the kernel event; spent once it fired or stopped
 	queued bool            // fired, and its mailbox entry not dispatched yet
+	hop    bool            // armed by Hop: no handle names it
 }
 
 // Stop implements clock.Timer.
@@ -706,6 +720,17 @@ func procTimerFire(arg any) {
 	if e := r.e; e.live() {
 		r.queued = true
 		e.p.postCall(call{tag: tagTimer, env: e, arg: r})
+	} else {
+		e.p.m.putHop(r)
+	}
+}
+
+// putHop takes a Hop's record back once nothing names it any more; any
+// other timer record is a handle, and stays the collector's.
+func (m *Machine) putHop(r *timerRec) {
+	if r.hop {
+		*r = timerRec{}
+		m.hopFree.Put(r)
 	}
 }
 
@@ -919,6 +944,17 @@ func (e *Env) AfterFor(d time.Duration, owner cnet.TimerOwner) clock.Timer {
 	r := &timerRec{e: e, owner: owner}
 	r.t = e.p.m.sim.AfterArg(d, procTimerFire, r)
 	return r
+}
+
+// Hop implements cnet.Env: AfterFor(0, owner) on a pooled record, which
+// the machine takes back once its work item ran or its incarnation died.
+func (e *Env) Hop(owner cnet.TimerOwner) {
+	if !e.live() {
+		return
+	}
+	r := e.p.m.hopFree.Get()
+	r.e, r.owner, r.hop = e, owner, true
+	r.t = e.p.m.sim.AfterArg(0, procTimerFire, r)
 }
 
 // Dial implements cnet.Env.

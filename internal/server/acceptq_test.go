@@ -109,3 +109,34 @@ func equalDocs(got []trace.DocID, want ...trace.DocID) bool {
 	}
 	return true
 }
+
+// Under overload the accept queue never drains: every admission pops its
+// head and a new arrival takes its place. The consumed prefix is reclaimed
+// as the array fills, so 10,000 arrivals through a standing backlog leave
+// the array within twice the backlog, not one entry per arrival.
+func TestStandingBacklogKeepsItsArray(t *testing.T) {
+	s := &Server{cfg: Config{MaxConcurrent: 4}}
+	s.active = s.cfg.MaxConcurrent
+	backlog := s.cfg.acceptBacklog()
+	arrivals, pops := 0, 0
+	arrive := func() {
+		s.handleRequest(nil, &ReqMsg{Doc: trace.DocID(arrivals)})
+		arrivals++
+	}
+	for range backlog - 1 {
+		arrive()
+	}
+	for range 10_000 {
+		arrive()
+		if q := s.QueuedAccepts(); q != backlog {
+			t.Fatalf("arrival %d: %d waiting, want the backlog of %d", arrivals, q, backlog)
+		}
+		if next := s.popAccept(); next.msg.Doc != trace.DocID(pops) {
+			t.Fatalf("pop %d took request %d: the queue lost its order", pops, next.msg.Doc)
+		}
+		pops++
+		if c := cap(s.acceptQ); c > 2*backlog {
+			t.Fatalf("arrival %d: the accept queue's array holds %d entries, want at most %d", arrivals, c, 2*backlog)
+		}
+	}
+}

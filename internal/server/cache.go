@@ -199,9 +199,14 @@ func (c *docCache) refill(docs []trace.DocID) {
 	}
 }
 
-// Docs lists the cached documents, most recent first. Used to seed a
-// peer's directory on (re)connection.
+// Docs lists the cached documents, most recent first, in a slice of their
+// count (the slab holds exactly them), and nil when there are none: the
+// Hellos of a formation storm carry empty caches. Used to seed a peer's
+// directory on (re)connection.
 func (c *docCache) Docs() []trace.DocID {
+	if len(c.ents) == 1 {
+		return nil
+	}
 	out := make([]trace.DocID, 0, len(c.ents)-1)
 	for i := c.ents[0].next; i != 0; i = c.ents[i].next {
 		out = append(out, c.ents[i].doc)

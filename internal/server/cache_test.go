@@ -305,3 +305,19 @@ func BenchmarkDocCache(b *testing.B) {
 		}
 	})
 }
+
+// Docs lists what the cache holds in a slice of exactly that size, and an
+// empty cache — every server's in the formation storm's Hellos — lists
+// nil.
+func TestDocsSizedToTheFill(t *testing.T) {
+	c := newDocCache(90)
+	if docs := c.Docs(); docs != nil {
+		t.Fatalf("an empty cache lists %v, want nil", docs)
+	}
+	for d := range 5 {
+		c.Insert(trace.DocID(d))
+	}
+	if docs := c.Docs(); len(docs) != 5 || cap(docs) != 5 || docs[0] != 4 || docs[4] != 0 {
+		t.Errorf("a 5-document cache lists %v in a slice of capacity %d, want [4 3 2 1 0] in 5", docs, cap(docs))
+	}
+}

@@ -86,8 +86,37 @@ func (s *Server) onHeartbeat(from cnet.NodeID, m cnet.Message) {
 	hb.Release()
 }
 
-// recompute re-derives ring neighbours after any view change. A fresh
-// predecessor gets a full grace window.
+// include admits n to the ring in O(1): n becomes the successor if it lies
+// closer above self on the ring than the successor does, and the
+// predecessor if it lies closer below than the predecessor does, which is
+// where recompute over the sorted view would put it. A fresh predecessor
+// gets a full grace window. Formation includes every node on every node,
+// and a recompute per include made it cubic in the cluster size.
+func (r *ringDetector) include(n cnet.NodeID) {
+	if !r.enabled {
+		return
+	}
+	self := r.s.cfg.Self
+	if r.succ == cnet.None || r.above(self, n) < r.above(self, r.succ) {
+		r.succ = n
+	}
+	if r.pred == cnet.None || r.above(n, self) < r.above(r.pred, self) {
+		r.pred = n
+		r.lastHB = r.s.env.Clock().Now()
+	}
+}
+
+// above is how far b lies above a going up the ring of node ids.
+func (r *ringDetector) above(a, b cnet.NodeID) int {
+	d := int(b) - int(a)
+	if d < 0 {
+		d += len(r.s.view)
+	}
+	return d
+}
+
+// recompute re-derives ring neighbours from the sorted view, after an
+// exclusion. A fresh predecessor gets a full grace window.
 func (r *ringDetector) recompute() {
 	if !r.enabled {
 		return

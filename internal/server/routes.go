@@ -76,6 +76,15 @@ func (s *Server) handleRequest(c cnet.Conn, req *ReqMsg) {
 		// No service slot: the request waits unserved. Under a stuck-peer
 		// fault this queue is where cluster throughput goes to die. The
 		// accept/parse cost is charged on admission.
+		if s.acceptHead > 0 && len(s.acceptQ) == cap(s.acceptQ) {
+			// A standing backlog never drains, so append-only growth
+			// would reallocate with every admission: slide the waiters
+			// over the consumed prefix, as the process mailbox does, and
+			// zero the vacated tail so its pointers die.
+			n := copy(s.acceptQ, s.acceptQ[s.acceptHead:])
+			clear(s.acceptQ[n:])
+			s.acceptQ, s.acceptHead = s.acceptQ[:n], 0
+		}
 		s.acceptQ = append(s.acceptQ, pendingReq{conn: c, msg: req})
 		return
 	}
@@ -318,7 +327,7 @@ func (s *Server) diskRead(op *diskOp) {
 // bounces it through the mailbox.
 func (op *diskOp) DiskDone(ok bool) {
 	op.ok, op.done = ok, true
-	op.s.env.AfterFor(0, op)
+	op.s.env.Hop(op)
 }
 
 // DiskSpace hears that the queue has room again (only a simulated array's
@@ -326,7 +335,7 @@ func (op *diskOp) DiskDone(ok bool) {
 // its own work item.
 func (op *diskOp) DiskSpace() {
 	op.s.env.Resume()
-	op.s.env.AfterFor(0, op)
+	op.s.env.Hop(op)
 }
 
 // OnTimer implements cnet.TimerOwner: the hop back to server context,
@@ -404,13 +413,7 @@ func (s *Server) finish(st *reqState, responded bool) {
 	s.putReq(st)
 	s.active--
 	if s.active < s.cfg.MaxConcurrent && s.QueuedAccepts() > 0 {
-		next := s.acceptQ[s.acceptHead]
-		s.acceptQ[s.acceptHead] = pendingReq{}
-		s.acceptHead++
-		if s.acceptHead == len(s.acceptQ) {
-			s.acceptQ = s.acceptQ[:0]
-			s.acceptHead = 0
-		}
+		next := s.popAccept()
 		// Admit through the mailbox: the accept backlog drains as a chain
 		// of separately charged work items, not one giant handler. The
 		// queue entry is popped here, not in the callback, so a client
@@ -418,8 +421,20 @@ func (s *Server) finish(st *reqState, responded bool) {
 		op := s.getAdmitOp()
 		op.conn, op.msg = next.conn, next.msg
 		cnet.RetainConn(op.conn)
-		s.env.AfterFor(0, op)
+		s.env.Hop(op)
 	}
+}
+
+// popAccept takes the oldest waiter off the accept queue, which must have
+// one.
+func (s *Server) popAccept() pendingReq {
+	next := s.acceptQ[s.acceptHead]
+	s.acceptQ[s.acceptHead] = pendingReq{}
+	s.acceptHead++
+	if s.acceptHead == len(s.acceptQ) {
+		s.acceptQ, s.acceptHead = s.acceptQ[:0], 0
+	}
+	return next
 }
 
 // admitOp is a pooled deferred-admission record, the owner of the timer

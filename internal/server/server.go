@@ -42,8 +42,8 @@ type Server struct {
 	// membership tests and peer lookups run on every routed request, and
 	// at 256 nodes the map hashing alone dominated the routing cost.
 	view     []bool        // view[n] ⇔ n is in the cooperation set (self included)
-	sorted   []cnet.NodeID // cached sorted view, rebuilt on demand from view
-	sortedOK bool          // validity of the sorted cache, recomputed on demand
+	sorted   []cnet.NodeID // cached sorted view, rebuilt on its first read after a view change
+	sortedOK bool          // validity of the sorted cache
 	peers    []peer        // nil until the first record, then never moved; made: plumbing towards that node exists
 	joined   bool
 
@@ -254,9 +254,9 @@ func (s *Server) viewDel(n cnet.NodeID) {
 func (s *Server) sortedView() []cnet.NodeID {
 	if !s.sortedOK {
 		// Reuse the backing array: view changes are frequent during ramp
-		// (every include on every node), and a fresh allocation per change
-		// is pure GC load. Callers use the slice before the next change.
-		// The dense walk yields ascending IDs, so no sort is needed.
+		// (every include on every node), and a fresh allocation per read
+		// after one is pure GC load. Callers use the slice before the next
+		// change. The dense walk yields ascending IDs, so no sort is needed.
 		s.sorted = s.sorted[:0]
 		for n, in := range s.view {
 			if in {
@@ -266,11 +266,6 @@ func (s *Server) sortedView() []cnet.NodeID {
 		s.sortedOK = true
 	}
 	return s.sorted
-}
-
-func (s *Server) viewChanged() {
-	s.sortedOK = false
-	s.ring.recompute()
 }
 
 // View returns the current cooperation set, sorted, self included.
@@ -305,7 +300,8 @@ func (s *Server) include(n cnet.NodeID, why string) {
 		return
 	}
 	s.viewAdd(n)
-	s.viewChanged()
+	s.sortedOK = false
+	s.ring.include(n)
 	s.stats.Includes++
 	if s.qm != nil {
 		s.qm.ClearFailed(n)
@@ -321,7 +317,8 @@ func (s *Server) exclude(n cnet.NodeID, why string) {
 		return
 	}
 	s.viewDel(n)
-	s.viewChanged()
+	s.sortedOK = false
+	s.ring.recompute()
 	s.stats.Excludes++
 	s.emit(metrics.KExclude, int(n), why)
 	s.dir.DropNode(n)

@@ -26,6 +26,11 @@ import (
 func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any)) {
 	ents := make([]heapEnt, 0, s.npend)
 	ents = append(ents, s.cur...)
+	for _, ent := range s.run[s.runHead:] {
+		if ent.id >= 0 {
+			ents = append(ents, ent)
+		}
+	}
 	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
 		head, occ, i := s.bucket(code)
 		if !occ.has(i) {

@@ -16,7 +16,7 @@ func (s *Sim) peekMin() (time.Duration, bool) {
 		return 0, false
 	}
 	s.ensureFront()
-	return s.cur[0].at, true
+	return s.front().at, true
 }
 
 func runUntilByStep(s *Sim, t time.Duration) {

@@ -33,6 +33,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -46,10 +47,10 @@ import (
 
 // evRec is one scheduled callback: its ordering key, its callback and its
 // current home in the queue (loc). In cur or overflow, pos is its index
-// in that heap. In a wheel bucket, loc is the bucket's code and next/prev
-// link it into the bucket's list: next is -1 at the tail, and the head's
-// prev names the tail, which is what lets a put append. On the free list,
-// next names the next free record. Callers hold generation-counted Timer
+// in that heap; in the run, its key finds it. In a wheel bucket, loc is
+// the bucket's code and next/prev link it into the bucket's list: next is
+// -1 at the tail, and the head's prev names the tail, which is what lets
+// a put append. On the free list, next names the next free record. Callers hold generation-counted Timer
 // handles, never the record.
 type evRec struct {
 	at   time.Duration
@@ -137,7 +138,9 @@ type Sim struct {
 	halted  bool
 
 	// Hierarchical timer wheel (see the commentary above heapEnt).
-	cur      []heapEnt        // small indexed 4-ary heap: the front of the timeline
+	cur      []heapEnt        // small indexed 4-ary heap: events armed into the granule being drained
+	run      []heapEnt        // the drained L0 bucket sorted by (at, seq); live from runHead on, a stopped entry's id is -1
+	runHead  int              // next entry of run to pop; run[runHead] is live, or the run is empty
 	overflow []heapEnt        // indexed 4-ary heap: events beyond the wheel horizon
 	l0       [l0Buckets]int32 // head record of each L0 bucket's list; valid while its l0occ bit is set
 	l1       [l1Buckets]int32 // head record of each L1 bucket's list; valid while its l1occ bit is set
@@ -307,10 +310,10 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// fireFront pops cur's minimum and runs it; the caller has made cur hold
-// the earliest pending entry (ensureFront).
+// fireFront pops the earliest pending entry and runs it; the caller has
+// made the front hold it (ensureFront).
 func (s *Sim) fireFront() {
-	top := s.heapPopEnt(&s.cur)
+	top := s.popFront()
 	r := s.rec(top.id)
 	afn, arg := r.afn, r.arg
 	s.release(top.id, r)
@@ -337,7 +340,7 @@ func (s *Sim) RunUntil(t time.Duration) {
 	// One ensureFront serves both the look at the deadline and the pop.
 	for !s.halted && s.npend > 0 {
 		s.ensureFront()
-		if s.cur[0].at > t {
+		if s.front().at > t {
 			break
 		}
 		s.fireFront()
@@ -370,12 +373,19 @@ func (s *Sim) NewRand(label string) *rand.Rand {
 //
 // Layout, front to back:
 //
-//   - cur: a small indexed 4-ary min-heap holding the front of the
-//     timeline — every pending entry at or before the current wheel
-//     granule. Pops come only from here, so the strict (at, seq) total
-//     order is preserved exactly: entries reach cur no later than the
-//     granule they fire in, and a heap with unique keys pops the same
-//     sequence regardless of insertion order.
+//   - run and cur: the front of the timeline, every pending entry at or
+//     before the current wheel granule. The run is that granule's L0
+//     bucket, sorted by (at, seq) once when the cursor reaches it and
+//     popped from its head in O(1); a Stop of one of its entries finds it
+//     by binary search and leaves a tombstone the head skips. cur is a
+//     small indexed 4-ary min-heap of the entries armed into that granule
+//     after it was sorted (an event a callback schedules within ≈65µs, a
+//     reserved key armed late). Pops take the smaller of the two heads,
+//     so the strict (at, seq) total order is preserved exactly: entries
+//     reach the front no later than the granule they fire in, and keys
+//     are unique. A t=2 s formation storm drains about N² events from one
+//     granule at N=256, and sorting them beats sifting every pop through
+//     a heap of that size, whose moves each write a cache-missing record.
 //   - l0: 256 unsorted buckets of 2^16 ns (≈65.5µs) each.
 //   - l1: 256 unsorted buckets of 2^24 ns (≈16.8ms) each; the bucket at
 //     l1Idx is expanded across the l0 window. Horizon ≈4.3s covers
@@ -404,6 +414,7 @@ const (
 
 	locCur  = -1 // entry lives in the cur heap
 	locOver = -2 // entry lives in the overflow heap
+	locRun  = -3 // entry lives in the run
 )
 
 // wheelOcc is an occupancy bitmap: bit i set iff bucket i is non-empty.
@@ -426,8 +437,15 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
+func entCmp(a, b heapEnt) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // insert routes a record to cur, an L0/L1 bucket, or overflow by
-// deadline. Anything at or before the granule cur is draining goes to cur
+// deadline. Anything at or before the granule being drained goes to cur
 // so the front stays complete.
 func (s *Sim) insert(id int32, r *evRec) {
 	g0 := int64(r.at) >> g0Shift
@@ -523,15 +541,15 @@ func nextOcc(occ *wheelOcc, from int) int {
 	}
 }
 
-// ensureFront makes cur hold the globally earliest pending entry,
-// advancing the wheel cursor across empty granules, expanding the next
-// L1 bucket, or re-basing both windows at the overflow minimum as
-// needed. Advancing the cursor is independent of the clock and never
-// reorders pops: cur always receives every entry of a granule before
-// any of them is popped. Callers must ensure at least one event is
+// ensureFront makes the front (run and cur) hold the globally earliest
+// pending entry, advancing the wheel cursor across empty granules,
+// expanding the next L1 bucket, or re-basing both windows at the overflow
+// minimum as needed. Advancing the cursor is independent of the clock and never
+// reorders pops: the front always receives every entry of a granule
+// before any of them is popped. Callers must ensure at least one event is
 // pending.
 func (s *Sim) ensureFront() {
-	for len(s.cur) == 0 {
+	for len(s.cur) == 0 && s.runHead == len(s.run) {
 		if i := nextOcc(&s.l0occ, s.curIdx+1); i < l0Buckets {
 			s.curIdx = i
 			s.drainL0(i)
@@ -548,27 +566,63 @@ func (s *Sim) ensureFront() {
 	}
 }
 
-// drainL0 walks bucket l0[i]'s list into the (empty) cur heap and
-// heapifies. cur keeps its capacity, so it grows only for a list longer
-// than any drained before, and then once, to the list's length.
+// drainL0 walks bucket l0[i]'s list into the (empty) run and sorts it.
+// The run keeps its capacity, so it grows only for a list longer than any
+// drained before, and then once, to the list's length.
 func (s *Sim) drainL0(i int) {
-	h := s.cur
+	run := s.run[:0]
 	for id := s.bucketTake(int32(i)); id >= 0; {
-		if len(h) == cap(h) {
+		if len(run) == cap(run) {
 			n := 0
 			for rest := id; rest >= 0; rest = s.rec(rest).next {
 				n++
 			}
-			h = slices.Grow(h, n)
+			run = slices.Grow(run, n)
 		}
 		r := s.rec(id)
-		r.loc, r.pos = locCur, int32(len(h))
-		h = append(h, heapEnt{at: r.at, seq: r.seq, id: id})
+		r.loc = locRun
+		run = append(run, heapEnt{at: r.at, seq: r.seq, id: id})
 		id = r.next
 	}
-	s.cur = h
-	for k := (len(h) - 2) >> 2; k >= 0; k-- {
-		s.heapDown(h, k)
+	slices.SortFunc(run, entCmp)
+	s.run, s.runHead = run, 0
+}
+
+// runFirst reports whether the earliest pending entry is the run's head
+// rather than cur's minimum; the caller has run ensureFront.
+func (s *Sim) runFirst() bool {
+	return s.runHead < len(s.run) && (len(s.cur) == 0 || entLess(s.run[s.runHead], s.cur[0]))
+}
+
+// front returns the earliest pending entry; the caller has run
+// ensureFront.
+func (s *Sim) front() heapEnt {
+	if s.runFirst() {
+		return s.run[s.runHead]
+	}
+	return s.cur[0]
+}
+
+// popFront removes and returns the earliest pending entry; the caller has
+// run ensureFront.
+func (s *Sim) popFront() heapEnt {
+	if s.runFirst() {
+		ent := s.run[s.runHead]
+		s.runHead++
+		s.skipRun()
+		return ent
+	}
+	return s.heapPopEnt(&s.cur)
+}
+
+// skipRun moves the run's head past stopped entries and empties a spent
+// run, so the head is live whenever the run is not empty.
+func (s *Sim) skipRun() {
+	for s.runHead < len(s.run) && s.run[s.runHead].id < 0 {
+		s.runHead++
+	}
+	if s.runHead == len(s.run) {
+		s.run, s.runHead = s.run[:0], 0
 	}
 }
 
@@ -691,13 +745,18 @@ func (s *Sim) heapRemove(hp *[]heapEnt, i int) {
 }
 
 // remove takes a pending record out of whichever structure holds it: a
-// heap remove for cur/overflow, an O(1) unlink for a wheel bucket.
+// heap remove for cur/overflow, a tombstone for the run, an O(1) unlink
+// for a wheel bucket.
 func (s *Sim) remove(id int32, r *evRec) {
 	switch r.loc {
 	case locCur:
 		s.heapRemove(&s.cur, int(r.pos))
 	case locOver:
 		s.heapRemove(&s.overflow, int(r.pos))
+	case locRun:
+		k, _ := slices.BinarySearchFunc(s.run[s.runHead:], heapEnt{at: r.at, seq: r.seq}, entCmp)
+		s.run[s.runHead+k].id = -1
+		s.skipRun()
 	default:
 		s.bucketUnlink(r.loc, id)
 	}

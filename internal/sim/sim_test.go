@@ -519,3 +519,28 @@ func BenchmarkKernel(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/fired, "ns/event")
 	}
 }
+
+// BenchmarkKernelStorm is the formation storm's shape: 65,280 events (N=256's
+// N(N-1) Hellos) queued for one instant a millisecond out, so they wait in
+// one wheel bucket, then drained. Reports ns/event; the kernel is reused,
+// so after the first iteration its records and its run are warm.
+func BenchmarkKernelStorm(b *testing.B) {
+	const storm = 256 * 255
+	s := New(1)
+	fired := 0
+	count := func(any) { fired++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := s.Now() + time.Millisecond
+		for range storm {
+			s.AtArg(at, count, nil)
+		}
+		s.Run()
+	}
+	b.StopTimer()
+	if fired != b.N*storm {
+		b.Fatalf("fired %d events, want %d", fired, b.N*storm)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+}

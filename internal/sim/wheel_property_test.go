@@ -10,12 +10,17 @@ import (
 // The hierarchical timer wheel must be observationally identical to a
 // plain priority queue ordered by (deadline, schedule sequence). The
 // property test below drives both against the same randomized script —
-// schedules spanning every wheel tier (cur, L0, L1, overflow), stops of
-// pending handles, stops of stale generation-counted handles,
-// deterministic in-callback respawns that land mid-drain, keys reserved
-// now and armed later, and a FIFO deadline list behind one wake that
-// finds its deadline stopped and takes its count back — and demands the
-// exact same fire sequence and fired-event count.
+// schedules spanning every wheel tier (cur, L0, L1, overflow) and bursts
+// that fill one granule, so a drained bucket becomes a sorted run, stops
+// of pending handles (a run's head, middle and tail among them, from
+// outside and from inside its own drain), stops of stale
+// generation-counted handles and of the firing event's own, deterministic
+// in-callback respawns that land mid-drain, keys reserved now and armed
+// later (some from inside the drain of their own granule), and a FIFO
+// deadline list behind one wake that finds its deadline stopped and takes
+// its count back — and demands the exact same fire sequence and
+// fired-event count, and a VisitPending that lists exactly the pending
+// events, the front first.
 
 // refEvent is one entry in the reference model: a flat slice popped by
 // (at, seq), the kernel's documented ordering contract.
@@ -63,6 +68,10 @@ func childDelta(id int) (time.Duration, bool) {
 // stale stops and in-callback respawns, the wheel fires the exact event
 // sequence a flat (deadline, seq) priority queue would.
 func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
+	// Coverage of the run, summed over every seed: stops of its entries
+	// between drains and from inside one, and reserved keys armed into the
+	// granule being drained.
+	var runStops, drainStops, lateArms int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(seed)
@@ -70,32 +79,41 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 		var (
 			fired   []int      // real run: fire order by id
 			pend    []refEvent // reference model
-			seq     uint64     // model mirror of the kernel's seq counter
 			nextID  int
 			handles []Timer
 			stopped = map[int]bool{} // ids whose Stop succeeded
 			done    = map[int]bool{} // ids the real run fired
 			pops    uint64           // events the reference fired
+			bad     bool             // a check inside a callback failed
 		)
+		var stopInRun, armReserved func(inDrain bool)
 
+		// fire records a fire; the event's own handle is already stale.
+		fire := func(id int) {
+			fired = append(fired, id)
+			done[id] = true
+			if handles[id].Stop() {
+				bad = true
+			}
+		}
 		schedule := func(d time.Duration) {
 			id := nextID
 			nextID++
-			seq++
-			at := s.Now() + d
+			at, seq := s.Now()+d, s.seq // the key After is about to hand out
 			var cb func()
 			cb = func() {
-				fired = append(fired, id)
-				done[id] = true
+				fire(id)
 				if cd, ok := childDelta(id); ok {
 					cid := nextID
 					nextID++
-					seq++
-					handles = append(handles, s.After(cd, func() {
-						fired = append(fired, cid)
-						done[cid] = true
-					}))
-					pend = append(pend, refEvent{at: s.Now() + cd, seq: seq, id: cid})
+					pend = append(pend, refEvent{at: s.Now() + cd, seq: s.seq, id: cid})
+					handles = append(handles, s.After(cd, func() { fire(cid) }))
+				}
+				switch id % 6 {
+				case 1:
+					stopInRun(true)
+				case 4:
+					armReserved(true)
 				}
 			}
 			handles = append(handles, s.After(d, cb))
@@ -106,10 +124,9 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 		// nothing fires for them.
 		var reserved []refEvent
 		reserve := func(d time.Duration) {
-			seq++
 			reserved = append(reserved, refEvent{at: s.Now() + d, seq: s.Reserve()})
 		}
-		armReserved := func() {
+		armReserved = func(inDrain bool) {
 			kept := reserved[:0]
 			for _, k := range reserved {
 				switch {
@@ -119,11 +136,12 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 				default:
 					id := nextID
 					nextID++
-					handles = append(handles, s.RestoreAtArg(k.at, k.seq, callFunc, func() {
-						fired = append(fired, id)
-						done[id] = true
-					}))
+					h := s.RestoreAtArg(k.at, k.seq, callFunc, func() { fire(id) })
+					handles = append(handles, h)
 					pend = append(pend, refEvent{at: k.at, seq: k.seq, id: id})
+					if inDrain && s.runHead < len(s.run) && s.rec(h.id).loc == locCur {
+						lateArms++
+					}
 				}
 			}
 			reserved = kept
@@ -163,7 +181,6 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 		deadline := func() {
 			id := nextID
 			nextID++
-			seq++
 			ev := refEvent{at: s.Now() + dlSpan, seq: s.Reserve(), id: id}
 			handles = append(handles, Timer{}) // keeps ids and handles aligned
 			isDL[id] = true
@@ -227,13 +244,46 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			return ids
 		}
 
-		// targeted stops, in one L0 and one L1 bucket with three or more
+		// runMembers lists the ids of the run's live entries, head first,
+		// nil when a wake is among them.
+		runMembers := func() []int {
+			var m []int32
+			for _, ent := range s.run[s.runHead:] {
+				if ent.id >= 0 {
+					m = append(m, ent.id)
+				}
+			}
+			return handled(m)
+		}
+		// stopInRun stops the middle live entry of the run, from inside a
+		// callback of its drain when inDrain is set.
+		stopInRun = func(inDrain bool) {
+			if m := runMembers(); len(m) > 0 {
+				if !stopID(m[len(m)/2]) {
+					bad = true
+				}
+				if inDrain {
+					drainStops++
+				}
+			}
+		}
+
+		// targeted stops the head, the middle entry and the tail of a run
+		// of three or more, in one L0 and one L1 bucket with three or more
 		// members, the head, a middle member and the tail, and the only
 		// member of a one-member bucket of each tier, whose occupancy bit
 		// must clear with it. cascaded, when non-nil, names events that
 		// sat in an L1 bucket before the clock last moved: one of them
 		// that has since been relinked into L0 is stopped first.
 		targeted := func(cascaded map[int]bool) bool {
+			if m := runMembers(); len(m) >= 3 {
+				runStops++
+				for _, id := range []int{m[0], m[len(m)/2], m[len(m)-1]} {
+					if !stopID(id) || !wheelConsistent(s) {
+						return false
+					}
+				}
+			}
 			if cascaded != nil {
 				for code := int32(0); code < l0Buckets; code++ {
 					if m := handled(bucketMembers(s, code)); len(m) > 0 && cascaded[m[len(m)/2]] {
@@ -278,6 +328,44 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			return ids
 		}
 
+		// visitMatches: VisitPending lists exactly the pending kernel
+		// events — every one the reference has yet to pop that is no
+		// deadline, and
+		// the wake when it is armed — in firing order, and the first is the
+		// front peekMin reads.
+		visitMatches := func() bool {
+			var keys []refEvent
+			s.VisitPending(func(at time.Duration, seq uint64, _ func(any), _ any) {
+				keys = append(keys, refEvent{at: at, seq: seq})
+			})
+			if len(keys) != s.Pending() {
+				return false
+			}
+			seen := map[uint64]bool{}
+			for k, e := range keys {
+				if k > 0 && (e.at < keys[k-1].at || e.at == keys[k-1].at && e.seq <= keys[k-1].seq) {
+					return false
+				}
+				seen[e.seq] = true
+			}
+			if at, ok := s.peekMin(); ok != (len(keys) > 0) || ok && at != keys[0].at {
+				return false
+			}
+			want := 0
+			if wakeArmed {
+				want++
+			}
+			for _, e := range pend {
+				if !isDL[e.id] {
+					want++
+					if !seen[e.seq] {
+						return false
+					}
+				}
+			}
+			return want == len(keys)
+		}
+
 		// randDelay mixes magnitudes so schedules land in every tier:
 		// the cur heap, an L0 bucket, an L1 bucket, or the overflow heap
 		// (past the ~4.3s L1 horizon).
@@ -296,13 +384,25 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 
 		phases := 3 + rng.Intn(3)
 		for p := 0; p < phases; p++ {
-			armReserved()
+			armReserved(false)
 			for i := 0; i < 20+rng.Intn(40); i++ {
 				switch rng.Intn(8) {
 				case 0:
-					reserve(randDelay() + 1)
+					if n := len(pend); n > 0 && rng.Intn(2) == 0 {
+						// At a scheduled event's deadline, under an older
+						// seq than the run that event will be drained in.
+						reserve(max(pend[n-1].at-s.Now(), 1))
+					} else {
+						reserve(randDelay() + 1)
+					}
 				case 1:
 					deadline()
+				case 2:
+					// A burst into one granule: its bucket drains as a run.
+					base := randDelay()
+					for range 3 + rng.Intn(8) {
+						schedule(base + time.Duration(rng.Intn(3))*time.Microsecond)
+					}
 				default:
 					schedule(randDelay())
 				}
@@ -325,7 +425,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			until := s.Now() + time.Duration(rng.Intn(3000))*time.Millisecond
 			was := inL1()
 			s.RunUntil(until)
-			if !wheelConsistent(s) || !targeted(was) {
+			if bad || !wheelConsistent(s) || !targeted(was) {
 				return false
 			}
 			k := 0
@@ -345,7 +445,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 				pops++
 				k++
 			}
-			if k != len(fired) || s.EventsFired() != pops {
+			if k != len(fired) || s.EventsFired() != pops || !visitMatches() {
 				return false
 			}
 			// A completed RunUntil has passed every key up to its end.
@@ -359,6 +459,9 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 
 		// Drain everything left and compare the tail.
 		s.Run()
+		if bad {
+			return false
+		}
 		for len(pend) > 0 {
 			if ev := refPop(&pend); len(fired) == 0 || fired[0] != ev.id {
 				return false
@@ -370,6 +473,10 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("run stops: %d targeted, %d from inside a drain; %d reserved keys armed into a draining granule", runStops, drainStops, lateArms)
+	if runStops == 0 || drainStops == 0 || lateArms == 0 {
+		t.Errorf("the script never reached a case of the run: %d targeted stops, %d in-drain stops, %d late arms", runStops, drainStops, lateArms)
 	}
 }
 
@@ -391,12 +498,29 @@ func bucketOccupied(s *Sim, code int32) bool {
 	return occ.has(i)
 }
 
-// wheelConsistent checks the threaded lists: every occupied bucket's list
-// is doubly linked, its head names the tail, every member records the
-// bucket as its home and holds a callback, and the lists, cur and
-// overflow together hold exactly the pending events.
+// wheelConsistent checks the threaded lists and the run: every occupied
+// bucket's list is doubly linked, its head names the tail, every member
+// records the bucket as its home and holds a callback; the run is sorted,
+// its head is live unless it is empty, and its live entries record the run
+// as their home; and the lists, the run's live entries, cur and overflow
+// together hold exactly the pending events.
 func wheelConsistent(s *Sim) bool {
 	n := len(s.cur) + len(s.overflow)
+	if s.runHead > len(s.run) || s.runHead < len(s.run) && s.run[s.runHead].id < 0 || s.runHead > 0 && s.runHead == len(s.run) {
+		return false
+	}
+	for k, ent := range s.run[s.runHead:] {
+		if k > 0 && !entLess(s.run[s.runHead+k-1], ent) {
+			return false
+		}
+		if ent.id < 0 {
+			continue
+		}
+		if r := s.rec(ent.id); r.loc != locRun || r.at != ent.at || r.seq != ent.seq || r.arg == nil {
+			return false
+		}
+		n++
+	}
 	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
 		head, _, _ := s.bucket(code)
 		if bucketOccupied(s, code) && *head < 0 {

@@ -1,10 +1,27 @@
 package press_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"press"
 )
+
+// A world that cannot be built is refused with the reason before anything
+// is built: 1,024 servers take node id 1000, the client driver's, and
+// without the check Build panicked deep in the network with "simnet:
+// duplicate iface".
+func TestBuildRefusesCollidingNodeIDs(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "collide with the fixed node ids") {
+			t.Errorf("Build of 1,024 servers panicked with %q, want the fixed-id collision", msg)
+		}
+	}()
+	press.New(press.WithOptions(press.Options{Seed: 1, Nodes: 1024, Protocol: press.Scalable, Rate: 100})).Build()
+	t.Error("Build of 1,024 servers returned a world")
+}
 
 // TestClusterHandleOptions checks that the functional options reach the
 // deployment the handle builds. The rate is fixed so Build runs no
