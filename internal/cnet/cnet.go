@@ -276,6 +276,15 @@ func (p *MsgPool[T]) Get() *T {
 	return new(T)
 }
 
+// Forget drops every spare record: its owner knows the burst it kept them
+// for is over.
+func (p *MsgPool[T]) Forget() {
+	if len(p.free) > 0 {
+		clear(p.free)
+		p.free = p.free[:0]
+	}
+}
+
 // Put returns a record to the pool, or drops it when the pool is full.
 // Callers (the typed Release methods) zero the record's payload fields
 // first.

@@ -170,8 +170,10 @@ func TestScalableFootprint64(t *testing.T) {
 	}
 	ends := 0
 	for _, m := range c.Machines {
-		if n := unexportedLen(m, "dialFree"); n > poolCap {
-			t.Errorf("machine %d dialFree holds %d records, bound %d", m.ID(), n, poolCap)
+		for _, f := range []string{"hopFree", "segFree"} {
+			if n := unexportedLen(m, f); n > poolCap {
+				t.Errorf("machine %d %s holds %d records, bound %d", m.ID(), f, n, poolCap)
+			}
 		}
 		attached := unexportedLen(m.Iface(), "conns")
 		records := 0

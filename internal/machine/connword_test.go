@@ -99,10 +99,10 @@ func TestConnWordLastsUntilOnCloseHasRun(t *testing.T) {
 // waits in the mailbox.
 func parked(p *Proc) int {
 	n := 0
-	for _, c := range p.mailbox[p.head:] {
+	p.eachQueued(func(c *call) {
 		if c.tag == tagClosed {
 			n++
 		}
-	}
+	})
 	return n
 }

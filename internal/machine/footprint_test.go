@@ -15,9 +15,10 @@ import (
 func poolLen(pool any) int { return reflect.ValueOf(pool).Elem().Field(0).Len() }
 
 // A dial-and-timer storm far wider than any free list may keep runs to
-// completion, leaves the machine's dial free list at or under its bound
-// (timer records are handles, and never pooled), and a second identical
-// storm behaves the same.
+// completion, leaves the dial records' free list (the network's: a dial is
+// one record from DialFor to its dispatch) at or under its bound (timer
+// records are handles, and never pooled), and a second identical storm
+// behaves the same.
 func TestFreeListsForgetAStorm(t *testing.T) {
 	const storm = 300
 	w := newWorld()
@@ -57,13 +58,14 @@ func TestFreeListsForgetAStorm(t *testing.T) {
 	if got := run(); got != want {
 		t.Fatalf("first storm: %v, want %v", got, want)
 	}
-	if got := poolLen(&a.dialFree); got == 0 || got > 64 {
+	dialFree := func() int { return reflect.ValueOf(w.net).Elem().FieldByName("dialFree").Field(0).Len() }
+	if got := dialFree(); got == 0 || got > 64 {
 		t.Errorf("dialFree holds %d records after a %d-wide storm, want 1..64", got, storm)
 	}
 	if got := run(); got != want {
 		t.Errorf("second storm: %v, want %v", got, want)
 	}
-	if got := poolLen(&a.dialFree); got > 64 {
+	if got := dialFree(); got > 64 {
 		t.Errorf("dialFree holds %d records after the second storm", got)
 	}
 	if n := len(a.Proc("client").conns) + len(b.Proc("server").conns) + len(a.dials); n != 0 {
@@ -165,6 +167,10 @@ func TestMailboxEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(call{}); got > 48 {
 		t.Errorf("call is %d bytes, want at most 48", got)
 	}
+	// A segment and the allocator's 8-byte header fill the 3 KB class.
+	if got := unsafe.Sizeof(mailSeg{}); got > 3072-8 {
+		t.Errorf("a mailbox segment is %d bytes, want at most %d", got, 3072-8)
+	}
 }
 
 // A process lists its ends by concrete pointer, 8 bytes a slot: at N=256
@@ -215,7 +221,7 @@ func TestIdleProcessStoresNoEntry(t *testing.T) {
 	}
 	var queued int
 	for w.sim.Step() {
-		if n := srv.MailboxLen(); n > queued {
+		if n := mailboxLen(srv); n > queued {
 			queued = n
 		}
 	}
@@ -233,10 +239,10 @@ func TestIdleProcessStoresNoEntry(t *testing.T) {
 }
 
 // A backlog far past mailboxKeep — a boot storm's, one datagram per peer
-// — runs in arrival order, and once it drains the process holds no array
-// larger than mailboxKeep entries: the storm's 16 KB high-water is not
-// kept for the process's life. A backlog that fits keeps its array for
-// the next one.
+// — runs in arrival order, continuing past the full array in segments,
+// and once it drains the process holds no array larger than mailboxKeep
+// entries and no segment: the storm's high-water is not kept for the
+// process's life. The array is kept for the next backlog.
 func TestDrainedMailboxDropsAStormsArray(t *testing.T) {
 	const storm = 1000
 	w := newWorld()
@@ -257,7 +263,7 @@ func TestDrainedMailboxDropsAStormsArray(t *testing.T) {
 			envA.Send(1, cnet.ClassIntra, "d", i, 10)
 		}
 		for w.sim.Step() {
-			queued = max(queued, srv.MailboxLen())
+			queued = max(queued, mailboxLen(srv))
 		}
 		for i := range got {
 			if got[i] != i {
@@ -272,8 +278,8 @@ func TestDrainedMailboxDropsAStormsArray(t *testing.T) {
 	if q := burst(storm); q < storm-1 {
 		t.Fatalf("at most %d entries queued, want a %d-entry backlog", q, storm-1)
 	}
-	if c := cap(srv.mailbox); c > mailboxKeep {
-		t.Errorf("after a %d-entry backlog drained the mailbox holds a %d-entry array, want at most %d", storm, c, mailboxKeep)
+	if c := cap(srv.mailbox); c > mailboxKeep || srv.segs != nil {
+		t.Errorf("after a %d-entry backlog drained the mailbox holds a %d-entry array and segments %v, want at most %d and none", storm, c, srv.segs != nil, mailboxKeep)
 	}
 	burst(mailboxKeep / 2)
 	if c := cap(srv.mailbox); c == 0 || c > mailboxKeep {
@@ -381,8 +387,8 @@ func TestHopRecordsAreRecycled(t *testing.T) {
 		env.Hop(h)
 	}
 	w.sim.Run()
-	if p.MailboxLen() != 8 {
-		t.Fatalf("a hung process queued %d hops, want 8", p.MailboxLen())
+	if mailboxLen(p) != 8 {
+		t.Fatalf("a hung process queued %d hops, want 8", mailboxLen(p))
 	}
 	m.KillProc("app")
 	if h.fired != fired || poolLen(&m.hopFree) != 8 {

@@ -40,7 +40,7 @@ type Machine struct {
 	sim   *sim.Sim
 	log   *metrics.Log
 	id    cnet.NodeID
-	iface *simnet.Iface  //availlint:skipfield iface interface backlink; simnet restores its own state
+	iface *simnet.Iface
 	disks *simdisk.Array //availlint:skipfield disks disk-array backlink; simdisk restores its own state
 	state State
 	// slow is the gray-degradation CPU multiplier (faults.NodeSlow):
@@ -51,17 +51,18 @@ type Machine struct {
 	procs map[string]*Proc
 	order []string
 
-	// dialFree recycles the per-dial records below, bounded so a dial
-	// storm's high-water is not kept (cnet.MsgPool).
-	dialFree cnet.MsgPool[dialRec]
-
 	// hopFree recycles the timer records of Env.Hop, which no handle names.
 	hopFree cnet.MsgPool[timerRec]
 
-	// dials lists the dial records whose result has not been dispatched
-	// yet — in flight, or waiting in a mailbox — so snapshots can enumerate
-	// them. Listed in Env.DialFor, unlisted when the record is released.
-	dials []*dialRec
+	// segFree recycles the mailbox segments a backlog past a full array
+	// continues in, bounded so a boot storm's high-water is not kept.
+	segFree cnet.MsgPool[mailSeg]
+
+	// dials lists the processes' dials whose result has not been
+	// dispatched yet — in flight, or waiting in a mailbox — so snapshots can
+	// enumerate them, each at the slot its record keeps. Listed in
+	// Env.DialFor, unlisted when the record is released (putDial).
+	dials []*simnet.Dial
 
 	// walked lists, from SnapState to SnapOwners, the live timer records
 	// SnapState moved, in stream order: their owners are named once the
@@ -244,8 +245,18 @@ type Proc struct {
 	hung        bool
 	stalled     bool
 	curCharge   time.Duration // zeroed before every handler dispatch; between events it is a leftover nobody reads
-	mailbox     []call
-	head        int // next mailbox slot to dispatch; storage before it is spent
+	// The mailbox is a queue: mailbox[head:], then the entries of the
+	// segments from segs to tail, the last holding tailN. The array grows
+	// to at most mailboxKeep entries; a backlog past a full array continues
+	// in segments, and whenever the array runs out while segments wait, the
+	// oldest segment refills it (refill), so the next entry to dispatch is
+	// mailbox[head] whenever anything is queued.
+	mailbox []call
+	head    int // next mailbox slot to dispatch; storage before it is spent
+	segs    *mailSeg
+	tail    *mailSeg
+	tailN   int
+	spilled bool // the backlog now queued continued in segments
 	// A handler's charged CPU time elapses until the kernel key reserved
 	// for its end (endAt, endSeq) has passed, in the incarnation endInc
 	// that charged it (charging). The end is scheduled, armed, only once
@@ -292,7 +303,7 @@ type call struct {
 	env *Env        // liveness gate
 	c   *simnet.End // stream, close, writable; a dial's result (nil when it failed)
 	// arg is a stream or datagram entry's message, and a timer or dial
-	// entry's record (*timerRec, *dialRec).
+	// entry's record (*timerRec, *simnet.Dial).
 	arg  any
 	from cnet.NodeID // datagram sender
 	port int32       // datagram port, as its index in env.dgramPorts/dgramH
@@ -303,9 +314,9 @@ type call struct {
 func (c *call) dispatch() {
 	if c.tag == tagDial {
 		// Recycle before running: the owner may dial again at once.
-		r := c.arg.(*dialRec)
-		owner := r.owner
-		c.env.p.m.putDial(r)
+		d := c.arg.(*simnet.Dial)
+		owner := d.Owner()
+		c.env.p.m.putDial(d)
 		if c.env.live() {
 			var conn cnet.Conn // a failed dial's result is an untyped nil
 			if c.c != nil {
@@ -420,8 +431,17 @@ func (p *Proc) Unhang() {
 // Stalled reports whether the process blocked itself (full disk queue).
 func (p *Proc) Stalled() bool { return p.stalled }
 
-// MailboxLen reports the backlog length (tests/diagnostics).
-func (p *Proc) MailboxLen() int { return len(p.mailbox) - p.head }
+// eachQueued visits the queued entries in post order.
+func (p *Proc) eachQueued(visit func(c *call)) {
+	for i := p.head; i < len(p.mailbox); i++ {
+		visit(&p.mailbox[i])
+	}
+	for s := p.segs; s != nil; s = s.next {
+		for i := range p.segLen(s) {
+			visit(&s.calls[i])
+		}
+	}
+}
 
 func (p *Proc) boot() {
 	p.incarnation++
@@ -445,17 +465,19 @@ func (p *Proc) kill(abortConns bool) {
 	// Discarded mailbox entries drop their conn pins (taken in postCall)
 	// before the aborts below — an aborted pair with no surviving pins can
 	// go straight back to the network's pool — and their dial records.
-	for i := p.head; i < len(p.mailbox); i++ {
-		c := &p.mailbox[i]
+	p.eachQueued(func(c *call) {
 		if c.c != nil {
 			c.c.Release()
 		}
 		switch c.tag {
 		case tagDial:
-			p.m.putDial(c.arg.(*dialRec))
+			p.m.putDial(c.arg.(*simnet.Dial))
 		case tagTimer:
 			p.m.putHop(c.arg.(*timerRec))
 		}
+	})
+	for p.segs != nil {
+		p.dropSeg()
 	}
 	p.mailbox = nil
 	p.head = 0
@@ -480,12 +502,31 @@ func (p *Proc) runnable() bool {
 	return p.alive && !p.hung && !p.stalled && p.m.state == simnet.NodeUp
 }
 
-// mailboxKeep is the most entries a drained mailbox's array may hold and
-// still be kept for the next backlog. A larger one — a boot storm's
-// backlog of one control datagram per peer, which grows with the cluster —
-// is dropped when its queue drains, instead of staying at that high-water
-// for the process's life.
+// mailboxKeep is the most entries a mailbox's array holds. A backlog
+// past a full array — a boot storm's, one control datagram or dial result
+// per peer, which grows with the cluster — continues in segments, which go
+// back to the machine as they are consumed, so a storm neither copies its
+// backlog into ever larger arrays nor leaves one behind.
 const mailboxKeep = 64
+
+// segCap is the entries of one mailbox segment: 63 entries and the link,
+// with the allocator's header, fill the 3 KB size class.
+const segCap = 63
+
+// mailSeg is a run of mailbox entries continuing a backlog past a full
+// array.
+type mailSeg struct {
+	next  *mailSeg
+	calls [segCap]call
+}
+
+// segLen returns how many entries segment s of the queue holds.
+func (p *Proc) segLen(s *mailSeg) int {
+	if s == p.tail {
+		return p.tailN
+	}
+	return segCap
+}
 
 // postCall runs one mailbox entry: at once when the process is idle —
 // alive, runnable, no charge elapsing, nothing queued — so an idle process
@@ -506,25 +547,76 @@ func (p *Proc) postCall(c call) {
 		p.step(&c)
 		return
 	}
-	if p.head > 0 {
-		if p.head == len(p.mailbox) {
-			p.drained()
-		} else if len(p.mailbox) == cap(p.mailbox) {
-			// The mailbox is a queue consumed at head; with a standing
-			// backlog it never fully drains, so append-only growth would
-			// reallocate forever. Slide the backlog over the spent prefix
-			// and zero the vacated tail so its pointers die.
-			n := copy(p.mailbox, p.mailbox[p.head:])
-			tail := p.mailbox[n:]
-			for i := range tail {
-				tail[i] = call{}
+	if p.segs == nil {
+		if p.head > 0 {
+			if p.head == len(p.mailbox) {
+				p.drained()
+			} else if len(p.mailbox) == cap(p.mailbox) {
+				// The mailbox is a queue consumed at head; with a standing
+				// backlog it never fully drains, so append-only growth would
+				// reallocate forever. Slide the backlog over the spent prefix
+				// and zero the vacated tail so its pointers die.
+				n := copy(p.mailbox, p.mailbox[p.head:])
+				tail := p.mailbox[n:]
+				for i := range tail {
+					tail[i] = call{}
+				}
+				p.mailbox = p.mailbox[:n]
+				p.head = 0
 			}
-			p.mailbox = p.mailbox[:n]
-			p.head = 0
+		}
+		if n := len(p.mailbox); n == cap(p.mailbox) && n < mailboxKeep {
+			// Grow by doubling up to mailboxKeep entries exactly, the array a
+			// drained mailbox keeps.
+			grown := make([]call, n, min(max(2*n, 4), mailboxKeep))
+			copy(grown, p.mailbox)
+			p.mailbox = grown
 		}
 	}
-	p.mailbox = append(p.mailbox, c)
+	if p.segs != nil || len(p.mailbox) == cap(p.mailbox) {
+		p.segPush(c) // the backlog continues past the full array
+	} else {
+		p.mailbox = append(p.mailbox, c)
+	}
 	p.pump()
+}
+
+// segPush appends c to the segments, starting a segment when the last is
+// full.
+func (p *Proc) segPush(c call) {
+	if p.tail == nil || p.tailN == segCap {
+		s := p.m.segFree.Get()
+		if p.tail == nil {
+			p.segs, p.spilled = s, true
+		} else {
+			p.tail.next = s
+		}
+		p.tail, p.tailN = s, 0
+	}
+	p.tail.calls[p.tailN] = c
+	p.tailN++
+}
+
+// refill moves the oldest segment's entries into the spent array, which
+// holds at least segCap entries since segments begin only behind a full
+// one, and gives the segment back to the machine.
+func (p *Proc) refill() {
+	s := p.segs
+	p.mailbox = append(p.mailbox[:0], s.calls[:p.segLen(s)]...)
+	p.head = 0
+	p.dropSeg()
+}
+
+// dropSeg unlinks the oldest segment, zeroes its entries so their
+// pointers die, and gives it back to the machine.
+func (p *Proc) dropSeg() {
+	s := p.segs
+	clear(s.calls[:p.segLen(s)])
+	if p.segs = s.next; s == p.tail {
+		p.tail, p.tailN = nil, 0
+	}
+	s.next = nil
+	p.m.segFree.Put(s)
 }
 
 // pump drains the mailbox, honoring CPU charges: a handler that charges d
@@ -541,6 +633,9 @@ func (p *Proc) pump() {
 		c := p.mailbox[p.head]
 		p.mailbox[p.head] = call{}
 		p.head++
+		if p.segs != nil && p.head == len(p.mailbox) {
+			p.refill() // before the handler runs, which may post
+		}
 		if !p.step(&c) {
 			return // died inside the handler
 		}
@@ -551,8 +646,11 @@ func (p *Proc) pump() {
 }
 
 // drained empties a mailbox whose every entry has run (each was zeroed as
-// it was taken), keeping its array for the next backlog only up to
-// mailboxKeep entries.
+// it was taken), keeping its array for the next backlog unless it is
+// larger than mailboxKeep entries (a restore's). The machine keeps the
+// spare segments of a backlog that spilled into them for the next such
+// backlog, and lets them go once a backlog drains without needing any: a
+// recurring backlog reuses its segments, a storm's are not kept.
 func (p *Proc) drained() {
 	if cap(p.mailbox) > mailboxKeep {
 		p.mailbox = nil
@@ -560,6 +658,11 @@ func (p *Proc) drained() {
 		p.mailbox = p.mailbox[:0]
 	}
 	p.head = 0
+	if p.spilled {
+		p.spilled = false
+	} else {
+		p.m.segFree.Forget()
+	}
 }
 
 // step runs one entry and starts the CPU charge its handler accrued,
@@ -644,56 +747,36 @@ func (p *Proc) removeConn(c *simnet.End) {
 	p.conns = p.conns[:last]
 }
 
-// dialRec is one Env.DialFor whose result has not been dispatched: the
-// network's owner record for the handshake, in front of the component's
-// record that issued the dial. It is released when the mailbox dispatches
-// the result to owner (or discards it); the owner's handlers go to the
-// connection on success.
-type dialRec struct {
-	e     *Env
-	owner cnet.DialOwner // the issuing component's record, defined by its walk
-	slot  int            // index in Machine.dials
-}
-
-// DialHandlers implements cnet.DialOwner: the connection gets the owner's
-// handlers, or none when the incarnation has died.
-func (r *dialRec) DialHandlers() cnet.StreamHandlers {
-	if !r.e.live() {
-		return cnet.StreamHandlers{}
-	}
-	return r.owner.DialHandlers()
-}
-
-// DialResult implements cnet.DialOwner: adopt the connection and post the
-// result for the owner, or drop both when the incarnation has died.
-func (r *dialRec) DialResult(c cnet.Conn, err error) {
-	e := r.e
+// Dialed implements simnet.DialHost: the incarnation adopts the
+// connection and posts the verdict for the dial's owner, or drops both
+// when it has died.
+func (e *Env) Dialed(d *simnet.Dial) {
+	end := d.Conn()
 	if !e.live() {
-		if c != nil {
-			c.Close() // never adopted
+		if end != nil {
+			end.Close() // never adopted
 		}
-		e.p.m.putDial(r)
+		e.p.m.putDial(d)
 		return
 	}
-	var end *simnet.End
-	if c != nil {
-		end = c.(*simnet.End)
+	if end != nil {
 		e.p.adoptConn(e, end)
 	}
-	e.p.postCall(call{tag: tagDial, env: e, c: end, arg: r, err: uint8(cnet.ErrCode(err))})
+	e.p.postCall(call{tag: tagDial, env: e, c: end, arg: d, err: d.ErrCode()})
 }
 
-func (m *Machine) putDial(r *dialRec) {
-	if r.slot >= 0 && r.slot < len(m.dials) && m.dials[r.slot] == r {
+// putDial unlists a dial whose verdict has reached its owner, or was
+// dropped, and releases its record.
+func (m *Machine) putDial(d *simnet.Dial) {
+	if i := d.Slot(); i >= 0 && i < len(m.dials) && m.dials[i] == d {
 		last := len(m.dials) - 1
 		moved := m.dials[last]
-		m.dials[r.slot] = moved
-		moved.slot = r.slot
+		m.dials[i] = moved
+		moved.SetSlot(i)
 		m.dials[last] = nil
 		m.dials = m.dials[:last]
 	}
-	r.e, r.owner, r.slot = nil, nil, -1
-	m.dialFree.Put(r)
+	d.Release()
 }
 
 // timerRec is one timer of a process clock: the kernel event's argument
@@ -928,11 +1011,10 @@ func (e *Env) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.
 	if !e.live() {
 		return
 	}
-	dr := e.p.m.dialFree.Get()
-	dr.e, dr.owner = e, owner
-	dr.slot = len(e.p.m.dials)
-	e.p.m.dials = append(e.p.m.dials, dr)
-	e.p.m.iface.DialFor(to, class, port, dr)
+	m := e.p.m
+	d := m.iface.HostDial(e, to, class, port, owner)
+	d.SetSlot(len(m.dials))
+	m.dials = append(m.dials, d)
 }
 
 // AfterFor implements cnet.Env: the fire goes through the mailbox, so it

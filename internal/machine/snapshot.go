@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"time"
 
 	"press/internal/clock"
@@ -54,6 +55,7 @@ type procRestore struct {
 	conns   []cnet.Conn
 	adopted int
 	carried map[cnet.Conn]*restConn // every conn of conns
+	dials   []*simnet.Dial          // the dial records of the live incarnation
 }
 
 // restConn is what a restore gathers for one carried connection end
@@ -171,13 +173,18 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 			}
 		}
 
-		for i := range x.Len(p.MailboxLen(), 1<<20) {
+		// The mailbox's entries in post order, across its array and segments.
+		var queued []*call
+		if x.Saving() {
+			p.eachQueued(func(c *call) { queued = append(queued, c) })
+		}
+		for i := range x.Len(len(queued), 1<<20) {
 			if !p.alive { // kill empties it; there is no environment to resolve an entry against
 				snapio.Failf("machine %d/%s: a dead process with a mailbox", m.id, name)
 			}
 			var t mailTag
 			if x.Saving() {
-				t = m.tagOf(name, &p.mailbox[p.head+i])
+				t = m.tagOf(name, queued[i])
 			}
 			if t.snap(x); t.kind == tagTimer {
 				m.walked = append(m.walked, t.timer)
@@ -222,32 +229,31 @@ func (m *Machine) SnapState(x *snapio.Ctx) {
 	// a mailbox's dial results by index. A loaded record is built here, on
 	// its live incarnation's environment or on a dead one's stand-in;
 	// SnapOwners hands the live ones their owners back.
-	for i := range x.Len(len(m.dials), 1<<20) {
-		var dr *dialRec
+	m.iface.SnapHostedDials(x, &m.dials, func(d *simnet.Dial, h *simnet.DialHost) {
 		var proc string
 		var live bool
 		if x.Saving() {
-			dr = m.dials[i]
-			proc, live = dr.e.p.name, dr.e.live()
-		} else {
-			dr = m.dialFree.Get()
-			dr.slot = len(m.dials)
-			m.dials = append(m.dials, dr)
+			e := (*h).(*Env)
+			proc, live = e.p.name, e.live()
 		}
-		x.Define(dr)
 		x.Str(&proc)
-		if x.Bool(&live); !x.Saving() {
-			p := m.procs[proc]
-			if p == nil {
-				snapio.Failf("machine %d: dial record for unknown proc %q", m.id, proc)
-			}
-			if dr.e = p.env; !live {
-				dr.e = &Env{p: p}
-			} else if !p.alive {
-				snapio.Failf("machine %d: a live dial record of dead process %q", m.id, proc)
-			}
+		if x.Bool(&live); x.Saving() {
+			return
 		}
-	}
+		p := m.procs[proc]
+		if p == nil {
+			snapio.Failf("machine %d: dial record for unknown proc %q", m.id, proc)
+		}
+		e := p.env
+		if !live {
+			e = &Env{p: p}
+		} else if !p.alive {
+			snapio.Failf("machine %d: a live dial record of dead process %q", m.id, proc)
+		} else {
+			p.rst.dials = append(p.rst.dials, d)
+		}
+		*h = e
+	})
 }
 
 // chargeEnd is a process's charge as the stream carries it.
@@ -278,7 +284,7 @@ func (m *Machine) tagOf(proc string, c *call) mailTag {
 	case c.tag == tagTimer:
 		t.timer = c.arg.(*timerRec)
 	case c.tag == tagDial:
-		t.dial = c.arg.(*dialRec).slot
+		t.dial = c.arg.(*simnet.Dial).Slot()
 	case c.tag == tagDgram:
 		t.m, t.port = c.arg, c.env.dgramPorts[c.port]
 	case c.tag == tagStream:
@@ -381,11 +387,7 @@ func (e *Env) RestoreConnList() []cnet.Conn {
 // closure form (cnet.TimerFunc) has an owner no section defines, and fails
 // the save here.
 func (m *Machine) SnapOwners(x *snapio.Ctx) {
-	for _, dr := range m.dials {
-		if dr.e.live() {
-			snapio.Owner(x, &dr.owner, nil, "machine: dial")
-		}
-	}
+	simnet.SnapHostedOwners(x, m.dials, "machine: dial")
 	for _, r := range m.walked {
 		snapio.Owner(x, &r.owner, nil, "machine: timer")
 	}
@@ -430,11 +432,11 @@ func (m *Machine) FinishRestore() {
 			if t.kind != tagDial {
 				continue
 			}
-			if t.dial < 0 || t.dial >= len(m.dials) || m.dials[t.dial].e != p.env {
+			if t.dial < 0 || t.dial >= len(m.dials) || !slices.Contains(r.dials, m.dials[t.dial]) {
 				snapio.Failf("machine %d/%s: mailbox dial result names no live dial record of its process", m.id, name)
 			}
 			if t.c != nil {
-				p.env.RestoreConn(t.c, m.dials[t.dial].owner.DialHandlers())
+				p.env.RestoreConn(t.c, m.dials[t.dial].Owner().DialHandlers())
 			}
 		}
 

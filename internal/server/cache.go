@@ -35,6 +35,12 @@ type docCache struct {
 	index   []int32
 	shift   uint // 64 − log2(len(index)): a hash's top bits are its home slot
 	posBits uint // a slot's low bits hold the slab position; the tag is above
+
+	// hello is the Hello carrying the current listing, boxed by the first
+	// send that needs it and dropped when the listing changes: a formation
+	// storm opens a send stream to every peer at once, and they all carry
+	// one box and one listing.
+	hello cnet.Message
 }
 
 const cacheIndexMin = 16 // an empty cache's index: one cache line
@@ -146,6 +152,7 @@ func (c *docCache) pushFront(i int32) {
 
 func (c *docCache) moveToFront(i int32) {
 	if e := c.ents[i]; e.prev != 0 { // not already the most recent
+		c.hello = nil
 		c.ents[e.prev].next = e.next
 		c.ents[e.next].prev = e.prev
 		c.pushFront(i)
@@ -169,6 +176,7 @@ func (c *docCache) Peek(doc trace.DocID) bool {
 // Insert caches doc, returning the evicted document (and true) when the
 // cache was full. Inserting a present doc only refreshes recency.
 func (c *docCache) Insert(doc trace.DocID) (evicted trace.DocID, didEvict bool) {
+	c.hello = nil
 	if i := c.ent(doc); i != 0 {
 		c.moveToFront(i)
 		return 0, false
@@ -212,6 +220,16 @@ func (c *docCache) Docs() []trace.DocID {
 		out = append(out, c.ents[i].doc)
 	}
 	return out
+}
+
+// Hello returns the Hello that introduces self with the cached documents,
+// and its wire size. It is boxed once for every send until the cache
+// changes; receivers only read its listing.
+func (c *docCache) Hello(self cnet.NodeID) (cnet.Message, int) {
+	if c.hello == nil {
+		c.hello = HelloMsg{From: self, CacheDocs: c.Docs()}
+	}
+	return c.hello, sizeHello + 4*len(c.hello.(HelloMsg).CacheDocs)
 }
 
 // directory tracks which cluster nodes cache which documents, fed by

@@ -179,8 +179,7 @@ func (p *peer) DialResult(c cnet.Conn, err error) {
 	p.conn = c
 	s.env.SetConnWord(c, uint64(p.id)+1)
 	cnet.RetainConn(c) // the record holds the conn across events
-	hello := HelloMsg{From: s.cfg.Self, CacheDocs: s.cache.Docs()}
-	c.TrySend(hello, sizeHello+4*len(hello.CacheDocs))
+	c.TrySend(s.cache.Hello(s.cfg.Self))
 	s.drain(p.id)
 }
 
@@ -318,6 +317,12 @@ func (s *Server) acceptPeer(c cnet.Conn) cnet.StreamHandlers {
 }
 
 func (s *Server) addInbound(c cnet.Conn, from cnet.NodeID) {
+	if s.inbound == nil {
+		// One stream per other node: sized from the static view, the list
+		// is made once instead of grown step by step through the formation
+		// storm.
+		s.inbound = make([]cnet.Conn, 0, len(s.view))
+	}
 	s.env.SetConnWord(c, inWord(len(s.inbound), from))
 	s.inbound = append(s.inbound, c)
 }

@@ -257,6 +257,10 @@ func (s *Server) sortedView() []cnet.NodeID {
 		// (every include on every node), and a fresh allocation per read
 		// after one is pure GC load. Callers use the slice before the next
 		// change. The dense walk yields ascending IDs, so no sort is needed.
+		// Sized from the static view, it never grows.
+		if s.sorted == nil {
+			s.sorted = make([]cnet.NodeID, 0, len(s.view))
+		}
 		s.sorted = s.sorted[:0]
 		for n, in := range s.view {
 			if in {

@@ -550,6 +550,7 @@ func nextOcc(occ *wheelOcc, from int) int {
 // pending.
 func (s *Sim) ensureFront() {
 	for len(s.cur) == 0 && s.runHead == len(s.run) {
+		s.dropFront()
 		if i := nextOcc(&s.l0occ, s.curIdx+1); i < l0Buckets {
 			s.curIdx = i
 			s.drainL0(i)
@@ -566,9 +567,27 @@ func (s *Sim) ensureFront() {
 	}
 }
 
+// frontKeep is the most entries an empty front array keeps for the next
+// granule. A formation storm drains tens of thousands of events from one
+// granule (81,578 at N=256); what it grew the run and cur to is dropped
+// once they drain, instead of staying at that high-water for the world's
+// life.
+const frontKeep = 1024
+
+// dropFront drops an empty front's arrays larger than frontKeep entries.
+func (s *Sim) dropFront() {
+	if cap(s.run) > frontKeep {
+		s.run = nil
+	}
+	if cap(s.cur) > frontKeep {
+		s.cur = nil
+	}
+}
+
 // drainL0 walks bucket l0[i]'s list into the (empty) run and sorts it.
-// The run keeps its capacity, so it grows only for a list longer than any
-// drained before, and then once, to the list's length.
+// The run keeps its capacity up to frontKeep entries, so it grows only for
+// a list longer than any drained since, and then once, to the list's
+// length.
 func (s *Sim) drainL0(i int) {
 	run := s.run[:0]
 	for id := s.bucketTake(int32(i)); id >= 0; {
@@ -584,8 +603,26 @@ func (s *Sim) drainL0(i int) {
 		run = append(run, heapEnt{at: r.at, seq: r.seq, id: id})
 		id = r.next
 	}
-	slices.SortFunc(run, entCmp)
+	sortRun(run)
 	s.run, s.runHead = run, 0
+}
+
+// sortRun sorts a drained bucket by (at, seq). Most buckets hold a few
+// entries, which an insertion sort on entLess orders without the generic
+// sort's setup.
+func sortRun(run []heapEnt) {
+	if len(run) > 16 {
+		slices.SortFunc(run, entCmp)
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		ent := run[i]
+		j := i
+		for ; j > 0 && entLess(ent, run[j-1]); j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = ent
+	}
 }
 
 // runFirst reports whether the earliest pending entry is the run's head

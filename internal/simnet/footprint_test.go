@@ -101,3 +101,13 @@ func TestConnPairSize(t *testing.T) {
 		t.Errorf("connPair is %d bytes, want at most 192 (the next size class is 208)", got)
 	}
 }
+
+// A dial is one record from DialFor until its owner has the verdict, in
+// flight and, for a process's dial, waiting in its mailbox: a formation
+// storm at N=256 holds 65,280 of them at once. The error is a code, the
+// class a byte and the port an index, so the record fits 64 bytes.
+func TestDialRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Dial{}); got > 64 {
+		t.Errorf("Dial is %d bytes, want at most 64", got)
+	}
+}

@@ -22,6 +22,7 @@
 package simnet
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -97,8 +98,12 @@ type Network struct {
 	// the boot storm's high-water is not kept.
 	dgramFree  cnet.MsgPool[dgramPkt]
 	streamFree cnet.MsgPool[streamPkt]
-	dialFree   cnet.MsgPool[dialOp]
+	dialFree   cnet.MsgPool[Dial]
 	batchFree  cnet.MsgPool[batchPkt]
+
+	// ports names every port a dial has named, once: a dial record carries
+	// its port as an index here instead of a 16-byte string.
+	ports []string
 
 	// pairFree recycles connection-pair allocations. A pair returns here
 	// once both halves are closed and no scheduled event or mailbox entry
@@ -488,34 +493,94 @@ func deliverDgram(arg any) {
 	}
 }
 
-// dialOp carries one connection handshake through its scheduled stages;
-// recycled through Network.dialFree.
-type dialOp struct {
+// Dial is one connection handshake, from DialFor until its owner has the
+// verdict: carried through the handshake's scheduled stages and, for a
+// dial a simulated process issued, on through that process's mailbox. Such
+// a dial names the process as its host, which takes the verdict in the
+// owner's place and releases the record once the owner has it; any other
+// dial's owner hears the verdict at once. One record a dial, 64 bytes
+// (TestDialRecordSize), recycled through Network.dialFree.
+type Dial struct {
 	i     *Iface
 	dst   *Iface
-	class cnet.Class
-	port  string
-	err   error          // verdict delivered by dialFail
-	local *End           // verdict delivered by dialDone
-	owner cnet.DialOwner // hears the verdict
+	local *End           // the verdict delivered by dialDone; nil for a failure
+	owner cnet.DialOwner // the issuing component's record
+	host  DialHost       // the issuing process; nil when owner hears the verdict itself
+	slot  int32          // the host's index of the record (opaque to simnet)
+	port  uint16         // the port's index in Network.ports
+	class uint8          // cnet.Class
+	err   uint8          // cnet.ErrCode of the verdict delivered by dialFail
 }
 
-func (n *Network) freeDialOp(op *dialOp) {
-	*op = dialOp{}
-	n.dialFree.Put(op)
+// DialHost is the simulated process a dial was issued from.
+type DialHost interface {
+	// Live reports whether the issuing incarnation still runs: a dead one's
+	// connection gets no handlers.
+	Live() bool
+	// Dialed takes the dial's verdict (Conn, ErrCode) in the owner's place.
+	Dialed(d *Dial)
 }
 
-func (op *dialOp) fail(err error, after time.Duration) {
-	op.err = err
-	op.i.net.sim.AfterArg(after, dialFail, op)
+// Owner returns the component record the dial is for.
+func (d *Dial) Owner() cnet.DialOwner { return d.owner }
+
+// Conn returns the connection a successful dial delivers, nil for a
+// failed one.
+func (d *Dial) Conn() *End { return d.local }
+
+// ErrCode returns the cnet.ErrCode of the verdict: 0 for a connection.
+func (d *Dial) ErrCode() uint8 { return d.err }
+
+// SetSlot and Slot stash the host's bookkeeping index for the record: its
+// position in the host's list of dials, which makes release O(1).
+func (d *Dial) SetSlot(i int) { d.slot = int32(i) }
+
+// Slot returns what SetSlot stashed.
+func (d *Dial) Slot() int { return int(d.slot) }
+
+// Release recycles the record once its verdict has reached the owner.
+func (d *Dial) Release() {
+	n := d.i.net
+	*d = Dial{}
+	n.dialFree.Put(d)
 }
 
-func dialFail(arg any) {
-	op := arg.(*dialOp)
-	owner, err, n := op.owner, op.err, op.i.net
-	n.freeDialOp(op)
-	owner.DialResult(nil, err)
+// portID returns port's index in n.ports, naming it there the first time.
+func (n *Network) portID(port string) uint16 {
+	for k, p := range n.ports {
+		if p == port {
+			return uint16(k)
+		}
+	}
+	if len(n.ports) > math.MaxUint16 {
+		panic("simnet: more than 65,536 dial ports")
+	}
+	n.ports = append(n.ports, port)
+	return uint16(len(n.ports) - 1)
 }
+
+func (d *Dial) fail(err error, after time.Duration) {
+	d.err = uint8(cnet.ErrCode(err))
+	d.i.net.sim.AfterArg(after, dialFail, d)
+}
+
+// verdict hands the dial's verdict to its host, or to its owner and
+// recycles the record.
+func (d *Dial) verdict() {
+	if d.host != nil {
+		d.host.Dialed(d)
+		return
+	}
+	owner, err := d.owner, cnet.ErrFromCode(uint64(d.err))
+	var c cnet.Conn // a failed dial's result is an untyped nil
+	if d.local != nil {
+		c = d.local
+	}
+	d.Release()
+	owner.DialResult(c, err)
+}
+
+func dialFail(arg any) { arg.(*Dial).verdict() }
 
 // Dial is DialFor for a caller with closures and no record.
 func (i *Iface) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.StreamHandlers, result func(cnet.Conn, error)) {
@@ -525,39 +590,42 @@ func (i *Iface) Dial(to cnet.NodeID, class cnet.Class, port string, h cnet.Strea
 // DialFor opens a stream to (to, port) for owner. See cnet.Env.DialFor for
 // semantics.
 func (i *Iface) DialFor(to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) {
+	i.HostDial(nil, to, class, port, owner)
+}
+
+// HostDial is DialFor for a dial host issues: the host takes the verdict
+// (DialHost.Dialed) and releases the returned record once owner has it.
+func (i *Iface) HostDial(host DialHost, to cnet.NodeID, class cnet.Class, port string, owner cnet.DialOwner) *Dial {
 	dst := i.net.resolve(to)
 	rtt := 2 * PropDelay
-	op := i.net.dialFree.Get()
-	op.i, op.dst, op.class, op.port, op.owner = i, dst, class, port, owner
-	if i.state != NodeUp {
-		op.fail(cnet.ErrTimeout, synTimeout)
-		return
+	d := i.net.dialFree.Get()
+	d.i, d.dst, d.class, d.port, d.owner, d.host = i, dst, uint8(class), i.net.portID(port), owner, host
+	switch {
+	case i.state != NodeUp:
+		d.fail(cnet.ErrTimeout, synTimeout)
+	case dst == nil || !i.net.pathUp(i, dst, class) || dst.state == NodeDown || dst.state == NodeFrozen:
+		d.fail(cnet.ErrTimeout, synTimeout)
+	case bound(dst.listeners, port) == nil:
+		d.fail(cnet.ErrRefused, rtt)
+	default:
+		// Handshake: completes at TCP level even if the accepting process
+		// is busy/hung. Re-check reachability at SYN arrival.
+		i.net.sim.AfterArg(PropDelay, dialSyn, d)
 	}
-	if dst == nil || !i.net.pathUp(i, dst, class) || dst.state == NodeDown || dst.state == NodeFrozen {
-		op.fail(cnet.ErrTimeout, synTimeout)
-		return
-	}
-	accept := bound(dst.listeners, port)
-	if accept == nil {
-		op.fail(cnet.ErrRefused, rtt)
-		return
-	}
-	// Handshake: completes at TCP level even if the accepting process is
-	// busy/hung. Re-check reachability at SYN arrival.
-	i.net.sim.AfterArg(PropDelay, dialSyn, op)
+	return d
 }
 
 // dialSyn is the SYN-arrival stage of Dial.
 func dialSyn(arg any) {
-	op := arg.(*dialOp)
-	i, dst, n := op.i, op.dst, op.i.net
-	if dst.state == NodeDown || dst.state == NodeFrozen || !n.pathUp(i, dst, op.class) {
-		op.fail(cnet.ErrTimeout, synTimeout-PropDelay)
+	d := arg.(*Dial)
+	i, dst, n := d.i, d.dst, d.i.net
+	if dst.state == NodeDown || dst.state == NodeFrozen || !n.pathUp(i, dst, cnet.Class(d.class)) {
+		d.fail(cnet.ErrTimeout, synTimeout-PropDelay)
 		return
 	}
-	acceptNow := bound(dst.listeners, op.port)
+	acceptNow := bound(dst.listeners, n.ports[d.port])
 	if acceptNow == nil {
-		op.fail(cnet.ErrRefused, PropDelay)
+		d.fail(cnet.ErrRefused, PropDelay)
 		return
 	}
 	// Both halves live in one allocation: a connection's endpoints share
@@ -565,8 +633,8 @@ func dialSyn(arg any) {
 	// and unpinned), so separate allocations buy nothing.
 	pair := n.newPair()
 	local, remote := &pair.dialer, &pair.acceptor
-	local.iface, local.class = i, uint8(op.class)
-	remote.iface, remote.class = dst, uint8(op.class)
+	local.iface, local.class = i, d.class
+	remote.iface, remote.class = dst, d.class
 	local.peer, remote.peer = remote, local
 	local.connIdx = int32(len(i.conns))
 	i.conns = append(i.conns, local)
@@ -574,18 +642,21 @@ func dialSyn(arg any) {
 	dst.conns = append(dst.conns, remote)
 	remote.router = Direct // an owner that routes its ends elsewhere re-routes inside accept
 	remote.h = acceptNow(remote)
-	op.local = local
+	d.local = local
 	local.Retain() // pinned by the dialDone event
-	n.sim.AfterArg(PropDelay, dialDone, op)
+	n.sim.AfterArg(PropDelay, dialDone, d)
 }
 
-// dialDone is the final ACK stage of Dial.
+// dialDone is the final ACK stage of Dial: the connection gets the owner's
+// handlers, unless its issuing incarnation has died.
 func dialDone(arg any) {
-	op := arg.(*dialOp)
-	local, owner, n := op.local, op.owner, op.i.net
-	n.freeDialOp(op)
-	local.router, local.h = Direct, owner.DialHandlers()
-	owner.DialResult(local, nil)
+	d := arg.(*Dial)
+	local := d.local
+	local.router = Direct
+	if d.host == nil || d.host.Live() {
+		local.h = d.owner.DialHandlers()
+	}
+	d.verdict()
 	local.Release()
 }
 

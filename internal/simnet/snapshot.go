@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"math"
+
 	"press/internal/cnet"
 	"press/internal/snapio"
 )
@@ -143,19 +145,49 @@ func (n *Network) SnapPending(x *snapio.Ctx) {
 		return p
 	})
 
+	inFlight := map[*Dial]bool{} // loading: the hosted records a handshake took
 	for _, stage := range []func(any){dialSyn, dialDone, dialFail} {
-		snapio.Pending(x, stage, 1<<24, nil, func(op *dialOp) *dialOp {
-			if op == nil {
-				op = new(dialOp)
+		snapio.Pending(x, stage, 1<<24, nil, func(d *Dial) *Dial {
+			var hs Dial // the handshake as the stream carries it
+			var port string
+			if x.Saving() {
+				hs, port = *d, n.ports[d.port]
 			}
-			n.iface(x, &op.i, false)
-			n.iface(x, &op.dst, true)
-			snapio.Int(x, &op.class)
-			x.Str(&op.port)
-			cnet.SnapErr(x, &op.err)
-			snapio.Conn(x, &op.local) // nil until the syn stage runs
-			snapio.Owner(x, &op.owner, nil, "simnet: in-flight dial")
-			return op
+			n.iface(x, &hs.i, false)
+			n.iface(x, &hs.dst, true)
+			snapio.Int(x, &hs.class)
+			x.Str(&port)
+			err := cnet.ErrFromCode(uint64(hs.err))
+			cnet.SnapErr(x, &err)
+			snapio.Conn(x, &hs.local) // nil until the syn stage runs
+			// A hosted dial's owner reference is its own record, which the
+			// host's section defined (SnapHostedDials).
+			var owner any
+			if x.Saving() {
+				if owner = d.owner; d.host != nil {
+					owner = d
+				}
+			}
+			if snapio.Owner(x, &owner, nil, "simnet: in-flight dial"); x.Saving() {
+				return d
+			}
+			switch o := owner.(type) {
+			case *Dial:
+				if inFlight[o] {
+					snapio.Failf("simnet: two handshakes in flight for one dial record")
+				}
+				d, inFlight[o] = o, true
+			case cnet.DialOwner:
+				d = &Dial{owner: o}
+			default:
+				snapio.Failf("simnet: in-flight dial: owner %T cannot take its callback", owner)
+			}
+			if len(n.ports) > math.MaxUint16 {
+				snapio.Failf("simnet: in-flight dials name more than 65,536 ports")
+			}
+			d.i, d.dst, d.local = hs.i, hs.dst, hs.local
+			d.class, d.port, d.err = hs.class, n.portID(port), uint8(cnet.ErrCode(err))
+			return d
 		})
 	}
 
@@ -166,6 +198,36 @@ func (n *Network) SnapPending(x *snapio.Ctx) {
 			}
 			return hc
 		})
+	}
+}
+
+// SnapHostedDials moves the dials a host's section lists, in its order:
+// their count, then per record its id (x.Define), by which the network's
+// pending section and the host's mailbox name it, and what host moves of
+// the record's host. Loading builds each record on this interface at its
+// slot, appending it to *dials, and host sets its host.
+func (i *Iface) SnapHostedDials(x *snapio.Ctx, dials *[]*Dial, host func(d *Dial, h *DialHost)) {
+	for k := range x.Len(len(*dials), 1<<20) {
+		var d *Dial
+		if x.Saving() {
+			d = (*dials)[k]
+		} else {
+			d = &Dial{i: i, slot: int32(k)}
+			*dials = append(*dials, d)
+		}
+		x.Define(d)
+		host(d, &d.host)
+	}
+}
+
+// SnapHostedOwners moves, for every record of dials whose host still
+// lives, the component record it answers to; what names the dial in a
+// failure.
+func SnapHostedOwners(x *snapio.Ctx, dials []*Dial, what string) {
+	for _, d := range dials {
+		if d.host.Live() {
+			snapio.Owner(x, &d.owner, nil, what)
+		}
 	}
 }
 

@@ -284,13 +284,40 @@ func stepUntil(t *testing.T, c *harness.Cluster, what string, cond func() bool) 
 	}
 }
 
+// mailboxArgs lists, by reflection, the arg of every entry waiting in p's
+// mailbox: its array from head on, then its segments.
+func mailboxArgs(p *machine.Proc) []reflect.Value {
+	v := reflect.ValueOf(p).Elem()
+	var args []reflect.Value
+	mb := v.FieldByName("mailbox")
+	for i := int(v.FieldByName("head").Int()); i < mb.Len(); i++ {
+		args = append(args, mb.Index(i).FieldByName("arg"))
+	}
+	tail, tailN := v.FieldByName("tail").Pointer(), int(v.FieldByName("tailN").Int())
+	for s := v.FieldByName("segs"); !s.IsNil(); s = s.Elem().FieldByName("next") {
+		calls, n := s.Elem().FieldByName("calls"), segEntries(s, tail, tailN)
+		for i := range n {
+			args = append(args, calls.Index(i).FieldByName("arg"))
+		}
+	}
+	return args
+}
+
+// segEntries is how many entries segment s holds: tailN in the tail, a full
+// segment's length in any other.
+func segEntries(s reflect.Value, tail uintptr, tailN int) int {
+	if s.Pointer() == tail {
+		return tailN
+	}
+	return s.Elem().FieldByName("calls").Len()
+}
+
 // mailboxDials counts, by reflection, the dial results waiting in p's
 // mailbox.
 func mailboxDials(p *machine.Proc) int {
-	v := reflect.ValueOf(p).Elem()
-	mb, n := v.FieldByName("mailbox"), 0
-	for i := int(v.FieldByName("head").Int()); i < mb.Len(); i++ {
-		if arg := mb.Index(i).FieldByName("arg"); !arg.IsNil() && arg.Elem().Type().String() == "*machine.dialRec" {
+	n := 0
+	for _, arg := range mailboxArgs(p) {
+		if !arg.IsNil() && arg.Elem().Type().String() == "*simnet.Dial" {
 			n++
 		}
 	}
@@ -327,10 +354,9 @@ func timerOwner(v reflect.Value) string {
 // mailboxTimers counts, by reflection, the timer fires waiting in p's
 // mailbox whose owner is one of owners.
 func mailboxTimers(p *machine.Proc, owners ...string) int {
-	v := reflect.ValueOf(p).Elem()
-	mb, n := v.FieldByName("mailbox"), 0
-	for i := int(v.FieldByName("head").Int()); i < mb.Len(); i++ {
-		if slices.Contains(owners, timerOwner(mb.Index(i).FieldByName("arg"))) {
+	n := 0
+	for _, arg := range mailboxArgs(p) {
+		if slices.Contains(owners, timerOwner(arg)) {
 			n++
 		}
 	}

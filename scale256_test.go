@@ -114,12 +114,14 @@ func TestScale256EventCountInvariant(t *testing.T) {
 // the objects over. Both are readings, and they only go down. Among what
 // they hold: 256 peer tables (records by value, not one object per peer),
 // no random stream for a press server that never draws, the receive
-// buffers of ends that once buffered, and no mailbox array over
-// mailboxKeep entries in a process whose queue has drained (keeping them
-// adds the 253 servers' 341-entry boot-storm arrays, 4 MB).
+// buffers of ends that once buffered, no mailbox array over mailboxKeep
+// entries and no spare mailbox segment a storm left behind (keeping the
+// segments adds about 2.4 MB), and no kernel front array at the storm's
+// high-water (1.9 MB). Before those, and before the dial records went
+// from two per dial to one, the reading was 36.5 MB in 109,539 objects.
 const (
-	scale256LiveHeapMB  = 36.2
-	scale256LiveObjects = 108_921
+	scale256LiveHeapMB  = 34.5
+	scale256LiveObjects = 93_168
 )
 
 // TestScale256LiveHeap pins the bytes per node: what the 256-node world
