@@ -168,18 +168,31 @@ func TestReproNamesTheCampaignsVersion(t *testing.T) {
 	}
 }
 
-// TestStandingViolationReplays pins a wrong the simulator still has: the
-// checked-in repro of pressbench forkchaos seed 61 (COOP, FastOptions(1)
-// at 100 req/s with a 10-minute warm-up, shrunk 6 → 5 entries), which
-// violates
+// TestStandingViolationReplays pins wrongs the simulator still has, one
+// checked-in repro each:
 //
-//	converges: cluster never became whole: 4/4 nodes up, views [4 3 4 3] after 2 resets
+//   - pressbench forkchaos seed 61 (COOP, FastOptions(1) at 100 req/s with
+//     a 10-minute warm-up, shrunk 6 → 5 entries) violates "converges:
+//     cluster never became whole: 4/4 nodes up, views [4 3 4 3] after 2
+//     resets";
+//   - `reproduce -chaos -seeds 8 -fast -version QMON` seed 1 (shrunk 10 → 2
+//     entries: app-crash/4 at 2m28s+38s, node-freeze/1 at 2m49s+26s)
+//     violates "converges: cluster never became whole: 5/5 nodes up,
+//     views [4 5 4 5 5] after 2 resets".
 //
-// -chaos-replay exits 0 while the violation reproduces. The change that
-// heals it makes the replay exit 2 (stale), and flips this test to expect 2.
+// -chaos-replay exits 0 while a recorded violation reproduces. The change
+// that heals one makes its replay exit 2 (stale), and flips its row to
+// expect 2.
 func TestStandingViolationReplays(t *testing.T) {
-	f := filepath.Join("testdata", "chaos-repro-COOP-seed61-4c994f70e2809376.json")
-	if code := run([]string{"-chaos-replay", f}); code != 0 {
-		t.Fatalf("-chaos-replay %s exited %d, want 0 (the recorded violation reproduces)", f, code)
+	for _, repro := range []string{
+		"chaos-repro-COOP-seed61-4c994f70e2809376.json",
+		"chaos-repro-QMON-seed1-392f282ff25e4f2d.json",
+	} {
+		t.Run(repro, func(t *testing.T) {
+			f := filepath.Join("testdata", repro)
+			if code := run([]string{"-chaos-replay", f}); code != 0 {
+				t.Fatalf("-chaos-replay %s exited %d, want 0 (the recorded violation reproduces)", f, code)
+			}
+		})
 	}
 }

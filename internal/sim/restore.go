@@ -26,10 +26,8 @@ import (
 func (s *Sim) VisitPending(visit func(at time.Duration, seq uint64, afn func(any), arg any)) {
 	ents := make([]heapEnt, 0, s.npend)
 	ents = append(ents, s.cur...)
-	for _, ent := range s.run[s.runHead:] {
-		if ent.id >= 0 {
-			ents = append(ents, ent)
-		}
+	for id := s.runHead; id >= 0; id = s.rec(id).next {
+		ents = append(ents, heapEnt{at: s.rec(id).at, seq: s.rec(id).seq, id: id})
 	}
 	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
 		head, occ, i := s.bucket(code)

@@ -33,13 +33,11 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 
 	"press/internal/clock"
@@ -47,11 +45,12 @@ import (
 
 // evRec is one scheduled callback: its ordering key, its callback and its
 // current home in the queue (loc). In cur or overflow, pos is its index
-// in that heap; in the run, its key finds it. In a wheel bucket, loc is
-// the bucket's code and next/prev link it into the bucket's list: next is
-// -1 at the tail, and the head's prev names the tail, which is what lets
-// a put append. On the free list, next names the next free record. Callers hold generation-counted Timer
-// handles, never the record.
+// in that heap. In a wheel bucket, loc is the bucket's code and next/prev
+// link it into the bucket's list: next is -1 at the tail, and the head's
+// prev names the tail, which is what lets a put append. In the run, next
+// names the entry that pops after it (-1 at the tail) and prev is unused.
+// On the free list, next names the next free record. Callers hold
+// generation-counted Timer handles, never the record.
 type evRec struct {
 	at   time.Duration
 	seq  uint64    // tie-breaker: equal deadlines fire in scheduling order
@@ -139,8 +138,7 @@ type Sim struct {
 
 	// Hierarchical timer wheel (see the commentary above heapEnt).
 	cur      []heapEnt        // small indexed 4-ary heap: events armed into the granule being drained
-	run      []heapEnt        // the drained L0 bucket sorted by (at, seq); live from runHead on, a stopped entry's id is -1
-	runHead  int              // next entry of run to pop; run[runHead] is live, or the run is empty
+	runHead  int32            // the run: the drained L0 bucket's list in (at, seq) order, linked through next; -1 when empty
 	overflow []heapEnt        // indexed 4-ary heap: events beyond the wheel horizon
 	l0       [l0Buckets]int32 // head record of each L0 bucket's list; valid while its l0occ bit is set
 	l1       [l1Buckets]int32 // head record of each L1 bucket's list; valid while its l1occ bit is set
@@ -156,7 +154,7 @@ type Sim struct {
 // root of all derived random streams (see NewRand). Records are minted
 // with the first event, so an empty kernel is one small object.
 func New(seed int64) *Sim {
-	return &Sim{seed: seed, free: -1}
+	return &Sim{seed: seed, free: -1, runHead: -1}
 }
 
 // Now returns the current virtual time.
@@ -375,17 +373,23 @@ func (s *Sim) NewRand(label string) *rand.Rand {
 //
 //   - run and cur: the front of the timeline, every pending entry at or
 //     before the current wheel granule. The run is that granule's L0
-//     bucket, sorted by (at, seq) once when the cursor reaches it and
-//     popped from its head in O(1); a Stop of one of its entries finds it
-//     by binary search and leaves a tombstone the head skips. cur is a
-//     small indexed 4-ary min-heap of the entries armed into that granule
-//     after it was sorted (an event a callback schedules within ≈65µs, a
-//     reserved key armed late). Pops take the smaller of the two heads,
-//     so the strict (at, seq) total order is preserved exactly: entries
-//     reach the front no later than the granule they fire in, and keys
-//     are unique. A t=2 s formation storm drains about N² events from one
-//     granule at N=256, and sorting them beats sifting every pop through
-//     a heap of that size, whose moves each write a cache-missing record.
+//     bucket's own record list, put in (at, seq) order in place when the
+//     cursor reaches it and popped from its head in O(1), so draining a
+//     bucket copies and allocates nothing. A list already in order (a
+//     storm instant arrives in seq order) costs the one walk that checks
+//     it; a short one is insertion-sorted; a long one is spread over the
+//     granule's 256 sub-granules, each of those ordered the same way, and
+//     the sub-lists concatenated. A Stop of a run entry unlinks it by
+//     walking from the head, which the workloads never do in bulk. cur is
+//     a small indexed 4-ary min-heap of the entries armed into that
+//     granule after it was drained (an event a callback schedules within
+//     ≈65µs, a reserved key armed late). Pops take the smaller of the two
+//     heads, so the strict (at, seq) total order is preserved exactly:
+//     entries reach the front no later than the granule they fire in, and
+//     keys are unique. A t=2 s formation storm drains about N² events from
+//     one granule at N=256, and ordering them once beats sifting every pop
+//     through a heap of that size, whose moves each write a cache-missing
+//     record.
 //   - l0: 256 unsorted buckets of 2^16 ns (≈65.5µs) each.
 //   - l1: 256 unsorted buckets of 2^24 ns (≈16.8ms) each; the bucket at
 //     l1Idx is expanded across the l0 window. Horizon ≈4.3s covers
@@ -435,13 +439,6 @@ func entLess(a, b heapEnt) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-func entCmp(a, b heapEnt) int {
-	if a.at != b.at {
-		return cmp.Compare(a.at, b.at)
-	}
-	return cmp.Compare(a.seq, b.seq)
 }
 
 // insert routes a record to cur, an L0/L1 bucket, or overflow by
@@ -549,8 +546,10 @@ func nextOcc(occ *wheelOcc, from int) int {
 // before any of them is popped. Callers must ensure at least one event is
 // pending.
 func (s *Sim) ensureFront() {
-	for len(s.cur) == 0 && s.runHead == len(s.run) {
-		s.dropFront()
+	for len(s.cur) == 0 && s.runHead < 0 {
+		if cap(s.cur) > frontKeep {
+			s.cur = nil
+		}
 		if i := nextOcc(&s.l0occ, s.curIdx+1); i < l0Buckets {
 			s.curIdx = i
 			s.drainL0(i)
@@ -567,75 +566,176 @@ func (s *Sim) ensureFront() {
 	}
 }
 
-// frontKeep is the most entries an empty front array keeps for the next
-// granule. A formation storm drains tens of thousands of events from one
-// granule (81,578 at N=256); what it grew the run and cur to is dropped
-// once they drain, instead of staying at that high-water for the world's
-// life.
+// frontKeep is the most entries an empty cur heap keeps for the next
+// granule. Events armed into a draining storm granule grow it; what they
+// grew it to is dropped once it drains, instead of staying at that
+// high-water for the world's life.
 const frontKeep = 1024
 
-// dropFront drops an empty front's arrays larger than frontKeep entries.
-func (s *Sim) dropFront() {
-	if cap(s.run) > frontKeep {
-		s.run = nil
-	}
-	if cap(s.cur) > frontKeep {
-		s.cur = nil
-	}
+// drainL0 makes bucket l0[i]'s list the run, in (at, seq) order.
+func (s *Sim) drainL0(i int) {
+	s.runHead, _ = s.orderRun(s.bucketTake(int32(i)), true)
 }
 
-// drainL0 walks bucket l0[i]'s list into the (empty) run and sorts it.
-// The run keeps its capacity up to frontKeep entries, so it grows only for
-// a list longer than any drained since, and then once, to the list's
-// length.
-func (s *Sim) drainL0(i int) {
-	run := s.run[:0]
-	for id := s.bucketTake(int32(i)); id >= 0; {
-		if len(run) == cap(run) {
-			n := 0
-			for rest := id; rest >= 0; rest = s.rec(rest).next {
-				n++
-			}
-			run = slices.Grow(run, n)
-		}
+// sortInline is the longest list orderRun insertion-sorts.
+const sortInline = 16
+
+// recLess orders records by (at, seq).
+func recLess(a, b *evRec) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// orderRun puts the list from head into (at, seq) order in place, marking
+// each member as the run's, and returns its head and tail. A list in
+// order is left as it is and a short one insertion-sorted. A long one is
+// spread over its granule's sub-granules when spread is set (a drained
+// bucket's list, whose members share one granule), and merge-sorted
+// otherwise (a sub-granule's list).
+func (s *Sim) orderRun(head int32, spread bool) (int32, int32) {
+	n, tail, ordered := 1, head, true
+	last := s.rec(head)
+	last.loc = locRun
+	for id := last.next; id >= 0; id = last.next {
 		r := s.rec(id)
 		r.loc = locRun
-		run = append(run, heapEnt{at: r.at, seq: r.seq, id: id})
-		id = r.next
+		ordered = ordered && recLess(last, r)
+		last, tail = r, id
+		n++
 	}
-	sortRun(run)
-	s.run, s.runHead = run, 0
+	switch {
+	case ordered:
+		return head, tail
+	case n <= sortInline:
+		return s.insertionSort(head)
+	case spread:
+		return s.spreadSort(head)
+	default:
+		return s.mergeSort(head, n)
+	}
 }
 
-// sortRun sorts a drained bucket by (at, seq). Most buckets hold a few
-// entries, which an insertion sort on entLess orders without the generic
-// sort's setup.
-func sortRun(run []heapEnt) {
-	if len(run) > 16 {
-		slices.SortFunc(run, entCmp)
-		return
+// spreadSort orders a long list whose members share one L0 granule: it
+// deals the members, in list order, onto the granule's 256 sub-granules
+// of 256 ns, orders each sub-list and concatenates them.
+func (s *Sim) spreadSort(head int32) (int32, int32) {
+	const subShift = g0Shift - 8
+	var heads, tails [1 << (g0Shift - subShift)]int32
+	for k := range heads {
+		heads[k] = -1
 	}
-	for i := 1; i < len(run); i++ {
-		ent := run[i]
-		j := i
-		for ; j > 0 && entLess(ent, run[j-1]); j-- {
-			run[j] = run[j-1]
+	for id := head; id >= 0; {
+		r := s.rec(id)
+		next := r.next
+		r.next = -1
+		k := (int64(r.at) & (1<<g0Shift - 1)) >> subShift
+		if heads[k] < 0 {
+			heads[k] = id
+		} else {
+			s.rec(tails[k]).next = id
 		}
-		run[j] = ent
+		tails[k] = id
+		id = next
+	}
+	head, tail := int32(-1), int32(-1)
+	for k, h := range heads {
+		if h < 0 {
+			continue
+		}
+		h, tails[k] = s.orderRun(h, false)
+		if head < 0 {
+			head = h
+		} else {
+			s.rec(tail).next = h
+		}
+		tail = tails[k]
+	}
+	return head, tail
+}
+
+// insertionSort orders a short list in place, returning its head and
+// tail. A member not before the tail is appended in O(1).
+func (s *Sim) insertionSort(head int32) (int32, int32) {
+	tail := head
+	id := s.rec(head).next
+	s.rec(head).next = -1
+	for id >= 0 {
+		r := s.rec(id)
+		next := r.next
+		switch {
+		case !recLess(r, s.rec(tail)):
+			s.rec(tail).next, r.next, tail = id, -1, id
+		case recLess(r, s.rec(head)):
+			r.next, head = head, id
+		default:
+			p := head
+			for q := s.rec(p).next; !recLess(r, s.rec(q)); q = s.rec(p).next {
+				p = q
+			}
+			r.next = s.rec(p).next
+			s.rec(p).next = id
+		}
+		id = next
+	}
+	return head, tail
+}
+
+// mergeSort orders an n-member list in place, returning its head and tail.
+func (s *Sim) mergeSort(head int32, n int) (int32, int32) {
+	if n <= sortInline {
+		return s.insertionSort(head)
+	}
+	mid := head
+	for range n/2 - 1 {
+		mid = s.rec(mid).next
+	}
+	b := s.rec(mid).next
+	s.rec(mid).next = -1
+	ah, at := s.mergeSort(head, n/2)
+	bh, bt := s.mergeSort(b, n-n/2)
+	return s.merge(ah, at, bh, bt)
+}
+
+// merge links two ordered lists into one, returning its head and tail.
+func (s *Sim) merge(a, at, b, bt int32) (int32, int32) {
+	var head int32
+	link := &head
+	for {
+		ra, rb := s.rec(a), s.rec(b)
+		if recLess(rb, ra) {
+			*link, link = b, &rb.next
+			if b = rb.next; b < 0 {
+				*link = a
+				return head, at
+			}
+		} else {
+			*link, link = a, &ra.next
+			if a = ra.next; a < 0 {
+				*link = b
+				return head, bt
+			}
+		}
 	}
 }
 
 // runFirst reports whether the earliest pending entry is the run's head
 // rather than cur's minimum; the caller has run ensureFront.
 func (s *Sim) runFirst() bool {
-	return s.runHead < len(s.run) && (len(s.cur) == 0 || entLess(s.run[s.runHead], s.cur[0]))
+	if s.runHead < 0 {
+		return false
+	}
+	if len(s.cur) == 0 {
+		return true
+	}
+	r, c := s.rec(s.runHead), s.cur[0]
+	return r.at < c.at || r.at == c.at && r.seq < c.seq
 }
 
 // front returns the earliest pending entry; the caller has run
 // ensureFront.
 func (s *Sim) front() heapEnt {
 	if s.runFirst() {
-		return s.run[s.runHead]
+		r := s.rec(s.runHead)
+		return heapEnt{at: r.at, seq: r.seq, id: s.runHead}
 	}
 	return s.cur[0]
 }
@@ -644,23 +744,12 @@ func (s *Sim) front() heapEnt {
 // run ensureFront.
 func (s *Sim) popFront() heapEnt {
 	if s.runFirst() {
-		ent := s.run[s.runHead]
-		s.runHead++
-		s.skipRun()
-		return ent
+		id := s.runHead
+		r := s.rec(id)
+		s.runHead = r.next
+		return heapEnt{at: r.at, seq: r.seq, id: id}
 	}
 	return s.heapPopEnt(&s.cur)
-}
-
-// skipRun moves the run's head past stopped entries and empties a spent
-// run, so the head is live whenever the run is not empty.
-func (s *Sim) skipRun() {
-	for s.runHead < len(s.run) && s.run[s.runHead].id < 0 {
-		s.runHead++
-	}
-	if s.runHead == len(s.run) {
-		s.run, s.runHead = s.run[:0], 0
-	}
 }
 
 // expandL1 relinks bucket l1[j]'s members across a fresh L0 window.
@@ -782,8 +871,8 @@ func (s *Sim) heapRemove(hp *[]heapEnt, i int) {
 }
 
 // remove takes a pending record out of whichever structure holds it: a
-// heap remove for cur/overflow, a tombstone for the run, an O(1) unlink
-// for a wheel bucket.
+// heap remove for cur/overflow, an unlink found by a walk from the head
+// for the run, an O(1) unlink for a wheel bucket.
 func (s *Sim) remove(id int32, r *evRec) {
 	switch r.loc {
 	case locCur:
@@ -791,9 +880,15 @@ func (s *Sim) remove(id int32, r *evRec) {
 	case locOver:
 		s.heapRemove(&s.overflow, int(r.pos))
 	case locRun:
-		k, _ := slices.BinarySearchFunc(s.run[s.runHead:], heapEnt{at: r.at, seq: r.seq}, entCmp)
-		s.run[s.runHead+k].id = -1
-		s.skipRun()
+		if s.runHead == id {
+			s.runHead = r.next
+			break
+		}
+		p := s.rec(s.runHead)
+		for p.next != id {
+			p = s.rec(p.next)
+		}
+		p.next = r.next
 	default:
 		s.bucketUnlink(r.loc, id)
 	}

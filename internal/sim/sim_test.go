@@ -491,11 +491,11 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkKernel is the raw event-loop baseline:
-// a self-rescheduling spread of one-shot AfterArg events over a churning
-// heap, pure kernel cost with the free list warm. Reports ns/event and
-// allocs/event (allocs/op counts the whole loop; per-event cost is the
-// headline metric).
+// BenchmarkKernel is the raw event-loop baseline: 1,024 self-rescheduling
+// one-shot AfterArg events, each re-armed uniformly 0–1 ms out, so a
+// drained bucket holds about 67 entries in random order; pure kernel cost
+// with the free list warm. Reports ns/event (allocs/op counts the whole
+// loop; per-event cost is the headline metric).
 func BenchmarkKernel(b *testing.B) {
 	s := New(1)
 	rng := s.NewRand("bench")
@@ -522,8 +522,9 @@ func BenchmarkKernel(b *testing.B) {
 
 // BenchmarkKernelStorm is the formation storm's shape: 65,280 events (N=256's
 // N(N-1) Hellos) queued for one instant a millisecond out, so they wait in
-// one wheel bucket, then drained. Reports ns/event; the kernel is reused,
-// so after the first iteration its records and its run are warm.
+// one wheel bucket, then drained. The bucket arrives in seq order, so its
+// drain is one walk. Reports ns/event; the kernel is reused, so after the
+// first iteration its records are minted.
 func BenchmarkKernelStorm(b *testing.B) {
 	const storm = 256 * 255
 	s := New(1)
@@ -541,6 +542,71 @@ func BenchmarkKernelStorm(b *testing.B) {
 	b.StopTimer()
 	if fired != b.N*storm {
 		b.Fatalf("fired %d events, want %d", fired, b.N*storm)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+}
+
+// BenchmarkKernelSparse is the 4-node campaigns' shape: about 2,000
+// pending events, most of them timers seconds out, and a near future so
+// thin that a drained bucket holds one or two entries. Each of 2,048
+// chains re-arms when it fires: half the time about 50 µs out (a network
+// hop), otherwise 0.2–6 ms out (a charge or a disk read) or 1–4 s out (a
+// timeout or a ticker).
+func BenchmarkKernelSparse(b *testing.B) {
+	s := New(1)
+	rng := s.NewRand("bench")
+	var chain func(any)
+	chain = func(any) {
+		var d time.Duration
+		switch k := rng.Intn(20); {
+		case k < 10:
+			d = 40*time.Microsecond + time.Duration(rng.Intn(20_000))
+		case k < 17:
+			d = 200*time.Microsecond + time.Duration(rng.Intn(5_800_000))
+		default:
+			d = time.Second + time.Duration(rng.Int63n(int64(3*time.Second)))
+		}
+		s.AfterArg(d, chain, nil)
+	}
+	for range 2048 {
+		chain(nil)
+	}
+	s.RunFor(10 * time.Second) // past the first round of long timers
+	start := s.EventsFired()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsFired()-start), "ns/event")
+}
+
+// BenchmarkKernelStaggeredStorm is the formation storm as the links
+// deliver it: N(N-1) deadlines at N=256, each sender's 255 rising by a
+// serialization step of 1 µs from the sender's own start, so the four
+// granules they fill hold long lists out of order (about 64 entries per
+// 256 ns sub-granule). Reports ns/event.
+func BenchmarkKernelStaggeredStorm(b *testing.B) {
+	const n = 256
+	s := New(1)
+	fired := 0
+	count := func(any) { fired++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := s.Now() + time.Millisecond
+		for from := range n {
+			start := at + time.Duration(from*7919%1000)
+			for k := range n - 1 {
+				s.AtArg(start+time.Duration(k)*time.Microsecond, count, nil)
+			}
+		}
+		s.Run()
+	}
+	b.StopTimer()
+	if fired != b.N*n*(n-1) {
+		b.Fatalf("fired %d events, want %d", fired, b.N*n*(n-1))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
 }

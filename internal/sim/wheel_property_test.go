@@ -11,9 +11,11 @@ import (
 // plain priority queue ordered by (deadline, schedule sequence). The
 // property test below drives both against the same randomized script —
 // schedules spanning every wheel tier (cur, L0, L1, overflow) and bursts
-// that fill one granule, so a drained bucket becomes a sorted run, stops
-// of pending handles (a run's head, middle and tail among them, from
-// outside and from inside its own drain), stops of stale
+// that fill one granule, so a drained bucket becomes the run: short ones,
+// long unsorted ones, long ones of one instant and ones whose 256 ns
+// sub-granules each hold more than the insertion bound; stops of pending
+// handles (a run's head, middle and tail among them, from outside and
+// from inside its own drain), stops of stale
 // generation-counted handles and of the firing event's own, deterministic
 // in-callback respawns that land mid-drain, keys reserved now and armed
 // later (some from inside the drain of their own granule), and a FIFO
@@ -69,9 +71,13 @@ func childDelta(id int) (time.Duration, bool) {
 // sequence a flat (deadline, seq) priority queue would.
 func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 	// Coverage of the run, summed over every seed: stops of its entries
-	// between drains and from inside one, and reserved keys armed into the
-	// granule being drained.
-	var runStops, drainStops, lateArms int
+	// between drains and from inside one (at its head, middle and tail),
+	// reserved keys armed into the granule being drained, and L0 buckets
+	// that reach a drain longer than the insertion bound: unsorted, of
+	// one instant, and with a sub-granule that holds more than the bound
+	// out of order.
+	var runStops, lateArms, longUnsorted, longInstant, longSub int
+	var drainStops [3]int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(seed)
@@ -110,7 +116,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 					handles = append(handles, s.After(cd, func() { fire(cid) }))
 				}
 				switch id % 6 {
-				case 1:
+				case 1, 3:
 					stopInRun(true)
 				case 4:
 					armReserved(true)
@@ -139,7 +145,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 					h := s.RestoreAtArg(k.at, k.seq, callFunc, func() { fire(id) })
 					handles = append(handles, h)
 					pend = append(pend, refEvent{at: k.at, seq: k.seq, id: id})
-					if inDrain && s.runHead < len(s.run) && s.rec(h.id).loc == locCur {
+					if inDrain && s.runHead >= 0 && s.rec(h.id).loc == locCur {
 						lateArms++
 					}
 				}
@@ -244,26 +250,65 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			return ids
 		}
 
-		// runMembers lists the ids of the run's live entries, head first,
-		// nil when a wake is among them.
+		// runMembers lists the ids of the run's entries, head first, nil
+		// when a wake is among them.
 		runMembers := func() []int {
 			var m []int32
-			for _, ent := range s.run[s.runHead:] {
-				if ent.id >= 0 {
-					m = append(m, ent.id)
-				}
+			for id := s.runHead; id >= 0; id = s.rec(id).next {
+				m = append(m, id)
 			}
 			return handled(m)
 		}
-		// stopInRun stops the middle live entry of the run, from inside a
-		// callback of its drain when inDrain is set.
+		// stopInRun stops the run's head, middle or tail entry, picked at
+		// random, from inside a callback of its drain when inDrain is set.
 		stopInRun = func(inDrain bool) {
-			if m := runMembers(); len(m) > 0 {
-				if !stopID(m[len(m)/2]) {
-					bad = true
+			m := runMembers()
+			if len(m) == 0 {
+				return
+			}
+			at := rng.Intn(3)
+			if !stopID(m[at*(len(m)-1)/2]) || !wheelConsistent(s) {
+				bad = true
+			}
+			if inDrain {
+				drainStops[at]++
+			}
+		}
+		// classify counts the L0 buckets about to drain longer than the
+		// insertion bound, by the path their drain takes.
+		classify := func() {
+			for code := int32(0); code < l0Buckets; code++ {
+				m := bucketMembers(s, code)
+				if len(m) <= sortInline {
+					continue
 				}
-				if inDrain {
-					drainStops++
+				ordered, instant := true, true
+				sub := map[int64][]*evRec{}
+				for k, id := range m {
+					r := s.rec(id)
+					if k > 0 {
+						ordered = ordered && recLess(s.rec(m[k-1]), r)
+						instant = instant && r.at == s.rec(m[0]).at
+					}
+					key := int64(r.at) >> (g0Shift - 8)
+					sub[key] = append(sub[key], r)
+				}
+				switch {
+				case instant:
+					longInstant++
+				case !ordered:
+					longUnsorted++
+				}
+				for _, rs := range sub {
+					if len(rs) <= sortInline {
+						continue
+					}
+					for k := 1; k < len(rs); k++ {
+						if recLess(rs[k], rs[k-1]) {
+							longSub++
+							break
+						}
+					}
 				}
 			}
 		}
@@ -386,7 +431,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 		for p := 0; p < phases; p++ {
 			armReserved(false)
 			for i := 0; i < 20+rng.Intn(40); i++ {
-				switch rng.Intn(8) {
+				switch rng.Intn(11) {
 				case 0:
 					if n := len(pend); n > 0 && rng.Intn(2) == 0 {
 						// At a scheduled event's deadline, under an older
@@ -402,6 +447,25 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 					base := randDelay()
 					for range 3 + rng.Intn(8) {
 						schedule(base + time.Duration(rng.Intn(3))*time.Microsecond)
+					}
+				case 8:
+					// A long burst, out of order: spread over sub-granules.
+					base := randDelay()
+					for range sortInline + 1 + rng.Intn(24) {
+						schedule(base + time.Duration(rng.Intn(40))*time.Microsecond)
+					}
+				case 9:
+					// A long burst of one instant, in seq order.
+					base := randDelay()
+					for range sortInline + 1 + rng.Intn(24) {
+						schedule(base)
+					}
+				case 10:
+					// A long burst within 200 ns: one sub-granule, out of
+					// order, merge-sorted.
+					base := randDelay()
+					for range sortInline + 1 + rng.Intn(24) {
+						schedule(base + time.Duration(rng.Intn(200)))
 					}
 				default:
 					schedule(randDelay())
@@ -423,6 +487,7 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 			}
 			// Advance partway, checking the fire order prefix as we go.
 			until := s.Now() + time.Duration(rng.Intn(3000))*time.Millisecond
+			classify()
 			was := inL1()
 			s.RunUntil(until)
 			if bad || !wheelConsistent(s) || !targeted(was) {
@@ -474,9 +539,12 @@ func TestQuickWheelMatchesReferenceHeap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("run stops: %d targeted, %d from inside a drain; %d reserved keys armed into a draining granule", runStops, drainStops, lateArms)
-	if runStops == 0 || drainStops == 0 || lateArms == 0 {
-		t.Errorf("the script never reached a case of the run: %d targeted stops, %d in-drain stops, %d late arms", runStops, drainStops, lateArms)
+	t.Logf("run stops: %d targeted, %v (head, middle, tail) from inside a drain; %d reserved keys armed into a draining granule", runStops, drainStops, lateArms)
+	t.Logf("buckets over %d entries: %d unsorted, %d of one instant; %d sub-granules over %d out of order", sortInline, longUnsorted, longInstant, longSub, sortInline)
+	if runStops == 0 || min(drainStops[0], drainStops[1], drainStops[2]) == 0 || lateArms == 0 ||
+		longUnsorted == 0 || longInstant == 0 || longSub == 0 {
+		t.Errorf("the script never reached a case of the run: %d targeted stops, %v in-drain stops, %d late arms, %d long unsorted buckets, %d long buckets of one instant, %d long sub-granules",
+			runStops, drainStops, lateArms, longUnsorted, longInstant, longSub)
 	}
 }
 
@@ -500,25 +568,19 @@ func bucketOccupied(s *Sim, code int32) bool {
 
 // wheelConsistent checks the threaded lists and the run: every occupied
 // bucket's list is doubly linked, its head names the tail, every member
-// records the bucket as its home and holds a callback; the run is sorted,
-// its head is live unless it is empty, and its live entries record the run
-// as their home; and the lists, the run's live entries, cur and overflow
-// together hold exactly the pending events.
+// records the bucket as its home and holds a callback; the run's list is
+// in strict (at, seq) order and its members record the run as their home
+// and hold a callback; and the lists, the run, cur and overflow together
+// hold exactly the pending events.
 func wheelConsistent(s *Sim) bool {
 	n := len(s.cur) + len(s.overflow)
-	if s.runHead > len(s.run) || s.runHead < len(s.run) && s.run[s.runHead].id < 0 || s.runHead > 0 && s.runHead == len(s.run) {
-		return false
-	}
-	for k, ent := range s.run[s.runHead:] {
-		if k > 0 && !entLess(s.run[s.runHead+k-1], ent) {
+	var last *evRec
+	for id := s.runHead; id >= 0; id = s.rec(id).next {
+		r := s.rec(id)
+		if last != nil && !recLess(last, r) || r.loc != locRun || r.arg == nil || n > s.Pending() {
 			return false
 		}
-		if ent.id < 0 {
-			continue
-		}
-		if r := s.rec(ent.id); r.loc != locRun || r.at != ent.at || r.seq != ent.seq || r.arg == nil {
-			return false
-		}
+		last = r
 		n++
 	}
 	for code := int32(0); code < l0Buckets+l1Buckets; code++ {
