@@ -1,13 +1,15 @@
-// Kernel-facing benchmarks: one fault-injection episode and one chaos
-// campaign, neither memoized, so ns/op and allocs/op track the real
-// cost of simulating. BenchmarkKernel (internal/sim) covers the raw event
-// loop; cmd/pressbench is where performance numbers are taken.
+// Kernel-facing benchmarks: one fault-injection episode, one chaos
+// campaign and one seed forked from a warm capture, none memoized, so
+// ns/op and allocs/op track the real cost of simulating. BenchmarkKernel
+// (internal/sim) covers the raw event loop; cmd/pressbench is where
+// performance numbers are taken.
 //
 // Run with -benchtime=1x: a single iteration is a full simulation.
 package press_test
 
 import (
 	"testing"
+	"time"
 
 	"press"
 )
@@ -46,6 +48,40 @@ func BenchmarkChaosCampaign(b *testing.B) {
 			if oc.Err != nil {
 				b.Fatal(oc.Err)
 			}
+		}
+	}
+}
+
+// BenchmarkForkSeed measures one chaos seed forked from a warm COOP
+// capture, as pressbench's forkchaos forks its 128: the world warmed once
+// outside the loop, then a campaign of b.N copies of the same seed, so
+// each op is one restore, one schedule played and checked, and what the
+// outcome keeps.
+func BenchmarkForkSeed(b *testing.B) {
+	o := press.FastOptions(benchSeed)
+	o.Rate = 100
+	o.Warmup = 10 * time.Minute
+	cfg := press.ChaosCampaignConfig{
+		Gen: press.ChaosGenConfig{Horizon: time.Minute, MinActive: 15 * time.Second, MaxActive: 40 * time.Second, MaxFaults: 6},
+		Run: press.ChaosRunConfig{Settle: 10 * time.Second, DrainGrace: 45 * time.Second, ResetLimit: 60 * time.Second, FinalObserve: 15 * time.Second},
+	}
+	snap, err := press.WarmChaosSnapshot(press.COOP, o, cfg.Run)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Seeds = make([]int64, b.N)
+	for i := range cfg.Seeds {
+		cfg.Seeds[i] = benchSeed
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum, err := press.RunChaosCampaignFromSnapshot(snap, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, oc := range sum.Outcomes {
+		if oc.Err != nil {
+			b.Fatal(oc.Err)
 		}
 	}
 }

@@ -155,12 +155,10 @@ func (id KindID) String() string   { return kinds.name(uint16(id)) }
 // detail that is either a literal string (nargs == 0) or a format string
 // plus an integer arg rendered only when something reads the event. A
 // hot emit therefore stores two words of strings and a few integers — no
-// formatting, no interface boxing. a1 is always 0 from an emit; snapshot
-// format 7 still carries it, and a record it loads with nargs == 2
-// renders both args.
+// formatting, no interface boxing. 48 B (TestRecordSize).
 type record struct {
 	at     time.Duration
-	a0, a1 int64
+	a0     int64
 	detail string // literal detail, or Sprintf format when nargs > 0
 	node   int32
 	src    SourceID
@@ -169,11 +167,8 @@ type record struct {
 }
 
 func (r *record) renderDetail() string {
-	switch r.nargs {
-	case 1:
+	if r.nargs == 1 {
 		return fmt.Sprintf(r.detail, r.a0)
-	case 2:
-		return fmt.Sprintf(r.detail, r.a0, r.a1)
 	}
 	return r.detail
 }
@@ -182,42 +177,54 @@ func (r *record) event() Event {
 	return Event{At: r.at, Source: r.src, Kind: r.kind, Node: int(r.node), Detail: r.renderDetail()}
 }
 
-// Log storage is a list of fixed-size chunks: appends never move
-// existing records (readers iterate by index), and steady-state emission
-// costs one chunk allocation per chunkSize events.
+// Log storage is a list of chunks, every one but the last full at
+// chunkSize records, so record i is always chunks[i>>chunkShift][i&chunkMask].
+// A fresh log's chunks are made full-sized, and steady-state emission
+// costs one chunk allocation per chunkSize events. A restored log's last
+// chunk is made at the number of records it restores and grows by
+// doubling until full (grow), so a forked run that appends a few dozen
+// events keeps a few dozen records, not a whole chunk. A growth moves the
+// last chunk's records; every reader holds l.mu.
 const (
 	chunkShift = 8
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 )
 
-type chunk struct {
-	recs [chunkSize]record
-}
-
 // Log is an append-only structured event log. A small mutex makes it safe
 // for livenet's concurrent nodes; under the single-threaded simulator the
 // lock is uncontended. The zero value is ready to use.
 type Log struct {
 	mu     sync.Mutex
-	chunks []*chunk
+	chunks [][]record
 	n      int
 }
 
 func (l *Log) append(r record) {
 	l.mu.Lock()
-	if l.n>>chunkShift == len(l.chunks) {
-		l.chunks = append(l.chunks, &chunk{})
+	c, i := l.n>>chunkShift, l.n&chunkMask
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]record, chunkSize))
+	} else if i == len(l.chunks[c]) {
+		l.grow()
 	}
-	l.chunks[l.n>>chunkShift].recs[l.n&chunkMask] = r
+	l.chunks[c][i] = r
 	l.n++
 	l.mu.Unlock()
 }
 
-// rec returns the i'th record. Callers hold l.mu or rely on records
-// being immutable once appended (chunks never move).
+// grow doubles the full last chunk of a restored log, up to chunkSize.
+func (l *Log) grow() {
+	last := &l.chunks[len(l.chunks)-1]
+	grown := make([]record, min(2*len(*last), chunkSize))
+	copy(grown, *last)
+	*last = grown
+}
+
+// rec returns the i'th record. Callers hold l.mu: a growth moves the
+// last chunk.
 func (l *Log) rec(i int) *record {
-	return &l.chunks[i>>chunkShift].recs[i&chunkMask]
+	return &l.chunks[i>>chunkShift][i&chunkMask]
 }
 
 // EmitID appends an event with pre-interned source and kind IDs and a
@@ -242,9 +249,9 @@ func (l *Log) Len() int {
 }
 
 // Cursor iterates a Log in emission order without snapshotting it: each
-// Next materializes exactly one event. Records already appended never
-// move, so a cursor stays valid while the log grows; events appended
-// after the cursor passes the end are picked up by subsequent Next calls.
+// Next materializes exactly one event. A cursor is an index, so it stays
+// valid while the log grows; events appended after the cursor passes the
+// end are picked up by subsequent Next calls.
 type Cursor struct {
 	l *Log
 	i int
@@ -260,7 +267,7 @@ func (c *Cursor) Next() (Event, bool) {
 		c.l.mu.Unlock()
 		return Event{}, false
 	}
-	r := c.l.rec(c.i)
+	r := *c.l.rec(c.i)
 	c.l.mu.Unlock()
 	c.i++
 	return r.event(), true

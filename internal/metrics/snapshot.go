@@ -59,9 +59,12 @@ func (l *Log) SnapState(x *snapio.Ctx) {
 		if x.Saving() {
 			r, ref = *l.rec(i), refs[i]
 		}
+		// Format 7's retired second lazy argument: written as 0, and a
+		// load refuses another value (format 8 drops the slot).
+		var a1 int64
 		snapio.Int(x, &r.at)
 		snapio.Int(x, &r.a0)
-		snapio.Int(x, &r.a1)
+		snapio.Int(x, &a1)
 		snapio.Int(x, &ref.detail)
 		snapio.Int(x, &r.node)
 		snapio.Int(x, &ref.src)
@@ -69,6 +72,9 @@ func (l *Log) SnapState(x *snapio.Ctx) {
 		snapio.Uint(x, &r.nargs)
 		if x.Saving() {
 			continue
+		}
+		if a1 != 0 || r.nargs > 1 {
+			snapio.Failf("event log: record %d has a second argument (%d, %d args); records carry at most one", i, a1, r.nargs)
 		}
 		r.detail = str(ref.detail)
 		srcName, kindName := str(ref.src), str(ref.kind)
@@ -83,10 +89,13 @@ func (l *Log) SnapState(x *snapio.Ctx) {
 			kindIDs[kindName] = kind
 		}
 		r.src, r.kind = src, kind
-		if l.n>>chunkShift == len(l.chunks) {
-			l.chunks = append(l.chunks, &chunk{})
+		// Each chunk is made when its first record has arrived, so a
+		// count the stream merely claims sizes at most one chunk; the
+		// last one holds exactly the records restored.
+		if l.n&chunkMask == 0 {
+			l.chunks = append(l.chunks, make([]record, min(chunkSize, n-l.n)))
 		}
-		l.chunks[l.n>>chunkShift].recs[l.n&chunkMask] = r
+		*l.rec(l.n) = r
 		l.n++
 	}
 }
