@@ -88,7 +88,6 @@ func main() {
 				Self: ids[i], Nodes: ids, Cooperative: true, Sharded: scalable,
 				HeartbeatPeriod: *hb, JoinTimeout: time.Second,
 				Catalog: cat, CacheBytes: cat.TotalBytes(),
-				MembershipPoll: *hb / 2,
 			}, env, livenet.MemDisk{Service: time.Millisecond},
 				membership.NewClient(env, pub, *hb/2))
 			up <- struct{}{}

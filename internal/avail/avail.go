@@ -95,7 +95,11 @@ func Availability(w0, offered float64, loads []FaultLoad, env Env) (Result, erro
 	if faultFraction > 1 {
 		return Result{}, fmt.Errorf("avail: expected fault fraction %.2f > 1; faults overlap, model invalid", faultFraction)
 	}
-	res.AT = (1-faultFraction)*w0 + faultThroughput
+	// AT is at most offered: every stage's throughput and w0 are, and the
+	// stages' time fraction is at most 1. When every stage serves the
+	// whole load the sum can still round an ulp above it, which would
+	// read as an availability above 1.
+	res.AT = min((1-faultFraction)*w0+faultThroughput, offered)
 	res.AA = res.AT / offered
 	res.Unavailability = 100 * (1 - res.AA)
 	return res, nil

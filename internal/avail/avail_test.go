@@ -214,6 +214,11 @@ func TestQuickModelBounds(t *testing.T) {
 		}
 		return res2.Unavailability >= res.Unavailability-1e-9
 	}
+	// A fault whose every stage serves the whole load once summed to an
+	// AT an ulp above the offered load, so AA read above 1.
+	if !f(0xfbc1b1d7, 0xd10f, 0xf0, 0xc9, false) {
+		t.Fatal("a fault that loses nothing reads an availability outside [0, 1]")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,11 @@ const (
 	PortPing = "icmp"
 )
 
+// relayCost is the CPU charged per relayed request. Like the server's
+// CPU costs it is part of the node model's calibration (DESIGN §5), so no
+// configuration sets it.
+const relayCost = 500 * time.Microsecond
+
 // Config parameterizes the front-end.
 type Config struct {
 	Self     cnet.NodeID
@@ -63,9 +68,6 @@ type Config struct {
 	// makes first-hop routing land on the directory authority, so the
 	// scale-out protocol usually serves with zero extra hops.
 	ShardRoute bool
-
-	// Cost is the CPU charged per relayed request.
-	Cost time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -80,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ConnDeadline <= 0 {
 		c.ConnDeadline = 2 * time.Second
-	}
-	if c.Cost <= 0 {
-		c.Cost = 500 * time.Microsecond
 	}
 	return c
 }
@@ -288,7 +287,7 @@ func (r *relay) clientMessage(c cnet.Conn, m cnet.Message) {
 		return
 	}
 	f := r.f
-	f.env.Charge(f.cfg.Cost)
+	f.env.Charge(relayCost)
 	target := f.route(req.Doc)
 	if target == cnet.None {
 		r.closeBoth() // nothing healthy: the client sees a reset

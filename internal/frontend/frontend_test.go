@@ -290,7 +290,7 @@ type heldReq struct {
 	id   uint64
 }
 
-func newRelayRig(cost time.Duration) *relayRig {
+func newRelayRig() *relayRig {
 	s := sim.New(5)
 	log := &metrics.Log{}
 	net := simnet.New(s, simnet.DefaultConfig(), log)
@@ -301,7 +301,7 @@ func newRelayRig(cost time.Duration) *relayRig {
 		}}
 	})
 	machine.New(s, net, 100, nil, log).AddProc("frontend", func(env *machine.Env) {
-		frontend.New(frontend.Config{Self: 100, Backends: []cnet.NodeID{0}, PingPeriod: time.Hour, Cost: cost}, env)
+		frontend.New(frontend.Config{Self: 100, Backends: []cnet.NodeID{0}, PingPeriod: time.Hour}, env)
 	})
 	return rig
 }
@@ -328,8 +328,11 @@ func (r *relayRig) answer() {
 // pooled record has been handed to the next client by the time the
 // response is dispatched.
 func TestLateBackendResponseNeverReachesTheNextClient(t *testing.T) {
-	const cost = 10 * time.Millisecond
-	rig := newRelayRig(cost)
+	// A step is a fifth of the relay's CPU cost, 100 µs: two network
+	// hops, so what is sent in one step has arrived by the next.
+	const cost = frontend.RelayCost
+	const step = cost / 5
+	rig := newRelayRig()
 	var gotA, gotB, gotC, gotD []uint64
 	a, c, d := rig.client(&gotA), rig.client(&gotC), rig.client(&gotD)
 
@@ -340,11 +343,11 @@ func TestLateBackendResponseNeverReachesTheNextClient(t *testing.T) {
 	}
 
 	c.TrySend(&server.ReqMsg{ID: 'C'}, 256) // keeps the front-end busy for one cost
-	rig.sim.RunFor(time.Millisecond)
+	rig.sim.RunFor(step)
 	a.Close() // queued: A's relay tears down and recycles its record ...
-	rig.sim.RunFor(time.Millisecond)
+	rig.sim.RunFor(step)
 	d.TrySend(&server.ReqMsg{ID: 'D'}, 256) // ... then the front-end is busy again ...
-	rig.sim.RunFor(time.Millisecond)
+	rig.sim.RunFor(step)
 	rig.answer() // ... with A's response queued behind it (C's is not relayed yet)
 	rig.sim.RunFor(cost)
 

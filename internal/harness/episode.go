@@ -50,7 +50,6 @@ type Episode struct {
 	Offered   float64
 	Markers   template7.Markers
 	Tpl       template7.Template
-	Dips      []template7.Dip // throughput excursions over the episode; >1 flags a multi-dip episode
 	Series    *metrics.Series // per-second successful completions
 	Log       *metrics.Log
 }
@@ -150,12 +149,11 @@ func episodeFrom(c *Cluster, f faults.Type, comp int, sched EpisodeSchedule) (Ep
 	// especially) can dip throughput more than once per episode, and the
 	// stabilization searches above may then land out of order. The fit is
 	// identical to Extract's for well-ordered single-dip episodes.
-	tpl, dips, err := template7.ExtractMulti(f.String(), c.Rec.Throughput, m, ep.Normal, 0)
+	tpl, _, err := template7.ExtractMulti(f.String(), c.Rec.Throughput, m, ep.Normal, 0)
 	if err != nil {
 		return ep, fmt.Errorf("harness: %v/%v: %w", v, f, err)
 	}
 	ep.Tpl = tpl
-	ep.Dips = dips
 	return ep, nil
 }
 

@@ -46,6 +46,7 @@ func TestSourceRules(t *testing.T) {
 		{"forbidden-callee", forbiddenCallees},
 		{"go-statement", goStatements},
 		{"snapshot-coverage", snapshotCoverage},
+		{"settable-fields", settableFields(maxSettableFields)},
 		{"gofmt", unformatted},
 	} {
 		t.Run(r.name, func(t *testing.T) {
@@ -95,6 +96,14 @@ func TestSnapfields(t *testing.T) {
 	for _, rel := range []string{"snapfields/flagged", "snapfields/skipfield", "snapfields/wiring", "snapfields/regression"} {
 		runRuleFixture(t, snapshotCoverage, cover(rel), rel)
 	}
+}
+
+// TestSettablefields holds the settable-fields row to its fixture: with a
+// bound of 4, the fifth field that counts carries the finding, so a field
+// the row counts that it should not (unexported, of an unexported or
+// differently named type, of an alias) moves the finding up a line.
+func TestSettablefields(t *testing.T) {
+	runRuleFixture(t, settableFields(4), cover("settablefields"), "press/internal/settablefields")
 }
 
 // deletedNames are the second descriptions of a continuation that
@@ -237,6 +246,62 @@ func suiteFlags(pkgs []*Package) (out []string) {
 		}
 	}
 	return out
+}
+
+// maxSettableFields bounds the product's settable config fields. Lower it
+// when the count drops.
+const maxSettableFields = 65
+
+// settableName matches the struct types whose exported fields are
+// settings: any *Config or *Options, the harness's EpisodeSchedule, and
+// CostModel, so that the node model's CPU costs (DESIGN §5) do not come
+// back as settings under that name.
+var settableName = regexp.MustCompile(`^(\w*Config|\w*Options|CostModel|EpisodeSchedule)$`)
+
+// settableFields is the settable-fields row with its bound: every exported
+// field of an exported struct type named by settableName, outside this
+// package, is one way a caller can configure the product, and each one
+// doubles the configurations a reader must consider. The count is a
+// ratchet, as the skipfield count is: a value that is one constant in
+// every caller belongs in the package that reads it. Past the bound the
+// row reports the first field over it, in package and position order.
+func settableFields(bound int) func([]*Package) []string {
+	return func(pkgs []*Package) (out []string) {
+		type field struct {
+			p *Package
+			v *types.Var
+		}
+		var fields []field
+		for _, p := range pkgs {
+			if p.PkgPath == "press/internal/lint" {
+				continue
+			}
+			var here []field
+			for _, name := range p.Types.Scope().Names() {
+				tn, ok := p.Types.Scope().Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() || !tn.Exported() || !settableName.MatchString(name) {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() {
+						here = append(here, field{p, f})
+					}
+				}
+			}
+			slices.SortFunc(here, func(a, b field) int { return int(a.v.Pos() - b.v.Pos()) })
+			fields = append(fields, here...)
+		}
+		if len(fields) > bound {
+			f := fields[bound]
+			out = append(out, fmt.Sprintf("%s: %s is settable config field %d of %d, bound %d: the count only goes down; make a value that is one constant in every caller a constant of its package",
+				f.p.Fset.Position(f.v.Pos()), f.v.Name(), bound+1, len(fields), bound))
+		}
+		return out
+	}
 }
 
 // gobImports holds DESIGN §18 "One codec on both sockets": livenet's

@@ -15,25 +15,31 @@ import (
 
 // A client connection is either admitted — then the connection's word
 // names its request and it is nowhere in the accept queue — or it waits in
-// the accept queue with no word. TestClientCloseFindsItsRequest closes one
-// of each on a one-slot server with a disk that takes a second per read:
-// the waiter's close takes exactly its entry out of the queue, and the
-// admitted one's close ends its request and leaves the queue as it was but
-// for the head, which gets the freed slot.
+// the accept queue with no word. TestClientCloseFindsItsRequest fills
+// every service slot, queues four more requests behind them on a disk that
+// takes a second per read and never stalls (its queue holds every read),
+// and closes one connection of each kind: the waiter's close takes exactly
+// its entry out of the queue, and the admitted one's close ends its
+// request and leaves the queue as it was but for the head, which gets the
+// freed slot.
 func TestClientCloseFindsItsRequest(t *testing.T) {
+	const waiting = 4
 	s := sim.New(1)
 	log := &metrics.Log{}
 	net := simnet.New(s, simnet.DefaultConfig(), log)
 	cat := trace.NewCatalog(100, 27*1024, 0.8)
-	disks := simdisk.NewArray(s, s.NewRand("disks"), simdisk.Config{MeanService: time.Second, QueueCap: 8, Workers: 1}, 1)
+	disks := simdisk.NewArray(s, s.NewRand("disks"), simdisk.Config{MeanService: time.Second, QueueCap: maxConcurrent + waiting, Workers: 1}, 1)
 	m := machine.New(s, net, 0, disks, log)
 	var srv *Server
 	m.AddProc("press", func(env *machine.Env) {
-		srv = New(Config{Self: 0, Nodes: []cnet.NodeID{0}, Catalog: cat, CacheBytes: 10 * 27 * 1024, MaxConcurrent: 1}, env, disks, nil)
+		srv = New(Config{Self: 0, Nodes: []cnet.NodeID{0}, Catalog: cat, CacheBytes: 10 * 27 * 1024}, env, disks, nil)
 	})
 
+	// Request i asks for document 10+i, so request maxConcurrent+k is
+	// document first+k.
+	const first = 10 + maxConcurrent
 	client := net.AddIface(1000)
-	conns := make([]cnet.Conn, 5)
+	conns := make([]cnet.Conn, maxConcurrent+waiting)
 	for i := range conns {
 		i := i
 		client.Dial(0, cnet.ClassClient, PortHTTP, cnet.StreamHandlers{}, func(c cnet.Conn, err error) {
@@ -45,7 +51,7 @@ func TestClientCloseFindsItsRequest(t *testing.T) {
 		})
 		s.RunFor(time.Millisecond) // one after the other, so the queue order is the dial order
 	}
-	s.RunFor(10 * time.Millisecond)
+	s.RunFor(200 * time.Millisecond) // every admission charged; the first read ends at about 1 s
 
 	queued := func() []trace.DocID {
 		var docs []trace.DocID
@@ -54,8 +60,8 @@ func TestClientCloseFindsItsRequest(t *testing.T) {
 		}
 		return docs
 	}
-	if srv.Active() != 1 || !equalDocs(queued(), 11, 12, 13, 14) {
-		t.Fatalf("set-up: active %d, queue %v; want request 10 in service and 11..14 waiting", srv.Active(), queued())
+	if srv.Active() != maxConcurrent || !equalDocs(queued(), first, first+1, first+2, first+3) {
+		t.Fatalf("set-up: active %d, queue %v; want %d requests in service and %d..%d waiting", srv.Active(), queued(), maxConcurrent, first, first+3)
 	}
 	for _, pr := range srv.acceptQ[srv.acceptHead:] {
 		if w := srv.env.ConnWord(pr.conn); w != 0 {
@@ -68,33 +74,37 @@ func TestClientCloseFindsItsRequest(t *testing.T) {
 	}
 
 	// A waiter in the middle of the queue gives up.
-	conns[2].Close()
+	conns[maxConcurrent+1].Close()
 	s.RunFor(10 * time.Millisecond)
-	if srv.Active() != 1 || !equalDocs(queued(), 11, 13, 14) {
-		t.Fatalf("after the waiter's close: active %d, queue %v; want 11, 13, 14", srv.Active(), queued())
+	if srv.Active() != maxConcurrent || !equalDocs(queued(), first, first+2, first+3) {
+		t.Fatalf("after the waiter's close: active %d, queue %v; want %d, %d, %d", srv.Active(), queued(), first, first+2, first+3)
 	}
 
-	// The admitted client gives up: its request ends, the head of the queue
-	// gets the slot, and the rest of the queue is untouched.
+	// The first admitted client gives up: its request ends, the head of
+	// the queue gets the slot, and the rest of the queue is untouched.
 	conns[0].Close()
 	s.RunFor(10 * time.Millisecond)
 	if srv.inflight.get(admitted) != nil {
 		t.Fatal("the closed client's request is still in flight")
 	}
-	if srv.Active() != 1 || !equalDocs(queued(), 13, 14) {
-		t.Fatalf("after the admitted client's close: active %d, queue %v; want 13, 14", srv.Active(), queued())
+	if srv.Active() != maxConcurrent || !equalDocs(queued(), first+2, first+3) {
+		t.Fatalf("after the admitted client's close: active %d, queue %v; want %d, %d", srv.Active(), queued(), first+2, first+3)
 	}
-	if now := srv.inflight.ascending(); len(now) != 1 || now[0].doc != 11 || srv.env.ConnWord(now[0].client) != now[0].id {
-		t.Fatalf("request 11 did not take the slot: %+v", now)
+	now := srv.inflight.ascending()
+	if len(now) != maxConcurrent {
+		t.Fatalf("%d requests in flight, want %d", len(now), maxConcurrent)
+	}
+	if last := now[len(now)-1]; last.doc != first || srv.env.ConnWord(last.client) != last.id {
+		t.Fatalf("request %d did not take the slot: the newest in flight is %+v", first, last)
 	}
 
 	// Everything left is served in order; the table and the queue drain.
-	s.RunFor(10 * time.Second)
+	s.RunFor(time.Minute)
 	if srv.Active() != 0 || srv.inflight.n != 0 || srv.QueuedAccepts() != 0 {
 		t.Fatalf("not drained: active %d, in flight %d, queued %d", srv.Active(), srv.inflight.n, srv.QueuedAccepts())
 	}
-	if got := srv.Stats().Served; got != 3 {
-		t.Fatalf("served %d, want 3 (requests 11, 13, 14)", got)
+	if got, want := srv.Stats().Served, uint64(maxConcurrent+waiting-2); got != want {
+		t.Fatalf("served %d, want %d (every request but the two closed ones)", got, want)
 	}
 }
 
@@ -115,9 +125,8 @@ func equalDocs(got []trace.DocID, want ...trace.DocID) bool {
 // as the array fills, so 10,000 arrivals through a standing backlog leave
 // the array within twice the backlog, not one entry per arrival.
 func TestStandingBacklogKeepsItsArray(t *testing.T) {
-	s := &Server{cfg: Config{MaxConcurrent: 4}}
-	s.active = s.cfg.MaxConcurrent
-	backlog := s.cfg.acceptBacklog()
+	s := &Server{active: maxConcurrent}
+	backlog := acceptBacklog
 	arrivals, pops := 0, 0
 	arrive := func() {
 		s.handleRequest(nil, &ReqMsg{Doc: trace.DocID(arrivals)})

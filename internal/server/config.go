@@ -34,35 +34,33 @@ const (
 	PortControl = "pressctl" // intra-class datagrams: exclude broadcasts, join protocol
 )
 
-// CostModel carries the CPU time charged on the main coordinating thread
-// for each kind of work. Values are at the simulation's time scale (~10x
-// 2003 hardware); only their ratios to the disk service time and to each
-// other matter.
-type CostModel struct {
-	Accept    time.Duration // accept + parse one client request
-	LocalHit  time.Duration // serve a request from the local cache (incl. reply to client)
-	Forward   time.Duration // enqueue + send one forward to a peer
-	PeerServe time.Duration // service-node work for a forwarded request (cache hit)
-	Reply     time.Duration // initial-node work to relay a peer's reply to the client
-	DiskDone  time.Duration // post-disk-read bookkeeping (cache insert + announce)
-	Control   time.Duration // heartbeat / announcement / directory message handling
-}
+// The node model's calibration: the CPU time charged on the main
+// coordinating thread for each kind of work. Values are at the
+// simulation's time scale (~10x 2003 hardware); only their ratios to the
+// disk service time and to each other matter. Together they make roughly
+// 11 ms of main-thread CPU per request in the cooperative configuration,
+// so a 4-node cluster saturates near 360 req/s while the independent
+// version is disk-bound near 120 req/s — the paper's 3x cooperation
+// factor (TestCooperationThroughputFactor).
+const (
+	costAccept    = 4 * time.Millisecond    // accept + parse one client request
+	costLocalHit  = 6 * time.Millisecond    // serve a request from the local cache (incl. reply to client)
+	costForward   = 1500 * time.Microsecond // enqueue + send one forward to a peer
+	costPeerServe = 4 * time.Millisecond    // service-node work for a forwarded request (cache hit)
+	costReply     = 3500 * time.Microsecond // initial-node work to relay a peer's reply to the client
+	costDiskDone  = 2 * time.Millisecond    // post-disk-read bookkeeping (cache insert + announce)
+	costControl   = 200 * time.Microsecond  // heartbeat / announcement / directory message handling
+)
 
-// DefaultCosts yields roughly 11 ms of main-thread CPU per request in the
-// cooperative configuration, making a 4-node cluster saturate near 360
-// req/s while the independent version is disk-bound near 120 req/s — the
-// paper's 3x cooperation factor.
-func DefaultCosts() CostModel {
-	return CostModel{
-		Accept:    4 * time.Millisecond,
-		LocalHit:  6 * time.Millisecond,
-		Forward:   1500 * time.Microsecond,
-		PeerServe: 4 * time.Millisecond,
-		Reply:     3500 * time.Microsecond,
-		DiskDone:  2 * time.Millisecond,
-		Control:   200 * time.Microsecond,
-	}
-}
+// maxConcurrent bounds requests in service; beyond it, arrivals queue
+// unserved (and typically die by client timeout). This is the resource
+// through which a stuck peer stalls the whole cluster. acceptBacklog
+// (the listen backlog) bounds how many may queue; beyond that new
+// connections are rejected.
+const (
+	maxConcurrent = 32
+	acceptBacklog = 4 * maxConcurrent
+)
 
 // Config assembles one PRESS server process.
 type Config struct {
@@ -96,26 +94,14 @@ type Config struct {
 	// Catalog describes the (fully replicated) document set.
 	Catalog *trace.Catalog
 
-	// MaxConcurrent bounds requests in service; beyond it, arrivals queue
-	// unserved (and typically die by client timeout). This is the resource
-	// through which a stuck peer stalls the whole cluster. Four times as
-	// many may queue (acceptBacklog, the listen backlog); beyond that new
-	// connections are rejected.
-	MaxConcurrent int
-
 	// QMon enables queue monitoring (§4.3, at qmon's fixed thresholds).
 	QMon bool
 
-	// MembershipPoll is the period at which the membership client library
-	// re-publishes the external view to the server (§4.2's shared-memory
-	// segment poll). Used only when a MembershipView is supplied.
+	// MembershipPoll is read by nothing: the membership client's poll
+	// period is an argument of membership.NewClient. It stays only
+	// because cmd/pressbench sets it.
 	MembershipPoll time.Duration
-
-	Cost CostModel
 }
-
-// acceptBacklog bounds the queue of accepted-but-unserved requests.
-func (c Config) acceptBacklog() int { return 4 * c.MaxConcurrent }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -130,15 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 128 << 20
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 32
-	}
-	if c.MembershipPoll <= 0 {
-		c.MembershipPoll = time.Second
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCosts()
 	}
 	return c
 }

@@ -87,7 +87,7 @@ func (d shardedDir) relay(from cnet.NodeID, msg *FwdMsg) bool {
 	if holder == cnet.None {
 		return false
 	}
-	s.env.Charge(s.cfg.Cost.Forward)
+	s.env.Charge(costForward)
 	m := NewFwdMsg(&s.fwdPool)
 	m.ID, m.Doc, m.Load = msg.ID, msg.Doc, s.active
 	m.Origin = from

@@ -345,7 +345,7 @@ func (s *Server) onPeerMsg(c cnet.Conn, m cnet.Message) {
 	from := inFrom(w)
 	switch msg := m.(type) {
 	case HelloMsg:
-		s.env.Charge(s.cfg.Cost.Control)
+		s.env.Charge(costControl)
 		s.env.SetConnWord(c, inWord(inSlot(w), msg.From))
 		for _, d := range msg.CacheDocs {
 			if s.proto.records(d) {

@@ -50,7 +50,7 @@ func (r *ringDetector) tick() {
 		return
 	}
 	s := r.s
-	s.env.Charge(s.cfg.Cost.Control)
+	s.env.Charge(costControl)
 	if r.succ != cnet.None {
 		hb := NewHBMsg(&s.hbPool)
 		hb.From, hb.Load = s.cfg.Self, s.active
@@ -78,7 +78,7 @@ func (s *Server) onHeartbeat(from cnet.NodeID, m cnet.Message) {
 	if !ok {
 		return
 	}
-	s.env.Charge(s.cfg.Cost.Control)
+	s.env.Charge(costControl)
 	s.peerLoad(hb.From, hb.Load)
 	if hb.From == s.ring.pred {
 		s.ring.lastHB = s.env.Clock().Now()

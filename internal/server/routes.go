@@ -15,7 +15,7 @@ import (
 // it, deep overload delays the heartbeat path enough to splinter the
 // cluster, which is not a behaviour the paper's testbed exhibited.
 func (s *Server) acceptClient(c cnet.Conn) cnet.StreamHandlers {
-	if s.active >= s.cfg.MaxConcurrent && s.QueuedAccepts() >= s.cfg.acceptBacklog() {
+	if s.active >= maxConcurrent && s.QueuedAccepts() >= acceptBacklog {
 		c.Close()
 		return cnet.StreamHandlers{}
 	}
@@ -57,18 +57,18 @@ func (s *Server) handleRequest(c cnet.Conn, req *ReqMsg) {
 	if req.Probe {
 		// FME/S-FME liveness probe: answered inline by the main thread,
 		// no slot, reporting the cooperation set.
-		s.env.Charge(s.cfg.Cost.Control)
+		s.env.Charge(costControl)
 		resp := NewRespMsg(&s.respPool)
 		resp.ID, resp.OK, resp.Probe, resp.View = req.ID, true, true, s.View()
 		req.Release()
 		c.TrySend(resp, sizeResp)
 		return
 	}
-	if s.active >= s.cfg.MaxConcurrent {
-		if s.QueuedAccepts() >= s.cfg.acceptBacklog() {
+	if s.active >= maxConcurrent {
+		if s.QueuedAccepts() >= acceptBacklog {
 			// Listen backlog full: shed the connection cheaply, like a
 			// kernel-level refusal, before any parsing happens.
-			s.env.Charge(s.cfg.Cost.Control)
+			s.env.Charge(costControl)
 			req.Release()
 			c.Close()
 			return
@@ -88,7 +88,7 @@ func (s *Server) handleRequest(c cnet.Conn, req *ReqMsg) {
 		s.acceptQ = append(s.acceptQ, pendingReq{conn: c, msg: req})
 		return
 	}
-	s.env.Charge(s.cfg.Cost.Accept)
+	s.env.Charge(costAccept)
 	s.admit(c, req)
 }
 
@@ -132,7 +132,7 @@ func (s *Server) putReq(st *reqState) {
 // document's home node, or the local disk (§3's request distribution).
 func (s *Server) route(st *reqState) {
 	if s.cache.Has(st.doc) {
-		s.env.Charge(s.cfg.Cost.LocalHit)
+		s.env.Charge(costLocalHit)
 		s.stats.LocalHits++
 		s.respond(st, true)
 		return
@@ -200,7 +200,7 @@ func (s *Server) leastLoadedHolder(doc trace.DocID, except cnet.NodeID) cnet.Nod
 }
 
 func (s *Server) forward(st *reqState, target cnet.NodeID) {
-	s.env.Charge(s.cfg.Cost.Forward)
+	s.env.Charge(costForward)
 	st.forwardedTo = target
 	s.stats.ForwardsOut++
 	m := NewFwdMsg(&s.fwdPool)
@@ -218,7 +218,7 @@ func (s *Server) completeForwarded(from cnet.NodeID, msg *FwdReplyMsg) {
 	if !s.proto.awaits(st, from) {
 		return // rerouted elsewhere
 	}
-	s.env.Charge(s.cfg.Cost.Reply)
+	s.env.Charge(costReply)
 	s.stats.RemoteServed++
 	s.respond(st, msg.OK)
 }
@@ -232,7 +232,7 @@ func (s *Server) servePeer(from cnet.NodeID, msg *FwdMsg) {
 		replyTo = msg.Origin
 	}
 	if s.cache.Has(msg.Doc) {
-		s.env.Charge(s.cfg.Cost.PeerServe)
+		s.env.Charge(costPeerServe)
 		s.replyPeer(replyTo, msg.ID, msg.Doc, true)
 		return
 	}
@@ -241,7 +241,7 @@ func (s *Server) servePeer(from cnet.NodeID, msg *FwdMsg) {
 	}
 	// Miss at the service node: read and start caching (the announce
 	// happens when the read completes).
-	s.env.Charge(s.cfg.Cost.PeerServe)
+	s.env.Charge(costPeerServe)
 	op := s.getDiskOp()
 	op.doc, op.peerServe, op.from, op.id = msg.Doc, true, replyTo, msg.ID
 	s.diskRead(op)
@@ -356,7 +356,7 @@ func (s *Server) diskDone(op *diskOp) {
 	if op.peerServe {
 		from, id := op.from, op.id
 		s.putDiskOp(op)
-		s.env.Charge(s.cfg.Cost.DiskDone)
+		s.env.Charge(costDiskDone)
 		if ok {
 			s.insertCache(doc)
 		}
@@ -365,7 +365,7 @@ func (s *Server) diskDone(op *diskOp) {
 	}
 	st, gen := op.st, op.stGen
 	s.putDiskOp(op)
-	s.env.Charge(s.cfg.Cost.DiskDone)
+	s.env.Charge(costDiskDone)
 	if ok {
 		s.insertCache(doc)
 	}
@@ -412,7 +412,7 @@ func (s *Server) finish(st *reqState, responded bool) {
 	}
 	s.putReq(st)
 	s.active--
-	if s.active < s.cfg.MaxConcurrent && s.QueuedAccepts() > 0 {
+	if s.active < maxConcurrent && s.QueuedAccepts() > 0 {
 		next := s.popAccept()
 		// Admit through the mailbox: the accept backlog drains as a chain
 		// of separately charged work items, not one giant handler. The
@@ -465,7 +465,7 @@ func (op *admitOp) OnTimer() {
 	s := op.s
 	conn, msg := op.conn, op.msg
 	s.putAdmitOp(op)
-	s.env.Charge(s.cfg.Cost.Accept)
+	s.env.Charge(costAccept)
 	s.admit(conn, msg)
 	cnet.ReleaseConn(conn) // pin taken when the op captured the conn
 }

@@ -391,7 +391,7 @@ func (s *Server) reconcileMembership(members []cnet.NodeID) {
 
 // onControl handles the join protocol and exclude broadcasts.
 func (s *Server) onControl(from cnet.NodeID, m cnet.Message) {
-	s.env.Charge(s.cfg.Cost.Control)
+	s.env.Charge(costControl)
 	switch msg := m.(type) {
 	case JoinReqMsg:
 		if !s.joined {

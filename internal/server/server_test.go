@@ -35,7 +35,6 @@ type clusterOpts struct {
 	sharded  bool
 	rate     float64
 	memb     func(node cnet.NodeID) server.MembershipView
-	maxConc  int
 	hbPeriod time.Duration
 }
 
@@ -43,9 +42,6 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 	t.Helper()
 	if o.hbPeriod == 0 {
 		o.hbPeriod = time.Second
-	}
-	if o.maxConc == 0 {
-		o.maxConc = 32
 	}
 	s := sim.New(42)
 	log := &metrics.Log{}
@@ -75,14 +71,7 @@ func newTestCluster(t *testing.T, o clusterOpts) *testCluster {
 			JoinTimeout:     500 * time.Millisecond,
 			CacheBytes:      500 * 27 * 1024,
 			Catalog:         cat,
-			MaxConcurrent:   o.maxConc,
 			QMon:            o.qmon,
-			Cost: server.CostModel{
-				Accept: time.Millisecond, LocalHit: 2 * time.Millisecond,
-				Forward: 500 * time.Microsecond, PeerServe: 1500 * time.Microsecond,
-				Reply: time.Millisecond, DiskDone: time.Millisecond,
-				Control: 100 * time.Microsecond,
-			},
 		}
 		m.AddProc("press", func(env *machine.Env) {
 			var mv server.MembershipView

@@ -42,36 +42,63 @@ func TestEventRecordSize(t *testing.T) {
 // drained bucket is ordered in its own list, and the cur heap the
 // instant's 65,536 events grew is dropped once they have fired, so the
 // storm's high-water is not kept.
+//
+// The drain is checked over stormDrains storms of one kernel, each a
+// second after the last drained, so its instant lands in a wheel bucket.
+// Mallocs counts the whole process, and the runtime's own goroutines (the
+// background scavenger's timers) allocate a few objects now and then
+// while a drain runs; a kernel that allocates when it drains does so in
+// every storm, so most drains must allocate nothing.
 func TestKernelStormAllocatesOnce(t *testing.T) {
 	const n = 1 << 16
 	fired := 0
 	count := func(any) { fired++ }
 	var before, queued, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	s := New(1)
-	for i := 0; i < n; i++ {
-		s.AtArg(0, count, nil)
+	var drains []uint64 // objects each storm's drain allocated
+	for storm := range stormDrains {
+		base := s.Now()
+		if storm > 0 {
+			base += time.Second
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			s.AtArg(base, count, nil)
+		}
+		for i := 0; i < n; i++ {
+			s.AtArg(base+time.Duration(i)*time.Microsecond, count, nil) // over 65 ms
+		}
+		runtime.ReadMemStats(&queued)
+		s.Run()
+		runtime.ReadMemStats(&after)
+		drains = append(drains, after.Mallocs-queued.Mallocs)
+		if want := 2 * n * (storm + 1); fired != want {
+			t.Fatalf("storm %d: fired %d events in all, want %d", storm, fired, want)
+		}
+		if c := cap(s.cur); c > frontKeep {
+			t.Errorf("after storm %d cur keeps an array of %d entries, want at most %d", storm, c, frontKeep)
+		}
+		if storm > 0 {
+			continue
+		}
+		objects := after.Mallocs - before.Mallocs
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("storm of %d events: %d objects, %.1f MB", 2*n, objects, mb)
+		if objects > 600 || mb > 17 {
+			t.Errorf("storm allocated %d objects and %.1f MB, want at most 600 and 17 MB", objects, mb)
+		}
 	}
-	for i := 0; i < n; i++ {
-		s.AtArg(time.Duration(i)*time.Microsecond, count, nil) // over 65 ms
-	}
-	runtime.ReadMemStats(&queued)
-	s.Run()
-	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
-	objects := after.Mallocs - before.Mallocs
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	t.Logf("storm of %d events: %d objects, %.1f MB", 2*n, objects, mb)
-	if fired != 2*n {
-		t.Fatalf("fired %d events, want %d", fired, 2*n)
+	clean := 0
+	for _, objects := range drains {
+		if objects == 0 {
+			clean++
+		}
 	}
-	if objects > 600 || mb > 17 {
-		t.Errorf("storm allocated %d objects and %.1f MB, want at most 600 and 17 MB", objects, mb)
-	}
-	if objects, bytes := after.Mallocs-queued.Mallocs, after.TotalAlloc-queued.TotalAlloc; objects > 0 {
-		t.Errorf("draining the storm allocated %d objects (%d B), want none", objects, bytes)
-	}
-	if c := cap(s.cur); c > frontKeep {
-		t.Errorf("after the storm cur keeps an array of %d entries, want at most %d", c, frontKeep)
+	if clean <= stormDrains/2 {
+		t.Errorf("%d of %d drains allocated nothing, want most (objects per drain: %v)", clean, stormDrains, drains)
 	}
 }
+
+// stormDrains is how many storms TestKernelStormAllocatesOnce drains.
+const stormDrains = 7
