@@ -124,8 +124,8 @@ func (r *runner) transition() {
 }
 
 // arm schedules the whole fault load up front, exactly as the paper's
-// driver does; the injector enforces slot conflicts and TargetHealthy
-// skips arrivals whose target an earlier fault already took out.
+// driver does; the injector enforces slot conflicts, and an arrival whose
+// target an earlier fault already took out is skipped (Injector.Eligible).
 func (r *runner) arm() {
 	t0 := r.c.Sim.Now()
 	r.t0 = t0
@@ -152,7 +152,7 @@ func (r *runner) makeEntries() {
 func fireInject(arg any) {
 	en := arg.(*entry)
 	r, e := en.r, en.r.sched[en.i]
-	if !r.c.Injector.Applicable(e.Fault) || !harness.TargetHealthy(r.c, e.Fault, e.Component) {
+	if !r.c.Injector.Eligible(e.Fault, e.Component) {
 		r.skipped = append(r.skipped, fmt.Sprintf("%s: target unavailable", e))
 		return
 	}

@@ -9,10 +9,7 @@
 // representation is sufficient and keeps the simulator allocation-free.
 package clock
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Timer is a handle to a pending callback scheduled with AfterFunc.
 type Timer interface {
@@ -66,13 +63,18 @@ type Clock interface {
 // rearm-at-end-of-callback idiom it replaces. Simulated processes tick
 // through machine.procTicker instead, which keeps the same contract and
 // can be snapshotted.
+//
+// A FuncTicker has no lock: its construction, fires, Stop and Reschedule
+// must run one at a time, as they do in livenet, where each is a task of
+// the owning process and the process runs its tasks one at a time. Only
+// the one-shot timer's Stop can meet its own expiry on another goroutine,
+// which time.Timer's Stop allows.
 type FuncTicker struct {
-	mu      sync.Mutex
 	c       Clock
 	period  time.Duration
 	fn      func()
 	fireFn  func() // t.fire, bound once so rearms don't allocate
-	timer   Timer  // every access is under mu
+	timer   Timer
 	firing  bool
 	rearmed bool
 	stopped bool
@@ -93,26 +95,19 @@ func NewFuncTicker(c Clock, d time.Duration, fn func()) *FuncTicker {
 }
 
 func (t *FuncTicker) fire() {
-	t.mu.Lock()
 	if t.stopped {
-		t.mu.Unlock()
 		return
 	}
 	t.firing, t.rearmed = true, false
-	t.mu.Unlock()
 	t.fn()
-	t.mu.Lock()
 	t.firing = false
 	if !t.stopped && !t.rearmed {
 		t.timer = t.c.AfterFunc(t.period, t.fireFn)
 	}
-	t.mu.Unlock()
 }
 
 // Stop ends the loop; see the Ticker contract.
 func (t *FuncTicker) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.stopped {
 		return false
 	}
@@ -130,8 +125,6 @@ func (t *FuncTicker) Reschedule(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.stopped = false
 	if t.firing {
 		t.rearmed = true

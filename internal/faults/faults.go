@@ -544,6 +544,44 @@ func (a *Active) set(on bool) {
 	}
 }
 
+// Eligible reports whether injecting (t, c) makes sense right now: the
+// class applies to these targets and component c is not already under
+// some fault's effect. Drivers that arm a whole fault load up front (the
+// stochastic run, the chaos scheduler) skip arrivals whose target an
+// earlier, still-active fault already took out. Components map as in
+// set.
+func (in *Injector) Eligible(t Type, c int) bool {
+	switch t {
+	case SwitchDown:
+		return in.t.Net.SwitchUp()
+	case FrontendFailure:
+		return in.t.Frontend != nil && in.t.Frontend.Up()
+	case SCSITimeout:
+		m := in.t.Machines[c/2]
+		return m.Up() && !m.Disks().Disks()[c%2].Faulty()
+	case LinkDown:
+		m := in.t.Machines[c]
+		return m.Up() && m.Iface().LinkUp()
+	case NodeCrash, NodeFreeze:
+		return in.t.Machines[c].Up()
+	case AppCrash, AppHang:
+		m := in.t.Machines[c]
+		p := m.Proc(in.t.AppProc)
+		return m.Up() && p != nil && p.Alive() && !p.Hung()
+	case NodeSlow:
+		m := in.t.Machines[c]
+		return m.Up() && m.SlowFactor() <= 1
+	case LinkLossy:
+		m := in.t.Machines[c]
+		return m.Up() && m.Iface().LinkUp() && !m.Iface().Lossy()
+	case DiskDegraded:
+		m := in.t.Machines[c/2]
+		d := m.Disks().Disks()[c%2]
+		return m.Up() && !d.Faulty() && !d.Degraded()
+	}
+	return false
+}
+
 // LossyLatency derives the per-direction latency inflation a lossy link
 // suffers from its drop-probability severity: retransmission and backoff
 // on a real lossy link cost latency roughly in proportion to the loss

@@ -401,6 +401,65 @@ func TestApplicable(t *testing.T) {
 	}
 }
 
+// TestEligible holds Injector.Eligible to the component each class names:
+// for every Table-1 and gray class, a fresh two-node world offers every
+// component, and once one component is impaired by hand, as the class's
+// fault would leave it, exactly that one is refused. The impairments go
+// to the targets directly, not through the injector, so the test holds
+// Eligible's component mapping (node i's disks are 2i and 2i+1) on its
+// own.
+func TestEligible(t *testing.T) {
+	rows := []struct {
+		t      Type
+		bad    int
+		impair func(Targets)
+	}{
+		{LinkDown, 1, func(tg Targets) { tg.Machines[1].Iface().SetLink(false) }},
+		{SwitchDown, 0, func(tg Targets) { tg.Net.SetSwitch(false) }},
+		{SCSITimeout, 1, func(tg Targets) { tg.Machines[0].Disks().Disks()[1].SetFaulty(true) }},
+		{NodeCrash, 1, func(tg Targets) { tg.Machines[1].Crash() }},
+		{NodeFreeze, 0, func(tg Targets) { tg.Machines[0].Freeze() }},
+		{AppCrash, 1, func(tg Targets) { tg.Machines[1].KillProc("press") }},
+		{AppHang, 0, func(tg Targets) { tg.Machines[0].Proc("press").Hang() }},
+		{FrontendFailure, 0, func(tg Targets) { tg.Frontend.Crash() }},
+		{NodeSlow, 1, func(tg Targets) { tg.Machines[1].SetSlow(4) }},
+		{LinkLossy, 0, func(tg Targets) { tg.Machines[0].Iface().SetLossy(0.3, LossyLatency(0.3)) }},
+		{DiskDegraded, 2, func(tg Targets) { tg.Machines[1].Disks().Disks()[0].SetDegraded(10) }},
+	}
+	covered := map[Type]bool{}
+	for _, tc := range rows {
+		covered[tc.t] = true
+		t.Run(tc.t.String(), func(t *testing.T) {
+			s, log, tg := testTargets(t, 2)
+			in := NewInjector(s, log, tg)
+			comps := specFor(tc.t, len(tg.Machines), 2, true).Components
+			for c := range comps {
+				if !in.Eligible(tc.t, c) {
+					t.Errorf("healthy world: %v/%d refused", tc.t, c)
+				}
+			}
+			tc.impair(tg)
+			for c := range comps {
+				if got := in.Eligible(tc.t, c); got != (c != tc.bad) {
+					t.Errorf("%v/%d impaired: Eligible(%v, %d) = %v", tc.t, tc.bad, tc.t, c, got)
+				}
+			}
+		})
+	}
+	for _, ft := range AllTypes() {
+		if !covered[ft] {
+			t.Errorf("%v has no row", ft)
+		}
+	}
+
+	// A class whose target does not exist is never eligible.
+	s, log, tg := testTargets(t, 1)
+	tg.Frontend = nil
+	if NewInjector(s, log, tg).Eligible(FrontendFailure, 0) {
+		t.Error("front-end failure eligible without a front-end")
+	}
+}
+
 func TestTypeString(t *testing.T) {
 	if NodeFreeze.String() != "node-freeze" || Type(99).String() != "fault(99)" {
 		t.Fatal("bad type names")

@@ -43,8 +43,6 @@ const (
 	VFME      Version = "FME"        // MQ + fault model enforcement
 	VSFME     Version = "S-FME"      // FME + global cooperation-set masking
 	VCMON     Version = "C-MON"      // S-FME + 2s TCP connection monitoring
-	VXSW      Version = "X-SW"       // C-MON + backup switch (modeled)
-	VXSWRAID  Version = "X-SW+RAID"  // X-SW + per-node RAID (modeled)
 )
 
 // ProtocolSuite selects which family of intra-cluster protocols a built
@@ -124,7 +122,7 @@ func versionTraits(v Version) traits {
 		return traits{cooperative: true, fe: true, extraNode: true, memb: true, qmon: true, fme: true}
 	case VSFME:
 		return traits{cooperative: true, fe: true, extraNode: true, memb: true, qmon: true, fme: true, sfme: true}
-	case VCMON, VXSW, VXSWRAID:
+	case VCMON:
 		return traits{cooperative: true, fe: true, extraNode: true, memb: true, qmon: true, fme: true, sfme: true, cmon: true}
 	default:
 		panic("harness: unknown version " + string(v))
@@ -141,8 +139,9 @@ func (v Version) Cooperative() bool { return versionTraits(v).cooperative }
 // daemon (the chaos FME-bound invariant only applies to these).
 func (v Version) HasFME() bool { return versionTraits(v).fme }
 
-// AllMeasuredVersions lists the configurations the harness actually
-// builds and fault-injects (the rest are modeled from these).
+// AllMeasuredVersions lists the configurations the harness builds and
+// fault-injects. Figure 8's X-SW and X-SW+RAID are not among them: they
+// are modeled from C-MON's fault loads (avail.WithBackupSwitch, WithRAID).
 func AllMeasuredVersions() []Version {
 	return []Version{VINDEP, VFEXINDEP, VCOOP, VFEX, VMEM, VQMON, VMQ, VFME, VSFME, VCMON}
 }
@@ -163,9 +162,6 @@ type Options struct {
 
 	// Heartbeat / probe cadences (§5).
 	HeartbeatPeriod time.Duration
-
-	// OperatorResponse is the phase-2 stage-E parameter.
-	OperatorResponse time.Duration
 
 	// Docs overrides the synthetic trace's document count (0 = default).
 	// Its popularity skew is always trace.DefaultAlpha, and the offered
@@ -195,9 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatPeriod == 0 {
 		o.HeartbeatPeriod = 5 * time.Second
 	}
-	if o.OperatorResponse == 0 {
-		o.OperatorResponse = 30 * time.Minute
-	}
 	if o.Docs == 0 {
 		o.Docs = trace.DefaultDocs
 	}
@@ -215,7 +208,12 @@ func (o *Options) snap(x *snapio.Ctx) {
 	x.F64(&o.Rate)
 	snapio.Int(x, &o.Warmup)
 	snapio.Int(x, &o.HeartbeatPeriod)
-	snapio.Int(x, &o.OperatorResponse)
+	// Format 7's retired operator-response slot: always the 30 min every
+	// built world carried. Stage E is the phase-2 model's (avail.Env).
+	op := retiredOperatorResponse
+	if snapio.Int(x, &op); op != retiredOperatorResponse {
+		snapio.Failf("harness: an operator response of %v; stage E is the model's, and format 7 holds %v", op, retiredOperatorResponse)
+	}
 	// Format 7's retired front-end-pair flag: always false, since no
 	// build makes that world (format 8 drops the slot).
 	pair := false
@@ -233,7 +231,8 @@ func (o *Options) snap(x *snapio.Ctx) {
 	// Format 7's eight retired load-modulation slots (a diurnal curve's
 	// amplitude, period and phase, a flash crowd's boost, onset, ramp, hold
 	// and decay): always zero, since the offered load is stationary.
-	// Format 8 drops them with the pair flag and the skew slot.
+	// Format 8 drops them with the operator slot, the pair flag and the
+	// skew slot.
 	var amp, phase, boost float64
 	var period, onset, ramp, hold, decay int64
 	x.F64(&amp)
@@ -247,6 +246,9 @@ func (o *Options) snap(x *snapio.Ctx) {
 		snapio.Failf("harness: a modulated offered load; worlds are built with a stationary one")
 	}
 }
+
+// retiredOperatorResponse is what format 7's operator-response slot holds.
+const retiredOperatorResponse = 30 * time.Minute
 
 func (o Options) catalog() *trace.Catalog {
 	return trace.NewCatalog(o.Docs, trace.DefaultSize, trace.DefaultAlpha)
@@ -354,18 +356,16 @@ type Cluster struct {
 	Catalog  *trace.Catalog
 	Machines []*machine.Machine // server nodes
 	// FEMachines is the front-end tier: one machine for the faithful
-	// shape, ceil(N/32) for wide scalable clusters. FEMachines[0] is
-	// always FEMach. Nil without a front-end.
+	// shape, ceil(N/32) for wide scalable clusters; a front-end failure
+	// takes down FEMachines[0]. Nil without a front-end.
 	FEMachines []*machine.Machine
-	FEMach     *machine.Machine // nil without front-end
 	Injector   *faults.Injector
 
 	Rec *workload.Recorder
 	Gen *workload.Generator
 
 	servers []**server.Server
-	fe      **frontend.Frontend
-	fes     []**frontend.Frontend // one per FEMachines entry; fes[0] == fe
+	fes     []**frontend.Frontend // one per FEMachines entry
 
 	// parts are the processes' components in build order, each as the
 	// world walk moves it (see buildWorld's addProc).
@@ -380,12 +380,6 @@ func (c *Cluster) Offered() float64 { return c.offered }
 
 // Server returns node i's current server incarnation (nil while crashed).
 func (c *Cluster) Server(i int) *server.Server { return *c.servers[i] }
-
-// Frontend returns the front-end, or nil without one.
-func (c *Cluster) Frontend() *frontend.Frontend { return *c.fe }
-
-// activeFEMachine returns the machine behind the service address.
-func (c *Cluster) activeFEMachine() *machine.Machine { return c.FEMach }
 
 // fmeControl adapts a machine to fme.Control.
 type fmeControl struct {
@@ -430,7 +424,7 @@ func (e *Engine) Build(v Version, o Options) *Cluster {
 // no stray boot events).
 func buildWorld(v Version, o Options, cold bool) *Cluster {
 	t := versionTraits(v)
-	c := &Cluster{Version: v, Opts: o, Traits: t, fe: new(*frontend.Frontend)}
+	c := &Cluster{Version: v, Opts: o, Traits: t}
 	// addProc registers a process and, as the world walk's next part, its
 	// component. part moves the component: saving, from the live one;
 	// loading, by rebuilding it on env first — nil when the process is dead
@@ -604,17 +598,14 @@ func buildWorld(v Version, o Options, cold bool) *Cluster {
 			c.FEMachines = append(c.FEMachines, m)
 			c.fes = append(c.fes, holder)
 		}
-		c.FEMach = c.FEMachines[0]
-		c.fe = c.fes[0]
 		targets = feIDs
 	}
 
-	c.Injector = faults.NewInjector(s, log, faults.Targets{
-		Net:      net,
-		Machines: c.Machines,
-		Frontend: c.FEMach,
-		AppProc:  "press",
-	})
+	ft := faults.Targets{Net: net, Machines: c.Machines, AppProc: "press"}
+	if t.fe {
+		ft.Frontend = c.FEMachines[0]
+	}
+	c.Injector = faults.NewInjector(s, log, ft)
 
 	c.genTargets = targets
 	return c
@@ -673,14 +664,14 @@ func buildForRestore(v Version, o Options, rate float64) *Cluster {
 // arrives in a file — a snapshot's envelope, a hand-edited chaos repro —
 // passes here before anything is sized by it.
 func CheckWorld(v Version, o Options) error {
-	if !slices.Contains(append(AllMeasuredVersions(), VXSW, VXSWRAID), v) {
+	if !slices.Contains(AllMeasuredVersions(), v) {
 		return fmt.Errorf("harness: unknown version %q", v)
 	}
 	o = o.withDefaults()
 	switch {
 	case o.Nodes < 1 || o.Nodes > 1<<25 || o.Docs < 1 || o.Docs > 1<<25 || o.Nodes*o.Docs > 1<<25, // every server indexes every document
 		o.CacheBytes < 0,
-		o.Warmup < 0, o.HeartbeatPeriod < 0, o.OperatorResponse < 0,
+		o.Warmup < 0, o.HeartbeatPeriod < 0,
 		o.Protocol != Faithful && o.Protocol != Scalable,
 		!finite(o.Rate):
 		return fmt.Errorf("harness: options no world is built with: %+v", o)
@@ -702,43 +693,41 @@ func finite(fs ...float64) bool {
 	return true
 }
 
-// FaultSpecs returns the Table 1 fault load applicable to this version.
-func (c *Cluster) FaultSpecs() []faults.Spec {
-	return faults.Table1(len(c.Machines), 2, c.Traits.fe)
-}
-
 // Reintegrated reports whether the service is fully healthy and whole:
-// every machine up, every server process alive, unwedged, and (for
-// cooperative versions) holding a complete cooperation view.
+// every machine up and its server whole, and the front end up with every
+// server in its healthy set.
 func (c *Cluster) Reintegrated() bool {
-	n := len(c.Machines)
 	for i, m := range c.Machines {
-		if !m.Up() {
+		if !m.Up() || !c.serverWhole(i) {
 			return false
-		}
-		p := m.Proc("press")
-		// A transient disk-queue stall (cold cache after a restart) is
-		// normal operation, not un-wholeness; persistent exclusions show
-		// up in the view check below.
-		if p == nil || !p.Alive() || p.Hung() {
-			return false
-		}
-		if c.Traits.cooperative {
-			srv := c.Server(i)
-			if srv == nil || len(srv.View()) != n {
-				return false
-			}
 		}
 	}
 	if c.Traits.fe {
-		if m := c.activeFEMachine(); m == nil || !m.Up() {
+		if !c.FEMachines[0].Up() {
 			return false
 		}
-		if fe := c.Frontend(); fe == nil || len(fe.Healthy()) != n {
+		if fe := *c.fes[0]; fe == nil || len(fe.Healthy()) != len(c.Machines) {
 			return false
 		}
 	}
 	return true
+}
+
+// serverWhole reports whether node i's server is whole: its process alive
+// and unwedged and, for a cooperative version, holding a complete
+// cooperation view (a view never exceeds the static node set). A transient
+// disk-queue stall (cold cache after a restart) is normal operation, not
+// un-wholeness; persistent exclusions show up in the view.
+func (c *Cluster) serverWhole(i int) bool {
+	p := c.Machines[i].Proc("press")
+	if p == nil || !p.Alive() || p.Hung() {
+		return false
+	}
+	if !c.Traits.cooperative {
+		return true
+	}
+	srv := c.Server(i)
+	return srv != nil && len(srv.View()) == len(c.Machines)
 }
 
 // OperatorReset performs the operator's recovery action at the end of a
@@ -746,7 +735,6 @@ func (c *Cluster) Reintegrated() bool {
 // splintered, wedged, or dead server process is restarted.
 func (c *Cluster) OperatorReset() {
 	c.Log.EmitID(c.Sim.Now(), metrics.SrcOperator, metrics.KOperatorReset, -1, "restarting unhealthy servers")
-	n := len(c.Machines)
 	for _, m := range c.Machines {
 		// A node parked offline (e.g. by FME) whose hardware has since
 		// been repaired is the operator's to boot. Machines with faulty
@@ -756,16 +744,8 @@ func (c *Cluster) OperatorReset() {
 		}
 	}
 	for i, m := range c.Machines {
-		if !m.Up() {
-			continue // still the repair crew's problem
-		}
-		p := m.Proc("press")
-		needs := p == nil || !p.Alive() || p.Hung()
-		if !needs && c.Traits.cooperative {
-			srv := c.Server(i)
-			needs = srv == nil || len(srv.View()) < n
-		}
-		if needs {
+		// A machine still down is the repair crew's problem.
+		if m.Up() && !c.serverWhole(i) {
 			m.KillProc("press")
 			m.StartProc("press")
 		}

@@ -32,7 +32,7 @@ type StochasticConfig struct {
 
 // operatorCheck is how often the operator looks at the system; a reset
 // happens when the system has been whole-fault-free but unreintegrated
-// for the version Options' OperatorResponse.
+// for the phase-2 model's stage-E operator response (avail.DefaultEnv).
 const operatorCheck = 30 * time.Second
 
 func (c StochasticConfig) withDefaults() StochasticConfig {
@@ -86,8 +86,8 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 	for i := range accLoads {
 		accLoads[i].Spec.MTTF = time.Duration(float64(accLoads[i].Spec.MTTF) / cfg.Accel)
 	}
-	pred, err := avail.Availability(camp.Offered, camp.Offered, accLoads,
-		avail.Env{OperatorResponse: o.OperatorResponse})
+	env := avail.DefaultEnv()
+	pred, err := avail.Availability(camp.Offered, camp.Offered, accLoads, env)
 	if err != nil {
 		return res, err
 	}
@@ -96,14 +96,13 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 	// The stochastic run itself.
 	c := e.Build(v, o)
 	rng := c.Sim.NewRand("stochastic")
-	specs := c.FaultSpecs()
 
 	type slot struct {
 		spec      faults.Spec
 		component int
 	}
 	var slots []slot
-	for _, sp := range specs {
+	for _, sp := range faults.Table1(len(c.Machines), 2, c.Traits.fe) {
 		for comp := 0; comp < sp.Components; comp++ {
 			slots = append(slots, slot{spec: sp, component: comp})
 		}
@@ -120,7 +119,7 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 		c.Sim.After(gap, func() {
 			defer schedule(s)
 			key := fmt.Sprintf("%v/%d", s.spec.Type, s.component)
-			if busy[key] || !TargetHealthy(c, s.spec.Type, s.component) {
+			if busy[key] || !c.Injector.Eligible(s.spec.Type, s.component) {
 				res.Skipped++
 				return
 			}
@@ -153,7 +152,7 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 	var operate func()
 	operate = func() {
 		if activeFaults == 0 && !c.Reintegrated() &&
-			c.Sim.Now()-lastAllClear >= o.OperatorResponse {
+			c.Sim.Now()-lastAllClear >= env.OperatorResponse {
 			res.Resets++
 			c.OperatorReset()
 			lastAllClear = c.Sim.Now()
@@ -170,39 +169,4 @@ func StochasticRun(e *Engine, v Version, o Options, sched EpisodeSchedule, cfg S
 		return res, fmt.Errorf("stochastic: no offered load measured")
 	}
 	return res, nil
-}
-
-// TargetHealthy reports whether injecting (t, comp) makes sense right now
-// (the component exists and is not already under some fault's effect).
-// The stochastic driver and the chaos scheduler use it to skip arrivals
-// whose target another still-active fault already took down.
-func TargetHealthy(c *Cluster, t faults.Type, comp int) bool {
-	switch t {
-	case faults.SwitchDown:
-		return c.Net.SwitchUp()
-	case faults.FrontendFailure:
-		return c.FEMach != nil && c.FEMach.Up()
-	case faults.SCSITimeout:
-		m := c.Machines[comp/2]
-		return m.Up() && !m.Disks().Disks()[comp%2].Faulty()
-	case faults.LinkDown:
-		return c.Machines[comp].Up() && c.Machines[comp].Iface().LinkUp()
-	case faults.NodeCrash, faults.NodeFreeze:
-		return c.Machines[comp].Up()
-	case faults.AppCrash, faults.AppHang:
-		m := c.Machines[comp]
-		p := m.Proc("press")
-		return m.Up() && p != nil && p.Alive() && !p.Hung()
-	case faults.NodeSlow:
-		m := c.Machines[comp]
-		return m.Up() && m.SlowFactor() <= 1
-	case faults.LinkLossy:
-		m := c.Machines[comp]
-		return m.Up() && m.Iface().LinkUp() && !m.Iface().Lossy()
-	case faults.DiskDegraded:
-		m := c.Machines[comp/2]
-		d := m.Disks().Disks()[comp%2]
-		return m.Up() && !d.Faulty() && !d.Degraded()
-	}
-	return false
 }

@@ -45,7 +45,7 @@ func TestRandomFaultSequences(t *testing.T) {
 				default:
 					comp = rng.Intn(len(c.Machines))
 				}
-				if TargetHealthy(c, ft, comp) {
+				if c.Injector.Eligible(ft, comp) {
 					if a, err := c.Injector.Inject(ft, comp); err == nil {
 						active = append(active, a)
 					}

@@ -250,7 +250,7 @@ func suiteFlags(pkgs []*Package) (out []string) {
 
 // maxSettableFields bounds the product's settable config fields. Lower it
 // when the count drops.
-const maxSettableFields = 65
+const maxSettableFields = 64
 
 // settableName matches the struct types whose exported fields are
 // settings: any *Config or *Options, the harness's EpisodeSchedule, and

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"press/internal/clock"
 	"press/internal/cnet"
 	"press/internal/qmon"
-	"press/internal/snapio"
 )
 
 // stubConn is a send stream whose window is open or full.
@@ -54,20 +52,9 @@ type stubTimer struct{}
 
 func (stubTimer) Stop() bool { return false }
 
-// recordingMonitor records the queue lengths the server reports.
-type recordingMonitor struct{ seen [][2]int }
-
-func (m *recordingMonitor) Observe(_ cnet.NodeID, total, requests int) {
-	m.seen = append(m.seen, [2]int{total, requests})
-}
-func (m *recordingMonitor) ShouldReroute(cnet.NodeID) bool { return false }
-func (m *recordingMonitor) ClearFailed(cnet.NodeID)        {}
-func (m *recordingMonitor) Forget(cnet.NodeID)             {}
-func (m *recordingMonitor) SnapState(*snapio.Ctx)          {}
-
 // senderTo builds a server with plumbing towards node 1 over conn (none
 // when conn is nil).
-func senderTo(conn *stubConn, qm queueMonitor) (*Server, *dialEnv) {
+func senderTo(conn *stubConn, qm *qmon.Monitor) (*Server, *dialEnv) {
 	env := &dialEnv{}
 	s := &Server{cfg: Config{Self: 0}, env: env, qm: qm, view: make([]bool, 2)}
 	if conn != nil {
@@ -77,36 +64,54 @@ func senderTo(conn *stubConn, qm queueMonitor) (*Server, *dialEnv) {
 }
 
 // A message that finds nothing waiting on an open stream is sent at once,
-// without a queue; queue monitoring still sees the one-message queue it
-// saw when every message went through the queue: (1, r) and then (0, 0)
-// when the send goes through, (1, r) twice when the window is full, and
-// (1, r) and then a dial when there is no stream.
+// without a queue; queue monitoring still sees what it saw when every
+// message went through the queue. A message sent at once is a one-message
+// queue that empties, so it ends an overload and no run of them looks like
+// a backlog; a message that waits, for a full window or for a stream, is
+// counted with those ahead of it, so the RerouteThreshold-th waiting
+// request starts rerouting, and not one before.
 func TestEnqueueObservesAsQueued(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		conn    *stubConn
-		seen    [][2]int
-		waiting int
-		dials   int
+		name  string
+		conn  *stubConn
+		waits bool
+		dials int
 	}{
-		{"open-window", &stubConn{open: true}, [][2]int{{1, 1}, {0, 0}}, 0, 0},
-		{"window-full", &stubConn{}, [][2]int{{1, 1}, {1, 1}}, 1, 0},
-		{"no-stream", nil, [][2]int{{1, 1}}, 1, 1},
+		{"open-window", &stubConn{open: true}, false, 0},
+		{"window-full", &stubConn{}, true, 0},
+		{"no-stream", nil, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			qm := &recordingMonitor{}
+			recoveries := 0
+			qm := qmon.New(qmon.Callbacks{OnRecover: func(cnet.NodeID) { recoveries++ }}, rand.New(rand.NewSource(1)))
 			s, env := senderTo(tc.conn, qm)
-			s.enqueue(1, outMsg{m: &FwdMsg{}, size: sizeFwd, isReq: true, reqID: 7})
-			if !slices.Equal(qm.seen, tc.seen) {
-				t.Errorf("qmon saw %v, want %v", qm.seen, tc.seen)
+			send := func() { s.enqueue(1, outMsg{m: &FwdMsg{}, size: sizeFwd, isReq: true, reqID: 7}) }
+			qm.Observe(1, qmon.RerouteThreshold, qmon.RerouteThreshold) // an overloaded peer
+			send()
+			if recoveries != 1 || qm.Rerouting(1) {
+				t.Errorf("one message sent: %d recoveries, rerouting %v; want the overload over", recoveries, qm.Rerouting(1))
 			}
-			if got := s.SendQueueLen(1); got != tc.waiting {
-				t.Errorf("%d messages wait, want %d", got, tc.waiting)
+			for range qmon.RerouteThreshold - 2 {
+				send()
+			}
+			if qm.Rerouting(1) {
+				t.Errorf("%d messages sent: rerouting already", qmon.RerouteThreshold-1)
+			}
+			send()
+			if qm.Rerouting(1) != tc.waits {
+				t.Errorf("%d messages sent: rerouting %v, want %v", qmon.RerouteThreshold, qm.Rerouting(1), tc.waits)
+			}
+			waiting := 0
+			if tc.waits {
+				waiting = qmon.RerouteThreshold
+			}
+			if got := s.SendQueueLen(1); got != waiting {
+				t.Errorf("%d messages wait, want %d", got, waiting)
 			}
 			if len(env.dials) != tc.dials {
 				t.Errorf("%d dials, want %d", len(env.dials), tc.dials)
 			}
-			if p := s.peerAt(1); tc.waiting == 0 && p.q != nil {
+			if p := s.peerAt(1); !tc.waits && p.q != nil {
 				t.Error("a send that went through allocated a send queue")
 			}
 		})

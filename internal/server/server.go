@@ -7,7 +7,6 @@ import (
 	"press/internal/cnet"
 	"press/internal/metrics"
 	"press/internal/qmon"
-	"press/internal/snapio"
 	"press/internal/trace"
 )
 
@@ -32,7 +31,7 @@ type Server struct {
 	src  metrics.SourceID // interned "press/<self>" tag
 	disk DiskArray
 	memb MembershipView
-	qm   queueMonitor // nil without queue monitoring
+	qm   *qmon.Monitor // nil without queue monitoring
 
 	cache *docCache
 	dir   *directory
@@ -89,15 +88,6 @@ type Server struct {
 	stats Stats
 
 	joinTimer clock.Timer // the server is its owner (OnTimer)
-}
-
-// queueMonitor is what the server asks of a *qmon.Monitor.
-type queueMonitor interface {
-	Observe(peer cnet.NodeID, total, requests int)
-	ShouldReroute(peer cnet.NodeID) bool
-	ClearFailed(peer cnet.NodeID)
-	Forget(peer cnet.NodeID)
-	SnapState(x *snapio.Ctx)
 }
 
 type pendingReq struct {

@@ -124,7 +124,8 @@ func TestRetiredPairSlotsAreRefused(t *testing.T) {
 	x.F64(&snap.Opts.Rate)
 	snapio.Int(x, &snap.Opts.Warmup)
 	snapio.Int(x, &snap.Opts.HeartbeatPeriod)
-	snapio.Int(x, &snap.Opts.OperatorResponse)
+	op := 30 * time.Minute // the retired operator-response slot
+	snapio.Int(x, &op)
 	at := x.Enc.Len()
 	if !bytes.HasPrefix(snap.Bytes(), x.Enc.Bytes()) || snap.Bytes()[at] != 0 {
 		t.Fatalf("the envelope does not hold a false pair flag at byte %d", at)
@@ -162,21 +163,22 @@ func TestRetiredPairSlotsAreRefused(t *testing.T) {
 	refused("Restore with an address alias", err, "count 1 out of range")
 }
 
-// TestRetiredOptionSlotsAreRefused: format 7 keeps nine option slots no
-// world fills any more, the trace skew (always trace.DefaultAlpha) and
+// TestRetiredOptionSlotsAreRefused: format 7 keeps ten option slots no
+// world fills any more, the operator response (always 30 min: stage E is
+// the phase-2 model's), the trace skew (always trace.DefaultAlpha) and
 // the eight of the load modulation (always zero: the offered load is
-// stationary). A blob whose skew is another value, or whose modulation
-// has any slot set, is refused with a typed error instead of restoring
-// as a world it does not describe.
+// stationary). A blob whose operator response or skew is another value,
+// or whose modulation has any slot set, is refused with a typed error
+// instead of restoring as a world it does not describe.
 func TestRetiredOptionSlotsAreRefused(t *testing.T) {
 	snap, err := harness.Take(harness.NewEngine(0).Build(harness.VCOOP, fastOpts(1)), nil)
 	if err != nil {
 		t.Fatalf("Take: %v", err)
 	}
 	// envelope writes the envelope through the modulation slots: the
-	// snapshot's own values, with the skew given and the modulation slot
-	// set (its zero-based index; -1 sets none).
-	envelope := func(alpha float64, set int) []byte {
+	// snapshot's own values, with the operator response and the skew given
+	// and the modulation slot set (its zero-based index; -1 sets none).
+	envelope := func(op time.Duration, alpha float64, set int) []byte {
 		x := &snapio.Ctx{Enc: &snapio.Encoder{}}
 		magic, format, v, pair := "press-snap", 7, string(snap.Version), false
 		x.Str(&magic)
@@ -189,7 +191,7 @@ func TestRetiredOptionSlotsAreRefused(t *testing.T) {
 		x.F64(&o.Rate)
 		snapio.Int(x, &o.Warmup)
 		snapio.Int(x, &o.HeartbeatPeriod)
-		snapio.Int(x, &o.OperatorResponse)
+		snapio.Int(x, &op)
 		x.Bool(&pair)
 		snapio.Int(x, &o.Docs)
 		x.F64(&alpha)
@@ -208,9 +210,10 @@ func TestRetiredOptionSlotsAreRefused(t *testing.T) {
 		}
 		return x.Enc.Bytes()
 	}
-	head := envelope(trace.DefaultAlpha, -1)
+	const op = 30 * time.Minute
+	head := envelope(op, trace.DefaultAlpha, -1)
 	if !bytes.HasPrefix(snap.Bytes(), head) {
-		t.Fatal("the envelope does not hold the default skew and a zero modulation")
+		t.Fatal("the envelope does not hold a 30 min operator response, the default skew and a zero modulation")
 	}
 	rest := snap.Bytes()[len(head):]
 	refused := func(what string, blob []byte, want string) {
@@ -221,11 +224,14 @@ func TestRetiredOptionSlotsAreRefused(t *testing.T) {
 			t.Errorf("%s: %v, want a *snapio.SnapError saying %q", what, err, want)
 		}
 	}
+	for _, other := range []time.Duration{0, -time.Minute, time.Minute, time.Hour} {
+		refused(fmt.Sprintf("Load with operator response %v", other), slices.Concat(envelope(other, trace.DefaultAlpha, -1), rest), "operator response")
+	}
 	for _, alpha := range []float64{0, 1.2, math.NaN()} {
-		refused(fmt.Sprintf("Load with skew %v", alpha), slices.Concat(envelope(alpha, -1), rest), "trace skew")
+		refused(fmt.Sprintf("Load with skew %v", alpha), slices.Concat(envelope(op, alpha, -1), rest), "trace skew")
 	}
 	for slot := 0; slot < 8; slot++ {
-		refused(fmt.Sprintf("Load with modulation slot %d set", slot), slices.Concat(envelope(trace.DefaultAlpha, slot), rest), "modulated")
+		refused(fmt.Sprintf("Load with modulation slot %d set", slot), slices.Concat(envelope(op, trace.DefaultAlpha, slot), rest), "modulated")
 	}
 }
 

@@ -255,7 +255,7 @@ func wedgeDisk(t *testing.T, c *harness.Cluster) {
 		t.Fatal(err)
 	}
 	m := c.Machines[1]
-	feDials := reflect.ValueOf(c.FEMach).Elem().FieldByName("dials")
+	feDials := reflect.ValueOf(c.FEMachines[0]).Elem().FieldByName("dials")
 	for deadline := c.Sim.Now() + time.Minute; ; {
 		probes := 0
 		c.Sim.VisitPending(func(_ time.Duration, _ uint64, afn func(any), _ any) {
@@ -466,7 +466,7 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 	rows = append(rows,
 		capture{harness.VFME, time.Minute, "/disk-wedged", wedgeDisk},
 		capture{harness.VFME, time.Minute, "/dial-result-in-mailbox", func(t *testing.T, c *harness.Cluster) {
-			fe := c.FEMach.Proc("frontend")
+			fe := c.FEMachines[0].Proc("frontend")
 			stepUntil(t, c, "a dial result queued behind the front-end's charge", func() bool {
 				return mailboxDials(fe) > 0 && armed(fe)
 			})

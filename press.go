@@ -51,8 +51,6 @@ const (
 	FME      = harness.VFME
 	SFME     = harness.VSFME
 	CMON     = harness.VCMON
-	XSW      = harness.VXSW
-	XSWRAID  = harness.VXSWRAID
 )
 
 // Options parameterizes an experiment world.
