@@ -15,14 +15,17 @@ import (
 
 // forkedOutcomesBytes is what a forked campaign's summary of 8 seeds
 // keeps live (TestForkedOutcomesRetain), read on linux/amd64 (the reading
-// repeats to the byte); the pin allows 1 % over, and it only goes down.
-// Measured from the heap before the campaign, the same summary read
-// 125,040 B, and with a whole 256-record chunk of 56-byte records per
-// restored log 213,728 B. Each
-// outcome keeps its event log and its throughput series, nothing of the
-// world it ran in: a fork whose restored log kept a whole chunk again, or
-// a result that held its cluster, shows here.
-const forkedOutcomesBytes = 120_592
+// repeats to within 16 B); the pin allows 1 % over, and it only goes down.
+// Each outcome keeps its event log, cut to its records, and the
+// throughput buckets after the capture instant; the ~610 warm-up buckets
+// before it are one array the capture owns and every outcome shares
+// (Cluster.Hold). It keeps nothing of the world it ran in. With a copy of
+// the warm-up buckets per outcome and a restored log's doubled last chunk
+// the same summary read 120,576 B; with a whole 256-record chunk of
+// 56-byte records per restored log, 213,728 B. A fork that copied the
+// head again, a log left uncut, or a result that held its cluster shows
+// here.
+const forkedOutcomesBytes = 50_464
 
 // TestForkedOutcomesRetain pins the live heap a RunCampaignFromSnapshot
 // summary of 8 seeds holds: seed 1's world warmed as pressbench's

@@ -204,7 +204,8 @@ func (r *runner) pollCheck() {
 }
 
 // assemble snapshots every probe the invariant catalog needs, in the
-// original Run order.
+// original Run order, and cuts the series and log the result keeps to what
+// this run made (Cluster.Hold).
 func (r *runner) assemble() {
 	c := r.c
 	res := &r.res
@@ -243,6 +244,7 @@ func (r *runner) assemble() {
 	res.ActiveFaults = c.Injector.ActiveCount()
 	res.FMEActions = c.Log.Query().Kind(metrics.KFMEAction).Between(r.t0, res.End).Count()
 	res.FMEMisses = fmeMisses(c, r.sched, r.t0)
+	c.Hold()
 }
 
 // SnapExtra moves the runner's driver state at the world stream's extra

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,7 @@ import (
 
 	"press/internal/faults"
 	"press/internal/harness"
+	"press/internal/metrics"
 )
 
 // diffAt renders the first divergence between two serialized runs.
@@ -435,5 +437,52 @@ func TestRestoreThenCaptureIsFixedPoint(t *testing.T) {
 				t.Run(string(v), func(t *testing.T) { fixed(t, captured[vi][i], replay) })
 			}
 		})
+	}
+}
+
+// heldHead reads where a held series' shared head starts and how many
+// buckets it has, by reflection: the head is the series' own business,
+// and only this test asks whose array it is.
+func heldHead(s *metrics.Series) (uintptr, int) {
+	h := reflect.ValueOf(s).Elem().FieldByName("head")
+	return h.Pointer(), h.Len()
+}
+
+// TestForkedOutcomesShareTheWarmHead: the outcomes of a forked campaign
+// keep one warm-up head between them — the capture's throughput buckets
+// before its instant, one backing array — and each still serializes byte
+// for byte as its schedule replayed cold on the snapshot's options.
+func TestForkedOutcomesShareTheWarmHead(t *testing.T) {
+	rc := fastRun()
+	cfg := CampaignConfig{
+		Seeds: Seeds(8),
+		Gen:   GenConfig{Horizon: time.Minute, MinActive: 15 * time.Second, MaxActive: 40 * time.Second, MaxFaults: 4},
+		Run:   rc,
+	}
+	eng := harness.NewEngine(0)
+	snap, err := WarmSnapshot(eng, harness.VCOOP, fastOpts(1), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := RunCampaignFromSnapshot(eng, snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := heldHead(sum.Outcomes[0].Result.Series)
+	for _, oc := range sum.Outcomes {
+		if oc.Err != nil {
+			t.Fatalf("seed %d: %v", oc.Seed, oc.Err)
+		}
+		p, n := heldHead(oc.Result.Series)
+		if p == 0 || p != first || n != int(snap.At/time.Second) {
+			t.Fatalf("seed %d: head of %d buckets at %#x, want the shared %d at %#x", oc.Seed, n, p, int(snap.At/time.Second), first)
+		}
+		cold, err := Run(eng, snap.Version, oc.Options, oc.Schedule, cfg.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := cold.Serialize(), oc.Result.Serialize(); !bytes.Equal(got, want) {
+			diffAt(t, "held fork", want, got)
+		}
 	}
 }

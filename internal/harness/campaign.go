@@ -75,6 +75,7 @@ func (e *Engine) runCampaign(v Version, o Options, sched EpisodeSchedule) (Campa
 				return
 			}
 			eps[i], errs[i] = episodeFrom(c, spec.Type, DefaultComponent(spec.Type), sched)
+			c.Hold()
 		}()
 	}
 	wg.Wait()

@@ -20,7 +20,7 @@ import (
 func TestEnvelopeCarriesEveryOption(t *testing.T) {
 	envelope := func(o Options) []byte {
 		x := &snapio.Ctx{Enc: &snapio.Encoder{}}
-		(&Snap{Version: VCOOP, Opts: o, Rate: 100}).envelope(x)
+		(&Snap{header: header{Version: VCOOP, Opts: o, Rate: 100}}).envelope(x)
 		return x.Enc.Bytes()
 	}
 	zero := envelope(Options{})

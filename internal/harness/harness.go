@@ -373,6 +373,7 @@ type Cluster struct {
 
 	genTargets []cnet.NodeID
 	offered    float64
+	capture    *Snap // the capture this world was restored from; nil when built cold
 }
 
 // Offered returns the offered load the cluster was built with.

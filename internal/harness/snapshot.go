@@ -10,6 +10,7 @@ import (
 	"press/internal/frontend"
 	"press/internal/machine"
 	"press/internal/membership"
+	"press/internal/metrics"
 	"press/internal/server"
 	"press/internal/simnet"
 	"press/internal/snapio"
@@ -79,15 +80,26 @@ const (
 	format = 7
 )
 
-// Snap is one captured world.
+// Snap is one captured world: the envelope its walk moves, the stream's
+// bytes and content address (seal), and the warm-up head its forks share
+// (warmHead).
 type Snap struct {
+	header
+
+	blob []byte
+	hash string
+
+	headOnce sync.Once
+	head     []float64
+}
+
+// header is what the envelope says of a captured world besides its
+// format.
+type header struct {
 	Version Version
 	Opts    Options       // normalized (withDefaults applied by Build)
 	Rate    float64       // resolved offered load the world runs at
 	At      time.Duration // sim time of the capture
-
-	blob []byte //availlint:skipfield blob the stream itself, adopted whole by seal
-	hash string //availlint:skipfield hash the stream's content address, computed by seal
 }
 
 // Bytes returns the serialized snapshot (envelope + world stream).
@@ -104,6 +116,18 @@ func (s *Snap) Hash() string { return s.hash }
 func (s *Snap) seal(blob []byte) {
 	sum := sha256.Sum256(blob)
 	s.blob, s.hash = blob, hex.EncodeToString(sum[:])
+}
+
+// warmHead returns the throughput buckets before the capture instant: one
+// read-only array every fork of s shares. The first finished fork that
+// asks supplies it from its own series, whose buckets before At are the
+// capture's; the bucket the capture instant falls in is each fork's own.
+func (s *Snap) warmHead(tp *metrics.Series) []float64 {
+	s.headOnce.Do(func() {
+		k := min(int(s.At/tp.Width), tp.Len())
+		s.head = slices.Clone(tp.Buckets()[:k])
+	})
+	return s.head
 }
 
 // recoverSnap converts the snapio.Failf panic protocol into an ordinary
@@ -143,7 +167,7 @@ func Take(c *Cluster, extra func(*snapio.Ctx)) (s *Snap, err error) {
 	defer recoverSnap(&err)
 	x := newCtx()
 	x.Enc = &snapio.Encoder{}
-	s = &Snap{Version: c.Version, Opts: c.Opts, Rate: c.Offered(), At: c.Sim.Now()}
+	s = &Snap{header: header{Version: c.Version, Opts: c.Opts, Rate: c.Offered(), At: c.Sim.Now()}}
 	s.envelope(x)
 	c.snapWorld(x, extra)
 	s.seal(x.Enc.Bytes())
@@ -191,7 +215,22 @@ func (s *Snap) Restore(extra func(*Cluster, *snapio.Ctx)) (c *Cluster, err error
 	if c.Sim.Now() != h.At {
 		snapio.Failf("restored clock %v does not match capture time %v", c.Sim.Now(), h.At)
 	}
+	c.capture = s
 	return c, nil
+}
+
+// Hold makes a finished world's records what a kept result holds: the
+// throughput series read-only, sharing the warm-up head of the capture the
+// world was forked from (a cold world's shares nothing), and the series
+// tail and the event log cut to their exact length. Nothing simulates on
+// c after it.
+func (c *Cluster) Hold() {
+	var head []float64
+	if c.capture != nil {
+		head = c.capture.warmHead(c.Rec.Throughput)
+	}
+	c.Rec.Throughput.Hold(head)
+	c.Log.Trim()
 }
 
 // Server section tags: what a node's press part says first.

@@ -77,7 +77,7 @@ type finding struct {
 
 // maxSkipfields bounds the product's skipfield annotations. Lower it when
 // the count drops.
-const maxSkipfields = 20
+const maxSkipfields = 18
 
 // A skipfield is one "availlint:skipfield <name> <reason>" annotation,
 // used once a field of a checked struct needs it.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -183,8 +184,9 @@ func (r *record) event() Event {
 // costs one chunk allocation per chunkSize events. A restored log's last
 // chunk is made at the number of records it restores and grows by
 // doubling until full (grow), so a forked run that appends a few dozen
-// events keeps a few dozen records, not a whole chunk. A growth moves the
-// last chunk's records; every reader holds l.mu.
+// events keeps a few dozen records, not a whole chunk; a finished run's
+// log is cut to its records (Trim). A growth or a cut moves the last
+// chunk's records; every reader holds l.mu.
 const (
 	chunkShift = 8
 	chunkSize  = 1 << chunkShift
@@ -219,6 +221,19 @@ func (l *Log) grow() {
 	grown := make([]record, min(2*len(*last), chunkSize))
 	copy(grown, *last)
 	*last = grown
+}
+
+// Trim cuts the last chunk to the records it holds, for a finished run's
+// log that is kept but no longer grows: a restored chunk's doubling and a
+// fresh chunk's room stop costing memory. An append after Trim still
+// lands, through grow.
+func (l *Log) Trim() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := l.n & chunkMask; n != 0 && len(l.chunks[len(l.chunks)-1]) > n {
+		last := &l.chunks[len(l.chunks)-1]
+		*last = slices.Clone((*last)[:n])
+	}
 }
 
 // rec returns the i'th record. Callers hold l.mu: a growth moves the

@@ -100,8 +100,13 @@ func (l *Log) SnapState(x *snapio.Ctx) {
 	}
 }
 
-// SnapState moves the series.
+// SnapState moves the series as its whole bucket list, head then tail;
+// loading makes a series of its own that takes Adds again.
 func (s *Series) SnapState(x *snapio.Ctx) {
 	snapio.Int(x, &s.Width)
-	snapio.Slice(x, &s.buckets, 1<<26, x.F64)
+	all := s.Buckets()
+	snapio.Slice(x, &all, 1<<26, x.F64)
+	if !x.Saving() {
+		s.head, s.buckets, s.held = nil, all, false
+	}
 }

@@ -263,3 +263,46 @@ func TestRetiredLogArgIsRefused(t *testing.T) {
 		t.Errorf("a literal record: %v", err)
 	}
 }
+
+// TestTrimKeepsEveryRecord: Trim cuts the last chunk to its records — a
+// restored chunk that doubled, a fresh chunk's room, a full chunk left
+// alone, an empty log untouched — keeps every record where it was, and
+// the next append still lands, growing the cut chunk by doubling.
+func TestTrimKeepsEveryRecord(t *testing.T) {
+	grown := restored(t, 40)
+	fill(grown, 40, 30) // 70 records in a chunk doubled to 80
+	freshFull, freshPart := &Log{}, &Log{}
+	fill(freshFull, 0, chunkSize)
+	fill(freshPart, 0, chunkSize+44)
+	for _, c := range []struct {
+		name string
+		l    *Log
+		want []int // chunk lengths after Trim
+	}{
+		{"restored short chunk", grown, []int{70}},
+		{"restored exact chunk", restored(t, 67), []int{67}},
+		{"full chunk", freshFull, []int{chunkSize}},
+		{"fresh chunk's room", freshPart, []int{chunkSize, 44}},
+		{"empty log", &Log{}, nil},
+	} {
+		n := c.l.Len()
+		before := c.l.Dump()
+		c.l.Trim()
+		if !slices.Equal(lens(c.l), c.want) {
+			t.Fatalf("%s: chunks %v after Trim, want %v", c.name, lens(c.l), c.want)
+		}
+		if c.l.Len() != n || c.l.Dump() != before {
+			t.Fatalf("%s: Trim changed the records", c.name)
+		}
+		fill(c.l, n, 1)
+		if c.l.Len() != n+1 {
+			t.Fatalf("%s: an append after Trim left %d records, want %d", c.name, c.l.Len(), n+1)
+		}
+		if got, w := c.l.rec(n).event(), want(n); got != w {
+			t.Fatalf("%s: the append after Trim reads %v, want %v", c.name, got, w)
+		}
+		if c.l.Dump() != before+want(n).String()+"\n" {
+			t.Fatalf("%s: the records before the append moved", c.name)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"press/internal/cnet"
+	"press/internal/snapio"
 	"press/internal/trace"
 )
 
@@ -205,4 +206,139 @@ func (d *directory) Entries() int {
 		return len(d.wide)
 	}
 	return d.entries
+}
+
+// TestNarrowDirectoryAcrossSizes drives random Set / DropNode sequences
+// against a reference map in the narrow table at every cluster size where
+// a mask's bytes step (one byte up to eight, and the 64-node edge), and
+// checks what routing and a snapshot read of it: eachHolder, the entry
+// count, and the bytes the walk writes — one uint64 mask per held
+// document, ascending — which load back into the same sets. A table that
+// kept fewer bytes a mask than its cluster needs fails here.
+func TestNarrowDirectoryAcrossSizes(t *testing.T) {
+	const docs = 40
+	for _, n := range []int{1, 4, 8, 9, 16, 17, 63, 64} {
+		rng := rand.New(rand.NewSource(int64(100 + n)))
+		nodes := make([]cnet.NodeID, n)
+		for i := range nodes {
+			nodes[i] = cnet.NodeID(2*i + 1)
+		}
+		rng.Shuffle(n, func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		d := newDirectory(nodes, docs)
+		if d.words != 1 {
+			t.Fatalf("N=%d: %d words a mask, want the narrow table's 1", n, d.words)
+		}
+		ref := map[trace.DocID]map[cnet.NodeID]bool{}
+		for step := 0; step < 4000; step++ {
+			node := nodes[rng.Intn(n)]
+			if rng.Intn(60) == 0 {
+				d.DropNode(node)
+				for _, set := range ref {
+					delete(set, node)
+				}
+			} else {
+				doc, cached := trace.DocID(rng.Intn(docs)), rng.Intn(3) != 0
+				d.Set(node, doc, cached)
+				if ref[doc] == nil {
+					ref[doc] = map[cnet.NodeID]bool{}
+				}
+				if cached {
+					ref[doc][node] = true
+				} else {
+					delete(ref[doc], node)
+				}
+			}
+			if step%50 == 0 {
+				checkNarrow(t, n, step, d, nodes, ref)
+			}
+		}
+		checkNarrow(t, n, -1, d, nodes, ref)
+	}
+}
+
+// checkNarrow holds d to ref: eachHolder of every document, the entry
+// count, the walk's bytes against the ones ref describes, and a fresh
+// directory loaded from them.
+func checkNarrow(t *testing.T, n, step int, d *directory, nodes []cnet.NodeID, ref map[trace.DocID]map[cnet.NodeID]bool) {
+	t.Helper()
+	want := &snapio.Ctx{Enc: &snapio.Encoder{}}
+	var held []trace.DocID
+	for doc := range trace.DocID(len(d.bits)) {
+		if len(ref[doc]) > 0 {
+			held = append(held, doc)
+		}
+	}
+	want.Len(len(held), 1<<24)
+	for _, doc := range held {
+		var mask uint64
+		for b, node := range nodes {
+			if ref[doc][node] {
+				mask |= 1 << b
+			}
+		}
+		snapio.Int(want, &doc)
+		want.U64(&mask)
+	}
+	if d.entries != len(held) {
+		t.Fatalf("N=%d step %d: %d entries, the model holds %d documents", n, step, d.entries, len(held))
+	}
+	save := &snapio.Ctx{Enc: &snapio.Encoder{}}
+	d.snap(save, func(doc *trace.DocID) { snapio.Int(save, doc) })
+	if !slices.Equal(save.Enc.Bytes(), want.Enc.Bytes()) {
+		t.Fatalf("N=%d step %d: the walk writes %x, want %x", n, step, save.Enc.Bytes(), want.Enc.Bytes())
+	}
+	back := newDirectory(nodes, len(d.bits))
+	load := &snapio.Ctx{Dec: snapio.NewDecoder(save.Enc.Bytes())}
+	back.snap(load, func(doc *trace.DocID) { snapio.Int(load, doc) })
+	if err := load.Dec.Err(); err != nil || !load.Dec.Done() {
+		t.Fatalf("N=%d step %d: loading the walk: %v (done %v)", n, step, err, load.Dec.Done())
+	}
+	for _, dir := range []*directory{d, back} {
+		for doc := range trace.DocID(len(d.bits)) {
+			var got, model []cnet.NodeID
+			dir.eachHolder(doc, func(node cnet.NodeID) { got = append(got, node) })
+			for _, node := range nodes { // static-list order is bit order
+				if ref[doc][node] {
+					model = append(model, node)
+				}
+			}
+			if !slices.Equal(got, model) {
+				t.Fatalf("N=%d step %d: eachHolder(%d) = %v, the model says %v", n, step, doc, got, model)
+			}
+		}
+	}
+	if back.entries != d.entries || !slices.Equal(back.bits, d.bits) {
+		t.Fatalf("N=%d step %d: the loaded table differs from its source", n, step)
+	}
+}
+
+// TestNarrowDirectoryRefusesStrangers: a loaded mask naming a bit past
+// the cluster's nodes, which eachHolder would index the node list with,
+// is refused before it is stored.
+func TestNarrowDirectoryRefusesStrangers(t *testing.T) {
+	for _, n := range []int{1, 4, 9, 63} {
+		nodes := make([]cnet.NodeID, n)
+		for i := range nodes {
+			nodes[i] = cnet.NodeID(i)
+		}
+		enc := &snapio.Ctx{Enc: &snapio.Encoder{}}
+		enc.Len(1, 1<<24)
+		doc, mask := trace.DocID(3), uint64(1)<<n
+		snapio.Int(enc, &doc)
+		enc.U64(&mask)
+		d := newDirectory(nodes, 10)
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err, _ = r.(*snapio.SnapError)
+				}
+			}()
+			x := &snapio.Ctx{Dec: snapio.NewDecoder(enc.Enc.Bytes())}
+			d.snap(x, func(doc *trace.DocID) { snapio.Int(x, doc) })
+			return nil
+		}()
+		if err == nil || d.entries != 0 {
+			t.Fatalf("N=%d: a mask with bit %d loaded (%v, %d entries)", n, n, err, d.entries)
+		}
+	}
 }

@@ -142,6 +142,44 @@ func (s *Server) doc(x *snapio.Ctx, d *trace.DocID) {
 	}
 }
 
+// snap moves the directory; doc moves one document id. The word count is
+// derived from the static node list on both ends, so the layouts need no
+// discriminator: one mask word per held document in the faithful
+// ≤64-node shape, and words of them per entry in the wide shape.
+func (d *directory) snap(x *snapio.Ctx, doc func(*trace.DocID)) {
+	if d.words > 1 {
+		snapio.Map(x, d.wide, 1<<24, func(id *trace.DocID, mask *[]uint64) {
+			doc(id)
+			if !x.Saving() {
+				*mask = make([]uint64, d.words)
+			}
+			for i := range *mask {
+				x.U64(&(*mask)[i])
+			}
+		})
+		return
+	}
+	// The documents somebody holds, ascending: what the sorted walk of the
+	// map this table replaced wrote.
+	id := trace.DocID(-1)
+	for range x.Len(d.entries, 1<<24) {
+		var mask uint64
+		if x.Saving() {
+			for id++; d.bits[id] == 0; id++ {
+			}
+			mask = d.bits[id]
+		}
+		doc(&id)
+		x.U64(&mask)
+		if !x.Saving() {
+			if mask>>uint(len(d.nodes)) != 0 {
+				snapio.Failf("directory: document %d's holders %#x name a node outside the %d-node cluster", id, mask, len(d.nodes))
+			}
+			d.setMask(id, mask)
+		}
+	}
+}
+
 // snapView moves the cooperation set in ascending node order.
 func (s *Server) snapView(x *snapio.Ctx) {
 	var view []cnet.NodeID
@@ -199,37 +237,7 @@ func (s *Server) SnapState(x *snapio.Ctx) {
 		s.cache.refill(docs)
 	}
 
-	// The directory's word count is derived from cfg.Nodes on both ends,
-	// so the layouts need no discriminator: one mask word per entry in
-	// the faithful ≤64-node shape, s.dir.words in the wide shape.
-	if s.dir.words > 1 {
-		snapio.Map(x, s.dir.wide, 1<<24, func(doc *trace.DocID, mask *[]uint64) {
-			s.doc(x, doc)
-			if !x.Saving() {
-				*mask = make([]uint64, s.dir.words)
-			}
-			for i := range *mask {
-				x.U64(&(*mask)[i])
-			}
-		})
-	} else {
-		// The documents somebody holds, ascending: what the sorted walk of
-		// the map this table replaced wrote.
-		doc := trace.DocID(-1)
-		for range x.Len(s.dir.entries, 1<<24) {
-			var mask uint64
-			if x.Saving() {
-				for doc++; s.dir.bits[doc] == 0; doc++ {
-				}
-				mask = s.dir.bits[doc]
-			}
-			s.doc(x, &doc)
-			x.U64(&mask)
-			if !x.Saving() {
-				s.dir.setMask(doc, mask)
-			}
-		}
-	}
+	s.dir.snap(x, func(d *trace.DocID) { s.doc(x, d) })
 
 	ids := s.peerIDs()
 	snapio.Slice(x, &ids, 1<<16, func(n *cnet.NodeID) {
